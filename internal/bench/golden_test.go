@@ -1,0 +1,235 @@
+package bench
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"shadowdb/internal/broadcast"
+)
+
+// The golden oracle: every `cmd/bench -quick` report metric and every
+// nemesis injection fingerprint, pinned bit-for-bit. The experiments run
+// on the discrete-event simulator, so a report is a pure function of
+// (config, seed, calibrated broadcast costs); any harness refactor that
+// claims to preserve behaviour must reproduce this file exactly. There is
+// deliberately no tolerance: regenerate with
+//
+//	go test ./internal/bench -run TestGoldenQuick -update
+//
+// only when an experiment's behaviour is meant to change.
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_quick.json from this run")
+
+const goldenPath = "testdata/golden_quick.json"
+
+// goldenEntry is one experiment's pinned outcome.
+type goldenEntry struct {
+	Metrics      map[string]float64 `json:"metrics"`
+	Fingerprints map[string]string  `json:"fingerprints,omitempty"`
+}
+
+// goldenExcluded lists the metrics that are not a function of (config,
+// seed): the postmortem experiment times the same run twice on the WALL
+// clock to price the flight recorder, so these three vary with the host.
+// Everything else in every report is pinned.
+var goldenExcluded = []string{
+	"postmortem.wall_on_ms",
+	"postmortem.wall_off_ms",
+	"postmortem.overhead_pct",
+}
+
+// pinCalibration replaces the measured broadcast-mode costs with fixed
+// ones for the duration of a test. Calibrate() times the real term
+// interpreter, so the interpreted-mode per-message cost differs from
+// process to process — and with it Fig. 8's interpreted curves and every
+// PBR reconfiguration timeline (fig10a, chaos failover, the overlap
+// ablation), whose recovery rides the interpreted service. Pinning the
+// three costs at the paper-anchored compiled cost and representative
+// measured ratios (8x / 17x) makes those metrics reproducible too, so
+// nothing but wall-clock has to be excluded.
+func pinCalibration(t *testing.T) {
+	t.Helper()
+	prev := calibrateOnce
+	calibrateOnce = func() BcastCosts {
+		return BcastCosts{
+			PerMsg: map[broadcast.Mode]time.Duration{
+				broadcast.Compiled:       CompiledAnchor,
+				broadcast.InterpretedOpt: 8 * CompiledAnchor,
+				broadcast.Interpreted:    17 * CompiledAnchor,
+			},
+			MeasuredRatio: map[broadcast.Mode]float64{
+				broadcast.Compiled: 1, broadcast.InterpretedOpt: 8, broadcast.Interpreted: 17,
+			},
+		}
+	}
+	t.Cleanup(func() { calibrateOnce = prev })
+}
+
+func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
+
+// goldenRuns maps each experiment to its `cmd/bench -quick` run. slow
+// marks the ones skipped under -short.
+var goldenRuns = []struct {
+	name string
+	slow bool
+	run  func() (*Report, map[string]string)
+}{
+	{"table1", false, func() (*Report, map[string]string) {
+		return ReportTable1(Table1(), true), nil
+	}},
+	{"fig8", false, func() (*Report, map[string]string) {
+		return ReportFig8(Fig8(QuickFig8()), true), nil
+	}},
+	{"fig9a", false, func() (*Report, map[string]string) {
+		return ReportFig9("fig9a", Fig9a(QuickFig9a()), true), nil
+	}},
+	{"fig9b", false, func() (*Report, map[string]string) {
+		return ReportFig9("fig9b", Fig9b(QuickFig9b()), true), nil
+	}},
+	{"fig10a", false, func() (*Report, map[string]string) {
+		return ReportFig10a(Fig10a(QuickFig10a()), true), nil
+	}},
+	{"fig10b", false, func() (*Report, map[string]string) {
+		return ReportFig10b(Fig10b(QuickFig10b()), true), nil
+	}},
+	{"ablations", false, func() (*Report, map[string]string) {
+		return ReportAblations([]AblationResult{
+			AblationBatching(16, 300, 5_000),
+			AblationOverlap(50_000),
+		}, true), nil
+	}},
+	{"batch", false, func() (*Report, map[string]string) {
+		return ReportBatch(Batch(QuickBatch()), true), nil
+	}},
+	{"spans", false, func() (*Report, map[string]string) {
+		return ReportSpans(Spans(QuickSpans()), true), nil
+	}},
+	{"chaos", false, func() (*Report, map[string]string) {
+		res := Chaos(QuickChaos())
+		return ReportChaos(res, true), map[string]string{
+			"chaos.run1": hex64(res.Fingerprint), "chaos.run2": hex64(res.Fingerprint2),
+		}
+	}},
+	{"recovery", false, func() (*Report, map[string]string) {
+		return ReportRecovery(Recovery(QuickRecovery()), true), nil
+	}},
+	{"membership", false, func() (*Report, map[string]string) {
+		res := Membership(QuickMembership())
+		return ReportMembership(res, true), map[string]string{"membership": hex64(res.Fingerprint)}
+	}},
+	{"shard", false, func() (*Report, map[string]string) {
+		return ReportShard(Shard(QuickShard()), true), nil
+	}},
+	{"readpath", true, func() (*Report, map[string]string) {
+		res := ReadPath(QuickReadPath())
+		return ReportReadPath(res, true), map[string]string{"readpath.chaos": hex64(res.Chaos.Fingerprint)}
+	}},
+	{"overload", false, func() (*Report, map[string]string) {
+		res := Overload(QuickOverload())
+		return ReportOverload(res, true), map[string]string{"overload": hex64(res.Fingerprint)}
+	}},
+	{"postmortem", false, func() (*Report, map[string]string) {
+		res, err := Postmortem(QuickPostmortem())
+		if err != nil {
+			panic(err)
+		}
+		return ReportPostmortem(res, true), nil
+	}},
+}
+
+func TestGoldenQuick(t *testing.T) {
+	pinCalibration(t)
+	want := map[string]goldenEntry{}
+	if !*updateGolden {
+		data, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("read golden file (regenerate with -update): %v", err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("parse %s: %v", goldenPath, err)
+		}
+	}
+	got := map[string]goldenEntry{}
+	for _, g := range goldenRuns {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			if g.slow && testing.Short() {
+				t.Skip("seconds of virtual load")
+			}
+			rep, fps := g.run()
+			entry := goldenEntry{Metrics: map[string]float64{}, Fingerprints: fps}
+			for _, m := range rep.Metrics {
+				if contains(goldenExcluded, m.Name) {
+					continue
+				}
+				if _, dup := entry.Metrics[m.Name]; dup {
+					t.Errorf("metric %s reported twice", m.Name)
+				}
+				entry.Metrics[m.Name] = m.Value
+			}
+			got[g.name] = entry
+			if *updateGolden {
+				return
+			}
+			compareGolden(t, want[g.name], entry)
+		})
+	}
+	if !*updateGolden {
+		return
+	}
+	if testing.Short() {
+		t.Fatal("-update needs every experiment: run without -short")
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compareGolden requires exact equality of every metric and fingerprint,
+// in both directions (nothing missing, nothing extra).
+func compareGolden(t *testing.T, want, got goldenEntry) {
+	t.Helper()
+	var diffs []string
+	for name, w := range want.Metrics {
+		g, ok := got.Metrics[name]
+		switch {
+		case !ok:
+			diffs = append(diffs, fmt.Sprintf("metric %s missing (golden %v)", name, w))
+		case g != w:
+			diffs = append(diffs, fmt.Sprintf("metric %s = %v, golden %v", name, g, w))
+		}
+	}
+	for name, g := range got.Metrics {
+		if _, ok := want.Metrics[name]; !ok {
+			diffs = append(diffs, fmt.Sprintf("metric %s = %v not in golden file", name, g))
+		}
+	}
+	for name, w := range want.Fingerprints {
+		if g, ok := got.Fingerprints[name]; !ok || g != w {
+			diffs = append(diffs, fmt.Sprintf("fingerprint %s = %q, golden %q", name, g, w))
+		}
+	}
+	for name, g := range got.Fingerprints {
+		if _, ok := want.Fingerprints[name]; !ok {
+			diffs = append(diffs, fmt.Sprintf("fingerprint %s = %q not in golden file", name, g))
+		}
+	}
+	sort.Strings(diffs)
+	if len(diffs) > 0 {
+		t.Errorf("%d differences from %s:\n  %s", len(diffs), goldenPath, strings.Join(diffs, "\n  "))
+	}
+}
