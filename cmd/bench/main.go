@@ -1,21 +1,25 @@
 // Command bench regenerates the tables and figures of the paper's
-// evaluation (Section IV). Each experiment prints the rows/series the
-// paper reports; EXPERIMENTS.md records paper-vs-measured.
+// evaluation (Section IV) and runs the certification experiments. Each
+// experiment prints the rows/series the paper reports; EXPERIMENTS.md
+// records paper-vs-measured.
 //
 // Usage:
 //
-//	bench -experiment fig8|fig9a|fig9b|fig10a|fig10b|table1|batch|spans|chaos|recovery|membership|shard|readpath|postmortem|overload|all [-quick] [-json [-outdir DIR]] [-flight-dir DIR]
+//	bench -experiment NAME|all [-quick] [-json [-outdir DIR]] [-flight-dir DIR]
 //
-// With -json each experiment also writes a machine-readable
-// BENCH_<name>.json (metric name/value/unit, git SHA, timestamp) for CI
-// and regression diffing.
+// The experiment names come from the registry in internal/bench
+// (`bench -h` lists them, and which of them honour -flight-dir). With
+// -json each experiment also writes a machine-readable BENCH_<name>.json
+// (metric name/value/unit, injection fingerprints, git SHA, timestamp)
+// for CI and regression diffing. A run that fails one of its
+// certification gates names the gate on stderr and exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 	"time"
 
 	"shadowdb/internal/bench"
@@ -27,13 +31,35 @@ func main() {
 }
 
 func run() int {
-	experiment := flag.String("experiment", "all", "fig8|fig9a|fig9b|fig10a|fig10b|table1|batch|spans|chaos|recovery|membership|shard|readpath|postmortem|overload|all")
+	registry := bench.Experiments()
+	var names, flightNames []string
+	for _, e := range registry {
+		names = append(names, e.Name)
+		if e.Flight {
+			flightNames = append(flightNames, e.Name)
+		}
+	}
+	choices := strings.Join(names, "|") + "|all"
+
+	experiment := flag.String("experiment", "all", choices)
 	quick := flag.Bool("quick", false, "reduced scales for a fast pass")
-	flightDir := flag.String("flight-dir", "", "directory for flight-recorder postmortem bundles (chaos/recovery/membership/shard dump here on violation; postmortem writes here)")
+	flightDir := flag.String("flight-dir", "", "directory for flight-recorder postmortem bundles ("+
+		strings.Join(flightNames, "/")+" dump here on violation or an uncertified run)")
 	admin := flag.String("admin", "", "admin HTTP address (metrics, pprof) while experiments run")
 	jsonOut := flag.Bool("json", false, "write BENCH_<name>.json per experiment")
 	outdir := flag.String("outdir", ".", "directory for -json reports")
 	flag.Parse()
+
+	var todo []bench.Experiment
+	for _, e := range registry {
+		if *experiment == "all" || *experiment == e.Name {
+			todo = append(todo, e)
+		}
+	}
+	if len(todo) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s)\n", *experiment, choices)
+		return 2
+	}
 
 	if *admin != "" {
 		srv, addr, err := obs.Serve(*admin, obs.Default)
@@ -45,270 +71,32 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s\n", addr)
 	}
 
-	todo := map[string]bool{}
-	switch *experiment {
-	case "all":
-		for _, e := range []string{"table1", "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "ablations", "batch", "spans", "chaos", "recovery", "membership", "shard", "readpath", "postmortem", "overload"} {
-			todo[e] = true
-		}
-	case "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "table1", "ablations", "batch", "spans", "chaos", "recovery", "membership", "shard", "readpath", "postmortem", "overload":
-		todo[*experiment] = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		return 2
-	}
-
 	failed := false
-	emit := func(r *bench.Report) {
-		if !*jsonOut {
-			return
-		}
-		path, err := bench.WriteReport(*outdir, r)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-			return
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-
 	start := time.Now()
-	out := os.Stdout
-	if todo["table1"] {
-		rows := bench.Table1()
-		bench.RenderTable1(out, rows)
-		fmt.Fprintln(out)
-		emit(bench.ReportTable1(rows, *quick))
-	}
-	if todo["fig8"] {
-		cfg := bench.DefaultFig8()
-		if *quick {
-			cfg = bench.QuickFig8()
-		}
-		res := bench.Fig8(cfg)
-		bench.RenderFig8(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig8(res, *quick))
-	}
-	if todo["fig9a"] {
-		cfg := bench.DefaultFig9a()
-		if *quick {
-			cfg = bench.QuickFig9a()
-		}
-		res := bench.Fig9a(cfg)
-		bench.RenderFig9(out, "Fig. 9(a) — micro-benchmark: latency vs committed transactions/sec", res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig9("fig9a", res, *quick))
-	}
-	if todo["fig9b"] {
-		cfg := bench.DefaultFig9b()
-		if *quick {
-			cfg = bench.QuickFig9b()
-		}
-		res := bench.Fig9b(cfg)
-		bench.RenderFig9(out, "Fig. 9(b) — TPC-C: latency vs committed transactions/sec", res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig9("fig9b", res, *quick))
-	}
-	if todo["fig10a"] {
-		cfg := bench.DefaultFig10a()
-		if *quick {
-			cfg = bench.QuickFig10a()
-		}
-		res := bench.Fig10a(cfg)
-		bench.RenderFig10a(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig10a(res, *quick))
-	}
-	if todo["fig10b"] {
-		cfg := bench.DefaultFig10b()
-		if *quick {
-			cfg = bench.QuickFig10b()
-		}
-		res := bench.Fig10b(cfg)
-		bench.RenderFig10b(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportFig10b(res, *quick))
-	}
-	if todo["ablations"] {
-		rows := []bench.AblationResult{
-			bench.AblationBatching(16, 300, 5_000),
-			bench.AblationOverlap(50_000),
-		}
-		bench.RenderAblations(out, rows)
-		fmt.Fprintln(out)
-		emit(bench.ReportAblations(rows, *quick))
-	}
-	if todo["batch"] {
-		cfg := bench.DefaultBatch()
-		if *quick {
-			cfg = bench.QuickBatch()
-		}
-		res := bench.Batch(cfg)
-		bench.RenderBatch(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportBatch(res, *quick))
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "batch: %d property violations\n", len(res.Violations))
-			failed = true
-		}
-	}
-	if todo["spans"] {
-		cfg := bench.DefaultSpans()
-		if *quick {
-			cfg = bench.QuickSpans()
-		}
-		res := bench.Spans(cfg)
-		bench.RenderSpans(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportSpans(res, *quick))
-		if len(res.Violations) > 0 {
-			fmt.Fprintf(os.Stderr, "spans: %d property violations\n", len(res.Violations))
-			failed = true
-		}
-	}
-	if todo["chaos"] {
-		cfg := bench.DefaultChaos()
-		if *quick {
-			cfg = bench.QuickChaos()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.Chaos(cfg)
-		bench.RenderChaos(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportChaos(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"chaos: certification failed: %d violations, reproducible=%v, primaries=%d, progress=%v\n",
-				len(res.Violations), res.Reproducible, res.Primaries, res.ProgressAfterFaults)
-			failed = true
-		}
-	}
-	if todo["recovery"] {
-		cfg := bench.DefaultRecovery()
-		if *quick {
-			cfg = bench.QuickRecovery()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.Recovery(cfg)
-		bench.RenderRecovery(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportRecovery(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"recovery: certification failed: %d violations, recovered=%v, caught_up=%v, state_equal=%v, progress=%v, finished=%d/%d\n",
-				len(res.Violations), res.RecoveredLocally, res.CaughtUp,
-				res.StateEqual, res.ProgressAfterRestart, res.Finished, res.Clients)
-			failed = true
-		}
-	}
-	if todo["membership"] {
-		cfg := bench.DefaultMembership()
-		if *quick {
-			cfg = bench.QuickMembership()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.Membership(cfg)
-		bench.RenderMembership(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportMembership(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"membership: certification failed: %d violations, epochs=%d, grew=%d, shrank=%d, joiners=%v, restarts=%d/%d recovered=%v, caught_up=%v, state_equal=%v, progress=%v/%v, finished=%d/%d, repro=%v\n",
-				len(res.Violations), res.Epochs, res.GrewTo, res.ShrankTo,
-				res.JoinersActive, res.Kills, res.Restarts, res.RecoveredLocally,
-				res.CaughtUp, res.StateEqual,
-				res.ProgressAfterChanges, res.ProgressAfterRestart,
-				res.Finished, res.Clients, !res.ReproChecked || res.FingerprintStable)
-			failed = true
-		}
-	}
-	if todo["shard"] {
-		cfg := bench.DefaultShard()
-		if *quick {
-			cfg = bench.QuickShard()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.Shard(cfg)
-		bench.RenderShard(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportShard(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"shard: certification failed: speedup=%.2f, mixed(viol=%d open=%d inflight=%d balanced=%v eq=%v), chaos(viol=%d open=%d inflight=%d balanced=%v progress=%v finished=%d/%d)\n",
-				res.Speedup4, len(res.MixedViolations), res.MixedOpen, res.MixedInFlight,
-				res.MixedBalanced, res.MixedReplicasEq,
-				len(res.ChaosViolations), res.ChaosOpen, res.ChaosInFlight,
-				res.ChaosBalanced, res.ChaosProgress, res.ChaosFinished, res.ChaosClients)
-			failed = true
-		}
-	}
-	if todo["readpath"] {
-		cfg := bench.DefaultReadPath()
-		if *quick {
-			cfg = bench.QuickReadPath()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.ReadPath(cfg)
-		bench.RenderReadPath(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportReadPath(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"readpath: certification failed: %d violations, serve_allocs=%.1f, speedup=%.2f, group_syncs=%d/%d replica appends, chaos(old_served=%d fenced=%v new_served=%d reacquired=%v finished=%d/%d)\n",
-				len(res.Violations), res.ServeAllocs, res.Speedup,
-				res.GroupSyncs, res.SMRAppends,
-				res.Chaos.OldServed, res.Chaos.OldFenced, res.Chaos.NewServed,
-				res.Chaos.Reacquired, res.Chaos.Finished, res.Chaos.Clients)
-			failed = true
-		}
-	}
-	if todo["overload"] {
-		cfg := bench.DefaultOverload()
-		if *quick {
-			cfg = bench.QuickOverload()
-		}
-		cfg.FlightDir = *flightDir
-		res := bench.Overload(cfg)
-		bench.RenderOverload(out, res)
-		fmt.Fprintln(out)
-		emit(bench.ReportOverload(res, *quick))
-		if !res.Certified() {
-			fmt.Fprintf(os.Stderr,
-				"overload: certification failed: %d violations, goodput_ratio=%.2f (floor %.2f), watchdog=%v, open_flows=%d\n",
-				len(res.Violations), res.GoodputRatio, res.FloorWant, res.WatchdogFired, res.OpenFlows)
-			failed = true
-		}
-	}
-	if todo["postmortem"] {
-		cfg := bench.DefaultPostmortem()
-		if *quick {
-			cfg = bench.QuickPostmortem()
-		}
-		// Scoped under its own subdirectory: with -experiment all the
-		// other experiments' evidence shares the same root, and the
-		// postmortem analysis must only see its own bundles.
-		if *flightDir != "" {
-			cfg.Dir = filepath.Join(*flightDir, "postmortem")
-		}
-		res, err := bench.Postmortem(cfg)
+	for _, e := range todo {
+		out, err := e.Run(bench.Options{Quick: *quick, FlightDir: *flightDir})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "postmortem: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			failed = true
-		} else {
-			bench.RenderPostmortem(out, res)
-			fmt.Fprintln(out)
-			emit(bench.ReportPostmortem(res, *quick))
-			if !res.Certified() {
-				fmt.Fprintf(os.Stderr,
-					"postmortem: certification failed: %d violations, bundles=%d/%d, ordered=%v, forged=%v, replay=%v\n",
-					len(res.Violations), len(res.Bundles), res.Nodes,
-					res.TimelineOrdered, res.ForgedInTimeline, res.ReplayDetected)
+			continue
+		}
+		out.Render(os.Stdout)
+		fmt.Println()
+		if *jsonOut {
+			path, err := bench.WriteReport(*outdir, out.Report)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
 				failed = true
+			} else {
+				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
+		if line := bench.FailureLine(e.Name, out.Gates); line != "" {
+			fmt.Fprintln(os.Stderr, line)
+			failed = true
+		}
 	}
-	fmt.Fprintf(out, "total bench time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Printf("total bench time: %v\n", time.Since(start).Round(time.Millisecond))
 	if failed {
 		return 1
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/sqldb"
 )
@@ -42,7 +43,10 @@ func safeRatio(a, b float64) float64 {
 func AblationBatching(clients, txPer, rows int) AblationResult {
 	run := func(maxBatch int) float64 {
 		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-		sc := newSMRClusterOpts([]string{"h2", "h2", "h2"}, core.BankRegistry(), setup, maxBatch)
+		sc := newCluster(clusterSpec{
+			engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(), setup: setup,
+			bcast: broadcast.Config{MaxBatch: maxBatch},
+		})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)*101) }
 		shadowClients(sc.clu, stats, clients, txPer, core.ModeSMR, sc.rloc, sc.bloc, 10*time.Second, work)
@@ -70,7 +74,10 @@ func AblationOverlap(rows int) AblationResult {
 		}
 		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
 		engines := []string{"h2", "h2", "h2", "h2"}[:members+1]
-		sc := newPBRClusterOpts(engines, rows, timing, core.BankRegistry(), setup, false, members)
+		sc := newCluster(clusterSpec{
+			pbr: true, timing: timing, members: members,
+			engines: engines, reg: core.BankRegistry(), setup: setup,
+		})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)) }
 		shadowClients(sc.clu, stats, 2, 1<<30, core.ModePBR, sc.rloc, sc.bloc, 500*time.Millisecond, work)

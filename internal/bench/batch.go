@@ -6,10 +6,6 @@ import (
 	"time"
 
 	"shadowdb/internal/broadcast"
-	"shadowdb/internal/des"
-	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 )
 
 // The batching ablation: the paper's Fig. 8 numbers are measured "with
@@ -31,13 +27,15 @@ type BatchPoint struct {
 
 // BatchResult is the full sweep plus the online checker's verdict.
 type BatchResult struct {
-	Costs      BcastCosts
-	Pipeline   int
-	DelayMs    float64
-	Points     []BatchPoint
-	Events     int64
-	Violations []dist.Violation
+	Pipeline int
+	DelayMs  float64
+	Points   []BatchPoint
+	Audit
 }
+
+// Gates: the speedup is certified not to come at the expense of total
+// order — the checker must stay clean over every sweep point.
+func (r BatchResult) Gates() []Gate { return []Gate{r.Audit.gate()} }
 
 // Speedup is the throughput ratio of the best batch≥16 point over the
 // batch=1 baseline (0 when the sweep lacks either).
@@ -86,128 +84,48 @@ func QuickBatch() BatchConfig {
 // Batch runs the sweep.
 func Batch(cfg BatchConfig) BatchResult {
 	res := BatchResult{
-		Costs:    Calibrate(),
 		Pipeline: cfg.Pipeline,
 		DelayMs:  float64(cfg.Delay) / float64(time.Millisecond),
 	}
 	for _, b := range cfg.Batches {
-		p, events, violations := batchRun(cfg, b, res.Costs)
+		p, audit := batchRun(cfg, b)
 		res.Points = append(res.Points, p)
-		res.Events += events
-		res.Violations = append(res.Violations, violations...)
+		res.Audit.add(audit)
 	}
 	return res
 }
 
 // batchRun measures one MaxBatch setting on the compiled service with
 // the online checker attached.
-func batchRun(cfg BatchConfig, maxBatch int, costs BcastCosts) (BatchPoint, int64, []dist.Violation) {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-
-	nodes := []msg.Loc{"b1", "b2", "b3"}
-	var subs []msg.Loc
-	for i := 0; i < cfg.Clients; i++ {
-		subs = append(subs, msg.Loc(fmt.Sprintf("client%d", i)))
-	}
-	bcfg := broadcast.Config{
-		Nodes: nodes, Subscribers: subs,
-		MaxBatch: maxBatch, MaxDelay: cfg.Delay, Pipeline: cfg.Pipeline,
-	}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[broadcast.Compiled]
-	for _, b := range nodes {
-		proc := gen(b)
-		clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			return outs, bcastCost(per, env.M)
-		})
-	}
-
-	o := obs.New(cfg.RingSize)
-	clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-
-	var lat des.LatencyRecorder
-	delivered := 0
-	var lastDone time.Duration
+func batchRun(cfg BatchConfig, maxBatch int) (BatchPoint, Audit) {
+	run := startRun("batch", cfg.RingSize, "", "")
 	// Slot accounting for the mean delivered batch size (the DES is
 	// single-threaded, so shared closure state is safe).
 	slotSeen := make(map[int]bool)
 	slotMsgs := 0
-	for i := 0; i < cfg.Clients; i++ {
-		loc := subs[i]
-		home := nodes[i%len(nodes)]
-		seq := int64(0)
-		sent := 0
-		var started time.Duration
-		submit := func() []msg.Directive {
-			seq++
-			sent++
-			started = sim.Now()
-			return []msg.Directive{msg.Send(home, msg.M(broadcast.HdrBcast, broadcast.Bcast{
-				From: loc, Seq: seq, Payload: pad140(),
-			}))}
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			d, ok := env.M.Body.(broadcast.Deliver)
-			if !ok {
-				return nil
-			}
+	stats := bcastRun(broadcast.Compiled,
+		broadcast.Config{MaxBatch: maxBatch, MaxDelay: cfg.Delay, Pipeline: cfg.Pipeline},
+		cfg.Clients, cfg.MsgsPer, run, func(d broadcast.Deliver) {
 			if !slotSeen[d.Slot] {
 				slotSeen[d.Slot] = true
 				slotMsgs += len(d.Msgs)
 			}
-			mine := false
-			for _, b := range d.Msgs {
-				if b.From == loc && b.Seq == seq {
-					mine = true
-				}
-			}
-			if !mine {
-				return nil
-			}
-			lat.Add(sim.Now() - started)
-			delivered++
-			lastDone = sim.Now()
-			if sent >= cfg.MsgsPer {
-				return nil
-			}
-			return submit()
 		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.Send(loc, d.Dest, d.M)
-			}
-		})
-	}
-	total := cfg.Clients * cfg.MsgsPer
-	for delivered < total && !sim.Idle() && sim.Steps() < 50_000_000 {
-		sim.Run(0, 100_000)
-	}
-	if lastDone <= 0 {
-		lastDone = time.Second
-	}
+	cp := stats.point(cfg.Clients)
 	p := BatchPoint{
-		Batch:      maxBatch,
-		Throughput: des.Throughput(delivered, lastDone),
-		MeanLatMs:  float64(lat.Mean()) / float64(time.Millisecond),
-		Slots:      len(slotSeen),
+		Batch: maxBatch, Throughput: cp.Throughput, MeanLatMs: cp.MeanLatMs,
+		Slots: len(slotSeen),
 	}
 	if len(slotSeen) > 0 {
 		p.MeanBatch = float64(slotMsgs) / float64(len(slotSeen))
 	}
-	return p, checker.Status().Events, checker.Violations()
+	audit := run.Audit()
+	run.Close(true)
+	return p, audit
 }
 
-// ReportBatch flattens the sweep for BENCH_batch.json.
-func ReportBatch(res BatchResult, quick bool) *Report {
-	r := NewReport("batch", quick)
+// reportBatch flattens the sweep for BENCH_batch.json.
+func reportBatch(res BatchResult, r *Report) {
 	r.Add("batch.pipeline", float64(res.Pipeline), "count")
 	r.Add("batch.delay_ms", res.DelayMs, "ms")
 	for _, p := range res.Points {
@@ -218,9 +136,7 @@ func ReportBatch(res BatchResult, quick bool) *Report {
 		r.Add(k+"slots", float64(p.Slots), "count")
 	}
 	r.Add("batch.speedup", res.Speedup(), "x")
-	r.Add("batch.checker.events", float64(res.Events), "count")
-	r.Add("batch.checker.violations", float64(len(res.Violations)), "count")
-	return r
+	res.Audit.report(r)
 }
 
 // RenderBatch prints the human-readable table.
@@ -234,7 +150,5 @@ func RenderBatch(w io.Writer, res BatchResult) {
 	}
 	fmt.Fprintf(w, "  speedup (batch>=16 vs batch=1): %.2fx\n", res.Speedup())
 	fmt.Fprintf(w, "  checker: %d events, %d violations\n", res.Events, len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }

@@ -5,12 +5,10 @@ import (
 	"io"
 	"time"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -143,12 +141,10 @@ type ChaosResult struct {
 	// closed; Primaries counts active primaries at the end (must be 1).
 	ProgressAfterFaults bool
 	Primaries           int
-	// Events / Violations are the online checker's view of the run.
-	Events     int64
-	Violations []dist.Violation
-	// Fingerprint / Fingerprint2 are the injection-log hashes of the two
-	// runs; Reproducible is their equality.
-	Fingerprint  uint64
+	// Audit is the online checker's view of the first run and its
+	// injection-log hash; Fingerprint2 is the second run's hash and
+	// Reproducible their equality.
+	Audit
 	Fingerprint2 uint64
 	Reproducible bool
 	// Series is committed tx/s per bin (first run).
@@ -175,27 +171,18 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		SuspectAfter:   2 * time.Second,
 		ClientRetry:    time.Second,
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// All three replicas are initial members: the partition must split a
 	// live group, not promote a spare.
-	sc := newPBRClusterTuned([]string{"h2", "hsqldb", "derby"}, cfg.Rows, timing,
-		core.BankRegistry(), setup, false, 3,
-		bcastTune{Batch: cfg.Batch, Delay: cfg.BatchDelay, Pipeline: cfg.Pipeline})
+	run := startRun("chaos", cfg.RingSize, cfg.FlightDir, "")
+	sc := run.Attach(newCluster(clusterSpec{
+		pbr: true, timing: timing, members: 3,
+		engines: []string{"h2", "hsqldb", "derby"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+		bcast: broadcast.Config{MaxBatch: cfg.Batch, MaxDelay: cfg.BatchDelay, Pipeline: cfg.Pipeline},
+	}))
+	inj := run.Inject(ChaosPlan(cfg))
 
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "chaos", o, checker,
-		append(append([]msg.Loc{}, sc.rloc...), sc.bloc...))
-
-	inj := fault.BindCluster(sc.clu, ChaosPlan(cfg))
-	inj.SetObs(o)
-
-	stats := &loadStats{}
-	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
 	shadowClients(sc.clu, stats, cfg.Clients, 1<<30, core.ModePBR,
 		sc.rloc, sc.bloc, timing.ClientRetry, work)
@@ -231,7 +218,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	sc.sim.Run(cfg.RunFor, 500_000_000)
 
 	res.Committed = stats.committed
-	res.Series = timeline.Series()
+	res.Series = stats.timeline.Series()
 	for _, i := range inj.Injections() {
 		res.Injections++
 		switch i.Kind {
@@ -245,9 +232,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 			res.Dups++
 		}
 	}
-	res.Fingerprint = inj.Fingerprint()
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
+	res.Audit = run.Audit()
 	if res.DetectedAt >= 0 && res.ResumedAt >= 0 {
 		res.FailoverLatency = res.ResumedAt - res.DetectedAt
 	}
@@ -287,9 +272,6 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		live := b < len(res.Series) && res.Series[b] > 0
 		if live {
 			up++
-			if at >= quiet {
-				res.ProgressAfterFaults = true
-			}
 		}
 		if inFault(at) {
 			faultBins++
@@ -304,26 +286,31 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	if faultBins > 0 {
 		res.FaultAvailability = float64(faultUp) / float64(faultBins)
 	}
+	res.ProgressAfterFaults = run.progressAfter(quiet)
 	// Keep evidence of runs that fail the local half of the acceptance
 	// bar (violations are already dumped by the checker hook; failure to
 	// fail over or resume would otherwise leave no bundle behind).
-	if len(res.Violations) > 0 || res.Primaries != 1 || !res.ProgressAfterFaults {
-		dumpFlight("uncertified")
-	}
+	run.Close(len(res.Violations) == 0 && res.Primaries == 1 && res.ProgressAfterFaults)
 	return res
 }
 
-// Certified reports whether the run meets the chaos acceptance bar:
-// no property violations, a reproducible injection schedule, a single
-// surviving primary, and client progress after the faults.
-func (r ChaosResult) Certified() bool {
-	return len(r.Violations) == 0 && r.Reproducible &&
-		r.Primaries == 1 && r.ProgressAfterFaults
+// Gates is the chaos acceptance bar: no property violations, a
+// reproducible injection schedule, a single surviving primary, and
+// client progress after the faults.
+func (r ChaosResult) Gates() []Gate {
+	return []Gate{
+		r.Audit.gate(),
+		boolGate("reproducible", r.Reproducible),
+		gate("single_primary", r.Primaries == 1, "%d primaries", r.Primaries),
+		boolGate("progress_after_faults", r.ProgressAfterFaults),
+	}
 }
 
-// ReportChaos flattens the experiment for BENCH_chaos.json.
-func ReportChaos(res ChaosResult, quick bool) *Report {
-	r := NewReport("chaos", quick)
+// Certified reports whether every gate held.
+func (r ChaosResult) Certified() bool { return Certified(r.Gates()) }
+
+// reportChaos flattens the experiment for BENCH_chaos.json.
+func reportChaos(res ChaosResult, r *Report) {
 	r.Add("chaos.committed", float64(res.Committed), "count")
 	r.Add("chaos.injections", float64(res.Injections), "count")
 	r.Add("chaos.injections.drops", float64(res.Drops), "count")
@@ -337,21 +324,13 @@ func ReportChaos(res ChaosResult, quick bool) *Report {
 	r.Add("chaos.failover.resumed_s", res.ResumedAt.Seconds(), "s")
 	r.Add("chaos.failover.latency_s", res.FailoverLatency.Seconds(), "s")
 	r.Add("chaos.failover.recovery_s", res.RecoveryTime.Seconds(), "s")
-	r.Add("chaos.progress_after_faults", b2f(res.ProgressAfterFaults), "bool")
 	r.Add("chaos.primaries", float64(res.Primaries), "count")
-	r.Add("chaos.checker.events", float64(res.Events), "count")
-	r.Add("chaos.checker.violations", float64(len(res.Violations)), "count")
-	r.Add("chaos.reproducible", b2f(res.Reproducible), "bool")
+	res.Audit.report(r)
+	r.AddGates(res.Gates())
 	r.Add("chaos.batch", float64(res.Batch), "count")
 	r.Add("chaos.pipeline", float64(res.Pipeline), "count")
-	return r
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	r.Fingerprint("chaos.run1", res.Fingerprint)
+	r.Fingerprint("chaos.run2", res.Fingerprint2)
 }
 
 // RenderChaos prints the human-readable summary.
@@ -366,9 +345,7 @@ func RenderChaos(w io.Writer, res ChaosResult) {
 		res.FailoverLatency.Seconds(), res.RecoveryTime.Seconds())
 	fmt.Fprintf(w, "  checker: %d events, %d violations   primaries: %d   progress after faults: %v\n",
 		res.Events, len(res.Violations), res.Primaries, res.ProgressAfterFaults)
-	fmt.Fprintf(w, "  fingerprints: %016x / %016x   reproducible: %v   certified: %v\n",
-		res.Fingerprint, res.Fingerprint2, res.Reproducible, res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	fmt.Fprintf(w, "  injection schedule reproducible: %v   certified: %v\n",
+		res.Reproducible, res.Certified())
+	renderViolations(w, "", res.Violations)
 }

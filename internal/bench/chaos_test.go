@@ -27,8 +27,10 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 		ClientRetry:    500 * time.Millisecond,
 	}
 	setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-	sc := newPBRClusterOpts([]string{"h2", "h2", "h2"}, rows, timing,
-		core.BankRegistry(), setup, false, 3)
+	sc := newCluster(clusterSpec{
+		pbr: true, timing: timing, members: 3,
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(), setup: setup,
+	})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
@@ -109,8 +111,10 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 func TestSMRBroadcastCrashRestartMidLoad(t *testing.T) {
 	rows := 200
 	clients, txPer := 2, 120
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(),
-		func(db *sqldb.DB) error { return core.BankSetup(db, rows) })
+	sc := newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, rows) },
+	})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)

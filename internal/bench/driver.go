@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"time"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
@@ -65,12 +66,25 @@ type loadStats struct {
 	lastDone  time.Duration
 	// timeline, when set, receives a mark per commit (Fig. 10a).
 	timeline *des.Timeline
+	// onDone, when set, sees every completion (client index, latency,
+	// success) for experiment-specific attribution.
+	onDone func(i int, lat time.Duration, ok bool)
 }
 
-func (s *loadStats) commit(at time.Duration) {
-	s.committed++
-	if s.timeline != nil {
-		s.timeline.Mark(at)
+// record books one completed operation of client i.
+func (s *loadStats) record(i int, lat, at time.Duration, ok bool) {
+	s.lat.Add(lat)
+	s.lastDone = at
+	if !ok {
+		s.aborted++
+	} else {
+		s.committed++
+		if s.timeline != nil {
+			s.timeline.Mark(at)
+		}
+	}
+	if s.onDone != nil {
+		s.onDone(i, lat, ok)
 	}
 }
 
@@ -88,95 +102,136 @@ func (s *loadStats) point(clients int) CurvePoint {
 	}
 }
 
-// shadowClients attaches n closed-loop ShadowDB clients (PBR or SMR mode)
-// to the cluster, each running txPerClient transactions from its
-// workload. Aborted transactions count as completions but not commits.
-func shadowClients(clu *des.Cluster, stats *loadStats, n, txPerClient int,
-	mode core.ClientMode, replicas, bcast []msg.Loc, retry time.Duration, mkWork func(i int) Workload) {
+// client is one closed-loop client of a fleet: issue starts its next
+// operation, handle consumes a message and reports whether it completed
+// the outstanding operation (done) and whether that operation succeeded.
+type client struct {
+	issue  func() []msg.Directive
+	handle func(m msg.Msg) (done, ok bool, outs []msg.Directive)
+}
+
+// closedLoop attaches n closed-loop clients (client0, client1, ...) to
+// the cluster, each running quota operations back to back and recording
+// every completion in stats.
+func closedLoop(clu *des.Cluster, stats *loadStats, n, quota int, mk func(i int, loc msg.Loc) client) {
+	sim := clu.Sim
 	for i := 0; i < n; i++ {
 		loc := msg.Loc(fmt.Sprintf("client%d", i))
-		cli := &core.Client{
-			Slf: loc, Mode: mode, Replicas: replicas, BcastNodes: bcast, Retry: retry,
-		}
-		work := mkWork(i)
-		remaining := txPerClient
+		cl := mk(i, loc)
+		remaining := quota
 		var started time.Duration
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			typ, args := work()
+		issue := func() []msg.Directive {
+			outs := cl.issue()
 			started = sim.Now()
-			return cli.Submit(typ, args)
+			return outs
 		}
 		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, outs := cli.Handle(env.M)
-			if res == nil {
+			done, ok, outs := cl.handle(env.M)
+			if !done {
 				return outs
 			}
-			stats.lat.Add(sim.Now() - started)
-			stats.lastDone = sim.Now()
-			if res.Aborted || res.Err != "" {
-				stats.aborted++
-			} else {
-				stats.commit(sim.Now())
-			}
+			stats.record(i, sim.Now()-started, sim.Now(), ok)
 			remaining--
 			if remaining <= 0 {
 				stats.finished++
 				return outs
 			}
-			return append(outs, submit()...)
+			return append(outs, issue()...)
 		})
 		sim.After(0, func() {
-			for _, d := range submit() {
+			for _, d := range issue() {
 				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
 			}
 		})
 	}
 }
 
+// shadowClients attaches n closed-loop ShadowDB clients (PBR or SMR mode)
+// to the cluster, each running txPerClient transactions from its
+// workload. Aborted transactions count as completions but not commits.
+func shadowClients(clu *des.Cluster, stats *loadStats, n, txPerClient int,
+	mode core.ClientMode, replicas, bcast []msg.Loc, retry time.Duration, mkWork func(i int) Workload) {
+	closedLoop(clu, stats, n, txPerClient, func(i int, loc msg.Loc) client {
+		cli := &core.Client{
+			Slf: loc, Mode: mode, Replicas: replicas, BcastNodes: bcast, Retry: retry,
+		}
+		work := mkWork(i)
+		return client{
+			issue: func() []msg.Directive { return cli.Submit(work()) },
+			handle: func(m msg.Msg) (bool, bool, []msg.Directive) {
+				res, outs := cli.Handle(m)
+				return res != nil, res != nil && !res.Aborted && res.Err == "", outs
+			},
+		}
+	})
+}
+
 // directClients attaches closed-loop clients that speak plain
 // request/response to a fixed server (the baseline systems).
 func directClients(clu *des.Cluster, stats *loadStats, n, txPerClient int,
 	server msg.Loc, mkWork func(i int) Workload) {
-	for i := 0; i < n; i++ {
-		loc := msg.Loc(fmt.Sprintf("client%d", i))
+	closedLoop(clu, stats, n, txPerClient, func(i int, loc msg.Loc) client {
 		work := mkWork(i)
-		remaining := txPerClient
 		seq := int64(0)
-		var started time.Duration
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			typ, args := work()
-			seq++
-			started = sim.Now()
-			return []msg.Directive{msg.Send(server, msg.M(core.HdrTx, core.TxRequest{
-				Client: loc, Seq: seq, Type: typ, Args: args,
-			}))}
+		return client{
+			issue: func() []msg.Directive {
+				typ, args := work()
+				seq++
+				return []msg.Directive{msg.Send(server, msg.M(core.HdrTx, core.TxRequest{
+					Client: loc, Seq: seq, Type: typ, Args: args,
+				}))}
+			},
+			handle: func(m msg.Msg) (bool, bool, []msg.Directive) {
+				res, ok := m.Body.(core.TxResult)
+				return ok, ok && !res.Aborted && res.Err == "", nil
+			},
 		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, ok := env.M.Body.(core.TxResult)
-			if !ok {
-				return nil
-			}
-			stats.lat.Add(sim.Now() - started)
-			stats.lastDone = sim.Now()
-			if res.Aborted || res.Err != "" {
-				stats.aborted++
-			} else {
-				stats.commit(sim.Now())
-			}
-			remaining--
-			if remaining <= 0 {
-				stats.finished++
-				return nil
-			}
-			return submit()
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-			}
-		})
+	})
+}
+
+// bcastClients attaches closed-loop clients of the bare broadcast
+// service: each broadcasts the paper's 140-byte payload through its home
+// node and waits for the delivery notification carrying it. onDeliver,
+// when set, sees every delivery a client receives (not only its own).
+func bcastClients(clu *des.Cluster, stats *loadStats, nodes []msg.Loc, n, msgsPer int,
+	onDeliver func(broadcast.Deliver)) {
+	closedLoop(clu, stats, n, msgsPer, func(i int, loc msg.Loc) client {
+		home := nodes[i%len(nodes)]
+		seq := int64(0)
+		return client{
+			issue: func() []msg.Directive {
+				seq++
+				return []msg.Directive{msg.Send(home, msg.M(broadcast.HdrBcast, broadcast.Bcast{
+					From: loc, Seq: seq, Payload: pad140(),
+				}))}
+			},
+			handle: func(m msg.Msg) (bool, bool, []msg.Directive) {
+				d, ok := m.Body.(broadcast.Deliver)
+				if !ok {
+					return false, false, nil
+				}
+				if onDeliver != nil {
+					onDeliver(d)
+				}
+				// First notification wins; later copies carry older seqs.
+				for _, b := range d.Msgs {
+					if b.From == loc && b.Seq == seq {
+						return true, true, nil
+					}
+				}
+				return false, false, nil
+			},
+		}
+	})
+}
+
+// runToFinish advances the simulation until every client completed its
+// quota (or the safety bound trips); self-perpetuating timers like
+// heartbeats and lease ticks would otherwise keep the event queue alive
+// forever.
+func runToFinish(sim *des.Sim, stats *loadStats, clients int) {
+	for stats.finished < clients && !sim.Idle() && sim.Steps() < 80_000_000 {
+		sim.Run(0, 100_000)
 	}
 }
 

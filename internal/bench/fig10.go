@@ -76,8 +76,10 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// The paper's diversity deployment: H2 primary, HSQLDB backup, Derby
 	// spare.
-	sc := newPBRCluster([]string{"h2", "hsqldb", "derby"}, cfg.Rows, timing,
-		core.BankRegistry(), setup, false)
+	sc := newCluster(clusterSpec{
+		pbr: true, timing: timing, members: 2,
+		engines: []string{"h2", "hsqldb", "derby"}, reg: core.BankRegistry(), setup: setup,
+	})
 
 	stats := &loadStats{}
 	timeline := des.NewTimeline(time.Second)
@@ -169,9 +171,8 @@ func Fig10b(cfg Fig10bConfig) Fig10bResult {
 		})
 	}
 	if cfg.TPCC {
-		res.TPCCSec = measureTransfer(func(db *sqldb.DB) error {
-			return tpccSetupForTransfer(db)
-		})
+		// The 1-warehouse TPC-C database.
+		res.TPCCSec = measureTransfer(func(db *sqldb.DB) error { return tpcc.Setup(db, tpcc.Full()) })
 	}
 	return res
 }
@@ -205,19 +206,12 @@ func setupLargeRows(db *sqldb.DB, n int) error {
 	return db.InsertBatch("t", rows)
 }
 
-// tpccSetupForTransfer loads the 1-warehouse TPC-C database.
-func tpccSetupForTransfer(db *sqldb.DB) error {
-	return tpcc.Setup(db, tpcc.Full())
-}
-
 // measureTransfer times a full state transfer from a populated H2 sender
 // to an empty receiver over the simulated gigabit link, including
 // sender-side serialization and receiver-side insertion costs.
 func measureTransfer(setup func(*sqldb.DB) error) float64 {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
+	c := newDES()
+	sim, clu := c.sim, c.clu
 
 	src, err := sqldb.Open("h2:mem:src")
 	if err != nil {

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"shadowdb/internal/broadcast"
-	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
 )
 
@@ -15,17 +13,10 @@ import (
 // compiled (Lisp) services. We report mean delivery latency against
 // delivered messages per second for 1..43 clients.
 
-// Fig8Point is one measurement.
-type Fig8Point struct {
-	Clients    int
-	Throughput float64
-	MeanLatMs  float64
-}
-
 // Fig8Result maps each execution mode to its curve.
 type Fig8Result struct {
 	Costs  BcastCosts
-	Curves map[broadcast.Mode][]Fig8Point
+	Curves map[broadcast.Mode][]CurvePoint
 }
 
 // Fig8Config scales the experiment.
@@ -46,94 +37,33 @@ func QuickFig8() Fig8Config {
 
 // Fig8 runs the experiment.
 func Fig8(cfg Fig8Config) Fig8Result {
-	res := Fig8Result{Costs: Calibrate(), Curves: make(map[broadcast.Mode][]Fig8Point)}
+	res := Fig8Result{Costs: Calibrate(), Curves: make(map[broadcast.Mode][]CurvePoint)}
 	for _, mode := range []broadcast.Mode{broadcast.Interpreted, broadcast.InterpretedOpt, broadcast.Compiled} {
 		for _, n := range cfg.Clients {
-			res.Curves[mode] = append(res.Curves[mode], fig8Run(mode, n, cfg.MsgsPer, res.Costs))
+			stats := bcastRun(mode, broadcast.Config{}, n, cfg.MsgsPer, nil, nil)
+			res.Curves[mode] = append(res.Curves[mode], stats.point(n))
 		}
 	}
 	return res
 }
 
-func fig8Run(mode broadcast.Mode, clients, msgsPer int, costs BcastCosts) Fig8Point {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-
-	nodes := []msg.Loc{"b1", "b2", "b3"}
-	var subs []msg.Loc
+// bcastRun measures one closed-loop load on the bare 3-node broadcast
+// service (clients subscribe to the delivery stream) at the given
+// execution-mode cost and hot-path knobs. With a run the cluster is
+// attached to its checker first; onDeliver sees every client delivery.
+func bcastRun(mode broadcast.Mode, tune broadcast.Config, clients, msgsPer int,
+	run *Run, onDeliver func(broadcast.Deliver)) *loadStats {
+	c := newDES()
+	tune.Nodes = []msg.Loc{"b1", "b2", "b3"}
 	for i := 0; i < clients; i++ {
-		subs = append(subs, msg.Loc(fmt.Sprintf("client%d", i)))
+		tune.Subscribers = append(tune.Subscribers, msg.Loc(fmt.Sprintf("client%d", i)))
 	}
-	bcfg := broadcast.Config{Nodes: nodes, Subscribers: subs}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[mode]
-	for _, b := range nodes {
-		proc := gen(b)
-		clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			return outs, bcastCost(per, env.M)
-		})
+	c.addBroadcast(tune, mode)
+	if run != nil {
+		run.Attach(c)
 	}
-
-	var lat des.LatencyRecorder
-	delivered := 0
-	var lastDone time.Duration
-	for i := 0; i < clients; i++ {
-		loc := subs[i]
-		home := nodes[i%len(nodes)]
-		seq := int64(0)
-		sent := 0
-		var started time.Duration
-		submit := func() []msg.Directive {
-			seq++
-			sent++
-			started = sim.Now()
-			return []msg.Directive{msg.Send(home, msg.M(broadcast.HdrBcast, broadcast.Bcast{
-				From: loc, Seq: seq, Payload: pad140(),
-			}))}
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			d, ok := env.M.Body.(broadcast.Deliver)
-			if !ok {
-				return nil
-			}
-			mine := false
-			for _, b := range d.Msgs {
-				if b.From == loc && b.Seq == seq {
-					mine = true
-				}
-			}
-			if !mine {
-				return nil
-			}
-			// First notification wins; later copies carry older seqs.
-			lat.Add(sim.Now() - started)
-			delivered++
-			lastDone = sim.Now()
-			if sent >= msgsPer {
-				return nil
-			}
-			return submit()
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.Send(loc, d.Dest, d.M)
-			}
-		})
-	}
-	total := clients * msgsPer
-	for delivered < total && !sim.Idle() && sim.Steps() < 50_000_000 {
-		sim.Run(0, 100_000)
-	}
-	if lastDone <= 0 {
-		lastDone = time.Second
-	}
-	return Fig8Point{
-		Clients:    clients,
-		Throughput: des.Throughput(delivered, lastDone),
-		MeanLatMs:  float64(lat.Mean()) / float64(time.Millisecond),
-	}
+	stats := &loadStats{}
+	bcastClients(c.clu, stats, tune.Nodes, clients, msgsPer, onDeliver)
+	runToFinish(c.sim, stats, clients)
+	return stats
 }

@@ -6,7 +6,6 @@ import (
 	"shadowdb/internal/baseline"
 	"shadowdb/internal/bench/tpcc"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -125,8 +124,10 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 // runShadowPBR measures one PBR point.
 func runShadowPBR(cfg Fig9Config, clients int, reg core.Registry,
 	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	timing := core.DefaultTiming()
-	sc := newPBRCluster([]string{"h2", "h2", "h2"}, cfg.Rows, timing, reg, setup, false)
+	sc := newCluster(clusterSpec{
+		pbr: true, timing: core.DefaultTiming(), members: 2,
+		engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup,
+	})
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModePBR,
 		sc.rloc, sc.bloc, 5*time.Second, work)
@@ -137,7 +138,7 @@ func runShadowPBR(cfg Fig9Config, clients int, reg core.Registry,
 // runShadowSMR measures one SMR point.
 func runShadowSMR(cfg Fig9Config, clients int, reg core.Registry,
 	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, reg, setup)
+	sc := newCluster(clusterSpec{engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup})
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModeSMR,
 		sc.rloc, sc.bloc, 10*time.Second, work)
@@ -149,10 +150,8 @@ func runShadowSMR(cfg Fig9Config, clients int, reg core.Registry,
 func runBaseline(cfg Fig9Config, clients int, mode baseline.Mode, engine string,
 	reg core.Registry, locks baseline.LockSpec, setup func(*sqldb.DB) error,
 	work func(int) Workload) CurvePoint {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
+	c := newDES()
+	sim, clu := c.sim, c.clu
 	mk := func(name string) *sqldb.DB {
 		db, err := sqldb.Open(engine + ":mem:" + name)
 		if err != nil {
@@ -179,13 +178,4 @@ func runBaseline(cfg Fig9Config, clients int, mode baseline.Mode, engine string,
 	directClients(clu, stats, clients, cfg.TxPer, "primary", work)
 	runToFinish(sim, stats, clients)
 	return stats.point(clients)
-}
-
-// runToFinish advances the simulation until every client completed its
-// quota (or the safety bound trips); self-perpetuating timers like
-// heartbeats would otherwise keep the event queue alive forever.
-func runToFinish(sim *des.Sim, stats *loadStats, clients int) {
-	for stats.finished < clients && !sim.Idle() && sim.Steps() < 80_000_000 {
-		sim.Run(0, 100_000)
-	}
 }

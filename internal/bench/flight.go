@@ -36,13 +36,13 @@ func flightSubdir(dir, phase string) string {
 	return filepath.Join(dir, phase)
 }
 
-// flightFleet arms per-node flight recorders on an experiment cluster:
-// one Recorder per node under dir/<node>/flight, all fed from the run's
-// shared Obs, dumped the moment the online checker flags a violation.
-// The returned func dumps every recorder with the given reason — call
-// it when a run ends uncertified, so failure evidence survives even
-// when no checker property fired. An empty dir disarms everything and
-// the returned func is a no-op.
+// armFlight arms per-node flight recorders on the run's cluster: one
+// Recorder per node under <flight dir>/<node>/flight, all fed from the
+// run's shared Obs, dumped the moment the online checker flags a
+// violation. r.dump then dumps every recorder with a given reason — Close
+// calls it when a run ends uncertified, so failure evidence survives
+// even when no checker property fired. Without a flight dir everything
+// stays disarmed and r.dump a no-op.
 //
 // Recorder failures are reported on stderr, never escalated: flight
 // recording is evidence collection, and a broken disk must not turn a
@@ -50,9 +50,9 @@ func flightSubdir(dir, phase string) string {
 // Nodes listed in joiners are marked as mid-run joiners in their bundle
 // metadata, so `flight merge` baselines their delivery frontier instead
 // of flagging the missing pre-join slots.
-func flightFleet(dir, experiment string, o *obs.Obs, checker *dist.Checker, nodes []msg.Loc, joiners ...msg.Loc) func(reason string) {
-	if dir == "" {
-		return func(string) {}
+func (r *Run) armFlight(nodes []msg.Loc, joiners ...msg.Loc) {
+	if r.flightDir == "" {
+		return
 	}
 	registerWireTypes()
 	joined := make(map[msg.Loc]bool, len(joiners))
@@ -61,31 +61,28 @@ func flightFleet(dir, experiment string, o *obs.Obs, checker *dist.Checker, node
 	}
 	recs := make([]*obs.Recorder, 0, len(nodes))
 	for _, n := range nodes {
-		rec, err := obs.NewRecorder(o, filepath.Join(dir, string(n), "flight"), n)
+		rec, err := obs.NewRecorder(r.Obs, filepath.Join(r.flightDir, string(n), "flight"), n)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "flight: %s: %v\n", n, err)
 			continue
 		}
-		rec.SetCheckerStatus(func() any { return checker.Status() })
-		cfg := map[string]string{"experiment": experiment}
+		if r.rates != nil {
+			rec.SetRates(r.rates)
+		}
+		rec.SetCheckerStatus(func() any { return r.Checker.Status() })
+		cfg := map[string]string{"experiment": r.name}
 		if joined[n] {
 			cfg["joiner"] = "true"
 		}
 		rec.SetConfig(cfg)
 		recs = append(recs, rec)
 	}
-	checker.OnViolation(func(v dist.Violation) {
-		for _, rec := range recs {
-			if _, err := rec.TryDump("violation-" + v.Property); err != nil {
-				fmt.Fprintf(os.Stderr, "flight: dump %s: %v\n", rec.Node(), err)
-			}
-		}
-	})
-	return func(reason string) {
+	r.dump = func(reason string) {
 		for _, rec := range recs {
 			if _, err := rec.TryDump(reason); err != nil {
 				fmt.Fprintf(os.Stderr, "flight: dump %s: %v\n", rec.Node(), err)
 			}
 		}
 	}
+	r.Checker.OnViolation(func(v dist.Violation) { r.dump("violation-" + v.Property) })
 }

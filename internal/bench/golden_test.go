@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -72,77 +73,8 @@ func pinCalibration(t *testing.T) {
 	t.Cleanup(func() { calibrateOnce = prev })
 }
 
-func hex64(v uint64) string { return fmt.Sprintf("%016x", v) }
-
-// goldenRuns maps each experiment to its `cmd/bench -quick` run. slow
-// marks the ones skipped under -short.
-var goldenRuns = []struct {
-	name string
-	slow bool
-	run  func() (*Report, map[string]string)
-}{
-	{"table1", false, func() (*Report, map[string]string) {
-		return ReportTable1(Table1(), true), nil
-	}},
-	{"fig8", false, func() (*Report, map[string]string) {
-		return ReportFig8(Fig8(QuickFig8()), true), nil
-	}},
-	{"fig9a", false, func() (*Report, map[string]string) {
-		return ReportFig9("fig9a", Fig9a(QuickFig9a()), true), nil
-	}},
-	{"fig9b", false, func() (*Report, map[string]string) {
-		return ReportFig9("fig9b", Fig9b(QuickFig9b()), true), nil
-	}},
-	{"fig10a", false, func() (*Report, map[string]string) {
-		return ReportFig10a(Fig10a(QuickFig10a()), true), nil
-	}},
-	{"fig10b", false, func() (*Report, map[string]string) {
-		return ReportFig10b(Fig10b(QuickFig10b()), true), nil
-	}},
-	{"ablations", false, func() (*Report, map[string]string) {
-		return ReportAblations([]AblationResult{
-			AblationBatching(16, 300, 5_000),
-			AblationOverlap(50_000),
-		}, true), nil
-	}},
-	{"batch", false, func() (*Report, map[string]string) {
-		return ReportBatch(Batch(QuickBatch()), true), nil
-	}},
-	{"spans", false, func() (*Report, map[string]string) {
-		return ReportSpans(Spans(QuickSpans()), true), nil
-	}},
-	{"chaos", false, func() (*Report, map[string]string) {
-		res := Chaos(QuickChaos())
-		return ReportChaos(res, true), map[string]string{
-			"chaos.run1": hex64(res.Fingerprint), "chaos.run2": hex64(res.Fingerprint2),
-		}
-	}},
-	{"recovery", false, func() (*Report, map[string]string) {
-		return ReportRecovery(Recovery(QuickRecovery()), true), nil
-	}},
-	{"membership", false, func() (*Report, map[string]string) {
-		res := Membership(QuickMembership())
-		return ReportMembership(res, true), map[string]string{"membership": hex64(res.Fingerprint)}
-	}},
-	{"shard", false, func() (*Report, map[string]string) {
-		return ReportShard(Shard(QuickShard()), true), nil
-	}},
-	{"readpath", true, func() (*Report, map[string]string) {
-		res := ReadPath(QuickReadPath())
-		return ReportReadPath(res, true), map[string]string{"readpath.chaos": hex64(res.Chaos.Fingerprint)}
-	}},
-	{"overload", false, func() (*Report, map[string]string) {
-		res := Overload(QuickOverload())
-		return ReportOverload(res, true), map[string]string{"overload": hex64(res.Fingerprint)}
-	}},
-	{"postmortem", false, func() (*Report, map[string]string) {
-		res, err := Postmortem(QuickPostmortem())
-		if err != nil {
-			panic(err)
-		}
-		return ReportPostmortem(res, true), nil
-	}},
-}
+// goldenSlow marks the experiments skipped under -short.
+var goldenSlow = map[string]bool{"readpath": true}
 
 func TestGoldenQuick(t *testing.T) {
 	pinCalibration(t)
@@ -157,16 +89,18 @@ func TestGoldenQuick(t *testing.T) {
 		}
 	}
 	got := map[string]goldenEntry{}
-	for _, g := range goldenRuns {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			if g.slow && testing.Short() {
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			if goldenSlow[e.Name] && testing.Short() {
 				t.Skip("seconds of virtual load")
 			}
-			rep, fps := g.run()
-			entry := goldenEntry{Metrics: map[string]float64{}, Fingerprints: fps}
-			for _, m := range rep.Metrics {
-				if contains(goldenExcluded, m.Name) {
+			out, err := e.Run(Options{Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := goldenEntry{Metrics: map[string]float64{}, Fingerprints: out.Report.Fingerprints}
+			for _, m := range out.Report.Metrics {
+				if slices.Contains(goldenExcluded, m.Name) {
 					continue
 				}
 				if _, dup := entry.Metrics[m.Name]; dup {
@@ -174,11 +108,11 @@ func TestGoldenQuick(t *testing.T) {
 				}
 				entry.Metrics[m.Name] = m.Value
 			}
-			got[g.name] = entry
+			got[e.Name] = entry
 			if *updateGolden {
 				return
 			}
-			compareGolden(t, want[g.name], entry)
+			compareGolden(t, want[e.Name], entry)
 		})
 	}
 	if !*updateGolden {

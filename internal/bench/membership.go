@@ -3,19 +3,15 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -149,158 +145,41 @@ type MembershipResult struct {
 	// the last membership command / after the rolling restart ended.
 	ProgressAfterChanges bool
 	ProgressAfterRestart bool
-	// Events / Violations are the online checker's view of the run.
-	Events     int64
-	Violations []dist.Violation
-	// Fingerprint hashes the injection log; with ReproChecked set,
-	// FingerprintStable reports the replay run produced the same hash.
-	Fingerprint       uint64
+	// Audit is the online checker's view of the run and the hash of its
+	// injection log; with ReproChecked set, FingerprintStable reports the
+	// replay run produced the same hash.
+	Audit
 	ReproChecked      bool
 	FingerprintStable bool
 }
 
-// Certified reports whether the run meets the membership acceptance
-// bar: every scheduled epoch derived, the cluster grew to 5 and ended
-// at 3, both joiners bootstrapped via proposer snapshots, the rolling
-// restart ran and both victims recovered locally, the checker stayed
-// clean, clients made progress after the last change and all finished,
-// the final replica set converged to identical state, and (when
-// checked) the nemesis schedule reproduced bit-identically.
-func (r MembershipResult) Certified() bool {
-	return r.Finished == r.Clients &&
-		r.Epochs == 9 &&
-		r.GrewTo == 5 && r.ShrankTo == 3 &&
-		r.JoinersActive && r.BootstrapSnapshots >= 2 &&
-		r.Kills == 2 && r.Restarts == 2 && r.RecoveredLocally &&
-		len(r.Violations) == 0 &&
-		r.ProgressAfterChanges && r.ProgressAfterRestart &&
-		r.CaughtUp && r.StateEqual &&
-		(!r.ReproChecked || r.FingerprintStable)
-}
-
-// membershipCluster is a durable SMR deployment under a shared epoch
-// view: five broadcast service nodes and five replicas exist as
-// processes from the start, but only the charter members (b1-b3,
-// r1-r3) are in epoch 0 — the rest idle until an ordered command
-// admits them.
-type membershipCluster struct {
-	*shadowCluster
-	root    string
-	reg     core.Registry
-	rows    int
-	view    *member.View
-	joiners map[msg.Loc]bool
-	reps    map[msg.Loc]*core.SMRReplica
-	dbs     map[msg.Loc]*sqldb.DB
-	sts     map[msg.Loc]store.Stable
-	gen     map[msg.Loc]int
-	pol     store.SyncPolicy
-}
-
-// membershipInitial is epoch 0: the charter members.
-func membershipInitial() member.Config {
-	return member.Config{
-		Bcast:    []msg.Loc{"b1", "b2", "b3"},
-		Replicas: []msg.Loc{"r1", "r2", "r3"},
+// Gates is the membership acceptance bar: every scheduled epoch derived,
+// the cluster grew to 5 and ended at 3, both joiners bootstrapped via
+// proposer snapshots, the rolling restart ran and both victims recovered
+// locally, the checker stayed clean, clients made progress after the
+// last change and all finished, the final replica set converged to
+// identical state, and (when checked) the nemesis schedule reproduced
+// bit-identically.
+func (r MembershipResult) Gates() []Gate {
+	return []Gate{
+		gate("clients_finished", r.Finished == r.Clients, "%d/%d", r.Finished, r.Clients),
+		gate("epochs_derived", r.Epochs == 9, "%d of 9", r.Epochs),
+		gate("grew_and_shrank", r.GrewTo == 5 && r.ShrankTo == 3, "grew to %d, ended at %d", r.GrewTo, r.ShrankTo),
+		boolGate("joiners_active", r.JoinersActive),
+		gate("bootstrap_snapshots", r.BootstrapSnapshots >= 2, "%d pushed", r.BootstrapSnapshots),
+		gate("rolling_restart", r.Kills == 2 && r.Restarts == 2, "%d kills, %d restarts", r.Kills, r.Restarts),
+		boolGate("recovered_locally", r.RecoveredLocally),
+		r.Audit.gate(),
+		boolGate("progress_after_changes", r.ProgressAfterChanges),
+		boolGate("progress_after_restart", r.ProgressAfterRestart),
+		boolGate("caught_up", r.CaughtUp),
+		boolGate("state_equal", r.StateEqual),
+		gate("nemesis_reproducible", !r.ReproChecked || r.FingerprintStable, "replay fingerprint differs"),
 	}
 }
 
-// newMembershipCluster builds the deployment: every service node runs
-// the dynamic-membership broadcast (PaxosDynamic quorums, per-slot
-// fan-out from the view), charter replicas are durable and populated,
-// joiners are durable and empty, waiting for their bootstrap snapshot.
-func newMembershipCluster(cfg MembershipConfig, root string) *membershipCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3", "b4", "b5"},
-		rloc:  []msg.Loc{"r1", "r2", "r3", "r4", "r5"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	mc := &membershipCluster{
-		shadowCluster: sc,
-		root:          root,
-		reg:           core.BankRegistry(),
-		rows:          cfg.Rows,
-		view:          member.NewView(membershipInitial(), cfg.Alpha),
-		joiners:       map[msg.Loc]bool{"r4": true, "r5": true},
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-		pol:           cfg.Fsync,
-	}
-	for _, l := range sc.rloc {
-		rep := mc.buildReplica(l, !mc.joiners[l])
-		sc.clu.AddCostedProcess(l, 1, rep, mc.costFn(l))
-	}
-	sc.addBroadcast(broadcast.Config{
-		Nodes:    sc.bloc,
-		Pipeline: cfg.Pipeline,
-		View:     mc.view,
-		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, mc.view)},
-	}, broadcast.Compiled)
-	return mc
-}
-
-func (mc *membershipCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return mc.reps[loc].LastCost() + replicaOverhead }
-}
-
-// buildReplica opens loc's store and database and constructs a durable
-// replica over them, attached to the shared epoch view. Charter
-// replicas (populate) are seeded and baseline-snapshotted; joiners
-// start empty and inactive — their first durable baseline is the
-// bootstrap transfer. A rebuilt incarnation of either kind recovers
-// whatever its store holds.
-func (mc *membershipCluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(mc.root, string(loc)), mc.pol)
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership store: %v", err))
-	}
-	mc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, mc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if populate {
-		if err := core.BankSetup(db, mc.rows); err != nil {
-			panic(err)
-		}
-	}
-	var rep *core.SMRReplica
-	if mc.joiners[loc] {
-		rep, err = core.NewJoiningDurableSMRReplica(loc, db, mc.reg, st, nil)
-	} else {
-		rep, err = core.NewDurableSMRReplica(loc, db, mc.reg, st, nil)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("bench: membership replica %s: %v", loc, err))
-	}
-	rep.SetView(mc.view)
-	mc.reps[loc], mc.dbs[loc], mc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc from its data directory — a fresh
-// incarnation over the surviving store — and rebinds it to the node.
-func (mc *membershipCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := mc.buildReplica(loc, false)
-	var proc gpm.Process = rep
-	cost := mc.costFn(loc)
-	mc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
-	})
-	return rep
-}
+// Certified reports whether every gate held.
+func (r MembershipResult) Certified() bool { return Certified(r.Gates()) }
 
 // scheduledChange is one membership command at its proposal time.
 type scheduledChange struct {
@@ -339,40 +218,32 @@ func Membership(cfg MembershipConfig) MembershipResult {
 	return res
 }
 
-// membershipRun is one full run of the experiment.
+// membershipRun is one full run of the experiment. Five broadcast
+// service nodes and five durable replicas exist as processes from the
+// start under one shared epoch view, but only the charter members
+// (b1-b3, r1-r3, populated) are in epoch 0 — the joiners r4 and r5 idle
+// empty until an ordered command admits them.
 func membershipRun(cfg MembershipConfig) MembershipResult {
-	root := cfg.DataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "shadowdb-membership-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
-	}
-	mc := newMembershipCluster(cfg, root)
+	initial := charter()
+	run := startRun("membership", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
+	run.Checker.SetMembership(initial, cfg.Alpha)
+	mc := run.Attach(newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup:      func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+		bcastNodes: 5, bcast: broadcast.Config{Pipeline: cfg.Pipeline},
+		root: run.Root(), fsync: cfg.Fsync,
+		epoch0: &initial, alpha: cfg.Alpha, sharedView: true,
+		joiners: map[msg.Loc]bool{"r4": true, "r5": true},
+	}), "r4", "r5", "b4", "b5")
 	sim := mc.sim
 
-	o := obs.New(cfg.RingSize)
-	mc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(membershipInitial(), cfg.Alpha)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "membership", o, checker,
-		append(append([]msg.Loc{}, mc.rloc...), mc.bloc...), "r4", "r5", "b4", "b5")
-
-	stats := &loadStats{}
-	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
 	// Clients keep the seed topology: removed service nodes still
 	// forward broadcasts to the sequencer, so a static client config
 	// survives every resize.
-	charterR := []msg.Loc{"r1", "r2", "r3"}
-	charterB := []msg.Loc{"b1", "b2", "b3"}
 	shadowClients(mc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		charterR, charterB, 10*time.Second, work)
+		initial.Replicas, initial.Bcast, 10*time.Second, work)
 
 	res := MembershipResult{Clients: cfg.Clients, JoinerActiveAt: -1}
 	snapsBefore := obs.C("core.smr.member_snapshots").Value()
@@ -394,7 +265,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 			if cmd.Op == member.AddReplica {
 				// Tell the checker the joiner legitimately enters the
 				// slot order mid-stream.
-				checker.NoteJoin(cmd.Node)
+				run.Checker.NoteJoin(cmd.Node)
 			}
 			mc.clu.SendAfter(0, admin, mc.bloc[0], msg.M(broadcast.HdrBcast,
 				broadcast.Bcast{From: admin, Seq: seq, Payload: member.EncodeCommand(cmd)}))
@@ -402,7 +273,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	}
 
 	// Sample each joiner until its bootstrap snapshot lands.
-	for j := range mc.joiners {
+	for j := range mc.spec.joiners {
 		loc := j
 		var poll func()
 		poll = func() {
@@ -420,42 +291,12 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// The rolling restart: r1 (charter, the bootstrap proposer) then r4
 	// (freshly joined), deterministically expanded into the same crash
 	// schedule every run.
-	recoveredAll := true
-	var rollEnd time.Duration
-	inj := fault.BindProcess(mc.clu, fault.Plan{Rolling: []fault.Rolling{{
+	run.Inject(fault.Plan{Rolling: []fault.Rolling{{
 		StartAt:  fault.Duration(cfg.RestartAt),
 		Nodes:    []msg.Loc{"r1", "r4"},
 		Downtime: fault.Duration(cfg.Downtime),
 		Stagger:  fault.Duration(cfg.Stagger),
-	}}}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
-			res.Kills++
-			_ = mc.sts[node].Close()
-		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
-			res.Restarts++
-			replayBefore := obs.C("store.wal.replays").Value()
-			rep := mc.restartReplica(node)
-			res.Replayed += obs.C("store.wal.replays").Value() - replayBefore
-			if !rep.Recovered() {
-				recoveredAll = false
-			}
-			checker.NoteRestart(node)
-			rollEnd = sim.Now()
-			// Back on the network: ask the current epoch's peers for
-			// the downtime delta (deferred a tick so the send happens
-			// after the node's crash flag clears).
-			sim.After(0, func() {
-				for _, d := range rep.RecoveryDirectives() {
-					mc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-			})
-		},
-	})
-	inj.SetObs(o)
+	}}})
 
 	runToFinish(sim, stats, cfg.Clients)
 	// Quiesce: let catch-up, final deliveries and the last epoch drain.
@@ -464,11 +305,10 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	res.Committed = stats.committed
 	res.Aborted = stats.aborted
 	res.Finished = stats.finished
-	res.RecoveredLocally = res.Restarts == 2 && recoveredAll
+	res.Kills, res.Restarts, res.Replayed = mc.kills, mc.restarts, mc.replayed
+	res.RecoveredLocally = mc.restarts == 2 && mc.recoveredAll
 	res.BootstrapSnapshots = obs.C("core.smr.member_snapshots").Value() - snapsBefore
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
-	res.Fingerprint = inj.Fingerprint()
+	res.Audit = run.Audit()
 
 	epochs := mc.view.Epochs()
 	res.Epochs = len(epochs)
@@ -486,72 +326,31 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// Convergence over the final replica set: frontier parity and
 	// bit-identical state — the joiners must be indistinguishable from
 	// the surviving charter replica.
-	maxSlot := -1
-	for _, l := range final.Replicas {
-		s := mc.reps[l].LastSlot()
-		res.LastSlots = append(res.LastSlots, s)
-		if s > maxSlot {
-			maxSlot = s
-		}
-	}
-	res.CaughtUp = len(final.Replicas) > 0
-	res.StateEqual = len(final.Replicas) > 0
-	for _, l := range final.Replicas {
-		if mc.reps[l].LastSlot() < maxSlot {
-			res.CaughtUp = false
-		}
-		if !sqldb.Equal(mc.dbs[final.Replicas[0]], mc.dbs[l]) {
-			res.StateEqual = false
-		}
-	}
-
-	series := timeline.Series()
-	after := func(at time.Duration) bool {
-		if at <= 0 {
-			return false
-		}
-		for b := int(at/cfg.Bin) + 1; b < len(series); b++ {
-			if series[b] > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	res.ProgressAfterChanges = after(lastChangeAt)
-	res.ProgressAfterRestart = after(rollEnd)
-
-	if !res.Certified() {
-		dumpFlight("uncertified")
-	}
+	res.CaughtUp, res.StateEqual, res.LastSlots = mc.converged(final.Replicas)
+	res.ProgressAfterChanges = run.progressAfter(lastChangeAt)
+	res.ProgressAfterRestart = run.progressAfter(mc.lastRestartAt)
+	run.Close(res.Certified())
 	return res
 }
 
-// ReportMembership flattens the experiment for BENCH_membership.json.
-func ReportMembership(res MembershipResult, quick bool) *Report {
-	r := NewReport("membership", quick)
+// reportMembership flattens the experiment for BENCH_membership.json.
+func reportMembership(res MembershipResult, r *Report) {
 	r.Add("membership.committed", float64(res.Committed), "count")
 	r.Add("membership.aborted", float64(res.Aborted), "count")
 	r.Add("membership.finished", float64(res.Finished), "count")
 	r.Add("membership.epochs", float64(res.Epochs), "count")
 	r.Add("membership.grew_to", float64(res.GrewTo), "count")
 	r.Add("membership.shrank_to", float64(res.ShrankTo), "count")
-	r.Add("membership.joiners_active", b2f(res.JoinersActive), "bool")
 	r.Add("membership.joiner_active_at", res.JoinerActiveAt.Seconds(), "s")
 	r.Add("membership.bootstrap_snapshots", float64(res.BootstrapSnapshots), "count")
 	r.Add("membership.kills", float64(res.Kills), "count")
 	r.Add("membership.restarts", float64(res.Restarts), "count")
 	r.Add("membership.replayed_records", float64(res.Replayed), "count")
-	r.Add("membership.recovered_locally", b2f(res.RecoveredLocally), "bool")
-	r.Add("membership.caught_up", b2f(res.CaughtUp), "bool")
-	r.Add("membership.state_equal", b2f(res.StateEqual), "bool")
-	r.Add("membership.progress_after_changes", b2f(res.ProgressAfterChanges), "bool")
-	r.Add("membership.progress_after_restart", b2f(res.ProgressAfterRestart), "bool")
-	r.Add("membership.checker.events", float64(res.Events), "count")
-	r.Add("membership.checker.violations", float64(len(res.Violations)), "count")
+	res.Audit.report(r)
 	r.Add("membership.repro_checked", b2f(res.ReproChecked), "bool")
 	r.Add("membership.fingerprint_stable", b2f(res.FingerprintStable), "bool")
-	r.Add("membership.certified", b2f(res.Certified()), "bool")
-	return r
+	r.AddCertified(res.Gates())
+	r.Fingerprint("membership", res.Fingerprint)
 }
 
 // RenderMembership prints the human-readable summary.
@@ -569,11 +368,9 @@ func RenderMembership(w io.Writer, res MembershipResult) {
 		res.CaughtUp, res.LastSlots, res.StateEqual, res.ProgressAfterChanges, res.ProgressAfterRestart)
 	fp := "not checked"
 	if res.ReproChecked {
-		fp = fmt.Sprintf("stable=%v (%#x)", res.FingerprintStable, res.Fingerprint)
+		fp = fmt.Sprintf("stable=%v", res.FingerprintStable)
 	}
-	fmt.Fprintf(w, "  checker: %d events, %d violations   nemesis fingerprint: %s   certified: %v\n",
+	fmt.Fprintf(w, "  checker: %d events, %d violations   nemesis replay: %s   certified: %v\n",
 		res.Events, len(res.Violations), fp, res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }

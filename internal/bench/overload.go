@@ -12,7 +12,6 @@ import (
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -153,35 +152,38 @@ type OverloadResult struct {
 	// OpenFlows counts submissions with no observed terminal outcome
 	// after the drain (passed-deadline flows excepted by the checker).
 	OpenFlows int
-	// Fingerprint hashes the injection log (the slow-disk schedule).
-	Fingerprint uint64
-	Events      int64
-	Violations  []dist.Violation
+	// Audit is the checker's view of the run and the hash of the
+	// injection log (the slow-disk schedule).
+	Audit
 }
 
-// Certified reports whether the run meets the overload acceptance bar:
-// the 1x phase completes essentially everything it submits (≥99%), the
-// 16x phase genuinely sheds, goodput under 16x overload stays at or
-// above the floor fraction of baseline, every phase's completed-request
-// p99 stays under the bound, the watchdog caught the sustained episode,
-// and the checker stayed clean (terminal outcomes, queue bounds, and
-// the goodput floor are its properties).
-func (r OverloadResult) Certified() bool {
+// Gates is the overload acceptance bar: the 1x phase completes
+// essentially everything it submits (≥99%), the 16x phase genuinely
+// sheds, goodput under 16x overload stays at or above the floor
+// fraction of baseline, every phase's completed-request p99 stays under
+// the bound, the watchdog caught the sustained episode, and the checker
+// stayed clean (terminal outcomes, queue bounds, and the goodput floor
+// are its properties).
+func (r OverloadResult) Gates() []Gate {
 	if len(r.Phases) != 3 {
-		return false
+		return []Gate{gate("three_phases", false, "%d phases", len(r.Phases))}
 	}
 	base, peak := r.Phases[0], r.Phases[2]
-	clean1x := base.Submitted > 0 && base.Completed*100 >= base.Submitted*99
+	gates := []Gate{gate("1x_completes", base.Submitted > 0 && base.Completed*100 >= base.Submitted*99,
+		"%d of %d", base.Completed, base.Submitted)}
 	for _, p := range r.Phases {
-		if p.Completed > 0 && p.P99Ms > r.P99BoundMs {
-			return false
-		}
+		gates = append(gates, gate(p.Name+"_p99", !(p.Completed > 0 && p.P99Ms > r.P99BoundMs),
+			"%.1fms, bound %.0fms", p.P99Ms, r.P99BoundMs))
 	}
-	return clean1x && peak.Shed > 0 &&
-		r.GoodputRatio >= r.FloorWant &&
-		r.WatchdogFired &&
-		len(r.Violations) == 0
+	return append(gates,
+		gate("16x_sheds", peak.Shed > 0, "nothing shed"),
+		gate("goodput_floor", r.GoodputRatio >= r.FloorWant, "%.2fx, floor %.2fx", r.GoodputRatio, r.FloorWant),
+		boolGate("watchdog_fired", r.WatchdogFired),
+		r.Audit.gate())
 }
+
+// Certified reports whether every gate held.
+func (r OverloadResult) Certified() bool { return Certified(r.Gates()) }
 
 // overloadMults are the offered-load multipliers of the three phases.
 var overloadMults = [3]int{1, 4, 16}
@@ -194,95 +196,34 @@ type overloadPhaseStats struct {
 
 // Overload runs the experiment.
 func Overload(cfg OverloadConfig) OverloadResult {
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	clu.Link = lanLink
-	clu.SizeOf = wireSize
-	costs := Calibrate()
-	bloc := []msg.Loc{"b1", "b2", "b3"}
-	rloc := []msg.Loc{"r1", "r2"}
-
-	// The nemesis injector is bound after the nodes exist; cost
-	// closures consult it lazily so the slow-disk window can degrade a
-	// node mid-run without rebinding anything.
-	var inj *fault.Injector
-	slowed := func(loc msg.Loc, c time.Duration) time.Duration {
-		if inj != nil {
-			if f := inj.SlowFactor(loc); f > 1 {
-				c = time.Duration(float64(c) * f)
-			}
-		}
-		return c
-	}
-
-	reg := core.BankRegistry()
-	for _, l := range rloc {
-		loc := l
-		db, err := sqldb.Open("h2:mem:overload-" + string(loc))
-		if err != nil {
-			panic(err)
-		}
-		if err := core.BankSetup(db, cfg.Rows); err != nil {
-			panic(err)
-		}
-		rep := core.NewSMRReplica(loc, db, reg)
-		clu.AddCostedProcess(loc, 1, rep, func() time.Duration {
-			return slowed(loc, rep.LastCost()+replicaOverhead)
-		})
-	}
-
-	// Three service nodes order for two replicas: b3 carries no local
-	// subscriber, it only participates in consensus (the 5-node shape).
-	bcfg := broadcast.Config{
-		Nodes:            bloc,
-		LocalSubscribers: map[msg.Loc][]msg.Loc{"b1": {"r1"}, "b2": {"r2"}},
-		MaxBatch:         cfg.MaxBatch,
-		Pipeline:         cfg.Pipeline,
-		FlowLimit:        cfg.FlowLimit,
-		Classify:         core.FlowClass,
-		FlowNow:          sim.Now,
-	}
-	gen := broadcast.Spec(bcfg).Generator()
-	per := costs.PerMsg[broadcast.Compiled]
-	for _, b := range bloc {
-		loc := b
-		proc := gen(loc)
-		clu.AddCostedNode(loc, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			c := bcastCost(per, env.M)
-			if env.M.Hdr == broadcast.HdrBcast {
-				// Intake (dedup + deadline + admission) is the engineered
-				// cheap path: shedding a request must cost far less than
-				// ordering it, or admission control amplifies the overload
-				// it exists to absorb.
-				c = cfg.IntakeCost
-			}
-			return outs, slowed(loc, c)
-		})
-	}
-
-	o := obs.New(cfg.RingSize)
-	clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetFlow(cfg.FlowLimit)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "overload", o, checker,
-		append(append([]msg.Loc{}, bloc...), rloc...))
+	// Three service nodes order for two in-memory replicas: b3 carries
+	// no local subscriber, it only participates in consensus (the 5-node
+	// shape). Cost closures consult the nemesis lazily, so the slow-disk
+	// window degrades its node mid-run without rebinding anything.
+	run := startRun("overload", cfg.RingSize, cfg.FlightDir, "")
+	run.Checker.SetFlow(cfg.FlowLimit)
+	c := run.Attach(newCluster(clusterSpec{
+		engines: []string{"h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+		bcast: broadcast.Config{
+			MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline,
+			FlowLimit: cfg.FlowLimit, Classify: core.FlowClass,
+		},
+		intake: cfg.IntakeCost,
+	}))
+	sim, clu, bloc, checker := c.sim, c.clu, c.bloc, run.Checker
 
 	// The slow-disk window opens SlowAfter into the 16x phase and heals
 	// when the load stops.
 	t16 := 2 * cfg.PhaseDur
 	loadEnd := 3 * cfg.PhaseDur
-	inj = fault.BindCluster(clu, fault.Plan{
+	run.Inject(fault.Plan{
 		Seed: cfg.Seed,
 		SlowDisks: []fault.SlowDisk{{
 			At: fault.Duration(t16 + cfg.SlowAfter), Until: fault.Duration(loadEnd),
 			Node: cfg.SlowNode, Factor: cfg.SlowFactor,
 		}},
 	})
-	inj.SetObs(o)
 
 	// Counter baselines (package counters are process-global).
 	admitted0 := obs.C("flow.admitted").Value()
@@ -296,7 +237,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	wd := &flow.Watchdog{
 		Rates: rates, Metric: "flow.rejects.sent",
 		Threshold: cfg.WatchThreshold, Windows: cfg.WatchWindows,
-		OnSustained: func(int) { dumpFlight("sustained-overload") },
+		OnSustained: func(int) { run.dump("sustained-overload") },
 	}
 	var wdTick func()
 	wdTick = func() {
@@ -409,9 +350,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	}
 	res.WatchdogFired = wd.Fired()
 	res.OpenFlows = checker.OpenFlows()
-	res.Fingerprint = inj.Fingerprint()
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
+	res.Audit = run.Audit()
 
 	var rate [3]float64
 	for i, p := range checker.FlowPhases() {
@@ -435,15 +374,12 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	if rate[0] > 0 {
 		res.GoodputRatio = rate[2] / rate[0]
 	}
-	if !res.Certified() {
-		dumpFlight("uncertified")
-	}
+	run.Close(res.Certified())
 	return res
 }
 
-// ReportOverload flattens the experiment for BENCH_overload.json.
-func ReportOverload(res OverloadResult, quick bool) *Report {
-	r := NewReport("overload", quick)
+// reportOverload flattens the experiment for BENCH_overload.json.
+func reportOverload(res OverloadResult, r *Report) {
 	for _, p := range res.Phases {
 		r.Add("overload."+p.Name+".submitted", float64(p.Submitted), "count")
 		r.Add("overload."+p.Name+".completed", float64(p.Completed), "count")
@@ -457,12 +393,10 @@ func ReportOverload(res OverloadResult, quick bool) *Report {
 	r.Add("overload.shed", float64(res.Shed), "count")
 	r.Add("overload.deadline_dropped", float64(res.Expired), "count")
 	r.Add("overload.rejects_sent", float64(res.Rejects), "count")
-	r.Add("overload.watchdog_fired", b2f(res.WatchdogFired), "bool")
 	r.Add("overload.open_flows", float64(res.OpenFlows), "count")
-	r.Add("overload.checker.events", float64(res.Events), "count")
-	r.Add("overload.checker.violations", float64(len(res.Violations)), "count")
-	r.Add("overload.certified", b2f(res.Certified()), "bool")
-	return r
+	res.Audit.report(r)
+	r.AddCertified(res.Gates())
+	r.Fingerprint("overload", res.Fingerprint)
 }
 
 // RenderOverload prints the human-readable summary.
@@ -476,10 +410,8 @@ func RenderOverload(w io.Writer, res OverloadResult) {
 		res.GoodputRatio, res.FloorWant, res.P99BoundMs)
 	fmt.Fprintf(w, "  flow: %d admitted, %d shed, %d deadline-dropped, %d rejects sent   watchdog fired: %v\n",
 		res.Admitted, res.Shed, res.Expired, res.Rejects, res.WatchdogFired)
-	fmt.Fprintf(w, "  open flows after drain: %d   nemesis fingerprint %#x\n", res.OpenFlows, res.Fingerprint)
+	fmt.Fprintf(w, "  open flows after drain: %d\n", res.OpenFlows)
 	fmt.Fprintf(w, "  checker: %d events, %d violations   certified: %v\n",
 		res.Events, len(res.Violations), res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }

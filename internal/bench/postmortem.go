@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/bridge"
@@ -102,13 +102,21 @@ type PostmortemResult struct {
 	Dir string
 }
 
-// Certified reports whether the run met the acceptance bar: a bundle
-// from every node, a causally ordered merged timeline containing the
-// forged event, and offline re-detection from the bundles alone.
-func (r PostmortemResult) Certified() bool {
-	return len(r.Violations) > 0 && len(r.Bundles) == r.Nodes &&
-		r.TimelineOrdered && r.ForgedInTimeline && r.ReplayDetected
+// Gates is the acceptance bar: the forgery was flagged, a bundle from
+// every node, a causally ordered merged timeline containing the forged
+// event, and offline re-detection from the bundles alone.
+func (r PostmortemResult) Gates() []Gate {
+	return []Gate{
+		gate("forgery_flagged", len(r.Violations) > 0, "checker flagged nothing"),
+		gate("bundles_complete", len(r.Bundles) == r.Nodes, "%d of %d nodes", len(r.Bundles), r.Nodes),
+		boolGate("timeline.ordered", r.TimelineOrdered),
+		boolGate("timeline.forged_present", r.ForgedInTimeline),
+		boolGate("replay_detected", r.ReplayDetected),
+	}
 }
+
+// Certified reports whether every gate held.
+func (r PostmortemResult) Certified() bool { return Certified(r.Gates()) }
 
 // Postmortem runs the experiment.
 func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
@@ -149,11 +157,11 @@ func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
 // obs.Default at the run's Obs so package-level loggers land in the same
 // ring the recorders dump. The returned restore func must run before the
 // next run starts.
-func postmortemCluster(cfg PostmortemConfig, recorderOn bool) (*shadowCluster, *obs.Obs, *loadStats, func()) {
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(), setup)
-
-	o := obs.New(cfg.RingSize)
+func postmortemCluster(cfg PostmortemConfig, o *obs.Obs, recorderOn bool) (*Cluster, *loadStats, func()) {
+	sc := newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+	})
 	sc.clu.Observe(o)
 	prev := obs.Default
 	obs.Default = o
@@ -169,54 +177,24 @@ func postmortemCluster(cfg PostmortemConfig, recorderOn bool) (*shadowCluster, *
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(cfg.Seed)+int64(i)*31337) }
 	shadowClients(sc.clu, stats, cfg.Clients, 1<<30, core.ModeSMR,
 		nil, sc.bloc, 5*time.Second, work)
-	return sc, o, stats, restore
+	return sc, stats, restore
 }
 
 // postmortemViolationRun is the instrumented run with the forged
 // delivery: recorders on every node, checker attached, bundle dumps on
 // the violation hook.
 func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemResult) error {
-	sc, o, stats, restore := postmortemCluster(cfg, true)
+	run := startRun("postmortem", cfg.RingSize, dir, "")
+	o := run.Obs
+	sc, stats, restore := postmortemCluster(cfg, o, true)
 	defer restore()
 
-	checker := dist.NewChecker()
-	checker.Watch(o)
-
-	// Rate windows tick on the virtual clock (1 s), so bundles carry
-	// metric deltas without a wall-clock goroutine in the simulation.
-	rates := obs.NewRates(o, time.Second, 0)
-	var tick func()
-	tick = func() {
-		rates.Tick()
-		if sc.sim.Now() < cfg.RunFor {
-			sc.sim.After(time.Second, tick)
-		}
-	}
-	sc.sim.After(time.Second, tick)
-
-	// One recorder per node, every one fed from the run's shared Obs;
-	// Dump filters its node's slice of the log and trace rings.
-	nodes := append(append([]msg.Loc{}, sc.rloc...), sc.bloc...)
-	res.Nodes = len(nodes)
-	recs := make([]*obs.Recorder, 0, len(nodes))
-	for _, n := range nodes {
-		rec, err := obs.NewRecorder(o, filepath.Join(dir, string(n), "flight"), n)
-		if err != nil {
-			return err
-		}
-		rec.SetRates(rates)
-		rec.SetCheckerStatus(func() any { return checker.Status() })
-		rec.SetConfig(map[string]string{
-			"experiment": "postmortem",
-			"seed":       fmt.Sprint(cfg.Seed),
-		})
-		recs = append(recs, rec)
-	}
-	checker.OnViolation(func(v dist.Violation) {
-		for _, rec := range recs {
-			_, _ = rec.TryDump("violation-" + v.Property)
-		}
-	})
+	// One recorder per node, every one fed from the run's shared Obs and
+	// dumped on the violation hook; Dump filters its node's slice of the
+	// log and trace rings.
+	res.Nodes = len(sc.nodes)
+	run.rates = tickRates(sc.sim, o, cfg.RunFor)
+	run.Attach(sc)
 
 	// The forgery: a Deliver for slot 0 whose batch no broadcast node
 	// ever ordered, recorded as if r2 received it. Slot 0 delivered long
@@ -235,7 +213,7 @@ func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemRes
 	sc.sim.Run(cfg.RunFor, 500_000_000)
 
 	res.Committed = stats.committed
-	res.Violations = checker.Violations()
+	res.Violations = run.Audit().Violations
 	bundles, err := obs.ListBundles(dir)
 	if err != nil {
 		return err
@@ -284,45 +262,48 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 	return nil
 }
 
+// tickRates gives o metric rate windows that tick on the virtual clock
+// (1 s) until the run ends, so bundles carry metric deltas without a
+// wall-clock goroutine in the simulation.
+func tickRates(sim *des.Sim, o *obs.Obs, until time.Duration) *obs.Rates {
+	rates := obs.NewRates(o, time.Second, 0)
+	var tick func()
+	tick = func() {
+		rates.Tick()
+		if sim.Now() < until {
+			sim.After(time.Second, tick)
+		}
+	}
+	sim.After(time.Second, tick)
+	return rates
+}
+
 // postmortemCleanRun is one un-forged run at the same scale, returning
 // its wall-clock duration. recorderOn selects the full flight recorder
 // (debug logging + tracing + rate windows) or everything off.
 func postmortemCleanRun(cfg PostmortemConfig, recorderOn bool) time.Duration {
-	sc, o, _, restore := postmortemCluster(cfg, recorderOn)
+	o := obs.New(cfg.RingSize)
+	sc, _, restore := postmortemCluster(cfg, o, recorderOn)
 	defer restore()
-	var rates *obs.Rates
 	if recorderOn {
-		rates = obs.NewRates(o, time.Second, 0)
-		var tick func()
-		tick = func() {
-			rates.Tick()
-			if sc.sim.Now() < cfg.RunFor {
-				sc.sim.After(time.Second, tick)
-			}
-		}
-		sc.sim.After(time.Second, tick)
+		tickRates(sc.sim, o, cfg.RunFor)
 	}
 	start := time.Now()
 	sc.sim.Run(cfg.RunFor, 500_000_000)
 	return time.Since(start)
 }
 
-// ReportPostmortem flattens the experiment for BENCH_postmortem.json.
-func ReportPostmortem(res PostmortemResult, quick bool) *Report {
-	r := NewReport("postmortem", quick)
+// reportPostmortem flattens the experiment for BENCH_postmortem.json.
+func reportPostmortem(res PostmortemResult, r *Report) {
 	r.Add("postmortem.committed", float64(res.Committed), "count")
 	r.Add("postmortem.violations", float64(len(res.Violations)), "count")
 	r.Add("postmortem.bundles", float64(len(res.Bundles)), "count")
 	r.Add("postmortem.nodes", float64(res.Nodes), "count")
 	r.Add("postmortem.timeline.entries", float64(res.TimelineLen), "count")
-	r.Add("postmortem.timeline.ordered", b2f(res.TimelineOrdered), "bool")
-	r.Add("postmortem.timeline.forged_present", b2f(res.ForgedInTimeline), "bool")
-	r.Add("postmortem.replay_detected", b2f(res.ReplayDetected), "bool")
 	r.Add("postmortem.wall_on_ms", res.WallOnMS, "ms")
 	r.Add("postmortem.wall_off_ms", res.WallOffMS, "ms")
 	r.Add("postmortem.overhead_pct", res.OverheadPct, "percent")
-	r.Add("postmortem.certified", b2f(res.Certified()), "bool")
-	return r
+	r.AddCertified(res.Gates())
 }
 
 // RenderPostmortem prints the human-readable summary.
@@ -339,9 +320,7 @@ func RenderPostmortem(w io.Writer, res PostmortemResult) {
 	fmt.Fprintf(w, "  recorder overhead: on %.0f ms, off %.0f ms (%+.1f%%)\n",
 		res.WallOnMS, res.WallOffMS, res.OverheadPct)
 	fmt.Fprintf(w, "  certified: %v\n", res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 	if res.Dir != "" {
 		fmt.Fprintf(w, "  bundles under: %s\n", res.Dir)
 	}

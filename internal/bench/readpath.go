@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,11 +11,9 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -168,8 +164,8 @@ type ChaosPhase struct {
 	RestartRejected int64
 	ReacquiredAt    time.Duration
 	Reacquired      bool
-	// Fingerprint hashes the injection log.
-	Fingerprint uint64
+	// Audit is the phase's checker view and injection-log hash.
+	Audit
 }
 
 // ReadPathResult is the certified outcome of one readpath run.
@@ -197,329 +193,158 @@ type ReadPathResult struct {
 	GroupSyncs     int64
 	AcksSuppressed int64
 	Chaos          ChaosPhase
-	// Events / Violations aggregate the online checker across all
-	// phases.
-	Events     int64
-	Violations []dist.Violation
+	// Audit aggregates the online checker across all phases.
+	Audit
 }
 
-// Certified reports whether the run meets the readpath acceptance bar:
-// every phase's clients finished, the steady-state serve loop
-// allocates nothing, lease reads are at least twice as fast as
-// consensus-path reads, the replica journal coalesces at least two
-// appends per group-commit fsync, the chaos scenario played out end to
-// end (stale holder served then fenced, successor took over after the
-// barrier, and re-acquired only via a fresh renewal after its
-// restart), and the checker stayed clean.
-func (r ReadPathResult) Certified() bool {
-	phases := r.Consensus.Finished == r.Consensus.Clients &&
-		r.Lease.Finished == r.Lease.Clients &&
-		r.Follower.Finished == r.Follower.Clients &&
-		r.Lease.Reads > 0 && r.Follower.Reads > 0
-	chaos := r.Chaos.Finished == r.Chaos.Clients &&
-		r.Chaos.Kills == 1 && r.Chaos.Restarts == 1 &&
-		r.Chaos.OldServed > 0 && r.Chaos.OldFenced &&
-		r.Chaos.NewServed > 0 && r.Chaos.HandoverAt > 0 &&
-		r.Chaos.Reacquired
-	return phases && chaos &&
-		r.ServeAllocs == 0 &&
-		r.Speedup >= 2 &&
-		r.GroupSyncs > 0 && r.GroupSyncs*2 <= r.SMRAppends &&
-		len(r.Violations) == 0
+// Gates is the readpath acceptance bar: every phase's clients finished,
+// the steady-state serve loop allocates nothing, lease reads are at
+// least twice as fast as consensus-path reads, the replica journal
+// coalesces at least two appends per group-commit fsync, the chaos
+// scenario played out end to end (stale holder served then fenced,
+// successor took over after the barrier, and re-acquired only via a
+// fresh renewal after its restart), and the checker stayed clean.
+func (r ReadPathResult) Gates() []Gate {
+	var gates []Gate
+	for _, p := range []ReadPhase{r.Consensus, r.Lease, r.Follower} {
+		gates = append(gates, gate(p.Mode+".clients_finished", p.Finished == p.Clients, "%d/%d", p.Finished, p.Clients))
+	}
+	ch := r.Chaos
+	return append(gates,
+		gate("lease.reads_served", r.Lease.Reads > 0, "none"),
+		gate("follower.reads_served", r.Follower.Reads > 0, "none"),
+		gate("chaos.clients_finished", ch.Finished == ch.Clients, "%d/%d", ch.Finished, ch.Clients),
+		gate("chaos.successor_restarted", ch.Kills == 1 && ch.Restarts == 1, "%d kills, %d restarts", ch.Kills, ch.Restarts),
+		gate("chaos.old_served", ch.OldServed > 0, "stale holder served nothing in its window"),
+		boolGate("chaos.old_fenced", ch.OldFenced),
+		gate("chaos.new_served", ch.NewServed > 0 && ch.HandoverAt > 0, "successor never took over"),
+		boolGate("chaos.reacquired", ch.Reacquired),
+		gate("serve_allocs", r.ServeAllocs == 0, "%.1f allocs/op", r.ServeAllocs),
+		gate("speedup", r.Speedup >= 2, "%.2fx, bar 2x", r.Speedup),
+		gate("group_commit", r.GroupSyncs > 0 && r.GroupSyncs*2 <= r.SMRAppends,
+			"%d group syncs for %d replica appends", r.GroupSyncs, r.SMRAppends),
+		r.Audit.gate())
 }
 
-// readpathInitial is the chaos epoch 0: r1 is the natural holder.
-func readpathInitial() member.Config {
-	return member.Config{
-		Bcast:    []msg.Loc{"b1", "b2", "b3"},
-		Replicas: []msg.Loc{"r1", "r2", "r3"},
-	}
+// Certified reports whether every gate held.
+func (r ReadPathResult) Certified() bool { return Certified(r.Gates()) }
+
+// readpathRun starts one phase on a fresh durable, lease-enabled 3+3
+// deployment. Unlike the membership experiment's shared view, every
+// replica folds membership commands and renewals from its own delivery
+// stream into its own epoch view — a partitioned replica's view
+// genuinely goes stale. The broadcast service keeps its own view and a
+// durable decided-slot journal, so the sequencer's covering fsync (one
+// per contiguous delivery run) shows up in the WAL counters.
+func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
+	initial := charter()
+	run := startRun("readpath-"+label, cfg.RingSize, cfg.FlightDir, "")
+	run.Checker.SetMembership(initial, cfg.Alpha)
+	run.Checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
+	rc := run.Attach(newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+		bcast: broadcast.Config{Pipeline: cfg.Pipeline}, bcastJournal: true,
+		root: run.Root(), fsync: cfg.Fsync,
+		epoch0: &initial, alpha: cfg.Alpha,
+		lease: core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Bcast: "b1"},
+		fast:  core.BankFastRegistry(), reads: core.BankReadRegistry(),
+		groupEvery: cfg.GroupEvery, groupDelay: cfg.GroupDelay,
+	}))
+	return run, rc
 }
 
-// readpathCluster is a durable lease-enabled SMR deployment. Unlike the
-// membership experiment's shared view, every replica folds membership
-// commands and renewals from its own delivery stream into its own
-// epoch view — a partitioned replica's view genuinely goes stale.
-type readpathCluster struct {
-	*shadowCluster
-	cfg  ReadPathConfig
-	root string
-	reg  core.Registry
-	reps map[msg.Loc]*core.SMRReplica
-	dbs  map[msg.Loc]*sqldb.DB
-	sts  map[msg.Loc]store.Stable
-	gen  map[msg.Loc]int
-}
-
-func newReadPathCluster(cfg ReadPathConfig, root string) *readpathCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		rloc:  []msg.Loc{"r1", "r2", "r3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	rc := &readpathCluster{
-		shadowCluster: sc,
-		cfg:           cfg,
-		root:          root,
-		reg:           core.BankRegistry(),
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-	}
-	for _, l := range sc.rloc {
-		rep := rc.buildReplica(l)
-		sc.clu.AddCostedProcess(l, 1, rep, rc.costFn(l))
-	}
-	// The broadcast service keeps its own epoch view and a durable
-	// decided-slot journal, so the sequencer's covering fsync (one per
-	// contiguous delivery run) shows up in the WAL counters.
-	bview := member.NewView(readpathInitial(), cfg.Alpha)
-	sc.addBroadcast(broadcast.Config{
-		Nodes:    sc.bloc,
-		Pipeline: cfg.Pipeline,
-		View:     bview,
-		Stable:   rc.bcastStable(),
-		Modules:  []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, nil, bview)},
-	}, broadcast.Compiled)
-	return rc
-}
-
-func (rc *readpathCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return rc.reps[loc].LastCost() + replicaOverhead }
-}
-
-func (rc *readpathCluster) bcastStable() func(msg.Loc) store.Stable {
-	return func(loc msg.Loc) store.Stable {
-		prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.cfg.Fsync)
-		if err != nil {
-			panic(fmt.Sprintf("bench: readpath bcast store: %v", err))
-		}
-		st, err := prov.Open("bcast")
-		if err != nil {
-			panic(fmt.Sprintf("bench: readpath bcast store: %v", err))
-		}
-		return st
-	}
-}
-
-// buildReplica opens loc's store and database and constructs a durable,
-// lease-enabled replica over them with its own epoch view. A rebuilt
-// incarnation recovers state (and its view) from its journal, but its
-// lease state starts empty — leases are volatile by design.
-func (rc *readpathCluster) buildReplica(loc msg.Loc) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.cfg.Fsync)
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath store: %v", err))
-	}
-	rc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, rc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if err := core.BankSetup(db, rc.cfg.Rows); err != nil {
-		panic(err)
-	}
-	rep, err := core.NewDurableSMRReplica(loc, db, rc.reg, st, nil)
-	if err != nil {
-		panic(fmt.Sprintf("bench: readpath replica %s: %v", loc, err))
-	}
-	rep.SetView(member.NewView(readpathInitial(), rc.cfg.Alpha))
-	rep.Executor().Fast = core.BankFastRegistry()
-	rep.EnableLease(core.LeaseConfig{
-		Dur: rc.cfg.LeaseDur, MaxStale: rc.cfg.MaxStale,
-		Bcast: "b1", Now: rc.sim.Now,
-	}, core.BankReadRegistry())
-	if rc.cfg.GroupEvery > 1 {
-		rep.SetGroupCommit(rc.cfg.GroupEvery, rc.cfg.GroupDelay)
-	}
-	rc.reps[loc], rc.dbs[loc], rc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc over its surviving store and rebinds it.
-func (rc *readpathCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := rc.buildReplica(loc)
-	var proc gpm.Process = rep
-	cost := rc.costFn(loc)
-	rc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
-	})
-	return rep
-}
-
-// startLeases injects every replica's initial renewal-timer tick.
-func (rc *readpathCluster) startLeases() {
-	for _, l := range rc.rloc {
-		loc := l
-		for _, d := range rc.reps[loc].LeaseDirectives() {
-			rc.clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-		}
-	}
-}
-
-// readMixStats aggregates what the mixed-load fleet observed.
-type readMixStats struct {
-	reads    int64
-	writes   int64
-	readLat  des.LatencyRecorder
-	writeLat des.LatencyRecorder
-	finished int
-	lastDone time.Duration
-}
-
-// readMixClients attaches n closed-loop clients running a ReadPct/…
-// read/write mix. In consensus mode reads are ordered transactions
-// ("balance" through Submit); otherwise they are local reads in the
-// given mode against target(i), retried on rejection.
-func readMixClients(clu *des.Cluster, st *readMixStats, cfg ReadPathConfig,
-	consensus bool, mode core.ReadMode, target func(i int) msg.Loc) []*core.Client {
-	rloc := []msg.Loc{"r1", "r2", "r3"}
-	bloc := []msg.Loc{"b1", "b2", "b3"}
+// readMixClients attaches cfg.Clients closed-loop clients running a
+// ReadPct/… read/write mix, recording read and write latencies apart.
+// In consensus mode reads are ordered transactions ("balance" through
+// Submit); otherwise they are local reads in the given mode against
+// target(i), retried on rejection.
+func readMixClients(clu *des.Cluster, stats *loadStats, readLat, writeLat *des.LatencyRecorder,
+	cfg ReadPathConfig, consensus bool, mode core.ReadMode, target func(i int) msg.Loc) []*core.Client {
+	initial := charter()
 	clients := make([]*core.Client, cfg.Clients)
-	for i := 0; i < cfg.Clients; i++ {
-		i := i
-		loc := msg.Loc(fmt.Sprintf("client%d", i))
-		cli := &core.Client{Slf: loc, Mode: core.ModeSMR, Replicas: rloc, BcastNodes: bloc, Retry: cfg.Retry}
+	wasRead := make([]bool, cfg.Clients)
+	stats.onDone = func(i int, lat time.Duration, _ bool) {
+		if wasRead[i] {
+			readLat.Add(lat)
+		} else {
+			writeLat.Add(lat)
+		}
+	}
+	closedLoop(clu, stats, cfg.Clients, cfg.OpsPer, func(i int, loc msg.Loc) client {
+		cli := &core.Client{Slf: loc, Mode: core.ModeSMR,
+			Replicas: initial.Replicas, BcastNodes: initial.Bcast, Retry: cfg.Retry}
 		clients[i] = cli
 		rng := rand.New(rand.NewSource(int64(i)*7919 + 17))
-		remaining := cfg.OpsPer
-		var started time.Duration
-		var wasRead bool
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			started = sim.Now()
-			wasRead = rng.Intn(100) < cfg.ReadPct
-			if !wasRead {
-				return cli.Submit("deposit", []any{int64(rng.Intn(cfg.Rows)), int64(1)})
-			}
-			args := []any{int64(rng.Intn(cfg.Rows))}
-			if consensus {
-				return cli.Submit("balance", args)
-			}
-			return cli.SubmitRead("balance", args, mode, target(i))
+		return client{
+			issue: func() []msg.Directive {
+				wasRead[i] = rng.Intn(100) < cfg.ReadPct
+				if !wasRead[i] {
+					return cli.Submit("deposit", []any{int64(rng.Intn(cfg.Rows)), int64(1)})
+				}
+				args := []any{int64(rng.Intn(cfg.Rows))}
+				if consensus {
+					return cli.Submit("balance", args)
+				}
+				return cli.SubmitRead("balance", args, mode, target(i))
+			},
+			handle: func(m msg.Msg) (bool, bool, []msg.Directive) {
+				res, outs := cli.Handle(m)
+				if res != nil {
+					return true, true, outs
+				}
+				if rr := cli.TakeRead(); rr != nil {
+					core.ReleaseReadResult(rr)
+					return true, true, outs
+				}
+				return false, false, outs
+			},
 		}
-		done := func(outs []msg.Directive, lat time.Duration) []msg.Directive {
-			if wasRead {
-				st.reads++
-				st.readLat.Add(lat)
-			} else {
-				st.writes++
-				st.writeLat.Add(lat)
-			}
-			st.lastDone = sim.Now()
-			remaining--
-			if remaining <= 0 {
-				st.finished++
-				return outs
-			}
-			return append(outs, submit()...)
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, outs := cli.Handle(env.M)
-			if res != nil {
-				return done(outs, sim.Now()-started)
-			}
-			if rr := cli.TakeRead(); rr != nil {
-				lat := sim.Now() - started
-				core.ReleaseReadResult(rr)
-				return done(outs, lat)
-			}
-			return outs
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-			}
-		})
-	}
+	})
 	return clients
 }
 
 // readpathPhase runs one measured load phase on a fresh cluster.
 func readpathPhase(cfg ReadPathConfig, label string, consensus bool,
-	mode core.ReadMode, target func(i int) msg.Loc) (ReadPhase, []dist.Violation, int64) {
-	root, err := os.MkdirTemp("", "shadowdb-readpath-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(root)
-	rc := newReadPathCluster(cfg, root)
+	mode core.ReadMode, target func(i int) msg.Loc) (ReadPhase, Audit) {
+	run, rc := readpathRun(cfg, label)
 	sim := rc.sim
 
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(readpathInitial(), cfg.Alpha)
-	checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "readpath-"+label, o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
-
-	st := &readMixStats{}
-	clients := readMixClients(rc.clu, st, cfg, consensus, mode, target)
+	st := &loadStats{}
+	var readLat, writeLat des.LatencyRecorder
+	clients := readMixClients(rc.clu, st, &readLat, &writeLat, cfg, consensus, mode, target)
 	rc.startLeases()
 
 	// Lease ticks re-arm forever, so the sim never idles: drive on the
 	// fleet's completion with a step-count backstop.
-	for st.finished < cfg.Clients && !sim.Idle() && sim.Steps() < 80_000_000 {
-		sim.Run(0, 100_000)
-	}
+	runToFinish(sim, st, cfg.Clients)
 	sim.Run(cfg.Drain, 20_000_000)
 
 	ph := ReadPhase{
-		Mode: label, Reads: st.reads, Writes: st.writes,
+		Mode: label, Reads: int64(readLat.Count()), Writes: int64(writeLat.Count()),
 		Finished: st.finished, Clients: cfg.Clients,
 	}
 	elapsed := st.lastDone
 	if elapsed <= 0 {
 		elapsed = time.Second
 	}
-	ph.ReadsPerSec = des.Throughput(int(st.reads), elapsed)
-	ph.ReadMeanMs = float64(st.readLat.Mean()) / float64(time.Millisecond)
-	ph.ReadP99Ms = float64(st.readLat.Percentile(99)) / float64(time.Millisecond)
-	ph.WriteMeanMs = float64(st.writeLat.Mean()) / float64(time.Millisecond)
+	ph.ReadsPerSec = des.Throughput(int(ph.Reads), elapsed)
+	ph.ReadMeanMs = float64(readLat.Mean()) / float64(time.Millisecond)
+	ph.ReadP99Ms = float64(readLat.Percentile(99)) / float64(time.Millisecond)
+	ph.WriteMeanMs = float64(writeLat.Mean()) / float64(time.Millisecond)
 	for _, c := range clients {
 		ph.Rejected += c.ReadsRejected
 		ph.Retries += c.Retries
 	}
-	vs := checker.Violations()
-	if len(vs) > 0 {
-		dumpFlight("violations")
-	}
-	return ph, vs, checker.Status().Events
+	audit := run.Audit()
+	run.Close(len(audit.Violations) == 0)
+	return ph, audit
 }
 
 // readpathChaos runs the lease-partition scenario.
-func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
-	root, err := os.MkdirTemp("", "shadowdb-readpath-chaos-")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(root)
-	rc := newReadPathCluster(cfg, root)
+func readpathChaos(cfg ReadPathConfig) ChaosPhase {
+	run, rc := readpathRun(cfg, "chaos")
 	sim := rc.sim
-
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetMembership(readpathInitial(), cfg.Alpha)
-	checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "readpath-chaos", o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
 
 	ch := ChaosPhase{Clients: cfg.ChaosClients}
 
@@ -528,7 +353,7 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 	stats := &loadStats{}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
 	shadowClients(rc.clu, stats, cfg.ChaosClients, cfg.ChaosTx, core.ModeSMR,
-		[]msg.Loc{"r1", "r2", "r3"}, []msg.Loc{"b1", "b2", "b3"}, cfg.Retry, work)
+		rc.rloc, rc.bloc, cfg.Retry, work)
 
 	// Probes send lease reads straight to both holders throughout; the
 	// probe node is deliberately NOT in the partition, so the stale
@@ -602,7 +427,7 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 
 	// The injection plan: partition r1 from the order (not the probes),
 	// and crash-restart the successor r2 after it has taken over.
-	inj := fault.BindProcess(rc.clu, fault.Plan{
+	run.Inject(fault.Plan{
 		Partitions: []fault.Partition{{
 			From: fault.Duration(cfg.PartitionAt), To: fault.Duration(cfg.HealAt),
 			A: []msg.Loc{"r1"}, B: []msg.Loc{"b1", "b2", "b3", "r2", "r3"},
@@ -613,28 +438,7 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 			Nodes:    []msg.Loc{"r2"},
 			Downtime: fault.Duration(cfg.Downtime),
 		}},
-	}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
-			ch.Kills++
-			_ = rc.sts[node].Close()
-		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
-			ch.Restarts++
-			rep := rc.restartReplica(node)
-			checker.NoteRestart(node)
-			sim.After(0, func() {
-				outs := rep.RecoveryDirectives()
-				outs = append(outs, rep.LeaseDirectives()...)
-				for _, d := range outs {
-					rc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-			})
-		},
 	})
-	inj.SetObs(o)
 	rc.startLeases()
 
 	runToFinish(sim, stats, cfg.ChaosClients)
@@ -646,15 +450,13 @@ func readpathChaos(cfg ReadPathConfig) (ChaosPhase, []dist.Violation, int64) {
 	sim.Run(cfg.Drain, 20_000_000)
 
 	ch.Committed, ch.Aborted, ch.Finished = stats.committed, stats.aborted, stats.finished
+	ch.Kills, ch.Restarts = rc.kills, rc.restarts
 	ch.OldFenced = ch.OldServedLast > 0 &&
 		ch.OldServedLast <= cfg.PartitionAt+cfg.LeaseDur+5*time.Millisecond
 	ch.Reacquired = ch.ReacquiredAt > 0
-	ch.Fingerprint = inj.Fingerprint()
-	vs := checker.Violations()
-	if len(vs) > 0 || ch.Kills != 1 || ch.Restarts != 1 || !ch.Reacquired {
-		dumpFlight("uncertified")
-	}
-	return ch, vs, checker.Status().Events
+	ch.Audit = run.Audit()
+	run.Close(len(ch.Violations) == 0 && ch.Kills == 1 && ch.Restarts == 1 && ch.Reacquired)
+	return ch
 }
 
 // MeasureReadAllocs pins the hot-path allocation budget outside the
@@ -674,7 +476,7 @@ func MeasureReadAllocs(runs int) (serve, apply float64) {
 		}
 		rep := core.NewSMRReplica(loc, db, core.BankRegistry())
 		rep.Executor().Fast = core.BankFastRegistry()
-		rep.SetView(member.NewView(readpathInitial(), 8))
+		rep.SetView(member.NewView(charter(), 8))
 		rep.EnableLease(core.LeaseConfig{
 			Dur: time.Hour, MaxStale: time.Hour, Bcast: "b1",
 			Now: func() time.Duration { return time.Second },
@@ -731,40 +533,35 @@ func ReadPath(cfg ReadPathConfig) ReadPathResult {
 	var res ReadPathResult
 	res.ServeAllocs, res.ApplyAllocs = MeasureReadAllocs(cfg.AllocRuns)
 
-	var vs []dist.Violation
-	var ev int64
-	res.Consensus, vs, ev = readpathPhase(cfg, "consensus", true, 0, nil)
-	res.Violations = append(res.Violations, vs...)
-	res.Events += ev
+	var audit Audit
+	res.Consensus, audit = readpathPhase(cfg, "consensus", true, 0, nil)
+	res.Audit.add(audit)
 
 	appends0 := obs.C("store.wal.appends").Value()
 	fsyncs0 := obs.C("store.wal.fsyncs").Value()
 	smrAppends0 := obs.C("core.smr.journal_appends").Value()
 	group0 := obs.C("core.smr.group_syncs").Value()
 	supp0 := obs.C("core.smr.acks_suppressed").Value()
-	res.Lease, vs, ev = readpathPhase(cfg, "lease", false, core.ReadLease,
+	res.Lease, audit = readpathPhase(cfg, "lease", false, core.ReadLease,
 		func(int) msg.Loc { return "r1" })
-	res.Violations = append(res.Violations, vs...)
-	res.Events += ev
+	res.Audit.add(audit)
 	res.WalAppends = obs.C("store.wal.appends").Value() - appends0
 	res.WalFsyncs = obs.C("store.wal.fsyncs").Value() - fsyncs0
 	res.SMRAppends = obs.C("core.smr.journal_appends").Value() - smrAppends0
 	res.GroupSyncs = obs.C("core.smr.group_syncs").Value() - group0
 	res.AcksSuppressed = obs.C("core.smr.acks_suppressed").Value() - supp0
 
-	res.Follower, vs, ev = readpathPhase(cfg, "follower", false, core.ReadFollower,
+	res.Follower, audit = readpathPhase(cfg, "follower", false, core.ReadFollower,
 		func(i int) msg.Loc {
 			if i%2 == 0 {
 				return "r2"
 			}
 			return "r3"
 		})
-	res.Violations = append(res.Violations, vs...)
-	res.Events += ev
+	res.Audit.add(audit)
 
-	res.Chaos, vs, ev = readpathChaos(cfg)
-	res.Violations = append(res.Violations, vs...)
-	res.Events += ev
+	res.Chaos = readpathChaos(cfg)
+	res.Audit.add(res.Chaos.Audit)
 
 	if res.Consensus.ReadsPerSec > 0 {
 		res.Speedup = res.Lease.ReadsPerSec / res.Consensus.ReadsPerSec
@@ -772,9 +569,8 @@ func ReadPath(cfg ReadPathConfig) ReadPathResult {
 	return res
 }
 
-// ReportReadPath flattens the experiment for BENCH_readpath.json.
-func ReportReadPath(res ReadPathResult, quick bool) *Report {
-	r := NewReport("readpath", quick)
+// reportReadPath flattens the experiment for BENCH_readpath.json.
+func reportReadPath(res ReadPathResult, r *Report) {
 	phase := func(p ReadPhase) {
 		r.Add("readpath."+p.Mode+".reads", float64(p.Reads), "count")
 		r.Add("readpath."+p.Mode+".writes", float64(p.Writes), "count")
@@ -798,17 +594,14 @@ func ReportReadPath(res ReadPathResult, quick bool) *Report {
 	r.Add("readpath.chaos.committed", float64(res.Chaos.Committed), "count")
 	r.Add("readpath.chaos.finished", float64(res.Chaos.Finished), "count")
 	r.Add("readpath.chaos.old_served", float64(res.Chaos.OldServed), "count")
-	r.Add("readpath.chaos.old_fenced", b2f(res.Chaos.OldFenced), "bool")
 	r.Add("readpath.chaos.new_served", float64(res.Chaos.NewServed), "count")
 	r.Add("readpath.chaos.handover_at", res.Chaos.HandoverAt.Seconds(), "s")
 	r.Add("readpath.chaos.kills", float64(res.Chaos.Kills), "count")
 	r.Add("readpath.chaos.restarts", float64(res.Chaos.Restarts), "count")
 	r.Add("readpath.chaos.restart_rejected", float64(res.Chaos.RestartRejected), "count")
-	r.Add("readpath.chaos.reacquired", b2f(res.Chaos.Reacquired), "bool")
-	r.Add("readpath.checker.events", float64(res.Events), "count")
-	r.Add("readpath.checker.violations", float64(len(res.Violations)), "count")
-	r.Add("readpath.certified", b2f(res.Certified()), "bool")
-	return r
+	res.Audit.report(r)
+	r.AddCertified(res.Gates())
+	r.Fingerprint("readpath.chaos", res.Chaos.Fingerprint)
 }
 
 // RenderReadPath prints the human-readable summary.
@@ -827,8 +620,8 @@ func RenderReadPath(w io.Writer, res ReadPathResult) {
 	fmt.Fprintf(w, "  fsync batching (lease phase): %d replica appends share %d group syncs (%d WAL appends, %d fsyncs cluster-wide), %d acks gated to holder\n",
 		res.SMRAppends, res.GroupSyncs, res.WalAppends, res.WalFsyncs, res.AcksSuppressed)
 	ch := res.Chaos
-	fmt.Fprintf(w, "  chaos: committed %d (%d aborted), finished %d/%d, nemesis fingerprint %#x\n",
-		ch.Committed, ch.Aborted, ch.Finished, ch.Clients, ch.Fingerprint)
+	fmt.Fprintf(w, "  chaos: committed %d (%d aborted), finished %d/%d\n",
+		ch.Committed, ch.Aborted, ch.Finished, ch.Clients)
 	fmt.Fprintf(w, "    stale holder served %d reads in its window, last at %.3fs, fenced by expiry: %v\n",
 		ch.OldServed, ch.OldServedLast.Seconds(), ch.OldFenced)
 	fmt.Fprintf(w, "    successor served %d (first at %.3fs after the notBefore barrier)\n",
@@ -837,7 +630,5 @@ func RenderReadPath(w io.Writer, res ReadPathResult) {
 		ch.Kills, ch.Restarts, ch.RestartRejected, ch.ReacquiredAt.Seconds(), ch.Reacquired)
 	fmt.Fprintf(w, "  checker: %d events, %d violations   certified: %v\n",
 		res.Events, len(res.Violations), res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }

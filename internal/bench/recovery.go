@@ -3,18 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -122,9 +115,8 @@ type RecoveryResult struct {
 	LastSlots []int
 	// ProgressAfterRestart reports commits observed after the restart.
 	ProgressAfterRestart bool
-	// Events / Violations are the online checker's view of the run.
-	Events     int64
-	Violations []dist.Violation
+	// Audit is the online checker's view of the run.
+	Audit
 }
 
 // DowntimeSec is the kill-to-restart window.
@@ -144,162 +136,41 @@ func (r RecoveryResult) CatchupSec() float64 {
 	return (r.CaughtUpAt - r.RestartAt).Seconds()
 }
 
-// Certified reports whether the run meets the recovery acceptance bar:
-// the victim was killed and restarted, recovered from its own store,
-// the torn tail (when injected) was absorbed, the checker stayed clean,
-// clients made progress after the restart and all finished, and the
-// group converged to slot-frontier parity with equal database states.
-func (r RecoveryResult) Certified() bool {
-	return r.KillAt >= 0 && r.RestartAt >= 0 &&
-		r.RecoveredLocally &&
-		(!r.CorruptTail || r.CorruptTailHit) &&
-		len(r.Violations) == 0 &&
-		r.ProgressAfterRestart &&
-		r.Finished == r.Clients &&
-		r.CaughtUp && r.StateEqual
+// Gates is the recovery acceptance bar: the victim was killed and
+// restarted, recovered from its own store, the torn tail (when injected)
+// was absorbed, the checker stayed clean, clients made progress after
+// the restart and all finished, and the group converged to
+// slot-frontier parity with equal database states.
+func (r RecoveryResult) Gates() []Gate {
+	return []Gate{
+		gate("killed_and_restarted", r.KillAt >= 0 && r.RestartAt >= 0,
+			"kill at %v, restart at %v", r.KillAt, r.RestartAt),
+		boolGate("recovered_locally", r.RecoveredLocally),
+		gate("corrupt_tail_absorbed", !r.CorruptTail || r.CorruptTailHit, "torn tail never applied"),
+		r.Audit.gate(),
+		boolGate("progress_after_restart", r.ProgressAfterRestart),
+		gate("clients_finished", r.Finished == r.Clients, "%d/%d", r.Finished, r.Clients),
+		boolGate("caught_up", r.CaughtUp),
+		boolGate("state_equal", r.StateEqual),
+	}
 }
 
-// recoveryCluster is a durable SMR deployment whose replicas can be
-// torn down and rebuilt from their data directories mid-run.
-type recoveryCluster struct {
-	*shadowCluster
-	root string
-	reg  core.Registry
-	rows int
-	// Current incarnation of each replica and its attachments.
-	reps map[msg.Loc]*core.SMRReplica
-	dbs  map[msg.Loc]*sqldb.DB
-	sts  map[msg.Loc]store.Stable
-	gen  map[msg.Loc]int
-	pol  store.SyncPolicy
-}
+// Certified reports whether every gate held.
+func (r RecoveryResult) Certified() bool { return Certified(r.Gates()) }
 
-// newRecoveryCluster builds the 3-replica durable SMR deployment: one
-// broadcast service node per replica (compiled mode), each replica
-// journaling to root/<loc>/smr.
-func newRecoveryCluster(cfg RecoveryConfig, root string) *recoveryCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	rc := &recoveryCluster{
-		shadowCluster: sc,
-		root:          root,
-		reg:           core.BankRegistry(),
-		rows:          cfg.Rows,
-		reps:          make(map[msg.Loc]*core.SMRReplica),
-		dbs:           make(map[msg.Loc]*sqldb.DB),
-		sts:           make(map[msg.Loc]store.Stable),
-		gen:           make(map[msg.Loc]int),
-		pol:           cfg.Fsync,
-	}
-	local := make(map[msg.Loc][]msg.Loc, len(sc.bloc))
-	for i, b := range sc.bloc {
-		l := msg.Loc(fmt.Sprintf("r%d", i+1))
-		sc.rloc = append(sc.rloc, l)
-		local[b] = []msg.Loc{l}
-	}
-	for _, l := range sc.rloc {
-		rep := rc.buildReplica(l, true)
-		sc.clu.AddCostedProcess(l, 1, rep, rc.costFn(l))
-	}
-	sc.addBroadcast(broadcast.Config{Nodes: sc.bloc, LocalSubscribers: local}, broadcast.Compiled)
-	return rc
-}
-
-// costFn prices the current incarnation's last step (the engine model
-// plus the fixed replica-layer overhead).
-func (rc *recoveryCluster) costFn(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return rc.reps[loc].LastCost() + replicaOverhead }
-}
-
-// buildReplica opens loc's store and database and constructs a durable
-// replica over them. With populate set (first boot) the database is
-// seeded before construction, so the baseline snapshot captures the
-// initial rows; a restarted incarnation starts from an empty database
-// and recovers everything from the store.
-func (rc *recoveryCluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
-	prov, err := store.NewDir(filepath.Join(rc.root, string(loc)), rc.pol)
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery store: %v", err))
-	}
-	st, err := prov.Open("smr")
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery store: %v", err))
-	}
-	rc.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("h2:mem:%s-g%d", loc, rc.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if populate {
-		if err := core.BankSetup(db, rc.rows); err != nil {
-			panic(err)
-		}
-	}
-	rep, err := core.NewDurableSMRReplica(loc, db, rc.reg, st, rc.rloc)
-	if err != nil {
-		panic(fmt.Sprintf("bench: recovery replica %s: %v", loc, err))
-	}
-	rc.reps[loc], rc.dbs[loc], rc.sts[loc] = rep, db, st
-	return rep
-}
-
-// restartReplica rebuilds loc from its data directory — a fresh
-// incarnation, empty database and all — and rebinds it to the node.
-func (rc *recoveryCluster) restartReplica(loc msg.Loc) *core.SMRReplica {
-	rep := rc.buildReplica(loc, false)
-	var proc gpm.Process = rep
-	cost := rc.costFn(loc)
-	rc.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs, cost()
-	})
-	return rep
-}
-
-// maxOtherSlot is the highest applied frontier among the replicas other
-// than loc.
-func (rc *recoveryCluster) maxOtherSlot(loc msg.Loc) int {
-	m := -1
-	for l, r := range rc.reps {
-		if l != loc && r.LastSlot() > m {
-			m = r.LastSlot()
-		}
-	}
-	return m
-}
-
-// Recovery runs the crash-recovery experiment.
+// Recovery runs the crash-recovery experiment: a 3-replica durable SMR
+// deployment, one broadcast service node per replica, each replica
+// journaling to <data dir>/<loc>/smr.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
-	root := cfg.DataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "shadowdb-recovery-")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
-	}
-	rc := newRecoveryCluster(cfg, root)
+	run := startRun("recovery", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
+	rc := run.Attach(newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+		root:  run.Root(), fsync: cfg.Fsync,
+	}))
 	sim := rc.sim
 
-	o := obs.New(cfg.RingSize)
-	rc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
-	dumpFlight := flightFleet(cfg.FlightDir, "recovery", o, checker,
-		append(append([]msg.Loc{}, rc.rloc...), rc.bloc...))
-
-	stats := &loadStats{}
-	timeline := des.NewTimeline(cfg.Bin)
-	stats.timeline = timeline
+	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
 	work := func(i int) Workload { return MicroWorkload(cfg.Rows, int64(i)*31337) }
 	shadowClients(rc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
 		rc.rloc, rc.bloc, 10*time.Second, work)
@@ -323,41 +194,21 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 		}
 		sim.After(10*time.Millisecond, sampleCatchup)
 	}
-
-	inj := fault.BindProcess(rc.clu, fault.Plan{Crashes: []fault.Crash{{
+	run.onKill = func(node msg.Loc) {
+		res.KillAt = sim.Now()
+		res.SlotAtKill = rc.reps[node].LastSlot()
+	}
+	run.onRestart = func(node msg.Loc, rep *core.SMRReplica) {
+		res.RestartAt = sim.Now()
+		res.SlotsBehind = rc.maxOtherSlot(node) - rep.LastSlot()
+		sim.After(0, sampleCatchup)
+	}
+	inj := run.Inject(fault.Plan{Crashes: []fault.Crash{{
 		At:           fault.Duration(cfg.KillAt),
 		Node:         victim,
 		RestartAfter: fault.Duration(cfg.RestartAfter),
 		CorruptTail:  cfg.CorruptTail,
-	}}}, fault.ProcessHooks{
-		Kill: func(node msg.Loc) {
-			res.KillAt = sim.Now()
-			res.SlotAtKill = rc.reps[node].LastSlot()
-			_ = rc.sts[node].Close()
-		},
-		DataDir: func(node msg.Loc) string {
-			return filepath.Join(root, string(node))
-		},
-		Restart: func(node msg.Loc) {
-			res.RestartAt = sim.Now()
-			replayBefore := obs.C("store.wal.replays").Value()
-			rep := rc.restartReplica(node)
-			res.ReplayedRecords = obs.C("store.wal.replays").Value() - replayBefore
-			res.RecoveredLocally = rep.Recovered()
-			res.SlotsBehind = rc.maxOtherSlot(node) - rep.LastSlot()
-			checker.NoteRestart(node)
-			// Back on the network: ask the peers for the downtime delta.
-			// Deferred a tick so the send happens after the node's crash
-			// flag clears.
-			sim.After(0, func() {
-				for _, d := range rep.RecoveryDirectives() {
-					rc.clu.SendAfter(d.Delay, node, d.Dest, d.M)
-				}
-				sampleCatchup()
-			})
-		},
-	})
-	inj.SetObs(o)
+	}}})
 
 	runToFinish(sim, stats, cfg.Clients)
 	// Quiesce: let in-flight catch-up and final deliveries drain.
@@ -371,39 +222,17 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 			res.CorruptTailHit = true
 		}
 	}
-	res.Events = checker.Status().Events
-	res.Violations = checker.Violations()
-
-	for _, l := range rc.rloc {
-		res.LastSlots = append(res.LastSlots, rc.reps[l].LastSlot())
-	}
-	res.CaughtUp = rc.reps[victim].LastSlot() >= rc.maxOtherSlot(victim)
-	res.StateEqual = true
-	for _, l := range rc.rloc[1:] {
-		if !sqldb.Equal(rc.dbs[rc.rloc[0]], rc.dbs[l]) {
-			res.StateEqual = false
-		}
-	}
-
-	if res.RestartAt >= 0 {
-		series := timeline.Series()
-		first := int(res.RestartAt / cfg.Bin)
-		for b := first + 1; b < len(series); b++ {
-			if series[b] > 0 {
-				res.ProgressAfterRestart = true
-				break
-			}
-		}
-	}
-	if !res.Certified() {
-		dumpFlight("uncertified")
-	}
+	res.ReplayedRecords = rc.replayed
+	res.RecoveredLocally = rc.restarts == 1 && rc.recoveredAll
+	res.Audit = run.Audit()
+	res.CaughtUp, res.StateEqual, res.LastSlots = rc.converged(rc.rloc)
+	res.ProgressAfterRestart = run.progressAfter(res.RestartAt)
+	run.Close(res.Certified())
 	return res
 }
 
-// ReportRecovery flattens the experiment for BENCH_recovery.json.
-func ReportRecovery(res RecoveryResult, quick bool) *Report {
-	r := NewReport("recovery", quick)
+// reportRecovery flattens the experiment for BENCH_recovery.json.
+func reportRecovery(res RecoveryResult, r *Report) {
 	r.Add("recovery.committed", float64(res.Committed), "count")
 	r.Add("recovery.aborted", float64(res.Aborted), "count")
 	r.Add("recovery.finished", float64(res.Finished), "count")
@@ -415,15 +244,9 @@ func ReportRecovery(res RecoveryResult, quick bool) *Report {
 	r.Add("recovery.slot_at_kill", float64(res.SlotAtKill), "count")
 	r.Add("recovery.slots_behind", float64(res.SlotsBehind), "count")
 	r.Add("recovery.replayed_records", float64(res.ReplayedRecords), "count")
-	r.Add("recovery.recovered_locally", b2f(res.RecoveredLocally), "bool")
 	r.Add("recovery.corrupt_tail_hit", b2f(res.CorruptTailHit), "bool")
-	r.Add("recovery.caught_up", b2f(res.CaughtUp), "bool")
-	r.Add("recovery.state_equal", b2f(res.StateEqual), "bool")
-	r.Add("recovery.progress_after_restart", b2f(res.ProgressAfterRestart), "bool")
-	r.Add("recovery.checker.events", float64(res.Events), "count")
-	r.Add("recovery.checker.violations", float64(len(res.Violations)), "count")
-	r.Add("recovery.certified", b2f(res.Certified()), "bool")
-	return r
+	res.Audit.report(r)
+	r.AddCertified(res.Gates())
 }
 
 // RenderRecovery prints the human-readable summary.
@@ -440,7 +263,5 @@ func RenderRecovery(w io.Writer, res RecoveryResult) {
 		res.CaughtUp, res.LastSlots, res.StateEqual, res.ProgressAfterRestart)
 	fmt.Fprintf(w, "  checker: %d events, %d violations   certified: %v\n",
 		res.Events, len(res.Violations), res.Certified())
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,7 +33,7 @@ func RenderFig9(w io.Writer, title string, res Fig9Result) {
 	fmt.Fprintln(w, title)
 	names := append([]string(nil), res.Order...)
 	for name := range res.Curves {
-		if !contains(names, name) {
+		if !slices.Contains(names, name) {
 			names = append(names, name)
 		}
 	}
@@ -65,15 +66,6 @@ func Peak(curve []CurvePoint) float64 {
 		}
 	}
 	return best
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // RenderFig10a prints the recovery timeline.

@@ -39,11 +39,23 @@ type Report struct {
 	Quick bool `json:"quick,omitempty"`
 	// Metrics are the measurements.
 	Metrics []Metric `json:"metrics"`
+	// Fingerprints are the nemesis injection-log hashes of the run (hex),
+	// by run name: equal fingerprints mean bit-identical fault schedules,
+	// which is what makes two reports comparable.
+	Fingerprints map[string]string `json:"fingerprints,omitempty"`
 }
 
 // Add appends one metric.
 func (r *Report) Add(name string, value float64, unit string) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit})
+}
+
+// Fingerprint records one run's injection-log hash.
+func (r *Report) Fingerprint(name string, hash uint64) {
+	if r.Fingerprints == nil {
+		r.Fingerprints = make(map[string]string)
+	}
+	r.Fingerprints[name] = fmt.Sprintf("%016x", hash)
 }
 
 // NewReport creates a report stamped with the current commit and time.
@@ -102,9 +114,8 @@ func modeName(m broadcast.Mode) string {
 	}
 }
 
-// ReportFig8 flattens the broadcast-mode sweep.
-func ReportFig8(res Fig8Result, quick bool) *Report {
-	r := NewReport("fig8", quick)
+// reportFig8 flattens the broadcast-mode sweep.
+func reportFig8(res Fig8Result, r *Report) {
 	for mode, curve := range res.Curves {
 		mn := modeName(mode)
 		for _, p := range curve {
@@ -112,28 +123,29 @@ func ReportFig8(res Fig8Result, quick bool) *Report {
 			r.Add(fmt.Sprintf("fig8.%s.c%d.mean_lat", mn, p.Clients), p.MeanLatMs, "ms")
 		}
 	}
-	return r
 }
 
-// ReportFig9 flattens a latency/throughput sweep (fig9a or fig9b).
-func ReportFig9(name string, res Fig9Result, quick bool) *Report {
-	r := NewReport(name, quick)
+// metricKey turns a display name into a metric-name component.
+func metricKey(name string) string {
+	return strings.ToLower(strings.NewReplacer(" ", "_", "-", "_", "/", "_").Replace(name))
+}
+
+// reportFig9 flattens a latency/throughput sweep (fig9a or fig9b, as the
+// report is named).
+func reportFig9(res Fig9Result, r *Report) {
 	for _, series := range res.Order {
-		key := strings.ToLower(strings.NewReplacer(" ", "_", "-", "_", "/", "_").Replace(series))
 		for _, p := range res.Curves[series] {
-			pre := fmt.Sprintf("%s.%s.c%d.", name, key, p.Clients)
+			pre := fmt.Sprintf("%s.%s.c%d.", r.Name, metricKey(series), p.Clients)
 			r.Add(pre+"tput", p.Throughput, "tx/s")
 			r.Add(pre+"mean_lat", p.MeanLatMs, "ms")
 			r.Add(pre+"p99_lat", p.P99LatMs, "ms")
 			r.Add(pre+"aborts", float64(p.Aborts), "count")
 		}
 	}
-	return r
 }
 
-// ReportFig10a flattens the recovery timeline.
-func ReportFig10a(res Fig10aResult, quick bool) *Report {
-	r := NewReport("fig10a", quick)
+// reportFig10a flattens the recovery timeline.
+func reportFig10a(res Fig10aResult, r *Report) {
 	r.Add("fig10a.crash_at", res.CrashAt.Seconds(), "s")
 	r.Add("fig10a.suspected_at", res.SuspectedAt.Seconds(), "s")
 	r.Add("fig10a.config_at", res.ConfigAt.Seconds(), "s")
@@ -141,12 +153,10 @@ func ReportFig10a(res Fig10aResult, quick bool) *Report {
 	r.Add("fig10a.config_latency", res.ConfigLatency.Seconds(), "s")
 	r.Add("fig10a.transfer_time", res.TransferTime.Seconds(), "s")
 	r.Add("fig10a.committed", float64(res.Committed), "count")
-	return r
 }
 
-// ReportFig10b flattens the state-transfer sweep.
-func ReportFig10b(res Fig10bResult, quick bool) *Report {
-	r := NewReport("fig10b", quick)
+// reportFig10b flattens the state-transfer sweep.
+func reportFig10b(res Fig10bResult, r *Report) {
 	for _, p := range res.Small {
 		r.Add(fmt.Sprintf("fig10b.small.rows%d", p.Rows), p.Seconds, "s")
 	}
@@ -156,15 +166,12 @@ func ReportFig10b(res Fig10bResult, quick bool) *Report {
 	if res.TPCCSec > 0 {
 		r.Add("fig10b.tpcc_1wh", res.TPCCSec, "s")
 	}
-	return r
 }
 
-// ReportTable1 flattens the verification statistics.
-func ReportTable1(rows []Table1Row, quick bool) *Report {
-	r := NewReport("table1", quick)
+// reportTable1 flattens the verification statistics.
+func reportTable1(rows []Table1Row, r *Report) {
 	for _, row := range rows {
-		key := strings.ToLower(strings.NewReplacer(" ", "_", "-", "_", "/", "_").Replace(row.Module))
-		pre := "table1." + key + "."
+		pre := "table1." + metricKey(row.Module) + "."
 		r.Add(pre+"spec_nodes", float64(row.SpecNodes), "count")
 		r.Add(pre+"term_nodes", float64(row.TermNodes), "count")
 		r.Add(pre+"opt_nodes", float64(row.OptNodes), "count")
@@ -172,16 +179,12 @@ func ReportTable1(rows []Table1Row, quick bool) *Report {
 		r.Add(pre+"auto", float64(row.Counts.Auto), "count")
 		r.Add(pre+"manual", float64(row.Counts.Manual), "count")
 	}
-	return r
 }
 
-// ReportAblations flattens ablation rows.
-func ReportAblations(rows []AblationResult, quick bool) *Report {
-	r := NewReport("ablations", quick)
+// reportAblations flattens ablation rows.
+func reportAblations(rows []AblationResult, r *Report) {
 	for _, a := range rows {
-		key := strings.ToLower(strings.NewReplacer(" ", "_", "-", "_", "/", "_").Replace(a.Name))
-		r.Add("ablation."+key+".on", a.WithOn, a.Unit)
-		r.Add("ablation."+key+".off", a.WithOff, a.Unit)
+		r.Add("ablation."+metricKey(a.Name)+".on", a.WithOn, a.Unit)
+		r.Add("ablation."+metricKey(a.Name)+".off", a.WithOff, a.Unit)
 	}
-	return r
 }

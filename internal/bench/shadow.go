@@ -8,11 +8,8 @@ import (
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/consensus/twothird"
-	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/sqldb"
 )
 
 // ------------------------------------------------------ cost calibration --
@@ -126,178 +123,6 @@ func pad140() []byte {
 		b[i] = byte('a' + i%26)
 	}
 	return b
-}
-
-// --------------------------------------------------- ShadowDB on the sim --
-
-// replicaOverhead is the fixed per-message cost of the hand-written Java
-// replica layer (socket handling, dispatch).
-const replicaOverhead = 30 * time.Microsecond
-
-// shadowCluster bundles a simulated ShadowDB deployment.
-type shadowCluster struct {
-	sim   *des.Sim
-	clu   *des.Cluster
-	pbr   *core.PBRSystem
-	smr   *core.SMRSystem
-	bloc  []msg.Loc
-	rloc  []msg.Loc
-	costs BcastCosts
-}
-
-// newPBRCluster wires the paper's PBR deployment: replicas on engines[i]
-// (primary first), broadcast service in interpreted mode for recovery
-// ("We run the broadcast service in the interpreter with ShadowDB-PBR").
-func newPBRCluster(engines []string, rows int, timing core.Timing, reg core.Registry,
-	setup func(*sqldb.DB) error, populateSpare bool) *shadowCluster {
-	return newPBRClusterOpts(engines, rows, timing, reg, setup, populateSpare, 2)
-}
-
-// newPBRClusterOpts is newPBRCluster with a configurable initial group
-// size (used by the overlap ablation).
-func newPBRClusterOpts(engines []string, rows int, timing core.Timing, reg core.Registry,
-	setup func(*sqldb.DB) error, populateSpare bool, members int) *shadowCluster {
-	return newPBRClusterTuned(engines, rows, timing, reg, setup, populateSpare, members, bcastTune{})
-}
-
-// bcastTune carries the broadcast hot-path knobs (DESIGN.md §8) into a
-// cluster build; the zero value is the legacy eager stop-and-wait path.
-type bcastTune struct {
-	Batch    int
-	Delay    time.Duration
-	Pipeline int
-}
-
-// newPBRClusterTuned is newPBRClusterOpts with broadcast batching and
-// pipelining configured — the chaos and batch experiments exercise the
-// recovery protocol over the batched hot path.
-func newPBRClusterTuned(engines []string, rows int, timing core.Timing, reg core.Registry,
-	setup func(*sqldb.DB) error, populateSpare bool, members int, tune bcastTune) *shadowCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	for i := range engines {
-		sc.rloc = append(sc.rloc, msg.Loc(fmt.Sprintf("r%d", i+1)))
-	}
-	dep := core.PBRDeployment{
-		Pool:           sc.rloc,
-		InitialMembers: members,
-		BcastNodes:     sc.bloc,
-		Timing:         timing,
-	}
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		idx := 0
-		for i, l := range sc.rloc {
-			if l == slf {
-				idx = i
-			}
-		}
-		db, err := sqldb.Open(engines[idx] + ":mem:" + string(slf))
-		if err != nil {
-			panic(err)
-		}
-		// Initial members hold the populated database; the spare starts
-		// empty unless the experiment pre-populates it.
-		if idx < dep.InitialMembers || populateSpare {
-			if err := setup(db); err != nil {
-				panic(err)
-			}
-		}
-		return db
-	}
-	sc.pbr = core.NewPBRSystem(dep, reg, mkDB)
-
-	// Replicas: sequential execution (1 core), costed by the engine model.
-	for _, l := range sc.rloc {
-		r := sc.pbr.Replicas[l]
-		sc.clu.AddCostedProcess(l, 1, r, func() time.Duration {
-			return r.LastCost() + replicaOverhead
-		})
-	}
-	// Broadcast service nodes: interpreted mode cost, single-threaded.
-	bcfg := sc.pbr.Bcast
-	bcfg.MaxBatch = tune.Batch
-	bcfg.MaxDelay = tune.Delay
-	bcfg.Pipeline = tune.Pipeline
-	sc.addBroadcast(bcfg, broadcast.Interpreted)
-	// Failure detectors.
-	for _, d := range sc.pbr.StartDirectives() {
-		sc.clu.SendAfter(d.Delay, d.Dest, d.Dest, d.M)
-	}
-	_ = rows
-	return sc
-}
-
-// newSMRCluster wires the paper's SMR deployment: every transaction
-// ordered by the Lisp (compiled) broadcast service, replicas co-located
-// with the service nodes.
-func newSMRCluster(engines []string, reg core.Registry, setup func(*sqldb.DB) error) *shadowCluster {
-	return newSMRClusterOpts(engines, reg, setup, 0)
-}
-
-// newSMRClusterOpts is newSMRCluster with a bound on broadcast batching
-// (0 = unbounded), used by the batching ablation.
-func newSMRClusterOpts(engines []string, reg core.Registry, setup func(*sqldb.DB) error, maxBatch int) *shadowCluster {
-	sc := &shadowCluster{
-		sim:   &des.Sim{},
-		bloc:  []msg.Loc{"b1", "b2", "b3"},
-		costs: Calibrate(),
-	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	for i := range engines {
-		sc.rloc = append(sc.rloc, msg.Loc(fmt.Sprintf("r%d", i+1)))
-	}
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		idx := 0
-		for i, l := range sc.rloc {
-			if l == slf {
-				idx = i
-			}
-		}
-		db, err := sqldb.Open(engines[idx] + ":mem:" + string(slf))
-		if err != nil {
-			panic(err)
-		}
-		if err := setup(db); err != nil {
-			panic(err)
-		}
-		return db
-	}
-	sc.smr = core.NewSMRSystem(sc.bloc, sc.rloc, reg, mkDB)
-	for _, l := range sc.rloc {
-		r := sc.smr.Replicas[l]
-		sc.clu.AddCostedProcess(l, 1, r, func() time.Duration {
-			return r.LastCost() + replicaOverhead
-		})
-	}
-	bcfg := sc.smr.Bcast
-	bcfg.MaxBatch = maxBatch
-	sc.addBroadcast(bcfg, broadcast.Compiled)
-	return sc
-}
-
-// addBroadcast hosts the broadcast service nodes with the calibrated cost
-// of the chosen execution mode. The protocol behavior is the native
-// (bisimilar) implementation; the service time is the measured cost of
-// the requested mode plus a per-contained-message payload cost.
-func (sc *shadowCluster) addBroadcast(cfg broadcast.Config, mode broadcast.Mode) {
-	gen := broadcast.Spec(cfg).Generator()
-	per := sc.costs.PerMsg[mode]
-	for _, b := range sc.bloc {
-		proc := gen(b)
-		sc.clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			return outs, bcastCost(per, env.M)
-		})
-	}
 }
 
 // bcastCost models the service time of one protocol message: a fixed

@@ -11,7 +11,6 @@ import (
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
@@ -110,16 +109,15 @@ const routerOverhead = 10 * time.Microsecond
 
 // shardCluster is a simulated sharded deployment: per shard a 3-node
 // broadcast service (compiled-mode cost) with 2 subscriber replicas,
-// fronted by one router.
+// fronted by one router — several broadcast groups composed on one
+// Cluster.
 type shardCluster struct {
-	sim      *des.Sim
-	clu      *des.Cluster
+	*Cluster
 	part     shard.Partitioner
 	router   *shard.Router
-	bloc     [][]msg.Loc // per shard
-	rloc     [][]msg.Loc
+	groupB   [][]msg.Loc // per shard: broadcast nodes
+	groupR   [][]msg.Loc // per shard: replicas
 	replicas map[msg.Loc]*shard.Replica
-	allLocs  []msg.Loc
 }
 
 // newShardCluster builds an n-shard deployment. Every shard's replicas
@@ -128,26 +126,17 @@ type shardCluster struct {
 // account).
 func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 	sc := &shardCluster{
-		sim:      &des.Sim{},
+		Cluster:  newDES(),
 		part:     shard.NewHash(n),
 		replicas: make(map[msg.Loc]*shard.Replica),
 	}
-	sc.clu = des.NewCluster(sc.sim)
-	sc.clu.Link = lanLink
-	sc.clu.SizeOf = wireSize
-	costs := Calibrate()
-	per := costs.PerMsg[broadcast.Compiled]
 	reg := core.BankRegistry()
-
 	for k := 0; k < n; k++ {
 		bloc := []msg.Loc{shard.BcastLoc(k, 0), shard.BcastLoc(k, 1), shard.BcastLoc(k, 2)}
 		rloc := []msg.Loc{shard.ReplicaLoc(k, 0), shard.ReplicaLoc(k, 1)}
-		sc.bloc = append(sc.bloc, bloc)
-		sc.rloc = append(sc.rloc, rloc)
-		sc.allLocs = append(sc.allLocs, bloc...)
-		sc.allLocs = append(sc.allLocs, rloc...)
-
-		bcfg := broadcast.Config{
+		sc.groupB = append(sc.groupB, bloc)
+		sc.groupR = append(sc.groupR, rloc)
+		sc.addBroadcast(broadcast.Config{
 			Nodes: bloc,
 			LocalSubscribers: map[msg.Loc][]msg.Loc{
 				bloc[0]: {rloc[0]},
@@ -156,17 +145,8 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 			MaxBatch: cfg.Batch,
 			MaxDelay: cfg.BatchDelay,
 			Pipeline: cfg.Pipeline,
-		}
-		gen := broadcast.Spec(bcfg).Generator()
-		for _, b := range bloc {
-			proc := gen(b)
-			sc.clu.AddCostedNode(b, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
-				next, outs := proc.Step(env.M)
-				proc = next
-				return outs, bcastCost(per, env.M)
-			})
-		}
-		for i, l := range rloc {
+		}, broadcast.Compiled)
+		for _, l := range rloc {
 			db, err := sqldb.Open("h2:mem:" + string(l))
 			if err != nil {
 				panic(err)
@@ -176,26 +156,30 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 			}
 			r := shard.NewReplica(l, k, db, reg, shard.Bank())
 			sc.replicas[l] = r
-			sc.clu.AddCostedProcess(l, 1, r, func() time.Duration {
-				return r.LastCost() + replicaOverhead
-			})
-			_ = i
+			sc.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
 		}
 	}
 
 	rt, err := shard.NewRouter(shard.Config{
 		Slf: shard.RouterLoc, Part: sc.part, App: shard.Bank(),
-		Shards: sc.bloc, Retry: cfg.Retry,
+		Shards: sc.groupB, Retry: cfg.Retry,
 	})
 	if err != nil {
 		panic(err)
 	}
 	sc.router = rt
-	sc.allLocs = append(sc.allLocs, shard.RouterLoc)
-	sc.clu.AddCostedProcess(shard.RouterLoc, 1, rt, func() time.Duration {
-		return routerOverhead
-	})
+	sc.host(shard.RouterLoc, rt, func() time.Duration { return routerOverhead })
 	return sc
+}
+
+// shardRun starts one checked phase on a fresh n-shard deployment (the
+// checker keys its invariants per shard group).
+func shardRun(n int, cfg ShardConfig, phase string) (*Run, *shardCluster) {
+	run := startRun("shard-"+phase, cfg.RingSize, flightSubdir(cfg.FlightDir, phase), "")
+	run.Checker.SetGroupOf(shard.GroupOf)
+	sc := newShardCluster(n, cfg)
+	run.Attach(sc.Cluster)
+	return run, sc
 }
 
 // shardStats extends loadStats with per-type commit counts (the
@@ -209,60 +193,28 @@ type shardStats struct {
 
 // shardClients attaches closed-loop clients that submit through the
 // router and attribute each outcome to the submitted transaction type.
-func shardClients(clu *des.Cluster, stats *shardStats, cfg ShardConfig, n, txPer int,
+func shardClients(clu *des.Cluster, stats *shardStats, n, txPer int,
 	retry time.Duration, mkWork func(i int) Workload) {
-	for i := 0; i < n; i++ {
-		loc := msg.Loc(fmt.Sprintf("client%d", i))
-		cli := &core.Client{
-			Slf: loc, Mode: core.ModePBR,
-			Replicas: []msg.Loc{shard.RouterLoc}, Retry: retry,
+	lastType := make([]string, n)
+	stats.onDone = func(i int, _ time.Duration, ok bool) {
+		switch {
+		case ok && lastType[i] == "deposit":
+			stats.depositCommits++
+		case ok && lastType[i] == "transfer":
+			stats.transferCommits++
+		case !ok && lastType[i] == "transfer":
+			stats.transferAborts++
 		}
-		work := mkWork(i)
-		remaining := txPer
-		var started time.Duration
-		var lastType string
-		sim := clu.Sim
-		submit := func() []msg.Directive {
-			typ, args := work()
-			lastType = typ
-			started = sim.Now()
-			return cli.Submit(typ, args)
-		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
-			res, outs := cli.Handle(env.M)
-			if res == nil {
-				return outs
-			}
-			stats.lat.Add(sim.Now() - started)
-			stats.lastDone = sim.Now()
-			if res.Aborted || res.Err != "" {
-				stats.aborted++
-				if lastType == "transfer" {
-					stats.transferAborts++
-				}
-			} else {
-				stats.commit(sim.Now())
-				switch lastType {
-				case "deposit":
-					stats.depositCommits++
-				case "transfer":
-					stats.transferCommits++
-				}
-			}
-			remaining--
-			if remaining <= 0 {
-				stats.finished++
-				return outs
-			}
-			return append(outs, submit()...)
-		})
-		sim.After(0, func() {
-			for _, d := range submit() {
-				clu.SendAfter(d.Delay, loc, d.Dest, d.M)
-			}
-		})
 	}
-	_ = cfg
+	shadowClients(clu, &stats.loadStats, n, txPer, core.ModePBR,
+		[]msg.Loc{shard.RouterLoc}, nil, retry, func(i int) Workload {
+			work := mkWork(i)
+			return func() (string, []any) {
+				typ, args := work()
+				lastType[i] = typ
+				return typ, args
+			}
+		})
 }
 
 // mixedWorkload interleaves zipfian deposits with transfers between two
@@ -325,29 +277,46 @@ type ShardResult struct {
 	ChaosTransferAbt int64
 }
 
-// Certified reports whether the run meets the acceptance bar: zero
-// violations everywhere, ≥3× scaling at 4 shards, clean drains, and
-// balanced books in both cross-shard phases.
-func (r ShardResult) Certified() bool {
-	for _, p := range r.Sweep {
-		if p.Violations > 0 {
-			return false
-		}
+// mixedGates is phase 2's bar: zero violations, balanced books,
+// replica parity inside every shard, and a clean drain.
+func (r ShardResult) mixedGates() []Gate {
+	return []Gate{
+		gate("mixed.checker_clean", len(r.MixedViolations) == 0, "%d violations", len(r.MixedViolations)),
+		boolGate("mixed.balanced", r.MixedBalanced),
+		boolGate("mixed.replicas_equal", r.MixedReplicasEq),
+		gate("mixed.drained", r.MixedOpen == 0 && r.MixedInFlight == 0,
+			"%d open prepares, %d in flight", r.MixedOpen, r.MixedInFlight),
 	}
-	if r.Speedup4 > 0 && r.Speedup4 < 3 {
-		return false
-	}
-	if len(r.MixedViolations) > 0 || !r.MixedBalanced || !r.MixedReplicasEq ||
-		r.MixedOpen != 0 || r.MixedInFlight != 0 {
-		return false
-	}
-	if len(r.ChaosViolations) > 0 || !r.ChaosBalanced ||
-		r.ChaosOpen != 0 || r.ChaosInFlight != 0 ||
-		!r.ChaosProgress || r.ChaosFinished != r.ChaosClients {
-		return false
-	}
-	return true
 }
+
+// chaosGates is phase 3's bar: zero violations, balanced books, a clean
+// drain, post-heal progress, and every client finished.
+func (r ShardResult) chaosGates() []Gate {
+	return []Gate{
+		gate("chaos.checker_clean", len(r.ChaosViolations) == 0, "%d violations", len(r.ChaosViolations)),
+		boolGate("chaos.balanced", r.ChaosBalanced),
+		gate("chaos.drained", r.ChaosOpen == 0 && r.ChaosInFlight == 0,
+			"%d open prepares, %d in flight", r.ChaosOpen, r.ChaosInFlight),
+		boolGate("chaos.progress_after_heal", r.ChaosProgress),
+		gate("chaos.clients_finished", r.ChaosFinished == r.ChaosClients, "%d/%d", r.ChaosFinished, r.ChaosClients),
+	}
+}
+
+// Gates is the acceptance bar: zero violations everywhere, ≥3× scaling
+// at 4 shards (when both points were measured), clean drains, and
+// balanced books in both cross-shard phases.
+func (r ShardResult) Gates() []Gate {
+	var gates []Gate
+	for _, p := range r.Sweep {
+		gates = append(gates, gate(fmt.Sprintf("sweep.s%d.checker_clean", p.Shards),
+			p.Violations == 0, "%d violations", p.Violations))
+	}
+	gates = append(gates, gate("speedup_4v1", !(r.Speedup4 > 0 && r.Speedup4 < 3), "%.2fx, bar 3x", r.Speedup4))
+	return append(append(gates, r.mixedGates()...), r.chaosGates()...)
+}
+
+// Certified reports whether every gate held.
+func (r ShardResult) Certified() bool { return Certified(r.Gates()) }
 
 // Shard runs all three phases.
 func Shard(cfg ShardConfig) ShardResult {
@@ -371,24 +340,21 @@ func Shard(cfg ShardConfig) ShardResult {
 // shardSweepPoint runs the single-shard-traffic workload on n shards
 // with the checker attached.
 func shardSweepPoint(n int, cfg ShardConfig) ShardPoint {
-	sc := newShardCluster(n, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
+	cfg.FlightDir = "" // the sweep certifies scaling; evidence comes from the cross-shard phases
+	run, sc := shardRun(n, cfg, "sweep")
 
 	stats := &shardStats{}
 	work := func(i int) Workload { return ZipfWorkload(cfg.Rows, int64(i)*7919+1) }
-	shardClients(sc.clu, stats, cfg, cfg.Clients, cfg.TxPer, 2*time.Second, work)
+	shardClients(sc.clu, stats, cfg.Clients, cfg.TxPer, 2*time.Second, work)
 	runToFinish(sc.sim, &stats.loadStats, cfg.Clients)
 
 	cp := stats.point(cfg.Clients)
+	violations := len(run.Audit().Violations)
+	run.Close(true)
 	return ShardPoint{
 		Shards: n, Throughput: cp.Throughput,
 		MeanLatMs: cp.MeanLatMs, P99LatMs: cp.P99LatMs,
-		Violations: len(checker.Violations()),
+		Violations: violations,
 	}
 }
 
@@ -410,7 +376,7 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 	var total int64
 	for id := 0; id < rows; id++ {
 		k := sc.part.Shard(shard.BankKey(int64(id)))
-		db := sc.replicas[sc.rloc[k][0]].DB()
+		db := sc.replicas[sc.groupR[k][0]].DB()
 		res, err := db.Exec("SELECT balance FROM accounts WHERE id = ?", id)
 		if err != nil || len(res.Rows) == 0 {
 			return false
@@ -431,9 +397,9 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 
 // replicasEqual checks state parity inside every shard.
 func replicasEqual(sc *shardCluster) bool {
-	for k := range sc.rloc {
-		a := sc.replicas[sc.rloc[k][0]].DB()
-		b := sc.replicas[sc.rloc[k][1]].DB()
+	for k := range sc.groupR {
+		a := sc.replicas[sc.groupR[k][0]].DB()
+		b := sc.replicas[sc.groupR[k][1]].DB()
 		if !sqldb.Equal(a, b) {
 			return false
 		}
@@ -452,19 +418,11 @@ func openPrepares(sc *shardCluster) int {
 
 // shardMixed is phase 2: the mixed workload on MixedShards shards.
 func shardMixed(cfg ShardConfig, res *ShardResult) {
-	sc := newShardCluster(cfg.MixedShards, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
-	dumpFlight := flightFleet(flightSubdir(cfg.FlightDir, "mixed"), "shard-mixed",
-		o, checker, sc.allLocs)
+	run, sc := shardRun(cfg.MixedShards, cfg, "mixed")
 
 	stats := &shardStats{}
 	work := func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*104729+3) }
-	shardClients(sc.clu, stats, cfg, cfg.MixedClients, cfg.MixedTxPer, time.Second, work)
+	shardClients(sc.clu, stats, cfg.MixedClients, cfg.MixedTxPer, time.Second, work)
 	runToFinish(sc.sim, &stats.loadStats, cfg.MixedClients)
 	shardDrain(sc, 2*cfg.Retry+time.Second)
 
@@ -472,45 +430,32 @@ func shardMixed(cfg ShardConfig, res *ShardResult) {
 	res.MixedCommitted = stats.committed
 	res.TransferCommits = stats.transferCommits
 	res.TransferAborts = stats.transferAborts
-	res.CrossDecided = checker.Status().CrossShard
-	res.MixedOpen = len(checker.OpenCrossShard()) + openPrepares(sc)
+	res.CrossDecided = run.Checker.Status().CrossShard
+	res.MixedOpen = len(run.Checker.OpenCrossShard()) + openPrepares(sc)
 	res.MixedInFlight = sc.router.InFlight()
 	res.MixedBalanced = balanced(sc, cfg.Rows, stats.depositCommits)
 	res.MixedReplicasEq = replicasEqual(sc)
-	res.MixedViolations = checker.Violations()
-	if len(res.MixedViolations) > 0 || !res.MixedBalanced || !res.MixedReplicasEq ||
-		res.MixedOpen != 0 || res.MixedInFlight != 0 {
-		dumpFlight("uncertified")
-	}
+	res.MixedViolations = run.Audit().Violations
+	run.Close(Certified(res.mixedGates()))
 }
 
 // shardChaos is phase 3: the mixed workload while shard 1 is isolated
 // (its broadcast nodes and replicas keep intra-shard connectivity but
 // lose the router, the clients, and shard 0) mid-run, then healed.
 func shardChaos(cfg ShardConfig, res *ShardResult) {
-	sc := newShardCluster(cfg.MixedShards, cfg)
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.SetGroupOf(shard.GroupOf)
-	checker.Watch(o)
-	dumpFlight := flightFleet(flightSubdir(cfg.FlightDir, "chaos"), "shard-chaos",
-		o, checker, sc.allLocs)
+	run, sc := shardRun(cfg.MixedShards, cfg, "chaos")
 
-	island := append(append([]msg.Loc{}, sc.bloc[1]...), sc.rloc[1]...)
-	plan := fault.Plan{
+	island := append(append([]msg.Loc{}, sc.groupB[1]...), sc.groupR[1]...)
+	inj := run.Inject(fault.Plan{
 		Seed: 11,
 		Partitions: []fault.Partition{fault.Isolate(
 			fault.Duration(cfg.PartitionFrom), fault.Duration(cfg.PartitionTo),
-			island, sc.allLocs)},
-	}
-	inj := fault.BindCluster(sc.clu, plan)
-	inj.SetObs(o)
+			island, sc.nodes)},
+	})
 
 	stats := &shardStats{}
 	work := func(i int) Workload { return mixedWorkload(cfg.Rows, cfg.CrossFrac, int64(i)*92821+5) }
-	shardClients(sc.clu, stats, cfg, cfg.MixedClients, cfg.MixedTxPer, 500*time.Millisecond, work)
+	shardClients(sc.clu, stats, cfg.MixedClients, cfg.MixedTxPer, 500*time.Millisecond, work)
 
 	// Run past the heal, then until the fleet finishes or the bound trips.
 	healCommitted := int64(-1)
@@ -521,24 +466,19 @@ func shardChaos(cfg ShardConfig, res *ShardResult) {
 	res.ChaosCommitted = stats.committed
 	res.ChaosFinished = stats.finished
 	res.ChaosClients = cfg.MixedClients
-	res.ChaosOpen = len(checker.OpenCrossShard()) + openPrepares(sc)
+	res.ChaosOpen = len(run.Checker.OpenCrossShard()) + openPrepares(sc)
 	res.ChaosInFlight = sc.router.InFlight()
 	res.ChaosBalanced = balanced(sc, cfg.Rows, stats.depositCommits)
 	res.ChaosProgress = healCommitted >= 0 && stats.committed > healCommitted
 	res.ChaosInjections = len(inj.Injections())
-	res.ChaosViolations = checker.Violations()
+	res.ChaosViolations = run.Audit().Violations
 	res.ChaosTransferOK = stats.transferCommits
 	res.ChaosTransferAbt = stats.transferAborts
-	if len(res.ChaosViolations) > 0 || !res.ChaosBalanced || !res.ChaosProgress ||
-		res.ChaosOpen != 0 || res.ChaosInFlight != 0 ||
-		res.ChaosFinished != res.ChaosClients {
-		dumpFlight("uncertified")
-	}
+	run.Close(Certified(res.chaosGates()))
 }
 
-// ReportShard flattens the experiment for BENCH_shard.json.
-func ReportShard(res ShardResult, quick bool) *Report {
-	r := NewReport("shard", quick)
+// reportShard flattens the experiment for BENCH_shard.json.
+func reportShard(res ShardResult, r *Report) {
 	for _, p := range res.Sweep {
 		pre := fmt.Sprintf("shard.sweep.s%d.", p.Shards)
 		r.Add(pre+"tput", p.Throughput, "tx/s")
@@ -554,19 +494,14 @@ func ReportShard(res ShardResult, quick bool) *Report {
 	r.Add("shard.mixed.cross_decided", float64(res.CrossDecided), "count")
 	r.Add("shard.mixed.open_after_drain", float64(res.MixedOpen), "count")
 	r.Add("shard.mixed.router_in_flight", float64(res.MixedInFlight), "count")
-	r.Add("shard.mixed.balanced", b2f(res.MixedBalanced), "bool")
-	r.Add("shard.mixed.replicas_equal", b2f(res.MixedReplicasEq), "bool")
 	r.Add("shard.mixed.violations", float64(len(res.MixedViolations)), "count")
 	r.Add("shard.chaos.committed", float64(res.ChaosCommitted), "count")
 	r.Add("shard.chaos.finished", float64(res.ChaosFinished), "count")
 	r.Add("shard.chaos.open_after_drain", float64(res.ChaosOpen), "count")
 	r.Add("shard.chaos.router_in_flight", float64(res.ChaosInFlight), "count")
-	r.Add("shard.chaos.balanced", b2f(res.ChaosBalanced), "bool")
-	r.Add("shard.chaos.progress_after_heal", b2f(res.ChaosProgress), "bool")
 	r.Add("shard.chaos.injections", float64(res.ChaosInjections), "count")
 	r.Add("shard.chaos.violations", float64(len(res.ChaosViolations)), "count")
-	r.Add("shard.certified", b2f(res.Certified()), "bool")
-	return r
+	r.AddCertified(res.Gates())
 }
 
 // RenderShard prints the human-readable summary.
@@ -587,10 +522,6 @@ func RenderShard(w io.Writer, res ShardResult) {
 	fmt.Fprintf(w, "    open after drain: %d   router in flight: %d   balanced: %v   progress after heal: %v   violations: %d\n",
 		res.ChaosOpen, res.ChaosInFlight, res.ChaosBalanced, res.ChaosProgress, len(res.ChaosViolations))
 	fmt.Fprintf(w, "  certified: %v\n", res.Certified())
-	for _, v := range res.MixedViolations {
-		fmt.Fprintf(w, "  MIXED VIOLATION: %v\n", v)
-	}
-	for _, v := range res.ChaosViolations {
-		fmt.Fprintf(w, "  CHAOS VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "MIXED ", res.MixedViolations)
+	renderViolations(w, "CHAOS ", res.ChaosViolations)
 }

@@ -45,37 +45,32 @@ type SpanResult struct {
 	// Spans is the number of reconstructed request spans; Complete how
 	// many had every stage on record.
 	Spans, Complete int
-	// Events is the number of trace events the online checker consumed.
-	Events int64
-	// Violations are the property violations the online checker flagged
-	// (must be empty for a correct build).
-	Violations []dist.Violation
+	// Audit is the online checker's view: events consumed and the
+	// property violations it flagged (must be none for a correct build).
+	Audit
 	// RingGaps is the count of events lost to ring overflow (0 means the
 	// trace was complete).
 	RingGaps int64
 }
 
+// Gates: a workload that violates total order, delivery order,
+// consensus safety, or durability fails the experiment.
+func (r SpanResult) Gates() []Gate { return []Gate{r.Audit.gate()} }
+
 // Spans runs the experiment.
 func Spans(cfg SpanConfig) SpanResult {
-	sc := newSMRCluster([]string{"h2", "h2", "h2"}, core.BankRegistry(),
-		func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) })
-
-	// Dedicated Obs on the simulator's virtual clock; the online checker
-	// subscribes to the live stream before any load runs.
-	o := obs.New(cfg.RingSize)
-	sc.clu.Observe(o)
-	o.EnableTracing(true)
-	checker := dist.NewChecker()
-	checker.Watch(o)
+	run := startRun("spans", cfg.RingSize, "", "")
+	sc := run.Attach(newCluster(clusterSpec{
+		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
+		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
+	}))
 
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
 		nil, sc.bloc, 5*time.Second,
 		func(i int) Workload { return MicroWorkload(cfg.Rows, int64(1000+i)) })
 
-	for stats.finished < cfg.Clients && !sc.sim.Idle() && sc.sim.Steps() < 50_000_000 {
-		sc.sim.Run(0, 100_000)
-	}
+	runToFinish(sc.sim, stats, cfg.Clients)
 	if stats.finished < cfg.Clients {
 		panic(fmt.Sprintf("bench: spans workload stalled: %d/%d clients finished",
 			stats.finished, cfg.Clients))
@@ -83,15 +78,11 @@ func Spans(cfg SpanConfig) SpanResult {
 
 	// Collect the (single, cluster-wide) ring and rebuild request spans.
 	c := dist.NewCollector()
-	c.Gather(map[string]*obs.Obs{"sim": o})
+	c.Gather(map[string]*obs.Obs{"sim": run.Obs})
 	r := c.Collect()
 
-	res := SpanResult{
-		Segments:   r.Segments,
-		Spans:      len(r.Spans),
-		Events:     checker.Status().Events,
-		Violations: checker.Violations(),
-	}
+	res := SpanResult{Segments: r.Segments, Spans: len(r.Spans), Audit: run.Audit()}
+	run.Close(true)
 	for _, g := range r.Gaps {
 		res.RingGaps += g
 	}
@@ -106,13 +97,11 @@ func Spans(cfg SpanConfig) SpanResult {
 	return res
 }
 
-// ReportSpans flattens the experiment for BENCH_spans.json.
-func ReportSpans(res SpanResult, quick bool) *Report {
-	r := NewReport("spans", quick)
+// reportSpans flattens the experiment for BENCH_spans.json.
+func reportSpans(res SpanResult, r *Report) {
 	r.Add("spans.count", float64(res.Spans), "count")
 	r.Add("spans.complete", float64(res.Complete), "count")
-	r.Add("spans.checker.events", float64(res.Events), "count")
-	r.Add("spans.checker.violations", float64(len(res.Violations)), "count")
+	res.Audit.report(r)
 	r.Add("spans.ring_gaps", float64(res.RingGaps), "count")
 	for _, seg := range []string{"broadcast", "consensus", "apply", "total"} {
 		st := res.Segments[seg]
@@ -122,7 +111,6 @@ func ReportSpans(res SpanResult, quick bool) *Report {
 		r.Add(pre+"p99", float64(st.P99), "ns")
 		r.Add(pre+"max", float64(st.Max), "ns")
 	}
-	return r
 }
 
 // RenderSpans prints the human-readable table.
@@ -136,9 +124,7 @@ func RenderSpans(w io.Writer, res SpanResult) {
 		fmt.Fprintf(w, "  %-10s %10s %10s %10s %10s\n", seg,
 			ms(st.Mean), ms(st.P50), ms(st.P99), ms(st.Max))
 	}
-	for _, v := range res.Violations {
-		fmt.Fprintf(w, "  VIOLATION: %v\n", v)
-	}
+	renderViolations(w, "", res.Violations)
 }
 
 func ms(ns int64) string {

@@ -40,27 +40,26 @@ func (r Table1Row) String() string {
 
 // Table1 computes the statistics from the live specifications.
 func Table1() []Table1Row {
-	specs := []loe.Spec{
-		loe.ClkRing(3),
-		twothird.Spec(twothird.Config{
+	// Each specification with the module name its properties register
+	// under and its title in the paper's table.
+	specs := []struct {
+		spec          loe.Spec
+		module, title string
+	}{
+		{loe.ClkRing(3), "CLK", "CLK"},
+		{twothird.Spec(twothird.Config{
 			Nodes:    []msg.Loc{"n1", "n2", "n3"},
 			Learners: []msg.Loc{"learner"},
-		}),
-		synod.Spec(synod.Config{
+		}), "TwoThird", "TwoThird Consensus"},
+		{synod.Spec(synod.Config{
 			Leaders:   []msg.Loc{"l1"},
 			Acceptors: []msg.Loc{"a1", "a2", "a3"},
 			Learners:  []msg.Loc{"learner"},
-		}),
-		broadcast.Spec(broadcast.Config{
+		}), "Paxos-Synod", "Paxos-Synod"},
+		{broadcast.Spec(broadcast.Config{
 			Nodes:       []msg.Loc{"b1", "b2", "b3"},
 			Subscribers: []msg.Loc{"sub"},
-		}),
-	}
-	names := map[string]string{
-		"CLK":               "CLK",
-		"TwoThird":          "TwoThird Consensus",
-		"Paxos-Synod":       "Paxos-Synod",
-		"Broadcast Service": "Broadcast Service",
+		}), "Broadcast", "Broadcast Service"},
 	}
 	suite := PropertySuite()
 	counts := suite.CountByModule()
@@ -68,23 +67,15 @@ func Table1() []Table1Row {
 	for _, p := range suite.Properties() {
 		propsPer[p.Module]++
 	}
-	moduleOf := map[string]string{
-		"CLK":               "CLK",
-		"TwoThird":          "TwoThird",
-		"Paxos-Synod":       "Paxos-Synod",
-		"Broadcast Service": "Broadcast",
-	}
-
 	var rows []Table1Row
 	for _, s := range specs {
-		mod := moduleOf[s.Name]
 		rows = append(rows, Table1Row{
-			Module:    names[s.Name],
-			SpecNodes: s.Nodes(),
-			TermNodes: interp.Size(interp.CompileSpec(s)),
-			OptNodes:  interp.Size(interp.OptimizeSpec(s)),
-			Props:     propsPer[mod],
-			Counts:    counts[mod],
+			Module:    s.title,
+			SpecNodes: s.spec.Nodes(),
+			TermNodes: interp.Size(interp.CompileSpec(s.spec)),
+			OptNodes:  interp.Size(interp.OptimizeSpec(s.spec)),
+			Props:     propsPer[s.module],
+			Counts:    counts[s.module],
 		})
 	}
 	return rows

@@ -70,3 +70,37 @@ func TestTCPCloseRacesDial(t *testing.T) {
 		_ = b.Close()
 	}
 }
+
+// TestTCPCloseRacesLoopback hammers self-addressed Send and SendBatch
+// from another goroutine (as a runtime timer does) across Close: the
+// loopback path writes the inbox Close closes, so an unordered pair is
+// a send on a closed channel. Every send must either land or report
+// ErrClosed.
+func TestTCPCloseRacesLoopback(t *testing.T) {
+	leaktest.Check(t, "shadowdb/internal/network.")
+	for i := 0; i < 50; i++ {
+		a, err := NewTCP("a", map[msg.Loc]string{"a": "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		started := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			close(started)
+			for {
+				self := msg.Envelope{To: "a", M: msg.M("tick", nil)}
+				if err := a.Send(self); err == ErrClosed {
+					return
+				}
+				if err := a.SendBatch([]msg.Envelope{self, self}); err == ErrClosed {
+					return
+				}
+			}
+		}()
+		<-started
+		_ = a.Close()
+		wg.Wait()
+	}
+}

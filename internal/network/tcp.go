@@ -44,6 +44,11 @@ type TCP struct {
 	done  chan struct{}
 	wg    sync.WaitGroup
 	once  sync.Once
+	// loopMu orders loopback sends against Close: senders to self hold
+	// it shared while they touch inbox, Close takes it exclusively to
+	// close inbox. Only the loopback path pays for it — remote sends
+	// never write inbox (readLoops do, and Close waits them out).
+	loopMu sync.RWMutex
 
 	// Metrics handles, cached once at construction (obs.Default registry).
 	framesIn     *obs.Counter
@@ -169,14 +174,7 @@ func (t *TCP) Send(env msg.Envelope) error {
 	}
 	env.From = t.self
 	if env.To == t.self {
-		// Loopback without a socket.
-		select {
-		case t.inbox <- env:
-			t.gInbox.Set(int64(len(t.inbox)))
-		default:
-			t.drops.Inc()
-		}
-		return nil
+		return t.loopback(env)
 	}
 	b, err := msg.Encode(env)
 	if err != nil {
@@ -191,6 +189,27 @@ func (t *TCP) Send(env msg.Envelope) error {
 	}
 	t.framesOut.Inc()
 	t.bytesOut.Add(int64(len(frame)))
+	return nil
+}
+
+// loopback delivers a self-addressed envelope without a socket. A timer
+// goroutine's self-send may race Close, so the closed check and the
+// inbox write happen under loopMu: either the send completes before
+// Close closes inbox, or it sees done and reports ErrClosed.
+func (t *TCP) loopback(env msg.Envelope) error {
+	t.loopMu.RLock()
+	defer t.loopMu.RUnlock()
+	select {
+	case <-t.done:
+		return ErrClosed
+	default:
+	}
+	select {
+	case t.inbox <- env:
+		t.gInbox.Set(int64(len(t.inbox)))
+	default:
+		t.drops.Inc()
+	}
 	return nil
 }
 
@@ -234,11 +253,8 @@ func (t *TCP) SendBatch(envs []msg.Envelope) error {
 	to := envs[0].To
 	if to == t.self {
 		for _, env := range envs {
-			select {
-			case t.inbox <- env:
-				t.gInbox.Set(int64(len(t.inbox)))
-			default:
-				t.drops.Inc()
+			if err := t.loopback(env); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -279,7 +295,9 @@ func (t *TCP) Close() error {
 		}
 		t.mu.Unlock()
 		t.wg.Wait()
+		t.loopMu.Lock()
 		close(t.inbox)
+		t.loopMu.Unlock()
 	})
 	return nil
 }

@@ -28,8 +28,9 @@ type Host struct {
 	OnStep func(in msg.Msg, outs []msg.Directive)
 	// Steps counts processed messages.
 	Steps int64
-	// Obs receives the host's metrics and step trace events. Set before
-	// Start to scope it (tests, benchmarks); defaults to obs.Default.
+	// Obs receives the host's metrics and step trace events. NewHost
+	// sets it to obs.Default; replace it before Start (and before the
+	// first Emit, whose timers read it) to scope it (tests, benchmarks).
 	Obs *obs.Obs
 
 	steps  *obs.Counter
@@ -47,6 +48,9 @@ func NewHost(self msg.Loc, tr network.Transport, p gpm.Process) *Host {
 		proc:   p,
 		done:   make(chan struct{}),
 		timers: make(map[*time.Timer]struct{}),
+		// Resolved here, not in Start: a delayed directive emitted before
+		// Start arms a timer whose callback reads Obs concurrently.
+		Obs: obs.Default,
 	}
 }
 
@@ -55,9 +59,6 @@ func (h *Host) Self() msg.Loc { return h.self }
 
 // Start launches the processing goroutine.
 func (h *Host) Start() {
-	if h.Obs == nil {
-		h.Obs = obs.Default
-	}
 	h.steps = h.Obs.Counter("runtime.steps")
 	h.stepNS = h.Obs.Histogram("runtime.step_ns")
 	h.Obs.Logger("runtime").WithNode(h.self).Infof("host started")

@@ -388,3 +388,31 @@ func TestHostEmitDelayed(t *testing.T) {
 	}
 	_ = fmt.Sprint()
 }
+
+// TestHostEmitBeforeStart emits a delayed directive before Start, the
+// way cmd/shadowdb arms boot timers while it is still wiring the host:
+// the timer callback reads Host.Obs on its own goroutine, so Start must
+// not be the one to write it (run under -race).
+func TestHostEmitBeforeStart(t *testing.T) {
+	hub := network.NewHub()
+	defer func() { _ = hub.Close() }()
+	tr, err := hub.Register("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan msg.Msg, 1)
+	var rec gpm.StepFunc
+	rec = func(in msg.Msg) (gpm.Process, []msg.Directive) {
+		got <- in
+		return rec, nil
+	}
+	h := NewHost("x", tr, rec)
+	h.Emit([]msg.Directive{msg.SendAfter(time.Microsecond, "x", msg.M("boot", nil))})
+	h.Start()
+	defer func() { _ = h.Close() }()
+	select {
+	case <-got:
+	case <-time.After(3 * time.Second):
+		t.Fatal("boot timer never fired")
+	}
+}
