@@ -16,26 +16,25 @@
 // per node). show prints one bundle's metadata, checker status, and log
 // tail. merge loads every bundle under the given roots, merges logs and
 // trace events by Lamport clock into one timeline on stdout, and with
-// -check replays the traces through the bridge's property suite — the
-// same total-order / in-order / single-value / durability checks the
-// bounded verifier certifies — so a violation is re-detectable from the
-// bundles alone.
+// -check replays the traces through the online checker's invariants (the
+// definitions the bounded verifier also runs; catalogue in DESIGN.md §4)
+// — so a violation is re-detectable from the bundles alone — and says
+// per invariant what it checked.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/core"
-	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/bridge"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
 )
 
@@ -165,7 +164,7 @@ func show(args []string) error {
 
 // merge loads every bundle under the given roots, prints the merged
 // cross-node timeline, and optionally replays the traces through the
-// bridge property suite.
+// checker's invariants.
 func merge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	check := fs.Bool("check", false, "replay traces through the offline property checker")
@@ -195,23 +194,9 @@ func merge(args []string) error {
 	if len(bundles) == 0 {
 		return fmt.Errorf("flight merge: no bundles under %v", fs.Args())
 	}
-	nodes := map[string]bool{}
-	joined := map[msg.Loc]bool{}
-	for _, b := range bundles {
-		nodes[string(b.Meta.Node)] = true
-		// Bundles from nodes that joined mid-run carry the mark in their
-		// config; their traces legitimately start past slot 0.
-		if b.Meta.Config["joiner"] == "true" {
-			joined[b.Meta.Node] = true
-		}
-	}
-	var joiners []msg.Loc
-	for j := range joined {
-		joiners = append(joiners, j)
-	}
-	sort.Slice(joiners, func(i, k int) bool { return joiners[i] < joiners[k] })
+	res := collect(bundles)
 	fmt.Fprintf(os.Stderr, "%d bundles from %d nodes (%d joined mid-run)\n",
-		len(bundles), len(nodes), len(joiners))
+		len(bundles), len(res.Nodes), len(res.Joiners))
 
 	for _, e := range obs.MergeTimeline(bundles...) {
 		if *source != "" && e.Source != *source {
@@ -224,12 +209,41 @@ func merge(args []string) error {
 	}
 
 	if *check {
-		err := bridge.CheckTraces(obs.Traces(bundles...), bridge.Options{Joiners: joiners})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "replay: VIOLATION: %v\n", err)
-			return fmt.Errorf("flight merge: properties violated")
+		return report(os.Stderr, res)
+	}
+	return nil
+}
+
+// collect merges the bundles' trace windows. Bundles from nodes that
+// joined mid-run carry the mark in their config; their traces
+// legitimately start past slot 0.
+func collect(bundles []*obs.Bundle) dist.Result {
+	c := dist.NewCollector()
+	c.AddBundles(bundles...)
+	return c.Collect()
+}
+
+// report replays the collected traces through the checker's invariants
+// and says what was checked: one line per invariant that ran, one per
+// invariant the bundles lack the deployment fact for, one per violation.
+func report(w io.Writer, res dist.Result) error {
+	st, err := res.Check()
+	if err != nil {
+		fmt.Fprintf(w, "replay: VIOLATION: %v\n", err)
+		return fmt.Errorf("flight merge: properties violated")
+	}
+	for _, inv := range st.Invariants {
+		if inv.Skipped != "" {
+			fmt.Fprintf(w, "replay: skipped %s: %s not in the bundles\n", inv.Name, inv.Skipped)
+		} else {
+			fmt.Fprintf(w, "replay: checked %s over %d events\n", inv.Name, inv.Seen)
 		}
-		fmt.Fprintln(os.Stderr, "replay: all properties hold over the merged traces")
+	}
+	for _, v := range st.Violations {
+		fmt.Fprintf(w, "replay: VIOLATION: %v\n", v)
+	}
+	if len(st.Violations) > 0 {
+		return fmt.Errorf("flight merge: properties violated")
 	}
 	return nil
 }

@@ -1,0 +1,160 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"shadowdb/internal/broadcast"
+	"shadowdb/internal/consensus/synod"
+	"shadowdb/internal/core"
+	"shadowdb/internal/msg"
+	"shadowdb/internal/obs"
+)
+
+// The tests below go through the code path of `flight merge -check`
+// (collect → report) over in-memory bundles. Each pins one way the
+// deleted offline re-implementation of the invariants had drifted from
+// the online checker; all three fail at the commit before the invariants
+// were unified.
+
+// bundlesOf builds per-node bundles from one global event list: events get
+// increasing timestamps in list order and per-node ring sequences, the
+// shape dumps of a DES run have.
+func bundlesOf(joiners []msg.Loc, events ...obs.Event) []*obs.Bundle {
+	byNode := make(map[msg.Loc]*obs.Bundle)
+	var out []*obs.Bundle
+	for i, e := range events {
+		b := byNode[e.Loc]
+		if b == nil {
+			b = &obs.Bundle{Meta: obs.BundleMeta{Node: e.Loc, Config: map[string]string{}}}
+			byNode[e.Loc] = b
+			out = append(out, b)
+		}
+		e.At, e.Seq = int64(i+1), int64(len(b.Trace))
+		b.Trace = append(b.Trace, e)
+	}
+	for _, j := range joiners {
+		byNode[j].Meta.Config["joiner"] = "true"
+	}
+	return out
+}
+
+func step(loc msg.Loc, in msg.Msg, outs ...msg.Directive) obs.Event {
+	return obs.Event{Loc: loc, Layer: obs.LayerRuntime, Kind: "step", Hdr: in.Hdr,
+		Slot: obs.NoField, Ballot: obs.NoField, M: &in, Outs: outs}
+}
+
+func deliver(slot int, msgs ...broadcast.Bcast) msg.Msg {
+	return msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: slot, Msgs: msgs})
+}
+
+func tx(t *testing.T, client msg.Loc, seq int64) broadcast.Bcast {
+	t.Helper()
+	pay, err := core.EncodeTx(core.TxRequest{Client: client, Seq: seq, Type: "deposit", Args: []any{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return broadcast.Bcast{From: client, Seq: seq, Payload: pay}
+}
+
+func ack(client msg.Loc, seq int64) msg.Directive {
+	return msg.Send(client, msg.M(core.HdrTxResult, core.TxResult{Client: client, Seq: seq}))
+}
+
+var noop = msg.M("noop", nil)
+
+// check runs the -check path and returns its output and verdict.
+func check(bundles []*obs.Bundle) (string, error) {
+	var buf bytes.Buffer
+	err := report(&buf, collect(bundles))
+	return buf.String(), err
+}
+
+// Two shards number their slots and consensus instances independently:
+// slot 0 of shard 0 and slot 0 of shard 1 carry different batches, and
+// instance 0 decides a different value in each. The replay keys its
+// state by shard.GroupOf, as the online checker does.
+func TestCheckKeepsShardsApart(t *testing.T) {
+	decide := func(val string) msg.Msg { return msg.M(synod.HdrDecide, synod.Decide{Inst: 0, Val: val}) }
+	a, b := tx(t, "c1", 1), tx(t, "c2", 1)
+	out, err := check(bundlesOf(nil,
+		step("s0b1", decide("x"), msg.Send("s0r1", deliver(0, a))),
+		step("s0r1", deliver(0, a), ack("c1", 1)),
+		step("s1b1", decide("y"), msg.Send("s1r1", deliver(0, b))),
+		step("s1r1", deliver(0, b), ack("c2", 1)),
+	))
+	if err != nil {
+		t.Fatalf("clean two-shard trace flagged: %v\n%s", err, out)
+	}
+}
+
+// A replica may acknowledge what reached it through journal catch-up or
+// through a state transfer's Recent results, not only live deliveries.
+func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
+	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
+	catchup := msg.M(core.HdrSMRCatchup, core.SMRCatchup{Delivers: []broadcast.Deliver{{Slot: 1, Msgs: []broadcast.Bcast{two}}}})
+	snapEnd := msg.M(core.HdrSnapEnd, core.SnapEnd{Recent: []core.TxResult{{Client: "c1", Seq: 7}}})
+	out, err := check(bundlesOf(nil,
+		step("r2", deliver(0, one), ack("c1", 1)),
+		step("r2", catchup),
+		step("r2", noop, ack("c1", 2)),
+		step("r3", deliver(0, one)),
+		step("r3", snapEnd),
+		step("r3", noop, ack("c1", 7)),
+	))
+	if err != nil {
+		t.Fatalf("re-acks after catch-up and state transfer flagged: %v\n%s", err, out)
+	}
+}
+
+// An acknowledgement that precedes its transaction's ordered delivery is
+// the real durability bug; a replay that collects every delivery before
+// judging any reply cannot see it.
+func TestCheckFlagsAckBeforeDelivery(t *testing.T) {
+	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
+	out, err := check(bundlesOf(nil,
+		step("r1", deliver(0, one), ack("c1", 1)),
+		step("r1", noop, ack("c1", 2)), // slot 1 has not reached r1 yet
+		step("r1", deliver(1, two)),
+	))
+	if err == nil || !strings.Contains(out, "VIOLATION: shadowdb/durability") {
+		t.Fatalf("early acknowledgement not flagged as shadowdb/durability: err=%v\n%s", err, out)
+	}
+}
+
+// -check says what it checked: a line per invariant that ran, with the
+// events it saw, and a line per invariant whose deployment fact the
+// bundles do not carry. A bundle-declared joiner enters mid-stream.
+func TestCheckReportsCoverage(t *testing.T) {
+	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
+	out, err := check(bundlesOf([]msg.Loc{"r4"},
+		step("r1", deliver(0, one), ack("c1", 1)),
+		step("r1", deliver(1, two), ack("c1", 2)),
+		step("r4", deliver(1, two)),
+	))
+	if err != nil {
+		t.Fatalf("clean trace with a declared joiner flagged: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"replay: checked broadcast/total-order over 3 events",
+		"replay: checked shadowdb/durability over 2 events",
+		"replay: checked shard/cross-atomicity over 0 events",
+		"replay: skipped read/lease-expiry: lease window not in the bundles",
+		"replay: skipped member/epoch-config: initial member configuration not in the bundles",
+		"replay: skipped flow/queue-bound: queue bound not in the bundles",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
+	}
+	// The same trace without the joiner mark is a gap at r4.
+	out, err = check(bundlesOf(nil,
+		step("r1", deliver(0, one), ack("c1", 1)),
+		step("r1", deliver(1, two), ack("c1", 2)),
+		step("r4", deliver(1, two)),
+	))
+	if err == nil || !strings.Contains(out, "VIOLATION: broadcast/in-order-delivery at r4") {
+		t.Fatalf("undeclared mid-run joiner accepted: err=%v\n%s", err, out)
+	}
+}

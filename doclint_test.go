@@ -12,9 +12,13 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"shadowdb/internal/obs/dist"
 )
 
 // docLintPackages are the directories audited, relative to the repo
@@ -40,6 +44,46 @@ func TestDocLint(t *testing.T) {
 		for _, pkg := range pkgs {
 			lintPackage(t, fset, dir, pkg)
 		}
+	}
+}
+
+// TestInvariantCatalogue keeps the one catalogue of runtime invariants,
+// the table of DESIGN.md §4.1, equal to the list the checker registers:
+// every registered name has a row, every row names a registered
+// invariant, and the row's "Needs" cell names the deployment fact the
+// invariant reports itself waiting for ("—" when it needs none). The
+// other docs point at the table rather than copying it.
+func TestInvariantCatalogue(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### 4.1 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4.1")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]string) // name → Needs cell
+	row := regexp.MustCompile("(?m)^\\| `([a-z]+/[a-z-]+)` \\|[^|]*\\|[^|]*\\| ([^|]*) \\|")
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = m[2]
+	}
+	// A fresh checker knows no deployment fact, so every invariant that
+	// needs one reports it as the reason it is skipped.
+	for _, inv := range dist.NewChecker().Status().Invariants {
+		needs, ok := rows[inv.Name]
+		switch {
+		case !ok:
+			t.Errorf("registered invariant %s has no row in the DESIGN.md §4.1 table", inv.Name)
+		case inv.Skipped == "" && needs != "—":
+			t.Errorf("%s needs no fact, DESIGN.md §4.1 says %q", inv.Name, needs)
+		case !strings.HasPrefix(needs, inv.Skipped):
+			t.Errorf("%s needs the %s, DESIGN.md §4.1 says %q", inv.Name, inv.Skipped, needs)
+		}
+		delete(rows, inv.Name)
+	}
+	for name := range rows {
+		t.Errorf("DESIGN.md §4.1 lists %s, which no checker registers", name)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"shadowdb/internal/des"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/bridge"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
@@ -30,8 +29,9 @@ import (
 //  1. every node produced a complete bundle,
 //  2. the bundles merge into a causally ordered (Lamport) cross-node
 //     timeline that contains the forged delivery,
-//  3. replaying the bundles' traces through bridge.CheckTraces
-//     re-detects the violation offline, with no access to the live run.
+//  3. replaying the bundles' traces through a fresh checker
+//     (dist.Result.Check, what `flight merge -check` runs) re-detects
+//     the violation offline, with no access to the live run.
 //
 // The second half measures the recorder's cost: the same clean run
 // (no forgery) executes once with the recorder on and once with
@@ -88,7 +88,7 @@ type PostmortemResult struct {
 	TimelineLen      int
 	TimelineOrdered  bool
 	ForgedInTimeline bool
-	// ReplayDetected reports whether bridge.CheckTraces over the
+	// ReplayDetected reports whether the offline replay over the
 	// bundles' traces alone re-detects the violation.
 	ReplayDetected bool
 	// ReplayErr is the replay's first property failure (the evidence).
@@ -224,7 +224,7 @@ func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemRes
 
 // postmortemAnalyze certifies the dumped bundles: load, merge, verify
 // causal order and the forged event's presence, and replay the traces
-// through the offline bridge checker.
+// through the offline checker.
 func postmortemAnalyze(dir string, res *PostmortemResult) error {
 	var bundles []*obs.Bundle
 	for _, d := range res.Bundles {
@@ -255,9 +255,14 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 		}
 	}
 
-	if err := bridge.CheckTraces(obs.Traces(bundles...), bridge.Options{}); err != nil {
-		res.ReplayDetected = true
-		res.ReplayErr = err.Error()
+	coll := dist.NewCollector()
+	coll.AddBundles(bundles...)
+	st, err := coll.Collect().Check()
+	switch {
+	case err != nil:
+		res.ReplayDetected, res.ReplayErr = true, err.Error()
+	case len(st.Violations) > 0:
+		res.ReplayDetected, res.ReplayErr = true, st.Violations[0].Error()
 	}
 	return nil
 }

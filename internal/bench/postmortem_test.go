@@ -7,7 +7,7 @@ import (
 
 // TestPostmortemQuick runs the full flight-recorder loop at test scale:
 // forged violation → per-node bundle dumps → causal merge → offline
-// re-detection via the bridge.
+// re-detection by the offline replay.
 func TestPostmortemQuick(t *testing.T) {
 	cfg := QuickPostmortem()
 	cfg.Dir = t.TempDir()
@@ -43,7 +43,7 @@ func TestPostmortemQuick(t *testing.T) {
 		t.Fatal("forged delivery missing from the merged timeline")
 	}
 	if !res.ReplayDetected {
-		t.Fatal("bridge replay over the bundles did not re-detect the violation")
+		t.Fatal("offline replay over the bundles did not re-detect the violation")
 	}
 	if !strings.Contains(res.ReplayErr, "total-order") {
 		t.Fatalf("replay error does not name total-order: %s", res.ReplayErr)

@@ -30,7 +30,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -84,10 +83,10 @@ func init() {
 	})
 }
 
-// key identifies a Bcast for deduplication. This runs once per message
+// Key identifies a Bcast for deduplication. This runs once per message
 // per service node (dedup, batch reconciliation), so it is plain
 // concatenation rather than fmt.Sprintf; see BenchmarkBcastKey.
-func (b Bcast) key() string { return string(b.From) + "/" + strconv.FormatInt(b.Seq, 10) }
+func (b Bcast) Key() string { return string(b.From) + "/" + strconv.FormatInt(b.Seq, 10) }
 
 // Flush is the body of a batch-cut timer. Gen guards against stale
 // timers: only the generation armed for the currently pending partial
@@ -216,16 +215,7 @@ func (paxosModule) Propose(slf msg.Loc, nodes []msg.Loc, inst int, val string) [
 	return []msg.Directive{msg.Send(slf, msg.M(synod.HdrPropose, synod.Propose{Inst: inst, Val: val}))}
 }
 
-func (paxosModule) Decide(hdr string, body any) (int, string, bool) {
-	if hdr != synod.HdrDecide {
-		return 0, "", false
-	}
-	d, ok := body.(synod.Decide)
-	if !ok {
-		return 0, "", false
-	}
-	return d.Inst, d.Val, true
-}
+func (paxosModule) Decide(hdr string, body any) (int, string, bool) { return synod.Decided(hdr, body) }
 
 // ------------------------------------------------------- twothird module --
 
@@ -246,14 +236,7 @@ func (twothirdModule) Propose(slf msg.Loc, nodes []msg.Loc, inst int, val string
 }
 
 func (twothirdModule) Decide(hdr string, body any) (int, string, bool) {
-	if hdr != twothird.HdrDecide {
-		return 0, "", false
-	}
-	d, ok := body.(twothird.Decide)
-	if !ok {
-		return 0, "", false
-	}
-	return d.Inst, d.Val, true
+	return twothird.Decided(hdr, body)
 }
 
 // -------------------------------------------------------------- service --
@@ -489,21 +472,21 @@ func decideHeaders(m Module) []string {
 }
 
 func (s *seqState) onBcast(cfg Config, slf msg.Loc, b Bcast) []msg.Directive {
-	if s.seen[b.key()] {
+	if s.seen[b.Key()] {
 		return nil
 	}
 	if cfg.FlowNow != nil && flow.Expired(b.Deadline, int64(cfg.FlowNow())) {
 		// Expired on arrival (at forwarders too: no point burning a
 		// forward hop). A retry of an expired request is just as
 		// expired, so the key IS remembered.
-		s.seen[b.key()] = true
+		s.seen[b.Key()] = true
 		flow.MarkExpired()
 		return []msg.Directive{reject(slf, b, classOf(cfg, b), flow.ReasonDeadline, 0, 0)}
 	}
 	if seq := cfg.sequencer(); seq != slf {
 		// Non-sequencer nodes forward to the stable proposer; dueling
 		// proposers would otherwise preempt each other's ballots.
-		s.seen[b.key()] = true
+		s.seen[b.Key()] = true
 		markBcast(true)
 		return []msg.Directive{msg.Send(seq, msg.M(HdrBcast, b))}
 	}
@@ -515,9 +498,9 @@ func (s *seqState) onBcast(cfg Config, slf msg.Loc, b Bcast) []msg.Directive {
 			// dedup set must not swallow that retry.
 			return []msg.Directive{reject(slf, b, class, flow.ReasonOverload, s.q.Len(), s.q.Cap())}
 		}
-		s.queued[b.key()] = class
+		s.queued[b.Key()] = class
 	}
-	s.seen[b.key()] = true
+	s.seen[b.Key()] = true
 	markBcast(false)
 	s.pending = append(s.pending, b)
 	return s.cut(cfg, slf, false)
@@ -568,11 +551,11 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 	mDecides.Inc()
 	inBatch := make(map[string]bool, len(batch))
 	for _, b := range batch {
-		inBatch[b.key()] = true
+		inBatch[b.Key()] = true
 		// Decided is the terminal outcome admission waits for: free the
 		// queue slot of every message of ours this decision resolves.
-		if _, ok := s.queued[b.key()]; ok {
-			delete(s.queued, b.key())
+		if _, ok := s.queued[b.Key()]; ok {
+			delete(s.queued, b.Key())
 			s.q.Release()
 		}
 	}
@@ -584,7 +567,7 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 		delete(s.inflight, inst)
 		var lost []Bcast
 		for _, b := range mine {
-			if !inBatch[b.key()] {
+			if !inBatch[b.Key()] {
 				lost = append(lost, b)
 			}
 		}
@@ -596,7 +579,7 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 	if len(inBatch) > 0 {
 		kept := s.pending[:0]
 		for _, p := range s.pending {
-			if !inBatch[p.key()] {
+			if !inBatch[p.Key()] {
 				kept = append(kept, p)
 			}
 		}
@@ -701,9 +684,9 @@ func (s *seqState) sweepExpired(cfg Config, slf msg.Loc) []msg.Directive {
 		flow.MarkExpired()
 		depth, qcap := 0, 0
 		class := classOf(cfg, p)
-		if c, ok := s.queued[p.key()]; ok {
+		if c, ok := s.queued[p.Key()]; ok {
 			class = c
-			delete(s.queued, p.key())
+			delete(s.queued, p.Key())
 			s.q.Release()
 			depth, qcap = s.q.Len(), s.q.Cap()
 		}
@@ -836,63 +819,4 @@ func DeliveriesTo(trace []gpm.TraceEntry, sub msg.Loc) []Deliver {
 		}
 	}
 	return out
-}
-
-// CheckTotalOrder validates that every subscriber saw the same contiguous
-// slot sequence with identical batches — the service's defining property.
-// Subscribers notified by several nodes see duplicate slots; duplicates
-// must carry identical batches, and deduplicated slots must be contiguous
-// and monotone.
-func CheckTotalOrder(trace []gpm.TraceEntry, subs []msg.Loc) error {
-	ref := make(map[int][]Bcast)
-	for i, sub := range subs {
-		bySlot := make(map[int][]Bcast)
-		high := -1
-		for _, d := range DeliveriesTo(trace, sub) {
-			if prev, dup := bySlot[d.Slot]; dup {
-				if !sameBatch(prev, d.Msgs) {
-					return fmt.Errorf("broadcast: subscriber %s got two batches for slot %d", sub, d.Slot)
-				}
-				continue
-			}
-			bySlot[d.Slot] = d.Msgs
-			if d.Slot > high {
-				high = d.Slot
-			}
-		}
-		for k := 0; k <= high; k++ {
-			if _, ok := bySlot[k]; !ok {
-				return fmt.Errorf("broadcast: subscriber %s has a gap at slot %d", sub, k)
-			}
-		}
-		if i == 0 {
-			ref = bySlot
-			continue
-		}
-		for k, b := range bySlot {
-			if rb, ok := ref[k]; ok && !sameBatch(rb, b) {
-				return fmt.Errorf("broadcast: subscribers %s and %s disagree at slot %d", subs[0], sub, k)
-			}
-		}
-	}
-	return nil
-}
-
-func sameBatch(a, b []Bcast) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ka := make([]string, len(a))
-	kb := make([]string, len(b))
-	for i := range a {
-		ka[i], kb[i] = a[i].key(), b[i].key()
-	}
-	sort.Strings(ka)
-	sort.Strings(kb)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package broadcast
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -44,7 +43,7 @@ func TestSingleBroadcastDelivered(t *testing.T) {
 	if ds[0].Slot != 0 || len(ds[0].Msgs) != 1 || string(ds[0].Msgs[0].Payload) != "hello" {
 		t.Errorf("first delivery = %+v", ds[0])
 	}
-	if err := CheckTotalOrder(r.Trace(), []msg.Loc{"sub1", "sub2"}); err != nil {
+	if err := CheckTotalOrder(r.Trace()); err != nil {
 		t.Error(err)
 	}
 }
@@ -132,7 +131,7 @@ func TestConcurrentProposersConverge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"}); err != nil {
+	if err := CheckTotalOrder(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := integrity(trace, 3, 15); err != nil {
@@ -166,7 +165,7 @@ func TestTwoThirdBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"}); err != nil {
+	if err := CheckTotalOrder(trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := integrity(trace, 2, 6); err != nil {
@@ -247,36 +246,23 @@ func TestCheckTotalOrderRejectsDisagreement(t *testing.T) {
 			Msgs: []Bcast{{From: "d", Seq: 9, Payload: []byte("y")}},
 		}))}},
 	}
-	if err := CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"}); err == nil {
+	if err := CheckTotalOrder(trace); err == nil {
 		t.Error("disagreeing subscribers accepted")
 	}
 
 	gap := []gpm.TraceEntry{mk("sub1", 1, "x")}
-	if err := CheckTotalOrder(gap, []msg.Loc{"sub1"}); err == nil {
+	if err := CheckTotalOrder(gap); err == nil {
 		t.Error("slot gap accepted")
 	}
 }
 
 // BenchmarkBcastKey measures the dedup-map key construction on the
-// sequencer hot path (one key per submitted message). The plain
-// concatenation it uses today replaced a fmt.Sprintf that dominated the
-// sequencer's per-message CPU in profiles; BenchmarkBcastKeySprintf
-// keeps the old formulation for comparison.
+// sequencer hot path (one key per submitted message).
 func BenchmarkBcastKey(b *testing.B) {
 	bc := Bcast{From: "client42", Seq: 1234567}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if bc.key() == "" {
-			b.Fatal("empty key")
-		}
-	}
-}
-
-func BenchmarkBcastKeySprintf(b *testing.B) {
-	bc := Bcast{From: "client42", Seq: 1234567}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if fmt.Sprintf("%s/%d", bc.From, bc.Seq) == "" {
+		if bc.Key() == "" {
 			b.Fatal("empty key")
 		}
 	}

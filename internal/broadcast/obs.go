@@ -31,7 +31,7 @@ func init() {
 	obs.RegisterExtractor(func(hdr string, body any) (obs.Fields, bool) {
 		switch b := body.(type) {
 		case Bcast:
-			return obs.Fields{Slot: obs.NoField, Ballot: obs.NoField, Span: b.key(), Kind: HdrBcast}, true
+			return obs.Fields{Slot: obs.NoField, Ballot: obs.NoField, Span: b.Key(), Kind: HdrBcast}, true
 		case Deliver:
 			return obs.Fields{Slot: int64(b.Slot), Ballot: obs.NoField, Kind: HdrDeliver}, true
 		}

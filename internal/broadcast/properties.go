@@ -39,6 +39,19 @@ func batchedConfig() Config {
 	return cfg
 }
 
+// invariants is the model invariant of every property below: fresh
+// instances of the service's runtime invariants (invariants.go), the same
+// definitions the online checker and the offline replay run.
+func invariants() []verify.Set { return NewChecks().Sets() }
+
+// CheckTotalOrder validates a finished trace against those invariants:
+// every subscriber was sent, and every traced node received, the same
+// gap-free slot sequence with identical batches — the service's defining
+// property.
+func CheckTotalOrder(trace []gpm.TraceEntry) error {
+	return verify.CheckTrace(trace, invariants()...)
+}
+
 // Properties returns the registered property set of the module.
 func Properties() []verify.Property {
 	return []verify.Property{
@@ -80,9 +93,7 @@ func checkTotalOrderFuzz() error {
 			{To: "b2", M: msg.M(HdrBcast, Bcast{From: "c2", Seq: 1, Payload: []byte("y")})},
 			{To: "b3", M: msg.M(HdrBcast, Bcast{From: "c1", Seq: 2, Payload: []byte("z")})},
 		},
-		Invariant: func(trace []gpm.TraceEntry) error {
-			return CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"})
-		},
+		Invariants: invariants,
 	}
 	_, err := verify.Fuzz(m, 120, 400, 5)
 	return err
@@ -105,10 +116,8 @@ func checkBatchedFuzz() error {
 			{To: "b2", M: msg.M(HdrBcast, Bcast{From: "c1", Seq: 2, Payload: []byte("z")})},
 			{To: "b3", M: msg.M(HdrBcast, Bcast{From: "c2", Seq: 2, Payload: []byte("w")})},
 		},
-		Dups: 2,
-		Invariant: func(trace []gpm.TraceEntry) error {
-			return CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"})
-		},
+		Dups:       2,
+		Invariants: invariants,
 	}
 	_, err := verify.Fuzz(m, 120, 400, 11)
 	return err
@@ -124,7 +133,7 @@ func checkBatchAtomicity() error {
 	if err != nil {
 		return err
 	}
-	if err := CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"}); err != nil {
+	if err := CheckTotalOrder(trace); err != nil {
 		return err
 	}
 	if err := integrity(trace, 3, 8); err != nil {
@@ -166,7 +175,7 @@ func integrity(trace []gpm.TraceEntry, clients, n int) error {
 		}
 		seen[d.Slot] = true
 		for _, b := range d.Msgs {
-			got[b.key()]++
+			got[b.Key()]++
 		}
 	}
 	for c := 0; c < clients; c++ {
@@ -195,7 +204,7 @@ func checkSwitching() error {
 	if err != nil {
 		return err
 	}
-	if err := CheckTotalOrder(trace, []msg.Loc{"sub1", "sub2"}); err != nil {
+	if err := CheckTotalOrder(trace); err != nil {
 		return err
 	}
 	return integrity(trace, 2, 8)
@@ -208,16 +217,5 @@ func checkGapFree() error {
 	if err != nil {
 		return err
 	}
-	for _, sub := range []msg.Loc{"sub1", "sub2"} {
-		high := -1
-		for _, d := range DeliveriesTo(trace, sub) {
-			if d.Slot > high+1 {
-				return fmt.Errorf("broadcast: %s saw slot %d after %d", sub, d.Slot, high)
-			}
-			if d.Slot == high+1 {
-				high = d.Slot
-			}
-		}
-	}
-	return nil
+	return CheckTotalOrder(trace)
 }

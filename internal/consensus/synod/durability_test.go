@@ -102,10 +102,10 @@ func TestDurableRestartPropertyCatchesVolatileAcceptors(t *testing.T) {
 			{To: "l1", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l1"})},
 			{To: "l2", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l2"})},
 		},
-		CrashLocs: cfg.Acceptors,
-		Crashes:   2,
-		Restarts:  2,
-		Invariant: durableRestartInvariant(cfg),
+		CrashLocs:  cfg.Acceptors,
+		Crashes:    2,
+		Restarts:   2,
+		Invariants: durableRestart,
 	}
 	if _, err := verify.Fuzz(m, 400, 250, 17); err == nil {
 		t.Fatal("volatile acceptors survived the crash-restart fuzz; the property lost its bite")

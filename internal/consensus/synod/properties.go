@@ -19,10 +19,6 @@ import (
 // is preserved as a fault-injection regression that the checker must
 // catch.
 
-// ErrDisagreement is returned when two different values are chosen for
-// one instance.
-var ErrDisagreement = errors.New("synod: agreement violated")
-
 // testConfig builds the 1-leader, 3-acceptor instance used by the
 // exhaustive checker.
 func testConfig() Config {
@@ -43,27 +39,43 @@ func duelConfig() Config {
 	}
 }
 
-// agreementInvariant checks that learners never see two values for one
-// instance.
-func agreementInvariant(cfg Config) func([]gpm.TraceEntry) error {
-	return func(trace []gpm.TraceEntry) error {
-		return checkAgreementTrace(cfg, trace)
-	}
+// Agreement is the module's single-value-per-slot property (the
+// definition is verify.Agreement; the Decide format is ours). The same
+// constructor serves the schedule explorer here and, through
+// broadcast.Checks, the online checker and the offline replay.
+func Agreement() *verify.Agreement { return verify.NewAgreement("synod", Decided) }
+
+// PromiseMonotonic states that the ballots one acceptor location reveals
+// in its replies never regress — "an acceptor never forgets a promise",
+// the invariant the Google bug violates and, across crash-restart, the
+// obligation the WAL discharges.
+func PromiseMonotonic() verify.Invariant {
+	last := make(map[msg.Loc]Ballot)
+	return verify.Invariant{Name: "synod/promise-monotonicity", Step: func(e *verify.Event) (inScope bool, bad []string) {
+		for _, o := range e.Outs {
+			var b Ballot
+			switch body := o.M.Body.(type) {
+			case P1b:
+				b = body.B
+			case P2b:
+				b = body.B
+			default:
+				continue
+			}
+			inScope = true
+			if prev, ok := last[e.Loc]; ok && b.Less(prev) {
+				bad = append(bad, fmt.Sprintf("acceptor %s forgot its promise: ballot went back from %s to %s",
+					e.Loc, prev, b))
+			}
+			last[e.Loc] = b
+		}
+		return inScope, bad
+	}}
 }
 
-func checkAgreementTrace(cfg Config, trace []gpm.TraceEntry) error {
-	decided := make(map[int]string)
-	for _, e := range trace {
-		for inst, vals := range DecisionsOf(e.Outs, cfg.Learners) {
-			for _, v := range vals {
-				if prev, ok := decided[inst]; ok && prev != v {
-					return fmt.Errorf("%w: instance %d chose %q and %q", ErrDisagreement, inst, prev, v)
-				}
-				decided[inst] = v
-			}
-		}
-	}
-	return nil
+// agreement is the model invariant of the safety properties.
+func agreement() []verify.Set {
+	return []verify.Set{verify.Just(Agreement().Invariant())}
 }
 
 // Properties returns the registered property set of the module.
@@ -93,11 +105,11 @@ var exhaustiveOnce = sync.OnceValue(func() error {
 			{To: "l1", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "v1"})},
 			{To: "l1", M: msg.M(HdrPropose, Propose{Inst: 1, Val: "v2"})},
 		},
-		Invariant: agreementInvariant(cfg),
-		CrashLocs: []msg.Loc{"a3"},
-		Crashes:   1,
-		MaxDepth:  30,
-		MaxRuns:   10_000,
+		Invariants: agreement,
+		CrashLocs:  []msg.Loc{"a3"},
+		Crashes:    1,
+		MaxDepth:   30,
+		MaxRuns:    10_000,
 	}
 	_, err := verify.Exhaustive(m)
 	return err
@@ -116,7 +128,7 @@ func checkDuelingLeaders() error {
 			{To: "l1", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l1"})},
 			{To: "l2", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l2"})},
 		},
-		Invariant: agreementInvariant(cfg),
+		Invariants: agreement,
 	}
 	_, err := verify.Fuzz(m, 250, 200, 11)
 	return err
@@ -144,58 +156,25 @@ func checkDurableRestart() error {
 			{To: "l1", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l1"})},
 			{To: "l2", M: msg.M(HdrPropose, Propose{Inst: 0, Val: "from-l2"})},
 		},
-		CrashLocs: cfg.Acceptors,
-		Crashes:   2,
-		Restarts:  2,
-		Reset:     mem.Reset,
-		Invariant: durableRestartInvariant(cfg),
+		CrashLocs:  cfg.Acceptors,
+		Crashes:    2,
+		Restarts:   2,
+		Reset:      mem.Reset,
+		Invariants: durableRestart,
 	}
 	_, err := verify.Fuzz(m, 400, 250, 17)
 	return err
 }
 
-func durableRestartInvariant(cfg Config) func([]gpm.TraceEntry) error {
-	agree := agreementInvariant(cfg)
-	proposed := map[string]bool{"from-l1": true, "from-l2": true}
-	return func(trace []gpm.TraceEntry) error {
-		if err := agree(trace); err != nil {
-			return err
-		}
-		// Validity: only proposed values may be decided.
-		for _, e := range trace {
-			for inst, vals := range DecisionsOf(e.Outs, cfg.Learners) {
-				for _, v := range vals {
-					if !proposed[v] {
-						return fmt.Errorf("synod: instance %d decided unproposed value %q", inst, v)
-					}
-				}
-			}
-		}
-		// Promise monotonicity across incarnations: replies from one
-		// acceptor location never regress in ballot, even when the
-		// location was crashed and rebuilt from its WAL in between.
-		last := make(map[msg.Loc]Ballot)
-		seen := make(map[msg.Loc]bool)
-		for _, e := range trace {
-			for _, o := range e.Outs {
-				var b Ballot
-				switch body := o.M.Body.(type) {
-				case P1b:
-					b = body.B
-				case P2b:
-					b = body.B
-				default:
-					continue
-				}
-				if seen[e.Loc] && b.Less(last[e.Loc]) {
-					return fmt.Errorf("synod: acceptor %s forgot its promise across restart: ballot went back from %s to %s",
-						e.Loc, last[e.Loc], b)
-				}
-				last[e.Loc], seen[e.Loc] = b, true
-			}
-		}
-		return nil
-	}
+// durableRestart is the crash-restart model invariant: agreement,
+// validity over the two proposals, and promises kept across incarnations.
+func durableRestart() []verify.Set {
+	agree := Agreement()
+	return []verify.Set{verify.Just(
+		agree.Invariant(),
+		agree.Validity(map[string]bool{"from-l1": true, "from-l2": true}),
+		PromiseMonotonic(),
+	)}
 }
 
 // checkPromiseMonotonic verifies on a full run that every acceptor's
@@ -209,26 +188,7 @@ func checkPromiseMonotonic() error {
 	if _, err := r.Run(50_000); err != nil {
 		return err
 	}
-	last := make(map[msg.Loc]Ballot)
-	seen := make(map[msg.Loc]bool)
-	for _, e := range r.Trace() {
-		for _, o := range e.Outs {
-			var b Ballot
-			switch body := o.M.Body.(type) {
-			case P1b:
-				b = body.B
-			case P2b:
-				b = body.B
-			default:
-				continue
-			}
-			if seen[e.Loc] && b.Less(last[e.Loc]) {
-				return fmt.Errorf("synod: acceptor %s promise went back from %s to %s", e.Loc, last[e.Loc], b)
-			}
-			last[e.Loc], seen[e.Loc] = b, true
-		}
-	}
-	return nil
+	return verify.CheckTrace(r.Trace(), verify.Just(PromiseMonotonic()))
 }
 
 // checkLeaderChange verifies that a value chosen under one leader survives
@@ -239,12 +199,14 @@ func checkLeaderChange() error {
 	if err != nil {
 		return err
 	}
-	cfg := duelConfig()
-	if err := checkAgreementTrace(cfg, trace); err != nil {
+	if err := verify.CheckTrace(trace, agreement()...); err != nil {
 		return err
 	}
 	// The run must actually contain decisions from both leaders' eras.
-	n := countLearnerDecides(trace)
+	n := 0
+	for _, e := range trace {
+		n += len(DecisionsOf(e.Outs, []msg.Loc{"learner"})[0])
+	}
 	if n < 2 {
 		return fmt.Errorf("synod: scenario produced %d learner decisions, want >= 2", n)
 	}
@@ -352,18 +314,6 @@ func leaderChangeTrace(amnesia bool) ([]gpm.TraceEntry, error) {
 		return nil, err
 	}
 	return r.Trace(), nil
-}
-
-func countLearnerDecides(trace []gpm.TraceEntry) int {
-	n := 0
-	for _, e := range trace {
-		for _, o := range e.Outs {
-			if o.Dest == "learner" && o.M.Hdr == HdrDecide {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // checkTermination verifies a plain run decides every proposed instance.

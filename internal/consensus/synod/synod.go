@@ -31,6 +31,7 @@ package synod
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -678,19 +679,20 @@ func guard(c loe.Class, pred func(msg.Loc) bool, name string) loe.Class {
 	return loe.Filter(name, func(slf msg.Loc, _ any) bool { return pred(slf) }, c)
 }
 
-// DecisionsOf extracts learner decisions from directives, keyed by
-// instance.
+// Decided recognizes a decision announcement and extracts its instance
+// and value.
+func Decided(hdr string, body any) (inst int, val string, ok bool) {
+	d, ok := body.(Decide)
+	return d.Inst, d.Val, ok && hdr == HdrDecide
+}
+
+// DecisionsOf extracts the decisions announced to learners from
+// directives, keyed by instance.
 func DecisionsOf(outs []msg.Directive, learners []msg.Loc) map[int][]string {
-	lset := make(map[msg.Loc]bool, len(learners))
-	for _, l := range learners {
-		lset[l] = true
-	}
 	ds := make(map[int][]string)
 	for _, o := range outs {
-		if o.M.Hdr == HdrDecide && lset[o.Dest] {
-			if b, ok := o.M.Body.(Decide); ok {
-				ds[b.Inst] = append(ds[b.Inst], b.Val)
-			}
+		if inst, val, ok := Decided(o.M.Hdr, o.M.Body); ok && slices.Contains(learners, o.Dest) {
+			ds[inst] = append(ds[inst], val)
 		}
 	}
 	return ds

@@ -9,6 +9,7 @@ import (
 	"shadowdb/internal/interp"
 	"shadowdb/internal/loe"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/verify"
 )
 
 func TestBallotOrdering(t *testing.T) {
@@ -120,7 +121,7 @@ func TestDuelingLeadersAgree(t *testing.T) {
 	if _, err := r.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkAgreementTrace(cfg, r.Trace()); err != nil {
+	if err := verify.CheckTrace(r.Trace(), agreement()...); err != nil {
 		t.Fatal(err)
 	}
 	got := decisions(r.Trace(), cfg)

@@ -3,6 +3,7 @@ package twothird
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"shadowdb/internal/gpm"
@@ -16,11 +17,32 @@ import (
 // paper proved 8 lemmas automatically and 6 manually over three days; we
 // check the corresponding end-to-end properties mechanically.
 
-// ErrDisagreement is returned when two learners learn different values.
-var ErrDisagreement = errors.New("twothird: agreement violated")
+// Agreement is the module's single-value-per-slot property (the
+// definition is verify.Agreement; the Decide format is ours). The same
+// constructor serves the schedule explorer here and, through
+// broadcast.Checks, the online checker and the offline replay.
+func Agreement() *verify.Agreement { return verify.NewAgreement("twothird", Decided) }
 
-// ErrInvalidDecision is returned when a decided value was never proposed.
-var ErrInvalidDecision = errors.New("twothird: validity violated")
+// Irrevocable states that no node ever announces two different values
+// for one instance: a decision, once emitted, stands.
+func Irrevocable() verify.Invariant {
+	said := make(map[string]string) // loc\x00inst → value
+	return verify.Invariant{Name: "twothird/irrevocability", Step: func(e *verify.Event) (inScope bool, bad []string) {
+		for _, o := range e.Outs {
+			d, ok := o.M.Body.(Decide)
+			if !ok || o.M.Hdr != HdrDecide {
+				continue
+			}
+			inScope = true
+			k := string(e.Loc) + "\x00" + strconv.Itoa(d.Inst)
+			if prev, dup := said[k]; dup && prev != d.Val {
+				bad = append(bad, fmt.Sprintf("node %s revoked decision %q for %q", e.Loc, prev, d.Val))
+			}
+			said[k] = d.Val
+		}
+		return inScope, bad
+	}}
+}
 
 // testConfig builds the 3-node model instance used by the checkers.
 func testConfig() Config {
@@ -41,42 +63,23 @@ func model(cfg Config, proposals map[msg.Loc]string, crashes int) verify.Model {
 			proposed[v] = true
 		}
 	}
-	inv := func(trace []gpm.TraceEntry) error {
-		return checkTrace(cfg, trace, proposed)
-	}
 	m := verify.Model{
-		Gen:       gen,
-		Locs:      cfg.Nodes,
-		Init:      init,
-		Invariant: inv,
-		MaxDepth:  40,
-		MaxRuns:   12_000,
+		Gen:  gen,
+		Locs: cfg.Nodes,
+		Init: init,
+		// Agreement and validity over every decision the schedule reveals.
+		Invariants: func() []verify.Set {
+			agree := Agreement()
+			return []verify.Set{verify.Just(agree.Invariant(), agree.Validity(proposed))}
+		},
+		MaxDepth: 40,
+		MaxRuns:  12_000,
 	}
 	if crashes > 0 {
 		m.CrashLocs = cfg.Nodes[:1]
 		m.Crashes = crashes
 	}
 	return m
-}
-
-// checkTrace validates agreement, validity and irrevocability over all
-// decisions visible in a trace.
-func checkTrace(cfg Config, trace []gpm.TraceEntry, proposed map[string]bool) error {
-	decided := make(map[int]string)
-	for _, e := range trace {
-		for inst, vals := range DecisionsOf(e.Outs, cfg.Learners) {
-			for _, v := range vals {
-				if len(proposed) > 0 && !proposed[v] {
-					return fmt.Errorf("%w: value %q was never proposed", ErrInvalidDecision, v)
-				}
-				if prev, ok := decided[inst]; ok && prev != v {
-					return fmt.Errorf("%w: instance %d decided %q and %q", ErrDisagreement, inst, prev, v)
-				}
-				decided[inst] = v
-			}
-		}
-	}
-	return nil
 }
 
 // Properties returns the registered property set of the module.
@@ -183,7 +186,7 @@ var ErrStall = errors.New("twothird: node stalled without deciding")
 func checkDeadlockRegression() error {
 	stallSearch := func(cfg Config) error {
 		m := model(cfg, map[msg.Loc]string{"n1": "a", "n2": "b", "n3": "c"}, 0)
-		m.Invariant = nil
+		m.Invariants = nil
 		m.Final = func(trace []gpm.TraceEntry) error {
 			if missing := undecided(cfg, trace); len(missing) > 0 {
 				return fmt.Errorf("%w: %v", ErrStall, missing)
@@ -220,20 +223,7 @@ func checkIrrevocable() error {
 	if _, err := r.Run(10_000); err != nil {
 		return err
 	}
-	perNode := make(map[msg.Loc]string)
-	for _, e := range r.Trace() {
-		for _, o := range e.Outs {
-			if o.M.Hdr != HdrDecide {
-				continue
-			}
-			v := o.M.Body.(Decide).Val
-			if prev, ok := perNode[e.Loc]; ok && prev != v {
-				return fmt.Errorf("node %s revoked decision %q for %q", e.Loc, prev, v)
-			}
-			perNode[e.Loc] = v
-		}
-	}
-	return nil
+	return verify.CheckTrace(r.Trace(), verify.Just(Irrevocable()))
 }
 
 // checkRefinement verifies the interpreted term program is bisimilar to

@@ -20,6 +20,7 @@ package twothird
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"shadowdb/internal/loe"
@@ -287,21 +288,20 @@ func decide(cfg Config, slf msg.Loc, st *instState, inst int, val string) []msg.
 	return outs
 }
 
-// DecisionsOf extracts, from a trace's directives, every Decide sent to a
-// learner, keyed by instance. It is used by the verifier's invariants.
+// Decided recognizes a decision announcement and extracts its instance
+// and value.
+func Decided(hdr string, body any) (inst int, val string, ok bool) {
+	d, ok := body.(Decide)
+	return d.Inst, d.Val, ok && hdr == HdrDecide
+}
+
+// DecisionsOf extracts the decisions announced to learners from
+// directives, keyed by instance.
 func DecisionsOf(outs []msg.Directive, learners []msg.Loc) map[int][]string {
-	lset := make(map[msg.Loc]bool, len(learners))
-	for _, l := range learners {
-		lset[l] = true
-	}
 	ds := make(map[int][]string)
 	for _, o := range outs {
-		if o.M.Hdr == HdrDecide && lset[o.Dest] {
-			b, ok := o.M.Body.(Decide)
-			if !ok {
-				continue
-			}
-			ds[b.Inst] = append(ds[b.Inst], b.Val)
+		if inst, val, ok := Decided(o.M.Hdr, o.M.Body); ok && slices.Contains(learners, o.Dest) {
+			ds[inst] = append(ds[inst], val)
 		}
 	}
 	return ds

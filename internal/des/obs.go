@@ -8,7 +8,7 @@ import (
 // Observability for the simulator. Observe attaches an Obs to the
 // cluster and installs the virtual clock, so simulated runs emit the
 // same event schema as real deployments — with virtual timestamps —
-// making DES traces and TCP traces diffable and bridge-checkable.
+// making DES traces and TCP traces diffable and checkable by one checker.
 
 // Observe attaches o to the cluster: step events are recorded with
 // virtual timestamps (when tracing is enabled on o) and queue/processed

@@ -205,10 +205,10 @@ func (t TimelineEntry) String() string {
 }
 
 // Traces regroups the bundles' trace events per node, the shape
-// bridge.CheckTraces consumes. Bundles carve per-node slices out of a
+// dist.Collector consumes. Bundles carve per-node slices out of a
 // possibly shared ring (DES runs trace a whole cluster into one Obs),
 // which leaves per-node Seq values non-contiguous; each node's events
-// are re-sequenced from zero so the bridge's ring-overflow accounting
+// are re-sequenced from zero so the collector's ring-overflow accounting
 // reads the per-node trace as the complete window it is. Overflow of the
 // source ring itself is accounted at dump time, not here.
 func Traces(bundles ...*Bundle) map[string][]Event {

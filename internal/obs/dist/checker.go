@@ -1,59 +1,37 @@
 package dist
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"shadowdb/internal/broadcast"
-	"shadowdb/internal/consensus/synod"
-	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/core"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/shard"
+	"shadowdb/internal/verify"
 )
 
-// Checker evaluates the runtime properties of the verify registry
-// incrementally, one event at a time, instead of replaying a finished
-// trace through obs/bridge. Wire it to a live Obs with Watch and every
-// recorded step is checked within that step — a violation surfaces on
-// the admin endpoint while the run is still going, bounded by the event
-// fan-out path rather than by a collection interval.
-//
-// The properties mirror bridge exactly:
-//
-//	broadcast/total-order        same slot ⇒ same batch, across all nodes
-//	broadcast/in-order-delivery  per node, slots arrive gap-free ascending
-//	consensus/single-value-per-slot  one decided value per instance
-//	shadowdb/durability          replies name previously delivered txs
-//	shard/cross-atomicity        one outcome per distributed transaction,
-//	                             never a commit at an unprepared shard
-//
-// Overload runs additionally enable (SetFlow, flowcheck.go):
-//
-//	flow/terminal-outcome        every submitted request ends in a result,
-//	                             an explicit rejection, or a deadline
-//	flow/queue-bound             no admission queue reports occupancy over
-//	                             its configured bound
-//	flow/goodput-floor           completed work under overload stays above
-//	                             a floor fraction of the baseline rate
+// Checker is the live driver of the runtime invariants. It defines none
+// of them: each is stated once, as a step over verify.Event, beside the
+// protocol it constrains (broadcast.Checks with the consensus modules'
+// agreement, core.Checks, shard.Checks — the catalogue is DESIGN.md §4),
+// and the schedule explorer in internal/verify steps the same
+// definitions. What the Checker adds is what a deployment needs around
+// them: one lock for concurrent feeds, group keying, the deployment
+// facts and restart/join announcements no event carries, the violation
+// list with its hooks and metrics, and Status. Wire it to a live Obs
+// with Watch and every recorded step is checked within that step — a
+// violation surfaces on the admin endpoint while the run is still
+// going; Result.Check replays a collected trace through the same path.
 //
 // In sharded deployments several independent broadcast/consensus groups
 // run side by side, each with its own slot numbering and instance space.
 // SetGroupOf partitions the per-slot and per-instance state by group so
 // shard 1's slot 7 is never compared against shard 0's slot 7; the
-// per-shard properties then hold within each group exactly as they do
-// for a single group. The cross-shard property spans groups: every
-// participant that delivers a Decision for a transaction must deliver
-// the same verdict, and a commit verdict may only arrive at a location
-// that previously delivered the transaction's Prepare (prepared state
-// itself is never revealed: replicas vote from their reservation ledger
-// and only mutate the database at decision delivery, so a read served
-// between the two can never observe a half-done transaction).
+// per-group properties then hold within each group exactly as they do
+// for a single group.
 //
 // Checker is safe for concurrent Feed from many nodes' sinks. The
 // interleaving of concurrent feeds is one of the linear extensions of
@@ -69,86 +47,13 @@ type Checker struct {
 	// groupOf assigns each location to an invariant group (sharded
 	// deployments: one group per shard). Nil means one global group.
 	groupOf func(msg.Loc) string
-	// high is each location's highest contiguously delivered slot.
-	high map[msg.Loc]int64
-	// batch fingerprints the first batch seen for each broadcast slot,
-	// keyed group\x00slot so independent shard orders never collide.
-	batch map[string]string
-	// batchLoc remembers who established the fingerprint (for messages).
-	batchLoc map[string]msg.Loc
-	// chosen maps group\x00proto\x00inst to the decided value.
-	chosen map[string]string
-	// delivered is per-location the set of transaction keys delivered in
-	// ordered batches; a nil inner map means the location is not an SMR
-	// executor and its replies are out of scope (mirrors bridge).
-	delivered map[msg.Loc]map[string]bool
-	// xprep records, per location, the cross-shard transactions whose
-	// Prepare was delivered there; xdec the ones whose Decision was.
-	xprep map[msg.Loc]map[string]bool
-	xdec  map[msg.Loc]map[string]bool
-	// xoutcome fixes the first delivered verdict per transaction; any
-	// later conflicting verdict is the atomicity violation.
-	xoutcome map[string]bool
-	// restarted marks locations whose next delivery may legitimately
-	// jump the per-node gap-free order: a crash-restarted node re-enters
-	// the slot stream at wherever the broadcast is now, recovering the
-	// missed range from its journal and quiet catch-up rather than
-	// through redelivery. Cleared by the re-entry delivery (one
-	// re-baseline per announced restart); duplicates of already-seen
-	// slots leave it pending.
-	restarted map[msg.Loc]bool
 
-	// Dynamic membership (enabled by SetMembership; zero mAlpha = off).
-	// mviews is the canonical shadow view per group, derived from the
-	// member commands in the delivered order; locViews re-derives per
-	// location for locations with full delivery history, so a node that
-	// folds the same command stream into a different configuration is
-	// caught even though the batches matched.
-	mInitial member.Config
-	mAlpha   int
-	mviews   map[string]*member.View
-	locViews map[msg.Loc]*member.View
-	// baselined marks locations whose delivery stream has a hole the
-	// checker excused (restart or join): their per-location epoch
-	// derivation would start from a partial command history, so it is
-	// skipped and only the canonical view covers them.
-	baselined map[msg.Loc]bool
-	// epochFP fixes the first configuration fingerprint derived for each
-	// group\x00epoch; epochLoc remembers who established it.
-	epochFP  map[string]string
-	epochLoc map[string]msg.Loc
-	// p2b records, per deciding location and instance, the phase-2
-	// acknowledgements it received, by ballot — the certificate behind an
-	// outgoing Decide. Deleted once the decision is checked.
-	p2b map[string]map[string]map[msg.Loc]bool
-
-	// Lease-based local reads (enabled by SetLease; zero lDur = off).
-	// lDur and lMaxStale are the configured lease window and follower
-	// staleness bound, in the trace's nanoseconds.
-	lDur      int64
-	lMaxStale int64
-	// lIssue is, per location, the highest issue timestamp among lease
-	// renewals delivered there — the node's provable clock frontier,
-	// derived from ordered data rather than from anything the node
-	// claims about itself.
-	lIssue map[msg.Loc]int64
-	// txSlot records the slot each transaction was delivered in (keyed
-	// group\x00txkey): the frontier a read serve must cover to include
-	// that write.
-	txSlot map[string]int64
-	// ackedHist is, per group, the monotone history of acknowledged
-	// writes: (ack time, running max delivered slot of any acked tx).
-	// Appended per TxResult, binary-searched by the read-serve checks.
-	ackedHist map[string][]ackPoint
-	// End-to-end flow accounting (enabled by SetFlow; see flowcheck.go).
-	// flows maps an open request key (client/seq) to its deadline and
-	// submission phase; phases is the load-phase timeline the overload
-	// bench marks out, in declaration order.
-	flowOn   bool
-	flowMax  int
-	flows    map[string]flowEntry
-	phases   []*FlowPhase
-	phaseIdx map[string]*FlowPhase
+	// The invariants' state, by owning package, and the monitor that
+	// steps their composition.
+	bcast *broadcast.Checks
+	db    *core.Checks
+	cross *shard.Checks
+	mon   *verify.Monitor
 
 	// events counts fed events; violations collects flagged failures.
 	events     int64
@@ -166,112 +71,43 @@ type Checker struct {
 }
 
 // Violation is one flagged property failure.
-type Violation struct {
-	// Property names the violated property (bridge registry name).
-	Property string `json:"property"`
-	// Detail is the human-readable failure description.
-	Detail string `json:"detail"`
-	// Loc is the node whose event exposed the violation.
-	Loc msg.Loc `json:"loc"`
-	// At is the event's timestamp, LC its Lamport clock, Trace its
-	// per-request trace ID — enough to find the event in the merged trace.
-	At    int64  `json:"at"`
-	LC    int64  `json:"lc,omitempty"`
-	Trace string `json:"trace,omitempty"`
-}
+type Violation = verify.Violation
 
-// Error formats the violation as one line; Violation satisfies error
-// so a failed certification can flow through error-returning paths.
-func (v Violation) Error() string {
-	return fmt.Sprintf("%s at %s (t=%d): %s", v.Property, v.Loc, v.At, v.Detail)
-}
-
-// NewChecker creates an empty online checker.
+// NewChecker creates an online checker over fresh invariants.
 func NewChecker() *Checker {
-	return &Checker{
-		high:      make(map[msg.Loc]int64),
-		batch:     make(map[string]string),
-		batchLoc:  make(map[string]msg.Loc),
-		chosen:    make(map[string]string),
-		delivered: make(map[msg.Loc]map[string]bool),
-		xprep:     make(map[msg.Loc]map[string]bool),
-		xdec:      make(map[msg.Loc]map[string]bool),
-		xoutcome:  make(map[string]bool),
-		restarted: make(map[msg.Loc]bool),
-		mviews:    make(map[string]*member.View),
-		locViews:  make(map[msg.Loc]*member.View),
-		baselined: make(map[msg.Loc]bool),
-		epochFP:   make(map[string]string),
-		epochLoc:  make(map[string]msg.Loc),
-		p2b:       make(map[string]map[string]map[msg.Loc]bool),
-		lIssue:    make(map[msg.Loc]int64),
-		txSlot:    make(map[string]int64),
-		ackedHist: make(map[string][]ackPoint),
-	}
+	c := &Checker{bcast: broadcast.NewChecks(), db: core.NewChecks(), cross: shard.NewChecks()}
+	c.mon = verify.NewMonitor(c.sets()...)
+	return c
 }
 
-// ackPoint is one entry of a group's acknowledged-write history.
-type ackPoint struct {
-	at      int64
-	maxSlot int64
+// sets is the registered invariant list: every runtime property of the
+// repository, composed bottom-up along the import graph.
+func (c *Checker) sets() []verify.Set {
+	return append(c.bcast.Sets(), c.db.Set(), c.cross.Set())
 }
 
-// SetLease enables the lease-read properties with the cluster's lease
-// duration and follower staleness bound. Call before feeding events.
-// Three properties are then checked on every served local read:
-//
-//	read/lease-linearizability  a lease-mode serve's slot frontier covers
-//	                            every write acknowledged strictly before
-//	                            the serve (local reads at the holder miss
-//	                            no acknowledged write)
-//	read/lease-expiry           a lease-mode serve happens within Dur of
-//	                            the last renewal DELIVERED to the serving
-//	                            node — a partitioned deposed holder, cut
-//	                            off from new renewals, must stop serving
-//	                            when its window runs out
-//	read/follower-staleness     a follower-mode serve's slot frontier
-//	                            covers every write acknowledged more than
-//	                            MaxStale before the serve
+// SetLease supplies the lease window and follower staleness bound the
+// read/* properties need. Call before feeding events.
 func (c *Checker) SetLease(dur, maxStale time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lDur = int64(dur)
-	if maxStale <= 0 {
-		maxStale = dur
-	}
-	c.lMaxStale = int64(maxStale)
+	c.db.SetLease(dur, maxStale)
 }
 
-// SetMembership enables the dynamic-membership properties: member
-// commands folded out of delivered batches derive numbered configuration
-// epochs from initial (member/epoch-config: one configuration per
-// epoch), and every observed Decide certificate is checked against the
-// acceptor set of the epoch governing its instance (member/stale-quorum:
-// no decision certified by a quorum of a superseded configuration).
-// alpha is the activation lag the cluster runs with. Call before feeding
-// events; in sharded deployments every group shares initial, which fits
-// the current single-group membership experiments.
+// SetMembership supplies the initial configuration and activation lag
+// the member/* properties need. Call before feeding events.
 func (c *Checker) SetMembership(initial member.Config, alpha int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mInitial = initial
-	if alpha < 1 {
-		alpha = 1
-	}
-	c.mAlpha = alpha
+	c.bcast.SetMembership(initial, alpha)
 }
 
-// NoteJoin tells the checker that loc is a joiner bootstrapping into the
-// group mid-stream: exactly like a restart, its first delivery
-// re-baselines the in-order frontier (the slots before its activation
-// arrive by state transfer, not as Deliver events), and its per-location
-// epoch derivation is skipped — it never saw the early member commands.
-func (c *Checker) NoteJoin(loc msg.Loc) {
+// SetFlow supplies the largest configured admission-queue bound (0 for
+// none pinned) the flow/* properties need. Call before feeding events.
+func (c *Checker) SetFlow(maxQueue int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restarted[loc] = true
-	c.baselined[loc] = true
-	delete(c.locViews, loc)
+	c.db.SetFlow(maxQueue)
 }
 
 // SetGroupOf partitions the per-slot and per-instance invariant state by
@@ -285,25 +121,60 @@ func (c *Checker) SetGroupOf(fn func(msg.Loc) string) {
 	c.groupOf = fn
 }
 
-// group resolves e's invariant group (callers hold mu).
-func (c *Checker) group(loc msg.Loc) string {
-	if c.groupOf == nil {
-		return ""
-	}
-	return c.groupOf(loc)
-}
-
-// NoteRestart tells the checker that loc crashed and was restarted. Its
-// next observed delivery re-baselines the in-order-delivery frontier
-// instead of being flagged as a gap: the slots missed while down are
-// recovered from the node's own journal plus catch-up, which never
-// produce Deliver events. All other properties keep their state — a
-// restart excuses a gap, never a reordering, a mismatched batch, or an
-// unjustified reply.
+// NoteRestart tells the checker that loc crashed and was restarted: its
+// next delivery may re-enter the slot stream past a gap (see
+// broadcast.Checks.Excuse).
 func (c *Checker) NoteRestart(loc msg.Loc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restarted[loc] = true
+	c.bcast.Excuse(loc, false)
+}
+
+// NoteJoin tells the checker that loc is a joiner bootstrapping into the
+// group mid-stream: like a restart, and additionally it never saw the
+// early member commands.
+func (c *Checker) NoteJoin(loc msg.Loc) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bcast.Excuse(loc, true)
+}
+
+// NoteFlowPhase marks the start of a named load phase at trace time at.
+func (c *Checker) NoteFlowPhase(name string, at int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.db.NoteFlowPhase(name, at)
+}
+
+// FlowPhases snapshots the phase accounting (bench reports).
+func (c *Checker) FlowPhases() []core.FlowPhase {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.db.FlowPhases()
+}
+
+// OpenFlows counts submitted requests without an observed terminal
+// outcome yet.
+func (c *Checker) OpenFlows() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.db.OpenFlows()
+}
+
+// FinishFlow runs the flow/terminal-outcome drain check at trace time
+// now (see core.Checks.FinishFlow).
+func (c *Checker) FinishFlow(now int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.record(c.db.FinishFlow(now))
+}
+
+// CheckGoodputFloor runs the flow/goodput-floor drain check (see
+// core.Checks.CheckGoodputFloor).
+func (c *Checker) CheckGoodputFloor(base, load string, floor float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.record(c.db.CheckGoodputFloor(base, load, floor))
 }
 
 // Watch subscribes the checker to o's live event stream: every Record
@@ -320,7 +191,7 @@ func (c *Checker) Watch(o *obs.Obs) {
 	o.AddSink(c.Feed)
 }
 
-// OnViolation registers fn to run for every violation the checker flags,
+// OnViolation registers fn to run for every violation an event exposes,
 // after the flagging event finishes — the flight recorder's dump trigger.
 // Hooks run on the feeding goroutine with the checker unlocked, so a
 // hook may call Status or Violations; it must return promptly (Feed sits
@@ -342,19 +213,14 @@ func (c *Checker) Feed(e obs.Event) {
 	if c.cEvents != nil {
 		c.cEvents.Inc()
 	}
-	before := len(c.violations)
-	if e.M != nil {
-		// Incoming message first, then outputs: replies emitted in the same
-		// step as a delivery must see the just-delivered transactions (the
-		// usual SMR shape), matching the bridge's replay order.
-		c.checkIncoming(e)
-		for _, o := range e.Outs {
-			c.checkOutgoing(e, o)
-		}
-	}
 	var fresh []Violation
-	if len(c.violations) > before {
-		fresh = append(fresh, c.violations[before:]...)
+	if e.M != nil {
+		ev := verify.Event{Loc: e.Loc, At: e.At, In: *e.M, Outs: e.Outs, LC: e.LC, Trace: e.Trace}
+		if c.groupOf != nil {
+			ev.Group = c.groupOf(e.Loc)
+		}
+		fresh = c.mon.Step(&ev)
+		c.record(fresh)
 	}
 	c.mu.Unlock()
 	if len(fresh) == 0 {
@@ -370,8 +236,15 @@ func (c *Checker) Feed(e obs.Event) {
 	}
 }
 
-// FeedAll replays a recorded trace through the incremental checker —
-// offline use of the online logic (collector results, saved traces).
+// record appends flagged violations (callers hold mu).
+func (c *Checker) record(vs []Violation) {
+	c.violations = append(c.violations, vs...)
+	if c.cViolations != nil {
+		c.cViolations.Add(int64(len(vs)))
+	}
+}
+
+// FeedAll replays a recorded trace through the checker.
 func (c *Checker) FeedAll(events []obs.Event) {
 	for _, e := range events {
 		c.Feed(e)
@@ -392,15 +265,14 @@ func (c *Checker) Err() error {
 	if len(c.violations) == 0 {
 		return nil
 	}
-	v := c.violations[0]
-	return &v
+	return c.violations[0]
 }
 
 // Status summarizes the checker for the admin endpoint.
 type Status struct {
 	// Events is the number of events fed.
 	Events int64 `json:"events"`
-	// Slots is the number of broadcast slots fingerprinted.
+	// Slots is the number of broadcast slots with an identified batch.
 	Slots int `json:"slots"`
 	// Decided is the number of consensus instances with a chosen value.
 	Decided int `json:"decided"`
@@ -410,6 +282,10 @@ type Status struct {
 	// means a 2PC is stuck mid-protocol somewhere).
 	CrossShard int `json:"cross_shard"`
 	CrossOpen  int `json:"cross_open"`
+	// Invariants says, per property, how many events were in its scope —
+	// zero means the run certified it vacuously — or which deployment
+	// fact it is still waiting for.
+	Invariants []verify.Coverage `json:"invariants"`
 	// Violations are the flagged failures (empty means clean so far).
 	Violations []Violation `json:"violations"`
 }
@@ -420,472 +296,20 @@ func (c *Checker) Status() Status {
 	defer c.mu.Unlock()
 	return Status{
 		Events:     c.events,
-		Slots:      len(c.batch),
-		Decided:    len(c.chosen),
-		CrossShard: len(c.xoutcome),
-		CrossOpen:  len(c.openCross()),
+		Slots:      c.bcast.Slots(),
+		Decided:    c.bcast.Decided(),
+		CrossShard: c.cross.Decided(),
+		CrossOpen:  len(c.cross.Open()),
+		Invariants: c.mon.Coverage(),
 		Violations: append([]Violation(nil), c.violations...),
 	}
 }
 
 // OpenCrossShard lists distributed transactions that some location
-// delivered a prepare for without (yet) delivering the decision. After a
-// drain the list must be empty: every prepared participant has learned
-// the outcome, so no reservation is held forever.
+// delivered a prepare for without (yet) delivering the decision (see
+// shard.Checks.Open).
 func (c *Checker) OpenCrossShard() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.openCross()
-}
-
-func (c *Checker) openCross() []string {
-	open := make(map[string]bool)
-	for loc, preps := range c.xprep {
-		for id := range preps {
-			if !c.xdec[loc][id] {
-				open[id] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(open))
-	for id := range open {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (c *Checker) flag(e obs.Event, property, format string, args ...any) {
-	c.violations = append(c.violations, Violation{
-		Property: property, Detail: fmt.Sprintf(format, args...),
-		Loc: e.Loc, At: e.At, LC: e.LC, Trace: e.Trace,
-	})
-	if c.cViolations != nil {
-		c.cViolations.Inc()
-	}
-}
-
-// batchFingerprint is the order-insensitive identity of a delivered
-// batch (same normalization as broadcast.sameBatch: sorted message keys).
-func batchFingerprint(msgs []broadcast.Bcast) string {
-	keys := make([]string, len(msgs))
-	for i, b := range msgs {
-		keys[i] = string(b.From) + "/" + itoa(b.Seq)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\x01")
-}
-
-func (c *Checker) checkIncoming(e obs.Event) {
-	m := *e.M
-	switch b := m.Body.(type) {
-	case broadcast.Deliver:
-		if m.Hdr != broadcast.HdrDeliver {
-			return
-		}
-		slot := int64(b.Slot)
-		slotKey := c.group(e.Loc) + "\x00" + itoa(slot)
-
-		// broadcast/total-order: every node of the group must see the
-		// same batch in the same slot. The first receipt fingerprints the
-		// slot; any later receipt (same node or another) must match.
-		fp := batchFingerprint(b.Msgs)
-		if prev, ok := c.batch[slotKey]; !ok {
-			c.batch[slotKey] = fp
-			c.batchLoc[slotKey] = e.Loc
-		} else if prev != fp {
-			c.flag(e, "broadcast/total-order",
-				"%s received a batch for slot %d that differs from the one %s received",
-				e.Loc, slot, c.batchLoc[slotKey])
-		}
-
-		// broadcast/in-order-delivery: per node, slots arrive gap-free
-		// ascending (repeats of seen slots are fine — several service
-		// nodes notify the same subscriber).
-		h, seen := c.high[e.Loc]
-		if !seen {
-			h = -1
-		}
-		if slot > h+1 {
-			if c.restarted[e.Loc] {
-				// Announced restart or join: the node re-enters the stream
-				// here. Its delivery history now has a hole, so per-location
-				// epoch derivation is off for it from here on.
-				h = slot - 1
-				c.high[e.Loc] = h
-				c.baselined[e.Loc] = true
-				delete(c.locViews, e.Loc)
-			} else {
-				c.flag(e, "broadcast/in-order-delivery",
-					"%s received slot %d before slot %d", e.Loc, slot, h+1)
-			}
-		}
-		if slot == h+1 {
-			c.high[e.Loc] = slot
-		}
-		if slot >= h+1 {
-			// The excuse is consumed by the re-entry delivery itself (the
-			// re-baseline above, or a contiguous resume when nothing was
-			// missed) — not by a duplicate of an already-seen slot, which a
-			// healing partition can flush out just before the node actually
-			// re-enters the stream.
-			delete(c.restarted, e.Loc)
-		}
-
-		// Record the delivered transactions for durability, and the 2PC
-		// records for cross-shard atomicity.
-		for _, bc := range b.Msgs {
-			if cmd, ok := member.DecodeCommand(bc.Payload); ok {
-				c.noteMemberCmd(e, cmd, slot)
-				continue
-			}
-			if ren, ok := core.DecodeLease(bc.Payload); ok {
-				// Renewals are the ordered clock beacons: the highest
-				// issue delivered here bounds how far behind real time
-				// this node's applied state can be. >= so an issue of 0
-				// (a renewal proposed at the simulation epoch) still
-				// creates the map entry checkReadServe keys on.
-				if iss := int64(ren.Issue); iss >= c.lIssue[e.Loc] {
-					c.lIssue[e.Loc] = iss
-				}
-				continue
-			}
-			if p, ok := shard.DecodePrepare(bc.Payload); ok {
-				if c.xprep[e.Loc] == nil {
-					c.xprep[e.Loc] = make(map[string]bool)
-				}
-				c.xprep[e.Loc][p.TxID] = true
-				continue
-			}
-			if d, ok := shard.DecodeDecision(bc.Payload); ok {
-				c.noteCrossDecision(e, d)
-				continue
-			}
-			req, err := core.DecodeTx(bc.Payload)
-			if err != nil {
-				continue
-			}
-			c.noteDeliveredTx(e.Loc, req.Key())
-			if c.lDur != 0 {
-				c.txSlot[c.group(e.Loc)+"\x00"+req.Key()] = slot
-			}
-		}
-
-	case core.SMRCatchup:
-		// Catch-up deliveries are ordered slots served from a peer's
-		// journal: transactions applied through them are as delivered as
-		// the live ones, and a restarted lease holder may later
-		// acknowledge them (re-acks). Credit durability only — the
-		// ordering properties are checked against the live stream.
-		if m.Hdr == core.HdrSMRCatchup {
-			for _, d := range b.Delivers {
-				for _, bc := range d.Msgs {
-					if req, err := core.DecodeTx(bc.Payload); err == nil {
-						c.noteDeliveredTx(e.Loc, req.Key())
-						continue
-					}
-					if ren, ok := core.DecodeLease(bc.Payload); ok {
-						// A renewal applied through catch-up is the same
-						// ordered slot as a live one: it advances this
-						// node's clock beacon exactly like a Deliver.
-						if iss := int64(ren.Issue); iss >= c.lIssue[e.Loc] {
-							c.lIssue[e.Loc] = iss
-						}
-					}
-				}
-			}
-		}
-
-	case core.SnapEnd:
-		// A state transfer carries the sender's newest cached result per
-		// client; the receiver may re-acknowledge exactly those after
-		// becoming the lease holder.
-		if m.Hdr == core.HdrSnapEnd {
-			for _, res := range b.Recent {
-				c.noteDeliveredTx(e.Loc, core.TxRequest{Client: res.Client, Seq: res.Seq}.Key())
-			}
-		}
-
-	case synod.P2b:
-		// The certificate material for member/stale-quorum: remember which
-		// acceptors acknowledged phase 2 to this location, per instance and
-		// ballot, until the decision is announced and checked.
-		if m.Hdr == synod.HdrP2b && c.mAlpha != 0 {
-			k := string(e.Loc) + "\x00" + itoa(int64(b.Inst))
-			if c.p2b[k] == nil {
-				c.p2b[k] = make(map[string]map[msg.Loc]bool)
-			}
-			bal := b.B.String()
-			if c.p2b[k][bal] == nil {
-				c.p2b[k][bal] = make(map[msg.Loc]bool)
-			}
-			c.p2b[k][bal][b.From] = true
-		}
-
-	case synod.Decide:
-		if m.Hdr == synod.HdrDecide {
-			c.noteDecide(e, "synod", int64(b.Inst), b.Val)
-		}
-	case twothird.Decide:
-		if m.Hdr == twothird.HdrDecide {
-			c.noteDecide(e, "twothird", int64(b.Inst), b.Val)
-		}
-	}
-}
-
-// noteDeliveredTx records that loc received req (by key) in an ordered
-// delivery, a catch-up batch, or a state transfer — the justification
-// set for shadowdb/durability.
-func (c *Checker) noteDeliveredTx(loc msg.Loc, key string) {
-	if c.delivered[loc] == nil {
-		c.delivered[loc] = make(map[string]bool)
-	}
-	c.delivered[loc][key] = true
-}
-
-// noteMemberCmd folds one delivered membership command into the shadow
-// views and checks member/epoch-config: every derivation of an epoch —
-// canonical or by any full-history location — must produce the same
-// configuration fingerprint.
-func (c *Checker) noteMemberCmd(e obs.Event, cmd member.Command, slot int64) {
-	if c.mAlpha == 0 {
-		return
-	}
-	g := c.group(e.Loc)
-	gv := c.mviews[g]
-	if gv == nil {
-		gv = member.NewView(c.mInitial, c.mAlpha)
-		c.mviews[g] = gv
-	}
-	if cfg, ok := gv.Apply(cmd, int(slot)); ok {
-		c.noteEpoch(e, g, cfg)
-	}
-	// Per-location derivation only makes sense over a complete command
-	// history; joiners and restarted nodes are covered by the canonical
-	// view alone.
-	if c.baselined[e.Loc] {
-		return
-	}
-	lv := c.locViews[e.Loc]
-	if lv == nil {
-		lv = member.NewView(c.mInitial, c.mAlpha)
-		c.locViews[e.Loc] = lv
-	}
-	if cfg, ok := lv.Apply(cmd, int(slot)); ok {
-		c.noteEpoch(e, g, cfg)
-	}
-}
-
-// noteEpoch enforces one configuration per epoch: the first derivation
-// fingerprints the epoch, any later conflicting derivation is flagged.
-func (c *Checker) noteEpoch(e obs.Event, g string, cfg member.Config) {
-	k := g + "\x00" + itoa(int64(cfg.Epoch))
-	fp := cfg.Fingerprint()
-	if prev, ok := c.epochFP[k]; !ok {
-		c.epochFP[k] = fp
-		c.epochLoc[k] = e.Loc
-	} else if prev != fp {
-		c.flag(e, "member/epoch-config",
-			"%s derived config %q for epoch %d, conflicting with %q first derived at %s",
-			e.Loc, fp, cfg.Epoch, prev, c.epochLoc[k])
-	}
-}
-
-func (c *Checker) checkOutgoing(e obs.Event, o msg.Directive) {
-	if c.flowOn {
-		c.flowOutgoing(e, o)
-	}
-	switch b := o.M.Body.(type) {
-	case synod.Decide:
-		if o.M.Hdr == synod.HdrDecide {
-			c.noteDecide(e, "synod", int64(b.Inst), b.Val)
-			c.checkDecideQuorum(e, b.Inst)
-		}
-	case twothird.Decide:
-		if o.M.Hdr == twothird.HdrDecide {
-			c.noteDecide(e, "twothird", int64(b.Inst), b.Val)
-		}
-	case core.TxResult:
-		// shadowdb/durability: a successful reply must name a
-		// transaction previously delivered to the replier in an ordered
-		// batch. Locations that never received a transaction-bearing
-		// Deliver (PBR replicas) are out of scope, as in the bridge.
-		if o.M.Hdr != core.HdrTxResult || b.Err != "" {
-			return
-		}
-		set := c.delivered[e.Loc]
-		if set == nil {
-			return
-		}
-		key := core.TxRequest{Client: b.Client, Seq: b.Seq}.Key()
-		if !set[key] {
-			c.flag(e, "shadowdb/durability",
-				"%s acknowledged %s without an ordered delivery", e.Loc, key)
-		}
-		if c.lDur != 0 {
-			c.noteAck(e, key)
-		}
-
-	case *core.ReadResult:
-		if o.M.Hdr == core.HdrReadResult {
-			c.checkReadServe(e, b)
-		}
-	}
-}
-
-// noteAck appends one acknowledged write to the group's ack history:
-// the running max of delivered slots among acked transactions, at the
-// acknowledgement's time. Entry times are kept monotone so the serve
-// checks can binary-search the history.
-func (c *Checker) noteAck(e obs.Event, key string) {
-	g := c.group(e.Loc)
-	slot, ok := c.txSlot[g+"\x00"+key]
-	if !ok {
-		return
-	}
-	hist := c.ackedHist[g]
-	at, mx := e.At, slot
-	if n := len(hist); n > 0 {
-		if hist[n-1].maxSlot > mx {
-			mx = hist[n-1].maxSlot
-		}
-		if hist[n-1].at > at {
-			at = hist[n-1].at
-		}
-	}
-	c.ackedHist[g] = append(hist, ackPoint{at: at, maxSlot: mx})
-}
-
-// maxAckedBefore returns the highest delivered slot among writes of
-// group g acknowledged strictly before time t (-1 when none).
-func (c *Checker) maxAckedBefore(g string, t int64) int64 {
-	hist := c.ackedHist[g]
-	// First entry with at >= t; the one before it is the latest ack
-	// strictly before t, and its maxSlot is the running maximum.
-	i := sort.Search(len(hist), func(i int) bool { return hist[i].at >= t })
-	if i == 0 {
-		return -1
-	}
-	return hist[i-1].maxSlot
-}
-
-// checkReadServe audits one served local read against the lease
-// properties (see SetLease). Rejections and errors are not serves and
-// are out of scope — rejecting is always safe.
-func (c *Checker) checkReadServe(e obs.Event, b *core.ReadResult) {
-	if c.lDur == 0 || b.Rejected || b.Err != "" {
-		return
-	}
-	g := c.group(e.Loc)
-	switch b.Mode {
-	case core.ReadLease:
-		// read/lease-expiry: the serve must fall inside the window of a
-		// renewal this node demonstrably applied. A node partitioned
-		// away from the total order stops receiving renewals, so its
-		// delivered issue frontier freezes and this catches it the
-		// moment it overstays.
-		if iss, ok := c.lIssue[e.Loc]; !ok || e.At > iss+c.lDur {
-			c.flag(e, "read/lease-expiry",
-				"%s served a lease read at t=%d past its lease window (last delivered renewal issued %d, dur %d)",
-				e.Loc, e.At, iss, c.lDur)
-		}
-		// read/lease-linearizability: the serving state must include
-		// every write acknowledged before the serve.
-		if want := c.maxAckedBefore(g, e.At); int64(b.Slot) < want {
-			c.flag(e, "read/lease-linearizability",
-				"%s served a lease read at slot frontier %d, behind acknowledged write slot %d",
-				e.Loc, b.Slot, want)
-		}
-	case core.ReadFollower:
-		// read/follower-staleness: the serving state must include every
-		// write acknowledged more than MaxStale before the serve.
-		if want := c.maxAckedBefore(g, e.At-c.lMaxStale); int64(b.Slot) < want {
-			c.flag(e, "read/follower-staleness",
-				"%s served a follower read at slot frontier %d, missing write slot %d acknowledged more than %dns earlier",
-				e.Loc, b.Slot, want, c.lMaxStale)
-		}
-	}
-}
-
-// checkDecideQuorum enforces member/stale-quorum: the first Decide a
-// location announces for an instance must be backed by phase-2
-// acknowledgements from a majority of the acceptor set of the epoch
-// governing that instance, within a single ballot. A certificate drawn
-// from a superseded configuration — a commander that kept counting a
-// quorum of the old acceptors after the epoch switched — is exactly the
-// split-brain hazard dynamic membership introduces. Locations that
-// re-announce a decision they learned (no recorded P2bs) are skipped;
-// the entry is deleted after the one check.
-func (c *Checker) checkDecideQuorum(e obs.Event, inst int) {
-	if c.mAlpha == 0 {
-		return
-	}
-	k := string(e.Loc) + "\x00" + itoa(int64(inst))
-	ballots, ok := c.p2b[k]
-	if !ok {
-		return
-	}
-	delete(c.p2b, k)
-	gv := c.mviews[c.group(e.Loc)]
-	if gv == nil {
-		// No member command delivered yet: the initial epoch governs.
-		gv = member.NewView(c.mInitial, c.mAlpha)
-	}
-	accs := gv.AcceptorsFor(inst)
-	maj := len(accs)/2 + 1
-	for _, senders := range ballots {
-		n := 0
-		for _, a := range accs {
-			if senders[a] {
-				n++
-			}
-		}
-		if n >= maj {
-			return
-		}
-	}
-	c.flag(e, "member/stale-quorum",
-		"%s decided instance %d without a single-ballot majority of epoch %d's acceptors %v",
-		e.Loc, inst, gv.EpochOf(inst).Epoch, accs)
-}
-
-// noteDecide enforces consensus/single-value-per-slot across sent and
-// received Decide announcements of both protocols, within the deciding
-// location's group.
-func (c *Checker) noteDecide(e obs.Event, proto string, inst int64, val string) {
-	k := c.group(e.Loc) + "\x00" + proto + "\x00" + itoa(inst)
-	if prev, ok := c.chosen[k]; ok {
-		if prev != val {
-			c.flag(e, "consensus/single-value-per-slot",
-				"%s instance %d decided twice: %q and %q", proto, inst, prev, val)
-		}
-		return
-	}
-	c.chosen[k] = val
-}
-
-// noteCrossDecision enforces shard/cross-atomicity on one delivered 2PC
-// decision: every participant must deliver the same verdict, and a
-// commit verdict must land on a location that previously delivered the
-// transaction's prepare (an abort without a prepare is legitimate — the
-// coordinator aborts when a partitioned shard never saw the prepare —
-// but a commit without one would apply effects the shard never voted
-// for).
-func (c *Checker) noteCrossDecision(e obs.Event, d shard.Decision) {
-	if prev, ok := c.xoutcome[d.TxID]; ok {
-		if prev != d.Commit {
-			c.flag(e, "shard/cross-atomicity",
-				"transaction %s decided both commit and abort across shards", d.TxID)
-		}
-	} else {
-		c.xoutcome[d.TxID] = d.Commit
-	}
-	if d.Commit && !c.xprep[e.Loc][d.TxID] {
-		c.flag(e, "shard/cross-atomicity",
-			"%s delivered a commit for %s without delivering its prepare", e.Loc, d.TxID)
-	}
-	if c.xdec[e.Loc] == nil {
-		c.xdec[e.Loc] = make(map[string]bool)
-	}
-	c.xdec[e.Loc][d.TxID] = true
+	return c.cross.Open()
 }

@@ -3,10 +3,13 @@ package dist
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
+	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/shard"
 )
 
 // Collector pulls per-node trace rings and merges them into one global
@@ -21,6 +24,9 @@ type Collector struct {
 
 	nodes map[string][]obs.Event
 	order []string
+	// joiners are the locations the added bundles declare as having
+	// joined mid-run.
+	joiners []msg.Loc
 }
 
 // NewCollector creates an empty collector.
@@ -40,16 +46,36 @@ func (c *Collector) Add(name string, events []obs.Event) {
 	c.nodes[name] = events
 }
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// AddBundles adds the trace windows of loaded postmortem bundles, one
+// source per node in node order, and notes the nodes whose bundle config
+// marks them as mid-run joiners (their traces legitimately start past
+// slot 0).
+func (c *Collector) AddBundles(bundles ...*obs.Bundle) {
+	traces := obs.Traces(bundles...)
+	for _, n := range sortedKeys(traces) {
+		c.Add(n, traces[n])
+	}
+	for _, b := range bundles {
+		if b != nil && b.Meta.Config["joiner"] == "true" && !slices.Contains(c.joiners, b.Meta.Node) {
+			c.joiners = append(c.joiners, b.Meta.Node)
+		}
+	}
+}
+
 // Gather adds every node of an in-memory deployment: name -> its Obs.
 // Virtual (DES) nodes share one cluster Obs — pass it once under the
 // cluster's name.
 func (c *Collector) Gather(nodes map[string]*obs.Obs) {
-	names := make([]string, 0, len(nodes))
-	for n := range nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(nodes) {
 		c.Add(n, nodes[n].Events())
 	}
 }
@@ -81,18 +107,6 @@ func (c *Collector) Pull(addr string) error {
 	return nil
 }
 
-// PullAll pulls every address, returning the first error after trying
-// all (partial collections still merge what arrived).
-func (c *Collector) PullAll(addrs ...string) error {
-	var first error
-	for _, a := range addrs {
-		if err := c.Pull(a); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // Result is one collection: the per-node traces, their causal merge, the
 // reconstructed request spans, and per-node ring-overflow gaps.
 type Result struct {
@@ -109,11 +123,13 @@ type Result struct {
 	// checking over it can miss violations (never fabricate them), and
 	// span stages may be missing.
 	Gaps map[string]int64 `json:"gaps,omitempty"`
+	// Joiners are the bundle-declared mid-run joiners.
+	Joiners []msg.Loc `json:"joiners,omitempty"`
 }
 
 // Collect merges everything added so far.
 func (c *Collector) Collect() Result {
-	r := Result{Nodes: make(map[string][]obs.Event, len(c.nodes))}
+	r := Result{Nodes: make(map[string][]obs.Event, len(c.nodes)), Joiners: c.joiners}
 	traces := make([][]obs.Event, 0, len(c.order))
 	for _, name := range c.order {
 		t := c.nodes[name]
@@ -132,20 +148,32 @@ func (c *Collector) Collect() Result {
 	return r
 }
 
-// Check replays the collection through the online checker's logic and
-// returns its violations. Ring gaps are reported as an error first: an
-// overflowed ring means the trace is incomplete and a clean check proves
-// nothing about the evicted prefix.
-func (r Result) Check() ([]Violation, error) {
-	if len(r.Gaps) > 0 {
-		names := make([]string, 0, len(r.Gaps))
-		for n := range r.Gaps {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("dist: trace incomplete, ring overflowed on %v", names)
-	}
+// Check replays the collection through a fresh Checker — offline, the
+// very invariants the live subscription runs — and returns its status:
+// the violations, and per property how many events it saw or which
+// deployment fact (lease window, initial member configuration, queue
+// bound) a trace does not carry kept it from running. Group keying is
+// shard.GroupOf, a pure function of location names ("" for unsharded
+// ones), and declared joiners are excused as NoteJoin excuses them live.
+// Ring gaps are reported as an error first: an overflowed ring means the
+// trace is incomplete and a clean check proves nothing about the evicted
+// prefix.
+func (r Result) Check() (Status, error) {
 	ck := NewChecker()
+	err := r.replay(ck)
+	return ck.Status(), err
+}
+
+// replay feeds the collection to ck, which may already know deployment
+// facts.
+func (r Result) replay(ck *Checker) error {
+	if len(r.Gaps) > 0 {
+		return fmt.Errorf("dist: trace incomplete, ring overflowed on %v", sortedKeys(r.Gaps))
+	}
+	ck.SetGroupOf(shard.GroupOf)
+	for _, j := range r.Joiners {
+		ck.NoteJoin(j)
+	}
 	ck.FeedAll(r.Merged)
-	return ck.Violations(), nil
+	return nil
 }

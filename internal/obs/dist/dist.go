@@ -92,19 +92,17 @@ func Spans(events []obs.Event) []Span {
 		st := slotAt(int64(d.Slot))
 		first(&st.deliver, at)
 		for _, b := range d.Msgs {
-			key := string(b.From) + "/" + itoa(b.Seq)
-			if _, ok := spanSlot[key]; !ok {
-				spanSlot[key] = int64(d.Slot)
+			if _, ok := spanSlot[b.Key()]; !ok {
+				spanSlot[b.Key()] = int64(d.Slot)
 			}
 		}
 	}
 	scan := func(m msg.Msg, at int64, received bool) {
 		switch b := m.Body.(type) {
 		case broadcast.Bcast:
-			key := string(b.From) + "/" + itoa(b.Seq)
-			first2(submit, key, at)
+			first2(submit, b.Key(), at)
 		case core.TxRequest:
-			first2(submit, core.TxRequest{Client: b.Client, Seq: b.Seq}.Key(), at)
+			first2(submit, b.Key(), at)
 		case broadcast.Deliver:
 			if received {
 				noteDeliver(b, at)
@@ -229,29 +227,6 @@ func summarize(vs []int64) SegmentStats {
 		P99:   at(0.99),
 		Max:   vs[len(vs)-1],
 	}
-}
-
-func itoa(n int64) string {
-	// strconv-free fast path would be pointless here; keep it simple.
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 func first2(m map[string]int64, k string, at int64) {

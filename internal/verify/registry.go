@@ -1,9 +1,6 @@
 package verify
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The property registry records the correctness properties each protocol
 // module carries and how each is discharged, mirroring the last column of
@@ -64,17 +61,6 @@ func (s *Suite) Properties() []Property {
 	return append([]Property(nil), s.props...)
 }
 
-// Run checks every property and returns the first failure, annotated with
-// the property identity.
-func (s *Suite) Run() error {
-	for _, p := range s.props {
-		if err := p.Check(); err != nil {
-			return fmt.Errorf("%s/%s: %w", p.Module, p.Name, err)
-		}
-	}
-	return nil
-}
-
 // Counts summarizes a module's properties as the Table I "xA/yM" pair.
 type Counts struct {
 	Auto, Manual int
@@ -96,19 +82,5 @@ func (s *Suite) CountByModule() map[string]Counts {
 		}
 		out[p.Module] = c
 	}
-	return out
-}
-
-// Modules returns the module names in sorted order.
-func (s *Suite) Modules() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range s.props {
-		if !seen[p.Module] {
-			seen[p.Module] = true
-			out = append(out, p.Module)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

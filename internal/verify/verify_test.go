@@ -2,7 +2,6 @@ package verify
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"shadowdb/internal/gpm"
@@ -28,6 +27,21 @@ func relayGen(peers map[msg.Loc]msg.Loc) gpm.Generator {
 			return rec, nil
 		}
 		return rec
+	}
+}
+
+// stepped states a one-property model invariant as a step; mk runs per
+// schedule, so whatever it closes over starts fresh. The step returns
+// the violation, "" for none.
+func stepped(mk func() func(e *Event) string) func() []Set {
+	return func() []Set {
+		step := mk()
+		return []Set{Just(Invariant{Name: "test", Step: func(e *Event) (bool, []string) {
+			if bad := step(e); bad != "" {
+				return true, []string{bad}
+			}
+			return true, nil
+		}})}
 	}
 }
 
@@ -66,13 +80,14 @@ func TestExhaustiveFindsViolation(t *testing.T) {
 		Gen:  relayGen(peers),
 		Locs: []msg.Loc{"a", "b"},
 		Init: []Injection{{To: "a", M: msg.M("inc", nil)}},
-		Invariant: func(trace []gpm.TraceEntry) error {
-			last := trace[len(trace)-1]
-			if last.Loc == "b" && last.In.Hdr == "ack" {
-				return errors.New("b received ack")
+		Invariants: stepped(func() func(*Event) string {
+			return func(e *Event) string {
+				if e.Loc == "b" && e.In.Hdr == "ack" {
+					return "b received ack"
+				}
+				return ""
 			}
-			return nil
-		},
+		}),
 	}
 	_, err := Exhaustive(m)
 	var ce *CheckError
@@ -83,8 +98,7 @@ func TestExhaustiveFindsViolation(t *testing.T) {
 		t.Error("violation schedule is empty")
 	}
 	// The schedule must replay to the same violation.
-	res := replay(m, ce.Schedule, &Stats{})
-	if res.err == nil {
+	if _, _, err := replay(m, ce.Schedule, &Stats{}); err == nil {
 		t.Error("replaying the violating schedule did not reproduce the violation")
 	}
 }
@@ -130,7 +144,9 @@ func TestFuzzRuns(t *testing.T) {
 			{To: "a", M: msg.M("inc", nil)},
 			{To: "b", M: msg.M("inc", nil)},
 		},
-		Invariant: func([]gpm.TraceEntry) error { return nil },
+		Invariants: stepped(func() func(*Event) string {
+			return func(*Event) string { return "" }
+		}),
 	}
 	st, err := Fuzz(m, 50, 20, 42)
 	if err != nil {
@@ -194,18 +210,18 @@ func TestExhaustiveDupInjection(t *testing.T) {
 		Locs: []msg.Loc{"a", "b"},
 		Init: []Injection{{To: "b", M: msg.M("inc", nil)}},
 		Dups: 1,
-		Invariant: func(trace []gpm.TraceEntry) error {
+		Invariants: stepped(func() func(*Event) string {
 			forwards := 0
-			for _, e := range trace {
+			return func(e *Event) string {
 				if e.Loc == "b" && len(e.Outs) > 0 {
 					forwards++
 				}
+				if forwards > 1 {
+					return "duplicate delivery produced a second forward"
+				}
+				return ""
 			}
-			if forwards > 1 {
-				return errors.New("duplicate delivery produced a second forward")
-			}
-			return nil
-		},
+		}),
 	}
 	if _, err := Exhaustive(m); err != nil {
 		t.Fatal(err)
@@ -252,27 +268,26 @@ func TestFuzzFaultScheduleReplays(t *testing.T) {
 		Locs: []msg.Loc{"a", "b"},
 		Init: []Injection{{To: "b", M: msg.M("inc", nil)}},
 		Dups: 1,
-		Invariant: func(trace []gpm.TraceEntry) error {
+		Invariants: stepped(func() func(*Event) string {
 			// Deliberately falsifiable: "b never steps twice".
 			steps := 0
-			for _, e := range trace {
+			return func(e *Event) string {
 				if e.Loc == "b" {
 					steps++
 				}
+				if steps > 1 {
+					return "b stepped twice"
+				}
+				return ""
 			}
-			if steps > 1 {
-				return errors.New("b stepped twice")
-			}
-			return nil
-		},
+		}),
 	}
 	_, err := Fuzz(m, 500, 20, 3)
 	var ce *CheckError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CheckError (duplication makes b step twice)", err)
 	}
-	res := replay(m, ce.Schedule, &Stats{})
-	if res.err == nil {
+	if _, _, err := replay(m, ce.Schedule, &Stats{}); err == nil {
 		t.Error("replaying the fuzzer's fault schedule did not reproduce the violation")
 	}
 }
@@ -377,9 +392,6 @@ func TestSuite(t *testing.T) {
 		Property{Module: "X", Name: "p2", Mode: Manual, Check: func() error { return nil }},
 		Property{Module: "Y", Name: "q", Mode: Auto, Check: func() error { return nil }},
 	)
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
 	counts := s.CountByModule()
 	if counts["X"] != (Counts{Auto: 1, Manual: 1}) {
 		t.Errorf("X counts = %+v", counts["X"])
@@ -387,15 +399,8 @@ func TestSuite(t *testing.T) {
 	if counts["X"].String() != "1A/1M" {
 		t.Errorf("X counts string = %q", counts["X"].String())
 	}
-	if got := s.Modules(); len(got) != 2 || got[0] != "X" || got[1] != "Y" {
-		t.Errorf("Modules = %v", got)
-	}
-
-	s.Add(Property{Module: "Z", Name: "fails", Mode: Auto, Check: func() error {
-		return fmt.Errorf("boom")
-	}})
-	if err := s.Run(); err == nil {
-		t.Error("suite with failing property passed")
+	if got := len(s.Properties()); got != 3 {
+		t.Errorf("suite holds %d properties, want 3", got)
 	}
 }
 
@@ -427,5 +432,73 @@ func TestSymmetryPruning(t *testing.T) {
 	// interleavings below remain.
 	if st.Schedules != 2 {
 		t.Errorf("explored %d schedules, want 2 (pruned from 4)", st.Schedules)
+	}
+}
+
+func TestMonitorFoldsSkipsAndCounts(t *testing.T) {
+	// Two sets. The first folds a fact its invariants read; its second
+	// invariant waits for a deployment fact. The second set repeats a
+	// property name, which shares one coverage entry.
+	var folded string
+	ready := false
+	hdrIs := func(h string) func(*Event) (bool, []string) {
+		return func(e *Event) (bool, []string) {
+			if folded != e.In.Hdr {
+				t.Errorf("step ran before the fold of %q", e.In.Hdr)
+			}
+			if e.In.Hdr != h {
+				return false, nil
+			}
+			return true, []string{"saw " + h}
+		}
+	}
+	mon := NewMonitor(
+		Set{Fold: func(e *Event) { folded = e.In.Hdr }, Invariants: []Invariant{
+			{Name: "p/always", Step: hdrIs("x")},
+			{Name: "p/needs-fact", Step: hdrIs("x"), Needs: "the fact", Known: func() bool { return ready }},
+		}},
+		Just(Invariant{Name: "p/always", Step: hdrIs("y")}),
+	)
+	step := func(h string) []Violation {
+		return mon.Step(&Event{Loc: "a", At: 7, In: msg.M(h, nil), LC: 3, Trace: "tr"})
+	}
+	if vs := step("x"); len(vs) != 1 || vs[0] != (Violation{Property: "p/always", Detail: "saw x", Loc: "a", At: 7, LC: 3, Trace: "tr"}) {
+		t.Fatalf("violations = %+v", vs)
+	}
+	if cov := mon.Coverage(); cov[1] != (Coverage{Name: "p/needs-fact", Skipped: "the fact"}) {
+		t.Fatalf("waiting property reported as %+v", cov[1])
+	}
+	ready = true
+	if vs := step("x"); len(vs) != 2 {
+		t.Fatalf("with the fact known: %+v", vs)
+	}
+	step("y")
+	step("z")
+	want := []Coverage{{Name: "p/always", Seen: 3}, {Name: "p/needs-fact", Seen: 1}}
+	if cov := mon.Coverage(); len(cov) != 2 || cov[0] != want[0] || cov[1] != want[1] {
+		t.Fatalf("coverage = %+v, want %+v", cov, want)
+	}
+}
+
+func TestAgreementKeysByGroup(t *testing.T) {
+	a := NewAgreement("proto", func(hdr string, body any) (int, string, bool) {
+		v, ok := body.(string)
+		return 0, v, ok && hdr == "decide"
+	})
+	mon := NewMonitor(Just(a.Invariant(), a.Validity(map[string]bool{"v": true, "w": true})))
+	decide := func(group, val string) []Violation {
+		return mon.Step(&Event{Loc: "n", Group: group, Outs: []msg.Directive{msg.Send("m", msg.M("decide", val))}})
+	}
+	if vs := append(decide("s0", "v"), decide("s1", "w")...); len(vs) != 0 {
+		t.Fatalf("independent groups compared: %v", vs)
+	}
+	if vs := decide("s0", "w"); len(vs) != 1 || vs[0].Property != "consensus/single-value-per-slot" {
+		t.Fatalf("second value in one group: %v", vs)
+	}
+	if vs := decide("s2", "u"); len(vs) != 1 || vs[0].Property != "consensus/validity" {
+		t.Fatalf("unproposed value: %v", vs)
+	}
+	if a.Decided() != 3 {
+		t.Fatalf("Decided = %d, want 3", a.Decided())
 	}
 }
