@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -14,12 +15,15 @@ type DB struct {
 	mu     sync.Mutex
 	eng    Engine
 	tables map[string]*Table
-	inTx   bool
-	undo   []func()
-	cache  map[string]Stmt
-	stats  Stats
-	// keyBuf is the reusable PK-encoding scratch of the point-access
-	// fast paths (point.go); guarded by mu like everything else.
+	// gen counts schema changes; plans resolved at an older generation
+	// are rebuilt (plan.go).
+	gen   uint64
+	inTx  bool
+	undo  []func()
+	cache map[string]*prepared
+	stats Stats
+	// keyBuf is the reusable PK-encoding scratch of every lookup; guarded
+	// by mu like everything else.
 	keyBuf []byte
 }
 
@@ -74,7 +78,7 @@ func New(eng Engine) *DB {
 	return &DB{
 		eng:    eng,
 		tables: make(map[string]*Table),
-		cache:  make(map[string]Stmt),
+		cache:  make(map[string]*prepared),
 	}
 }
 
@@ -110,26 +114,27 @@ func (db *DB) TableLen(name string) (int, bool) {
 func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	stmt, ok := db.cache[sql]
+	p, ok := db.cache[sql]
 	if !ok {
-		var err error
-		stmt, err = Parse(sql)
+		stmt, err := Parse(sql)
 		if err != nil {
 			return Result{}, err
 		}
-		db.cache[sql] = stmt
+		p = &prepared{stmt: stmt}
+		db.cache[sql] = p
 	}
-	return db.execStmt(stmt, args)
+	return db.execStmt(p, args)
 }
 
 // ExecStmt executes a pre-parsed statement.
 func (db *DB) ExecStmt(stmt Stmt, args ...Value) (Result, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.execStmt(stmt, args)
+	return db.execStmt(&prepared{stmt: stmt}, args)
 }
 
-func (db *DB) execStmt(stmt Stmt, args []Value) (Result, error) {
+func (db *DB) execStmt(p *prepared, args []Value) (Result, error) {
+	stmt := p.stmt
 	switch stmt.(type) {
 	case Begin, Commit, Rollback:
 		// Transaction control does no table work and is free in the cost
@@ -143,13 +148,13 @@ func (db *DB) execStmt(stmt Stmt, args []Value) (Result, error) {
 	case DropTable:
 		return db.execDrop(st)
 	case Insert:
-		return db.execInsert(st, args)
+		return db.execInsert(p, st, args)
 	case Select:
-		return db.execSelect(st, args)
+		return db.execSelect(p, st, args)
 	case Update:
-		return db.execUpdate(st, args)
+		return db.execUpdate(p, st, args)
 	case Delete:
-		return db.execDelete(st, args)
+		return db.execDelete(p, st, args)
 	case Begin:
 		if db.inTx {
 			return Result{}, ErrInTx
@@ -239,6 +244,17 @@ func (db *DB) table(name string) (*Table, error) {
 	return t, nil
 }
 
+// setTable installs (or, with nil, removes) a table and retires every
+// plan resolved against the old schema.
+func (db *DB) setTable(name string, t *Table) {
+	if t == nil {
+		delete(db.tables, name)
+	} else {
+		db.tables[name] = t
+	}
+	db.gen++
+}
+
 func (db *DB) execCreate(st CreateTable) (Result, error) {
 	if _, exists := db.tables[st.Name]; exists {
 		if st.IfNotExists {
@@ -250,8 +266,8 @@ func (db *DB) execCreate(st CreateTable) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	db.tables[st.Name] = t
-	db.pushUndo(func() { delete(db.tables, st.Name) })
+	db.setTable(st.Name, t)
+	db.pushUndo(func() { db.setTable(st.Name, nil) })
 	return Result{}, nil
 }
 
@@ -263,29 +279,20 @@ func (db *DB) execDrop(st DropTable) (Result, error) {
 		}
 		return Result{}, fmt.Errorf("%w: %s", ErrNoTable, st.Name)
 	}
-	delete(db.tables, st.Name)
-	db.pushUndo(func() { db.tables[st.Name] = t })
+	db.setTable(st.Name, nil)
+	db.pushUndo(func() { db.setTable(st.Name, t) })
 	return Result{}, nil
 }
 
-func (db *DB) execInsert(st Insert, args []Value) (Result, error) {
-	t, err := db.table(st.Table)
+func (db *DB) execInsert(p *prepared, st Insert, args []Value) (Result, error) {
+	pl, err := db.planFor(p, st.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	cols := st.Cols
-	if len(cols) == 0 {
-		cols = make([]string, len(t.Cols))
-		for i, c := range t.Cols {
-			cols[i] = c.Name
-		}
+	if pl.insErr != nil {
+		return Result{}, pl.insErr
 	}
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
-		if colIdx[i], err = t.colIndex(c); err != nil {
-			return Result{}, err
-		}
-	}
+	t, cols := pl.t, pl.insCols
 	n := 0
 	for _, exprs := range st.Rows {
 		if len(exprs) != len(cols) {
@@ -297,170 +304,90 @@ func (db *DB) execInsert(st Insert, args []Value) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			if row[colIdx[i]], err = coerce(v, t.Cols[colIdx[i]].Kind); err != nil {
+			if row[cols[i]], err = coerce(v, t.Cols[cols[i]].Kind); err != nil {
 				return Result{}, err
 			}
 		}
-		key := t.key(row)
-		if _, dup := t.rows[key]; dup {
+		db.keyBuf = t.appendKey(db.keyBuf[:0], row)
+		key, dup := t.idx.put(db.keyBuf, row, false)
+		if dup {
 			return Result{}, fmt.Errorf("%w: %s", ErrDuplicate, t.Name)
 		}
-		t.put(key, row)
 		db.stats.RowsInserted++
-		db.pushUndo(func() { t.del(key) })
+		db.pushUndo(func() { t.idx.delete(key) })
 		n++
 	}
 	return Result{Affected: n}, nil
 }
 
-// matchRows returns the keys of rows satisfying the WHERE conjuncts,
-// using the PK index when the conjuncts pin every PK column by equality.
-func (db *DB) matchRows(t *Table, where []Cond, args []Value) ([]string, error) {
-	return db.matchRowsN(t, where, args, -1)
-}
-
-// matchRowsN is matchRows with an optional bound on matches (max < 0 =
-// unbounded). Because scanning follows PK order, a bounded match is the
-// ORDER-BY-PK-prefix LIMIT fast path.
-func (db *DB) matchRowsN(t *Table, where []Cond, args []Value, max int) ([]string, error) {
-	conds := make([]compiledCond, 0, len(where))
-	for _, c := range where {
-		idx, err := t.colIndex(c.Col)
+// matchRows returns the rows satisfying the plan's WHERE conjuncts, in
+// PK order, stopping after max matches when max >= 0 (the LIMIT fast
+// path of an ORDER BY that follows the scan order). The index is used
+// as far as the conjuncts pin leading PK columns by equality: all of
+// them is a point lookup, some a range scan over the keys sharing the
+// encoded prefix, as a clustered-index range scan would; none is a
+// full scan.
+func (db *DB) matchRows(pl *plan, args []Value, max int) ([]entry, error) {
+	t := pl.t
+	conds := pl.vals[:0]
+	for _, c := range pl.conds {
+		if c.err != nil {
+			return nil, c.err
+		}
+		v, err := evalExpr(c.val, nil, nil, args)
 		if err != nil {
 			return nil, err
 		}
-		v, err := evalExpr(c.Val, nil, nil, args)
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, compiledCond{col: idx, op: c.Op, val: v})
+		conds = append(conds, compiledCond{col: c.col, op: c.op, val: v})
 	}
-	// PK fast path: every PK column pinned by equality.
-	if key, ok := pkLookup(t, conds); ok {
-		row, exists := t.rows[key]
+	pl.vals = conds
+	// A pinned value that cannot be stored in its column matches no key
+	// encoding; such a statement scans the whole table and finds
+	// nothing.
+	prefix := db.keyBuf[:0]
+	for i, at := range pl.pinned {
+		v, err := coerce(conds[at].val, t.Cols[t.PK[i]].Kind)
+		if err != nil {
+			prefix = prefix[:0]
+			break
+		}
+		prefix = appendKeyPart(prefix, v)
+	}
+	db.keyBuf = prefix
+	if len(prefix) > 0 && len(pl.pinned) == len(t.PK) {
+		e, exists := t.idx.get(prefix)
 		if !exists {
 			return nil, nil
 		}
 		db.stats.RowsRead++
-		if !rowMatches(row, conds) {
+		if !rowMatches(e.row, conds) {
 			return nil, nil
 		}
-		return []string{key}, nil
-	}
-	// PK-prefix range: when the leading PK columns are pinned by
-	// equality, only the matching key range needs scanning (the key
-	// encoding is prefix-ordered), as a clustered-index range scan would.
-	scan := t.sortedKeys()
-	if lo, hi, ok := pkPrefixRange(t, conds); ok {
-		start := sort.SearchStrings(scan, lo)
-		end := sort.SearchStrings(scan, hi)
-		scan = scan[start:end]
+		return []entry{e}, nil
 	}
 	// Matched rows count as reads; rows merely examined count as scans,
 	// which the engines price like an indexed range scan (see
 	// Engine.PerRowScan).
-	var keys []string
-	for _, k := range scan {
-		if rowMatches(t.rows[k], conds) {
-			db.stats.RowsRead++
-			keys = append(keys, k)
-			if max >= 0 && len(keys) >= max {
-				break
-			}
-		} else {
+	var out []entry
+	t.idx.ascend(prefix, func(e entry) bool {
+		if !bytes.HasPrefix(e.key, prefix) {
+			return false
+		}
+		if !rowMatches(e.row, conds) {
 			db.stats.RowsScanned++
+			return true
 		}
-	}
-	return keys, nil
-}
-
-// pkPrefixRange returns the key range [lo, hi) covering rows whose
-// leading PK columns equal the pinned values, and ok=false when the first
-// PK column is not pinned by equality.
-func pkPrefixRange(t *Table, conds []compiledCond) (lo, hi string, ok bool) {
-	pinned := make(map[int]Value, len(conds))
-	for _, c := range conds {
-		if c.op == OpEq {
-			pinned[c.col] = c.val
-		}
-	}
-	prefix := ""
-	n := 0
-	for _, pk := range t.PK {
-		v, isPinned := pinned[pk]
-		if !isPinned {
-			break
-		}
-		cv, err := coerce(v, t.Cols[pk].Kind)
-		if err != nil {
-			return "", "", false
-		}
-		if n > 0 {
-			prefix += "\x00"
-		}
-		prefix += encodeKeyPart(cv)
-		n++
-	}
-	if n == 0 {
-		return "", "", false
-	}
-	// Keys with this prefix continue with "\x00" (more PK columns) or end
-	// exactly here; "\xff" upper-bounds both since encodeKeyPart output
-	// never starts with bytes >= 0xf8.
-	return prefix, prefix + "\xff", true
+		db.stats.RowsRead++
+		out = append(out, e)
+		return max < 0 || len(out) < max
+	})
+	return out, nil
 }
 
 type compiledCond struct {
 	col int
 	op  CondOp
 	val Value
-}
-
-// orderFollowsPK reports whether ordering by st.OrderBy ascending is
-// already the PK scan order, i.e. the column is a PK column and every PK
-// column before it is pinned by equality in the WHERE clause.
-func orderFollowsPK(t *Table, st Select) bool {
-	oc, err := t.colIndex(st.OrderBy)
-	if err != nil {
-		return false
-	}
-	pinned := make(map[string]bool, len(st.Where))
-	for _, c := range st.Where {
-		if c.Op == OpEq {
-			pinned[c.Col] = true
-		}
-	}
-	for _, pk := range t.PK {
-		if pk == oc {
-			return true
-		}
-		if !pinned[t.Cols[pk].Name] {
-			return false
-		}
-	}
-	return false
-}
-
-func pkLookup(t *Table, conds []compiledCond) (string, bool) {
-	pinned := make(map[int]Value, len(t.PK))
-	for _, c := range conds {
-		if c.op == OpEq {
-			pinned[c.col] = c.val
-		}
-	}
-	row := make([]Value, len(t.Cols))
-	for _, pk := range t.PK {
-		v, ok := pinned[pk]
-		if !ok {
-			return "", false
-		}
-		cv, err := coerce(v, t.Cols[pk].Kind)
-		if err != nil {
-			return "", false
-		}
-		row[pk] = cv
-	}
-	return t.key(row), true
 }
 
 func rowMatches(row []Value, conds []compiledCond) bool {
@@ -488,76 +415,57 @@ func rowMatches(row []Value, conds []compiledCond) bool {
 	return true
 }
 
-func (db *DB) execSelect(st Select, args []Value) (Result, error) {
-	t, err := db.table(st.Table)
+func (db *DB) execSelect(p *prepared, st Select, args []Value) (Result, error) {
+	pl, err := db.planFor(p, st.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	// LIMIT fast path: scanning follows PK order, so when the ORDER BY
-	// column is the PK column right after the equality-pinned prefix (or
-	// there is no ORDER BY), matching can stop at the limit.
+	// LIMIT fast path: the scan is in PK order, so when that is the
+	// requested order (or none is requested), matching stops at the
+	// limit.
+	sorted := st.OrderBy == "" || (pl.pkOrdered && !st.Desc)
 	max := -1
-	if st.Limit >= 0 && !st.Desc && (st.OrderBy == "" || orderFollowsPK(t, st)) {
+	if st.Limit >= 0 && sorted {
 		max = st.Limit
 	}
-	keys, err := db.matchRowsN(t, st.Where, args, max)
+	rows, err := db.matchRows(pl, args, max)
 	if err != nil {
 		return Result{}, err
 	}
-	// Aggregate query?
 	if len(st.Exprs) > 0 && st.Exprs[0].Agg != "" {
-		return db.aggregate(t, st, keys)
+		return aggregate(pl.t, st, rows)
 	}
-	// Column projection.
-	var proj []int
-	var cols []string
-	for _, se := range st.Exprs {
-		if se.Star {
-			for i, c := range t.Cols {
-				proj = append(proj, i)
-				cols = append(cols, c.Name)
-			}
-			continue
-		}
-		if se.Agg != "" {
-			return Result{}, fmt.Errorf("sqldb: cannot mix aggregates and columns")
-		}
-		i, err := t.colIndex(se.Col)
-		if err != nil {
-			return Result{}, err
-		}
-		proj = append(proj, i)
-		cols = append(cols, se.Col)
+	if pl.projErr != nil {
+		return Result{}, pl.projErr
 	}
-	if st.OrderBy != "" {
-		oc, err := t.colIndex(st.OrderBy)
-		if err != nil {
-			return Result{}, err
-		}
-		sort.SliceStable(keys, func(i, j int) bool {
-			c := compareValues(t.rows[keys[i]][oc], t.rows[keys[j]][oc])
+	if pl.orderErr != nil {
+		return Result{}, pl.orderErr
+	}
+	if !sorted {
+		oc := pl.orderCol
+		sort.SliceStable(rows, func(i, j int) bool {
+			c := compareValues(rows[i].row[oc], rows[j].row[oc])
 			if st.Desc {
 				return c > 0
 			}
 			return c < 0
 		})
 	}
-	if st.Limit >= 0 && len(keys) > st.Limit {
-		keys = keys[:st.Limit]
+	if st.Limit >= 0 && len(rows) > st.Limit {
+		rows = rows[:st.Limit]
 	}
-	out := make([][]Value, 0, len(keys))
-	for _, k := range keys {
-		row := t.rows[k]
-		r := make([]Value, len(proj))
-		for i, p := range proj {
-			r[i] = row[p]
+	out := make([][]Value, 0, len(rows))
+	for _, e := range rows {
+		r := make([]Value, len(pl.proj))
+		for i, c := range pl.proj {
+			r[i] = e.row[c]
 		}
 		out = append(out, r)
 	}
-	return Result{Cols: cols, Rows: out}, nil
+	return Result{Cols: pl.cols, Rows: out}, nil
 }
 
-func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
+func aggregate(t *Table, st Select, rows []entry) (Result, error) {
 	outs := make([]Value, len(st.Exprs))
 	cols := make([]string, len(st.Exprs))
 	for i, se := range st.Exprs {
@@ -568,7 +476,7 @@ func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
 		switch se.Agg {
 		case "count":
 			if se.Col == "" {
-				outs[i] = int64(len(keys))
+				outs[i] = int64(len(rows))
 				continue
 			}
 			ci, err := t.colIndex(se.Col)
@@ -577,14 +485,14 @@ func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
 			}
 			if se.Distinct {
 				seen := make(map[string]bool)
-				for _, k := range keys {
-					seen[formatValue(t.rows[k][ci])] = true
+				for _, e := range rows {
+					seen[formatValue(e.row[ci])] = true
 				}
 				outs[i] = int64(len(seen))
 			} else {
 				n := int64(0)
-				for _, k := range keys {
-					if t.rows[k][ci] != nil {
+				for _, e := range rows {
+					if e.row[ci] != nil {
 						n++
 					}
 				}
@@ -598,8 +506,8 @@ func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
 			var fsum float64
 			var isum int64
 			isInt := t.Cols[ci].Kind == KindInt
-			for _, k := range keys {
-				switch v := t.rows[k][ci].(type) {
+			for _, e := range rows {
+				switch v := e.row[ci].(type) {
 				case int64:
 					isum += v
 					fsum += float64(v)
@@ -618,8 +526,8 @@ func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
 				return Result{}, err
 			}
 			var best Value
-			for _, k := range keys {
-				v := t.rows[k][ci]
+			for _, e := range rows {
+				v := e.row[ci]
 				if v == nil {
 					continue
 				}
@@ -637,36 +545,23 @@ func (db *DB) aggregate(t *Table, st Select, keys []string) (Result, error) {
 	return Result{Cols: cols, Rows: [][]Value{outs}}, nil
 }
 
-func (db *DB) execUpdate(st Update, args []Value) (Result, error) {
-	t, err := db.table(st.Table)
+func (db *DB) execUpdate(p *prepared, st Update, args []Value) (Result, error) {
+	pl, err := db.planFor(p, st.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	keys, err := db.matchRows(t, st.Where, args)
+	rows, err := db.matchRows(pl, args, -1)
 	if err != nil {
 		return Result{}, err
 	}
-	type setOp struct {
-		col int
-		val Expr
+	if pl.setErr != nil {
+		return Result{}, pl.setErr
 	}
-	sets := make([]setOp, len(st.Set))
-	for i, a := range st.Set {
-		ci, err := t.colIndex(a.Col)
-		if err != nil {
-			return Result{}, err
-		}
-		for _, pk := range t.PK {
-			if pk == ci {
-				return Result{}, fmt.Errorf("sqldb: cannot update primary key column %q", a.Col)
-			}
-		}
-		sets[i] = setOp{col: ci, val: a.Val}
-	}
-	for _, k := range keys {
-		row := t.rows[k]
+	t := pl.t
+	for _, e := range rows {
+		row := e.row
 		old := append([]Value(nil), row...)
-		for _, s := range sets {
+		for _, s := range pl.sets {
 			v, err := evalExpr(s.val, t, row, args)
 			if err != nil {
 				return Result{}, err
@@ -676,29 +571,27 @@ func (db *DB) execUpdate(st Update, args []Value) (Result, error) {
 			}
 		}
 		db.stats.RowsWritten++
-		key := k
-		db.pushUndo(func() { t.rows[key] = old })
+		db.pushUndo(func() { copy(row, old) })
 	}
-	return Result{Affected: len(keys)}, nil
+	return Result{Affected: len(rows)}, nil
 }
 
-func (db *DB) execDelete(st Delete, args []Value) (Result, error) {
-	t, err := db.table(st.Table)
+func (db *DB) execDelete(p *prepared, st Delete, args []Value) (Result, error) {
+	pl, err := db.planFor(p, st.Table)
 	if err != nil {
 		return Result{}, err
 	}
-	keys, err := db.matchRows(t, st.Where, args)
+	rows, err := db.matchRows(pl, args, -1)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, k := range keys {
-		old := t.rows[k]
-		t.del(k)
+	t := pl.t
+	for _, e := range rows {
+		t.idx.delete(e.key)
 		db.stats.RowsDeleted++
-		key := k
-		db.pushUndo(func() { t.put(key, old) })
+		db.pushUndo(func() { t.idx.put(e.key, e.row, true) })
 	}
-	return Result{Affected: len(keys)}, nil
+	return Result{Affected: len(rows)}, nil
 }
 
 // evalExpr evaluates a scalar expression. t/row are nil outside row
@@ -712,6 +605,8 @@ func evalExpr(e Expr, t *Table, row []Value, args []Value) (Value, error) {
 			return nil, fmt.Errorf("sqldb: missing argument %d", x.N)
 		}
 		return normalizeArg(args[x.N]), nil
+	case boundCol:
+		return row[x.idx], nil
 	case ColRef:
 		if t == nil || row == nil {
 			return nil, fmt.Errorf("sqldb: column %q not allowed here", x.Name)

@@ -4,28 +4,11 @@ import "fmt"
 
 // Point access: allocation-free fast paths for single-row primary-key
 // operations on tables with a single int64 PK column. The SQL path
-// (Exec/execSelect/execUpdate) materializes condition closures, pinned
-// maps, and result slices on every call; these entry points encode the
-// PK into a reusable scratch buffer and touch the row in place, so the
+// (Exec/execSelect/execUpdate) evaluates conditions and materializes
+// result slices on every call; these entry points encode the PK into
+// the reusable scratch buffer and touch the row in place, so the
 // steady-state read-serve loop performs no allocations at all
 // (readpath_bench_test pins this).
-
-// appendIntKey appends the encodeKeyPart rendering of an int64 —
-// sign prefix plus 19 fixed-width decimal digits — without allocating.
-func appendIntKey(buf []byte, x int64) []byte {
-	var sign byte = '1'
-	if x < 0 {
-		sign = '0'
-		x = int64(1e18) + x
-	}
-	buf = append(buf, sign)
-	var tmp [19]byte
-	for i := 18; i >= 0; i-- {
-		tmp[i] = byte('0' + x%10)
-		x /= 10
-	}
-	return append(buf, tmp[:]...)
-}
 
 // pointRow locates the row with the given int64 primary key. The
 // caller holds db.mu.
@@ -35,11 +18,8 @@ func (db *DB) pointRow(table string, pk int64) (*Table, []Value, bool) {
 		return nil, nil, false
 	}
 	db.keyBuf = appendIntKey(db.keyBuf[:0], pk)
-	row, ok := t.rows[string(db.keyBuf)] // compiler-recognized no-copy lookup
-	if !ok {
-		return t, nil, false
-	}
-	return t, row, true
+	e, ok := t.idx.get(db.keyBuf)
+	return t, e.row, ok
 }
 
 // PointGet returns the named column of the row with the given int64

@@ -29,9 +29,10 @@ func (db *DB) Snapshot() []TableDump {
 	for _, n := range names {
 		t := db.tables[n]
 		rows := make([][]Value, 0, t.Len())
-		for _, k := range t.sortedKeys() {
-			rows = append(rows, append([]Value(nil), t.rows[k]...))
-		}
+		t.idx.ascend(nil, func(e entry) bool {
+			rows = append(rows, append([]Value(nil), e.row...))
+			return true
+		})
 		dumps = append(dumps, TableDump{Schema: t.Schema(), Rows: rows})
 	}
 	return dumps
@@ -42,6 +43,7 @@ func (db *DB) Restore(dumps []TableDump) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables = make(map[string]*Table, len(dumps))
+	db.gen++
 	db.inTx = false
 	db.undo = nil
 	for _, d := range dumps {
@@ -50,9 +52,7 @@ func (db *DB) Restore(dumps []TableDump) error {
 			return fmt.Errorf("restore %s: %w", d.Schema.Name, err)
 		}
 		for _, row := range d.Rows {
-			r := append([]Value(nil), row...)
-			t.put(t.key(r), r)
-			db.stats.RowsInserted++
+			db.load(t, row)
 		}
 		db.tables[d.Schema.Name] = t
 	}
@@ -74,11 +74,18 @@ func (db *DB) InsertBatch(table string, rows [][]Value) error {
 			return fmt.Errorf("sqldb: batch row has %d values, table %s has %d columns",
 				len(row), table, len(t.Cols))
 		}
-		r := append([]Value(nil), row...)
-		t.put(t.key(r), r)
-		db.stats.RowsInserted++
+		db.load(t, row)
 	}
 	return nil
+}
+
+// load stores a copy of a transferred row, replacing any row with the
+// same primary key.
+func (db *DB) load(t *Table, row []Value) {
+	r := append([]Value(nil), row...)
+	db.keyBuf = t.appendKey(db.keyBuf[:0], r)
+	t.idx.put(db.keyBuf, r, true)
+	db.stats.RowsInserted++
 }
 
 // Batch is a slice of one table's rows sized for a transfer message.

@@ -468,24 +468,6 @@ func TestInsertSelectRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestKeyEncodingOrderProperty(t *testing.T) {
-	f := func(a, b int64) bool {
-		ka, kb := encodeKeyPart(a%1_000_000_000), encodeKeyPart(b%1_000_000_000)
-		av, bv := a%1_000_000_000, b%1_000_000_000
-		switch {
-		case av < bv:
-			return ka < kb
-		case av > bv:
-			return ka > kb
-		default:
-			return ka == kb
-		}
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRollbackRestoresSnapshotProperty(t *testing.T) {
 	// Any random transaction followed by ROLLBACK leaves the database
 	// exactly as before — the invariant ShadowDB's abort handling needs.

@@ -1,25 +1,16 @@
 package sqldb
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
-// Table is an in-memory relation with a primary-key hash index. Rows are
-// stored by encoded PK; scans materialize keys in PK order so snapshots
-// and ORDER-BY-free scans are deterministic.
+// Table is an in-memory relation. Its rows live in one ordered index
+// keyed by the encoded primary key (index.go, key.go), so scans and
+// snapshots walk them in PK order.
 type Table struct {
 	Name   string
 	Cols   []ColumnDef
 	PK     []int // column indices of the primary key
 	colIdx map[string]int
-	rows   map[string][]Value
-	// keysCache holds the sorted PK keys; scans over large tables would
-	// otherwise pay an O(n log n) sort each. Inserts and deletes
-	// invalidate it (updates cannot change keys: PK columns are
-	// immutable).
-	keysCache []string
+	idx    index
 }
 
 func newTable(st CreateTable) (*Table, error) {
@@ -27,7 +18,6 @@ func newTable(st CreateTable) (*Table, error) {
 		Name:   st.Name,
 		Cols:   append([]ColumnDef(nil), st.Cols...),
 		colIdx: make(map[string]int, len(st.Cols)),
-		rows:   make(map[string][]Value),
 	}
 	for i, c := range st.Cols {
 		if _, dup := t.colIdx[c.Name]; dup {
@@ -57,70 +47,8 @@ func (t *Table) colIndex(name string) (int, error) {
 	return i, nil
 }
 
-// key encodes the PK of a row as a sortable string.
-func (t *Table) key(row []Value) string {
-	parts := make([]string, len(t.PK))
-	for i, c := range t.PK {
-		parts[i] = encodeKeyPart(row[c])
-	}
-	return strings.Join(parts, "\x00")
-}
-
-// encodeKeyPart renders a value so lexicographic order matches value
-// order: integers as sign-prefixed fixed-width decimals, floats likewise
-// on their integer part, strings raw.
-func encodeKeyPart(v Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "\x01"
-	case int64:
-		if x < 0 {
-			// Invert negative magnitudes so they sort before positives.
-			return fmt.Sprintf("0%019d", int64(1e18)+x)
-		}
-		return fmt.Sprintf("1%019d", x)
-	case float64:
-		return fmt.Sprintf("f%024.6f", x)
-	case string:
-		return "s" + x
-	default:
-		return fmt.Sprintf("?%v", x)
-	}
-}
-
-// sortedKeys returns all PK keys in order, cached until the key set
-// changes. Callers must not mutate the returned slice.
-func (t *Table) sortedKeys() []string {
-	if t.keysCache != nil {
-		return t.keysCache
-	}
-	keys := make([]string, 0, len(t.rows))
-	for k := range t.rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	t.keysCache = keys
-	return keys
-}
-
-// put stores a row and invalidates the key cache when the key is new.
-func (t *Table) put(key string, row []Value) {
-	if _, exists := t.rows[key]; !exists {
-		t.keysCache = nil
-	}
-	t.rows[key] = row
-}
-
-// del removes a row and invalidates the key cache.
-func (t *Table) del(key string) {
-	if _, exists := t.rows[key]; exists {
-		t.keysCache = nil
-	}
-	delete(t.rows, key)
-}
-
 // Len returns the row count.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.idx.n }
 
 // Schema reconstructs the CREATE TABLE statement of the table, used by
 // snapshots.
