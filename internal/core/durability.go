@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"shadowdb/internal/msg"
@@ -12,11 +14,12 @@ import (
 
 // Executor durability. With a stable store attached, the executor
 // journals every ordered transaction (the same Repl records it forwards
-// to backups) and periodically compacts the journal into a full
-// database snapshot. A restarted replica calls Recover to rebuild its
-// state from the snapshot plus deterministic re-execution of the
-// journal tail; the replication protocol then only has to fetch the
-// transactions ordered during the downtime over the network.
+// to backups) and compacts the journal into a full database snapshot
+// whenever the journal has outgrown it (store.Journal's rule). A
+// restarted replica calls Recover to rebuild its state from the
+// snapshot plus deterministic re-execution of the journal tail; the
+// replication protocol then only has to fetch the transactions ordered
+// during the downtime over the network.
 //
 // The write-ahead contract: appendLog (and therefore the journal write)
 // runs inside Apply/applyInBatch, before the caller gets the TxResult
@@ -29,27 +32,29 @@ type execRecord struct {
 	Req   TxRequest
 }
 
-// execSnapshot is the compacted journal: the full database, the
-// execution frontier, and the per-client dedup horizon (results are not
-// kept; Duplicate answers pre-snapshot retries with an empty marker).
+// execSnapshot is the header of the compacted journal: the execution
+// frontier and the per-client dedup horizon (results are not kept;
+// Duplicate answers pre-snapshot retries with an empty marker). The
+// database image follows it (encodeSnapshot).
 type execSnapshot struct {
-	Dumps    []sqldb.TableDump
 	Executed int64
 	LastSeq  map[string]int64
 }
 
-// DefaultSnapEvery is the default journal-compaction interval, in
-// transactions.
+// DefaultSnapEvery is the default floor of the compaction rule
+// (store.Journal): the fewest transactions between two compactions of
+// the executor's journal.
 const DefaultSnapEvery = 64
 
-// SetStable attaches a stable store. snapEvery <= 0 selects
-// DefaultSnapEvery. Call before traffic; existing log entries are not
-// retroactively journaled.
+// SetStable attaches a stable store, compacted by store.Journal's rule
+// with snapEvery as its floor. snapEvery <= 0 selects DefaultSnapEvery.
+// Call before traffic; existing log entries are not retroactively
+// journaled.
 func (e *Executor) SetStable(st store.Stable, snapEvery int) {
 	if snapEvery <= 0 {
 		snapEvery = DefaultSnapEvery
 	}
-	e.st, e.snapEvery = st, snapEvery
+	e.st = store.NewJournal(st, snapEvery)
 }
 
 // journal appends one ordered transaction write-ahead of the reply. A
@@ -62,8 +67,7 @@ func (e *Executor) journal(r Repl) {
 	if err := e.st.Append(gobEnc(execRecord{Order: r.Order, Req: r.Req})); err != nil {
 		panic(fmt.Sprintf("core: executor journal: %v", err))
 	}
-	e.sinceSnap++
-	if e.sinceSnap >= e.snapEvery {
+	if e.st.Due() {
 		if err := e.Compact(); err != nil {
 			panic(fmt.Sprintf("core: executor snapshot: %v", err))
 		}
@@ -78,16 +82,7 @@ func (e *Executor) Compact() error {
 	if e.st == nil {
 		return nil
 	}
-	snap := execSnapshot{
-		Dumps:    e.DB.Snapshot(),
-		Executed: e.Executed,
-		LastSeq:  e.LastSeqs(),
-	}
-	if err := e.st.SaveSnapshot(gobEnc(snap)); err != nil {
-		return err
-	}
-	e.sinceSnap = 0
-	return nil
+	return e.st.SaveSnapshot(encodeSnapshot(execSnapshot{Executed: e.Executed, LastSeq: e.LastSeqs()}, e.DB))
 }
 
 // Recover rebuilds the executor from its stable store: restore the
@@ -106,16 +101,14 @@ func (e *Executor) Recover() (bool, error) {
 		return false, err
 	} else if ok {
 		var snap execSnapshot
-		if gobDec(b, &snap) == nil {
-			if err := e.DB.Restore(snap.Dumps); err != nil {
-				return false, fmt.Errorf("core: restore snapshot: %w", err)
-			}
-			e.InstallSnapshot(snap.Executed)
-			for c, s := range snap.LastSeq {
-				e.SetLastSeq(c, s)
-			}
-			restored = true
+		if err := restoreSnapshot(b, &snap, e.DB); err != nil {
+			return false, fmt.Errorf("core: executor snapshot: %w", err)
 		}
+		e.InstallSnapshot(snap.Executed)
+		for c, s := range snap.LastSeq {
+			e.SetLastSeq(c, s)
+		}
+		restored = true
 	}
 	e.replaying = true
 	defer func() { e.replaying = false }()
@@ -155,6 +148,44 @@ func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeploy
 		}
 	}
 	return r, restored, nil
+}
+
+// A durable snapshot is a small gob-encoded header (the protocol state
+// at the frontier: execSnapshot, smrSnapshot) followed by the database
+// image, written straight off the tables' indexes by sqldb.AppendDump:
+//
+//	"SNP2" | 4-byte big-endian header length | header | image
+//
+// The magic tells this layout from the all-gob one it replaced, whose
+// files are refused rather than misread.
+const snapMagic = "SNP2"
+
+func encodeSnapshot(hdr any, db *sqldb.DB) []byte {
+	h := gobEnc(hdr)
+	buf := binary.BigEndian.AppendUint32([]byte(snapMagic), uint32(len(h)))
+	return db.AppendDump(append(buf, h...))
+}
+
+// restoreSnapshot decodes a snapshot's header into hdr and installs its
+// database image in db.
+func restoreSnapshot(b []byte, hdr any, db *sqldb.DB) error {
+	n := len(snapMagic)
+	if len(b) < n+4 || string(b[:n]) != snapMagic {
+		return errors.New("not a snapshot in the current format")
+	}
+	hlen := binary.BigEndian.Uint32(b[n:])
+	body := b[n+4:]
+	if uint64(hlen) > uint64(len(body)) {
+		return errors.New("truncated snapshot header")
+	}
+	if err := gobDec(body[:hlen], hdr); err != nil {
+		return fmt.Errorf("snapshot header: %w", err)
+	}
+	dumps, err := sqldb.DecodeDump(body[hlen:])
+	if err != nil {
+		return err
+	}
+	return db.Restore(dumps)
 }
 
 // gobEnc encodes a durability record; encode failures are programming

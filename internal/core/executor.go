@@ -83,11 +83,9 @@ type Executor struct {
 	resBuf []TxResult
 	// Durability (durability.go): with st set, appendLog journals every
 	// ordered transaction and compacts the journal into a database
-	// snapshot every snapEvery transactions. replaying suppresses
-	// journaling while Recover re-executes the journal.
-	st        store.Stable
-	snapEvery int
-	sinceSnap int
+	// snapshot when st says it is due. replaying suppresses journaling
+	// while Recover re-executes the journal.
+	st        *store.Journal
 	replaying bool
 }
 

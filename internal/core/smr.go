@@ -56,9 +56,8 @@ type SMRReplica struct {
 	// snapshot covers; pending buffers out-of-order deliveries while the
 	// slot catch-up fills the gap; peers are who a restarted replica asks
 	// for its delta; recoveredLocal reports a restore happened.
-	stable         store.Stable
+	stable         *store.Journal
 	snapSlot       int
-	sinceSnap      int
 	pending        map[int]broadcast.Deliver
 	peers          []msg.Loc
 	recoveredLocal bool

@@ -15,7 +15,8 @@ import (
 
 // SMR durability. A durable SMR replica journals every delivered slot
 // (the decided batch, verbatim) before executing it, and compacts the
-// journal into a full database snapshot every smrSnapEvery slots. After
+// journal into a full database snapshot whenever the journal has
+// outgrown it (store.Journal's rule, at least smrSnapEvery slots). After
 // a crash, a new incarnation over the same store recovers by restoring
 // the snapshot and deterministically re-executing the journal tail —
 // then asks a peer only for the slots ordered during its downtime
@@ -30,15 +31,15 @@ type walDeliver struct {
 	Msgs []broadcast.Bcast
 }
 
-// smrSnapshot is the compacted journal: the database, the slot frontier
-// it reflects, the executor's dedup horizon and recent results, and the
+// smrSnapshot is the header of the compacted journal (the database
+// image follows it, see encodeSnapshot): the slot frontier the image
+// reflects, the executor's dedup horizon and recent results, and the
 // membership epoch schedule in force at the frontier. The schedule must
 // be here: a membership command compacted into the snapshot is never
 // replayed, so without it a restarted replica would recover the rows of
 // epoch N while believing itself in epoch 0 — and, with leases on,
 // grant renewals from a deposed holder that every live replica refuses.
 type smrSnapshot struct {
-	Dumps    []sqldb.TableDump
 	Slot     int
 	Executed int64
 	LastSeq  map[string]int64
@@ -47,7 +48,8 @@ type smrSnapshot struct {
 	Joined   map[msg.Loc]int
 }
 
-// smrSnapEvery is how many journaled slots trigger a compaction.
+// smrSnapEvery is the floor of the compaction rule (store.Journal): the
+// fewest journaled slots between two compactions.
 const smrSnapEvery = 64
 
 // NewDurableSMRReplica creates an SMR replica that journals to st and
@@ -58,7 +60,7 @@ const smrSnapEvery = 64
 // copy of rows that never travel through the broadcast.
 func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
 	r := NewSMRReplica(slf, db, reg)
-	r.stable = st
+	r.stable = store.NewJournal(st, smrSnapEvery)
 	r.snapSlot = -1
 	r.pending = make(map[int]broadcast.Deliver)
 	for _, p := range peers {
@@ -89,7 +91,7 @@ func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stab
 func NewJoiningDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
 	r := NewSMRReplica(slf, db, reg)
 	r.active = false
-	r.stable = st
+	r.stable = store.NewJournal(st, smrSnapEvery)
 	r.snapSlot = -1
 	r.pending = make(map[int]broadcast.Deliver)
 	for _, p := range peers {
@@ -151,23 +153,21 @@ func (r *SMRReplica) recoverLocal() (bool, error) {
 		return false, err
 	} else if ok {
 		var snap smrSnapshot
-		if gobDec(b, &snap) == nil {
-			if err := r.exec.DB.Restore(snap.Dumps); err != nil {
-				return false, fmt.Errorf("core: restore smr snapshot: %w", err)
-			}
-			r.exec.InstallSnapshot(snap.Executed)
-			for c, s := range snap.LastSeq {
-				r.exec.SetLastSeq(c, s)
-			}
-			r.exec.AdoptRecent(snap.Recent)
-			// The epoch schedule folds into the view at SetView time —
-			// the view is attached after construction, and recovery runs
-			// inside the constructor.
-			r.recEpochs, r.recJoined = snap.Epochs, snap.Joined
-			r.lastSlot = snap.Slot
-			r.snapSlot = snap.Slot
-			restored = true
+		if err := restoreSnapshot(b, &snap, r.exec.DB); err != nil {
+			return false, fmt.Errorf("core: smr snapshot: %w", err)
 		}
+		r.exec.InstallSnapshot(snap.Executed)
+		for c, s := range snap.LastSeq {
+			r.exec.SetLastSeq(c, s)
+		}
+		r.exec.AdoptRecent(snap.Recent)
+		// The epoch schedule folds into the view at SetView time — the
+		// view is attached after construction, and recovery runs inside
+		// the constructor.
+		r.recEpochs, r.recJoined = snap.Epochs, snap.Joined
+		r.lastSlot = snap.Slot
+		r.snapSlot = snap.Slot
+		restored = true
 	}
 	err := r.stable.Replay(func(rec []byte) error {
 		var w walDeliver
@@ -243,8 +243,7 @@ func (r *SMRReplica) journalAndApply(d broadcast.Deliver, quiet bool) []msg.Dire
 		outs = trimmed
 	}
 	snapped := false
-	r.sinceSnap++
-	if r.sinceSnap >= smrSnapEvery {
+	if r.stable.Due() {
 		if err := r.saveSMRSnapshot(); err != nil {
 			panic(fmt.Sprintf("core: smr snapshot: %v", err))
 		}
@@ -338,7 +337,6 @@ func (r *SMRReplica) drainPending() []msg.Directive {
 // saveSMRSnapshot compacts the journal into a database snapshot.
 func (r *SMRReplica) saveSMRSnapshot() error {
 	snap := smrSnapshot{
-		Dumps:    r.exec.DB.Snapshot(),
 		Slot:     r.lastSlot,
 		Executed: r.exec.Executed,
 		LastSeq:  r.exec.LastSeqs(),
@@ -348,11 +346,10 @@ func (r *SMRReplica) saveSMRSnapshot() error {
 		snap.Epochs = r.view.Epochs()
 		snap.Joined = r.view.Joined()
 	}
-	if err := r.stable.SaveSnapshot(gobEnc(snap)); err != nil {
+	if err := r.stable.SaveSnapshot(encodeSnapshot(snap, r.exec.DB)); err != nil {
 		return err
 	}
 	r.snapSlot = r.lastSlot
-	r.sinceSnap = 0
 	return nil
 }
 
@@ -366,6 +363,12 @@ func (r *SMRReplica) requestCatchup() []msg.Directive {
 	return outs
 }
 
+// catchupChunk bounds the journal bytes one SMRCatchup message carries.
+// The journal grows with the database (store.Journal's rule), so a
+// delta can be many megabytes; the requester applies the chunks as they
+// arrive, in slot order.
+const catchupChunk = 1 << 20
+
 // onSMRCatchupReq serves a peer's delta request from the local journal,
 // or pushes a full state transfer when compaction discarded the range.
 func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
@@ -373,16 +376,27 @@ func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
 		return nil
 	}
 	if r.stable != nil && q.After >= r.snapSlot {
+		var outs []msg.Directive
 		var ds []broadcast.Deliver
+		size := 0
+		flush := func() {
+			outs = append(outs, msg.Send(q.From, msg.M(HdrSMRCatchup, SMRCatchup{Delivers: ds})))
+			ds, size = nil, 0
+		}
 		err := r.stable.Replay(func(rec []byte) error {
 			var w walDeliver
 			if gobDec(rec, &w) == nil && w.Slot > q.After {
+				if size > 0 && size+len(rec) > catchupChunk {
+					flush()
+				}
 				ds = append(ds, broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
+				size += len(rec)
 			}
 			return nil
 		})
 		if err == nil {
-			return []msg.Directive{msg.Send(q.From, msg.M(HdrSMRCatchup, SMRCatchup{Delivers: ds}))}
+			flush()
+			return outs
 		}
 	}
 	// The journal no longer reaches back to After (or this replica is

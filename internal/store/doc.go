@@ -19,6 +19,13 @@
 //     snapshot file. Torn tails are detected and truncated on open;
 //     saving a snapshot rotates the log and deletes the covered prefix.
 //
+// Journal wraps either one for a component whose snapshot is its whole
+// state (the core replicas' database): it counts the tail appended
+// since the last snapshot and says when compaction is due — once the
+// tail holds a floor of records and as many bytes as that snapshot, so
+// compaction costs at most one snapshot byte per journaled byte and a
+// recovery replays at most one snapshot's worth of journal.
+//
 // # Invariants
 //
 //   - The write-ahead contract is the caller's: persist the mutation
@@ -44,5 +51,6 @@
 // log — but ordering between a record and the message it must precede
 // is the caller's to enforce, which in practice means each component
 // drives its own Stable from its single event loop. Providers (NewDir,
-// NewMem) may be shared; each Open returns an independent store.
+// NewMem) may be shared; each Open returns an independent store. A
+// Journal's counters are not locked: it belongs to that one event loop.
 package store

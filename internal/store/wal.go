@@ -103,7 +103,8 @@ type walFile struct {
 	seg      uint64   // active segment number
 	unsynced int
 
-	snap    []byte
+	// hasSnap: a valid snapshot file exists. Its bytes stay on disk;
+	// Snapshot reads them when recovery asks.
 	hasSnap bool
 
 	// older holds fully written segments not yet covered by a snapshot
@@ -129,26 +130,14 @@ func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
 	w := &walFile{dir: dir, pol: pol, be: batchEvery}
 
 	// Snapshot first: its header names the segment it covers through.
-	var covers uint64
-	if b, err := os.ReadFile(filepath.Join(dir, "snap")); err == nil {
-		valid, _ := scanRecords(b, func(payload []byte) error {
-			if len(payload) >= 8 {
-				covers = binary.LittleEndian.Uint64(payload[:8])
-				w.snap = append([]byte(nil), payload[8:]...)
-				w.hasSnap = true
-			}
-			return nil
-		})
-		if valid == 0 || !w.hasSnap {
-			// A corrupt snapshot is treated as absent; surviving
-			// segments are still replayed best-effort. The atomic
-			// tmp+rename+fsync write path makes this effectively
-			// unreachable outside deliberate corruption.
-			w.snap, w.hasSnap, covers = nil, false, 0
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: %w", err)
+	// A corrupt snapshot is treated as absent; surviving segments are
+	// still replayed best-effort. The atomic tmp+rename+fsync write path
+	// makes this effectively unreachable outside deliberate corruption.
+	_, covers, ok, err := readSnapshot(dir)
+	if err != nil {
+		return nil, err
 	}
+	w.hasSnap = ok
 
 	// Collect segments, drop those the snapshot covers, and truncate
 	// any torn tail in the survivors.
@@ -189,6 +178,26 @@ func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
 	w.f = f
 	lg.Infof("opened WAL in %s: active segment %d, %d older, snapshot=%v", dir, w.seg, len(w.older), w.hasSnap)
 	return w, nil
+}
+
+// readSnapshot loads and validates the snapshot file: its payload, the
+// segment number it covers through, and ok=false when the file is
+// absent or does not hold one intact record.
+func readSnapshot(dir string) (snap []byte, covers uint64, ok bool, err error) {
+	b, err := os.ReadFile(filepath.Join(dir, "snap"))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, 0, false, nil
+		}
+		return nil, 0, false, fmt.Errorf("store: %w", err)
+	}
+	_, _ = scanRecords(b, func(payload []byte) error {
+		if !ok && len(payload) >= 8 {
+			covers, snap, ok = binary.LittleEndian.Uint64(payload[:8]), payload[8:], true
+		}
+		return nil
+	})
+	return snap, covers, ok, nil
 }
 
 // truncateTorn cuts the file down to its valid record prefix.
@@ -285,16 +294,22 @@ func (w *walFile) SaveSnapshot(snap []byte) error {
 	if w.f == nil {
 		return fmt.Errorf("store: %s: snapshot on closed store", w.dir)
 	}
-	// 1. Write the snapshot to a temp file and fsync it.
-	payload := make([]byte, 8+len(snap))
-	binary.LittleEndian.PutUint64(payload[:8], w.seg)
-	copy(payload[8:], snap)
+	// 1. Write the snapshot to a temp file and fsync it: one record
+	// whose payload is the covered segment number followed by snap,
+	// framed in place so a large snapshot is not copied to be written.
+	var hdr [recHeader + 8]byte
+	binary.LittleEndian.PutUint64(hdr[recHeader:], w.seg)
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(8+len(snap)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Update(crc32.Checksum(hdr[recHeader:], castagnoli), castagnoli, snap))
 	tmp := filepath.Join(w.dir, "snap.tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(frameRecord(payload)); err != nil {
+	if _, err := f.Write(hdr[:]); err == nil {
+		_, err = f.Write(snap)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("store: %w", err)
 	}
@@ -329,7 +344,6 @@ func (w *walFile) SaveSnapshot(snap []byte) error {
 		_ = os.Remove(p)
 	}
 	w.older = nil
-	w.snap = append([]byte(nil), snap...)
 	w.hasSnap = true
 	mSnaps.Inc()
 	lg.Debugf("snapshot saved in %s (%d bytes), rotated to segment %d", w.dir, len(snap), w.seg)
@@ -342,7 +356,11 @@ func (w *walFile) Snapshot() ([]byte, bool, error) {
 	if !w.hasSnap {
 		return nil, false, nil
 	}
-	return append([]byte(nil), w.snap...), true, nil
+	snap, _, ok, err := readSnapshot(w.dir)
+	if err == nil && !ok {
+		err = fmt.Errorf("store: %s: snapshot file no longer valid", w.dir)
+	}
+	return snap, ok, err
 }
 
 func (w *walFile) Close() error {
