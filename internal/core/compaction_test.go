@@ -49,118 +49,12 @@ func (s *spyStable) SaveSnapshot(snap []byte) error {
 	return s.Stable.SaveSnapshot(snap)
 }
 
-// With a database much larger than 64 slots of journal, a durable SMR
-// replica compacts when the journal has grown to the snapshot's size —
-// not every 64 slots — so snapshot bytes written stay within the bytes
-// journaled; and a fresh incarnation recovers from that snapshot plus a
-// tail far longer than 64 records.
-func TestSMRCompactionAmortisedAgainstSnapshotSize(t *testing.T) {
-	prov := store.NewMem()
-	spy := &spyStable{Stable: mustOpen(t, prov, "r1"), t: t, floor: smrSnapEvery}
-	db := bankDB(t, "amort-r1", 4000)
-	r1, err := NewDurableSMRReplica("r1", db, BankRegistry(), spy, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := spy.written
-	// Two compactions, then a tail well past the floor.
-	slots := 0
-	for ; spy.snaps < 3 || spy.tailRecs < 2*smrSnapEvery; slots++ {
-		if slots > 20_000 {
-			t.Fatalf("%d compactions after %d slots", spy.snaps-1, slots)
-		}
-		stepDeliver(r1, depositDeliver(t, slots))
-	}
-	compactions := spy.snaps - 1
-	if compactions >= slots/smrSnapEvery/2 {
-		t.Errorf("%d compactions in %d slots of a %d-byte database: want a few, far fewer than the %d a fixed cadence makes",
-			compactions, slots, baseline, slots/smrSnapEvery)
-	}
-	if rewritten := spy.written - baseline; rewritten > spy.appended {
-		t.Errorf("compaction wrote %d snapshot bytes for %d journaled bytes; the rule bounds it by the journal", rewritten, spy.appended)
-	}
-
-	db2 := emptyDB(t, "amort-r1b")
-	spy2 := &spyStable{Stable: mustOpen(t, prov, "r1"), t: t, floor: smrSnapEvery, snaps: 1, snapBytes: spy.snapBytes}
-	r1b, err := NewDurableSMRReplica("r1", db2, BankRegistry(), spy2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1b.LastSlot() != slots-1 || !sqldb.Equal(db, db2) {
-		t.Errorf("recovered to slot %d (want %d), databases equal: %v", r1b.LastSlot(), slots-1, sqldb.Equal(db, db2))
-	}
-	// The new incarnation inherits the tail it replayed: it keeps the
-	// bound (checked in Append) and compacts when the old one would have.
-	spy2.tailRecs, spy2.tailBytes, spy2.floorBytes = spy.tailRecs, spy.tailBytes, spy.floorBytes
-	for s := slots; spy2.snaps == 1; s++ {
-		if s > 2*slots {
-			t.Fatal("restarted replica never compacted")
-		}
-		stepDeliver(r1b, depositDeliver(t, s))
-	}
-}
-
-// The executor (durable PBR) follows the same rule through the same
-// store.Journal, with snapEvery as the floor.
-func TestExecutorCompactionAmortisedAgainstSnapshotSize(t *testing.T) {
-	prov := store.NewMem()
-	dep := PBRDeployment{Pool: []msg.Loc{"p1", "p2"}, InitialMembers: 2}
-	spy := &spyStable{Stable: mustOpen(t, prov, "p2"), t: t, floor: DefaultSnapEvery}
-	db := bankDB(t, "amort-p2", 4000)
-	r, _, err := NewDurablePBRReplica("p2", db, BankRegistry(), dep, spy, DefaultSnapEvery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := spy.written
-	const txs = 3000
-	for i := int64(1); i <= txs; i++ {
-		if _, err := r.Executor().Apply(i, durDeposit(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compactions := spy.snaps - 1
-	if compactions < 1 || compactions >= txs/DefaultSnapEvery/2 {
-		t.Errorf("%d compactions in %d transactions, want a few (a fixed cadence makes %d)", compactions, txs, txs/DefaultSnapEvery)
-	}
-	if rewritten := spy.written - baseline; rewritten > spy.appended {
-		t.Errorf("compaction wrote %d snapshot bytes for %d journaled bytes", rewritten, spy.appended)
-	}
-
-	db2 := emptyDB(t, "amort-p2b")
-	r2, restored, err := NewDurablePBRReplica("p2", db2, BankRegistry(), dep, mustOpen(t, prov, "p2"), DefaultSnapEvery)
-	if err != nil || !restored {
-		t.Fatalf("restart: restored=%v err=%v", restored, err)
-	}
-	if r2.Executor().Executed != txs || !sqldb.Equal(db, db2) {
-		t.Errorf("recovered Executed = %d (want %d), databases equal: %v", r2.Executor().Executed, txs, sqldb.Equal(db, db2))
-	}
-}
-
-// A snapshot file in the layout this one replaced (one gob stream) is
-// refused with an error, not skipped: skipping it would replay the
-// journal tail onto an empty database.
-func TestRecoveryRefusesUnknownSnapshotFormat(t *testing.T) {
-	prov := store.NewMem()
-	st := mustOpen(t, prov, "r1")
-	if err := st.SaveSnapshot(gobEnc(struct{ Slot int }{Slot: 5})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDurableSMRReplica("r1", emptyDB(t, "old-r1"), BankRegistry(), st, nil); err == nil {
-		t.Error("SMR recovery accepted a snapshot it cannot read")
-	}
-	exec := NewExecutor(emptyDB(t, "old-p1"), BankRegistry())
-	exec.SetStable(st, 0)
-	if _, err := exec.Recover(); err == nil {
-		t.Error("executor recovery accepted a snapshot it cannot read")
-	}
-}
-
 // A journal tail longer than one message should carry is served to a
 // recovering peer in chunks, which it applies in arrival order.
 func TestDurableSMRCatchupDeltaIsChunked(t *testing.T) {
 	prov := store.NewMem()
 	peers := []msg.Loc{"r1", "r2"}
-	spy := &spyStable{Stable: mustOpen(t, prov, "r1"), t: t, floor: smrSnapEvery}
+	spy := &spyStable{Stable: mustOpen(t, prov, "r1"), t: t, floor: DefaultSnapEvery}
 	db1 := bankDB(t, "chunk-r1", 120_000) // a snapshot well over catchupChunk, so the tail may be too
 	r1, err := NewDurableSMRReplica("r1", db1, BankRegistry(), spy, peers)
 	if err != nil {

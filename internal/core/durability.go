@@ -6,139 +6,174 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
+	"time"
 
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
-// Executor durability. With a stable store attached, the executor
-// journals every ordered transaction (the same Repl records it forwards
-// to backups) and compacts the journal into a full database snapshot
-// whenever the journal has outgrown it (store.Journal's rule). A
-// restarted replica calls Recover to rebuild its state from the
-// snapshot plus deterministic re-execution of the journal tail; the
-// replication protocol then only has to fetch the transactions ordered
-// during the downtime over the network.
-//
-// The write-ahead contract: appendLog (and therefore the journal write)
-// runs inside Apply/applyInBatch, before the caller gets the TxResult
-// it would reply with — a transaction is durable before any message
-// reveals it executed.
+// The replicated executor (DESIGN.md §9): what a replica does besides
+// ordering, written once. PBR and SMR refine it — the primary orders one
+// transaction at a time, the broadcast service one slot at a time — and
+// contribute only a journal record codec (execRecord, walDeliver), the
+// function applying a record, and their ordering frontier. Here:
+// journal-then-apply with compaction (store.Journal's rule), recovery
+// from snapshot plus journal tail, the reorder buffer for units ahead of
+// the frontier, and both directions of state transfer.
 
-// execRecord journals one ordered transaction.
+// snapHeader is the header of a durable snapshot (the database image
+// follows it, see encodeSnapshot) and what a SnapEnd carries besides
+// rows: the ordering frontier the image reflects, the dedup horizon and
+// recent results, and the membership epoch schedule in force there. The
+// schedule must be here: a membership command compacted into the
+// snapshot is never replayed, so without it a restarted replica would
+// recover the rows of epoch N while believing itself in epoch 0 — and,
+// with leases on, grant renewals from a deposed holder that every live
+// replica refuses.
+type snapHeader struct {
+	// Slot is the ordering frontier: the last slot (SMR) or the last
+	// order number (PBR, where it equals Executed).
+	Slot     int
+	Executed int64
+	LastSeq  map[string]int64
+	Recent   []TxResult
+	Epochs   []member.Config
+	Joined   map[msg.Loc]int
+}
+
+// execRecord is the PBR journal record: one ordered transaction.
 type execRecord struct {
 	Order int64
 	Req   TxRequest
 }
 
-// execSnapshot is the header of the compacted journal: the execution
-// frontier and the per-client dedup horizon (results are not kept;
-// Duplicate answers pre-snapshot retries with an empty marker). The
-// database image follows it (encodeSnapshot).
-type execSnapshot struct {
-	Executed int64
-	LastSeq  map[string]int64
-}
-
 // DefaultSnapEvery is the default floor of the compaction rule
-// (store.Journal): the fewest transactions between two compactions of
-// the executor's journal.
+// (store.Journal): the fewest journaled units between two compactions.
 const DefaultSnapEvery = 64
 
-// SetStable attaches a stable store, compacted by store.Journal's rule
-// with snapEvery as its floor. snapEvery <= 0 selects DefaultSnapEvery.
-// Call before traffic; existing log entries are not retroactively
-// journaled.
-func (e *Executor) SetStable(st store.Stable, snapEvery int) {
-	if snapEvery <= 0 {
-		snapEvery = DefaultSnapEvery
+// replayTx decodes one execRecord and applies it when it is the next
+// order number; a pre-snapshot straggler, a duplicate or an undecodable
+// record is skipped.
+func (e *Executor) replayTx(rec []byte) bool {
+	var r execRecord
+	if gobDec(rec, &r) != nil || r.Order != e.Executed+1 {
+		return false
 	}
-	e.st = store.NewJournal(st, snapEvery)
+	_, err := e.Apply(r.Order, r.Req)
+	return err == nil
 }
 
-// journal appends one ordered transaction write-ahead of the reply. A
-// storage failure panics: an executor that cannot persist must not
-// answer.
-func (e *Executor) journal(r Repl) {
-	if e.st == nil || e.replaying {
-		return
-	}
-	if err := e.st.Append(gobEnc(execRecord{Order: r.Order, Req: r.Req})); err != nil {
+// append journals one ordered unit write-ahead of its reply. A storage
+// failure panics: an executor that cannot persist must not answer.
+func (e *Executor) append(rec []byte) {
+	if err := e.st.Append(rec); err != nil {
 		panic(fmt.Sprintf("core: executor journal: %v", err))
 	}
-	if e.st.Due() {
-		if err := e.Compact(); err != nil {
-			panic(fmt.Sprintf("core: executor snapshot: %v", err))
-		}
+}
+
+// compactIfDue folds the journal into a snapshot when it has outgrown
+// the last one, and reports whether it did.
+func (e *Executor) compactIfDue() bool {
+	if !e.st.Due() {
+		return false
+	}
+	e.rebaseline()
+	return true
+}
+
+// rebaseline is Compact for callers that cannot proceed without it.
+func (e *Executor) rebaseline() {
+	if err := e.Compact(); err != nil {
+		panic(fmt.Sprintf("core: executor snapshot: %v", err))
+	}
+}
+
+// header describes the executor's current state for a snapshot or a
+// state transfer.
+func (e *Executor) header() snapHeader {
+	h := snapHeader{Slot: int(e.Executed), Executed: e.Executed, LastSeq: e.LastSeqs(), Recent: e.RecentResults()}
+	if e.frontier != nil {
+		e.frontier(&h)
+	}
+	return h
+}
+
+// adoptHeader is header's inverse: the rows a header came with are in
+// place, and the executor and the protocol take over the rest.
+func (e *Executor) adoptHeader(h snapHeader) {
+	e.InstallSnapshot(h.Executed, h.LastSeq, h.Recent)
+	if e.adopt != nil {
+		e.adopt(h)
 	}
 }
 
 // Compact saves a database snapshot to the stable store, truncating the
-// journal behind it. Deployments call it once after installing the
-// initial schema and population — rows that never travel through the
-// journal are only recoverable from a snapshot.
+// journal behind it (a no-op without a store). Deployments call it once
+// after installing the initial schema and population — rows that never
+// travel through the journal are only recoverable from a snapshot.
 func (e *Executor) Compact() error {
 	if e.st == nil {
 		return nil
 	}
-	return e.st.SaveSnapshot(encodeSnapshot(execSnapshot{Executed: e.Executed, LastSeq: e.LastSeqs()}, e.DB))
+	h := e.header()
+	if err := e.st.SaveSnapshot(encodeSnapshot(h, e.DB)); err != nil {
+		return err
+	}
+	e.snapAt = h.Slot
+	return nil
 }
 
 // Recover rebuilds the executor from its stable store: restore the
-// snapshot, then deterministically re-execute the journal tail. It
-// reports whether any durable state was found (false for a fresh
-// store). The caller owns the network delta: after Recover, Executed is
-// the local frontier and the protocol's usual catch-up
-// (CatchupReq{Since: Executed} for PBR, the SMR slot catch-up) fetches
-// what was ordered during the downtime.
-func (e *Executor) Recover() (bool, error) {
-	if e.st == nil {
-		return false, nil
-	}
-	restored := false
-	if b, ok, err := e.st.Snapshot(); err != nil {
+// snapshot, then feed the journal tail, in append order, to replay —
+// the protocol's record codec, which applies a record when it is the
+// next ordered unit and reports whether it did. Recover reports whether
+// any durable state was found. The network delta is the caller's: the
+// protocol's usual catch-up (CatchupReq{Since: Executed}, SMRCatchupReq)
+// fetches what was ordered during the downtime.
+func (e *Executor) Recover(replay func(rec []byte) bool) (bool, error) {
+	b, restored, err := e.st.Snapshot()
+	if err != nil {
 		return false, err
-	} else if ok {
-		var snap execSnapshot
-		if err := restoreSnapshot(b, &snap, e.DB); err != nil {
+	}
+	if restored {
+		var h snapHeader
+		if err := restoreSnapshot(b, &h, e.DB); err != nil {
 			return false, fmt.Errorf("core: executor snapshot: %w", err)
 		}
-		e.InstallSnapshot(snap.Executed)
-		for c, s := range snap.LastSeq {
-			e.SetLastSeq(c, s)
-		}
-		restored = true
+		e.adoptHeader(h)
+		e.snapAt = h.Slot
 	}
-	e.replaying = true
-	defer func() { e.replaying = false }()
-	err := e.st.Replay(func(rec []byte) error {
-		var r execRecord
-		if gobDec(rec, &r) != nil {
-			return nil // skip an undecodable record, keep the rest
+	journalTx := e.journalTx
+	e.journalTx = false // what is replayed is in the journal already
+	defer func() { e.journalTx = journalTx }()
+	err = e.st.Replay(func(rec []byte) error {
+		if replay(rec) {
+			restored = true
 		}
-		if r.Order != e.Executed+1 {
-			return nil // pre-snapshot straggler or duplicate
-		}
-		if _, err := e.Apply(r.Order, r.Req); err != nil {
-			return err
-		}
-		restored = true
 		return nil
 	})
 	return restored, err
 }
 
-// NewDurablePBRReplica creates a PBR replica whose executor journals to
-// st, recovering any durable state first. It reports whether the
-// replica came back from an existing store (true = a restart, not a
-// fresh spare). The database must already hold the initial schema and
-// population when the store is fresh: the baseline snapshot written
-// here is the only place those rows are persisted.
+// NewDurablePBRReplica creates a PBR replica whose executor journals
+// every transaction it applies to st — write-ahead: inside
+// Apply/applyInBatch, before the caller gets the TxResult it would reply
+// with — compacted by store.Journal's rule with snapEvery as its floor
+// (<= 0 selects DefaultSnapEvery), recovering any durable state first.
+// It reports whether the replica came back from an existing store (true
+// = a restart, not a fresh spare). The database must already hold the
+// initial schema and population when the store is fresh: the baseline
+// snapshot written here is the only place those rows are persisted.
 func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment, st store.Stable, snapEvery int) (*PBRReplica, bool, error) {
 	r := NewPBRReplica(slf, db, reg, dep)
-	r.exec.SetStable(st, snapEvery)
-	restored, err := r.exec.Recover()
+	if snapEvery <= 0 {
+		snapEvery = DefaultSnapEvery
+	}
+	r.exec.st, r.exec.journalTx = store.NewJournal(st, snapEvery), true
+	restored, err := r.exec.Recover(r.exec.replayTx)
 	if err != nil {
 		return nil, false, err
 	}
@@ -150,9 +185,173 @@ func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeploy
 	return r, restored, nil
 }
 
-// A durable snapshot is a small gob-encoded header (the protocol state
-// at the frontier: execSnapshot, smrSnapshot) followed by the database
-// image, written straight off the tables' indexes by sqldb.AppendDump:
+// reorder parks ordered units that arrived ahead of the contiguous
+// frontier, keyed by index (PBR: order number, SMR: slot), until the
+// gap before them closes.
+type reorder[T any] map[int64]T
+
+// next removes and returns the unit right after frontier, if parked.
+func (b reorder[T]) next(frontier int64) (T, bool) {
+	u, ok := b[frontier+1]
+	delete(b, frontier+1)
+	return u, ok
+}
+
+// settle forgets every unit at or below frontier: a transfer or a
+// repair covered them.
+func (b reorder[T]) settle(frontier int64) {
+	for i := range b {
+		if i <= frontier {
+			delete(b, i)
+		}
+	}
+}
+
+// take empties the buffer and returns its units in index order.
+func (b reorder[T]) take() []T {
+	idx := make([]int64, 0, len(b))
+	for i := range b {
+		idx = append(idx, i)
+	}
+	slices.Sort(idx)
+	out := make([]T, len(idx))
+	for n, i := range idx {
+		out[n] = b[i]
+		delete(b, i)
+	}
+	return out
+}
+
+// SnapshotDirectives builds the full state-transfer message sequence
+// (SnapBegin, batched SnapBatch, SnapEnd) from the executor's state to
+// a destination, returning the modeled sender-side serialization cost —
+// proportional to rows times columns, as the paper observes for TPC-C
+// ("serialization overhead is proportional to the number of table
+// columns"). xfer identifies the transfer at the receiver (see
+// SnapBegin).
+func (e *Executor) SnapshotDirectives(to msg.Loc, cfgSeq int, xfer int64) ([]msg.Directive, time.Duration) {
+	h := e.header()
+	dumps := e.DB.Snapshot()
+	eng := e.DB.Engine()
+	schemas := make([]sqldb.CreateTable, len(dumps))
+	for i, d := range dumps {
+		schemas[i] = d.Schema
+	}
+	outs := []msg.Directive{msg.Send(to, msg.M(HdrSnapBegin, SnapBegin{
+		CfgSeq: cfgSeq, Xfer: xfer, Schemas: schemas, Order: int64(h.Slot),
+	}))}
+	var cost time.Duration
+	n := 0
+	for _, d := range dumps {
+		cols := len(d.Schema.Cols)
+		for _, batch := range sqldb.SplitBatches(d, 0) {
+			outs = append(outs, msg.Send(to, msg.M(HdrSnapBatch, SnapBatch{
+				CfgSeq: cfgSeq, Xfer: xfer, Table: batch.Table, Rows: batch.Rows, N: n,
+			})))
+			n++
+			cost += time.Duration(len(batch.Rows)*cols) * eng.PerColSerialize
+		}
+	}
+	outs = append(outs, msg.Send(to, msg.M(HdrSnapEnd, SnapEnd{
+		CfgSeq: cfgSeq, Xfer: xfer, Order: int64(h.Slot), Batches: n,
+		Executed: h.Executed, LastSeq: h.LastSeq, Recent: h.Recent,
+		Epochs: h.Epochs, Joined: h.Joined,
+	})))
+	return outs, cost
+}
+
+// snapAssembly collects one incoming state transfer. The network may
+// drop, duplicate and reorder its messages, and a sender may start a
+// replacement while stragglers of the lost one are still in flight.
+type snapAssembly struct {
+	begin SnapBegin
+	rows  map[string][][]sqldb.Value
+	// seen dedups batches by index: a duplicated SnapBatch must neither
+	// double its rows nor let the assembly complete with another batch
+	// still missing.
+	seen map[int]bool
+	// end holds the SnapEnd once it arrived, possibly before all batches.
+	end *SnapEnd
+}
+
+// snapBegin opens the assembly of an incoming transfer and reports
+// whether it did: a duplicate or stale begin — numbered at or below the
+// transfer being assembled — keeps the assembly in progress.
+func (e *Executor) snapBegin(s SnapBegin) bool {
+	if a := e.xfer; a != nil && s.Xfer <= a.begin.Xfer {
+		return false
+	}
+	e.xfer = &snapAssembly{begin: s, rows: make(map[string][][]sqldb.Value), seen: make(map[int]bool)}
+	return true
+}
+
+// snapBatch adds one batch to the assembly, dropping duplicates and
+// stragglers of a superseded transfer. It returns the assembly when
+// this batch completed it, and the modeled receive-side insertion cost:
+// row insertion is the state-transfer bottleneck (Fig. 10b), a per-row
+// floor plus a per-byte component for wide rows.
+func (e *Executor) snapBatch(b SnapBatch) (*snapAssembly, time.Duration) {
+	a := e.xfer
+	if a == nil || b.CfgSeq != a.begin.CfgSeq || b.Xfer != a.begin.Xfer || a.seen[b.N] {
+		return nil, 0
+	}
+	a.seen[b.N] = true
+	a.rows[b.Table] = append(a.rows[b.Table], b.Rows...)
+	eng := e.DB.Engine()
+	cost := time.Duration(len(b.Rows)) * eng.RestoreRowCost
+	for _, row := range b.Rows {
+		cost += time.Duration(sqldb.RowBytes(row)) * eng.RestoreByteCost
+	}
+	return e.assembled(), cost
+}
+
+// snapEnd records the transfer's end and returns the assembly when no
+// batch is still in flight.
+func (e *Executor) snapEnd(s SnapEnd) *snapAssembly {
+	a := e.xfer
+	if a == nil || s.CfgSeq != a.begin.CfgSeq || s.Xfer != a.begin.Xfer {
+		return nil
+	}
+	a.end = &s
+	return e.assembled()
+}
+
+// assembled detaches and returns the assembly once its end and every
+// batch it announces have arrived.
+func (e *Executor) assembled() *snapAssembly {
+	a := e.xfer
+	if a.end == nil || len(a.seen) < a.end.Batches {
+		return nil
+	}
+	e.xfer = nil
+	return a
+}
+
+// install replaces the executor's whole state with a completed
+// transfer — rows, execution frontier, dedup horizon, the protocol's
+// share — and makes the result the store's new baseline: the journal
+// describes a history the transfer superseded, and a restart must
+// recover this state, not resurrect that one.
+func (e *Executor) install(a *snapAssembly) error {
+	dumps := make([]sqldb.TableDump, len(a.begin.Schemas))
+	for i, sc := range a.begin.Schemas {
+		dumps[i] = sqldb.TableDump{Schema: sc, Rows: a.rows[sc.Name]}
+	}
+	if err := e.DB.Restore(dumps); err != nil {
+		return err
+	}
+	s := a.end
+	e.adoptHeader(snapHeader{
+		Slot: int(s.Order), Executed: s.Executed, LastSeq: s.LastSeq, Recent: s.Recent,
+		Epochs: s.Epochs, Joined: s.Joined,
+	})
+	e.rebaseline()
+	return nil
+}
+
+// A durable snapshot is a small gob-encoded snapHeader followed by the
+// database image, written straight off the tables' indexes by
+// sqldb.AppendDump:
 //
 //	"SNP2" | 4-byte big-endian header length | header | image
 //
@@ -160,7 +359,7 @@ func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeploy
 // files are refused rather than misread.
 const snapMagic = "SNP2"
 
-func encodeSnapshot(hdr any, db *sqldb.DB) []byte {
+func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
 	h := gobEnc(hdr)
 	buf := binary.BigEndian.AppendUint32([]byte(snapMagic), uint32(len(h)))
 	return db.AppendDump(append(buf, h...))
@@ -168,7 +367,7 @@ func encodeSnapshot(hdr any, db *sqldb.DB) []byte {
 
 // restoreSnapshot decodes a snapshot's header into hdr and installs its
 // database image in db.
-func restoreSnapshot(b []byte, hdr any, db *sqldb.DB) error {
+func restoreSnapshot(b []byte, hdr *snapHeader, db *sqldb.DB) error {
 	n := len(snapMagic)
 	if len(b) < n+4 || string(b[:n]) != snapMagic {
 		return errors.New("not a snapshot in the current format")

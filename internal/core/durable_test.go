@@ -9,7 +9,7 @@ import (
 	"shadowdb/internal/store"
 )
 
-func bankDB(t *testing.T, name string, rows int) *sqldb.DB {
+func bankDB(t testing.TB, name string, rows int) *sqldb.DB {
 	t.Helper()
 	db, err := sqldb.Open("h2:mem:" + name)
 	if err != nil {
@@ -23,7 +23,7 @@ func bankDB(t *testing.T, name string, rows int) *sqldb.DB {
 	return db
 }
 
-func emptyDB(t *testing.T, name string) *sqldb.DB { return bankDB(t, name, 0) }
+func emptyDB(t testing.TB, name string) *sqldb.DB { return bankDB(t, name, 0) }
 
 func mustOpen(t *testing.T, prov store.Provider, name string) store.Stable {
 	t.Helper()
@@ -38,7 +38,7 @@ func durDeposit(seq int64) TxRequest {
 	return TxRequest{Client: "c0", Seq: seq, Type: "deposit", Args: []any{1, 5}}
 }
 
-func depositDeliver(t *testing.T, slot int) broadcast.Deliver {
+func depositDeliver(t testing.TB, slot int) broadcast.Deliver {
 	t.Helper()
 	pay, err := EncodeTx(durDeposit(int64(slot + 1)))
 	if err != nil {
@@ -52,49 +52,6 @@ func stepDeliver(r *SMRReplica, d broadcast.Deliver) []msg.Directive {
 	return outs
 }
 
-// An executor rebuilt over its store — fresh empty database — must come
-// back with the same Executed frontier and the same table contents,
-// including the initial population that only the baseline snapshot
-// holds.
-func TestExecutorRecover(t *testing.T) {
-	for name, prov := range map[string]store.Provider{
-		"mem": store.NewMem(),
-		"dir": mustDirProv(t),
-	} {
-		t.Run(name, func(t *testing.T) {
-			db := bankDB(t, "exec-"+name, 10)
-			exec := NewExecutor(db, BankRegistry())
-			exec.SetStable(mustOpen(t, prov, "r1"), 4)
-			if err := exec.Compact(); err != nil { // baseline: the setup rows
-				t.Fatal(err)
-			}
-			for i := int64(1); i <= 10; i++ {
-				if _, err := exec.Apply(i, durDeposit(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			db2 := emptyDB(t, "exec2-"+name)
-			exec2 := NewExecutor(db2, BankRegistry())
-			exec2.SetStable(mustOpen(t, prov, "r1"), 4)
-			restored, err := exec2.Recover()
-			if err != nil || !restored {
-				t.Fatalf("Recover = %v, %v; want restored", restored, err)
-			}
-			if exec2.Executed != 10 {
-				t.Errorf("recovered Executed = %d, want 10", exec2.Executed)
-			}
-			if !sqldb.Equal(db, db2) {
-				t.Error("recovered database differs from the original")
-			}
-			// The dedup horizon survived: a pre-crash request is a duplicate.
-			if _, dup := exec2.Duplicate(durDeposit(3)); !dup {
-				t.Error("pre-crash request not recognized as duplicate after recovery")
-			}
-		})
-	}
-}
-
 func mustDirProv(t *testing.T) *store.Dir {
 	t.Helper()
 	d, err := store.NewDir(t.TempDir(), store.SyncNever)
@@ -102,67 +59,6 @@ func mustDirProv(t *testing.T) *store.Dir {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// A durable SMR replica rebuilt over its store recovers the baseline
-// population plus every journaled slot without any network traffic.
-func TestDurableSMRReplicaRecoversLocally(t *testing.T) {
-	prov := store.NewMem()
-	db := bankDB(t, "smr-r1", 10)
-	r1, err := NewDurableSMRReplica("r1", db, BankRegistry(), mustOpen(t, prov, "r1"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Recovered() {
-		t.Fatal("fresh store reported as recovered")
-	}
-	for s := 0; s < 10; s++ {
-		if outs := stepDeliver(r1, depositDeliver(t, s)); len(outs) == 0 {
-			t.Fatalf("slot %d produced no reply", s)
-		}
-	}
-
-	db2 := emptyDB(t, "smr-r1b")
-	r1b, err := NewDurableSMRReplica("r1", db2, BankRegistry(), mustOpen(t, prov, "r1"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r1b.Recovered() {
-		t.Fatal("restart over a populated store not recovered")
-	}
-	if r1b.LastSlot() != 9 {
-		t.Errorf("recovered LastSlot = %d, want 9", r1b.LastSlot())
-	}
-	if !sqldb.Equal(db, db2) {
-		t.Error("recovered database differs from the original")
-	}
-}
-
-// Local recovery across a compaction boundary: enough slots to trigger
-// a snapshot, plus a journal tail.
-func TestDurableSMRReplicaRecoversAcrossCompaction(t *testing.T) {
-	prov := mustDirProv(t)
-	db := bankDB(t, "smrc-r1", 10)
-	r1, err := NewDurableSMRReplica("r1", db, BankRegistry(), mustOpen(t, prov, "r1"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := smrSnapEvery + 7
-	for s := 0; s < n; s++ {
-		stepDeliver(r1, depositDeliver(t, s))
-	}
-
-	db2 := emptyDB(t, "smrc-r1b")
-	r1b, err := NewDurableSMRReplica("r1", db2, BankRegistry(), mustOpen(t, prov, "r1"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1b.LastSlot() != n-1 {
-		t.Errorf("recovered LastSlot = %d, want %d", r1b.LastSlot(), n-1)
-	}
-	if !sqldb.Equal(db, db2) {
-		t.Error("recovered database differs across compaction")
-	}
 }
 
 // A restarted replica fetches only the delta over the network: the
@@ -249,7 +145,7 @@ func TestDurableSMRCatchupSnapshotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := smrSnapEvery + 3 // past a compaction: the journal no longer reaches slot 0
+	n := DefaultSnapEvery + 3 // past a compaction: the journal no longer reaches slot 0
 	for s := 0; s < n; s++ {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
@@ -286,40 +182,52 @@ func TestDurableSMRCatchupSnapshotFallback(t *testing.T) {
 	}
 }
 
-// Satellite: the joining-replica snapshot path must survive message
-// duplication — every transfer message delivered twice must not double
-// rows or complete the assembly early.
+// The joining-replica snapshot path must survive message duplication —
+// every transfer message delivered twice must not double rows or
+// complete the assembly early — and a replacement transfer started while
+// stragglers of a superseded one are still arriving: the stragglers
+// carry the old transfer's number and must not be counted into the
+// replacement, whose rows differ.
 func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 	db1 := bankDB(t, "dup-r1", 120)
 	r1 := NewSMRReplica("r1", db1, BankRegistry())
 	for s := 0; s < 3; s++ {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
-	xfer := r1.pushSnapshot("r2")
-	if len(xfer) < 3 {
-		t.Fatalf("transfer has %d messages, want begin+batches+end", len(xfer))
+	stale := r1.transferTo("r2")
+	for s := 3; s < 6; s++ {
+		stepDeliver(r1, depositDeliver(t, s))
+	}
+	xfer := r1.transferTo("r2")
+	if len(xfer) < 3 || len(stale) != len(xfer) {
+		t.Fatalf("transfers have %d and %d messages, want the same begin+batches+end", len(stale), len(xfer))
 	}
 
 	db2 := emptyDB(t, "dup-r2")
 	r2 := NewJoiningSMRReplica("r2", db2, BankRegistry())
-	for _, o := range xfer {
+	r2.Step(stale[0].M)
+	for i, o := range xfer {
+		if i > 0 {
+			r2.Step(stale[i].M) // straggler of the superseded transfer
+		}
 		r2.Step(o.M)
 		r2.Step(o.M) // duplicate every message
 	}
 	if !r2.Active() {
 		t.Fatal("joining replica did not activate")
 	}
-	if !sqldb.Equal(db1, db2) {
-		t.Error("duplicated transfer corrupted the joined state")
+	if r2.LastSlot() != 5 || !sqldb.Equal(db1, db2) {
+		t.Errorf("joined at slot %d (want 5), databases equal: %v — stragglers or duplicates corrupted the joined state",
+			r2.LastSlot(), sqldb.Equal(db1, db2))
 	}
 }
 
-// Satellite: a dropped batch followed by a full retransmission of the
-// transfer must still complete with exactly one copy of every row.
+// A dropped batch followed by a retransmission of the missing batch
+// must still complete with exactly one copy of every row.
 func TestSMRJoiningSnapshotDroppedThenRetransmitted(t *testing.T) {
 	db1 := bankDB(t, "drop-r1", 120)
 	r1 := NewSMRReplica("r1", db1, BankRegistry())
-	xfer := r1.pushSnapshot("r2")
+	xfer := r1.transferTo("r2")
 
 	// Find a batch to drop (the second message is the first SnapBatch).
 	dropIdx := -1
@@ -352,34 +260,5 @@ func TestSMRJoiningSnapshotDroppedThenRetransmitted(t *testing.T) {
 	}
 	if !sqldb.Equal(db1, db2) {
 		t.Error("retransmitted transfer corrupted the joined state")
-	}
-}
-
-// A recovered PBR executor rejoins with its frontier intact, so the
-// protocol-level catch-up only has to send the downtime delta.
-func TestDurablePBRReplicaRecovers(t *testing.T) {
-	prov := store.NewMem()
-	dep := PBRDeployment{Pool: []msg.Loc{"p1", "p2"}, InitialMembers: 2}
-	db := bankDB(t, "pbr-p2", 10)
-	r, restored, err := NewDurablePBRReplica("p2", db, BankRegistry(), dep, mustOpen(t, prov, "p2"), 8)
-	if err != nil || restored {
-		t.Fatalf("fresh durable replica: restored=%v err=%v", restored, err)
-	}
-	for i := int64(1); i <= 20; i++ {
-		if _, err := r.Executor().Apply(i, durDeposit(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	db2 := emptyDB(t, "pbr-p2b")
-	r2, restored, err := NewDurablePBRReplica("p2", db2, BankRegistry(), dep, mustOpen(t, prov, "p2"), 8)
-	if err != nil || !restored {
-		t.Fatalf("restart: restored=%v err=%v", restored, err)
-	}
-	if r2.Executor().Executed != 20 {
-		t.Errorf("recovered Executed = %d, want 20", r2.Executor().Executed)
-	}
-	if !sqldb.Equal(db, db2) {
-		t.Error("recovered PBR database differs")
 	}
 }

@@ -71,23 +71,32 @@ type Executor struct {
 	// Executed is the number of transactions applied (the election
 	// criterion of the recovery protocol).
 	Executed int64
-	// CacheSize bounds the transaction log kept for backup catch-up
-	// ("each replica only caches a limited number of executed
-	// transactions"); 0 means 1024.
-	CacheSize int
-	log       []Repl
-	logStart  int64 // order number of log[0]
-	cstates   map[string]*clientState
+	log      []Repl
+	logStart int64 // order number of log[0]
+	cstates  map[string]*clientState
 	// resBuf is the reusable ApplyBatch result buffer; callers consume
 	// it before the next batch.
 	resBuf []TxResult
-	// Durability (durability.go): with st set, appendLog journals every
-	// ordered transaction and compacts the journal into a database
-	// snapshot when st says it is due. replaying suppresses journaling
-	// while Recover re-executes the journal.
+	// Durability and state transfer (durability.go). st journals the
+	// ordered units; snapAt is the frontier its snapshot covers. With
+	// journalTx the unit is the transaction and appendLog journals it
+	// (PBR; an SMR replica journals whole slots itself). frontier and
+	// adopt are the owning protocol's share of a snapshot header, written
+	// into it and taken back out of a restored or transferred one (SMR:
+	// slot and epoch schedule; PBR's frontier is Executed itself). xfer
+	// assembles an incoming transfer.
 	st        *store.Journal
-	replaying bool
+	snapAt    int
+	journalTx bool
+	frontier  func(*snapHeader)
+	adopt     func(snapHeader)
+	xfer      *snapAssembly
 }
+
+// logCacheSize bounds the transaction log kept for backup catch-up
+// ("each replica only caches a limited number of executed
+// transactions").
+const logCacheSize = 1024
 
 // NewExecutor creates an executor over a database.
 func NewExecutor(db *sqldb.DB, reg Registry) *Executor {
@@ -96,13 +105,6 @@ func NewExecutor(db *sqldb.DB, reg Registry) *Executor {
 		Reg:     reg,
 		cstates: make(map[string]*clientState),
 	}
-}
-
-func (e *Executor) cacheSize() int {
-	if e.CacheSize <= 0 {
-		return 1024
-	}
-	return e.CacheSize
 }
 
 // state returns the dedup record for a client, creating it on first
@@ -144,7 +146,7 @@ func (e *Executor) record(req TxRequest, res TxResult) {
 // RecentResults returns the newest cached result of every client,
 // ordered by client name so callers that re-emit them stay
 // deterministic. Clients known only through a transferred dedup
-// horizon (SetLastSeq) have no cached result and are skipped.
+// horizon (InstallSnapshot) have no cached result and are skipped.
 func (e *Executor) RecentResults() []TxResult {
 	var out []TxResult
 	for _, cs := range e.cstates {
@@ -157,21 +159,6 @@ func (e *Executor) RecentResults() []TxResult {
 	return out
 }
 
-// AdoptRecent seeds the dedup ring with transferred results (the
-// counterpart of RecentResults on the receiving side of a snapshot or
-// state transfer). Without them a restarted lease holder could re-ack
-// only what it re-executed locally; with them it can answer for writes
-// that reached it inside a state transfer.
-func (e *Executor) AdoptRecent(results []TxResult) {
-	for _, res := range results {
-		cs := e.state(res.Client)
-		cs.recent[res.Seq%dedupWindow] = res
-		if res.Seq > cs.lastSeq {
-			cs.lastSeq = res.Seq
-		}
-	}
-}
-
 // LastSeqs returns a copy of the per-client dedup horizon (for
 // snapshots and state transfers).
 func (e *Executor) LastSeqs() map[string]int64 {
@@ -182,32 +169,17 @@ func (e *Executor) LastSeqs() map[string]int64 {
 	return out
 }
 
-// SetLastSeq adopts a transferred dedup horizon entry: retries at or
-// below seq are answered with a duplicate marker rather than
-// re-executed.
-func (e *Executor) SetLastSeq(client string, seq int64) {
-	cs := e.state(msg.Loc(client))
-	if seq > cs.lastSeq {
-		cs.lastSeq = seq
-	}
-}
-
 // Apply executes one ordered transaction and records it in the log cache
 // and the deduplication table. order must be Executed+1.
 func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 	if order != e.Executed+1 {
 		return TxResult{}, fmt.Errorf("core: applying order %d, expected %d", order, e.Executed+1)
 	}
-	res := e.run(req)
+	res := RunProc(e.DB, e.Reg, req)
 	e.Executed = order
 	e.appendLog(Repl{Order: order, Req: req})
 	e.record(req, res)
 	return res, nil
-}
-
-// run executes the procedure inside a transaction.
-func (e *Executor) run(req TxRequest) TxResult {
-	return RunProc(e.DB, e.Reg, req)
 }
 
 // ApplyBatch executes a contiguous run of ordered transactions inside a
@@ -316,16 +288,19 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 }
 
 func (e *Executor) appendLog(r Repl) {
-	e.journal(r)
+	if e.journalTx {
+		e.append(gobEnc(execRecord{Order: r.Order, Req: r.Req}))
+		e.compactIfDue()
+	}
 	if len(e.log) == 0 {
 		e.logStart = r.Order
 	}
 	e.log = append(e.log, r)
-	if len(e.log) > e.cacheSize() {
+	if len(e.log) > logCacheSize {
 		// Shift in place instead of reallocating: once the cache is full
 		// this runs on every append, and the old copy-to-fresh-slice made
 		// it a full-length allocation per transaction.
-		drop := len(e.log) - e.cacheSize()
+		drop := len(e.log) - logCacheSize
 		n := copy(e.log, e.log[drop:])
 		for i := n; i < len(e.log); i++ {
 			e.log[i] = Repl{} // release references held past the cache
@@ -351,13 +326,23 @@ func (e *Executor) LogFrom(after int64) ([]Repl, bool) {
 	return out, true
 }
 
-// InstallSnapshot resets the executor to a transferred state.
-func (e *Executor) InstallSnapshot(order int64) {
+// InstallSnapshot resets the executor to a transferred or restored
+// state: the execution frontier, and the dedup horizon and recent
+// results that go with it. Retries of transactions already reflected in
+// the adopted rows must be deduplicated here exactly as they are where
+// the rows came from.
+func (e *Executor) InstallSnapshot(order int64, lastSeq map[string]int64, recent []TxResult) {
 	e.Executed = order
 	e.log = nil
 	e.logStart = 0
-	// The dedup table conservatively clears; duplicate suppression for
-	// older requests is re-established as clients resend with their
-	// latest sequence numbers.
 	e.cstates = make(map[string]*clientState)
+	for c, s := range lastSeq {
+		e.state(msg.Loc(c)).lastSeq = s
+	}
+	// Without the results a restarted or newly joined lease holder could
+	// re-ack only what it executed locally; with them it can answer for
+	// writes that reached it inside the snapshot.
+	for _, res := range recent {
+		e.record(TxRequest{Client: res.Client, Seq: res.Seq}, res)
+	}
 }

@@ -102,25 +102,25 @@ func TestExecutorUnknownType(t *testing.T) {
 
 func TestExecutorLogCache(t *testing.T) {
 	e := bankExec(t, 10)
-	e.CacheSize = 4
-	for i := int64(1); i <= 10; i++ {
+	const n = logCacheSize + 6
+	for i := int64(1); i <= n; i++ {
 		if _, err := e.Apply(i, depositReq("c", i, int(i%10), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Recent suffix available.
-	txs, ok := e.LogFrom(7)
-	if !ok || len(txs) != 3 || txs[0].Order != 8 {
-		t.Errorf("LogFrom(7) = %v %v", txs, ok)
+	txs, ok := e.LogFrom(n - 3)
+	if !ok || len(txs) != 3 || txs[0].Order != n-2 {
+		t.Errorf("LogFrom(%d) = %v %v", n-3, txs, ok)
 	}
 	// Far past evicted.
 	if _, ok := e.LogFrom(2); ok {
 		t.Error("evicted log range reported available")
 	}
 	// Nothing missing.
-	txs, ok = e.LogFrom(10)
+	txs, ok = e.LogFrom(n)
 	if !ok || len(txs) != 0 {
-		t.Errorf("LogFrom(10) = %v %v", txs, ok)
+		t.Errorf("LogFrom(%d) = %v %v", n, txs, ok)
 	}
 }
 
@@ -129,7 +129,7 @@ func TestExecutorInstallSnapshot(t *testing.T) {
 	if _, err := e.Apply(1, depositReq("c", 1, 0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	e.InstallSnapshot(40)
+	e.InstallSnapshot(40, nil, nil)
 	if e.Executed != 40 {
 		t.Errorf("Executed = %d", e.Executed)
 	}
@@ -160,8 +160,9 @@ func TestFullLog(t *testing.T) {
 	if err != nil || len(log) != 5 {
 		t.Fatalf("FullLog = %v, %v", log, err)
 	}
-	e.CacheSize = 2
-	e.appendLog(Repl{Order: 6})
+	for i := int64(6); i <= logCacheSize+1; i++ {
+		e.appendLog(Repl{Order: i})
+	}
 	if _, err := e.FullLog(); !errors.Is(err, ErrIncompleteLog) {
 		t.Errorf("truncated log: err = %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 func FlowClass(payload []byte) flow.Class {
 	if len(payload) >= 4 {
 		switch string(payload[:4]) {
-		case "lse|", "mbr|", "add|":
+		case "lse|", "mbr|":
 			return flow.ClassControl
 		}
 	}

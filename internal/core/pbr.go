@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -45,8 +46,6 @@ type PBRDeployment struct {
 	BcastNodes []msg.Loc
 	// Timing holds the failure-detector knobs.
 	Timing Timing
-	// BatchBytes is the state-transfer batch payload target (0 = 50 KiB).
-	BatchBytes int
 }
 
 // InitialConfig returns configuration 0.
@@ -83,9 +82,9 @@ type PBRReplica struct {
 	// recovered marks backups that confirmed they are in sync.
 	recovered map[msg.Loc]bool
 
-	// backup state
-	oooRepl   map[int64]Repl
-	snapState *snapAssembly
+	// backup state: forwards that arrived ahead of Executed+1, or while
+	// a state transfer is being assembled.
+	park reorder[Repl]
 	// gapTick counts forwards buffered behind a replication gap, pacing
 	// explicit catch-up requests to the primary.
 	gapTick int
@@ -124,20 +123,6 @@ type ackWait struct {
 	at     int64 // submit timestamp (observability only)
 }
 
-type snapAssembly struct {
-	cfgSeq   int
-	xfer     int64
-	schemas  []sqldb.CreateTable
-	rows     map[string][][]sqldb.Value
-	held     []Repl
-	received int
-	// seen dedups batches by index: a duplicated SnapBatch must not
-	// double its rows or inflate received past the real batch count.
-	seen map[int]bool
-	// end holds the SnapEnd when it arrived before all batches.
-	end *SnapEnd
-}
-
 // NewPBRReplica creates a replica. The database starts empty; initial
 // schema/population is installed by the deployment before traffic starts
 // (replicas of a configuration start in the same state).
@@ -155,7 +140,7 @@ func NewPBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment) *
 		pending:   make(map[int64]*ackWait),
 		syncing:   make(map[msg.Loc]bool),
 		recovered: make(map[msg.Loc]bool),
-		oooRepl:   make(map[int64]Repl),
+		park:      make(reorder[Repl]),
 		votes:     make(map[msg.Loc]Elect),
 		lastSlot:  -1,
 	}
@@ -205,11 +190,15 @@ func (r *PBRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	case HdrCatchupReq:
 		outs = r.onCatchupReq(in.Body.(CatchupReq))
 	case HdrSnapBegin:
-		outs = r.onSnapBegin(in.Body.(SnapBegin))
+		if s := in.Body.(SnapBegin); s.CfgSeq == r.cfg.Seq && r.exec.snapBegin(s) {
+			r.stuckTicks = 0
+		}
 	case HdrSnapBatch:
-		outs = r.onSnapBatch(in.Body.(SnapBatch))
+		a, cost := r.exec.snapBatch(in.Body.(SnapBatch))
+		r.stepCost += cost
+		outs = r.installTransfer(a)
 	case HdrSnapEnd:
-		outs = r.onSnapEnd(in.Body.(SnapEnd))
+		outs = r.installTransfer(r.exec.snapEnd(in.Body.(SnapEnd)))
 	case HdrRecovered:
 		outs = r.onRecovered(in.Body.(Recovered))
 	}
@@ -286,19 +275,17 @@ func (r *PBRReplica) onRepl(rep Repl) []msg.Directive {
 	if rep.CfgSeq != r.cfg.Seq {
 		return nil // backups only accept matching configuration tags
 	}
-	if r.snapState != nil {
-		// Receiving a snapshot: buffer and apply afterwards.
-		r.snapState.held = append(r.snapState.held, rep)
+	if r.exec.xfer != nil {
+		// Receiving a snapshot: park and apply afterwards.
+		r.park[rep.Order] = rep
 		return nil
 	}
 	if rep.Order <= r.exec.Executed {
-		return []msg.Directive{msg.Send(r.cfg.Primary(), msg.M(HdrReplAck, ReplAck{
-			CfgSeq: r.cfg.Seq, Order: rep.Order, From: r.slf,
-		}))}
+		return []msg.Directive{r.ack(rep.Order)}
 	}
-	r.oooRepl[rep.Order] = rep
+	r.park[rep.Order] = rep
 	outs := r.drainRepl()
-	if _, gap := r.oooRepl[r.exec.Executed+1]; !gap && len(r.oooRepl) > 0 {
+	if len(r.park) > 0 {
 		// Forwards are piling up behind a hole the primary will never
 		// retransmit on its own (a Repl lost to the network). Ask for the
 		// missing range explicitly, pacing requests so a burst of buffered
@@ -314,25 +301,27 @@ func (r *PBRReplica) onRepl(rep Repl) []msg.Directive {
 	return outs
 }
 
-// drainRepl applies contiguously buffered forwards.
+// drainRepl applies the parked forwards contiguous with Executed.
 func (r *PBRReplica) drainRepl() []msg.Directive {
 	var outs []msg.Directive
 	for {
-		rep, ok := r.oooRepl[r.exec.Executed+1]
+		rep, ok := r.park.next(r.exec.Executed)
 		if !ok {
 			if len(outs) > 0 {
 				r.gapTick = 0 // progress: re-arm the gap pacer
 			}
 			return outs
 		}
-		delete(r.oooRepl, rep.Order)
 		if _, err := r.exec.Apply(rep.Order, rep.Req); err != nil {
 			return outs
 		}
-		outs = append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrReplAck, ReplAck{
-			CfgSeq: r.cfg.Seq, Order: rep.Order, From: r.slf,
-		})))
+		outs = append(outs, r.ack(rep.Order))
 	}
+}
+
+// ack acknowledges one executed forward to the primary.
+func (r *PBRReplica) ack(order int64) msg.Directive {
+	return msg.Send(r.cfg.Primary(), msg.M(HdrReplAck, ReplAck{CfgSeq: r.cfg.Seq, Order: order, From: r.slf}))
 }
 
 func (r *PBRReplica) onReplAck(ack ReplAck) []msg.Directive {
@@ -360,12 +349,7 @@ func (r *PBRReplica) onHBTick() []msg.Directive {
 	if !r.cfg.Contains(r.slf) {
 		return outs // spares stay passive
 	}
-	hb := Heartbeat{
-		From: r.slf, CfgSeq: r.cfg.Seq,
-		Members: append([]msg.Loc(nil), r.cfg.Members...),
-		Stopped: r.stopped,
-		Elected: !r.electing,
-	}
+	hb := r.heartbeat()
 	limit := int(r.dep.Timing.SuspectAfter / r.dep.Timing.HeartbeatEvery)
 	for _, m := range r.cfg.Members {
 		if m == r.slf {
@@ -398,6 +382,16 @@ func (r *PBRReplica) onHBTick() []msg.Directive {
 	return outs
 }
 
+// heartbeat is this replica's liveness probe and configuration gossip.
+func (r *PBRReplica) heartbeat() Heartbeat {
+	return Heartbeat{
+		From: r.slf, CfgSeq: r.cfg.Seq,
+		Members: append([]msg.Loc(nil), r.cfg.Members...),
+		Stopped: r.stopped,
+		Elected: !r.electing,
+	}
+}
+
 // onHeartbeat processes a liveness probe and its piggybacked
 // configuration gossip. Beyond resetting the failure detector, it closes
 // the recovery holes a faulty network opens: replicas that missed a
@@ -414,12 +408,7 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 			// A stale non-member (e.g. a restarted old primary still
 			// probing its defunct membership) never hears our periodic
 			// heartbeats; push it our configuration so it can stand down.
-			return []msg.Directive{msg.Send(hb.From, msg.M(HdrHeartbeat, Heartbeat{
-				From: r.slf, CfgSeq: r.cfg.Seq,
-				Members: append([]msg.Loc(nil), r.cfg.Members...),
-				Stopped: r.stopped,
-				Elected: !r.electing,
-			}))}
+			return []msg.Directive{msg.Send(hb.From, msg.M(HdrHeartbeat, r.heartbeat()))}
 		}
 		return nil // member momentarily behind; its own deliver fixes it
 	}
@@ -440,11 +429,11 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 		// wait for a reconfiguration that may never have been agreed.
 		delete(r.suspected, hb.From)
 		traceRecovery(r.slf, "pbr.unsuspect", r.cfg.Seq, "peer="+string(hb.From))
-		if r.stopped && !r.electing && r.snapState == nil && len(r.suspected) == 0 {
+		if r.stopped && !r.electing && r.exec.xfer == nil && len(r.suspected) == 0 {
 			outs = append(outs, r.resume()...)
 		}
 	}
-	if r.stopped && !r.electing && r.snapState == nil &&
+	if r.stopped && !r.electing && r.exec.xfer == nil &&
 		hb.From == r.cfg.Primary() && r.cfg.Primary() != r.slf {
 		// Still halted while the primary is up with no transfer arriving:
 		// the Catchup or SnapBegin that should have released us was lost.
@@ -458,12 +447,10 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 		})))
 	}
 	if hb.Stopped && hb.From == r.cfg.Primary() && !r.stopped && !r.electing &&
-		r.snapState == nil && r.slf != r.cfg.Primary() {
+		r.exec.xfer == nil && r.slf != r.cfg.Primary() {
 		// The primary is still waiting out recovery but we are in sync:
 		// our Recovered was lost. Repeat it.
-		outs = append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrRecovered, Recovered{
-			CfgSeq: r.cfg.Seq, From: r.slf,
-		})))
+		outs = append(outs, r.inSync())
 	}
 	return outs
 }
@@ -473,24 +460,14 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 // partitioned away while it was agreed).
 func (r *PBRReplica) adoptConfig(hb Heartbeat) []msg.Directive {
 	traceRecovery(r.slf, "pbr.adopt", hb.CfgSeq, "from="+string(hb.From))
-	r.cfg = Config{Seq: hb.CfgSeq, Members: append([]msg.Loc(nil), hb.Members...)}
-	r.resetPerConfig()
+	member := r.enterConfig(hb.CfgSeq, hb.Members)
 	outs := r.flushHeld()
-	if !r.cfg.Contains(r.slf) {
-		// Excluded while away. Our state may have diverged from the
-		// surviving chain (e.g. we executed transactions as a primary
-		// whose acks never committed), so it must not seed a future
-		// election: wipe and rejoin as a fresh spare, to be repopulated by
-		// snapshot if ever re-added.
-		r.stopped = false
-		r.wipeToSpare()
-		return outs
+	if !member {
+		return outs // excluded while away
 	}
-	// Member of the adopted configuration but behind its history: halt
-	// normal processing and ask the primary to close the gap. The request
-	// is repeated from onHeartbeat while we stay stopped, so losing it is
-	// not fatal.
-	r.stopped = true
+	// Member of the adopted configuration but behind its history: ask
+	// the primary to close the gap. The request is repeated from
+	// onHeartbeat while we stay stopped, so losing it is not fatal.
 	if r.recoverAt == 0 {
 		r.recoverAt = obs.Default.Now()
 	}
@@ -499,27 +476,41 @@ func (r *PBRReplica) adoptConfig(hb Heartbeat) []msg.Directive {
 	})))
 }
 
-// resetPerConfig clears every piece of per-configuration state. Callers
-// set the replica's role flags (stopped, electing) afterwards.
-func (r *PBRReplica) resetPerConfig() {
+// enterConfig installs a configuration, clears every piece of
+// per-configuration state and halts normal processing until recovery
+// (the caller says how) brings this replica in line with its history.
+// It reports false when the configuration excludes this replica, which
+// falls back to spare duty: its state may have diverged from the
+// surviving chain — transactions executed as a primary whose acks never
+// committed — and divergent state must not win a later election, so it
+// is wiped, to be repopulated by snapshot if the replica is re-added.
+func (r *PBRReplica) enterConfig(seq int, members []msg.Loc) bool {
+	r.cfg = Config{Seq: seq, Members: append([]msg.Loc(nil), members...)}
 	r.electing = false
 	r.votes = make(map[msg.Loc]Elect)
 	r.pending = make(map[int64]*ackWait)
-	r.oooRepl = make(map[int64]Repl)
+	r.park = make(reorder[Repl])
 	r.syncing = make(map[msg.Loc]bool)
 	r.recovered = make(map[msg.Loc]bool)
 	r.missed = make(map[msg.Loc]int)
 	r.suspected = make(map[msg.Loc]bool)
-	r.snapState = nil
+	r.exec.xfer = nil
 	r.gapTick = 0
 	r.stuckTicks = 0
+	r.stopped = r.cfg.Contains(r.slf)
+	if !r.stopped {
+		r.wipeToSpare()
+	}
+	return r.stopped
 }
 
 // wipeToSpare discards the replica's database and execution history,
-// returning it to the fresh-spare state (hasData() false).
+// returning it to the fresh-spare state (hasData() false) — in the
+// store too, or a restart over it would bring the divergent state back.
 func (r *PBRReplica) wipeToSpare() {
 	_ = r.exec.DB.Restore(nil)
-	r.exec.InstallSnapshot(0)
+	r.exec.InstallSnapshot(0, nil, nil)
+	r.exec.rebaseline()
 	traceRecovery(r.slf, "pbr.wipe", r.cfg.Seq, "")
 }
 
@@ -603,20 +594,10 @@ func (r *PBRReplica) onNewConfig(prop NewConfig) []msg.Directive {
 		r.recoverAt = obs.Default.Now()
 	}
 	traceRecovery(r.slf, "pbr.newconfig", prop.OldSeq+1, "proposer="+string(prop.Proposer))
-	r.cfg = Config{Seq: prop.OldSeq + 1, Members: append([]msg.Loc(nil), prop.Members...)}
-	r.resetPerConfig()
-	r.stopped = true
-	r.electing = true
-	if !r.cfg.Contains(r.slf) {
-		// Excluded: fall back to spare duty. Wipe the database — this
-		// replica may have executed transactions the surviving members
-		// never acknowledged, and divergent state must not win a later
-		// election — and point any held clients at the successor group.
-		r.electing = false
-		r.stopped = false
-		r.wipeToSpare()
-		return r.flushHeld()
+	if !r.enterConfig(prop.OldSeq+1, prop.Members) {
+		return r.flushHeld() // excluded: point held clients at the successor group
 	}
+	r.electing = true
 	vote := Elect{CfgSeq: r.cfg.Seq, From: r.slf, Executed: r.exec.Executed, HasData: r.hasData()}
 	outs := make([]msg.Directive, 0, len(r.cfg.Members))
 	for _, m := range r.cfg.Members {
@@ -692,16 +673,7 @@ func (r *PBRReplica) recordVote(v Elect) []msg.Directive {
 func (r *PBRReplica) primarySync() []msg.Directive {
 	var outs []msg.Directive
 	for _, b := range r.cfg.Backups() {
-		v := r.votes[b]
-		txs, ok := r.exec.LogFrom(v.Executed)
-		if ok && v.HasData {
-			outs = append(outs, msg.Send(b, msg.M(HdrCatchup, Catchup{
-				CfgSeq: r.cfg.Seq, From: v.Executed + 1, Txs: txs,
-			})))
-			continue
-		}
-		outs = append(outs, r.sendSnapshot(b)...)
-		r.syncing[b] = true
+		outs = append(outs, r.repair(b, r.votes[b].Executed, r.votes[b].HasData)...)
 	}
 	if len(r.cfg.Backups()) == 0 {
 		// Sole survivor: resume alone (the crash of all but one replica
@@ -711,53 +683,25 @@ func (r *PBRReplica) primarySync() []msg.Directive {
 	return outs
 }
 
-// sendSnapshot emits a full state transfer to one backup, charging the
-// serialization cost model. Each transfer gets a fresh id so the
-// receiver can tell a replacement from stragglers of a lost one.
-func (r *PBRReplica) sendSnapshot(to msg.Loc) []msg.Directive {
+// repair brings one backup up to date from its frontier: the cached
+// transactions after it where the log cache reaches back that far and
+// the backup holds a database to apply them to, a full state transfer
+// otherwise. Each transfer gets a fresh id so the receiver can tell a
+// replacement from stragglers of a lost one.
+func (r *PBRReplica) repair(b msg.Loc, since int64, hasData bool) []msg.Directive {
+	if txs, ok := r.exec.LogFrom(since); ok && hasData {
+		return []msg.Directive{msg.Send(b, msg.M(HdrCatchup, Catchup{
+			CfgSeq: r.cfg.Seq, From: since + 1, Txs: txs,
+		}))}
+	}
+	r.syncing[b] = true
 	r.snapXfer++
-	outs, cost := SnapshotDirectives(r.exec.DB, to, r.cfg.Seq, r.exec.Executed, r.snapXfer, r.dep.BatchBytes)
+	outs, cost := r.exec.SnapshotDirectives(b, r.cfg.Seq, r.snapXfer)
 	r.stepCost += cost
 	return outs
 }
 
-// SnapshotDirectives builds the full state-transfer message sequence
-// (SnapBegin, batched SnapBatch, SnapEnd) from a database to a
-// destination, returning the modeled sender-side serialization cost —
-// proportional to rows times columns, as the paper observes for TPC-C
-// ("serialization overhead is proportional to the number of table
-// columns").
-func SnapshotDirectives(db *sqldb.DB, to msg.Loc, cfgSeq int, order, xfer int64, batchBytes int) ([]msg.Directive, time.Duration) {
-	dumps := db.Snapshot()
-	eng := db.Engine()
-	schemas := make([]sqldb.CreateTable, len(dumps))
-	for i, d := range dumps {
-		schemas[i] = d.Schema
-	}
-	outs := []msg.Directive{msg.Send(to, msg.M(HdrSnapBegin, SnapBegin{
-		CfgSeq: cfgSeq, Xfer: xfer, Schemas: schemas, Order: order,
-	}))}
-	var cost time.Duration
-	n := 0
-	for _, d := range dumps {
-		cols := len(d.Schema.Cols)
-		for _, batch := range sqldb.SplitBatches(d, batchBytes) {
-			outs = append(outs, msg.Send(to, msg.M(HdrSnapBatch, SnapBatch{
-				CfgSeq: cfgSeq, Xfer: xfer, Table: batch.Table, Rows: batch.Rows, N: n,
-			})))
-			n++
-			cost += time.Duration(len(batch.Rows)*cols) * eng.PerColSerialize
-		}
-	}
-	outs = append(outs, msg.Send(to, msg.M(HdrSnapEnd, SnapEnd{
-		CfgSeq: cfgSeq, Xfer: xfer, Order: order, Batches: n,
-	})))
-	return outs, cost
-}
-
-// onCatchupReq answers a backup's explicit repair request: cached
-// transactions when the log cache reaches back far enough, a full state
-// transfer otherwise.
+// onCatchupReq answers a backup's explicit repair request.
 func (r *PBRReplica) onCatchupReq(q CatchupReq) []msg.Directive {
 	if q.CfgSeq != r.cfg.Seq || r.cfg.Primary() != r.slf || !r.cfg.Contains(q.From) {
 		return nil
@@ -769,14 +713,7 @@ func (r *PBRReplica) onCatchupReq(q CatchupReq) []msg.Directive {
 		// on our CPU and a restart of the backup's assembly.
 		return nil
 	}
-	txs, ok := r.exec.LogFrom(q.Since)
-	if ok {
-		return []msg.Directive{msg.Send(q.From, msg.M(HdrCatchup, Catchup{
-			CfgSeq: r.cfg.Seq, From: q.Since + 1, Txs: txs,
-		}))}
-	}
-	r.syncing[q.From] = true
-	return r.sendSnapshot(q.From)
+	return r.repair(q.From, q.Since, true)
 }
 
 func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
@@ -800,101 +737,51 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 	}
 	first := r.exec.Executed + 1
 	for i := range r.exec.ApplyBatch(reqs) {
-		order := first + int64(i)
-		delete(r.oooRepl, order)
 		// Ack each repaired transaction: the primary may hold a pending
 		// commit waiting on exactly this order (gap repair during normal
 		// processing, not just post-election catch-up).
-		outs = append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrReplAck, ReplAck{
-			CfgSeq: r.cfg.Seq, Order: order, From: r.slf,
-		})))
+		outs = append(outs, r.ack(first+int64(i)))
 	}
-	// Forwards buffered behind the repaired gap may now be contiguous.
+	// Forwards parked behind the repaired gap may now be contiguous.
+	r.park.settle(r.exec.Executed)
 	outs = append(outs, r.drainRepl()...)
 	wasStopped := r.stopped
 	r.stopped = false
 	if wasStopped {
-		r.markRecovered()
+		r.closeRecovery("pbr.recovered")
 	}
-	return append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrRecovered, Recovered{
-		CfgSeq: r.cfg.Seq, From: r.slf,
-	})))
+	return append(outs, r.inSync())
 }
 
-// markRecovered closes this replica's recovery window (observability).
-func (r *PBRReplica) markRecovered() {
+// inSync tells the primary this backup is up to date.
+func (r *PBRReplica) inSync() msg.Directive {
+	return msg.Send(r.cfg.Primary(), msg.M(HdrRecovered, Recovered{CfgSeq: r.cfg.Seq, From: r.slf}))
+}
+
+// closeRecovery ends this replica's recovery window (observability);
+// kind names how: pbr.recovered for a backup back in sync, pbr.resume
+// for a primary re-opening the configuration.
+func (r *PBRReplica) closeRecovery(kind string) {
 	if r.recoverAt != 0 {
 		mRecoverNS.Observe(obs.Default.Now() - r.recoverAt)
 		r.recoverAt = 0
 	}
-	traceRecovery(r.slf, "pbr.recovered", r.cfg.Seq, "")
+	traceRecovery(r.slf, kind, r.cfg.Seq, "")
 }
 
-func (r *PBRReplica) onSnapBegin(s SnapBegin) []msg.Directive {
-	if s.CfgSeq != r.cfg.Seq {
+// installTransfer installs a completed state transfer, reports in sync,
+// and applies the forwards parked while it was assembled.
+func (r *PBRReplica) installTransfer(a *snapAssembly) []msg.Directive {
+	if a == nil {
 		return nil
 	}
-	if st := r.snapState; st != nil && s.Xfer <= st.xfer {
-		return nil // duplicate or stale begin; keep the current assembly
-	}
-	r.stuckTicks = 0
-	r.snapState = &snapAssembly{
-		cfgSeq:  s.CfgSeq,
-		xfer:    s.Xfer,
-		schemas: s.Schemas,
-		rows:    make(map[string][][]sqldb.Value),
-		seen:    make(map[int]bool),
-	}
-	return nil
-}
-
-func (r *PBRReplica) onSnapBatch(b SnapBatch) []msg.Directive {
-	if r.snapState == nil || b.CfgSeq != r.cfg.Seq || b.Xfer != r.snapState.xfer {
-		return nil // no assembly, or a straggler of a superseded transfer
-	}
-	if r.snapState.seen[b.N] {
-		return nil // duplicate batch
-	}
-	r.snapState.seen[b.N] = true
-	r.snapState.rows[b.Table] = append(r.snapState.rows[b.Table], b.Rows...)
-	r.snapState.received++
-	// Row insertion is the state-transfer bottleneck (Fig. 10b); wide
-	// rows pay an additional per-byte cost.
-	r.stepCost += batchRestoreCost(r.exec.DB.Engine(), b.Rows)
-	if end := r.snapState.end; end != nil && r.snapState.received >= end.Batches {
-		return r.onSnapEnd(*end)
-	}
-	return nil
-}
-
-func (r *PBRReplica) onSnapEnd(s SnapEnd) []msg.Directive {
-	if r.snapState == nil || s.CfgSeq != r.cfg.Seq || s.Xfer != r.snapState.xfer {
+	if r.exec.install(a) != nil {
 		return nil
 	}
-	if r.snapState.received < s.Batches {
-		// Some batches are still in flight: finish when they arrive.
-		end := s
-		r.snapState.end = &end
-		return nil
-	}
-	dumps := make([]sqldb.TableDump, len(r.snapState.schemas))
-	for i, sc := range r.snapState.schemas {
-		dumps[i] = sqldb.TableDump{Schema: sc, Rows: r.snapState.rows[sc.Name]}
-	}
-	if err := r.exec.DB.Restore(dumps); err != nil {
-		r.snapState = nil
-		return nil
-	}
-	r.exec.InstallSnapshot(s.Order)
-	held := r.snapState.held
-	r.snapState = nil
 	r.stopped = false
-	r.markRecovered()
-	outs := []msg.Directive{msg.Send(r.cfg.Primary(), msg.M(HdrRecovered, Recovered{
-		CfgSeq: r.cfg.Seq, From: r.slf,
-	}))}
-	// Apply forwards buffered during the transfer.
-	for _, rep := range held {
+	r.closeRecovery("pbr.recovered")
+	outs := []msg.Directive{r.inSync()}
+	for _, rep := range r.park.take() {
 		outs = append(outs, r.onRepl(rep)...)
 	}
 	return outs
@@ -924,11 +811,7 @@ func (r *PBRReplica) onRecovered(rec Recovered) []msg.Directive {
 // requests held during recovery.
 func (r *PBRReplica) resume() []msg.Directive {
 	r.stopped = false
-	if r.recoverAt != 0 {
-		mRecoverNS.Observe(obs.Default.Now() - r.recoverAt)
-		r.recoverAt = 0
-	}
-	traceRecovery(r.slf, "pbr.resume", r.cfg.Seq, "")
+	r.closeRecovery("pbr.resume")
 	held := r.heldReqs
 	r.heldReqs = nil
 	var outs []msg.Directive
@@ -938,34 +821,19 @@ func (r *PBRReplica) resume() []msg.Directive {
 	return outs
 }
 
-// batchRestoreCost models the receive-side insertion cost of one state
-// transfer batch: a per-row floor plus a per-byte component.
-func batchRestoreCost(eng sqldb.Engine, rows [][]sqldb.Value) time.Duration {
-	cost := time.Duration(len(rows)) * eng.RestoreRowCost
-	for _, row := range rows {
-		cost += time.Duration(sqldb.RowBytes(row)) * eng.RestoreByteCost
-	}
-	return cost
-}
-
 // ----------------------------------------------------------------- encode --
 
 func encodeProposal(p NewConfig) []byte {
-	// Proposals travel inside broadcast payloads; reuse the batch codec.
-	members := make([]string, len(p.Members))
-	for i, m := range p.Members {
-		members[i] = string(m)
-	}
 	s := fmt.Sprintf("cfg|%d|%s", p.OldSeq, p.Proposer)
-	for _, m := range members {
-		s += "|" + m
+	for _, m := range p.Members {
+		s += "|" + string(m)
 	}
 	return []byte(s)
 }
 
 func decodeProposal(b []byte) (NewConfig, error) {
 	var p NewConfig
-	parts := splitBytes(b, '|')
+	parts := strings.Split(string(b), "|")
 	if len(parts) < 3 || parts[0] != "cfg" {
 		return p, fmt.Errorf("core: not a config proposal")
 	}
@@ -977,16 +845,4 @@ func decodeProposal(b []byte) (NewConfig, error) {
 		p.Members = append(p.Members, msg.Loc(m))
 	}
 	return p, nil
-}
-
-func splitBytes(b []byte, sep byte) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(b); i++ {
-		if i == len(b) || b[i] == sep {
-			out = append(out, string(b[start:i]))
-			start = i + 1
-		}
-	}
-	return out
 }

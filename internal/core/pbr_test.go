@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
 // testDeployment builds the paper's PBR setup: primary + backup + spare,
@@ -284,5 +286,83 @@ func TestProposalCodec(t *testing.T) {
 	}
 	if _, err := decodeProposal([]byte("tx|whatever")); err == nil {
 		t.Error("non-proposal accepted")
+	}
+}
+
+// Divergent state must not win a later election — not after a restart
+// either. A primary executes transactions its backups never acknowledge,
+// is excluded from the successor configuration and wipes itself to a
+// spare; a new incarnation over the same store must come back as that
+// empty spare, not with the journal of the discarded history.
+func TestPBRWipeReachesTheStore(t *testing.T) {
+	prov := store.NewMem()
+	dep := testDeployment()
+	open := func(name string) *PBRReplica {
+		// Populated before construction, like cmd/shadowdb: recovery
+		// restores over the population.
+		r, _, err := NewDurablePBRReplica("r1", bankDB(t, name, 10), BankRegistry(), dep, mustOpen(t, prov, "r1"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := open("wipe-r1")
+	for seq := int64(1); seq <= 3; seq++ {
+		r.Step(msg.M(HdrTx, durDeposit(seq)))
+	}
+	if r.Executor().Executed != 3 {
+		t.Fatalf("primary executed %d, want 3", r.Executor().Executed)
+	}
+	r.Step(msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: 0, Msgs: []broadcast.Bcast{{
+		From: "r2", Seq: 1, Payload: encodeProposal(NewConfig{OldSeq: 0, Members: []msg.Loc{"r2", "r3"}, Proposer: "r2"}),
+	}}}))
+	if r.hasData() {
+		t.Fatal("excluded replica kept its database")
+	}
+
+	rb := open("wipe-r1b")
+	if rb.Executor().Executed != 0 || rb.hasData() {
+		t.Errorf("restarted spare came back with Executed = %d and %d tables; the wiped history was resurrected",
+			rb.Executor().Executed, rb.Executor().DB.NumTables())
+	}
+}
+
+// A state transfer supersedes the local journal: a backup restarted
+// after installing one must recover the transferred frontier, rows and
+// dedup horizon, not its pre-transfer state.
+func TestPBRTransferRebaselinesStore(t *testing.T) {
+	prov := store.NewMem()
+	dep := testDeployment()
+	primary := NewExecutor(bankDB(t, "xfer-r1", 10), BankRegistry())
+	for seq := int64(1); seq <= 7; seq++ {
+		if _, err := primary.Apply(seq, durDeposit(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(name string) *PBRReplica {
+		r, _, err := NewDurablePBRReplica("r2", bankDB(t, name, 10), BankRegistry(), dep, mustOpen(t, prov, "r2"), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := open("xfer-r2")
+	for seq := int64(1); seq <= 2; seq++ {
+		r.Step(msg.M(HdrRepl, Repl{Order: seq, Req: durDeposit(seq)}))
+	}
+	xfer, _ := primary.SnapshotDirectives("r2", 0, 1)
+	for _, o := range xfer {
+		r.Step(o.M)
+	}
+	if r.Executor().Executed != 7 || !sqldb.Equal(primary.DB, r.Executor().DB) {
+		t.Fatalf("backup installed Executed = %d, want the primary's 7 and its rows", r.Executor().Executed)
+	}
+	if _, dup := r.Executor().Duplicate(durDeposit(5)); !dup {
+		t.Error("transfer did not carry the dedup horizon: a retry of an executed request would run twice")
+	}
+
+	rb := open("xfer-r2b")
+	if rb.Executor().Executed != 7 || !sqldb.Equal(primary.DB, rb.Executor().DB) {
+		t.Errorf("restarted backup recovered Executed = %d, want the transferred frontier 7 and its rows", rb.Executor().Executed)
 	}
 }

@@ -1,0 +1,235 @@
+package core
+
+import (
+	"testing"
+
+	"shadowdb/internal/msg"
+	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
+)
+
+// Recovery is the replicated executor's (durability.go), so its cases
+// are written once and run against both refinements. An ordered unit n
+// (1-based) is one deposit by client c0 with sequence number n — a
+// forward with order number n under PBR, slot n-1 under SMR — so after
+// n units both protocols hold the same rows and Executed == n.
+
+// durableReplica is one protocol's durable replica, reduced to what the
+// recovery cases drive.
+type durableReplica struct {
+	exec     *Executor
+	restored bool
+	// apply orders and executes unit n.
+	apply func(n int64)
+	// units is the protocol's own ordering frontier, in units applied.
+	units func() int64
+}
+
+type durableProto struct {
+	name string
+	// open builds the replica over st; a restart passes the store a
+	// previous incarnation wrote.
+	open func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error)
+	// record encodes unit n as the protocol's journal record.
+	record func(t testing.TB, n int64) []byte
+}
+
+var durableProtos = []durableProto{
+	{
+		name: "pbr",
+		open: func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error) {
+			dep := PBRDeployment{Pool: []msg.Loc{"p1", "p2"}, InitialMembers: 2}
+			r, restored, err := NewDurablePBRReplica("p2", db, BankRegistry(), dep, st, DefaultSnapEvery)
+			if err != nil {
+				return durableReplica{}, err
+			}
+			exec := r.Executor()
+			return durableReplica{exec: exec, restored: restored,
+				apply: func(n int64) {
+					if _, err := exec.Apply(n, durDeposit(n)); err != nil {
+						t.Fatal(err)
+					}
+				},
+				units: func() int64 { return exec.Executed },
+			}, nil
+		},
+		record: func(t testing.TB, n int64) []byte {
+			return gobEnc(execRecord{Order: n, Req: durDeposit(n)})
+		},
+	},
+	{
+		name: "smr",
+		open: func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error) {
+			r, err := NewDurableSMRReplica("r1", db, BankRegistry(), st, nil)
+			if err != nil {
+				return durableReplica{}, err
+			}
+			return durableReplica{exec: r.Executor(), restored: r.Recovered(),
+				apply: func(n int64) { stepDeliver(r, depositDeliver(t, int(n-1))) },
+				units: func() int64 { return int64(r.LastSlot()) + 1 },
+			}, nil
+		},
+		record: func(t testing.TB, n int64) []byte {
+			return gobEnc(walDeliver{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
+		},
+	},
+}
+
+// restart opens a new incarnation over st with an empty database and
+// checks it came back at the frontier, with the rows, of the original.
+func (p durableProto) restart(t *testing.T, st store.Stable, want int64, orig *sqldb.DB) durableReplica {
+	t.Helper()
+	db := emptyDB(t, p.name+"-restarted")
+	r, err := p.open(t, st, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.restored {
+		t.Error("restart over a written store not reported as restored")
+	}
+	if r.units() != want || r.exec.Executed != want {
+		t.Errorf("recovered to unit %d, Executed %d; want %d", r.units(), r.exec.Executed, want)
+	}
+	if !sqldb.Equal(orig, db) {
+		t.Error("recovered database differs from the original")
+	}
+	return r
+}
+
+func TestDurableReplicaRecovery(t *testing.T) {
+	// Each case gets a fresh populated replica over a fresh store.
+	cases := []struct {
+		name string
+		run  func(t *testing.T, p durableProto, st store.Stable, r durableReplica)
+	}{
+		{"fresh store, then snapshot only", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
+			if r.restored {
+				t.Error("fresh store reported as restored")
+			}
+			// The baseline snapshot is the only durable copy of the
+			// initial population.
+			p.restart(t, st, 0, r.exec.DB)
+		}},
+		{"snapshot and journal tail", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
+			for n := int64(1); n <= 10; n++ {
+				r.apply(n)
+			}
+			r2 := p.restart(t, st, 10, r.exec.DB)
+			if _, dup := r2.exec.Duplicate(durDeposit(3)); !dup {
+				t.Error("pre-crash request not recognized as duplicate after recovery")
+			}
+		}},
+		{"across a compaction", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
+			for n := int64(1); n <= DefaultSnapEvery+7; n++ {
+				r.apply(n)
+			}
+			p.restart(t, st, DefaultSnapEvery+7, r.exec.DB)
+		}},
+		{"straggler and out-of-order records are skipped", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
+			for n := int64(1); n <= 5; n++ {
+				r.apply(n)
+			}
+			for _, n := range []int64{2, 9} { // already applied; not the next unit
+				if err := st.Append(p.record(t, n)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r2 := p.restart(t, st, 5, r.exec.DB)
+			r2.apply(6)
+			if r2.units() != 6 {
+				t.Errorf("restarted replica stuck at unit %d after the skipped records", r2.units())
+			}
+		}},
+		{"undecodable record is skipped, the rest kept", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
+			for n := int64(1); n <= 3; n++ {
+				r.apply(n)
+			}
+			if err := st.Append([]byte("not a journal record")); err != nil {
+				t.Fatal(err)
+			}
+			r.apply(4)
+			r.apply(5)
+			p.restart(t, st, 5, r.exec.DB)
+		}},
+	}
+	provs := map[string]func(*testing.T) store.Provider{
+		"mem": func(*testing.T) store.Provider { return store.NewMem() },
+		"dir": func(t *testing.T) store.Provider { return mustDirProv(t) },
+	}
+	for _, p := range durableProtos {
+		for _, c := range cases {
+			for provName, prov := range provs {
+				t.Run(p.name+"/"+c.name+"/"+provName, func(t *testing.T) {
+					st := mustOpen(t, prov(t), "r")
+					r, err := p.open(t, st, bankDB(t, p.name+"-orig", 10))
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.run(t, p, st, r)
+				})
+			}
+		}
+	}
+}
+
+// A snapshot file in the layout SNP2 replaced (one gob stream) is
+// refused with an error, not skipped: skipping it would replay the
+// journal tail onto an empty database.
+func TestRecoveryRefusesUnknownSnapshotFormat(t *testing.T) {
+	for _, p := range durableProtos {
+		st := mustOpen(t, store.NewMem(), "r")
+		if err := st.SaveSnapshot(gobEnc(struct{ Slot int }{Slot: 5})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.open(t, st, emptyDB(t, p.name+"-old")); err == nil {
+			t.Errorf("%s recovery accepted a snapshot it cannot read", p.name)
+		}
+	}
+}
+
+// With a database much larger than 64 units of journal, a durable
+// replica compacts when the journal has grown to the snapshot's size —
+// not every 64 units — so snapshot bytes written stay within the bytes
+// journaled; and a fresh incarnation recovers from that snapshot plus a
+// tail far longer than 64 records, inherits the tail it replayed, and
+// compacts when the old incarnation would have.
+func TestCompactionAmortisedAgainstSnapshotSize(t *testing.T) {
+	for _, p := range durableProtos {
+		t.Run(p.name, func(t *testing.T) {
+			prov := store.NewMem()
+			spy := &spyStable{Stable: mustOpen(t, prov, "r"), t: t, floor: DefaultSnapEvery}
+			r, err := p.open(t, spy, bankDB(t, p.name+"-amort", 4000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseline := spy.written
+			// Two compactions, then a tail well past the floor.
+			n := int64(0)
+			for spy.snaps < 3 || spy.tailRecs < 2*DefaultSnapEvery {
+				if n++; n > 20_000 {
+					t.Fatalf("%d compactions after %d units", spy.snaps-1, n)
+				}
+				r.apply(n)
+			}
+			compactions, fixed := spy.snaps-1, int(n)/DefaultSnapEvery
+			if compactions >= fixed/2 {
+				t.Errorf("%d compactions in %d units of a %d-byte database: want a few, far fewer than the %d a fixed cadence makes",
+					compactions, n, baseline, fixed)
+			}
+			if rewritten := spy.written - baseline; rewritten > spy.appended {
+				t.Errorf("compaction wrote %d snapshot bytes for %d journaled bytes; the rule bounds it by the journal", rewritten, spy.appended)
+			}
+
+			spy2 := &spyStable{Stable: mustOpen(t, prov, "r"), t: t, floor: DefaultSnapEvery, snaps: 1, snapBytes: spy.snapBytes}
+			r2 := p.restart(t, spy2, n, r.exec.DB)
+			// The bound is checked in spy2.Append.
+			spy2.tailRecs, spy2.tailBytes, spy2.floorBytes = spy.tailRecs, spy.tailBytes, spy.floorBytes
+			for m := n + 1; spy2.snaps == 1; m++ {
+				if m > 2*n {
+					t.Fatal("restarted replica never compacted")
+				}
+				r2.apply(m)
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,7 +14,6 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
-	"shadowdb/internal/store"
 )
 
 // SMR: state machine replication (Section III-B of the paper). Clients
@@ -22,21 +22,10 @@ import (
 // the client, who takes the first answer. A replica crash is transparent
 // as long as one replica survives.
 //
-// Reconfiguration: a replica that suspects another broadcasts a
-// reconfiguration request carrying the sequence number of the last
-// ordered transaction (but not the snapshot); the incoming replica
-// fetches the snapshot from the proposer and buffers deliveries made in
-// the meantime.
-
-// SMRAddReplica is the reconfiguration request, ordered through the
-// broadcast service.
-type SMRAddReplica struct {
-	// New is the joining replica, Remove the suspected one (may be
-	// empty), Proposer the replica that will push the snapshot.
-	New      msg.Loc
-	Remove   msg.Loc
-	Proposer msg.Loc
-}
+// Reconfiguration: membership commands ride the same total order
+// (member.Command); for a join the deterministic proposer pushes its
+// snapshot to the incoming replica, which parks deliveries made in the
+// meantime (see onMemberCmd).
 
 // SMRReplica is one state machine replica. It implements gpm.Process.
 type SMRReplica struct {
@@ -45,30 +34,23 @@ type SMRReplica struct {
 	lastSlot int
 	// active is false for a joining replica until its snapshot arrives.
 	active bool
-	// buffer holds deliveries made while inactive.
-	buffer []broadcast.Deliver
-	// snap assembles an incoming state transfer.
-	snap *smrSnap
+	// park holds deliveries made while inactive, and those that arrived
+	// past a gap while the slot catch-up fills it.
+	park reorder[broadcast.Deliver]
 	// stepCost is the virtual CPU of the last step.
 	stepCost time.Duration
-	// Durability (smr_durable.go). stable journals every applied slot and
-	// compacts into a database snapshot; snapSlot is the slot the stored
-	// snapshot covers; pending buffers out-of-order deliveries while the
-	// slot catch-up fills the gap; peers are who a restarted replica asks
-	// for its delta; recoveredLocal reports a restore happened.
-	stable         *store.Journal
-	snapSlot       int
-	pending        map[int]broadcast.Deliver
+	// peers are who a replica behind the order asks for its delta;
+	// recoveredLocal reports a restore from the store happened
+	// (smr_durable.go).
 	peers          []msg.Loc
 	recoveredLocal bool
 	// view, when set, is the shared membership epoch schedule: ordered
 	// member commands refresh the catch-up peer set and trigger the
 	// bootstrap snapshot push for replica joins (see onMemberCmd).
 	view *member.View
-	// Recovery runs in the constructor, before SetView can attach the
-	// view, so the epoch schedule restored from the durable snapshot
-	// (recEpochs/recJoined) and any member commands replayed from the
-	// journal tail (recCmds) are stashed here and folded in by SetView.
+	// What recovery, which runs before SetView can attach the view,
+	// stashes for SetView to fold in: the restored epoch schedule and the
+	// member commands replayed from the journal tail.
 	recEpochs []member.Config
 	recJoined map[msg.Loc]int
 	recCmds   []recMemberCmd
@@ -118,7 +100,31 @@ var _ gpm.Process = (*SMRReplica)(nil)
 
 // NewSMRReplica creates an active replica.
 func NewSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry) *SMRReplica {
-	return &SMRReplica{slf: slf, exec: NewExecutor(db, reg), lastSlot: -1, active: true}
+	r := &SMRReplica{slf: slf, exec: NewExecutor(db, reg), lastSlot: -1, active: true, park: make(reorder[broadcast.Deliver])}
+	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
+	return r
+}
+
+// frontier is SMR's share of a snapshot header: the slot frontier and
+// the membership epoch schedule in force there.
+func (r *SMRReplica) frontier(h *snapHeader) {
+	h.Slot = r.lastSlot
+	if r.view != nil {
+		h.Epochs, h.Joined = r.view.Epochs(), r.view.Joined()
+	}
+}
+
+// adopt is frontier's inverse, for a header restored from the store —
+// in the constructor, before SetView: the schedule is stashed for it —
+// or installed from a state transfer.
+func (r *SMRReplica) adopt(h snapHeader) {
+	r.lastSlot = h.Slot
+	if r.view == nil {
+		r.recEpochs, r.recJoined = h.Epochs, h.Joined
+	} else {
+		r.view.Adopt(h.Epochs, h.Joined)
+		r.setPeers(r.view.Current().Replicas)
+	}
 }
 
 // NewJoiningSMRReplica creates a replica that waits for a state transfer
@@ -144,26 +150,23 @@ func (r *SMRReplica) SetView(v *member.View) {
 	if v == nil {
 		return
 	}
-	if len(r.recEpochs) > 0 || len(r.recJoined) > 0 {
-		v.Adopt(r.recEpochs, r.recJoined)
-		r.recEpochs, r.recJoined = nil, nil
-	}
+	v.Adopt(r.recEpochs, r.recJoined)
+	r.recEpochs, r.recJoined = nil, nil
 	for _, rc := range r.recCmds {
 		v.Apply(rc.cmd, rc.slot)
 	}
 	r.recCmds = nil
-	r.refreshPeers(v.Current())
+	r.setPeers(v.Current().Replicas)
 }
 
-// refreshPeers derives the catch-up peer set from an epoch config.
-func (r *SMRReplica) refreshPeers(cfg member.Config) {
-	peers := make([]msg.Loc, 0, len(cfg.Replicas))
-	for _, l := range cfg.Replicas {
+// setPeers makes the other replicas of the group the catch-up peers.
+func (r *SMRReplica) setPeers(replicas []msg.Loc) {
+	r.peers = make([]msg.Loc, 0, len(replicas))
+	for _, l := range replicas {
 		if l != r.slf {
-			peers = append(peers, l)
+			r.peers = append(r.peers, l)
 		}
 	}
-	r.peers = peers
 }
 
 // Executor exposes the replica's executor.
@@ -187,11 +190,13 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	case broadcast.HdrDeliver:
 		outs = r.onDeliver(in.Body.(broadcast.Deliver))
 	case HdrSnapBegin:
-		outs = r.onSnapBegin(in.Body.(SnapBegin))
+		r.exec.snapBegin(in.Body.(SnapBegin))
 	case HdrSnapBatch:
-		outs = r.onSnapBatch(in.Body.(SnapBatch))
+		a, cost := r.exec.snapBatch(in.Body.(SnapBatch))
+		r.stepCost += cost
+		outs = r.installTransfer(a)
 	case HdrSnapEnd:
-		outs = r.onSnapEnd(in.Body.(SnapEnd))
+		outs = r.installTransfer(r.exec.snapEnd(in.Body.(SnapEnd)))
 	case HdrSMRCatchupReq:
 		outs = r.onSMRCatchupReq(in.Body.(SMRCatchupReq))
 	case HdrSMRCatchup:
@@ -207,32 +212,24 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	return r, outs
 }
 
+// onDeliver applies a live delivery when it is the next slot. Anything
+// else is parked by slot: a joiner's deliveries until the bootstrap
+// snapshot lands, and a delivery past a gap — slots the replica missed
+// while down or partitioned — until a peer has served the missing range.
 func (r *SMRReplica) onDeliver(d broadcast.Deliver) []msg.Directive {
 	if d.Slot <= r.lastSlot {
 		return nil // duplicate notification from another service node
 	}
-	if !r.active && r.stable != nil {
-		// A durable joiner parks live deliveries by slot until the
-		// bootstrap snapshot lands; onSnapEnd then journals and applies
-		// them contiguously from the covered slot. (The volatile buffer
-		// below keeps arrival order, which can skip a slot when several
-		// service nodes fan out concurrently — tolerable without a
-		// journal, not with one.)
-		if r.pending == nil {
-			r.pending = make(map[int]broadcast.Deliver)
-		}
-		r.pending[d.Slot] = d
-		return nil
-	}
-	if r.active && r.stable != nil {
-		return r.durableDeliver(d)
-	}
-	r.lastSlot = d.Slot
 	if !r.active {
-		r.buffer = append(r.buffer, d)
+		r.park[int64(d.Slot)] = d
 		return nil
 	}
-	return r.applyBatch(d)
+	if d.Slot > r.lastSlot+1 {
+		r.park[int64(d.Slot)] = d
+		lg.WithNode(r.slf).Infof("smr gap: got slot %d with frontier %d, requesting catch-up", d.Slot, r.lastSlot)
+		return r.requestCatchup()
+	}
+	return append(r.applySlot(d, false), r.drainParked()...)
 }
 
 func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
@@ -282,16 +279,10 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 	}
 	for _, b := range d.Msgs {
 		// Dispatch on the payload tag without splitting: the non-tx tags
-		// are all 4 bytes ("add|", "mbr|", "lse|"), and comparing against
+		// are both 4 bytes ("mbr|", "lse|"), and comparing against
 		// a constant does not allocate.
 		if len(b.Payload) >= 4 && b.Payload[3] == '|' {
 			switch string(b.Payload[:4]) {
-			case "add|":
-				if add, ok := DecodeSMRAdd(b.Payload); ok {
-					flush()
-					outs = append(outs, r.onAdd(add)...)
-					continue
-				}
 			case "mbr|":
 				if cmd, ok := member.DecodeCommand(b.Payload); ok {
 					flush()
@@ -339,16 +330,6 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 	return outs
 }
 
-// onAdd handles an ordered reconfiguration: the proposer pushes its
-// snapshot (reflecting every transaction up to and including this slot)
-// to the new replica.
-func (r *SMRReplica) onAdd(add SMRAddReplica) []msg.Directive {
-	if r.slf != add.Proposer {
-		return nil
-	}
-	return r.pushSnapshot(add.New)
-}
-
 // onMemberCmd folds an ordered membership command into the shared
 // epoch view. Every replica applies the command at the same slot, so
 // they all refresh their catch-up peer sets identically, and for a
@@ -369,162 +350,48 @@ func (r *SMRReplica) onMemberCmd(cmd member.Command, slot int) []msg.Directive {
 	}
 	prev := r.view.Current()
 	cfg, _ := r.view.Apply(cmd, slot)
-	r.refreshPeers(cfg)
+	r.setPeers(cfg.Replicas)
 	if cmd.Op == member.AddReplica && cfg.HasReplica(cmd.Node) && cmd.Node != r.slf &&
 		r.slf == member.Proposer(prev, cmd.Node) {
 		mSMRSnapshotsSent.Inc()
-		return r.pushSnapshot(cmd.Node)
+		return r.transferTo(cmd.Node)
 	}
 	return nil
 }
 
-// pushSnapshot streams this replica's full state to a peer.
-func (r *SMRReplica) pushSnapshot(to msg.Loc) []msg.Directive {
-	dumps := r.exec.DB.Snapshot()
-	eng := r.exec.DB.Engine()
-	schemas := make([]sqldb.CreateTable, len(dumps))
-	for i, d := range dumps {
-		schemas[i] = d.Schema
-	}
-	outs := []msg.Directive{msg.Send(to, msg.M(HdrSnapBegin, SnapBegin{
-		Schemas: schemas, Order: int64(r.lastSlot),
-	}))}
-	n := 0
-	for _, d := range dumps {
-		cols := len(d.Schema.Cols)
-		for _, batch := range sqldb.SplitBatches(d, 0) {
-			outs = append(outs, msg.Send(to, msg.M(HdrSnapBatch, SnapBatch{
-				Table: batch.Table, Rows: batch.Rows, N: n,
-			})))
-			n++
-			r.stepCost += time.Duration(len(batch.Rows)*cols) * eng.PerColSerialize
-		}
-	}
-	end := SnapEnd{
-		Order: int64(r.lastSlot), Batches: n,
-		Executed: r.exec.Executed, LastSeq: r.exec.LastSeqs(),
-		Recent: r.exec.RecentResults(),
-	}
-	if r.view != nil {
-		end.Epochs = r.view.Epochs()
-		end.Joined = r.view.Joined()
-	}
-	outs = append(outs, msg.Send(to, msg.M(HdrSnapEnd, end)))
+// transferTo streams this replica's full state to a peer, numbered by
+// the slot frontier it reflects: the state after a slot is the same at
+// every replica, so equal numbers mean equal batches whoever sent them,
+// and a later state outnumbers an earlier one (see SnapBegin).
+func (r *SMRReplica) transferTo(to msg.Loc) []msg.Directive {
+	outs, cost := r.exec.SnapshotDirectives(to, 0, int64(r.lastSlot)+1)
+	r.stepCost += cost
 	return outs
 }
 
-// Snapshot reception at the joining replica. The snapshot's Order field
-// carries the last SLOT it covers.
-
-var errStray = fmt.Errorf("core: stray snapshot message")
-
-type smrSnap struct {
-	schemas  []sqldb.CreateTable
-	rows     map[string][][]sqldb.Value
-	received int
-	// seen dedups batches by index: the transport may duplicate a
-	// SnapBatch, and counting it twice would both double its rows and
-	// let the assembly "complete" with another batch still missing.
-	seen map[int]bool
-	end  *SnapEnd
-}
-
-// The joining replica reuses snapState via a minimal local assembly.
-func (r *SMRReplica) onSnapBegin(s SnapBegin) []msg.Directive {
-	r.snap = &smrSnap{schemas: s.Schemas, rows: make(map[string][][]sqldb.Value), seen: make(map[int]bool)}
-	return nil
-}
-
-func (r *SMRReplica) onSnapBatch(b SnapBatch) []msg.Directive {
-	if r.snap == nil {
+// installTransfer installs a completed state transfer (its Order field
+// carries the last slot it covers), activates a joiner, and applies the
+// deliveries parked past the covered slot.
+func (r *SMRReplica) installTransfer(a *snapAssembly) []msg.Directive {
+	if a == nil || r.active && int(a.end.Order) <= r.lastSlot {
+		// Incomplete, or a stale transfer — e.g. the answer to a catch-up
+		// request this replica has since outrun through live deliveries —
+		// which must not roll an active replica back: every slot it
+		// covers is already applied locally.
 		return nil
 	}
-	if r.snap.seen[b.N] {
-		return nil // duplicate batch
-	}
-	r.snap.seen[b.N] = true
-	r.snap.rows[b.Table] = append(r.snap.rows[b.Table], b.Rows...)
-	r.snap.received++
-	r.stepCost += batchRestoreCost(r.exec.DB.Engine(), b.Rows)
-	if end := r.snap.end; end != nil && r.snap.received >= end.Batches {
-		return r.onSnapEnd(*end)
-	}
-	return nil
-}
-
-func (r *SMRReplica) onSnapEnd(s SnapEnd) []msg.Directive {
-	if r.snap == nil {
+	if r.exec.install(a) != nil {
 		return nil
 	}
-	if r.snap.received < s.Batches {
-		end := s
-		r.snap.end = &end
-		return nil
-	}
-	if r.active && int(s.Order) <= r.lastSlot {
-		// A stale transfer — e.g. the answer to a catch-up request this
-		// replica has since outrun through live deliveries — must not
-		// roll an active replica back: every slot it covers is already
-		// applied locally.
-		r.snap = nil
-		return nil
-	}
-	dumps := make([]sqldb.TableDump, len(r.snap.schemas))
-	for i, sc := range r.snap.schemas {
-		dumps[i] = sqldb.TableDump{Schema: sc, Rows: r.snap.rows[sc.Name]}
-	}
-	if err := r.exec.DB.Restore(dumps); err != nil {
-		r.snap = nil
-		return nil
-	}
-	r.snap = nil
-	// Adopt the sender's dedup horizon along with its state: retries of
-	// transactions already reflected in the transferred rows must be
-	// deduplicated here exactly as the established replicas do.
-	r.exec.InstallSnapshot(s.Executed)
-	for c, seq := range s.LastSeq {
-		r.exec.SetLastSeq(c, seq)
-	}
-	r.exec.AdoptRecent(s.Recent)
-	if r.view != nil && (len(s.Epochs) > 0 || len(s.Joined) > 0) {
-		r.view.Adopt(s.Epochs, s.Joined)
-		r.refreshPeers(r.view.Current())
-	}
-	if r.lease != nil && len(s.Recent) > 0 {
+	if r.lease != nil && len(a.end.Recent) > 0 {
 		// The transfer may cover writes whose acks were suppressed
 		// everywhere (no valid holder while they applied); re-emit the
 		// adopted results at the next valid grant.
 		r.ackGap = true
 	}
 	r.active = true
-	coveredSlot := int(s.Order)
-	var outs []msg.Directive
-	for _, d := range r.buffer {
-		if d.Slot <= coveredSlot {
-			continue
-		}
-		outs = append(outs, r.applyBatch(d)...)
-	}
-	r.buffer = nil
-	if r.stable != nil {
-		// A full transfer supersedes the local journal: advance the
-		// frontier to the covered slot, persist the transferred state as
-		// the new baseline, and drain any out-of-order deliveries that
-		// were parked while the transfer ran.
-		if coveredSlot > r.lastSlot {
-			r.lastSlot = coveredSlot
-		}
-		if err := r.saveSMRSnapshot(); err != nil {
-			panic(fmt.Sprintf("core: smr baseline after transfer: %v", err))
-		}
-		for slot := range r.pending {
-			if slot <= r.lastSlot {
-				delete(r.pending, slot)
-			}
-		}
-		outs = append(outs, r.drainPending()...)
-	}
-	return outs
+	r.park.settle(int64(r.lastSlot))
+	return r.drainParked()
 }
 
 // ------------------------------------------------------------- payloads --
@@ -550,31 +417,17 @@ func EncodeTx(req TxRequest) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+var errNotTx = errors.New("core: not a transaction payload")
+
 // DecodeTx reverses EncodeTx.
 func DecodeTx(b []byte) (TxRequest, error) {
 	gobBasics()
 	if len(b) < 3 || string(b[:3]) != "tx|" {
-		return TxRequest{}, errStray
+		return TxRequest{}, errNotTx
 	}
 	var req TxRequest
 	if err := gob.NewDecoder(bytes.NewReader(b[3:])).Decode(&req); err != nil {
 		return TxRequest{}, fmt.Errorf("core: decode tx: %w", err)
 	}
 	return req, nil
-}
-
-// EncodeSMRAdd serializes a reconfiguration request.
-func EncodeSMRAdd(a SMRAddReplica) []byte {
-	return []byte(fmt.Sprintf("add|%s|%s|%s", a.New, a.Remove, a.Proposer))
-}
-
-// DecodeSMRAdd recognizes a reconfiguration payload.
-func DecodeSMRAdd(b []byte) (SMRAddReplica, bool) {
-	parts := splitBytes(b, '|')
-	if len(parts) != 4 || parts[0] != "add" {
-		return SMRAddReplica{}, false
-	}
-	return SMRAddReplica{
-		New: msg.Loc(parts[1]), Remove: msg.Loc(parts[2]), Proposer: msg.Loc(parts[3]),
-	}, true
 }

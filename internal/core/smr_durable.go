@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -13,44 +12,19 @@ import (
 	"shadowdb/internal/store"
 )
 
-// SMR durability. A durable SMR replica journals every delivered slot
-// (the decided batch, verbatim) before executing it, and compacts the
-// journal into a full database snapshot whenever the journal has
-// outgrown it (store.Journal's rule, at least smrSnapEvery slots). After
-// a crash, a new incarnation over the same store recovers by restoring
-// the snapshot and deterministically re-executing the journal tail —
-// then asks a peer only for the slots ordered during its downtime
-// (SMRCatchupReq/SMRCatchup), instead of pulling the whole database
-// over the network. The peer serves the delta from its own journal, or
-// falls back to a full state transfer when compaction has discarded the
-// requested range.
+// SMR durability: the replicated executor's journal (durability.go)
+// with the slot as the ordered unit — the decided batch, verbatim,
+// journaled before it executes. After a crash a new incarnation over
+// the same store recovers locally and asks a peer only for the slots
+// ordered during its downtime (SMRCatchupReq/SMRCatchup); the peer
+// serves them from its own journal, or falls back to a full state
+// transfer when compaction has discarded the range.
 
-// walDeliver journals one delivered slot.
+// walDeliver is the SMR journal record: one delivered slot.
 type walDeliver struct {
 	Slot int
 	Msgs []broadcast.Bcast
 }
-
-// smrSnapshot is the header of the compacted journal (the database
-// image follows it, see encodeSnapshot): the slot frontier the image
-// reflects, the executor's dedup horizon and recent results, and the
-// membership epoch schedule in force at the frontier. The schedule must
-// be here: a membership command compacted into the snapshot is never
-// replayed, so without it a restarted replica would recover the rows of
-// epoch N while believing itself in epoch 0 — and, with leases on,
-// grant renewals from a deposed holder that every live replica refuses.
-type smrSnapshot struct {
-	Slot     int
-	Executed int64
-	LastSeq  map[string]int64
-	Recent   []TxResult
-	Epochs   []member.Config
-	Joined   map[msg.Loc]int
-}
-
-// smrSnapEvery is the floor of the compaction rule (store.Journal): the
-// fewest journaled slots between two compactions.
-const smrSnapEvery = 64
 
 // NewDurableSMRReplica creates an SMR replica that journals to st and
 // recovers any durable state the store already holds. peers are the
@@ -59,23 +33,12 @@ const smrSnapEvery = 64
 // population: the baseline snapshot written here is the only durable
 // copy of rows that never travel through the broadcast.
 func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
-	r := NewSMRReplica(slf, db, reg)
-	r.stable = store.NewJournal(st, smrSnapEvery)
-	r.snapSlot = -1
-	r.pending = make(map[int]broadcast.Deliver)
-	for _, p := range peers {
-		if p != slf {
-			r.peers = append(r.peers, p)
-		}
+	r, err := openDurableSMR(slf, db, reg, st, peers)
+	if err != nil || r.recoveredLocal {
+		return r, err
 	}
-	restored, err := r.recoverLocal()
-	if err != nil {
-		return nil, err
-	}
-	if !restored {
-		if err := r.saveSMRSnapshot(); err != nil {
-			return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
-		}
+	if err := r.exec.Compact(); err != nil {
+		return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
 	}
 	return r, nil
 }
@@ -83,34 +46,49 @@ func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stab
 // NewJoiningDurableSMRReplica creates a durable replica that joins an
 // existing group: it stays inactive — parking deliveries by slot —
 // until the ordered add-replica command makes the configured proposer
-// push a bootstrap snapshot (onSnapEnd installs it, persists it as the
-// journal baseline, and drains the parked tail). The database starts
-// empty: schema and rows arrive with the transfer. A restarted joiner
-// that already bootstrapped once recovers like an established durable
-// replica.
+// push a bootstrap snapshot (installTransfer installs it, the executor
+// saves it as the journal baseline, and the parked tail drains). The
+// database starts empty: schema and rows arrive with the transfer, which
+// provides the first durable baseline. A restarted joiner whose previous
+// incarnation finished its bootstrap recovers like an established
+// durable replica.
 func NewJoiningDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
-	r := NewSMRReplica(slf, db, reg)
-	r.active = false
-	r.stable = store.NewJournal(st, smrSnapEvery)
-	r.snapSlot = -1
-	r.pending = make(map[int]broadcast.Deliver)
-	for _, p := range peers {
-		if p != slf {
-			r.peers = append(r.peers, p)
-		}
+	r, err := openDurableSMR(slf, db, reg, st, peers)
+	if err == nil {
+		r.active = r.recoveredLocal
 	}
-	restored, err := r.recoverLocal()
+	return r, err
+}
+
+// openDurableSMR attaches the store and rebuilds whatever state it
+// holds: snapshot, then journal.
+func openDurableSMR(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
+	r := NewSMRReplica(slf, db, reg)
+	r.exec.st = store.NewJournal(st, DefaultSnapEvery)
+	r.setPeers(peers)
+	var err error
+	r.recoveredLocal, err = r.exec.Recover(r.replaySlot)
 	if err != nil {
 		return nil, err
 	}
-	if restored {
-		// The previous incarnation finished (or at least began) its
-		// bootstrap: resume as an established durable replica.
-		r.active = true
+	if r.recoveredLocal {
+		lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.exec.snapAt, r.lastSlot)
 	}
-	// No baseline snapshot of the empty database: the bootstrap transfer
-	// provides the first durable baseline.
 	return r, nil
+}
+
+// replaySlot decodes one walDeliver and re-executes it when it is the
+// next slot; a pre-snapshot straggler, a duplicate or an undecodable
+// record is skipped. Nothing is listening yet, so the replies (already
+// sent by the pre-crash incarnation) are discarded.
+func (r *SMRReplica) replaySlot(rec []byte) bool {
+	var w walDeliver
+	if gobDec(rec, &w) != nil || w.Slot != r.lastSlot+1 {
+		return false
+	}
+	r.lastSlot = w.Slot
+	_ = r.applyBatch(broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
+	return true
 }
 
 // Recovered reports whether the replica restored state from its store
@@ -135,7 +113,7 @@ var recoveryBackoff = netutil.Backoff{Base: 2 * time.Second, Cap: 2 * time.Secon
 // immediately and after one recoveryBackoff interval — so a lost first
 // round cannot strand the replica behind until the next live delivery.
 func (r *SMRReplica) RecoveryDirectives() []msg.Directive {
-	if r.stable == nil {
+	if r.exec.st == nil {
 		return nil
 	}
 	outs := r.requestCatchup()
@@ -144,65 +122,6 @@ func (r *SMRReplica) RecoveryDirectives() []msg.Directive {
 		outs = append(outs, o)
 	}
 	return outs
-}
-
-// recoverLocal rebuilds state from the store: snapshot, then journal.
-func (r *SMRReplica) recoverLocal() (bool, error) {
-	restored := false
-	if b, ok, err := r.stable.Snapshot(); err != nil {
-		return false, err
-	} else if ok {
-		var snap smrSnapshot
-		if err := restoreSnapshot(b, &snap, r.exec.DB); err != nil {
-			return false, fmt.Errorf("core: smr snapshot: %w", err)
-		}
-		r.exec.InstallSnapshot(snap.Executed)
-		for c, s := range snap.LastSeq {
-			r.exec.SetLastSeq(c, s)
-		}
-		r.exec.AdoptRecent(snap.Recent)
-		// The epoch schedule folds into the view at SetView time — the
-		// view is attached after construction, and recovery runs inside
-		// the constructor.
-		r.recEpochs, r.recJoined = snap.Epochs, snap.Joined
-		r.lastSlot = snap.Slot
-		r.snapSlot = snap.Slot
-		restored = true
-	}
-	err := r.stable.Replay(func(rec []byte) error {
-		var w walDeliver
-		if gobDec(rec, &w) != nil {
-			return nil // skip an undecodable record, keep the rest
-		}
-		if w.Slot != r.lastSlot+1 {
-			return nil // pre-snapshot straggler or duplicate
-		}
-		r.lastSlot = w.Slot
-		// Re-execute; nothing is listening yet, so the replies (already
-		// sent by the pre-crash incarnation) are discarded.
-		_ = r.applyBatch(broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
-		restored = true
-		return nil
-	})
-	r.recoveredLocal = restored
-	if restored {
-		lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.snapSlot, r.lastSlot)
-	}
-	return restored, err
-}
-
-// durableDeliver handles a live delivery on the durable path. A gap —
-// slots the replica missed while down — parks the delivery and asks a
-// peer for the missing range; contiguous slots are journaled
-// write-ahead of execution.
-func (r *SMRReplica) durableDeliver(d broadcast.Deliver) []msg.Directive {
-	if d.Slot > r.lastSlot+1 {
-		r.pending[d.Slot] = d
-		lg.WithNode(r.slf).Infof("smr gap: got slot %d with frontier %d, requesting catch-up", d.Slot, r.lastSlot)
-		return r.requestCatchup()
-	}
-	outs := r.journalAndApply(d, false)
-	return append(outs, r.drainPending()...)
 }
 
 // SetGroupCommit coalesces the journal fsyncs of up to every slots:
@@ -222,33 +141,28 @@ func (r *SMRReplica) SetGroupCommit(every int, delay time.Duration) {
 	r.gcEvery, r.gcDelay = every, delay
 }
 
-// journalAndApply persists the slot, executes it, and compacts when
-// due. quiet drops the client replies — used for catch-up application,
-// where the transactions were already answered by live replicas.
-func (r *SMRReplica) journalAndApply(d broadcast.Deliver, quiet bool) []msg.Directive {
-	if err := r.stable.Append(gobEnc(walDeliver{Slot: d.Slot, Msgs: d.Msgs})); err != nil {
-		panic(fmt.Sprintf("core: smr journal: %v", err))
+// applySlot executes the next slot — on a durable replica journaled
+// write-ahead, and compacted when due. quiet drops the client replies —
+// used for catch-up application, where the transactions were already
+// answered by live replicas.
+func (r *SMRReplica) applySlot(d broadcast.Deliver, quiet bool) []msg.Directive {
+	if r.exec.st != nil {
+		r.exec.append(gobEnc(walDeliver{Slot: d.Slot, Msgs: d.Msgs}))
+		mSMRAppends.Inc()
 	}
-	mSMRAppends.Inc()
 	r.lastSlot = d.Slot
 	outs := r.applyBatch(d)
 	if quiet {
-		trimmed := dropTxResults(outs)
-		if r.lease != nil && len(trimmed) < len(outs) {
+		var dropped []msg.Directive
+		outs, dropped = takeAcks(outs, nil)
+		if r.lease != nil && len(dropped) > 0 {
 			// Quiet catch-up swallowed client replies; the re-ack path
 			// must still cover them once this replica holds a valid
 			// lease (they may include writes nobody else acknowledged).
 			r.ackGap = true
 		}
-		outs = trimmed
 	}
-	snapped := false
-	if r.stable.Due() {
-		if err := r.saveSMRSnapshot(); err != nil {
-			panic(fmt.Sprintf("core: smr snapshot: %v", err))
-		}
-		snapped = true
-	}
+	snapped := r.exec.st != nil && r.exec.compactIfDue()
 	if r.gcEvery > 1 {
 		outs = r.groupCommit(outs, snapped)
 	}
@@ -264,16 +178,8 @@ func (r *SMRReplica) journalAndApply(d broadcast.Deliver, quiet bool) []msg.Dire
 // until the next ack-bearing window — Sync flushes the whole appended
 // tail, so the deferred slots are covered by that later fsync.
 func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Directive {
-	kept := outs[:0]
 	parked0 := len(r.parked)
-	for _, o := range outs {
-		if o.M.Hdr == HdrTxResult {
-			r.parked = append(r.parked, o)
-		} else {
-			kept = append(kept, o)
-		}
-	}
-	outs = kept
+	outs, r.parked = takeAcks(outs, r.parked)
 	if snapped {
 		r.unsyncedSlots = 0
 		if len(r.parked) > 0 {
@@ -299,7 +205,7 @@ func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Direc
 // by a snapshot save) and returns the parked acks.
 func (r *SMRReplica) releaseParked(covered bool) []msg.Directive {
 	if !covered {
-		if err := r.stable.Sync(); err != nil {
+		if err := r.exec.st.Sync(); err != nil {
 			panic(fmt.Sprintf("core: smr group-commit sync: %v", err))
 		}
 	}
@@ -321,36 +227,17 @@ func (r *SMRReplica) onSyncTick() []msg.Directive {
 	return r.releaseParked(false)
 }
 
-// drainPending applies parked deliveries that became contiguous.
-func (r *SMRReplica) drainPending() []msg.Directive {
+// drainParked applies the parked deliveries contiguous with the slot
+// frontier.
+func (r *SMRReplica) drainParked() []msg.Directive {
 	var outs []msg.Directive
 	for {
-		d, ok := r.pending[r.lastSlot+1]
+		d, ok := r.park.next(int64(r.lastSlot))
 		if !ok {
 			return outs
 		}
-		delete(r.pending, d.Slot)
-		outs = append(outs, r.journalAndApply(d, false)...)
+		outs = append(outs, r.applySlot(d, false)...)
 	}
-}
-
-// saveSMRSnapshot compacts the journal into a database snapshot.
-func (r *SMRReplica) saveSMRSnapshot() error {
-	snap := smrSnapshot{
-		Slot:     r.lastSlot,
-		Executed: r.exec.Executed,
-		LastSeq:  r.exec.LastSeqs(),
-		Recent:   r.exec.RecentResults(),
-	}
-	if r.view != nil {
-		snap.Epochs = r.view.Epochs()
-		snap.Joined = r.view.Joined()
-	}
-	if err := r.stable.SaveSnapshot(encodeSnapshot(snap, r.exec.DB)); err != nil {
-		return err
-	}
-	r.snapSlot = r.lastSlot
-	return nil
 }
 
 // requestCatchup asks every peer for the slots after the local
@@ -375,7 +262,7 @@ func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
 	if !r.active || q.From == r.slf {
 		return nil
 	}
-	if r.stable != nil && q.After >= r.snapSlot {
+	if r.exec.st != nil && q.After >= r.exec.snapAt {
 		var outs []msg.Directive
 		var ds []broadcast.Deliver
 		size := 0
@@ -383,7 +270,7 @@ func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
 			outs = append(outs, msg.Send(q.From, msg.M(HdrSMRCatchup, SMRCatchup{Delivers: ds})))
 			ds, size = nil, 0
 		}
-		err := r.stable.Replay(func(rec []byte) error {
+		err := r.exec.st.Replay(func(rec []byte) error {
 			var w walDeliver
 			if gobDec(rec, &w) == nil && w.Slot > q.After {
 				if size > 0 && size+len(rec) > catchupChunk {
@@ -409,39 +296,37 @@ func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
 	if r.view != nil && r.slf != member.Proposer(r.view.Current(), q.From) {
 		return nil
 	}
-	return r.pushSnapshot(q.From)
+	return r.transferTo(q.From)
 }
 
 // onSMRCatchup applies a peer-served delta: contiguous slots are
 // journaled and executed (quietly — the live replicas already answered
 // these clients), out-of-order ones are parked.
 func (r *SMRReplica) onSMRCatchup(c SMRCatchup) []msg.Directive {
-	if r.stable == nil || !r.active {
+	if !r.active {
 		return nil
 	}
-	ds := append([]broadcast.Deliver(nil), c.Delivers...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Slot < ds[j].Slot })
 	var outs []msg.Directive
-	for _, d := range ds {
-		switch {
-		case d.Slot <= r.lastSlot:
-			// already applied
-		case d.Slot == r.lastSlot+1:
-			outs = append(outs, r.journalAndApply(d, true)...)
-		default:
-			r.pending[d.Slot] = d
+	for _, d := range c.Delivers { // in slot order, as journaled
+		if d.Slot == r.lastSlot+1 {
+			outs = append(outs, r.applySlot(d, true)...)
+		} else if d.Slot > r.lastSlot {
+			r.park[int64(d.Slot)] = d
 		}
 	}
-	return append(outs, r.drainPending()...)
+	return append(outs, r.drainParked()...)
 }
 
-// dropTxResults filters the client replies out of a directive list.
-func dropTxResults(outs []msg.Directive) []msg.Directive {
-	kept := outs[:0]
+// takeAcks moves the client replies out of a directive list (filtered
+// in place) onto the end of acks.
+func takeAcks(outs, acks []msg.Directive) (rest, taken []msg.Directive) {
+	rest = outs[:0]
 	for _, o := range outs {
-		if o.M.Hdr != HdrTxResult {
-			kept = append(kept, o)
+		if o.M.Hdr == HdrTxResult {
+			acks = append(acks, o)
+		} else {
+			rest = append(rest, o)
 		}
 	}
-	return kept
+	return rest, acks
 }

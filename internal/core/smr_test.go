@@ -7,6 +7,7 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/gpm"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -150,14 +151,23 @@ func TestSMRExactlyOnceUnderRetry(t *testing.T) {
 	}
 }
 
-func TestSMRAddReplicaStateTransfer(t *testing.T) {
+// An ordered member.Command{AddReplica} makes the deterministic proposer
+// — the first replica of the pre-join epoch, and only it — push the
+// bootstrap snapshot; the joiner parks the deliveries made in the
+// meantime, activates on the transfer and converges with the group.
+func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	h := newSMRHarness(t, 30, 1)
+	view := member.NewView(member.Config{Bcast: h.sys.Nodes, Replicas: []msg.Loc{"r1", "r2", "r3"}}, 1)
+	for _, r := range h.sys.Replicas {
+		r.SetView(view)
+	}
 	// Attach a joining replica r4, subscribed to node b1's deliveries.
 	db4, err := sqldb.Open("derby:mem:r4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r4 := NewJoiningSMRReplica("r4", db4, BankRegistry())
+	r4.SetView(view)
 	h.sys.Bcast.LocalSubscribers["b1"] = append(h.sys.Bcast.LocalSubscribers["b1"], "r4")
 	// Rebuild the runner with the extended subscriber map and r4 hosted.
 	var cliLocs []msg.Loc
@@ -185,9 +195,10 @@ func TestSMRAddReplicaStateTransfer(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal("pre-join transaction did not complete")
 	}
-	// Order the reconfiguration: r1 pushes its snapshot to r4.
-	add := broadcast.Bcast{From: "admin", Seq: 1, Payload: EncodeSMRAdd(SMRAddReplica{
-		New: "r4", Proposer: "r1",
+	// Order the membership command.
+	sent := mSMRSnapshotsSent.Value()
+	add := broadcast.Bcast{From: "admin", Seq: 1, Payload: member.EncodeCommand(member.Command{
+		Op: member.AddReplica, Node: "r4",
 	})}
 	h.runner.Inject("b1", msg.M(broadcast.HdrBcast, add))
 	// More traffic after the reconfiguration.
@@ -199,8 +210,14 @@ func TestSMRAddReplicaStateTransfer(t *testing.T) {
 	if _, err := h.runner.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
+	if pushed := mSMRSnapshotsSent.Value() - sent; pushed != 1 {
+		t.Errorf("%d replicas pushed a bootstrap snapshot, want the proposer alone", pushed)
+	}
 	if !r4.Active() {
 		t.Fatal("joining replica never activated")
+	}
+	if !view.Current().HasReplica("r4") || len(r4.peers) != 3 {
+		t.Errorf("epoch %v, joiner's peers %v: want r4 a member with the other three as catch-up peers", view.Current(), r4.peers)
 	}
 	if err := CheckStateAgreement(h.sys.Replicas["r1"].Executor().DB, r4.Executor().DB); err != nil {
 		t.Error(err)
@@ -225,13 +242,6 @@ func TestSMRPayloadCodecs(t *testing.T) {
 	}
 	if _, err := DecodeTx([]byte("cfg|1|x")); err == nil {
 		t.Error("non-tx payload accepted")
-	}
-	add, ok := DecodeSMRAdd(EncodeSMRAdd(SMRAddReplica{New: "r4", Remove: "r1", Proposer: "r2"}))
-	if !ok || add.New != "r4" || add.Remove != "r1" || add.Proposer != "r2" {
-		t.Errorf("smradd round trip = %+v ok=%v", add, ok)
-	}
-	if _, ok := DecodeSMRAdd([]byte("tx|stuff")); ok {
-		t.Error("non-add payload accepted")
 	}
 }
 

@@ -285,9 +285,10 @@ type CatchupReq struct {
 }
 
 // SnapBegin opens a state transfer. Xfer identifies the transfer: the
-// sender numbers transfers monotonically, so a receiver can discard
-// batches of a superseded transfer and ignore duplicate or stale begins
-// instead of restarting assembly from scratch.
+// sender numbers transfers monotonically (a PBR primary by count, an
+// SMR replica by the slot frontier the state reflects), so a receiver
+// can discard batches of a superseded transfer and ignore duplicate or
+// stale begins instead of restarting assembly from scratch.
 type SnapBegin struct {
 	CfgSeq  int
 	Xfer    int64
@@ -302,19 +303,20 @@ type SnapBatch struct {
 	Xfer   int64
 	Table  string
 	Rows   [][]sqldb.Value
-	// N is the batch index, Last marks the final batch of the table.
+	// N is the batch index within the transfer.
 	N int
 }
 
 // SnapEnd closes a state transfer. Batches lets the receiver detect that
 // some batches are still in flight (reordered or delayed) and defer
 // completion until they arrive. Executed and LastSeq carry the sender's
-// dedup horizon on SMR transfers: without them a joiner would re-execute
-// a client retry that the established replicas deduplicate, silently
-// diverging from the group. PBR transfers leave them zero.
+// dedup horizon: without them the receiver would re-execute a client
+// retry that the sender deduplicates, silently diverging from it.
 type SnapEnd struct {
-	CfgSeq   int
-	Xfer     int64
+	CfgSeq int
+	Xfer   int64
+	// Order is the ordering frontier the state reflects: the last slot
+	// (SMR) or order number (PBR, where it equals Executed).
 	Order    int64
 	Batches  int
 	Executed int64

@@ -22,7 +22,7 @@ const (
 
 // Command is one membership change, carried through the broadcast
 // order as an opaque payload (prefix "mbr|", disjoint from the "tx|"
-// and "add|" payloads the SMR layer already routes on). Addr is the
+// and "lse|" payloads the SMR layer already routes on). Addr is the
 // joiner's network address for live deployments — ordering it with the
 // command means every node learns the route exactly when it learns the
 // member; the simulator ignores it.

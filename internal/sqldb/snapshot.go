@@ -38,14 +38,12 @@ func (db *DB) Snapshot() []TableDump {
 	return dumps
 }
 
-// Restore replaces the database contents with the snapshot.
+// Restore replaces the database contents with the snapshot. A snapshot
+// with a schema the engine refuses leaves the database as it was.
 func (db *DB) Restore(dumps []TableDump) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.tables = make(map[string]*Table, len(dumps))
-	db.gen++
-	db.inTx = false
-	db.undo = nil
+	tables := make(map[string]*Table, len(dumps))
 	for _, d := range dumps {
 		t, err := newTable(d.Schema)
 		if err != nil {
@@ -54,8 +52,12 @@ func (db *DB) Restore(dumps []TableDump) error {
 		for _, row := range d.Rows {
 			db.load(t, row)
 		}
-		db.tables[d.Schema.Name] = t
+		tables[d.Schema.Name] = t
 	}
+	db.tables = tables
+	db.gen++
+	db.inTx = false
+	db.undo = nil
 	return nil
 }
 
