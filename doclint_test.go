@@ -87,6 +87,36 @@ func TestInvariantCatalogue(t *testing.T) {
 	}
 }
 
+// TestRoadmapReferences keeps "ROADMAP item N" and "ROADMAP item N(x)"
+// in DESIGN.md and EXPERIMENTS.md pointing at something: ROADMAP.md's
+// open items are a numbered list ("N. **Title"), their parts lettered
+// paragraphs ("(x) ") inside it, and the list is renumbered now and then.
+func TestRoadmapReferences(t *testing.T) {
+	roadmap, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := regexp.MustCompile(`ROADMAP item (\d+)(?:\(([a-z])\))?`)
+	nextItem := regexp.MustCompile(`\n\d+\. \*\*`)
+	for _, doc := range []string{"DESIGN.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
+			_, item, ok := strings.Cut(string(roadmap), "\n"+m[1]+". **")
+			if !ok {
+				t.Errorf("%s cites %q; ROADMAP.md has no item %s", doc, m[0], m[1])
+				continue
+			}
+			item = nextItem.Split(item, 2)[0]
+			if m[2] != "" && !strings.Contains(item, "\n   ("+m[2]+") ") {
+				t.Errorf("%s cites %q; ROADMAP.md item %s has no part (%s)", doc, m[0], m[1], m[2])
+			}
+		}
+	}
+}
+
 func lintPackage(t *testing.T, fset *token.FileSet, dir string, pkg *ast.Package) {
 	t.Helper()
 	pkgComments := 0

@@ -375,11 +375,9 @@ type seqState struct {
 	q      *flow.Queue
 	queued map[string]flow.Class
 
-	// st journals decided slots write-ahead of their Deliver fan-out
-	// when durability is configured; sinceSnap counts records since the
-	// last journal compaction.
-	st        store.Stable
-	sinceSnap int
+	// j journals decided slots write-ahead of their Deliver fan-out
+	// when durability is configured.
+	j *store.Journal
 }
 
 // classOf resolves a message's shed class through the configured
@@ -417,23 +415,11 @@ func sequencerClass(cfg Config) loe.Class {
 	}
 	in := loe.Parallel(bases...)
 	init := func(slf msg.Loc) any {
-		s := &seqState{
-			seen:     make(map[string]bool),
-			decided:  make(map[int][]Bcast),
-			inflight: make(map[int][]Bcast),
-			propSlot: -1,
-		}
-		if cfg.FlowLimit > 0 {
-			// Per-node queue: only the sequencer node's ever fills (the
-			// others forward), but each node owns its own accounting so
-			// re-instantiation and failover start clean.
-			s.q = flow.NewQueue(cfg.FlowLimit)
-			s.queued = make(map[string]flow.Class)
-		}
-		if cfg.Stable != nil {
-			if st := cfg.Stable(slf); st != nil {
-				s.restore(st)
-			}
+		s, err := openSequencer(cfg, slf)
+		if err != nil {
+			// A sequencer that cannot read its decisions back must not
+			// order as if it had made none.
+			panic(fmt.Sprintf("broadcast: sequencer %s: %v", slf, err))
 		}
 		return s
 	}
@@ -457,6 +443,30 @@ func sequencerClass(cfg Config) loe.Class {
 		return s, nil
 	}
 	return loe.Handler("Sequencer", init, step, in)
+}
+
+// openSequencer builds the sequencer state of node slf, recovered from
+// its stable store when durability is configured.
+func openSequencer(cfg Config, slf msg.Loc) (*seqState, error) {
+	s := &seqState{
+		seen:     make(map[string]bool),
+		decided:  make(map[int][]Bcast),
+		inflight: make(map[int][]Bcast),
+		propSlot: -1,
+	}
+	if cfg.FlowLimit > 0 {
+		// Per-node queue: only the sequencer node's ever fills (the
+		// others forward), but each node owns its own accounting so
+		// re-instantiation and failover start clean.
+		s.q = flow.NewQueue(cfg.FlowLimit)
+		s.queued = make(map[string]flow.Class)
+	}
+	if cfg.Stable != nil {
+		if st := cfg.Stable(slf); st != nil {
+			return s, s.recover(slf, st)
+		}
+	}
+	return s, nil
 }
 
 // decideHeaders lists the headers a module's Decide recognizer accepts.
@@ -537,13 +547,8 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 	if _, dup := s.decided[inst]; dup || inst < s.next {
 		return nil // duplicate decision announcement
 	}
-	batch, err := DecodeBatch(val)
-	if err != nil {
-		// A corrupt batch cannot happen with honest proposers; deliver
-		// the empty batch to keep slots contiguous.
-		batch = nil
-	}
-	s.decided[inst] = batch
+	s.decide(inst, val)
+	batch := s.decided[inst]
 	// Write-ahead of the Deliver fan-out below: a crash after the
 	// journal append but before delivery resumes past this slot on
 	// restart (subscribers recover the gap through their own catch-up).
@@ -631,8 +636,8 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 	// policy a full pipeline window of decisions costs one fsync here
 	// instead of one per slot (no-op under SyncAlways, where Append
 	// already synced; no-op under SyncNever by policy).
-	if s.st != nil && len(outs) > 0 {
-		if err := s.st.Sync(); err != nil {
+	if s.j != nil && len(outs) > 0 {
+		if err := s.j.Sync(); err != nil {
 			panic(fmt.Sprintf("broadcast: sequencer sync: %v", err))
 		}
 	}

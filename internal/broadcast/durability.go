@@ -1,19 +1,18 @@
 package broadcast
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"shadowdb/internal/msg"
 	"shadowdb/internal/store"
 )
 
-// Sequencer durability. With Config.Stable set, each service node
-// journals every decided slot (as the raw consensus value) before
-// fanning out its Deliver notifications, and compacts the journal into
-// a snapshot of its delivery frontier every seqSnapEvery decisions. A
+// Sequencer durability. With Config.Stable set, each service node is a
+// client of store.Journal: it journals every decided slot (as the raw
+// consensus value) before fanning out its Deliver notifications, and
+// compacts the journal into a snapshot of its delivery frontier. A
 // re-instantiated node — a real process restart reopening its data
-// directory, or a DES/verify rebuild over a store.Mem — restores the
+// directory, or a DES/verify rebuild over a store.Mem — recovers the
 // journal and resumes contiguously: journaled slots are neither
 // re-decided nor re-proposed, and delivery continues at the first slot
 // after the journaled prefix. Subscribers that missed Deliver fan-out
@@ -36,85 +35,57 @@ type seqSnapshot struct {
 	Decided  map[int]string
 }
 
-// seqSnapEvery is how many journal appends trigger a compaction.
-const seqSnapEvery = 64
-
 // journal appends one decision write-ahead of its delivery. A storage
 // failure panics: a sequencer that cannot journal must not deliver.
 func (s *seqState) journal(inst int, val string) {
-	if s.st == nil {
+	if s.j == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(seqRecord{Inst: inst, Val: val}); err != nil {
-		panic(fmt.Sprintf("broadcast: encode journal record: %v", err))
+	err := s.j.Append(store.EncodeRecord(seqRecord{Inst: inst, Val: val}))
+	if err == nil {
+		_, err = s.j.CompactIfDue(s.snapshot)
 	}
-	if err := s.st.Append(buf.Bytes()); err != nil {
+	if err != nil {
 		panic(fmt.Sprintf("broadcast: sequencer journal: %v", err))
 	}
-	s.sinceSnap++
-	if s.sinceSnap < seqSnapEvery {
-		return
-	}
+}
+
+func (s *seqState) snapshot() []byte {
 	snap := seqSnapshot{Next: s.next, PropSlot: s.propSlot, Decided: make(map[int]string)}
 	for slot, b := range s.decided {
 		snap.Decided[slot] = EncodeBatch(b)
 	}
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		panic(fmt.Sprintf("broadcast: encode journal snapshot: %v", err))
-	}
-	if err := s.st.SaveSnapshot(buf.Bytes()); err != nil {
-		panic(fmt.Sprintf("broadcast: sequencer snapshot: %v", err))
-	}
-	s.sinceSnap = 0
+	return store.EncodeRecord(snap)
 }
 
-// restore rebuilds the sequencer's decided log from stable storage:
-// snapshot first, then the journal tail, then the delivery frontier is
-// advanced past the contiguous prefix without re-delivering it.
-func (s *seqState) restore(st store.Stable) {
-	s.st = st
-	if b, ok, err := st.Snapshot(); err == nil && ok {
-		var snap seqSnapshot
-		if gob.NewDecoder(bytes.NewReader(b)).Decode(&snap) == nil {
-			s.next = snap.Next
-			s.propSlot = snap.PropSlot
-			for slot, val := range snap.Decided {
-				if slot < s.next {
-					continue
-				}
-				if batch, err := DecodeBatch(val); err == nil {
-					s.decided[slot] = batch
-				} else {
-					s.decided[slot] = nil
-				}
-			}
-		}
+// decide parks a decision's batch until the delivery frontier reaches
+// its slot, unless the frontier has passed it already.
+func (s *seqState) decide(inst int, val string) {
+	if inst < s.next {
+		return
 	}
-	err := st.Replay(func(rec []byte) error {
-		var r seqRecord
-		if gob.NewDecoder(bytes.NewReader(rec)).Decode(&r) != nil {
-			return nil // skip undecodable records, keep the rest
-		}
-		if r.Inst > s.propSlot {
-			s.propSlot = r.Inst
-		}
-		if r.Inst < s.next {
-			return nil
-		}
-		if batch, err := DecodeBatch(r.Val); err == nil {
-			s.decided[r.Inst] = batch
-		} else {
-			s.decided[r.Inst] = nil
+	// A corrupt batch cannot happen with honest proposers; the empty
+	// batch keeps slots contiguous.
+	s.decided[inst], _ = DecodeBatch(val)
+}
+
+// recover rebuilds the sequencer's decided log from st — snapshot, then
+// the journal tail — and advances the delivery frontier past the
+// contiguous prefix without re-delivering it: that prefix was delivered,
+// or is recoverable by the subscribers.
+func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
+	s.j = store.NewJournal("seq-"+string(slf), st, 0)
+	_, err := s.j.Recover(store.Decoding(func(snap seqSnapshot) error {
+		s.next, s.propSlot = snap.Next, snap.PropSlot
+		for slot, val := range snap.Decided {
+			s.decide(slot, val)
 		}
 		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("broadcast: sequencer replay: %v", err))
-	}
-	// The journaled prefix was delivered (or is recoverable by
-	// subscribers): resume after it instead of re-delivering.
+	}), store.Decoding(func(r seqRecord) error {
+		s.propSlot = max(s.propSlot, r.Inst) // never re-propose a journaled slot
+		s.decide(r.Inst, r.Val)
+		return nil
+	}))
 	for {
 		if _, ok := s.decided[s.next]; !ok {
 			break
@@ -122,7 +93,6 @@ func (s *seqState) restore(st store.Stable) {
 		delete(s.decided, s.next)
 		s.next++
 	}
-	if s.propSlot < s.next-1 {
-		s.propSlot = s.next - 1
-	}
+	s.propSlot = max(s.propSlot, s.next-1)
+	return err
 }

@@ -94,7 +94,7 @@ func TestSequencerJournalCompaction(t *testing.T) {
 	// decided map when the compaction threshold is crossed, then fill
 	// in the rest contiguously.
 	p, _ = p.Step(decideMsg(1, Bcast{From: "c1", Seq: 2, Payload: []byte("b")}))
-	for i := 0; i < seqSnapEvery+4; i++ {
+	for i := 0; i < store.DefaultFloor+4; i++ {
 		if i == 1 {
 			continue
 		}
@@ -103,10 +103,10 @@ func TestSequencerJournalCompaction(t *testing.T) {
 	_ = p
 
 	fresh := loe.NewProcess(cl, "b1")
-	_, outs := fresh.Step(decideMsg(seqSnapEvery+4, Bcast{From: "c1", Seq: 99, Payload: []byte("tail")}))
+	_, outs := fresh.Step(decideMsg(store.DefaultFloor+4, Bcast{From: "c1", Seq: 99, Payload: []byte("tail")}))
 	ds := deliversIn(outs)
-	if len(ds) != 1 || ds[0].Slot != seqSnapEvery+4 {
-		t.Fatalf("delivery after compacted restart: %v, want slot %d", ds, seqSnapEvery+4)
+	if len(ds) != 1 || ds[0].Slot != store.DefaultFloor+4 {
+		t.Fatalf("delivery after compacted restart: %v, want slot %d", ds, store.DefaultFloor+4)
 	}
 }
 

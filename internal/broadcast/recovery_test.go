@@ -1,0 +1,59 @@
+package broadcast
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"shadowdb/internal/msg"
+	"shadowdb/internal/recoverytest"
+	"shadowdb/internal/store"
+)
+
+// The sequencer as a client of store.Journal, for the recovery table
+// every client runs. Unit n is the decision of slot n-1.
+func seqUnit(n int) (inst int, val string) {
+	return n - 1, EncodeBatch([]Bcast{{From: "c1", Seq: int64(n), Payload: []byte("x")}})
+}
+
+var sequencerClient = recoverytest.Client{
+	Open: func(t testing.TB, st store.Stable, fresh bool) (recoverytest.Instance, error) {
+		cfg := Config{
+			Nodes:       []msg.Loc{"b1"},
+			Subscribers: []msg.Loc{"r1"},
+			Stable:      func(msg.Loc) store.Stable { return st },
+		}
+		s, err := openSequencer(cfg, "b1")
+		if err != nil {
+			return recoverytest.Instance{}, err
+		}
+		return recoverytest.Instance{
+			Apply: func(n int) {
+				inst, val := seqUnit(n)
+				if ds := deliversIn(s.onDecide(cfg, "b1", inst, val)); len(ds) != 1 || ds[0].Slot != inst {
+					t.Fatalf("decision of slot %d delivered %v", inst, ds)
+				}
+			},
+			Frontier: func() int { return s.next },
+			// propSlot is left out: a live node raises it only when it
+			// proposes, a recovered one past every journaled slot.
+			State: func() string {
+				parked := make([]int, 0, len(s.decided))
+				for slot := range s.decided {
+					parked = append(parked, slot)
+				}
+				slices.Sort(parked)
+				return fmt.Sprint("next ", s.next, " parked ", parked)
+			},
+			Compact: func() error { return s.j.Compact(s.snapshot()) },
+		}, nil
+	},
+	Records: func(t testing.TB, n int) [][]byte {
+		inst, val := seqUnit(n)
+		return [][]byte{store.EncodeRecord(seqRecord{Inst: inst, Val: val})}
+	},
+}
+
+func TestSequencerRecovery(t *testing.T) { recoverytest.Run(t, sequencerClient) }
+
+func FuzzSequencerRecover(f *testing.F) { recoverytest.Fuzz(f, sequencerClient) }

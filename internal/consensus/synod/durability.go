@@ -1,10 +1,9 @@
 package synod
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"shadowdb/internal/msg"
 	"shadowdb/internal/store"
 )
 
@@ -12,12 +11,11 @@ import (
 // acceptor never forgets a promise": every P1b/P2b reply is a durable
 // commitment, so the mutation behind it must reach stable storage
 // before the reply leaves the process. With Config.Stable set, each
-// acceptor journals a record per adopted ballot / accepted pvalue
-// ahead of replying, periodically compacts the journal into a
-// snapshot, and restores itself from snapshot + replay when its class
-// is instantiated again — which is what both a real process restart
-// and a simulated crash-restart (verify's Restarts budget, the DES
-// rebuild path) do.
+// acceptor is a client of store.Journal: it journals a record per
+// adopted ballot / accepted pvalue ahead of replying, and is rebuilt
+// from snapshot + tail when its class is instantiated again — which is
+// what both a real process restart and a simulated crash-restart
+// (verify's Restarts budget, the DES rebuild path) do.
 
 // accRecord is one journaled acceptor mutation: the ballot adopted by
 // the promise, plus the accepted pvalue when the mutation was phase 2.
@@ -26,83 +24,70 @@ type accRecord struct {
 	PV *PValue
 }
 
-// accSnapshot is the full acceptor state, written every snapEvery
-// journal records to bound replay length.
+// accSnapshot is the full acceptor state.
 type accSnapshot struct {
 	B    Ballot
 	HasB bool
 	PVs  []PValue
 }
 
-// accSnapEvery is how many journal appends trigger a compaction.
-const accSnapEvery = 64
-
-func gobBytes(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("synod: encode durable record: %v", err))
+// openAcceptor builds the acceptor at slf, recovered from its stable
+// store when durability is configured.
+func openAcceptor(cfg Config, slf msg.Loc) (*acceptorState, error) {
+	s := &acceptorState{accepted: make(map[int]PValue)}
+	if cfg.Stable == nil {
+		return s, nil
 	}
-	return buf.Bytes()
-}
-
-// persist journals the acceptor's latest mutation write-ahead. A
-// storage failure panics: an acceptor that cannot persist must not
-// reply, and it has no way to make progress safely.
-func (s *acceptorState) persist(pv *PValue) {
-	if s.st == nil {
-		return
+	st := cfg.Stable(slf)
+	if st == nil {
+		return s, nil
 	}
-	if err := s.st.Append(gobBytes(accRecord{B: s.ballot, PV: pv})); err != nil {
-		panic(fmt.Sprintf("synod: acceptor journal: %v", err))
-	}
-	// The reply is a durable promise, so the record must be on disk
-	// before it leaves. Under SyncAlways the Append already synced and
-	// this is free; under SyncBatch it is the covering fsync that makes
-	// batching sound for acceptors.
-	if err := s.st.Sync(); err != nil {
-		panic(fmt.Sprintf("synod: acceptor sync: %v", err))
-	}
-	s.sinceSnap++
-	if s.sinceSnap < accSnapEvery {
-		return
-	}
-	snap := accSnapshot{B: s.ballot, HasB: s.hasB, PVs: s.pvalues()}
-	if err := s.st.SaveSnapshot(gobBytes(snap)); err != nil {
-		panic(fmt.Sprintf("synod: acceptor snapshot: %v", err))
-	}
-	s.sinceSnap = 0
-}
-
-// restoreAcceptor rebuilds acceptor state from stable storage:
-// snapshot first, then the journal tail.
-func restoreAcceptor(st store.Stable) *acceptorState {
-	s := &acceptorState{accepted: make(map[int]PValue), st: st}
-	if b, ok, err := st.Snapshot(); err == nil && ok {
-		var snap accSnapshot
-		if gob.NewDecoder(bytes.NewReader(b)).Decode(&snap) == nil {
-			s.ballot, s.hasB = snap.B, snap.HasB
-			for _, pv := range snap.PVs {
-				s.accepted[pv.Inst] = pv
-			}
-		}
-	}
-	err := st.Replay(func(rec []byte) error {
-		var r accRecord
-		if gob.NewDecoder(bytes.NewReader(rec)).Decode(&r) != nil {
-			return nil // skip undecodable records, keep the rest
-		}
-		if !s.hasB || s.ballot.Less(r.B) {
-			s.ballot, s.hasB = r.B, true
-		}
-		if r.PV != nil {
-			if prev, ok := s.accepted[r.PV.Inst]; !ok || prev.B.Less(r.PV.B) {
-				s.accepted[r.PV.Inst] = *r.PV
-			}
+	s.j = store.NewJournal("acc-"+string(slf), st, 0)
+	_, err := s.j.Recover(store.Decoding(func(sn accSnapshot) error {
+		s.ballot, s.hasB = sn.B, sn.HasB
+		for _, pv := range sn.PVs {
+			s.accepted[pv.Inst] = pv
 		}
 		return nil
-	})
-	if err != nil {
-		panic(fmt.Sprintf("synod: acceptor replay: %v", err))
+	}), store.Decoding(func(r accRecord) error { s.apply(r); return nil }))
+	return s, err
+}
+
+// apply folds one mutation into the state: the ballot never regresses
+// and a slot keeps its highest-ballot pvalue.
+func (s *acceptorState) apply(r accRecord) {
+	if !s.hasB || s.ballot.Less(r.B) {
+		s.ballot, s.hasB = r.B, true
 	}
-	return s
+	if r.PV != nil {
+		if prev, ok := s.accepted[r.PV.Inst]; !ok || prev.B.Less(r.PV.B) {
+			s.accepted[r.PV.Inst] = *r.PV
+		}
+	}
+}
+
+// record applies a mutation and journals it write-ahead of the reply
+// that reveals it, synced: the reply is a durable promise (free under
+// SyncAlways, where Append already synced; under SyncBatch this is the
+// covering fsync that makes batching sound for acceptors). A storage
+// failure panics: an acceptor that cannot persist must not reply.
+func (s *acceptorState) record(r accRecord) {
+	s.apply(r)
+	if s.j == nil {
+		return
+	}
+	err := s.j.Append(store.EncodeRecord(r))
+	if err == nil {
+		err = s.j.Sync()
+	}
+	if err == nil {
+		_, err = s.j.CompactIfDue(s.snapshot)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("synod: acceptor journal: %v", err))
+	}
+}
+
+func (s *acceptorState) snapshot() []byte {
+	return store.EncodeRecord(accSnapshot{B: s.ballot, HasB: s.hasB, PVs: s.pvalues()})
 }

@@ -1,7 +1,6 @@
 package synod
 
 import (
-	"fmt"
 	"testing"
 
 	"shadowdb/internal/loe"
@@ -60,30 +59,6 @@ func mustDir(t *testing.T) *store.Dir {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// Snapshot compaction must not change what a restart restores.
-func TestAcceptorRestoreAcrossCompaction(t *testing.T) {
-	prov := mustDir(t)
-	cfg := durableCfg(prov)
-	cl := AcceptorClass(cfg)
-	acc := loe.NewProcess(cl, "a1")
-	// Enough mutations to cross the accSnapEvery compaction threshold.
-	for i := 0; i < accSnapEvery+8; i++ {
-		b := Ballot{N: i, L: "l1"}
-		acc, _ = acc.Step(msg.M(HdrP1a, P1a{B: b, From: "s"}))
-		acc, _ = acc.Step(msg.M(HdrP2a, P2a{B: b, Inst: i, Val: fmt.Sprintf("v%d", i), From: "c"}))
-	}
-
-	fresh := loe.NewProcess(cl, "a1")
-	_, outs := fresh.Step(msg.M(HdrP1a, P1a{B: Ballot{N: 0, L: "l0"}, From: "s"}))
-	reply := outs[0].M.Body.(P1b)
-	if want := (Ballot{N: accSnapEvery + 7, L: "l1"}); !reply.B.Equal(want) {
-		t.Errorf("restored promise after compaction = %s, want %s", reply.B, want)
-	}
-	if len(reply.Accepted) != accSnapEvery+8 {
-		t.Errorf("restored %d pvalues, want %d", len(reply.Accepted), accSnapEvery+8)
-	}
 }
 
 // The crash-restart property must have bite: the same fuzz over

@@ -1,0 +1,75 @@
+package synod
+
+import (
+	"fmt"
+	"testing"
+
+	"shadowdb/internal/msg"
+	"shadowdb/internal/recoverytest"
+	"shadowdb/internal/store"
+)
+
+// The acceptor as a client of store.Journal, for the recovery table
+// every client runs. Unit n is one round at ballot n: the promise, then
+// the accepted pvalue for instance n — two journal records.
+func accUnit(n int) []accRecord {
+	b := Ballot{N: n, L: "l1"}
+	return []accRecord{{B: b}, {B: b, PV: &PValue{B: b, Inst: n, Val: fmt.Sprintf("v%d", n)}}}
+}
+
+var acceptorClient = recoverytest.Client{
+	Open: func(t testing.TB, st store.Stable, fresh bool) (recoverytest.Instance, error) {
+		cfg := testConfig()
+		cfg.Stable = func(msg.Loc) store.Stable { return st }
+		s, err := openAcceptor(cfg, "a1")
+		if err != nil {
+			return recoverytest.Instance{}, err
+		}
+		return recoverytest.Instance{
+			Apply: func(n int) {
+				for _, r := range accUnit(n) {
+					s.record(r)
+				}
+			},
+			Frontier: func() int { return len(s.accepted) },
+			// What a P1b reveals: the promise and every accepted pvalue.
+			State:   func() string { return fmt.Sprint(s.hasB, s.ballot, s.pvalues()) },
+			Compact: func() error { return s.j.Compact(s.snapshot()) },
+		}, nil
+	},
+	Records: func(t testing.TB, n int) [][]byte {
+		var recs [][]byte
+		for _, r := range accUnit(n) {
+			recs = append(recs, store.EncodeRecord(r))
+		}
+		return recs
+	},
+}
+
+func TestAcceptorRecovery(t *testing.T) { recoverytest.Run(t, acceptorClient) }
+
+func FuzzAcceptorRecover(f *testing.F) { recoverytest.Fuzz(f, acceptorClient) }
+
+// The acceptor's accepted map is never trimmed, so its snapshot only
+// grows; the Journal's rule keeps the bytes compaction rewrites within
+// twice the bytes journaled (a snapshot is at most the one before it
+// plus the tail it folds in), where a fixed cadence rewrote the whole
+// map every 64 records.
+func TestAcceptorCompactionAmortised(t *testing.T) {
+	st, _ := store.NewMem().Open("acc-a1")
+	spy := &recoverytest.Spy{Stable: st}
+	in, err := acceptorClient.Open(t, spy, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const units = 4000
+	for n := 1; n <= units; n++ {
+		in.Apply(n)
+	}
+	if fixed := 2 * units / store.DefaultFloor; spy.Snaps == 0 || spy.Snaps > fixed/2 {
+		t.Errorf("%d compactions in %d records: want some, and fewer than half the %d a fixed cadence makes", spy.Snaps, 2*units, fixed)
+	}
+	if spy.Snapped > 2*spy.Appended {
+		t.Errorf("compaction rewrote %d bytes for %d journaled", spy.Snapped, spy.Appended)
+	}
+}

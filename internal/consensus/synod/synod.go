@@ -242,32 +242,30 @@ type acceptorState struct {
 	hasB     bool
 	accepted map[int]PValue // slot -> highest-ballot accepted pvalue
 
-	// st journals mutations write-ahead when durability is configured;
-	// sinceSnap counts appends since the last compaction.
-	st        store.Stable
-	sinceSnap int
+	// j journals mutations write-ahead when durability is configured.
+	j *store.Journal
 }
 
 // AcceptorClass builds the acceptor event class.
 func AcceptorClass(cfg Config) loe.Class {
 	in := loe.Parallel(loe.Base(HdrP1a), loe.Base(HdrP2a), loe.Base(HdrCorrupt))
 	init := func(slf msg.Loc) any {
-		if cfg.Stable != nil {
-			if st := cfg.Stable(slf); st != nil {
-				return restoreAcceptor(st)
-			}
+		s, err := openAcceptor(cfg, slf)
+		if err != nil {
+			// An acceptor that cannot read its promises back must not
+			// answer as if it had made none.
+			panic(fmt.Sprintf("synod: acceptor %s: %v", slf, err))
 		}
-		return &acceptorState{accepted: make(map[int]PValue)}
+		return s
 	}
 	step := func(slf msg.Loc, input, state any) (any, []msg.Directive) {
 		s := state.(*acceptorState)
 		switch b := input.(type) {
 		case P1a:
 			if !s.hasB || s.ballot.Less(b.B) {
-				s.ballot, s.hasB = b.B, true
 				// The promise is a durable commitment: journal it
 				// before the P1b that reveals it exists.
-				s.persist(nil)
+				s.record(accRecord{B: b.B})
 			}
 			return s, []msg.Directive{msg.Send(b.From, msg.M(HdrP1b, P1b{
 				From: slf, B: s.ballot, Accepted: s.pvalues(),
@@ -275,13 +273,7 @@ func AcceptorClass(cfg Config) loe.Class {
 		case P2a:
 			if !s.hasB || !b.B.Less(s.ballot) {
 				// b.B >= current ballot: adopt and accept.
-				s.ballot, s.hasB = b.B, true
-				pv := PValue{B: b.B, Inst: b.Inst, Val: b.Val}
-				prev, ok := s.accepted[b.Inst]
-				if !ok || prev.B.Less(b.B) {
-					s.accepted[b.Inst] = pv
-				}
-				s.persist(&pv)
+				s.record(accRecord{B: b.B, PV: &PValue{B: b.B, Inst: b.Inst, Val: b.Val}})
 			}
 			return s, []msg.Directive{msg.Send(b.From, msg.M(HdrP2b, P2b{
 				From: slf, B: s.ballot, Inst: b.Inst,
@@ -292,10 +284,11 @@ func AcceptorClass(cfg Config) loe.Class {
 				// lost, as after restarting from a corrupted disk. With
 				// durability configured the "disk" is wiped too, so a
 				// later restore cannot resurrect the forgotten promises.
-				st := s.st
-				*s = acceptorState{accepted: make(map[int]PValue), st: st}
-				if st != nil {
-					_ = st.SaveSnapshot(gobBytes(accSnapshot{}))
+				*s = acceptorState{accepted: make(map[int]PValue), j: s.j}
+				if s.j != nil {
+					if err := s.j.Compact(s.snapshot()); err != nil {
+						panic(fmt.Sprintf("synod: acceptor wipe: %v", err))
+					}
 				}
 			}
 			return s, nil

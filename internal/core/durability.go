@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -52,24 +50,22 @@ type execRecord struct {
 
 // DefaultSnapEvery is the default floor of the compaction rule
 // (store.Journal): the fewest journaled units between two compactions.
-const DefaultSnapEvery = 64
+const DefaultSnapEvery = store.DefaultFloor
 
-// replayTx decodes one execRecord and applies it when it is the next
-// order number; a pre-snapshot straggler, a duplicate or an undecodable
-// record is skipped.
-func (e *Executor) replayTx(rec []byte) bool {
-	var r execRecord
-	if gobDec(rec, &r) != nil || r.Order != e.Executed+1 {
-		return false
+// replayTx applies a journaled transaction when it is the next order
+// number; a pre-snapshot straggler or a duplicate is skipped.
+func (e *Executor) replayTx(r execRecord) error {
+	if r.Order != e.Executed+1 {
+		return nil
 	}
 	_, err := e.Apply(r.Order, r.Req)
-	return err == nil
+	return err
 }
 
-// append journals one ordered unit write-ahead of its reply. A storage
-// failure panics: an executor that cannot persist must not answer.
-func (e *Executor) append(rec []byte) {
-	if err := e.st.Append(rec); err != nil {
+// must stops an executor whose store failed: one that cannot persist
+// an ordered unit write-ahead of its reply must not answer.
+func must(err error) {
+	if err != nil {
 		panic(fmt.Sprintf("core: executor journal: %v", err))
 	}
 }
@@ -77,18 +73,9 @@ func (e *Executor) append(rec []byte) {
 // compactIfDue folds the journal into a snapshot when it has outgrown
 // the last one, and reports whether it did.
 func (e *Executor) compactIfDue() bool {
-	if !e.st.Due() {
-		return false
-	}
-	e.rebaseline()
-	return true
-}
-
-// rebaseline is Compact for callers that cannot proceed without it.
-func (e *Executor) rebaseline() {
-	if err := e.Compact(); err != nil {
-		panic(fmt.Sprintf("core: executor snapshot: %v", err))
-	}
+	did, err := e.st.CompactIfDue(e.snapshot)
+	must(err)
+	return did
 }
 
 // header describes the executor's current state for a snapshot or a
@@ -110,6 +97,14 @@ func (e *Executor) adoptHeader(h snapHeader) {
 	}
 }
 
+// snapshot encodes the executor's whole state, noting the frontier it
+// covers: the journal's snapshot function.
+func (e *Executor) snapshot() []byte {
+	h := e.header()
+	e.snapAt = h.Slot
+	return encodeSnapshot(h, e.DB)
+}
+
 // Compact saves a database snapshot to the stable store, truncating the
 // journal behind it (a no-op without a store). Deployments call it once
 // after installing the initial schema and population — rows that never
@@ -118,44 +113,26 @@ func (e *Executor) Compact() error {
 	if e.st == nil {
 		return nil
 	}
-	h := e.header()
-	if err := e.st.SaveSnapshot(encodeSnapshot(h, e.DB)); err != nil {
-		return err
-	}
-	e.snapAt = h.Slot
-	return nil
+	return e.st.Compact(e.snapshot())
 }
 
-// Recover rebuilds the executor from its stable store: restore the
-// snapshot, then feed the journal tail, in append order, to replay —
-// the protocol's record codec, which applies a record when it is the
-// next ordered unit and reports whether it did. Recover reports whether
-// any durable state was found. The network delta is the caller's: the
+// Recover rebuilds the executor from its stable store (store.Journal's
+// loop): the snapshot restores the database and the header's share of
+// the state, then replay — the protocol's record codec — applies each
+// journaled unit that is the next in order. Recover reports whether any
+// durable state was found. The network delta is the caller's: the
 // protocol's usual catch-up (CatchupReq{Since: Executed}, SMRCatchupReq)
 // fetches what was ordered during the downtime.
-func (e *Executor) Recover(replay func(rec []byte) bool) (bool, error) {
-	b, restored, err := e.st.Snapshot()
-	if err != nil {
-		return false, err
-	}
-	if restored {
+func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
+	return e.st.Recover(func(snap []byte) error {
 		var h snapHeader
-		if err := restoreSnapshot(b, &h, e.DB); err != nil {
-			return false, fmt.Errorf("core: executor snapshot: %w", err)
+		if err := restoreSnapshot(snap, &h, e.DB); err != nil {
+			return err
 		}
 		e.adoptHeader(h)
 		e.snapAt = h.Slot
-	}
-	journalTx := e.journalTx
-	e.journalTx = false // what is replayed is in the journal already
-	defer func() { e.journalTx = journalTx }()
-	err = e.st.Replay(func(rec []byte) error {
-		if replay(rec) {
-			restored = true
-		}
 		return nil
-	})
-	return restored, err
+	}, replay)
 }
 
 // NewDurablePBRReplica creates a PBR replica whose executor journals
@@ -169,14 +146,12 @@ func (e *Executor) Recover(replay func(rec []byte) bool) (bool, error) {
 // snapshot written here is the only place those rows are persisted.
 func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment, st store.Stable, snapEvery int) (*PBRReplica, bool, error) {
 	r := NewPBRReplica(slf, db, reg, dep)
-	if snapEvery <= 0 {
-		snapEvery = DefaultSnapEvery
-	}
-	r.exec.st, r.exec.journalTx = store.NewJournal(st, snapEvery), true
-	restored, err := r.exec.Recover(r.exec.replayTx)
+	r.exec.st = store.NewJournal("pbr-"+string(slf), st, snapEvery)
+	restored, err := r.exec.Recover(store.Decoding(r.exec.replayTx))
 	if err != nil {
 		return nil, false, err
 	}
+	r.exec.journalTx = true // from here on; what was replayed is journaled already
 	if !restored {
 		if err := r.exec.Compact(); err != nil {
 			return nil, false, err
@@ -345,7 +320,7 @@ func (e *Executor) install(a *snapAssembly) error {
 		Slot: int(s.Order), Executed: s.Executed, LastSeq: s.LastSeq, Recent: s.Recent,
 		Epochs: s.Epochs, Joined: s.Joined,
 	})
-	e.rebaseline()
+	must(e.Compact())
 	return nil
 }
 
@@ -360,7 +335,7 @@ func (e *Executor) install(a *snapAssembly) error {
 const snapMagic = "SNP2"
 
 func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
-	h := gobEnc(hdr)
+	h := store.EncodeRecord(hdr)
 	buf := binary.BigEndian.AppendUint32([]byte(snapMagic), uint32(len(h)))
 	return db.AppendDump(append(buf, h...))
 }
@@ -377,7 +352,7 @@ func restoreSnapshot(b []byte, hdr *snapHeader, db *sqldb.DB) error {
 	if uint64(hlen) > uint64(len(body)) {
 		return errors.New("truncated snapshot header")
 	}
-	if err := gobDec(body[:hlen], hdr); err != nil {
+	if err := store.DecodeRecord(body[:hlen], hdr); err != nil {
 		return fmt.Errorf("snapshot header: %w", err)
 	}
 	dumps, err := sqldb.DecodeDump(body[hlen:])
@@ -385,20 +360,4 @@ func restoreSnapshot(b []byte, hdr *snapHeader, db *sqldb.DB) error {
 		return err
 	}
 	return db.Restore(dumps)
-}
-
-// gobEnc encodes a durability record; encode failures are programming
-// errors (the types are our own) and panic.
-func gobEnc(v any) []byte {
-	gobBasics()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: encode durability record: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func gobDec(b []byte, v any) error {
-	gobBasics()
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }

@@ -177,8 +177,8 @@ func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 	}
 	res := RunProc(e.DB, e.Reg, req)
 	e.Executed = order
+	e.record(req, res) // before appendLog: a compaction there snapshots the dedup table too
 	e.appendLog(Repl{Order: order, Req: req})
-	e.record(req, res)
 	return res, nil
 }
 
@@ -247,8 +247,8 @@ func (e *Executor) applyInBatch(req TxRequest) TxResult {
 	}
 	order := e.Executed + 1
 	e.Executed = order
-	e.appendLog(Repl{Order: order, Req: req})
 	e.record(req, out)
+	e.appendLog(Repl{Order: order, Req: req})
 	return out
 }
 
@@ -289,7 +289,7 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 
 func (e *Executor) appendLog(r Repl) {
 	if e.journalTx {
-		e.append(gobEnc(execRecord{Order: r.Order, Req: r.Req}))
+		must(e.st.Append(store.EncodeRecord(execRecord{Order: r.Order, Req: r.Req})))
 		e.compactIfDue()
 	}
 	if len(e.log) == 0 {

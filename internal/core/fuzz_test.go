@@ -47,7 +47,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	f.Add(bytes.Replace(encodeSnapshot(exec.header(), exec.DB), []byte("\x02kb"), []byte("\x02ka"), 1))
 	f.Add([]byte(snapMagic + "\xff\xff\xff\xff"))
-	f.Add(gobEnc(struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
+	f.Add(store.EncodeRecord(struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		db := bankDB(t, "fuzz", 3)
@@ -72,10 +72,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 
 // FuzzReplayRecord drives both protocols' journal-record codecs through
 // the shared recover loop, over a store holding a real snapshot, the
-// record of unit 1, the fuzzed bytes and the record of unit 2. The
-// fuzzed record is applied only if it decodes as exactly the next
-// ordered unit — the real unit 2 behind it is then the straggler —
-// and is skipped otherwise; either way the records around it are kept.
+// record of unit 1, the fuzzed bytes and the record of unit 2. A fuzzed
+// record that does not decode fails the recovery; one that does is
+// applied only if it is exactly the next ordered unit — the real unit 2
+// behind it is then the straggler — and is skipped otherwise, the
+// records around it kept.
 func FuzzReplayRecord(f *testing.F) {
 	for _, p := range durableProtos {
 		f.Add(p.record(f, 2))
@@ -100,7 +101,7 @@ func FuzzReplayRecord(f *testing.F) {
 			}
 			r2, err := p.open(t, st, emptyDB(t, "fuzz2-"+p.name))
 			if err != nil {
-				t.Fatalf("%s: recovery failed on a fuzzed record: %v", p.name, err)
+				continue // refused, naming the record
 			}
 			if n := r2.units(); n != 2 {
 				t.Errorf("%s: recovered to unit %d around a fuzzed record, want 2", p.name, n)

@@ -510,7 +510,7 @@ func (r *PBRReplica) enterConfig(seq int, members []msg.Loc) bool {
 func (r *PBRReplica) wipeToSpare() {
 	_ = r.exec.DB.Restore(nil)
 	r.exec.InstallSnapshot(0, nil, nil)
-	r.exec.rebaseline()
+	must(r.exec.Compact())
 	traceRecovery(r.slf, "pbr.wipe", r.cfg.Seq, "")
 }
 

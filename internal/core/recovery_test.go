@@ -1,15 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"shadowdb/internal/msg"
+	"shadowdb/internal/recoverytest"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
-// Recovery is the replicated executor's (durability.go), so its cases
-// are written once and run against both refinements. An ordered unit n
+// Recovery is store.Journal's loop with the replicated executor as its
+// client (durability.go), so both refinements run the table every
+// client of the Journal runs (internal/recoverytest). An ordered unit n
 // (1-based) is one deposit by client c0 with sequence number n — a
 // forward with order number n under PBR, slot n-1 under SMR — so after
 // n units both protocols hold the same rows and Executed == n.
@@ -29,7 +32,7 @@ type durableProto struct {
 	name string
 	// open builds the replica over st; a restart passes the store a
 	// previous incarnation wrote.
-	open func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error)
+	open func(t testing.TB, st store.Stable, db *sqldb.DB) (durableReplica, error)
 	// record encodes unit n as the protocol's journal record.
 	record func(t testing.TB, n int64) []byte
 }
@@ -37,7 +40,7 @@ type durableProto struct {
 var durableProtos = []durableProto{
 	{
 		name: "pbr",
-		open: func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error) {
+		open: func(t testing.TB, st store.Stable, db *sqldb.DB) (durableReplica, error) {
 			dep := PBRDeployment{Pool: []msg.Loc{"p1", "p2"}, InitialMembers: 2}
 			r, restored, err := NewDurablePBRReplica("p2", db, BankRegistry(), dep, st, DefaultSnapEvery)
 			if err != nil {
@@ -54,12 +57,12 @@ var durableProtos = []durableProto{
 			}, nil
 		},
 		record: func(t testing.TB, n int64) []byte {
-			return gobEnc(execRecord{Order: n, Req: durDeposit(n)})
+			return store.EncodeRecord(execRecord{Order: n, Req: durDeposit(n)})
 		},
 	},
 	{
 		name: "smr",
-		open: func(t *testing.T, st store.Stable, db *sqldb.DB) (durableReplica, error) {
+		open: func(t testing.TB, st store.Stable, db *sqldb.DB) (durableReplica, error) {
 			r, err := NewDurableSMRReplica("r1", db, BankRegistry(), st, nil)
 			if err != nil {
 				return durableReplica{}, err
@@ -70,9 +73,45 @@ var durableProtos = []durableProto{
 			}, nil
 		},
 		record: func(t testing.TB, n int64) []byte {
-			return gobEnc(walDeliver{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
+			return store.EncodeRecord(walDeliver{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
 		},
 	},
+}
+
+// client adapts the protocol to the recovery table shared by every
+// client of store.Journal.
+func (p durableProto) client() recoverytest.Client {
+	return recoverytest.Client{
+		Open: func(t testing.TB, st store.Stable, fresh bool) (recoverytest.Instance, error) {
+			rows := 0
+			if fresh {
+				rows = 10 // a restart rebuilds them from the store alone
+			}
+			r, err := p.open(t, st, bankDB(t, p.name, rows))
+			if err != nil {
+				return recoverytest.Instance{}, err
+			}
+			if r.restored == fresh {
+				t.Errorf("restored = %v opening a store with fresh = %v", r.restored, fresh)
+			}
+			return recoverytest.Instance{
+				Apply:    func(n int) { r.apply(int64(n)) },
+				Frontier: func() int { return int(r.units()) },
+				State: func() string {
+					return fmt.Sprintf("executed %d dedup %v %v rows %x", r.exec.Executed,
+						r.exec.LastSeqs(), r.exec.RecentResults(), r.exec.DB.AppendDump(nil))
+				},
+				Compact: r.exec.Compact,
+			}, nil
+		},
+		Records: func(t testing.TB, n int) [][]byte { return [][]byte{p.record(t, int64(n))} },
+	}
+}
+
+func TestDurableReplicaRecovery(t *testing.T) {
+	for _, p := range durableProtos {
+		t.Run(p.name, func(t *testing.T) { recoverytest.Run(t, p.client()) })
+	}
 }
 
 // restart opens a new incarnation over st with an empty database and
@@ -84,9 +123,6 @@ func (p durableProto) restart(t *testing.T, st store.Stable, want int64, orig *s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.restored {
-		t.Error("restart over a written store not reported as restored")
-	}
 	if r.units() != want || r.exec.Executed != want {
 		t.Errorf("recovered to unit %d, Executed %d; want %d", r.units(), r.exec.Executed, want)
 	}
@@ -96,93 +132,29 @@ func (p durableProto) restart(t *testing.T, st store.Stable, want int64, orig *s
 	return r
 }
 
-func TestDurableReplicaRecovery(t *testing.T) {
-	// Each case gets a fresh populated replica over a fresh store.
-	cases := []struct {
-		name string
-		run  func(t *testing.T, p durableProto, st store.Stable, r durableReplica)
-	}{
-		{"fresh store, then snapshot only", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
-			if r.restored {
-				t.Error("fresh store reported as restored")
-			}
-			// The baseline snapshot is the only durable copy of the
-			// initial population.
-			p.restart(t, st, 0, r.exec.DB)
-		}},
-		{"snapshot and journal tail", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
-			for n := int64(1); n <= 10; n++ {
-				r.apply(n)
-			}
-			r2 := p.restart(t, st, 10, r.exec.DB)
-			if _, dup := r2.exec.Duplicate(durDeposit(3)); !dup {
-				t.Error("pre-crash request not recognized as duplicate after recovery")
-			}
-		}},
-		{"across a compaction", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
-			for n := int64(1); n <= DefaultSnapEvery+7; n++ {
-				r.apply(n)
-			}
-			p.restart(t, st, DefaultSnapEvery+7, r.exec.DB)
-		}},
-		{"straggler and out-of-order records are skipped", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
-			for n := int64(1); n <= 5; n++ {
-				r.apply(n)
-			}
-			for _, n := range []int64{2, 9} { // already applied; not the next unit
-				if err := st.Append(p.record(t, n)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r2 := p.restart(t, st, 5, r.exec.DB)
-			r2.apply(6)
-			if r2.units() != 6 {
-				t.Errorf("restarted replica stuck at unit %d after the skipped records", r2.units())
-			}
-		}},
-		{"undecodable record is skipped, the rest kept", func(t *testing.T, p durableProto, st store.Stable, r durableReplica) {
-			for n := int64(1); n <= 3; n++ {
-				r.apply(n)
-			}
-			if err := st.Append([]byte("not a journal record")); err != nil {
-				t.Fatal(err)
-			}
-			r.apply(4)
-			r.apply(5)
-			p.restart(t, st, 5, r.exec.DB)
-		}},
-	}
-	provs := map[string]func(*testing.T) store.Provider{
-		"mem": func(*testing.T) store.Provider { return store.NewMem() },
-		"dir": func(t *testing.T) store.Provider { return mustDirProv(t) },
-	}
-	for _, p := range durableProtos {
-		for _, c := range cases {
-			for provName, prov := range provs {
-				t.Run(p.name+"/"+c.name+"/"+provName, func(t *testing.T) {
-					st := mustOpen(t, prov(t), "r")
-					r, err := p.open(t, st, bankDB(t, p.name+"-orig", 10))
-					if err != nil {
-						t.Fatal(err)
-					}
-					c.run(t, p, st, r)
-				})
-			}
-		}
-	}
-}
-
-// A snapshot file in the layout SNP2 replaced (one gob stream) is
-// refused with an error, not skipped: skipping it would replay the
-// journal tail onto an empty database.
-func TestRecoveryRefusesUnknownSnapshotFormat(t *testing.T) {
+// What the shared rows leave to the executor: a record that decodes but
+// is ahead of the frontier is skipped like a straggler, and a request
+// answered before the crash is still a duplicate after it.
+func TestRecoverySkipsOutOfOrderRecord(t *testing.T) {
 	for _, p := range durableProtos {
 		st := mustOpen(t, store.NewMem(), "r")
-		if err := st.SaveSnapshot(gobEnc(struct{ Slot int }{Slot: 5})); err != nil {
+		r, err := p.open(t, st, bankDB(t, p.name+"-orig", 10))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.open(t, st, emptyDB(t, p.name+"-old")); err == nil {
-			t.Errorf("%s recovery accepted a snapshot it cannot read", p.name)
+		for n := int64(1); n <= 5; n++ {
+			r.apply(n)
+		}
+		if err := st.Append(p.record(t, 9)); err != nil {
+			t.Fatal(err)
+		}
+		r2 := p.restart(t, st, 5, r.exec.DB)
+		if _, dup := r2.exec.Duplicate(durDeposit(3)); !dup {
+			t.Errorf("%s: pre-crash request not recognized as duplicate after recovery", p.name)
+		}
+		r2.apply(6)
+		if r2.units() != 6 {
+			t.Errorf("%s: restarted replica stuck at unit %d after the skipped record", p.name, r2.units())
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -396,19 +395,9 @@ func (r *SMRReplica) installTransfer(a *snapAssembly) []msg.Directive {
 
 // ------------------------------------------------------------- payloads --
 
-// gobBasics registers the basic types that travel inside TxRequest.Args
-// (interface-typed fields need explicit registration).
-var gobBasics = sync.OnceFunc(func() {
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(int(0))
-	gob.Register(true)
-})
-
 // EncodeTx serializes a transaction request for a broadcast payload.
 func EncodeTx(req TxRequest) ([]byte, error) {
-	gobBasics()
+	msg.RegisterBasics()
 	var buf bytes.Buffer
 	buf.WriteString("tx|")
 	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
@@ -421,7 +410,7 @@ var errNotTx = errors.New("core: not a transaction payload")
 
 // DecodeTx reverses EncodeTx.
 func DecodeTx(b []byte) (TxRequest, error) {
-	gobBasics()
+	msg.RegisterBasics()
 	if len(b) < 3 || string(b[:3]) != "tx|" {
 		return TxRequest{}, errNotTx
 	}

@@ -64,10 +64,10 @@ func NewJoiningDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st sto
 // holds: snapshot, then journal.
 func openDurableSMR(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
 	r := NewSMRReplica(slf, db, reg)
-	r.exec.st = store.NewJournal(st, DefaultSnapEvery)
+	r.exec.st = store.NewJournal("smr-"+string(slf), st, DefaultSnapEvery)
 	r.setPeers(peers)
 	var err error
-	r.recoveredLocal, err = r.exec.Recover(r.replaySlot)
+	r.recoveredLocal, err = r.exec.Recover(store.Decoding(r.replaySlot))
 	if err != nil {
 		return nil, err
 	}
@@ -77,18 +77,16 @@ func openDurableSMR(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, pe
 	return r, nil
 }
 
-// replaySlot decodes one walDeliver and re-executes it when it is the
-// next slot; a pre-snapshot straggler, a duplicate or an undecodable
-// record is skipped. Nothing is listening yet, so the replies (already
-// sent by the pre-crash incarnation) are discarded.
-func (r *SMRReplica) replaySlot(rec []byte) bool {
-	var w walDeliver
-	if gobDec(rec, &w) != nil || w.Slot != r.lastSlot+1 {
-		return false
+// replaySlot re-executes a journaled slot when it is the next one; a
+// pre-snapshot straggler or a duplicate is skipped. Nothing is listening
+// yet, so the replies (already sent by the pre-crash incarnation) are
+// discarded.
+func (r *SMRReplica) replaySlot(w walDeliver) error {
+	if w.Slot == r.lastSlot+1 {
+		r.lastSlot = w.Slot
+		_ = r.applyBatch(broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
 	}
-	r.lastSlot = w.Slot
-	_ = r.applyBatch(broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
-	return true
+	return nil
 }
 
 // Recovered reports whether the replica restored state from its store
@@ -147,7 +145,7 @@ func (r *SMRReplica) SetGroupCommit(every int, delay time.Duration) {
 // answered by live replicas.
 func (r *SMRReplica) applySlot(d broadcast.Deliver, quiet bool) []msg.Directive {
 	if r.exec.st != nil {
-		r.exec.append(gobEnc(walDeliver{Slot: d.Slot, Msgs: d.Msgs}))
+		must(r.exec.st.Append(store.EncodeRecord(walDeliver{Slot: d.Slot, Msgs: d.Msgs})))
 		mSMRAppends.Inc()
 	}
 	r.lastSlot = d.Slot
@@ -205,9 +203,7 @@ func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Direc
 // by a snapshot save) and returns the parked acks.
 func (r *SMRReplica) releaseParked(covered bool) []msg.Directive {
 	if !covered {
-		if err := r.exec.st.Sync(); err != nil {
-			panic(fmt.Sprintf("core: smr group-commit sync: %v", err))
-		}
+		must(r.exec.st.Sync())
 	}
 	mGroupSyncs.Inc()
 	r.unsyncedSlots = 0
@@ -272,7 +268,7 @@ func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
 		}
 		err := r.exec.st.Replay(func(rec []byte) error {
 			var w walDeliver
-			if gobDec(rec, &w) == nil && w.Slot > q.After {
+			if store.DecodeRecord(rec, &w) == nil && w.Slot > q.After {
 				if size > 0 && size+len(rec) > catchupChunk {
 					flush()
 				}

@@ -358,7 +358,7 @@ type SMRCatchup struct {
 // including the basic value types that travel inside TxRequest.Args and
 // result rows.
 func RegisterWireTypes() {
-	gobBasics()
+	msg.RegisterBasics()
 	for _, v := range []any{
 		TxRequest{}, TxResult{}, Redirect{}, Repl{}, ReplAck{}, Heartbeat{}, HBTick{},
 		NewConfig{}, Elect{}, Catchup{}, CatchupReq{}, SnapBegin{}, SnapBatch{}, SnapEnd{},

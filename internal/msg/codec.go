@@ -31,6 +31,15 @@ func RegisterBody(v any) {
 	gob.Register(v)
 }
 
+// RegisterBasics registers the basic value types that travel inside
+// interface-typed fields (TxRequest.Args, SubTx.ApplyArgs, result rows)
+// with gob, for the wire codec and the journal codec alike.
+var RegisterBasics = sync.OnceFunc(func() {
+	for _, v := range []any{int64(0), float64(0), "", int(0), true} {
+		gob.Register(v)
+	}
+})
+
 // Envelope is what actually travels on the wire: the message plus its
 // source and destination locations, so receivers can route and reply.
 // Trace and LC are the causal-correlation coordinates of the send: Trace

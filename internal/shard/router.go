@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -109,6 +107,9 @@ type Router struct {
 	// (nil when Config.BreakTrips is 0).
 	q   *flow.Queue
 	brk map[int]*flow.Breaker
+	// j is the coordinator's write-ahead journal (nil without
+	// Config.Stable).
+	j *store.Journal
 	// lg logs coordinator lifecycle under the router's own node id.
 	lg *obs.Logger
 }
@@ -146,6 +147,16 @@ type journalRec struct {
 	// Seq is the router's broadcast seq high-water at journal time;
 	// recovery resumes above it (plus headroom for unjournaled resends).
 	Seq int64
+}
+
+// routerSnapshot is the compacted journal: what replaying the records
+// it replaces would have rebuilt.
+type routerSnapshot struct {
+	Seq  int64
+	Done map[string]core.TxResult
+	// Open holds every open transaction as its begin record, followed
+	// by its decide record once the outcome is fixed.
+	Open []journalRec
 }
 
 // NewRouter builds a router, replaying cfg.Stable if set.
@@ -187,8 +198,16 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.brk = make(map[int]*flow.Breaker)
 	}
 	if cfg.Stable != nil {
-		if err := r.replay(); err != nil {
+		r.j = store.NewJournal("router", cfg.Stable, 0)
+		found, err := r.j.Recover(store.Decoding(r.restore), store.Decoding(r.apply))
+		if err != nil {
 			return nil, err
+		}
+		if found {
+			// Resume seqs well above the journaled high-water:
+			// retransmissions between journal appends burned seqs the
+			// journal never saw.
+			r.seq += 1 << 20
 		}
 		if len(r.txs) > 0 {
 			r.lg.Infof("journal replay recovered %d open cross-shard transactions, resume seq %d",
@@ -198,71 +217,83 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// replay rebuilds coordinator state from the journal: a begin without a
-// decide re-enters the voting phase (recovery re-sends its prepares); a
-// decide without a done re-enters the ack phase (recovery re-sends its
-// decisions); a done clears the transaction into the dedup table.
-func (r *Router) replay() error {
-	gobArgs()
-	var high int64
-	err := r.cfg.Stable.Replay(func(rec []byte) error {
-		var jr journalRec
-		if err := gob.NewDecoder(bytes.NewReader(rec)).Decode(&jr); err != nil {
-			return fmt.Errorf("shard: corrupt router journal: %w", err)
-		}
-		if jr.Seq > high {
-			high = jr.Seq
-		}
-		switch jr.Kind {
-		case "begin":
-			// Recovered transactions re-occupy admission slots best-effort:
-			// they must be driven to completion even when more were open at
-			// the crash than the (possibly reconfigured) bound now allows.
-			r.txs[jr.TxID] = &txState{
-				req: jr.Req, subs: jr.Subs,
-				att:   make(map[int]int),
-				votes: make(map[int]bool), acked: make(map[int]bool),
-				admitted: r.q != nil && r.q.Admit(flow.ClassWrite) == nil,
-			}
-		case "decide":
-			tx, ok := r.txs[jr.TxID]
-			if !ok {
-				return fmt.Errorf("shard: journal decides unknown transaction %s", jr.TxID)
-			}
-			tx.decided, tx.commit = true, jr.Commit
-			tx.res = r.result(tx.req, jr.Commit)
-		case "done":
-			if tx, ok := r.txs[jr.TxID]; ok {
-				r.doneRes[jr.TxID] = tx.res
-				delete(r.txs, jr.TxID)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+func (r *Router) restore(snap routerSnapshot) error {
+	r.seq = snap.Seq
+	for id, res := range snap.Done {
+		r.doneRes[id] = res
 	}
-	// Resume seqs well above the journaled high-water: retransmissions
-	// between journal appends burned seqs the journal never saw.
-	if high > 0 {
-		r.seq = high + 1<<20
+	for _, jr := range snap.Open {
+		if err := r.apply(jr); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
+// apply rebuilds coordinator state from one journal record: a begin
+// without a decide re-enters the voting phase (recovery re-sends its
+// prepares); a decide without a done re-enters the ack phase (recovery
+// re-sends its decisions); a done clears the transaction into the dedup
+// table, after which its stragglers are skipped.
+func (r *Router) apply(jr journalRec) error {
+	r.seq = max(r.seq, jr.Seq)
+	if _, done := r.doneRes[jr.TxID]; done {
+		return nil
+	}
+	switch jr.Kind {
+	case "begin":
+		// Recovered transactions re-occupy admission slots best-effort:
+		// they must be driven to completion even when more were open at
+		// the crash than the (possibly reconfigured) bound now allows.
+		r.txs[jr.TxID] = &txState{
+			req: jr.Req, subs: jr.Subs,
+			att:   make(map[int]int),
+			votes: make(map[int]bool), acked: make(map[int]bool),
+			admitted: r.q != nil && r.q.Admit(flow.ClassWrite) == nil,
+		}
+	case "decide":
+		tx, ok := r.txs[jr.TxID]
+		if !ok {
+			return fmt.Errorf("shard: journal decides unknown transaction %s", jr.TxID)
+		}
+		tx.decided, tx.commit = true, jr.Commit
+		tx.res = r.result(tx.req, jr.Commit)
+	case "done":
+		if tx, ok := r.txs[jr.TxID]; ok {
+			r.doneRes[jr.TxID] = tx.res
+			delete(r.txs, jr.TxID)
+		}
+	}
+	return nil
+}
+
+// journal appends one record write-ahead of the sends that reveal it,
+// and compacts by the Journal's rule. A storage failure panics: a
+// coordinator that cannot journal must not reveal the step.
 func (r *Router) journal(jr journalRec) {
-	if r.cfg.Stable == nil {
+	if r.j == nil {
 		return
 	}
 	jr.Seq = r.seq
-	gobArgs()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(jr); err != nil {
-		panic(fmt.Sprintf("shard: encode journal record: %v", err))
+	err := r.j.Append(store.EncodeRecord(jr))
+	if err == nil {
+		_, err = r.j.CompactIfDue(r.snapshot)
 	}
-	if err := r.cfg.Stable.Append(buf.Bytes()); err != nil {
-		panic(fmt.Sprintf("shard: append router journal: %v", err))
+	if err != nil {
+		panic(fmt.Sprintf("shard: router journal: %v", err))
 	}
+}
+
+func (r *Router) snapshot() []byte {
+	snap := routerSnapshot{Seq: r.seq, Done: r.doneRes}
+	for _, id := range sortedKeys(r.txs) {
+		tx := r.txs[id]
+		snap.Open = append(snap.Open, journalRec{Kind: "begin", TxID: id, Req: tx.req, Subs: tx.subs})
+		if tx.decided {
+			snap.Open = append(snap.Open, journalRec{Kind: "decide", TxID: id, Commit: tx.commit})
+		}
+	}
+	return store.EncodeRecord(snap)
 }
 
 // InFlight counts open cross-shard transactions (zero after a drain
@@ -571,13 +602,6 @@ func (r *Router) onAck(a Ack) []msg.Directive {
 	r.doneRes[a.TxID] = tx.res
 	delete(r.txs, a.TxID)
 	r.journal(journalRec{Kind: "done", TxID: a.TxID})
-	if len(r.txs) == 0 && r.cfg.Stable != nil {
-		// Journal compaction point: with nothing in flight the journal's
-		// only job is the dedup table, which an empty snapshot plus the
-		// trailing done records reconstructs. Snapshotting here truncates
-		// the begin/decide history of completed transactions.
-		_ = r.cfg.Stable.SaveSnapshot(nil)
-	}
 	return nil
 }
 

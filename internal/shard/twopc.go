@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sync"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
@@ -90,22 +89,11 @@ type RetryBody struct {
 
 // RegisterWireTypes registers the 2PC bodies with the wire codec.
 func RegisterWireTypes() {
-	gobArgs()
+	msg.RegisterBasics()
 	for _, v := range []any{Vote{}, Ack{}, RetryBody{}} {
 		msg.RegisterBody(v)
 	}
 }
-
-// gobArgs registers the basic types that travel inside SubTx.ApplyArgs
-// and TxRequest.Args (interface-typed fields need explicit registration;
-// mirrors core's EncodeTx registration).
-var gobArgs = sync.OnceFunc(func() {
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(int(0))
-	gob.Register(true)
-})
 
 // Payload markers distinguishing 2PC records from plain transactions
 // ("tx|") in a delivered batch.
@@ -116,11 +104,11 @@ const (
 
 // EncodePrepare serializes a Prepare for use as a broadcast payload.
 func EncodePrepare(p Prepare) []byte {
-	gobArgs()
+	msg.RegisterBasics()
 	var buf bytes.Buffer
 	buf.WriteString(prepMark)
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		// All fields are gob-encodable once gobArgs ran; this cannot fail.
+		// All fields are gob-encodable once msg.RegisterBasics ran; this cannot fail.
 		panic(fmt.Sprintf("shard: encode prepare: %v", err))
 	}
 	return buf.Bytes()
@@ -133,7 +121,7 @@ func DecodePrepare(b []byte) (p Prepare, ok bool) {
 	if len(b) < len(prepMark) || string(b[:len(prepMark)]) != prepMark {
 		return Prepare{}, false
 	}
-	gobArgs()
+	msg.RegisterBasics()
 	defer func() {
 		if recover() != nil {
 			p, ok = Prepare{}, false

@@ -1,11 +1,10 @@
 // Package store is the durability substrate of the replication stack: a
 // checksummed, fsync-policied write-ahead log plus atomic snapshot
-// files, behind the small Stable interface. The paper's safety argument
-// leans on state surviving crashes ("an acceptor never forgets a
-// promise"); store is where that obligation is discharged for every
-// layer that claims durability — Synod acceptor state, the broadcast
-// sequencer's decided-slot journal, and the SQL state behind core
-// replicas.
+// files, behind the small Stable interface, and the one loop — Journal —
+// through which every layer that claims durability uses them. The
+// paper's safety argument leans on state surviving crashes ("an
+// acceptor never forgets a promise"); store is where that obligation is
+// discharged.
 //
 // Two implementations share the interface:
 //
@@ -19,12 +18,39 @@
 //     snapshot file. Torn tails are detected and truncated on open;
 //     saving a snapshot rotates the log and deletes the covered prefix.
 //
-// Journal wraps either one for a component whose snapshot is its whole
-// state (the core replicas' database): it counts the tail appended
-// since the last snapshot and says when compaction is due — once the
-// tail holds a floor of records and as many bytes as that snapshot, so
-// compaction costs at most one snapshot byte per journaled byte and a
-// recovery replays at most one snapshot's worth of journal.
+// # The one durable log
+//
+// Journal is the journal → compact → recover loop over either one,
+// written once. Its four clients — the replicated executor (core, under
+// PBR and SMR), the Synod acceptor, the broadcast sequencer and the 2PC
+// coordinator (shard.Router) — each contribute only a record codec, a
+// function applying a record, and a function encoding their whole state:
+//
+//   - Recover(restore, replay), once, before any traffic: the snapshot
+//     (if any) goes to restore, then every record of the tail to replay
+//     in append order. It reports whether the store held anything.
+//   - Append(rec) write-ahead of the message that reveals the mutation,
+//     Sync where that message is a promise of durability.
+//   - CompactIfDue(snapshot) after the mutation is applied: when the
+//     tail holds a floor of records and as many bytes as the last
+//     snapshot, snapshot() — the whole state, covering every record
+//     appended so far — replaces it and the tail is dropped. Compact
+//     does the same unconditionally (a baseline, an installed transfer).
+//     So compaction costs at most one snapshot byte per journaled byte
+//     and a recovery replays at most one snapshot's worth of journal.
+//
+// What recovery does with bytes it cannot use is one policy, not the
+// client's choice. Torn or corrupt bytes are the store's business: the
+// CRC scan truncates a segment's tail at the first bad record, and a
+// snapshot file (written whole, renamed into place, so never torn) that
+// fails its CRC fails Open. Bytes that pass the CRC and still do not
+// decode — snapshot or record — and any error reading the snapshot fail
+// Recover with an error naming the journal and the record's index; the
+// owner refuses to start. Skipping is never safe for all four: an
+// acceptor that skips a record has forgotten a promise. A record that
+// decodes but is not the owner's next unit (a pre-snapshot straggler, a
+// duplicate) is the owner's to skip: replay returns nil for it.
+// internal/recoverytest is this contract as a table all clients run.
 //
 // # Invariants
 //
@@ -36,6 +62,8 @@
 //   - Replay yields, in append order, every record not yet covered by
 //     a snapshot; a record either replays whole and checksum-clean or
 //     (torn tail) is truncated away — never delivered corrupted.
+//   - Outside this package only a Journal calls Snapshot, SaveSnapshot
+//     and Replay (its own Replay serves an SMR peer's catch-up).
 //   - SaveSnapshot is atomic (rename) and is the only operation that
 //     discards log records, so a crash at any instant leaves either
 //     the old snapshot plus full log or the new snapshot plus the

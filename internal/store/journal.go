@@ -1,39 +1,79 @@
 package store
 
-// Journal is a Stable whose owner compacts it into full-state
-// snapshots, plus the rule that says when: compact once at least floor
-// records AND at least as many record bytes as the last snapshot
-// occupied have been appended since that snapshot.
-//
-// Rewriting the whole state costs in proportion to its size, so a fixed
-// record cadence makes every journaled byte of a large database pay for
-// many snapshot bytes. Under this rule the journal has grown to the
-// snapshot's size by the time it is folded in, so compaction writes at
-// most one snapshot byte per journaled byte, and recovery replays at
-// most one snapshot's worth of journal (plus the floor, for states so
-// small that the byte condition is always met).
-//
-// Journal counts what passes through it: Append adds to the tail,
-// SaveSnapshot resets it, and Snapshot and Replay — which recovery
-// calls before any traffic — re-establish the counts of a reopened
-// store.
+import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
+
+	"shadowdb/internal/msg"
+)
+
+// DefaultFloor is the fewest records a Journal appends between two
+// compactions unless its owner asks for another floor.
+const DefaultFloor = 64
+
+// Journal is the durable log of one component: the journal → compact →
+// recover loop over a Stable (doc.go states the contract and the decode
+// policy). The owner appends records and supplies its whole state when
+// asked; the Journal asks once at least floor records AND at least as
+// many record bytes as the last snapshot occupied have been appended
+// since that snapshot. Rewriting the whole state costs in proportion to
+// its size, so a fixed record cadence makes every journaled byte of a
+// large state pay for many snapshot bytes; under this rule the tail has
+// grown to the snapshot's size by the time it is folded in.
 type Journal struct {
-	Stable
+	name      string
+	st        Stable
 	floor     int
 	recs      int
 	bytes     int
 	snapBytes int
 }
 
-// NewJournal wraps st. floor is the minimum number of records between
-// two compactions.
-func NewJournal(st Stable, floor int) *Journal {
-	return &Journal{Stable: st, floor: floor}
+// NewJournal wraps st for the component called name (Recover's errors
+// carry it; the store's own I/O errors carry the file's path).
+// floor <= 0 selects DefaultFloor. Call Recover before anything else.
+func NewJournal(name string, st Stable, floor int) *Journal {
+	if floor <= 0 {
+		floor = DefaultFloor
+	}
+	return &Journal{name: name, st: st, floor: floor}
+}
+
+// Recover rebuilds the owner's state from the store: the snapshot, if
+// one exists, goes to restore, then every record of the tail goes to
+// replay in append order. It re-establishes the rule's counts and
+// reports whether the store held anything. An unreadable snapshot, or
+// an error from restore or replay — bytes that passed the store's CRC
+// and still do not decode — fails the recovery: the owner must not
+// start on part of its state.
+func (j *Journal) Recover(restore, replay func([]byte) error) (found bool, err error) {
+	snap, found, err := j.st.Snapshot()
+	if err == nil && found {
+		err = restore(snap)
+	}
+	if err != nil {
+		return false, fmt.Errorf("store: journal %s: snapshot: %w", j.name, err)
+	}
+	recs, size := 0, 0
+	err = j.st.Replay(func(rec []byte) error {
+		if err := replay(rec); err != nil {
+			return fmt.Errorf("store: journal %s: record %d: %w", j.name, recs, err)
+		}
+		recs++
+		size += len(rec)
+		return nil
+	})
+	if err != nil {
+		return false, err
+	}
+	j.recs, j.bytes, j.snapBytes = recs, size, len(snap)
+	return found || recs > 0, nil
 }
 
 // Append journals one record and counts it toward the next compaction.
 func (j *Journal) Append(rec []byte) error {
-	if err := j.Stable.Append(rec); err != nil {
+	if err := j.st.Append(rec); err != nil {
 		return err
 	}
 	j.recs++
@@ -41,42 +81,60 @@ func (j *Journal) Append(rec []byte) error {
 	return nil
 }
 
-// Due reports whether the journal tail has outgrown the rule and the
-// owner should SaveSnapshot.
-func (j *Journal) Due() bool {
-	return j.recs >= j.floor && j.bytes >= j.snapBytes
+// Sync makes every appended record stable (see Stable.Sync).
+func (j *Journal) Sync() error { return j.st.Sync() }
+
+// CompactIfDue folds the tail into snapshot() when it has outgrown the
+// rule, and reports whether it did.
+func (j *Journal) CompactIfDue(snapshot func() []byte) (bool, error) {
+	if j.recs < j.floor || j.bytes < j.snapBytes {
+		return false, nil
+	}
+	return true, j.Compact(snapshot())
 }
 
-// SaveSnapshot replaces the snapshot, empties the tail and starts
-// counting against the new snapshot's size.
-func (j *Journal) SaveSnapshot(snap []byte) error {
-	if err := j.Stable.SaveSnapshot(snap); err != nil {
+// Compact replaces the snapshot with snap — the owner's whole state,
+// covering every record appended so far — and empties the tail.
+func (j *Journal) Compact(snap []byte) error {
+	if err := j.st.SaveSnapshot(snap); err != nil {
 		return err
 	}
 	j.recs, j.bytes, j.snapBytes = 0, 0, len(snap)
 	return nil
 }
 
-// Snapshot returns the stored snapshot and notes its size.
-func (j *Journal) Snapshot() ([]byte, bool, error) {
-	snap, ok, err := j.Stable.Snapshot()
-	if err == nil && ok {
-		j.snapBytes = len(snap)
-	}
-	return snap, ok, err
+// Replay calls fn for every record appended since the last compaction,
+// in append order: what a peer's catch-up is served from.
+func (j *Journal) Replay(fn func(rec []byte) error) error {
+	return j.st.Replay(fn)
 }
 
-// Replay walks the tail and recounts it: what is replayed is exactly
-// what has been appended since the last snapshot.
-func (j *Journal) Replay(fn func(rec []byte) error) error {
-	recs, bytes := 0, 0
-	err := j.Stable.Replay(func(rec []byte) error {
-		recs++
-		bytes += len(rec)
-		return fn(rec)
-	})
-	if err == nil {
-		j.recs, j.bytes = recs, bytes
+// EncodeRecord encodes a journal record or snapshot for a Journal's
+// owner; DecodeRecord reverses it. Encode failures are programming
+// errors (the types are the owners' own) and panic.
+func EncodeRecord(v any) []byte {
+	msg.RegisterBasics()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		panic(fmt.Sprintf("store: encode %T: %v", v, err))
 	}
-	return err
+	return buf.Bytes()
+}
+
+// DecodeRecord decodes what EncodeRecord wrote into v.
+func DecodeRecord(b []byte, v any) error {
+	msg.RegisterBasics()
+	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+}
+
+// Decoding turns a function applying a decoded T into the function of
+// raw bytes Recover takes.
+func Decoding[T any](apply func(T) error) func([]byte) error {
+	return func(b []byte) error {
+		var v T
+		if err := DecodeRecord(b, &v); err != nil {
+			return err
+		}
+		return apply(v)
+	}
 }

@@ -1,63 +1,156 @@
 package store
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+)
 
-// The rule itself, on a Mem store: both conditions are needed, a saved
-// snapshot resets the tail and sets the byte bar, and a reopened store
-// recounts its tail from Snapshot + Replay.
+func nop([]byte) error { return nil }
+
+// The rule itself, on a Mem store: both conditions are needed, a
+// compaction resets the tail and sets the byte bar, and a reopened
+// journal recounts its tail in Recover.
 func TestJournalCompactionRule(t *testing.T) {
 	prov := NewMem()
 	st, _ := prov.Open("j")
-	j := NewJournal(st, 3)
+	j := NewJournal("j", st, 3)
 	rec := make([]byte, 10)
+	snaps := 0
+	snapshot := func(n int) func() []byte {
+		return func() []byte { snaps++; return make([]byte, n) }
+	}
+	due := func(j *Journal, n int) bool {
+		t.Helper()
+		did, err := j.CompactIfDue(snapshot(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return did
+	}
 
-	if j.Due() {
+	if found, err := j.Recover(nop, nop); found || err != nil {
+		t.Fatalf("fresh store: found=%v err=%v", found, err)
+	}
+	if due(j, 0) {
 		t.Error("an empty journal is due")
 	}
-	if err := j.SaveSnapshot(make([]byte, 45)); err != nil {
+	if err := j.Compact(make([]byte, 45)); err != nil {
 		t.Fatal(err)
 	}
-	for i, wantDue := range []bool{false, false, false, false, true} {
-		// 3 records reach the floor at 30 bytes; the 45-byte snapshot
-		// holds compaction off until the fifth.
+	// 3 records reach the floor at 30 bytes; the 45-byte snapshot holds
+	// compaction off until the fifth.
+	for i := 1; i <= 4; i++ {
 		if err := j.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		if j.Due() != wantDue {
-			t.Errorf("after %d records of 10 bytes against a 45-byte snapshot and floor 3: Due = %v", i+1, j.Due())
+		if due(j, 45) {
+			t.Errorf("due after %d records of 10 bytes against a 45-byte snapshot and floor 3", i)
 		}
 	}
-
-	// A new incarnation over the same store sees the same tail.
-	st2, _ := prov.Open("j")
-	j2 := NewJournal(st2, 3)
-	if snap, ok, err := j2.Snapshot(); err != nil || !ok || len(snap) != 45 {
-		t.Fatalf("reopened snapshot: %d bytes, %v, %v", len(snap), ok, err)
-	}
-	n := 0
-	if err := j2.Replay(func([]byte) error { n++; return nil }); err != nil || n != 5 {
-		t.Fatalf("replayed %d records (%v), want 5", n, err)
-	}
-	if !j2.Due() {
-		t.Error("the reopened journal forgot the tail it replayed")
-	}
-	// Replay is also how a peer's catch-up is served; it must not count
-	// the tail twice.
-	_ = j2.Replay(func([]byte) error { return nil })
-	if err := j2.SaveSnapshot(make([]byte, 5)); err != nil {
+	if err := j.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	if j2.Due() {
-		t.Error("due right after a snapshot")
+
+	// A new incarnation over the same store sees the same snapshot and
+	// tail, in order, and inherits the counts.
+	st2, _ := prov.Open("j")
+	j2 := NewJournal("j", st2, 3)
+	var gotSnap, gotRecs int
+	found, err := j2.Recover(
+		func(snap []byte) error { gotSnap = len(snap); return nil },
+		func(rec []byte) error { gotRecs++; return nil })
+	if err != nil || !found || gotSnap != 45 || gotRecs != 5 {
+		t.Fatalf("reopened: found=%v snapshot %d bytes, %d records, %v", found, gotSnap, gotRecs, err)
+	}
+	// Replay is how a peer's catch-up is served; it must not count the
+	// tail twice.
+	_ = j2.Replay(nop)
+	if !due(j2, 5) {
+		t.Error("the reopened journal forgot the tail it replayed")
+	}
+	if due(j2, 5) {
+		t.Error("due right after a compaction")
 	}
 	for i := 0; i < 2; i++ {
 		_ = j2.Append(rec)
 	}
-	if j2.Due() {
+	if due(j2, 5) {
 		t.Error("due below the record floor, though past the 5-byte snapshot")
 	}
 	_ = j2.Append(rec)
-	if !j2.Due() {
+	if !due(j2, 5) {
 		t.Error("not due at the floor with a tail larger than the snapshot")
+	}
+	if snaps != 2 {
+		t.Errorf("snapshot function called %d times, want once per compaction (2)", snaps)
+	}
+}
+
+// unreadable is a store whose snapshot cannot be read back.
+type unreadable struct{ Stable }
+
+func (unreadable) Snapshot() ([]byte, bool, error) { return nil, false, errors.New("bad sector") }
+
+// The decode policy (doc.go): whatever Recover cannot read or its owner
+// cannot decode fails the recovery, naming the journal and the record.
+func TestJournalRecoverRefuses(t *testing.T) {
+	boom := errors.New("does not decode")
+	open := func(t *testing.T) Stable {
+		st, _ := NewMem().Open("j")
+		if err := st.SaveSnapshot([]byte("snap")); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []string{"r0", "r1", "r2"} {
+			if err := st.Append([]byte(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	cases := []struct {
+		name    string
+		st      func(*testing.T) Stable
+		restore func([]byte) error
+		replay  func([]byte) error
+		want    string
+	}{
+		{"snapshot read error", func(t *testing.T) Stable { return unreadable{open(t)} }, nop, nop, "journal acc-a1: snapshot: bad sector"},
+		{"snapshot refused", open, func([]byte) error { return boom }, nop, "journal acc-a1: snapshot: does not decode"},
+		{"record refused", open, nop, func(r []byte) error {
+			if string(r) == "r2" {
+				return boom
+			}
+			return nil
+		}, "journal acc-a1: record 2: does not decode"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			found, err := NewJournal("acc-a1", c.st(t), 0).Recover(c.restore, c.replay)
+			if err == nil || found || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Recover = %v, %v; want an error containing %q", found, err, c.want)
+			}
+			if c.name != "snapshot read error" && !errors.Is(err, boom) {
+				t.Errorf("the owner's error is not wrapped: %v", err)
+			}
+		})
+	}
+}
+
+func TestDecodingRoundTrip(t *testing.T) {
+	type rec struct {
+		N    int
+		Args []any
+	}
+	var got rec
+	f := Decoding(func(r rec) error { got = r; return nil })
+	if err := f(EncodeRecord(rec{N: 7, Args: []any{int64(1), "x", 2.5, true, 3}})); err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 7 || len(got.Args) != 5 || got.Args[1] != "x" {
+		t.Errorf("round trip: %+v", got)
+	}
+	if err := f([]byte("not a record")); err == nil {
+		t.Error("Decoding accepted bytes that are not a record")
 	}
 }

@@ -184,7 +184,10 @@ func TestWALSnapshotAtomicReplace(t *testing.T) {
 	st.Close()
 }
 
-func TestWALCorruptSnapshotTreatedAsAbsent(t *testing.T) {
+// A snapshot file that fails its CRC is refused, not treated as absent:
+// the records it covered are gone, so the tail alone would bring the
+// component up on part of its state.
+func TestWALCorruptSnapshotRefused(t *testing.T) {
 	root := t.TempDir()
 	st := openDir(t, root, SyncAlways)
 	st.Append([]byte("kept"))
@@ -196,11 +199,14 @@ func TestWALCorruptSnapshotTreatedAsAbsent(t *testing.T) {
 	b[len(b)-1] ^= 0xff
 	os.WriteFile(sp, b, 0o644)
 
-	st = openDir(t, root, SyncAlways)
-	if _, ok, _ := st.Snapshot(); ok {
-		t.Fatal("corrupt snapshot reported as present")
+	d, err := NewDir(root, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st.Close()
+	if st, err := d.Open("comp"); err == nil {
+		st.Close()
+		t.Fatal("opened over a corrupt snapshot file")
+	}
 }
 
 func TestMemSurvivesReopenNotReset(t *testing.T) {

@@ -103,10 +103,6 @@ type walFile struct {
 	seg      uint64   // active segment number
 	unsynced int
 
-	// hasSnap: a valid snapshot file exists. Its bytes stay on disk;
-	// Snapshot reads them when recovery asks.
-	hasSnap bool
-
 	// older holds fully written segments not yet covered by a snapshot
 	// (possible after a crash between snapshot save and rotation
 	// cleanup); Replay reads them before the active segment.
@@ -130,14 +126,10 @@ func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
 	w := &walFile{dir: dir, pol: pol, be: batchEvery}
 
 	// Snapshot first: its header names the segment it covers through.
-	// A corrupt snapshot is treated as absent; surviving segments are
-	// still replayed best-effort. The atomic tmp+rename+fsync write path
-	// makes this effectively unreachable outside deliberate corruption.
-	_, covers, ok, err := readSnapshot(dir)
+	_, covers, hasSnap, err := readSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
-	w.hasSnap = ok
 
 	// Collect segments, drop those the snapshot covers, and truncate
 	// any torn tail in the survivors.
@@ -148,7 +140,7 @@ func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
 	var segs []uint64
 	for _, e := range entries {
 		if n, ok := parseSeg(e.Name()); ok {
-			if n <= covers && w.hasSnap {
+			if n <= covers && hasSnap {
 				_ = os.Remove(filepath.Join(dir, e.Name()))
 				continue
 			}
@@ -176,13 +168,15 @@ func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	w.f = f
-	lg.Infof("opened WAL in %s: active segment %d, %d older, snapshot=%v", dir, w.seg, len(w.older), w.hasSnap)
+	lg.Infof("opened WAL in %s: active segment %d, %d older, snapshot=%v", dir, w.seg, len(w.older), hasSnap)
 	return w, nil
 }
 
 // readSnapshot loads and validates the snapshot file: its payload, the
 // segment number it covers through, and ok=false when the file is
-// absent or does not hold one intact record.
+// absent. A file that does not hold one intact record is an error: the
+// tmp+fsync+rename write path never leaves a torn one, and the segments
+// it covered are gone, so the tail alone is not the component's state.
 func readSnapshot(dir string) (snap []byte, covers uint64, ok bool, err error) {
 	b, err := os.ReadFile(filepath.Join(dir, "snap"))
 	if err != nil {
@@ -197,7 +191,10 @@ func readSnapshot(dir string) (snap []byte, covers uint64, ok bool, err error) {
 		}
 		return nil
 	})
-	return snap, covers, ok, nil
+	if !ok {
+		return nil, 0, false, fmt.Errorf("store: %s: snapshot file does not hold one intact record", dir)
+	}
+	return snap, covers, true, nil
 }
 
 // truncateTorn cuts the file down to its valid record prefix.
@@ -344,7 +341,6 @@ func (w *walFile) SaveSnapshot(snap []byte) error {
 		_ = os.Remove(p)
 	}
 	w.older = nil
-	w.hasSnap = true
 	mSnaps.Inc()
 	lg.Debugf("snapshot saved in %s (%d bytes), rotated to segment %d", w.dir, len(snap), w.seg)
 	return nil
@@ -353,13 +349,7 @@ func (w *walFile) SaveSnapshot(snap []byte) error {
 func (w *walFile) Snapshot() ([]byte, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.hasSnap {
-		return nil, false, nil
-	}
 	snap, _, ok, err := readSnapshot(w.dir)
-	if err == nil && !ok {
-		err = fmt.Errorf("store: %s: snapshot file no longer valid", w.dir)
-	}
 	return snap, ok, err
 }
 
