@@ -446,10 +446,11 @@ type buildConfig struct {
 // deadlines are hundreds of milliseconds, not microseconds).
 func wallClock() time.Duration { return time.Duration(time.Now().UnixNano()) }
 
-// groupWindow sizes the SMR group-commit window: with a durable store
+// groupWindow caps the SMR group-commit window: with a durable store
 // under the batch sync policy, acks are parked until one fsync covers
-// the window. The window tracks the sequencer's pipeline (concurrent
-// slots arrive back to back) with a floor of 4.
+// the slots the replica has in hand (DESIGN.md §8), at most this many.
+// The cap tracks the sequencer's pipeline (concurrent slots arrive back
+// to back) with a floor of 4.
 func groupWindow(dataDir, fsync string, pipeline int) int {
 	if dataDir == "" || fsync != "batch" {
 		return 0

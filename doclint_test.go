@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,6 +86,115 @@ func TestInvariantCatalogue(t *testing.T) {
 	for name := range rows {
 		t.Errorf("DESIGN.md §4.1 lists %s, which no checker registers", name)
 	}
+}
+
+// TestTimerCatalogue keeps the "Timers" table of DESIGN.md §8 equal to
+// the timers the protocol code arms: every msg.SendAfter call outside
+// tests and internal/bench (whose timers drive experiments, not
+// protocols) must name its header as a constant of its own package, that
+// header must have a row, and every row must name a header some call
+// arms. A wait added to — or taken off — a request's path then shows up
+// in the one place that says which waits are on the commit path.
+func TestTimerCatalogue(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### Timers\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no Timers table")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z.]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+	}
+
+	armed := make(map[string]string) // header → one site that arms it
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "internal/bench" || path == "benchmark") {
+			return filepath.SkipDir
+		}
+		pkgs, err := parser.ParseDir(fset, path, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			return err
+		}
+		for _, pkg := range pkgs {
+			consts := stringConsts(pkg)
+			ast.Inspect(pkg, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isSel(call.Fun, "msg", "SendAfter") {
+					return true
+				}
+				site := fset.Position(call.Pos()).String()
+				hdr := ""
+				if m, ok := call.Args[2].(*ast.CallExpr); ok && isSel(m.Fun, "msg", "M") {
+					if id, ok := m.Args[0].(*ast.Ident); ok {
+						hdr = consts[id.Name]
+					}
+				}
+				if hdr == "" {
+					t.Errorf("%s: timer's header is not msg.M(<constant of this package>, …); the catalogue cannot name it", site)
+				} else {
+					armed[hdr] = site
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for hdr, site := range armed {
+		if !rows[hdr] {
+			t.Errorf("%s arms %s, which has no row in the DESIGN.md §8 Timers table", site, hdr)
+		}
+		delete(rows, hdr)
+	}
+	for hdr := range rows {
+		t.Errorf("DESIGN.md §8 Timers table lists %s, which no msg.SendAfter call arms", hdr)
+	}
+}
+
+// stringConsts maps the package's string constants to their values.
+func stringConsts(pkg *ast.Package) map[string]string {
+	consts := make(map[string]string)
+	for _, f := range pkg.Files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if i < len(vs.Values) {
+						if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							consts[name.Name], _ = strconv.Unquote(lit.Value)
+						}
+					}
+				}
+			}
+		}
+	}
+	return consts
+}
+
+// isSel reports whether e is the qualified identifier pkg.name.
+func isSel(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg
 }
 
 // TestRoadmapReferences keeps "ROADMAP item N" and "ROADMAP item N(x)"

@@ -71,7 +71,6 @@ type clusterSpec struct {
 	fast       core.FastRegistry
 	reads      core.ReadRegistry
 	groupEvery int
-	groupDelay time.Duration
 }
 
 // Cluster is a ShadowDB deployment on the discrete-event simulator: the
@@ -334,7 +333,7 @@ func (c *Cluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
 		rep.EnableLease(lease, spec.reads)
 	}
 	if spec.groupEvery > 1 {
-		rep.SetGroupCommit(spec.groupEvery, spec.groupDelay)
+		rep.SetGroupCommit(spec.groupEvery, 0)
 	}
 	c.reps[loc], c.dbs[loc] = rep, db
 	return rep

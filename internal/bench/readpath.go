@@ -63,10 +63,9 @@ type ReadPathConfig struct {
 	// activation lag in slots.
 	Pipeline int
 	Alpha    int
-	// GroupEvery/GroupDelay configure SMR group commit: acks park until
-	// one fsync covers up to GroupEvery slots (or GroupDelay elapses).
+	// GroupEvery caps the SMR group-commit window: acks park until one
+	// fsync covers the replica's backlog, at most GroupEvery slots of it.
 	GroupEvery int
-	GroupDelay time.Duration
 	// Fsync is the WAL sync policy of every store.
 	Fsync store.SyncPolicy
 	// The chaos schedule: the holder r1 is partitioned from the
@@ -103,7 +102,7 @@ func DefaultReadPath() ReadPathConfig {
 		LeaseDur: 200 * time.Millisecond, MaxStale: 150 * time.Millisecond,
 		Retry:    25 * time.Millisecond,
 		Pipeline: 4, Alpha: 10,
-		GroupEvery: 4, GroupDelay: 2 * time.Millisecond,
+		GroupEvery:  4,
 		Fsync:       store.SyncBatch,
 		PartitionAt: 600 * time.Millisecond, DeposeAt: 700 * time.Millisecond,
 		HealAt: 1600 * time.Millisecond, RestartAt: 1100 * time.Millisecond,
@@ -249,7 +248,7 @@ func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
 		epoch0: &initial, alpha: cfg.Alpha,
 		lease: core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Bcast: "b1"},
 		fast:  core.BankFastRegistry(), reads: core.BankReadRegistry(),
-		groupEvery: cfg.GroupEvery, groupDelay: cfg.GroupDelay,
+		groupEvery: cfg.GroupEvery,
 	}))
 	return run, rc
 }

@@ -68,15 +68,14 @@ type SMRReplica struct {
 	ackGap bool
 	// Group commit (smr_durable.go): with gcEvery > 1 client acks are
 	// parked until a covering fsync — one fsync per window instead of
-	// one per slot — released by count or by the HdrSyncTick timer.
-	// unsyncedSlots counts the ack-bearing slots of the open window;
-	// ack-free slots (renewals, suppressed replies) defer their fsync
-	// to the next ack-bearing window.
+	// one per slot — released when the HdrSyncTick self-send arrives
+	// behind the inbox's backlog, or by count. unsyncedSlots counts the
+	// ack-bearing slots of the open window; ack-free slots (renewals,
+	// suppressed replies) defer their fsync to the next ack-bearing
+	// window.
 	gcEvery       int
-	gcDelay       time.Duration
 	parked        []msg.Directive
 	unsyncedSlots int
-	syncTimer     bool
 	// Reusable apply-path buffers (applyBatch).
 	runBuf []TxRequest
 	inRun  map[ckey]bool

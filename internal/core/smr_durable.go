@@ -122,21 +122,19 @@ func (r *SMRReplica) RecoveryDirectives() []msg.Directive {
 	return outs
 }
 
-// SetGroupCommit coalesces the journal fsyncs of up to every slots:
-// client acks are parked until a covering Sync, released when the
-// window fills or after delay at the latest (the HdrSyncTick timer).
-// The write-ahead contract is preserved exactly — an acknowledged
-// transaction is always covered by an fsync — while a full pipeline
-// window costs one fsync instead of one per slot. Catch-up traffic and
-// snapshot pushes are not promises of durability and pass immediately.
-func (r *SMRReplica) SetGroupCommit(every int, delay time.Duration) {
-	if every < 1 {
-		every = 1
-	}
-	if delay <= 0 {
-		delay = 2 * time.Millisecond
-	}
-	r.gcEvery, r.gcDelay = every, delay
+// SetGroupCommit coalesces the journal fsyncs of the slots a replica has
+// in hand: client acks are parked until a covering Sync, which runs when
+// the inbox has drained (the HdrSyncTick self-send, see groupCommit) or
+// inline once every ack-bearing slots share the window. The write-ahead
+// contract is preserved exactly — an acknowledged transaction is always
+// covered by an fsync — while a backlog of slots costs one fsync instead
+// of one per slot. Catch-up traffic and snapshot pushes are not promises
+// of durability and pass immediately.
+//
+// The second argument is ignored: there is no group-commit delay any
+// more. It stays until benchmark/ may be edited (ROADMAP item 1(b)).
+func (r *SMRReplica) SetGroupCommit(every int, _ time.Duration) {
+	r.gcEvery = max(every, 1)
 }
 
 // applySlot executes the next slot — on a durable replica journaled
@@ -175,6 +173,14 @@ func (r *SMRReplica) applySlot(d broadcast.Deliver, quiet bool) []msg.Directive 
 // quiet catch-up) promises nothing, so its journal append simply rides
 // until the next ack-bearing window — Sync flushes the whole appended
 // tail, so the deferred slots are covered by that later fsync.
+//
+// The window waits for work, not for a clock: its first ack-bearing slot
+// sends the replica a zero-delay HdrSyncTick. Every inbox is FIFO, so
+// the tick queues behind the deliveries already received; they are
+// journaled and applied first and the tick's one Sync covers them all.
+// An idle replica's window is one slot and no wait. Arming on 0 → 1
+// (not on a remembered "tick in flight") means a tick the transport
+// dropped strands nothing past the next window.
 func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Directive {
 	parked0 := len(r.parked)
 	outs, r.parked = takeAcks(outs, r.parked)
@@ -192,9 +198,8 @@ func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Direc
 	if r.unsyncedSlots >= r.gcEvery {
 		return append(outs, r.releaseParked(false)...)
 	}
-	if !r.syncTimer {
-		r.syncTimer = true
-		outs = append(outs, msg.SendAfter(r.gcDelay, r.slf, msg.M(HdrSyncTick, SyncTick{})))
+	if r.unsyncedSlots == 1 {
+		outs = append(outs, msg.Send(r.slf, msg.M(HdrSyncTick, SyncTick{})))
 	}
 	return outs
 }
@@ -212,11 +217,11 @@ func (r *SMRReplica) releaseParked(covered bool) []msg.Directive {
 	return outs
 }
 
-// onSyncTick is the group-commit deadline: whatever acks are parked
-// when it fires are released under one covering fsync. Nothing parked
-// (a snapshot's fsync released them first) means nothing is owed.
+// onSyncTick closes the group-commit window: whatever acks are parked
+// when it arrives are released under one covering fsync. Nothing parked
+// (the count or a snapshot's fsync released them first) means nothing is
+// owed.
 func (r *SMRReplica) onSyncTick() []msg.Directive {
-	r.syncTimer = false
 	if len(r.parked) == 0 {
 		return nil
 	}

@@ -76,8 +76,9 @@ const (
 	HdrRead       = "sdb.read"
 	HdrReadResult = "sdb.readresult"
 	HdrLeaseTick  = "sdb.leasetick"
-	// HdrSyncTick is the durable replica's group-commit timer: parked
-	// client acks are released once the covering fsync runs.
+	// HdrSyncTick is the durable replica's group-commit self-send: it
+	// queues behind the deliveries already in the inbox, and when it
+	// arrives one covering fsync releases the parked client acks.
 	HdrSyncTick = "sdb.synctick"
 )
 
@@ -198,7 +199,7 @@ func ReleaseReadResult(r *ReadResult) {
 // LeaseTick is the lease renewal timer body.
 type LeaseTick struct{}
 
-// SyncTick is the group-commit timer body.
+// SyncTick is the group-commit self-send body.
 type SyncTick struct{}
 
 // Redirect points a client at the current primary.

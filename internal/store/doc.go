@@ -57,8 +57,8 @@
 //   - The write-ahead contract is the caller's: persist the mutation
 //     with Append *before* emitting the message that reveals it (an
 //     acceptor journals its promise before replying P1b; an SMR
-//     replica under group commit parks client acks until a Sync covers
-//     their slots — core.SetGroupCommit).
+//     replica under group commit parks client acks until one Sync covers
+//     every slot it has in hand — core.SetGroupCommit).
 //   - Replay yields, in append order, every record not yet covered by
 //     a snapshot; a record either replays whole and checksum-clean or
 //     (torn tail) is truncated away — never delivered corrupted.
