@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -59,7 +60,7 @@ func run(args []string) int {
 	case "list":
 		err = list(args[1:])
 	case "show":
-		err = show(args[1:])
+		err = show(os.Stdout, args[1:])
 	case "merge":
 		err = merge(args[1:])
 	default:
@@ -112,7 +113,7 @@ func list(args []string) error {
 }
 
 // show prints one bundle in full.
-func show(args []string) error {
+func show(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("show", flag.ExitOnError)
 	tail := fs.Int("logs", 20, "log records to print (0 for all)")
 	if err := fs.Parse(args); err != nil {
@@ -126,38 +127,44 @@ func show(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("bundle   %s\n", b.Dir)
-	fmt.Printf("node     %s\n", b.Meta.Node)
-	fmt.Printf("reason   %s\n", b.Meta.Reason)
-	fmt.Printf("dumped   %s (lc=%d, clock=%d)\n",
+	fmt.Fprintf(w, "bundle   %s\n", b.Dir)
+	fmt.Fprintf(w, "node     %s\n", b.Meta.Node)
+	fmt.Fprintf(w, "reason   %s\n", b.Meta.Reason)
+	fmt.Fprintf(w, "dumped   %s (lc=%d, clock=%d)\n",
 		time.Unix(0, b.Meta.WallAt).UTC().Format(time.RFC3339Nano), b.Meta.LC, b.Meta.At)
 	if b.Meta.GitSHA != "" {
-		fmt.Printf("git      %s\n", b.Meta.GitSHA)
+		fmt.Fprintf(w, "git      %s\n", b.Meta.GitSHA)
 	}
-	fmt.Printf("go       %s (pid %d)\n", b.Meta.GoVersion, b.Meta.PID)
-	for k, v := range b.Meta.Config {
-		fmt.Printf("config   %s=%s\n", k, v)
+	fmt.Fprintf(w, "go       %s (pid %d)\n", b.Meta.GoVersion, b.Meta.PID)
+	// The node's whole deployment (deploy.Node.Settings), by flag name.
+	keys := make([]string, 0, len(b.Meta.Config))
+	for k := range b.Meta.Config {
+		keys = append(keys, k)
 	}
-	fmt.Printf("logs     %d records (%d dropped by the ring)\n", len(b.Logs), b.LogDropped)
-	fmt.Printf("trace    %d events\n", len(b.Trace))
-	fmt.Printf("metrics  %d counters, %d gauges, %d histograms, %d rate windows\n",
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "config   %s=%s\n", k, b.Meta.Config[k])
+	}
+	fmt.Fprintf(w, "logs     %d records (%d dropped by the ring)\n", len(b.Logs), b.LogDropped)
+	fmt.Fprintf(w, "trace    %d events\n", len(b.Trace))
+	fmt.Fprintf(w, "metrics  %d counters, %d gauges, %d histograms, %d rate windows\n",
 		len(b.Metrics.Counters), len(b.Metrics.Gauges), len(b.Metrics.Histograms), len(b.Rates))
 	if len(b.Checker) > 0 {
-		fmt.Printf("checker  %s\n", b.Checker)
+		fmt.Fprintf(w, "checker  %s\n", b.Checker)
 	}
 	logs := b.Logs
 	if *tail > 0 && len(logs) > *tail {
 		logs = logs[len(logs)-*tail:]
-		fmt.Printf("\nlast %d log records:\n", *tail)
+		fmt.Fprintf(w, "\nlast %d log records:\n", *tail)
 	} else if len(logs) > 0 {
-		fmt.Println("\nlog records:")
+		fmt.Fprintln(w, "\nlog records:")
 	}
 	for _, r := range logs {
 		line := fmt.Sprintf("  lc=%-6d %-5s [%s] %s", r.LC, r.Level, r.Component, r.Msg)
 		if r.Trace != "" {
 			line += " trace=" + r.Trace
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 )
@@ -156,5 +157,35 @@ func TestCheckReportsCoverage(t *testing.T) {
 	))
 	if err == nil || !strings.Contains(out, "VIOLATION: broadcast/in-order-delivery at r4") {
 		t.Fatalf("undeclared mid-run joiner accepted: err=%v\n%s", err, out)
+	}
+}
+
+// show prints the deployment a bundle came from: a node's recorder is
+// handed every setting (deploy.Node.Settings), not a hand-picked few, so
+// the lease window and the admission bound — what a replay needs to
+// re-arm read/* and flow/* — are in the bundle.
+func TestShowPrintsTheDeployment(t *testing.T) {
+	n := deploy.Default()
+	n.ID, n.Role, n.Lease, n.MaxInflight = "r1", "smr", true, 64
+	rec, err := obs.NewRecorder(obs.New(16), t.TempDir(), "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.SetConfig(n.Settings())
+	dir, err := rec.Dump("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := show(&buf, []string{dir}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"config   lease-dur=2s\n", "config   max-inflight=64\n", "config   lease=true\n",
+		"config   role=smr\n", "config   joiner=false\n", "config   alpha=16\n", "config   module=paxos\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("show output lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

@@ -1,28 +1,23 @@
 // Command shadowdb-client submits transactions to a running ShadowDB
-// deployment over TCP and prints the results.
+// deployment over TCP and prints the results. It reads the topology
+// file the servers were started with:
 //
-//	shadowdb-client -cluster "$DIR" -mode pbr -tx deposit -args 1,10 -n 100
-//	shadowdb-client -cluster "$DIR" -mode smr -tx balance -args 1
-//	shadowdb-client -cluster "$DIR" -mode shard -tx transfer -args 1,2,50
-//	shadowdb-client -cluster "$DIR" -mode smr -read lease -tx balance -args 1
-//	shadowdb-client -cluster "$DIR" -mode smr -read follower -read-target r3 -tx balance -args 1
+//	shadowdb-client -topology cluster.json -mode pbr -tx deposit -args 1,10 -n 100
+//	shadowdb-client -topology cluster.json -mode smr -tx balance -args 1
+//	shadowdb-client -topology cluster.json -mode shard -tx transfer -args 1,2,50
+//	shadowdb-client -topology cluster.json -mode smr -read lease -tx balance -args 1
+//	shadowdb-client -topology cluster.json -mode smr -read follower -read-target r3 -tx balance -args 1
 //
-// With -read the request bypasses the consensus path entirely: it is
-// served locally by -read-target (default: the first replica), which
-// answers only while it can prove the mode's guarantee — a valid
-// leader lease for -read lease, the staleness bound for -read
-// follower. The serving replicas must run with -lease. A rejected
-// read (no valid lease yet, holder handover, bound exceeded) is
-// retried automatically against the same target.
+// With -read the request bypasses the consensus path: -read-target
+// serves it locally while it can prove the mode's guarantee (a valid
+// leader lease, or the follower staleness bound), and a rejected read
+// is retried against the same target.
 //
-// PBR replicas answer over the client's own connection, so the client
-// needs no directory entry. SMR answers come from the replicas (the
-// request reaches them via the broadcast service), so in SMR mode the
-// client's id=host:port must appear in the shared -cluster directory.
-// Shard mode addresses the deployment's router (rt1): single-shard
-// transactions are answered by the owning shard's replicas and
-// cross-shard ones by the router itself, so the client needs a
-// directory entry here too.
+// PBR replicas answer over the client's own connection. SMR answers
+// come from the replicas and shard answers from the owning shard or the
+// router (rt1), which dial the client back: in those modes the client's
+// id must be listed in the topology the servers read, and the client
+// listens on that entry's address.
 package main
 
 import (
@@ -33,13 +28,10 @@ import (
 	"strings"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/flow"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/network"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/shard"
 )
 
 // lg carries the client's status lines: they stream to stderr through
@@ -48,110 +40,43 @@ import (
 var lg = obs.L("client")
 
 func main() {
-	os.Exit(run())
+	c := deploy.DefaultClient()
+	c.RegisterFlags(flag.CommandLine)
+	flag.Parse()
+	os.Exit(run(c))
 }
 
-func run() int {
-	cluster := flag.String("cluster", "", "comma-separated id=host:port directory (must include this client)")
-	id := flag.String("id", "cli", "this client's location id")
-	addr := flag.String("listen", "127.0.0.1:0", "listen address for answers")
-	mode := flag.String("mode", "pbr", "pbr|smr|shard (shard talks to the deployment's router, rt1)")
-	tx := flag.String("tx", "deposit", "transaction type")
-	argsFlag := flag.String("args", "", "comma-separated transaction arguments (ints, floats, strings)")
-	n := flag.Int("n", 1, "how many times to run the transaction")
-	read := flag.String("read", "", "serve -tx as a local read in this mode: lease|follower (replicas must run with -lease; -tx then names a read procedure, e.g. balance)")
-	readTarget := flag.String("read-target", "", "replica that serves -read requests (default: first replica in the directory)")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-transaction timeout")
-	deadline := flag.Duration("deadline", 0, "per-request deadline stamped on every submission (DESIGN.md §14): hops refuse the request once it passes, and the client surfaces a terminal timeout instead of retrying forever (0 = none)")
-	retryBudget := flag.Float64("retry-budget", 0, "retry tokens per second: resends beyond the budget surface a terminal overload error instead of amplifying a retry storm (0 = unbounded)")
-	logLevel := flag.String("log-level", "info", "structured log level: debug|info|warn|error|off")
-	flag.Parse()
-
-	lv, err := obs.ParseLevel(*logLevel)
+func run(c deploy.Client) int {
+	lv, err := obs.ParseLevel(c.LogLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	obs.Default.SetLogLevel(lv)
 	obs.Default.SetLogStream(os.Stderr)
-	obs.Default.SetNode(msg.Loc(*id))
+	obs.Default.SetNode(msg.Loc(c.ID))
 
-	dir, err := parseDirectory(*cluster)
+	s, err := c.Open()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	dir[msg.Loc(*id)] = *addr
-
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes()
-	tr, err := network.NewTCP(msg.Loc(*id), dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer func() { _ = tr.Close() }()
-
-	replicas, bcast := splitRoles(dir)
-	cli := &core.Client{
-		Slf: msg.Loc(*id), Replicas: replicas, BcastNodes: bcast, Retry: 2 * time.Second,
-	}
-	if *deadline > 0 || *retryBudget > 0 {
-		// Deadlines are absolute nanoseconds on the deployment clock:
-		// live processes use wall UnixNano, so the value the client
-		// stamps is comparable at every hop that enforces it.
-		cli.Now = func() time.Duration { return time.Duration(time.Now().UnixNano()) }
-		cli.Deadline = *deadline
-		if *retryBudget > 0 {
-			cli.Budget = &flow.RetryBudget{Rate: *retryBudget}
-		}
-	}
-	switch *mode {
-	case "smr":
-		cli.Mode = core.ModeSMR
-	case "shard":
-		// The router speaks the replica protocol from the client's view:
-		// requests go to rt1, results come back as usual.
-		cli.Mode = core.ModePBR
-		cli.Replicas = []msg.Loc{shard.RouterLoc}
-	default:
-		cli.Mode = core.ModePBR
-	}
-	args := parseArgs(*argsFlag)
-
-	var readMode core.ReadMode
-	switch *read {
-	case "":
-	case "lease":
-		readMode = core.ReadLease
-	case "follower":
-		readMode = core.ReadFollower
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -read mode %q (lease|follower)\n", *read)
-		return 2
-	}
-	target := msg.Loc(*readTarget)
-	if readMode != 0 && target == "" {
-		if len(replicas) == 0 {
-			fmt.Fprintln(os.Stderr, "-read needs a replica in the -cluster directory")
-			return 2
-		}
-		target = replicas[0]
-	}
+	defer func() { _ = s.Close() }()
+	args := parseArgs(c.Args)
 
 	start := time.Now()
-	for i := 0; i < *n; i++ {
-		if readMode != 0 {
-			res, err := runOneRead(tr, cli, *tx, args, readMode, target, *timeout)
+	for i := 0; i < c.N; i++ {
+		if c.Read != "" {
+			res, err := s.Read(c.Tx, args)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			printReadResult(res)
+			printRows(res.Cols, res.Vals)
 			core.ReleaseReadResult(res)
 			continue
 		}
-		res, err := runOne(tr, cli, *tx, args, *timeout)
+		res, err := s.Exec(c.Tx, args)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -159,99 +84,14 @@ func run() int {
 		printResult(res)
 	}
 	elapsed := time.Since(start)
-	if readMode != 0 {
+	if c.Read != "" {
 		lg.Infof("%d local reads in %v (%.0f reads/s, %d rejections)",
-			*n, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds(), cli.ReadsRejected)
+			c.N, elapsed.Round(time.Millisecond), float64(c.N)/elapsed.Seconds(), s.ReadsRejected)
 	} else {
 		lg.Infof("%d transactions in %v (%.0f tx/s, %d retries)",
-			*n, elapsed.Round(time.Millisecond), float64(*n)/elapsed.Seconds(), cli.Retries)
+			c.N, elapsed.Round(time.Millisecond), float64(c.N)/elapsed.Seconds(), s.Retries)
 	}
 	return 0
-}
-
-// runOne submits one transaction and waits for its answer, feeding the
-// client's state machine from the transport.
-func runOne(tr network.Transport, cli *core.Client, tx string, args []any, timeout time.Duration) (core.TxResult, error) {
-	emit := func(outs []msg.Directive) {
-		for _, o := range outs {
-			o := o
-			if o.Delay > 0 {
-				time.AfterFunc(o.Delay, func() {
-					_ = tr.Send(msg.Envelope{From: cli.Slf, To: o.Dest, M: o.M, Deadline: msg.DeadlineOf(o.M)})
-				})
-				continue
-			}
-			_ = tr.Send(msg.Envelope{From: cli.Slf, To: o.Dest, M: o.M, Deadline: msg.DeadlineOf(o.M)})
-		}
-	}
-	emit(cli.Submit(tx, args))
-	deadline := time.After(timeout)
-	for {
-		select {
-		case env, ok := <-tr.Receive():
-			if !ok {
-				return core.TxResult{}, fmt.Errorf("transport closed")
-			}
-			res, outs := cli.Handle(env.M)
-			emit(outs)
-			if res != nil {
-				return *res, nil
-			}
-		case <-deadline:
-			return core.TxResult{}, fmt.Errorf("transaction %s timed out after %v", tx, timeout)
-		}
-	}
-}
-
-// runOneRead submits one local read and waits for a served (not
-// rejected) answer; rejections are retried inside the client on its
-// retry-timer schedule until the timeout.
-func runOneRead(tr network.Transport, cli *core.Client, typ string, args []any, mode core.ReadMode, target msg.Loc, timeout time.Duration) (*core.ReadResult, error) {
-	emit := func(outs []msg.Directive) {
-		for _, o := range outs {
-			o := o
-			if o.Delay > 0 {
-				time.AfterFunc(o.Delay, func() {
-					_ = tr.Send(msg.Envelope{From: cli.Slf, To: o.Dest, M: o.M, Deadline: msg.DeadlineOf(o.M)})
-				})
-				continue
-			}
-			_ = tr.Send(msg.Envelope{From: cli.Slf, To: o.Dest, M: o.M, Deadline: msg.DeadlineOf(o.M)})
-		}
-	}
-	emit(cli.SubmitRead(typ, args, mode, target))
-	deadline := time.After(timeout)
-	for {
-		select {
-		case env, ok := <-tr.Receive():
-			if !ok {
-				return nil, fmt.Errorf("transport closed")
-			}
-			_, outs := cli.Handle(env.M)
-			emit(outs)
-			if res := cli.TakeRead(); res != nil {
-				if res.Err != "" {
-					err := fmt.Errorf("read %s: %s", typ, res.Err)
-					core.ReleaseReadResult(res)
-					return nil, err
-				}
-				return res, nil
-			}
-		case <-deadline:
-			return nil, fmt.Errorf("read %s timed out after %v (%d rejections)", typ, timeout, cli.ReadsRejected)
-		}
-	}
-}
-
-func printReadResult(res *core.ReadResult) {
-	if len(res.Cols) > 0 {
-		fmt.Println(strings.Join(res.Cols, "\t"))
-	}
-	cells := make([]string, len(res.Vals))
-	for i, v := range res.Vals {
-		cells[i] = fmt.Sprint(v)
-	}
-	fmt.Println(strings.Join(cells, "\t"))
 }
 
 func printResult(res core.TxResult) {
@@ -261,16 +101,23 @@ func printResult(res core.TxResult) {
 	case res.Aborted:
 		fmt.Println("aborted")
 	case len(res.Rows) > 0:
-		fmt.Println(strings.Join(res.Cols, "\t"))
-		for _, row := range res.Rows {
-			cells := make([]string, len(row))
-			for i, v := range row {
-				cells[i] = fmt.Sprint(v)
-			}
-			fmt.Println(strings.Join(cells, "\t"))
-		}
+		printRows(res.Cols, res.Rows...)
 	default:
 		fmt.Println("ok")
+	}
+}
+
+// printRows prints a tab-separated header (when there is one) and rows.
+func printRows(cols []string, rows ...[]any) {
+	if len(cols) > 0 {
+		fmt.Println(strings.Join(cols, "\t"))
+	}
+	for _, row := range rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = fmt.Sprint(v)
+		}
+		fmt.Println(strings.Join(cells, "\t"))
 	}
 }
 
@@ -293,42 +140,4 @@ func parseArgs(s string) []any {
 		out = append(out, part)
 	}
 	return out
-}
-
-// parseDirectory parses "id=addr,...".
-func parseDirectory(s string) (map[msg.Loc]string, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing -cluster directory")
-	}
-	dir := make(map[msg.Loc]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[0] == "" || kv[1] == "" {
-			return nil, fmt.Errorf("bad -cluster entry %q", part)
-		}
-		dir[msg.Loc(kv[0])] = kv[1]
-	}
-	return dir, nil
-}
-
-func splitRoles(dir map[msg.Loc]string) (replicas, bcast []msg.Loc) {
-	for l := range dir {
-		switch {
-		case strings.HasPrefix(string(l), "b"):
-			bcast = append(bcast, l)
-		case strings.HasPrefix(string(l), "r"):
-			replicas = append(replicas, l)
-		}
-	}
-	sortLocs(replicas)
-	sortLocs(bcast)
-	return replicas, bcast
-}
-
-func sortLocs(ls []msg.Loc) {
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
-		}
-	}
 }

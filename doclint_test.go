@@ -8,6 +8,7 @@ package shadowdb
 // stdlib (go/ast over the source tree, no build step).
 
 import (
+	"flag"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/obs/dist"
 )
 
@@ -31,6 +33,7 @@ var docLintPackages = []string{
 	"internal/store",
 	"internal/obs/dist",
 	"internal/flow",
+	"internal/deploy",
 }
 
 func TestDocLint(t *testing.T) {
@@ -160,6 +163,56 @@ func TestTimerCatalogue(t *testing.T) {
 	}
 	for hdr := range rows {
 		t.Errorf("DESIGN.md §8 Timers table lists %s, which no msg.SendAfter call arms", hdr)
+	}
+}
+
+// TestFlagCatalogue keeps README's "Command reference" tables for
+// cmd/shadowdb and cmd/shadowdb-client equal to the flags the two
+// binaries register (both register through internal/deploy): every flag
+// has a row, every row names a flag, and the row's default is the
+// flag's. A row may list several flags ("`-a` / `-b`") with their
+// defaults in step; a default is "—" for the empty string or the
+// backquoted value, optionally followed by a gloss in parentheses.
+func TestFlagCatalogue(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, client := deploy.Default(), deploy.DefaultClient()
+	for heading, register := range map[string]func(*flag.FlagSet){
+		"\n### `cmd/shadowdb` ":         node.RegisterFlags,
+		"\n### `cmd/shadowdb-client`\n": client.RegisterFlags,
+	} {
+		_, section, ok := strings.Cut(string(readme), heading)
+		if !ok {
+			t.Fatalf("README.md has no %q section", strings.TrimSpace(heading))
+		}
+		section, _, _ = strings.Cut(section, "\n#")
+		rows := make(map[string]string) // flag name → documented default
+		for _, m := range regexp.MustCompile("(?m)^\\| (`-[^|]*) \\|.*\\| ([^|]*) \\|$").FindAllStringSubmatch(section, -1) {
+			names, defaults := strings.Split(m[1], " / "), strings.Split(m[2], " / ")
+			if len(names) != len(defaults) {
+				t.Errorf("README row %q lists %d flags and %d defaults", m[1], len(names), len(defaults))
+				continue
+			}
+			for i, name := range names {
+				def, _, _ := strings.Cut(defaults[i], " (")
+				rows[strings.Trim(name, "`-")] = strings.Trim(strings.Replace(def, "—", "", 1), "`")
+			}
+		}
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		register(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			if def, ok := rows[f.Name]; !ok {
+				t.Errorf("flag -%s has no row in README's %s table", f.Name, strings.TrimSpace(heading))
+			} else if def != f.DefValue {
+				t.Errorf("flag -%s defaults to %q, README's %s table says %q", f.Name, f.DefValue, strings.TrimSpace(heading), def)
+			}
+			delete(rows, f.Name)
+		})
+		for name := range rows {
+			t.Errorf("README's %s table lists -%s, which the binary does not register", strings.TrimSpace(heading), name)
+		}
 	}
 }
 

@@ -1,0 +1,300 @@
+package deploy_test
+
+import (
+	"fmt"
+	"net"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"shadowdb/internal/broadcast"
+	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
+	"shadowdb/internal/gpm"
+	"shadowdb/internal/leaktest"
+	"shadowdb/internal/member"
+	"shadowdb/internal/msg"
+	"shadowdb/internal/network"
+	"shadowdb/internal/runtime"
+	"shadowdb/internal/shard"
+	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
+)
+
+// The tests below boot the shipped wiring: every process comes out of a
+// deploy.Node through View and Process — the calls Serve makes — onto
+// loopback TCP, and is driven by the client cmd/shadowdb-client ships
+// (deploy.Client).
+
+// writeTopology reserves a free loopback port per id and writes the
+// topology file naming them. The ports are released on return, so each
+// endpoint binds its own entry the way a deployed process does.
+func writeTopology(t *testing.T, ids ...string) string {
+	t.Helper()
+	topo := member.Topology{Nodes: map[string]string{}}
+	for _, id := range ids {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = ln.Close() }()
+		topo.Nodes[id] = ln.Addr().String()
+	}
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := topo.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// node is one process of a test cluster. It is its own store.Provider,
+// so stop can close what the process opened (a deployed process leaves
+// that to exit).
+type node struct {
+	n      deploy.Node
+	proc   gpm.Process
+	boot   []msg.Directive
+	host   *runtime.Host
+	stores []store.Stable
+	// executed republishes an SMR replica's executed count after every
+	// step, so the test can wait on it without racing the host goroutine.
+	executed atomic.Int64
+}
+
+func (nd *node) Open(name string) (store.Stable, error) {
+	dir, err := store.NewDir(nd.n.DataDir, store.SyncBatch)
+	if err != nil {
+		return nil, err
+	}
+	st, err := dir.Open(name)
+	if err == nil {
+		nd.stores = append(nd.stores, st)
+	}
+	return st, err
+}
+
+// build constructs n's process without starting it.
+func build(t *testing.T, n deploy.Node) *node {
+	t.Helper()
+	nd := &node{n: n}
+	var prov store.Provider
+	if n.DataDir != "" {
+		prov = nd
+	}
+	view, err := n.View()
+	if err == nil {
+		nd.proc, nd.boot, err = n.Process(prov, view)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", n.ID, err)
+	}
+	return nd
+}
+
+// start binds the node's topology address and runs the process on it.
+func (nd *node) start(t *testing.T) *node {
+	t.Helper()
+	topo, err := member.LoadTopology(nd.n.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := network.NewTCP(msg.Loc(nd.n.ID), topo.Directory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.host = runtime.NewHost(msg.Loc(nd.n.ID), tcp, nd.proc)
+	if r, ok := nd.proc.(*core.SMRReplica); ok {
+		nd.host.OnStep = func(msg.Msg, []msg.Directive) { nd.executed.Store(r.Executor().Executed) }
+	}
+	nd.host.Emit(nd.boot)
+	nd.host.Start()
+	t.Cleanup(nd.stop)
+	return nd
+}
+
+func (nd *node) stop() {
+	_ = nd.host.Close()
+	for _, st := range nd.stores {
+		_ = st.Close()
+	}
+	nd.stores = nil
+}
+
+// session opens the shipped client against the topology.
+func session(t *testing.T, topology, id, mode, read string) *deploy.Session {
+	t.Helper()
+	c := deploy.DefaultClient()
+	c.Topology, c.ID, c.Mode, c.Read, c.Timeout = topology, id, mode, read, 20*time.Second
+	s, err := c.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s
+}
+
+// exec runs one transaction that must commit and returns its rows.
+func exec(t *testing.T, s *deploy.Session, tx string, args ...any) string {
+	t.Helper()
+	res, err := s.Exec(tx, args)
+	if err != nil || res.Err != "" || res.Aborted {
+		t.Fatalf("%s%v: err=%v result=%+v", tx, args, err, res)
+	}
+	return fmt.Sprint(res.Rows)
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+func checkLeaks(t *testing.T) {
+	leaktest.Check(t, "shadowdb/internal/runtime.", "shadowdb/internal/network.")
+}
+
+// SMR, 3 b + 3 r, durable, lease reads on: a deposit through the order,
+// a lease read at the holder, then r2 is stopped and rebuilt from the
+// same Node over the same data directory. The client is listed as
+// "bench": a first-letter rule would make it a fourth broadcast node in
+// every quorum.
+func TestSMRLeaseAndRestart(t *testing.T) {
+	checkLeaks(t)
+	topology := writeTopology(t, "b1", "b2", "b3", "r1", "r2", "r3", "bench")
+	data := t.TempDir()
+	nodes := map[string]*node{}
+	settings := func(id string) deploy.Node {
+		n := deploy.Default()
+		n.ID, n.Topology, n.Rows, n.DataDir = id, topology, 100, filepath.Join(data, id)
+		n.Role, n.Lease = "smr", true
+		if id[0] == 'b' {
+			n.Role, n.Lease = "broadcast", false
+		}
+		return n
+	}
+	for _, id := range []string{"b1", "b2", "b3", "r1", "r2", "r3"} {
+		nodes[id] = build(t, settings(id)).start(t)
+	}
+	s := session(t, topology, "bench", "smr", "lease")
+	exec(t, s, "deposit", int64(1), int64(10))
+	res, err := s.Read("balance", []any{int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Vals); got != "[1010]" {
+		t.Fatalf("lease read of account 1 = %s, want [1010]", got)
+	}
+	core.ReleaseReadResult(res)
+
+	waitFor(t, "r2 to execute the deposit", func() bool { return nodes["r2"].executed.Load() == 1 })
+	nodes["r2"].stop()
+	r2 := build(t, settings("r2"))
+	rep := r2.proc.(*core.SMRReplica)
+	if !rep.Recovered() || rep.Executor().Executed != 1 {
+		t.Fatalf("rebuilt r2: recovered=%v executed=%d, want true and 1", rep.Recovered(), rep.Executor().Executed)
+	}
+	r2.start(t)
+	exec(t, s, "deposit", int64(2), int64(5))
+	waitFor(t, "r1 and the restarted r2 to execute the second deposit", func() bool {
+		return nodes["r1"].executed.Load() == 2 && r2.executed.Load() == 2
+	})
+	nodes["r1"].stop()
+	r2.stop()
+	if !sqldb.Equal(nodes["r1"].proc.(*core.SMRReplica).Executor().DB, rep.Executor().DB) {
+		t.Fatal("restarted r2 and r1 hold different databases")
+	}
+}
+
+// PBR, two members and a spare: the client is not in the topology
+// (members answer over its own connection).
+func TestPBRDeposit(t *testing.T) {
+	checkLeaks(t)
+	topology := writeTopology(t, "b1", "r1", "r2", "r3")
+	for _, id := range []string{"b1", "r1", "r2", "r3"} {
+		n := deploy.Default()
+		n.ID, n.Topology, n.Rows, n.Spare = id, topology, 100, id == "r3"
+		if id == "b1" {
+			n.Role = "broadcast"
+		}
+		build(t, n).start(t)
+	}
+	s := session(t, topology, "cli", "pbr", "")
+	exec(t, s, "deposit", int64(1), int64(10))
+	if got := exec(t, s, "balance", int64(1)); !strings.Contains(got, "1010") {
+		t.Fatalf("balance of account 1 = %s, want 1010", got)
+	}
+}
+
+// -module twothird: three service nodes order one Bcast for the
+// topology's replica id, here a bare endpoint.
+func TestTwoThirdOrdersForSubscriber(t *testing.T) {
+	checkLeaks(t)
+	topology := writeTopology(t, "b1", "b2", "b3", "r1")
+	for _, id := range []string{"b1", "b2", "b3"} {
+		n := deploy.Default()
+		n.ID, n.Role, n.Topology, n.Module = id, "broadcast", topology, "twothird"
+		if v, _ := n.View(); v != nil {
+			t.Fatal("a twothird node has a membership view")
+		}
+		build(t, n).start(t)
+	}
+	topo, err := member.LoadTopology(topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := network.NewTCP("r1", topo.Directory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = sub.Close() }()
+	err = sub.Send(msg.Envelope{From: "r1", To: "b1", M: msg.M(broadcast.HdrBcast,
+		broadcast.Bcast{From: "r1", Seq: 1, Payload: []byte("ordered")})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeout := time.After(20 * time.Second)
+	for {
+		select {
+		case env := <-sub.Receive():
+			if d, ok := env.M.Body.(broadcast.Deliver); ok && len(d.Msgs) == 1 && string(d.Msgs[0].Payload) == "ordered" {
+				return
+			}
+		case <-timeout:
+			t.Fatal("no Deliver reached the subscriber")
+		}
+	}
+}
+
+// Two shards and the router: one cross-shard transfer, read back
+// through the router from both shards.
+func TestShardedTransfer(t *testing.T) {
+	checkLeaks(t)
+	topology := writeTopology(t, "s0b1", "s0r1", "s1b1", "s1r1", "rt1", "cli")
+	data := t.TempDir()
+	for _, id := range []string{"s0b1", "s0r1", "s1b1", "s1r1", "rt1"} {
+		n := deploy.Default()
+		n.ID, n.Role, n.Topology, n.Rows, n.DataDir = id, "shard", topology, 100, filepath.Join(data, id)
+		if id == "rt1" {
+			n.Role = "router"
+		}
+		build(t, n).start(t)
+	}
+	// Two accounts the hash partitioner places on different shards.
+	part, from, to := shard.NewHash(2), int64(1), int64(2)
+	for part.Shard(shard.BankKey(to)) == part.Shard(shard.BankKey(from)) {
+		to++
+	}
+	s := session(t, topology, "cli", "shard", "")
+	exec(t, s, "transfer", from, to, int64(50))
+	if got := exec(t, s, "balance", from); !strings.Contains(got, "950") {
+		t.Fatalf("balance of the debited account = %s, want 950", got)
+	}
+	if got := exec(t, s, "balance", to); !strings.Contains(got, "1050") {
+		t.Fatalf("balance of the credited account = %s, want 1050", got)
+	}
+}

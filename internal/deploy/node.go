@@ -1,0 +1,277 @@
+package deploy
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"time"
+
+	"shadowdb/internal/member"
+	"shadowdb/internal/msg"
+	"shadowdb/internal/obs"
+	"shadowdb/internal/shard"
+	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
+)
+
+// Node is every setting of one server process. Each field is the flag
+// RegisterFlags declares for it, and there is no other field: what a
+// flight bundle records (Settings) is the whole deployment of the node.
+type Node struct {
+	ID, Role, Topology, Engine, Registry string
+	Rows                                 int
+	Spare                                bool
+	Members                              int
+	Batch                                int
+	BatchDelay                           time.Duration
+	Pipeline, Alpha                      int
+	Module                               string
+	Joiner                               bool
+	DataDir, Fsync                       string
+	Lease                                bool
+	LeaseDur, MaxStale                   time.Duration
+	MaxInflight                          int
+	RetryBudget                          float64
+	Admin                                string
+	Trace, Check                         bool
+	FaultPlan, LogLevel, FlightDir       string
+}
+
+// Default returns the settings a node runs under when no flag is given.
+func Default() Node {
+	return Node{
+		Role: "pbr", Engine: "h2", Registry: "bank", Rows: 10_000, Members: 2,
+		Alpha: 16, Module: "paxos", Fsync: "batch", LeaseDur: 2 * time.Second, LogLevel: "info",
+	}
+}
+
+// RegisterFlags declares one flag per field on fs; a flag's default is
+// the field's current value, so start from Default.
+func (n *Node) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&n.ID, "id", n.ID, "this node's location id (must appear in the topology)")
+	fs.StringVar(&n.Role, "role", n.Role, "pbr|smr|broadcast|shard|router; the id must match: r<n> for pbr/smr, b<n> for broadcast, s<k>b<i>/s<k>r<i> for shard, rt1 for router")
+	fs.StringVar(&n.Topology, "topology", n.Topology, "epoch-stamped topology file (JSON {\"epoch\": N, \"nodes\": {id: host:port}})")
+	fs.StringVar(&n.Engine, "engine", n.Engine, "database engine: h2|hsqldb|derby|mysql-mem|mysql-innodb")
+	fs.StringVar(&n.Registry, "registry", n.Registry, "transaction registry: bank|tpcc")
+	fs.IntVar(&n.Rows, "rows", n.Rows, "initial bank rows (bank registry, non-spare)")
+	fs.BoolVar(&n.Spare, "spare", n.Spare, "start with an empty database (PBR spare)")
+	fs.IntVar(&n.Members, "members", n.Members, "initial PBR configuration size")
+	fs.IntVar(&n.Batch, "batch", n.Batch, "broadcast role: max messages per ordered batch (0 = unbatched)")
+	fs.DurationVar(&n.BatchDelay, "batch-delay", n.BatchDelay, "broadcast role: max time a message may wait for its batch to fill (0 = cut eagerly)")
+	fs.IntVar(&n.Pipeline, "pipeline", n.Pipeline, "broadcast role: max concurrent consensus instances (0 or 1 = stop-and-wait)")
+	fs.IntVar(&n.Alpha, "alpha", n.Alpha, "membership: acceptor activation lag in slots; must be identical on every node (it is part of the derived epoch schedule) and exceed twice the sequencer's -pipeline window")
+	fs.StringVar(&n.Module, "module", n.Module, "broadcast role: ordering module paxos|twothird (twothird: static membership, -data-dir covers the sequencer journal only)")
+	fs.BoolVar(&n.Joiner, "joiner", n.Joiner, "broadcast|smr role: this node is joining a running cluster: excluded from its own initial epoch, passive until the ordered add command admits it")
+	fs.StringVar(&n.DataDir, "data-dir", n.DataDir, "durable storage root: WAL + snapshots for this node's state, recovered on restart (empty = volatile); sharded roles use the per-shard layout <data-dir>/shard<k>/ and <data-dir>/router/")
+	fs.StringVar(&n.Fsync, "fsync", n.Fsync, "WAL sync policy with -data-dir: always|batch|never")
+	fs.BoolVar(&n.Lease, "lease", n.Lease, "smr role: enable lease-based local reads (DESIGN.md §13); must be set uniformly across the replica group, bank registry only")
+	fs.DurationVar(&n.LeaseDur, "lease-dur", n.LeaseDur, "lease duration with -lease; the holder proposes renewals every third of it")
+	fs.DurationVar(&n.MaxStale, "max-stale", n.MaxStale, "staleness bound for follower reads with -lease (0 = -lease-dur)")
+	fs.IntVar(&n.MaxInflight, "max-inflight", n.MaxInflight, "admission bound (DESIGN.md §14): broadcast roles cap the sequencer's admission queue, the router role caps concurrent cross-shard transactions; excess work is answered with an explicit rejection. Also arms receive-side deadline enforcement on the transport. 0 = unbounded")
+	fs.Float64Var(&n.RetryBudget, "retry-budget", n.RetryBudget, "router role: 2PC re-drive tokens per second (0 = unbounded)")
+	fs.StringVar(&n.Admin, "admin", n.Admin, "admin HTTP address (metrics, trace, pprof), e.g. 127.0.0.1:7070")
+	fs.BoolVar(&n.Trace, "trace", n.Trace, "start with causal trace recording enabled")
+	fs.BoolVar(&n.Check, "check", n.Check, "run the online invariant checker; serves /checker and /spans on -admin")
+	fs.StringVar(&n.FaultPlan, "fault-plan", n.FaultPlan, "JSON fault plan: inject its message faults, partitions, and crash (blackhole) windows on this node's transport")
+	fs.StringVar(&n.LogLevel, "log-level", n.LogLevel, "structured log level: debug|info|warn|error|off")
+	fs.StringVar(&n.FlightDir, "flight-dir", n.FlightDir, "postmortem bundle directory (default <data-dir>/flight when -data-dir is set; empty without it disables the recorder)")
+}
+
+// Settings returns every effective setting keyed by flag name — the
+// deployment record a flight bundle carries. (Registering this copy
+// makes its current values the flags' values.)
+func (n Node) Settings() map[string]string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	n.RegisterFlags(fs)
+	out := make(map[string]string)
+	fs.VisitAll(func(f *flag.Flag) { out[f.Name] = f.Value.String() })
+	return out
+}
+
+// Role is what an id says its holder is, named by the id form.
+type Role string
+
+// The id classes; an id that names no member is a client entry.
+const (
+	RoleClient  Role = "client"
+	RoleBcast   Role = "b<n>"
+	RoleReplica Role = "r<n>"
+	RoleShard   Role = "s<k>b<i> or s<k>r<i>"
+	RoleRouter  Role = Role(shard.RouterLoc)
+)
+
+var flatRe = regexp.MustCompile(`^([br])\d+$`)
+
+// RoleOf classifies an id. It is the only place the naming convention
+// is read: a topology's quorums, replica pool and clients all follow
+// from it, so a client listed as "bench" or a router listed as "rt1"
+// is never mistaken for a member by its first letter.
+func RoleOf(l msg.Loc) Role {
+	if m := flatRe.FindStringSubmatch(string(l)); m != nil {
+		if m[1] == "b" {
+			return RoleBcast
+		}
+		return RoleReplica
+	}
+	if l == shard.RouterLoc {
+		return RoleRouter
+	}
+	if _, _, ok := shard.IsShardLoc(l); ok {
+		return RoleShard
+	}
+	return RoleClient
+}
+
+// idOf maps each -role to the id class its node must carry.
+var idOf = map[string]Role{
+	"pbr": RoleReplica, "smr": RoleReplica, "broadcast": RoleBcast, "shard": RoleShard, "router": RoleRouter,
+}
+
+// cluster is what a node reads out of its topology file.
+type cluster struct {
+	ids []string
+	dir map[msg.Loc]string
+	// replicas and bcast are the r<n> and b<n> ids, sorted.
+	replicas, bcast []msg.Loc
+	// shards is the validated sharded member list (roles shard, router).
+	shards *shard.Topology
+}
+
+// loadCluster reads a topology file and splits its ids by role.
+func loadCluster(path string) (*cluster, error) {
+	if path == "" {
+		return nil, errors.New("missing -topology")
+	}
+	topo, err := member.LoadTopology(path)
+	if err != nil {
+		return nil, err
+	}
+	c := &cluster{ids: topo.IDs(), dir: topo.Directory()}
+	for _, id := range c.ids {
+		switch l := msg.Loc(id); RoleOf(l) {
+		case RoleBcast:
+			c.bcast = append(c.bcast, l)
+		case RoleReplica:
+			c.replicas = append(c.replicas, l)
+		}
+	}
+	return c, nil
+}
+
+// ordered reports whether the node runs under the membership view: the
+// broadcast and smr roles, except under the statically configured
+// twothird module.
+func (n Node) ordered() bool {
+	return (n.Role == "broadcast" || n.Role == "smr") && n.Module != "twothird"
+}
+
+// Validate reports the first reason these settings cannot be run as
+// given. It reads the topology file and creates the data directory, and
+// has no other effect.
+func (n Node) Validate() error {
+	_, err := n.check()
+	return err
+}
+
+func (n Node) check() (*cluster, error) {
+	want, ok := idOf[n.Role]
+	sharded := want == RoleShard || want == RoleRouter
+	switch {
+	case n.ID == "":
+		return nil, errors.New("missing -id")
+	case !ok:
+		return nil, fmt.Errorf("unknown -role %q (pbr|smr|broadcast|shard|router)", n.Role)
+	case RoleOf(msg.Loc(n.ID)) != want:
+		return nil, fmt.Errorf("-role %s requires an id of the form %s, got %q", n.Role, want, n.ID)
+	case n.Registry != "bank" && n.Registry != "tpcc":
+		return nil, fmt.Errorf("unknown -registry %q (bank|tpcc)", n.Registry)
+	case n.Module != "paxos" && n.Module != "twothird":
+		return nil, fmt.Errorf("unknown -module %q (paxos|twothird)", n.Module)
+	case n.Module == "twothird" && n.Role != "broadcast":
+		return nil, fmt.Errorf("-module twothird applies to -role broadcast only (got -role %s)", n.Role)
+	case n.Joiner && n.Role != "broadcast" && n.Role != "smr":
+		return nil, fmt.Errorf("-joiner applies to -role broadcast|smr only (got -role %s): other roles have no ordered membership to join", n.Role)
+	case n.Joiner && n.Module == "twothird":
+		return nil, errors.New("-joiner needs -module paxos: the twothird module runs a static member list")
+	case n.Lease && n.Role != "smr":
+		return nil, fmt.Errorf("-lease applies to -role smr only (got -role %s)", n.Role)
+	case n.Lease && n.Registry != "bank":
+		return nil, fmt.Errorf("-lease serves the bank read registry only (got -registry %q)", n.Registry)
+	case sharded && n.Registry != "bank":
+		return nil, fmt.Errorf("the sharded deployment supports the bank registry only (got -registry %q)", n.Registry)
+	case n.ordered() && n.Alpha <= 2*n.Pipeline:
+		// Alpha is part of the schedule every node derives independently;
+		// it is a flag (not derived from -pipeline) because replicas do
+		// not know the sequencer's window.
+		return nil, fmt.Errorf("-alpha %d must exceed twice the -pipeline window %d", n.Alpha, n.Pipeline)
+	}
+	if _, ok := sqldb.Engines()[strings.ToLower(n.Engine)]; !ok {
+		return nil, fmt.Errorf("unknown -engine %q", n.Engine)
+	}
+	if _, err := obs.ParseLevel(n.LogLevel); err != nil {
+		return nil, err
+	}
+	c, err := loadCluster(n.Topology)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := c.dir[msg.Loc(n.ID)]; !ok {
+		return nil, fmt.Errorf("id %q not in topology %s", n.ID, n.Topology)
+	}
+	if n.Lease && len(c.bcast) == 0 {
+		return nil, errors.New("-lease requires broadcast nodes in the topology")
+	}
+	if sharded {
+		// The whole member list is validated before anything opens: a
+		// malformed directory must be a startup error, not a late panic.
+		if c.shards, err = shard.FromDirectory(c.ids); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := n.provider(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// provider creates the node's data directory (no store in it is opened)
+// and returns its store provider; nil without -data-dir. Sharded members
+// store under the per-shard layout so several members can share one
+// -data-dir root on the same host.
+func (n Node) provider() (store.Provider, error) {
+	pol, err := store.ParsePolicy(n.Fsync)
+	if err != nil || n.DataDir == "" {
+		return nil, err
+	}
+	root := n.DataDir
+	switch n.Role {
+	case "router":
+		root = filepath.Join(root, shard.RouterSubdir)
+	case "shard":
+		k, _, _ := shard.IsShardLoc(msg.Loc(n.ID))
+		root = filepath.Join(root, shard.DataSubdir(k))
+	}
+	return store.NewDir(root, pol)
+}
+
+// View returns a fresh copy of the initial membership epoch for a node
+// under dynamic membership, nil for every other node. A joiner excludes
+// itself: until the ordered add command derives the epoch that admits
+// it, it is not a member — merely a process the members can already dial.
+func (n Node) View() (*member.View, error) {
+	c, err := n.check()
+	if err != nil || !n.ordered() {
+		return nil, err
+	}
+	initial := member.Config{Bcast: c.bcast, Replicas: c.replicas}
+	if n.Joiner {
+		self := func(l msg.Loc) bool { return l == msg.Loc(n.ID) }
+		initial.Bcast = slices.DeleteFunc(slices.Clone(c.bcast), self)
+		initial.Replicas = slices.DeleteFunc(slices.Clone(c.replicas), self)
+	}
+	return member.NewView(initial, n.Alpha), nil
+}

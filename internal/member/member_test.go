@@ -172,6 +172,36 @@ func TestTopologyRoundTrip(t *testing.T) {
 	}
 }
 
+func TestRestamp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := (Topology{Epoch: 1, Nodes: map[string]string{"r1": "h:1"}}).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	next := func(e int) int { return e + 1 }
+	at := func(e int) func(int) int { return func(int) int { return e } }
+	for _, tc := range []struct {
+		node, addr string
+		epoch      func(int) int
+		want       int
+		rewritten  bool
+		r4         string
+	}{
+		{"r4", "h:4", next, 2, true, "h:4"},   // the join verb
+		{"r4", "h:4", at(2), 2, false, "h:4"}, // a node applying the same command
+		{"r1", "", at(3), 3, true, "h:4"},     // a removal keeps every address
+		{"r4", "h:9", at(1), 3, false, "h:4"}, // a stale epoch changes nothing
+	} {
+		got, rewritten, err := Restamp(path, tc.node, tc.addr, tc.epoch)
+		if err != nil || got != tc.want || rewritten != tc.rewritten {
+			t.Fatalf("Restamp(%s, %q) = %d, %v, %v; want %d, %v", tc.node, tc.addr, got, rewritten, err, tc.want, tc.rewritten)
+		}
+		top, err := LoadTopology(path)
+		if err != nil || top.Epoch != tc.want || top.Nodes["r4"] != tc.r4 || top.Nodes["r1"] != "h:1" {
+			t.Fatalf("after Restamp(%s, %q): %+v, %v", tc.node, tc.addr, top, err)
+		}
+	}
+}
+
 func TestTopologyValidation(t *testing.T) {
 	dir := t.TempDir()
 	for name, body := range map[string]string{

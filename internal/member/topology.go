@@ -11,12 +11,12 @@ import (
 	"shadowdb/internal/msg"
 )
 
-// Topology is the epoch-stamped cluster file that replaces the static
-// -cluster flag: a node id -> address directory plus the epoch it was
+// Topology is the epoch-stamped cluster file every server and the
+// client read: a node id -> address directory plus the epoch it was
 // written at, so an operator (and the join/leave verbs) can tell which
-// generation of the cluster a file describes. Roles follow the id
-// prefix convention the binaries already use (b* broadcast, r*
-// replica, shard<k>-*/router for the sharded roles).
+// generation of the cluster a file describes. Roles follow the ids
+// (internal/deploy.RoleOf: b<n> broadcast, r<n> replica, s<k>b<i> /
+// s<k>r<i> / rt1 for the sharded roles, anything else a client).
 type Topology struct {
 	Epoch int               `json:"epoch"`
 	Nodes map[string]string `json:"nodes"`
@@ -71,6 +71,31 @@ func (t Topology) Save(path string) error {
 		_ = dir.Close()
 	}
 	return nil
+}
+
+// Restamp folds a membership change into the topology file at path:
+// when epoch(the file's epoch) is newer than the file's, the file is
+// rewritten at that epoch, with node's address set when addr is given
+// (a joining node; a removed node keeps its entry — it may still be
+// dialed to drain, and a later re-add reuses it). It returns the epoch
+// the file carries afterwards and whether it was rewritten. The join and
+// leave verbs stamp the next epoch before the order has assigned one;
+// every running node stamps the epoch it derived, which a co-located
+// component or the verb may already have written.
+func Restamp(path, node, addr string, epoch func(current int) int) (int, bool, error) {
+	t, err := LoadTopology(path)
+	if err != nil {
+		return 0, false, err
+	}
+	e := epoch(t.Epoch)
+	if e <= t.Epoch {
+		return t.Epoch, false, nil
+	}
+	t.Epoch = e
+	if addr != "" {
+		t.Nodes[node] = addr
+	}
+	return e, true, t.Save(path)
 }
 
 // Directory renders the node map in the form the transports take.
