@@ -20,8 +20,11 @@ import (
 	"strings"
 	"testing"
 
+	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
 	"shadowdb/internal/obs/dist"
+	"shadowdb/internal/shard"
+	"shadowdb/internal/sqldb"
 )
 
 // docLintPackages are the directories audited, relative to the repo
@@ -163,6 +166,63 @@ func TestTimerCatalogue(t *testing.T) {
 	}
 	for hdr := range rows {
 		t.Errorf("DESIGN.md §8 Timers table lists %s, which no msg.SendAfter call arms", hdr)
+	}
+}
+
+// TestOrderedTagCatalogue keeps the "Ordered payload tags" table of
+// DESIGN.md §9 equal to the tags an SMR replica's slot loop dispatches:
+// `tx|` (the loop's own transactions), every tag a plain replica
+// registers (owner internal/core), and every tag a shard replica's
+// ledger adds (owner internal/shard). A new ordered event shows up in
+// the one place that lists what the total order carries.
+func TestOrderedTagCatalogue(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### Ordered payload tags\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no Ordered payload tags table")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := make(map[string]string) // tag → owner
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9]+)\\\\\\|` \\| `([a-z/]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]+"|"] = m[2]
+	}
+	open := func(ext core.SMRExtension) map[string]bool {
+		db, err := sqldb.Open("h2:mem:tags")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.OpenSMRReplica(core.SMRConfig{Self: "r1", DB: db, Registry: core.BankRegistry(), Ext: ext})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tags := make(map[string]bool)
+		for _, tag := range r.OrderedTags() {
+			tags[tag] = true
+		}
+		return tags
+	}
+	owners := map[string]string{"tx|": "internal/core"}
+	plain := open(nil)
+	for tag := range open(shard.NewLedger(0, shard.Bank())) {
+		owners[tag] = "internal/shard"
+		if plain[tag] {
+			owners[tag] = "internal/core"
+		}
+	}
+	for tag, owner := range owners {
+		switch got, ok := rows[tag]; {
+		case !ok:
+			t.Errorf("the slot loop dispatches %s, which has no row in the DESIGN.md §9 Ordered payload tags table", tag)
+		case got != owner:
+			t.Errorf("%s is registered by %s, DESIGN.md §9 says %s", tag, owner, got)
+		}
+		delete(rows, tag)
+	}
+	for tag := range rows {
+		t.Errorf("DESIGN.md §9 Ordered payload tags table lists %s, which no replica dispatches", tag)
 	}
 }
 

@@ -301,22 +301,17 @@ func (c *Cluster) openStore(loc msg.Loc, name string) store.Stable {
 func (c *Cluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
 	spec := c.spec
 	db := c.openDB(loc, populate)
-	rep := core.NewSMRReplica(loc, db, spec.reg)
+	cfg := core.SMRConfig{Self: loc, DB: db, Registry: spec.reg}
 	if spec.root != "" {
-		st := c.openStore(loc, "smr")
-		var err error
-		switch {
-		case spec.joiners[loc]:
-			rep, err = core.NewJoiningDurableSMRReplica(loc, db, spec.reg, st, nil)
-		case spec.epoch0 != nil:
-			rep, err = core.NewDurableSMRReplica(loc, db, spec.reg, st, nil)
-		default:
-			rep, err = core.NewDurableSMRReplica(loc, db, spec.reg, st, c.rloc)
+		cfg.Store, cfg.Joiner = c.openStore(loc, "smr"), spec.joiners[loc]
+		if !cfg.Joiner && spec.epoch0 == nil {
+			cfg.Peers = c.rloc
 		}
-		if err != nil {
-			panic(fmt.Sprintf("bench: durable replica %s: %v", loc, err))
-		}
-		c.sts[loc] = st
+		c.sts[loc] = cfg.Store
+	}
+	rep, err := core.OpenSMRReplica(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("bench: replica %s: %v", loc, err))
 	}
 	switch {
 	case c.view != nil:

@@ -224,7 +224,10 @@ func measureTransfer(setup func(*sqldb.DB) error) float64 {
 	if err != nil {
 		panic(err)
 	}
-	receiver := core.NewJoiningSMRReplica("dst", dstDB, core.Registry{})
+	receiver, err := core.OpenSMRReplica(core.SMRConfig{Self: "dst", DB: dstDB, Registry: core.Registry{}, Joiner: true})
+	if err != nil {
+		panic(err)
+	}
 	clu.AddCostedProcess("dst", 1, receiver, receiver.LastCost)
 
 	// The sender serializes (service time = serialization cost), then the

@@ -473,7 +473,10 @@ func MeasureReadAllocs(runs int) (serve, apply float64) {
 		if err := core.BankSetup(db, 64); err != nil {
 			panic(err)
 		}
-		rep := core.NewSMRReplica(loc, db, core.BankRegistry())
+		rep, err := core.OpenSMRReplica(core.SMRConfig{Self: loc, DB: db, Registry: core.BankRegistry()})
+		if err != nil {
+			panic(err)
+		}
 		rep.Executor().Fast = core.BankFastRegistry()
 		rep.SetView(member.NewView(charter(), 8))
 		rep.EnableLease(core.LeaseConfig{

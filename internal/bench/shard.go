@@ -117,7 +117,8 @@ type shardCluster struct {
 	router   *shard.Router
 	groupB   [][]msg.Loc // per shard: broadcast nodes
 	groupR   [][]msg.Loc // per shard: replicas
-	replicas map[msg.Loc]*shard.Replica
+	replicas map[msg.Loc]*core.SMRReplica
+	ledgers  map[msg.Loc]*shard.Ledger
 }
 
 // newShardCluster builds an n-shard deployment. Every shard's replicas
@@ -128,7 +129,8 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 	sc := &shardCluster{
 		Cluster:  newDES(),
 		part:     shard.NewHash(n),
-		replicas: make(map[msg.Loc]*shard.Replica),
+		replicas: make(map[msg.Loc]*core.SMRReplica),
+		ledgers:  make(map[msg.Loc]*shard.Ledger),
 	}
 	reg := core.BankRegistry()
 	for k := 0; k < n; k++ {
@@ -154,8 +156,12 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 			if err := core.BankSetup(db, cfg.Rows); err != nil {
 				panic(err)
 			}
-			r := shard.NewReplica(l, k, db, reg, shard.Bank())
-			sc.replicas[l] = r
+			led := shard.NewLedger(k, shard.Bank())
+			r, err := core.OpenSMRReplica(core.SMRConfig{Self: l, DB: db, Registry: reg, Peers: rloc, Ext: led})
+			if err != nil {
+				panic(err)
+			}
+			sc.replicas[l], sc.ledgers[l] = r, led
 			sc.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
 		}
 	}
@@ -376,7 +382,7 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 	var total int64
 	for id := 0; id < rows; id++ {
 		k := sc.part.Shard(shard.BankKey(int64(id)))
-		db := sc.replicas[sc.groupR[k][0]].DB()
+		db := sc.replicas[sc.groupR[k][0]].Executor().DB
 		res, err := db.Exec("SELECT balance FROM accounts WHERE id = ?", id)
 		if err != nil || len(res.Rows) == 0 {
 			return false
@@ -398,8 +404,8 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 // replicasEqual checks state parity inside every shard.
 func replicasEqual(sc *shardCluster) bool {
 	for k := range sc.groupR {
-		a := sc.replicas[sc.groupR[k][0]].DB()
-		b := sc.replicas[sc.groupR[k][1]].DB()
+		a := sc.replicas[sc.groupR[k][0]].Executor().DB
+		b := sc.replicas[sc.groupR[k][1]].Executor().DB
 		if !sqldb.Equal(a, b) {
 			return false
 		}
@@ -410,8 +416,8 @@ func replicasEqual(sc *shardCluster) bool {
 // openPrepares sums OpenPrepares across all replicas.
 func openPrepares(sc *shardCluster) int {
 	n := 0
-	for _, r := range sc.replicas {
-		n += r.OpenPrepares()
+	for _, l := range sc.ledgers {
+		n += l.OpenPrepares()
 	}
 	return n
 }

@@ -117,7 +117,11 @@ func NewSMRSystem(bcastNodes []msg.Loc, replicaLocs []msg.Loc, reg Registry, mkD
 	local := make(map[msg.Loc][]msg.Loc, len(bcastNodes))
 	for i, b := range bcastNodes {
 		local[b] = []msg.Loc{replicaLocs[i]}
-		sys.Replicas[replicaLocs[i]] = NewSMRReplica(replicaLocs[i], mkDB(replicaLocs[i]), reg)
+		r, err := OpenSMRReplica(SMRConfig{Self: replicaLocs[i], DB: mkDB(replicaLocs[i]), Registry: reg})
+		if err != nil {
+			panic(err) // a volatile replica without an extension cannot fail to open
+		}
+		sys.Replicas[replicaLocs[i]] = r
 	}
 	sys.Bcast = broadcast.Config{Nodes: bcastNodes, LocalSubscribers: local}
 	return sys

@@ -40,6 +40,9 @@ type snapHeader struct {
 	Recent   []TxResult
 	Epochs   []member.Config
 	Joined   map[msg.Loc]int
+	// Ext is an SMR extension's state (SMRExtension.Snapshot), opaque
+	// here: a shard replica's 2PC ledger.
+	Ext []byte
 }
 
 // execRecord is the PBR journal record: one ordered transaction.
@@ -89,12 +92,16 @@ func (e *Executor) header() snapHeader {
 }
 
 // adoptHeader is header's inverse: the rows a header came with are in
-// place, and the executor and the protocol take over the rest.
-func (e *Executor) adoptHeader(h snapHeader) {
-	e.InstallSnapshot(h.Executed, h.LastSeq, h.Recent)
+// place, and the protocol and the executor take over the rest — the
+// protocol first, so a share it refuses leaves the executor untouched.
+func (e *Executor) adoptHeader(h snapHeader) error {
 	if e.adopt != nil {
-		e.adopt(h)
+		if err := e.adopt(h); err != nil {
+			return err
+		}
 	}
+	e.InstallSnapshot(h.Executed, h.LastSeq, h.Recent)
+	return nil
 }
 
 // snapshot encodes the executor's whole state, noting the frontier it
@@ -129,9 +136,8 @@ func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 		if err := restoreSnapshot(snap, &h, e.DB); err != nil {
 			return err
 		}
-		e.adoptHeader(h)
 		e.snapAt = h.Slot
-		return nil
+		return e.adoptHeader(h)
 	}, replay)
 }
 
@@ -230,7 +236,7 @@ func (e *Executor) SnapshotDirectives(to msg.Loc, cfgSeq int, xfer int64) ([]msg
 	outs = append(outs, msg.Send(to, msg.M(HdrSnapEnd, SnapEnd{
 		CfgSeq: cfgSeq, Xfer: xfer, Order: int64(h.Slot), Batches: n,
 		Executed: h.Executed, LastSeq: h.LastSeq, Recent: h.Recent,
-		Epochs: h.Epochs, Joined: h.Joined,
+		Epochs: h.Epochs, Joined: h.Joined, Ext: h.Ext,
 	})))
 	return outs, cost
 }
@@ -316,10 +322,12 @@ func (e *Executor) install(a *snapAssembly) error {
 		return err
 	}
 	s := a.end
-	e.adoptHeader(snapHeader{
+	if err := e.adoptHeader(snapHeader{
 		Slot: int(s.Order), Executed: s.Executed, LastSeq: s.LastSeq, Recent: s.Recent,
-		Epochs: s.Epochs, Joined: s.Joined,
-	})
+		Epochs: s.Epochs, Joined: s.Joined, Ext: s.Ext,
+	}); err != nil {
+		return err
+	}
 	must(e.Compact())
 	return nil
 }

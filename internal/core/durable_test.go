@@ -47,6 +47,16 @@ func depositDeliver(t testing.TB, slot int) broadcast.Deliver {
 	return broadcast.Deliver{Slot: slot, Msgs: []broadcast.Bcast{{From: "c0", Seq: int64(slot + 1), Payload: pay}}}
 }
 
+// openSMR opens a volatile bank replica.
+func openSMR(t testing.TB, slf msg.Loc, db *sqldb.DB, joiner bool) *SMRReplica {
+	t.Helper()
+	r, err := OpenSMRReplica(SMRConfig{Self: slf, DB: db, Registry: BankRegistry(), Joiner: joiner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func stepDeliver(r *SMRReplica, d broadcast.Deliver) []msg.Directive {
 	_, outs := r.Step(msg.M(broadcast.HdrDeliver, d))
 	return outs
@@ -190,7 +200,7 @@ func TestDurableSMRCatchupSnapshotFallback(t *testing.T) {
 // replacement, whose rows differ.
 func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 	db1 := bankDB(t, "dup-r1", 120)
-	r1 := NewSMRReplica("r1", db1, BankRegistry())
+	r1 := openSMR(t, "r1", db1, false)
 	for s := 0; s < 3; s++ {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
@@ -204,7 +214,7 @@ func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 	}
 
 	db2 := emptyDB(t, "dup-r2")
-	r2 := NewJoiningSMRReplica("r2", db2, BankRegistry())
+	r2 := openSMR(t, "r2", db2, true)
 	r2.Step(stale[0].M)
 	for i, o := range xfer {
 		if i > 0 {
@@ -226,7 +236,7 @@ func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 // must still complete with exactly one copy of every row.
 func TestSMRJoiningSnapshotDroppedThenRetransmitted(t *testing.T) {
 	db1 := bankDB(t, "drop-r1", 120)
-	r1 := NewSMRReplica("r1", db1, BankRegistry())
+	r1 := openSMR(t, "r1", db1, false)
 	xfer := r1.transferTo("r2")
 
 	// Find a batch to drop (the second message is the first SnapBatch).
@@ -242,7 +252,7 @@ func TestSMRJoiningSnapshotDroppedThenRetransmitted(t *testing.T) {
 	}
 
 	db2 := emptyDB(t, "drop-r2")
-	r2 := NewJoiningSMRReplica("r2", db2, BankRegistry())
+	r2 := openSMR(t, "r2", db2, true)
 	for i, o := range xfer {
 		if i == dropIdx {
 			continue // the network ate this batch

@@ -83,13 +83,13 @@ type Executor struct {
 	// (PBR; an SMR replica journals whole slots itself). frontier and
 	// adopt are the owning protocol's share of a snapshot header, written
 	// into it and taken back out of a restored or transferred one (SMR:
-	// slot and epoch schedule; PBR's frontier is Executed itself). xfer
-	// assembles an incoming transfer.
+	// slot, epoch schedule and extension state; PBR's frontier is
+	// Executed itself). xfer assembles an incoming transfer.
 	st        *store.Journal
 	snapAt    int
 	journalTx bool
 	frontier  func(*snapHeader)
-	adopt     func(snapHeader)
+	adopt     func(snapHeader) error
 	xfer      *snapAssembly
 }
 

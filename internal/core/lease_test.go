@@ -25,7 +25,7 @@ const (
 
 func newLeaseRig(t *testing.T, slf msg.Loc) *leaseRig {
 	t.Helper()
-	r := NewSMRReplica(slf, bankDB(t, "lease-"+string(slf), 4), BankRegistry())
+	r := openSMR(t, slf, bankDB(t, "lease-"+string(slf), 4), false)
 	return enableTestLease(t, r, slf)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -13,6 +14,7 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
 // SMR: state machine replication (Section III-B of the paper). Clients
@@ -79,6 +81,47 @@ type SMRReplica struct {
 	// Reusable apply-path buffers (applyBatch).
 	runBuf []TxRequest
 	inRun  map[ckey]bool
+	// handlers are the ordered events that are not transactions, by
+	// payload tag; ext is the refinement that registered some of them.
+	handlers map[string]OrderedHandler
+	ext      SMRExtension
+}
+
+// OrderedHandler applies one ordered payload that is not a transaction
+// (a membership command, a lease renewal, a 2PC record) at its position
+// in the slot, after the transactions ahead of it, and returns what it
+// sends. A payload with its tag that does not decode changes nothing.
+type OrderedHandler func(payload []byte, slot int) []msg.Directive
+
+// SMRExtension refines an SMR replica with ordered events of its own
+// (DESIGN.md §9) — the shard layer's 2PC participant — whose state rides
+// the replica's snapshots and state transfers.
+type SMRExtension interface {
+	// Bind attaches the extension to the replica self and its executor,
+	// before recovery, and returns its handlers by 4-byte payload tag.
+	Bind(self msg.Loc, exec *Executor) map[string]OrderedHandler
+	// Snapshot encodes the whole state; Restore replaces it with what
+	// Snapshot encoded (empty: the initial state) or fails untouched.
+	Snapshot() []byte
+	Restore(b []byte) error
+}
+
+// SMRConfig is what OpenSMRReplica builds a replica from.
+type SMRConfig struct {
+	Self     msg.Loc
+	DB       *sqldb.DB
+	Registry Registry
+	// Store journals the replica (nil: volatile). A fresh store's
+	// baseline snapshot is the only durable copy of the initial rows.
+	Store store.Stable
+	// Peers are whom a replica behind the order asks for its delta (Self
+	// is skipped); under dynamic membership SetView sets them instead.
+	Peers []msg.Loc
+	// Joiner starts the replica empty and passive, parking deliveries,
+	// until the bootstrap transfer arrives — unless its store recovers.
+	Joiner bool
+	// Ext, when set, adds the extension's ordered events and state.
+	Ext SMRExtension
 }
 
 // ckey identifies a client request without string formatting.
@@ -96,26 +139,76 @@ type recMemberCmd struct {
 
 var _ gpm.Process = (*SMRReplica)(nil)
 
-// NewSMRReplica creates an active replica.
-func NewSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry) *SMRReplica {
-	r := &SMRReplica{slf: slf, exec: NewExecutor(db, reg), lastSlot: -1, active: true, park: make(reorder[broadcast.Deliver])}
+// OpenSMRReplica is the one way to build an SMR replica: it registers
+// the ordered-event handlers — membership and lease here, then the
+// extension's — and, with a store, recovers whatever state it holds
+// (snapshot, then journal, replayed through those handlers) or saves a
+// fresh store's baseline.
+func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
+	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext}
 	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
-	return r
+	r.handlers = map[string]OrderedHandler{
+		"mbr|": func(p []byte, slot int) []msg.Directive {
+			if cmd, ok := member.DecodeCommand(p); ok {
+				return r.onMemberCmd(cmd, slot)
+			}
+			return nil
+		},
+		"lse|": func(p []byte, slot int) []msg.Directive {
+			if ren, ok := DecodeLease(p); ok {
+				r.onLeaseGrant(ren, slot)
+			}
+			return nil
+		},
+	}
+	if cfg.Ext != nil {
+		for tag, h := range cfg.Ext.Bind(cfg.Self, r.exec) {
+			if _, dup := r.handlers[tag]; dup || len(tag) != 4 || tag[3] != '|' {
+				return nil, fmt.Errorf("core: extension payload tag %q is taken or not of the form \"abc|\"", tag)
+			}
+			r.handlers[tag] = h
+		}
+	}
+	r.setPeers(cfg.Peers)
+	if cfg.Store != nil {
+		r.exec.st = store.NewJournal("smr-"+string(cfg.Self), cfg.Store, DefaultSnapEvery)
+		var err error
+		if r.recoveredLocal, err = r.exec.Recover(store.Decoding(r.replaySlot)); err != nil {
+			return nil, err
+		}
+		if r.recoveredLocal {
+			lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.exec.snapAt, r.lastSlot)
+		} else if !cfg.Joiner {
+			if err := r.exec.Compact(); err != nil {
+				return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
+			}
+		}
+	}
+	r.active = !cfg.Joiner || r.recoveredLocal
+	return r, nil
 }
 
-// frontier is SMR's share of a snapshot header: the slot frontier and
-// the membership epoch schedule in force there.
+// frontier is SMR's share of a snapshot header: the slot frontier, the
+// membership epoch schedule in force there, and the extension's state.
 func (r *SMRReplica) frontier(h *snapHeader) {
 	h.Slot = r.lastSlot
 	if r.view != nil {
 		h.Epochs, h.Joined = r.view.Epochs(), r.view.Joined()
+	}
+	if r.ext != nil {
+		h.Ext = r.ext.Snapshot()
 	}
 }
 
 // adopt is frontier's inverse, for a header restored from the store —
 // in the constructor, before SetView: the schedule is stashed for it —
 // or installed from a state transfer.
-func (r *SMRReplica) adopt(h snapHeader) {
+func (r *SMRReplica) adopt(h snapHeader) error {
+	if r.ext != nil {
+		if err := r.ext.Restore(h.Ext); err != nil {
+			return fmt.Errorf("core: extension state: %w", err)
+		}
+	}
 	r.lastSlot = h.Slot
 	if r.view == nil {
 		r.recEpochs, r.recJoined = h.Epochs, h.Joined
@@ -123,14 +216,21 @@ func (r *SMRReplica) adopt(h snapHeader) {
 		r.view.Adopt(h.Epochs, h.Joined)
 		r.setPeers(r.view.Current().Replicas)
 	}
+	return nil
 }
 
-// NewJoiningSMRReplica creates a replica that waits for a state transfer
-// before executing.
-func NewJoiningSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry) *SMRReplica {
-	r := NewSMRReplica(slf, db, reg)
-	r.active = false
-	return r
+// Extension returns the replica's extension (nil when it has none).
+func (r *SMRReplica) Extension() SMRExtension { return r.ext }
+
+// OrderedTags lists the payload tags the replica dispatches to a
+// handler rather than decoding as a transaction, sorted.
+func (r *SMRReplica) OrderedTags() []string {
+	tags := make([]string, 0, len(r.handlers))
+	for tag := range r.handlers {
+		tags = append(tags, tag)
+	}
+	slices.Sort(tags)
+	return tags
 }
 
 // SetView attaches the shared membership epoch view. Ordered member
@@ -276,28 +376,13 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 		clear(r.inRun)
 	}
 	for _, b := range d.Msgs {
-		// Dispatch on the payload tag without splitting: the non-tx tags
-		// are both 4 bytes ("mbr|", "lse|"), and comparing against
-		// a constant does not allocate.
-		if len(b.Payload) >= 4 && b.Payload[3] == '|' {
-			switch string(b.Payload[:4]) {
-			case "mbr|":
-				if cmd, ok := member.DecodeCommand(b.Payload); ok {
-					flush()
-					outs = append(outs, r.onMemberCmd(cmd, d.Slot)...)
-					continue
-				}
-			case "lse|":
-				if ren, ok := DecodeLease(b.Payload); ok {
-					// The renewal must observe the prefix before its own
-					// slot position (earlier txs in this slot flush
-					// first), and later txs in the slot are acked under
-					// the new grant.
-					flush()
-					r.onLeaseGrant(ren, d.Slot)
-					continue
-				}
-			}
+		// An ordered event observes the prefix before its own position
+		// (earlier transactions of the slot flush first), and later ones
+		// run after it — acked, say, under a lease grant it made.
+		if h := r.handler(b.Payload); h != nil {
+			flush()
+			outs = append(outs, h(b.Payload, d.Slot)...)
+			continue
 		}
 		req, err := DecodeTx(b.Payload)
 		if err != nil {
@@ -326,6 +411,15 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 		outs = r.reAck(outs)
 	}
 	return outs
+}
+
+// handler returns the ordered event a payload's tag names, or nil for a
+// transaction. Indexing by the converted tag does not allocate.
+func (r *SMRReplica) handler(p []byte) OrderedHandler {
+	if len(p) < 4 || p[3] != '|' {
+		return nil
+	}
+	return r.handlers[string(p[:4])]
 }
 
 // onMemberCmd folds an ordered membership command into the shared

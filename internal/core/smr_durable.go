@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -26,55 +25,10 @@ type walDeliver struct {
 	Msgs []broadcast.Bcast
 }
 
-// NewDurableSMRReplica creates an SMR replica that journals to st and
-// recovers any durable state the store already holds. peers are the
-// other replicas of the group (catch-up targets). When the store is
-// fresh, the database must already hold the initial schema and
-// population: the baseline snapshot written here is the only durable
-// copy of rows that never travel through the broadcast.
+// NewDurableSMRReplica is OpenSMRReplica over st with peers. It stays
+// until benchmark/ may be edited (ROADMAP item 1(b)).
 func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
-	r, err := openDurableSMR(slf, db, reg, st, peers)
-	if err != nil || r.recoveredLocal {
-		return r, err
-	}
-	if err := r.exec.Compact(); err != nil {
-		return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
-	}
-	return r, nil
-}
-
-// NewJoiningDurableSMRReplica creates a durable replica that joins an
-// existing group: it stays inactive — parking deliveries by slot —
-// until the ordered add-replica command makes the configured proposer
-// push a bootstrap snapshot (installTransfer installs it, the executor
-// saves it as the journal baseline, and the parked tail drains). The
-// database starts empty: schema and rows arrive with the transfer, which
-// provides the first durable baseline. A restarted joiner whose previous
-// incarnation finished its bootstrap recovers like an established
-// durable replica.
-func NewJoiningDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
-	r, err := openDurableSMR(slf, db, reg, st, peers)
-	if err == nil {
-		r.active = r.recoveredLocal
-	}
-	return r, err
-}
-
-// openDurableSMR attaches the store and rebuilds whatever state it
-// holds: snapshot, then journal.
-func openDurableSMR(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stable, peers []msg.Loc) (*SMRReplica, error) {
-	r := NewSMRReplica(slf, db, reg)
-	r.exec.st = store.NewJournal("smr-"+string(slf), st, DefaultSnapEvery)
-	r.setPeers(peers)
-	var err error
-	r.recoveredLocal, err = r.exec.Recover(store.Decoding(r.replaySlot))
-	if err != nil {
-		return nil, err
-	}
-	if r.recoveredLocal {
-		lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.exec.snapAt, r.lastSlot)
-	}
-	return r, nil
+	return OpenSMRReplica(SMRConfig{Self: slf, DB: db, Registry: reg, Store: st, Peers: peers})
 }
 
 // replaySlot re-executes a journaled slot when it is the next one; a

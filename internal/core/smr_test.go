@@ -166,7 +166,7 @@ func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4 := NewJoiningSMRReplica("r4", db4, BankRegistry())
+	r4 := openSMR(t, "r4", db4, true)
 	r4.SetView(view)
 	h.sys.Bcast.LocalSubscribers["b1"] = append(h.sys.Bcast.LocalSubscribers["b1"], "r4")
 	// Rebuild the runner with the extended subscriber map and r4 hosted.
@@ -245,6 +245,24 @@ func TestSMRPayloadCodecs(t *testing.T) {
 	}
 }
 
+// The slot loop looks up every payload's tag in the handler table;
+// the lookup allocates nothing, whether it finds an ordered event, a
+// transaction or an unknown tag.
+func TestOrderedDispatchDoesNotAllocate(t *testing.T) {
+	r := openSMR(t, "r1", emptyDB(t, "dispatch"), false)
+	payloads := [][]byte{EncodeLease(LeaseRenewal{Holder: "r1"}), []byte("tx|not gob"), []byte("zzz|unknown")}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range payloads {
+			_ = r.handler(p)
+		}
+	}); n != 0 {
+		t.Errorf("tag dispatch allocates %v times per three payloads", n)
+	}
+	if r.handler(payloads[0]) == nil || r.handler(payloads[1]) != nil || r.handler(payloads[2]) != nil {
+		t.Error("dispatch finds the wrong handlers")
+	}
+}
+
 func TestSMRDeliverDeduplication(t *testing.T) {
 	// Two service nodes notify the same replica; the second notification
 	// of a slot must be ignored.
@@ -255,7 +273,7 @@ func TestSMRDeliverDeduplication(t *testing.T) {
 	if err := BankSetup(db, 5); err != nil {
 		t.Fatal(err)
 	}
-	r := NewSMRReplica("rx", db, BankRegistry())
+	r := openSMR(t, "rx", db, false)
 	payload, err := EncodeTx(depositReq("c", 1, 0, 50))
 	if err != nil {
 		t.Fatal(err)

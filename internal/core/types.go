@@ -332,6 +332,10 @@ type SnapEnd struct {
 	// are never redelivered.
 	Epochs []member.Config
 	Joined map[msg.Loc]int
+	// Ext carries the sender's SMR extension state (a shard replica's
+	// 2PC ledger): like the schedule, the only copy of the prepares and
+	// decisions in the slots the transfer covers.
+	Ext []byte
 }
 
 // Recovered signals a backup is in sync.

@@ -59,8 +59,14 @@ type node struct {
 	host   *runtime.Host
 	stores []store.Stable
 	// executed republishes an SMR replica's executed count after every
-	// step, so the test can wait on it without racing the host goroutine.
-	executed atomic.Int64
+	// step, and open a shard replica's open prepares, so the test can wait
+	// on them without racing the host goroutine.
+	executed, open atomic.Int64
+}
+
+// ledger returns a shard replica's 2PC ledger.
+func (nd *node) ledger() *shard.Ledger {
+	return nd.proc.(*core.SMRReplica).Extension().(*shard.Ledger)
 }
 
 func (nd *node) Open(name string) (store.Stable, error) {
@@ -106,7 +112,15 @@ func (nd *node) start(t *testing.T) *node {
 	}
 	nd.host = runtime.NewHost(msg.Loc(nd.n.ID), tcp, nd.proc)
 	if r, ok := nd.proc.(*core.SMRReplica); ok {
-		nd.host.OnStep = func(msg.Msg, []msg.Directive) { nd.executed.Store(r.Executor().Executed) }
+		l, _ := r.Extension().(*shard.Ledger)
+		publish := func(msg.Msg, []msg.Directive) {
+			nd.executed.Store(r.Executor().Executed)
+			if l != nil {
+				nd.open.Store(int64(l.OpenPrepares()))
+			}
+		}
+		publish(msg.Msg{}, nil)
+		nd.host.OnStep = publish
 	}
 	nd.host.Emit(nd.boot)
 	nd.host.Start()
@@ -296,5 +310,79 @@ func TestShardedTransfer(t *testing.T) {
 	}
 	if got := exec(t, s, "balance", to); !strings.Contains(got, "1050") {
 		t.Fatalf("balance of the credited account = %s, want 1050", got)
+	}
+}
+
+// A shard replica stopped between a transfer's prepare and its decision
+// and rebuilt from the same Node and data directory comes back holding
+// the reservation it voted for, and the transfer then commits exactly
+// once. The credited shard's service node starts late, so the router
+// keeps re-driving the prepare and cannot decide before the restart.
+func TestShardReplicaRestartMid2PC(t *testing.T) {
+	checkLeaks(t)
+	part, from, to, amount := shard.NewHash(2), int64(1), int64(2), int64(50)
+	for part.Shard(shard.BankKey(to)) == part.Shard(shard.BankKey(from)) {
+		to++
+	}
+	src, dst := part.Shard(shard.BankKey(from)), part.Shard(shard.BankKey(to))
+	id := func(k int, role string, i int) string { return fmt.Sprintf("s%d%s%d", k, role, i) }
+	ids := []string{id(src, "b", 1), id(src, "r", 1), id(src, "r", 2), id(dst, "r", 1), id(dst, "r", 2), "rt1", id(dst, "b", 1)}
+	topology := writeTopology(t, append(ids, "cli")...)
+	data := t.TempDir()
+	settings := func(id string) deploy.Node {
+		n := deploy.Default()
+		n.ID, n.Role, n.Topology, n.Rows, n.DataDir = id, "shard", topology, 100, filepath.Join(data, id)
+		if id == "rt1" {
+			n.Role = "router"
+		}
+		return n
+	}
+	nodes := map[string]*node{}
+	for _, id := range ids[:6] {
+		nodes[id] = build(t, settings(id)).start(t)
+	}
+	s := session(t, topology, "cli", "shard", "")
+	type outcome struct {
+		res core.TxResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.Exec("transfer", []any{from, to, amount})
+		done <- outcome{res, err}
+	}()
+
+	victim := id(src, "r", 1)
+	waitFor(t, victim+" to vote on the prepare", func() bool { return nodes[victim].open.Load() == 1 })
+	nodes[victim].stop()
+	rebuilt := build(t, settings(victim))
+	if held, open := rebuilt.ledger().HeldOn(shard.BankKey(from)), rebuilt.ledger().OpenPrepares(); held != amount || open != 1 {
+		t.Fatalf("rebuilt %s: held %d with %d open prepares, want %d and 1", victim, held, open, amount)
+	}
+	rebuilt.start(t)
+	build(t, settings(id(dst, "b", 1))).start(t)
+
+	out := <-done
+	if out.err != nil || out.res.Aborted || out.res.Err != "" {
+		t.Fatalf("transfer: err=%v result=%+v", out.err, out.res)
+	}
+	peer := nodes[id(src, "r", 2)]
+	waitFor(t, "both replicas of the debited shard to apply the decision", func() bool {
+		return rebuilt.open.Load() == 0 && peer.open.Load() == 0
+	})
+	if got := exec(t, s, "balance", from); !strings.Contains(got, "950") {
+		t.Fatalf("balance of the debited account = %s, want 950", got)
+	}
+	if got := exec(t, s, "balance", to); !strings.Contains(got, "1050") {
+		t.Fatalf("balance of the credited account = %s, want 1050", got)
+	}
+	rebuilt.stop()
+	peer.stop()
+	if held := rebuilt.ledger().HeldOn(shard.BankKey(from)); held != 0 {
+		t.Errorf("reservation still held after the decision: %d", held)
+	}
+	db := rebuilt.proc.(*core.SMRReplica).Executor().DB
+	if !sqldb.Equal(db, peer.proc.(*core.SMRReplica).Executor().DB) {
+		t.Error("the rebuilt replica and its peer hold different databases: the debit was applied a different number of times")
 	}
 }

@@ -106,7 +106,19 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 			lg.Infof("%s: recovered durable state from pbr-%s", id, id)
 		}
 		return r, r.Start(), nil
-	case "smr":
+	case "smr", "shard":
+		// A shard replica is an SMR replica of its shard's order with the
+		// 2PC ledger as its extension. Every shard seeds the full bank:
+		// placement decides which rows a shard ever mutates, so unowned
+		// rows just stay at their seed value.
+		peers, ext := c.replicas, core.SMRExtension(nil)
+		if n.Role == "shard" {
+			k, part, _ := shard.IsShardLoc(id)
+			if part == 'b' {
+				return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, stable)
+			}
+			peers, ext = c.shards.Replicas[k], shard.NewLedger(k, shard.Bank())
+		}
 		// A joiner's database stays empty: schema and rows arrive with
 		// the bootstrap state transfer.
 		db, err := openDB(!n.Joiner)
@@ -117,17 +129,9 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 		if err != nil {
 			return nil, nil, err
 		}
-		var r *core.SMRReplica
-		switch {
-		case st == nil && n.Joiner:
-			r = core.NewJoiningSMRReplica(id, db, reg)
-		case st == nil:
-			r = core.NewSMRReplica(id, db, reg)
-		case n.Joiner:
-			r, err = core.NewJoiningDurableSMRReplica(id, db, reg, st, c.replicas)
-		default:
-			r, err = core.NewDurableSMRReplica(id, db, reg, st, c.replicas)
-		}
+		r, err := core.OpenSMRReplica(core.SMRConfig{
+			Self: id, DB: db, Registry: reg, Store: st, Peers: peers, Joiner: n.Joiner, Ext: ext,
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -155,18 +159,6 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 			boot = append(boot, r.RecoveryDirectives()...)
 		}
 		return r, boot, nil
-	case "shard":
-		k, part, _ := shard.IsShardLoc(id)
-		if part == 'b' {
-			return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, stable)
-		}
-		// Every shard seeds the full bank; placement decides which rows a
-		// shard ever mutates, so unowned rows just stay at their seed value.
-		db, err := openDB(true)
-		if err != nil {
-			return nil, nil, err
-		}
-		return shard.NewReplica(id, k, db, reg, shard.Bank()), nil, nil
 	default: // "router": check admits no other role
 		cfg := shard.Config{Slf: id, Part: shard.NewHash(c.shards.Shards), App: shard.Bank(), Shards: c.shards.Bcast}
 		if n.MaxInflight > 0 || n.RetryBudget > 0 {

@@ -1,9 +1,10 @@
 // Package recoverytest is the recovery contract of store.Journal
 // (internal/store/doc.go) as a table every client of the Journal runs:
-// the executor under PBR and under SMR, the Synod acceptor, the
-// broadcast sequencer and the 2PC coordinator each supply a Client and
-// pass the same rows over store.Mem and store.Dir, and feed the same
-// Fuzz body with bytes nobody wrote.
+// the executor under PBR and under SMR, the shard replica (SMR with its
+// 2PC ledger), the Synod acceptor, the broadcast sequencer and the 2PC
+// coordinator each supply a Client and pass the same rows over
+// store.Mem and store.Dir, and feed the same Fuzz body with bytes nobody
+// wrote.
 //
 // A client's history is a sequence of units 1, 2, 3, …: whatever the
 // client journals for one step of its protocol (a transaction, a slot,

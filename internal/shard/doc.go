@@ -9,6 +9,12 @@
 // like ordinary transactions: a shard replica learns "prepared" and
 // "committed/aborted" only from its own delivery stream.
 //
+// A shard replica is a core.SMRReplica of its shard's order with a
+// Ledger as its extension (core.OpenSMRReplica, Ext: NewLedger(k, app)):
+// prepare and decision are two ordered events, and the ledger rides the
+// replica's snapshots and state transfers. Reordering, catch-up,
+// journaling and recovery are the SMR replica's.
+//
 // # Invariants
 //
 // The safety contract, stated as checkable history invariants
@@ -31,10 +37,10 @@
 //
 // # Concurrency
 //
-// Router and Replica are message-driven state machines with no
-// internal locking: each instance is owned by exactly one driver (a
-// runtime.Host event loop live, the simulator's per-node queue in
-// tests) that calls Step serially. All cross-node interaction —
+// The router and a shard replica (with its Ledger) are message-driven
+// state machines with no internal locking: each is owned by exactly
+// one driver (a runtime.Host event loop live, the simulator's per-node
+// queue in tests) that calls Step serially. All cross-node interaction —
 // including the router↔shard 2PC dialogue — travels as messages, never
 // shared memory. Topology and App values are read-only after
 // construction and may be shared freely.

@@ -18,7 +18,6 @@ var (
 	mShardPrepares   = obs.C("shard.replica.prepares")
 	mShard2PCCommits = obs.C("shard.replica.2pc_commits")
 	mShard2PCAborts  = obs.C("shard.replica.2pc_aborts")
-	mShardCommits    = obs.C("shard.replica.commits")
 )
 
 func init() {

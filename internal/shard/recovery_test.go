@@ -52,7 +52,8 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	// Two shards, each one broadcast node and one replica; one router.
 	bloc := []msg.Loc{shard.BcastLoc(0, 0), shard.BcastLoc(1, 0)}
 	rloc := []msg.Loc{shard.ReplicaLoc(0, 0), shard.ReplicaLoc(1, 0)}
-	reps := make([]*shard.Replica, 2)
+	reps := make([]*core.SMRReplica, 2)
+	ledgers := make([]*shard.Ledger, 2)
 	for k := 0; k < 2; k++ {
 		db, err := sqldb.Open("h2:mem:2pcrec" + strconv.Itoa(k))
 		if err != nil {
@@ -61,7 +62,11 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 		if err := core.BankSetup(db, 8); err != nil {
 			t.Fatal(err)
 		}
-		reps[k] = shard.NewReplica(rloc[k], k, db, core.BankRegistry(), shard.Bank())
+		ledgers[k] = shard.NewLedger(k, shard.Bank())
+		reps[k], err = core.OpenSMRReplica(core.SMRConfig{Self: rloc[k], DB: db, Registry: core.BankRegistry(), Ext: ledgers[k]})
+		if err != nil {
+			t.Fatal(err)
+		}
 		clu.AddCostedProcess(rloc[k], 1, reps[k], zero)
 		bgen := broadcast.Spec(broadcast.Config{
 			Nodes:            []msg.Loc{bloc[k]},
@@ -176,8 +181,8 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	if results[0].Aborted {
 		t.Fatalf("recovered transaction aborted: %+v", results[0])
 	}
-	checkBalance := func(rep *shard.Replica, id int, want int64) {
-		res, err := rep.DB().Exec("SELECT balance FROM accounts WHERE id = ?", id)
+	checkBalance := func(rep *core.SMRReplica, id int, want int64) {
+		res, err := rep.Executor().DB.Exec("SELECT balance FROM accounts WHERE id = ?", id)
 		if err != nil || len(res.Rows) != 1 {
 			t.Fatalf("balance(%d): %v %v", id, res, err)
 		}
@@ -194,11 +199,11 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	}
 	checkBalance(reps[0], 0, 1000-amount)
 	checkBalance(reps[1], 1, 1000+amount)
-	for k, rep := range reps {
-		if rep.OpenPrepares() != 0 {
-			t.Errorf("shard %d: %d prepares still open after recovery", k, rep.OpenPrepares())
+	for k, l := range ledgers {
+		if l.OpenPrepares() != 0 {
+			t.Errorf("shard %d: %d prepares still open after recovery", k, l.OpenPrepares())
 		}
-		if rep.HeldOn(strconv.Itoa(k)) != 0 {
+		if l.HeldOn(strconv.Itoa(k)) != 0 {
 			t.Errorf("shard %d: reservation still held after decision", k)
 		}
 	}

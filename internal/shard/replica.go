@@ -1,25 +1,23 @@
 package shard
 
 import (
-	"time"
+	"slices"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
-// Replica is one state-machine replica of one shard. It is the SMR
-// replica shape — dedup delivered slots, group-commit contiguous runs of
-// plain transactions — extended with the participant side of 2PC:
+// Ledger is what a shard replica adds to a core.SMRReplica: the
+// participant side of 2PC, as the replica's extension (core.SMRExtension)
+// — two ordered events and the state they keep. The slot loop, the
+// journal, recovery, catch-up and state transfer are the SMR replica's.
 //
 //   - A delivered Prepare is voted on deterministically: YES iff every
 //     Reserve amount fits in Available minus what earlier YES votes
-//     already hold. A YES vote records the hold in the replica's
-//     reservation ledger, NOT in the database — prepared-but-undecided
-//     state is never visible to reads, which is half of the cross-shard
-//     atomicity invariant.
+//     already hold. A YES vote records the hold in the ledger, NOT in
+//     the database — prepared-but-undecided state is never visible to
+//     reads, which is half of the cross-shard atomicity invariant.
 //   - A delivered Decision releases the hold and, on commit, applies the
 //     sub-transaction's procedure. Only then does the database change.
 //   - Duplicates are idempotent from the prepared/decided tables: a
@@ -33,199 +31,140 @@ import (
 // Because both record kinds arrive through the shard's total order,
 // every replica of the shard processes them in the same order and the
 // vote/apply outcomes agree replica-to-replica without coordination.
-type Replica struct {
+// The ledger rides the replica's snapshots and state transfers, so a
+// replica restarted between a prepare and its decision still holds the
+// reservation it voted for.
+type Ledger struct {
 	slf   msg.Loc
 	shard int
-	exec  *core.Executor
 	app   App
-	// lastSlot dedups Deliver notifications fanned out by several
-	// service nodes.
-	lastSlot int
-	// held is the reservation ledger: key -> amount held by YES votes
-	// whose decisions have not arrived yet.
-	held map[string]int64
-	// prepared records delivered prepares awaiting their decision (and
-	// the vote each produced, for idempotent re-votes).
-	prepared map[string]*pendingPrep
+	exec  *core.Executor
+	// prepared records delivered prepares awaiting their decision and the
+	// vote each produced (for idempotent re-votes); the YES votes among
+	// them are the reservations the ledger holds (HeldOn).
+	prepared map[string]pendingPrep
 	// decided records processed decisions for idempotent re-acks. It is
 	// never pruned: the coordinator's "done" is deliberately not
 	// broadcast (it would double every 2PC's ordered traffic), and one
 	// small struct per distributed transaction is an acceptable ledger
 	// for this system's scale.
 	decided map[string]Decision
-	// stepCost is the virtual CPU of the last step (DES costing).
-	stepCost time.Duration
 }
 
+// pendingPrep is a delivered prepare and the vote it produced.
 type pendingPrep struct {
-	p  Prepare
-	ok bool
+	P  Prepare
+	OK bool
 }
 
-var _ gpm.Process = (*Replica)(nil)
+// ledgerImage is the ledger's share of a snapshot header.
+type ledgerImage struct {
+	Prepared map[string]pendingPrep
+	Decided  map[string]Decision
+}
 
-// NewReplica creates a shard replica over its own database.
-func NewReplica(slf msg.Loc, shardIdx int, db *sqldb.DB, reg core.Registry, app App) *Replica {
-	return &Replica{
-		slf:      slf,
-		shard:    shardIdx,
-		exec:     core.NewExecutor(db, reg),
-		app:      app,
-		lastSlot: -1,
-		held:     make(map[string]int64),
-		prepared: make(map[string]*pendingPrep),
-		decided:  make(map[string]Decision),
+// NewLedger returns the empty ledger of a replica of shard shardIdx, to
+// be passed as core.SMRConfig.Ext.
+func NewLedger(shardIdx int, app App) *Ledger {
+	return &Ledger{shard: shardIdx, app: app, prepared: make(map[string]pendingPrep), decided: make(map[string]Decision)}
+}
+
+// Bind implements core.SMRExtension: the ledger's two ordered events.
+func (l *Ledger) Bind(self msg.Loc, exec *core.Executor) map[string]core.OrderedHandler {
+	l.slf, l.exec = self, exec
+	return map[string]core.OrderedHandler{prepMark: l.onPrepare, decMark: l.onDecision}
+}
+
+// Snapshot implements core.SMRExtension.
+func (l *Ledger) Snapshot() []byte {
+	return store.EncodeRecord(ledgerImage{Prepared: l.prepared, Decided: l.decided})
+}
+
+// Restore implements core.SMRExtension.
+func (l *Ledger) Restore(b []byte) error {
+	img := ledgerImage{Prepared: make(map[string]pendingPrep), Decided: make(map[string]Decision)}
+	if len(b) > 0 {
+		if err := store.DecodeRecord(b, &img); err != nil {
+			return err
+		}
 	}
+	l.prepared, l.decided = img.Prepared, img.Decided
+	return nil
 }
-
-// DB exposes the replica's database (state-parity checks).
-func (r *Replica) DB() *sqldb.DB { return r.exec.DB }
-
-// LastSlot is the replica's applied slot frontier.
-func (r *Replica) LastSlot() int { return r.lastSlot }
-
-// LastCost returns the virtual CPU cost of the most recent Step.
-func (r *Replica) LastCost() time.Duration { return r.stepCost }
 
 // OpenPrepares counts prepares still awaiting a decision — zero after a
 // drain means no transaction is half-way through 2PC on this shard.
-func (r *Replica) OpenPrepares() int { return len(r.prepared) }
+func (l *Ledger) OpenPrepares() int { return len(l.prepared) }
 
-// HeldOn reports the reservation ledger's hold on one key (tests).
-func (r *Replica) HeldOn(key string) int64 { return r.held[key] }
-
-// Halted implements gpm.Process.
-func (r *Replica) Halted() bool { return false }
-
-// Step implements gpm.Process.
-func (r *Replica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
-	r.stepCost = 0
-	before := r.exec.DB.Stats()
-	var outs []msg.Directive
-	if in.Hdr == broadcast.HdrDeliver {
-		outs = r.onDeliver(in.Body.(broadcast.Deliver))
+// HeldOn reports how much of key the YES votes still awaiting their
+// decisions hold.
+func (l *Ledger) HeldOn(key string) int64 {
+	var n int64
+	for _, pd := range l.prepared {
+		if pd.OK {
+			n += pd.P.Sub.Reserve[key]
+		}
 	}
-	r.stepCost += r.exec.DB.Engine().CostOf(r.exec.DB.Stats().Sub(before))
-	return r, outs
-}
-
-func (r *Replica) onDeliver(d broadcast.Deliver) []msg.Directive {
-	if d.Slot <= r.lastSlot {
-		return nil // duplicate notification from another service node
-	}
-	r.lastSlot = d.Slot
-	var outs []msg.Directive
-	// Contiguous runs of plain transactions group-commit exactly like the
-	// SMR replica; 2PC records cut the run (they must observe the state
-	// up to their own position in the order).
-	var run []core.TxRequest
-	inRun := make(map[string]bool)
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		for _, res := range r.exec.ApplyBatch(run) {
-			mShardCommits.Inc()
-			outs = append(outs, msg.Send(res.Client, msg.M(core.HdrTxResult, res)))
-		}
-		run = nil
-		inRun = make(map[string]bool)
-	}
-	for _, b := range d.Msgs {
-		if p, ok := DecodePrepare(b.Payload); ok {
-			flush()
-			outs = append(outs, r.onPrepare(p)...)
-			continue
-		}
-		if dec, ok := DecodeDecision(b.Payload); ok {
-			flush()
-			outs = append(outs, r.onDecision(dec)...)
-			continue
-		}
-		req, err := core.DecodeTx(b.Payload)
-		if err != nil {
-			continue
-		}
-		if inRun[req.Key()] {
-			// A duplicate of a request already queued in this run: apply the
-			// run so the dedup table answers it.
-			flush()
-		}
-		if res, dup := r.exec.Duplicate(req); dup {
-			outs = append(outs, msg.Send(req.Client, msg.M(core.HdrTxResult, res)))
-			continue
-		}
-		run = append(run, req)
-		inRun[req.Key()] = true
-	}
-	flush()
-	return outs
+	return n
 }
 
 // onPrepare votes on a delivered prepare. The vote is a deterministic
 // function of the delivered order, so all replicas of the shard agree.
-func (r *Replica) onPrepare(p Prepare) []msg.Directive {
-	if pd, ok := r.prepared[p.TxID]; ok {
+func (l *Ledger) onPrepare(payload []byte, _ int) []msg.Directive {
+	p, ok := DecodePrepare(payload)
+	if !ok {
+		return nil
+	}
+	if pd, seen := l.prepared[p.TxID]; seen {
 		// Retransmitted prepare (our vote was lost): re-send the recorded
 		// vote without re-reserving.
-		return r.vote(pd.p, pd.ok)
+		return l.vote(pd.P, pd.OK)
 	}
-	if _, ok := r.decided[p.TxID]; ok {
+	if _, done := l.decided[p.TxID]; done {
 		// The decision already arrived and was processed; the coordinator
 		// has what it needs (or will re-send the decision itself).
 		return nil
 	}
-	ok := true
-	if _, known := r.exec.Reg[p.Sub.Apply]; !known {
-		ok = false
-	}
+	_, ok = l.exec.Reg[p.Sub.Apply]
 	for _, key := range sortedReserveKeys(p.Sub.Reserve) {
-		avail, err := r.app.Available(r.exec.DB, key)
-		if err != nil || avail-r.held[key] < p.Sub.Reserve[key] {
+		avail, err := l.app.Available(l.exec.DB, key)
+		if err != nil || avail-l.HeldOn(key) < p.Sub.Reserve[key] {
 			ok = false
 			break
 		}
 	}
-	if ok {
-		for key, amt := range p.Sub.Reserve {
-			r.held[key] += amt
-		}
-	}
-	r.prepared[p.TxID] = &pendingPrep{p: p, ok: ok}
+	l.prepared[p.TxID] = pendingPrep{P: p, OK: ok}
 	mShardPrepares.Inc()
-	return r.vote(p, ok)
+	return l.vote(p, ok)
 }
 
-func (r *Replica) vote(p Prepare, ok bool) []msg.Directive {
+func (l *Ledger) vote(p Prepare, ok bool) []msg.Directive {
 	return []msg.Directive{msg.Send(p.Coord, msg.M(HdrVote, Vote{
-		TxID: p.TxID, Shard: r.shard, From: r.slf, OK: ok,
+		TxID: p.TxID, Shard: l.shard, From: l.slf, OK: ok,
 	}))}
 }
 
-// onDecision releases the prepare's holds and applies the slice on
-// commit. Both paths ack to the coordinator.
-func (r *Replica) onDecision(d Decision) []msg.Directive {
-	if _, ok := r.decided[d.TxID]; ok {
-		// Retransmitted decision (our ack was lost): re-ack.
-		return r.ack(d)
+// onDecision releases the prepare's holds (retiring the prepare) and
+// applies the slice on commit. Both paths ack to the coordinator.
+func (l *Ledger) onDecision(payload []byte, _ int) []msg.Directive {
+	d, ok := DecodeDecision(payload)
+	if !ok {
+		return nil
 	}
-	if pd, ok := r.prepared[d.TxID]; ok {
-		delete(r.prepared, d.TxID)
-		if pd.ok {
-			for key, amt := range pd.p.Sub.Reserve {
-				if r.held[key] -= amt; r.held[key] <= 0 {
-					delete(r.held, key)
-				}
-			}
-		}
-		if d.Commit && pd.ok {
+	if _, done := l.decided[d.TxID]; done {
+		// Retransmitted decision (our ack was lost): re-ack.
+		return l.ack(d)
+	}
+	if pd, ok := l.prepared[d.TxID]; ok {
+		delete(l.prepared, d.TxID)
+		if d.Commit && pd.OK {
 			// The reservation made the apply infallible; the coordinator —
 			// not this replica — answers the client, so the result is only
 			// recorded locally (duplicates of the original request would be
 			// cross-shard again and never reach this executor directly).
-			core.RunProc(r.exec.DB, r.exec.Reg, core.TxRequest{
-				Client: pd.p.Req.Client, Seq: pd.p.Req.Seq,
-				Type: pd.p.Sub.Apply, Args: pd.p.Sub.ApplyArgs,
+			core.RunProc(l.exec.DB, l.exec.Reg, core.TxRequest{
+				Client: pd.P.Req.Client, Seq: pd.P.Req.Seq,
+				Type: pd.P.Sub.Apply, Args: pd.P.Sub.ApplyArgs,
 			})
 			mShard2PCCommits.Inc()
 		} else {
@@ -236,13 +175,13 @@ func (r *Replica) onDecision(d Decision) []msg.Directive {
 	// (the coordinator timed out before our shard ever saw the prepare);
 	// a commit without a prepare is the atomicity violation the checker
 	// flags — the replica conservatively does not apply.
-	r.decided[d.TxID] = d
-	return r.ack(d)
+	l.decided[d.TxID] = d
+	return l.ack(d)
 }
 
-func (r *Replica) ack(d Decision) []msg.Directive {
+func (l *Ledger) ack(d Decision) []msg.Directive {
 	return []msg.Directive{msg.Send(d.Coord, msg.M(HdrAck, Ack{
-		TxID: d.TxID, Shard: r.shard, From: r.slf,
+		TxID: d.TxID, Shard: l.shard, From: l.slf,
 	}))}
 }
 
@@ -252,11 +191,6 @@ func sortedReserveKeys(m map[string]int64) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	// Insertion sort: Reserve maps are tiny (one or two keys).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/sqldb"
 )
 
 // modPart places decimal keys by id modulo n — a transparent placement
@@ -243,168 +242,6 @@ func TestRouterRetryUsesFreshSeqs(t *testing.T) {
 		if used[d.M.Body.(broadcast.Bcast).Seq] {
 			t.Fatalf("retransmission reused a broadcast seq; the sequencer's dedup would swallow it")
 		}
-	}
-}
-
-// ---------------------------------------------------------------- replica --
-
-func testReplica(t *testing.T, shardIdx int) *Replica {
-	t.Helper()
-	db, err := sqldb.Open("h2:mem:shardtest" + strconv.Itoa(shardIdx))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.BankSetup(db, 8); err != nil {
-		t.Fatal(err)
-	}
-	return NewReplica(ReplicaLoc(shardIdx, 0), shardIdx, db, core.BankRegistry(), Bank())
-}
-
-func deliver(t *testing.T, r *Replica, slot int, payloads ...[]byte) []msg.Directive {
-	t.Helper()
-	var msgs []broadcast.Bcast
-	for i, p := range payloads {
-		msgs = append(msgs, broadcast.Bcast{From: RouterLoc, Seq: int64(slot*100 + i), Payload: p})
-	}
-	_, outs := r.Step(msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: slot, Msgs: msgs}))
-	return outs
-}
-
-func balance(t *testing.T, r *Replica, id int) int64 {
-	t.Helper()
-	res, err := r.DB().Exec("SELECT balance FROM accounts WHERE id = ?", id)
-	if err != nil || len(res.Rows) != 1 {
-		t.Fatalf("balance(%d): %v %v", id, res, err)
-	}
-	v, err := argInt64(res.Rows[0][0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
-}
-
-func voteOf(t *testing.T, outs []msg.Directive) Vote {
-	t.Helper()
-	if len(outs) != 1 || outs[0].M.Hdr != HdrVote {
-		t.Fatalf("want exactly one vote, got %v", outs)
-	}
-	return outs[0].M.Body.(Vote)
-}
-
-func TestReplicaVotesAndReserves(t *testing.T) {
-	r := testReplica(t, 0)
-	prep := func(id string, amt int64) Prepare {
-		return Prepare{
-			TxID: id, Coord: RouterLoc, Shard: 0, Participants: []int{0, 1},
-			Sub: SubTx{
-				Reserve:   map[string]int64{"1": amt},
-				Apply:     "deposit",
-				ApplyArgs: []any{1, -amt},
-			},
-		}
-	}
-	// Account 1 holds 1000: a 600 reservation fits...
-	if v := voteOf(t, deliver(t, r, 0, EncodePrepare(prep("ta", 600)))); !v.OK {
-		t.Fatalf("vote on ta: %+v, want YES", v)
-	}
-	if r.HeldOn("1") != 600 {
-		t.Fatalf("held = %d, want 600", r.HeldOn("1"))
-	}
-	// ...but a second 600 against the same key must count the hold: NO.
-	if v := voteOf(t, deliver(t, r, 1, EncodePrepare(prep("tb", 600)))); v.OK {
-		t.Fatalf("vote on tb ignored the reservation ledger")
-	}
-	// Prepared state is invisible: the database still shows 1000.
-	if b := balance(t, r, 1); b != 1000 {
-		t.Fatalf("prepared-but-undecided state leaked into the database: balance %d", b)
-	}
-	// A retransmitted prepare re-votes without double-reserving.
-	if v := voteOf(t, deliver(t, r, 2, EncodePrepare(prep("ta", 600)))); !v.OK {
-		t.Fatalf("re-vote on ta: %+v", v)
-	}
-	if r.HeldOn("1") != 600 {
-		t.Fatalf("duplicate prepare double-reserved: held = %d", r.HeldOn("1"))
-	}
-
-	// Commit ta: hold released, debit applied, ack sent.
-	outs := deliver(t, r, 3, EncodeDecision(Decision{TxID: "ta", Shard: 0, Coord: RouterLoc, Commit: true}))
-	if len(outs) != 1 || outs[0].M.Hdr != HdrAck {
-		t.Fatalf("decision did not ack: %v", outs)
-	}
-	if b := balance(t, r, 1); b != 400 {
-		t.Fatalf("balance after commit = %d, want 400", b)
-	}
-	if r.HeldOn("1") != 0 {
-		t.Fatalf("hold survived the decision: %d", r.HeldOn("1"))
-	}
-	// A duplicate decision re-acks without re-applying.
-	deliver(t, r, 4, EncodeDecision(Decision{TxID: "ta", Shard: 0, Coord: RouterLoc, Commit: true}))
-	if b := balance(t, r, 1); b != 400 {
-		t.Fatalf("duplicate decision re-applied: balance %d", b)
-	}
-	// Abort tb: no effect on the database.
-	deliver(t, r, 5, EncodeDecision(Decision{TxID: "tb", Shard: 0, Coord: RouterLoc, Commit: false}))
-	if b := balance(t, r, 1); b != 400 {
-		t.Fatalf("abort changed the database: balance %d", b)
-	}
-	if r.OpenPrepares() != 0 {
-		t.Fatalf("%d prepares still open", r.OpenPrepares())
-	}
-}
-
-func TestReplicaDoesNotApplyUnpreparedCommit(t *testing.T) {
-	r := testReplica(t, 0)
-	// A commit for a transaction this replica never prepared is the
-	// atomicity violation the checker flags; the replica acks (so the
-	// coordinator can retire the transaction) but refuses to apply.
-	outs := deliver(t, r, 0, EncodeDecision(Decision{TxID: "ghost", Shard: 0, Coord: RouterLoc, Commit: true}))
-	if len(outs) != 1 || outs[0].M.Hdr != HdrAck {
-		t.Fatalf("unprepared commit not acked: %v", outs)
-	}
-	for id := 0; id < 8; id++ {
-		if b := balance(t, r, id); b != 1000 {
-			t.Fatalf("unprepared commit mutated account %d: %d", id, b)
-		}
-	}
-}
-
-func TestReplicaInterleavesPlainAndTwoPC(t *testing.T) {
-	r := testReplica(t, 0)
-	dep, err := core.EncodeTx(core.TxRequest{Client: "c1", Seq: 1, Type: "deposit", Args: []any{2, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Prepare{
-		TxID: "tx", Coord: RouterLoc, Shard: 0, Participants: []int{0, 1},
-		Sub: SubTx{Reserve: map[string]int64{"2": 100}, Apply: "deposit", ApplyArgs: []any{2, -100}},
-	}
-	// One delivered batch: plain deposit, then the prepare. The prepare
-	// must observe the deposit (its slice of the order precedes it).
-	outs := deliver(t, r, 0, dep, EncodePrepare(p))
-	var vote *Vote
-	var reply *core.TxResult
-	for _, d := range outs {
-		switch b := d.M.Body.(type) {
-		case Vote:
-			v := b
-			vote = &v
-		case core.TxResult:
-			res := b
-			reply = &res
-		}
-	}
-	if reply == nil || reply.Aborted {
-		t.Fatalf("plain deposit in mixed batch not committed: %v", outs)
-	}
-	if vote == nil || !vote.OK {
-		t.Fatalf("prepare in mixed batch not voted on: %v", outs)
-	}
-	if b := balance(t, r, 2); b != 1005 {
-		t.Fatalf("balance = %d, want 1005", b)
-	}
-	// Duplicate Deliver from a second service node: fully ignored.
-	if outs := deliver(t, r, 0, dep); outs != nil {
-		t.Fatalf("duplicate slot produced output: %v", outs)
 	}
 }
 

@@ -87,7 +87,10 @@ func leaseHolder(tb testing.TB) *core.SMRReplica {
 	if err := core.BankSetup(db, 64); err != nil {
 		tb.Fatal(err)
 	}
-	rep := core.NewSMRReplica("r1", db, core.BankRegistry())
+	rep, err := core.OpenSMRReplica(core.SMRConfig{Self: "r1", DB: db, Registry: core.BankRegistry()})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	rep.Executor().Fast = core.BankFastRegistry()
 	rep.SetView(member.NewView(member.Config{
 		Bcast:    []msg.Loc{"b1", "b2", "b3"},
