@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -273,6 +274,103 @@ func TestFlagCatalogue(t *testing.T) {
 		for name := range rows {
 			t.Errorf("README's %s table lists -%s, which the binary does not register", strings.TrimSpace(heading), name)
 		}
+	}
+}
+
+// TestConfigFieldsAreSet keeps every setting something runs: each
+// exported field of an exported struct type under internal/ whose name
+// ends in "Config" must be set at least once in a non-test file outside
+// examples/ (benchmark/ counts) — as a key of a composite literal of
+// that type, or as the target of an assignment x.Field = …. A field only
+// tests set configures code no deployment, harness or experiment runs.
+// go/ast only, so an assignment counts for every config field of its name.
+func TestConfigFieldsAreSet(t *testing.T) {
+	type field struct{ typ, name string } // typ is "<import path>.<Type>"
+	declared := make(map[field]string)    // → declaration site
+	keyed := make(map[field]bool)
+	assigned := make(map[string]bool) // field names assigned through x.Name = …
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "examples") {
+			return filepath.SkipDir
+		}
+		pkgs, err := parser.ParseDir(fset, path, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			return err
+		}
+		pkgPath := "shadowdb/" + path
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				imports := make(map[string]string) // local name → import path
+				for _, is := range f.Imports {
+					p, _ := strconv.Unquote(is.Path.Value)
+					name := p[strings.LastIndex(p, "/")+1:]
+					if is.Name != nil {
+						name = is.Name.Name
+					}
+					imports[name] = p
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.TypeSpec:
+						st, ok := x.Type.(*ast.StructType)
+						if !ok || !strings.HasPrefix(path, "internal/") || !x.Name.IsExported() || !strings.HasSuffix(x.Name.Name, "Config") {
+							break
+						}
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								if id.IsExported() {
+									declared[field{pkgPath + "." + x.Name.Name, id.Name}] = fset.Position(id.Pos()).String()
+								}
+							}
+						}
+					case *ast.CompositeLit:
+						typ := ""
+						switch tx := x.Type.(type) {
+						case *ast.Ident:
+							typ = pkgPath + "." + tx.Name
+						case *ast.SelectorExpr:
+							if id, ok := tx.X.(*ast.Ident); ok {
+								typ = imports[id.Name] + "." + tx.Sel.Name
+							}
+						}
+						for _, e := range x.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if k, ok := kv.Key.(*ast.Ident); ok {
+									keyed[field{typ, k.Name}] = true
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range x.Lhs {
+							if sel, ok := lhs.(*ast.SelectorExpr); ok {
+								assigned[sel.Sel.Name] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	for f, site := range declared {
+		if !keyed[f] && !assigned[f.name] {
+			unset = append(unset, site+": "+f.typ[strings.LastIndex(f.typ, "/")+1:]+"."+f.name)
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Errorf("%s is set by no non-test code outside examples/; delete it or make it a constant", u)
 	}
 }
 

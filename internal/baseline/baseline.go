@@ -97,24 +97,22 @@ type ServerConfig struct {
 	Locks       LockSpec
 	Mode        Mode
 	Backup      msg.Loc
-	Cores       int
 	LockTimeout time.Duration // 0 = engine default
 }
+
+// serverCores is a server's CPU count: the paper's quad-core Xeons.
+const serverCores = 4
 
 // NewServer wires a database server into the cluster. The returned node
 // has zero intake service time; CPU usage is modeled by the lock-held
 // execution windows.
 func NewServer(sim *des.Sim, clu *des.Cluster, cfg ServerConfig) *Server {
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = 4 // the paper's quad-core Xeons
-	}
 	s := &Server{
 		Name: cfg.Name, sim: sim, clu: clu,
 		db: cfg.DB, reg: cfg.Reg, spec: cfg.Locks, mode: cfg.Mode,
 		backup: cfg.Backup, lockTimeout: cfg.LockTimeout,
 		locks: make(map[string]*des.Resource),
-		cpu:   des.NewSemaphore(sim, cores),
+		cpu:   des.NewSemaphore(sim, serverCores),
 	}
 	clu.AddNode(cfg.Name, 64, nil, s.handle)
 	return s

@@ -180,19 +180,14 @@ func Paxos() Module { return paxosModule{} }
 // window instances concurrently (see synod.Config.Window).
 func PaxosPipelined(window int) Module { return paxosModule{window: window} }
 
-// PaxosDurable is PaxosPipelined with WAL-backed acceptors: stable maps
-// each acceptor to its journal, and the acceptor persists every promise
-// and accepted value write-ahead of the reply, so a crash-restart never
-// forgets a promise.
-func PaxosDurable(window int, stable func(msg.Loc) store.Stable) Module {
-	return paxosModule{window: window, stable: stable}
-}
-
-// PaxosDynamic is PaxosDurable under dynamic membership: the view
-// resolves the acceptor set per instance (a commander captures exactly
-// the epoch that governs its instance) and the Decide fan-out per
-// decision, so configuration epochs switch Synod quorums atomically at
-// their activation slot. stable may be nil for volatile acceptors.
+// PaxosDynamic is PaxosPipelined with WAL-backed acceptors under dynamic
+// membership. stable maps each acceptor to its journal, and the acceptor
+// persists every promise and accepted value write-ahead of the reply, so
+// a crash-restart never forgets a promise; stable may be nil for volatile
+// acceptors. The view resolves the acceptor set per instance (a
+// commander captures exactly the epoch that governs its instance) and the
+// Decide fan-out per decision, so configuration epochs switch Synod
+// quorums atomically at their activation slot.
 func PaxosDynamic(window int, stable func(msg.Loc) store.Stable, view *member.View) Module {
 	return paxosModule{window: window, stable: stable, view: view}
 }
@@ -276,10 +271,6 @@ type Config struct {
 	// are always delivered gap-free in slot order regardless of how many
 	// instances race.
 	Pipeline int
-	// Sequencer designates the node that proposes batches; the other
-	// nodes forward client messages to it, keeping a single stable
-	// proposer in the common case. Empty means Nodes[0].
-	Sequencer msg.Loc
 	// Stable, when set, gives each service node a decided-slot journal:
 	// every decision is journaled before its Deliver notifications are
 	// emitted, and a re-instantiated node restores the journal and
@@ -327,10 +318,10 @@ func (c Config) window() int {
 	return 1
 }
 
+// sequencer is the node that proposes batches: Nodes[0]. The other
+// nodes forward client messages to it, keeping a single stable proposer
+// in the common case.
 func (c Config) sequencer() msg.Loc {
-	if c.Sequencer != "" {
-		return c.Sequencer
-	}
 	if len(c.Nodes) > 0 {
 		return c.Nodes[0]
 	}

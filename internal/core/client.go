@@ -266,9 +266,9 @@ func (c *Client) Handle(in msg.Msg) (*TxResult, []msg.Directive) {
 			c.Expired++
 			return c.terminal("flow: deadline exceeded before ordering")
 		}
-		// Overload / breaker fast-fail: retryable — the armed retry
-		// timer will resend on its backoff schedule — but only while
-		// the retry budget holds out.
+		// Overload: retryable — the armed retry timer will resend on
+		// its backoff schedule — but only while the retry budget holds
+		// out.
 		if c.Budget != nil && !c.Budget.Allow(c.now()) {
 			c.Overloaded++
 			return c.terminal(flow.ErrOverload.Error())

@@ -66,10 +66,6 @@ type Node struct {
 	// epoch increments on every crash so work started before the crash
 	// cannot complete after a restart.
 	epoch int
-	// OnRestart, when set, runs inside Restart after the crash flag
-	// clears; restarts with state loss use it to rebuild the node's
-	// process from its initial state (see Rebind / RebindCosted).
-	OnRestart func(lostState bool)
 	// lc is the node's Lamport clock (the sim is single-threaded, so a
 	// plain int64 suffices).
 	lc int64
@@ -247,23 +243,12 @@ func (n *Node) Crash() {
 	n.epoch++
 }
 
-// Restart clears the crash flag so the node accepts traffic again.
-// With lostState false the node resumes with the state it crashed with
-// (a process restart from a durable image); with true the OnRestart
-// hook must rebuild the process from its initial state — use Rebind or
-// RebindCosted inside the hook.
-func (n *Node) Restart(lostState bool) {
-	n.crashed = false
-	if n.OnRestart != nil {
-		n.OnRestart(lostState)
-	}
-}
+// Restart clears the crash flag so the node accepts traffic again. It
+// resumes with the state it crashed with (a process restart from a
+// durable image); a rebuilt process is installed with RebindCosted.
+func (n *Node) Restart() { n.crashed = false }
 
-// Rebind replaces the node's handler (state-loss restarts install a
-// fresh process this way).
-func (n *Node) Rebind(h Handler) { n.handler = h; n.costed = nil }
-
-// RebindCosted replaces the node's costed handler.
+// RebindCosted replaces the node's handler with a costed one.
 func (n *Node) RebindCosted(h CostedHandler) { n.costed = h; n.handler = nil }
 
 // Crashed reports the failure state.

@@ -38,7 +38,7 @@ func BindCluster(clu *des.Cluster, p Plan) *Injector {
 			inj.NoteCrash(c.Node, "crash")
 			if c.RestartAfter > 0 {
 				clu.Sim.After(c.RestartAfter.D(), func() {
-					n.Restart(c.LoseState)
+					n.Restart()
 					inj.NoteCrash(c.Node, "restart")
 				})
 			}

@@ -97,46 +97,6 @@ func TestBindClusterCrashRestart(t *testing.T) {
 	}
 }
 
-func TestBindClusterStateLossRestart(t *testing.T) {
-	// A counting node restarts with state loss: its OnRestart hook
-	// rebinds a fresh handler, modeling a process restarted from its
-	// initial image.
-	sim := &des.Sim{}
-	clu := des.NewCluster(sim)
-	mkHandler := func() des.Handler {
-		count := 0
-		return func(env des.Envelope) []msg.Directive {
-			count++
-			if count == 1 {
-				return []msg.Directive{msg.Send("probe", msg.M("first", nil))}
-			}
-			return nil
-		}
-	}
-	firsts := 0
-	clu.AddNode("probe", 1, nil, func(env des.Envelope) []msg.Directive {
-		firsts++
-		return nil
-	})
-	n := clu.AddNode("svc", 1, nil, mkHandler())
-	n.OnRestart = func(lost bool) {
-		if lost {
-			n.Rebind(mkHandler())
-		}
-	}
-	BindCluster(clu, Plan{Crashes: []Crash{
-		{At: Duration(100 * time.Millisecond), Node: "svc", RestartAfter: Duration(50 * time.Millisecond), LoseState: true},
-	}})
-	for _, at := range []time.Duration{0, 10 * time.Millisecond, 200 * time.Millisecond, 210 * time.Millisecond} {
-		at := at
-		sim.At(at, func() { clu.Send("external", "svc", msg.M("tick", nil)) })
-	}
-	sim.Run(time.Second, 1_000_000)
-	if firsts != 2 {
-		t.Fatalf("state-loss restart should reset the counter: got %d 'first' probes, want 2", firsts)
-	}
-}
-
 func TestBindClusterFingerprintDeterministic(t *testing.T) {
 	plan := Plan{
 		Seed:  1234,

@@ -146,16 +146,13 @@ func Isolate(from, to Duration, island []msg.Loc, all []msg.Loc) Partition {
 }
 
 // Crash schedules a node failure at At. RestartAfter 0 means the node
-// stays down; otherwise it restarts that long after the crash,
-// retaining its state unless LoseState is set.
+// stays down; otherwise it restarts that long after the crash with the
+// state it crashed with (BindProcess rebuilds it from its store).
 type Crash struct {
 	At   Duration `json:"at"`
 	Node msg.Loc  `json:"node"`
 	// RestartAfter is the downtime (0 = crash-stop, no restart).
 	RestartAfter Duration `json:"restart_after,omitempty"`
-	// LoseState restarts the node from its initial state (process reset)
-	// instead of resuming with retained state.
-	LoseState bool `json:"lose_state,omitempty"`
 	// CorruptTail flips bytes in the last record of the node's newest WAL
 	// segment before the restart — the torn-write / dying-disk failure
 	// mode. Only meaningful under a process nemesis with a data directory

@@ -11,14 +11,14 @@ import (
 )
 
 // The process-level nemesis. BindCluster's crashes flip the simulated
-// node's crash flag and optionally reset its in-memory process — the
-// paper's crash-as-amnesia model. BindProcess goes further: a "kill"
-// tears the node's process image down entirely, and a "restart" asks
-// the host to rebuild it from its durable store, exactly like a real
-// process being killed and re-exec'd over its data directory. Combined
-// with Crash.CorruptTail it also exercises the torn-write path: the
-// newest WAL segment's tail is flipped before the rebuild, and the
-// store must open cleanly by truncating to the last valid record.
+// node's crash flag, and a restarted node resumes with its in-memory
+// process. BindProcess goes further: a "kill" tears the node's process
+// image down entirely, and a "restart" asks the host to rebuild it from
+// its durable store, exactly like a real process being killed and
+// re-exec'd over its data directory. Combined with Crash.CorruptTail it
+// also exercises the torn-write path: the newest WAL segment's tail is
+// flipped before the rebuild, and the store must open cleanly by
+// truncating to the last valid record.
 
 // ProcessHooks is what the host (a bench harness or daemon supervisor)
 // supplies to make kill/restart real.
@@ -28,7 +28,7 @@ type ProcessHooks struct {
 	// queue purge are often enough).
 	Kill func(node msg.Loc)
 	// Restart rebuilds the process from its durable state and rebinds it
-	// to the node (des.Node.RebindCosted / Rebind inside). Required.
+	// to the node (des.Node.RebindCosted inside). Required.
 	Restart func(node msg.Loc)
 	// DataDir maps a node to its store directory for CorruptTail, which
 	// needs a real file to flip bytes in. May be nil when no crash in
@@ -81,7 +81,7 @@ func BindProcess(clu *des.Cluster, p Plan, hooks ProcessHooks) *Injector {
 				// Rebuild first, then clear the crash flag: the fresh
 				// incarnation must exist before messages flow again.
 				hooks.Restart(c.Node)
-				n.Restart(false)
+				n.Restart()
 				inj.NoteCrash(c.Node, "restart")
 				if hooks.Flight != nil {
 					hooks.Flight(c.Node, "restart")

@@ -26,6 +26,13 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "dorp") {
 		t.Fatalf("misspelled field accepted: %v", err)
 	}
+	// A restarted node keeps its state (BindProcess rebuilds it from its
+	// store), so a plan asking to lose it is refused, not run as a
+	// retained-state restart.
+	path = writePlan(t, `{"crashes": [{"at": "1s", "node": "r1", "restart_after": "1s", "lose_state": true}]}`)
+	if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "lose_state") {
+		t.Fatalf("lose_state accepted: %v", err)
+	}
 	path = writePlan(t, `{"seed": 1} trailing`)
 	if _, err := Load(path); err == nil {
 		t.Fatal("trailing data accepted")
@@ -133,23 +140,23 @@ func TestBindProcessKillRestart(t *testing.T) {
 		return st
 	}
 	// The process journals every tick; its in-memory count is its state.
-	mkHandler := func(st store.Stable) (des.Handler, *int) {
+	mkHandler := func(st store.Stable) (des.CostedHandler, *int) {
 		count := 0
 		if err := st.Replay(func([]byte) error { count++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		h := func(env des.Envelope) []msg.Directive {
+		h := func(env des.Envelope) ([]msg.Directive, time.Duration) {
 			if err := st.Append([]byte{1}); err != nil {
 				t.Error(err)
 			}
 			count++
-			return nil
+			return nil, 0
 		}
 		return h, &count
 	}
 	st := openStore()
 	h, count := mkHandler(st)
-	n := clu.AddNode("svc", 1, nil, h)
+	n := clu.AddCostedNode("svc", 1, h)
 
 	killed, restarted := false, false
 	BindProcess(clu, Plan{Crashes: []Crash{
@@ -162,9 +169,9 @@ func TestBindProcessKillRestart(t *testing.T) {
 		Restart: func(node msg.Loc) {
 			restarted = true
 			st = openStore()
-			var h2 des.Handler
+			var h2 des.CostedHandler
 			h2, count = mkHandler(st)
-			n.Rebind(h2)
+			n.RebindCosted(h2)
 		},
 		DataDir: func(node msg.Loc) string { return root },
 	})

@@ -52,12 +52,3 @@ func (b *RetryBudget) Allow(now time.Duration) bool {
 	mBudgetDenied.Inc()
 	return false
 }
-
-// Tokens returns the current token count (after the last Allow; it
-// does not advance the clock).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	return b.tokens
-}

@@ -1,9 +1,9 @@
 // Package flow is the end-to-end overload-control subsystem: admission
 // control with priority classes, deadline propagation, retry budgets,
-// and circuit breaking. It turns load into a first-class fault the same
-// way internal/fault treats partitions and crashes — degradation is
-// explicit, observable, and certified online, never an emergent
-// collapse.
+// and a sustained-overload watchdog. It turns load into a first-class
+// fault the same way internal/fault treats partitions and crashes —
+// degradation is explicit, observable, and certified online, never an
+// emergent collapse.
 //
 // The pieces, each independent and composed by the layers that use
 // them:
@@ -29,9 +29,6 @@
 //     Retries spend from the budget; an exhausted budget converts a
 //     retryable rejection into a terminal client error instead of
 //     amplifying the overload that caused it.
-//   - Breaker: a consecutive-failure circuit breaker with a cooldown
-//     and a single half-open probe, used per shard group by the router
-//     to fail fast while a group is saturated or partitioned.
 //   - Watchdog: a sustained-overload detector over windowed metric
 //     rates (obs.Rates) that arms a flight-recorder postmortem dump
 //     when the shed rate stays above a threshold for N consecutive
@@ -53,7 +50,7 @@
 //
 // # Concurrency
 //
-// Queue, RetryBudget, Breaker, and Watchdog are owned by a single
+// Queue, RetryBudget, and Watchdog are owned by a single
 // process loop (the LoE process model delivers one message at a time)
 // and are not safe for concurrent use. The metrics they update are
 // lock-free obs handles and safe from anywhere.

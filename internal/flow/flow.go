@@ -196,9 +196,6 @@ const (
 	// ReasonDeadline: the request's deadline passed before it could be
 	// ordered; terminal (a retry cannot meet it either).
 	ReasonDeadline = "deadline"
-	// ReasonBreaker: failed fast by an open circuit breaker; retryable
-	// after the breaker's cooldown.
-	ReasonBreaker = "breaker"
 )
 
 // Reject is the explicit terminal outcome for work a hop refused: sent
@@ -213,12 +210,12 @@ type Reject struct {
 	Seq int64
 	// Class is the request's shed class.
 	Class Class
-	// Reason is one of ReasonOverload, ReasonDeadline, ReasonBreaker.
+	// Reason is ReasonOverload or ReasonDeadline.
 	Reason string
 	// Depth is the rejecting queue's occupancy at the rejection.
 	Depth int
 	// Cap is the rejecting queue's configured total bound (0 when the
-	// rejection is not queue-related, e.g. a breaker fast-fail).
+	// rejection is not queue-related, e.g. an expired deadline).
 	Cap int
 }
 

@@ -168,60 +168,6 @@ func TestRetryBudgetNilAlwaysAllows(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensProbesAndRecloses(t *testing.T) {
-	b := &Breaker{Threshold: 3, Cooldown: time.Second}
-	now := time.Duration(0)
-	for i := 0; i < 2; i++ {
-		b.Failure(now)
-		if !b.Allow(now) {
-			t.Fatalf("breaker open after %d failures, threshold 3", i+1)
-		}
-	}
-	b.Failure(now)
-	if b.Allow(now) {
-		t.Fatal("breaker still closed at threshold")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatalf("state %s, want open", b.State())
-	}
-	// Before the cooldown: fail fast.
-	if b.Allow(now + 999*time.Millisecond) {
-		t.Fatal("allowed inside cooldown")
-	}
-	// At the cooldown: exactly one probe.
-	now += time.Second
-	if !b.Allow(now) {
-		t.Fatal("probe denied after cooldown")
-	}
-	if b.Allow(now) {
-		t.Fatal("second probe allowed while first unresolved")
-	}
-	// Probe fails: re-open for a fresh cooldown.
-	b.Failure(now)
-	if b.Allow(now + 500*time.Millisecond) {
-		t.Fatal("allowed inside re-opened cooldown")
-	}
-	now += time.Second
-	if !b.Allow(now) {
-		t.Fatal("second probe denied")
-	}
-	b.Success()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state %s after probe success, want closed", b.State())
-	}
-	if !b.Allow(now) {
-		t.Fatal("closed breaker denied")
-	}
-	// A success resets the consecutive-failure streak.
-	b.Failure(now)
-	b.Success()
-	b.Failure(now)
-	b.Failure(now)
-	if !b.Allow(now) {
-		t.Fatal("streak not reset by success")
-	}
-}
-
 func TestWatchdogFiresOnSustainedShedOnly(t *testing.T) {
 	o := obs.New(64)
 	shed := o.Counter("test.shed")

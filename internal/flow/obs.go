@@ -9,18 +9,16 @@ import "shadowdb/internal/obs"
 // registry, which is exactly the "did any queue ever exceed its bound"
 // question the certification gate asks.
 var (
-	mAdmitted         = obs.C("flow.admitted")
-	mShed             = obs.C("flow.shed")
-	mShedRead         = obs.C("flow.shed.read")
-	mShedWrite        = obs.C("flow.shed.write")
-	mShedControl      = obs.C("flow.shed.control")
-	mDeadlineDropped  = obs.C("flow.deadline.dropped")
-	mRejectsSent      = obs.C("flow.rejects.sent")
-	mBudgetSpent      = obs.C("flow.budget.spent")
-	mBudgetDenied     = obs.C("flow.budget.denied")
-	mBreakerOpens     = obs.C("flow.breaker.opens")
-	mBreakerFastFails = obs.C("flow.breaker.fastfails")
-	mWatchdogFired    = obs.C("flow.watchdog.fired")
+	mAdmitted        = obs.C("flow.admitted")
+	mShed            = obs.C("flow.shed")
+	mShedRead        = obs.C("flow.shed.read")
+	mShedWrite       = obs.C("flow.shed.write")
+	mShedControl     = obs.C("flow.shed.control")
+	mDeadlineDropped = obs.C("flow.deadline.dropped")
+	mRejectsSent     = obs.C("flow.rejects.sent")
+	mBudgetSpent     = obs.C("flow.budget.spent")
+	mBudgetDenied    = obs.C("flow.budget.denied")
+	mWatchdogFired   = obs.C("flow.watchdog.fired")
 
 	gDepth = obs.G("flow.queue.depth")
 	gPeak  = obs.G("flow.queue.peak")

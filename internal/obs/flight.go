@@ -55,10 +55,9 @@ const (
 // the hot path (loggers and tracers keep appending; Dump reads
 // consistent copies through the rings' own locks).
 type Recorder struct {
-	o      *Obs
-	logSrc *Obs
-	dir    string
-	node   msg.Loc
+	o    *Obs
+	dir  string
+	node msg.Loc
 
 	// MinGap is the TryDump rate limit (DefaultMinDumpGap when zero).
 	MinGap time.Duration
@@ -80,7 +79,7 @@ func NewRecorder(o *Obs, dir string, node msg.Loc) (*Recorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("flight: create dir: %w", err)
 	}
-	r := &Recorder{o: o, logSrc: o, dir: dir, node: node}
+	r := &Recorder{o: o, dir: dir, node: node}
 	r.sweepTmp()
 	return r, nil
 }
@@ -154,19 +153,6 @@ func (r *Recorder) SetRates(rates *Rates) {
 	r.mu.Unlock()
 }
 
-// SetLogSource redirects the log-ring read to another Obs. DES runs
-// attach a dedicated Obs for traces and metrics while package-level
-// loggers still write through Default; pointing the recorder's log
-// source at Default captures both sides in one bundle.
-func (r *Recorder) SetLogSource(o *Obs) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.logSrc = o
-	r.mu.Unlock()
-}
-
 // BundleMeta is a bundle's meta.json: what, who, when, and under which
 // build and configuration.
 type BundleMeta struct {
@@ -208,7 +194,6 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", fmt.Errorf("flight: nil recorder")
 	}
 	r.mu.Lock()
-	logSrc := r.logSrc
 	rates := r.rates
 	statusFn := r.checkerStatus
 	config := r.config
@@ -239,7 +224,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", err
 	}
 
-	logs := bundleLogs{Dropped: logSrc.LogDropped(), Records: r.filterLogs(logSrc.LogRecords())}
+	logs := bundleLogs{Dropped: r.o.LogDropped(), Records: r.filterLogs(r.o.LogRecords())}
 	if err := writeJSON(filepath.Join(tmp, bundleLogsFile), logs); err != nil {
 		return "", err
 	}

@@ -44,7 +44,7 @@ type Config struct {
 	// bounded by the owning shard's own sequencer admission queue.
 	MaxInflight int
 	// Now is the deployment clock (virtual in simulation, wall live).
-	// Required for deadline checks, breakers, and the retry budget.
+	// Required for deadline checks and the retry budget.
 	Now func() time.Duration
 	// Budget, when set, throttles 2PC re-drive rounds: each retry-timer
 	// retransmission spends one token, and an empty bucket skips that
@@ -52,16 +52,6 @@ type Config struct {
 	// abandoned). This keeps coordinator retransmissions from amplifying
 	// the congestion that delayed the votes in the first place.
 	Budget *flow.RetryBudget
-	// BreakTrips enables a per-shard circuit breaker: after BreakTrips
-	// consecutive re-drive rounds in which a shard owed a vote or ack
-	// and sent none, new cross-shard transactions touching that shard
-	// fail fast with a flow.Reject (ReasonBreaker) until BreakCool
-	// (0 = 1s) admits a probe transaction. 0 disables breakers.
-	// Requires Now. Already-admitted transactions keep re-driving
-	// through an open breaker — run-to-completion outranks fail-fast.
-	BreakTrips int
-	// BreakCool is the open-breaker cooldown before a probe (0 = 1s).
-	BreakCool time.Duration
 }
 
 func (c Config) now() time.Duration {
@@ -103,10 +93,8 @@ type Router struct {
 	// so a client retry through the router probes another service node.
 	fwd map[string]int
 	// q bounds admitted-but-undecided cross-shard transactions (nil when
-	// Config.MaxInflight is 0); brk holds the per-shard circuit breakers
-	// (nil when Config.BreakTrips is 0).
-	q   *flow.Queue
-	brk map[int]*flow.Breaker
+	// Config.MaxInflight is 0).
+	q *flow.Queue
 	// j is the coordinator's write-ahead journal (nil without
 	// Config.Stable).
 	j *store.Journal
@@ -193,9 +181,6 @@ func NewRouter(cfg Config) (*Router, error) {
 			rc = 1
 		}
 		r.q = flow.NewQueueCaps(m+1, rc, m)
-	}
-	if cfg.BreakTrips > 0 {
-		r.brk = make(map[int]*flow.Breaker)
 	}
 	if cfg.Stable != nil {
 		r.j = store.NewJournal("router", cfg.Stable, 0)
@@ -404,20 +389,6 @@ func (r *Router) reject(req core.TxRequest, class flow.Class, reason string, dep
 	}))}
 }
 
-// breaker returns shard s's circuit breaker, creating it lazily (nil
-// when breakers are disabled — every Breaker method handles nil).
-func (r *Router) breaker(s int) *flow.Breaker {
-	if r.brk == nil {
-		return nil
-	}
-	b, ok := r.brk[s]
-	if !ok {
-		b = &flow.Breaker{Threshold: r.cfg.BreakTrips, Cooldown: r.cfg.BreakCool}
-		r.brk[s] = b
-	}
-	return b
-}
-
 // onCrossShard starts (or re-drives) 2PC for a multi-shard request.
 func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 	id := req.Key()
@@ -437,28 +408,13 @@ func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 		}))}
 	}
 	// Admission gates only NEW transactions — everything below is
-	// pre-prepare, so a refusal here never strands a participant. The
-	// non-mutating Ready pass runs before Admit and Allow so a refusal
-	// partway through cannot leak a queue slot or strand a breaker
-	// half-open with no probe in flight.
-	if r.brk != nil {
-		for _, s := range sortedShards(subs) {
-			if !r.breaker(s).Ready(r.cfg.now()) {
-				return r.reject(req, flow.ClassWrite, flow.ReasonBreaker, 0, 0)
-			}
-		}
-	}
+	// pre-prepare, so a refusal here never strands a participant.
 	admitted := false
 	if r.q != nil {
 		if r.q.Admit(flow.ClassWrite) != nil {
 			return r.reject(req, flow.ClassWrite, flow.ReasonOverload, r.q.Len(), r.q.Cap())
 		}
 		admitted = true
-	}
-	if r.brk != nil {
-		for _, s := range sortedShards(subs) {
-			r.breaker(s).Allow(r.cfg.now()) // take the half-open probe slot
-		}
 	}
 	tx := &txState{
 		req: req, subs: subs,
@@ -537,9 +493,6 @@ func (r *Router) onVote(v Vote) []msg.Directive {
 	if _, have := tx.votes[v.Shard]; have {
 		return nil
 	}
-	// Any vote — commit or abort — proves the shard is ordering and
-	// executing; the breaker measures reachability, not commit rate.
-	r.breaker(v.Shard).Success()
 	tx.votes[v.Shard] = v.OK
 	if !v.OK {
 		return r.decide(v.TxID, tx, false)
@@ -591,7 +544,6 @@ func (r *Router) onAck(a Ack) []msg.Directive {
 	if _, isPart := tx.subs[a.Shard]; !isPart {
 		return nil
 	}
-	r.breaker(a.Shard).Success()
 	tx.acked[a.Shard] = true
 	if len(tx.acked) < len(tx.subs) {
 		return nil
@@ -618,20 +570,6 @@ func (r *Router) onRetry(t RetryBody) []msg.Directive {
 		// armed. The budget throttles retransmission volume under
 		// congestion; the transaction itself is never abandoned.
 		return []msg.Directive{r.armRetry(t.TxID)}
-	}
-	if r.brk != nil {
-		// A full retry period elapsed with votes or acks still owed:
-		// count one failure against each shard that stayed silent.
-		now := r.cfg.now()
-		for _, s := range sortedShards(tx.subs) {
-			if _, voted := tx.votes[s]; !tx.decided && voted {
-				continue
-			}
-			if tx.decided && tx.acked[s] {
-				continue
-			}
-			r.breaker(s).Failure(now)
-		}
 	}
 	m2PCRetransmits.Inc()
 	r.lg.Logf(obs.LevelWarn, t.TxID, "retry timer fired, re-driving (decided=%v, votes=%d/%d, acks=%d/%d)",

@@ -327,40 +327,6 @@ func TestRouterRejectsExpiredDeadline(t *testing.T) {
 	}
 }
 
-func TestRouterBreakerFailsFastThenProbes(t *testing.T) {
-	r, now := flowRouter(t, Config{BreakTrips: 2, BreakCool: time.Second})
-	a := transfer(1)
-	step(t, r, core.HdrTx, a)
-	// Two full retry periods with both shards silent: breakers open.
-	step(t, r, HdrRetry, RetryBody{TxID: a.Key()})
-	step(t, r, HdrRetry, RetryBody{TxID: a.Key()})
-	// New transactions now fail fast...
-	rej := rejectOf(t, step(t, r, core.HdrTx, transfer(2)))
-	if rej.Reason != flow.ReasonBreaker {
-		t.Fatalf("reject reason %q, want breaker", rej.Reason)
-	}
-	// ...while the admitted one keeps re-driving through the open breaker.
-	if bc, _ := bcastsIn(step(t, r, HdrRetry, RetryBody{TxID: a.Key()})); len(bc) != 2 {
-		t.Fatalf("open breaker blocked re-drive of an admitted transaction")
-	}
-	// After the cooldown one probe transaction is admitted...
-	*now = 2 * time.Second
-	probe := transfer(3)
-	if bc, _ := bcastsIn(step(t, r, core.HdrTx, probe)); len(bc) != 2 {
-		t.Fatalf("probe after cooldown not admitted")
-	}
-	// ...and further traffic still fails fast until the probe resolves.
-	rej = rejectOf(t, step(t, r, core.HdrTx, transfer(4)))
-	if rej.Reason != flow.ReasonBreaker {
-		t.Fatalf("half-open breaker admitted extra traffic: %+v", rej)
-	}
-	// The probe's votes close the breakers; traffic flows again.
-	finish(t, r, probe)
-	if bc, _ := bcastsIn(step(t, r, core.HdrTx, transfer(5))); len(bc) != 2 {
-		t.Fatalf("breaker did not close after a successful probe")
-	}
-}
-
 func TestRouterBudgetThrottlesRedrive(t *testing.T) {
 	r, _ := flowRouter(t, Config{Budget: &flow.RetryBudget{Rate: 1, Burst: 1}})
 	a := transfer(1)

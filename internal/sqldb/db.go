@@ -126,13 +126,6 @@ func (db *DB) Exec(sql string, args ...Value) (Result, error) {
 	return db.execStmt(p, args)
 }
 
-// ExecStmt executes a pre-parsed statement.
-func (db *DB) ExecStmt(stmt Stmt, args ...Value) (Result, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.execStmt(&prepared{stmt: stmt}, args)
-}
-
 func (db *DB) execStmt(p *prepared, args []Value) (Result, error) {
 	stmt := p.stmt
 	switch stmt.(type) {

@@ -18,10 +18,11 @@ import (
 type Dir struct {
 	root string
 	pol  SyncPolicy
-	// BatchEvery is the group-commit size under SyncBatch: fsync once
-	// per this many appends (default 8).
-	BatchEvery int
 }
+
+// batchEvery is the group-commit size under SyncBatch: fsync once per
+// this many appends.
+const batchEvery = 8
 
 // NewDir creates (if needed) the root directory and returns a provider
 // with the given fsync policy.
@@ -38,11 +39,7 @@ func NewDir(root string, pol SyncPolicy) (*Dir, error) {
 // is scanned record by record — a torn or corrupted tail is truncated
 // to the last valid record.
 func (d *Dir) Open(name string) (Stable, error) {
-	be := d.BatchEvery
-	if be <= 0 {
-		be = 8
-	}
-	return openWAL(filepath.Join(d.root, name), d.pol, be)
+	return openWAL(filepath.Join(d.root, name), d.pol)
 }
 
 // WAL record framing: [4B LE payload length][4B LE CRC32C][payload].
@@ -97,7 +94,6 @@ type walFile struct {
 	mu  sync.Mutex
 	dir string
 	pol SyncPolicy
-	be  int // group-commit size under SyncBatch
 
 	f        *os.File // active segment
 	seg      uint64   // active segment number
@@ -119,11 +115,11 @@ func parseSeg(name string) (uint64, bool) {
 	return n, err == nil
 }
 
-func openWAL(dir string, pol SyncPolicy, batchEvery int) (*walFile, error) {
+func openWAL(dir string, pol SyncPolicy) (*walFile, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	w := &walFile{dir: dir, pol: pol, be: batchEvery}
+	w := &walFile{dir: dir, pol: pol}
 
 	// Snapshot first: its header names the segment it covers through.
 	_, covers, hasSnap, err := readSnapshot(dir)
@@ -229,7 +225,7 @@ func (w *walFile) Append(rec []byte) error {
 	case SyncAlways:
 		return w.syncLocked()
 	case SyncBatch:
-		if w.unsynced >= w.be {
+		if w.unsynced >= batchEvery {
 			return w.syncLocked()
 		}
 	}
