@@ -17,9 +17,10 @@
 // tail. merge loads every bundle under the given roots, merges logs and
 // trace events by Lamport clock into one timeline on stdout, and with
 // -check replays the traces through the online checker's invariants (the
-// definitions the bounded verifier also runs; catalogue in DESIGN.md §4)
-// — so a violation is re-detectable from the bundles alone — and says
-// per invariant what it checked.
+// definitions the bounded verifier also runs; catalogue in DESIGN.md §4),
+// armed with the deployment facts the bundles' settings fix — so a
+// violation is re-detectable from the bundles alone — and says per
+// invariant what it checked.
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
@@ -202,8 +204,7 @@ func merge(args []string) error {
 		return fmt.Errorf("flight merge: no bundles under %v", fs.Args())
 	}
 	res := collect(bundles)
-	fmt.Fprintf(os.Stderr, "%d bundles from %d nodes (%d joined mid-run)\n",
-		len(bundles), len(res.Nodes), len(res.Joiners))
+	fmt.Fprintf(os.Stderr, "%d bundles from %d nodes\n", len(bundles), len(res.Nodes))
 
 	for _, e := range obs.MergeTimeline(bundles...) {
 		if *source != "" && e.Source != *source {
@@ -216,25 +217,51 @@ func merge(args []string) error {
 	}
 
 	if *check {
-		return report(os.Stderr, res)
+		return report(os.Stderr, res, facts(bundles))
 	}
 	return nil
 }
 
-// collect merges the bundles' trace windows. Bundles from nodes that
-// joined mid-run carry the mark in their config; their traces
-// legitimately start past slot 0.
+// collect merges the bundles' trace windows.
 func collect(bundles []*obs.Bundle) dist.Result {
 	c := dist.NewCollector()
 	c.AddBundles(bundles...)
 	return c.Collect()
 }
 
+// facts folds the deployment facts of every bundle that records its
+// node's settings (deploy.Node.Settings; a simulated run's records only
+// its experiment): the lease window the nodes share, the initial
+// membership a charter node started from, and the largest admission bound.
+func facts(bundles []*obs.Bundle) (f dist.Facts) {
+	for _, b := range bundles {
+		n, fs := deploy.Default(), flag.NewFlagSet("", flag.ContinueOnError)
+		n.RegisterFlags(fs)
+		ok := b.Meta.Config["id"] != ""
+		for k, v := range b.Meta.Config {
+			ok = ok && fs.Set(k, v) == nil
+		}
+		if !ok {
+			continue
+		}
+		nf := n.Facts()
+		if nf.LeaseDur > 0 {
+			f.LeaseDur, f.MaxStale = nf.LeaseDur, nf.MaxStale
+		}
+		if nf.Alpha > 0 && !n.Joiner {
+			f.Initial, f.Alpha = nf.Initial, nf.Alpha
+		}
+		f.MaxQueue = max(f.MaxQueue, nf.MaxQueue)
+	}
+	return f
+}
+
 // report replays the collected traces through the checker's invariants
-// and says what was checked: one line per invariant that ran, one per
-// invariant the bundles lack the deployment fact for, one per violation.
-func report(w io.Writer, res dist.Result) error {
-	st, err := res.Check()
+// armed with f and says what was checked: one line per invariant that
+// ran, one per invariant the bundles lack the deployment fact for, one
+// per violation.
+func report(w io.Writer, res dist.Result, f dist.Facts) error {
+	st, err := res.Check(f)
 	if err != nil {
 		fmt.Fprintf(w, "replay: VIOLATION: %v\n", err)
 		return fmt.Errorf("flight merge: properties violated")

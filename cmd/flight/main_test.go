@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
+	"shadowdb/internal/flow"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 )
@@ -22,7 +25,7 @@ import (
 // bundlesOf builds per-node bundles from one global event list: events get
 // increasing timestamps in list order and per-node ring sequences, the
 // shape dumps of a DES run have.
-func bundlesOf(joiners []msg.Loc, events ...obs.Event) []*obs.Bundle {
+func bundlesOf(events ...obs.Event) []*obs.Bundle {
 	byNode := make(map[msg.Loc]*obs.Bundle)
 	var out []*obs.Bundle
 	for i, e := range events {
@@ -34,9 +37,6 @@ func bundlesOf(joiners []msg.Loc, events ...obs.Event) []*obs.Bundle {
 		}
 		e.At, e.Seq = int64(i+1), int64(len(b.Trace))
 		b.Trace = append(b.Trace, e)
-	}
-	for _, j := range joiners {
-		byNode[j].Meta.Config["joiner"] = "true"
 	}
 	return out
 }
@@ -68,7 +68,7 @@ var noop = msg.M("noop", nil)
 // check runs the -check path and returns its output and verdict.
 func check(bundles []*obs.Bundle) (string, error) {
 	var buf bytes.Buffer
-	err := report(&buf, collect(bundles))
+	err := report(&buf, collect(bundles), facts(bundles))
 	return buf.String(), err
 }
 
@@ -79,7 +79,7 @@ func check(bundles []*obs.Bundle) (string, error) {
 func TestCheckKeepsShardsApart(t *testing.T) {
 	decide := func(val string) msg.Msg { return msg.M(synod.HdrDecide, synod.Decide{Inst: 0, Val: val}) }
 	a, b := tx(t, "c1", 1), tx(t, "c2", 1)
-	out, err := check(bundlesOf(nil,
+	out, err := check(bundlesOf(
 		step("s0b1", decide("x"), msg.Send("s0r1", deliver(0, a))),
 		step("s0r1", deliver(0, a), ack("c1", 1)),
 		step("s1b1", decide("y"), msg.Send("s1r1", deliver(0, b))),
@@ -96,7 +96,7 @@ func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
 	catchup := msg.M(core.HdrSMRCatchup, core.SMRCatchup{Delivers: []broadcast.Deliver{{Slot: 1, Msgs: []broadcast.Bcast{two}}}})
 	snapEnd := msg.M(core.HdrSnapEnd, core.SnapEnd{Recent: []core.TxResult{{Client: "c1", Seq: 7}}})
-	out, err := check(bundlesOf(nil,
+	out, err := check(bundlesOf(
 		step("r2", deliver(0, one), ack("c1", 1)),
 		step("r2", catchup),
 		step("r2", noop, ack("c1", 2)),
@@ -114,7 +114,7 @@ func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 // judging any reply cannot see it.
 func TestCheckFlagsAckBeforeDelivery(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
-	out, err := check(bundlesOf(nil,
+	out, err := check(bundlesOf(
 		step("r1", deliver(0, one), ack("c1", 1)),
 		step("r1", noop, ack("c1", 2)), // slot 1 has not reached r1 yet
 		step("r1", deliver(1, two)),
@@ -126,16 +126,17 @@ func TestCheckFlagsAckBeforeDelivery(t *testing.T) {
 
 // -check says what it checked: a line per invariant that ran, with the
 // events it saw, and a line per invariant whose deployment fact the
-// bundles do not carry. A bundle-declared joiner enters mid-stream.
+// bundles do not carry. A joiner the order admits enters mid-stream with
+// no mark in any bundle.
 func TestCheckReportsCoverage(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
-	out, err := check(bundlesOf([]msg.Loc{"r4"},
-		step("r1", deliver(0, one), ack("c1", 1)),
+	out, err := check(bundlesOf(
+		step("r1", deliver(0, one, addReplica("r4")), ack("c1", 1)),
 		step("r1", deliver(1, two), ack("c1", 2)),
 		step("r4", deliver(1, two)),
 	))
 	if err != nil {
-		t.Fatalf("clean trace with a declared joiner flagged: %v\n%s", err, out)
+		t.Fatalf("clean trace with an admitted joiner flagged: %v\n%s", err, out)
 	}
 	for _, want := range []string{
 		"replay: checked broadcast/total-order over 3 events",
@@ -149,14 +150,60 @@ func TestCheckReportsCoverage(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}
 	}
-	// The same trace without the joiner mark is a gap at r4.
-	out, err = check(bundlesOf(nil,
+	// The same trace without the add is a gap at r4.
+	out, err = check(bundlesOf(
 		step("r1", deliver(0, one), ack("c1", 1)),
 		step("r1", deliver(1, two), ack("c1", 2)),
 		step("r4", deliver(1, two)),
 	))
 	if err == nil || !strings.Contains(out, "VIOLATION: broadcast/in-order-delivery at r4") {
-		t.Fatalf("undeclared mid-run joiner accepted: err=%v\n%s", err, out)
+		t.Fatalf("a replica the order never admitted accepted mid-stream: err=%v\n%s", err, out)
+	}
+}
+
+func addReplica(node msg.Loc) broadcast.Bcast {
+	return broadcast.Bcast{From: "admin", Seq: 1, Payload: member.EncodeCommand(member.Command{Op: member.AddReplica, Node: node})}
+}
+
+// A live node's bundle records every setting (deploy.Node.Settings). With
+// the topology file they name present, -check arms read/*, member/* and
+// flow/* from them as the nodes' own checkers were armed — including the
+// bound b1's queue reports under -max-inflight 1, which flow.NewQueue
+// raises to 4.
+func TestCheckArmsFromTheBundledSettings(t *testing.T) {
+	topology := filepath.Join(t.TempDir(), "cluster.json")
+	if err := (member.Topology{Nodes: map[string]string{"b1": "127.0.0.1:7101", "r1": "127.0.0.1:7001"}}).Save(topology); err != nil {
+		t.Fatal(err)
+	}
+	renewal := broadcast.Bcast{From: "r1", Seq: 1, Payload: core.EncodeLease(core.LeaseRenewal{Holder: "r1"})}
+	bundles := bundlesOf(
+		step("b1", noop, msg.Send("c1", msg.M(flow.HdrReject,
+			flow.Reject{From: "b1", Seq: 2, Class: flow.ClassWrite, Reason: flow.ReasonOverload, Depth: 3, Cap: 4}))),
+		step("r1", deliver(0, renewal, tx(t, "c1", 1), addReplica("r4")), ack("c1", 1)),
+		step("r1", noop, msg.Send("c1", msg.M(core.HdrReadResult, &core.ReadResult{Client: "c1", Seq: 3, Mode: core.ReadLease, Slot: 0}))),
+	)
+	for _, b := range bundles {
+		n := deploy.Default()
+		n.ID, n.Role, n.Topology, n.MaxInflight = string(b.Meta.Node), "broadcast", topology, 1
+		if n.ID == "r1" {
+			n.Role, n.Lease = "smr", true
+		}
+		b.Meta.Config = n.Settings()
+	}
+	out, err := check(bundles)
+	if err != nil {
+		t.Fatalf("clean live bundles flagged: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"replay: checked read/lease-linearizability over 1 events",
+		"replay: checked read/lease-expiry over 1 events",
+		"replay: checked read/follower-staleness over 0 events",
+		"replay: checked member/epoch-config over 1 events",
+		"replay: checked flow/queue-bound over 1 events",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q:\n%s", want, out)
+		}
 	}
 }
 

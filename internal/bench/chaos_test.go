@@ -35,7 +35,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
 	o.EnableTracing(true)
-	checker := dist.NewChecker()
+	checker := dist.NewChecker(dist.Facts{})
 	checker.Watch(o)
 
 	cut := time.Second
@@ -119,7 +119,7 @@ func TestSMRBroadcastCrashRestartMidLoad(t *testing.T) {
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
 	o.EnableTracing(true)
-	checker := dist.NewChecker()
+	checker := dist.NewChecker(dist.Facts{})
 	checker.Watch(o)
 
 	inj := fault.BindCluster(sc.clu, fault.Plan{

@@ -47,18 +47,11 @@ func flightSubdir(dir, phase string) string {
 // Recorder failures are reported on stderr, never escalated: flight
 // recording is evidence collection, and a broken disk must not turn a
 // measurable experiment into an error.
-// Nodes listed in joiners are marked as mid-run joiners in their bundle
-// metadata, so `flight merge` baselines their delivery frontier instead
-// of flagging the missing pre-join slots.
-func (r *Run) armFlight(nodes []msg.Loc, joiners ...msg.Loc) {
+func (r *Run) armFlight(nodes []msg.Loc) {
 	if r.flightDir == "" {
 		return
 	}
 	registerWireTypes()
-	joined := make(map[msg.Loc]bool, len(joiners))
-	for _, j := range joiners {
-		joined[j] = true
-	}
 	recs := make([]*obs.Recorder, 0, len(nodes))
 	for _, n := range nodes {
 		rec, err := obs.NewRecorder(r.Obs, filepath.Join(r.flightDir, string(n), "flight"), n)
@@ -70,11 +63,7 @@ func (r *Run) armFlight(nodes []msg.Loc, joiners ...msg.Loc) {
 			rec.SetRates(r.rates)
 		}
 		rec.SetCheckerStatus(func() any { return r.Checker.Status() })
-		cfg := map[string]string{"experiment": r.name}
-		if joined[n] {
-			cfg["joiner"] = "true"
-		}
-		rec.SetConfig(cfg)
+		rec.SetConfig(map[string]string{"experiment": r.name})
 		recs = append(recs, rec)
 	}
 	r.dump = func(reason string) {

@@ -16,7 +16,8 @@ import (
 )
 
 // The golden oracle: every `cmd/bench -quick` report metric and every
-// nemesis injection fingerprint, pinned bit-for-bit. The experiments run
+// nemesis injection fingerprint, pinned bit-for-bit, and every
+// experiment's certification gates, which must hold. The experiments run
 // on the discrete-event simulator, so a report is a pure function of
 // (config, seed, calibrated broadcast costs); any harness refactor that
 // claims to preserve behaviour must reproduce this file exactly. There is
@@ -97,6 +98,13 @@ func TestGoldenQuick(t *testing.T) {
 			out, err := e.Run(Options{Quick: true})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The certification gate: what `cmd/bench -experiment <name>
+			// -quick` exits nonzero on.
+			for _, g := range out.Gates {
+				if !g.OK {
+					t.Errorf("gate %s failed: %s", g.Name, g.Detail)
+				}
 			}
 			entry := goldenEntry{Metrics: map[string]float64{}, Fingerprints: out.Report.Fingerprints}
 			for _, m := range out.Report.Metrics {

@@ -12,6 +12,7 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -25,10 +26,10 @@ import (
 // slots; joiners bootstrap through a snapshot pushed by the
 // deterministic proposer plus a slot delta, and removed replicas drain
 // by simply falling out of the fan-out. The epoch-aware online checker
-// (member/epoch-config, member/stale-quorum, NoteJoin/NoteRestart
-// excuse windows) certifies the run; the nemesis schedule is replayed
-// a second time to certify bit-reproducible fault injection. Figures go
-// to BENCH_membership.json.
+// (member/epoch-config, member/stale-quorum, joins admitted by their
+// ordered add, NoteRestart excuse windows) certifies the run; the
+// nemesis schedule is replayed a second time to certify bit-reproducible
+// fault injection. Figures go to BENCH_membership.json.
 
 // MembershipConfig sizes the dynamic-membership experiment.
 type MembershipConfig struct {
@@ -65,8 +66,7 @@ type MembershipConfig struct {
 	// DataDir, when non-empty, hosts the replicas' stores (a fresh temp
 	// directory otherwise, removed after the run).
 	DataDir string
-	// FlightDir, when non-empty, arms per-node flight recorders; joiner
-	// bundles are marked so `flight merge` baselines them.
+	// FlightDir, when non-empty, arms per-node flight recorders.
 	FlightDir string
 	// ReproCheck replays the whole run a second time over a fresh store
 	// and requires an identical injection fingerprint.
@@ -225,8 +225,7 @@ func Membership(cfg MembershipConfig) MembershipResult {
 // empty until an ordered command admits them.
 func membershipRun(cfg MembershipConfig) MembershipResult {
 	initial := charter()
-	run := startRun("membership", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
-	run.Checker.SetMembership(initial, cfg.Alpha)
+	run := startRun("membership", dist.Facts{Initial: initial, Alpha: cfg.Alpha}, cfg.RingSize, cfg.FlightDir, cfg.DataDir)
 	mc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup:      func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
@@ -234,7 +233,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 		root: run.Root(), fsync: cfg.Fsync,
 		epoch0: &initial, alpha: cfg.Alpha, sharedView: true,
 		joiners: map[msg.Loc]bool{"r4": true, "r5": true},
-	}), "r4", "r5", "b4", "b5")
+	}))
 	sim := mc.sim
 
 	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
@@ -262,11 +261,6 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 			lastChangeAt = ch.At
 		}
 		sim.After(ch.At, func() {
-			if cmd.Op == member.AddReplica {
-				// Tell the checker the joiner legitimately enters the
-				// slot order mid-stream.
-				run.Checker.NoteJoin(cmd.Node)
-			}
 			mc.clu.SendAfter(0, admin, mc.bloc[0], msg.M(broadcast.HdrBcast,
 				broadcast.Bcast{From: admin, Seq: seq, Payload: member.EncodeCommand(cmd)}))
 		})

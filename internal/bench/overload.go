@@ -12,6 +12,7 @@ import (
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -200,8 +201,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	// no local subscriber, it only participates in consensus (the 5-node
 	// shape). Cost closures consult the nemesis lazily, so the slow-disk
 	// window degrades its node mid-run without rebinding anything.
-	run := startRun("overload", cfg.RingSize, cfg.FlightDir, "")
-	run.Checker.SetFlow(cfg.FlowLimit)
+	run := startRun("overload", dist.Facts{MaxQueue: cfg.FlowLimit}, cfg.RingSize, cfg.FlightDir, "")
 	c := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

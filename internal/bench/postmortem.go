@@ -184,7 +184,7 @@ func postmortemCluster(cfg PostmortemConfig, o *obs.Obs, recorderOn bool) (*Clus
 // delivery: recorders on every node, checker attached, bundle dumps on
 // the violation hook.
 func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemResult) error {
-	run := startRun("postmortem", cfg.RingSize, dir, "")
+	run := startRun("postmortem", dist.Facts{}, cfg.RingSize, dir, "")
 	o := run.Obs
 	sc, stats, restore := postmortemCluster(cfg, o, true)
 	defer restore()
@@ -257,7 +257,7 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 
 	coll := dist.NewCollector()
 	coll.AddBundles(bundles...)
-	st, err := coll.Collect().Check()
+	st, err := coll.Collect().Check(dist.Facts{})
 	switch {
 	case err != nil:
 		res.ReplayDetected, res.ReplayErr = true, err.Error()

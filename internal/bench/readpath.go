@@ -14,6 +14,7 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -237,9 +238,8 @@ func (r ReadPathResult) Certified() bool { return Certified(r.Gates()) }
 // per contiguous delivery run) shows up in the WAL counters.
 func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
 	initial := charter()
-	run := startRun("readpath-"+label, cfg.RingSize, cfg.FlightDir, "")
-	run.Checker.SetMembership(initial, cfg.Alpha)
-	run.Checker.SetLease(cfg.LeaseDur, cfg.MaxStale)
+	facts := dist.Facts{LeaseDur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Initial: initial, Alpha: cfg.Alpha}
+	run := startRun("readpath-"+label, facts, cfg.RingSize, cfg.FlightDir, "")
 	rc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

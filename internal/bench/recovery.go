@@ -8,6 +8,7 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -162,7 +163,7 @@ func (r RecoveryResult) Certified() bool { return Certified(r.Gates()) }
 // deployment, one broadcast service node per replica, each replica
 // journaling to <data dir>/<loc>/smr.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
-	run := startRun("recovery", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
+	run := startRun("recovery", dist.Facts{}, cfg.RingSize, cfg.FlightDir, cfg.DataDir)
 	rc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

@@ -75,12 +75,13 @@ type Run struct {
 	onRestart func(msg.Loc, *core.SMRReplica)
 }
 
-// startRun arms the observation side of a run. name labels flight
-// bundles and the temp data directory; dataDir, when non-empty, hosts
-// durable stores instead of a temp directory.
-func startRun(name string, ringSize int, flightDir, dataDir string) *Run {
+// startRun arms the observation side of a run, the checker with the
+// experiment's deployment facts. name labels flight bundles and the temp
+// data directory; dataDir, when non-empty, hosts durable stores instead
+// of a temp directory.
+func startRun(name string, facts dist.Facts, ringSize int, flightDir, dataDir string) *Run {
 	r := &Run{
-		Obs: obs.New(ringSize), Checker: dist.NewChecker(),
+		Obs: obs.New(ringSize), Checker: dist.NewChecker(facts),
 		name: name, flightDir: flightDir, dataDir: dataDir,
 		dump: func(string) {},
 	}
@@ -103,12 +104,11 @@ func (r *Run) Root() string {
 }
 
 // Attach points the cluster's step events at the run's Obs and arms one
-// flight recorder per protocol node. Nodes listed in joiners are marked
-// as mid-run joiners in their bundles.
-func (r *Run) Attach(c *Cluster, joiners ...msg.Loc) *Cluster {
+// flight recorder per protocol node.
+func (r *Run) Attach(c *Cluster) *Cluster {
 	r.c = c
 	c.clu.Observe(r.Obs)
-	r.armFlight(c.nodes, joiners...)
+	r.armFlight(c.nodes)
 	return c
 }
 

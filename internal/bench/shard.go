@@ -181,8 +181,7 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 // shardRun starts one checked phase on a fresh n-shard deployment (the
 // checker keys its invariants per shard group).
 func shardRun(n int, cfg ShardConfig, phase string) (*Run, *shardCluster) {
-	run := startRun("shard-"+phase, cfg.RingSize, flightSubdir(cfg.FlightDir, phase), "")
-	run.Checker.SetGroupOf(shard.GroupOf)
+	run := startRun("shard-"+phase, dist.Facts{}, cfg.RingSize, flightSubdir(cfg.FlightDir, phase), "")
 	sc := newShardCluster(n, cfg)
 	run.Attach(sc.Cluster)
 	return run, sc

@@ -41,24 +41,25 @@ type Checks struct {
 	// batch identifies the first batch seen for each group\x00slot;
 	// batchBy remembers who sent or received it (for messages).
 	batch, batchBy map[string]string
-	// high is, per delivery stream, the highest contiguously delivered
-	// slot; rejoin marks the streams an announced restart or join may
-	// excuse one jump in.
+	// high is, per delivery stream, the highest delivered slot; rejoin
+	// marks the streams an announced restart excuses one jump in, and
+	// joinAt the streams an ordered add admits from its slot on.
 	high   map[stream]int64
 	rejoin map[stream]bool
+	joinAt map[stream]int64
 
-	// Dynamic membership (SetMembership; zero alpha = unknown). views is
-	// the canonical shadow view per group, derived from the member
-	// commands in the delivered order; locViews re-derives per location
-	// for locations with full delivery history, so a node that folds the
-	// same command stream into a different configuration is caught even
-	// though the batches matched.
+	// Dynamic membership (zero alpha = unknown). views is the canonical
+	// shadow view per group, derived from the member commands in the
+	// delivered order; locViews re-derives per location for locations
+	// with full delivery history, so a node that folds the same command
+	// stream into a different configuration is caught even though the
+	// batches matched.
 	initial  member.Config
 	alpha    int
 	views    map[string]*member.View
 	locViews map[string]*member.View
-	// partial marks locations whose delivery stream has an excused hole
-	// (restart or join): their own derivation would start from a partial
+	// partial marks locations whose delivery stream has a hole (restart,
+	// join or gap): their own derivation would start from a partial
 	// command history, so only the canonical view covers them.
 	partial map[msg.Loc]bool
 	// epochFP fixes the first configuration fingerprint derived for each
@@ -78,12 +79,16 @@ type stream struct {
 	sent bool
 }
 
-// NewChecks creates the invariants' empty state.
-func NewChecks() *Checks {
+// NewChecks creates the invariants' empty state for a deployment that
+// started from initial with activation lag alpha, the fact the member/*
+// properties need (alpha 0: unknown). Every group shares initial, which
+// fits the current single-group membership deployments.
+func NewChecks(initial member.Config, alpha int) *Checks {
 	return &Checks{
+		initial: initial, alpha: alpha,
 		synod: synod.Agreement(), twothird: twothird.Agreement(),
 		batch: make(map[string]string), batchBy: make(map[string]string),
-		high: make(map[stream]int64), rejoin: make(map[stream]bool),
+		high: make(map[stream]int64), rejoin: make(map[stream]bool), joinAt: make(map[stream]int64),
 		views: make(map[string]*member.View), locViews: make(map[string]*member.View),
 		partial: make(map[msg.Loc]bool),
 		epochFP: make(map[string]string), epochAt: make(map[string]msg.Loc),
@@ -93,8 +98,8 @@ func NewChecks() *Checks {
 
 // Sets composes the invariants: the consensus modules' first, then the
 // service's own. in-order steps before epoch-config (which reads the
-// holes it excused) and epoch-config before stale-quorum (which reads
-// the view it folded).
+// holes it found) and epoch-config before stale-quorum (which reads the
+// view it folded).
 func (c *Checks) Sets() []verify.Set {
 	const fact = "initial member configuration"
 	known := func() bool { return c.alpha != 0 }
@@ -113,33 +118,14 @@ func (c *Checks) Sets() []verify.Set {
 func (c *Checks) Slots() int   { return len(c.batch) }
 func (c *Checks) Decided() int { return c.synod.Decided() + c.twothird.Decided() }
 
-// SetMembership supplies the fact the member/* properties need: the
-// configuration the deployment started from and the activation lag alpha
-// it runs with. Every group shares initial, which fits the current
-// single-group membership deployments.
-func (c *Checks) SetMembership(initial member.Config, alpha int) {
-	c.initial = initial
-	c.alpha = max(alpha, 1)
-}
-
-// Excuse announces that loc crashed and restarted, or (joiner) is
-// bootstrapping into the group mid-stream. Its next delivery past the
-// frontier re-baselines in-order-delivery instead of being a gap: the
+// Excuse announces that loc crashed and restarted. Its next delivery past
+// the frontier re-baselines in-order-delivery instead of being a gap: the
 // slots in between are recovered from its journal, catch-up or state
-// transfer, none of which produce Deliver events. A joiner never saw the
-// early member commands, so its own epoch derivation is off from the
-// start. Nothing else is excused — not a reordering, a mismatched batch
-// or an unjustified reply.
-func (c *Checks) Excuse(loc msg.Loc, joiner bool) {
+// transfer, none of which produce Deliver events. Nothing else is excused
+// — not a reordering, a mismatched batch or an unjustified reply. A join
+// needs no announcement: the ordered add admits its node (inOrder).
+func (c *Checks) Excuse(loc msg.Loc) {
 	c.rejoin[stream{loc, false}], c.rejoin[stream{loc, true}] = true, true
-	if joiner {
-		c.markPartial(loc)
-	}
-}
-
-func (c *Checks) markPartial(loc msg.Loc) {
-	c.partial[loc] = true
-	delete(c.locViews, string(loc))
 }
 
 // delivers visits the Deliver e.Loc received, then each one it sent,
@@ -186,62 +172,83 @@ func (c *Checks) totalOrder(e *verify.Event) (inScope bool, bad []string) {
 }
 
 // inOrder: the Deliver stream addressed to a node, as sent and as
-// received, is ascending and gap-free. Repeats of seen slots are fine —
-// several service nodes notify the same subscriber.
+// received, is ascending and gap-free; repeats are fine (several service
+// nodes notify the same subscriber) and each hole is reported once. An
+// announced restart excuses one jump, an ordered add admits its replica
+// from the add's slot on, and a replica outside the initial
+// configuration whose add the trace never shows (its own checker's)
+// starts where it is first seen.
 func (c *Checks) inOrder(e *verify.Event) (inScope bool, bad []string) {
 	inScope = delivers(e, func(d Deliver, to msg.Loc, sent bool) {
-		s, verb := stream{to, sent}, "received"
-		if sent {
-			verb = "was sent"
-		}
-		slot := int64(d.Slot)
+		c.admit(d)
+		s, slot := stream{to, sent}, int64(d.Slot)
 		h, seen := c.high[s]
 		if !seen {
 			h = -1
 		}
 		if slot > h+1 {
-			if c.rejoin[s] {
-				// Announced restart or join: the node re-enters the stream
-				// here. What it received now has a hole, so its own epoch
-				// derivation is off from here on.
-				h = slot - 1
-				if !sent {
-					c.markPartial(to)
+			owed, admitted := c.joinAt[s]
+			if !admitted {
+				owed = h + 1
+			}
+			outsider := !admitted && !seen && c.alpha != 0 && !c.initial.HasReplica(to)
+			if (slot < owed || !admitted) && !outsider && !c.rejoin[s] {
+				verb := "received"
+				if sent {
+					verb = "was sent"
 				}
-			} else {
-				bad = append(bad, fmt.Sprintf("%s %s slot %d before slot %d", to, verb, slot, h+1))
+				bad = append(bad, fmt.Sprintf("%s %s slot %d before slot %d", to, verb, slot, owed))
+			}
+			// The stream re-enters here either way, and what the node
+			// received now has a hole: its own epoch derivation is off.
+			h = slot - 1
+			if !sent {
+				c.partial[to] = true
+				delete(c.locViews, string(to))
 			}
 		}
 		if slot == h+1 {
+			// The excuses are spent by the re-entry delivery itself (or a
+			// contiguous resume when nothing was missed) — not by a duplicate
+			// of an already-seen slot, which a healing partition can flush
+			// out just before the node actually re-enters the stream.
 			c.high[s] = slot
-		}
-		if slot >= h+1 {
-			// The excuse is consumed by the re-entry delivery itself (the
-			// re-baseline above, or a contiguous resume when nothing was
-			// missed) — not by a duplicate of an already-seen slot, which a
-			// healing partition can flush out just before the node actually
-			// re-enters the stream.
 			delete(c.rejoin, s)
+			delete(c.joinAt, s)
 		}
 	})
 	return inScope, bad
 }
 
-// epochConfig folds the member commands of a received batch into the
-// shadow views: every derivation of an epoch — canonical or by any
-// full-history location — must produce the same configuration.
-func (c *Checks) epochConfig(e *verify.Event) (inScope bool, bad []string) {
-	d, ok := e.In.Body.(Deliver)
-	if !ok || e.In.Hdr != HdrDeliver {
-		return false, nil
+// admit notes the replicas an ordered add in d admits: the streams
+// addressed to each may start, or resume after a removal, at that slot or
+// later. A stream already past the slot has entered since.
+func (c *Checks) admit(d Deliver) {
+	for _, b := range d.Msgs {
+		cmd, ok := member.DecodeCommand(b.Payload)
+		if !ok || cmd.Op != member.AddReplica {
+			continue
+		}
+		for _, s := range []stream{{cmd.Node, false}, {cmd.Node, true}} {
+			if h, seen := c.high[s]; !seen || h < int64(d.Slot) {
+				c.joinAt[s] = int64(d.Slot)
+			}
+		}
 	}
-	derive := func(views map[string]*member.View, key string, cmd member.Command) {
+}
+
+// epochConfig folds the member commands of the ordered batches into the
+// shadow views — a group's canonical one from every Deliver sent or
+// received, a location's own from what it received: every derivation of
+// an epoch must produce the same configuration.
+func (c *Checks) epochConfig(e *verify.Event) (inScope bool, bad []string) {
+	derive := func(views map[string]*member.View, key string, cmd member.Command, slot int) {
 		v := views[key]
 		if v == nil {
 			v = member.NewView(c.initial, c.alpha)
 			views[key] = v
 		}
-		cfg, ok := v.Apply(cmd, d.Slot)
+		cfg, ok := v.Apply(cmd, slot)
 		if !ok {
 			return
 		}
@@ -253,17 +260,19 @@ func (c *Checks) epochConfig(e *verify.Event) (inScope bool, bad []string) {
 				e.Loc, fp, cfg.Epoch, prev, c.epochAt[k]))
 		}
 	}
-	for _, b := range d.Msgs {
-		cmd, ok := member.DecodeCommand(b.Payload)
-		if !ok {
-			continue
+	delivers(e, func(d Deliver, to msg.Loc, sent bool) {
+		for _, b := range d.Msgs {
+			cmd, ok := member.DecodeCommand(b.Payload)
+			if !ok {
+				continue
+			}
+			inScope = true
+			derive(c.views, e.Group, cmd, d.Slot)
+			if !sent && !c.partial[to] {
+				derive(c.locViews, string(to), cmd, d.Slot)
+			}
 		}
-		inScope = true
-		derive(c.views, e.Group, cmd)
-		if !c.partial[e.Loc] {
-			derive(c.locViews, string(e.Loc), cmd)
-		}
-	}
+	})
 	return inScope, bad
 }
 

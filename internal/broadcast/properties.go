@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"shadowdb/internal/gpm"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/verify"
 )
@@ -42,7 +43,7 @@ func batchedConfig() Config {
 // invariants is the model invariant of every property below: fresh
 // instances of the service's runtime invariants (invariants.go), the same
 // definitions the online checker and the offline replay run.
-func invariants() []verify.Set { return NewChecks().Sets() }
+func invariants() []verify.Set { return NewChecks(member.Config{}, 0).Sets() }
 
 // CheckTotalOrder validates a finished trace against those invariants:
 // every subscriber was sent, and every traced node received, the same

@@ -47,12 +47,9 @@ type Client struct {
 	// BcastNodes is the SMR broadcast service membership.
 	BcastNodes []msg.Loc
 	// Retry is the base resend timeout (0 = 2s). Consecutive retries of
-	// the same request back off exponentially from this base.
+	// the same request back off exponentially from this base, up to
+	// retryCapFactor times it.
 	Retry time.Duration
-	// RetryCap bounds the exponential backoff (0 = 16x the base). The cap
-	// keeps a client useful across long partitions: it probes at a bounded
-	// rate instead of backing off forever.
-	RetryCap time.Duration
 	// JitterSeed seeds the deterministic retry jitter (0 = derived from
 	// Slf). Jitter desynchronizes clients that failed together — avoiding
 	// a retry stampede at the recovering primary — while staying a pure
@@ -109,6 +106,11 @@ func (c *Client) now() time.Duration {
 	return c.Now()
 }
 
+// retryCapFactor bounds the exponential backoff at this multiple of the
+// base timeout: a client stays useful across long partitions, probing at
+// a bounded rate instead of backing off forever.
+const retryCapFactor = 16
+
 func (c *Client) retry() time.Duration {
 	if c.Retry > 0 {
 		return c.Retry
@@ -117,7 +119,7 @@ func (c *Client) retry() time.Duration {
 }
 
 // backoff returns the retry-timer delay for the current attempt: the
-// base timeout on the first send, then doubling up to RetryCap with
+// base timeout on the first send, then doubling up to the cap with
 // deterministic ±25% jitter, all delegated to the shared
 // netutil.Backoff policy so every retry loop in the system describes
 // its schedule the same way.
@@ -126,7 +128,7 @@ func (c *Client) backoff() time.Duration {
 	if seed == 0 {
 		seed = netutil.StrSeed(string(c.Slf))
 	}
-	b := netutil.Backoff{Base: c.retry(), Cap: c.RetryCap, Jitter: 0.5, Seed: seed}
+	b := netutil.Backoff{Base: c.retry(), Cap: retryCapFactor * c.retry(), Jitter: 0.5, Seed: seed}
 	return b.Delay(c.attempt, uint64(c.seq))
 }
 

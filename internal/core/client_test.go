@@ -110,7 +110,7 @@ func TestClientRetryRotates(t *testing.T) {
 func TestClientBackoffGrowsAndCaps(t *testing.T) {
 	cli := &Client{
 		Slf: "c", Mode: ModePBR, Replicas: []msg.Loc{"r1", "r2"},
-		Retry: time.Second, RetryCap: 4 * time.Second,
+		Retry: time.Second,
 	}
 	delayOf := func(outs []msg.Directive) time.Duration {
 		for _, o := range outs {
@@ -131,8 +131,8 @@ func TestClientBackoffGrowsAndCaps(t *testing.T) {
 		_, outs := cli.Handle(msg.M(HdrClientRetry, ClientRetryBody{Seq: 1}))
 		d := delayOf(outs)
 		want := time.Second << i
-		if want > 4*time.Second {
-			want = 4 * time.Second
+		if want > retryCapFactor*time.Second {
+			want = retryCapFactor * time.Second
 		}
 		lo := want - want/4
 		hi := want + want/4

@@ -13,8 +13,8 @@ import (
 )
 
 // The replicated database's runtime invariants — durability, the three
-// read/* lease properties (once SetLease supplies the window) and the
-// three flow/* properties (once SetFlow supplies the queue bound) — each
+// read/* lease properties (given the lease window) and the three flow/*
+// properties (given the queue bound) — each
 // stated once as a step over verify.Event and run by every driver:
 // schedule explorer, online checker, offline replay. DESIGN.md §4 is the
 // catalogue of what each forbids.
@@ -62,11 +62,10 @@ type Checks struct {
 	// TxResult, binary-searched by the read-serve checks.
 	acked map[string][]ackPoint
 
-	// flowOn says the queue bound is known; flowMax is the bound (0 =
-	// none pinned). flows maps an open request key to its deadline and
-	// submission phase; phases is the load-phase timeline in declaration
-	// order. touched and completed say what the current event did.
-	flowOn             bool
+	// flowMax is the queue bound (0 = unknown). flows maps an open
+	// request key to its deadline and submission phase; phases is the
+	// load-phase timeline in declaration order. touched and completed say
+	// what the current event did.
 	flowMax            int
 	flows              map[string]flowEntry
 	phases             []*FlowPhase
@@ -102,9 +101,18 @@ type FlowPhase struct {
 	Shed      int64 `json:"shed"`
 }
 
-// NewChecks creates the invariants' empty state.
-func NewChecks() *Checks {
+// NewChecks creates the invariants' empty state for a deployment with
+// these facts, each 0 when unknown: the lease duration and the follower
+// staleness bound (0: the duration) the read/* properties need, and the
+// largest admission-queue bound configured anywhere, which the flow/*
+// properties need — a Reject reporting a bigger Cap means a queue was
+// built outside the certified configuration.
+func NewChecks(lease, maxStale time.Duration, maxQueue int) *Checks {
+	if maxStale <= 0 {
+		maxStale = lease
+	}
 	return &Checks{
+		dur: int64(lease), maxStale: int64(maxStale), flowMax: maxQueue,
 		delivered: make(map[msg.Loc]map[string]bool),
 		issue:     make(map[msg.Loc]int64),
 		txSlot:    make(map[string]int64),
@@ -119,7 +127,7 @@ func NewChecks() *Checks {
 func (c *Checks) Set() verify.Set {
 	const lease, queue = "lease window", "queue bound"
 	leaseKnown := func() bool { return c.dur != 0 }
-	queueKnown := func() bool { return c.flowOn }
+	queueKnown := func() bool { return c.flowMax > 0 }
 	inScope := func(flag *bool) func(*verify.Event) (bool, []string) {
 		return func(*verify.Event) (bool, []string) { return *flag, nil }
 	}
@@ -136,25 +144,6 @@ func (c *Checks) Set() verify.Set {
 	}}
 }
 
-// SetLease supplies the fact the read/* properties need: the cluster's
-// lease duration and follower staleness bound (default: the duration).
-func (c *Checks) SetLease(dur, maxStale time.Duration) {
-	c.dur = int64(dur)
-	if maxStale <= 0 {
-		maxStale = dur
-	}
-	c.maxStale = int64(maxStale)
-}
-
-// SetFlow supplies the fact the flow/* properties need. maxQueue, when
-// nonzero, pins the largest admission-queue bound configured anywhere in
-// the deployment: a Reject reporting a bigger Cap means a queue was
-// built outside the certified configuration.
-func (c *Checks) SetFlow(maxQueue int) {
-	c.flowOn = true
-	c.flowMax = maxQueue
-}
-
 func (c *Checks) fold(e *verify.Event) {
 	c.touched, c.completed = false, false
 	c.foldDelivered(e)
@@ -164,7 +153,7 @@ func (c *Checks) fold(e *verify.Event) {
 				c.noteAck(e, TxRequest{Client: b.Client, Seq: b.Seq}.Key())
 			}
 		}
-		if c.flowOn {
+		if c.flowMax > 0 {
 			c.foldFlow(e, o)
 		}
 	}
@@ -337,7 +326,7 @@ func (c *Checks) queueBound(e *verify.Event) (inScope bool, bad []string) {
 		if b.Cap > 0 && b.Depth > b.Cap {
 			bad = append(bad, fmt.Sprintf("%s rejected %d with queue depth %d over its bound %d", e.Loc, b.Seq, b.Depth, b.Cap))
 		}
-		if c.flowMax > 0 && b.Cap > c.flowMax {
+		if b.Cap > c.flowMax {
 			bad = append(bad, fmt.Sprintf("%s reports a queue bound %d above the configured maximum %d", e.Loc, b.Cap, c.flowMax))
 		}
 	}

@@ -17,6 +17,8 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/network"
+	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/runtime"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
@@ -54,10 +56,14 @@ func writeTopology(t *testing.T, ids ...string) string {
 // that to exit).
 type node struct {
 	n      deploy.Node
+	view   *member.View
 	proc   gpm.Process
 	boot   []msg.Directive
 	host   *runtime.Host
 	stores []store.Stable
+	// o and ck are the node's own trace and online checker (armed).
+	o  *obs.Obs
+	ck *dist.Checker
 	// executed republishes an SMR replica's executed count after every
 	// step, and open a shard replica's open prepares, so the test can wait
 	// on them without racing the host goroutine.
@@ -91,11 +97,20 @@ func build(t *testing.T, n deploy.Node) *node {
 	}
 	view, err := n.View()
 	if err == nil {
+		nd.view = view
 		nd.proc, nd.boot, err = n.Process(prov, view)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", n.ID, err)
 	}
+	return nd
+}
+
+// armed gives the node a trace of its own and arms its online checker
+// over it, as Serve does with -check.
+func (nd *node) armed() *node {
+	nd.o = obs.New(1 << 10)
+	nd.ck = nd.n.Arm(nd.o, nd.proc)
 	return nd
 }
 
@@ -111,6 +126,17 @@ func (nd *node) start(t *testing.T) *node {
 		t.Fatal(err)
 	}
 	nd.host = runtime.NewHost(msg.Loc(nd.n.ID), tcp, nd.proc)
+	if nd.o != nil {
+		nd.host.Obs = nd.o
+	}
+	if nd.view != nil {
+		// As Serve's hook: the ordered add carries a joiner's address.
+		nd.view.OnApply(func(cmd member.Command, _ member.Config) {
+			if cmd.Addr != "" {
+				tcp.SetPeer(cmd.Node, cmd.Addr)
+			}
+		})
+	}
 	if r, ok := nd.proc.(*core.SMRReplica); ok {
 		l, _ := r.Extension().(*shard.Ledger)
 		publish := func(msg.Msg, []msg.Directive) {
@@ -221,6 +247,146 @@ func TestSMRLeaseAndRestart(t *testing.T) {
 	r2.stop()
 	if !sqldb.Equal(nodes["r1"].proc.(*core.SMRReplica).Executor().DB, rep.Executor().DB) {
 		t.Fatal("restarted r2 and r1 hold different databases")
+	}
+}
+
+// SMR, 3 b + 3 r, durable, with -check -lease -max-inflight 1: every
+// node's checker is armed from its own settings as Serve arms it. r4
+// joins through an ordered add that nobody announces to any checker, r1
+// (the lease holder) restarts over its data directory under a fresh
+// checker, and a burst overflows the sequencer's admission queue. Every
+// checker stays clean, and between them they check read/*, member/* and
+// flow/queue-bound over events of the run, none waiting for a fact.
+func TestCheckedJoinAndRestart(t *testing.T) {
+	checkLeaks(t)
+	topology := writeTopology(t, "b1", "b2", "b3", "r1", "r2", "r3", "bench", "reader", "burst")
+	// The joiner's own topology lists it too; the members learn its
+	// address from the ordered add.
+	topo, err := member.LoadTopology(topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.Nodes["r4"] = ln.Addr().String()
+	_ = ln.Close()
+	joinerTopology := filepath.Join(t.TempDir(), "joiner.json")
+	if err := topo.Save(joinerTopology); err != nil {
+		t.Fatal(err)
+	}
+	data := t.TempDir()
+	settings := func(id string) deploy.Node {
+		n := deploy.Default()
+		n.ID, n.Topology, n.Rows, n.DataDir = id, topology, 100, filepath.Join(data, id)
+		n.Role, n.Lease, n.Check, n.MaxInflight = "smr", true, true, 1
+		n.LeaseDur = 600 * time.Millisecond
+		if id[0] == 'b' {
+			n.Role, n.Lease = "broadcast", false
+		}
+		return n
+	}
+	nodes := map[string]*node{}
+	var all []*node // every incarnation, restarted ones included
+	// Replicas listen before anything is ordered: a Deliver sent to a
+	// replica not yet listening is lost, a real hole its checker reports.
+	for _, id := range []string{"r1", "r2", "r3", "b1", "b2", "b3"} {
+		nodes[id] = build(t, settings(id)).armed().start(t)
+		all = append(all, nodes[id])
+	}
+	s := session(t, topology, "bench", "smr", "lease")
+	exec(t, s, "deposit", int64(1), int64(10))
+	readAt := func(s *deploy.Session) {
+		t.Helper()
+		res, err := s.Read("balance", []any{int64(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		core.ReleaseReadResult(res)
+	}
+	readAt(s)
+	follower := deploy.DefaultClient()
+	follower.Topology, follower.ID, follower.Mode, follower.Read, follower.ReadTarget = topology, "reader", "smr", "follower", "r2"
+	follower.Timeout = 20 * time.Second
+	fs, err := follower.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fs.Close() })
+	readAt(fs)
+
+	// r4 joins: started passive, admitted by the ordered add.
+	joiner := settings("r4")
+	joiner.Topology, joiner.Joiner = joinerTopology, true
+	nodes["r4"] = build(t, joiner).armed().start(t)
+	all = append(all, nodes["r4"])
+	add := member.Command{Op: member.AddReplica, Node: "r4", Addr: topo.Nodes["r4"]}
+	nodes["b1"].host.Emit([]msg.Directive{msg.Send("b1", msg.M(broadcast.HdrBcast,
+		broadcast.Bcast{From: "admin:b1", Seq: 1, Payload: member.EncodeCommand(add)}))})
+	exec(t, s, "deposit", int64(2), int64(5))
+	waitFor(t, "r4 to bootstrap and apply the second deposit", func() bool { return nodes["r4"].executed.Load() == 2 })
+
+	// r1, the lease holder, restarts over its data directory; its lease
+	// reads resume once a fresh renewal of its own is ordered.
+	nodes["r1"].stop()
+	nodes["r1"] = build(t, settings("r1")).armed().start(t)
+	all = append(all, nodes["r1"])
+	if !nodes["r1"].proc.(*core.SMRReplica).Recovered() {
+		t.Fatal("restarted r1 did not recover its data directory")
+	}
+	readAt(s)
+	exec(t, s, "deposit", int64(3), int64(1))
+	waitFor(t, "every replica to apply the third deposit", func() bool {
+		for _, id := range []string{"r1", "r2", "r3", "r4"} {
+			if nodes[id].executed.Load() != 3 {
+				return false
+			}
+		}
+		return true
+	})
+
+	// A burst of writes overflows b1's admission queue: some are shed.
+	burst, err := network.NewTCP("burst", topo.Directory())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = burst.Close() }()
+	for seq := int64(1); seq <= 32; seq++ {
+		pay, err := core.EncodeTx(core.TxRequest{Client: "burst", Seq: seq, Type: "deposit", Args: []any{int64(4), int64(1)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = burst.Send(msg.Envelope{From: "burst", To: "b1", M: msg.M(broadcast.HdrBcast, broadcast.Bcast{From: "burst", Seq: seq, Payload: pay})})
+	}
+	seen := func(name string) (n int64) {
+		for _, nd := range all {
+			for _, c := range nd.ck.Status().Invariants {
+				if c.Name == name {
+					n += c.Seen
+				}
+			}
+		}
+		return n
+	}
+	waitFor(t, "b1 to shed part of the burst", func() bool { return seen("flow/queue-bound") > 0 })
+
+	for _, nd := range all {
+		st := nd.ck.Status()
+		if len(st.Violations) > 0 {
+			t.Errorf("%s: checker flagged %v", nd.n.ID, st.Violations)
+		}
+		for _, c := range st.Invariants {
+			if c.Skipped != "" && !strings.HasPrefix(c.Name, "read/") || c.Skipped != "" && nd.n.Lease {
+				t.Errorf("%s: %s waits for the %s", nd.n.ID, c.Name, c.Skipped)
+			}
+		}
+	}
+	for _, name := range []string{"read/lease-linearizability", "read/lease-expiry", "read/follower-staleness",
+		"member/epoch-config", "member/stale-quorum", "flow/queue-bound"} {
+		if seen(name) == 0 {
+			t.Errorf("no checker saw an event in the scope of %s", name)
+		}
 	}
 }
 

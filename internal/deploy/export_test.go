@@ -1,0 +1,11 @@
+package deploy
+
+import (
+	"shadowdb/internal/gpm"
+	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
+)
+
+// Arm is arm, for the loopback tests that arm each node's checker the way
+// Serve does.
+func (n Node) Arm(o *obs.Obs, proc gpm.Process) *dist.Checker { return n.arm(o, proc) }

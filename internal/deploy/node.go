@@ -10,9 +10,11 @@ import (
 	"strings"
 	"time"
 
+	"shadowdb/internal/flow"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
@@ -75,7 +77,7 @@ func (n *Node) RegisterFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&n.RetryBudget, "retry-budget", n.RetryBudget, "router role: 2PC re-drive tokens per second (0 = unbounded)")
 	fs.StringVar(&n.Admin, "admin", n.Admin, "admin HTTP address (metrics, trace, pprof), e.g. 127.0.0.1:7070")
 	fs.BoolVar(&n.Trace, "trace", n.Trace, "start with causal trace recording enabled")
-	fs.BoolVar(&n.Check, "check", n.Check, "run the online invariant checker; serves /checker and /spans on -admin")
+	fs.BoolVar(&n.Check, "check", n.Check, "run the online invariant checker, armed from these settings (turns tracing on); serves /checker and /spans on -admin")
 	fs.StringVar(&n.FaultPlan, "fault-plan", n.FaultPlan, "JSON fault plan: inject its message faults, partitions, and crash (blackhole) windows on this node's transport")
 	fs.StringVar(&n.LogLevel, "log-level", n.LogLevel, "structured log level: debug|info|warn|error|off")
 	fs.StringVar(&n.FlightDir, "flight-dir", n.FlightDir, "postmortem bundle directory (default <data-dir>/flight when -data-dir is set; empty without it disables the recorder)")
@@ -267,11 +269,43 @@ func (n Node) View() (*member.View, error) {
 	if err != nil || !n.ordered() {
 		return nil, err
 	}
+	return member.NewView(n.initial(c), n.Alpha), nil
+}
+
+// initial is the membership epoch a node under dynamic membership starts
+// from: the topology's broadcast and replica ids, less the node itself
+// when it joins.
+func (n Node) initial(c *cluster) member.Config {
 	initial := member.Config{Bcast: c.bcast, Replicas: c.replicas}
 	if n.Joiner {
 		self := func(l msg.Loc) bool { return l == msg.Loc(n.ID) }
 		initial.Bcast = slices.DeleteFunc(slices.Clone(c.bcast), self)
 		initial.Replicas = slices.DeleteFunc(slices.Clone(c.replicas), self)
 	}
-	return member.NewView(initial, n.Alpha), nil
+	return initial
+}
+
+// Facts are the deployment facts the online checker needs, read from the
+// settings Settings records: the lease window, the initial epoch as View
+// builds it (unknown if the topology cannot be read), and the bound the
+// node's admission queue reports under -max-inflight — a sequencer's is
+// flow.NewQueue's, the router's keeps a control slot above the limit
+// (shard.NewRouter).
+func (n Node) Facts() dist.Facts {
+	var f dist.Facts
+	if n.Lease {
+		f.LeaseDur, f.MaxStale = n.LeaseDur, n.MaxStale
+	}
+	if n.ordered() {
+		if c, err := loadCluster(n.Topology); err == nil {
+			f.Initial, f.Alpha = n.initial(c), n.Alpha
+		}
+	}
+	if n.MaxInflight > 0 {
+		f.MaxQueue = flow.NewQueue(n.MaxInflight).Cap()
+		if n.Role == "router" {
+			f.MaxQueue = max(n.MaxInflight, 2) + 1
+		}
+	}
+	return f
 }

@@ -3,11 +3,16 @@ package deploy_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"shadowdb/internal/broadcast"
+	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
+	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/shard"
 )
 
 func TestRoleOf(t *testing.T) {
@@ -105,13 +110,58 @@ func TestValidate(t *testing.T) {
 // A bundle's deployment record is every flag, under the flag's name.
 func TestSettings(t *testing.T) {
 	n := deploy.Default()
-	n.ID, n.Joiner, n.MaxInflight = "r4", true, 64
+	n.ID, n.Lease, n.MaxInflight = "r4", true, 64
 	got := n.Settings()
 	for k, want := range map[string]string{
-		"id": "r4", "joiner": "true", "max-inflight": "64", "lease-dur": "2s", "alpha": "16", "module": "paxos", "lease": "false",
+		"id": "r4", "lease": "true", "max-inflight": "64", "lease-dur": "2s", "alpha": "16", "module": "paxos", "check": "false",
 	} {
 		if got[k] != want {
 			t.Errorf("Settings()[%q] = %q, want %q", k, got[k], want)
+		}
+	}
+}
+
+// Under -max-inflight a service node sheds by its role's payload classes.
+// Three writes fill the write band of flow.NewQueue(1) (4 slots, writes
+// below 3); the fourth payload is shed or admitted by its class. A shard's
+// b member admits a 2PC decision as control traffic, so overload never
+// sheds the record that releases held funds.
+func TestServiceShedsByRoleClass(t *testing.T) {
+	flat := writeTopology(t, "b1", "r1")
+	sharded := writeTopology(t, "s0b1", "s0r1", "rt1")
+	tx, err := core.EncodeTx(core.TxRequest{Client: "c1", Seq: 9, Type: "deposit", Args: []any{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepare := shard.EncodePrepare(shard.Prepare{TxID: "c1/9", Coord: "rt1", Shard: 0, Participants: []int{0}})
+	decision := shard.EncodeDecision(shard.Decision{TxID: "c1/9", Shard: 0, Coord: "rt1", Commit: true})
+	renewal := core.EncodeLease(core.LeaseRenewal{Holder: "r1"})
+	for _, tc := range []struct {
+		role        string
+		maxInflight int
+		what        string
+		payload     []byte
+		shed        bool
+	}{
+		{"broadcast", 1, "a write", tx, true},
+		{"broadcast", 1, "a lease renewal", renewal, false},
+		{"shard", 1, "a 2PC prepare", prepare, true},
+		{"shard", 1, "a 2PC decision", decision, false},
+		{"shard", 0, "a 2PC prepare", prepare, false},
+	} {
+		n := deploy.Default()
+		n.ID, n.Role, n.Topology, n.MaxInflight = "b1", tc.role, flat, tc.maxInflight
+		if tc.role == "shard" {
+			n.ID, n.Topology = "s0b1", sharded
+		}
+		p := build(t, n).proc
+		var outs []msg.Directive
+		for seq, payload := range [][]byte{tx, tx, tx, tc.payload} {
+			p, outs = p.Step(msg.M(broadcast.HdrBcast, broadcast.Bcast{From: "c1", Seq: int64(seq + 1), Payload: payload}))
+		}
+		shed := slices.ContainsFunc(outs, func(o msg.Directive) bool { return o.M.Hdr == flow.HdrReject })
+		if shed != tc.shed {
+			t.Errorf("-role %s -max-inflight %d, %s: shed = %v, want %v (outputs %v)", tc.role, tc.maxInflight, tc.what, shed, tc.shed, outs)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 		// view, not this list, decides which of them an instance's quorum
 		// is drawn from, so a joiner can host its acceptor before its
 		// epoch activates.
-		return n.service(c.bcast, c.replicas, view, stable)
+		return n.service(c.bcast, c.replicas, view, core.FlowClass, stable)
 	case "pbr":
 		// A spare starts empty.
 		db, err := openDB(!n.Spare)
@@ -115,7 +115,7 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 		if n.Role == "shard" {
 			k, part, _ := shard.IsShardLoc(id)
 			if part == 'b' {
-				return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, stable)
+				return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, shard.FlowClass, stable)
 			}
 			peers, ext = c.shards.Replicas[k], shard.NewLedger(k, shard.Bank())
 		}
@@ -186,18 +186,20 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 }
 
 // service is the ordering-service process of the broadcast role and of
-// a shard's b members: nodes order for subs. A durable node journals the
-// sequencer's decided slots and, under paxos, the Synod acceptor's
-// promises; a restart resumes from both. With a view the paxos module
-// resolves acceptor sets per instance and the Decide fan-out per decision
-// through it, so quorums switch epochs atomically at their activation slot.
-func (n Node) service(nodes, subs []msg.Loc, view *member.View, stable func(string) (store.Stable, error)) (gpm.Process, []msg.Directive, error) {
+// a shard's b members: nodes order for subs, and under -max-inflight the
+// admission queue sheds by the payload classes classify names (a shard's
+// adds its 2PC records). A durable node journals the sequencer's decided
+// slots and, under paxos, the Synod acceptor's promises; a restart
+// resumes from both. With a view the paxos module resolves acceptor sets
+// per instance and the Decide fan-out per decision through it, so quorums
+// switch epochs atomically at their activation slot.
+func (n Node) service(nodes, subs []msg.Loc, view *member.View, classify flow.Classifier, stable func(string) (store.Stable, error)) (gpm.Process, []msg.Directive, error) {
 	cfg := broadcast.Config{
 		Nodes: nodes, Subscribers: subs, View: view,
 		MaxBatch: n.Batch, MaxDelay: n.BatchDelay, Pipeline: n.Pipeline,
 	}
 	if n.MaxInflight > 0 {
-		cfg.FlowLimit, cfg.Classify, cfg.FlowNow = n.MaxInflight, core.FlowClass, wallClock
+		cfg.FlowLimit, cfg.Classify, cfg.FlowNow = n.MaxInflight, classify, wallClock
 	}
 	// The process below is instantiated for this node's id alone, so the
 	// per-location store lookups have one answer each.

@@ -11,12 +11,12 @@ import (
 	"time"
 
 	"shadowdb/internal/fault"
+	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/network"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/runtime"
-	"shadowdb/internal/shard"
 )
 
 // Serve runs the node until SIGINT or SIGTERM and returns the process
@@ -85,6 +85,13 @@ func Serve(n Node) int {
 	if err != nil {
 		return fail(1, err)
 	}
+	// Armed before the host starts: the checker sees the node's trace
+	// from its first step.
+	obs.Default.EnableTracing(n.Trace)
+	var checker *dist.Checker
+	if n.Check {
+		checker = n.arm(obs.Default, proc)
+	}
 	host := runtime.NewHost(id, tr, proc)
 	host.Emit(boot)
 	host.Start()
@@ -95,14 +102,6 @@ func Serve(n Node) int {
 	} else {
 		lg.Infof("shadowdb %s (%s, module %s) listening on %s; replicas=%v broadcast=%v",
 			id, n.Role, n.Module, tcp.Addr(), c.replicas, c.bcast)
-	}
-
-	obs.Default.EnableTracing(n.Trace)
-	var checker *dist.Checker
-	if n.Check {
-		checker = dist.NewChecker()
-		checker.SetGroupOf(shard.GroupOf)
-		checker.Watch(obs.Default)
 	}
 
 	// The flight recorder dumps a postmortem bundle on checker violation,
@@ -118,7 +117,7 @@ func Serve(n Node) int {
 			return fail(1, err)
 		}
 		// Every setting: a bundle says what deployment it came from, and
-		// merge tooling baselines a "joiner" at its bootstrap slot.
+		// `flight merge -check` arms its replay from them (Facts).
 		rec.SetConfig(n.Settings())
 		if checker != nil {
 			rec.SetCheckerStatus(func() any { return checker.Status() })
@@ -166,4 +165,18 @@ func Serve(n Node) int {
 	<-sig
 	lg.Infof("shutting down")
 	return 0
+}
+
+// arm runs the online checker over o for the node proc is: armed with the
+// node's Facts, and told of a restart when proc recovered durable state,
+// since its trace then starts past the slots it recovered. The checker
+// reads step events, which the host records only while tracing is on.
+func (n Node) arm(o *obs.Obs, proc gpm.Process) *dist.Checker {
+	ck := dist.NewChecker(n.Facts())
+	if r, ok := proc.(interface{ Recovered() bool }); ok && r.Recovered() {
+		ck.NoteRestart(msg.Loc(n.ID))
+	}
+	o.EnableTracing(true)
+	ck.Watch(o)
+	return ck
 }

@@ -2,20 +2,21 @@ package flow
 
 import "time"
 
+// burstSeconds is a RetryBudget's bucket capacity in seconds of refill.
+const burstSeconds = 1
+
 // RetryBudget is a deterministic token-bucket bound on retry volume.
 // Every retry spends one token; tokens refill at Rate per second up to
-// Burst. When the bucket is empty the retry is denied and the caller
-// must surface a terminal error instead of re-sending — retries beyond
-// the budget only amplify the overload that caused them (retry storms).
+// burstSeconds of refill, which is also the initial fill. When the bucket
+// is empty the retry is denied and the caller must surface a terminal
+// error instead of re-sending — retries beyond the budget only amplify
+// the overload that caused them (retry storms).
 //
 // The clock is passed into Allow explicitly (virtual in simulation,
 // wall live), so budget decisions replay deterministically.
 type RetryBudget struct {
 	// Rate is the token refill rate per second. Required (> 0).
 	Rate float64
-	// Burst is the bucket capacity and initial fill. 0 means Rate
-	// (one second of refill).
-	Burst float64
 
 	tokens float64
 	last   time.Duration
@@ -28,10 +29,7 @@ func (b *RetryBudget) Allow(now time.Duration) bool {
 	if b == nil {
 		return true
 	}
-	burst := b.Burst
-	if burst <= 0 {
-		burst = b.Rate
-	}
+	burst := b.Rate * burstSeconds
 	if !b.primed {
 		b.tokens = burst
 		b.last = now

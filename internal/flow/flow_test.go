@@ -131,9 +131,10 @@ func TestExpired(t *testing.T) {
 }
 
 func TestRetryBudgetSpendAndRefill(t *testing.T) {
-	b := &RetryBudget{Rate: 2, Burst: 3}
+	b := &RetryBudget{Rate: 4}
+	burst := int(b.Rate * burstSeconds)
 	now := time.Duration(0)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < burst; i++ {
 		if !b.Allow(now) {
 			t.Fatalf("burst token %d denied", i)
 		}
@@ -141,17 +142,17 @@ func TestRetryBudgetSpendAndRefill(t *testing.T) {
 	if b.Allow(now) {
 		t.Fatal("empty bucket allowed a retry")
 	}
-	// 2 tokens/s: after 500ms exactly one token is back.
-	now += 500 * time.Millisecond
+	// 4 tokens/s: after 250ms exactly one token is back.
+	now += 250 * time.Millisecond
 	if !b.Allow(now) {
 		t.Fatal("refilled token denied")
 	}
 	if b.Allow(now) {
 		t.Fatal("second token allowed before it refilled")
 	}
-	// Refill clamps at Burst.
+	// Refill clamps at the burst.
 	now += time.Hour
-	for i := 0; i < 3; i++ {
+	for i := 0; i < burst; i++ {
 		if !b.Allow(now) {
 			t.Fatalf("token %d after long idle denied", i)
 		}

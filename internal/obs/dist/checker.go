@@ -20,18 +20,18 @@ import (
 // and the schedule explorer in internal/verify steps the same
 // definitions. What the Checker adds is what a deployment needs around
 // them: one lock for concurrent feeds, group keying, the deployment
-// facts and restart/join announcements no event carries, the violation
-// list with its hooks and metrics, and Status. Wire it to a live Obs
-// with Watch and every recorded step is checked within that step — a
+// Facts and restart announcements no event carries, the violation list
+// with its hooks and metrics, and Status. Wire it to a live Obs with
+// Watch and every recorded step is checked within that step — a
 // violation surfaces on the admin endpoint while the run is still
 // going; Result.Check replays a collected trace through the same path.
 //
 // In sharded deployments several independent broadcast/consensus groups
 // run side by side, each with its own slot numbering and instance space.
-// SetGroupOf partitions the per-slot and per-instance state by group so
-// shard 1's slot 7 is never compared against shard 0's slot 7; the
-// per-group properties then hold within each group exactly as they do
-// for a single group.
+// Every event is keyed by shard.GroupOf of its location, so shard 1's
+// slot 7 is never compared against shard 0's slot 7; the per-group
+// properties then hold within each group exactly as they do for a single
+// group, and every unsharded location shares the one group "".
 //
 // Checker is safe for concurrent Feed from many nodes' sinks. The
 // interleaving of concurrent feeds is one of the linear extensions of
@@ -44,9 +44,8 @@ import (
 // node's sink in recording order.
 type Checker struct {
 	mu sync.Mutex
-	// groupOf assigns each location to an invariant group (sharded
-	// deployments: one group per shard). Nil means one global group.
-	groupOf func(msg.Loc) string
+	// groups caches shard.GroupOf per location.
+	groups map[msg.Loc]string
 
 	// The invariants' state, by owning package, and the monitor that
 	// steps their composition.
@@ -73,9 +72,32 @@ type Checker struct {
 // Violation is one flagged property failure.
 type Violation = verify.Violation
 
-// NewChecker creates an online checker over fresh invariants.
-func NewChecker() *Checker {
-	c := &Checker{bcast: broadcast.NewChecks(), db: core.NewChecks(), cross: shard.NewChecks()}
+// Facts are what the deployment fixes and no event carries. A zero
+// field is unknown, and the properties that need it report themselves
+// skipped (Status) instead of running.
+type Facts struct {
+	// LeaseDur and MaxStale are the lease window and the follower
+	// staleness bound (0: LeaseDur) the read/* properties need.
+	LeaseDur, MaxStale time.Duration
+	// Initial is the membership the deployment started from and Alpha the
+	// activation lag it runs with, which the member/* properties need.
+	Initial member.Config
+	Alpha   int
+	// MaxQueue is the largest admission-queue bound configured anywhere,
+	// which the flow/* properties need: a rejection reporting a bigger
+	// one came from a queue outside the configuration.
+	MaxQueue int
+}
+
+// NewChecker creates an online checker over fresh invariants, armed with
+// the deployment's facts.
+func NewChecker(f Facts) *Checker {
+	c := &Checker{
+		groups: make(map[msg.Loc]string),
+		bcast:  broadcast.NewChecks(f.Initial, f.Alpha),
+		db:     core.NewChecks(f.LeaseDur, f.MaxStale, f.MaxQueue),
+		cross:  shard.NewChecks(),
+	}
 	c.mon = verify.NewMonitor(c.sets()...)
 	return c
 }
@@ -86,57 +108,13 @@ func (c *Checker) sets() []verify.Set {
 	return append(c.bcast.Sets(), c.db.Set(), c.cross.Set())
 }
 
-// SetLease supplies the lease window and follower staleness bound the
-// read/* properties need. Call before feeding events.
-func (c *Checker) SetLease(dur, maxStale time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.db.SetLease(dur, maxStale)
-}
-
-// SetMembership supplies the initial configuration and activation lag
-// the member/* properties need. Call before feeding events.
-func (c *Checker) SetMembership(initial member.Config, alpha int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bcast.SetMembership(initial, alpha)
-}
-
-// SetFlow supplies the largest configured admission-queue bound (0 for
-// none pinned) the flow/* properties need. Call before feeding events.
-func (c *Checker) SetFlow(maxQueue int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.db.SetFlow(maxQueue)
-}
-
-// SetGroupOf partitions the per-slot and per-instance invariant state by
-// the given location→group function (shard.GroupOf for the standard
-// sharded naming). Call before feeding events. Locations mapped to ""
-// share the global group, so the unsharded behaviour is the special case
-// of every location mapping to "".
-func (c *Checker) SetGroupOf(fn func(msg.Loc) string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.groupOf = fn
-}
-
 // NoteRestart tells the checker that loc crashed and was restarted: its
 // next delivery may re-enter the slot stream past a gap (see
 // broadcast.Checks.Excuse).
 func (c *Checker) NoteRestart(loc msg.Loc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.bcast.Excuse(loc, false)
-}
-
-// NoteJoin tells the checker that loc is a joiner bootstrapping into the
-// group mid-stream: like a restart, and additionally it never saw the
-// early member commands.
-func (c *Checker) NoteJoin(loc msg.Loc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.bcast.Excuse(loc, true)
+	c.bcast.Excuse(loc)
 }
 
 // NoteFlowPhase marks the start of a named load phase at trace time at.
@@ -215,10 +193,12 @@ func (c *Checker) Feed(e obs.Event) {
 	}
 	var fresh []Violation
 	if e.M != nil {
-		ev := verify.Event{Loc: e.Loc, At: e.At, In: *e.M, Outs: e.Outs, LC: e.LC, Trace: e.Trace}
-		if c.groupOf != nil {
-			ev.Group = c.groupOf(e.Loc)
+		group, ok := c.groups[e.Loc]
+		if !ok {
+			group = shard.GroupOf(e.Loc)
+			c.groups[e.Loc] = group
 		}
+		ev := verify.Event{Loc: e.Loc, At: e.At, In: *e.M, Outs: e.Outs, LC: e.LC, Trace: e.Trace, Group: group}
 		fresh = c.mon.Step(&ev)
 		c.record(fresh)
 	}

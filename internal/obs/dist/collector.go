@@ -3,13 +3,10 @@ package dist
 import (
 	"fmt"
 	"net/http"
-	"slices"
 	"sort"
 	"time"
 
-	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/shard"
 )
 
 // Collector pulls per-node trace rings and merges them into one global
@@ -24,9 +21,6 @@ type Collector struct {
 
 	nodes map[string][]obs.Event
 	order []string
-	// joiners are the locations the added bundles declare as having
-	// joined mid-run.
-	joiners []msg.Loc
 }
 
 // NewCollector creates an empty collector.
@@ -56,18 +50,11 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // AddBundles adds the trace windows of loaded postmortem bundles, one
-// source per node in node order, and notes the nodes whose bundle config
-// marks them as mid-run joiners (their traces legitimately start past
-// slot 0).
+// source per node in node order.
 func (c *Collector) AddBundles(bundles ...*obs.Bundle) {
 	traces := obs.Traces(bundles...)
 	for _, n := range sortedKeys(traces) {
 		c.Add(n, traces[n])
-	}
-	for _, b := range bundles {
-		if b != nil && b.Meta.Config["joiner"] == "true" && !slices.Contains(c.joiners, b.Meta.Node) {
-			c.joiners = append(c.joiners, b.Meta.Node)
-		}
 	}
 }
 
@@ -123,13 +110,11 @@ type Result struct {
 	// checking over it can miss violations (never fabricate them), and
 	// span stages may be missing.
 	Gaps map[string]int64 `json:"gaps,omitempty"`
-	// Joiners are the bundle-declared mid-run joiners.
-	Joiners []msg.Loc `json:"joiners,omitempty"`
 }
 
 // Collect merges everything added so far.
 func (c *Collector) Collect() Result {
-	r := Result{Nodes: make(map[string][]obs.Event, len(c.nodes)), Joiners: c.joiners}
+	r := Result{Nodes: make(map[string][]obs.Event, len(c.nodes))}
 	traces := make([][]obs.Event, 0, len(c.order))
 	for _, name := range c.order {
 		t := c.nodes[name]
@@ -148,32 +133,18 @@ func (c *Collector) Collect() Result {
 	return r
 }
 
-// Check replays the collection through a fresh Checker — offline, the
-// very invariants the live subscription runs — and returns its status:
-// the violations, and per property how many events it saw or which
-// deployment fact (lease window, initial member configuration, queue
-// bound) a trace does not carry kept it from running. Group keying is
-// shard.GroupOf, a pure function of location names ("" for unsharded
-// ones), and declared joiners are excused as NoteJoin excuses them live.
-// Ring gaps are reported as an error first: an overflowed ring means the
-// trace is incomplete and a clean check proves nothing about the evicted
-// prefix.
-func (r Result) Check() (Status, error) {
-	ck := NewChecker()
-	err := r.replay(ck)
-	return ck.Status(), err
-}
-
-// replay feeds the collection to ck, which may already know deployment
-// facts.
-func (r Result) replay(ck *Checker) error {
+// Check replays the collection through a fresh Checker armed with the
+// deployment's facts — offline, the very invariants the live
+// subscription runs — and returns its status: the violations, and per
+// property how many events it saw or which of the facts (lease window,
+// initial member configuration, queue bound) it lacked. Ring gaps are
+// reported as an error first: an overflowed ring means the trace is
+// incomplete and a clean check proves nothing about the evicted prefix.
+func (r Result) Check(f Facts) (Status, error) {
+	ck := NewChecker(f)
 	if len(r.Gaps) > 0 {
-		return fmt.Errorf("dist: trace incomplete, ring overflowed on %v", sortedKeys(r.Gaps))
-	}
-	ck.SetGroupOf(shard.GroupOf)
-	for _, j := range r.Joiners {
-		ck.NoteJoin(j)
+		return ck.Status(), fmt.Errorf("dist: trace incomplete, ring overflowed on %v", sortedKeys(r.Gaps))
 	}
 	ck.FeedAll(r.Merged)
-	return nil
+	return ck.Status(), nil
 }

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func seededSMREvents(t *testing.T) []obs.Event {
 
 func TestCheckerCleanOnSeededRun(t *testing.T) {
 	events := seededSMREvents(t)
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	ck.FeedAll(events)
 	if vs := ck.Violations(); len(vs) != 0 {
 		t.Fatalf("clean run flagged: %v", vs)
@@ -155,7 +156,7 @@ func TestCollectorGatherMergeAndCheck(t *testing.T) {
 	if len(r.Spans) < 3 || r.Segments["total"].Count < 3 {
 		t.Fatalf("collector spans missing: %d spans, segments %+v", len(r.Spans), r.Segments)
 	}
-	st, err := r.Check()
+	st, err := r.Check(dist.Facts{})
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -187,7 +188,7 @@ func TestCollectorFlagsRingGap(t *testing.T) {
 		t.Fatalf("gap at %s = %d, want 2 (gaps %v)", overflowed, r.Gaps[overflowed], r.Gaps)
 	}
 	// An incomplete collection must refuse to certify the trace.
-	if _, err := r.Check(); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, err := r.Check(dist.Facts{}); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("Check on gapped trace: %v", err)
 	}
 }
@@ -195,17 +196,15 @@ func TestCollectorFlagsRingGap(t *testing.T) {
 func TestDistHandlerRoutes(t *testing.T) {
 	o := obs.New(1024)
 	o.EnableTracing(true)
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	ck.Watch(o)
 	for _, e := range seededSMREvents(t) {
 		e.Seq = 0 // let Record assign
 		o.Record(e)
 	}
-	srv, addr, err := dist.ServeWith("127.0.0.1:0", o, ck, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := httptest.NewServer(dist.HandlerWith(o, ck, nil))
 	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "http://")
 
 	var st dist.Status
 	resp, err := http.Get("http://" + addr + "/checker")
@@ -268,7 +267,7 @@ func TestDistHandlerRoutes(t *testing.T) {
 // node re-enters the slot stream at its catch-up frontier, and the next
 // unannounced gap is flagged again.
 func TestCheckerNoteRestart(t *testing.T) {
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	deliver := func(loc msg.Loc, slot int) {
 		ck.Feed(obs.Event{
 			Loc: loc, At: int64(slot), Slot: obs.NoField, Ballot: obs.NoField,
@@ -297,7 +296,7 @@ func TestCheckerNoteRestart(t *testing.T) {
 	}
 
 	// Other locations are unaffected by r1's restart.
-	ck2 := dist.NewChecker()
+	ck2 := dist.NewChecker(dist.Facts{})
 	ck2.NoteRestart("r1")
 	deliver2 := func(loc msg.Loc, slot int) {
 		ck2.Feed(obs.Event{

@@ -28,9 +28,14 @@
 // schedule explorer in internal/verify; DESIGN.md §4 holds the one
 // catalogue — name, owning package, what it forbids, the deployment fact
 // it needs, its drivers — and doclint_test.go keeps that table and the
-// registered list equal. Status reports per invariant how many events
-// were in its scope, or which fact (SetLease, SetMembership, SetFlow) it
-// is still waiting for.
+// registered list equal. A Checker is armed once, at NewChecker, with the
+// deployment's Facts — the lease window, the initial membership and the
+// queue bound; a live node's come from deploy.Node.Facts, the same
+// settings its flight bundles record, so the offline replay of those
+// bundles is armed identically. Joins need no announcement (the ordered
+// add admits its node); restarts are run-time events (NoteRestart).
+// Status reports per invariant how many events were in its scope, or
+// which fact it lacks.
 //
 // The checker operates on broadcast.Deliver bodies — post-batching,
 // pre-unpacking — so the adaptive batching and pipelining of DESIGN.md

@@ -41,8 +41,7 @@ func resultEvent(at int64, cli msg.Loc, seq int64, aborted bool) obs.Event {
 }
 
 func TestCheckerFlowTerminalOutcome(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetFlow(8)
+	ck := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck.Feed(submitEvent(t, 1, "c0", 1, 0))   // answered below
 	ck.Feed(submitEvent(t, 2, "c0", 2, 0))   // vanishes — must be flagged
 	ck.Feed(submitEvent(t, 3, "c0", 3, 500)) // vanishes but deadline passes — excused
@@ -61,8 +60,7 @@ func TestCheckerFlowTerminalOutcome(t *testing.T) {
 }
 
 func TestCheckerFlowRejectClosesAndAudits(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetFlow(8)
+	ck := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck.Feed(submitEvent(t, 1, "c0", 1, 0))
 	// A well-formed rejection closes the flow as shed: no violation.
 	ck.Feed(flowEvent(2, "b1", msg.Send("c0", msg.M(flow.HdrReject,
@@ -74,8 +72,7 @@ func TestCheckerFlowRejectClosesAndAudits(t *testing.T) {
 
 	// Depth over the queue's own bound, and a bound over the configured
 	// maximum, are both admission-accounting leaks.
-	ck2 := dist.NewChecker()
-	ck2.SetFlow(8)
+	ck2 := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck2.Feed(flowEvent(1, "b1", msg.Send("c0", msg.M(flow.HdrReject,
 		flow.Reject{From: "b1", Seq: 1, Reason: flow.ReasonOverload, Depth: 9, Cap: 8}))))
 	ck2.Feed(flowEvent(2, "b1", msg.Send("c0", msg.M(flow.HdrReject,
@@ -92,8 +89,7 @@ func TestCheckerFlowRejectClosesAndAudits(t *testing.T) {
 }
 
 func TestCheckerGoodputFloor(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetFlow(8)
+	ck := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck.NoteFlowPhase("1x", 0)
 	for i := int64(1); i <= 4; i++ {
 		ck.Feed(submitEvent(t, i, "c0", i, 0))
@@ -132,8 +128,7 @@ func TestCheckerGoodputFloor(t *testing.T) {
 }
 
 func TestCheckerFlowDedupesRetransmissions(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetFlow(8)
+	ck := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck.NoteFlowPhase("p", 0)
 	ck.Feed(submitEvent(t, 1, "c0", 1, 0))
 	ck.Feed(submitEvent(t, 2, "c0", 1, 0)) // client retransmission
@@ -154,8 +149,7 @@ func TestCheckerFlowDedupesRetransmissions(t *testing.T) {
 // submission must resolve.
 func TestCheckerFlowCleanOnSeededRun(t *testing.T) {
 	events := seededSMREvents(t)
-	ck := dist.NewChecker()
-	ck.SetFlow(0)
+	ck := dist.NewChecker(dist.Facts{MaxQueue: 8})
 	ck.FeedAll(events)
 	last := events[len(events)-1].At
 	ck.FinishFlow(last + 1)

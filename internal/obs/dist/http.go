@@ -2,7 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 
 	"shadowdb/internal/obs"
@@ -47,17 +46,4 @@ func HandlerWith(o *obs.Obs, c *Checker, rec *obs.Recorder) http.Handler {
 		enc.Encode(out)
 	})
 	return mux
-}
-
-// ServeWith starts the extended admin endpoint on addr (":0" for
-// ephemeral), with rec (may be nil) behind /flight, and returns the
-// server plus the bound address; the caller owns Close.
-func ServeWith(addr string, o *obs.Obs, c *Checker, rec *obs.Recorder) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: HandlerWith(o, c, rec)}
-	go srv.Serve(ln)
-	return srv, ln.Addr().String(), nil
 }

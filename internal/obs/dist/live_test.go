@@ -49,7 +49,7 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
 	bgen := broadcast.Spec(sys.Bcast).Generator()
 
-	checker := dist.NewChecker()
+	checker := dist.NewChecker(dist.Facts{})
 	obses := make(map[string]*obs.Obs)
 	var hosts []*runtime.Host
 	t.Cleanup(func() {
@@ -183,7 +183,7 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	}
 
 	// Offline replay of the collection agrees with the online verdict.
-	off, err := r.Check()
+	off, err := r.Check(dist.Facts{})
 	if err != nil {
 		t.Fatalf("collection check: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	if len(r.Merged) == 0 {
 		t.Fatal("no trace events recorded")
 	}
-	st, err := r.Check()
+	st, err := r.Check(dist.Facts{})
 	if err != nil {
 		t.Fatalf("live trace refused: %v", err)
 	}

@@ -25,7 +25,7 @@ func mDeliver(loc msg.Loc, slot int, msgs []broadcast.Bcast) obs.Event {
 // the node still gets exactly one re-baseline, and the next unannounced
 // gap is flagged.
 func TestCheckerNoteRestartBackToBack(t *testing.T) {
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	ck.Feed(mDeliver("r1", 0, nil))
 	ck.Feed(mDeliver("r1", 1, nil))
 
@@ -49,7 +49,7 @@ func TestCheckerNoteRestartBackToBack(t *testing.T) {
 // re-enters the stream. The duplicates must not consume the restart
 // excuse, and the eventual re-entry jump must not be flagged.
 func TestCheckerNoteRestartAcrossPartitionHeal(t *testing.T) {
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	ck.Feed(mDeliver("r1", 0, nil))
 	ck.Feed(mDeliver("r1", 1, nil))
 	ck.Feed(mDeliver("r1", 2, nil))
@@ -82,7 +82,7 @@ func TestCheckerNoteRestartOfFeedNode(t *testing.T) {
 	batch := func(from msg.Loc, seq int64) []broadcast.Bcast {
 		return []broadcast.Bcast{{From: from, Seq: seq}}
 	}
-	ck := dist.NewChecker()
+	ck := dist.NewChecker(dist.Facts{})
 	// r1 is the first deliverer everywhere: it establishes the
 	// fingerprint for slots 0 and 1.
 	ck.Feed(mDeliver("r1", 0, batch("c0", 1)))
@@ -104,6 +104,55 @@ func TestCheckerNoteRestartOfFeedNode(t *testing.T) {
 	}
 }
 
+// A joiner's own checker never sees the slot whose add admitted it: a
+// replica outside the initial configuration enters the order where its
+// trace starts, a charter replica must start at slot 0, and either is
+// held to a gap-free stream from there.
+func TestCheckerJoinersOwnTrace(t *testing.T) {
+	facts := dist.Facts{Initial: member.Config{Bcast: []msg.Loc{"b1"}, Replicas: []msg.Loc{"r1"}}, Alpha: 4}
+	joiner := dist.NewChecker(facts)
+	joiner.Feed(mDeliver("r4", 7, nil))
+	joiner.Feed(mDeliver("r4", 8, nil))
+	if err := joiner.Err(); err != nil {
+		t.Fatalf("joiner's entry flagged: %v", err)
+	}
+	joiner.Feed(mDeliver("r4", 10, nil))
+	if err := joiner.Err(); err == nil {
+		t.Fatal("gap after the joiner's entry not flagged")
+	}
+
+	charter := dist.NewChecker(facts)
+	charter.Feed(mDeliver("r1", 7, nil))
+	if err := charter.Err(); err == nil {
+		t.Fatal("charter replica starting at slot 7 not flagged")
+	}
+}
+
+// A service node's own checker sees the order only as the Deliver
+// batches it sends: the member commands in them govern the quorums of
+// its later decisions. Instance 20 is epoch 2's ({b1..b5}, majority 3),
+// certified by b1, b4 and b5 — one of the initial three.
+func TestCheckerServiceNodeFoldsWhatItSends(t *testing.T) {
+	initial := member.Config{Bcast: []msg.Loc{"b1", "b2", "b3"}, Replicas: []msg.Loc{"r1"}}
+	add := func(seq int64, node msg.Loc) []broadcast.Bcast {
+		return []broadcast.Bcast{{From: "admin", Seq: seq, Payload: member.EncodeCommand(member.Command{Op: member.AddAcceptor, Node: node})}}
+	}
+	bal := synod.Ballot{N: 1, L: "b1"}
+	ck := dist.NewChecker(dist.Facts{Initial: initial, Alpha: 4})
+	ck.Feed(obs.Event{Loc: "b1", M: &msg.Msg{Hdr: synod.HdrWake, Body: synod.Wake{}}, Outs: []msg.Directive{
+		msg.Send("r1", msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: 0, Msgs: add(1, "b4")})),
+		msg.Send("r1", msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: 1, Msgs: add(2, "b5")})),
+	}})
+	for _, a := range []msg.Loc{"b1", "b4", "b5"} {
+		ck.Feed(obs.Event{Loc: "b1", M: &msg.Msg{Hdr: synod.HdrP2b, Body: synod.P2b{From: a, B: bal, Inst: 20}}})
+	}
+	ck.Feed(obs.Event{Loc: "b1", M: &msg.Msg{Hdr: synod.HdrWake, Body: synod.Wake{}},
+		Outs: []msg.Directive{msg.Send("r1", msg.M(synod.HdrDecide, synod.Decide{Inst: 20, Val: "v"}))}})
+	if err := ck.Err(); err != nil {
+		t.Fatalf("epoch-2 quorum judged against a stale view: %v", err)
+	}
+}
+
 // member/epoch-config: a node that folds the agreed command stream into
 // a different configuration for an epoch is caught even when the batch
 // identity (sender/sequence) matches what everyone else delivered.
@@ -117,8 +166,7 @@ func TestCheckerEpochConfigConflict(t *testing.T) {
 	// tell them apart, the epoch derivation can.
 	evil := broadcast.Bcast{From: "admin", Seq: 1, Payload: member.EncodeCommand(member.Command{Op: member.AddAcceptor, Node: "b9"})}
 
-	ck := dist.NewChecker()
-	ck.SetMembership(initial, 4)
+	ck := dist.NewChecker(dist.Facts{Initial: initial, Alpha: 4})
 	ck.Feed(mDeliver("r1", 0, []broadcast.Bcast{good}))
 	ck.Feed(mDeliver("r2", 0, []broadcast.Bcast{good}))
 	if err := ck.Err(); err != nil {
@@ -157,8 +205,7 @@ func TestCheckerStaleQuorum(t *testing.T) {
 		}
 	}
 
-	ck := dist.NewChecker()
-	ck.SetMembership(initial, 4)
+	ck := dist.NewChecker(dist.Facts{Initial: initial, Alpha: 4})
 	// The add-acceptor command lands in slot 0: epoch 1 ({b1..b4},
 	// majority 3) governs instances from slot 4 on.
 	ck.Feed(mDeliver("r1", 0, []broadcast.Bcast{add}))
@@ -174,8 +221,7 @@ func TestCheckerStaleQuorum(t *testing.T) {
 	}
 
 	// Instance 11 certified by three of epoch 1's four acceptors: clean.
-	ck2 := dist.NewChecker()
-	ck2.SetMembership(initial, 4)
+	ck2 := dist.NewChecker(dist.Facts{Initial: initial, Alpha: 4})
 	ck2.Feed(mDeliver("r1", 0, []broadcast.Bcast{add}))
 	for _, a := range []msg.Loc{"b1", "b2", "b4"} {
 		ck2.Feed(p2b(a, 11))
@@ -187,8 +233,7 @@ func TestCheckerStaleQuorum(t *testing.T) {
 
 	// Instances before the activation slot are still governed by epoch
 	// 0: two of three old acceptors suffice.
-	ck3 := dist.NewChecker()
-	ck3.SetMembership(initial, 4)
+	ck3 := dist.NewChecker(dist.Facts{Initial: initial, Alpha: 4})
 	ck3.Feed(mDeliver("r1", 0, []broadcast.Bcast{add}))
 	ck3.Feed(p2b("b2", 2))
 	ck3.Feed(p2b("b3", 2))

@@ -36,31 +36,32 @@ func txPayload(t *testing.T, client msg.Loc, seq int64) []byte {
 
 // Two shards legitimately deliver different batches in the same slot
 // number — their total orders are independent. Group keying must keep
-// them apart; the ungrouped checker (the unsharded deployment's view)
-// must keep flagging the same history as a total-order violation.
+// them apart; unsharded locations share one group, where the same
+// history is a total-order violation.
 func TestCheckerGroupKeyingSeparatesShards(t *testing.T) {
-	evA := deliverEvent("s0r1", 0, "c1", txPayload(t, "c1", 1))
-	evB := deliverEvent("s1r1", 0, "c2", txPayload(t, "c2", 1))
-
-	grouped := dist.NewChecker()
-	grouped.SetGroupOf(shard.GroupOf)
-	grouped.FeedAll([]obs.Event{evA, evB})
+	grouped := dist.NewChecker(dist.Facts{})
+	grouped.FeedAll([]obs.Event{
+		deliverEvent("s0r1", 0, "c1", txPayload(t, "c1", 1)),
+		deliverEvent("s1r1", 0, "c2", txPayload(t, "c2", 1)),
+	})
 	if vs := grouped.Violations(); len(vs) != 0 {
 		t.Fatalf("group-keyed checker flagged independent shard orders: %v", vs)
 	}
 
-	flat := dist.NewChecker()
-	flat.FeedAll([]obs.Event{evA, evB})
+	flat := dist.NewChecker(dist.Facts{})
+	flat.FeedAll([]obs.Event{
+		deliverEvent("r1", 0, "c1", txPayload(t, "c1", 1)),
+		deliverEvent("r2", 0, "c2", txPayload(t, "c2", 1)),
+	})
 	if vs := flat.Violations(); len(vs) != 1 || vs[0].Property != "broadcast/total-order" {
-		t.Fatalf("ungrouped checker should flag the divergent slot: %v", vs)
+		t.Fatalf("unsharded locations' divergent slot not flagged: %v", vs)
 	}
 }
 
 // Same shard, divergent batch in one slot: still a violation under
 // group keying (the group shares one total order).
 func TestCheckerFlagsDivergenceWithinShard(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	ck.FeedAll([]obs.Event{
 		deliverEvent("s0r1", 0, "c1", txPayload(t, "c1", 1)),
 		deliverEvent("s0r2", 0, "c2", txPayload(t, "c2", 9)),
@@ -83,8 +84,7 @@ func decPayload(txid string, shardIdx int, commit bool) []byte {
 }
 
 func TestCheckerCrossShardAtomicityClean(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	ck.FeedAll([]obs.Event{
 		deliverEvent("s0r1", 0, "rt1", prepPayload("c9/1", 0)),
 		deliverEvent("s1r1", 0, "rt1", prepPayload("c9/1", 1)),
@@ -108,8 +108,7 @@ func TestCheckerCrossShardAtomicityClean(t *testing.T) {
 }
 
 func TestCheckerFlagsCommitWithoutPrepare(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	ck.FeedAll([]obs.Event{
 		deliverEvent("s0r1", 0, "rt1", prepPayload("c9/2", 0)),
 		deliverEvent("s0r1", 1, "rt1", decPayload("c9/2", 0, true)),
@@ -127,8 +126,7 @@ func TestCheckerFlagsCommitWithoutPrepare(t *testing.T) {
 }
 
 func TestCheckerAllowsAbortWithoutPrepare(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	// The coordinator aborts a transaction whose prepare never reached
 	// shard 1 (partition): the abort decision is the only record shard 1
 	// ever sees. Legitimate.
@@ -143,8 +141,7 @@ func TestCheckerAllowsAbortWithoutPrepare(t *testing.T) {
 }
 
 func TestCheckerFlagsConflictingOutcomes(t *testing.T) {
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	ck.FeedAll([]obs.Event{
 		deliverEvent("s0r1", 0, "rt1", prepPayload("c9/4", 0)),
 		deliverEvent("s1r1", 0, "rt1", prepPayload("c9/4", 1)),

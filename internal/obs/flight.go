@@ -30,10 +30,10 @@ import (
 // BundleVersion is the bundle format version written into meta.json.
 const BundleVersion = 1
 
-// DefaultMinDumpGap rate-limits TryDump: a checker finding the same
-// violation on every event would otherwise grind the node dumping
-// profiles in a loop.
-const DefaultMinDumpGap = 5 * time.Second
+// MinDumpGap rate-limits TryDump: a checker finding the same violation
+// on every event would otherwise grind the node dumping profiles in a
+// loop.
+const MinDumpGap = 5 * time.Second
 
 // Bundle file names. A bundle is a directory; it is written under a
 // ".tmp" suffix and renamed into place, so any directory without the
@@ -58,9 +58,6 @@ type Recorder struct {
 	o    *Obs
 	dir  string
 	node msg.Loc
-
-	// MinGap is the TryDump rate limit (DefaultMinDumpGap when zero).
-	MinGap time.Duration
 
 	mu            sync.Mutex
 	config        map[string]string
@@ -283,20 +280,16 @@ func (r *Recorder) Dump(reason string) (string, error) {
 
 // TryDump is Dump behind a rate limit for triggers that can fire in a
 // storm (checker violations, repeated kill windows): at most one bundle
-// per MinGap, extra triggers dropped. Errors are returned to the caller
+// per MinDumpGap, extra triggers dropped. Errors are returned to the caller
 // but never panic — the recorder must not take the node down.
 func (r *Recorder) TryDump(reason string) (string, error) {
 	if r == nil {
 		return "", nil
 	}
-	gap := r.MinGap
-	if gap <= 0 {
-		gap = DefaultMinDumpGap
-	}
 	now := time.Now().UnixNano()
 	for {
 		last := r.lastDump.Load()
-		if last != 0 && now-last < int64(gap) {
+		if last != 0 && now-last < int64(MinDumpGap) {
 			return "", nil
 		}
 		if r.lastDump.CompareAndSwap(last, now) {

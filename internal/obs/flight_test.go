@@ -163,7 +163,7 @@ func TestTryDumpRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.MinGap = time.Hour
+	// Back to back, well inside obs.MinDumpGap.
 	p1, err := rec.TryDump("first")
 	if err != nil || p1 == "" {
 		t.Fatalf("first TryDump = %q, %v", p1, err)

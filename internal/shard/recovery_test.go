@@ -115,8 +115,7 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	o := obs.New(1 << 14)
 	clu.Observe(o)
 	o.EnableTracing(true)
-	ck := dist.NewChecker()
-	ck.SetGroupOf(shard.GroupOf)
+	ck := dist.NewChecker(dist.Facts{})
 	ck.Watch(o)
 
 	// Crash window: every vote to the router is dropped until the kill, so

@@ -328,7 +328,7 @@ func TestRouterRejectsExpiredDeadline(t *testing.T) {
 }
 
 func TestRouterBudgetThrottlesRedrive(t *testing.T) {
-	r, _ := flowRouter(t, Config{Budget: &flow.RetryBudget{Rate: 1, Burst: 1}})
+	r, _ := flowRouter(t, Config{Budget: &flow.RetryBudget{Rate: 1}})
 	a := transfer(1)
 	step(t, r, core.HdrTx, a)
 	// The first re-drive spends the only token...
