@@ -244,7 +244,10 @@ func facts(bundles []*obs.Bundle) (f dist.Facts) {
 		if !ok {
 			continue
 		}
-		nf := n.Facts()
+		// The bundle names its topology file; without it the initial epoch
+		// is unknown (Facts of a nil cluster).
+		cl, _ := n.Load()
+		nf := n.Facts(cl)
 		if nf.LeaseDur > 0 {
 			f.LeaseDur, f.MaxStale = nf.LeaseDur, nf.MaxStale
 		}

@@ -83,7 +83,7 @@ func AblationOverlap(rows int) AblationResult {
 		shadowClients(sc.clu, stats, 2, 1<<30, core.ModePBR, sc.rloc, sc.bloc, 500*time.Millisecond, work)
 		sc.sim.After(2*time.Second, func() { sc.clu.Node("r1").Crash() })
 
-		r2 := sc.pbr.Replicas["r2"]
+		r2 := sc.pbr["r2"]
 		configAt, resumed := -1.0, -1.0
 		var poll func()
 		poll = func() {

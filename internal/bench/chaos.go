@@ -198,7 +198,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	sample = func() {
 		now := sc.sim.Now()
 		for _, l := range sc.rloc {
-			r := sc.pbr.Replicas[l]
+			r := sc.pbr[l]
 			if res.DetectedAt < 0 && now > cfg.PartitionFrom && r.Stopped() {
 				res.DetectedAt = now
 			}
@@ -241,7 +241,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		res.RecoveryTime = res.ResumedAt - cfg.PartitionFrom
 	}
 	for _, l := range sc.rloc {
-		r := sc.pbr.Replicas[l]
+		r := sc.pbr[l]
 		if r.IsPrimary() && !r.Stopped() {
 			res.Primaries++
 		}

@@ -63,7 +63,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 		if now <= cut {
 			beforeCut = stats.committed
 		}
-		r2 := sc.pbr.Replicas["r2"]
+		r2 := sc.pbr["r2"]
 		if resumedAt < 0 && now > cut && r2.ConfigNow().Seq > 0 && r2.IsPrimary() && !r2.Stopped() {
 			resumedAt = now
 			atResume = stats.committed
@@ -77,7 +77,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 
 	if resumedAt < 0 {
 		t.Fatalf("backups never took over: r2 config seq %d, primary %v",
-			sc.pbr.Replicas["r2"].ConfigNow().Seq, sc.pbr.Replicas["r2"].IsPrimary())
+			sc.pbr["r2"].ConfigNow().Seq, sc.pbr["r2"].IsPrimary())
 	}
 	if beforeCut == 0 {
 		t.Fatal("no commits before the partition")
@@ -85,12 +85,12 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 	if got := stats.committed; got <= atResume {
 		t.Fatalf("no client progress after failover: %d committed at resume, %d at end", atResume, got)
 	}
-	if sc.pbr.Replicas["r1"].IsPrimary() {
+	if sc.pbr["r1"].IsPrimary() {
 		t.Error("deposed primary r1 still believes it is primary")
 	}
 	primaries := 0
 	for _, l := range sc.rloc {
-		r := sc.pbr.Replicas[l]
+		r := sc.pbr[l]
 		if r.IsPrimary() && !r.Stopped() {
 			primaries++
 		}

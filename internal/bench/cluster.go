@@ -86,8 +86,8 @@ type Cluster struct {
 	// flight-recorder fleet and the nemesis address them).
 	nodes []msg.Loc
 	spec  clusterSpec
-	// pbr is the wired primary-backup system (PBR deployments only).
-	pbr *core.PBRSystem
+	// pbr holds the primary-backup replicas (PBR deployments only).
+	pbr map[msg.Loc]*core.PBRReplica
 	// The current incarnation of each SMR replica and its attachments;
 	// sts only for durable deployments, view only with sharedView.
 	reps map[msg.Loc]*core.SMRReplica
@@ -162,21 +162,25 @@ func newCluster(spec clusterSpec) *Cluster {
 			Pool: c.rloc, InitialMembers: spec.members,
 			BcastNodes: c.bloc, Timing: spec.timing,
 		}
-		// Initial members hold the populated database; a spare starts
-		// empty and is filled by state transfer.
-		c.pbr = core.NewPBRSystem(dep, spec.reg, func(slf msg.Loc) *sqldb.DB {
-			return c.openDB(slf, c.index(slf) < dep.InitialMembers)
-		})
-		for _, l := range c.rloc {
-			r := c.pbr.Replicas[l]
+		c.pbr = make(map[msg.Loc]*core.PBRReplica, len(c.rloc))
+		for i, l := range c.rloc {
+			// Initial members hold the populated database; a spare starts
+			// empty and is filled by state transfer.
+			r := core.NewPBRReplica(l, c.openDB(l, i < dep.InitialMembers), spec.reg, dep)
+			c.pbr[l] = r
 			c.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
 		}
-		bcfg.Subscribers = c.pbr.Bcast.Subscribers
+		bcfg.Subscribers = c.rloc
 		// "We run the broadcast service in the interpreter with
 		// ShadowDB-PBR": it only carries recovery proposals.
 		c.addBroadcast(bcfg, broadcast.Interpreted)
-		for _, d := range c.pbr.StartDirectives() {
-			c.clu.SendAfter(d.Delay, d.Dest, d.Dest, d.M)
+		// The failure detectors boot in pool order: same-instant timers
+		// armed in another order would perturb schedules that must replay
+		// exactly (the chaos fingerprint check).
+		for _, l := range c.rloc {
+			for _, d := range c.pbr[l].Start() {
+				c.clu.SendAfter(d.Delay, d.Dest, d.Dest, d.M)
+			}
 		}
 		return c
 	}

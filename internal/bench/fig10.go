@@ -92,7 +92,7 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 
 	// Sample the backup's protocol state every 20 ms to extract the
 	// timeline events.
-	r2 := sc.pbr.Replicas["r2"]
+	r2 := sc.pbr["r2"]
 	var sample func()
 	sample = func() {
 		now := sc.sim.Now()

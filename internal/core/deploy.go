@@ -3,16 +3,16 @@ package core
 import (
 	"fmt"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
 
-// Deployment helpers: wire broadcast service nodes, replicas and clients
-// into one gpm.System for the reference runner, the verifier, and the
-// examples. The simulator (package des) hosts the same pieces with its
-// own adapters in package bench.
+// Deployment fixtures: the client process the reference runner and the
+// tests drive, and the bank application. Nodes are built from their
+// settings by internal/deploy (Node.Process), which the binaries and the
+// public API share; the simulator hosts the same pieces with its own
+// adapters in package bench.
 
 // HdrSubmit drives a client: the body names the transaction to run next.
 const HdrSubmit = "cli.submit"
@@ -40,116 +40,6 @@ func ClientProc(c *Client, onResult func(TxResult)) gpm.Process {
 		return step, outs
 	}
 	return step
-}
-
-// PBRSystem is a fully wired primary-backup deployment.
-type PBRSystem struct {
-	Dep      PBRDeployment
-	Replicas map[msg.Loc]*PBRReplica
-	Bcast    broadcast.Config
-}
-
-// NewPBRSystem builds the replicas (each with its own database from
-// mkDB) and the broadcast service configuration. Replicas subscribe to
-// the broadcast service for recovery proposals.
-func NewPBRSystem(dep PBRDeployment, reg Registry, mkDB func(slf msg.Loc) *sqldb.DB) *PBRSystem {
-	sys := &PBRSystem{Dep: dep, Replicas: make(map[msg.Loc]*PBRReplica, len(dep.Pool))}
-	for _, l := range dep.Pool {
-		sys.Replicas[l] = NewPBRReplica(l, mkDB(l), reg, dep)
-	}
-	sys.Bcast = broadcast.Config{
-		Nodes:       dep.BcastNodes,
-		Subscribers: append([]msg.Loc(nil), dep.Pool...),
-	}
-	return sys
-}
-
-// System assembles the gpm.System hosting broadcast nodes and replicas.
-// Extra generators (clients) are consulted for unknown locations.
-func (s *PBRSystem) System(extraLocs []msg.Loc, extra gpm.Generator) gpm.System {
-	bgen := broadcast.Spec(s.Bcast).Generator()
-	locs := append([]msg.Loc(nil), s.Dep.BcastNodes...)
-	locs = append(locs, s.Dep.Pool...)
-	locs = append(locs, extraLocs...)
-	gen := func(slf msg.Loc) gpm.Process {
-		if r, ok := s.Replicas[slf]; ok {
-			return r
-		}
-		for _, b := range s.Dep.BcastNodes {
-			if b == slf {
-				return bgen(slf)
-			}
-		}
-		if extra != nil {
-			return extra(slf)
-		}
-		return gpm.Halt()
-	}
-	return gpm.System{Gen: gen, Locs: locs}
-}
-
-// StartDirectives returns the boot messages (failure detectors), in
-// pool order: map iteration would arm same-instant timers in a
-// different order each run, perturbing simulated schedules that must
-// replay exactly (the chaos fingerprint check).
-func (s *PBRSystem) StartDirectives() []msg.Directive {
-	var outs []msg.Directive
-	for _, l := range s.Dep.Pool {
-		outs = append(outs, s.Replicas[l].Start()...)
-	}
-	return outs
-}
-
-// SMRSystem is a fully wired state-machine-replication deployment.
-type SMRSystem struct {
-	Nodes    []msg.Loc
-	Replicas map[msg.Loc]*SMRReplica
-	Bcast    broadcast.Config
-}
-
-// NewSMRSystem builds n replicas, each co-located with (and subscribed
-// to) one broadcast service node, as in the paper's deployment.
-func NewSMRSystem(bcastNodes []msg.Loc, replicaLocs []msg.Loc, reg Registry, mkDB func(slf msg.Loc) *sqldb.DB) *SMRSystem {
-	if len(bcastNodes) != len(replicaLocs) {
-		panic(fmt.Sprintf("core: %d broadcast nodes for %d replicas", len(bcastNodes), len(replicaLocs)))
-	}
-	sys := &SMRSystem{Nodes: bcastNodes, Replicas: make(map[msg.Loc]*SMRReplica, len(replicaLocs))}
-	local := make(map[msg.Loc][]msg.Loc, len(bcastNodes))
-	for i, b := range bcastNodes {
-		local[b] = []msg.Loc{replicaLocs[i]}
-		r, err := OpenSMRReplica(SMRConfig{Self: replicaLocs[i], DB: mkDB(replicaLocs[i]), Registry: reg})
-		if err != nil {
-			panic(err) // a volatile replica without an extension cannot fail to open
-		}
-		sys.Replicas[replicaLocs[i]] = r
-	}
-	sys.Bcast = broadcast.Config{Nodes: bcastNodes, LocalSubscribers: local}
-	return sys
-}
-
-// System assembles the gpm.System for the runner.
-func (s *SMRSystem) System(extraLocs []msg.Loc, extra gpm.Generator) gpm.System {
-	bgen := broadcast.Spec(s.Bcast).Generator()
-	locs := append([]msg.Loc(nil), s.Nodes...)
-	for l := range s.Replicas {
-		locs = append(locs, l)
-	}
-	locs = append(locs, extraLocs...)
-	gen := func(slf msg.Loc) gpm.Process {
-		if r, ok := s.Replicas[slf]; ok {
-			return r
-		}
-		for _, b := range s.Nodes {
-			if b == slf {
-				return bgen(slf)
-			}
-		}
-		if extra != nil {
-			return extra(slf)
-		}
-		return gpm.Halt()
-	}
-	return gpm.System{Gen: gen, Locs: locs}
 }
 
 // --------------------------------------------------------- bank fixture --

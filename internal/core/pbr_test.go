@@ -29,57 +29,46 @@ func testDeployment() PBRDeployment {
 
 // pbrHarness wires a full PBR system plus n clients into a runner.
 type pbrHarness struct {
-	sys     *PBRSystem
-	runner  *gpm.Runner
-	clients map[msg.Loc]*Client
-	results map[msg.Loc][]TxResult
+	replicas map[msg.Loc]*PBRReplica
+	runner   *gpm.Runner
+	clients  map[msg.Loc]*Client
+	results  map[msg.Loc][]TxResult
 }
 
 func newPBRHarness(t *testing.T, rows, clients int) *pbrHarness {
 	t.Helper()
 	dep := testDeployment()
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		db, err := sqldb.Open("h2:mem:" + string(slf))
-		if err != nil {
-			t.Fatal(err)
-		}
+	h := &pbrHarness{
+		replicas: make(map[msg.Loc]*PBRReplica),
+		clients:  make(map[msg.Loc]*Client),
+		results:  make(map[msg.Loc][]TxResult),
+	}
+	procs := make(map[msg.Loc]gpm.Process)
+	for i, l := range dep.Pool {
 		// Initial members start with the populated database; the spare
 		// starts empty (it receives a snapshot on promotion).
-		if slf != "r3" {
-			if err := BankSetup(db, rows); err != nil {
-				t.Fatal(err)
-			}
+		seed := 0
+		if i < dep.InitialMembers {
+			seed = rows
 		}
-		return db
+		h.replicas[l] = NewPBRReplica(l, bankDB(t, string(l), seed), BankRegistry(), dep)
+		procs[l] = h.replicas[l]
 	}
-	sys := NewPBRSystem(dep, BankRegistry(), mkDB)
-	h := &pbrHarness{
-		sys:     sys,
-		clients: make(map[msg.Loc]*Client),
-		results: make(map[msg.Loc][]TxResult),
-	}
-	var cliLocs []msg.Loc
 	for i := 0; i < clients; i++ {
 		loc := msg.Loc(fmt.Sprintf("c%d", i))
-		cliLocs = append(cliLocs, loc)
 		h.clients[loc] = &Client{
 			Slf: loc, Mode: ModePBR,
 			Replicas: dep.Pool, Retry: dep.Timing.ClientRetry,
 		}
+		procs[loc] = ClientProc(h.clients[loc], func(res TxResult) { h.results[loc] = append(h.results[loc], res) })
 	}
-	extra := func(slf msg.Loc) gpm.Process {
-		c, ok := h.clients[slf]
-		if !ok {
-			return gpm.Halt()
+	// Replicas subscribe to the broadcast service for recovery proposals.
+	h.runner = gpm.NewRunner(system(broadcast.Config{Nodes: dep.BcastNodes, Subscribers: dep.Pool}, procs))
+	// Boot the failure detectors in pool order.
+	for _, l := range dep.Pool {
+		for _, d := range h.replicas[l].Start() {
+			h.runner.InjectAfter(d.Delay, d.Dest, d.M)
 		}
-		loc := slf
-		return ClientProc(c, func(res TxResult) {
-			h.results[loc] = append(h.results[loc], res)
-		})
-	}
-	h.runner = gpm.NewRunner(sys.System(cliLocs, extra))
-	for _, d := range sys.StartDirectives() {
-		h.runner.InjectAfter(d.Delay, d.Dest, d.M)
 	}
 	return h
 }
@@ -116,7 +105,7 @@ func TestPBRNormalCase(t *testing.T) {
 		t.Fatal("transactions did not complete")
 	}
 	// Both primary and backup executed both transactions.
-	r1, r2 := h.sys.Replicas["r1"], h.sys.Replicas["r2"]
+	r1, r2 := h.replicas["r1"], h.replicas["r2"]
 	if r1.Executor().Executed != 2 || r2.Executor().Executed != 2 {
 		t.Errorf("executed: primary=%d backup=%d", r1.Executor().Executed, r2.Executor().Executed)
 	}
@@ -166,7 +155,7 @@ func TestPBRAnswerWaitsForBackupAck(t *testing.T) {
 	if !ok {
 		t.Fatal("transaction never completed after backup crash")
 	}
-	r1 := h.sys.Replicas["r1"]
+	r1 := h.replicas["r1"]
 	if r1.ConfigNow().Seq == 0 {
 		t.Error("no reconfiguration happened")
 	}
@@ -197,7 +186,7 @@ func TestPBRPrimaryCrashRecovery(t *testing.T) {
 		t.Fatalf("transactions stalled after primary crash (done=%d)", h.totalDone())
 	}
 
-	r2, r3 := h.sys.Replicas["r2"], h.sys.Replicas["r3"]
+	r2, r3 := h.replicas["r2"], h.replicas["r3"]
 	if !r2.IsPrimary() {
 		t.Errorf("new primary = %s, want r2 (highest executed seq)", r2.ConfigNow().Primary())
 	}
@@ -230,7 +219,7 @@ func TestPBRExactlyOnceUnderRetry(t *testing.T) {
 	if _, err := h.runner.Run(500_000); err != nil {
 		t.Fatal(err)
 	}
-	r1 := h.sys.Replicas["r1"]
+	r1 := h.replicas["r1"]
 	if got := balanceOf(t, r1.Executor().DB, 2); got != 1100 {
 		t.Errorf("balance = %d, want exactly one deposit (1100)", got)
 	}
@@ -251,7 +240,7 @@ func TestPBRSerializableHistory(t *testing.T) {
 			t.Fatalf("round %d stalled: %v", round, err)
 		}
 	}
-	r1 := h.sys.Replicas["r1"]
+	r1 := h.replicas["r1"]
 	setup := func(db *sqldb.DB) error { return BankSetup(db, 10) }
 	if err := CheckSerializable(BankRegistry(), setup, r1.Executor(), h.answered()); err != nil {
 		t.Error(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,52 +16,63 @@ import (
 // smrHarness wires an SMR deployment (3 broadcast nodes, 3 co-located
 // replicas) plus clients into a runner.
 type smrHarness struct {
-	sys     *SMRSystem
-	runner  *gpm.Runner
-	clients map[msg.Loc]*Client
-	results map[msg.Loc][]TxResult
+	replicas map[msg.Loc]*SMRReplica
+	bcast    broadcast.Config
+	runner   *gpm.Runner
+	clients  map[msg.Loc]*Client
+	results  map[msg.Loc][]TxResult
 }
 
 func newSMRHarness(t *testing.T, rows, clients int) *smrHarness {
 	t.Helper()
 	bnodes := []msg.Loc{"b1", "b2", "b3"}
-	rlocs := []msg.Loc{"r1", "r2", "r3"}
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		db, err := sqldb.Open("h2:mem:" + string(slf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := BankSetup(db, rows); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	sys := NewSMRSystem(bnodes, rlocs, BankRegistry(), mkDB)
 	h := &smrHarness{
-		sys:     sys,
-		clients: make(map[msg.Loc]*Client),
-		results: make(map[msg.Loc][]TxResult),
+		replicas: make(map[msg.Loc]*SMRReplica),
+		bcast:    broadcast.Config{Nodes: bnodes, LocalSubscribers: make(map[msg.Loc][]msg.Loc)},
+		clients:  make(map[msg.Loc]*Client),
+		results:  make(map[msg.Loc][]TxResult),
 	}
-	var cliLocs []msg.Loc
+	// Replica i is co-located with (and subscribed to) service node i.
+	for i, l := range []msg.Loc{"r1", "r2", "r3"} {
+		h.replicas[l] = openSMR(t, l, bankDB(t, string(l), rows), false)
+		h.bcast.LocalSubscribers[bnodes[i]] = []msg.Loc{l}
+	}
 	for i := 0; i < clients; i++ {
 		loc := msg.Loc(fmt.Sprintf("c%d", i))
-		cliLocs = append(cliLocs, loc)
 		h.clients[loc] = &Client{
 			Slf: loc, Mode: ModeSMR, BcastNodes: bnodes, Retry: 200 * time.Millisecond,
 		}
 	}
-	extra := func(slf msg.Loc) gpm.Process {
-		c, ok := h.clients[slf]
-		if !ok {
-			return gpm.Halt()
-		}
-		loc := slf
-		return ClientProc(c, func(res TxResult) {
-			h.results[loc] = append(h.results[loc], res)
-		})
-	}
-	h.runner = gpm.NewRunner(sys.System(cliLocs, extra))
+	h.runner = gpm.NewRunner(system(h.bcast, h.procs()))
 	return h
+}
+
+// procs is every process the harness hosts besides the broadcast service.
+func (h *smrHarness) procs() map[msg.Loc]gpm.Process {
+	ps := make(map[msg.Loc]gpm.Process)
+	for l, r := range h.replicas {
+		ps[l] = r
+	}
+	for l, c := range h.clients {
+		ps[l] = ClientProc(c, func(res TxResult) { h.results[l] = append(h.results[l], res) })
+	}
+	return ps
+}
+
+// system hosts procs at their locations and the broadcast service bcast
+// describes at its nodes, for the reference runner.
+func system(bcast broadcast.Config, procs map[msg.Loc]gpm.Process) gpm.System {
+	gen := broadcast.Spec(bcast).Generator()
+	locs := slices.Clone(bcast.Nodes)
+	for l := range procs {
+		locs = append(locs, l)
+	}
+	return gpm.System{Locs: locs, Gen: func(l msg.Loc) gpm.Process {
+		if p, ok := procs[l]; ok {
+			return p
+		}
+		return gen(l)
+	}}
 }
 
 func (h *smrHarness) submit(client msg.Loc, txType string, args ...any) {
@@ -86,7 +98,7 @@ func TestSMRNormalCase(t *testing.T) {
 	}
 	// Every replica executed every transaction in the same order.
 	var dbs []*sqldb.DB
-	for _, r := range h.sys.Replicas {
+	for _, r := range h.replicas {
 		if r.Executor().Executed != 3 {
 			t.Errorf("replica executed %d, want 3", r.Executor().Executed)
 		}
@@ -126,7 +138,7 @@ func TestSMRReplicaCrashTransparent(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("crash was not transparent: done=%d", h.totalDone())
 	}
-	r2, r3 := h.sys.Replicas["r2"], h.sys.Replicas["r3"]
+	r2, r3 := h.replicas["r2"], h.replicas["r3"]
 	if err := CheckStateAgreement(r2.Executor().DB, r3.Executor().DB); err != nil {
 		t.Error(err)
 	}
@@ -144,7 +156,7 @@ func TestSMRExactlyOnceUnderRetry(t *testing.T) {
 	if _, err := h.runner.Run(5_000_000); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range h.sys.Replicas {
+	for _, r := range h.replicas {
 		if got := balanceOf(t, r.Executor().DB, 3); got != 1100 {
 			t.Errorf("balance = %d, want one deposit exactly", got)
 		}
@@ -157,8 +169,8 @@ func TestSMRExactlyOnceUnderRetry(t *testing.T) {
 // meantime, activates on the transfer and converges with the group.
 func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	h := newSMRHarness(t, 30, 1)
-	view := member.NewView(member.Config{Bcast: h.sys.Nodes, Replicas: []msg.Loc{"r1", "r2", "r3"}}, 1)
-	for _, r := range h.sys.Replicas {
+	view := member.NewView(member.Config{Bcast: h.bcast.Nodes, Replicas: []msg.Loc{"r1", "r2", "r3"}}, 1)
+	for _, r := range h.replicas {
 		r.SetView(view)
 	}
 	// Attach a joining replica r4, subscribed to node b1's deliveries.
@@ -168,26 +180,11 @@ func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	}
 	r4 := openSMR(t, "r4", db4, true)
 	r4.SetView(view)
-	h.sys.Bcast.LocalSubscribers["b1"] = append(h.sys.Bcast.LocalSubscribers["b1"], "r4")
+	h.bcast.LocalSubscribers["b1"] = append(h.bcast.LocalSubscribers["b1"], "r4")
 	// Rebuild the runner with the extended subscriber map and r4 hosted.
-	var cliLocs []msg.Loc
-	for loc := range h.clients {
-		cliLocs = append(cliLocs, loc)
-	}
-	extra := func(slf msg.Loc) gpm.Process {
-		if slf == "r4" {
-			return r4
-		}
-		c, ok := h.clients[slf]
-		if !ok {
-			return gpm.Halt()
-		}
-		loc := slf
-		return ClientProc(c, func(res TxResult) {
-			h.results[loc] = append(h.results[loc], res)
-		})
-	}
-	h.runner = gpm.NewRunner(h.sys.System(append(cliLocs, "r4"), extra))
+	procs := h.procs()
+	procs["r4"] = r4
+	h.runner = gpm.NewRunner(system(h.bcast, procs))
 
 	// Some committed history before the join.
 	h.submit("c0", "deposit", 1, 10)
@@ -219,7 +216,7 @@ func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	if !view.Current().HasReplica("r4") || len(r4.peers) != 3 {
 		t.Errorf("epoch %v, joiner's peers %v: want r4 a member with the other three as catch-up peers", view.Current(), r4.peers)
 	}
-	if err := CheckStateAgreement(h.sys.Replicas["r1"].Executor().DB, r4.Executor().DB); err != nil {
+	if err := CheckStateAgreement(h.replicas["r1"].Executor().DB, r4.Executor().DB); err != nil {
 		t.Error(err)
 	}
 	if got := balanceOf(t, r4.Executor().DB, 2); got != 1020 {

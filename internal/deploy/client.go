@@ -47,25 +47,57 @@ func (c *Client) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Session is a client connected to a deployment: the protocol state
-// machine (whose counters it exposes) fed from its own TCP endpoint.
+// machine (whose counters it exposes) fed from its own endpoint.
 type Session struct {
 	*core.Client
-	tr      *network.TCP
-	timeout time.Duration
+	// Timeout bounds each request's wait for its answer.
+	Timeout time.Duration
+	tr      network.Transport
 	read    core.ReadMode
 	target  msg.Loc
 }
+
+// Errors a request ends with when it gets no answer.
+var (
+	// ErrTimeout: no answer within the session's Timeout.
+	ErrTimeout = errors.New("timed out")
+	// ErrClosed: the session's transport closed under the request.
+	ErrClosed = errors.New("transport closed")
+)
 
 // Open reads the topology, binds the client's endpoint and returns the
 // session; the caller owns Close. Settings that cannot be run as given
 // are reported before the endpoint is bound.
 func (c Client) Open() (*Session, error) {
-	cl, err := loadCluster(c.Topology)
+	topo, err := loadTopology(c.Topology)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{timeout: c.Timeout, target: msg.Loc(c.ReadTarget), Client: &core.Client{
-		Slf: msg.Loc(c.ID), Mode: core.ModePBR, Replicas: cl.replicas, BcastNodes: cl.bcast, Retry: 2 * time.Second,
+	s, err := c.Session(&Cluster{Topology: topo, Timing: core.DefaultTiming()}, nil)
+	if err != nil {
+		return nil, err
+	}
+	dir := topo.Directory()
+	switch {
+	case c.Listen != "":
+		dir[s.Slf] = c.Listen
+	case dir[s.Slf] == "":
+		dir[s.Slf] = "127.0.0.1:0"
+	}
+	registerWireTypes()
+	if s.tr, err = network.NewTCP(s.Slf, dir); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Session returns the session these settings run over tr, a transport
+// bound to the client's id: it talks to the replicas and broadcast nodes
+// of cl's topology and resends on cl's timing. The session owns tr.
+func (c Client) Session(cl *Cluster, tr network.Transport) (*Session, error) {
+	m := cl.members()
+	s := &Session{Timeout: c.Timeout, tr: tr, target: msg.Loc(c.ReadTarget), Client: &core.Client{
+		Slf: msg.Loc(c.ID), Mode: core.ModePBR, Replicas: m.replicas, BcastNodes: m.bcast, Retry: cl.Timing.ClientRetry,
 	}}
 	switch c.Mode {
 	case "pbr":
@@ -88,10 +120,10 @@ func (c Client) Open() (*Session, error) {
 		return nil, fmt.Errorf("unknown -read mode %q (lease|follower)", c.Read)
 	}
 	if s.read != 0 && s.target == "" {
-		if len(cl.replicas) == 0 {
+		if len(m.replicas) == 0 {
 			return nil, errors.New("-read needs a replica in the topology")
 		}
-		s.target = cl.replicas[0]
+		s.target = m.replicas[0]
 	}
 	if c.Deadline > 0 || c.RetryBudget > 0 {
 		// Deadlines are absolute nanoseconds on the deployment clock, so
@@ -101,16 +133,6 @@ func (c Client) Open() (*Session, error) {
 		if c.RetryBudget > 0 {
 			s.Budget = &flow.RetryBudget{Rate: c.RetryBudget}
 		}
-	}
-	switch {
-	case c.Listen != "":
-		cl.dir[s.Slf] = c.Listen
-	case cl.dir[s.Slf] == "":
-		cl.dir[s.Slf] = "127.0.0.1:0"
-	}
-	registerWireTypes()
-	if s.tr, err = network.NewTCP(s.Slf, cl.dir); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -158,12 +180,12 @@ func (s *Session) Read(typ string, args []any) (*core.ReadResult, error) {
 // the transport until done reports the outcome or the timeout passes.
 func (s *Session) await(first []msg.Directive, done func(*core.TxResult) bool) error {
 	s.emit(first)
-	timeout := time.After(s.timeout)
+	timeout := time.After(s.Timeout)
 	for {
 		select {
 		case env, ok := <-s.tr.Receive():
 			if !ok {
-				return errors.New("transport closed")
+				return ErrClosed
 			}
 			res, outs := s.Handle(env.M)
 			s.emit(outs)
@@ -171,7 +193,7 @@ func (s *Session) await(first []msg.Directive, done func(*core.TxResult) bool) e
 				return nil
 			}
 		case <-timeout:
-			return fmt.Errorf("timed out after %v", s.timeout)
+			return fmt.Errorf("%w after %v", ErrTimeout, s.Timeout)
 		}
 	}
 }

@@ -56,6 +56,7 @@ func writeTopology(t *testing.T, ids ...string) string {
 // that to exit).
 type node struct {
 	n      deploy.Node
+	cl     *deploy.Cluster
 	view   *member.View
 	proc   gpm.Process
 	boot   []msg.Directive
@@ -95,10 +96,13 @@ func build(t *testing.T, n deploy.Node) *node {
 	if n.DataDir != "" {
 		prov = nd
 	}
-	view, err := n.View()
+	cl, err := n.Load()
 	if err == nil {
-		nd.view = view
-		nd.proc, nd.boot, err = n.Process(prov, view)
+		nd.cl = cl
+		nd.view, err = n.View(cl)
+	}
+	if err == nil {
+		nd.proc, nd.boot, err = n.Process(cl, prov, nd.view)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", n.ID, err)
@@ -110,18 +114,14 @@ func build(t *testing.T, n deploy.Node) *node {
 // over it, as Serve does with -check.
 func (nd *node) armed() *node {
 	nd.o = obs.New(1 << 10)
-	nd.ck = nd.n.Arm(nd.o, nd.proc)
+	nd.ck = nd.n.Arm(nd.cl, nd.o, nd.proc)
 	return nd
 }
 
 // start binds the node's topology address and runs the process on it.
 func (nd *node) start(t *testing.T) *node {
 	t.Helper()
-	topo, err := member.LoadTopology(nd.n.Topology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := network.NewTCP(msg.Loc(nd.n.ID), topo.Directory())
+	tcp, err := network.NewTCP(msg.Loc(nd.n.ID), nd.cl.Topology.Directory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,10 +418,11 @@ func TestTwoThirdOrdersForSubscriber(t *testing.T) {
 	for _, id := range []string{"b1", "b2", "b3"} {
 		n := deploy.Default()
 		n.ID, n.Role, n.Topology, n.Module = id, "broadcast", topology, "twothird"
-		if v, _ := n.View(); v != nil {
+		nd := build(t, n)
+		if nd.view != nil {
 			t.Fatal("a twothird node has a membership view")
 		}
-		build(t, n).start(t)
+		nd.start(t)
 	}
 	topo, err := member.LoadTopology(topology)
 	if err != nil {

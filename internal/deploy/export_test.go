@@ -8,4 +8,6 @@ import (
 
 // Arm is arm, for the loopback tests that arm each node's checker the way
 // Serve does.
-func (n Node) Arm(o *obs.Obs, proc gpm.Process) *dist.Checker { return n.arm(o, proc) }
+func (n Node) Arm(cl *Cluster, o *obs.Obs, proc gpm.Process) *dist.Checker {
+	return n.arm(cl, o, proc)
+}

@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"time"
 
+	"shadowdb/internal/bench/tpcc"
+	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
@@ -133,35 +136,70 @@ var idOf = map[string]Role{
 	"pbr": RoleReplica, "smr": RoleReplica, "broadcast": RoleBcast, "shard": RoleShard, "router": RoleRouter,
 }
 
-// cluster is what a node reads out of its topology file.
-type cluster struct {
-	ids []string
-	dir map[msg.Loc]string
-	// replicas and bcast are the r<n> and b<n> ids, sorted.
+// Cluster is what every node of one deployment shares, read once: the
+// topology, the application its replicas run, and the PBR
+// failure-detection timing. The binaries load it from the -topology file
+// (Node.Load); the public API builds it in memory.
+type Cluster struct {
+	Topology member.Topology
+	App      App
+	Timing   core.Timing
+}
+
+// App is the application a deployment replicates: its procedures and the
+// seed a non-spare replica starts from (nil seeds nothing).
+type App struct {
+	Procedures core.Registry
+	Setup      func(*sqldb.DB) error
+}
+
+// Load reads what n's deployment shares: the topology file, the built-in
+// application -registry and -rows select, and the default timing.
+func (n Node) Load() (*Cluster, error) {
+	topo, err := loadTopology(n.Topology)
+	if err != nil {
+		return nil, err
+	}
+	app := App{core.BankRegistry(), func(db *sqldb.DB) error { return core.BankSetup(db, n.Rows) }}
+	if n.Registry == "tpcc" {
+		sc := tpcc.Full()
+		app = App{tpcc.Registry(sc), tpcc.SetupFunc(sc)}
+	}
+	return &Cluster{Topology: topo, App: app, Timing: core.DefaultTiming()}, nil
+}
+
+// loadTopology reads the topology file a -topology flag names.
+func loadTopology(path string) (member.Topology, error) {
+	if path == "" {
+		return member.Topology{}, errors.New("missing -topology")
+	}
+	return member.LoadTopology(path)
+}
+
+// members is a topology's ids split by role.
+type members struct {
+	// replicas and bcast are the r<n> and b<n> ids in numeric order.
 	replicas, bcast []msg.Loc
 	// shards is the validated sharded member list (roles shard, router).
 	shards *shard.Topology
 }
 
-// loadCluster reads a topology file and splits its ids by role.
-func loadCluster(path string) (*cluster, error) {
-	if path == "" {
-		return nil, errors.New("missing -topology")
-	}
-	topo, err := member.LoadTopology(path)
-	if err != nil {
-		return nil, err
-	}
-	c := &cluster{ids: topo.IDs(), dir: topo.Directory()}
-	for _, id := range c.ids {
+// members splits the topology's ids by role.
+func (c *Cluster) members() *members {
+	m := &members{}
+	for _, id := range c.Topology.IDs() {
 		switch l := msg.Loc(id); RoleOf(l) {
 		case RoleBcast:
-			c.bcast = append(c.bcast, l)
+			m.bcast = append(m.bcast, l)
 		case RoleReplica:
-			c.replicas = append(c.replicas, l)
+			m.replicas = append(m.replicas, l)
 		}
 	}
-	return c, nil
+	// r2 before r10: the pool order decides PBR's initial members.
+	byNumber := func(a, b msg.Loc) int { return cmp.Or(cmp.Compare(len(a), len(b)), cmp.Compare(a, b)) }
+	slices.SortFunc(m.bcast, byNumber)
+	slices.SortFunc(m.replicas, byNumber)
+	return m
 }
 
 // ordered reports whether the node runs under the membership view: the
@@ -175,11 +213,16 @@ func (n Node) ordered() bool {
 // given. It reads the topology file and creates the data directory, and
 // has no other effect.
 func (n Node) Validate() error {
-	_, err := n.check()
+	cl, err := n.Load()
+	if err == nil {
+		_, err = n.check(cl)
+	}
 	return err
 }
 
-func (n Node) check() (*cluster, error) {
+// check validates the settings against each other and against cl, and
+// splits cl's topology by role.
+func (n Node) check(cl *Cluster) (*members, error) {
 	want, ok := idOf[n.Role]
 	sharded := want == RoleShard || want == RoleRouter
 	switch {
@@ -217,27 +260,25 @@ func (n Node) check() (*cluster, error) {
 	if _, err := obs.ParseLevel(n.LogLevel); err != nil {
 		return nil, err
 	}
-	c, err := loadCluster(n.Topology)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := c.dir[msg.Loc(n.ID)]; !ok {
+	if _, ok := cl.Topology.Nodes[n.ID]; !ok {
 		return nil, fmt.Errorf("id %q not in topology %s", n.ID, n.Topology)
 	}
-	if n.Lease && len(c.bcast) == 0 {
+	m := cl.members()
+	if n.Lease && len(m.bcast) == 0 {
 		return nil, errors.New("-lease requires broadcast nodes in the topology")
 	}
 	if sharded {
 		// The whole member list is validated before anything opens: a
 		// malformed directory must be a startup error, not a late panic.
-		if c.shards, err = shard.FromDirectory(c.ids); err != nil {
+		var err error
+		if m.shards, err = shard.FromDirectory(cl.Topology.IDs()); err != nil {
 			return nil, err
 		}
 	}
 	if _, err := n.provider(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return m, nil
 }
 
 // provider creates the node's data directory (no store in it is opened)
@@ -260,46 +301,44 @@ func (n Node) provider() (store.Provider, error) {
 	return store.NewDir(root, pol)
 }
 
-// View returns a fresh copy of the initial membership epoch for a node
+// View returns a fresh copy of cl's initial membership epoch for a node
 // under dynamic membership, nil for every other node. A joiner excludes
 // itself: until the ordered add command derives the epoch that admits
 // it, it is not a member — merely a process the members can already dial.
-func (n Node) View() (*member.View, error) {
-	c, err := n.check()
+func (n Node) View(cl *Cluster) (*member.View, error) {
+	m, err := n.check(cl)
 	if err != nil || !n.ordered() {
 		return nil, err
 	}
-	return member.NewView(n.initial(c), n.Alpha), nil
+	return member.NewView(n.initial(m), n.Alpha), nil
 }
 
 // initial is the membership epoch a node under dynamic membership starts
 // from: the topology's broadcast and replica ids, less the node itself
 // when it joins.
-func (n Node) initial(c *cluster) member.Config {
-	initial := member.Config{Bcast: c.bcast, Replicas: c.replicas}
+func (n Node) initial(m *members) member.Config {
+	initial := member.Config{Bcast: m.bcast, Replicas: m.replicas}
 	if n.Joiner {
 		self := func(l msg.Loc) bool { return l == msg.Loc(n.ID) }
-		initial.Bcast = slices.DeleteFunc(slices.Clone(c.bcast), self)
-		initial.Replicas = slices.DeleteFunc(slices.Clone(c.replicas), self)
+		initial.Bcast = slices.DeleteFunc(slices.Clone(m.bcast), self)
+		initial.Replicas = slices.DeleteFunc(slices.Clone(m.replicas), self)
 	}
 	return initial
 }
 
 // Facts are the deployment facts the online checker needs, read from the
 // settings Settings records: the lease window, the initial epoch as View
-// builds it (unknown if the topology cannot be read), and the bound the
+// builds it from cl (unknown when cl is nil), and the bound the
 // node's admission queue reports under -max-inflight — a sequencer's is
 // flow.NewQueue's, the router's keeps a control slot above the limit
 // (shard.NewRouter).
-func (n Node) Facts() dist.Facts {
+func (n Node) Facts(cl *Cluster) dist.Facts {
 	var f dist.Facts
 	if n.Lease {
 		f.LeaseDur, f.MaxStale = n.LeaseDur, n.MaxStale
 	}
-	if n.ordered() {
-		if c, err := loadCluster(n.Topology); err == nil {
-			f.Initial, f.Alpha = n.initial(c), n.Alpha
-		}
+	if n.ordered() && cl != nil {
+		f.Initial, f.Alpha = n.initial(cl.members()), n.Alpha
 	}
 	if n.MaxInflight > 0 {
 		f.MaxQueue = flow.NewQueue(n.MaxInflight).Cap()

@@ -99,8 +99,8 @@ func TestValidate(t *testing.T) {
 		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
 			t.Errorf("%s: error %q does not contain %q", tc.name, err, tc.want)
 		}
-		if tc.want != "" {
-			if _, _, err := tc.n.Process(nil, nil); err == nil {
+		if cl, err := tc.n.Load(); tc.want != "" && err == nil {
+			if _, _, err := tc.n.Process(cl, nil, nil); err == nil {
 				t.Errorf("%s: Process built a node Validate refuses", tc.name)
 			}
 		}

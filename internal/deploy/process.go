@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"shadowdb/internal/bench/tpcc"
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
@@ -34,14 +33,14 @@ func registerWireTypes() {
 	shard.RegisterWireTypes()
 }
 
-// Process builds the node's role over prov (nil keeps the node volatile)
-// and view (from View; nil outside dynamic membership), opening every
-// store the role journals to before any protocol state is constructed.
-// boot is what the role emits once at start: failure-detector and lease
-// ticks, the catch-up request of a restarted replica, the re-drive of a
-// router's recovered transactions.
-func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process, boot []msg.Directive, err error) {
-	c, err := n.check()
+// Process builds the node's role in cl over prov (nil keeps the node
+// volatile) and view (from View; nil outside dynamic membership), opening
+// every store the role journals to before any protocol state is
+// constructed. boot is what the role emits once at start:
+// failure-detector and lease ticks, the catch-up request of a restarted
+// replica, the re-drive of a router's recovered transactions.
+func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc gpm.Process, boot []msg.Directive, err error) {
+	c, err := n.check(cl)
 	if err == nil && n.ordered() && view == nil {
 		err = errors.New("deploy: a node under dynamic membership needs its View")
 	}
@@ -50,19 +49,14 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 	}
 	registerWireTypes()
 	id := msg.Loc(n.ID)
-	reg := core.BankRegistry()
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, n.Rows) }
-	if n.Registry == "tpcc" {
-		sc := tpcc.Full()
-		reg, setup = tpcc.Registry(sc), tpcc.SetupFunc(sc)
-	}
-	// openDB opens the replica database, seeded with the registry's
+	reg := cl.App.Procedures
+	// openDB opens the replica database, seeded with the application's
 	// initial population: a fresh store's baseline snapshot must capture
 	// it, and recovery from an existing store restores over it.
 	openDB := func(seeded bool) (*sqldb.DB, error) {
 		db, err := sqldb.Open(n.Engine + ":mem:" + n.ID)
-		if err == nil && seeded {
-			err = setup(db)
+		if err == nil && seeded && cl.App.Setup != nil {
+			err = cl.App.Setup(db)
 		}
 		return db, err
 	}
@@ -88,7 +82,7 @@ func (n Node) Process(prov store.Provider, view *member.View) (proc gpm.Process,
 			return nil, nil, err
 		}
 		dep := core.PBRDeployment{
-			Pool: c.replicas, InitialMembers: n.Members, BcastNodes: c.bcast, Timing: core.DefaultTiming(),
+			Pool: c.replicas, InitialMembers: n.Members, BcastNodes: c.bcast, Timing: cl.Timing,
 		}
 		st, err := stable("pbr")
 		if err != nil {

@@ -28,7 +28,12 @@ func Serve(n Node) int {
 		fmt.Fprintln(os.Stderr, err)
 		return code
 	}
-	c, err := n.check()
+	// The topology file is read here, once; every later step takes cl.
+	cl, err := n.Load()
+	var m *members
+	if err == nil {
+		m, err = n.check(cl)
+	}
 	if err != nil {
 		return fail(2, err)
 	}
@@ -45,7 +50,7 @@ func Serve(n Node) int {
 	obs.Default.SetNode(id)
 
 	registerWireTypes() // before the listener can receive a frame
-	tcp, err := network.NewTCP(id, c.dir)
+	tcp, err := network.NewTCP(id, cl.Topology.Directory())
 	if err != nil {
 		return fail(1, err)
 	}
@@ -74,14 +79,14 @@ func Serve(n Node) int {
 	if err != nil {
 		return fail(1, err)
 	}
-	view, err := n.View()
+	view, err := n.View(cl)
 	if err != nil {
 		return fail(1, err)
 	}
 	if view != nil {
 		view.OnApply(onApply(tcp, n.Topology))
 	}
-	proc, boot, err := n.Process(prov, view)
+	proc, boot, err := n.Process(cl, prov, view)
 	if err != nil {
 		return fail(1, err)
 	}
@@ -90,18 +95,18 @@ func Serve(n Node) int {
 	obs.Default.EnableTracing(n.Trace)
 	var checker *dist.Checker
 	if n.Check {
-		checker = n.arm(obs.Default, proc)
+		checker = n.arm(cl, obs.Default, proc)
 	}
 	host := runtime.NewHost(id, tr, proc)
 	host.Emit(boot)
 	host.Start()
 	defer func() { _ = host.Close() }()
-	if c.shards != nil {
+	if m.shards != nil {
 		lg.Infof("shadowdb %s (%s) listening on %s; %d shards, router=%v",
-			id, n.Role, tcp.Addr(), c.shards.Shards, c.shards.Routers[0])
+			id, n.Role, tcp.Addr(), m.shards.Shards, m.shards.Routers[0])
 	} else {
 		lg.Infof("shadowdb %s (%s, module %s) listening on %s; replicas=%v broadcast=%v",
-			id, n.Role, n.Module, tcp.Addr(), c.replicas, c.bcast)
+			id, n.Role, n.Module, tcp.Addr(), m.replicas, m.bcast)
 	}
 
 	// The flight recorder dumps a postmortem bundle on checker violation,
@@ -168,11 +173,11 @@ func Serve(n Node) int {
 }
 
 // arm runs the online checker over o for the node proc is: armed with the
-// node's Facts, and told of a restart when proc recovered durable state,
+// node's Facts in cl, and told of a restart when proc recovered durable state,
 // since its trace then starts past the slots it recovered. The checker
 // reads step events, which the host records only while tracing is on.
-func (n Node) arm(o *obs.Obs, proc gpm.Process) *dist.Checker {
-	ck := dist.NewChecker(n.Facts())
+func (n Node) arm(cl *Cluster, o *obs.Obs, proc gpm.Process) *dist.Checker {
+	ck := dist.NewChecker(n.Facts(cl))
 	if r, ok := proc.(interface{ Recovered() bool }); ok && r.Recovered() {
 		ck.NoteRestart(msg.Loc(n.ID))
 	}

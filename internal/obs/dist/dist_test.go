@@ -10,44 +10,68 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/gpm"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
-// seededSMREvents runs a deterministic SMR deployment (3 broadcast
-// nodes, 3 co-located replicas, 2 clients) in the reference runner and
-// returns the trace as obs events, to feed the checker and the collector.
-func seededSMREvents(t *testing.T) []obs.Event {
+// smrNodes builds the bank SMR deployment cmd/shadowdb runs — broadcast
+// nodes b1..b3, replicas r1..r3 seeded with rows accounts — through
+// deploy.Node.Process. Volatile SMR nodes boot with no directives.
+func smrNodes(t *testing.T, rows int) map[msg.Loc]gpm.Process {
 	t.Helper()
-	bnodes := []msg.Loc{"b1", "b2", "b3"}
-	rlocs := []msg.Loc{"r1", "r2", "r3"}
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		db, err := sqldb.Open("h2:mem:" + string(slf))
+	cl := &deploy.Cluster{
+		Topology: member.Topology{Nodes: map[string]string{}},
+		App: deploy.App{Procedures: core.BankRegistry(), Setup: func(db *sqldb.DB) error {
+			return core.BankSetup(db, rows)
+		}},
+	}
+	ids := []string{"b1", "b2", "b3", "r1", "r2", "r3"}
+	for _, id := range ids {
+		cl.Topology.Nodes[id] = id
+	}
+	procs := make(map[msg.Loc]gpm.Process, len(ids))
+	for _, id := range ids {
+		n := deploy.Default()
+		n.ID, n.Role = id, "smr"
+		if deploy.RoleOf(msg.Loc(id)) == deploy.RoleBcast {
+			n.Role = "broadcast"
+		}
+		view, err := n.View(cl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.BankSetup(db, 20); err != nil {
+		if procs[msg.Loc(id)], _, err = n.Process(cl, nil, view); err != nil {
 			t.Fatal(err)
 		}
-		return db
 	}
-	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
+	return procs
+}
+
+// seededSMREvents runs the SMR deployment plus 2 clients in the reference
+// runner and returns the trace as obs events, to feed the checker and the
+// collector.
+func seededSMREvents(t *testing.T) []obs.Event {
+	t.Helper()
+	bnodes := []msg.Loc{"b1", "b2", "b3"}
+	procs := smrNodes(t, 20)
 	clients := map[msg.Loc]*core.Client{
 		"c0": {Slf: "c0", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 200 * time.Millisecond},
 		"c1": {Slf: "c1", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 200 * time.Millisecond},
 	}
 	done := 0
-	extra := func(slf msg.Loc) gpm.Process {
-		c, ok := clients[slf]
-		if !ok {
-			return gpm.Halt()
-		}
-		return core.ClientProc(c, func(core.TxResult) { done++ })
+	for l, c := range clients {
+		procs[l] = core.ClientProc(c, func(core.TxResult) { done++ })
 	}
-	runner := gpm.NewRunner(sys.System([]msg.Loc{"c0", "c1"}, extra))
+	locs := make([]msg.Loc, 0, len(procs))
+	for l := range procs {
+		locs = append(locs, l)
+	}
+	runner := gpm.NewRunner(gpm.System{Locs: locs, Gen: func(l msg.Loc) gpm.Process { return procs[l] }})
 	submit := func(cli msg.Loc, typ string, args ...any) {
 		want := done + 1
 		runner.Inject(cli, msg.M(core.HdrSubmit, core.SubmitBody{Type: typ, Args: args}))

@@ -14,7 +14,6 @@ import (
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/runtime"
-	"shadowdb/internal/sqldb"
 
 	"shadowdb/internal/broadcast"
 )
@@ -36,18 +35,7 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	// the hub first would double-close the inboxes.
 	t.Cleanup(func() { hub.Close() })
 
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		db, err := sqldb.Open("h2:mem:" + string(slf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.BankSetup(db, 10); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
-	bgen := broadcast.Spec(sys.Bcast).Generator()
+	procs := smrNodes(t, 10)
 
 	checker := dist.NewChecker(dist.Facts{})
 	obses := make(map[string]*obs.Obs)
@@ -72,11 +60,11 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 		return h
 	}
 	for _, l := range bnodes {
-		spawn(l, bgen(l))
+		spawn(l, procs[l])
 	}
 	var mu sync.Mutex
 	for _, l := range rlocs {
-		spawn(l, lockedProc{mu: &mu, p: sys.Replicas[l]})
+		spawn(l, lockedProc{mu: &mu, p: procs[l]})
 	}
 	results := make(chan core.TxResult, 64)
 	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 500 * time.Millisecond}
@@ -100,8 +88,8 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	for {
 		mu.Lock()
 		caughtUp := true
-		for _, r := range sys.Replicas {
-			if r.Executor().Executed < txs {
+		for _, l := range rlocs {
+			if procs[l].(*core.SMRReplica).Executor().Executed < txs {
 				caughtUp = false
 			}
 		}
@@ -224,18 +212,7 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 		}
 	}
 
-	mkDB := func(slf msg.Loc) *sqldb.DB {
-		db, err := sqldb.Open("h2:mem:" + string(slf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.BankSetup(db, 10); err != nil {
-			t.Fatal(err)
-		}
-		return db
-	}
-	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
-	bgen := broadcast.Spec(sys.Bcast).Generator()
+	procs := smrNodes(t, 10)
 
 	var hosts []*runtime.Host
 	var servers []*http.Server
@@ -265,11 +242,11 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 		return h
 	}
 	for _, l := range bnodes {
-		spawn(l, bgen(l))
+		spawn(l, procs[l])
 	}
 	var mu sync.Mutex
 	for _, l := range rlocs {
-		spawn(l, lockedProc{mu: &mu, p: sys.Replicas[l]})
+		spawn(l, lockedProc{mu: &mu, p: procs[l]})
 	}
 	results := make(chan core.TxResult, 64)
 	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 500 * time.Millisecond}
@@ -304,8 +281,8 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	for {
 		mu.Lock()
 		caughtUp := true
-		for _, r := range sys.Replicas {
-			if r.Executor().Executed < txs {
+		for _, l := range rlocs {
+			if procs[l].(*core.SMRReplica).Executor().Executed < txs {
 				caughtUp = false
 			}
 		}

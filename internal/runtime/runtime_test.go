@@ -87,20 +87,21 @@ func deployPBR(t *testing.T, register func(msg.Loc) network.Transport, timing co
 		}
 		return db
 	}
-	sys := core.NewPBRSystem(dep, core.BankRegistry(), mkDB)
 	d := &pbrDeployment{
 		hosts:    make(map[msg.Loc]*Host),
-		replicas: sys.Replicas,
+		replicas: make(map[msg.Loc]*core.PBRReplica),
 		results:  make(chan core.TxResult, 256),
 	}
-	bgen := broadcast.Spec(sys.Bcast).Generator()
+	// Replicas subscribe to the broadcast service for recovery proposals.
+	bgen := broadcast.Spec(broadcast.Config{Nodes: dep.BcastNodes, Subscribers: dep.Pool}).Generator()
 	for _, l := range dep.BcastNodes {
 		h := NewHost(l, register(l), bgen(l))
 		h.Start()
 		d.hosts[l] = h
 	}
 	for _, l := range dep.Pool {
-		r := sys.Replicas[l]
+		r := core.NewPBRReplica(l, mkDB(l), core.BankRegistry(), dep)
+		d.replicas[l] = r
 		h := NewHost(l, register(l), lockedProc{mu: &d.mu, p: r})
 		h.Start()
 		d.hosts[l] = h
@@ -284,7 +285,14 @@ func TestSMROverHub(t *testing.T) {
 		}
 		return db
 	}
-	sys := core.NewSMRSystem(bnodes, rlocs, core.BankRegistry(), mkDB)
+	replicas := make(map[msg.Loc]*core.SMRReplica)
+	for _, l := range rlocs {
+		r, err := core.OpenSMRReplica(core.SMRConfig{Self: l, DB: mkDB(l), Registry: core.BankRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas[l] = r
+	}
 	var mu sync.Mutex
 	var hosts []*Host
 	mustReg := func(l msg.Loc) network.Transport {
@@ -294,14 +302,14 @@ func TestSMROverHub(t *testing.T) {
 		}
 		return tr
 	}
-	bgen := broadcast.Spec(sys.Bcast).Generator()
+	bgen := broadcast.Spec(broadcast.Config{Nodes: bnodes, Subscribers: rlocs}).Generator()
 	for _, l := range bnodes {
 		h := NewHost(l, mustReg(l), bgen(l))
 		h.Start()
 		hosts = append(hosts, h)
 	}
 	for _, l := range rlocs {
-		h := NewHost(l, mustReg(l), lockedProc{mu: &mu, p: sys.Replicas[l]})
+		h := NewHost(l, mustReg(l), lockedProc{mu: &mu, p: replicas[l]})
 		h.Start()
 		hosts = append(hosts, h)
 	}
@@ -333,7 +341,7 @@ func TestSMROverHub(t *testing.T) {
 	for {
 		mu.Lock()
 		caughtUp := true
-		for _, r := range sys.Replicas {
+		for _, r := range replicas {
 			if r.Executor().Executed < 4 {
 				caughtUp = false
 			}
@@ -347,7 +355,7 @@ func TestSMROverHub(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	var dbs []*sqldb.DB
-	for _, r := range sys.Replicas {
+	for _, r := range replicas {
 		dbs = append(dbs, r.Executor().DB)
 	}
 	if err := core.CheckStateAgreement(dbs...); err != nil {

@@ -6,9 +6,11 @@
 // A Cluster bundles database replicas, a Paxos-backed total order
 // broadcast service, and either primary-backup (PBR) or state machine
 // replication (SMR), all running in-process over the channel network.
-// Transactions are typed, deterministic procedures registered by name;
-// clients get exactly-once execution under retry and strict
-// serializability.
+// Its nodes are the ones cmd/shadowdb runs over TCP: each is built by
+// internal/deploy (deploy.Node.Process) from the same settings, so the
+// examples and tests run the shipped wiring. Transactions are typed,
+// deterministic procedures registered by name; clients get exactly-once
+// execution under retry and strict serializability.
 //
 //	cluster, err := shadowdb.Open(shadowdb.Config{
 //	    Replication: shadowdb.SMR,
@@ -23,7 +25,8 @@
 // LoE specification combinators (internal/loe), the term interpreter and
 // optimizer (internal/interp), the verified-by-checking consensus
 // protocols (internal/consensus/...), the broadcast service
-// (internal/broadcast), and the replication core (internal/core).
+// (internal/broadcast), the replication core (internal/core), and the
+// per-node construction (internal/deploy).
 package shadowdb
 
 import (
@@ -32,9 +35,10 @@ import (
 	"sync"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/gpm"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/network"
 	"shadowdb/internal/obs"
@@ -113,21 +117,25 @@ var (
 
 // Cluster is a running in-process deployment.
 type Cluster struct {
-	cfg   Config
-	hub   *network.Hub
-	hosts []*runtime.Host
+	cfg    Config
+	shared *deploy.Cluster
+	hub    *network.Hub
+	hosts  []*runtime.Host
+	// replicas are the hosted replica processes, r1 first.
+	replicas []interface{ Executor() *core.Executor }
 	// stepMu serializes every process step so state inspection is safe.
 	stepMu sync.Mutex
-
-	pbr *core.PBRSystem
-	smr *core.SMRSystem
 
 	mu      sync.Mutex
 	clients int
 	closed  bool
 }
 
-// Open starts a cluster.
+// role is the -role a replica runs under m, and the -mode of its clients.
+func (m Mode) role() string { return map[Mode]string{PBR: "pbr", SMR: "smr"}[m] }
+
+// Open starts a cluster: three broadcast service nodes b1..b3 and the
+// replicas r1..rN, each built as cmd/shadowdb builds it.
 func Open(cfg Config) (*Cluster, error) {
 	if cfg.Replication == 0 {
 		cfg.Replication = PBR
@@ -141,6 +149,9 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Procedures == nil {
 		return nil, fmt.Errorf("shadowdb: Config.Procedures is required")
 	}
+	if cfg.Replication.role() == "" {
+		return nil, fmt.Errorf("shadowdb: unknown replication mode %d", cfg.Replication)
+	}
 	if cfg.Timing == (core.Timing{}) {
 		cfg.Timing = core.Timing{
 			HeartbeatEvery: 50 * time.Millisecond,
@@ -149,120 +160,62 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	c := &Cluster{cfg: cfg, hub: network.NewHub()}
-	engine := func(i int) string {
-		if i < len(cfg.Engines) {
-			return cfg.Engines[i]
-		}
-		return cfg.Engines[len(cfg.Engines)-1]
+	// The hub routes by id, so each node's topology address is its id.
+	shared := &deploy.Cluster{
+		Topology: member.Topology{Nodes: map[string]string{}},
+		App:      deploy.App{Procedures: cfg.Procedures, Setup: cfg.Setup},
+		Timing:   cfg.Timing,
 	}
-	var rlocs, blocs []msg.Loc
+	node := func(id, role string) deploy.Node {
+		n := deploy.Default()
+		n.ID, n.Role = id, role
+		shared.Topology.Nodes[id] = id
+		return n
+	}
+	nodes := []deploy.Node{node("b1", "broadcast"), node("b2", "broadcast"), node("b3", "broadcast")}
 	for i := 0; i < cfg.Replicas; i++ {
-		rlocs = append(rlocs, msg.Loc(fmt.Sprintf("r%d", i+1)))
+		n := node(fmt.Sprintf("r%d", i+1), cfg.Replication.role())
+		n.Engine = cfg.Engines[min(i, len(cfg.Engines)-1)]
+		// Under PBR the replicas past the initial members are spares.
+		n.Spare = cfg.Replication == PBR && i >= n.Members
+		nodes = append(nodes, n)
 	}
-	for i := 0; i < 3; i++ {
-		blocs = append(blocs, msg.Loc(fmt.Sprintf("b%d", i+1)))
-	}
-	mkDB := func(populate bool) func(msg.Loc) (*sqldb.DB, error) {
-		return func(slf msg.Loc) (*sqldb.DB, error) {
-			idx := 0
-			for i, l := range rlocs {
-				if l == slf {
-					idx = i
-				}
-			}
-			db, err := sqldb.Open(engine(idx) + ":mem:" + string(slf))
-			if err != nil {
-				return nil, err
-			}
-			if populate && cfg.Setup != nil {
-				if err := cfg.Setup(db); err != nil {
-					return nil, err
-				}
-			}
-			return db, nil
+	c := &Cluster{cfg: cfg, shared: shared, hub: network.NewHub()}
+	for _, n := range nodes {
+		if err := c.host(n); err != nil {
+			_ = c.Close()
+			return nil, fmt.Errorf("shadowdb: %s: %w", n.ID, err)
 		}
-	}
-
-	switch cfg.Replication {
-	case PBR:
-		dep := core.PBRDeployment{
-			Pool:           rlocs,
-			InitialMembers: min(2, cfg.Replicas),
-			BcastNodes:     blocs,
-			Timing:         cfg.Timing,
-		}
-		var buildErr error
-		c.pbr = core.NewPBRSystem(dep, cfg.Procedures, func(slf msg.Loc) *sqldb.DB {
-			populate := slf == rlocs[0] || (len(rlocs) > 1 && slf == rlocs[1])
-			db, err := mkDB(populate)(slf)
-			if err != nil {
-				buildErr = err
-				return sqldb.New(sqldb.Engine{Name: "broken"})
-			}
-			return db
-		})
-		if buildErr != nil {
-			return nil, buildErr
-		}
-		bgen := broadcast.Spec(c.pbr.Bcast).Generator()
-		for _, l := range blocs {
-			if _, err := c.host(l, bgen(l)); err != nil {
-				return nil, err
-			}
-		}
-		for _, l := range rlocs {
-			r := c.pbr.Replicas[l]
-			h, err := c.host(l, r)
-			if err != nil {
-				return nil, err
-			}
-			h.Emit(r.Start()) // boot the failure detector
-		}
-	case SMR:
-		var buildErr error
-		c.smr = core.NewSMRSystem(blocs[:min(3, cfg.Replicas)], rlocs[:min(3, cfg.Replicas)],
-			cfg.Procedures, func(slf msg.Loc) *sqldb.DB {
-				db, err := mkDB(true)(slf)
-				if err != nil {
-					buildErr = err
-					return sqldb.New(sqldb.Engine{Name: "broken"})
-				}
-				return db
-			})
-		if buildErr != nil {
-			return nil, buildErr
-		}
-		bgen := broadcast.Spec(c.smr.Bcast).Generator()
-		for _, l := range c.smr.Nodes {
-			if _, err := c.host(l, bgen(l)); err != nil {
-				return nil, err
-			}
-		}
-		for l, r := range c.smr.Replicas {
-			if _, err := c.host(l, r); err != nil {
-				return nil, err
-			}
-		}
-	default:
-		return nil, fmt.Errorf("shadowdb: unknown replication mode %d", cfg.Replication)
 	}
 	return c, nil
 }
 
-// host registers a location and starts its process, serialized by stepMu.
-func (c *Cluster) host(l msg.Loc, p gpm.Process) (*runtime.Host, error) {
-	tr, err := c.hub.Register(l)
+// host builds n's process and runs it on the hub, its steps serialized
+// by stepMu.
+func (c *Cluster) host(n deploy.Node) error {
+	view, err := n.View(c.shared)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	h := runtime.NewHost(l, tr, &lockedProc{mu: &c.stepMu, p: p})
+	proc, boot, err := n.Process(c.shared, nil, view)
+	if err != nil {
+		return err
+	}
+	tr, err := c.hub.Register(msg.Loc(n.ID))
+	if err != nil {
+		return err
+	}
+	h := runtime.NewHost(msg.Loc(n.ID), tr, &lockedProc{mu: &c.stepMu, p: proc})
 	if c.cfg.Obs != nil {
 		h.Obs = c.cfg.Obs
 	}
+	h.Emit(boot)
 	h.Start()
 	c.hosts = append(c.hosts, h)
-	return h, nil
+	if r, ok := proc.(interface{ Executor() *core.Executor }); ok {
+		c.replicas = append(c.replicas, r)
+	}
+	return nil
 }
 
 type lockedProc struct {
@@ -310,24 +263,17 @@ func (c *Cluster) Crash(i int) error {
 // ReplicaDB exposes replica i's database for inspection (tests, audits).
 // The returned handle is shared with the running replica; use read-only.
 func (c *Cluster) ReplicaDB(i int) (*DB, error) {
-	loc := msg.Loc(fmt.Sprintf("r%d", i+1))
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
-	if c.pbr != nil {
-		if r, ok := c.pbr.Replicas[loc]; ok {
-			return r.Executor().DB, nil
-		}
+	if i < 0 || i >= len(c.replicas) {
+		return nil, fmt.Errorf("shadowdb: no replica %d", i)
 	}
-	if c.smr != nil {
-		if r, ok := c.smr.Replicas[loc]; ok {
-			return r.Executor().DB, nil
-		}
-	}
-	return nil, fmt.Errorf("shadowdb: no replica %d", i)
+	return c.replicas[i].Executor().DB, nil
 }
 
-// Client creates a synchronous client for the cluster. Clients are not
-// safe for concurrent use; create one per goroutine.
+// Client creates a synchronous client for the cluster: the session
+// cmd/shadowdb-client runs, over the hub. Clients are not safe for
+// concurrent use; create one per goroutine.
 func (c *Cluster) Client() (*Client, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -335,38 +281,23 @@ func (c *Cluster) Client() (*Client, error) {
 		return nil, ErrClosed
 	}
 	c.clients++
-	loc := msg.Loc(fmt.Sprintf("client%d", c.clients))
-	tr, err := c.hub.Register(loc)
+	set := deploy.DefaultClient()
+	set.ID, set.Mode = fmt.Sprintf("client%d", c.clients), c.cfg.Replication.role()
+	tr, err := c.hub.Register(msg.Loc(set.ID))
 	if err != nil {
 		return nil, err
 	}
-	var rlocs, blocs []msg.Loc
-	if c.pbr != nil {
-		rlocs = c.pbr.Dep.Pool
-		blocs = c.pbr.Dep.BcastNodes
-	} else {
-		for l := range c.smr.Replicas {
-			rlocs = append(rlocs, l)
-		}
-		blocs = c.smr.Nodes
+	s, err := set.Session(c.shared, tr)
+	if err != nil {
+		_ = tr.Close()
+		return nil, err
 	}
-	mode := core.ModePBR
-	if c.cfg.Replication == SMR {
-		mode = core.ModeSMR
-	}
-	return &Client{
-		tr: tr,
-		sm: &core.Client{
-			Slf: loc, Mode: mode, Replicas: rlocs, BcastNodes: blocs,
-			Retry: c.cfg.Timing.ClientRetry,
-		},
-	}, nil
+	return &Client{s: s}, nil
 }
 
 // Client is a synchronous ShadowDB client.
 type Client struct {
-	tr network.Transport
-	sm *core.Client
+	s *deploy.Session
 }
 
 // Exec runs one registered transaction and waits for its result.
@@ -376,47 +307,18 @@ func (cl *Client) Exec(txType string, args ...any) (Result, error) {
 
 // ExecTimeout is Exec with an explicit deadline.
 func (cl *Client) ExecTimeout(timeout time.Duration, txType string, args ...any) (Result, error) {
-	emit := func(outs []msg.Directive) {
-		for _, o := range outs {
-			o := o
-			if o.Delay > 0 {
-				time.AfterFunc(o.Delay, func() {
-					_ = cl.tr.Send(msg.Envelope{From: cl.sm.Slf, To: o.Dest, M: o.M})
-				})
-				continue
-			}
-			_ = cl.tr.Send(msg.Envelope{From: cl.sm.Slf, To: o.Dest, M: o.M})
-		}
+	cl.s.Timeout = timeout
+	res, err := cl.s.Exec(txType, args)
+	switch {
+	case errors.Is(err, deploy.ErrClosed):
+		return Result{}, ErrClosed
+	case err != nil:
+		return Result{}, fmt.Errorf("%w: %s after %v", ErrTimeout, txType, timeout)
+	case res.Err != "":
+		return Result{}, fmt.Errorf("shadowdb: %s", res.Err)
 	}
-	emit(cl.sm.Submit(txType, args))
-	deadline := time.After(timeout)
-	for {
-		select {
-		case env, ok := <-cl.tr.Receive():
-			if !ok {
-				return Result{}, ErrClosed
-			}
-			res, outs := cl.sm.Handle(env.M)
-			emit(outs)
-			if res == nil {
-				continue
-			}
-			if res.Err != "" {
-				return Result{}, fmt.Errorf("shadowdb: %s", res.Err)
-			}
-			return Result{Aborted: res.Aborted, Cols: res.Cols, Rows: res.Rows}, nil
-		case <-deadline:
-			return Result{}, fmt.Errorf("%w: %s after %v", ErrTimeout, txType, timeout)
-		}
-	}
+	return Result{Aborted: res.Aborted, Cols: res.Cols, Rows: res.Rows}, nil
 }
 
 // Close releases the client.
-func (cl *Client) Close() error { return cl.tr.Close() }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+func (cl *Client) Close() error { return cl.s.Close() }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shadowdb/internal/core"
+	"shadowdb/internal/leaktest"
 )
 
 func bankConfig(mode Mode) Config {
@@ -255,4 +256,88 @@ func TestCustomProcedures(t *testing.T) {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	_ = fmt.Sprint()
+}
+
+// Every configured replica is hosted: an SMR cluster of four converges on
+// all four.
+func TestSMRHostsEveryReplica(t *testing.T) {
+	cfg := bankConfig(SMR)
+	cfg.Replicas = 4
+	depositConverges(t, cfg, 3)
+}
+
+// The PBR pool runs r1, r2, …, r10: the backup is r2, seeded like the
+// primary, not the empty spare r10 a lexical order would put second.
+func TestPBRPoolInNumericOrder(t *testing.T) {
+	cfg := bankConfig(PBR)
+	cfg.Replicas = 10
+	depositConverges(t, cfg, 1)
+}
+
+// depositConverges opens cfg, deposits 50 into account 5 and waits for
+// replica i to hold the new balance.
+func depositConverges(t *testing.T, cfg Config, i int) {
+	t.Helper()
+	cluster, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cluster.Close() }()
+	cli, err := cluster.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	if _, err := cli.ExecTimeout(10*time.Second, "deposit", int64(5), int64(50)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		db, err := cluster.ReplicaDB(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Exec("SELECT balance FROM accounts WHERE id = 5")
+		if err == nil && len(res.Rows) == 1 && res.Rows[0][0] == int64(1050) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %d never applied the deposit: %v %v", i, res.Rows, err)
+		}
+	}
+}
+
+// Close stops every goroutine the cluster and its clients started, also
+// after a replica crashed.
+func TestCloseLeaksNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		mode  Mode
+		crash bool
+	}{
+		{"pbr", PBR, false}, {"smr", SMR, false}, {"pbr after crash", PBR, true}, {"smr after crash", SMR, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leaktest.Check(t, "shadowdb/internal/runtime.", "shadowdb/internal/network.", "shadowdb/internal/deploy.")
+			cluster, err := Open(bankConfig(tc.mode))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli, err := cluster.Client()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cli.ExecTimeout(10*time.Second, "deposit", int64(1), int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.crash {
+				if err := cluster.Crash(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = cli.Close()
+			if err := cluster.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
