@@ -38,6 +38,8 @@ var docLintPackages = []string{
 	"internal/obs/dist",
 	"internal/flow",
 	"internal/deploy",
+	"internal/runtime",
+	"internal/des",
 }
 
 func TestDocLint(t *testing.T) {

@@ -114,7 +114,7 @@ func NewServer(sim *des.Sim, clu *des.Cluster, cfg ServerConfig) *Server {
 		locks: make(map[string]*des.Resource),
 		cpu:   des.NewSemaphore(sim, serverCores),
 	}
-	clu.AddNode(cfg.Name, 64, nil, s.handle)
+	clu.AddCostedNode(cfg.Name, 64, s.handle)
 	return s
 }
 
@@ -140,7 +140,7 @@ func (s *Server) lock(key string) *des.Resource {
 // handle dispatches incoming messages. Client transactions start a lock
 // flow; replicated transactions from a primary apply under this server's
 // own locks.
-func (s *Server) handle(env des.Envelope) []msg.Directive {
+func (s *Server) handle(env msg.Envelope) ([]msg.Directive, time.Duration) {
 	switch env.M.Hdr {
 	case core.HdrTx:
 		req := env.M.Body.(core.TxRequest)
@@ -158,7 +158,7 @@ func (s *Server) handle(env des.Envelope) []msg.Directive {
 		ack := env.M.Body.(core.ReplAck)
 		s.onAck(ack)
 	}
-	return nil
+	return nil, 0
 }
 
 // runTx executes one transaction through the lock flow. done (if non-nil)

@@ -76,7 +76,7 @@ func (h *harness) addClients(c, n, rows int) {
 				Args: []any{(ci*31 + sent) % rows, 1},
 			}))}
 		}
-		h.clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
+		h.clu.AddCostedNode(loc, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			res := env.M.Body.(core.TxResult)
 			if res.Aborted || res.Err != "" {
 				h.aborted[loc]++
@@ -84,9 +84,9 @@ func (h *harness) addClients(c, n, rows int) {
 				h.done[loc]++
 			}
 			if sent < n {
-				return next()
+				return next(), 0
 			}
-			return nil
+			return nil, 0
 		})
 		h.clu.Sim.After(0, func() {
 			for _, d := range next() {

@@ -246,7 +246,7 @@ func (c *Cluster) addBroadcast(cfg broadcast.Config, mode broadcast.Mode) {
 	for _, b := range cfg.Nodes {
 		loc, proc := b, gen(b)
 		c.nodes = append(c.nodes, loc)
-		c.clu.AddCostedNode(loc, 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
+		c.clu.AddCostedNode(loc, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			next, outs := proc.Step(env.M)
 			proc = next
 			cost := bcastCost(per, env.M)
@@ -350,7 +350,7 @@ func (c *Cluster) Restart(loc msg.Loc) *core.SMRReplica {
 	rep := c.buildReplica(loc, false)
 	var proc gpm.Process = rep
 	cost := c.replicaCost(loc)
-	c.clu.Node(loc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
+	c.clu.Node(loc).RebindCosted(func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		next, outs := proc.Step(env.M)
 		proc = next
 		return outs, c.slowed(loc, cost())

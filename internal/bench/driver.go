@@ -125,18 +125,18 @@ func closedLoop(clu *des.Cluster, stats *loadStats, n, quota int, mk func(i int,
 			started = sim.Now()
 			return outs
 		}
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
+		clu.AddCostedNode(loc, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			done, ok, outs := cl.handle(env.M)
 			if !done {
-				return outs
+				return outs, 0
 			}
 			stats.record(i, sim.Now()-started, sim.Now(), ok)
 			remaining--
 			if remaining <= 0 {
 				stats.finished++
-				return outs
+				return outs, 0
 			}
-			return append(outs, issue()...)
+			return append(outs, issue()...), 0
 		})
 		sim.After(0, func() {
 			for _, d := range issue() {

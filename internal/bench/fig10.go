@@ -233,7 +233,7 @@ func measureTransfer(setup func(*sqldb.DB) error) float64 {
 	// The sender serializes (service time = serialization cost), then the
 	// batches flow through the link.
 	sender := core.NewExecutor(src, core.Registry{})
-	clu.AddCostedNode("src", 1, func(env des.Envelope) ([]msg.Directive, time.Duration) {
+	clu.AddCostedNode("src", 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		return sender.SnapshotDirectives("dst", 0, 1)
 	})
 	clu.Inject("src", msg.M("go", nil))

@@ -7,7 +7,6 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
@@ -251,7 +250,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// order at its scheduled time — a plain Bcast whose payload every
 	// node folds into the shared epoch schedule at its decided slot.
 	admin := msg.Loc("admin")
-	mc.clu.AddNode(admin, 1, nil, func(des.Envelope) []msg.Directive { return nil })
+	mc.clu.AddCostedNode(admin, 1, func(msg.Envelope) ([]msg.Directive, time.Duration) { return nil, 0 })
 	changes := membershipChanges(cfg)
 	var lastChangeAt time.Duration
 	for i, ch := range changes {

@@ -284,12 +284,12 @@ func Overload(cfg OverloadConfig) OverloadResult {
 		outstanding := make(map[int64]pending)
 		seq := int64(0)
 		home := g
-		clu.AddNode(loc, 1, nil, func(env des.Envelope) []msg.Directive {
+		clu.AddCostedNode(loc, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			switch b := env.M.Body.(type) {
 			case core.TxResult:
 				p, ok := outstanding[b.Seq]
 				if !ok {
-					return nil // duplicate answer from the second replica
+					return nil, 0 // duplicate answer from the second replica
 				}
 				delete(outstanding, b.Seq)
 				st := phStats[p.phase]
@@ -297,17 +297,17 @@ func Overload(cfg OverloadConfig) OverloadResult {
 				if b.Aborted || b.Err != "" {
 					st.aborted++
 				}
-				return nil
+				return nil, 0
 			case flow.Reject:
 				delete(outstanding, b.Seq)
-				return nil
+				return nil, 0
 			}
 			if env.M.Hdr != hdrOverloadTick {
-				return nil
+				return nil, 0
 			}
 			now := sim.Now()
 			if now >= loadEnd {
-				return nil
+				return nil, 0
 			}
 			ph := phaseOf(now)
 			seq++
@@ -329,7 +329,7 @@ func Overload(cfg OverloadConfig) OverloadResult {
 				msg.Send(bloc[home%len(bloc)], msg.M(broadcast.HdrBcast, broadcast.Bcast{
 					From: loc, Seq: seq, Payload: pay, Deadline: req.Deadline,
 				})),
-			}
+			}, 0
 		})
 		// Stagger the fleet so submissions don't arrive in lockstep.
 		clu.SendAfter(time.Duration(g)*time.Millisecond, loc, loc, msg.M(hdrOverloadTick, nil))

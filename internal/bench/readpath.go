@@ -365,10 +365,10 @@ func readpathChaos(cfg ReadPathConfig) ChaosPhase {
 	probeUntil += 500 * time.Millisecond
 	var pseq int64
 	targets := make(map[int64]msg.Loc)
-	rc.clu.AddNode(probe, 1, nil, func(env des.Envelope) []msg.Directive {
+	rc.clu.AddCostedNode(probe, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		res, ok := env.M.Body.(*core.ReadResult)
 		if !ok {
-			return nil
+			return nil, 0
 		}
 		tgt := targets[res.Seq]
 		delete(targets, res.Seq)
@@ -395,7 +395,7 @@ func readpathChaos(cfg ReadPathConfig) ChaosPhase {
 			}
 		}
 		core.ReleaseReadResult(res)
-		return nil
+		return nil, 0
 	})
 	var probeTick func()
 	probeTick = func() {
@@ -417,7 +417,7 @@ func readpathChaos(cfg ReadPathConfig) ChaosPhase {
 	// The ordered depose: epoch 1 makes r2 the natural holder. The
 	// partitioned r1 never applies it — its lease dies by expiry.
 	admin := msg.Loc("admin")
-	rc.clu.AddNode(admin, 1, nil, func(des.Envelope) []msg.Directive { return nil })
+	rc.clu.AddCostedNode(admin, 1, func(msg.Envelope) ([]msg.Directive, time.Duration) { return nil, 0 })
 	sim.After(cfg.DeposeAt, func() {
 		cmd := member.Command{Op: member.RemoveReplica, Node: "r1"}
 		rc.clu.SendAfter(0, admin, "b1", msg.M(broadcast.HdrBcast,

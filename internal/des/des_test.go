@@ -50,18 +50,30 @@ func TestSimRunBounds(t *testing.T) {
 	}
 }
 
+// sink registers a zero-cost node that records the virtual time of each
+// arrival.
+func sink(c *Cluster, name msg.Loc, at *[]time.Duration) {
+	c.AddCostedNode(name, 1, func(msg.Envelope) ([]msg.Directive, time.Duration) {
+		*at = append(*at, c.Sim.Now())
+		return nil, 0
+	})
+}
+
+// server registers a node whose every step costs svc and answers cli.
+func server(c *Cluster, cores int, svc time.Duration) *Node {
+	return c.AddCostedNode("srv", cores, func(msg.Envelope) ([]msg.Directive, time.Duration) {
+		return []msg.Directive{msg.Send("cli", msg.M("resp", nil))}, svc
+	})
+}
+
 func TestNodeServiceQueueing(t *testing.T) {
 	// A 1-core node with 10ms service handles 3 simultaneous messages in
 	// series: completions at 10, 20, 30ms.
 	var s Sim
 	c := NewCluster(&s)
 	var completions []time.Duration
-	c.AddNode("srv", 1,
-		func(Envelope) time.Duration { return 10 * ms },
-		func(env Envelope) []msg.Directive {
-			completions = append(completions, s.Now())
-			return nil
-		})
+	sink(c, "cli", &completions)
+	server(c, 1, 10*ms)
 	for i := 0; i < 3; i++ {
 		c.Inject("srv", msg.M("req", i))
 	}
@@ -86,15 +98,14 @@ func TestNodeServiceQueueing(t *testing.T) {
 func TestMultiCoreParallelism(t *testing.T) {
 	var s Sim
 	c := NewCluster(&s)
-	var last time.Duration
-	c.AddNode("srv", 4,
-		func(Envelope) time.Duration { return 10 * ms },
-		func(Envelope) []msg.Directive { last = s.Now(); return nil })
+	var done []time.Duration
+	sink(c, "cli", &done)
+	server(c, 4, 10*ms)
 	for i := 0; i < 4; i++ {
 		c.Inject("srv", msg.M("req", i))
 	}
 	s.Run(0, 0)
-	if last != 10*ms {
+	if last := done[len(done)-1]; last != 10*ms {
 		t.Errorf("4 cores finished at %v, want 10ms (parallel)", last)
 	}
 }
@@ -106,15 +117,12 @@ func TestLinkLatencyAndBandwidth(t *testing.T) {
 		return LinkSpec{Latency: 5 * ms, Bandwidth: 1000} // 1000 B/s
 	}
 	c.SizeOf = func(m msg.Msg) int { return 100 } // 100 B -> 100ms transmission
-	var arrived time.Duration
-	c.AddNode("dst", 1, nil, func(Envelope) []msg.Directive {
-		arrived = s.Now()
-		return nil
-	})
+	var arrived []time.Duration
+	sink(c, "dst", &arrived)
 	c.Send("src", "dst", msg.M("data", nil))
 	s.Run(0, 0)
 	want := 105 * ms
-	if arrived != want {
+	if len(arrived) != 1 || arrived[0] != want {
 		t.Errorf("arrived at %v, want %v", arrived, want)
 	}
 }
@@ -122,17 +130,16 @@ func TestLinkLatencyAndBandwidth(t *testing.T) {
 func TestCrashDropsTraffic(t *testing.T) {
 	var s Sim
 	c := NewCluster(&s)
-	handled := 0
-	n := c.AddNode("srv", 1,
-		func(Envelope) time.Duration { return 10 * ms },
-		func(Envelope) []msg.Directive { handled++; return nil })
+	var answered []time.Duration
+	sink(c, "cli", &answered)
+	n := server(c, 1, 10*ms)
 	c.Inject("srv", msg.M("a", nil)) // in service when crash hits
 	c.Inject("srv", msg.M("b", nil)) // queued
 	s.After(5*ms, n.Crash)
 	c.Sim.After(20*ms, func() { c.Inject("srv", msg.M("c", nil)) })
 	s.Run(0, 0)
-	if handled != 0 {
-		t.Errorf("crashed node handled %d messages", handled)
+	if len(answered) != 0 || n.Processed != 0 {
+		t.Errorf("crashed node completed %d messages, answered %d", n.Processed, len(answered))
 	}
 	if c.Dropped == 0 {
 		t.Error("no messages counted as dropped")
@@ -146,7 +153,10 @@ func TestClusterHostsGPMSystem(t *testing.T) {
 	var s Sim
 	c := NewCluster(&s)
 	c.Link = func(from, to msg.Loc) LinkSpec { return LinkSpec{Latency: ms} }
-	c.SpawnSystem(spec.System(), 1, nil)
+	sys := spec.System()
+	for _, l := range sys.Locs {
+		c.AddCostedProcess(l, 1, sys.Gen(l), func() time.Duration { return 0 })
+	}
 	c.Inject(loe.RingLoc(0), msg.M(loe.ClkHeader, loe.ClkBody{Val: 0, TS: 0}))
 	s.Run(10*ms, 0)
 	// 1ms per hop: by 10ms the ring made ~10 hops.
@@ -162,12 +172,12 @@ func TestDelayedDirectiveBecomesTimer(t *testing.T) {
 	var s Sim
 	c := NewCluster(&s)
 	var at time.Duration
-	c.AddNode("a", 1, nil, func(env Envelope) []msg.Directive {
+	c.AddCostedNode("a", 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		if env.M.Hdr == "start" {
-			return []msg.Directive{msg.SendAfter(30*ms, "a", msg.M("timer", nil))}
+			return []msg.Directive{msg.SendAfter(30*ms, "a", msg.M("timer", nil))}, 0
 		}
 		at = s.Now()
-		return nil
+		return nil, 0
 	})
 	c.Inject("a", msg.M("start", nil))
 	s.Run(0, 0)
@@ -264,26 +274,19 @@ func TestThroughput(t *testing.T) {
 func TestClosedLoopSaturation(t *testing.T) {
 	var s Sim
 	c := NewCluster(&s)
-	done := 0
-	c.AddNode("srv", 1,
-		func(Envelope) time.Duration { return ms },
-		func(env Envelope) []msg.Directive {
-			done++
-			return []msg.Directive{msg.Send(env.From, msg.M("resp", nil))}
-		})
+	c.AddCostedNode("srv", 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
+		return []msg.Directive{msg.Send(env.From, msg.M("resp", nil))}, ms
+	})
 	for i := 0; i < 8; i++ {
 		name := msg.Loc("client" + string(rune('0'+i)))
-		c.AddNode(name, 1, nil, func(env Envelope) []msg.Directive {
-			return []msg.Directive{msg.Send("srv", msg.M("req", nil))}
+		c.AddCostedNode(name, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
+			return []msg.Directive{msg.Send("srv", msg.M("req", nil))}, 0
 		})
 		c.Inject(name, msg.M("resp", nil)) // kick off the loop
 	}
 	s.Run(time.Second, 0)
-	tput := Throughput(done, s.Now())
+	tput := Throughput(int(c.Node("srv").Processed), s.Now())
 	if tput < 900 || tput > 1100 {
 		t.Errorf("saturated throughput = %.0f req/s, want ~1000", tput)
-	}
-	if q := c.Node("srv").QueueLen(); q == 0 {
-		t.Log("queue drained exactly at the bound (acceptable)")
 	}
 }

@@ -6,29 +6,8 @@ import (
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/runtime"
 )
-
-// Envelope is a message in flight inside the simulated cluster. Trace
-// and LC mirror msg.Envelope's causal-correlation coordinates, so
-// simulated traces carry the same per-request IDs and Lamport stamps as
-// real TCP runs.
-type Envelope struct {
-	From msg.Loc
-	To   msg.Loc
-	M    msg.Msg
-	// Trace is the per-request trace ID the send belongs to.
-	Trace string
-	// LC is the sender's Lamport clock at the send event.
-	LC int64
-}
-
-// Handler is a node's message handler: it may mutate node-local state and
-// returns the directives to send. It runs when the message's service time
-// completes.
-type Handler func(env Envelope) []msg.Directive
-
-// ServiceFunc models the CPU cost of handling one message at a node.
-type ServiceFunc func(env Envelope) time.Duration
 
 // LinkSpec describes the network path between two nodes.
 type LinkSpec struct {
@@ -52,25 +31,25 @@ type FaultVerdict struct {
 
 // Node is a simulated machine: a FIFO run queue served by Cores workers.
 // Messages wait in the queue while all cores are busy — the queueing that
-// produces CPU-bound saturation curves.
+// produces CPU-bound saturation curves. A runtime.Core hosts its handler,
+// on the cluster's Obs clock, exactly as a live runtime.Host hosts a
+// process.
 type Node struct {
-	Name    msg.Loc
 	Cores   int
 	cluster *Cluster
-	handler Handler
+	core    runtime.Core
 	costed  CostedHandler
-	service ServiceFunc
 	busy    int
-	queue   []Envelope
+	queue   []msg.Envelope
 	crashed bool
 	// epoch increments on every crash so work started before the crash
 	// cannot complete after a restart.
 	epoch int
-	// lc is the node's Lamport clock (the sim is single-threaded, so a
-	// plain int64 suffices).
-	lc int64
 	// Processed counts handled messages.
 	Processed int64
+	// Frames counts the wire frames the node's steps emitted (runs of
+	// consecutive immediate sends to one destination, see runtime.Out).
+	Frames int64
 	// BusyTime accumulates core-seconds of work.
 	BusyTime time.Duration
 }
@@ -117,31 +96,20 @@ func NewCluster(sim *Sim) *Cluster {
 	}
 }
 
-// AddNode registers a node with its handler and service model. A zero
-// cores value means 1.
-func (c *Cluster) AddNode(name msg.Loc, cores int, service ServiceFunc, handler Handler) *Node {
-	if cores <= 0 {
-		cores = 1
-	}
-	n := &Node{Name: name, Cores: cores, cluster: c, handler: handler, service: service}
-	c.nodes[name] = n
-	return n
-}
-
 // CostedHandler handles a message and reports the CPU time the handling
 // cost, which the node charges as the message's service time. It lets
 // service times depend on the real work done (e.g. SQL execution cost).
-type CostedHandler func(env Envelope) ([]msg.Directive, time.Duration)
+type CostedHandler func(env msg.Envelope) ([]msg.Directive, time.Duration)
 
 // AddCostedNode registers a node whose handler computes its own service
 // time: the handler runs when a core picks the message up, the core stays
-// busy for the returned duration, and the outputs are emitted when it
-// frees.
+// busy for the returned duration, and the step is recorded and its
+// outputs emitted when it frees. A zero cores value means 1.
 func (c *Cluster) AddCostedNode(name msg.Loc, cores int, handler CostedHandler) *Node {
 	if cores <= 0 {
 		cores = 1
 	}
-	n := &Node{Name: name, Cores: cores, cluster: c, costed: handler}
+	n := &Node{Cores: cores, cluster: c, core: runtime.Core{Self: name, Layer: obs.LayerDES}, costed: handler}
 	c.nodes[name] = n
 	return n
 }
@@ -150,21 +118,10 @@ func (c *Cluster) AddCostedNode(name msg.Loc, cores int, handler CostedHandler) 
 // per-step cost reporter (ShadowDB replicas implement it).
 func (c *Cluster) AddCostedProcess(name msg.Loc, cores int, p gpm.Process, cost func() time.Duration) *Node {
 	proc := p
-	return c.AddCostedNode(name, cores, func(env Envelope) ([]msg.Directive, time.Duration) {
+	return c.AddCostedNode(name, cores, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		next, outs := proc.Step(env.M)
 		proc = next
 		return outs, cost()
-	})
-}
-
-// AddProcess hosts a GPM process as a node, with the given per-message
-// service model. Delayed directives become simulator timers.
-func (c *Cluster) AddProcess(name msg.Loc, cores int, service ServiceFunc, p gpm.Process) *Node {
-	proc := p
-	return c.AddNode(name, cores, service, func(env Envelope) []msg.Directive {
-		next, outs := proc.Step(env.M)
-		proc = next
-		return outs
 	})
 }
 
@@ -182,13 +139,13 @@ func (c *Cluster) Send(from, to msg.Loc, m msg.Msg) {
 // directed link serially: arrival = max(send time, link free) +
 // transmission + latency, keeping per-pair delivery FIFO.
 func (c *Cluster) SendAfter(extra time.Duration, from, to msg.Loc, m msg.Msg) {
-	c.sendCtx(extra, from, to, m, "", 0)
+	c.route(extra, msg.Envelope{From: from, To: to, M: m})
 }
 
-// sendCtx is SendAfter carrying the sender's causal context (trace ID and
-// Lamport stamp); node output paths use it so simulated envelopes stay
-// causally correlated.
-func (c *Cluster) sendCtx(extra time.Duration, from, to msg.Loc, m msg.Msg, trace string, lc int64) {
+// route is SendAfter for a stamped envelope; nodes route their outputs
+// through it, so simulated envelopes keep their causal context.
+func (c *Cluster) route(extra time.Duration, env msg.Envelope) {
+	from, to, m := env.From, env.To, env.M
 	sendAt := c.Sim.Now() + extra
 	arrival := sendAt
 	// Self-sends are local timers, not network traffic: they skip link
@@ -228,7 +185,7 @@ func (c *Cluster) sendCtx(extra time.Duration, from, to msg.Loc, m msg.Msg, trac
 			c.dropped.Inc()
 			return
 		}
-		n.enqueue(Envelope{From: from, To: to, M: m, Trace: trace, LC: lc})
+		n.enqueue(env)
 	}
 	for i := 0; i < copies; i++ {
 		c.Sim.At(arrival, deliver)
@@ -248,83 +205,65 @@ func (n *Node) Crash() {
 // durable image); a rebuilt process is installed with RebindCosted.
 func (n *Node) Restart() { n.crashed = false }
 
-// RebindCosted replaces the node's handler with a costed one.
-func (n *Node) RebindCosted(h CostedHandler) { n.costed = h; n.handler = nil }
+// RebindCosted replaces the node's handler.
+func (n *Node) RebindCosted(h CostedHandler) { n.costed = h }
 
 // Crashed reports the failure state.
 func (n *Node) Crashed() bool { return n.crashed }
 
-// QueueLen returns the number of messages waiting for a core.
-func (n *Node) QueueLen() int { return len(n.queue) }
-
-func (n *Node) enqueue(env Envelope) {
+func (n *Node) enqueue(env msg.Envelope) {
 	n.queue = append(n.queue, env)
 	n.cluster.gQueue.Set(int64(len(n.queue)))
 	n.pump()
 }
 
-// pump starts queued work on free cores. Service completions carry the
-// node's crash epoch: work begun before a crash is discarded even when
-// the node restarted in the meantime.
+// pump starts queued work on free cores: the delivery is witnessed and
+// stepped at pickup, and recorded and emitted when its service time has
+// passed. Service completions carry the node's crash epoch: work begun
+// before a crash is discarded even when the node restarted in the
+// meantime.
 func (n *Node) pump() {
+	c := n.cluster
 	for n.busy < n.Cores && len(n.queue) > 0 {
-		env := n.queue[0]
+		d := n.core.Receive(c.Obs, n.queue[0])
 		n.queue = n.queue[1:]
 		n.busy++
 		ep := n.epoch
-		if n.costed != nil {
-			outs, svc := n.costed(env)
-			n.BusyTime += svc
-			n.cluster.Sim.After(svc, func() {
-				n.busy--
-				if !n.crashed && n.epoch == ep {
-					n.Processed++
-					n.finish(env, outs)
-				}
-				n.pump()
-			})
-			continue
-		}
-		svc := time.Duration(0)
-		if n.service != nil {
-			svc = n.service(env)
-		}
+		var svc time.Duration
+		d.Outs, svc = n.costed(d.In)
 		n.BusyTime += svc
-		n.cluster.Sim.After(svc, func() {
+		c.Sim.After(svc, func() {
 			n.busy--
 			if !n.crashed && n.epoch == ep {
 				n.Processed++
-				outs := n.handler(env)
-				n.finish(env, outs)
+				c.processed.Inc()
+				n.core.Emit(c.Obs, d).Frames(func(frame []msg.Envelope) {
+					n.Frames++
+					for _, env := range frame {
+						c.route(0, env)
+					}
+				}, c.route)
 			}
 			n.pump()
 		})
 	}
 }
 
-// finish completes one delivery: it merges the sender's Lamport stamp
-// into the node's clock, records the step event, and emits the outputs
-// with the inherited (or freshly derived) trace ID and per-send stamps.
-func (n *Node) finish(env Envelope, outs []msg.Directive) {
-	if env.LC >= n.lc {
-		n.lc = env.LC + 1
-	} else {
-		n.lc++
-	}
-	trace := n.cluster.observeStep(n.Name, env, outs, n.lc)
-	for _, o := range outs {
-		n.lc++
-		n.cluster.sendCtx(o.Delay, n.Name, o.Dest, o.M, trace, n.lc)
-	}
-}
-
 // Inject delivers an external message to a node at the current time.
 func (c *Cluster) Inject(to msg.Loc, m msg.Msg) { c.Send("external", to, m) }
 
-// SpawnSystem hosts every location of a GPM system on the cluster with a
-// shared service model and core count.
-func (c *Cluster) SpawnSystem(sys gpm.System, cores int, service ServiceFunc) {
-	for _, l := range sys.Locs {
-		c.AddProcess(l, cores, service, sys.Gen(l))
-	}
+// Observe attaches o to the cluster: step events are recorded with
+// virtual timestamps (when tracing is enabled on o), envelopes carry o's
+// Lamport stamps, and queue/processed metrics are registered. Pass a
+// dedicated Obs — Observe repoints o's clock at the simulator, which
+// would corrupt wall-clock latencies if o also serves live hosts.
+func (c *Cluster) Observe(o *obs.Obs) {
+	c.Obs = o
+	// +1 keeps the first event off timestamp zero, which Record treats
+	// as "stamp me".
+	o.SetClock(func() int64 { return int64(c.Sim.Now()) + 1 })
+	c.processed = o.Counter("des.processed")
+	c.dropped = o.Counter("des.dropped")
+	c.faultDrops = o.Counter("des.fault_drops")
+	c.gQueue = o.Gauge("des.queue_depth")
 }

@@ -18,15 +18,9 @@ func TestObserveRecordsVirtualTimeEvents(t *testing.T) {
 	o.EnableTracing(true)
 	c.Observe(o)
 
-	c.AddNode("srv", 1,
-		func(Envelope) time.Duration { return 10 * ms },
-		func(env Envelope) []msg.Directive {
-			if env.M.Hdr == "req" {
-				return []msg.Directive{msg.Send("cli", msg.M("resp", nil))}
-			}
-			return nil
-		})
-	c.AddNode("cli", 1, nil, func(Envelope) []msg.Directive { return nil })
+	server(c, 1, 10*ms)
+	var answered []time.Duration
+	sink(c, "cli", &answered)
 	c.Inject("srv", msg.M("req", nil))
 	c.Inject("srv", msg.M("req", nil))
 	s.Run(0, 0)
@@ -70,5 +64,48 @@ func TestObserveRecordsVirtualTimeEvents(t *testing.T) {
 	}
 	if got := o.Snapshot().Counters["des.processed"]; got < 5 {
 		t.Errorf("des.processed = %d after third request, want >= 5", got)
+	}
+}
+
+// TestStepRecordedAtCompletion pins the simulator's completion rule: a
+// costed node steps a delivery when a core picks it up, but records the
+// step event and emits the outputs only when its service time has
+// passed, so the event carries At = pickup + cost (+1, the clock's
+// offset off zero). A crash during service records nothing and sends
+// nothing.
+func TestStepRecordedAtCompletion(t *testing.T) {
+	var s Sim
+	c := NewCluster(&s)
+	o := obs.New(64)
+	o.EnableTracing(true)
+	c.Observe(o)
+	n := server(c, 1, 7*ms)
+	var answered []time.Duration
+	sink(c, "cli", &answered)
+	s.After(3*ms, func() { c.Inject("srv", msg.M("req", nil)) })
+	s.Run(0, 0)
+	var srv []obs.Event
+	for _, e := range o.Events() {
+		if e.Loc == "srv" {
+			srv = append(srv, e)
+		}
+	}
+	if want := int64(3*ms+7*ms) + 1; len(srv) != 1 || srv[0].At != want {
+		t.Fatalf("srv events %v, want one at %d", srv, want)
+	}
+	if len(answered) != 1 || answered[0] != 10*ms {
+		t.Fatalf("answers at %v, want one at 10ms", answered)
+	}
+
+	// Crash mid-service: picked up at 20ms, crashed at 25ms, due at 27ms.
+	before := len(o.Events())
+	s.After(10*ms, func() { c.Inject("srv", msg.M("req", nil)) })
+	s.After(15*ms, n.Crash)
+	s.Run(0, 0)
+	if got := o.Events()[before:]; len(got) != 0 {
+		t.Errorf("crash during service recorded %v", got)
+	}
+	if len(answered) != 1 || n.Processed != 1 {
+		t.Errorf("crash during service sent %d answers, processed %d", len(answered)-1, n.Processed-1)
 	}
 }

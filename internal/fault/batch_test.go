@@ -41,10 +41,10 @@ func batchFaultCluster(t *testing.T, plan Plan) (*des.Sim, map[msg.Loc]map[int][
 	gen := broadcast.Spec(cfg).Generator()
 	for _, b := range nodes {
 		proc := gen(b)
-		clu.AddNode(b, 1, nil, func(env des.Envelope) []msg.Directive {
+		clu.AddCostedNode(b, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			next, outs := proc.Step(env.M)
 			proc = next
-			return outs
+			return outs, 0
 		})
 	}
 
@@ -54,19 +54,19 @@ func batchFaultCluster(t *testing.T, plan Plan) (*des.Sim, map[msg.Loc]map[int][
 	for _, sub := range subs {
 		sub := sub
 		got[sub] = make(map[int][]broadcast.Bcast)
-		clu.AddNode(sub, 1, nil, func(env des.Envelope) []msg.Directive {
+		clu.AddCostedNode(sub, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			d, ok := env.M.Body.(broadcast.Deliver)
 			if !ok {
-				return nil
+				return nil, 0
 			}
 			if prev, dup := got[sub][d.Slot]; dup {
 				if !sameMsgs(prev, d.Msgs) {
 					t.Errorf("%s: slot %d re-notified with a different batch", sub, d.Slot)
 				}
-				return nil
+				return nil, 0
 			}
 			got[sub][d.Slot] = d.Msgs
-			return nil
+			return nil, 0
 		})
 	}
 

@@ -15,16 +15,16 @@ func pingCluster(p Plan) (sim *des.Sim, delivered *int, fp func() uint64) {
 	clu := des.NewCluster(sim)
 	n := 0
 	delivered = &n
-	mk := func(self, peer msg.Loc, count bool) des.Handler {
-		return func(env des.Envelope) []msg.Directive {
+	mk := func(self, peer msg.Loc, count bool) des.CostedHandler {
+		return func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			if count {
 				n++
 			}
-			return []msg.Directive{msg.SendAfter(10*time.Millisecond, peer, env.M)}
+			return []msg.Directive{msg.SendAfter(10*time.Millisecond, peer, env.M)}, 0
 		}
 	}
-	clu.AddNode("a", 1, nil, mk("a", "b", false))
-	clu.AddNode("b", 1, nil, mk("b", "a", true))
+	clu.AddCostedNode("a", 1, mk("a", "b", false))
+	clu.AddCostedNode("b", 1, mk("b", "a", true))
 	inj := BindCluster(clu, p)
 	clu.Send("external", "a", msg.M("ping", nil))
 	return sim, delivered, inj.Fingerprint
@@ -66,12 +66,12 @@ func TestBindClusterCrashRestart(t *testing.T) {
 	sim := &des.Sim{}
 	clu := des.NewCluster(sim)
 	delivered := 0
-	clu.AddNode("a", 1, nil, func(env des.Envelope) []msg.Directive {
-		return []msg.Directive{msg.SendAfter(10*time.Millisecond, "b", env.M)}
+	clu.AddCostedNode("a", 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
+		return []msg.Directive{msg.SendAfter(10*time.Millisecond, "b", env.M)}, 0
 	})
-	clu.AddNode("b", 1, nil, func(env des.Envelope) []msg.Directive {
+	clu.AddCostedNode("b", 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		delivered++
-		return []msg.Directive{msg.SendAfter(10*time.Millisecond, "a", env.M)}
+		return []msg.Directive{msg.SendAfter(10*time.Millisecond, "a", env.M)}, 0
 	})
 	BindCluster(clu, Plan{Crashes: []Crash{
 		{At: Duration(500 * time.Millisecond), Node: "b", RestartAfter: Duration(200 * time.Millisecond)},

@@ -145,7 +145,7 @@ func TestBindProcessKillRestart(t *testing.T) {
 		if err := st.Replay(func([]byte) error { count++; return nil }); err != nil {
 			t.Fatal(err)
 		}
-		h := func(env des.Envelope) ([]msg.Directive, time.Duration) {
+		h := func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 			if err := st.Append([]byte{1}); err != nil {
 				t.Error(err)
 			}

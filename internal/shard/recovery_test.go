@@ -149,7 +149,7 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 			}
 			recovered = rt2.Recovered()
 			current = rt2
-			clu.Node(shard.RouterLoc).RebindCosted(func(env des.Envelope) ([]msg.Directive, time.Duration) {
+			clu.Node(shard.RouterLoc).RebindCosted(func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 				_, outs := rt2.Step(env.M)
 				return outs, 0
 			})
