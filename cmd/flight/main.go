@@ -46,7 +46,7 @@ func main() {
 }
 
 func run(args []string) int {
-	// Bundle traces carry protocol bodies through the gob wire codec.
+	// Bundle traces carry protocol bodies, gob-encoded.
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes()
 	shard.RegisterWireTypes()

@@ -9,20 +9,24 @@ package shadowdb
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
+	"shadowdb/internal/msg"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
@@ -226,6 +230,47 @@ func TestOrderedTagCatalogue(t *testing.T) {
 	}
 	for tag := range rows {
 		t.Errorf("DESIGN.md §9 Ordered payload tags table lists %s, which no replica dispatches", tag)
+	}
+}
+
+// TestWireTagCatalogue keeps the "Wire tags" table of DESIGN.md §8 equal
+// to the body codecs the protocol packages register with the wire codec
+// (msg.WireTags): each tag's Go type and the package that owns it. A new
+// body codec shows up in the one place that lists what a frame carries
+// without the gob fallback.
+func TestWireTagCatalogue(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### Wire tags\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no Wire tags table")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	rows := make(map[string]string) // tag → "type owner"
+	for _, m := range regexp.MustCompile("(?m)^\\| `(0x[0-9a-f]{2})` \\| `([^`]+)` \\| `([a-z/]+)` \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = m[2] + " " + m[3]
+	}
+	core.RegisterWireTypes()
+	broadcast.RegisterWireTypes() // with the synod and flow bodies
+	shard.RegisterWireTypes()
+	for _, wt := range msg.WireTags() {
+		tag, typ := fmt.Sprintf("%#02x", wt.Tag), wt.Type
+		if typ.Kind() == reflect.Pointer {
+			typ = typ.Elem()
+		}
+		want := wt.Type.String() + " " + strings.TrimPrefix(typ.PkgPath(), "shadowdb/")
+		switch got, ok := rows[tag]; {
+		case !ok:
+			t.Errorf("tag %s (%s) has no row in the DESIGN.md §8 Wire tags table", tag, want)
+		case got != want:
+			t.Errorf("tag %s is registered as %s, DESIGN.md §8 says %s", tag, want, got)
+		}
+		delete(rows, tag)
+	}
+	for tag, row := range rows {
+		t.Errorf("DESIGN.md §8 Wire tags table lists %s (%s), which no package registers", tag, row)
 	}
 }
 

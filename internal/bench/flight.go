@@ -15,10 +15,10 @@ import (
 	"shadowdb/internal/shard"
 )
 
-// registerWireTypes registers every protocol body type with the gob
-// wire codec (idempotent). Bundle dumps serialize trace events through
-// the codec, so any experiment that arms flight recorders needs the
-// full set.
+// registerWireTypes registers every protocol body type with the wire
+// codec, and so with gob (idempotent). Bundle dumps serialize trace
+// events with gob, so any experiment that arms flight recorders needs
+// the full set.
 func registerWireTypes() {
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes()

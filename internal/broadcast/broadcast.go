@@ -102,15 +102,50 @@ type Deliver struct {
 	Msgs []Bcast
 }
 
-// RegisterWireTypes registers the service's bodies with the wire codec.
+// RegisterWireTypes registers the service's bodies with the wire codec:
+// Bcast and Deliver with frame codecs of their own (tags 0x20–0x2f,
+// DESIGN.md "Wire format and allocation hot path").
 func RegisterWireTypes() {
-	msg.RegisterBody(Bcast{})
-	msg.RegisterBody(Deliver{})
+	msg.RegisterCodec(0x20, Bcast{}, appendBcast, readBcast)
+	msg.RegisterCodec(0x21, Deliver{}, appendDeliver, readDeliver)
 	msg.RegisterBody(Flush{})
 	twothird.RegisterWireTypes()
 	synod.RegisterWireTypes()
 	// Rejects answer refused Bcasts, so they travel wherever Bcasts do.
 	flow.RegisterWireTypes()
+}
+
+func appendBcast(w *msg.Writer, b Bcast) {
+	w.Loc(b.From)
+	w.Int64(b.Seq)
+	w.Bytes(b.Payload)
+	w.Int64(b.Deadline)
+}
+
+func readBcast(r *msg.Reader) Bcast {
+	return Bcast{From: r.Loc(), Seq: r.Int64(), Payload: r.Bytes(), Deadline: r.Int64()}
+}
+
+// minBcast is the fewest bytes an encoded Bcast occupies.
+const minBcast = 4
+
+func appendDeliver(w *msg.Writer, d Deliver) {
+	w.Int(d.Slot)
+	w.Uvarint(uint64(len(d.Msgs)))
+	for _, b := range d.Msgs {
+		appendBcast(w, b)
+	}
+}
+
+func readDeliver(r *msg.Reader) Deliver {
+	d := Deliver{Slot: r.Int()}
+	if n := r.Count(minBcast); n > 0 {
+		d.Msgs = make([]Bcast, n)
+		for i := range d.Msgs {
+			d.Msgs[i] = readBcast(r)
+		}
+	}
+	return d
 }
 
 // Mode selects the execution mode of the service — the three curves of

@@ -151,15 +151,62 @@ type (
 	Corrupt struct{}
 )
 
-// RegisterWireTypes registers the protocol's bodies with the wire codec.
+// RegisterWireTypes registers the protocol's bodies with the wire codec:
+// the steady-state messages (Propose, P2a, P2b, Decide) with frame codecs
+// of their own (tags 0x30–0x3f, DESIGN.md "Wire format and allocation
+// hot path"), the leader-change messages under the codec's gob fallback.
 func RegisterWireTypes() {
+	msg.RegisterCodec(0x30, Propose{}, appendPropose, readPropose)
+	msg.RegisterCodec(0x31, P2a{}, appendP2a, readP2a)
+	msg.RegisterCodec(0x32, P2b{}, appendP2b, readP2b)
+	msg.RegisterCodec(0x33, Decide{}, appendDecide, readDecide)
 	for _, v := range []any{
-		Propose{}, P1a{}, P1b{}, P2a{}, P2b{}, Adopted{}, Preempted{},
-		SpawnScout{}, SpawnCmd{}, Wake{}, Decide{}, Corrupt{}, Ballot{}, PValue{},
+		P1a{}, P1b{}, Adopted{}, Preempted{},
+		SpawnScout{}, SpawnCmd{}, Wake{}, Corrupt{}, Ballot{}, PValue{},
 	} {
 		msg.RegisterBody(v)
 	}
 }
+
+func appendBallot(w *msg.Writer, b Ballot) {
+	w.Int(b.N)
+	w.Loc(b.L)
+}
+
+func readBallot(r *msg.Reader) Ballot { return Ballot{N: r.Int(), L: r.Loc()} }
+
+func appendPropose(w *msg.Writer, p Propose) {
+	w.Int(p.Inst)
+	w.Text(p.Val)
+}
+
+func readPropose(r *msg.Reader) Propose { return Propose{Inst: r.Int(), Val: r.Text()} }
+
+func appendP2a(w *msg.Writer, p P2a) {
+	appendBallot(w, p.B)
+	w.Int(p.Inst)
+	w.Text(p.Val)
+	w.Loc(p.From)
+}
+
+func readP2a(r *msg.Reader) P2a {
+	return P2a{B: readBallot(r), Inst: r.Int(), Val: r.Text(), From: r.Loc()}
+}
+
+func appendP2b(w *msg.Writer, p P2b) {
+	w.Loc(p.From)
+	appendBallot(w, p.B)
+	w.Int(p.Inst)
+}
+
+func readP2b(r *msg.Reader) P2b { return P2b{From: r.Loc(), B: readBallot(r), Inst: r.Int()} }
+
+func appendDecide(w *msg.Writer, d Decide) {
+	w.Int(d.Inst)
+	w.Text(d.Val)
+}
+
+func readDecide(r *msg.Reader) Decide { return Decide{Inst: r.Int(), Val: r.Text()} }
 
 // Config parameterizes a Synod deployment.
 type Config struct {

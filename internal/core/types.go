@@ -95,8 +95,7 @@ type TxRequest struct {
 	// deployment clock, 0 = none), stamped by the client. Non-replicated
 	// hops (router, sequencer intake) drop the request with an explicit
 	// flow.Reject once it expires; replicated hops apply regardless (the
-	// order is the order) but suppress the client ack. Gob omits zero
-	// fields, so deadline-free traffic pays no wire cost.
+	// order is the order) but suppress the client ack.
 	Deadline int64
 }
 
@@ -357,21 +356,6 @@ type SMRCatchupReq struct {
 // sends a state transfer (SnapBegin/SnapBatch/SnapEnd) instead.
 type SMRCatchup struct {
 	Delivers []broadcast.Deliver
-}
-
-// RegisterWireTypes registers ShadowDB bodies with the wire codec,
-// including the basic value types that travel inside TxRequest.Args and
-// result rows.
-func RegisterWireTypes() {
-	msg.RegisterBasics()
-	for _, v := range []any{
-		TxRequest{}, TxResult{}, Redirect{}, Repl{}, ReplAck{}, Heartbeat{}, HBTick{},
-		NewConfig{}, Elect{}, Catchup{}, CatchupReq{}, SnapBegin{}, SnapBatch{}, SnapEnd{},
-		Recovered{}, ClientRetryBody{}, SMRCatchupReq{}, SMRCatchup{},
-		ReadRequest{}, &ReadResult{}, LeaseTick{}, SyncTick{},
-	} {
-		msg.RegisterBody(v)
-	}
 }
 
 // Config is a replica-group configuration: a sequence number and an

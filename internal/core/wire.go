@@ -1,0 +1,125 @@
+package core
+
+import (
+	"shadowdb/internal/msg"
+	"shadowdb/internal/sqldb"
+)
+
+// RegisterWireTypes registers ShadowDB bodies with the wire codec,
+// including the basic value types that travel inside TxRequest.Args and
+// result rows. The bodies of the transaction, lease-read and PBR
+// replication paths have frame codecs of their own (tags 0x10–0x1f,
+// DESIGN.md "Wire format and allocation hot path"); the rest travel
+// under the codec's gob fallback.
+func RegisterWireTypes() {
+	msg.RegisterBasics()
+	msg.RegisterCodec(0x10, TxRequest{}, appendTxRequest, readTxRequest)
+	msg.RegisterCodec(0x11, TxResult{}, appendTxResult, readTxResult)
+	msg.RegisterCodec(0x12, ReadRequest{}, appendReadRequest, readReadRequest)
+	msg.RegisterCodec(0x13, &ReadResult{}, appendReadResult, readReadResult)
+	msg.RegisterCodec(0x14, Repl{}, appendRepl, readRepl)
+	msg.RegisterCodec(0x15, ReplAck{}, appendReplAck, readReplAck)
+	msg.RegisterCodec(0x16, Heartbeat{}, appendHeartbeat, readHeartbeat)
+	for _, v := range []any{
+		Redirect{}, HBTick{}, NewConfig{}, Elect{}, Catchup{}, CatchupReq{}, SnapBegin{}, SnapBatch{},
+		SnapEnd{}, Recovered{}, ClientRetryBody{}, SMRCatchupReq{}, SMRCatchup{}, LeaseTick{}, SyncTick{},
+	} {
+		msg.RegisterBody(v)
+	}
+}
+
+func appendTxRequest(w *msg.Writer, r TxRequest) {
+	w.Loc(r.Client)
+	w.Int64(r.Seq)
+	w.Text(r.Type)
+	w.Values(r.Args)
+	w.Int64(r.Deadline)
+}
+
+func readTxRequest(r *msg.Reader) TxRequest {
+	return TxRequest{Client: r.Loc(), Seq: r.Int64(), Type: r.Text(), Args: r.Values(), Deadline: r.Int64()}
+}
+
+func appendTxResult(w *msg.Writer, t TxResult) {
+	w.Loc(t.Client)
+	w.Int64(t.Seq)
+	w.Bool(t.Aborted)
+	w.Text(t.Err)
+	w.Texts(t.Cols)
+	w.Uvarint(uint64(len(t.Rows)))
+	for _, row := range t.Rows {
+		w.Values(row)
+	}
+}
+
+func readTxResult(r *msg.Reader) TxResult {
+	t := TxResult{Client: r.Loc(), Seq: r.Int64(), Aborted: r.Bool(), Err: r.Text(), Cols: r.Texts()}
+	if n := r.Count(1); n > 0 {
+		t.Rows = make([][]sqldb.Value, n)
+		for i := range t.Rows {
+			t.Rows[i] = r.Values()
+		}
+	}
+	return t
+}
+
+func appendReadRequest(w *msg.Writer, q ReadRequest) {
+	w.Loc(q.Client)
+	w.Int64(q.Seq)
+	w.Text(q.Type)
+	w.Values(q.Args)
+	w.Int(int(q.Mode))
+}
+
+func readReadRequest(r *msg.Reader) ReadRequest {
+	return ReadRequest{Client: r.Loc(), Seq: r.Int64(), Type: r.Text(), Args: r.Values(), Mode: ReadMode(r.Int())}
+}
+
+func appendReadResult(w *msg.Writer, res *ReadResult) {
+	w.Loc(res.Client)
+	w.Int64(res.Seq)
+	w.Int(int(res.Mode))
+	w.Int(res.Slot)
+	w.Int64(res.Issue)
+	w.Bool(res.Rejected)
+	w.Text(res.Err)
+	w.Texts(res.Cols)
+	w.Values(res.Vals)
+}
+
+func readReadResult(r *msg.Reader) *ReadResult {
+	return &ReadResult{Client: r.Loc(), Seq: r.Int64(), Mode: ReadMode(r.Int()), Slot: r.Int(), Issue: r.Int64(),
+		Rejected: r.Bool(), Err: r.Text(), Cols: r.Texts(), Vals: r.Values()}
+}
+
+func appendRepl(w *msg.Writer, p Repl) {
+	w.Int(p.CfgSeq)
+	w.Int64(p.Order)
+	appendTxRequest(w, p.Req)
+}
+
+func readRepl(r *msg.Reader) Repl {
+	return Repl{CfgSeq: r.Int(), Order: r.Int64(), Req: readTxRequest(r)}
+}
+
+func appendReplAck(w *msg.Writer, a ReplAck) {
+	w.Int(a.CfgSeq)
+	w.Int64(a.Order)
+	w.Loc(a.From)
+}
+
+func readReplAck(r *msg.Reader) ReplAck {
+	return ReplAck{CfgSeq: r.Int(), Order: r.Int64(), From: r.Loc()}
+}
+
+func appendHeartbeat(w *msg.Writer, hb Heartbeat) {
+	w.Loc(hb.From)
+	w.Int(hb.CfgSeq)
+	w.Locs(hb.Members)
+	w.Bool(hb.Stopped)
+	w.Bool(hb.Elected)
+}
+
+func readHeartbeat(r *msg.Reader) Heartbeat {
+	return Heartbeat{From: r.Loc(), CfgSeq: r.Int(), Members: r.Locs(), Stopped: r.Bool(), Elected: r.Bool()}
+}

@@ -220,7 +220,21 @@ type Reject struct {
 }
 
 // RegisterWireTypes registers flow's message bodies with the wire
-// codec; binaries hosting real transports call it at startup.
+// codec (Reject under tag 0x40, DESIGN.md "Wire format and allocation
+// hot path"); binaries hosting real transports call it at startup.
 func RegisterWireTypes() {
-	msg.RegisterBody(Reject{})
+	msg.RegisterCodec(0x40, Reject{}, appendReject, readReject)
+}
+
+func appendReject(w *msg.Writer, j Reject) {
+	w.Loc(j.From)
+	w.Int64(j.Seq)
+	w.Byte(byte(j.Class))
+	w.Text(j.Reason)
+	w.Int(j.Depth)
+	w.Int(j.Cap)
+}
+
+func readReject(r *msg.Reader) Reject {
+	return Reject{From: r.Loc(), Seq: r.Int64(), Class: Class(r.Byte()), Reason: r.Text(), Depth: r.Int(), Cap: r.Int()}
 }

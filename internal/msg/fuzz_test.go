@@ -1,83 +1,128 @@
-package msg
+package msg_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
+
+	"shadowdb/internal/core"
+	"shadowdb/internal/msg"
 )
 
-// fuzzBody is a registered wire body so seed frames exercise the
-// interface-decoding path that real protocol messages take.
-type fuzzBody struct {
-	N int
-	S string
+// fallbackBody is a body with no frame codec: it travels under the gob
+// fallback.
+var fallbackBody = core.SMRCatchupReq{From: "r2", After: 17}
+
+// sampleFrames encodes one frame per sample body, one for the fallback
+// and one batch of them all.
+func sampleFrames(tb testing.TB) [][]byte {
+	var frames [][]byte
+	var all []msg.Envelope
+	for _, body := range append(samples(), fallbackBody) {
+		env := msg.Envelope{From: "c1", To: "r1", M: msg.M("hdr", body), Trace: "t", LC: 3}
+		f, err := msg.Encode(env)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, f)
+		all = append(all, env)
+	}
+	batch, err := msg.EncodeBatch(all)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(frames, batch)
 }
 
-func init() { RegisterBody(fuzzBody{}) }
-
 // FuzzDecodeFrame throws arbitrary bytes — and mutations of valid
-// frames — at the frame decoder. The only acceptable outcomes are a
-// decoded envelope slice or an error; any panic is a bug (a malicious
-// or corrupted peer must not be able to crash the process).
+// frames of every registered tag — at the frame decoder. The only
+// acceptable outcomes are a decoded envelope slice or an error; any
+// panic is a bug (a malicious or corrupted peer must not be able to
+// crash the process).
 func FuzzDecodeFrame(f *testing.F) {
-	env := Envelope{From: "c1", To: "r1", M: M("hdr.fuzz", fuzzBody{N: 7, S: "x"}), Trace: "t", LC: 3}
-	single, err := Encode(env)
-	if err != nil {
-		f.Fatal(err)
-	}
-	batch, err := EncodeBatch([]Envelope{env, {From: "c2", To: "r1", M: M("hdr.fuzz", fuzzBody{N: 9})}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(single)
-	f.Add(batch)
+	frames := sampleFrames(f)
+	f.Add(frames[len(frames)-2]) // the fallback body
+	f.Add(frames[len(frames)-1]) // the batch
 	f.Add([]byte{})
-	f.Add([]byte{frameEnvelope})
-	f.Add([]byte{frameBatch, 0x00, 0xff})
-	f.Add(single[:len(single)/2]) // truncated
+	f.Add([]byte{1})
+	f.Add([]byte{1, 0x80, 0xff})
+	f.Add(frames[0][:len(frames[0])/2]) // truncated
 	f.Add([]byte("Z arbitrary junk that is not a frame"))
+	for _, frame := range frames[:len(frames)-2] {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		envs, err := DecodeFrame(data)
+		envs, err := msg.DecodeFrame(data)
 		if err != nil && envs != nil {
 			t.Fatalf("DecodeFrame returned both envelopes and error: %v", err)
 		}
 		// A frame that decodes must re-encode and decode to the same
-		// envelope count (round-trip sanity, not byte equality: gob
-		// streams are not canonical).
+		// envelopes (compared by route and header: a fuzzed float may be
+		// a NaN, and a fuzzed gob body need not re-encode byte for byte).
 		if err == nil {
-			re, eerr := EncodeBatch(envs)
+			re, eerr := msg.EncodeBatch(envs)
 			if eerr != nil {
-				return // bodies may be unregisterable values; fine
+				t.Fatalf("decoded envelopes do not re-encode: %v", eerr)
 			}
-			back, derr := DecodeFrame(re)
+			back, derr := msg.DecodeFrame(re)
 			if derr != nil || len(back) != len(envs) {
 				t.Fatalf("round trip lost envelopes: %d -> %d (%v)", len(envs), len(back), derr)
+			}
+			for i := range back {
+				if back[i].From != envs[i].From || back[i].To != envs[i].To || back[i].M.Hdr != envs[i].M.Hdr {
+					t.Fatalf("envelope %d: %+v -> %+v", i, envs[i], back[i])
+				}
 			}
 		}
 	})
 }
 
-// Truncating a valid frame at every prefix length must yield an error
-// or a clean decode — never a panic. (Deterministic companion to the
-// fuzz target, so the property is enforced on every plain `go test`.)
+// Every proper prefix of a valid frame, and every valid frame with a
+// byte appended, is an error: frames are counted and length-prefixed
+// throughout, so there is no clean boundary short of the end. Flipping
+// any byte never panics.
 func TestDecodeFrameTruncatedPrefixes(t *testing.T) {
-	env := Envelope{From: "a", To: "b", M: M("hdr.fuzz", fuzzBody{N: 1, S: "payload"})}
-	frame, err := EncodeBatch([]Envelope{env, env, env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(frame); i++ {
-		if _, err := DecodeFrame(frame[:i]); err == nil && i < len(frame) {
-			// Some prefixes may decode fewer envelopes without error if
-			// gob finds a clean boundary; that is acceptable. Panics are
-			// the only failure and would already have crashed the test.
-			continue
+	for _, frame := range sampleFrames(t) {
+		for i := 0; i < len(frame); i++ {
+			if envs, err := msg.DecodeFrame(frame[:i]); err == nil {
+				t.Fatalf("prefix %d/%d of %x decoded to %+v", i, len(frame), frame, envs)
+			}
+		}
+		if _, err := msg.DecodeFrame(append(bytes.Clone(frame), 0)); err == nil {
+			t.Fatalf("%x with a trailing byte decoded", frame)
+		}
+		for i := 0; i < len(frame); i++ {
+			mut := bytes.Clone(frame)
+			mut[i] ^= 0xff
+			_, _ = msg.DecodeFrame(mut)
 		}
 	}
-	// Flipping each byte must also never panic.
-	for i := 0; i < len(frame); i++ {
-		mut := bytes.Clone(frame)
-		mut[i] ^= 0xff
-		_, _ = DecodeFrame(mut)
+}
+
+// Planted sizes — an envelope count of 2³⁰, a string or []any length
+// larger than the frame — are refused before anything is allocated.
+func TestDecodeFramePlantedLengths(t *testing.T) {
+	huge := func(b []byte) []byte { return binary.AppendUvarint(b, 1<<30) }
+	// head is a frame of one envelope with empty route, header and trace,
+	// up to its body tag.
+	head := []byte{1, 1, 0, 0, 0, 0, 0, 0}
+	for name, frame := range map[string][]byte{
+		"envelope count": append(huge([]byte{1}), make([]byte, 64)...),
+		"From length":    append(huge([]byte{1, 1}), make([]byte, 64)...),
+		"Hdr length":     append(huge([]byte{1, 1, 0, 0}), make([]byte, 64)...),
+		"gob body":       append(huge(append(head[:len(head):len(head)], 1)), make([]byte, 64)...),
+		// A TxRequest (tag 0x10): empty Client, Seq 0, empty Type, then Args.
+		"[]any length": append(huge(append(head[:len(head):len(head)], 0x10, 0, 0, 0)), make([]byte, 64)...),
+		// A Deliver (tag 0x21): Slot 0, then its Bcast count.
+		"Bcast count": append(huge(append(head[:len(head):len(head)], 0x21, 0)), make([]byte, 64)...),
+	} {
+		if _, err := msg.DecodeFrame(frame); err == nil {
+			t.Errorf("%s: planted length decoded", name)
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = msg.DecodeFrame(frame) }); allocs > 2 {
+			t.Errorf("%s: refusing the frame allocated %.0f times, want at most 2", name, allocs)
+		}
 	}
 }

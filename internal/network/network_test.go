@@ -1,11 +1,16 @@
 package network
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"testing"
 	"time"
 
 	"shadowdb/internal/msg"
+	"shadowdb/internal/obs"
 )
 
 type wireBody struct {
@@ -88,6 +93,12 @@ func TestHubCloseUnblocksReceivers(t *testing.T) {
 	if err := a.Send(msg.Envelope{To: "a", M: msg.M("x", nil)}); err == nil {
 		t.Error("Send after Close succeeded")
 	}
+	// A client closing its own transport after the hub went down (a
+	// public-API client outliving its cluster) must not close the inbox
+	// a second time.
+	if err := a.Close(); err != nil {
+		t.Errorf("transport Close after hub Close: %v", err)
+	}
 }
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
@@ -166,6 +177,37 @@ func TestTCPUnknownPeerDropped(t *testing.T) {
 	ta, _ := newTCPPair(t)
 	if err := ta.Send(msg.Envelope{To: "ghost", M: msg.M("x", wireBody{})}); err != nil {
 		t.Errorf("Send to unknown peer errored: %v", err)
+	}
+}
+
+// A frame that does not decode closes the connection it came on (frames
+// carry no state, so nothing after it could be trusted) and counts
+// net.decode_errors; other connections are untouched.
+func TestTCPClosesConnectionOnUndecodableFrame(t *testing.T) {
+	ta, tb := newTCPPair(t)
+	decodeErrors := obs.C("net.decode_errors")
+	before := decodeErrors.Value()
+	raw, err := net.Dial("tcp", tb.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = raw.Close() }()
+	junk := []byte("not a frame")
+	if _, err := raw.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(junk))), junk...)); err != nil {
+		t.Fatal(err)
+	}
+	_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after an undecodable frame: %v, want EOF", err)
+	}
+	if got := decodeErrors.Value() - before; got != 1 {
+		t.Errorf("net.decode_errors moved by %d, want 1", got)
+	}
+	if err := ta.Send(msg.Envelope{To: "b", M: msg.M("fresh", wireBody{N: 1})}); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvOne(t, tb); env.M.Hdr != "fresh" {
+		t.Fatalf("fresh connection delivered %+v", env)
 	}
 }
 

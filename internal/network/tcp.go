@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"shadowdb/internal/flow"
@@ -17,9 +18,9 @@ import (
 // TCP is the distributed transport: one listener for inbound traffic and
 // lazily established, automatically reconnecting outbound connections per
 // destination. Frames are a 4-byte big-endian length followed by a
-// gob-encoded msg.Envelope (bodies must be registered with
-// msg.RegisterBody; the protocol packages expose RegisterWireTypes
-// helpers).
+// msg frame (msg.AppendFrame; bodies must be registered with the codec,
+// and the protocol packages expose RegisterWireTypes helpers). A frame
+// that does not decode closes the connection it came on.
 type TCP struct {
 	self      msg.Loc
 	directory map[msg.Loc]string
@@ -52,6 +53,7 @@ type TCP struct {
 
 	// Metrics handles, cached once at construction (obs.Default registry).
 	framesIn     *obs.Counter
+	decodeErrors *obs.Counter
 	framesOut    *obs.Counter
 	bytesIn      *obs.Counter
 	bytesOut     *obs.Counter
@@ -69,12 +71,24 @@ type TCP struct {
 	// lg logs connection lifecycle (dial failures, backoff, dead-conn
 	// drops) under the transport's own node id.
 	lg *obs.Logger
+	// warnedDecode is set by the first undecodable frame, the only one
+	// logged: a hostile peer must not be able to flood the log.
+	warnedDecode atomic.Bool
 }
 
 var _ Transport = (*TCP)(nil)
 
 // maxFrame bounds a frame to guard against corrupt length prefixes.
 const maxFrame = 64 << 20
+
+// maxReuse caps the frame buffers kept for reuse: sends build frames in
+// pooled arrays, and each read loop reads into one array of its own, as
+// long as the frames fit (msg.DecodeFrame never aliases its input).
+const maxReuse = 64 << 10
+
+// framePool recycles send-side frame arrays: a write is synchronous, so
+// the array is free again once Write returns.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // redialBackoff is the shared redial policy: the delay doubles from
 // 50ms per consecutive dial failure, capped at 3s so a restarted peer
@@ -117,6 +131,7 @@ func NewTCP(self msg.Loc, directory map[msg.Loc]string) (*TCP, error) {
 		done:      make(chan struct{}),
 
 		framesIn:     obs.C("net.frames_in"),
+		decodeErrors: obs.C("net.decode_errors"),
 		framesOut:    obs.C("net.frames_out"),
 		bytesIn:      obs.C("net.bytes_in"),
 		bytesOut:     obs.C("net.bytes_out"),
@@ -176,15 +191,27 @@ func (t *TCP) Send(env msg.Envelope) error {
 	if env.To == t.self {
 		return t.loopback(env)
 	}
-	b, err := msg.Encode(env)
+	return t.sendFrame([]msg.Envelope{env})
+}
+
+// sendFrame writes envs, all bound to one remote peer, as one
+// length-prefixed frame built in a pooled array.
+func (t *TCP) sendFrame(envs []msg.Envelope) error {
+	to := envs[0].To
+	p := framePool.Get().(*[]byte)
+	frame, err := msg.AppendFrame(append((*p)[:0], 0, 0, 0, 0), envs)
+	defer func() {
+		if cap(frame) <= maxReuse {
+			*p = frame
+			framePool.Put(p)
+		}
+	}()
 	if err != nil {
-		return fmt.Errorf("send to %s: %w", env.To, err)
+		return fmt.Errorf("send to %s: %w", to, err)
 	}
-	frame := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(frame, uint32(len(b)))
-	copy(frame[4:], b)
-	if !t.writeFrame(env.To, frame) {
-		t.drops.Inc()
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	if !t.writeFrame(to, frame) {
+		t.drops.Add(int64(len(envs)))
 		return nil // unreachable peer: drop
 	}
 	t.framesOut.Inc()
@@ -232,9 +259,9 @@ func (t *TCP) writeFrame(to msg.Loc, frame []byte) bool {
 }
 
 // SendBatch implements BatchSender: all envelopes (which must share one
-// destination) travel as a single length-prefixed batch frame — one gob
-// stream, one write — so a handler's fan-out to a peer costs one frame
-// instead of one per message.
+// destination) travel as a single length-prefixed frame — one write — so
+// a handler's fan-out to a peer costs one frame instead of one per
+// message.
 func (t *TCP) SendBatch(envs []msg.Envelope) error {
 	if len(envs) == 0 {
 		return nil
@@ -259,20 +286,7 @@ func (t *TCP) SendBatch(envs []msg.Envelope) error {
 		}
 		return nil
 	}
-	b, err := msg.EncodeBatch(envs)
-	if err != nil {
-		return fmt.Errorf("send batch to %s: %w", to, err)
-	}
-	frame := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(frame, uint32(len(b)))
-	copy(frame[4:], b)
-	if !t.writeFrame(to, frame) {
-		t.drops.Add(int64(len(envs)))
-		return nil // unreachable peer: drop
-	}
-	t.framesOut.Inc()
-	t.bytesOut.Add(int64(len(frame)))
-	return nil
+	return t.sendFrame(envs)
 }
 
 // Receive implements Transport.
@@ -463,6 +477,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	hdr := make([]byte, 4)
+	var buf []byte
 	for {
 		select {
 		case <-t.done:
@@ -476,7 +491,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if n == 0 || n > maxFrame {
 			return
 		}
-		body := make([]byte, n)
+		if int(n) > cap(buf) {
+			buf = make([]byte, n)
+		}
+		body := buf[:n]
+		if n > maxReuse {
+			buf = nil
+		}
 		if _, err := io.ReadFull(conn, body); err != nil {
 			return
 		}
@@ -484,7 +505,15 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.bytesIn.Add(int64(4 + n))
 		envs, err := msg.DecodeFrame(body)
 		if err != nil {
-			continue // corrupt frame: skip
+			// Frames carry no state between them, so a frame that does
+			// not decode means the peer speaks another version or is not
+			// a peer at all: nothing later on this connection can be
+			// trusted either.
+			t.decodeErrors.Inc()
+			if t.warnedDecode.CompareAndSwap(false, true) {
+				t.lg.Warnf("closing connection from %s: undecodable frame: %v (logged once)", conn.RemoteAddr(), err)
+			}
+			return
 		}
 		t.mu.Lock()
 		clock := t.clock

@@ -1,6 +1,6 @@
 // Package network provides the real transports of the system: an
 // in-process channel hub for single-process deployments and tests, and a
-// TCP transport with length-prefixed gob frames for distributed
+// TCP transport with length-prefixed msg frames for distributed
 // deployments ("The participants communicate over TCP channels", Section
 // III). Both satisfy Transport, which package runtime hosts GPM processes
 // on.
@@ -86,8 +86,9 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
-	for _, ch := range h.inbox {
+	for l, ch := range h.inbox {
 		close(ch)
+		delete(h.inbox, l) // a transport closed later finds nothing to close
 	}
 	return nil
 }
