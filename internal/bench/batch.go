@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"shadowdb/internal/broadcast"
-	"shadowdb/internal/obs/dist"
 )
 
 // The batching ablation: the paper's Fig. 8 numbers are measured "with
@@ -99,7 +98,7 @@ func Batch(cfg BatchConfig) BatchResult {
 // batchRun measures one MaxBatch setting on the compiled service with
 // the online checker attached.
 func batchRun(cfg BatchConfig, maxBatch int) (BatchPoint, Audit) {
-	run := startRun("batch", dist.Facts{}, cfg.RingSize, "", "")
+	run := startRun("batch", cfg.RingSize, "", "")
 	// Slot accounting for the mean delivered batch size (the DES is
 	// single-threaded, so shared closure state is safe).
 	slotSeen := make(map[int]bool)

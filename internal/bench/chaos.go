@@ -9,7 +9,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -174,7 +173,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	}
 	// All three replicas are initial members: the partition must split a
 	// live group, not promote a spare.
-	run := startRun("chaos", dist.Facts{}, cfg.RingSize, cfg.FlightDir, "")
+	run := startRun("chaos", cfg.RingSize, cfg.FlightDir, "")
 	sc := run.Attach(newCluster(clusterSpec{
 		pbr: true, timing: timing, members: 3,
 		engines: []string{"h2", "hsqldb", "derby"}, reg: core.BankRegistry(),

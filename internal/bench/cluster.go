@@ -1,17 +1,22 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
+	"shadowdb/internal/flow"
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -22,8 +27,9 @@ const replicaOverhead = 30 * time.Microsecond
 
 // clusterSpec describes a simulated ShadowDB deployment along the axes
 // the experiments differ on. The zero value of every optional field is
-// the paper's plain deployment: three in-memory SMR replicas, each
-// co-located with one of three broadcast service nodes.
+// the paper's plain deployment: three in-memory SMR replicas ordered by
+// three broadcast service nodes, wired as the shipped binary wires them
+// (every service node notifies every replica).
 type clusterSpec struct {
 	// pbr selects primary-backup replication over the engines pool with
 	// members initial members (the rest are spares) and the given
@@ -44,33 +50,26 @@ type clusterSpec struct {
 	// intake, when set, is the modeled cost of receiving one client
 	// submission at a service node (overload experiment).
 	intake time.Duration
-	// root, when non-empty, makes the SMR replicas durable: each journals
-	// to root/<loc>/smr with the fsync policy and can be torn down and
-	// rebuilt from there mid-run (Restart).
+	// root, when non-empty, makes the deployment durable as -data-dir
+	// does: each SMR replica journals to root/<loc>/smr (and can be torn
+	// down and rebuilt from there mid-run, Restart), each service node to
+	// root/<loc>/seq and acc.
 	root  string
 	fsync store.SyncPolicy
-	// epoch0, when set, runs the deployment under numbered configuration
-	// epochs (dynamic Paxos quorums and fan-out, activation lag alpha).
+	// The deployment runs under configuration epochs with activation lag
+	// alpha (-alpha's default when zero). Epoch 0 is every node but the
+	// joiners, which wait empty and inactive for an ordered admission.
 	// With sharedView every node reads one epoch schedule; otherwise the
 	// service and each replica fold commands from their own delivery
 	// stream into their own view, so a partitioned node's view genuinely
-	// goes stale. joiners are built empty and inactive, waiting for an
-	// ordered admission and a bootstrap snapshot.
-	epoch0     *member.Config
+	// goes stale.
 	alpha      int
 	sharedView bool
 	joiners    map[msg.Loc]bool
-	// bcastJournal gives every service node a durable decided-slot
-	// journal under root/<loc>/bcast, so the sequencer's covering fsync
-	// shows up in the WAL counters.
-	bcastJournal bool
-	// lease (Dur > 0) enables lease-based local reads through the reads
-	// registry, with the allocation-lean fast write procedures; Now is
-	// filled in by the builder. groupEvery > 1 enables SMR group commit.
-	lease      core.LeaseConfig
-	fast       core.FastRegistry
-	reads      core.ReadRegistry
-	groupEvery int
+	// lease (Dur > 0) enables lease-based local reads as -lease does: the
+	// bank read registry and fast write procedures, renewals through the
+	// first service node on the simulator's clock.
+	lease core.LeaseConfig
 }
 
 // Cluster is a ShadowDB deployment on the discrete-event simulator: the
@@ -95,6 +94,10 @@ type Cluster struct {
 	sts  map[msg.Loc]store.Stable
 	gen  map[msg.Loc]int
 	view *member.View
+	// epoch0 and alpha are the membership the service starts under and
+	// its activation lag (zero on a bare newDES cluster, which has none).
+	epoch0 member.Config
+	alpha  int
 	// inj is the bound nemesis (nil without one). Cost closures consult
 	// it lazily, so a slow-disk window can degrade a node mid-run without
 	// rebinding anything.
@@ -134,28 +137,29 @@ func newDES() *Cluster {
 }
 
 // newCluster builds the deployment a spec describes: replicas first, then
-// the broadcast service, then (PBR) the failure detectors.
+// the broadcast service, then each replica's boot directives (PBR: its
+// failure detector).
 func newCluster(spec clusterSpec) *Cluster {
 	c := newDES()
 	c.spec = spec
-	n := spec.bcastNodes
-	if n == 0 {
-		n = 3
-	}
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= cmp.Or(spec.bcastNodes, 3); i++ {
 		c.bloc = append(c.bloc, msg.Loc(fmt.Sprintf("b%d", i)))
 	}
 	for i := range spec.engines {
 		c.rloc = append(c.rloc, msg.Loc(fmt.Sprintf("r%d", i+1)))
 	}
+	joiner := func(l msg.Loc) bool { return spec.joiners[l] }
+	c.epoch0 = member.Config{
+		Bcast:    slices.DeleteFunc(slices.Clone(c.bloc), joiner),
+		Replicas: slices.DeleteFunc(slices.Clone(c.rloc), joiner),
+	}
+	c.alpha = cmp.Or(spec.alpha, deploy.Default().Alpha)
+	view := member.NewView(c.epoch0, c.alpha)
+	if spec.sharedView {
+		c.view = view
+	}
 	bcfg := spec.bcast
-	bcfg.Nodes = c.bloc
-	if bcfg.FlowLimit > 0 {
-		bcfg.FlowNow = c.sim.Now
-	}
-	if spec.bcastJournal {
-		bcfg.Stable = func(loc msg.Loc) store.Stable { return c.openStore(loc, "bcast") }
-	}
+	bcfg.Nodes, bcfg.View = c.bloc, view
 
 	if spec.pbr {
 		dep := core.PBRDeployment{
@@ -170,43 +174,39 @@ func newCluster(spec clusterSpec) *Cluster {
 			c.pbr[l] = r
 			c.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
 		}
-		bcfg.Subscribers = c.rloc
 		// "We run the broadcast service in the interpreter with
 		// ShadowDB-PBR": it only carries recovery proposals.
-		c.addBroadcast(bcfg, broadcast.Interpreted)
+		c.addService(bcfg, broadcast.Interpreted)
 		// The failure detectors boot in pool order: same-instant timers
 		// armed in another order would perturb schedules that must replay
 		// exactly (the chaos fingerprint check).
 		for _, l := range c.rloc {
-			for _, d := range c.pbr[l].Start() {
-				c.clu.SendAfter(d.Delay, d.Dest, d.Dest, d.M)
-			}
+			c.send(l, c.pbr[l].Start())
 		}
 		return c
 	}
 
-	if spec.epoch0 != nil {
-		view := member.NewView(*spec.epoch0, spec.alpha)
-		if spec.sharedView {
-			c.view = view
-		}
-		bcfg.View = view
-		bcfg.Modules = []broadcast.Module{broadcast.PaxosDynamic(bcfg.Pipeline, nil, view)}
-	} else {
-		// Static fan-out: replica i is co-located with (and subscribed
-		// to) service node i, as in the paper's deployment; surplus
-		// service nodes only participate in consensus.
-		bcfg.LocalSubscribers = make(map[msg.Loc][]msg.Loc, len(c.rloc))
-		for i, l := range c.rloc {
-			bcfg.LocalSubscribers[c.bloc[i]] = []msg.Loc{l}
-		}
-	}
 	for _, l := range c.rloc {
 		c.host(l, c.buildReplica(l, !spec.joiners[l]), c.replicaCost(l))
 	}
 	// Every transaction is ordered by the Lisp (compiled) service.
-	c.addBroadcast(bcfg, broadcast.Compiled)
+	c.addService(bcfg, broadcast.Compiled)
+	for _, l := range c.rloc {
+		c.boot(l)
+	}
 	return c
+}
+
+// facts are the deployment facts deploy.Node.Facts reads off a node's
+// settings, for the checker: the lease window, the service's epoch 0 and
+// alpha, and the sequencer's admission bound.
+func (c *Cluster) facts() dist.Facts {
+	l := c.spec.lease
+	f := dist.Facts{LeaseDur: l.Dur, MaxStale: l.MaxStale, Initial: c.epoch0, Alpha: c.alpha}
+	if q := c.spec.bcast.FlowLimit; q > 0 {
+		f.MaxQueue = flow.NewQueue(q).Cap()
+	}
+	return f
 }
 
 // index is loc's position in the replica list.
@@ -234,6 +234,22 @@ func (c *Cluster) slowed(loc msg.Loc, cost time.Duration) time.Duration {
 func (c *Cluster) host(loc msg.Loc, p gpm.Process, cost func() time.Duration) {
 	c.nodes = append(c.nodes, loc)
 	c.clu.AddCostedProcess(loc, 1, p, func() time.Duration { return c.slowed(loc, cost()) })
+}
+
+// addService hosts one ordering group wired as deploy's service roles
+// wire it: the paxos module windowed at the pipeline over the group's
+// view (nil: a static group), journaled on a durable deployment.
+func (c *Cluster) addService(cfg broadcast.Config, mode broadcast.Mode) {
+	var acc func(msg.Loc) store.Stable
+	if c.spec.root != "" {
+		cfg.Stable = func(loc msg.Loc) store.Stable { return c.openStore(loc, "seq") }
+		acc = func(loc msg.Loc) store.Stable { return c.openStore(loc, "acc") }
+	}
+	cfg.Modules = []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, acc, cfg.View)}
+	if cfg.FlowLimit > 0 {
+		cfg.FlowNow = c.sim.Now
+	}
+	c.addBroadcast(cfg, mode)
 }
 
 // addBroadcast hosts one broadcast service group with the calibrated
@@ -308,31 +324,25 @@ func (c *Cluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
 	cfg := core.SMRConfig{Self: loc, DB: db, Registry: spec.reg}
 	if spec.root != "" {
 		cfg.Store, cfg.Joiner = c.openStore(loc, "smr"), spec.joiners[loc]
-		if !cfg.Joiner && spec.epoch0 == nil {
-			cfg.Peers = c.rloc
-		}
 		c.sts[loc] = cfg.Store
 	}
 	rep, err := core.OpenSMRReplica(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("bench: replica %s: %v", loc, err))
 	}
-	switch {
-	case c.view != nil:
+	if c.view != nil {
 		rep.SetView(c.view)
-	case spec.epoch0 != nil:
-		rep.SetView(member.NewView(*spec.epoch0, spec.alpha))
+	} else {
+		rep.SetView(member.NewView(c.epoch0, c.alpha))
 	}
-	if spec.fast != nil {
-		rep.Executor().Fast = spec.fast
+	if cfg.Store != nil && spec.fsync == store.SyncBatch {
+		rep.SetGroupCommit(deploy.GroupWindow(spec.bcast.Pipeline), 0)
 	}
 	if spec.lease.Dur > 0 {
 		lease := spec.lease
-		lease.Now = c.sim.Now
-		rep.EnableLease(lease, spec.reads)
-	}
-	if spec.groupEvery > 1 {
-		rep.SetGroupCommit(spec.groupEvery, 0)
+		lease.Bcast, lease.Now = c.bloc[0], c.sim.Now
+		rep.Executor().Fast = core.BankFastRegistry()
+		rep.EnableLease(lease, core.BankReadRegistry())
 	}
 	c.reps[loc], c.dbs[loc] = rep, db
 	return rep
@@ -359,20 +369,16 @@ func (c *Cluster) Restart(loc msg.Loc) *core.SMRReplica {
 }
 
 // send emits a replica's self-originated directives (recovery fetches,
-// lease timers) from loc.
+// lease and failure-detector timers) from loc.
 func (c *Cluster) send(loc msg.Loc, outs []msg.Directive) {
 	for _, d := range outs {
 		c.clu.SendAfter(d.Delay, loc, d.Dest, d.M)
 	}
 }
 
-// startLeases injects every replica's initial renewal-timer tick (a
-// no-op without leases).
-func (c *Cluster) startLeases() {
-	for _, l := range c.rloc {
-		c.send(l, c.reps[l].LeaseDirectives())
-	}
-}
+// boot emits the current incarnation of loc's boot directives, what
+// deploy.Node.Process returns for it: at start and after every restart.
+func (c *Cluster) boot(loc msg.Loc) { c.send(loc, c.reps[loc].BootDirectives()) }
 
 // maxOtherSlot is the highest applied frontier among the replicas other
 // than loc.

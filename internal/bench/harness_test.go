@@ -7,7 +7,6 @@ import (
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -65,7 +64,7 @@ func TestRegistryNamesAreUnique(t *testing.T) {
 // behind and remove the temp data directory it created.
 func TestRunCloseDumpsUncertifiedAndCleansUp(t *testing.T) {
 	flight := t.TempDir()
-	run := startRun("harness", dist.Facts{}, 1<<10, flight, "")
+	run := startRun("harness", 1<<10, flight, "")
 	root := run.Root()
 	c := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),

@@ -11,7 +11,6 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -220,18 +219,17 @@ func Membership(cfg MembershipConfig) MembershipResult {
 // membershipRun is one full run of the experiment. Five broadcast
 // service nodes and five durable replicas exist as processes from the
 // start under one shared epoch view, but only the charter members
-// (b1-b3, r1-r3, populated) are in epoch 0 — the joiners r4 and r5 idle
-// empty until an ordered command admits them.
+// (b1-b3, r1-r3, populated) are in epoch 0 — the joiners b4, b5, r4 and
+// r5 idle (the replicas empty) until an ordered command admits them.
 func membershipRun(cfg MembershipConfig) MembershipResult {
-	initial := charter()
-	run := startRun("membership", dist.Facts{Initial: initial, Alpha: cfg.Alpha}, cfg.RingSize, cfg.FlightDir, cfg.DataDir)
+	run := startRun("membership", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
 	mc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup:      func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
 		bcastNodes: 5, bcast: broadcast.Config{Pipeline: cfg.Pipeline},
 		root: run.Root(), fsync: cfg.Fsync,
-		epoch0: &initial, alpha: cfg.Alpha, sharedView: true,
-		joiners: map[msg.Loc]bool{"r4": true, "r5": true},
+		alpha: cfg.Alpha, sharedView: true,
+		joiners: map[msg.Loc]bool{"b4": true, "b5": true, "r4": true, "r5": true},
 	}))
 	sim := mc.sim
 
@@ -241,7 +239,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// forward broadcasts to the sequencer, so a static client config
 	// survives every resize.
 	shadowClients(mc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		initial.Replicas, initial.Bcast, 10*time.Second, work)
+		mc.epoch0.Replicas, mc.epoch0.Bcast, 10*time.Second, work)
 
 	res := MembershipResult{Clients: cfg.Clients, JoinerActiveAt: -1}
 	snapsBefore := obs.C("core.smr.member_snapshots").Value()
@@ -266,8 +264,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	}
 
 	// Sample each joiner until its bootstrap snapshot lands.
-	for j := range mc.spec.joiners {
-		loc := j
+	for _, loc := range []msg.Loc{"r4", "r5"} {
 		var poll func()
 		poll = func() {
 			if mc.reps[loc].Active() {

@@ -12,7 +12,6 @@ import (
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 )
 
@@ -197,11 +196,11 @@ type overloadPhaseStats struct {
 
 // Overload runs the experiment.
 func Overload(cfg OverloadConfig) OverloadResult {
-	// Three service nodes order for two in-memory replicas: b3 carries
-	// no local subscriber, it only participates in consensus (the 5-node
-	// shape). Cost closures consult the nemesis lazily, so the slow-disk
-	// window degrades its node mid-run without rebinding anything.
-	run := startRun("overload", dist.Facts{MaxQueue: cfg.FlowLimit}, cfg.RingSize, cfg.FlightDir, "")
+	// Three service nodes order for two in-memory replicas (the 5-node
+	// shape), each notifying both. Cost closures consult the nemesis
+	// lazily, so the slow-disk window degrades its node mid-run without
+	// rebinding anything.
+	run := startRun("overload", cfg.RingSize, cfg.FlightDir, "")
 	c := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

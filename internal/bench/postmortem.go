@@ -62,11 +62,12 @@ func DefaultPostmortem() PostmortemConfig {
 	}
 }
 
-// QuickPostmortem keeps tests fast.
+// QuickPostmortem keeps tests fast; its ring holds the run up to the
+// forgery, since the replay certifies a complete window only.
 func QuickPostmortem() PostmortemConfig {
 	return PostmortemConfig{
 		Rows: 1_000, Clients: 2, RunFor: 8 * time.Second,
-		InjectAt: 4 * time.Second, Seed: 7, RingSize: 1 << 14,
+		InjectAt: 4 * time.Second, Seed: 7, RingSize: 1 << 15,
 	}
 }
 
@@ -140,9 +141,6 @@ func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
 	if err := postmortemViolationRun(cfg, dir, &res); err != nil {
 		return res, err
 	}
-	if err := postmortemAnalyze(dir, &res); err != nil {
-		return res, err
-	}
 
 	// Overhead pair: same clean run, recorder on vs off, wall clock.
 	res.WallOnMS = postmortemCleanRun(cfg, true).Seconds() * 1e3
@@ -182,9 +180,9 @@ func postmortemCluster(cfg PostmortemConfig, o *obs.Obs, recorderOn bool) (*Clus
 
 // postmortemViolationRun is the instrumented run with the forged
 // delivery: recorders on every node, checker attached, bundle dumps on
-// the violation hook.
+// the violation hook; then the bundles it left are analyzed.
 func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemResult) error {
-	run := startRun("postmortem", dist.Facts{}, cfg.RingSize, dir, "")
+	run := startRun("postmortem", cfg.RingSize, dir, "")
 	o := run.Obs
 	sc, stats, restore := postmortemCluster(cfg, o, true)
 	defer restore()
@@ -219,13 +217,14 @@ func postmortemViolationRun(cfg PostmortemConfig, dir string, res *PostmortemRes
 		return err
 	}
 	res.Bundles = bundles
-	return nil
+	return postmortemAnalyze(dir, sc.facts(), res)
 }
 
 // postmortemAnalyze certifies the dumped bundles: load, merge, verify
 // causal order and the forged event's presence, and replay the traces
-// through the offline checker.
-func postmortemAnalyze(dir string, res *PostmortemResult) error {
+// through the offline checker armed with the deployment's facts (what
+// `flight merge -check` reads off the bundles' settings).
+func postmortemAnalyze(dir string, facts dist.Facts, res *PostmortemResult) error {
 	var bundles []*obs.Bundle
 	for _, d := range res.Bundles {
 		b, err := obs.LoadBundle(d)
@@ -257,10 +256,10 @@ func postmortemAnalyze(dir string, res *PostmortemResult) error {
 
 	coll := dist.NewCollector()
 	coll.AddBundles(bundles...)
-	st, err := coll.Collect().Check(dist.Facts{})
+	st, err := coll.Collect().Check(facts)
 	switch {
-	case err != nil:
-		res.ReplayDetected, res.ReplayErr = true, err.Error()
+	case err != nil: // a lost window (trace incomplete) detects nothing
+		res.ReplayErr = err.Error()
 	case len(st.Violations) > 0:
 		res.ReplayDetected, res.ReplayErr = true, st.Violations[0].Error()
 	}

@@ -14,7 +14,6 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -64,10 +63,8 @@ type ReadPathConfig struct {
 	// activation lag in slots.
 	Pipeline int
 	Alpha    int
-	// GroupEvery caps the SMR group-commit window: acks park until one
-	// fsync covers the replica's backlog, at most GroupEvery slots of it.
-	GroupEvery int
-	// Fsync is the WAL sync policy of every store.
+	// Fsync is the WAL sync policy of every store; under SyncBatch the
+	// replicas group-commit as the binary's do (deploy.GroupWindow).
 	Fsync store.SyncPolicy
 	// The chaos schedule: the holder r1 is partitioned from the
 	// broadcast and the other replicas (but not from read probes) at
@@ -103,7 +100,6 @@ func DefaultReadPath() ReadPathConfig {
 		LeaseDur: 200 * time.Millisecond, MaxStale: 150 * time.Millisecond,
 		Retry:    25 * time.Millisecond,
 		Pipeline: 4, Alpha: 10,
-		GroupEvery:  4,
 		Fsync:       store.SyncBatch,
 		PartitionAt: 600 * time.Millisecond, DeposeAt: 700 * time.Millisecond,
 		HealAt: 1600 * time.Millisecond, RestartAt: 1100 * time.Millisecond,
@@ -233,22 +229,17 @@ func (r ReadPathResult) Certified() bool { return Certified(r.Gates()) }
 // deployment. Unlike the membership experiment's shared view, every
 // replica folds membership commands and renewals from its own delivery
 // stream into its own epoch view — a partitioned replica's view
-// genuinely goes stale. The broadcast service keeps its own view and a
-// durable decided-slot journal, so the sequencer's covering fsync (one
-// per contiguous delivery run) shows up in the WAL counters.
+// genuinely goes stale. The broadcast service keeps its own view, and
+// its durable sequencer and acceptor journals put the sequencer's
+// covering fsync (one per contiguous delivery run) in the WAL counters.
 func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
-	initial := charter()
-	facts := dist.Facts{LeaseDur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Initial: initial, Alpha: cfg.Alpha}
-	run := startRun("readpath-"+label, facts, cfg.RingSize, cfg.FlightDir, "")
+	run := startRun("readpath-"+label, cfg.RingSize, cfg.FlightDir, "")
 	rc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		bcast: broadcast.Config{Pipeline: cfg.Pipeline}, bcastJournal: true,
-		root: run.Root(), fsync: cfg.Fsync,
-		epoch0: &initial, alpha: cfg.Alpha,
-		lease: core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale, Bcast: "b1"},
-		fast:  core.BankFastRegistry(), reads: core.BankReadRegistry(),
-		groupEvery: cfg.GroupEvery,
+		bcast: broadcast.Config{Pipeline: cfg.Pipeline},
+		root:  run.Root(), fsync: cfg.Fsync, alpha: cfg.Alpha,
+		lease: core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale},
 	}))
 	return run, rc
 }
@@ -258,9 +249,8 @@ func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
 // In consensus mode reads are ordered transactions ("balance" through
 // Submit); otherwise they are local reads in the given mode against
 // target(i), retried on rejection.
-func readMixClients(clu *des.Cluster, stats *loadStats, readLat, writeLat *des.LatencyRecorder,
+func readMixClients(rc *Cluster, stats *loadStats, readLat, writeLat *des.LatencyRecorder,
 	cfg ReadPathConfig, consensus bool, mode core.ReadMode, target func(i int) msg.Loc) []*core.Client {
-	initial := charter()
 	clients := make([]*core.Client, cfg.Clients)
 	wasRead := make([]bool, cfg.Clients)
 	stats.onDone = func(i int, lat time.Duration, _ bool) {
@@ -270,9 +260,9 @@ func readMixClients(clu *des.Cluster, stats *loadStats, readLat, writeLat *des.L
 			writeLat.Add(lat)
 		}
 	}
-	closedLoop(clu, stats, cfg.Clients, cfg.OpsPer, func(i int, loc msg.Loc) client {
+	closedLoop(rc.clu, stats, cfg.Clients, cfg.OpsPer, func(i int, loc msg.Loc) client {
 		cli := &core.Client{Slf: loc, Mode: core.ModeSMR,
-			Replicas: initial.Replicas, BcastNodes: initial.Bcast, Retry: cfg.Retry}
+			Replicas: rc.rloc, BcastNodes: rc.bloc, Retry: cfg.Retry}
 		clients[i] = cli
 		rng := rand.New(rand.NewSource(int64(i)*7919 + 17))
 		return client{
@@ -311,8 +301,7 @@ func readpathPhase(cfg ReadPathConfig, label string, consensus bool,
 
 	st := &loadStats{}
 	var readLat, writeLat des.LatencyRecorder
-	clients := readMixClients(rc.clu, st, &readLat, &writeLat, cfg, consensus, mode, target)
-	rc.startLeases()
+	clients := readMixClients(rc, st, &readLat, &writeLat, cfg, consensus, mode, target)
 
 	// Lease ticks re-arm forever, so the sim never idles: drive on the
 	// fleet's completion with a step-count backstop.
@@ -438,7 +427,6 @@ func readpathChaos(cfg ReadPathConfig) ChaosPhase {
 			Downtime: fault.Duration(cfg.Downtime),
 		}},
 	})
-	rc.startLeases()
 
 	runToFinish(sim, stats, cfg.ChaosClients)
 	// Keep the sim alive through the probe window even if the writers

@@ -8,7 +8,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -160,10 +159,10 @@ func (r RecoveryResult) Gates() []Gate {
 func (r RecoveryResult) Certified() bool { return Certified(r.Gates()) }
 
 // Recovery runs the crash-recovery experiment: a 3-replica durable SMR
-// deployment, one broadcast service node per replica, each replica
-// journaling to <data dir>/<loc>/smr.
+// deployment ordered by three durable broadcast service nodes, each
+// replica journaling to <data dir>/<loc>/smr.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
-	run := startRun("recovery", dist.Facts{}, cfg.RingSize, cfg.FlightDir, cfg.DataDir)
+	run := startRun("recovery", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
 	rc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

@@ -75,18 +75,16 @@ type Run struct {
 	onRestart func(msg.Loc, *core.SMRReplica)
 }
 
-// startRun arms the observation side of a run, the checker with the
-// experiment's deployment facts. name labels flight bundles and the temp
-// data directory; dataDir, when non-empty, hosts durable stores instead
-// of a temp directory.
-func startRun(name string, facts dist.Facts, ringSize int, flightDir, dataDir string) *Run {
+// startRun arms the observation side of a run. name labels flight
+// bundles and the temp data directory; dataDir, when non-empty, hosts
+// durable stores instead of a temp directory.
+func startRun(name string, ringSize int, flightDir, dataDir string) *Run {
 	r := &Run{
-		Obs: obs.New(ringSize), Checker: dist.NewChecker(facts),
+		Obs:  obs.New(ringSize),
 		name: name, flightDir: flightDir, dataDir: dataDir,
 		dump: func(string) {},
 	}
 	r.Obs.EnableTracing(true)
-	r.Checker.Watch(r.Obs)
 	return r
 }
 
@@ -103,11 +101,14 @@ func (r *Run) Root() string {
 	return r.dataDir
 }
 
-// Attach points the cluster's step events at the run's Obs and arms one
-// flight recorder per protocol node.
+// Attach points the cluster's step events at the run's Obs, subscribes
+// the online checker armed with the cluster's deployment facts, and arms
+// one flight recorder per protocol node.
 func (r *Run) Attach(c *Cluster) *Cluster {
 	r.c = c
 	c.clu.Observe(r.Obs)
+	r.Checker = dist.NewChecker(c.facts())
+	r.Checker.Watch(r.Obs)
 	r.armFlight(c.nodes)
 	return c
 }
@@ -117,8 +118,8 @@ func (r *Run) Attach(c *Cluster) *Cluster {
 // node's image dropped, and the restart rebuilds a fresh incarnation
 // from the data directory (Cluster.Restart), tells the checker, and —
 // deferred a tick so the sends happen after the node's crash flag
-// clears — asks the peers for the downtime delta and re-arms the lease
-// timer. Elsewhere a crash flips the simulated node's crash flag.
+// clears — emits the new incarnation's boot directives (Cluster.boot).
+// Elsewhere a crash flips the simulated node's crash flag.
 func (r *Run) Inject(plan fault.Plan) *fault.Injector {
 	c := r.c
 	if c.spec.root == "" {
@@ -141,9 +142,7 @@ func (r *Run) Inject(plan fault.Plan) *fault.Injector {
 				c.recoveredAll = c.recoveredAll && rep.Recovered()
 				c.lastRestartAt = c.sim.Now()
 				r.Checker.NoteRestart(node)
-				c.sim.After(0, func() {
-					c.send(node, append(rep.RecoveryDirectives(), rep.LeaseDirectives()...))
-				})
+				c.sim.After(0, func() { c.boot(node) })
 				if r.onRestart != nil {
 					r.onRestart(node, rep)
 				}

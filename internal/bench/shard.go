@@ -138,12 +138,8 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 		rloc := []msg.Loc{shard.ReplicaLoc(k, 0), shard.ReplicaLoc(k, 1)}
 		sc.groupB = append(sc.groupB, bloc)
 		sc.groupR = append(sc.groupR, rloc)
-		sc.addBroadcast(broadcast.Config{
-			Nodes: bloc,
-			LocalSubscribers: map[msg.Loc][]msg.Loc{
-				bloc[0]: {rloc[0]},
-				bloc[1]: {rloc[1]},
-			},
+		sc.addService(broadcast.Config{
+			Nodes: bloc, Subscribers: rloc,
 			MaxBatch: cfg.Batch,
 			MaxDelay: cfg.BatchDelay,
 			Pipeline: cfg.Pipeline,
@@ -181,7 +177,7 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 // shardRun starts one checked phase on a fresh n-shard deployment (the
 // checker keys its invariants per shard group).
 func shardRun(n int, cfg ShardConfig, phase string) (*Run, *shardCluster) {
-	run := startRun("shard-"+phase, dist.Facts{}, cfg.RingSize, flightSubdir(cfg.FlightDir, phase), "")
+	run := startRun("shard-"+phase, cfg.RingSize, flightSubdir(cfg.FlightDir, phase), "")
 	sc := newShardCluster(n, cfg)
 	run.Attach(sc.Cluster)
 	return run, sc

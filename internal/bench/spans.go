@@ -59,7 +59,7 @@ func (r SpanResult) Gates() []Gate { return []Gate{r.Audit.gate()} }
 
 // Spans runs the experiment.
 func Spans(cfg SpanConfig) SpanResult {
-	run := startRun("spans", dist.Facts{}, cfg.RingSize, "", "")
+	run := startRun("spans", cfg.RingSize, "", "")
 	sc := run.Attach(newCluster(clusterSpec{
 		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
 		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },

@@ -279,10 +279,6 @@ type Config struct {
 	// Subscribers receive a Deliver notification from EVERY service node;
 	// such subscribers must deduplicate by slot (ShadowDB replicas do).
 	Subscribers []msg.Loc
-	// LocalSubscribers maps a service node to subscribers only that node
-	// notifies — the deployment of the paper, where each database replica
-	// is co-located with one broadcast process.
-	LocalSubscribers map[msg.Loc][]msg.Loc
 	// Modules are the available consensus modules; the first is the
 	// default. Nil means Paxos only.
 	Modules []Module
@@ -335,9 +331,9 @@ type Config struct {
 	// enforcement at this layer.
 	FlowNow func() time.Duration
 	// View, when set, turns on dynamic membership: delivery fan-out is
-	// resolved per slot from the epoch schedule (replacing Subscribers
-	// and LocalSubscribers — every service node notifies every replica
-	// of the slot's epoch, and replicas deduplicate by slot), member
+	// resolved per slot from the epoch schedule (replacing Subscribers —
+	// every service node notifies every replica of the slot's epoch, and
+	// replicas deduplicate by slot), member
 	// commands found in delivered batches are folded into the schedule
 	// at their slot, and a joining service node baselines its delivery
 	// frontier at its own join slot instead of slot 0. Pair with the
@@ -638,19 +634,14 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 		}
 		d := Deliver{Slot: s.next, Msgs: b}
 		subs := cfg.Subscribers
-		locals := cfg.LocalSubscribers[slf]
 		if cfg.View != nil {
 			// Dynamic membership: the slot's epoch names the replicas.
 			// Full fan-out from every service node — replicas dedupe by
 			// slot — so a replica is never stranded behind a crashed
 			// service node it happened to be paired with.
 			subs = cfg.View.At(s.next).Replicas
-			locals = nil
 		}
 		for _, sub := range subs {
-			outs = append(outs, msg.Send(sub, msg.M(HdrDeliver, d)))
-		}
-		for _, sub := range locals {
 			outs = append(outs, msg.Send(sub, msg.M(HdrDeliver, d)))
 		}
 		s.next++

@@ -139,26 +139,6 @@ func TestConcurrentProposersConverge(t *testing.T) {
 	}
 }
 
-func TestLocalSubscribers(t *testing.T) {
-	cfg := Config{
-		Nodes: []msg.Loc{"b1", "b2", "b3"},
-		LocalSubscribers: map[msg.Loc][]msg.Loc{
-			"b1": {"replica1"},
-			"b2": {"replica2"},
-		},
-	}
-	r := gpm.NewRunner(Spec(cfg).System())
-	r.Inject("b1", msg.M(HdrBcast, Bcast{From: "c", Seq: 1, Payload: []byte("x")}))
-	if _, err := r.Run(100_000); err != nil {
-		t.Fatal(err)
-	}
-	d1 := DeliveriesTo(r.Trace(), "replica1")
-	d2 := DeliveriesTo(r.Trace(), "replica2")
-	if len(d1) != 1 || len(d2) != 1 {
-		t.Fatalf("replica deliveries = %d/%d, want exactly 1 each", len(d1), len(d2))
-	}
-}
-
 func TestTwoThirdBackend(t *testing.T) {
 	cfg := testConfig()
 	trace, err := run(cfg, []Module{TwoThird()}, nil, 2, 6)

@@ -76,6 +76,17 @@ func (r *SMRReplica) RecoveryDirectives() []msg.Directive {
 	return outs
 }
 
+// BootDirectives is what the replica emits once at start: its lease
+// tick and, unless it is a fresh joiner (it waits for the bootstrap
+// push), the request for anything ordered while it was down.
+func (r *SMRReplica) BootDirectives() []msg.Directive {
+	boot := r.LeaseDirectives()
+	if r.active {
+		boot = append(boot, r.RecoveryDirectives()...)
+	}
+	return boot
+}
+
 // SetGroupCommit coalesces the journal fsyncs of the slots a replica has
 // in hand: client acks are parked until a covering Sync, which runs when
 // the inbox has drained (the HdrSyncTick self-send, see groupCommit) or

@@ -13,8 +13,8 @@ import (
 	"shadowdb/internal/sqldb"
 )
 
-// smrHarness wires an SMR deployment (3 broadcast nodes, 3 co-located
-// replicas) plus clients into a runner.
+// smrHarness wires an SMR deployment (3 broadcast nodes, each notifying
+// all 3 replicas) plus clients into a runner.
 type smrHarness struct {
 	replicas map[msg.Loc]*SMRReplica
 	bcast    broadcast.Config
@@ -28,14 +28,12 @@ func newSMRHarness(t *testing.T, rows, clients int) *smrHarness {
 	bnodes := []msg.Loc{"b1", "b2", "b3"}
 	h := &smrHarness{
 		replicas: make(map[msg.Loc]*SMRReplica),
-		bcast:    broadcast.Config{Nodes: bnodes, LocalSubscribers: make(map[msg.Loc][]msg.Loc)},
+		bcast:    broadcast.Config{Nodes: bnodes, Subscribers: []msg.Loc{"r1", "r2", "r3"}},
 		clients:  make(map[msg.Loc]*Client),
 		results:  make(map[msg.Loc][]TxResult),
 	}
-	// Replica i is co-located with (and subscribed to) service node i.
-	for i, l := range []msg.Loc{"r1", "r2", "r3"} {
+	for _, l := range h.bcast.Subscribers {
 		h.replicas[l] = openSMR(t, l, bankDB(t, string(l), rows), false)
-		h.bcast.LocalSubscribers[bnodes[i]] = []msg.Loc{l}
 	}
 	for i := 0; i < clients; i++ {
 		loc := msg.Loc(fmt.Sprintf("c%d", i))
@@ -173,15 +171,15 @@ func TestSMRMemberAddBootstrapsJoiner(t *testing.T) {
 	for _, r := range h.replicas {
 		r.SetView(view)
 	}
-	// Attach a joining replica r4, subscribed to node b1's deliveries.
+	// Attach a joining replica r4, subscribed to the service's deliveries.
 	db4, err := sqldb.Open("derby:mem:r4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	r4 := openSMR(t, "r4", db4, true)
 	r4.SetView(view)
-	h.bcast.LocalSubscribers["b1"] = append(h.bcast.LocalSubscribers["b1"], "r4")
-	// Rebuild the runner with the extended subscriber map and r4 hosted.
+	h.bcast.Subscribers = append(h.bcast.Subscribers, "r4")
+	// Rebuild the runner with the extended subscriber list and r4 hosted.
 	procs := h.procs()
 	procs["r4"] = r4
 	h.runner = gpm.NewRunner(system(h.bcast, procs))

@@ -131,7 +131,7 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 		}
 		r.SetView(view)
 		if st != nil && n.Fsync == "batch" {
-			r.SetGroupCommit(groupWindow(n.Pipeline), 0)
+			r.SetGroupCommit(GroupWindow(n.Pipeline), 0)
 		}
 		if n.Lease {
 			// The fast-path registry keeps the ordered apply loop on the
@@ -141,18 +141,10 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 				Dur: n.LeaseDur, MaxStale: n.MaxStale, Bcast: c.bcast[0], Now: wallClock,
 			}, core.BankReadRegistry())
 		}
-		boot := r.LeaseDirectives()
 		if r.Recovered() {
 			lg.Infof("%s: recovered durable state through slot %d; requesting downtime delta from peers", id, r.LastSlot())
 		}
-		if !n.Joiner || r.Recovered() {
-			// Ask the peers for anything ordered while this node was down
-			// (an empty delta on a fresh group, nothing on a volatile node).
-			// A fresh joiner instead waits for the ordered add command to
-			// trigger the bootstrap push.
-			boot = append(boot, r.RecoveryDirectives()...)
-		}
-		return r, boot, nil
+		return r, r.BootDirectives(), nil
 	default: // "router": check admits no other role
 		cfg := shard.Config{Slf: id, Part: shard.NewHash(c.shards.Shards), App: shard.Bank(), Shards: c.shards.Bcast}
 		if n.MaxInflight > 0 || n.RetryBudget > 0 {
@@ -220,9 +212,9 @@ func (n Node) service(nodes, subs []msg.Loc, view *member.View, classify flow.Cl
 	return broadcast.Spec(cfg).Generator()(msg.Loc(n.ID)), nil, nil
 }
 
-// groupWindow caps the SMR group-commit window: with a durable store
+// GroupWindow caps the SMR group-commit window: with a durable store
 // under the batch sync policy, acks are parked until one fsync covers
 // the slots the replica has in hand (DESIGN.md §8), at most this many.
 // The cap tracks the sequencer's pipeline (concurrent slots arrive back
-// to back) with a floor of 4.
-func groupWindow(pipeline int) int { return max(pipeline, 4) }
+// to back) with a floor of 4. The simulated deployments take it too.
+func GroupWindow(pipeline int) int { return max(pipeline, 4) }

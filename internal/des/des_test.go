@@ -186,6 +186,32 @@ func TestDelayedDirectiveBecomesTimer(t *testing.T) {
 	}
 }
 
+// A delayed send to a peer holds nothing up: the link is taken when its
+// timer fires, so a message sent after it arrives at link latency. The
+// timer dies with a sender crashed when it falls due.
+func TestDelayedRemoteSendDoesNotHoldLink(t *testing.T) {
+	var s Sim
+	c := NewCluster(&s)
+	c.Link = func(from, to msg.Loc) LinkSpec { return LinkSpec{Latency: 5 * ms} }
+	var arrived []time.Duration
+	sink(c, "b", &arrived)
+	a := c.AddCostedNode("a", 1, func(msg.Envelope) ([]msg.Directive, time.Duration) { return nil, 0 })
+	c.SendAfter(2*time.Second, "a", "b", msg.M("retry", nil))
+	c.Send("a", "b", msg.M("now", nil))
+	s.Run(0, 0)
+	want := []time.Duration{5 * ms, 2*time.Second + 5*ms}
+	if len(arrived) != 2 || arrived[0] != want[0] || arrived[1] != want[1] {
+		t.Errorf("arrivals at %v, want %v", arrived, want)
+	}
+
+	c.SendAfter(time.Second, "a", "b", msg.M("retry", nil))
+	s.After(500*ms, a.Crash)
+	s.Run(0, 0)
+	if len(arrived) != 2 || c.Dropped != 1 {
+		t.Errorf("a crashed sender's timer fired: arrivals %v, dropped %d", arrived, c.Dropped)
+	}
+}
+
 func TestResource(t *testing.T) {
 	var s Sim
 	r := NewResource(&s)

@@ -64,7 +64,8 @@ type Cluster struct {
 	// SizeOf models the wire size of a message for bandwidth delays; nil
 	// means size 0.
 	SizeOf func(m msg.Msg) int
-	// Dropped counts messages to unknown or crashed nodes.
+	// Dropped counts messages to unknown or crashed nodes or from a
+	// crashed node's timers.
 	Dropped int64
 	// Fault, when set, judges every inter-node message before it is
 	// scheduled (self-sends — timers — are exempt): dropped messages
@@ -137,7 +138,8 @@ func (c *Cluster) Send(from, to msg.Loc, m msg.Msg) {
 // SendAfter routes a message after an extra sender-side delay (the
 // directive Delay of the process model). Transmission occupies the
 // directed link serially: arrival = max(send time, link free) +
-// transmission + latency, keeping per-pair delivery FIFO.
+// transmission + latency, keeping per-pair delivery FIFO. A delayed
+// send is a sender-side timer: it takes the link only when it fires.
 func (c *Cluster) SendAfter(extra time.Duration, from, to msg.Loc, m msg.Msg) {
 	c.route(extra, msg.Envelope{From: from, To: to, M: m})
 }
@@ -146,6 +148,20 @@ func (c *Cluster) SendAfter(extra time.Duration, from, to msg.Loc, m msg.Msg) {
 // through it, so simulated envelopes keep their causal context.
 func (c *Cluster) route(extra time.Duration, env msg.Envelope) {
 	from, to, m := env.From, env.To, env.M
+	if extra > 0 && from != to {
+		// A timer at the sender, as runtime.Host arms one (reserving the
+		// link from now+extra would hold every later message behind it),
+		// that dies like a self-timer if its node is down when it fires.
+		c.Sim.After(extra, func() {
+			if n, ok := c.nodes[from]; ok && n.crashed {
+				c.Dropped++
+				c.dropped.Inc()
+				return
+			}
+			c.route(0, env)
+		})
+		return
+	}
 	sendAt := c.Sim.Now() + extra
 	arrival := sendAt
 	// Self-sends are local timers, not network traffic: they skip link

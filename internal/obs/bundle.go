@@ -208,11 +208,13 @@ func (t TimelineEntry) String() string {
 // dist.Collector consumes. Bundles carve per-node slices out of a
 // possibly shared ring (DES runs trace a whole cluster into one Obs),
 // which leaves per-node Seq values non-contiguous; each node's events
-// are re-sequenced from zero so the collector's ring-overflow accounting
-// reads the per-node trace as the complete window it is. Overflow of the
-// source ring itself is accounted at dump time, not here.
+// are re-sequenced contiguously from the count its source ring had
+// evicted (BundleMeta.TraceEvicted, the largest over the node's
+// bundles), so the collector's ring-overflow accounting reports a
+// wrapped ring's window as the incomplete suffix it is.
 func Traces(bundles ...*Bundle) map[string][]Event {
 	out := make(map[string][]Event)
+	evicted := make(map[string]int64)
 	for _, b := range bundles {
 		if b == nil || len(b.Trace) == 0 {
 			continue
@@ -222,12 +224,13 @@ func Traces(bundles ...*Bundle) map[string][]Event {
 			node = b.Dir
 		}
 		out[node] = append(out[node], b.Trace...)
+		evicted[node] = max(evicted[node], b.Meta.TraceEvicted)
 	}
 	for node, evs := range out {
 		resq := append([]Event(nil), evs...)
 		sort.SliceStable(resq, func(i, j int) bool { return resq[i].Seq < resq[j].Seq })
 		for i := range resq {
-			resq[i].Seq = int64(i)
+			resq[i].Seq = evicted[node] + int64(i)
 		}
 		out[node] = resq
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -214,6 +215,49 @@ func TestCollectorFlagsRingGap(t *testing.T) {
 	// An incomplete collection must refuse to certify the trace.
 	if _, err := r.Check(dist.Facts{}); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Fatalf("Check on gapped trace: %v", err)
+	}
+}
+
+// Bundles dumped from a ring that wrapped hold a suffix of each node's
+// history; the replay must report the trace incomplete rather than judge
+// the suffix as a whole run (where a node's first surviving Deliver
+// reads as a slot sent before slot 0).
+func TestBundlesFromWrappedRingReplayIncomplete(t *testing.T) {
+	events := seededSMREvents(t)
+	o := obs.New(len(events) / 2)
+	o.EnableTracing(true)
+	for _, e := range events {
+		e.Seq = 0 // let Record assign
+		o.Record(e)
+	}
+	dir := t.TempDir()
+	var bundles []*obs.Bundle
+	for _, n := range []msg.Loc{"b1", "b2", "b3", "r1", "r2", "r3"} {
+		rec, err := obs.NewRecorder(o, filepath.Join(dir, string(n)), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, err := rec.Dump("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := obs.LoadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Meta.TraceEvicted != int64(len(events)-len(events)/2) {
+			t.Fatalf("%s: TraceEvicted = %d, want %d", n, b.Meta.TraceEvicted, len(events)-len(events)/2)
+		}
+		bundles = append(bundles, b)
+	}
+	c := dist.NewCollector()
+	c.AddBundles(bundles...)
+	r := c.Collect()
+	if len(r.Gaps) == 0 {
+		t.Fatal("a wrapped ring's bundles collected as complete")
+	}
+	if _, err := r.Check(dist.Facts{}); err == nil || !strings.Contains(err.Error(), "incomplete") {
+		t.Fatalf("Check over a wrapped ring's bundles: %v", err)
 	}
 }
 

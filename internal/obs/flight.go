@@ -166,6 +166,9 @@ type BundleMeta struct {
 	GoVersion string            `json:"go_version"`
 	PID       int               `json:"pid"`
 	Config    map[string]string `json:"config,omitempty"`
+	// TraceEvicted is how many events the trace ring had evicted by the
+	// dump: when positive the trace is a suffix of the node's history.
+	TraceEvicted int64 `json:"trace_evicted,omitempty"`
 }
 
 // bundleLogs is logs.json: the ring contents plus overflow accounting.
@@ -211,11 +214,12 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	// success.
 	defer os.RemoveAll(tmp)
 
+	events := r.o.Events()
 	meta := BundleMeta{
 		Version: BundleVersion, Node: r.node, Reason: reason,
 		WallAt: wall.UnixNano(), At: r.o.Now(), LC: r.o.LC(),
 		GitSHA: buildGitSHA(), GoVersion: runtime.Version(),
-		PID: os.Getpid(), Config: config,
+		PID: os.Getpid(), Config: config, TraceEvicted: RingGap(events),
 	}
 	if err := writeJSON(filepath.Join(tmp, bundleMetaFile), meta); err != nil {
 		return "", err
@@ -230,7 +234,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("flight: create trace: %w", err)
 	}
-	err = EncodeTrace(f, r.filterTrace(r.o.Events()))
+	err = EncodeTrace(f, r.filterTrace(events))
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -69,8 +69,8 @@ func TestCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 		}
 		clu.AddCostedProcess(rloc[k], 1, reps[k], zero)
 		bgen := broadcast.Spec(broadcast.Config{
-			Nodes:            []msg.Loc{bloc[k]},
-			LocalSubscribers: map[msg.Loc][]msg.Loc{bloc[k]: {rloc[k]}},
+			Nodes:       []msg.Loc{bloc[k]},
+			Subscribers: []msg.Loc{rloc[k]},
 		}).Generator()
 		clu.AddCostedProcess(bloc[k], 1, bgen(bloc[k]), zero)
 	}
