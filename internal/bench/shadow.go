@@ -132,8 +132,10 @@ func bcastCost(per time.Duration, m msg.Msg) time.Duration {
 	return per + time.Duration(extra)
 }
 
-// innerCount estimates how many client messages a protocol message
-// carries.
+// innerCount counts the client messages a protocol message carries. A
+// batched consensus value (propose / p2a / decide) is counted by
+// decoding it, so the simulated cost does not move with the value's
+// encoded size; a value that does not decode carries none.
 func innerCount(m msg.Msg) int {
 	switch body := m.Body.(type) {
 	case broadcast.Bcast:
@@ -141,14 +143,9 @@ func innerCount(m msg.Msg) int {
 	case broadcast.Deliver:
 		return len(body.Msgs)
 	default:
-		// Batched consensus values (propose / p2a / decide) carry an
-		// encoded batch; approximate by encoded size.
 		if val, ok := batchValue(m); ok {
-			n := len(val) / 200
-			if n < 1 {
-				n = 1
-			}
-			return n
+			batch, _ := broadcast.DecodeBatch(val)
+			return len(batch)
 		}
 		return 0
 	}
