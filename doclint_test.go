@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -271,6 +272,54 @@ func TestWireTagCatalogue(t *testing.T) {
 	}
 	for tag, row := range rows {
 		t.Errorf("DESIGN.md §8 Wire tags table lists %s (%s), which no package registers", tag, row)
+	}
+}
+
+// gobImporters are the only non-test files allowed to import
+// encoding/gob, each for a reason the hot path does not share: the wire
+// codec's per-body fallback, the journal records (until they get a codec
+// of their own, ROADMAP item 2(c)), and trace files.
+var gobImporters = []string{
+	"internal/msg/codec.go",
+	"internal/obs/trace.go",
+	"internal/store/journal.go",
+}
+
+// TestGobImporters keeps gob off the hot path: a payload or body that
+// reaches for encoding/gob instead of a codec registered with the wire
+// codec (msg.RegisterCodec) fails here, whatever its tests measure.
+func TestGobImporters(t *testing.T) {
+	var got []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, is := range f.Imports {
+			if is.Path.Value == `"encoding/gob"` {
+				got = append(got, filepath.ToSlash(path))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, gobImporters) {
+		t.Errorf("non-test files importing encoding/gob: %v, want exactly %v", got, gobImporters)
 	}
 }
 

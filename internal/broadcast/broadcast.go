@@ -27,10 +27,9 @@
 package broadcast
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"shadowdb/internal/consensus/synod"
@@ -102,12 +101,18 @@ type Deliver struct {
 	Msgs []Bcast
 }
 
+// Batch is the consensus value of one slot: the Bcasts the sequencer cut
+// for it, in order. It has a wire codec so that EncodeBatch can write it;
+// it travels inside a consensus body's value, never as a body itself.
+type Batch []Bcast
+
 // RegisterWireTypes registers the service's bodies with the wire codec:
-// Bcast and Deliver with frame codecs of their own (tags 0x20–0x2f,
-// DESIGN.md "Wire format and allocation hot path").
+// Bcast, Deliver and the Batch value with codecs of their own (tags
+// 0x20–0x2f, DESIGN.md "Wire format and allocation hot path").
 func RegisterWireTypes() {
 	msg.RegisterCodec(0x20, Bcast{}, appendBcast, readBcast)
 	msg.RegisterCodec(0x21, Deliver{}, appendDeliver, readDeliver)
+	msg.RegisterCodec(0x22, Batch(nil), appendBatch, readBatch)
 	msg.RegisterBody(Flush{})
 	twothird.RegisterWireTypes()
 	synod.RegisterWireTypes()
@@ -129,23 +134,34 @@ func readBcast(r *msg.Reader) Bcast {
 // minBcast is the fewest bytes an encoded Bcast occupies.
 const minBcast = 4
 
+// registerWire registers the bodies once, for the batch value's codec,
+// which must not depend on a caller having registered it.
+var registerWire = sync.OnceFunc(RegisterWireTypes)
+
 func appendDeliver(w *msg.Writer, d Deliver) {
 	w.Int(d.Slot)
-	w.Uvarint(uint64(len(d.Msgs)))
-	for _, b := range d.Msgs {
-		appendBcast(w, b)
+	appendBatch(w, d.Msgs)
+}
+
+func readDeliver(r *msg.Reader) Deliver { return Deliver{Slot: r.Int(), Msgs: readBatch(r)} }
+
+func appendBatch(w *msg.Writer, b Batch) {
+	w.Uvarint(uint64(len(b)))
+	for _, m := range b {
+		appendBcast(w, m)
 	}
 }
 
-func readDeliver(r *msg.Reader) Deliver {
-	d := Deliver{Slot: r.Int()}
-	if n := r.Count(minBcast); n > 0 {
-		d.Msgs = make([]Bcast, n)
-		for i := range d.Msgs {
-			d.Msgs[i] = readBcast(r)
-		}
+func readBatch(r *msg.Reader) Batch {
+	n := r.Count(minBcast)
+	if n == 0 {
+		return nil
 	}
-	return d
+	b := make(Batch, n)
+	for i := range b {
+		b[i] = readBcast(r)
+	}
+	return b
 }
 
 // Mode selects the execution mode of the service — the three curves of
@@ -569,7 +585,7 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 	if _, dup := s.decided[inst]; dup || inst < s.next {
 		return nil // duplicate decision announcement
 	}
-	s.decide(inst, val)
+	_ = s.decide(inst, val) // an undecodable value delivers as the empty batch (decide)
 	batch := s.decided[inst]
 	// Write-ahead of the Deliver fan-out below: a crash after the
 	// journal append but before delivery resumes past this slot on
@@ -757,28 +773,33 @@ func (s *seqState) nextFreeSlot() int {
 
 // ------------------------------------------------------------- encoding --
 
-// EncodeBatch serializes a batch deterministically for use as a consensus
-// value.
+// EncodeBatch serializes a batch for use as a consensus value: a Batch
+// body of the wire codec (msg.AppendBody), so the batch's tag, its count
+// and each message's Bcast fields. The encoding is a function of the
+// batch alone — equal batches are equal bytes at every node — because
+// consensus compares and journals the value, not the batch.
 func EncodeBatch(batch []Bcast) string {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(batch); err != nil {
-		// Bcast contains only gob-encodable fields; this cannot fail.
+	registerWire()
+	size := 2
+	for _, b := range batch {
+		size += len(b.From) + len(b.Payload) + 16
+	}
+	b, err := msg.AppendBody(make([]byte, 0, size), Batch(batch))
+	if err != nil {
+		// The Bcast codec refuses no value; this cannot fail.
 		panic(fmt.Sprintf("broadcast: encode batch: %v", err))
 	}
-	return buf.String()
+	return string(b)
 }
 
-// DecodeBatch reverses EncodeBatch. Malformed input — truncated,
-// corrupted, or adversarial bytes that make the gob decoder panic —
-// returns an error, never a crash: consensus values can cross the wire
-// and the WAL, so this path must be total.
-func DecodeBatch(val string) (batch []Bcast, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			batch, err = nil, fmt.Errorf("broadcast: decode batch: %v", r)
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader([]byte(val))).Decode(&batch); err != nil {
+// DecodeBatch reverses EncodeBatch. It is total: consensus values cross
+// the wire and the WAL, so malformed bytes — truncated, corrupted or
+// adversarial, or a value an older build encoded — return an error,
+// never a panic and never a different batch.
+func DecodeBatch(val string) ([]Bcast, error) {
+	registerWire()
+	batch, err := msg.DecodeBody[Batch]([]byte(val))
+	if err != nil {
 		return nil, fmt.Errorf("broadcast: decode batch: %w", err)
 	}
 	return batch, nil

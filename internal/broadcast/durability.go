@@ -59,14 +59,18 @@ func (s *seqState) snapshot() []byte {
 }
 
 // decide parks a decision's batch until the delivery frontier reaches
-// its slot, unless the frontier has passed it already.
-func (s *seqState) decide(inst int, val string) {
+// its slot, unless the frontier has passed it already. A value that does
+// not decode parks the empty batch, which keeps the slots contiguous,
+// and the error is returned for the caller to judge: a live decision
+// cannot carry one from honest proposers, so onDecide delivers the empty
+// batch, while recovery refuses the journal.
+func (s *seqState) decide(inst int, val string) error {
 	if inst < s.next {
-		return
+		return nil
 	}
-	// A corrupt batch cannot happen with honest proposers; the empty
-	// batch keeps slots contiguous.
-	s.decided[inst], _ = DecodeBatch(val)
+	batch, err := DecodeBatch(val)
+	s.decided[inst] = batch
+	return err
 }
 
 // recover rebuilds the sequencer's decided log from st — snapshot, then
@@ -78,12 +82,16 @@ func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
 	_, err := s.j.Recover(store.Decoding(func(snap seqSnapshot) error {
 		s.next, s.propSlot = snap.Next, snap.PropSlot
 		for slot, val := range snap.Decided {
-			s.decide(slot, val)
+			if err := s.decide(slot, val); err != nil {
+				return fmt.Errorf("slot %d: %w", slot, err)
+			}
 		}
 		return nil
 	}), store.Decoding(func(r seqRecord) error {
 		s.propSlot = max(s.propSlot, r.Inst) // never re-propose a journaled slot
-		s.decide(r.Inst, r.Val)
+		if err := s.decide(r.Inst, r.Val); err != nil {
+			return fmt.Errorf("slot %d: %w", r.Inst, err)
+		}
 		return nil
 	}))
 	for {

@@ -1,6 +1,9 @@
 package broadcast
 
 import (
+	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"shadowdb/internal/consensus/synod"
@@ -121,5 +124,56 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	out, err := DecodeBatch(EncodeBatch(in))
 	if err != nil || len(out) != 1 || out[0].From != in[0].From || out[0].Seq != in[0].Seq || string(out[0].Payload) != string(in[0].Payload) {
 		t.Fatalf("round trip: %v %v", out, err)
+	}
+}
+
+// A journaled decision whose value does not decode fails recovery with
+// an error naming the journal and the record, as store/doc.go's single
+// policy requires; it does not recover as an empty slot the frontier
+// walks past. A value encoded as a gob stream — a data dir this build's
+// codec did not write — is such a value.
+func TestSequencerRefusesUndecodableValue(t *testing.T) {
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode([]Bcast{{From: "c1", Seq: 1, Payload: []byte("tx|")}}); err != nil {
+		t.Fatal(err)
+	}
+	good := EncodeBatch([]Bcast{{From: "c1", Seq: 1, Payload: []byte("x")}})
+	for name, tc := range map[string]struct {
+		snap *seqSnapshot
+		recs []seqRecord
+		want []string
+	}{
+		"garbage record": {recs: []seqRecord{{Inst: 0, Val: good}, {Inst: 1, Val: "garbage"}},
+			want: []string{"journal seq-b1", "record 1", "slot 1"}},
+		"gob record": {recs: []seqRecord{{Inst: 0, Val: old.String()}},
+			want: []string{"journal seq-b1", "record 0", "slot 0"}},
+		"snapshot slot": {snap: &seqSnapshot{Next: 2, PropSlot: 4, Decided: map[int]string{3: good, 4: old.String()}},
+			want: []string{"journal seq-b1", "snapshot", "slot 4"}},
+	} {
+		prov := store.NewMem()
+		st, err := prov.Open("seq-b1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.snap != nil {
+			if err := st.SaveSnapshot(store.EncodeRecord(*tc.snap)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range tc.recs {
+			if err := st.Append(store.EncodeRecord(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := openSequencer(durableSeqCfg(prov), "b1")
+		if err == nil {
+			t.Errorf("%s: recovered with frontier %d, want an error", name, s.next)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", name, err, w)
+			}
+		}
 	}
 }

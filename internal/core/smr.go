@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"slices"
@@ -488,27 +486,35 @@ func (r *SMRReplica) installTransfer(a *snapAssembly) []msg.Directive {
 
 // ------------------------------------------------------------- payloads --
 
-// EncodeTx serializes a transaction request for a broadcast payload.
+// txMark leads every transaction payload, so a delivered batch tells a
+// transaction from the other payloads a total order carries (2PC
+// records, membership commands).
+const txMark = "tx|"
+
+// EncodeTx serializes a transaction request for a broadcast payload:
+// txMark, then the request as a body of the wire codec (its TxRequest
+// tag and fields, or the gob fallback for an argument kind the codec
+// lacks).
 func EncodeTx(req TxRequest) ([]byte, error) {
-	msg.RegisterBasics()
-	var buf bytes.Buffer
-	buf.WriteString("tx|")
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	registerWire()
+	b, err := msg.AppendBody(append(make([]byte, 0, 64), txMark...), req)
+	if err != nil {
 		return nil, fmt.Errorf("core: encode tx: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 var errNotTx = errors.New("core: not a transaction payload")
 
-// DecodeTx reverses EncodeTx.
+// DecodeTx reverses EncodeTx. It is total: malformed bytes return an
+// error, never a panic, and never a value EncodeTx did not write.
 func DecodeTx(b []byte) (TxRequest, error) {
-	msg.RegisterBasics()
-	if len(b) < 3 || string(b[:3]) != "tx|" {
+	registerWire()
+	if len(b) < len(txMark) || string(b[:len(txMark)]) != txMark {
 		return TxRequest{}, errNotTx
 	}
-	var req TxRequest
-	if err := gob.NewDecoder(bytes.NewReader(b[3:])).Decode(&req); err != nil {
+	req, err := msg.DecodeBody[TxRequest](b[len(txMark):])
+	if err != nil {
 		return TxRequest{}, fmt.Errorf("core: decode tx: %w", err)
 	}
 	return req, nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -13,7 +15,7 @@ import (
 // under the codec's gob fallback.
 func RegisterWireTypes() {
 	msg.RegisterBasics()
-	msg.RegisterCodec(0x10, TxRequest{}, appendTxRequest, readTxRequest)
+	msg.RegisterCodec(0x10, TxRequest{}, AppendTxRequest, ReadTxRequest)
 	msg.RegisterCodec(0x11, TxResult{}, appendTxResult, readTxResult)
 	msg.RegisterCodec(0x12, ReadRequest{}, appendReadRequest, readReadRequest)
 	msg.RegisterCodec(0x13, &ReadResult{}, appendReadResult, readReadResult)
@@ -28,7 +30,13 @@ func RegisterWireTypes() {
 	}
 }
 
-func appendTxRequest(w *msg.Writer, r TxRequest) {
+// registerWire registers the bodies once, for the payload codecs, which
+// must not depend on a caller having registered them.
+var registerWire = sync.OnceFunc(RegisterWireTypes)
+
+// AppendTxRequest is the TxRequest codec's encoder; bodies that carry a
+// request (Repl, shard.Prepare) write it with their own fields.
+func AppendTxRequest(w *msg.Writer, r TxRequest) {
 	w.Loc(r.Client)
 	w.Int64(r.Seq)
 	w.Text(r.Type)
@@ -36,7 +44,8 @@ func appendTxRequest(w *msg.Writer, r TxRequest) {
 	w.Int64(r.Deadline)
 }
 
-func readTxRequest(r *msg.Reader) TxRequest {
+// ReadTxRequest is the TxRequest codec's decoder.
+func ReadTxRequest(r *msg.Reader) TxRequest {
 	return TxRequest{Client: r.Loc(), Seq: r.Int64(), Type: r.Text(), Args: r.Values(), Deadline: r.Int64()}
 }
 
@@ -95,11 +104,11 @@ func readReadResult(r *msg.Reader) *ReadResult {
 func appendRepl(w *msg.Writer, p Repl) {
 	w.Int(p.CfgSeq)
 	w.Int64(p.Order)
-	appendTxRequest(w, p.Req)
+	AppendTxRequest(w, p.Req)
 }
 
 func readRepl(r *msg.Reader) Repl {
-	return Repl{CfgSeq: r.Int(), Order: r.Int64(), Req: readTxRequest(r)}
+	return Repl{CfgSeq: r.Int(), Order: r.Int64(), Req: ReadTxRequest(r)}
 }
 
 func appendReplAck(w *msg.Writer, a ReplAck) {

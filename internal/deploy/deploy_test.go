@@ -414,8 +414,10 @@ func TestPBRDeposit(t *testing.T) {
 // The hot path stays off gob: once the first write has committed, a
 // fixed-seed run of deposits and lease reads against the shipped SMR
 // wiring, and of deposits against a PBR pair, encodes every body with
-// its own frame codec — msg.gob_bodies does not move. A body change that
-// puts a steady-state message back on the gob fallback fails here.
+// its own frame codec, and every "tx|" payload and batch value with its
+// own payload codec — msg.gob_bodies does not move. A body or payload
+// change that puts a steady-state message back on the gob fallback fails
+// here.
 func TestHotPathStaysOffGob(t *testing.T) {
 	checkLeaks(t)
 	gobBodies := obs.C("msg.gob_bodies")

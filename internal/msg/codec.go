@@ -226,6 +226,41 @@ func AppendFrame(dst []byte, envs []Envelope) ([]byte, error) {
 	return w.b, nil
 }
 
+// AppendBody appends one body outside a frame to dst: its tag and the
+// fields its registered codec writes, or, as in a frame, the gob
+// fallback's tag, length and one-shot gob encoding (counted like a
+// frame's). Payloads that travel inside another body's bytes — the
+// "tx|" payload, the broadcast batch value, the 2PC records — are built
+// with it, each behind its owner's mark.
+func AppendBody(dst []byte, body any) ([]byte, error) {
+	w := Writer{b: dst}
+	if err := appendBody(&w, body); err != nil {
+		return dst, fmt.Errorf("encode body %T: %w", body, err)
+	}
+	return w.b, nil
+}
+
+// DecodeBody reverses AppendBody: b must hold exactly one body of type
+// T, and anything else — an unknown tag, a length b cannot back, a
+// trailing byte, a body of another type — is an error, never a panic.
+// The body never aliases b.
+func DecodeBody[T any](b []byte) (T, error) {
+	var zero T
+	r := Reader{b: b}
+	body := readBody(&r, codecs.Load())
+	if r.err != nil {
+		return zero, r.err
+	}
+	if len(r.b) != 0 {
+		return zero, errTrailing
+	}
+	v, ok := body.(T)
+	if !ok {
+		return zero, errBodyType
+	}
+	return v, nil
+}
+
 // framePool recycles the scratch arrays Encode and EncodeBatch build
 // frames in.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}

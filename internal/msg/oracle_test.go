@@ -13,6 +13,7 @@ import (
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
 )
 
@@ -22,6 +23,7 @@ import (
 func init() {
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes() // with the synod and flow bodies
+	shard.RegisterWireTypes()
 }
 
 // everyKind is a []any holding each kind the codec carries, at the
@@ -53,13 +55,43 @@ func samples() []any {
 		broadcast.Bcast{}, broadcast.Bcast{Payload: []byte{}}, bc,
 		broadcast.Deliver{}, broadcast.Deliver{Msgs: []broadcast.Bcast{}},
 		broadcast.Deliver{Slot: math.MaxInt, Msgs: []broadcast.Bcast{{}, bc, {From: "c2", Seq: -1}}},
+		broadcast.Batch(nil), broadcast.Batch{}, batch16(),
 		synod.Propose{}, synod.Propose{Inst: 7, Val: "v"},
 		synod.P2a{}, synod.P2a{B: ballot, Inst: math.MinInt, Val: "\x00", From: "b1"},
 		synod.P2b{}, synod.P2b{From: "b3", B: ballot, Inst: 4},
 		synod.Decide{}, synod.Decide{Inst: -1, Val: "decided"},
 		flow.Reject{},
 		flow.Reject{From: "b1", Seq: 4, Class: flow.ClassControl, Reason: flow.ReasonOverload, Depth: -1, Cap: math.MaxInt},
+		shard.Prepare{}, shard.Prepare{Participants: []int{}, Sub: shard.SubTx{Reserve: map[string]int64{}, ApplyArgs: []any{}}},
+		prepare(),
+		shard.Decision{}, shard.Decision{TxID: "c1/9", Shard: -3, Coord: "rt1", Commit: true},
 	}
+}
+
+// deposit is the transaction the bank workloads send most.
+var deposit = core.TxRequest{Client: "cli", Seq: 1, Type: "deposit", Args: []any{int64(7), int64(10)}}
+
+// batch16 is a full batch of sixteen deposit broadcasts.
+func batch16() broadcast.Batch {
+	b := make(broadcast.Batch, 16)
+	for i := range b {
+		req := deposit
+		req.Seq = int64(i + 1)
+		p, err := core.EncodeTx(req)
+		if err != nil {
+			panic(err)
+		}
+		b[i] = broadcast.Bcast{From: "cli", Seq: int64(i + 1), Payload: p, Deadline: int64(i) * 1e9}
+	}
+	return b
+}
+
+// prepare is a cross-shard Prepare with every field set.
+func prepare() shard.Prepare {
+	return shard.Prepare{TxID: "c1/9", Coord: "rt1", Shard: 1, Participants: []int{0, 1, math.MaxInt},
+		Req: core.TxRequest{Client: "c1", Seq: 9, Type: "transfer", Args: everyKind, Deadline: 5},
+		Sub: shard.SubTx{Reserve: map[string]int64{"acct/7": 10, "": math.MinInt64, "acct/1": -1},
+			Apply: "debit", ApplyArgs: everyKind}}
 }
 
 // gobRoundTrip is the oracle: what one-shot gob makes of the envelope.

@@ -132,6 +132,7 @@ var (
 	errTag       = errors.New("msg: unknown body tag")
 	errTrailing  = errors.New("msg: trailing bytes after frame")
 	errVersion   = errors.New("msg: unknown frame version")
+	errBodyType  = errors.New("msg: body of another type")
 )
 
 // Reader consumes a frame. It keeps the first error it hits, after which

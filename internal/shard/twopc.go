@@ -1,9 +1,9 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
+	"sync"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
@@ -87,12 +87,82 @@ type RetryBody struct {
 	TxID string
 }
 
-// RegisterWireTypes registers the 2PC bodies with the wire codec.
+// RegisterWireTypes registers the 2PC bodies with the wire codec:
+// Prepare and Decision, the ordered records, with codecs of their own
+// (tags 0x50–0x5f, DESIGN.md "Wire format and allocation hot path"); the
+// replica→coordinator bodies travel under the gob fallback.
 func RegisterWireTypes() {
 	msg.RegisterBasics()
+	msg.RegisterCodec(0x50, Prepare{}, appendPrepare, readPrepare)
+	msg.RegisterCodec(0x51, Decision{}, appendDecision, readDecision)
 	for _, v := range []any{Vote{}, Ack{}, RetryBody{}} {
 		msg.RegisterBody(v)
 	}
+}
+
+// registerWire registers the bodies once, for the payload codecs, which
+// must not depend on a caller having registered them.
+var registerWire = sync.OnceFunc(RegisterWireTypes)
+
+func appendPrepare(w *msg.Writer, p Prepare) {
+	w.Text(p.TxID)
+	w.Loc(p.Coord)
+	w.Int(p.Shard)
+	w.Uvarint(uint64(len(p.Participants)))
+	for _, s := range p.Participants {
+		w.Int(s)
+	}
+	core.AppendTxRequest(w, p.Req)
+	// The reservations in key order, so a Prepare has one encoding, and
+	// behind a presence bool: an empty map is not a nil one (nor to gob).
+	w.Bool(p.Sub.Reserve != nil)
+	if p.Sub.Reserve != nil {
+		keys := make([]string, 0, len(p.Sub.Reserve))
+		for k := range p.Sub.Reserve {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		w.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			w.Text(k)
+			w.Int64(p.Sub.Reserve[k])
+		}
+	}
+	w.Text(p.Sub.Apply)
+	w.Values(p.Sub.ApplyArgs)
+}
+
+func readPrepare(r *msg.Reader) Prepare {
+	p := Prepare{TxID: r.Text(), Coord: r.Loc(), Shard: r.Int()}
+	if n := r.Count(1); n > 0 {
+		p.Participants = make([]int, n)
+		for i := range p.Participants {
+			p.Participants[i] = r.Int()
+		}
+	}
+	p.Req = core.ReadTxRequest(r)
+	if r.Bool() {
+		n := r.Count(2) // a key length and an amount
+		p.Sub.Reserve = make(map[string]int64, n)
+		for range n {
+			k := r.Text()
+			p.Sub.Reserve[k] = r.Int64()
+		}
+	}
+	p.Sub.Apply = r.Text()
+	p.Sub.ApplyArgs = r.Values()
+	return p
+}
+
+func appendDecision(w *msg.Writer, d Decision) {
+	w.Text(d.TxID)
+	w.Int(d.Shard)
+	w.Loc(d.Coord)
+	w.Bool(d.Commit)
+}
+
+func readDecision(r *msg.Reader) Decision {
+	return Decision{TxID: r.Text(), Shard: r.Int(), Coord: r.Loc(), Commit: r.Bool()}
 }
 
 // Payload markers distinguishing 2PC records from plain transactions
@@ -102,59 +172,38 @@ const (
 	decMark  = "2pd|"
 )
 
-// EncodePrepare serializes a Prepare for use as a broadcast payload.
-func EncodePrepare(p Prepare) []byte {
-	msg.RegisterBasics()
-	var buf bytes.Buffer
-	buf.WriteString(prepMark)
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		// All fields are gob-encodable once msg.RegisterBasics ran; this cannot fail.
-		panic(fmt.Sprintf("shard: encode prepare: %v", err))
-	}
-	return buf.Bytes()
-}
+// EncodePrepare serializes a Prepare for use as a broadcast payload:
+// prepMark, then the Prepare as a body of the wire codec.
+func EncodePrepare(p Prepare) []byte { return encodePayload(prepMark, p) }
 
 // DecodePrepare recognizes a Prepare payload. Like broadcast.DecodeBatch
 // it is total: payloads cross the wire and the WAL, so malformed bytes
 // return ok=false, never a crash.
-func DecodePrepare(b []byte) (p Prepare, ok bool) {
-	if len(b) < len(prepMark) || string(b[:len(prepMark)]) != prepMark {
-		return Prepare{}, false
-	}
-	msg.RegisterBasics()
-	defer func() {
-		if recover() != nil {
-			p, ok = Prepare{}, false
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(b[len(prepMark):])).Decode(&p); err != nil {
-		return Prepare{}, false
-	}
-	return p, true
-}
+func DecodePrepare(b []byte) (Prepare, bool) { return decodePayload[Prepare](prepMark, b) }
 
 // EncodeDecision serializes a Decision for use as a broadcast payload.
-func EncodeDecision(d Decision) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(decMark)
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		panic(fmt.Sprintf("shard: encode decision: %v", err))
-	}
-	return buf.Bytes()
-}
+func EncodeDecision(d Decision) []byte { return encodePayload(decMark, d) }
 
 // DecodeDecision recognizes a Decision payload (total, like DecodePrepare).
-func DecodeDecision(b []byte) (d Decision, ok bool) {
-	if len(b) < len(decMark) || string(b[:len(decMark)]) != decMark {
-		return Decision{}, false
+func DecodeDecision(b []byte) (Decision, bool) { return decodePayload[Decision](decMark, b) }
+
+func encodePayload(mark string, body any) []byte {
+	registerWire()
+	b, err := msg.AppendBody([]byte(mark), body)
+	if err != nil {
+		// A body the codec refuses takes the gob fallback, and gob
+		// carries every registered value; this cannot fail.
+		panic(fmt.Sprintf("shard: encode %T: %v", body, err))
 	}
-	defer func() {
-		if recover() != nil {
-			d, ok = Decision{}, false
-		}
-	}()
-	if err := gob.NewDecoder(bytes.NewReader(b[len(decMark):])).Decode(&d); err != nil {
-		return Decision{}, false
+	return b
+}
+
+func decodePayload[T any](mark string, b []byte) (T, bool) {
+	registerWire()
+	if len(b) < len(mark) || string(b[:len(mark)]) != mark {
+		var zero T
+		return zero, false
 	}
-	return d, true
+	v, err := msg.DecodeBody[T](b[len(mark):])
+	return v, err == nil
 }
