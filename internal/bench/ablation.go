@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/sqldb"
+	"shadowdb/internal/deploy"
 )
 
 // Ablations for the design choices DESIGN.md calls out: how much of the
@@ -42,11 +41,8 @@ func safeRatio(a, b float64) float64 {
 // proposal.
 func AblationBatching(clients, txPer, rows int) AblationResult {
 	run := func(maxBatch int) float64 {
-		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-		sc := newCluster(clusterSpec{
-			engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(), setup: setup,
-			bcast: broadcast.Config{MaxBatch: maxBatch},
-		})
+		sc := newCluster(deployment{app: bankApp(rows),
+			nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, func(n *deploy.Node) { n.Batch = maxBatch })})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)*101) }
 		shadowClients(sc.clu, stats, clients, txPer, core.ModeSMR, sc.rloc, sc.bloc, 10*time.Second, work)
@@ -72,18 +68,15 @@ func AblationOverlap(rows int) AblationResult {
 			SuspectAfter:   time.Second,
 			ClientRetry:    500 * time.Millisecond,
 		}
-		setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
 		engines := []string{"h2", "h2", "h2", "h2"}[:members+1]
-		sc := newCluster(clusterSpec{
-			pbr: true, timing: timing, members: members,
-			engines: engines, reg: core.BankRegistry(), setup: setup,
-		})
+		sc := newCluster(deployment{app: bankApp(rows), timing: timing,
+			nodes: literal("pbr", engines, 3, func(n *deploy.Node) { n.Members = members })})
 		stats := &loadStats{}
 		work := func(i int) Workload { return MicroWorkload(rows, int64(i)) }
 		shadowClients(sc.clu, stats, 2, 1<<30, core.ModePBR, sc.rloc, sc.bloc, 500*time.Millisecond, work)
 		sc.sim.After(2*time.Second, func() { sc.clu.Node("r1").Crash() })
 
-		r2 := sc.pbr["r2"]
+		r2 := sc.pbr("r2")
 		configAt, resumed := -1.0, -1.0
 		var poll func()
 		poll = func() {

@@ -5,11 +5,10 @@ import (
 	"io"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/sqldb"
 )
 
 // The chaos experiment: a 3-replica PBR deployment under a scripted
@@ -174,12 +173,10 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	// All three replicas are initial members: the partition must split a
 	// live group, not promote a spare.
 	run := startRun("chaos", cfg.RingSize, cfg.FlightDir, "")
-	sc := run.Attach(newCluster(clusterSpec{
-		pbr: true, timing: timing, members: 3,
-		engines: []string{"h2", "hsqldb", "derby"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		bcast: broadcast.Config{MaxBatch: cfg.Batch, MaxDelay: cfg.BatchDelay, Pipeline: cfg.Pipeline},
-	}))
+	sc := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), timing: timing,
+		nodes: literal("pbr", []string{"h2", "hsqldb", "derby"}, 3, func(n *deploy.Node) {
+			n.Members, n.Batch, n.BatchDelay, n.Pipeline = 3, cfg.Batch, cfg.BatchDelay, cfg.Pipeline
+		})}))
 	inj := run.Inject(ChaosPlan(cfg))
 
 	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
@@ -197,7 +194,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 	sample = func() {
 		now := sc.sim.Now()
 		for _, l := range sc.rloc {
-			r := sc.pbr[l]
+			r := sc.pbr(l)
 			if res.DetectedAt < 0 && now > cfg.PartitionFrom && r.Stopped() {
 				res.DetectedAt = now
 			}
@@ -240,7 +237,7 @@ func chaosOnce(cfg ChaosConfig) ChaosResult {
 		res.RecoveryTime = res.ResumedAt - cfg.PartitionFrom
 	}
 	for _, l := range sc.rloc {
-		r := sc.pbr[l]
+		r := sc.pbr(l)
 		if r.IsPrimary() && !r.Stopped() {
 			res.Primaries++
 		}

@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // TestPBRAsymmetricPartitionFailover isolates the primary from its
@@ -26,11 +26,8 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 		SuspectAfter:   time.Second,
 		ClientRetry:    500 * time.Millisecond,
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, rows) }
-	sc := newCluster(clusterSpec{
-		pbr: true, timing: timing, members: 3,
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(), setup: setup,
-	})
+	sc := newCluster(deployment{app: bankApp(rows), timing: timing,
+		nodes: literal("pbr", []string{"h2", "h2", "h2"}, 3, func(n *deploy.Node) { n.Members = 3 })})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)
@@ -63,7 +60,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 		if now <= cut {
 			beforeCut = stats.committed
 		}
-		r2 := sc.pbr["r2"]
+		r2 := sc.pbr("r2")
 		if resumedAt < 0 && now > cut && r2.ConfigNow().Seq > 0 && r2.IsPrimary() && !r2.Stopped() {
 			resumedAt = now
 			atResume = stats.committed
@@ -77,7 +74,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 
 	if resumedAt < 0 {
 		t.Fatalf("backups never took over: r2 config seq %d, primary %v",
-			sc.pbr["r2"].ConfigNow().Seq, sc.pbr["r2"].IsPrimary())
+			sc.pbr("r2").ConfigNow().Seq, sc.pbr("r2").IsPrimary())
 	}
 	if beforeCut == 0 {
 		t.Fatal("no commits before the partition")
@@ -85,12 +82,12 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 	if got := stats.committed; got <= atResume {
 		t.Fatalf("no client progress after failover: %d committed at resume, %d at end", atResume, got)
 	}
-	if sc.pbr["r1"].IsPrimary() {
+	if sc.pbr("r1").IsPrimary() {
 		t.Error("deposed primary r1 still believes it is primary")
 	}
 	primaries := 0
 	for _, l := range sc.rloc {
-		r := sc.pbr[l]
+		r := sc.pbr(l)
 		if r.IsPrimary() && !r.Stopped() {
 			primaries++
 		}
@@ -111,10 +108,7 @@ func TestPBRAsymmetricPartitionFailover(t *testing.T) {
 func TestSMRBroadcastCrashRestartMidLoad(t *testing.T) {
 	rows := 200
 	clients, txPer := 2, 120
-	sc := newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, rows) },
-	})
+	sc := newCluster(deployment{app: bankApp(rows), nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, nil)})
 
 	o := obs.New(1 << 14)
 	sc.clu.Observe(o)

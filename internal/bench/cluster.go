@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"cmp"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -12,11 +10,11 @@ import (
 	"shadowdb/internal/deploy"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
-	"shadowdb/internal/flow"
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs/dist"
+	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
@@ -25,51 +23,62 @@ import (
 // replica layer (socket handling, dispatch).
 const replicaOverhead = 30 * time.Microsecond
 
-// clusterSpec describes a simulated ShadowDB deployment along the axes
-// the experiments differ on. The zero value of every optional field is
-// the paper's plain deployment: three in-memory SMR replicas ordered by
-// three broadcast service nodes, wired as the shipped binary wires them
-// (every service node notifies every replica).
-type clusterSpec struct {
-	// pbr selects primary-backup replication over the engines pool with
-	// members initial members (the rest are spares) and the given
-	// failure-detector timing; state-machine replication otherwise.
-	pbr     bool
-	timing  core.Timing
-	members int
-	// engines names each replica's SQL engine (r1, r2, ... in order); reg
-	// and setup are the procedures and the schema + initial rows.
-	engines []string
-	reg     core.Registry
-	setup   func(*sqldb.DB) error
-	// bcastNodes is the broadcast service size (3 when zero). bcast
-	// carries the hot-path knobs (MaxBatch, MaxDelay, Pipeline, FlowLimit,
-	// Classify); topology fields are filled in by the builder.
-	bcastNodes int
-	bcast      broadcast.Config
+// deployment is a ShadowDB deployment as the simulator hosts it: the
+// node literal cmd/shadowdb would be launched with, what those nodes
+// share, and the little that is the simulator's own.
+type deployment struct {
+	// nodes are hosted, and boot, in this order.
+	nodes []deploy.Node
+	// app and timing are the deploy.Cluster the nodes share; its
+	// topology lists the nodes (and, with router, the sharded router the
+	// caller builds by hand), and its clock is the simulator's.
+	app    deploy.App
+	timing core.Timing
+	router bool
+	// root, when non-empty, makes every node durable as -data-dir does:
+	// each journals under root/<id>, and a restart recovers from there.
+	root string
+	// view, when set, is the one epoch schedule every node under dynamic
+	// membership reads (the membership experiment, whose joiners are in
+	// the topology but not in epoch 0); otherwise each node builds its
+	// own from the topology, as a live node does, and a partitioned
+	// node's view genuinely goes stale.
+	view *member.View
 	// intake, when set, is the modeled cost of receiving one client
 	// submission at a service node (overload experiment).
 	intake time.Duration
-	// root, when non-empty, makes the deployment durable as -data-dir
-	// does: each SMR replica journals to root/<loc>/smr (and can be torn
-	// down and rebuilt from there mid-run, Restart), each service node to
-	// root/<loc>/seq and acc.
-	root  string
-	fsync store.SyncPolicy
-	// The deployment runs under configuration epochs with activation lag
-	// alpha (-alpha's default when zero). Epoch 0 is every node but the
-	// joiners, which wait empty and inactive for an ordered admission.
-	// With sharedView every node reads one epoch schedule; otherwise the
-	// service and each replica fold commands from their own delivery
-	// stream into their own view, so a partitioned node's view genuinely
-	// goes stale.
-	alpha      int
-	sharedView bool
-	joiners    map[msg.Loc]bool
-	// lease (Dur > 0) enables lease-based local reads as -lease does: the
-	// bank read registry and fast write procedures, renewals through the
-	// first service node on the simulator's clock.
-	lease core.LeaseConfig
+}
+
+// literal is a deployment's node literal as cmd/shadowdb would be
+// launched for it: one replica of the given role per engine (r1, r2,
+// ...), then bcast broadcast nodes (b1, ...), each from deploy.Default
+// with set applied (nil: nothing), the flags given on every command
+// line. Under PBR the replicas past the initial members are spares, as
+// in shadowdb.Open.
+func literal(role string, engines []string, bcast int, set func(*deploy.Node)) []deploy.Node {
+	node := func(id, role string) deploy.Node {
+		n := deploy.Default()
+		n.ID, n.Role = id, role
+		if set != nil {
+			set(&n)
+		}
+		return n
+	}
+	var nodes []deploy.Node
+	for i, engine := range engines {
+		n := node(fmt.Sprintf("r%d", i+1), role)
+		n.Engine, n.Spare = engine, role == "pbr" && i >= n.Members
+		nodes = append(nodes, n)
+	}
+	for i := 1; i <= bcast; i++ {
+		nodes = append(nodes, node(fmt.Sprintf("b%d", i), "broadcast"))
+	}
+	return nodes
+}
+
+// bankApp is the bank application over rows seeded accounts.
+func bankApp(rows int) deploy.App {
+	return deploy.App{Procedures: core.BankRegistry(), Setup: func(db *sqldb.DB) error { return core.BankSetup(db, rows) }}
 }
 
 // Cluster is a ShadowDB deployment on the discrete-event simulator: the
@@ -84,20 +93,19 @@ type Cluster struct {
 	// nodes is every hosted protocol node in registration order (the
 	// flight-recorder fleet and the nemesis address them).
 	nodes []msg.Loc
-	spec  clusterSpec
-	// pbr holds the primary-backup replicas (PBR deployments only).
-	pbr map[msg.Loc]*core.PBRReplica
-	// The current incarnation of each SMR replica and its attachments;
-	// sts only for durable deployments, view only with sharedView.
-	reps map[msg.Loc]*core.SMRReplica
-	dbs  map[msg.Loc]*sqldb.DB
-	sts  map[msg.Loc]store.Stable
-	gen  map[msg.Loc]int
-	view *member.View
-	// epoch0 and alpha are the membership the service starts under and
-	// its activation lag (zero on a bare newDES cluster, which has none).
-	epoch0 member.Config
-	alpha  int
+	// shared is what the deployment's nodes share; settings holds each
+	// node's, procs its current incarnation, and dirs its data directory
+	// (durable deployments only, under root).
+	shared   *deploy.Cluster
+	settings map[msg.Loc]deploy.Node
+	procs    map[msg.Loc]gpm.Process
+	root     string
+	dirs     map[msg.Loc]*nodeDir
+	view     *member.View
+	// mode prices the broadcast service's steps; intake, when set, its
+	// client submissions.
+	mode   broadcast.Mode
+	intake time.Duration
 	// inj is the bound nemesis (nil without one). Cost closures consult
 	// it lazily, so a slow-disk window can degrade a node mid-run without
 	// rebinding anything.
@@ -124,10 +132,10 @@ func charter() member.Config {
 func newDES() *Cluster {
 	c := &Cluster{
 		sim:          &des.Sim{},
-		reps:         make(map[msg.Loc]*core.SMRReplica),
-		dbs:          make(map[msg.Loc]*sqldb.DB),
-		sts:          make(map[msg.Loc]store.Stable),
-		gen:          make(map[msg.Loc]int),
+		settings:     make(map[msg.Loc]deploy.Node),
+		procs:        make(map[msg.Loc]gpm.Process),
+		dirs:         make(map[msg.Loc]*nodeDir),
+		mode:         broadcast.Compiled,
 		recoveredAll: true,
 	}
 	c.clu = des.NewCluster(c.sim)
@@ -136,87 +144,147 @@ func newDES() *Cluster {
 	return c
 }
 
-// newCluster builds the deployment a spec describes: replicas first, then
-// the broadcast service, then each replica's boot directives (PBR: its
-// failure detector).
-func newCluster(spec clusterSpec) *Cluster {
+// newCluster hosts a deployment: every node's process and boot
+// directives come from deploy.Node.Process, as cmd/shadowdb and
+// shadowdb.Open build them, and the boot directives go out once every
+// node is hosted. A node Process refuses panics with Process's error.
+func newCluster(d deployment) *Cluster {
 	c := newDES()
-	c.spec = spec
-	for i := 1; i <= cmp.Or(spec.bcastNodes, 3); i++ {
-		c.bloc = append(c.bloc, msg.Loc(fmt.Sprintf("b%d", i)))
+	c.root, c.view, c.intake = d.root, d.view, d.intake
+	c.shared = &deploy.Cluster{
+		Topology: member.Topology{Nodes: map[string]string{}},
+		App:      d.app, Timing: d.timing, Clock: c.sim.Now,
 	}
-	for i := range spec.engines {
-		c.rloc = append(c.rloc, msg.Loc(fmt.Sprintf("r%d", i+1)))
+	if d.router {
+		c.shared.Topology.Nodes[string(shard.RouterLoc)] = string(shard.RouterLoc)
 	}
-	joiner := func(l msg.Loc) bool { return spec.joiners[l] }
-	c.epoch0 = member.Config{
-		Bcast:    slices.DeleteFunc(slices.Clone(c.bloc), joiner),
-		Replicas: slices.DeleteFunc(slices.Clone(c.rloc), joiner),
-	}
-	c.alpha = cmp.Or(spec.alpha, deploy.Default().Alpha)
-	view := member.NewView(c.epoch0, c.alpha)
-	if spec.sharedView {
-		c.view = view
-	}
-	bcfg := spec.bcast
-	bcfg.Nodes, bcfg.View = c.bloc, view
-
-	if spec.pbr {
-		dep := core.PBRDeployment{
-			Pool: c.rloc, InitialMembers: spec.members,
-			BcastNodes: c.bloc, Timing: spec.timing,
+	for _, n := range d.nodes {
+		loc := msg.Loc(n.ID)
+		c.shared.Topology.Nodes[n.ID] = n.ID
+		c.settings[loc] = n
+		switch deploy.RoleOf(loc) {
+		case deploy.RoleBcast:
+			c.bloc = append(c.bloc, loc)
+		case deploy.RoleReplica:
+			c.rloc = append(c.rloc, loc)
 		}
-		c.pbr = make(map[msg.Loc]*core.PBRReplica, len(c.rloc))
-		for i, l := range c.rloc {
-			// Initial members hold the populated database; a spare starts
-			// empty and is filled by state transfer.
-			r := core.NewPBRReplica(l, c.openDB(l, i < dep.InitialMembers), spec.reg, dep)
-			c.pbr[l] = r
-			c.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
+		if n.Role == "pbr" {
+			// "We run the broadcast service in the interpreter with
+			// ShadowDB-PBR": it only carries recovery proposals. Every SMR
+			// transaction is ordered by the Lisp (compiled) service.
+			c.mode = broadcast.Interpreted
 		}
-		// "We run the broadcast service in the interpreter with
-		// ShadowDB-PBR": it only carries recovery proposals.
-		c.addService(bcfg, broadcast.Interpreted)
-		// The failure detectors boot in pool order: same-instant timers
-		// armed in another order would perturb schedules that must replay
-		// exactly (the chaos fingerprint check).
-		for _, l := range c.rloc {
-			c.send(l, c.pbr[l].Start())
-		}
-		return c
 	}
-
-	for _, l := range c.rloc {
-		c.host(l, c.buildReplica(l, !spec.joiners[l]), c.replicaCost(l))
+	boots := make([][]msg.Directive, len(d.nodes))
+	for i, n := range d.nodes {
+		proc, boot := c.process(n)
+		c.host(msg.Loc(n.ID), proc, c.price(proc))
+		boots[i] = boot
 	}
-	// Every transaction is ordered by the Lisp (compiled) service.
-	c.addService(bcfg, broadcast.Compiled)
-	for _, l := range c.rloc {
-		c.boot(l)
+	for i, n := range d.nodes {
+		c.send(msg.Loc(n.ID), boots[i])
 	}
 	return c
 }
 
-// facts are the deployment facts deploy.Node.Facts reads off a node's
-// settings, for the checker: the lease window, the service's epoch 0 and
-// alpha, and the sequencer's admission bound.
-func (c *Cluster) facts() dist.Facts {
-	l := c.spec.lease
-	f := dist.Facts{LeaseDur: l.Dur, MaxStale: l.MaxStale, Initial: c.epoch0, Alpha: c.alpha}
-	if q := c.spec.bcast.FlowLimit; q > 0 {
-		f.MaxQueue = flow.NewQueue(q).Cap()
+// process builds n's next incarnation through deploy.Node.Process: on a
+// durable deployment over n's data directory, and under the shared view
+// when there is one.
+func (c *Cluster) process(n deploy.Node) (gpm.Process, []msg.Directive) {
+	view, err := n.View(c.shared)
+	if view != nil && c.view != nil {
+		view = c.view
 	}
-	return f
+	var prov store.Provider
+	if err == nil && c.root != "" {
+		prov, err = c.dir(n)
+	}
+	var proc gpm.Process
+	var boot []msg.Directive
+	if err == nil {
+		proc, boot, err = n.Process(c.shared, prov, view)
+	}
+	if err != nil {
+		panic(fmt.Errorf("bench: %s: %w", n.ID, err))
+	}
+	c.procs[msg.Loc(n.ID)] = proc
+	return proc, boot
 }
 
-// index is loc's position in the replica list.
-func (c *Cluster) index(loc msg.Loc) int {
-	for i, l := range c.rloc {
-		if l == loc {
-			return i
-		}
+// nodeDir is a durable node's data directory: the store provider
+// Process opens the node's journals through, remembering them so a kill
+// can close them.
+type nodeDir struct {
+	store.Provider
+	open []store.Stable
+}
+
+func (d *nodeDir) Open(name string) (store.Stable, error) {
+	st, err := d.Provider.Open(name)
+	if err == nil {
+		d.open = append(d.open, st)
 	}
-	panic(fmt.Sprintf("bench: %s is not a replica", loc))
+	return st, err
+}
+
+// dir is n's data directory, root/<id>, under n's -fsync policy.
+func (c *Cluster) dir(n deploy.Node) (*nodeDir, error) {
+	loc := msg.Loc(n.ID)
+	if d := c.dirs[loc]; d != nil {
+		return d, nil
+	}
+	pol, err := store.ParsePolicy(n.Fsync)
+	if err != nil {
+		return nil, err
+	}
+	prov, err := store.NewDir(filepath.Join(c.root, n.ID), pol)
+	if err != nil {
+		return nil, err
+	}
+	c.dirs[loc] = &nodeDir{Provider: prov}
+	return c.dirs[loc], nil
+}
+
+// kill closes every store loc's incarnation opened.
+func (c *Cluster) kill(loc msg.Loc) {
+	d := c.dirs[loc]
+	for _, st := range d.open {
+		_ = st.Close()
+	}
+	d.open = nil
+}
+
+// smr is loc's current SMR replica incarnation (a shard replica too).
+func (c *Cluster) smr(loc msg.Loc) *core.SMRReplica { return c.procs[loc].(*core.SMRReplica) }
+
+// pbr is loc's primary-backup replica.
+func (c *Cluster) pbr(loc msg.Loc) *core.PBRReplica { return c.procs[loc].(*core.PBRReplica) }
+
+// facts are the deployment facts the checker is armed with: what
+// deploy.Node.Facts reads off the nodes' settings (a replica's lease
+// window, the epoch 0 and alpha of a node under dynamic membership, a
+// sequencer's admission bound), with the shared view's epoch 0, which
+// leaves the joiners out, when there is one.
+func (c *Cluster) facts() dist.Facts {
+	var f dist.Facts
+	for _, loc := range c.nodes {
+		n, ok := c.settings[loc]
+		if !ok {
+			continue // hand-built
+		}
+		g := n.Facts(c.shared)
+		if f.LeaseDur == 0 {
+			f.LeaseDur, f.MaxStale = g.LeaseDur, g.MaxStale
+		}
+		if f.Alpha == 0 {
+			f.Initial, f.Alpha = g.Initial, g.Alpha
+		}
+		f.MaxQueue = max(f.MaxQueue, g.MaxQueue)
+	}
+	if c.view != nil {
+		f.Initial = c.view.Epochs()[0]
+	}
+	return f
 }
 
 // slowed applies the slow-disk nemesis' current multiplier for loc.
@@ -229,164 +297,66 @@ func (c *Cluster) slowed(loc msg.Loc, cost time.Duration) time.Duration {
 	return cost
 }
 
-// host registers a sequential (1 core) process whose per-step service
-// time is read from cost after each step.
-func (c *Cluster) host(loc msg.Loc, p gpm.Process, cost func() time.Duration) {
-	c.nodes = append(c.nodes, loc)
-	c.clu.AddCostedProcess(loc, 1, p, func() time.Duration { return c.slowed(loc, cost()) })
-}
-
-// addService hosts one ordering group wired as deploy's service roles
-// wire it: the paxos module windowed at the pipeline over the group's
-// view (nil: a static group), journaled on a durable deployment.
-func (c *Cluster) addService(cfg broadcast.Config, mode broadcast.Mode) {
-	var acc func(msg.Loc) store.Stable
-	if c.spec.root != "" {
-		cfg.Stable = func(loc msg.Loc) store.Stable { return c.openStore(loc, "seq") }
-		acc = func(loc msg.Loc) store.Stable { return c.openStore(loc, "acc") }
+// price is the service time of one step of proc: a replica's engine
+// model plus the fixed replica-layer overhead, or a service node's
+// calibrated cost in the cluster's execution mode plus a share per
+// client message the protocol message carries.
+func (c *Cluster) price(proc gpm.Process) func(msg.Msg) time.Duration {
+	if r, ok := proc.(interface{ LastCost() time.Duration }); ok {
+		return func(msg.Msg) time.Duration { return r.LastCost() + replicaOverhead }
 	}
-	cfg.Modules = []broadcast.Module{broadcast.PaxosDynamic(cfg.Pipeline, acc, cfg.View)}
-	if cfg.FlowLimit > 0 {
-		cfg.FlowNow = c.sim.Now
-	}
-	c.addBroadcast(cfg, mode)
-}
-
-// addBroadcast hosts one broadcast service group with the calibrated
-// cost of the chosen execution mode. The protocol behavior is the native
-// (bisimilar) implementation; the service time is the measured cost of
-// the requested mode plus a per-contained-message payload cost.
-func (c *Cluster) addBroadcast(cfg broadcast.Config, mode broadcast.Mode) {
-	gen := broadcast.Spec(cfg).Generator()
-	per := Calibrate().PerMsg[mode]
-	for _, b := range cfg.Nodes {
-		loc, proc := b, gen(b)
-		c.nodes = append(c.nodes, loc)
-		c.clu.AddCostedNode(loc, 1, func(env msg.Envelope) ([]msg.Directive, time.Duration) {
-			next, outs := proc.Step(env.M)
-			proc = next
-			cost := bcastCost(per, env.M)
-			if c.spec.intake > 0 && env.M.Hdr == broadcast.HdrBcast {
-				// Intake (dedup + deadline + admission) is the engineered
-				// cheap path: shedding a request must cost far less than
-				// ordering it, or admission control amplifies the overload
-				// it exists to absorb.
-				cost = c.spec.intake
-			}
-			return outs, c.slowed(loc, cost)
-		})
-	}
-}
-
-// openDB opens a fresh database for loc's next incarnation, seeded with
-// the schema and initial rows when populate is set.
-func (c *Cluster) openDB(loc msg.Loc, populate bool) *sqldb.DB {
-	c.gen[loc]++
-	db, err := sqldb.Open(fmt.Sprintf("%s:mem:%s-g%d", c.spec.engines[c.index(loc)], loc, c.gen[loc]))
-	if err != nil {
-		panic(err)
-	}
-	if populate {
-		if err := c.spec.setup(db); err != nil {
-			panic(err)
+	per := Calibrate().PerMsg[c.mode]
+	return func(m msg.Msg) time.Duration {
+		if c.intake > 0 && m.Hdr == broadcast.HdrBcast {
+			// Intake (dedup + deadline + admission) is the engineered
+			// cheap path: shedding a request must cost far less than
+			// ordering it, or admission control amplifies the overload
+			// it exists to absorb.
+			return c.intake
 		}
+		return bcastCost(per, m)
 	}
-	return db
 }
 
-// dataDir is loc's store directory under the spec's root.
-func (c *Cluster) dataDir(loc msg.Loc) string { return filepath.Join(c.spec.root, string(loc)) }
-
-// openStore opens the named journal under loc's data directory.
-func (c *Cluster) openStore(loc msg.Loc, name string) store.Stable {
-	prov, err := store.NewDir(c.dataDir(loc), c.spec.fsync)
-	if err != nil {
-		panic(fmt.Sprintf("bench: store of %s: %v", loc, err))
-	}
-	st, err := prov.Open(name)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %s store of %s: %v", name, loc, err))
-	}
-	return st
+// host registers loc as a sequential (1 core) node stepping proc, each
+// step priced by price after it ran.
+func (c *Cluster) host(loc msg.Loc, proc gpm.Process, price func(msg.Msg) time.Duration) {
+	c.nodes = append(c.nodes, loc)
+	c.clu.AddCostedNode(loc, 1, c.stepper(loc, proc, price))
 }
 
-// buildReplica constructs loc's next SMR incarnation over a fresh
-// database. With populate set (first boot of a charter replica) the
-// database is seeded before construction, so a durable replica's
-// baseline snapshot captures the initial rows; a restarted incarnation
-// starts empty and recovers everything — state and epoch view — from its
-// store. Joiners start empty and inactive: their first durable baseline
-// is the bootstrap transfer. Lease state always starts empty (leases are
-// volatile by design).
-func (c *Cluster) buildReplica(loc msg.Loc, populate bool) *core.SMRReplica {
-	spec := c.spec
-	db := c.openDB(loc, populate)
-	cfg := core.SMRConfig{Self: loc, DB: db, Registry: spec.reg}
-	if spec.root != "" {
-		cfg.Store, cfg.Joiner = c.openStore(loc, "smr"), spec.joiners[loc]
-		c.sts[loc] = cfg.Store
-	}
-	rep, err := core.OpenSMRReplica(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: replica %s: %v", loc, err))
-	}
-	if c.view != nil {
-		rep.SetView(c.view)
-	} else {
-		rep.SetView(member.NewView(c.epoch0, c.alpha))
-	}
-	if cfg.Store != nil && spec.fsync == store.SyncBatch {
-		rep.SetGroupCommit(deploy.GroupWindow(spec.bcast.Pipeline), 0)
-	}
-	if spec.lease.Dur > 0 {
-		lease := spec.lease
-		lease.Bcast, lease.Now = c.bloc[0], c.sim.Now
-		rep.Executor().Fast = core.BankFastRegistry()
-		rep.EnableLease(lease, core.BankReadRegistry())
-	}
-	c.reps[loc], c.dbs[loc] = rep, db
-	return rep
-}
-
-// replicaCost prices the current incarnation's last step (the engine
-// model plus the fixed replica-layer overhead).
-func (c *Cluster) replicaCost(loc msg.Loc) func() time.Duration {
-	return func() time.Duration { return c.reps[loc].LastCost() + replicaOverhead }
-}
-
-// Restart rebuilds loc from its data directory — a fresh incarnation,
-// empty database and all — and rebinds it to the node.
-func (c *Cluster) Restart(loc msg.Loc) *core.SMRReplica {
-	rep := c.buildReplica(loc, false)
-	var proc gpm.Process = rep
-	cost := c.replicaCost(loc)
-	c.clu.Node(loc).RebindCosted(func(env msg.Envelope) ([]msg.Directive, time.Duration) {
+func (c *Cluster) stepper(loc msg.Loc, proc gpm.Process, price func(msg.Msg) time.Duration) des.CostedHandler {
+	return func(env msg.Envelope) ([]msg.Directive, time.Duration) {
 		next, outs := proc.Step(env.M)
 		proc = next
-		return outs, c.slowed(loc, cost())
-	})
-	return rep
+		return outs, c.slowed(loc, price(env.M))
+	}
 }
 
-// send emits a replica's self-originated directives (recovery fetches,
-// lease and failure-detector timers) from loc.
+// Restart builds loc's next incarnation through Process again, over its
+// data directory, rebinds the node to it, and returns its boot
+// directives.
+func (c *Cluster) Restart(loc msg.Loc) []msg.Directive {
+	proc, boot := c.process(c.settings[loc])
+	c.clu.Node(loc).RebindCosted(c.stepper(loc, proc, c.price(proc)))
+	return boot
+}
+
+// send emits a node's self-originated directives (boot directives:
+// recovery fetches, lease and failure-detector timers) from loc.
 func (c *Cluster) send(loc msg.Loc, outs []msg.Directive) {
 	for _, d := range outs {
 		c.clu.SendAfter(d.Delay, loc, d.Dest, d.M)
 	}
 }
 
-// boot emits the current incarnation of loc's boot directives, what
-// deploy.Node.Process returns for it: at start and after every restart.
-func (c *Cluster) boot(loc msg.Loc) { c.send(loc, c.reps[loc].BootDirectives()) }
-
 // maxOtherSlot is the highest applied frontier among the replicas other
 // than loc.
 func (c *Cluster) maxOtherSlot(loc msg.Loc) int {
 	m := -1
-	for l, r := range c.reps {
-		if l != loc && r.LastSlot() > m {
-			m = r.LastSlot()
+	for _, l := range c.rloc {
+		if l != loc && c.smr(l).LastSlot() > m {
+			m = c.smr(l).LastSlot()
 		}
 	}
 	return m
@@ -397,7 +367,7 @@ func (c *Cluster) maxOtherSlot(loc msg.Loc) int {
 func (c *Cluster) converged(locs []msg.Loc) (caughtUp, stateEqual bool, slots []int) {
 	maxSlot := -1
 	for _, l := range locs {
-		s := c.reps[l].LastSlot()
+		s := c.smr(l).LastSlot()
 		slots = append(slots, s)
 		if s > maxSlot {
 			maxSlot = s
@@ -405,10 +375,10 @@ func (c *Cluster) converged(locs []msg.Loc) (caughtUp, stateEqual bool, slots []
 	}
 	caughtUp, stateEqual = len(locs) > 0, len(locs) > 0
 	for _, l := range locs {
-		if c.reps[l].LastSlot() < maxSlot {
+		if c.smr(l).LastSlot() < maxSlot {
 			caughtUp = false
 		}
-		if !sqldb.Equal(c.dbs[locs[0]], c.dbs[l]) {
+		if !sqldb.Equal(c.smr(locs[0]).Executor().DB, c.smr(l).Executor().DB) {
 			stateEqual = false
 		}
 	}

@@ -73,13 +73,10 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 		SuspectAfter:   cfg.SuspectAfter,
 		ClientRetry:    time.Second,
 	}
-	setup := func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) }
 	// The paper's diversity deployment: H2 primary, HSQLDB backup, Derby
 	// spare.
-	sc := newCluster(clusterSpec{
-		pbr: true, timing: timing, members: 2,
-		engines: []string{"h2", "hsqldb", "derby"}, reg: core.BankRegistry(), setup: setup,
-	})
+	sc := newCluster(deployment{app: bankApp(cfg.Rows), timing: timing,
+		nodes: literal("pbr", []string{"h2", "hsqldb", "derby"}, 3, nil)})
 
 	stats := &loadStats{}
 	timeline := des.NewTimeline(time.Second)
@@ -92,7 +89,7 @@ func Fig10a(cfg Fig10aConfig) Fig10aResult {
 
 	// Sample the backup's protocol state every 20 ms to extract the
 	// timeline events.
-	r2 := sc.pbr["r2"]
+	r2 := sc.pbr("r2")
 	var sample func()
 	sample = func() {
 		now := sc.sim.Now()

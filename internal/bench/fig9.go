@@ -6,6 +6,7 @@ import (
 	"shadowdb/internal/baseline"
 	"shadowdb/internal/bench/tpcc"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -124,10 +125,8 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 // runShadowPBR measures one PBR point.
 func runShadowPBR(cfg Fig9Config, clients int, reg core.Registry,
 	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	sc := newCluster(clusterSpec{
-		pbr: true, timing: core.DefaultTiming(), members: 2,
-		engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup,
-	})
+	sc := newCluster(deployment{app: deploy.App{Procedures: reg, Setup: setup}, timing: core.DefaultTiming(),
+		nodes: literal("pbr", []string{"h2", "h2", "h2"}, 3, nil)})
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModePBR,
 		sc.rloc, sc.bloc, 5*time.Second, work)
@@ -138,7 +137,8 @@ func runShadowPBR(cfg Fig9Config, clients int, reg core.Registry,
 // runShadowSMR measures one SMR point.
 func runShadowSMR(cfg Fig9Config, clients int, reg core.Registry,
 	setup func(*sqldb.DB) error, work func(int) Workload) CurvePoint {
-	sc := newCluster(clusterSpec{engines: []string{"h2", "h2", "h2"}, reg: reg, setup: setup})
+	sc := newCluster(deployment{app: deploy.App{Procedures: reg, Setup: setup},
+		nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, nil)})
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, clients, cfg.TxPer, core.ModeSMR,
 		sc.rloc, sc.bloc, 10*time.Second, work)

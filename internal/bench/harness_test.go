@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/sqldb"
 )
 
 // One gate list drives the verdict, the report's boolean metrics and the
@@ -66,11 +66,8 @@ func TestRunCloseDumpsUncertifiedAndCleansUp(t *testing.T) {
 	flight := t.TempDir()
 	run := startRun("harness", 1<<10, flight, "")
 	root := run.Root()
-	c := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, 8) },
-		root:  root,
-	}))
+	c := run.Attach(newCluster(deployment{app: bankApp(8), root: root,
+		nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, func(n *deploy.Node) { n.Fsync = "always" })}))
 	stats := &loadStats{}
 	shadowClients(c.clu, stats, 1, 3, core.ModeSMR, c.rloc, c.bloc, 0,
 		func(int) Workload { return MicroWorkload(8, 1) })
@@ -97,5 +94,26 @@ func TestRunCloseDumpsUncertifiedAndCleansUp(t *testing.T) {
 	}
 	if _, err := os.Stat(root); !os.IsNotExist(err) {
 		t.Errorf("temp data dir %s survived Close (stat err %v)", root, err)
+	}
+}
+
+// The simulator builds every node through deploy.Node.Process, so a
+// setting cmd/shadowdb would refuse at startup fails the experiment with
+// the same error instead of running a deployment that cannot ship.
+func TestClusterRefusesWhatProcessRefuses(t *testing.T) {
+	for want, set := range map[string]func(*deploy.Node){
+		"bench: r1: -alpha 16 must exceed twice the -pipeline window 8": func(n *deploy.Node) { n.Pipeline = 8 },
+		"bench: b1: -lease applies to -role smr only (got -role broadcast)": func(n *deploy.Node) {
+			n.Lease = n.ID != "r1"
+		},
+	} {
+		func() {
+			defer func() {
+				if err, _ := recover().(error); err == nil || err.Error() != want {
+					t.Errorf("cluster built with %v, want the panic %q", err, want)
+				}
+			}()
+			newCluster(deployment{app: bankApp(8), nodes: literal("smr", []string{"h2", "h2"}, 3, set)})
+		}()
 	}
 }

@@ -3,15 +3,16 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
@@ -223,13 +224,13 @@ func Membership(cfg MembershipConfig) MembershipResult {
 // r5 idle (the replicas empty) until an ordered command admits them.
 func membershipRun(cfg MembershipConfig) MembershipResult {
 	run := startRun("membership", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
-	mc := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup:      func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		bcastNodes: 5, bcast: broadcast.Config{Pipeline: cfg.Pipeline},
-		root: run.Root(), fsync: cfg.Fsync,
-		alpha: cfg.Alpha, sharedView: true,
-		joiners: map[msg.Loc]bool{"b4": true, "b5": true, "r4": true, "r5": true},
+	joiners := []string{"b4", "b5", "r4", "r5"}
+	mc := run.Attach(newCluster(deployment{
+		app: bankApp(cfg.Rows), root: run.Root(), view: member.NewView(charter(), cfg.Alpha),
+		nodes: literal("smr", []string{"h2", "h2", "h2", "h2", "h2"}, 5, func(n *deploy.Node) {
+			n.Pipeline, n.Alpha, n.Fsync = cfg.Pipeline, cfg.Alpha, cfg.Fsync.String()
+			n.Joiner = slices.Contains(joiners, n.ID)
+		}),
 	}))
 	sim := mc.sim
 
@@ -239,7 +240,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	// forward broadcasts to the sequencer, so a static client config
 	// survives every resize.
 	shadowClients(mc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,
-		mc.epoch0.Replicas, mc.epoch0.Bcast, 10*time.Second, work)
+		charter().Replicas, charter().Bcast, 10*time.Second, work)
 
 	res := MembershipResult{Clients: cfg.Clients, JoinerActiveAt: -1}
 	snapsBefore := obs.C("core.smr.member_snapshots").Value()
@@ -267,7 +268,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	for _, loc := range []msg.Loc{"r4", "r5"} {
 		var poll func()
 		poll = func() {
-			if mc.reps[loc].Active() {
+			if mc.smr(loc).Active() {
 				if sim.Now() > res.JoinerActiveAt {
 					res.JoinerActiveAt = sim.Now()
 				}
@@ -311,7 +312,7 @@ func membershipRun(cfg MembershipConfig) MembershipResult {
 	res.ShrankTo = len(final.Replicas)
 	res.FinalBcast = final.Bcast
 	res.FinalReplicas = final.Replicas
-	res.JoinersActive = mc.reps["r4"].Active() && mc.reps["r5"].Active()
+	res.JoinersActive = mc.smr("r4").Active() && mc.smr("r5").Active()
 
 	// Convergence over the final replica set: frontier parity and
 	// bit-identical state — the joiners must be indistinguishable from

@@ -7,12 +7,12 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
-	"shadowdb/internal/sqldb"
 )
 
 // The overload experiment certifies end-to-end overload control
@@ -201,15 +201,10 @@ func Overload(cfg OverloadConfig) OverloadResult {
 	// lazily, so the slow-disk window degrades its node mid-run without
 	// rebinding anything.
 	run := startRun("overload", cfg.RingSize, cfg.FlightDir, "")
-	c := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		bcast: broadcast.Config{
-			MaxBatch: cfg.MaxBatch, Pipeline: cfg.Pipeline,
-			FlowLimit: cfg.FlowLimit, Classify: core.FlowClass,
-		},
-		intake: cfg.IntakeCost,
-	}))
+	c := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), intake: cfg.IntakeCost,
+		nodes: literal("smr", []string{"h2", "h2"}, 3, func(n *deploy.Node) {
+			n.Batch, n.Pipeline, n.MaxInflight = cfg.MaxBatch, cfg.Pipeline, cfg.FlowLimit
+		})}))
 	sim, clu, bloc, checker := c.sim, c.clu, c.bloc, run.Checker
 
 	// The slow-disk window opens SlowAfter into the 16x phase and heals

@@ -12,7 +12,6 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The postmortem experiment: an end-to-end exercise of the flight
@@ -156,10 +155,7 @@ func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
 // ring the recorders dump. The returned restore func must run before the
 // next run starts.
 func postmortemCluster(cfg PostmortemConfig, o *obs.Obs, recorderOn bool) (*Cluster, *loadStats, func()) {
-	sc := newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-	})
+	sc := newCluster(deployment{app: bankApp(cfg.Rows), nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, nil)})
 	sc.clu.Observe(o)
 	prev := obs.Default
 	obs.Default = o

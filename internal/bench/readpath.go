@@ -9,6 +9,7 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/member"
@@ -234,13 +235,11 @@ func (r ReadPathResult) Certified() bool { return Certified(r.Gates()) }
 // covering fsync (one per contiguous delivery run) in the WAL counters.
 func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {
 	run := startRun("readpath-"+label, cfg.RingSize, cfg.FlightDir, "")
-	rc := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		bcast: broadcast.Config{Pipeline: cfg.Pipeline},
-		root:  run.Root(), fsync: cfg.Fsync, alpha: cfg.Alpha,
-		lease: core.LeaseConfig{Dur: cfg.LeaseDur, MaxStale: cfg.MaxStale},
-	}))
+	rc := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), root: run.Root(),
+		nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, func(n *deploy.Node) {
+			n.Pipeline, n.Alpha, n.Fsync = cfg.Pipeline, cfg.Alpha, cfg.Fsync.String()
+			n.Lease, n.LeaseDur, n.MaxStale = n.Role == "smr", cfg.LeaseDur, cfg.MaxStale
+		})}))
 	return run, rc
 }
 

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
@@ -163,11 +163,8 @@ func (r RecoveryResult) Certified() bool { return Certified(r.Gates()) }
 // replica journaling to <data dir>/<loc>/smr.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
 	run := startRun("recovery", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
-	rc := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-		root:  run.Root(), fsync: cfg.Fsync,
-	}))
+	rc := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), root: run.Root(),
+		nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, func(n *deploy.Node) { n.Fsync = cfg.Fsync.String() })}))
 	sim := rc.sim
 
 	stats := &loadStats{timeline: run.Timeline(cfg.Bin)}
@@ -188,7 +185,7 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 		if res.CaughtUpAt >= 0 {
 			return
 		}
-		if rc.reps[victim].LastSlot() >= rc.maxOtherSlot(victim) {
+		if rc.smr(victim).LastSlot() >= rc.maxOtherSlot(victim) {
 			res.CaughtUpAt = sim.Now()
 			return
 		}
@@ -196,7 +193,7 @@ func Recovery(cfg RecoveryConfig) RecoveryResult {
 	}
 	run.onKill = func(node msg.Loc) {
 		res.KillAt = sim.Now()
-		res.SlotAtKill = rc.reps[node].LastSlot()
+		res.SlotAtKill = rc.smr(node).LastSlot()
 	}
 	run.onRestart = func(node msg.Loc, rep *core.SMRReplica) {
 		res.RestartAt = sim.Now()

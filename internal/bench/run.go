@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"time"
 
 	"shadowdb/internal/core"
@@ -114,15 +115,15 @@ func (r *Run) Attach(c *Cluster) *Cluster {
 }
 
 // Inject binds the nemesis plan to the attached cluster. On a durable
-// deployment a crash is a process-level kill: the store is closed, the
-// node's image dropped, and the restart rebuilds a fresh incarnation
-// from the data directory (Cluster.Restart), tells the checker, and —
+// deployment a crash is a process-level kill: the node's stores are
+// closed, its image dropped, and the restart builds a fresh incarnation
+// over its data directory (Cluster.Restart), tells the checker, and —
 // deferred a tick so the sends happen after the node's crash flag
-// clears — emits the new incarnation's boot directives (Cluster.boot).
-// Elsewhere a crash flips the simulated node's crash flag.
+// clears — emits the new incarnation's boot directives. Elsewhere a
+// crash flips the simulated node's crash flag.
 func (r *Run) Inject(plan fault.Plan) *fault.Injector {
 	c := r.c
-	if c.spec.root == "" {
+	if c.root == "" {
 		c.inj = fault.BindCluster(c.clu, plan)
 	} else {
 		c.inj = fault.BindProcess(c.clu, plan, fault.ProcessHooks{
@@ -131,18 +132,19 @@ func (r *Run) Inject(plan fault.Plan) *fault.Injector {
 				if r.onKill != nil {
 					r.onKill(node)
 				}
-				_ = c.sts[node].Close()
+				c.kill(node)
 			},
-			DataDir: c.dataDir,
+			DataDir: func(node msg.Loc) string { return filepath.Join(c.root, string(node)) },
 			Restart: func(node msg.Loc) {
 				c.restarts++
 				replayed := obs.C("store.wal.replays").Value()
-				rep := c.Restart(node)
+				boot := c.Restart(node)
 				c.replayed += obs.C("store.wal.replays").Value() - replayed
+				rep := c.smr(node)
 				c.recoveredAll = c.recoveredAll && rep.Recovered()
 				c.lastRestartAt = c.sim.Now()
 				r.Checker.NoteRestart(node)
-				c.sim.After(0, func() { c.boot(node) })
+				c.sim.After(0, func() { c.send(node, boot) })
 				if r.onRestart != nil {
 					r.onRestart(node, rep)
 				}

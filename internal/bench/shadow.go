@@ -125,6 +125,20 @@ func pad140() []byte {
 	return b
 }
 
+// addBroadcast hosts a bare broadcast service whose clients subscribe to
+// its delivery stream (Fig. 8), priced in the given execution mode. No
+// cmd/shadowdb deployment has that shape, so this one service is built
+// here rather than through deploy.Node.Process. The protocol behavior is
+// the native (bisimilar) implementation.
+func (c *Cluster) addBroadcast(cfg broadcast.Config, mode broadcast.Mode) {
+	c.mode = mode
+	gen := broadcast.Spec(cfg).Generator()
+	for _, b := range cfg.Nodes {
+		proc := gen(b)
+		c.host(b, proc, c.price(proc))
+	}
+}
+
 // bcastCost models the service time of one protocol message: a fixed
 // per-message cost plus a payload component per contained client message.
 func bcastCost(per time.Duration, m msg.Msg) time.Duration {

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/deploy"
 	"shadowdb/internal/des"
 	"shadowdb/internal/fault"
 	"shadowdb/internal/msg"
@@ -113,54 +114,34 @@ const routerOverhead = 10 * time.Microsecond
 // Cluster.
 type shardCluster struct {
 	*Cluster
-	part     shard.Partitioner
-	router   *shard.Router
-	groupB   [][]msg.Loc // per shard: broadcast nodes
-	groupR   [][]msg.Loc // per shard: replicas
-	replicas map[msg.Loc]*core.SMRReplica
-	ledgers  map[msg.Loc]*shard.Ledger
+	part   shard.Partitioner
+	router *shard.Router
+	groupB [][]msg.Loc // per shard: broadcast nodes
+	groupR [][]msg.Loc // per shard: replicas
 }
 
 // newShardCluster builds an n-shard deployment. Every shard's replicas
 // run h2 in-memory databases seeded with the full bank (unowned rows
 // are simply never touched — placement decides which shard mutates an
-// account).
+// account). The shard members are the node literal; the router is built
+// by hand because its 2PC retry period is an experiment parameter that
+// no deploy.Node field carries.
 func newShardCluster(n int, cfg ShardConfig) *shardCluster {
-	sc := &shardCluster{
-		Cluster:  newDES(),
-		part:     shard.NewHash(n),
-		replicas: make(map[msg.Loc]*core.SMRReplica),
-		ledgers:  make(map[msg.Loc]*shard.Ledger),
-	}
-	reg := core.BankRegistry()
+	sc := &shardCluster{part: shard.NewHash(n)}
+	var nodes []deploy.Node
 	for k := 0; k < n; k++ {
 		bloc := []msg.Loc{shard.BcastLoc(k, 0), shard.BcastLoc(k, 1), shard.BcastLoc(k, 2)}
 		rloc := []msg.Loc{shard.ReplicaLoc(k, 0), shard.ReplicaLoc(k, 1)}
 		sc.groupB = append(sc.groupB, bloc)
 		sc.groupR = append(sc.groupR, rloc)
-		sc.addService(broadcast.Config{
-			Nodes: bloc, Subscribers: rloc,
-			MaxBatch: cfg.Batch,
-			MaxDelay: cfg.BatchDelay,
-			Pipeline: cfg.Pipeline,
-		}, broadcast.Compiled)
-		for _, l := range rloc {
-			db, err := sqldb.Open("h2:mem:" + string(l))
-			if err != nil {
-				panic(err)
-			}
-			if err := core.BankSetup(db, cfg.Rows); err != nil {
-				panic(err)
-			}
-			led := shard.NewLedger(k, shard.Bank())
-			r, err := core.OpenSMRReplica(core.SMRConfig{Self: l, DB: db, Registry: reg, Peers: rloc, Ext: led})
-			if err != nil {
-				panic(err)
-			}
-			sc.replicas[l], sc.ledgers[l] = r, led
-			sc.host(l, r, func() time.Duration { return r.LastCost() + replicaOverhead })
+		for _, l := range slices.Concat(bloc, rloc) {
+			nd := deploy.Default()
+			nd.ID, nd.Role = string(l), "shard"
+			nd.Batch, nd.BatchDelay, nd.Pipeline = cfg.Batch, cfg.BatchDelay, cfg.Pipeline
+			nodes = append(nodes, nd)
 		}
 	}
+	sc.Cluster = newCluster(deployment{nodes: nodes, app: bankApp(cfg.Rows), router: true})
 
 	rt, err := shard.NewRouter(shard.Config{
 		Slf: shard.RouterLoc, Part: sc.part, App: shard.Bank(),
@@ -170,8 +151,13 @@ func newShardCluster(n int, cfg ShardConfig) *shardCluster {
 		panic(err)
 	}
 	sc.router = rt
-	sc.host(shard.RouterLoc, rt, func() time.Duration { return routerOverhead })
+	sc.host(shard.RouterLoc, rt, func(msg.Msg) time.Duration { return routerOverhead })
 	return sc
+}
+
+// ledger is shard replica l's 2PC ledger.
+func (sc *shardCluster) ledger(l msg.Loc) *shard.Ledger {
+	return sc.smr(l).Extension().(*shard.Ledger)
 }
 
 // shardRun starts one checked phase on a fresh n-shard deployment (the
@@ -377,7 +363,7 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 	var total int64
 	for id := 0; id < rows; id++ {
 		k := sc.part.Shard(shard.BankKey(int64(id)))
-		db := sc.replicas[sc.groupR[k][0]].Executor().DB
+		db := sc.smr(sc.groupR[k][0]).Executor().DB
 		res, err := db.Exec("SELECT balance FROM accounts WHERE id = ?", id)
 		if err != nil || len(res.Rows) == 0 {
 			return false
@@ -399,8 +385,8 @@ func balanced(sc *shardCluster, rows int, depositCommits int64) bool {
 // replicasEqual checks state parity inside every shard.
 func replicasEqual(sc *shardCluster) bool {
 	for k := range sc.groupR {
-		a := sc.replicas[sc.groupR[k][0]].Executor().DB
-		b := sc.replicas[sc.groupR[k][1]].Executor().DB
+		a := sc.smr(sc.groupR[k][0]).Executor().DB
+		b := sc.smr(sc.groupR[k][1]).Executor().DB
 		if !sqldb.Equal(a, b) {
 			return false
 		}
@@ -411,8 +397,10 @@ func replicasEqual(sc *shardCluster) bool {
 // openPrepares sums OpenPrepares across all replicas.
 func openPrepares(sc *shardCluster) int {
 	n := 0
-	for _, l := range sc.ledgers {
-		n += l.OpenPrepares()
+	for _, rloc := range sc.groupR {
+		for _, l := range rloc {
+			n += sc.ledger(l).OpenPrepares()
+		}
 	}
 	return n
 }

@@ -8,7 +8,6 @@ import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/sqldb"
 )
 
 // The spans experiment: run the SMR micro-benchmark on the simulator
@@ -60,10 +59,7 @@ func (r SpanResult) Gates() []Gate { return []Gate{r.Audit.gate()} }
 // Spans runs the experiment.
 func Spans(cfg SpanConfig) SpanResult {
 	run := startRun("spans", cfg.RingSize, "", "")
-	sc := run.Attach(newCluster(clusterSpec{
-		engines: []string{"h2", "h2", "h2"}, reg: core.BankRegistry(),
-		setup: func(db *sqldb.DB) error { return core.BankSetup(db, cfg.Rows) },
-	}))
+	sc := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), nodes: literal("smr", []string{"h2", "h2", "h2"}, 3, nil)}))
 
 	stats := &loadStats{}
 	shadowClients(sc.clu, stats, cfg.Clients, cfg.TxPer, core.ModeSMR,

@@ -137,13 +137,24 @@ var idOf = map[string]Role{
 }
 
 // Cluster is what every node of one deployment shares, read once: the
-// topology, the application its replicas run, and the PBR
-// failure-detection timing. The binaries load it from the -topology file
-// (Node.Load); the public API builds it in memory.
+// topology, the application its replicas run, the PBR failure-detection
+// timing, and the clock. The binaries load it from the -topology file
+// (Node.Load); the public API and the simulator build it in memory.
 type Cluster struct {
 	Topology member.Topology
 	App      App
 	Timing   core.Timing
+	// Clock stamps leases, admission deadlines and the router's in-flight
+	// bound; nil is the wall clock. The simulator passes its virtual one.
+	Clock func() time.Duration
+}
+
+// now is the deployment clock.
+func (c *Cluster) now() func() time.Duration {
+	if c.Clock != nil {
+		return c.Clock
+	}
+	return wallClock
 }
 
 // App is the application a deployment replicates: its procedures and the

@@ -74,7 +74,7 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 		// view, not this list, decides which of them an instance's quorum
 		// is drawn from, so a joiner can host its acceptor before its
 		// epoch activates.
-		return n.service(c.bcast, c.replicas, view, core.FlowClass, stable)
+		return n.service(c.bcast, c.replicas, view, core.FlowClass, cl.now(), stable)
 	case "pbr":
 		// A spare starts empty.
 		db, err := openDB(!n.Spare)
@@ -109,7 +109,7 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 		if n.Role == "shard" {
 			k, part, _ := shard.IsShardLoc(id)
 			if part == 'b' {
-				return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, shard.FlowClass, stable)
+				return n.service(c.shards.Bcast[k], c.shards.Replicas[k], nil, shard.FlowClass, cl.now(), stable)
 			}
 			peers, ext = c.shards.Replicas[k], shard.NewLedger(k, shard.Bank())
 		}
@@ -138,7 +138,7 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 			// allocation budget the readpath experiment certifies.
 			r.Executor().Fast = core.BankFastRegistry()
 			r.EnableLease(core.LeaseConfig{
-				Dur: n.LeaseDur, MaxStale: n.MaxStale, Bcast: c.bcast[0], Now: wallClock,
+				Dur: n.LeaseDur, MaxStale: n.MaxStale, Bcast: c.bcast[0], Now: cl.now(),
 			}, core.BankReadRegistry())
 		}
 		if r.Recovered() {
@@ -148,7 +148,7 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 	default: // "router": check admits no other role
 		cfg := shard.Config{Slf: id, Part: shard.NewHash(c.shards.Shards), App: shard.Bank(), Shards: c.shards.Bcast}
 		if n.MaxInflight > 0 || n.RetryBudget > 0 {
-			cfg.MaxInflight, cfg.Now = n.MaxInflight, wallClock
+			cfg.MaxInflight, cfg.Now = n.MaxInflight, cl.now()
 			if n.RetryBudget > 0 {
 				cfg.Budget = &flow.RetryBudget{Rate: n.RetryBudget}
 			}
@@ -179,13 +179,13 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 // resumes from both. With a view the paxos module resolves acceptor sets
 // per instance and the Decide fan-out per decision through it, so quorums
 // switch epochs atomically at their activation slot.
-func (n Node) service(nodes, subs []msg.Loc, view *member.View, classify flow.Classifier, stable func(string) (store.Stable, error)) (gpm.Process, []msg.Directive, error) {
+func (n Node) service(nodes, subs []msg.Loc, view *member.View, classify flow.Classifier, now func() time.Duration, stable func(string) (store.Stable, error)) (gpm.Process, []msg.Directive, error) {
 	cfg := broadcast.Config{
 		Nodes: nodes, Subscribers: subs, View: view,
 		MaxBatch: n.Batch, MaxDelay: n.BatchDelay, Pipeline: n.Pipeline,
 	}
 	if n.MaxInflight > 0 {
-		cfg.FlowLimit, cfg.Classify, cfg.FlowNow = n.MaxInflight, classify, wallClock
+		cfg.FlowLimit, cfg.Classify, cfg.FlowNow = n.MaxInflight, classify, now
 	}
 	// The process below is instantiated for this node's id alone, so the
 	// per-location store lookups have one answer each.
