@@ -118,9 +118,17 @@ func (e *Executor) state(client msg.Loc) *clientState {
 	return cs
 }
 
-// Duplicate returns the cached result when the request was already
-// executed (exactly-once under client retry).
+// Duplicate returns the answer to a request that must not be applied:
+// the cached result of one already executed (exactly-once under client
+// retry), or the abort of one the dedup ring has no place for. A
+// negative Seq is refused here, before the ring is indexed: every
+// replica answers it with the same abort, records nothing, and counts
+// it in core.exec.refused.
 func (e *Executor) Duplicate(req TxRequest) (TxResult, bool) {
+	if req.Seq < 0 {
+		mRefused.Inc()
+		return TxResult{Client: req.Client, Seq: req.Seq, Aborted: true}, true
+	}
 	cs := e.cstates[string(req.Client)]
 	if cs == nil || req.Seq > cs.lastSeq {
 		return TxResult{}, false
@@ -170,10 +178,14 @@ func (e *Executor) LastSeqs() map[string]int64 {
 }
 
 // Apply executes one ordered transaction and records it in the log cache
-// and the deduplication table. order must be Executed+1.
+// and the deduplication table. order must be Executed+1, and the request
+// one Duplicate admits: a negative Seq is an error here, never applied.
 func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 	if order != e.Executed+1 {
 		return TxResult{}, fmt.Errorf("core: applying order %d, expected %d", order, e.Executed+1)
+	}
+	if req.Seq < 0 {
+		return TxResult{}, fmt.Errorf("core: applying order %d: request %s/%d has a negative seq", order, req.Client, req.Seq)
 	}
 	res := RunProc(e.DB, e.Reg, req)
 	e.Executed = order

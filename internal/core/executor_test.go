@@ -2,10 +2,15 @@ package core
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
 func bankExec(t *testing.T, rows int) *Executor {
@@ -232,5 +237,56 @@ func TestApplyBatchEmpty(t *testing.T) {
 	}
 	if e.Executed != 0 || e.DB.InTx() {
 		t.Errorf("empty batch changed state: executed=%d inTx=%v", e.Executed, e.DB.InTx())
+	}
+}
+
+// A request with a negative Seq has no slot in the dedup ring. Wherever
+// it reaches an executor (a PBR primary's HdrTx, a transaction in an SMR
+// slot, that slot replayed from the journal) it is answered with the
+// same abort, nothing is applied or recorded, and the refusal is counted.
+func TestNegativeSeqIsRefused(t *testing.T) {
+	for _, seq := range []int64{-1, math.MinInt64} {
+		poison := durDeposit(seq)
+		refused := []msg.Directive{msg.Send(poison.Client, msg.M(HdrTxResult,
+			TxResult{Client: poison.Client, Seq: seq, Aborted: true}))}
+		check := func(where string, outs []msg.Directive, e *Executor) {
+			t.Helper()
+			if !reflect.DeepEqual(outs, refused) {
+				t.Errorf("seq %d at %s answered %v, want %v", seq, where, outs, refused)
+			}
+			if e.Executed != 0 || len(e.LastSeqs()) != 0 || balanceOf(t, e.DB, 1) != 1000 {
+				t.Errorf("seq %d at %s: applied or recorded (executed %d, horizons %v)", seq, where, e.Executed, e.LastSeqs())
+			}
+		}
+		refusals := obs.C("core.exec.refused")
+		before := refusals.Value()
+
+		primary := NewPBRReplica("r1", bankDB(t, "poison-pbr", 3), BankRegistry(), testDeployment())
+		_, outs := primary.Step(msg.M(HdrTx, poison))
+		check("a PBR primary", outs, primary.Executor())
+
+		st := mustOpen(t, store.NewMem(), "r")
+		smr, err := OpenSMRReplica(SMRConfig{Self: "r1", DB: bankDB(t, "poison-smr", 3), Registry: BankRegistry(), Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pay, err := EncodeTx(poison)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliver := broadcast.Deliver{Slot: 0, Msgs: []broadcast.Bcast{{From: poison.Client, Seq: 1, Payload: pay}}}
+		check("an SMR replica", stepDeliver(smr, deliver), smr.Executor())
+
+		replayed, err := OpenSMRReplica(SMRConfig{Self: "r1", DB: emptyDB(t, "poison-replay"), Registry: BankRegistry(), Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed.LastSlot() != 0 {
+			t.Errorf("seq %d: replay stopped at slot %d, want 0", seq, replayed.LastSlot())
+		}
+		check("replay", refused, replayed.Executor())
+		if n := refusals.Value() - before; n != 3 {
+			t.Errorf("seq %d: counted %d refusals, want 3", seq, n)
+		}
 	}
 }

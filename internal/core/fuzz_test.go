@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
@@ -85,6 +87,17 @@ func FuzzReplayRecord(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("not a journal record"))
+	// Unit 2 carrying a request with a negative Seq, which the dedup
+	// ring has no slot for: PBR refuses the record, SMR the transaction.
+	for _, seq := range []int64{-1, math.MinInt64} {
+		req := durDeposit(seq)
+		f.Add(store.EncodeRecord(execRecord{Order: 2, Req: req}))
+		pay, err := EncodeTx(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(store.EncodeRecord(walDeliver{Slot: 1, Msgs: []broadcast.Bcast{{From: req.Client, Seq: 2, Payload: pay}}}))
+	}
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		for _, p := range durableProtos {

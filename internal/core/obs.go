@@ -25,6 +25,7 @@ var (
 	gExecuted   = obs.G("core.executed")
 	mCliRetries = obs.C("core.client.retries")
 	mCliBackoff = obs.C("core.client.backoff_ns")
+	mRefused    = obs.C("core.exec.refused")
 
 	// Dynamic membership: bootstrap snapshots pushed to joiners.
 	mSMRSnapshotsSent = obs.C("core.smr.member_snapshots")
