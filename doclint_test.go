@@ -290,6 +290,80 @@ var gobImporters = []string{
 // codec (msg.RegisterCodec) fails here, whatever its tests measure.
 func TestGobImporters(t *testing.T) {
 	var got []string
+	nonTestSources(t, parser.ImportsOnly, func(path string, f *ast.File) {
+		for _, is := range f.Imports {
+			if is.Path.Value == `"encoding/gob"` {
+				got = append(got, path)
+			}
+		}
+	})
+	if !slices.Equal(got, gobImporters) {
+		t.Errorf("non-test files importing encoding/gob: %v, want exactly %v", got, gobImporters)
+	}
+}
+
+// oneWiring are the only non-test files outside internal/core that
+// construct a replication role themselves (an SMR or PBR replica, the
+// sharded router, a broadcast service) instead of taking it from
+// deploy.Node.Process, each for its reason.
+var oneWiring = map[string]string{
+	"internal/deploy/process.go": "the one wiring: cmd/shadowdb, shadowdb.Open and the simulator build every node here",
+	"internal/bench/shard.go":    "the simulated router: its 2PC retry period is an experiment parameter no deploy.Node field carries",
+	"internal/bench/readpath.go": "MeasureReadAllocs, a single-process microbenchmark, not a cluster",
+	"internal/bench/fig10.go":    "measureTransfer, a single-process microbenchmark, not a cluster",
+	"internal/bench/table1.go":   "spec statistics: it counts the broadcast spec's classes and runs none",
+	"cmd/specstats/main.go":      "spec statistics: it counts the broadcast spec's classes and runs none",
+	"internal/bench/shadow.go":   "Fig. 8: the cost calibration and the bare service its clients subscribe to",
+	"benchmark/cluster.go":       "the live benchmark's own cluster, until ROADMAP item 9(iv)",
+}
+
+// wiringCalls are the constructors of the replication roles.
+var wiringCalls = map[string][]string{
+	"core":      {"OpenSMRReplica", "NewPBRReplica", "NewDurablePBRReplica", "NewDurableSMRReplica"},
+	"shard":     {"NewRouter"},
+	"broadcast": {"Spec", "Generator"},
+}
+
+// TestOneWiring keeps one construction of every role: what the binaries
+// ship and what the simulator certifies are both deploy.Node.Process, so
+// a feature cannot be on in one and off in the other. A new file that
+// calls a role constructor fails here.
+func TestOneWiring(t *testing.T) {
+	got := map[string]bool{}
+	nonTestSources(t, 0, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "internal/core/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && slices.Contains(wiringCalls[pkg.Name], sel.Sel.Name) {
+					got[path] = true
+				}
+			}
+			return true
+		})
+	})
+	for path := range got {
+		if _, ok := oneWiring[path]; !ok {
+			t.Errorf("%s constructs a replication role; build it through deploy.Node.Process", path)
+		}
+	}
+	for path := range oneWiring {
+		if !got[path] {
+			t.Errorf("%s constructs no replication role any more; drop it from oneWiring", path)
+		}
+	}
+}
+
+// nonTestSources parses every non-test Go file of the repository, dot
+// directories skipped, with mode, and visits each by slash path in walk
+// order.
+func nonTestSources(t *testing.T, mode parser.Mode, visit func(path string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -304,22 +378,15 @@ func TestGobImporters(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(fset, path, nil, mode)
 		if err != nil {
 			return err
 		}
-		for _, is := range f.Imports {
-			if is.Path.Value == `"encoding/gob"` {
-				got = append(got, filepath.ToSlash(path))
-			}
-		}
+		visit(filepath.ToSlash(path), f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !slices.Equal(got, gobImporters) {
-		t.Errorf("non-test files importing encoding/gob: %v, want exactly %v", got, gobImporters)
 	}
 }
 

@@ -32,9 +32,6 @@ func NewResource(sim *Sim) *Resource { return &Resource{sim: sim} }
 // Held reports whether the resource is currently held.
 func (r *Resource) Held() bool { return r.held }
 
-// Waiters returns the current queue length.
-func (r *Resource) Waiters() int { return len(r.waiters) }
-
 // Acquire requests the resource. granted runs (possibly immediately) when
 // the lock is obtained; if timeout elapses first, timedOut runs instead
 // and the request leaves the queue. A zero timeout waits forever.

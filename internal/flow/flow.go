@@ -71,8 +71,7 @@ type Queue struct {
 	n    int
 	peak int
 
-	sheds  [numClasses]int64
-	admits [numClasses]int64
+	sheds [numClasses]int64
 }
 
 // NewQueue builds a queue with capacity cap and the default nested
@@ -120,7 +119,6 @@ func (q *Queue) Admit(c Class) error {
 		return ErrOverload
 	}
 	q.n++
-	q.admits[c]++
 	mAdmitted.Inc()
 	gDepth.Set(int64(q.n))
 	if q.n > q.peak {
@@ -169,9 +167,6 @@ func (q *Queue) ClassCap(c Class) int {
 
 // Sheds returns how many class-c arrivals were refused.
 func (q *Queue) Sheds(c Class) int64 { return q.sheds[c] }
-
-// Admits returns how many class-c arrivals were admitted.
-func (q *Queue) Admits(c Class) int64 { return q.admits[c] }
 
 func maxInt(a, b int) int {
 	if a > b {
