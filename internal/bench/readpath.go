@@ -230,7 +230,7 @@ func (r ReadPathResult) Certified() bool { return Certified(r.Gates()) }
 // deployment. Unlike the membership experiment's shared view, every
 // replica folds membership commands and renewals from its own delivery
 // stream into its own epoch view — a partitioned replica's view
-// genuinely goes stale. The broadcast service keeps its own view, and
+// genuinely goes stale. Each service node keeps its own view too, and
 // its durable sequencer and acceptor journals put the sequencer's
 // covering fsync (one per contiguous delivery run) in the WAL counters.
 func readpathRun(cfg ReadPathConfig, label string) (*Run, *Cluster) {

@@ -160,7 +160,7 @@ func (r RecoveryResult) Certified() bool { return Certified(r.Gates()) }
 
 // Recovery runs the crash-recovery experiment: a 3-replica durable SMR
 // deployment ordered by three durable broadcast service nodes, each
-// replica journaling to <data dir>/<loc>/smr.
+// replica journaling to <data dir>/<loc>/smr-<loc>.
 func Recovery(cfg RecoveryConfig) RecoveryResult {
 	run := startRun("recovery", cfg.RingSize, cfg.FlightDir, cfg.DataDir)
 	rc := run.Attach(newCluster(deployment{app: bankApp(cfg.Rows), root: run.Root(),
