@@ -52,11 +52,11 @@ func (p agreeProc) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	return p, []msg.Directive{msg.Send("a", out), timer, msg.Send("a", out), msg.Send("b", out), msg.Send("b", out)}
 }
 
-// captureTransport records a host's sends frame by frame.
+// captureTransport records a host's sends batch by batch.
 type captureTransport struct {
-	in     chan msg.Envelope
-	mu     sync.Mutex
-	frames [][]msg.Envelope
+	in      chan msg.Envelope
+	mu      sync.Mutex
+	batches [][]msg.Envelope
 }
 
 func (t *captureTransport) Send(env msg.Envelope) error {
@@ -66,7 +66,7 @@ func (t *captureTransport) Send(env msg.Envelope) error {
 func (t *captureTransport) SendBatch(envs []msg.Envelope) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.frames = append(t.frames, append([]msg.Envelope(nil), envs...))
+	t.batches = append(t.batches, append([]msg.Envelope(nil), envs...))
 	return nil
 }
 
@@ -99,7 +99,9 @@ func stepEvents(o *obs.Obs, loc msg.Loc) []obs.Event {
 // TestDriversAgree hosts one process under the live runtime.Host and
 // under a 1-core simulated node and requires the same step events, the
 // same outbound envelopes in the same order, and the same frames per
-// step: both drivers host through runtime.Core.
+// step: both drivers host through runtime.Core. The live host hands a
+// step's immediate sends to one SendBatch; the simulator's frames are
+// that batch's runs of consecutive directives to one destination.
 func TestDriversAgree(t *testing.T) {
 	// Live: a host over a capture transport.
 	liveObs := obs.New(64)
@@ -121,11 +123,20 @@ func TestDriversAgree(t *testing.T) {
 		}
 	}
 	_ = h.Close() // waits out the last step's sends
+	if len(tr.batches) != len(agreeInputs) {
+		t.Fatalf("live host sent %d batches for %d steps, want one per step", len(tr.batches), len(agreeInputs))
+	}
 	var liveEnvs []msg.Envelope
 	liveFrames := make([]int, len(agreeInputs))
-	for _, f := range tr.frames {
-		liveEnvs = append(liveEnvs, f...)
-		liveFrames[f[0].LC/1000-1]++
+	for _, batch := range tr.batches {
+		liveEnvs = append(liveEnvs, batch...)
+		// A run is a same-destination envelope with the next Lamport
+		// stamp: a delayed send between two takes a tick.
+		for i, env := range batch {
+			if i == 0 || env.To != batch[i-1].To || env.LC != batch[i-1].LC+1 {
+				liveFrames[batch[0].LC/1000-1]++
+			}
+		}
 	}
 
 	// Simulated: a costed node whose outputs land on many-core sinks (no

@@ -16,29 +16,37 @@ import (
 )
 
 // TCP is the distributed transport: one listener for inbound traffic and
-// lazily established, automatically reconnecting outbound connections per
-// destination. Frames are a 4-byte big-endian length followed by a
-// msg frame (msg.AppendFrame; bodies must be registered with the codec,
-// and the protocol packages expose RegisterWireTypes helpers). A frame
-// that does not decode closes the connection it came on.
+// lazily established, automatically reconnecting outbound connections,
+// one per peer address — Locs the directory maps to one address (the
+// logical clients of one client endpoint) share its connection. Frames
+// are a 4-byte big-endian length followed by a msg frame
+// (msg.AppendFrame; bodies must be registered with the codec, and the
+// protocol packages expose RegisterWireTypes helpers). A frame that does
+// not decode closes the connection it came on.
 type TCP struct {
 	self      msg.Loc
 	directory map[msg.Loc]string
 	ln        net.Listener
 	inbox     chan msg.Envelope
 
-	mu      sync.Mutex
-	conns   map[msg.Loc]net.Conn
+	mu sync.Mutex
+	// conns, redial and dialing are keyed by directory address, so
+	// SetPeer moves a Loc's traffic on its next send.
+	conns map[string]net.Conn
+	// routes are the learned return routes: the inbound connection a Loc
+	// the directory does not list (a client on an ephemeral port) first
+	// spoke on.
+	routes  map[msg.Loc]net.Conn
 	inbound map[net.Conn]bool
-	redial  map[msg.Loc]*redialState
-	// dialing holds, per peer with a dial currently in flight, a channel
-	// closed when that dial resolves. Dials run outside mu (a 2s dial
-	// timeout must never stall senders to healthy peers) and at most one
-	// dial per peer is in flight: concurrent senders to the same peer
-	// wait on the channel instead of stacking up redundant dials, and
-	// once a failure has stamped the redial backoff window they fail
+	redial  map[string]*redialState
+	// dialing holds, per address with a dial currently in flight, a
+	// channel closed when that dial resolves. Dials run outside mu (a 2s
+	// dial timeout must never stall senders to healthy peers) and at most
+	// one dial per address is in flight: concurrent senders to the same
+	// address wait on the channel instead of stacking up redundant dials,
+	// and once a failure has stamped the redial backoff window they fail
 	// fast until it expires.
-	dialing map[msg.Loc]chan struct{}
+	dialing map[string]chan struct{}
 	// clock, when set via EnforceDeadlines, drops inbound envelopes
 	// whose Deadline has already passed (nil = no enforcement).
 	clock func() int64
@@ -90,6 +98,24 @@ const maxReuse = 64 << 10
 // the array is free again once Write returns.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
+// peer names one outbound connection: a directory address, or, for a
+// Loc the directory does not list, the learned return route of that Loc.
+// The zero peer is no connection (self, or an unknown destination).
+type peer struct {
+	addr  string
+	route msg.Loc
+}
+
+// batch is SendBatch's scratch, pooled so grouping a step's envelopes by
+// connection allocates nothing: peers[i] is envs[i]'s connection, and
+// frame collects one connection's envelopes in order.
+type batch struct {
+	peers []peer
+	frame []msg.Envelope
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
 // redialBackoff is the shared redial policy: the delay doubles from
 // 50ms per consecutive dial failure, capped at 3s so a restarted peer
 // is re-discovered within a few seconds. Full jitter (keyed per peer)
@@ -124,10 +150,11 @@ func NewTCP(self msg.Loc, directory map[msg.Loc]string) (*TCP, error) {
 		directory: dir,
 		ln:        ln,
 		inbox:     make(chan msg.Envelope, 4096),
-		conns:     make(map[msg.Loc]net.Conn),
+		conns:     make(map[string]net.Conn),
+		routes:    make(map[msg.Loc]net.Conn),
 		inbound:   make(map[net.Conn]bool),
-		redial:    make(map[msg.Loc]*redialState),
-		dialing:   make(map[msg.Loc]chan struct{}),
+		redial:    make(map[string]*redialState),
+		dialing:   make(map[string]chan struct{}),
 		done:      make(chan struct{}),
 
 		framesIn:     obs.C("net.frames_in"),
@@ -157,7 +184,7 @@ func NewTCP(self msg.Loc, directory map[msg.Loc]string) (*TCP, error) {
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // SetPeer adds or updates a peer's address, e.g. after ephemeral ports
-// are known.
+// are known. The next send to l goes to addr.
 func (t *TCP) SetPeer(l msg.Loc, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -191,26 +218,102 @@ func (t *TCP) Send(env msg.Envelope) error {
 	if env.To == t.self {
 		return t.loopback(env)
 	}
-	return t.sendFrame([]msg.Envelope{env})
+	t.mu.Lock()
+	p := t.peerOf(env.To)
+	t.mu.Unlock()
+	if p == (peer{}) {
+		t.drops.Inc() // unknown destination
+		return nil
+	}
+	return t.sendFrame(p, []msg.Envelope{env})
 }
 
-// sendFrame writes envs, all bound to one remote peer, as one
-// length-prefixed frame built in a pooled array.
-func (t *TCP) sendFrame(envs []msg.Envelope) error {
-	to := envs[0].To
-	p := framePool.Get().(*[]byte)
-	frame, err := msg.AppendFrame(append((*p)[:0], 0, 0, 0, 0), envs)
+// SendBatch implements BatchSender: the envelopes bound to each
+// connection travel as one length-prefixed frame — one write — in their
+// order in envs, so a step's sends cost one frame per peer address
+// instead of one per message. Self-addressed envelopes are looped back,
+// and an unknown or unreachable destination drops only its own.
+func (t *TCP) SendBatch(envs []msg.Envelope) error {
+	if len(envs) == 1 {
+		return t.Send(envs[0])
+	}
+	select {
+	case <-t.done:
+		return ErrClosed
+	default:
+	}
+	b := batchPool.Get().(*batch)
+	defer batchPool.Put(b)
+	b.peers = b.peers[:0]
+	t.mu.Lock()
+	for i := range envs {
+		envs[i].From = t.self
+		var p peer
+		if envs[i].To != t.self {
+			if p = t.peerOf(envs[i].To); p == (peer{}) {
+				t.drops.Inc() // unknown destination
+			}
+		}
+		b.peers = append(b.peers, p)
+	}
+	t.mu.Unlock()
+	var first error
+	for i := range envs {
+		p := b.peers[i]
+		if p == (peer{}) {
+			// Self, an unknown destination, or already framed.
+			if envs[i].To == t.self {
+				if err := t.loopback(envs[i]); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		frame := append(b.frame[:0], envs[i])
+		for j := i + 1; j < len(envs); j++ {
+			if b.peers[j] == p {
+				frame = append(frame, envs[j])
+				b.peers[j] = peer{}
+			}
+		}
+		err := t.sendFrame(p, frame)
+		clear(frame) // the pool must not keep bodies alive
+		b.frame = frame[:0]
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// peerOf returns the connection to's sends go on: its directory address
+// (SetPeer redirects it), else its learned return route. Caller holds mu.
+func (t *TCP) peerOf(to msg.Loc) peer {
+	if addr, ok := t.directory[to]; ok {
+		return peer{addr: addr}
+	}
+	if _, ok := t.routes[to]; ok {
+		return peer{route: to}
+	}
+	return peer{}
+}
+
+// sendFrame writes envs, all bound to p, as one length-prefixed frame
+// built in a pooled array.
+func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
+	buf := framePool.Get().(*[]byte)
+	frame, err := msg.AppendFrame(append((*buf)[:0], 0, 0, 0, 0), envs)
 	defer func() {
 		if cap(frame) <= maxReuse {
-			*p = frame
-			framePool.Put(p)
+			*buf = frame
+			framePool.Put(buf)
 		}
 	}()
 	if err != nil {
-		return fmt.Errorf("send to %s: %w", to, err)
+		return fmt.Errorf("send to %s: %w", envs[0].To, err)
 	}
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
-	if !t.writeFrame(to, frame) {
+	if !t.writeFrame(p, frame) {
 		t.drops.Add(int64(len(envs)))
 		return nil // unreachable peer: drop
 	}
@@ -240,53 +343,22 @@ func (t *TCP) loopback(env msg.Envelope) error {
 	return nil
 }
 
-// writeFrame writes one frame to the peer, retrying once over a fresh
-// dial when a cached connection turns out to be dead (a peer that
-// crash-restarted leaves the old connection half-open; only a write
-// notices). A peer that cannot be dialed at all stays dropped.
-func (t *TCP) writeFrame(to msg.Loc, frame []byte) bool {
+// writeFrame writes one frame to p, retrying once over a fresh dial when
+// a cached connection turns out to be dead (a peer that crash-restarted
+// leaves the old connection half-open; only a write notices). A peer
+// that cannot be dialed at all stays dropped.
+func (t *TCP) writeFrame(p peer, frame []byte) bool {
 	for attempt := 0; attempt < 2; attempt++ {
-		conn, err := t.conn(to)
+		conn, err := t.conn(p)
 		if err != nil {
 			return false
 		}
 		if _, err := conn.Write(frame); err == nil {
 			return true
 		}
-		t.dropConn(to, conn)
+		t.dropConn(p, conn)
 	}
 	return false
-}
-
-// SendBatch implements BatchSender: all envelopes (which must share one
-// destination) travel as a single length-prefixed frame — one write — so
-// a handler's fan-out to a peer costs one frame instead of one per
-// message.
-func (t *TCP) SendBatch(envs []msg.Envelope) error {
-	if len(envs) == 0 {
-		return nil
-	}
-	if len(envs) == 1 {
-		return t.Send(envs[0])
-	}
-	select {
-	case <-t.done:
-		return ErrClosed
-	default:
-	}
-	for i := range envs {
-		envs[i].From = t.self
-	}
-	to := envs[0].To
-	if to == t.self {
-		for _, env := range envs {
-			if err := t.loopback(env); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return t.sendFrame(envs)
 }
 
 // Receive implements Transport.
@@ -303,7 +375,8 @@ func (t *TCP) Close() error {
 		for _, c := range t.conns {
 			_ = c.Close()
 		}
-		t.conns = map[msg.Loc]net.Conn{}
+		t.conns = map[string]net.Conn{}
+		t.routes = map[msg.Loc]net.Conn{}
 		for c := range t.inbound {
 			_ = c.Close()
 		}
@@ -316,7 +389,10 @@ func (t *TCP) Close() error {
 	return nil
 }
 
-func (t *TCP) conn(to msg.Loc) (net.Conn, error) {
+// conn returns p's connection, dialing its address if none is open. A
+// learned route is never dialed: it lives as long as its inbound
+// connection.
+func (t *TCP) conn(p peer) (net.Conn, error) {
 	for {
 		t.mu.Lock()
 		select {
@@ -325,36 +401,40 @@ func (t *TCP) conn(to msg.Loc) (net.Conn, error) {
 			return nil, ErrClosed
 		default:
 		}
-		if c, ok := t.conns[to]; ok {
+		if p.addr == "" {
+			c, ok := t.routes[p.route]
+			t.mu.Unlock()
+			if !ok {
+				return nil, fmt.Errorf("network: route to %q lost", p.route)
+			}
+			return c, nil
+		}
+		if c, ok := t.conns[p.addr]; ok {
 			t.mu.Unlock()
 			return c, nil
 		}
-		addr, ok := t.directory[to]
-		if !ok {
-			t.mu.Unlock()
-			return nil, fmt.Errorf("network: unknown destination %q", to)
-		}
-		// Bounded redial backoff: a peer that just refused a dial is not
-		// dialed again until its window expires, so a crashed replica costs
-		// senders a map lookup instead of a 2s dial timeout per message.
-		if rs := t.redial[to]; rs != nil && time.Now().Before(rs.until) {
+		// Bounded redial backoff: an address that just refused a dial is
+		// not dialed again until its window expires, so a crashed replica
+		// costs senders a map lookup instead of a 2s dial timeout per
+		// message.
+		if rs := t.redial[p.addr]; rs != nil && time.Now().Before(rs.until) {
 			t.backoffs.Inc()
 			t.mu.Unlock()
-			return nil, fmt.Errorf("network: %q in redial backoff", to)
+			return nil, fmt.Errorf("network: %s in redial backoff", p.addr)
 		}
-		ch, inflight := t.dialing[to]
+		ch, inflight := t.dialing[p.addr]
 		if !inflight {
-			// Dial semaphore: this sender takes the peer's single dial
+			// Dial semaphore: this sender takes the address's single dial
 			// slot; the dial itself runs outside mu so a slow dial stalls
 			// neither other senders nor traffic to healthy peers.
 			ch = make(chan struct{})
-			t.dialing[to] = ch
+			t.dialing[p.addr] = ch
 			t.gDialing.Add(1)
 			t.mu.Unlock()
-			return t.finishDial(to, addr, ch)
+			return t.finishDial(p.addr, ch)
 		}
 		t.mu.Unlock()
-		// Another sender is already dialing this peer: wait for its
+		// Another sender is already dialing this address: wait for its
 		// outcome instead of stacking a redundant dial, then re-check
 		// (the dial either registered a connection or stamped a backoff
 		// window, so this loop terminates).
@@ -366,15 +446,15 @@ func (t *TCP) conn(to msg.Loc) (net.Conn, error) {
 	}
 }
 
-// finishDial completes the single in-flight dial to one peer: it runs
-// the dial outside mu, registers the connection (or the redial backoff
-// window on failure), and wakes every sender waiting on ch.
-func (t *TCP) finishDial(to msg.Loc, addr string, ch chan struct{}) (net.Conn, error) {
+// finishDial completes the single in-flight dial to one address: it
+// runs the dial outside mu, registers the connection (or the redial
+// backoff window on failure), and wakes every sender waiting on ch.
+func (t *TCP) finishDial(addr string, ch chan struct{}) (net.Conn, error) {
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.dialing, to)
+	delete(t.dialing, addr)
 	t.gDialing.Add(-1)
 	// Waiters woken by the close re-acquire mu before reading, so they
 	// always observe the outcome registered below.
@@ -392,37 +472,31 @@ func (t *TCP) finishDial(to msg.Loc, addr string, ch chan struct{}) (net.Conn, e
 		return nil, ErrClosed
 	default:
 	}
-	rs := t.redial[to]
+	rs := t.redial[addr]
 	if err != nil {
 		if rs == nil {
 			rs = &redialState{}
-			t.redial[to] = rs
+			t.redial[addr] = rs
 		}
 		rs.fails++
-		// Full jitter keyed per peer: transports that lost the same peer
-		// together spread their redial windows apart.
-		d := redialBackoff.Delay(rs.fails-1, netutil.StrSeed(string(t.self)+"->"+string(to)))
+		// Full jitter keyed per address: transports that lost the same
+		// peer together spread their redial windows apart.
+		d := redialBackoff.Delay(rs.fails-1, netutil.StrSeed(string(t.self)+"->"+addr))
 		rs.until = time.Now().Add(d)
 		if rs.fails == 1 {
 			// First failure in a streak: the transition into backoff is
 			// the interesting edge; subsequent doublings log at debug.
-			t.lg.Warnf("dial %s (%s) failed, entering redial backoff: %v", to, addr, err)
+			t.lg.Warnf("dial %s failed, entering redial backoff: %v", addr, err)
 		} else if t.lg.Enabled(obs.LevelDebug) {
-			t.lg.Debugf("dial %s failed %d times, backoff %v", to, rs.fails, d)
+			t.lg.Debugf("dial %s failed %d times, backoff %v", addr, rs.fails, d)
 		}
 		return nil, err
 	}
-	if cur, ok := t.conns[to]; ok {
-		// An inbound connection from the peer registered itself while we
-		// dialed; keep it and discard ours (one connection per peer).
-		_ = c.Close()
-		return cur, nil
-	}
 	if rs != nil {
-		t.lg.Infof("reconnected to %s after %d failed dials", to, rs.fails)
+		t.lg.Infof("reconnected to %s after %d failed dials", addr, rs.fails)
 	}
-	delete(t.redial, to)
-	t.conns[to] = c
+	delete(t.redial, addr)
+	t.conns[addr] = c
 	t.dials.Inc()
 	t.gConnsOut.Set(int64(len(t.conns)))
 	// Connections are bidirectional: the peer may answer over this same
@@ -433,15 +507,24 @@ func (t *TCP) finishDial(to msg.Loc, addr string, ch chan struct{}) (net.Conn, e
 	return c, nil
 }
 
-func (t *TCP) dropConn(to msg.Loc, c net.Conn) {
+// dropConn forgets c as p's connection after a write on it failed.
+func (t *TCP) dropConn(p peer, c net.Conn) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if cur, ok := t.conns[to]; ok && cur == c {
-		delete(t.conns, to)
+	if p.addr == "" {
+		if t.routes[p.route] == c {
+			delete(t.routes, p.route)
+			_ = c.Close()
+			t.connDrops.Inc()
+		}
+		return
+	}
+	if t.conns[p.addr] == c {
+		delete(t.conns, p.addr)
 		_ = c.Close()
 		t.connDrops.Inc()
 		t.gConnsOut.Set(int64(len(t.conns)))
-		t.lg.Debugf("dropped dead connection to %s", to)
+		t.lg.Debugf("dropped dead connection to %s", p.addr)
 	}
 }
 
@@ -515,8 +598,23 @@ func (t *TCP) readLoop(conn net.Conn) {
 			}
 			return
 		}
+		// One lock per frame: read the clock, and learn the return route
+		// of each sender the directory does not list (clients on
+		// ephemeral ports are answered over their own inbound
+		// connection; TCP is bidirectional, and the first one wins).
 		t.mu.Lock()
 		clock := t.clock
+		var from msg.Loc
+		for i := range envs {
+			if f := envs[i].From; f != "" && f != from {
+				from = f
+				if _, listed := t.directory[f]; !listed {
+					if _, known := t.routes[f]; !known {
+						t.routes[f] = conn
+					}
+				}
+			}
+		}
 		t.mu.Unlock()
 		for _, env := range envs {
 			if clock != nil && flow.Expired(env.Deadline, clock()) {
@@ -527,18 +625,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 				t.expiredDrops.Inc()
 				flow.MarkExpired()
 				continue
-			}
-			// Learn the return route: peers not in the directory (clients
-			// on ephemeral ports) are answered over their own inbound
-			// connection. TCP is bidirectional; the first sender wins.
-			if env.From != "" {
-				t.mu.Lock()
-				if _, known := t.conns[env.From]; !known {
-					if _, listed := t.directory[env.From]; !listed {
-						t.conns[env.From] = conn
-					}
-				}
-				t.mu.Unlock()
 			}
 			select {
 			case t.inbox <- env:

@@ -60,10 +60,11 @@ func TestTCPDialSemaphoreSingleFlight(t *testing.T) {
 	}
 	defer func() { _ = cli.Close() }()
 
-	// Occupy srv's dial slot by hand, as a hung dial would.
+	// Occupy srv's dial slot by hand, as a hung dial would. Slots are
+	// keyed by address.
 	hold := make(chan struct{})
 	cli.mu.Lock()
-	cli.dialing["srv"] = hold
+	cli.dialing[srv.Addr()] = hold
 	cli.gDialing.Add(1)
 	base := cli.gDialing.Value()
 	cli.mu.Unlock()
@@ -81,7 +82,7 @@ func TestTCPDialSemaphoreSingleFlight(t *testing.T) {
 	// Resolve the "dial": free the slot and wake the waiter; it takes
 	// the slot itself, dials the live server, and the frame arrives.
 	cli.mu.Lock()
-	delete(cli.dialing, "srv")
+	delete(cli.dialing, srv.Addr())
 	cli.gDialing.Add(-1)
 	cli.mu.Unlock()
 	close(hold)

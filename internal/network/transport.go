@@ -30,13 +30,15 @@ type Transport interface {
 }
 
 // BatchSender is an optional Transport extension: a transport that can
-// frame several envelopes bound for the same destination into a single
-// wire write. Hosts probe for it with a type assertion and fall back to
-// per-envelope Send when absent, so batching never changes semantics —
+// write a step's sends, bound for any mix of destinations, as one frame
+// per connection. Hosts probe for it with a type assertion and fall back
+// to per-envelope Send when absent, so batching never changes semantics —
 // only the number of syscalls and frames.
 type BatchSender interface {
-	// SendBatch queues several envelopes (all with the same To) as one
-	// frame. Like Send it is asynchronous and best-effort.
+	// SendBatch queues envs, keeping their order within each
+	// destination. Like Send it is asynchronous and best-effort: an
+	// unreachable destination drops only its own envelopes. It may
+	// rewrite envs' From fields.
 	SendBatch(envs []msg.Envelope) error
 }
 

@@ -85,9 +85,10 @@ type Out struct {
 	dirs []msg.Directive
 }
 
-// Frames hands out's envelopes to the driver in directive order: each
+// Frames hands out's envelopes to the simulator in directive order: each
 // run of consecutive immediate sends to one destination to frame, as one
-// wire frame, and each delayed send to timer.
+// wire frame, and each delayed send to timer. The live host uses Sends,
+// and its transport frames per connection.
 func (out Out) Frames(frame func([]msg.Envelope), timer func(time.Duration, msg.Envelope)) {
 	for i := 0; i < len(out.envs); {
 		if d := out.dirs[i].Delay; d > 0 {
@@ -102,4 +103,20 @@ func (out Out) Frames(frame func([]msg.Envelope), timer func(time.Duration, msg.
 		frame(out.envs[i:j])
 		i = j
 	}
+}
+
+// Sends hands out's delayed sends to timer and returns its immediate
+// sends in directive order. They are compacted into out's own array, so
+// nothing is copied or allocated, and out is spent.
+func (out Out) Sends(timer func(time.Duration, msg.Envelope)) []msg.Envelope {
+	n := 0
+	for i, env := range out.envs {
+		if d := out.dirs[i].Delay; d > 0 {
+			timer(d, env)
+			continue
+		}
+		out.envs[n] = env
+		n++
+	}
+	return out.envs[:n]
 }

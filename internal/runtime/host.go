@@ -68,19 +68,18 @@ func (h *Host) Inject(m msg.Msg) {
 // timers. Timers are tracked so Close can stop any still pending.
 func (h *Host) Emit(outs []msg.Directive) { h.emit(h.core.stamp(h.Obs, outs, "")) }
 
-// emit writes out's frames on the transport, each as one SendBatch where
-// the transport can batch, and arms a timer per delayed send.
+// emit arms a timer per delayed send of out and writes its immediate
+// sends with one SendBatch where the transport can batch: the transport
+// frames them per connection.
 func (h *Host) emit(out Out) {
-	bs, canBatch := h.tr.(network.BatchSender)
-	out.Frames(func(frame []msg.Envelope) {
-		if canBatch && len(frame) > 1 {
-			_ = bs.SendBatch(frame)
-			return
-		}
-		for _, env := range frame {
-			_ = h.tr.Send(env)
-		}
-	}, h.arm)
+	sends := out.Sends(h.arm)
+	if bs, ok := h.tr.(network.BatchSender); ok && len(sends) > 0 {
+		_ = bs.SendBatch(sends)
+		return
+	}
+	for _, env := range sends {
+		_ = h.tr.Send(env)
+	}
 }
 
 // arm sends env after delay unless the host closes first.
