@@ -16,11 +16,11 @@ import (
 // The replicated executor (DESIGN.md §9): what a replica does besides
 // ordering, written once. PBR and SMR refine it — the primary orders one
 // transaction at a time, the broadcast service one slot at a time — and
-// contribute only a journal record codec (execRecord, walDeliver), the
-// function applying a record, and their ordering frontier. Here:
-// journal-then-apply with compaction (store.Journal's rule), recovery
-// from snapshot plus journal tail, the reorder buffer for units ahead of
-// the frontier, and both directions of state transfer.
+// contribute only a journal record (execRecord, walDeliver) they append
+// themselves, the function applying a record, and their ordering
+// frontier. Here: the journal's compaction (store.Journal's rule),
+// recovery from snapshot plus journal tail, the reorder buffer for units
+// ahead of the frontier, and both directions of state transfer.
 
 // snapHeader is the header of a durable snapshot (the database image
 // follows it, see encodeSnapshot) and what a SnapEnd carries besides
@@ -45,25 +45,9 @@ type snapHeader struct {
 	Ext []byte
 }
 
-// execRecord is the PBR journal record: one ordered transaction.
-type execRecord struct {
-	Order int64
-	Req   TxRequest
-}
-
 // DefaultSnapEvery is the default floor of the compaction rule
 // (store.Journal): the fewest journaled units between two compactions.
 const DefaultSnapEvery = store.DefaultFloor
-
-// replayTx applies a journaled transaction when it is the next order
-// number; a pre-snapshot straggler or a duplicate is skipped.
-func (e *Executor) replayTx(r execRecord) error {
-	if r.Order != e.Executed+1 {
-		return nil
-	}
-	_, err := e.Apply(r.Order, r.Req)
-	return err
-}
 
 // must stops an executor whose store failed: one that cannot persist
 // an ordered unit write-ahead of its reply must not answer.
@@ -141,10 +125,10 @@ func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 	}, replay)
 }
 
-// NewDurablePBRReplica creates a PBR replica whose executor journals
-// every transaction it applies to st — write-ahead: inside
-// Apply/applyInBatch, before the caller gets the TxResult it would reply
-// with — compacted by store.Journal's rule with snapEvery as its floor
+// NewDurablePBRReplica creates a PBR replica that journals every
+// transaction it applies to st — write-ahead: right after the executor
+// applied it, before the reply or ack that follows (PBRReplica.applied)
+// — compacted by store.Journal's rule with snapEvery as its floor
 // (<= 0 selects DefaultSnapEvery), recovering any durable state first.
 // It reports whether the replica came back from an existing store (true
 // = a restart, not a fresh spare). The database must already hold the
@@ -153,11 +137,10 @@ func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment, st store.Stable, snapEvery int) (*PBRReplica, bool, error) {
 	r := NewPBRReplica(slf, db, reg, dep)
 	r.exec.st = store.NewJournal("pbr-"+string(slf), st, snapEvery)
-	restored, err := r.exec.Recover(store.Decoding(r.exec.replayTx))
+	restored, err := r.exec.Recover(store.Decoding(r.replayTx))
 	if err != nil {
 		return nil, false, err
 	}
-	r.exec.journalTx = true // from here on; what was replayed is journaled already
 	if !restored {
 		if err := r.exec.Compact(); err != nil {
 			return nil, false, err

@@ -60,8 +60,9 @@ type clientState struct {
 	recent  [dedupWindow]TxResult
 }
 
-// Executor owns a replica's database, its execution log cache, and the
-// per-client deduplication table.
+// Executor is the machine PBR and SMR refine (DESIGN.md §9): a
+// replica's database and dedup table, applying ordered transactions to
+// them, and that state's durability and transfer — nothing about order.
 type Executor struct {
 	DB  *sqldb.DB
 	Reg Registry
@@ -71,32 +72,23 @@ type Executor struct {
 	// Executed is the number of transactions applied (the election
 	// criterion of the recovery protocol).
 	Executed int64
-	log      []Repl
-	logStart int64 // order number of log[0]
 	cstates  map[string]*clientState
 	// resBuf is the reusable ApplyBatch result buffer; callers consume
 	// it before the next batch.
 	resBuf []TxResult
 	// Durability and state transfer (durability.go). st journals the
-	// ordered units; snapAt is the frontier its snapshot covers. With
-	// journalTx the unit is the transaction and appendLog journals it
-	// (PBR; an SMR replica journals whole slots itself). frontier and
-	// adopt are the owning protocol's share of a snapshot header, written
-	// into it and taken back out of a restored or transferred one (SMR:
-	// slot, epoch schedule and extension state; PBR's frontier is
-	// Executed itself). xfer assembles an incoming transfer.
-	st        *store.Journal
-	snapAt    int
-	journalTx bool
-	frontier  func(*snapHeader)
-	adopt     func(snapHeader) error
-	xfer      *snapAssembly
+	// owning protocol's ordered units; snapAt is the frontier its
+	// snapshot covers. frontier and adopt are the owning protocol's
+	// share of a snapshot header, written into it and taken back out of
+	// a restored or transferred one (SMR: slot, epoch schedule and
+	// extension state; PBR's frontier is Executed itself). xfer
+	// assembles an incoming transfer.
+	st       *store.Journal
+	snapAt   int
+	frontier func(*snapHeader)
+	adopt    func(snapHeader) error
+	xfer     *snapAssembly
 }
-
-// logCacheSize bounds the transaction log kept for backup catch-up
-// ("each replica only caches a limited number of executed
-// transactions").
-const logCacheSize = 1024
 
 // NewExecutor creates an executor over a database.
 func NewExecutor(db *sqldb.DB, reg Registry) *Executor {
@@ -177,9 +169,9 @@ func (e *Executor) LastSeqs() map[string]int64 {
 	return out
 }
 
-// Apply executes one ordered transaction and records it in the log cache
-// and the deduplication table. order must be Executed+1, and the request
-// one Duplicate admits: a negative Seq is an error here, never applied.
+// Apply executes one ordered transaction and records it in the
+// deduplication table. order must be Executed+1, and the request one
+// Duplicate admits: a negative Seq is an error here, never applied.
 func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 	if order != e.Executed+1 {
 		return TxResult{}, fmt.Errorf("core: applying order %d, expected %d", order, e.Executed+1)
@@ -189,8 +181,7 @@ func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 	}
 	res := RunProc(e.DB, e.Reg, req)
 	e.Executed = order
-	e.record(req, res) // before appendLog: a compaction there snapshots the dedup table too
-	e.appendLog(Repl{Order: order, Req: req})
+	e.record(req, res)
 	return res, nil
 }
 
@@ -198,33 +189,33 @@ func (e *Executor) Apply(order int64, req TxRequest) (TxResult, error) {
 // single SQL-engine critical section: one BEGIN, a savepoint per
 // transaction (a procedure failure rolls back to its savepoint only),
 // one COMMIT — the group commit of a decided broadcast batch. Order
-// numbers are assigned sequentially from Executed+1 and the log,
-// deduplication, and result bookkeeping are identical to calling Apply
-// once per request, so primaries applying one-by-one and backups
-// applying a whole batch converge on the same state. The returned
-// slice is reused by the next call; callers consume it immediately.
+// numbers are assigned sequentially from Executed+1 and the
+// deduplication and result bookkeeping (a refused request's error
+// included) are identical to calling Apply once per request, so
+// primaries applying one-by-one and backups applying a whole batch
+// converge on the same state. The returned slice is reused by the next
+// call; callers consume it immediately.
 func (e *Executor) ApplyBatch(reqs []TxRequest) []TxResult {
 	out := e.resBuf[:0]
 	if len(reqs) == 0 {
 		return out
 	}
-	if _, err := e.DB.Exec("BEGIN"); err != nil {
-		// A transaction is somehow already open; degrade to the
-		// per-transaction path rather than nesting.
-		for _, req := range reqs {
-			res, applyErr := e.Apply(e.Executed+1, req)
-			if applyErr != nil {
-				res = TxResult{Client: req.Client, Seq: req.Seq, Err: applyErr.Error()}
-			}
-			out = append(out, res)
-		}
-		e.resBuf = out
-		return out
-	}
+	// Apply takes what the batch path cannot: every request when a
+	// transaction is somehow already open (rather than nesting), and a
+	// negative Seq, which it refuses.
+	_, began := e.DB.Exec("BEGIN")
 	for _, req := range reqs {
-		out = append(out, e.applyInBatch(req))
+		if began == nil && req.Seq >= 0 {
+			out = append(out, e.applyInBatch(req))
+			continue
+		}
+		res, err := e.Apply(e.Executed+1, req)
+		if err != nil {
+			res = TxResult{Client: req.Client, Seq: req.Seq, Err: err.Error()}
+		}
+		out = append(out, res)
 	}
-	if e.DB.InTx() {
+	if began == nil && e.DB.InTx() {
 		_, _ = e.DB.Exec("COMMIT")
 	}
 	e.resBuf = out
@@ -257,10 +248,8 @@ func (e *Executor) applyInBatch(req TxRequest) TxResult {
 	} else {
 		out.Cols, out.Rows = res.Cols, res.Rows
 	}
-	order := e.Executed + 1
-	e.Executed = order
+	e.Executed++
 	e.record(req, out)
-	e.appendLog(Repl{Order: order, Req: req})
 	return out
 }
 
@@ -299,45 +288,6 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 	return out
 }
 
-func (e *Executor) appendLog(r Repl) {
-	if e.journalTx {
-		must(e.st.Append(store.EncodeRecord(execRecord{Order: r.Order, Req: r.Req})))
-		e.compactIfDue()
-	}
-	if len(e.log) == 0 {
-		e.logStart = r.Order
-	}
-	e.log = append(e.log, r)
-	if len(e.log) > logCacheSize {
-		// Shift in place instead of reallocating: once the cache is full
-		// this runs on every append, and the old copy-to-fresh-slice made
-		// it a full-length allocation per transaction.
-		drop := len(e.log) - logCacheSize
-		n := copy(e.log, e.log[drop:])
-		for i := n; i < len(e.log); i++ {
-			e.log[i] = Repl{} // release references held past the cache
-		}
-		e.log = e.log[:n]
-		e.logStart += int64(drop)
-	}
-}
-
-// LogFrom returns the cached transactions with order numbers > after, or
-// ok=false when the cache no longer reaches back that far (a snapshot is
-// needed instead).
-func (e *Executor) LogFrom(after int64) ([]Repl, bool) {
-	if after >= e.Executed {
-		return nil, true
-	}
-	if len(e.log) == 0 || after+1 < e.logStart {
-		return nil, false
-	}
-	idx := int(after + 1 - e.logStart)
-	out := make([]Repl, len(e.log)-idx)
-	copy(out, e.log[idx:])
-	return out, true
-}
-
 // InstallSnapshot resets the executor to a transferred or restored
 // state: the execution frontier, and the dedup horizon and recent
 // results that go with it. Retries of transactions already reflected in
@@ -345,8 +295,6 @@ func (e *Executor) LogFrom(after int64) ([]Repl, bool) {
 // the rows came from.
 func (e *Executor) InstallSnapshot(order int64, lastSeq map[string]int64, recent []TxResult) {
 	e.Executed = order
-	e.log = nil
-	e.logStart = 0
 	e.cstates = make(map[string]*clientState)
 	for c, s := range lastSeq {
 		e.state(msg.Loc(c)).lastSeq = s

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -105,30 +105,6 @@ func TestExecutorUnknownType(t *testing.T) {
 	}
 }
 
-func TestExecutorLogCache(t *testing.T) {
-	e := bankExec(t, 10)
-	const n = logCacheSize + 6
-	for i := int64(1); i <= n; i++ {
-		if _, err := e.Apply(i, depositReq("c", i, int(i%10), 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Recent suffix available.
-	txs, ok := e.LogFrom(n - 3)
-	if !ok || len(txs) != 3 || txs[0].Order != n-2 {
-		t.Errorf("LogFrom(%d) = %v %v", n-3, txs, ok)
-	}
-	// Far past evicted.
-	if _, ok := e.LogFrom(2); ok {
-		t.Error("evicted log range reported available")
-	}
-	// Nothing missing.
-	txs, ok = e.LogFrom(n)
-	if !ok || len(txs) != 0 {
-		t.Errorf("LogFrom(%d) = %v %v", n, txs, ok)
-	}
-}
-
 func TestExecutorInstallSnapshot(t *testing.T) {
 	e := bankExec(t, 3)
 	if _, err := e.Apply(1, depositReq("c", 1, 0, 5)); err != nil {
@@ -137,9 +113,6 @@ func TestExecutorInstallSnapshot(t *testing.T) {
 	e.InstallSnapshot(40, nil, nil)
 	if e.Executed != 40 {
 		t.Errorf("Executed = %d", e.Executed)
-	}
-	if _, ok := e.LogFrom(39); ok {
-		t.Error("LogFrom(39) reported available after snapshot wiped the log")
 	}
 }
 
@@ -151,25 +124,6 @@ func TestExecutorResultRows(t *testing.T) {
 	}
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1000) {
 		t.Errorf("rows = %v", res.Rows)
-	}
-}
-
-func TestFullLog(t *testing.T) {
-	e := bankExec(t, 3)
-	for i := int64(1); i <= 5; i++ {
-		if _, err := e.Apply(i, depositReq("c", i, 0, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log, err := e.FullLog()
-	if err != nil || len(log) != 5 {
-		t.Fatalf("FullLog = %v, %v", log, err)
-	}
-	for i := int64(6); i <= logCacheSize+1; i++ {
-		e.appendLog(Repl{Order: i})
-	}
-	if _, err := e.FullLog(); !errors.Is(err, ErrIncompleteLog) {
-		t.Errorf("truncated log: err = %v", err)
 	}
 }
 
@@ -223,10 +177,6 @@ func TestApplyBatchGroupCommit(t *testing.T) {
 		if _, dup := grouped.Duplicate(req); !dup {
 			t.Errorf("request %s/%d not in dedup table", req.Client, req.Seq)
 		}
-	}
-	// Log cache covers the batch for backup catch-up.
-	if log, ok := grouped.LogFrom(0); !ok || len(log) != len(batch) {
-		t.Errorf("LogFrom(0) = %d entries, ok=%v", len(log), ok)
 	}
 }
 
@@ -288,5 +238,64 @@ func TestNegativeSeqIsRefused(t *testing.T) {
 		if n := refusals.Value() - before; n != 3 {
 			t.Errorf("seq %d: counted %d refusals, want 3", seq, n)
 		}
+	}
+}
+
+// ApplyBatch refuses a negative Seq as Apply does — the result carries
+// the error, and nothing is executed or recorded — and a PBR backup's
+// catch-up ends its contiguous run there: any peer can send a Catchup,
+// and one forged request must not index the dedup ring.
+func TestApplyBatchRefusesNegativeSeq(t *testing.T) {
+	for _, seq := range []int64{-3, math.MinInt64} {
+		e := bankExec(t, 3)
+		out := e.ApplyBatch([]TxRequest{depositReq("c", 1, 0, 1), depositReq("c", seq, 1, 1), depositReq("c", 2, 2, 1)})
+		if len(out) != 3 || out[0].Err != "" || out[1].Err == "" || out[1].Seq != seq || out[2].Err != "" {
+			t.Errorf("seq %d: batch answered %+v, want the middle request refused", seq, out)
+		}
+		if e.Executed != 2 || !reflect.DeepEqual(e.LastSeqs(), map[string]int64{"c": 2}) || balanceOf(t, e.DB, 1) != 1000 {
+			t.Errorf("seq %d: executed %d, horizons %v, balance(1) %d; want 2, c at 2, 1000",
+				seq, e.Executed, e.LastSeqs(), balanceOf(t, e.DB, 1))
+		}
+
+		r := NewPBRReplica("r2", bankDB(t, "negative-catchup", 3), BankRegistry(), testDeployment())
+		r.Step(msg.M(HdrCatchup, Catchup{From: 1, Txs: []Repl{
+			{Order: 1, Req: durDeposit(1)}, {Order: 2, Req: durDeposit(seq)}, {Order: 3, Req: durDeposit(3)},
+		}}))
+		if r.exec.Executed != 1 || balanceOf(t, r.exec.DB, 1) != 1005 {
+			t.Errorf("seq %d: backup executed %d, balance(1) %d; want the run to end before the refused request",
+				seq, r.exec.Executed, balanceOf(t, r.exec.DB, 1))
+		}
+	}
+}
+
+// BenchmarkApplyBatch times one group commit of 16 deposits by 16
+// clients at steady state: past twice logCacheSize transactions, so
+// any bounded per-transaction bookkeeping is measured full, not growing.
+func BenchmarkApplyBatch(b *testing.B) {
+	const batch, rows = 16, 1000
+	e := NewExecutor(bankDB(b, "bench-applybatch", rows), BankRegistry())
+	reqs := make([]TxRequest, batch)
+	clients := make([]msg.Loc, batch)
+	for j := range clients {
+		clients[j] = msg.Loc(fmt.Sprintf("c%d", j))
+	}
+	round := 0
+	apply := func() {
+		round++
+		for j := range reqs {
+			reqs[j] = TxRequest{Client: clients[j], Seq: int64(round), Type: "deposit",
+				Args: []any{int64((round*batch + j) % rows), int64(1)}}
+		}
+		if res := e.ApplyBatch(reqs); len(res) != batch || res[0].Err != "" {
+			b.Fatalf("apply: %+v", res)
+		}
+	}
+	for e.Executed <= 2*logCacheSize {
+		apply()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"shadowdb/internal/broadcast"
@@ -119,6 +120,92 @@ func FuzzReplayRecord(f *testing.F) {
 			if n := r2.units(); n != 2 {
 				t.Errorf("%s: recovered to unit %d around a fuzzed record, want 2", p.name, n)
 			}
+		}
+	})
+}
+
+// fuzzRequests decodes five bytes per request: the client, the kind of
+// Seq (zero, negative, MinInt64, MaxInt64, the client's previous one
+// again, or small), the type (bank types, an unknown one, none), the
+// argument list (right, short, empty, wrong kinds, too long) and a
+// value feeding Seq and arguments.
+func fuzzRequests(b []byte) []TxRequest {
+	var reqs []TxRequest
+	last := make(map[msg.Loc]int64)
+	for ; len(b) >= 5; b = b[5:] {
+		client := msg.Loc([]string{"c0", "c1", "c2"}[b[0]%3])
+		v := int64(b[4])
+		seq := v
+		switch b[1] % 8 {
+		case 0:
+			seq = 0
+		case 1:
+			seq = -v - 1
+		case 2:
+			seq = math.MinInt64
+		case 3:
+			seq = math.MaxInt64
+		case 4:
+			seq = last[client]
+		}
+		last[client] = seq
+		args := [][]any{
+			{int(v % 5), int(v)}, {v % 5, -v * 1000}, {int(v % 5), int((v + 1) % 5), int(v)},
+			{int64(v % 5)}, nil, {"x", "y"}, {v % 5, 1.5, true}, {nil, nil}, {1.5, v},
+		}[b[3]%9]
+		typ := []string{"deposit", "transfer", "balance", "nosuch", ""}[b[2]%5]
+		reqs = append(reqs, TxRequest{Client: client, Seq: seq, Type: typ, Args: args})
+	}
+	return reqs
+}
+
+// FuzzApplyBatch drives the group-commit apply path with arbitrary
+// request lists. ApplyBatch must never panic, and it must land where
+// Apply one request at a time lands — the contract its doc comment
+// states: the same results (a refused negative Seq carries Apply's
+// error), Executed, dedup horizons and rows. With the fast procedures
+// on, the bookkeeping must still match.
+func FuzzApplyBatch(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 2}) // deposit with Seq -3: once an index out of range in the dedup ring
+	f.Add([]byte{
+		0, 2, 0, 0, 1, // Seq MinInt64
+		1, 3, 1, 2, 7, // transfer with Seq MaxInt64
+		1, 3, 0, 0, 7, // the same Seq again
+		2, 0, 3, 4, 0, // unknown type, Seq 0
+		2, 4, 2, 5, 9, // balance with strings, Seq 0 repeated
+		0, 5, 0, 6, 4, // deposit with too many arguments of the wrong kinds
+		0, 6, 4, 7, 5, // no type, nil arguments
+		1, 1, 1, 8, 200, // transfer with a float, Seq -201
+	})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		reqs := fuzzRequests(b)
+		batch, twin, fast := bankExec(t, 4), bankExec(t, 4), bankExec(t, 4)
+		fast.Fast = BankFastRegistry()
+		got := slices.Clone(batch.ApplyBatch(reqs))
+		fast.ApplyBatch(reqs)
+		if len(got) != len(reqs) {
+			t.Fatalf("%d results for %d requests", len(got), len(reqs))
+		}
+		for i, req := range reqs {
+			want, err := twin.Apply(twin.Executed+1, req)
+			if err != nil {
+				want = TxResult{Client: req.Client, Seq: req.Seq, Err: err.Error()}
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Errorf("request %d %+v: batch answered %+v, one at a time %+v", i, req, got[i], want)
+			}
+		}
+		for _, e := range []*Executor{batch, fast} {
+			if e.Executed != twin.Executed || !reflect.DeepEqual(e.LastSeqs(), twin.LastSeqs()) {
+				t.Errorf("fast %v: executed %d, horizons %v; one at a time %d, %v",
+					e.Fast != nil, e.Executed, e.LastSeqs(), twin.Executed, twin.LastSeqs())
+			}
+			if e.DB.InTx() {
+				t.Errorf("fast %v: the batch left a transaction open", e.Fast != nil)
+			}
+		}
+		if !sqldb.Equal(batch.DB, twin.DB) {
+			t.Error("batch and one-at-a-time application left different rows")
 		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"shadowdb/internal/sqldb"
 )
 
-// Validators for the correctness properties of Section III-A:
+// Test oracles for the correctness properties of Section III-A:
 //
 //   - Durability: once a client receives a transaction's answer, the
 //     execution of this transaction is permanently reflected in the state
@@ -35,16 +35,14 @@ func (e *Executor) Seen(req TxRequest) bool {
 	return cs != nil && req.Seq <= cs.lastSeq
 }
 
-// FullLog returns the whole cached log when it is complete (reaches back
-// to order 1).
-func (e *Executor) FullLog() ([]Repl, error) {
-	if e.Executed == 0 {
-		return nil, nil
-	}
-	if len(e.log) == 0 || e.logStart != 1 {
+// FullLog returns a PBR replica's whole history from its catch-up
+// cache, when the cache still reaches back to order 1.
+func (r *PBRReplica) FullLog() ([]Repl, error) {
+	log, ok := r.logFrom(0)
+	if !ok {
 		return nil, ErrIncompleteLog
 	}
-	return append([]Repl(nil), e.log...), nil
+	return log, nil
 }
 
 // CheckDurability verifies every answered request is reflected at every
@@ -71,17 +69,17 @@ func CheckStateAgreement(dbs ...*sqldb.DB) error {
 	return nil
 }
 
-// CheckSerializable replays a replica's committed log on a fresh database
+// CheckSerializable replays a PBR replica's committed log on a fresh database
 // and verifies (1) the final state matches the replica, (2) each client's
 // transactions appear in submission order, and (3) every answered result
 // matches the replayed result. setup installs the initial schema and
 // population (the state replicas started from).
-func CheckSerializable(reg Registry, setup func(*sqldb.DB) error, replica *Executor, answered []TxResult) error {
+func CheckSerializable(reg Registry, setup func(*sqldb.DB) error, replica *PBRReplica, answered []TxResult) error {
 	log, err := replica.FullLog()
 	if err != nil {
 		return err
 	}
-	fresh := sqldb.New(replica.DB.Engine())
+	fresh := sqldb.New(replica.exec.DB.Engine())
 	if setup != nil {
 		if err := setup(fresh); err != nil {
 			return fmt.Errorf("setup replay database: %w", err)
@@ -105,7 +103,7 @@ func CheckSerializable(reg Registry, setup func(*sqldb.DB) error, replica *Execu
 		}
 		results[entry.Req.Key()] = res
 	}
-	if !sqldb.Equal(fresh, replica.DB) {
+	if !sqldb.Equal(fresh, replica.exec.DB) {
 		return fmt.Errorf("%w: replayed state differs from replica state", ErrSerializability)
 	}
 	for _, res := range answered {

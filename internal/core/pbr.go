@@ -11,6 +11,7 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
 // PBR: primary-backup replication (Section III-A of the paper).
@@ -64,6 +65,9 @@ type PBRReplica struct {
 	dep  PBRDeployment
 	exec *Executor
 	cfg  Config
+	// log holds the transactions applied since the last installed
+	// transfer or wipe, in order, for backup catch-up (logFrom).
+	log []Repl
 
 	// stopped marks the configuration halted for recovery.
 	stopped bool
@@ -252,6 +256,7 @@ func (r *PBRReplica) execAsPrimary(req TxRequest) []msg.Directive {
 		res = TxResult{Client: req.Client, Seq: req.Seq, Err: err.Error()}
 		return []msg.Directive{msg.Send(req.Client, msg.M(HdrTxResult, res))}
 	}
+	r.applied(order, req)
 	gExecuted.Set(r.exec.Executed)
 	needed := make(map[msg.Loc]bool)
 	var outs []msg.Directive
@@ -315,6 +320,7 @@ func (r *PBRReplica) drainRepl() []msg.Directive {
 		if _, err := r.exec.Apply(rep.Order, rep.Req); err != nil {
 			return outs
 		}
+		r.applied(rep.Order, rep.Req)
 		outs = append(outs, r.ack(rep.Order))
 	}
 }
@@ -510,6 +516,7 @@ func (r *PBRReplica) enterConfig(seq int, members []msg.Loc) bool {
 func (r *PBRReplica) wipeToSpare() {
 	_ = r.exec.DB.Restore(nil)
 	r.exec.InstallSnapshot(0, nil, nil)
+	r.log = nil
 	must(r.exec.Compact())
 	traceRecovery(r.slf, "pbr.wipe", r.cfg.Seq, "")
 }
@@ -689,7 +696,7 @@ func (r *PBRReplica) primarySync() []msg.Directive {
 // otherwise. Each transfer gets a fresh id so the receiver can tell a
 // replacement from stragglers of a lost one.
 func (r *PBRReplica) repair(b msg.Loc, since int64, hasData bool) []msg.Directive {
-	if txs, ok := r.exec.LogFrom(since); ok && hasData {
+	if txs, ok := r.logFrom(since); ok && hasData {
 		return []msg.Directive{msg.Send(b, msg.M(HdrCatchup, Catchup{
 			CfgSeq: r.cfg.Seq, From: since + 1, Txs: txs,
 		}))}
@@ -724,13 +731,14 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 	var outs []msg.Directive
 	// Collect the contiguous run of repairs starting at Executed+1 and
 	// group-commit it in one SQL-engine critical section; a gap in the
-	// repair stream ends the run (the rest is unusable until repaired).
+	// repair stream or a request Apply refuses ends the run (the rest is
+	// unusable until repaired).
 	var reqs []TxRequest
 	for _, rep := range c.Txs {
 		if rep.Order <= r.exec.Executed+int64(len(reqs)) {
 			continue
 		}
-		if rep.Order != r.exec.Executed+int64(len(reqs))+1 {
+		if rep.Order != r.exec.Executed+int64(len(reqs))+1 || rep.Req.Seq < 0 {
 			break
 		}
 		reqs = append(reqs, rep.Req)
@@ -740,6 +748,7 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 		// Ack each repaired transaction: the primary may hold a pending
 		// commit waiting on exactly this order (gap repair during normal
 		// processing, not just post-election catch-up).
+		r.applied(first+int64(i), reqs[i])
 		outs = append(outs, r.ack(first+int64(i)))
 	}
 	// Forwards parked behind the repaired gap may now be contiguous.
@@ -751,6 +760,64 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 		r.closeRecovery("pbr.recovered")
 	}
 	return append(outs, r.inSync())
+}
+
+// execRecord is the PBR journal record: one ordered transaction.
+type execRecord struct {
+	Order int64
+	Req   TxRequest
+}
+
+// logCacheSize bounds the transactions kept for backup catch-up ("each
+// replica only caches a limited number of executed transactions").
+const logCacheSize = 1024
+
+// applied journals a transaction the executor applied, on any path, if
+// the replica is durable — after its dedup record, so a compaction here
+// snapshots that too, and before the reply or ack — and caches it.
+func (r *PBRReplica) applied(order int64, req TxRequest) {
+	if st := r.exec.st; st != nil {
+		must(st.Append(store.EncodeRecord(execRecord{Order: order, Req: req})))
+		r.exec.compactIfDue()
+	}
+	r.cache(order, req)
+}
+
+// replayTx applies and caches a journaled transaction that is the next
+// order number; a pre-snapshot straggler or a duplicate is skipped.
+func (r *PBRReplica) replayTx(rec execRecord) error {
+	if rec.Order != r.exec.Executed+1 {
+		return nil
+	}
+	_, err := r.exec.Apply(rec.Order, rec.Req)
+	if err == nil {
+		r.cache(rec.Order, rec.Req)
+	}
+	return err
+}
+
+// cache appends an applied transaction. The cache grows to twice
+// logCacheSize and then drops its older half in one copy, so an append
+// costs amortized O(1); the next appends overwrite the dropped slots.
+func (r *PBRReplica) cache(order int64, req TxRequest) {
+	if len(r.log) == 2*logCacheSize {
+		r.log = append(r.log[:0], r.log[logCacheSize:]...)
+	}
+	r.log = append(r.log, Repl{Order: order, Req: req})
+}
+
+// logFrom returns the cached transactions with order numbers > after,
+// or ok=false when the newest logCacheSize of them no longer reach back
+// that far (a state transfer is needed instead).
+func (r *PBRReplica) logFrom(after int64) ([]Repl, bool) {
+	if after >= r.exec.Executed {
+		return nil, true
+	}
+	recent := r.log[max(0, len(r.log)-logCacheSize):]
+	if len(recent) == 0 || after+1 < recent[0].Order {
+		return nil, false
+	}
+	return append([]Repl(nil), recent[after+1-recent[0].Order:]...), true
 }
 
 // inSync tells the primary this backup is up to date.
@@ -778,6 +845,7 @@ func (r *PBRReplica) installTransfer(a *snapAssembly) []msg.Directive {
 	if r.exec.install(a) != nil {
 		return nil
 	}
+	r.log = nil // the cached history is superseded
 	r.stopped = false
 	r.closeRecovery("pbr.recovered")
 	outs := []msg.Directive{r.inSync()}

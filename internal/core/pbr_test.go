@@ -242,7 +242,7 @@ func TestPBRSerializableHistory(t *testing.T) {
 	}
 	r1 := h.replicas["r1"]
 	setup := func(db *sqldb.DB) error { return BankSetup(db, 10) }
-	if err := CheckSerializable(BankRegistry(), setup, r1.Executor(), h.answered()); err != nil {
+	if err := CheckSerializable(BankRegistry(), setup, r1, h.answered()); err != nil {
 		t.Error(err)
 	}
 }

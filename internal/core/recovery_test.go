@@ -49,8 +49,9 @@ var durableProtos = []durableProto{
 			exec := r.Executor()
 			return durableReplica{exec: exec, restored: restored,
 				apply: func(n int64) {
-					if _, err := exec.Apply(n, durDeposit(n)); err != nil {
-						t.Fatal(err)
+					r.Step(msg.M(HdrRepl, Repl{Order: n, Req: durDeposit(n)}))
+					if exec.Executed != n {
+						t.Fatalf("backup at order %d after the forward of order %d", exec.Executed, n)
 					}
 				},
 				units: func() int64 { return exec.Executed },

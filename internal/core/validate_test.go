@@ -4,92 +4,122 @@ import (
 	"errors"
 	"testing"
 
+	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
 
 func setupBank10(db *sqldb.DB) error { return BankSetup(db, 10) }
 
-// buildHistory runs a few transactions through an executor and returns
-// the answered results.
-func buildHistory(t *testing.T) (*Executor, []TxResult) {
+// soloPrimary is a PBR primary without backups over a 10-row bank: it
+// answers each transaction as soon as it has applied it.
+func soloPrimary(t *testing.T) *PBRReplica {
 	t.Helper()
-	e := bankExec(t, 10)
+	dep := testDeployment()
+	dep.InitialMembers = 1
+	return NewPBRReplica("r1", bankDB(t, t.Name(), 10), BankRegistry(), dep)
+}
+
+// submit runs one transaction through a solo primary and returns its
+// answer.
+func submit(t *testing.T, r *PBRReplica, req TxRequest) TxResult {
+	t.Helper()
+	_, outs := r.Step(msg.M(HdrTx, req))
+	if len(outs) != 1 || outs[0].M.Hdr != HdrTxResult {
+		t.Fatalf("primary answered %v, want one result", outs)
+	}
+	return outs[0].M.Body.(TxResult)
+}
+
+// buildHistory runs a few transactions through a PBR primary and
+// returns the answered results.
+func buildHistory(t *testing.T) (*PBRReplica, []TxResult) {
+	t.Helper()
+	r := soloPrimary(t)
 	var answered []TxResult
-	reqs := []TxRequest{
+	for _, req := range []TxRequest{
 		depositReq("a", 1, 0, 5),
 		depositReq("b", 1, 1, 7),
 		depositReq("a", 2, 0, 3),
 		{Client: "c", Seq: 1, Type: "balance", Args: []any{0}},
+	} {
+		answered = append(answered, submit(t, r, req))
 	}
-	for i, req := range reqs {
-		res, err := e.Apply(int64(i+1), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		answered = append(answered, res)
-	}
-	return e, answered
+	return r, answered
 }
 
 func TestCheckSerializablePasses(t *testing.T) {
-	e, answered := buildHistory(t)
-	if err := CheckSerializable(BankRegistry(), setupBank10, e, answered); err != nil {
+	r, answered := buildHistory(t)
+	if err := CheckSerializable(BankRegistry(), setupBank10, r, answered); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCheckSerializableCatchesStateTampering(t *testing.T) {
-	e, answered := buildHistory(t)
+	r, answered := buildHistory(t)
 	// Tamper with the replica's state outside the log.
-	if _, err := e.DB.Exec("UPDATE accounts SET balance = 0 WHERE id = 5"); err != nil {
+	if _, err := r.exec.DB.Exec("UPDATE accounts SET balance = 0 WHERE id = 5"); err != nil {
 		t.Fatal(err)
 	}
-	err := CheckSerializable(BankRegistry(), setupBank10, e, answered)
+	err := CheckSerializable(BankRegistry(), setupBank10, r, answered)
 	if !errors.Is(err, ErrSerializability) {
 		t.Errorf("err = %v, want ErrSerializability", err)
 	}
 }
 
 func TestCheckSerializableCatchesForgedResult(t *testing.T) {
-	e, answered := buildHistory(t)
+	r, answered := buildHistory(t)
 	forged := answered[3]
 	forged.Rows = [][]sqldb.Value{{int64(999999)}}
-	err := CheckSerializable(BankRegistry(), setupBank10, e, []TxResult{forged})
+	err := CheckSerializable(BankRegistry(), setupBank10, r, []TxResult{forged})
 	if !errors.Is(err, ErrSerializability) {
 		t.Errorf("err = %v, want ErrSerializability", err)
 	}
 }
 
 func TestCheckSerializableCatchesUnloggedAnswer(t *testing.T) {
-	e, _ := buildHistory(t)
+	r, _ := buildHistory(t)
 	ghost := TxResult{Client: "ghost", Seq: 1}
-	err := CheckSerializable(BankRegistry(), setupBank10, e, []TxResult{ghost})
+	err := CheckSerializable(BankRegistry(), setupBank10, r, []TxResult{ghost})
 	if !errors.Is(err, ErrDurability) {
 		t.Errorf("err = %v, want ErrDurability", err)
 	}
 }
 
 func TestCheckSerializableCatchesClientOrderViolation(t *testing.T) {
-	e := bankExec(t, 10)
-	if _, err := e.Apply(1, depositReq("a", 5, 0, 1)); err != nil {
-		t.Fatal(err)
-	}
+	r := soloPrimary(t)
+	submit(t, r, depositReq("a", 5, 0, 1))
 	// Manually force a lower client sequence number later in the log.
-	e.log = append(e.log, Repl{Order: 2, Req: depositReq("a", 3, 0, 1)})
-	e.Executed = 2
-	err := CheckSerializable(BankRegistry(), setupBank10, e, nil)
+	r.log = append(r.log, Repl{Order: 2, Req: depositReq("a", 3, 0, 1)})
+	r.exec.Executed = 2
+	err := CheckSerializable(BankRegistry(), setupBank10, r, nil)
 	if !errors.Is(err, ErrClientOrder) {
 		t.Errorf("err = %v, want ErrClientOrder", err)
 	}
 }
 
+// A history longer than the catch-up cache cannot be replayed from it.
+func TestCheckSerializableRefusesIncompleteLog(t *testing.T) {
+	r := soloPrimary(t)
+	var answered []TxResult
+	for seq := int64(1); seq <= logCacheSize; seq++ {
+		answered = append(answered, submit(t, r, depositReq("a", seq, int(seq%10), 1)))
+	}
+	if err := CheckSerializable(BankRegistry(), setupBank10, r, answered); err != nil {
+		t.Fatalf("a history the cache holds whole: %v", err)
+	}
+	submit(t, r, depositReq("a", logCacheSize+1, 0, 1))
+	if err := CheckSerializable(BankRegistry(), setupBank10, r, answered); !errors.Is(err, ErrIncompleteLog) {
+		t.Errorf("a history one longer than the cache: err = %v, want ErrIncompleteLog", err)
+	}
+}
+
 func TestCheckDurability(t *testing.T) {
-	e, answered := buildHistory(t)
-	if err := CheckDurability(answered, e); err != nil {
+	r, answered := buildHistory(t)
+	if err := CheckDurability(answered, r.exec); err != nil {
 		t.Fatal(err)
 	}
 	missing := []TxResult{{Client: "zz", Seq: 9}}
-	if err := CheckDurability(missing, e); !errors.Is(err, ErrDurability) {
+	if err := CheckDurability(missing, r.exec); !errors.Is(err, ErrDurability) {
 		t.Errorf("err = %v, want ErrDurability", err)
 	}
 }
