@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -177,4 +178,52 @@ func TestPBRLogFrom(t *testing.T) {
 			t.Errorf("restart left %d journal records, want the %d it replayed: replayed records were journaled again", got, tail)
 		}
 	})
+}
+
+// TestExecutorLogCache checks the cache a PBR primary keeps for backup
+// catch-up once it has evicted: the recent suffix is served, the far
+// past is refused, and a caught-up backup is owed nothing.
+func TestExecutorLogCache(t *testing.T) {
+	r := NewPBRReplica("r1", bankDB(t, "cache-evicted", 4), BankRegistry(), testDeployment())
+	const n = logCacheSize + 6
+	for o := int64(1); o <= n; o++ {
+		r.Step(msg.M(HdrTx, cacheTx(o)))
+	}
+	if r.exec.Executed != n {
+		t.Fatalf("primary executed %d, want %d", r.exec.Executed, n)
+	}
+	// Recent suffix available.
+	txs, ok := r.logFrom(n - 3)
+	if !ok || len(txs) != 3 || txs[0].Order != n-2 {
+		t.Errorf("logFrom(%d) = %v %v", n-3, txs, ok)
+	}
+	// Far past evicted.
+	if _, ok := r.logFrom(2); ok {
+		t.Error("evicted log range reported available")
+	}
+	// Nothing missing.
+	txs, ok = r.logFrom(n)
+	if !ok || len(txs) != 0 {
+		t.Errorf("logFrom(%d) = %v %v", n, txs, ok)
+	}
+}
+
+// TestFullLog checks the oracle's view of a PBR replica's history: whole
+// while the cache reaches back to order 1, ErrIncompleteLog once order 1
+// is evicted.
+func TestFullLog(t *testing.T) {
+	r := NewPBRReplica("r1", bankDB(t, "full-log", 4), BankRegistry(), testDeployment())
+	for o := int64(1); o <= 5; o++ {
+		r.Step(msg.M(HdrTx, cacheTx(o)))
+	}
+	log, err := r.FullLog()
+	if err != nil || len(log) != 5 {
+		t.Fatalf("FullLog = %v, %v", log, err)
+	}
+	for o := int64(6); o <= logCacheSize+1; o++ {
+		r.Step(msg.M(HdrTx, cacheTx(o)))
+	}
+	if _, err := r.FullLog(); !errors.Is(err, ErrIncompleteLog) {
+		t.Errorf("truncated log: err = %v", err)
+	}
 }
