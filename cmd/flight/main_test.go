@@ -14,6 +14,7 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/store"
 )
 
 // The tests below go through the code path of `flight merge -check`
@@ -90,11 +91,21 @@ func TestCheckKeepsShardsApart(t *testing.T) {
 	}
 }
 
+// slotRecord is an SMR replica's journal record of one slot, as a peer
+// serves it in a Catchup: gob matches the record's fields by name.
+func slotRecord(slot int, msgs ...broadcast.Bcast) []byte {
+	return store.EncodeRecord(struct {
+		Slot int
+		Msgs []broadcast.Bcast
+	}{slot, msgs})
+}
+
 // A replica may acknowledge what reached it through journal catch-up or
 // through a state transfer's Recent results, not only live deliveries.
+// A catch-up record that is not an SMR slot credits nothing.
 func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
-	catchup := msg.M(core.HdrSMRCatchup, core.SMRCatchup{Delivers: []broadcast.Deliver{{Slot: 1, Msgs: []broadcast.Bcast{two}}}})
+	catchup := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{slotRecord(1, two)}})
 	snapEnd := msg.M(core.HdrSnapEnd, core.SnapEnd{Recent: []core.TxResult{{Client: "c1", Seq: 7}}})
 	out, err := check(bundlesOf(
 		step("r2", deliver(0, one), ack("c1", 1)),
@@ -106,6 +117,16 @@ func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	))
 	if err != nil {
 		t.Fatalf("re-acks after catch-up and state transfer flagged: %v\n%s", err, out)
+	}
+
+	junk := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{[]byte("not a journal record")}})
+	out, err = check(bundlesOf(
+		step("r2", deliver(0, one), ack("c1", 1)),
+		step("r2", junk),
+		step("r2", noop, ack("c1", 2)),
+	))
+	if err == nil || !strings.Contains(out, "VIOLATION: shadowdb/durability") {
+		t.Fatalf("an ack credited by an undecodable catch-up record not flagged: err=%v\n%s", err, out)
 	}
 }
 

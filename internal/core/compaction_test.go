@@ -51,7 +51,7 @@ func (s *spyStable) SaveSnapshot(snap []byte) error {
 
 // A journal tail longer than one message should carry is served to a
 // recovering peer in chunks, which it applies in arrival order.
-func TestDurableSMRCatchupDeltaIsChunked(t *testing.T) {
+func TestDurableSMRDeltaIsChunked(t *testing.T) {
 	prov := store.NewMem()
 	peers := []msg.Loc{"r1", "r2"}
 	spy := &spyStable{Stable: mustOpen(t, prov, "r1"), t: t, floor: DefaultSnapEvery}
@@ -76,17 +76,22 @@ func TestDurableSMRCatchupDeltaIsChunked(t *testing.T) {
 			stepDeliver(r2, depositDeliver(t, slots))
 		}
 	}
-	_, reply := r1.Step(msg.M(HdrSMRCatchupReq, SMRCatchupReq{From: "r2", After: behind}))
+	_, reply := r1.Step(msg.M(HdrCatchupReq, CatchupReq{From: "r2", After: behind}))
 	if len(reply) != 2 {
 		t.Fatalf("a %d-byte tail was served in %d messages, want 2 chunks of at most %d bytes", spy.tailBytes, len(reply), catchupChunk)
 	}
 	next := behind + 1
 	for _, o := range reply {
-		cu, ok := o.M.Body.(SMRCatchup)
-		if !ok || len(cu.Delivers) == 0 || cu.Delivers[0].Slot != next {
-			t.Fatalf("chunk %v does not continue at slot %d", o.M.Hdr, next)
+		cu, ok := o.M.Body.(Catchup)
+		if !ok || len(cu.Records) == 0 {
+			t.Fatalf("chunk %v carries no records", o.M.Hdr)
 		}
-		next += len(cu.Delivers)
+		for _, rec := range cu.Records {
+			if slot, ok := slotOf(rec); !ok || slot != int64(next) {
+				t.Fatalf("chunk %v does not continue at slot %d", o.M.Hdr, next)
+			}
+			next++
+		}
 		r2.Step(o.M)
 	}
 	if next != slots || r2.LastSlot() != slots-1 || !sqldb.Equal(db1, db2) {

@@ -20,7 +20,8 @@ import (
 // themselves, the function applying a record, and their ordering
 // frontier. Here: the journal's compaction (store.Journal's rule),
 // recovery from snapshot plus journal tail, the reorder buffer for units
-// ahead of the frontier, and both directions of state transfer.
+// ahead of the frontier, catch-up from the journal tail, and both
+// directions of state transfer.
 
 // snapHeader is the header of a durable snapshot (the database image
 // follows it, see encodeSnapshot) and what a SnapEnd carries besides
@@ -112,8 +113,8 @@ func (e *Executor) Compact() error {
 // the state, then replay — the protocol's record codec — applies each
 // journaled unit that is the next in order. Recover reports whether any
 // durable state was found. The network delta is the caller's: the
-// protocol's usual catch-up (CatchupReq{Since: Executed}, SMRCatchupReq)
-// fetches what was ordered during the downtime.
+// protocol's usual catch-up fetches what was ordered during the downtime,
+// as records of the same codec.
 func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 	return e.st.Recover(func(snap []byte) error {
 		var h snapHeader
@@ -184,6 +185,55 @@ func (b reorder[T]) take() []T {
 		delete(b, i)
 	}
 	return out
+}
+
+// gapPacer paces the catch-up requests of units parked past a gap: ask
+// counts one and says to ask at the first and then every eighth, so a
+// burst costs one round trip while a lost request or answer is still
+// re-asked. A parked unit applied re-arms it (zero).
+type gapPacer int
+
+func (p *gapPacer) ask() bool {
+	*p++
+	return *p == 1 || *p%8 == 0
+}
+
+// catchupChunk bounds the journal bytes one Catchup carries: the journal
+// grows with the database (store.Journal's rule), so a delta can be
+// many megabytes.
+const catchupChunk = 1 << 20
+
+// serveCatchup answers a peer's CatchupReq from the journal: the
+// records whose unit index (read by unit) is above after, in Catchups
+// of at most catchupChunk bytes — at least one. It reports false when
+// the journal cannot serve the range (none kept, compacted past after,
+// or it does not replay): a state transfer is needed instead.
+func (e *Executor) serveCatchup(to msg.Loc, cfgSeq int, after int64, unit func(rec []byte) (int64, bool)) ([]msg.Directive, bool) {
+	if e.st == nil || after < int64(e.snapAt) {
+		return nil, false
+	}
+	var outs []msg.Directive
+	var recs [][]byte
+	size := 0
+	flush := func() {
+		outs = append(outs, msg.Send(to, msg.M(HdrCatchup, Catchup{CfgSeq: cfgSeq, Records: recs})))
+		recs, size = nil, 0
+	}
+	err := e.st.Replay(func(rec []byte) error {
+		if i, ok := unit(rec); ok && i > after {
+			if size > 0 && size+len(rec) > catchupChunk {
+				flush()
+			}
+			recs = append(recs, rec)
+			size += len(rec)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, false
+	}
+	flush()
+	return outs, true
 }
 
 // SnapshotDirectives builds the full state-transfer message sequence

@@ -25,7 +25,7 @@ func bankDB(t testing.TB, name string, rows int) *sqldb.DB {
 
 func emptyDB(t testing.TB, name string) *sqldb.DB { return bankDB(t, name, 0) }
 
-func mustOpen(t *testing.T, prov store.Provider, name string) store.Stable {
+func mustOpen(t testing.TB, prov store.Provider, name string) store.Stable {
 	t.Helper()
 	st, err := prov.Open(name)
 	if err != nil {
@@ -45,6 +45,19 @@ func depositDeliver(t testing.TB, slot int) broadcast.Deliver {
 		t.Fatal(err)
 	}
 	return broadcast.Deliver{Slot: slot, Msgs: []broadcast.Bcast{{From: "c0", Seq: int64(slot + 1), Payload: pay}}}
+}
+
+// slotRecord is depositDeliver's SMR journal record, as a peer serves
+// it in a Catchup.
+func slotRecord(t testing.TB, slot int) []byte {
+	d := depositDeliver(t, slot)
+	return store.EncodeRecord(walDeliver{Slot: d.Slot, Msgs: d.Msgs})
+}
+
+// orderRecord is a PBR journal record, as the primary serves it in a
+// Catchup.
+func orderRecord(order int64, req TxRequest) []byte {
+	return store.EncodeRecord(execRecord{Order: order, Req: req})
 }
 
 // openSMR opens a volatile bank replica.
@@ -75,7 +88,7 @@ func mustDirProv(t *testing.T) *store.Dir {
 // peer serves the missing slots from its journal, and the catch-up
 // application is quiet (the live replicas already answered those
 // clients).
-func TestDurableSMRCatchupDelta(t *testing.T) {
+func TestDurableSMRDelta(t *testing.T) {
 	prov := store.NewMem()
 	db1 := bankDB(t, "cd-r1", 10)
 	r1, err := NewDurableSMRReplica("r1", db1, BankRegistry(), mustOpen(t, prov, "r1"), []msg.Loc{"r1", "r2"})
@@ -106,19 +119,19 @@ func TestDurableSMRCatchupDelta(t *testing.T) {
 	// One immediate request per peer plus one delayed retry (the first
 	// round can be lost to a stale connection on a live network).
 	reqs := r2b.RecoveryDirectives()
-	if len(reqs) != 2 || reqs[0].M.Hdr != HdrSMRCatchupReq || reqs[0].Delay != 0 {
+	if len(reqs) != 2 || reqs[0].M.Hdr != HdrCatchupReq || reqs[0].Delay != 0 {
 		t.Fatalf("recovery directives = %v, want an immediate catch-up request plus a delayed retry", reqs)
 	}
-	if reqs[1].M.Hdr != HdrSMRCatchupReq || reqs[1].Delay == 0 {
+	if reqs[1].M.Hdr != HdrCatchupReq || reqs[1].Delay == 0 {
 		t.Fatalf("second directive = %v, want a delayed duplicate of the catch-up request", reqs[1])
 	}
 	_, reply := r1.Step(reqs[0].M)
-	if len(reply) != 1 || reply[0].M.Hdr != HdrSMRCatchup {
-		t.Fatalf("peer answered %v, want one SMRCatchup", reply)
+	if len(reply) != 1 || reply[0].M.Hdr != HdrCatchup {
+		t.Fatalf("peer answered %v, want one Catchup", reply)
 	}
-	cu := reply[0].M.Body.(SMRCatchup)
-	if len(cu.Delivers) != 3 {
-		t.Fatalf("delta carries %d slots, want 3 (slots 3..5)", len(cu.Delivers))
+	cu := reply[0].M.Body.(Catchup)
+	if len(cu.Records) != 3 {
+		t.Fatalf("delta carries %d slots, want 3 (slots 3..5)", len(cu.Records))
 	}
 	_, outs := r2b.Step(reply[0].M)
 	for _, o := range outs {
@@ -136,10 +149,10 @@ func TestDurableSMRCatchupDelta(t *testing.T) {
 	// A live delivery with a gap parks and re-requests; the delta fills
 	// the hole and the parked slot drains.
 	gap := stepDeliver(r2b, depositDeliver(t, 7))
-	if len(gap) == 0 || gap[0].M.Hdr != HdrSMRCatchupReq {
+	if len(gap) == 0 || gap[0].M.Hdr != HdrCatchupReq {
 		t.Fatalf("gap delivery produced %v, want a catch-up request", gap)
 	}
-	_, outs = r2b.Step(msg.M(HdrSMRCatchup, SMRCatchup{Delivers: []broadcast.Deliver{depositDeliver(t, 6)}}))
+	_, outs = r2b.Step(msg.M(HdrCatchup, Catchup{Records: [][]byte{slotRecord(t, 6)}}))
 	if r2b.LastSlot() != 7 {
 		t.Errorf("frontier after gap fill = %d, want 7 (parked slot drained)", r2b.LastSlot())
 	}
@@ -148,7 +161,7 @@ func TestDurableSMRCatchupDelta(t *testing.T) {
 
 // A peer whose journal was compacted past the requested range falls
 // back to a full state transfer, and the requester installs it.
-func TestDurableSMRCatchupSnapshotFallback(t *testing.T) {
+func TestDurableSMRDeltaSnapshotFallback(t *testing.T) {
 	prov := store.NewMem()
 	db1 := bankDB(t, "fb-r1", 10)
 	r1, err := NewDurableSMRReplica("r1", db1, BankRegistry(), mustOpen(t, prov, "r1"), []msg.Loc{"r1", "r2"})
@@ -159,7 +172,7 @@ func TestDurableSMRCatchupSnapshotFallback(t *testing.T) {
 	for s := 0; s < n; s++ {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
-	_, reply := r1.Step(msg.M(HdrSMRCatchupReq, SMRCatchupReq{From: "r2", After: 1}))
+	_, reply := r1.Step(msg.M(HdrCatchupReq, CatchupReq{From: "r2", After: 1}))
 	if len(reply) < 3 || reply[0].M.Hdr != HdrSnapBegin {
 		t.Fatalf("compacted peer answered %v, want a state transfer", reply[0].M.Hdr)
 	}

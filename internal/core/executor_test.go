@@ -258,8 +258,8 @@ func TestApplyBatchRefusesNegativeSeq(t *testing.T) {
 		}
 
 		r := NewPBRReplica("r2", bankDB(t, "negative-catchup", 3), BankRegistry(), testDeployment())
-		r.Step(msg.M(HdrCatchup, Catchup{From: 1, Txs: []Repl{
-			{Order: 1, Req: durDeposit(1)}, {Order: 2, Req: durDeposit(seq)}, {Order: 3, Req: durDeposit(3)},
+		r.Step(msg.M(HdrCatchup, Catchup{Records: [][]byte{
+			orderRecord(1, durDeposit(1)), orderRecord(2, durDeposit(seq)), orderRecord(3, durDeposit(3)),
 		}}))
 		if r.exec.Executed != 1 || balanceOf(t, r.exec.DB, 1) != 1005 {
 			t.Errorf("seq %d: backup executed %d, balance(1) %d; want the run to end before the refused request",
@@ -269,8 +269,8 @@ func TestApplyBatchRefusesNegativeSeq(t *testing.T) {
 }
 
 // BenchmarkApplyBatch times one group commit of 16 deposits by 16
-// clients at steady state: past twice logCacheSize transactions, so
-// any bounded per-transaction bookkeeping is measured full, not growing.
+// clients at steady state: past 2 048 transactions, so any bounded
+// per-transaction bookkeeping is measured full, not growing.
 func BenchmarkApplyBatch(b *testing.B) {
 	const batch, rows = 16, 1000
 	e := NewExecutor(bankDB(b, "bench-applybatch", rows), BankRegistry())
@@ -290,7 +290,7 @@ func BenchmarkApplyBatch(b *testing.B) {
 			b.Fatalf("apply: %+v", res)
 		}
 	}
-	for e.Executed <= 2*logCacheSize {
+	for e.Executed <= 2048 {
 		apply()
 	}
 	b.ReportAllocs()

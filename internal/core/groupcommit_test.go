@@ -220,11 +220,11 @@ func TestGroupCommitWindow(t *testing.T) {
 					}}})
 				case 'c':
 					from, to, _ := strings.Cut(arg, "-")
-					var cu SMRCatchup
+					var cu Catchup
 					for s := num(from); s <= num(to); s++ {
-						cu.Delivers = append(cu.Delivers, depositDeliver(t, s))
+						cu.Records = append(cu.Records, slotRecord(t, s))
 					}
-					m = msg.M(HdrSMRCatchup, cu)
+					m = msg.M(HdrCatchup, cu)
 				case 't':
 					m = msg.M(HdrSyncTick, SyncTick{})
 				}

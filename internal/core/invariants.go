@@ -9,6 +9,7 @@ import (
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/store"
 	"shadowdb/internal/verify"
 )
 
@@ -191,14 +192,17 @@ func (c *Checks) foldDelivered(e *verify.Event) {
 		if e.In.Hdr == broadcast.HdrDeliver {
 			ordered(b, true)
 		}
-	case SMRCatchup:
-		// Catch-up deliveries are ordered slots served from a peer's
+	case Catchup:
+		// Catch-up records are ordered slots served from a peer's
 		// journal: transactions and renewals applied through them are as
 		// delivered as the live ones, and a restarted lease holder may
-		// later acknowledge them (re-acks).
-		if e.In.Hdr == HdrSMRCatchup {
-			for _, d := range b.Delivers {
-				ordered(d, false)
+		// later acknowledge them (re-acks). Anything else credits nothing.
+		if e.In.Hdr == HdrCatchup {
+			for _, rec := range b.Records {
+				var d broadcast.Deliver
+				if store.DecodeRecord(rec, &d) == nil {
+					ordered(d, false)
+				}
 			}
 		}
 	case SnapEnd:

@@ -67,9 +67,9 @@ func init() {
 		case Elect:
 			f.Slot, f.Ballot = b.Executed, int64(b.CfgSeq)
 		case Catchup:
-			f.Slot, f.Ballot = b.From, int64(b.CfgSeq)
+			f.Ballot = int64(b.CfgSeq)
 		case CatchupReq:
-			f.Slot, f.Ballot = b.Since, int64(b.CfgSeq)
+			f.Slot, f.Ballot = b.After, int64(b.CfgSeq)
 		case Recovered:
 			f.Ballot = int64(b.CfgSeq)
 		case Redirect:

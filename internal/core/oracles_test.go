@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"shadowdb/internal/sqldb"
+	"shadowdb/internal/store"
 )
 
 // Test oracles for the correctness properties of Section III-A:
@@ -25,7 +26,7 @@ var (
 	ErrStateAgreement  = errors.New("core: state agreement violated")
 	ErrSerializability = errors.New("core: serializability violated")
 	ErrClientOrder     = errors.New("core: client submission order violated")
-	ErrIncompleteLog   = errors.New("core: replica log cache incomplete, cannot replay")
+	ErrIncompleteLog   = errors.New("core: replica journal compacted, cannot replay")
 )
 
 // Seen reports whether the executor has executed (and remembered) the
@@ -35,14 +36,18 @@ func (e *Executor) Seen(req TxRequest) bool {
 	return cs != nil && req.Seq <= cs.lastSeq
 }
 
-// FullLog returns a PBR replica's whole history from its catch-up
-// cache, when the cache still reaches back to order 1.
+// FullLog returns a PBR replica's whole history from its journal, when
+// no snapshot has folded order 1 in yet.
 func (r *PBRReplica) FullLog() ([]Repl, error) {
-	log, ok := r.logFrom(0)
-	if !ok {
+	if r.exec.snapAt != 0 {
 		return nil, ErrIncompleteLog
 	}
-	return log, nil
+	var log []Repl
+	err := r.exec.st.Replay(store.Decoding(func(x execRecord) error {
+		log = append(log, Repl{Order: x.Order, Req: x.Req})
+		return nil
+	}))
+	return log, err
 }
 
 // CheckDurability verifies every answered request is reflected at every

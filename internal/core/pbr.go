@@ -29,7 +29,7 @@ import (
 // per configuration wins. Members of the new configuration exchange
 // (seq+1, executedSeq); the member with the highest executed sequence
 // number (ties to the smallest identifier) becomes primary, brings the
-// others up to date with cached transactions or a full state transfer,
+// others up to date with its journal tail or a full state transfer,
 // and resumes once the required acknowledgments arrive. With three or
 // more members the primary resumes as soon as one backup is up to date
 // and overlaps the remaining snapshots with normal processing (the
@@ -65,9 +65,6 @@ type PBRReplica struct {
 	dep  PBRDeployment
 	exec *Executor
 	cfg  Config
-	// log holds the transactions applied since the last installed
-	// transfer or wipe, in order, for backup catch-up (logFrom).
-	log []Repl
 
 	// stopped marks the configuration halted for recovery.
 	stopped bool
@@ -89,9 +86,9 @@ type PBRReplica struct {
 	// backup state: forwards that arrived ahead of Executed+1, or while
 	// a state transfer is being assembled.
 	park reorder[Repl]
-	// gapTick counts forwards buffered behind a replication gap, pacing
-	// explicit catch-up requests to the primary.
-	gapTick int
+	// gap paces the catch-up requests to the primary that forwards
+	// buffered behind a replication gap trigger.
+	gap gapPacer
 	// stuckTicks counts heartbeat periods spent stopped without any
 	// transfer traffic; every few of them the catch-up request escalates
 	// to a forced resync (the in-flight transfer was lost).
@@ -129,15 +126,20 @@ type ackWait struct {
 
 // NewPBRReplica creates a replica. The database starts empty; initial
 // schema/population is installed by the deployment before traffic starts
-// (replicas of a configuration start in the same state).
+// (replicas of a configuration start in the same state). It journals
+// into a private in-memory store that dies with it (NewDurablePBRReplica
+// gives it a durable one): catch-up is served from the journal tail.
 func NewPBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment) *PBRReplica {
 	if dep.Timing == (Timing{}) {
 		dep.Timing = DefaultTiming()
 	}
+	exec := NewExecutor(db, reg)
+	st, _ := store.NewMem().Open("")
+	exec.st = store.NewJournal("pbr-"+string(slf), st, DefaultSnapEvery)
 	return &PBRReplica{
 		slf:       slf,
 		dep:       dep,
-		exec:      NewExecutor(db, reg),
+		exec:      exec,
 		cfg:       dep.InitialConfig(),
 		missed:    make(map[msg.Loc]int),
 		suspected: make(map[msg.Loc]bool),
@@ -296,10 +298,9 @@ func (r *PBRReplica) onRepl(rep Repl) []msg.Directive {
 		// missing range explicitly, pacing requests so a burst of buffered
 		// forwards costs one round trip — but re-asking while stuck, in
 		// case the request or its answer is lost too.
-		r.gapTick++
-		if r.gapTick == 1 || r.gapTick%8 == 0 {
+		if r.gap.ask() {
 			outs = append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrCatchupReq, CatchupReq{
-				CfgSeq: r.cfg.Seq, From: r.slf, Since: r.exec.Executed,
+				CfgSeq: r.cfg.Seq, From: r.slf, After: r.exec.Executed,
 			})))
 		}
 	}
@@ -312,14 +313,12 @@ func (r *PBRReplica) drainRepl() []msg.Directive {
 	for {
 		rep, ok := r.park.next(r.exec.Executed)
 		if !ok {
-			if len(outs) > 0 {
-				r.gapTick = 0 // progress: re-arm the gap pacer
-			}
 			return outs
 		}
 		if _, err := r.exec.Apply(rep.Order, rep.Req); err != nil {
 			return outs
 		}
+		r.gap = 0
 		r.applied(rep.Order, rep.Req)
 		outs = append(outs, r.ack(rep.Order))
 	}
@@ -448,7 +447,7 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 		// resync — that in-flight transfer is not coming.
 		r.stuckTicks++
 		outs = append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrCatchupReq, CatchupReq{
-			CfgSeq: r.cfg.Seq, From: r.slf, Since: r.exec.Executed,
+			CfgSeq: r.cfg.Seq, From: r.slf, After: r.exec.Executed,
 			Resync: r.stuckTicks%4 == 0,
 		})))
 	}
@@ -478,7 +477,7 @@ func (r *PBRReplica) adoptConfig(hb Heartbeat) []msg.Directive {
 		r.recoverAt = obs.Default.Now()
 	}
 	return append(outs, msg.Send(r.cfg.Primary(), msg.M(HdrCatchupReq, CatchupReq{
-		CfgSeq: r.cfg.Seq, From: r.slf, Since: r.exec.Executed,
+		CfgSeq: r.cfg.Seq, From: r.slf, After: r.exec.Executed,
 	})))
 }
 
@@ -501,7 +500,7 @@ func (r *PBRReplica) enterConfig(seq int, members []msg.Loc) bool {
 	r.missed = make(map[msg.Loc]int)
 	r.suspected = make(map[msg.Loc]bool)
 	r.exec.xfer = nil
-	r.gapTick = 0
+	r.gap = 0
 	r.stuckTicks = 0
 	r.stopped = r.cfg.Contains(r.slf)
 	if !r.stopped {
@@ -516,7 +515,6 @@ func (r *PBRReplica) enterConfig(seq int, members []msg.Loc) bool {
 func (r *PBRReplica) wipeToSpare() {
 	_ = r.exec.DB.Restore(nil)
 	r.exec.InstallSnapshot(0, nil, nil)
-	r.log = nil
 	must(r.exec.Compact())
 	traceRecovery(r.slf, "pbr.wipe", r.cfg.Seq, "")
 }
@@ -675,8 +673,8 @@ func (r *PBRReplica) recordVote(v Elect) []msg.Directive {
 	return r.primarySync()
 }
 
-// primarySync brings every backup up to date: cached transactions where
-// the log cache reaches, a full state transfer otherwise.
+// primarySync brings every backup up to date: the journal tail where it
+// reaches back, a full state transfer otherwise.
 func (r *PBRReplica) primarySync() []msg.Directive {
 	var outs []msg.Directive
 	for _, b := range r.cfg.Backups() {
@@ -690,16 +688,16 @@ func (r *PBRReplica) primarySync() []msg.Directive {
 	return outs
 }
 
-// repair brings one backup up to date from its frontier: the cached
-// transactions after it where the log cache reaches back that far and
-// the backup holds a database to apply them to, a full state transfer
+// repair brings one backup up to date from its frontier: the journal
+// records after it where the journal reaches back that far and the
+// backup holds a database to apply them to, a full state transfer
 // otherwise. Each transfer gets a fresh id so the receiver can tell a
 // replacement from stragglers of a lost one.
-func (r *PBRReplica) repair(b msg.Loc, since int64, hasData bool) []msg.Directive {
-	if txs, ok := r.logFrom(since); ok && hasData {
-		return []msg.Directive{msg.Send(b, msg.M(HdrCatchup, Catchup{
-			CfgSeq: r.cfg.Seq, From: since + 1, Txs: txs,
-		}))}
+func (r *PBRReplica) repair(b msg.Loc, after int64, hasData bool) []msg.Directive {
+	if hasData {
+		if outs, ok := r.exec.serveCatchup(b, r.cfg.Seq, after, orderOf); ok {
+			return outs
+		}
 	}
 	r.syncing[b] = true
 	r.snapXfer++
@@ -720,37 +718,45 @@ func (r *PBRReplica) onCatchupReq(q CatchupReq) []msg.Directive {
 		// on our CPU and a restart of the backup's assembly.
 		return nil
 	}
-	return r.repair(q.From, q.Since, true)
+	return r.repair(q.From, q.After, true)
 }
 
+// onCatchup applies the primary's journal records: the contiguous run
+// from Executed+1 is group-committed in one SQL-engine critical section
+// and journaled verbatim. A gap, a record that does not decode or a
+// request Apply refuses ends the run (the rest waits for a repair).
 func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 	if c.CfgSeq != r.cfg.Seq {
 		return nil
 	}
 	r.stuckTicks = 0
 	var outs []msg.Directive
-	// Collect the contiguous run of repairs starting at Executed+1 and
-	// group-commit it in one SQL-engine critical section; a gap in the
-	// repair stream or a request Apply refuses ends the run (the rest is
-	// unusable until repaired).
 	var reqs []TxRequest
-	for _, rep := range c.Txs {
-		if rep.Order <= r.exec.Executed+int64(len(reqs)) {
-			continue
-		}
-		if rep.Order != r.exec.Executed+int64(len(reqs))+1 || rep.Req.Seq < 0 {
+	var recs [][]byte
+	for _, rec := range c.Records {
+		var x execRecord
+		if store.DecodeRecord(rec, &x) != nil {
 			break
 		}
-		reqs = append(reqs, rep.Req)
+		next := r.exec.Executed + int64(len(reqs)) + 1
+		if x.Order < next {
+			continue
+		}
+		if x.Order != next || x.Req.Seq < 0 {
+			break
+		}
+		reqs = append(reqs, x.Req)
+		recs = append(recs, rec)
 	}
 	first := r.exec.Executed + 1
 	for i := range r.exec.ApplyBatch(reqs) {
 		// Ack each repaired transaction: the primary may hold a pending
 		// commit waiting on exactly this order (gap repair during normal
 		// processing, not just post-election catch-up).
-		r.applied(first+int64(i), reqs[i])
+		must(r.exec.st.Append(recs[i]))
 		outs = append(outs, r.ack(first+int64(i)))
 	}
+	r.exec.compactIfDue()
 	// Forwards parked behind the repaired gap may now be contiguous.
 	r.park.settle(r.exec.Executed)
 	outs = append(outs, r.drainRepl()...)
@@ -768,56 +774,29 @@ type execRecord struct {
 	Req   TxRequest
 }
 
-// logCacheSize bounds the transactions kept for backup catch-up ("each
-// replica only caches a limited number of executed transactions").
-const logCacheSize = 1024
-
-// applied journals a transaction the executor applied, on any path, if
-// the replica is durable — after its dedup record, so a compaction here
-// snapshots that too, and before the reply or ack — and caches it.
-func (r *PBRReplica) applied(order int64, req TxRequest) {
-	if st := r.exec.st; st != nil {
-		must(st.Append(store.EncodeRecord(execRecord{Order: order, Req: req})))
-		r.exec.compactIfDue()
-	}
-	r.cache(order, req)
+// orderOf reads a PBR journal record's order number and nothing else
+// (gob skips the fields its target lacks).
+func orderOf(rec []byte) (int64, bool) {
+	var u struct{ Order int64 }
+	return u.Order, store.DecodeRecord(rec, &u) == nil
 }
 
-// replayTx applies and caches a journaled transaction that is the next
-// order number; a pre-snapshot straggler or a duplicate is skipped.
+// applied journals a transaction the executor applied, on any path —
+// after its dedup record, so a compaction here snapshots that too, and
+// before the reply or ack.
+func (r *PBRReplica) applied(order int64, req TxRequest) {
+	must(r.exec.st.Append(store.EncodeRecord(execRecord{Order: order, Req: req})))
+	r.exec.compactIfDue()
+}
+
+// replayTx applies a journaled transaction that is the next order
+// number; a pre-snapshot straggler or a duplicate is skipped.
 func (r *PBRReplica) replayTx(rec execRecord) error {
 	if rec.Order != r.exec.Executed+1 {
 		return nil
 	}
 	_, err := r.exec.Apply(rec.Order, rec.Req)
-	if err == nil {
-		r.cache(rec.Order, rec.Req)
-	}
 	return err
-}
-
-// cache appends an applied transaction. The cache grows to twice
-// logCacheSize and then drops its older half in one copy, so an append
-// costs amortized O(1); the next appends overwrite the dropped slots.
-func (r *PBRReplica) cache(order int64, req TxRequest) {
-	if len(r.log) == 2*logCacheSize {
-		r.log = append(r.log[:0], r.log[logCacheSize:]...)
-	}
-	r.log = append(r.log, Repl{Order: order, Req: req})
-}
-
-// logFrom returns the cached transactions with order numbers > after,
-// or ok=false when the newest logCacheSize of them no longer reach back
-// that far (a state transfer is needed instead).
-func (r *PBRReplica) logFrom(after int64) ([]Repl, bool) {
-	if after >= r.exec.Executed {
-		return nil, true
-	}
-	recent := r.log[max(0, len(r.log)-logCacheSize):]
-	if len(recent) == 0 || after+1 < recent[0].Order {
-		return nil, false
-	}
-	return append([]Repl(nil), recent[after+1-recent[0].Order:]...), true
 }
 
 // inSync tells the primary this backup is up to date.
@@ -845,7 +824,6 @@ func (r *PBRReplica) installTransfer(a *snapAssembly) []msg.Directive {
 	if r.exec.install(a) != nil {
 		return nil
 	}
-	r.log = nil // the cached history is superseded
 	r.stopped = false
 	r.closeRecovery("pbr.recovered")
 	outs := []msg.Directive{r.inSync()}

@@ -34,8 +34,10 @@ type SMRReplica struct {
 	// active is false for a joining replica until its snapshot arrives.
 	active bool
 	// park holds deliveries made while inactive, and those that arrived
-	// past a gap while the slot catch-up fills it.
+	// past a gap while the slot catch-up fills it; gap paces the
+	// catch-up requests the latter trigger.
 	park reorder[broadcast.Deliver]
+	gap  gapPacer
 	// stepCost is the virtual CPU of the last step.
 	stepCost time.Duration
 	// peers are who a replica behind the order asks for its delta;
@@ -293,10 +295,10 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 		outs = r.installTransfer(a)
 	case HdrSnapEnd:
 		outs = r.installTransfer(r.exec.snapEnd(in.Body.(SnapEnd)))
-	case HdrSMRCatchupReq:
-		outs = r.onSMRCatchupReq(in.Body.(SMRCatchupReq))
-	case HdrSMRCatchup:
-		outs = r.onSMRCatchup(in.Body.(SMRCatchup))
+	case HdrCatchupReq:
+		outs = r.onCatchupReq(in.Body.(CatchupReq))
+	case HdrCatchup:
+		outs = r.onCatchup(in.Body.(Catchup))
 	case HdrRead:
 		outs = r.onRead(in.Body.(ReadRequest))
 	case HdrLeaseTick:
@@ -322,10 +324,13 @@ func (r *SMRReplica) onDeliver(d broadcast.Deliver) []msg.Directive {
 	}
 	if d.Slot > r.lastSlot+1 {
 		r.park[int64(d.Slot)] = d
+		if !r.gap.ask() {
+			return nil
+		}
 		lg.WithNode(r.slf).Infof("smr gap: got slot %d with frontier %d, requesting catch-up", d.Slot, r.lastSlot)
 		return r.requestCatchup()
 	}
-	return append(r.applySlot(d, false), r.drainParked()...)
+	return append(r.applySlot(d, nil, false), r.drainParked()...)
 }
 
 func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {

@@ -15,14 +15,23 @@ import (
 // with the slot as the ordered unit — the decided batch, verbatim,
 // journaled before it executes. After a crash a new incarnation over
 // the same store recovers locally and asks a peer only for the slots
-// ordered during its downtime (SMRCatchupReq/SMRCatchup); the peer
-// serves them from its own journal, or falls back to a full state
-// transfer when compaction has discarded the range.
+// ordered during its downtime; the peer serves them from its own
+// journal, or falls back to a full state transfer when compaction has
+// discarded the range. A volatile replica keeps no journal (its apply
+// must fit testdata/alloc_baseline.txt), so it always transfers.
 
-// walDeliver is the SMR journal record: one delivered slot.
+// walDeliver is the SMR journal record: one delivered slot. Its fields
+// are broadcast.Deliver's, so a record decodes into a Deliver too.
 type walDeliver struct {
 	Slot int
 	Msgs []broadcast.Bcast
+}
+
+// slotOf reads an SMR journal record's slot and nothing else (gob skips
+// the fields its target lacks).
+func slotOf(rec []byte) (int64, bool) {
+	var u struct{ Slot int64 }
+	return u.Slot, store.DecodeRecord(rec, &u) == nil
 }
 
 // NewDurableSMRReplica is OpenSMRReplica over st with peers. It stays
@@ -38,7 +47,7 @@ func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stab
 func (r *SMRReplica) replaySlot(w walDeliver) error {
 	if w.Slot == r.lastSlot+1 {
 		r.lastSlot = w.Slot
-		_ = r.applyBatch(broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
+		_ = r.applyBatch(broadcast.Deliver(w))
 	}
 	return nil
 }
@@ -103,12 +112,16 @@ func (r *SMRReplica) SetGroupCommit(every int, _ time.Duration) {
 }
 
 // applySlot executes the next slot — on a durable replica journaled
-// write-ahead, and compacted when due. quiet drops the client replies —
-// used for catch-up application, where the transactions were already
-// answered by live replicas.
-func (r *SMRReplica) applySlot(d broadcast.Deliver, quiet bool) []msg.Directive {
+// write-ahead, and compacted when due. rec is the slot's journal record
+// when the caller holds it already (a peer served it), nil to encode
+// it. quiet drops the client replies — used for catch-up application,
+// where the transactions were already answered by live replicas.
+func (r *SMRReplica) applySlot(d broadcast.Deliver, rec []byte, quiet bool) []msg.Directive {
 	if r.exec.st != nil {
-		must(r.exec.st.Append(store.EncodeRecord(walDeliver{Slot: d.Slot, Msgs: d.Msgs})))
+		if rec == nil {
+			rec = store.EncodeRecord(walDeliver(d))
+		}
+		must(r.exec.st.Append(rec))
 		mSMRAppends.Inc()
 	}
 	r.lastSlot = d.Slot
@@ -202,7 +215,8 @@ func (r *SMRReplica) drainParked() []msg.Directive {
 		if !ok {
 			return outs
 		}
-		outs = append(outs, r.applySlot(d, false)...)
+		r.gap = 0
+		outs = append(outs, r.applySlot(d, nil, false)...)
 	}
 }
 
@@ -211,71 +225,46 @@ func (r *SMRReplica) drainParked() []msg.Directive {
 func (r *SMRReplica) requestCatchup() []msg.Directive {
 	var outs []msg.Directive
 	for _, p := range r.peers {
-		outs = append(outs, msg.Send(p, msg.M(HdrSMRCatchupReq, SMRCatchupReq{From: r.slf, After: r.lastSlot})))
+		outs = append(outs, msg.Send(p, msg.M(HdrCatchupReq, CatchupReq{From: r.slf, After: int64(r.lastSlot)})))
 	}
 	return outs
 }
 
-// catchupChunk bounds the journal bytes one SMRCatchup message carries.
-// The journal grows with the database (store.Journal's rule), so a
-// delta can be many megabytes; the requester applies the chunks as they
-// arrive, in slot order.
-const catchupChunk = 1 << 20
-
-// onSMRCatchupReq serves a peer's delta request from the local journal,
-// or pushes a full state transfer when compaction discarded the range.
-func (r *SMRReplica) onSMRCatchupReq(q SMRCatchupReq) []msg.Directive {
+// onCatchupReq serves a peer's delta request from the local journal,
+// or pushes a full state transfer when the journal cannot.
+func (r *SMRReplica) onCatchupReq(q CatchupReq) []msg.Directive {
 	if !r.active || q.From == r.slf {
 		return nil
 	}
-	if r.exec.st != nil && q.After >= r.exec.snapAt {
-		var outs []msg.Directive
-		var ds []broadcast.Deliver
-		size := 0
-		flush := func() {
-			outs = append(outs, msg.Send(q.From, msg.M(HdrSMRCatchup, SMRCatchup{Delivers: ds})))
-			ds, size = nil, 0
-		}
-		err := r.exec.st.Replay(func(rec []byte) error {
-			var w walDeliver
-			if store.DecodeRecord(rec, &w) == nil && w.Slot > q.After {
-				if size > 0 && size+len(rec) > catchupChunk {
-					flush()
-				}
-				ds = append(ds, broadcast.Deliver{Slot: w.Slot, Msgs: w.Msgs})
-				size += len(rec)
-			}
-			return nil
-		})
-		if err == nil {
-			flush()
-			return outs
-		}
+	if outs, ok := r.exec.serveCatchup(q.From, 0, q.After, slotOf); ok {
+		return outs
 	}
-	// The journal no longer reaches back to After (or this replica is
-	// volatile): a full state transfer is needed. Under dynamic
-	// membership only the deterministic proposer pushes it — the
-	// requester asks every peer, and concurrent transfers from several
-	// of them would interleave their batches at the receiver. The other
-	// peers stay silent; the requester's delayed retry covers a lost
-	// push.
+	// Under dynamic membership only the deterministic proposer pushes
+	// it — the requester asks every peer, and concurrent transfers would
+	// interleave their batches at the receiver. The other peers stay
+	// silent; the requester's delayed retry covers a lost push.
 	if r.view != nil && r.slf != member.Proposer(r.view.Current(), q.From) {
 		return nil
 	}
 	return r.transferTo(q.From)
 }
 
-// onSMRCatchup applies a peer-served delta: contiguous slots are
-// journaled and executed (quietly — the live replicas already answered
-// these clients), out-of-order ones are parked.
-func (r *SMRReplica) onSMRCatchup(c SMRCatchup) []msg.Directive {
+// onCatchup applies a peer's journal records: the next slot is
+// journaled verbatim and executed (quietly — the live replicas already
+// answered these clients), a later one is parked, and a record that
+// does not decode ends the run.
+func (r *SMRReplica) onCatchup(c Catchup) []msg.Directive {
 	if !r.active {
 		return nil
 	}
 	var outs []msg.Directive
-	for _, d := range c.Delivers { // in slot order, as journaled
+	for _, rec := range c.Records { // in slot order, as journaled
+		var d broadcast.Deliver
+		if store.DecodeRecord(rec, &d) != nil {
+			break
+		}
 		if d.Slot == r.lastSlot+1 {
-			outs = append(outs, r.applySlot(d, true)...)
+			outs = append(outs, r.applySlot(d, rec, true)...)
 		} else if d.Slot > r.lastSlot {
 			r.park[int64(d.Slot)] = d
 		}

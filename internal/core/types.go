@@ -7,7 +7,7 @@
 //     service — new configurations are agreed through the broadcast, the
 //     new primary is the surviving replica with the highest executed
 //     sequence number, and lagging or fresh replicas are brought up to
-//     date with cached transactions or a full state transfer.
+//     date with the primary's journal tail or a full state transfer.
 //
 //   - SMR (smr.go): state machine replication where every transaction is
 //     ordered by the broadcast service and executed by every replica; the
@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
@@ -51,25 +50,16 @@ const (
 	HdrHBTick = "sdb.hbtick"
 	// HdrElect carries (config seq, executed seq) during primary election.
 	HdrElect = "sdb.elect"
-	// HdrCatchup carries missing transactions to a lagging backup.
-	HdrCatchup = "sdb.catchup"
-	// HdrCatchupReq is a backup's explicit request for missing
-	// transactions (a replication gap that retransmission-free forwarding
-	// would otherwise never repair).
+	// HdrCatchupReq / HdrCatchup are both protocols' catch-up: a replica
+	// behind the order asks a peer for the units after its frontier.
 	HdrCatchupReq = "sdb.catchupreq"
+	HdrCatchup    = "sdb.catchup"
 	// HdrSnapBegin / HdrSnapBatch / HdrSnapEnd carry a state transfer.
 	HdrSnapBegin = "sdb.snapbegin"
 	HdrSnapBatch = "sdb.snapbatch"
 	HdrSnapEnd   = "sdb.snapend"
 	// HdrRecovered is the backup's "I am up to date" signal.
 	HdrRecovered = "sdb.recovered"
-	// HdrSMRCatchupReq / HdrSMRCatchup carry the SMR delta protocol: a
-	// restarted replica that recovered from its local snapshot + journal
-	// asks a peer for the slots ordered during its downtime, and the peer
-	// answers with the decided batches (or falls back to a full state
-	// transfer when its own journal no longer reaches back that far).
-	HdrSMRCatchupReq = "sdb.smr.catchupreq"
-	HdrSMRCatchup    = "sdb.smr.catchup"
 	// HdrRead is a client read served locally by a replica (lease or
 	// follower mode), skipping the consensus round; HdrReadResult is the
 	// answer. HdrLeaseTick is the lease holder's local renewal timer.
@@ -263,25 +253,29 @@ type Elect struct {
 	HasData bool
 }
 
-// Catchup carries transactions a lagging backup is missing.
-type Catchup struct {
-	CfgSeq int
-	From   int64 // order number of the first entry
-	Txs    []Repl
-}
-
-// CatchupReq asks the primary for every transaction after Since. Backups
-// send it when a forward gap persists (lost Repl) and when configuration
-// gossip reveals they are behind an adopted configuration. While a state
-// transfer to the requester is already in flight the primary ignores
-// repeats; Resync overrides that and forces a fresh transfer — the
-// backup sets it after asking several times without seeing any transfer
-// traffic, which means the in-flight one was lost to the network.
+// CatchupReq asks a peer for every ordered unit after After, the
+// requester's Executed (PBR) or last contiguous slot (SMR). A PBR backup
+// asks the primary when a forward gap persists (lost Repl) and when
+// configuration gossip reveals it is behind an adopted configuration.
+// While a state transfer to the requester is in flight the primary
+// ignores repeats; Resync forces a fresh one — the backup sets it after
+// asking several times without seeing any transfer traffic. An SMR
+// replica asks every peer (CfgSeq and Resync unused).
 type CatchupReq struct {
 	CfgSeq int
 	From   msg.Loc
-	Since  int64
+	After  int64
 	Resync bool
+}
+
+// Catchup answers a CatchupReq with the server's journal records past
+// the requester's frontier, verbatim and in order (execRecord under PBR,
+// walDeliver under SMR), possibly over several messages; an empty one
+// says nothing is missing. A server whose journal no longer reaches back
+// that far sends a state transfer instead.
+type Catchup struct {
+	CfgSeq  int
+	Records [][]byte
 }
 
 // SnapBegin opens a state transfer. Xfer identifies the transfer: the
@@ -341,21 +335,6 @@ type SnapEnd struct {
 type Recovered struct {
 	CfgSeq int
 	From   msg.Loc
-}
-
-// SMRCatchupReq asks a peer replica for every slot after After. From is
-// the requester; After is the highest contiguous slot it has applied
-// (from local recovery, or the last delivery before a gap appeared).
-type SMRCatchupReq struct {
-	From  msg.Loc
-	After int
-}
-
-// SMRCatchup answers with the decided batches the requester is missing,
-// in slot order. A peer whose journal has been compacted past After
-// sends a state transfer (SnapBegin/SnapBatch/SnapEnd) instead.
-type SMRCatchup struct {
-	Delivers []broadcast.Deliver
 }
 
 // Config is a replica-group configuration: a sequence number and an

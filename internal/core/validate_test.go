@@ -89,7 +89,7 @@ func TestCheckSerializableCatchesClientOrderViolation(t *testing.T) {
 	r := soloPrimary(t)
 	submit(t, r, depositReq("a", 5, 0, 1))
 	// Manually force a lower client sequence number later in the log.
-	r.log = append(r.log, Repl{Order: 2, Req: depositReq("a", 3, 0, 1)})
+	must(r.exec.st.Append(orderRecord(2, depositReq("a", 3, 0, 1))))
 	r.exec.Executed = 2
 	err := CheckSerializable(BankRegistry(), setupBank10, r, nil)
 	if !errors.Is(err, ErrClientOrder) {
@@ -97,19 +97,21 @@ func TestCheckSerializableCatchesClientOrderViolation(t *testing.T) {
 	}
 }
 
-// A history longer than the catch-up cache cannot be replayed from it.
+// A history a compaction folded into a snapshot cannot be replayed
+// from the journal. Without a snapshot to outgrow, the journal compacts
+// at its floor of DefaultSnapEvery records.
 func TestCheckSerializableRefusesIncompleteLog(t *testing.T) {
 	r := soloPrimary(t)
 	var answered []TxResult
-	for seq := int64(1); seq <= logCacheSize; seq++ {
+	for seq := int64(1); seq < DefaultSnapEvery; seq++ {
 		answered = append(answered, submit(t, r, depositReq("a", seq, int(seq%10), 1)))
 	}
 	if err := CheckSerializable(BankRegistry(), setupBank10, r, answered); err != nil {
-		t.Fatalf("a history the cache holds whole: %v", err)
+		t.Fatalf("a history the journal holds whole: %v", err)
 	}
-	submit(t, r, depositReq("a", logCacheSize+1, 0, 1))
+	submit(t, r, depositReq("a", DefaultSnapEvery, 0, 1))
 	if err := CheckSerializable(BankRegistry(), setupBank10, r, answered); !errors.Is(err, ErrIncompleteLog) {
-		t.Errorf("a history one longer than the cache: err = %v, want ErrIncompleteLog", err)
+		t.Errorf("a history one past the compaction: err = %v, want ErrIncompleteLog", err)
 	}
 }
 

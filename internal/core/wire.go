@@ -9,10 +9,10 @@ import (
 
 // RegisterWireTypes registers ShadowDB bodies with the wire codec,
 // including the basic value types that travel inside TxRequest.Args and
-// result rows. The bodies of the transaction, lease-read and PBR
-// replication paths have frame codecs of their own (tags 0x10–0x1f,
-// DESIGN.md "Wire format and allocation hot path"); the rest travel
-// under the codec's gob fallback.
+// result rows. The bodies of the transaction, lease-read, PBR
+// replication and catch-up paths have frame codecs of their own (tags
+// 0x10–0x1f, DESIGN.md "Wire format and allocation hot path"); the rest
+// travel under the codec's gob fallback.
 func RegisterWireTypes() {
 	msg.RegisterBasics()
 	msg.RegisterCodec(0x10, TxRequest{}, AppendTxRequest, ReadTxRequest)
@@ -22,9 +22,11 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x14, Repl{}, appendRepl, readRepl)
 	msg.RegisterCodec(0x15, ReplAck{}, appendReplAck, readReplAck)
 	msg.RegisterCodec(0x16, Heartbeat{}, appendHeartbeat, readHeartbeat)
+	msg.RegisterCodec(0x17, CatchupReq{}, appendCatchupReq, readCatchupReq)
+	msg.RegisterCodec(0x18, Catchup{}, appendCatchup, readCatchup)
 	for _, v := range []any{
-		Redirect{}, HBTick{}, NewConfig{}, Elect{}, Catchup{}, CatchupReq{}, SnapBegin{}, SnapBatch{},
-		SnapEnd{}, Recovered{}, ClientRetryBody{}, SMRCatchupReq{}, SMRCatchup{}, LeaseTick{}, SyncTick{},
+		Redirect{}, HBTick{}, NewConfig{}, Elect{}, SnapBegin{}, SnapBatch{},
+		SnapEnd{}, Recovered{}, ClientRetryBody{}, LeaseTick{}, SyncTick{},
 	} {
 		msg.RegisterBody(v)
 	}
@@ -131,4 +133,34 @@ func appendHeartbeat(w *msg.Writer, hb Heartbeat) {
 
 func readHeartbeat(r *msg.Reader) Heartbeat {
 	return Heartbeat{From: r.Loc(), CfgSeq: r.Int(), Members: r.Locs(), Stopped: r.Bool(), Elected: r.Bool()}
+}
+
+func appendCatchupReq(w *msg.Writer, q CatchupReq) {
+	w.Int(q.CfgSeq)
+	w.Loc(q.From)
+	w.Int64(q.After)
+	w.Bool(q.Resync)
+}
+
+func readCatchupReq(r *msg.Reader) CatchupReq {
+	return CatchupReq{CfgSeq: r.Int(), From: r.Loc(), After: r.Int64(), Resync: r.Bool()}
+}
+
+func appendCatchup(w *msg.Writer, c Catchup) {
+	w.Int(c.CfgSeq)
+	w.Uvarint(uint64(len(c.Records)))
+	for _, rec := range c.Records {
+		w.Bytes(rec)
+	}
+}
+
+func readCatchup(r *msg.Reader) Catchup {
+	c := Catchup{CfgSeq: r.Int()}
+	if n := r.Count(1); n > 0 {
+		c.Records = make([][]byte, n)
+		for i := range c.Records {
+			c.Records[i] = r.Bytes()
+		}
+	}
+	return c
 }

@@ -11,7 +11,7 @@ import (
 
 // fallbackBody is a body with no frame codec: it travels under the gob
 // fallback.
-var fallbackBody = core.SMRCatchupReq{From: "r2", After: 17}
+var fallbackBody = core.Recovered{CfgSeq: 17, From: "r2"}
 
 // sampleFrames encodes one frame per sample body, one for the fallback
 // and one batch of them all.

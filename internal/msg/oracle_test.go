@@ -52,6 +52,9 @@ func samples() []any {
 		core.ReplAck{}, core.ReplAck{CfgSeq: -2, Order: 8, From: "r2"},
 		core.Heartbeat{}, core.Heartbeat{Members: []msg.Loc{}},
 		core.Heartbeat{From: "r1", CfgSeq: 3, Members: []msg.Loc{"r1", "", "r3"}, Stopped: true, Elected: true},
+		core.CatchupReq{}, core.CatchupReq{CfgSeq: -1, From: "r2", After: math.MinInt64, Resync: true},
+		core.Catchup{}, core.Catchup{Records: [][]byte{}},
+		core.Catchup{CfgSeq: 4, Records: [][]byte{{}, nil, []byte("\x00rec\xff"), make([]byte, 300)}},
 		broadcast.Bcast{}, broadcast.Bcast{Payload: []byte{}}, bc,
 		broadcast.Deliver{}, broadcast.Deliver{Msgs: []broadcast.Bcast{}},
 		broadcast.Deliver{Slot: math.MaxInt, Msgs: []broadcast.Bcast{{}, bc, {From: "c2", Seq: -1}}},

@@ -234,8 +234,8 @@ func TestReplicaWaitsOutAGap(t *testing.T) {
 		switch {
 		case o.M.Hdr == core.HdrTxResult:
 			t.Errorf("slot 3 answered a client before slots 0–2 were applied: %v", o)
-		case o.M.Hdr == core.HdrSMRCatchupReq && o.Dest == ReplicaLoc(0, 1):
-			asked = o.M.Body.(core.SMRCatchupReq).After == -1
+		case o.M.Hdr == core.HdrCatchupReq && o.Dest == ReplicaLoc(0, 1):
+			asked = o.M.Body.(core.CatchupReq).After == -1
 		}
 	}
 	if !asked {
@@ -265,7 +265,7 @@ func TestReplicaWaitsOutAGap(t *testing.T) {
 func TestReplicaTransferCarriesTheLedger(t *testing.T) {
 	src := testReplica(t, 0)
 	deliver(t, src, 0, EncodePrepare(debit("ta", 600)))
-	_, xfer := src.Step(msg.M(core.HdrSMRCatchupReq, core.SMRCatchupReq{From: ReplicaLoc(0, 1), After: -1}))
+	_, xfer := src.Step(msg.M(core.HdrCatchupReq, core.CatchupReq{From: ReplicaLoc(0, 1), After: -1}))
 	dst := testReplica(t, 0)
 	for _, o := range xfer {
 		dst.Step(o.M)

@@ -57,7 +57,9 @@ type Stable interface {
 	// storage when Append returns.
 	Append(rec []byte) error
 	// Replay calls fn for every record appended after the last saved
-	// snapshot, in append order. It returns fn's first error.
+	// snapshot, in append order. It returns fn's first error. fn may
+	// keep rec: a store never reuses a record's bytes (a peer's
+	// catch-up is served the records as they are).
 	Replay(fn func(rec []byte) error) error
 	// SaveSnapshot atomically replaces the snapshot and truncates the
 	// log records it covers (everything appended so far).
