@@ -14,6 +14,7 @@ import (
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
+	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
@@ -100,19 +101,38 @@ func slotRecord(slot int, msgs ...broadcast.Bcast) []byte {
 	}{slot, msgs})
 }
 
+// headerPart is the first part of a state transfer from a replica whose
+// newest result for client c1 is the one of its request seq.
+func headerPart(t *testing.T, seq int64) msg.Msg {
+	t.Helper()
+	db, err := sqldb.Open("h2:mem:flight-xfer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.BankSetup(db, 2); err != nil {
+		t.Fatal(err)
+	}
+	e := core.NewExecutor(db, core.BankRegistry())
+	if _, err := e.Apply(1, core.TxRequest{Client: "c1", Seq: seq, Type: "deposit", Args: []any{1, 5}}); err != nil {
+		t.Fatal(err)
+	}
+	parts, _ := e.SnapshotDirectives("r3", 0, 1)
+	return parts[0].M
+}
+
 // A replica may acknowledge what reached it through journal catch-up or
-// through a state transfer's Recent results, not only live deliveries.
-// A catch-up record that is not an SMR slot credits nothing.
+// through the Recent results of a state transfer's header, not only
+// live deliveries. A catch-up record that is not an SMR slot, or a
+// header part that does not decode, credits nothing.
 func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
 	catchup := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{slotRecord(1, two)}})
-	snapEnd := msg.M(core.HdrSnapEnd, core.SnapEnd{Recent: []core.TxResult{{Client: "c1", Seq: 7}}})
 	out, err := check(bundlesOf(
 		step("r2", deliver(0, one), ack("c1", 1)),
 		step("r2", catchup),
 		step("r2", noop, ack("c1", 2)),
 		step("r3", deliver(0, one)),
-		step("r3", snapEnd),
+		step("r3", headerPart(t, 7)),
 		step("r3", noop, ack("c1", 7)),
 	))
 	if err != nil {
@@ -127,6 +147,17 @@ func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	))
 	if err == nil || !strings.Contains(out, "VIOLATION: shadowdb/durability") {
 		t.Fatalf("an ack credited by an undecodable catch-up record not flagged: err=%v\n%s", err, out)
+	}
+
+	hdr := headerPart(t, 7).Body.(core.SnapPart)
+	hdr.Bytes = hdr.Bytes[:len(hdr.Bytes)-1]
+	out, err = check(bundlesOf(
+		step("r3", deliver(0, one)),
+		step("r3", msg.M(core.HdrSnapPart, hdr)),
+		step("r3", noop, ack("c1", 7)),
+	))
+	if err == nil || !strings.Contains(out, "VIOLATION: shadowdb/durability") {
+		t.Fatalf("an ack credited by a cut state-transfer header not flagged: err=%v\n%s", err, out)
 	}
 }
 

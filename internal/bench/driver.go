@@ -240,29 +240,11 @@ func lanLink(msg.Loc, msg.Loc) des.LinkSpec {
 	return des.LinkSpec{Latency: 100 * time.Microsecond, Bandwidth: 125_000_000} // 1 Gb/s
 }
 
-// wireSize approximates serialized message sizes for bandwidth modeling.
+// wireSize approximates serialized message sizes for bandwidth modeling:
+// a state-transfer part is its bytes, everything else 200.
 func wireSize(m msg.Msg) int {
-	switch body := m.Body.(type) {
-	case core.SnapBatch:
-		n := 64
-		for _, row := range body.Rows {
-			n += rowWire(row)
-		}
-		return n
-	default:
-		return 200
+	if p, ok := m.Body.(core.SnapPart); ok {
+		return 64 + len(p.Bytes)
 	}
-}
-
-func rowWire(row []any) int {
-	n := 8
-	for _, v := range row {
-		switch x := v.(type) {
-		case string:
-			n += len(x)
-		default:
-			n += 8
-		}
-	}
-	return n
+	return 200
 }

@@ -263,7 +263,7 @@ func TestPBRLogFrom(t *testing.T) {
 				for _, after := range []int64{-1, snapAt - 1, snapAt, hi - 1, hi, hi + 1} {
 					outs := ask(after)
 					if after < snapAt {
-						if len(outs) == 0 || outs[0].M.Hdr != HdrSnapBegin || outs[0].Dest != "r2" {
+						if len(outs) == 0 || outs[0].M.Hdr != HdrSnapPart || outs[0].Dest != "r2" {
 							t.Errorf("after %d (snapshot at %d): answered %v, want a state transfer to r2", after, snapAt, outs)
 						}
 						continue
@@ -419,10 +419,11 @@ func hostileRecords(t testing.TB, b []byte) [][]byte {
 }
 
 // stepCatchup steps a durable PBR backup and a durable SMR replica with
-// one Catchup of hostile records. Neither may panic, and each must have
-// journaled exactly what it applied: it serves back the units after its
-// snapshot up to its frontier, in order, and a new incarnation over its
-// store recovers its frontier and rows.
+// one Catchup of hostile records, then with hostile state-transfer
+// parts (stepParts). Neither may panic, and each must have journaled
+// exactly what it applied: it serves back the units after its snapshot
+// up to its frontier, in order, and a new incarnation over its store
+// recovers its frontier and rows.
 func stepCatchup(t *testing.T, b []byte) {
 	c := Catchup{Records: hostileRecords(t, b)}
 	if len(b) > 0 && b[0]&0x80 != 0 {
@@ -440,6 +441,8 @@ func stepCatchup(t *testing.T, b []byte) {
 	}
 	pbr.Step(msg.M(HdrCatchup, c))
 	smr.Step(msg.M(HdrCatchup, c))
+	stepParts(t, "pbr", b, pbr.exec, func(m msg.Msg) { pbr.Step(m) })
+	stepParts(t, "smr", b, smr.exec, func(m msg.Msg) { smr.Step(m) })
 	for _, sv := range []struct {
 		name     string
 		e        *Executor

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,10 +24,10 @@ import (
 // ahead of the frontier, catch-up from the journal tail, and both
 // directions of state transfer.
 
-// snapHeader is the header of a durable snapshot (the database image
-// follows it, see encodeSnapshot) and what a SnapEnd carries besides
-// rows: the ordering frontier the image reflects, the dedup horizon and
-// recent results, and the membership epoch schedule in force there. The
+// snapHeader is the header of a durable snapshot and of a state
+// transfer (the database image follows it, see encodeSnapshot): the
+// ordering frontier the image reflects, the dedup horizon and recent
+// results, and the membership epoch schedule in force there. The
 // schedule must be here: a membership command compacted into the
 // snapshot is never replayed, so without it a restarted replica would
 // recover the rows of epoch N while believing itself in epoch 0 — and,
@@ -35,12 +36,18 @@ import (
 type snapHeader struct {
 	// Slot is the ordering frontier: the last slot (SMR) or the last
 	// order number (PBR, where it equals Executed).
-	Slot     int
+	Slot int
+	// Executed and LastSeq are the dedup horizon: without them a
+	// receiver would re-execute a client retry that the sender
+	// deduplicates, silently diverging from it.
 	Executed int64
 	LastSeq  map[string]int64
-	Recent   []TxResult
-	Epochs   []member.Config
-	Joined   map[msg.Loc]int
+	// Recent is the newest cached result per client, so a receiver that
+	// later becomes the lease holder can re-emit acks for writes it never
+	// executed locally (see SMRReplica.reAck).
+	Recent []TxResult
+	Epochs []member.Config
+	Joined map[msg.Loc]int
 	// Ext is an SMR extension's state (SMRExtension.Snapshot), opaque
 	// here: a shard replica's 2PC ledger.
 	Ext []byte
@@ -117,12 +124,11 @@ func (e *Executor) Compact() error {
 // as records of the same codec.
 func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 	return e.st.Recover(func(snap []byte) error {
-		var h snapHeader
-		if err := restoreSnapshot(snap, &h, e.DB); err != nil {
+		h, img, err := splitSnapshot(snap)
+		if err != nil {
 			return err
 		}
-		e.snapAt = h.Slot
-		return e.adoptHeader(h)
+		return e.restore(h, img)
 	}, replay)
 }
 
@@ -236,138 +242,108 @@ func (e *Executor) serveCatchup(to msg.Loc, cfgSeq int, after int64, unit func(r
 	return outs, true
 }
 
-// SnapshotDirectives builds the full state-transfer message sequence
-// (SnapBegin, batched SnapBatch, SnapEnd) from the executor's state to
-// a destination, returning the modeled sender-side serialization cost —
-// proportional to rows times columns, as the paper observes for TPC-C
-// ("serialization overhead is proportional to the number of table
-// columns"). xfer identifies the transfer at the receiver (see
-// SnapBegin).
+// SnapshotDirectives sends the executor's state to a destination as
+// the snapshot a compaction would write, in SnapParts: the header part,
+// then the image in parts of at most catchupChunk. It returns the
+// modeled sender-side serialization cost — rows times columns, as the
+// paper observes for TPC-C ("serialization overhead is proportional to
+// the number of table columns"). xfer identifies the transfer at the
+// receiver (see SnapPart). It leaves snapAt alone: what the journal can
+// serve does not change.
 func (e *Executor) SnapshotDirectives(to msg.Loc, cfgSeq int, xfer int64) ([]msg.Directive, time.Duration) {
-	h := e.header()
-	dumps := e.DB.Snapshot()
-	eng := e.DB.Engine()
-	schemas := make([]sqldb.CreateTable, len(dumps))
-	for i, d := range dumps {
-		schemas[i] = d.Schema
+	snap := encodeSnapshot(e.header(), e.DB)
+	end, _ := snapHeaderEnd(snap)
+	parts := [][]byte{snap[:end]}
+	for img := snap[end:]; len(img) > 0; {
+		n := min(len(img), catchupChunk)
+		parts, img = append(parts, img[:n]), img[n:]
 	}
-	outs := []msg.Directive{msg.Send(to, msg.M(HdrSnapBegin, SnapBegin{
-		CfgSeq: cfgSeq, Xfer: xfer, Schemas: schemas, Order: int64(h.Slot),
-	}))}
-	var cost time.Duration
-	n := 0
-	for _, d := range dumps {
-		cols := len(d.Schema.Cols)
-		for _, batch := range sqldb.SplitBatches(d, 0) {
-			outs = append(outs, msg.Send(to, msg.M(HdrSnapBatch, SnapBatch{
-				CfgSeq: cfgSeq, Xfer: xfer, Table: batch.Table, Rows: batch.Rows, N: n,
-			})))
-			n++
-			cost += time.Duration(len(batch.Rows)*cols) * eng.PerColSerialize
-		}
+	outs := make([]msg.Directive, len(parts))
+	for i, p := range parts {
+		outs[i] = msg.Send(to, msg.M(HdrSnapPart, SnapPart{CfgSeq: cfgSeq, Xfer: xfer, N: i, Of: len(parts), Bytes: p}))
 	}
-	outs = append(outs, msg.Send(to, msg.M(HdrSnapEnd, SnapEnd{
-		CfgSeq: cfgSeq, Xfer: xfer, Order: int64(h.Slot), Batches: n,
-		Executed: h.Executed, LastSeq: h.LastSeq, Recent: h.Recent,
-		Epochs: h.Epochs, Joined: h.Joined, Ext: h.Ext,
-	})))
-	return outs, cost
+	return outs, e.DB.SerializeCost()
 }
 
-// snapAssembly collects one incoming state transfer. The network may
-// drop, duplicate and reorder its messages, and a sender may start a
-// replacement while stragglers of the lost one are still in flight.
+// snapAssembly collects the parts of one incoming state transfer. The
+// network may drop, duplicate and reorder them, and a sender may start
+// a replacement while stragglers of the lost one are still in flight.
 type snapAssembly struct {
-	begin SnapBegin
-	rows  map[string][][]sqldb.Value
-	// seen dedups batches by index: a duplicated SnapBatch must neither
-	// double its rows nor let the assembly complete with another batch
-	// still missing.
-	seen map[int]bool
-	// end holds the SnapEnd once it arrived, possibly before all batches.
-	end *SnapEnd
+	xfer int64
+	of   int
+	// parts holds the parts taken, by index, so a duplicate cannot let
+	// the assembly complete with another part still missing. It is nil
+	// once the transfer is assembled.
+	parts map[int][]byte
 }
 
-// snapBegin opens the assembly of an incoming transfer and reports
-// whether it did: a duplicate or stale begin — numbered at or below the
-// transfer being assembled — keeps the assembly in progress.
-func (e *Executor) snapBegin(s SnapBegin) bool {
-	if a := e.xfer; a != nil && s.Xfer <= a.begin.Xfer {
-		return false
-	}
-	e.xfer = &snapAssembly{begin: s, rows: make(map[string][][]sqldb.Value), seen: make(map[int]bool)}
-	return true
+// receiving reports whether a state transfer is being assembled.
+func (e *Executor) receiving() bool {
+	return e.xfer != nil && e.xfer.parts != nil
 }
 
-// snapBatch adds one batch to the assembly, dropping duplicates and
-// stragglers of a superseded transfer. It returns the assembly when
-// this batch completed it, and the modeled receive-side insertion cost:
-// row insertion is the state-transfer bottleneck (Fig. 10b), a per-row
-// floor plus a per-byte component for wide rows.
-func (e *Executor) snapBatch(b SnapBatch) (*snapAssembly, time.Duration) {
+// snapPart adds one part to the assembly and reports whether it took
+// it, with the assembled snapshot once the last part arrived. A part
+// numbered above the transfer being assembled supersedes it; one below
+// it, of an assembled transfer, of another shape or out of range is
+// dropped. The assembly allocates only for parts that arrive, never by
+// a peer's Of.
+func (e *Executor) snapPart(p SnapPart) (bool, []byte) {
 	a := e.xfer
-	if a == nil || b.CfgSeq != a.begin.CfgSeq || b.Xfer != a.begin.Xfer || a.seen[b.N] {
-		return nil, 0
+	switch {
+	case p.N < 0 || p.N >= p.Of:
+		return false, nil
+	case a == nil || p.Xfer > a.xfer:
+		a = &snapAssembly{xfer: p.Xfer, of: p.Of, parts: make(map[int][]byte)}
+		e.xfer = a
+	case p.Xfer < a.xfer || a.parts == nil || p.Of != a.of:
+		return false, nil
 	}
-	a.seen[b.N] = true
-	a.rows[b.Table] = append(a.rows[b.Table], b.Rows...)
-	eng := e.DB.Engine()
-	cost := time.Duration(len(b.Rows)) * eng.RestoreRowCost
-	for _, row := range b.Rows {
-		cost += time.Duration(sqldb.RowBytes(row)) * eng.RestoreByteCost
+	a.parts[p.N] = p.Bytes
+	if len(a.parts) < a.of {
+		return true, nil
 	}
-	return e.assembled(), cost
+	ordered := make([][]byte, a.of) // a.of parts arrived
+	for i, b := range a.parts {
+		ordered[i] = b
+	}
+	a.parts = nil
+	return true, bytes.Join(ordered, nil)
 }
 
-// snapEnd records the transfer's end and returns the assembly when no
-// batch is still in flight.
-func (e *Executor) snapEnd(s SnapEnd) *snapAssembly {
-	a := e.xfer
-	if a == nil || s.CfgSeq != a.begin.CfgSeq || s.Xfer != a.begin.Xfer {
-		return nil
-	}
-	a.end = &s
-	return e.assembled()
-}
-
-// assembled detaches and returns the assembly once its end and every
-// batch it announces have arrived.
-func (e *Executor) assembled() *snapAssembly {
-	a := e.xfer
-	if a.end == nil || len(a.seen) < a.end.Batches {
-		return nil
-	}
-	e.xfer = nil
-	return a
-}
-
-// install replaces the executor's whole state with a completed
-// transfer — rows, execution frontier, dedup horizon, the protocol's
-// share — and makes the result the store's new baseline: the journal
-// describes a history the transfer superseded, and a restart must
-// recover this state, not resurrect that one.
-func (e *Executor) install(a *snapAssembly) error {
-	dumps := make([]sqldb.TableDump, len(a.begin.Schemas))
-	for i, sc := range a.begin.Schemas {
-		dumps[i] = sqldb.TableDump{Schema: sc, Rows: a.rows[sc.Name]}
+// restore installs a snapshot's image and adopts its header: recovery
+// does it with the store's snapshot, install with a transfer's. An
+// image that does not decode, or whose schema the engine refuses,
+// leaves the database as it was.
+func (e *Executor) restore(h snapHeader, img []byte) error {
+	dumps, err := sqldb.DecodeDump(img)
+	if err != nil {
+		return err
 	}
 	if err := e.DB.Restore(dumps); err != nil {
 		return err
 	}
-	s := a.end
-	if err := e.adoptHeader(snapHeader{
-		Slot: int(s.Order), Executed: s.Executed, LastSeq: s.LastSeq, Recent: s.Recent,
-		Epochs: s.Epochs, Joined: s.Joined, Ext: s.Ext,
-	}); err != nil {
-		return err
-	}
-	must(e.Compact())
-	return nil
+	e.snapAt = h.Slot
+	return e.adoptHeader(h)
 }
 
-// A durable snapshot is a small gob-encoded snapHeader followed by the
-// database image, written straight off the tables' indexes by
-// sqldb.AppendDump:
+// install replaces the executor's whole state with an assembled
+// transfer, restored as Recover restores a snapshot, and makes the
+// result the store's new baseline: the journal describes a history the
+// transfer superseded, and a restart must recover this state, not
+// resurrect that one. It returns the modeled receive-side insertion
+// cost: row insertion is the state-transfer bottleneck (Fig. 10b).
+func (e *Executor) install(h snapHeader, img []byte) (time.Duration, error) {
+	if err := e.restore(h, img); err != nil {
+		return 0, err
+	}
+	must(e.Compact())
+	return e.DB.RestoreCost(), nil
+}
+
+// A durable snapshot — and a state transfer, which sends the same
+// bytes — is a small gob-encoded snapHeader followed by the database
+// image, written straight off the tables' indexes by sqldb.AppendDump:
 //
 //	"SNP2" | 4-byte big-endian header length | header | image
 //
@@ -381,24 +357,32 @@ func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
 	return db.AppendDump(append(buf, h...))
 }
 
-// restoreSnapshot decodes a snapshot's header into hdr and installs its
-// database image in db.
-func restoreSnapshot(b []byte, hdr *snapHeader, db *sqldb.DB) error {
+// snapHeaderEnd returns where a snapshot's header ends and its image
+// begins.
+func snapHeaderEnd(b []byte) (int, error) {
 	n := len(snapMagic)
 	if len(b) < n+4 || string(b[:n]) != snapMagic {
-		return errors.New("not a snapshot in the current format")
+		return 0, errors.New("not a snapshot in the current format")
 	}
 	hlen := binary.BigEndian.Uint32(b[n:])
-	body := b[n+4:]
-	if uint64(hlen) > uint64(len(body)) {
-		return errors.New("truncated snapshot header")
+	if uint64(hlen) > uint64(len(b)-n-4) {
+		return 0, errors.New("truncated snapshot header")
 	}
-	if err := store.DecodeRecord(body[:hlen], hdr); err != nil {
-		return fmt.Errorf("snapshot header: %w", err)
-	}
-	dumps, err := sqldb.DecodeDump(body[hlen:])
+	return n + 4 + int(hlen), nil
+}
+
+// splitSnapshot decodes a snapshot's header and returns it with the
+// database image behind it. Recovery reads the store's snapshot through
+// it, a receiver an assembled transfer, and the checker a transfer's
+// header part alone.
+func splitSnapshot(b []byte) (snapHeader, []byte, error) {
+	var h snapHeader
+	end, err := snapHeaderEnd(b)
 	if err != nil {
-		return err
+		return h, nil, err
 	}
-	return db.Restore(dumps)
+	if err := store.DecodeRecord(b[len(snapMagic)+4:end], &h); err != nil {
+		return h, nil, fmt.Errorf("snapshot header: %w", err)
+	}
+	return h, b[end:], nil
 }

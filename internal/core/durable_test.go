@@ -173,7 +173,7 @@ func TestDurableSMRDeltaSnapshotFallback(t *testing.T) {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
 	_, reply := r1.Step(msg.M(HdrCatchupReq, CatchupReq{From: "r2", After: 1}))
-	if len(reply) < 3 || reply[0].M.Hdr != HdrSnapBegin {
+	if len(reply) < 2 || reply[0].M.Hdr != HdrSnapPart {
 		t.Fatalf("compacted peer answered %v, want a state transfer", reply[0].M.Hdr)
 	}
 
@@ -222,8 +222,8 @@ func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 		stepDeliver(r1, depositDeliver(t, s))
 	}
 	xfer := r1.transferTo("r2")
-	if len(xfer) < 3 || len(stale) != len(xfer) {
-		t.Fatalf("transfers have %d and %d messages, want the same begin+batches+end", len(stale), len(xfer))
+	if len(xfer) < 2 || len(stale) != len(xfer) {
+		t.Fatalf("transfers have %d and %d messages, want the same header+image parts", len(stale), len(xfer))
 	}
 
 	db2 := emptyDB(t, "dup-r2")
@@ -245,41 +245,35 @@ func TestSMRJoiningSnapshotDuplicated(t *testing.T) {
 	}
 }
 
-// A dropped batch followed by a retransmission of the missing batch
-// must still complete with exactly one copy of every row.
+// A dropped part followed by a retransmission of the missing part must
+// still complete with exactly one copy of every row.
 func TestSMRJoiningSnapshotDroppedThenRetransmitted(t *testing.T) {
 	db1 := bankDB(t, "drop-r1", 120)
 	r1 := openSMR(t, "r1", db1, false)
 	xfer := r1.transferTo("r2")
 
-	// Find a batch to drop (the second message is the first SnapBatch).
-	dropIdx := -1
-	for i, o := range xfer {
-		if o.M.Hdr == HdrSnapBatch {
-			dropIdx = i
-			break
-		}
-	}
-	if dropIdx < 0 {
-		t.Fatal("transfer carries no batches; grow the table")
+	// Drop the first image part (the header part comes before it).
+	dropIdx := 1
+	if len(xfer) <= dropIdx {
+		t.Fatal("transfer carries no image part")
 	}
 
 	db2 := emptyDB(t, "drop-r2")
 	r2 := openSMR(t, "r2", db2, true)
 	for i, o := range xfer {
 		if i == dropIdx {
-			continue // the network ate this batch
+			continue // the network ate this part
 		}
 		r2.Step(o.M)
 	}
 	if r2.Active() {
-		t.Fatal("assembly completed with a batch missing")
+		t.Fatal("assembly completed with a part missing")
 	}
-	// The sender retransmits the missing batch; the SnapEnd already
+	// The sender retransmits the missing part; every other part already
 	// arrived, so its arrival completes the assembly.
 	r2.Step(xfer[dropIdx].M)
 	if !r2.Active() {
-		t.Fatal("retransmitted batch did not complete the assembly")
+		t.Fatal("retransmitted part did not complete the assembly")
 	}
 	if !sqldb.Equal(db1, db2) {
 		t.Error("retransmitted transfer corrupted the joined state")

@@ -296,13 +296,19 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 func (e *Executor) InstallSnapshot(order int64, lastSeq map[string]int64, recent []TxResult) {
 	e.Executed = order
 	e.cstates = make(map[string]*clientState)
+	// A negative sequence number is never recorded (Duplicate refuses
+	// it), so one in a snapshot's header is dropped, not indexed.
 	for c, s := range lastSeq {
-		e.state(msg.Loc(c)).lastSeq = s
+		if s >= 0 {
+			e.state(msg.Loc(c)).lastSeq = s
+		}
 	}
 	// Without the results a restarted or newly joined lease holder could
 	// re-ack only what it executed locally; with them it can answer for
 	// writes that reached it inside the snapshot.
 	for _, res := range recent {
-		e.record(TxRequest{Client: res.Client, Seq: res.Seq}, res)
+		if res.Seq >= 0 {
+			e.record(TxRequest{Client: res.Client, Seq: res.Seq}, res)
+		}
 	}
 }

@@ -53,18 +53,24 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	f.Add(store.EncodeRecord(struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		db := bankDB(t, "fuzz", 3)
-		before := db.AppendDump(nil)
-		var h snapHeader
-		if err := restoreSnapshot(b, &h, db); err != nil {
-			if !bytes.Equal(before, db.AppendDump(nil)) {
+		e := NewExecutor(bankDB(t, "fuzz", 3), BankRegistry())
+		before := e.DB.AppendDump(nil)
+		h, img, err := splitSnapshot(b)
+		if err == nil {
+			err = e.restore(h, img)
+		}
+		if err != nil {
+			if !bytes.Equal(before, e.DB.AppendDump(nil)) {
 				t.Errorf("rejected snapshot (%v) changed the database: %q", err, b)
 			}
 			return
 		}
-		var h2 snapHeader
-		db2 := emptyDB(t, "fuzz2")
-		if err := restoreSnapshot(encodeSnapshot(h, db), &h2, db2); err != nil || !sqldb.Equal(db, db2) {
+		e2 := NewExecutor(emptyDB(t, "fuzz2"), BankRegistry())
+		h2, img2, err := splitSnapshot(encodeSnapshot(h, e.DB))
+		if err == nil {
+			err = e2.restore(h2, img2)
+		}
+		if err != nil || !sqldb.Equal(e.DB, e2.DB) {
 			t.Errorf("accepted snapshot does not round-trip (%v): %q", err, b)
 		}
 		if !reflect.DeepEqual(h, h2) {

@@ -205,13 +205,16 @@ func (c *Checks) foldDelivered(e *verify.Event) {
 				}
 			}
 		}
-	case SnapEnd:
-		// A state transfer carries the sender's newest cached result per
-		// client; the receiver may re-acknowledge exactly those after
-		// becoming the lease holder.
-		if e.In.Hdr == HdrSnapEnd {
-			for _, res := range b.Recent {
-				credit(TxRequest{Client: res.Client, Seq: res.Seq}.Key())
+	case SnapPart:
+		// A state transfer's header part carries the sender's newest
+		// cached result per client; the receiver may re-acknowledge
+		// exactly those after becoming the lease holder. Bytes that do
+		// not decode as a header credit nothing.
+		if e.In.Hdr == HdrSnapPart && b.N == 0 {
+			if h, _, err := splitSnapshot(b.Bytes); err == nil {
+				for _, res := range h.Recent {
+					credit(TxRequest{Client: res.Client, Seq: res.Seq}.Key())
+				}
 			}
 		}
 	}

@@ -74,10 +74,8 @@ func init() {
 			f.Ballot = int64(b.CfgSeq)
 		case Redirect:
 			f.Ballot = int64(b.CfgSeq)
-		case SnapBegin:
-			f.Slot, f.Ballot = b.Order, int64(b.CfgSeq)
-		case SnapEnd:
-			f.Slot, f.Ballot = b.Order, int64(b.CfgSeq)
+		case SnapPart:
+			f.Ballot = int64(b.CfgSeq)
 		default:
 			return obs.Fields{}, false
 		}

@@ -195,16 +195,8 @@ func (r *PBRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 		outs = r.onCatchup(in.Body.(Catchup))
 	case HdrCatchupReq:
 		outs = r.onCatchupReq(in.Body.(CatchupReq))
-	case HdrSnapBegin:
-		if s := in.Body.(SnapBegin); s.CfgSeq == r.cfg.Seq && r.exec.snapBegin(s) {
-			r.stuckTicks = 0
-		}
-	case HdrSnapBatch:
-		a, cost := r.exec.snapBatch(in.Body.(SnapBatch))
-		r.stepCost += cost
-		outs = r.installTransfer(a)
-	case HdrSnapEnd:
-		outs = r.installTransfer(r.exec.snapEnd(in.Body.(SnapEnd)))
+	case HdrSnapPart:
+		outs = r.onSnapPart(in.Body.(SnapPart))
 	case HdrRecovered:
 		outs = r.onRecovered(in.Body.(Recovered))
 	}
@@ -282,7 +274,7 @@ func (r *PBRReplica) onRepl(rep Repl) []msg.Directive {
 	if rep.CfgSeq != r.cfg.Seq {
 		return nil // backups only accept matching configuration tags
 	}
-	if r.exec.xfer != nil {
+	if r.exec.receiving() {
 		// Receiving a snapshot: park and apply afterwards.
 		r.park[rep.Order] = rep
 		return nil
@@ -434,14 +426,14 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 		// wait for a reconfiguration that may never have been agreed.
 		delete(r.suspected, hb.From)
 		traceRecovery(r.slf, "pbr.unsuspect", r.cfg.Seq, "peer="+string(hb.From))
-		if r.stopped && !r.electing && r.exec.xfer == nil && len(r.suspected) == 0 {
+		if r.stopped && !r.electing && !r.exec.receiving() && len(r.suspected) == 0 {
 			outs = append(outs, r.resume()...)
 		}
 	}
-	if r.stopped && !r.electing && r.exec.xfer == nil &&
+	if r.stopped && !r.electing && !r.exec.receiving() &&
 		hb.From == r.cfg.Primary() && r.cfg.Primary() != r.slf {
 		// Still halted while the primary is up with no transfer arriving:
-		// the Catchup or SnapBegin that should have released us was lost.
+		// the Catchup or SnapPart that should have released us was lost.
 		// Ask again. The primary ignores repeats while a transfer to us is
 		// in flight, so after several unanswered asks escalate to a forced
 		// resync — that in-flight transfer is not coming.
@@ -452,7 +444,7 @@ func (r *PBRReplica) onHeartbeat(hb Heartbeat) []msg.Directive {
 		})))
 	}
 	if hb.Stopped && hb.From == r.cfg.Primary() && !r.stopped && !r.electing &&
-		r.exec.xfer == nil && r.slf != r.cfg.Primary() {
+		!r.exec.receiving() && r.slf != r.cfg.Primary() {
 		// The primary is still waiting out recovery but we are in sync:
 		// our Recovered was lost. Repeat it.
 		outs = append(outs, r.inSync())
@@ -815,13 +807,27 @@ func (r *PBRReplica) closeRecovery(kind string) {
 	traceRecovery(r.slf, kind, r.cfg.Seq, "")
 }
 
-// installTransfer installs a completed state transfer, reports in sync,
-// and applies the forwards parked while it was assembled.
-func (r *PBRReplica) installTransfer(a *snapAssembly) []msg.Directive {
-	if a == nil {
+// onSnapPart takes one part of a state transfer of this configuration;
+// once it is assembled, the replica installs it, reports in sync, and
+// applies the forwards parked meanwhile.
+func (r *PBRReplica) onSnapPart(p SnapPart) []msg.Directive {
+	if p.CfgSeq != r.cfg.Seq {
 		return nil
 	}
-	if r.exec.install(a) != nil {
+	took, snap := r.exec.snapPart(p)
+	if took {
+		r.stuckTicks = 0
+	}
+	if snap == nil {
+		return nil
+	}
+	h, img, err := splitSnapshot(snap)
+	if err != nil {
+		return nil
+	}
+	cost, err := r.exec.install(h, img)
+	r.stepCost += cost
+	if err != nil {
 		return nil
 	}
 	r.stopped = false

@@ -287,14 +287,8 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	switch in.Hdr {
 	case broadcast.HdrDeliver:
 		outs = r.onDeliver(in.Body.(broadcast.Deliver))
-	case HdrSnapBegin:
-		r.exec.snapBegin(in.Body.(SnapBegin))
-	case HdrSnapBatch:
-		a, cost := r.exec.snapBatch(in.Body.(SnapBatch))
-		r.stepCost += cost
-		outs = r.installTransfer(a)
-	case HdrSnapEnd:
-		outs = r.installTransfer(r.exec.snapEnd(in.Body.(SnapEnd)))
+	case HdrSnapPart:
+		outs = r.onSnapPart(in.Body.(SnapPart))
 	case HdrCatchupReq:
 		outs = r.onCatchupReq(in.Body.(CatchupReq))
 	case HdrCatchup:
@@ -457,28 +451,36 @@ func (r *SMRReplica) onMemberCmd(cmd member.Command, slot int) []msg.Directive {
 // transferTo streams this replica's full state to a peer, numbered by
 // the slot frontier it reflects: the state after a slot is the same at
 // every replica, so equal numbers mean equal batches whoever sent them,
-// and a later state outnumbers an earlier one (see SnapBegin).
+// and a later state outnumbers an earlier one (see SnapPart).
 func (r *SMRReplica) transferTo(to msg.Loc) []msg.Directive {
 	outs, cost := r.exec.SnapshotDirectives(to, 0, int64(r.lastSlot)+1)
 	r.stepCost += cost
 	return outs
 }
 
-// installTransfer installs a completed state transfer (its Order field
-// carries the last slot it covers), activates a joiner, and applies the
-// deliveries parked past the covered slot.
-func (r *SMRReplica) installTransfer(a *snapAssembly) []msg.Directive {
-	if a == nil || r.active && int(a.end.Order) <= r.lastSlot {
-		// Incomplete, or a stale transfer — e.g. the answer to a catch-up
+// onSnapPart takes one part of a state transfer; once it is assembled,
+// the replica installs it (its header's Slot is the last slot it
+// covers), activates a joiner, and applies the deliveries parked past
+// the covered slot.
+func (r *SMRReplica) onSnapPart(p SnapPart) []msg.Directive {
+	_, snap := r.exec.snapPart(p)
+	if snap == nil {
+		return nil
+	}
+	h, img, err := splitSnapshot(snap)
+	if err != nil || r.active && h.Slot <= r.lastSlot {
+		// Refused, or a stale transfer — e.g. the answer to a catch-up
 		// request this replica has since outrun through live deliveries —
 		// which must not roll an active replica back: every slot it
 		// covers is already applied locally.
 		return nil
 	}
-	if r.exec.install(a) != nil {
+	cost, err := r.exec.install(h, img)
+	r.stepCost += cost
+	if err != nil {
 		return nil
 	}
-	if r.lease != nil && len(a.end.Recent) > 0 {
+	if r.lease != nil && len(h.Recent) > 0 {
 		// The transfer may cover writes whose acks were suppressed
 		// everywhere (no valid holder while they applied); re-emit the
 		// adopted results at the next valid grant.

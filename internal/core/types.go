@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -54,10 +53,8 @@ const (
 	// behind the order asks a peer for the units after its frontier.
 	HdrCatchupReq = "sdb.catchupreq"
 	HdrCatchup    = "sdb.catchup"
-	// HdrSnapBegin / HdrSnapBatch / HdrSnapEnd carry a state transfer.
-	HdrSnapBegin = "sdb.snapbegin"
-	HdrSnapBatch = "sdb.snapbatch"
-	HdrSnapEnd   = "sdb.snapend"
+	// HdrSnapPart carries a part of a state transfer.
+	HdrSnapPart = "sdb.snappart"
 	// HdrRecovered is the backup's "I am up to date" signal.
 	HdrRecovered = "sdb.recovered"
 	// HdrRead is a client read served locally by a replica (lease or
@@ -278,57 +275,19 @@ type Catchup struct {
 	Records [][]byte
 }
 
-// SnapBegin opens a state transfer. Xfer identifies the transfer: the
-// sender numbers transfers monotonically (a PBR primary by count, an
-// SMR replica by the slot frontier the state reflects), so a receiver
-// can discard batches of a superseded transfer and ignore duplicate or
-// stale begins instead of restarting assembly from scratch.
-type SnapBegin struct {
-	CfgSeq  int
-	Xfer    int64
-	Schemas []sqldb.CreateTable
-	// Order is the execution order number the snapshot reflects.
-	Order int64
-}
-
-// SnapBatch carries one batch of rows.
-type SnapBatch struct {
+// SnapPart carries part N of the Of parts of a state transfer: the
+// bytes of the snapshot a compaction writes (encodeSnapshot). Part 0 is
+// exactly the snapshot's magic, length and header, so the header reads
+// alone; the database image follows in parts of at most catchupChunk.
+// Xfer identifies the transfer: the sender numbers transfers
+// monotonically (a PBR primary by count, an SMR replica by the slot
+// frontier the state reflects), so a receiver can discard parts of a
+// superseded transfer and ignore duplicate or stale ones.
+type SnapPart struct {
 	CfgSeq int
 	Xfer   int64
-	Table  string
-	Rows   [][]sqldb.Value
-	// N is the batch index within the transfer.
-	N int
-}
-
-// SnapEnd closes a state transfer. Batches lets the receiver detect that
-// some batches are still in flight (reordered or delayed) and defer
-// completion until they arrive. Executed and LastSeq carry the sender's
-// dedup horizon: without them the receiver would re-execute a client
-// retry that the sender deduplicates, silently diverging from it.
-type SnapEnd struct {
-	CfgSeq int
-	Xfer   int64
-	// Order is the ordering frontier the state reflects: the last slot
-	// (SMR) or order number (PBR, where it equals Executed).
-	Order    int64
-	Batches  int
-	Executed int64
-	LastSeq  map[string]int64
-	// Recent carries the sender's newest cached result per client, so a
-	// receiver that later becomes the lease holder can re-emit acks for
-	// writes it never executed locally (see SMRReplica.reAck).
-	Recent []TxResult
-	// Epochs and Joined carry the sender's membership schedule. A
-	// transfer that covers a membership command's slot is the only copy
-	// of that command the receiver will ever see — the slots it covers
-	// are never redelivered.
-	Epochs []member.Config
-	Joined map[msg.Loc]int
-	// Ext carries the sender's SMR extension state (a shard replica's
-	// 2PC ledger): like the schedule, the only copy of the prepares and
-	// decisions in the slots the transfer covers.
-	Ext []byte
+	N, Of  int
+	Bytes  []byte
 }
 
 // Recovered signals a backup is in sync.

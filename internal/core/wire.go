@@ -10,7 +10,7 @@ import (
 // RegisterWireTypes registers ShadowDB bodies with the wire codec,
 // including the basic value types that travel inside TxRequest.Args and
 // result rows. The bodies of the transaction, lease-read, PBR
-// replication and catch-up paths have frame codecs of their own (tags
+// replication, catch-up and state-transfer paths have frame codecs of their own (tags
 // 0x10–0x1f, DESIGN.md "Wire format and allocation hot path"); the rest
 // travel under the codec's gob fallback.
 func RegisterWireTypes() {
@@ -24,9 +24,10 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x16, Heartbeat{}, appendHeartbeat, readHeartbeat)
 	msg.RegisterCodec(0x17, CatchupReq{}, appendCatchupReq, readCatchupReq)
 	msg.RegisterCodec(0x18, Catchup{}, appendCatchup, readCatchup)
+	msg.RegisterCodec(0x19, SnapPart{}, appendSnapPart, readSnapPart)
 	for _, v := range []any{
-		Redirect{}, HBTick{}, NewConfig{}, Elect{}, SnapBegin{}, SnapBatch{},
-		SnapEnd{}, Recovered{}, ClientRetryBody{}, LeaseTick{}, SyncTick{},
+		Redirect{}, HBTick{}, NewConfig{}, Elect{}, Recovered{},
+		ClientRetryBody{}, LeaseTick{}, SyncTick{},
 	} {
 		msg.RegisterBody(v)
 	}
@@ -163,4 +164,16 @@ func readCatchup(r *msg.Reader) Catchup {
 		}
 	}
 	return c
+}
+
+func appendSnapPart(w *msg.Writer, p SnapPart) {
+	w.Int(p.CfgSeq)
+	w.Int64(p.Xfer)
+	w.Int(p.N)
+	w.Int(p.Of)
+	w.Bytes(p.Bytes)
+}
+
+func readSnapPart(r *msg.Reader) SnapPart {
+	return SnapPart{CfgSeq: r.Int(), Xfer: r.Int64(), N: r.Int(), Of: r.Int(), Bytes: r.Bytes()}
 }

@@ -36,11 +36,11 @@
 //     slot, so journal replay and live delivery can both feed the same
 //     view; derivation refuses no-op commands (adding a member twice)
 //     rather than minting an identical epoch.
-//   - Durability is the caller's: the schedule travels inside SMR
-//     snapshots and state-transfer payloads (core.smrSnapshot /
-//     core.SnapEnd), because a compacted membership command is never
-//     replayed — a restarted node that lost the schedule would grant
-//     leases to deposed holders.
+//   - Durability is the caller's: the schedule travels inside an SMR
+//     replica's snapshot header, which a state transfer sends as it is
+//     stored (core.snapHeader), because a compacted membership command
+//     is never replayed — a restarted node that lost the schedule would
+//     grant leases to deposed holders.
 //
 // # Concurrency
 //

@@ -55,6 +55,9 @@ func samples() []any {
 		core.CatchupReq{}, core.CatchupReq{CfgSeq: -1, From: "r2", After: math.MinInt64, Resync: true},
 		core.Catchup{}, core.Catchup{Records: [][]byte{}},
 		core.Catchup{CfgSeq: 4, Records: [][]byte{{}, nil, []byte("\x00rec\xff"), make([]byte, 300)}},
+		core.SnapPart{}, core.SnapPart{Bytes: []byte{}},
+		core.SnapPart{CfgSeq: -3, Xfer: math.MinInt64, N: 7, Of: 2, Bytes: []byte("SNP2\x00\xff")},
+		core.SnapPart{CfgSeq: 5, Xfer: math.MaxInt64, N: -1, Of: math.MaxInt, Bytes: make([]byte, 300)},
 		broadcast.Bcast{}, broadcast.Bcast{Payload: []byte{}}, bc,
 		broadcast.Deliver{}, broadcast.Deliver{Msgs: []broadcast.Bcast{}},
 		broadcast.Deliver{Slot: math.MaxInt, Msgs: []broadcast.Bcast{{}, bc, {From: "c2", Seq: -1}}},

@@ -312,6 +312,10 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 	if err != nil {
 		return fmt.Errorf("send to %s: %w", envs[0].To, err)
 	}
+	if len(frame)-4 > maxFrame {
+		frame = nil // not kept for reuse
+		return t.sendCut(p, envs)
+	}
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	if !t.writeFrame(p, frame) {
 		t.drops.Add(int64(len(envs)))
@@ -320,6 +324,47 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 	t.framesOut.Inc()
 	t.bytesOut.Add(int64(len(frame)))
 	return nil
+}
+
+// sendCut sends envelopes whose one frame would exceed maxFrame, which
+// the reader refuses, as several frames within it, in order. An
+// envelope that no frame can hold is dropped and counted.
+func (t *TCP) sendCut(p peer, envs []msg.Envelope) error {
+	// A frame is a version byte, a count of at most binary.MaxVarintLen64
+	// bytes and its envelopes; a one-envelope frame's count is one byte,
+	// so an envelope of n bytes fits alone when n+2 <= maxFrame.
+	const head = 1 + binary.MaxVarintLen64
+	var first error
+	from, size := 0, head
+	flush := func(to int) {
+		if from < to {
+			if err := t.sendFrame(p, envs[from:to]); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	var one []byte
+	for i := range envs {
+		var err error
+		if one, err = msg.AppendFrame(one[:0], envs[i:i+1]); err != nil {
+			return fmt.Errorf("send to %s: %w", envs[i].To, err)
+		}
+		n := len(one) - 2
+		if n+2 > maxFrame {
+			flush(i)
+			t.drops.Inc()
+			t.lg.Warnf("dropping a %d-byte %s envelope to %s: over the %d-byte frame bound", n, envs[i].M.Hdr, envs[i].To, maxFrame)
+			from, size = i+1, head
+			continue
+		}
+		if size+n > maxFrame {
+			flush(i)
+			from, size = i, head
+		}
+		size += n
+	}
+	flush(len(envs))
+	return first
 }
 
 // loopback delivers a self-addressed envelope without a socket. A timer

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,5 +187,43 @@ func TestTCPSharedEndpoint(t *testing.T) {
 	defer tr.mu.Unlock()
 	if rs.fails != 1 {
 		t.Errorf("%d dials to the dead address, want 1", rs.fails)
+	}
+}
+
+// TestTCPFramesWithinBound sends more than maxFrame in 1 MiB bodies in
+// one SendBatch. A reader closes the connection on a frame over
+// maxFrame, losing every envelope on it, so the sender must cut a
+// peer's envelopes into frames within the bound; every envelope then
+// arrives, in order. A single envelope no frame can hold is dropped and
+// counted at the sender, and the connection keeps carrying traffic.
+func TestTCPFramesWithinBound(t *testing.T) {
+	a, b := listenTCP(t, "a"), listenTCP(t, "b")
+	a.SetPeer("b", b.Addr())
+	body := strings.Repeat("x", 1<<20)
+	const n = maxFrame>>20 + 1
+	batch := make([]msg.Envelope, n)
+	for i := range batch {
+		batch[i] = msg.Envelope{To: "b", M: msg.M("big", wireBody{N: i, S: body})}
+	}
+	if err := a.SendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if env := recvOne(t, b); env.M.Body.(wireBody).N != i {
+			t.Fatalf("envelope %d arrived as number %d", env.M.Body.(wireBody).N, i)
+		}
+	}
+
+	drops := obs.C("net.send_drops")
+	before := drops.Value()
+	huge := msg.Envelope{To: "b", M: msg.M("huge", wireBody{S: strings.Repeat("y", maxFrame)})}
+	if err := a.SendBatch([]msg.Envelope{huge, {To: "b", M: msg.M("after", wireBody{N: 1})}}); err != nil {
+		t.Fatal(err)
+	}
+	if env := recvOne(t, b); env.M.Hdr != "after" {
+		t.Fatalf("got %s, want the envelope sent behind the oversized one", env.M.Hdr)
+	}
+	if got := drops.Value() - before; got != 1 {
+		t.Errorf("net.send_drops rose by %d, want the one oversized envelope", got)
 	}
 }

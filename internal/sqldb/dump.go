@@ -9,12 +9,11 @@ import (
 )
 
 // The binary database image: what a replica writes to its own disk when
-// it compacts its journal (core's durable snapshots). AppendDump walks
-// each table's index and appends rows to one buffer — no intermediate
-// copy of the database, no reflection over []Value — and DecodeDump
-// turns the bytes back into the TableDumps that Restore installs. The
-// network state-transfer path (Snapshot, SplitBatches, InsertBatch)
-// does not use it.
+// it compacts its journal (core's durable snapshots), and what a state
+// transfer sends. AppendDump walks each table's index and appends rows
+// to one buffer — no intermediate copy of the database, no reflection
+// over []Value — and DecodeDump turns the bytes back into the
+// TableDumps that Restore installs.
 //
 // Layout, all integers varint-encoded:
 //

@@ -3,12 +3,14 @@ package sqldb
 import (
 	"fmt"
 	"sort"
+	"time"
 )
 
-// Snapshots and batched restore: the substrate of ShadowDB state transfer
-// (Section III of the paper). "State transfer consists in selecting the
-// rows of each table, sending the rows in batches, and inserting them in
-// the corresponding table at the destination replica."
+// Snapshots, restore and the cost model of state transfer (Section III
+// of the paper): "State transfer consists in selecting the rows of each
+// table, sending the rows in batches, and inserting them in the
+// corresponding table at the destination replica." The bytes a transfer
+// sends are the database image of dump.go.
 
 // TableDump is one table's schema plus all rows in PK order.
 type TableDump struct {
@@ -61,9 +63,8 @@ func (db *DB) Restore(dumps []TableDump) error {
 	return nil
 }
 
-// InsertBatch inserts pre-built rows into one table, the receive side of
-// batched state transfer. Existing keys are overwritten (transfer is
-// idempotent under retry).
+// InsertBatch inserts pre-built rows into one table. Existing keys are
+// overwritten.
 func (db *DB) InsertBatch(table string, rows [][]Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -90,54 +91,36 @@ func (db *DB) load(t *Table, row []Value) {
 	db.stats.RowsInserted++
 }
 
-// Batch is a slice of one table's rows sized for a transfer message.
-type Batch struct {
-	Table string
-	Rows  [][]Value
+// SerializeCost models the sender's side of a state transfer of the
+// database: every cell serialized ("serialization overhead is
+// proportional to the number of table columns"), counted from the
+// tables' sizes without touching a row.
+func (db *DB) SerializeCost() time.Duration {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	cells := 0
+	for _, t := range db.tables {
+		cells += t.Len() * len(t.Cols)
+	}
+	return time.Duration(cells) * db.eng.PerColSerialize
 }
 
-// SplitBatches cuts a dump into batches of at most targetBytes serialized
-// payload each (at least one row per batch) — the paper used batches
-// "close to 50 kilobytes in serialized form".
-func SplitBatches(d TableDump, targetBytes int) []Batch {
-	if targetBytes <= 0 {
-		targetBytes = 50 * 1024
+// RestoreCost models the receiver's side of a state transfer that left
+// the database as it is: a per-row floor plus a per-byte component for
+// wide rows ("row insertion speed constitutes the bottleneck of state
+// transfer").
+func (db *DB) RestoreCost() time.Duration {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rows, bytes := 0, 0
+	for _, t := range db.tables {
+		rows += t.Len()
+		t.idx.ascend(nil, func(e entry) bool {
+			bytes += RowBytes(e.row)
+			return true
+		})
 	}
-	var out []Batch
-	cur := Batch{Table: d.Schema.Name}
-	size := 0
-	for _, row := range d.Rows {
-		rb := RowBytes(row)
-		if size > 0 && size+rb > targetBytes {
-			out = append(out, cur)
-			cur = Batch{Table: d.Schema.Name}
-			size = 0
-		}
-		cur.Rows = append(cur.Rows, row)
-		size += rb
-	}
-	if len(cur.Rows) > 0 || len(out) == 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// DumpBytes models the serialized payload size of a dump.
-func DumpBytes(d TableDump) int {
-	n := 0
-	for _, row := range d.Rows {
-		n += RowBytes(row)
-	}
-	return n
-}
-
-// SnapshotBytes models the total payload of a snapshot.
-func SnapshotBytes(dumps []TableDump) int {
-	n := 0
-	for _, d := range dumps {
-		n += DumpBytes(d)
-	}
-	return n
+	return time.Duration(rows)*db.eng.RestoreRowCost + time.Duration(bytes)*db.eng.RestoreByteCost
 }
 
 // Equal reports whether two databases hold identical data — the

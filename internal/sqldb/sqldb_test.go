@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func mustOpen(t *testing.T) *DB {
@@ -352,47 +353,29 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-func TestSplitBatches(t *testing.T) {
+// The cost model of a state transfer: the sender pays per cell, the
+// receiver per row and per payload byte, and both grow with the rows
+// loaded (here through InsertBatch, which overwrites a repeated key).
+func TestTransferCost(t *testing.T) {
 	db := mustOpen(t)
-	setupAccounts(t, db, 100)
-	dump := db.Snapshot()[0]
-	batches := SplitBatches(dump, 200)
-	if len(batches) < 2 {
-		t.Fatalf("got %d batches, want several", len(batches))
+	mustExec(t, db, "CREATE TABLE t (id INT PRIMARY KEY, owner TEXT, balance INT)")
+	eng := db.Engine()
+	if db.SerializeCost() != 0 || db.RestoreCost() != 0 {
+		t.Fatalf("empty table costs %v to send and %v to restore, want 0", db.SerializeCost(), db.RestoreCost())
 	}
-	total := 0
-	for _, b := range batches {
-		if b.Table != "accounts" {
-			t.Errorf("batch table = %q", b.Table)
-		}
-		total += len(b.Rows)
-	}
-	if total != 100 {
-		t.Errorf("batched rows = %d, want 100", total)
-	}
-	// Replaying batches reproduces the table.
-	fresh := mustOpen(t)
-	if err := fresh.Restore([]TableDump{{Schema: dump.Schema}}); err != nil {
+	rows := [][]Value{{int64(1), "ab", int64(10)}, {int64(2), "abcd", int64(20)}, {int64(1), "ab", int64(10)}}
+	if err := db.InsertBatch("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range batches {
-		if err := fresh.InsertBatch(b.Table, b.Rows); err != nil {
-			t.Fatal(err)
-		}
+	if got, want := db.SerializeCost(), 2*3*eng.PerColSerialize; got != want {
+		t.Errorf("SerializeCost = %v, want 2 rows x 3 columns = %v", got, want)
 	}
-	if !Equal(db, fresh) {
-		t.Error("batch restore differs from source")
+	bytes := RowBytes(rows[0]) + RowBytes(rows[1])
+	if got, want := db.RestoreCost(), 2*eng.RestoreRowCost+time.Duration(bytes)*eng.RestoreByteCost; got != want {
+		t.Errorf("RestoreCost = %v, want 2 rows and %d bytes = %v", got, bytes, want)
 	}
-}
-
-func TestSnapshotBytesScalesWithRows(t *testing.T) {
-	small := mustOpen(t)
-	setupAccounts(t, small, 10)
-	big := mustOpen(t)
-	setupAccounts(t, big, 100)
-	sb, bb := SnapshotBytes(small.Snapshot()), SnapshotBytes(big.Snapshot())
-	if bb <= sb*5 {
-		t.Errorf("snapshot bytes: 10 rows=%d, 100 rows=%d", sb, bb)
+	if err := db.InsertBatch("t", [][]Value{{int64(3), "x"}}); err == nil {
+		t.Error("InsertBatch took a row of 2 values into a 3-column table")
 	}
 }
 
