@@ -15,7 +15,6 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
-	"shadowdb/internal/store"
 )
 
 // The tests below go through the code path of `flight merge -check`
@@ -92,13 +91,15 @@ func TestCheckKeepsShardsApart(t *testing.T) {
 	}
 }
 
-// slotRecord is an SMR replica's journal record of one slot, as a peer
-// serves it in a Catchup: gob matches the record's fields by name.
-func slotRecord(slot int, msgs ...broadcast.Bcast) []byte {
-	return store.EncodeRecord(struct {
-		Slot int
-		Msgs []broadcast.Bcast
-	}{slot, msgs})
+// record is a journal record, as a peer serves it in a Catchup: the
+// wire body of the unit, a broadcast.Deliver (SMR) or a core.Repl (PBR).
+func record(t *testing.T, body any) []byte {
+	t.Helper()
+	rec, err := msg.AppendBody(nil, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
 }
 
 // headerPart is the first part of a state transfer from a replica whose
@@ -126,7 +127,7 @@ func headerPart(t *testing.T, seq int64) msg.Msg {
 // header part that does not decode, credits nothing.
 func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 	one, two := tx(t, "c1", 1), tx(t, "c1", 2)
-	catchup := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{slotRecord(1, two)}})
+	catchup := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{record(t, broadcast.Deliver{Slot: 1, Msgs: []broadcast.Bcast{two}})}})
 	out, err := check(bundlesOf(
 		step("r2", deliver(0, one), ack("c1", 1)),
 		step("r2", catchup),
@@ -139,7 +140,8 @@ func TestCheckCreditsCatchupAndStateTransfer(t *testing.T) {
 		t.Fatalf("re-acks after catch-up and state transfer flagged: %v\n%s", err, out)
 	}
 
-	junk := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{[]byte("not a journal record")}})
+	pbr := record(t, core.Repl{Order: 2, Req: core.TxRequest{Client: "c1", Seq: 2, Type: "deposit"}})
+	junk := msg.M(core.HdrCatchup, core.Catchup{Records: [][]byte{pbr, []byte("not a journal record")}})
 	out, err = check(bundlesOf(
 		step("r2", deliver(0, one), ack("c1", 1)),
 		step("r2", junk),

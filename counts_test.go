@@ -1,0 +1,103 @@
+//go:build !race
+
+package shadowdb
+
+import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// The count gate (ROADMAP item 12(a), its channel-hub half): the
+// allocations and allocated bytes one deposit costs the whole in-process
+// deployment, SMR and PBR, against the budgets testdata/counts.json
+// commits. Counts, unlike times, hold still between runs of one build
+// (the spread beside each budget is five runs'), so a change that makes
+// the write path do more per transaction fails here. The race detector
+// adds allocations of its own, so the gate is built without it.
+
+// countsFile is testdata/counts.json: per mode and count, the budget and
+// the five-run spread it came from, stamped with the Go version that
+// measured it.
+type countsFile struct {
+	Go       string                            `json:"go"`
+	Warmup   int                               `json:"warmup"`
+	Deposits int                               `json:"deposits"`
+	Modes    map[string]map[string]countBudget `json:"modes"`
+}
+
+// countBudget is one gated count: the largest of five runs and the
+// smallest and largest runs it was taken from.
+type countBudget struct {
+	Budget float64    `json:"budget"`
+	Spread [2]float64 `json:"spread"`
+}
+
+// limit is the most a run may read: the budget plus three times the
+// spread of the runs it came from, and never less than one percent over
+// it, since a five-run spread can read near zero.
+func (b countBudget) limit() float64 {
+	return b.Budget + max(3*(b.Spread[1]-b.Spread[0]), b.Budget/100)
+}
+
+// measureCounts boots a volatile cluster in mode, warms it up, and
+// returns the allocations and allocated bytes per transaction of
+// deposits fixed-seed deposits, each awaited before the next.
+func measureCounts(t *testing.T, mode Mode, warmup, deposits int) (allocs, bytes float64) {
+	t.Helper()
+	_, cli := openCluster(t, mode)
+	rng := rand.New(rand.NewSource(1))
+	deposit := func() {
+		res, err := cli.ExecTimeout(10*time.Second, "deposit", int64(rng.Intn(100)), int64(1+rng.Intn(9)))
+		if err != nil || res.Aborted {
+			t.Fatalf("deposit: %v (aborted %v)", err, res.Aborted)
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		deposit()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < deposits; i++ {
+		deposit()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(deposits)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+func TestCountBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/counts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f countsFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatalf("testdata/counts.json: %v", err)
+	}
+	for name, mode := range map[string]Mode{"smr": SMR, "pbr": PBR} {
+		t.Run(name, func(t *testing.T) {
+			allocs, bytes := measureCounts(t, mode, f.Warmup, f.Deposits)
+			t.Logf("%s: %.2f allocs/tx, %.1f B/tx", name, allocs, bytes)
+			for count, got := range map[string]float64{"allocs_per_tx": allocs, "bytes_per_tx": bytes} {
+				b, ok := f.Modes[name][count]
+				if !ok {
+					t.Errorf("testdata/counts.json has no %s budget for %s", count, name)
+					continue
+				}
+				if got > b.limit() {
+					stamp := ""
+					if v := runtime.Version(); v != f.Go {
+						stamp = fmt.Sprintf(" (budget measured on %s, this is %s)", f.Go, v)
+					}
+					t.Errorf("%s %s = %.1f, over the budget %.1f by more than its bound %.1f%s",
+						name, count, got, b.Budget, b.limit()-b.Budget, stamp)
+				}
+			}
+		})
+	}
+}

@@ -277,8 +277,9 @@ func TestWireTagCatalogue(t *testing.T) {
 
 // gobImporters are the only non-test files allowed to import
 // encoding/gob, each for a reason the hot path does not share: the wire
-// codec's per-body fallback, the journal records (until they get a codec
-// of their own, ROADMAP item 2(c)), and trace files.
+// codec's per-body fallback, the snapshots and the 2PC coordinator's
+// journal record (until they get a codec of their own, ROADMAP item 16),
+// and trace files.
 var gobImporters = []string{
 	"internal/msg/codec.go",
 	"internal/obs/trace.go",

@@ -90,7 +90,8 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 	// Populating TPC-C through SQL once per replica per point is the
 	// dominant real-time cost of the sweep; populate a template once and
 	// clone it into each replica via snapshot restore (identical state,
-	// ~10x faster).
+	// ~10x faster). Each replica restores a snapshot of its own: Restore
+	// keeps the rows it is given, and a replica updates them in place.
 	template, err := sqldb.Open("h2:mem:template")
 	if err != nil {
 		panic(err)
@@ -98,8 +99,7 @@ func Fig9b(cfg Fig9Config) Fig9Result {
 	if err := tpcc.Setup(template, cfg.Scale); err != nil {
 		panic(err)
 	}
-	dumps := template.Snapshot()
-	setup := func(db *sqldb.DB) error { return db.Restore(dumps) }
+	setup := func(db *sqldb.DB) error { return db.Restore(template.Snapshot()) }
 	work := func(i int) Workload {
 		g := tpcc.NewGenerator(cfg.Scale, int64(i)*104729)
 		return g.Next

@@ -3,13 +3,14 @@ package broadcast
 import (
 	"fmt"
 
+	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/store"
 )
 
 // Sequencer durability. With Config.Stable set, each service node is a
-// client of store.Journal: it journals every decided slot (as the raw
-// consensus value) before fanning out its Deliver notifications, and
+// client of store.Journal: it journals every decided slot (as its
+// synod.Decide body) before fanning out its Deliver notifications, and
 // compacts the journal into a snapshot of its delivery frontier. A
 // re-instantiated node — a real process restart reopening its data
 // directory, or a DES/verify rebuild over a store.Mem — recovers the
@@ -18,13 +19,6 @@ import (
 // after the journaled prefix. Subscribers that missed Deliver fan-out
 // during the downtime recover through their own catch-up protocol (the
 // SMR replica's WAL + delta fetch), not by sequencer redelivery.
-
-// seqRecord journals one decision: the instance and the consensus
-// value (an encoded batch).
-type seqRecord struct {
-	Inst int
-	Val  string
-}
 
 // seqSnapshot is the compacted journal: the delivery frontier, the
 // proposal high-water mark, and any decided-but-not-yet-contiguous
@@ -41,7 +35,8 @@ func (s *seqState) journal(inst int, val string) {
 	if s.j == nil {
 		return
 	}
-	err := s.j.Append(store.EncodeRecord(seqRecord{Inst: inst, Val: val}))
+	rec, _ := msg.AppendBody(make([]byte, 0, len(val)+16), synod.Decide{Inst: inst, Val: val}) // its codec refuses no value
+	err := s.j.Append(rec)
 	if err == nil {
 		_, err = s.j.CompactIfDue(s.snapshot)
 	}
@@ -78,6 +73,7 @@ func (s *seqState) decide(inst int, val string) error {
 // contiguous prefix without re-delivering it: that prefix was delivered,
 // or is recoverable by the subscribers.
 func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
+	registerWire()
 	s.j = store.NewJournal("seq-"+string(slf), st, 0)
 	_, err := s.j.Recover(store.Decoding(func(snap seqSnapshot) error {
 		s.next, s.propSlot = snap.Next, snap.PropSlot
@@ -87,13 +83,16 @@ func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
 			}
 		}
 		return nil
-	}), store.Decoding(func(r seqRecord) error {
-		s.propSlot = max(s.propSlot, r.Inst) // never re-propose a journaled slot
-		if err := s.decide(r.Inst, r.Val); err != nil {
-			return fmt.Errorf("slot %d: %w", r.Inst, err)
+	}), func(rec []byte) error {
+		d, err := msg.DecodeBody[synod.Decide](rec)
+		if err == nil {
+			s.propSlot = max(s.propSlot, d.Inst) // never re-propose a journaled slot
+			if err = s.decide(d.Inst, d.Val); err != nil {
+				err = fmt.Errorf("slot %d: %w", d.Inst, err)
+			}
 		}
-		return nil
-	}))
+		return err
+	})
 	for {
 		if _, ok := s.decided[s.next]; !ok {
 			break

@@ -140,12 +140,12 @@ func TestSequencerRefusesUndecodableValue(t *testing.T) {
 	good := EncodeBatch([]Bcast{{From: "c1", Seq: 1, Payload: []byte("x")}})
 	for name, tc := range map[string]struct {
 		snap *seqSnapshot
-		recs []seqRecord
+		recs []synod.Decide
 		want []string
 	}{
-		"garbage record": {recs: []seqRecord{{Inst: 0, Val: good}, {Inst: 1, Val: "garbage"}},
+		"garbage record": {recs: []synod.Decide{{Inst: 0, Val: good}, {Inst: 1, Val: "garbage"}},
 			want: []string{"journal seq-b1", "record 1", "slot 1"}},
-		"gob record": {recs: []seqRecord{{Inst: 0, Val: old.String()}},
+		"gob record": {recs: []synod.Decide{{Inst: 0, Val: old.String()}},
 			want: []string{"journal seq-b1", "record 0", "slot 0"}},
 		"snapshot slot": {snap: &seqSnapshot{Next: 2, PropSlot: 4, Decided: map[int]string{3: good, 4: old.String()}},
 			want: []string{"journal seq-b1", "snapshot", "slot 4"}},
@@ -161,7 +161,7 @@ func TestSequencerRefusesUndecodableValue(t *testing.T) {
 			}
 		}
 		for _, r := range tc.recs {
-			if err := st.Append(store.EncodeRecord(r)); err != nil {
+			if err := st.Append(decideRecord(t, r.Inst, r.Val)); err != nil {
 				t.Fatal(err)
 			}
 		}

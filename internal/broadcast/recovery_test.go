@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/recoverytest"
 	"shadowdb/internal/store"
@@ -50,8 +51,30 @@ var sequencerClient = recoverytest.Client{
 	},
 	Records: func(t testing.TB, n int) [][]byte {
 		inst, val := seqUnit(n)
-		return [][]byte{store.EncodeRecord(seqRecord{Inst: inst, Val: val})}
+		return [][]byte{decideRecord(t, inst, val)}
 	},
+	OldRecords: func(t testing.TB, n int) [][]byte {
+		inst, val := seqUnit(n)
+		return [][]byte{store.EncodeRecord(oldSeqRecord{Inst: inst, Val: val})}
+	},
+}
+
+// decideRecord is the sequencer's journal record of a decision.
+func decideRecord(t testing.TB, inst int, val string) []byte {
+	registerWire()
+	rec, err := msg.AppendBody(nil, synod.Decide{Inst: inst, Val: val})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// oldSeqRecord is the gob record the sequencer journaled before its
+// records were wire bodies, copied here under another name (gob matches
+// fields by name; the type's name is only in the type descriptor).
+type oldSeqRecord struct {
+	Inst int
+	Val  string
 }
 
 func TestSequencerRecovery(t *testing.T) { recoverytest.Run(t, sequencerClient) }

@@ -11,18 +11,11 @@ import (
 // acceptor never forgets a promise": every P1b/P2b reply is a durable
 // commitment, so the mutation behind it must reach stable storage
 // before the reply leaves the process. With Config.Stable set, each
-// acceptor is a client of store.Journal: it journals a record per
-// adopted ballot / accepted pvalue ahead of replying, and is rebuilt
-// from snapshot + tail when its class is instantiated again — which is
+// acceptor is a client of store.Journal: it journals the P1a it adopts
+// and the P2a it accepts, as wire bodies, ahead of replying, and is
+// rebuilt from snapshot + tail when its class is instantiated again —
 // what both a real process restart and a simulated crash-restart
 // (verify's Restarts budget, the DES rebuild path) do.
-
-// accRecord is one journaled acceptor mutation: the ballot adopted by
-// the promise, plus the accepted pvalue when the mutation was phase 2.
-type accRecord struct {
-	B  Ballot
-	PV *PValue
-}
 
 // accSnapshot is the full acceptor state.
 type accSnapshot struct {
@@ -42,6 +35,7 @@ func openAcceptor(cfg Config, slf msg.Loc) (*acceptorState, error) {
 	if st == nil {
 		return s, nil
 	}
+	RegisterWireTypes() // the records are bodies; registering again is a no-op
 	s.j = store.NewJournal("acc-"+string(slf), st, 0)
 	_, err := s.j.Recover(store.Decoding(func(sn accSnapshot) error {
 		s.ballot, s.hasB = sn.B, sn.HasB
@@ -49,21 +43,35 @@ func openAcceptor(cfg Config, slf msg.Loc) (*acceptorState, error) {
 			s.accepted[pv.Inst] = pv
 		}
 		return nil
-	}), store.Decoding(func(r accRecord) error { s.apply(r); return nil }))
+	}), func(rec []byte) error {
+		body, err := msg.DecodeBody[any](rec)
+		if err == nil {
+			err = s.apply(body)
+		}
+		return err
+	})
 	return s, err
 }
 
-// apply folds one mutation into the state: the ballot never regresses
-// and a slot keeps its highest-ballot pvalue.
-func (s *acceptorState) apply(r accRecord) {
-	if !s.hasB || s.ballot.Less(r.B) {
-		s.ballot, s.hasB = r.B, true
-	}
-	if r.PV != nil {
-		if prev, ok := s.accepted[r.PV.Inst]; !ok || prev.B.Less(r.PV.B) {
-			s.accepted[r.PV.Inst] = *r.PV
+// apply folds one mutation, a P1a or a P2a, into the state: the ballot
+// never regresses and a slot keeps its highest-ballot pvalue.
+func (s *acceptorState) apply(body any) error {
+	var b Ballot
+	switch m := body.(type) {
+	case P1a:
+		b = m.B
+	case P2a:
+		b = m.B
+		if prev, ok := s.accepted[m.Inst]; !ok || prev.B.Less(b) {
+			s.accepted[m.Inst] = PValue{B: b, Inst: m.Inst, Val: m.Val}
 		}
+	default:
+		return fmt.Errorf("synod: %T is not an acceptor record", body)
 	}
+	if !s.hasB || s.ballot.Less(b) {
+		s.ballot, s.hasB = b, true
+	}
+	return nil
 }
 
 // record applies a mutation and journals it write-ahead of the reply
@@ -71,12 +79,13 @@ func (s *acceptorState) apply(r accRecord) {
 // SyncAlways, where Append already synced; under SyncBatch this is the
 // covering fsync that makes batching sound for acceptors). A storage
 // failure panics: an acceptor that cannot persist must not reply.
-func (s *acceptorState) record(r accRecord) {
-	s.apply(r)
+func (s *acceptorState) record(body any) {
+	_ = s.apply(body) // the step records only a P1a or a P2a
 	if s.j == nil {
 		return
 	}
-	err := s.j.Append(store.EncodeRecord(r))
+	rec, _ := msg.AppendBody(nil, body) // their codecs refuse no value
+	err := s.j.Append(rec)
 	if err == nil {
 		err = s.j.Sync()
 	}

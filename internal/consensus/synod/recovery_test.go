@@ -10,11 +10,19 @@ import (
 )
 
 // The acceptor as a client of store.Journal, for the recovery table
-// every client runs. Unit n is one round at ballot n: the promise, then
-// the accepted pvalue for instance n — two journal records.
-func accUnit(n int) []accRecord {
+// every client runs. Unit n is one round at ballot n: the P1a promised,
+// then the P2a accepted for instance n — two journal records.
+func accUnit(n int) []any {
 	b := Ballot{N: n, L: "l1"}
-	return []accRecord{{B: b}, {B: b, PV: &PValue{B: b, Inst: n, Val: fmt.Sprintf("v%d", n)}}}
+	return []any{P1a{B: b, From: "l1"}, P2a{B: b, Inst: n, Val: fmt.Sprintf("v%d", n), From: "l1"}}
+}
+
+// oldAccRecord is the gob record the acceptor journaled before its
+// records were wire bodies, copied here under another name (gob matches
+// fields by name; the type's name is only in the type descriptor).
+type oldAccRecord struct {
+	B  Ballot
+	PV *PValue
 }
 
 var acceptorClient = recoverytest.Client{
@@ -38,11 +46,23 @@ var acceptorClient = recoverytest.Client{
 		}, nil
 	},
 	Records: func(t testing.TB, n int) [][]byte {
+		RegisterWireTypes()
 		var recs [][]byte
 		for _, r := range accUnit(n) {
-			recs = append(recs, store.EncodeRecord(r))
+			rec, err := msg.AppendBody(nil, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
 		}
 		return recs
+	},
+	OldRecords: func(t testing.TB, n int) [][]byte {
+		b := Ballot{N: n, L: "l1"}
+		return [][]byte{
+			store.EncodeRecord(oldAccRecord{B: b}),
+			store.EncodeRecord(oldAccRecord{B: b, PV: &PValue{B: b, Inst: n, Val: fmt.Sprintf("v%d", n)}}),
+		}
 	},
 }
 

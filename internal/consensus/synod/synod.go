@@ -152,16 +152,17 @@ type (
 )
 
 // RegisterWireTypes registers the protocol's bodies with the wire codec:
-// the steady-state messages (Propose, P2a, P2b, Decide) with frame codecs
-// of their own (tags 0x30–0x3f, DESIGN.md "Wire format and allocation
-// hot path"), the leader-change messages under the codec's gob fallback.
+// the steady-state messages (Propose, P2a, P2b, Decide) and P1a with frame
+// codecs of their own (tags 0x30–0x3f, DESIGN.md "Wire format and
+// allocation hot path"), the rest under the codec's gob fallback.
 func RegisterWireTypes() {
 	msg.RegisterCodec(0x30, Propose{}, appendPropose, readPropose)
 	msg.RegisterCodec(0x31, P2a{}, appendP2a, readP2a)
 	msg.RegisterCodec(0x32, P2b{}, appendP2b, readP2b)
 	msg.RegisterCodec(0x33, Decide{}, appendDecide, readDecide)
+	msg.RegisterCodec(0x34, P1a{}, appendP1a, readP1a)
 	for _, v := range []any{
-		P1a{}, P1b{}, Adopted{}, Preempted{},
+		P1b{}, Adopted{}, Preempted{},
 		SpawnScout{}, SpawnCmd{}, Wake{}, Corrupt{}, Ballot{}, PValue{},
 	} {
 		msg.RegisterBody(v)
@@ -192,6 +193,13 @@ func appendP2a(w *msg.Writer, p P2a) {
 func readP2a(r *msg.Reader) P2a {
 	return P2a{B: readBallot(r), Inst: r.Int(), Val: r.Text(), From: r.Loc()}
 }
+
+func appendP1a(w *msg.Writer, p P1a) {
+	appendBallot(w, p.B)
+	w.Loc(p.From)
+}
+
+func readP1a(r *msg.Reader) P1a { return P1a{B: readBallot(r), From: r.Loc()} }
 
 func appendP2b(w *msg.Writer, p P2b) {
 	w.Loc(p.From)
@@ -312,7 +320,7 @@ func AcceptorClass(cfg Config) loe.Class {
 			if !s.hasB || s.ballot.Less(b.B) {
 				// The promise is a durable commitment: journal it
 				// before the P1b that reveals it exists.
-				s.record(accRecord{B: b.B})
+				s.record(b)
 			}
 			return s, []msg.Directive{msg.Send(b.From, msg.M(HdrP1b, P1b{
 				From: slf, B: s.ballot, Accepted: s.pvalues(),
@@ -320,7 +328,7 @@ func AcceptorClass(cfg Config) loe.Class {
 		case P2a:
 			if !s.hasB || !b.B.Less(s.ballot) {
 				// b.B >= current ballot: adopt and accept.
-				s.record(accRecord{B: b.B, PV: &PValue{B: b.B, Inst: b.Inst, Val: b.Val}})
+				s.record(b)
 			}
 			return s, []msg.Directive{msg.Send(b.From, msg.M(HdrP2b, P2b{
 				From: slf, B: s.ballot, Inst: b.Inst,

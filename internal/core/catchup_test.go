@@ -401,7 +401,7 @@ func hostileRecords(t testing.TB, b []byte) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smr := store.EncodeRecord(walDeliver{Slot: int(unit - 1), Msgs: []broadcast.Bcast{{From: req.Client, Seq: seq, Payload: pay}}})
+		smr := deliverRecord(broadcast.Deliver{Slot: int(unit - 1), Msgs: []broadcast.Bcast{{From: req.Client, Seq: seq, Payload: pay}}})
 		switch b[0] % 5 {
 		case 0:
 			recs = append(recs, orderRecord(unit, req))
@@ -410,7 +410,8 @@ func hostileRecords(t testing.TB, b []byte) [][]byte {
 		case 2:
 			recs = append(recs, b[1:4])
 		case 3:
-			recs = append(recs, orderRecord(unit, req)[:int(b[3])%40])
+			pbr := orderRecord(unit, req)
+			recs = append(recs, pbr[:int(b[3])%len(pbr)])
 		default:
 			recs = append(recs, smr[:int(b[3])%len(smr)])
 		}

@@ -17,12 +17,12 @@ import (
 // The replicated executor (DESIGN.md §9): what a replica does besides
 // ordering, written once. PBR and SMR refine it — the primary orders one
 // transaction at a time, the broadcast service one slot at a time — and
-// contribute only a journal record (execRecord, walDeliver) they append
-// themselves, the function applying a record, and their ordering
-// frontier. Here: the journal's compaction (store.Journal's rule),
-// recovery from snapshot plus journal tail, the reorder buffer for units
-// ahead of the frontier, catch-up from the journal tail, and both
-// directions of state transfer.
+// contribute only a journal record they append themselves (the wire
+// body of the unit: a Repl, a broadcast.Deliver), the function applying
+// a record, and their ordering frontier. Here: the journal's compaction
+// (store.Journal's rule), recovery from snapshot plus journal tail, the
+// reorder buffer for units ahead of the frontier, catch-up from the
+// journal tail, and both directions of state transfer.
 
 // snapHeader is the header of a durable snapshot and of a state
 // transfer (the database image follows it, see encodeSnapshot): the
@@ -144,7 +144,7 @@ func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment, st store.Stable, snapEvery int) (*PBRReplica, bool, error) {
 	r := NewPBRReplica(slf, db, reg, dep)
 	r.exec.st = store.NewJournal("pbr-"+string(slf), st, snapEvery)
-	restored, err := r.exec.Recover(store.Decoding(r.replayTx))
+	restored, err := r.exec.Recover(r.replayTx)
 	if err != nil {
 		return nil, false, err
 	}

@@ -50,14 +50,18 @@ func depositDeliver(t testing.TB, slot int) broadcast.Deliver {
 // slotRecord is depositDeliver's SMR journal record, as a peer serves
 // it in a Catchup.
 func slotRecord(t testing.TB, slot int) []byte {
-	d := depositDeliver(t, slot)
-	return store.EncodeRecord(walDeliver{Slot: d.Slot, Msgs: d.Msgs})
+	return deliverRecord(depositDeliver(t, slot))
 }
 
 // orderRecord is a PBR journal record, as the primary serves it in a
 // Catchup.
 func orderRecord(order int64, req TxRequest) []byte {
-	return store.EncodeRecord(execRecord{Order: order, Req: req})
+	registerWire()
+	rec, err := msg.AppendBody(nil, Repl{Order: order, Req: req})
+	if err != nil {
+		panic(err)
+	}
+	return rec
 }
 
 // openSMR opens a volatile bank replica.

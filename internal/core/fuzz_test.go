@@ -98,12 +98,12 @@ func FuzzReplayRecord(f *testing.F) {
 	// ring has no slot for: PBR refuses the record, SMR the transaction.
 	for _, seq := range []int64{-1, math.MinInt64} {
 		req := durDeposit(seq)
-		f.Add(store.EncodeRecord(execRecord{Order: 2, Req: req}))
+		f.Add(orderRecord(2, req))
 		pay, err := EncodeTx(req)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(store.EncodeRecord(walDeliver{Slot: 1, Msgs: []broadcast.Bcast{{From: req.Client, Seq: 2, Payload: pay}}}))
+		f.Add(deliverRecord(broadcast.Deliver{Slot: 1, Msgs: []broadcast.Bcast{{From: req.Client, Seq: 2, Payload: pay}}}))
 	}
 
 	f.Fuzz(func(t *testing.T, rec []byte) {

@@ -32,8 +32,8 @@ func (l *opLog) note(ev string) {
 }
 
 func (l *opLog) Append(rec []byte) error {
-	var w walDeliver
-	if err := store.DecodeRecord(rec, &w); err != nil {
+	w, err := msg.DecodeBody[broadcast.Deliver](rec)
+	if err != nil {
 		return err
 	}
 	l.note(fmt.Sprintf("append:%d", w.Slot))

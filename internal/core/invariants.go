@@ -9,7 +9,6 @@ import (
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/store"
 	"shadowdb/internal/verify"
 )
 
@@ -198,9 +197,9 @@ func (c *Checks) foldDelivered(e *verify.Event) {
 		// delivered as the live ones, and a restarted lease holder may
 		// later acknowledge them (re-acks). Anything else credits nothing.
 		if e.In.Hdr == HdrCatchup {
+			registerWire()
 			for _, rec := range b.Records {
-				var d broadcast.Deliver
-				if store.DecodeRecord(rec, &d) == nil {
+				if d, err := msg.DecodeBody[broadcast.Deliver](rec); err == nil {
 					ordered(d, false)
 				}
 			}

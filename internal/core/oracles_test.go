@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"reflect"
 
+	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
-	"shadowdb/internal/store"
 )
 
 // Test oracles for the correctness properties of Section III-A:
@@ -43,10 +43,14 @@ func (r *PBRReplica) FullLog() ([]Repl, error) {
 		return nil, ErrIncompleteLog
 	}
 	var log []Repl
-	err := r.exec.st.Replay(store.Decoding(func(x execRecord) error {
+	err := r.exec.st.Replay(func(rec []byte) error {
+		x, err := msg.DecodeBody[Repl](rec)
+		if err != nil {
+			return err
+		}
 		log = append(log, Repl{Order: x.Order, Req: x.Req})
 		return nil
-	}))
+	})
 	return log, err
 }
 

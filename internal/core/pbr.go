@@ -133,6 +133,7 @@ func NewPBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment) *
 	if dep.Timing == (Timing{}) {
 		dep.Timing = DefaultTiming()
 	}
+	registerWire()
 	exec := NewExecutor(db, reg)
 	st, _ := store.NewMem().Open("")
 	exec.st = store.NewJournal("pbr-"+string(slf), st, DefaultSnapEvery)
@@ -250,11 +251,11 @@ func (r *PBRReplica) execAsPrimary(req TxRequest) []msg.Directive {
 		res = TxResult{Client: req.Client, Seq: req.Seq, Err: err.Error()}
 		return []msg.Directive{msg.Send(req.Client, msg.M(HdrTxResult, res))}
 	}
-	r.applied(order, req)
+	repl := Repl{CfgSeq: r.cfg.Seq, Order: order, Req: req}
+	r.applied(repl)
 	gExecuted.Set(r.exec.Executed)
 	needed := make(map[msg.Loc]bool)
 	var outs []msg.Directive
-	repl := Repl{CfgSeq: r.cfg.Seq, Order: order, Req: req}
 	for _, b := range r.cfg.Backups() {
 		outs = append(outs, msg.Send(b, msg.M(HdrRepl, repl)))
 		if !r.syncing[b] {
@@ -311,7 +312,7 @@ func (r *PBRReplica) drainRepl() []msg.Directive {
 			return outs
 		}
 		r.gap = 0
-		r.applied(rep.Order, rep.Req)
+		r.applied(rep)
 		outs = append(outs, r.ack(rep.Order))
 	}
 }
@@ -726,8 +727,8 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 	var reqs []TxRequest
 	var recs [][]byte
 	for _, rec := range c.Records {
-		var x execRecord
-		if store.DecodeRecord(rec, &x) != nil {
+		x, err := msg.DecodeBody[Repl](rec)
+		if err != nil {
 			break
 		}
 		next := r.exec.Executed + int64(len(reqs)) + 1
@@ -760,34 +761,30 @@ func (r *PBRReplica) onCatchup(c Catchup) []msg.Directive {
 	return append(outs, r.inSync())
 }
 
-// execRecord is the PBR journal record: one ordered transaction.
-type execRecord struct {
-	Order int64
-	Req   TxRequest
-}
-
-// orderOf reads a PBR journal record's order number and nothing else
-// (gob skips the fields its target lacks).
+// orderOf reads a PBR journal record's order number.
 func orderOf(rec []byte) (int64, bool) {
-	var u struct{ Order int64 }
-	return u.Order, store.DecodeRecord(rec, &u) == nil
+	p, err := msg.DecodeBody[Repl](rec)
+	return p.Order, err == nil
 }
 
-// applied journals a transaction the executor applied, on any path —
-// after its dedup record, so a compaction here snapshots that too, and
-// before the reply or ack.
-func (r *PBRReplica) applied(order int64, req TxRequest) {
-	must(r.exec.st.Append(store.EncodeRecord(execRecord{Order: order, Req: req})))
+// applied journals a transaction the executor applied, on any path, as
+// the Repl that forwards it — after its dedup record, so a compaction
+// here snapshots that too, and before the reply or ack.
+func (r *PBRReplica) applied(p Repl) {
+	rec, err := msg.AppendBody(make([]byte, 0, 64), p) // a deposit's takes about 25 bytes
+	must(err)
+	must(r.exec.st.Append(rec))
 	r.exec.compactIfDue()
 }
 
 // replayTx applies a journaled transaction that is the next order
 // number; a pre-snapshot straggler or a duplicate is skipped.
-func (r *PBRReplica) replayTx(rec execRecord) error {
-	if rec.Order != r.exec.Executed+1 {
-		return nil
+func (r *PBRReplica) replayTx(rec []byte) error {
+	p, err := msg.DecodeBody[Repl](rec)
+	if err != nil || p.Order != r.exec.Executed+1 {
+		return err
 	}
-	_, err := r.exec.Apply(rec.Order, rec.Req)
+	_, err = r.exec.Apply(p.Order, p.Req)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/recoverytest"
 	"shadowdb/internal/sqldb"
@@ -35,7 +36,24 @@ type durableProto struct {
 	open func(t testing.TB, st store.Stable, db *sqldb.DB) (durableReplica, error)
 	// record encodes unit n as the protocol's journal record.
 	record func(t testing.TB, n int64) []byte
+	// oldRecord encodes unit n as the record of the gob format the
+	// journal kept before it held wire bodies.
+	oldRecord func(t testing.TB, n int64) []byte
 }
+
+// The gob records of the format before wire bodies, copied here under
+// other names (gob matches fields by name; the type's name is only in
+// the type descriptor): a PBR transaction and an SMR slot.
+type (
+	oldExecRecord struct {
+		Order int64
+		Req   TxRequest
+	}
+	oldSlotRecord struct {
+		Slot int
+		Msgs []broadcast.Bcast
+	}
+)
 
 var durableProtos = []durableProto{
 	{
@@ -57,8 +75,9 @@ var durableProtos = []durableProto{
 				units: func() int64 { return exec.Executed },
 			}, nil
 		},
-		record: func(t testing.TB, n int64) []byte {
-			return store.EncodeRecord(execRecord{Order: n, Req: durDeposit(n)})
+		record: func(t testing.TB, n int64) []byte { return orderRecord(n, durDeposit(n)) },
+		oldRecord: func(t testing.TB, n int64) []byte {
+			return store.EncodeRecord(oldExecRecord{Order: n, Req: durDeposit(n)})
 		},
 	},
 	{
@@ -73,8 +92,9 @@ var durableProtos = []durableProto{
 				units: func() int64 { return int64(r.LastSlot()) + 1 },
 			}, nil
 		},
-		record: func(t testing.TB, n int64) []byte {
-			return store.EncodeRecord(walDeliver{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
+		record: func(t testing.TB, n int64) []byte { return slotRecord(t, int(n-1)) },
+		oldRecord: func(t testing.TB, n int64) []byte {
+			return store.EncodeRecord(oldSlotRecord{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
 		},
 	},
 }
@@ -105,7 +125,8 @@ func (p durableProto) client() recoverytest.Client {
 				Compact: r.exec.Compact,
 			}, nil
 		},
-		Records: func(t testing.TB, n int) [][]byte { return [][]byte{p.record(t, int64(n))} },
+		Records:    func(t testing.TB, n int) [][]byte { return [][]byte{p.record(t, int64(n))} },
+		OldRecords: func(t testing.TB, n int) [][]byte { return [][]byte{p.oldRecord(t, int64(n))} },
 	}
 }
 

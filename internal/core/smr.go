@@ -145,6 +145,7 @@ var _ gpm.Process = (*SMRReplica)(nil)
 // (snapshot, then journal, replayed through those handlers) or saves a
 // fresh store's baseline.
 func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
+	registerWire()
 	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext}
 	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
 	r.handlers = map[string]OrderedHandler{
@@ -173,7 +174,7 @@ func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
 	if cfg.Store != nil {
 		r.exec.st = store.NewJournal("smr-"+string(cfg.Self), cfg.Store, DefaultSnapEvery)
 		var err error
-		if r.recoveredLocal, err = r.exec.Recover(store.Decoding(r.replaySlot)); err != nil {
+		if r.recoveredLocal, err = r.exec.Recover(r.replaySlot); err != nil {
 			return nil, err
 		}
 		if r.recoveredLocal {

@@ -12,7 +12,7 @@ import (
 )
 
 // SMR durability: the replicated executor's journal (durability.go)
-// with the slot as the ordered unit — the decided batch, verbatim,
+// with the slot as the ordered unit — the Deliver body that carried it,
 // journaled before it executes. After a crash a new incarnation over
 // the same store recovers locally and asks a peer only for the slots
 // ordered during its downtime; the peer serves them from its own
@@ -20,18 +20,20 @@ import (
 // discarded the range. A volatile replica keeps no journal (its apply
 // must fit testdata/alloc_baseline.txt), so it always transfers.
 
-// walDeliver is the SMR journal record: one delivered slot. Its fields
-// are broadcast.Deliver's, so a record decodes into a Deliver too.
-type walDeliver struct {
-	Slot int
-	Msgs []broadcast.Bcast
+// slotOf reads an SMR journal record's slot.
+func slotOf(rec []byte) (int64, bool) {
+	d, err := msg.DecodeBody[broadcast.Deliver](rec)
+	return int64(d.Slot), err == nil
 }
 
-// slotOf reads an SMR journal record's slot and nothing else (gob skips
-// the fields its target lacks).
-func slotOf(rec []byte) (int64, bool) {
-	var u struct{ Slot int64 }
-	return u.Slot, store.DecodeRecord(rec, &u) == nil
+// deliverRecord encodes a slot as its journal record.
+func deliverRecord(d broadcast.Deliver) []byte {
+	size := 16
+	for _, b := range d.Msgs {
+		size += len(b.From) + len(b.Payload) + 16
+	}
+	rec, _ := msg.AppendBody(make([]byte, 0, size), d) // its codec refuses no value
+	return rec
 }
 
 // NewDurableSMRReplica is OpenSMRReplica over st with peers. It stays
@@ -44,12 +46,13 @@ func NewDurableSMRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, st store.Stab
 // pre-snapshot straggler or a duplicate is skipped. Nothing is listening
 // yet, so the replies (already sent by the pre-crash incarnation) are
 // discarded.
-func (r *SMRReplica) replaySlot(w walDeliver) error {
-	if w.Slot == r.lastSlot+1 {
-		r.lastSlot = w.Slot
-		_ = r.applyBatch(broadcast.Deliver(w))
+func (r *SMRReplica) replaySlot(rec []byte) error {
+	d, err := msg.DecodeBody[broadcast.Deliver](rec)
+	if err == nil && d.Slot == r.lastSlot+1 {
+		r.lastSlot = d.Slot
+		_ = r.applyBatch(d)
 	}
-	return nil
+	return err
 }
 
 // Recovered reports whether the replica restored state from its store
@@ -119,7 +122,7 @@ func (r *SMRReplica) SetGroupCommit(every int, _ time.Duration) {
 func (r *SMRReplica) applySlot(d broadcast.Deliver, rec []byte, quiet bool) []msg.Directive {
 	if r.exec.st != nil {
 		if rec == nil {
-			rec = store.EncodeRecord(walDeliver(d))
+			rec = deliverRecord(d)
 		}
 		must(r.exec.st.Append(rec))
 		mSMRAppends.Inc()
@@ -259,8 +262,8 @@ func (r *SMRReplica) onCatchup(c Catchup) []msg.Directive {
 	}
 	var outs []msg.Directive
 	for _, rec := range c.Records { // in slot order, as journaled
-		var d broadcast.Deliver
-		if store.DecodeRecord(rec, &d) != nil {
+		d, err := msg.DecodeBody[broadcast.Deliver](rec)
+		if err != nil {
 			break
 		}
 		if d.Slot == r.lastSlot+1 {

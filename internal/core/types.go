@@ -266,8 +266,8 @@ type CatchupReq struct {
 }
 
 // Catchup answers a CatchupReq with the server's journal records past
-// the requester's frontier, verbatim and in order (execRecord under PBR,
-// walDeliver under SMR), possibly over several messages; an empty one
+// the requester's frontier, verbatim and in order (Repl bodies under PBR,
+// Deliver bodies under SMR), possibly over several messages; an empty one
 // says nothing is missing. A server whose journal no longer reaches back
 // that far sends a state transfer instead.
 type Catchup struct {

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"shadowdb/internal/broadcast"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
@@ -33,9 +34,10 @@ func RegisterWireTypes() {
 	}
 }
 
-// registerWire registers the bodies once, for the payload codecs, which
-// must not depend on a caller having registered them.
-var registerWire = sync.OnceFunc(RegisterWireTypes)
+// registerWire registers the bodies once, with broadcast's for the SMR
+// journal's Deliver, for the payload codecs and the journal records,
+// which must not depend on a caller having registered them.
+var registerWire = sync.OnceFunc(func() { RegisterWireTypes(); broadcast.RegisterWireTypes() })
 
 // AppendTxRequest is the TxRequest codec's encoder; bodies that carry a
 // request (Repl, shard.Prepare) write it with their own fields.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"shadowdb/internal/broadcast"
+	"shadowdb/internal/consensus/synod"
 	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
 	"shadowdb/internal/gpm"
@@ -468,6 +469,111 @@ func TestHotPathStaysOffGob(t *testing.T) {
 		}
 		offGob(t, session(t, topology, "cli", "pbr", ""), 200, false)
 	})
+}
+
+// Every ordered-unit journal holds the wire body of the unit it
+// journals: once a durable SMR cluster and a durable PBR pair have
+// committed deposits, each record of every acceptor, sequencer and
+// replica journal decodes with msg.DecodeBody to its client's body — a
+// P1a or P2a, a synod.Decide, a broadcast.Deliver, a core.Repl.
+func TestJournalsHoldWireBodies(t *testing.T) {
+	checkLeaks(t)
+	const deposits = 20
+	t.Run("smr", func(t *testing.T) {
+		topology := writeTopology(t, "b1", "b2", "b3", "r1", "r2", "r3", "bench")
+		data := t.TempDir()
+		var nodes []*node
+		for _, id := range []string{"r1", "r2", "r3", "b1", "b2", "b3"} {
+			n := deploy.Default()
+			n.ID, n.Topology, n.Rows, n.DataDir = id, topology, 100, filepath.Join(data, id)
+			n.Role = "smr"
+			if id[0] == 'b' {
+				n.Role = "broadcast"
+			}
+			nodes = append(nodes, build(t, n).start(t))
+		}
+		s := session(t, topology, "bench", "smr", "")
+		for i := 0; i < deposits; i++ {
+			exec(t, s, "deposit", int64(i), int64(1))
+		}
+		waitFor(t, "every replica to execute the deposits", func() bool {
+			return nodes[0].executed.Load() == deposits && nodes[1].executed.Load() == deposits &&
+				nodes[2].executed.Load() == deposits
+		})
+		for _, nd := range nodes {
+			nd.stop()
+		}
+		for _, id := range []string{"r1", "r2", "r3"} {
+			journalBodies[broadcast.Deliver](t, filepath.Join(data, id), "smr-"+id)
+		}
+		for _, id := range []string{"b1", "b2", "b3"} {
+			journalBodies[synod.Decide](t, filepath.Join(data, id), "seq-"+id)
+			for i, body := range journalBodies[any](t, filepath.Join(data, id), "acc-"+id) {
+				switch body.(type) {
+				case synod.P1a, synod.P2a:
+				default:
+					t.Errorf("acc-%s: record %d is a %T, want a P1a or a P2a", id, i, body)
+				}
+			}
+		}
+	})
+	t.Run("pbr", func(t *testing.T) {
+		topology := writeTopology(t, "b1", "r1", "r2")
+		data := t.TempDir()
+		var nodes []*node
+		for _, id := range []string{"b1", "r1", "r2"} {
+			n := deploy.Default()
+			n.ID, n.Topology, n.Rows, n.DataDir = id, topology, 100, filepath.Join(data, id)
+			if id == "b1" {
+				n.Role = "broadcast"
+			}
+			nodes = append(nodes, build(t, n).start(t))
+		}
+		s := session(t, topology, "cli", "pbr", "")
+		for i := 0; i < deposits; i++ {
+			exec(t, s, "deposit", int64(i), int64(1))
+		}
+		for _, nd := range nodes {
+			nd.stop()
+		}
+		for _, id := range []string{"r1", "r2"} {
+			if recs := journalBodies[core.Repl](t, filepath.Join(data, id), "pbr-"+id); len(recs) != deposits {
+				t.Errorf("pbr-%s holds %d records for %d deposits", id, len(recs), deposits)
+			}
+		}
+	})
+}
+
+// journalBodies reads back every record of the journal name in the data
+// directory dir, each of which must be exactly one wire body of type T,
+// and fails the test on a journal that holds none.
+func journalBodies[T any](t *testing.T, dir, name string) []T {
+	t.Helper()
+	d, err := store.NewDir(dir, store.SyncNever)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	var bodies []T
+	err = st.Replay(func(rec []byte) error {
+		body, err := msg.DecodeBody[T](rec)
+		if err != nil {
+			return fmt.Errorf("record %d: %w", len(bodies), err)
+		}
+		bodies = append(bodies, body)
+		return nil
+	})
+	if err != nil {
+		t.Errorf("journal %s: %v", name, err)
+	}
+	if len(bodies) == 0 {
+		t.Errorf("journal %s holds no record", name)
+	}
+	return bodies
 }
 
 // -module twothird: three service nodes order one Bcast for the

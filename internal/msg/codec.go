@@ -65,7 +65,7 @@ func RegisterBody(v any) {
 
 // RegisterBasics registers the basic value types that travel inside
 // interface-typed fields (TxRequest.Args, SubTx.ApplyArgs, result rows)
-// with gob, for the gob fallback and the journal codec alike.
+// with gob, for the gob fallback and store.EncodeRecord alike.
 var RegisterBasics = sync.OnceFunc(func() {
 	for _, v := range []any{int64(0), float64(0), "", int(0), true} {
 		gob.Register(v)

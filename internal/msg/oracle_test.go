@@ -66,6 +66,7 @@ func samples() []any {
 		synod.P2a{}, synod.P2a{B: ballot, Inst: math.MinInt, Val: "\x00", From: "b1"},
 		synod.P2b{}, synod.P2b{From: "b3", B: ballot, Inst: 4},
 		synod.Decide{}, synod.Decide{Inst: -1, Val: "decided"},
+		synod.P1a{}, synod.P1a{B: ballot, From: "b1"},
 		flow.Reject{},
 		flow.Reject{From: "b1", Seq: 4, Class: flow.ClassControl, Reason: flow.ReasonOverload, Depth: -1, Cap: math.MaxInt},
 		shard.Prepare{}, shard.Prepare{Participants: []int{}, Sub: shard.SubTx{Reserve: map[string]int64{}, ApplyArgs: []any{}}},

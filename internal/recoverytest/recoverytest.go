@@ -14,7 +14,7 @@ package recoverytest
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"regexp"
 	"testing"
 
 	"shadowdb/internal/store"
@@ -31,6 +31,9 @@ type Client struct {
 	// Records encodes unit n as the journal records the client writes
 	// for it, in order.
 	Records func(t testing.TB, n int) [][]byte
+	// OldRecords encodes unit n in the client's previous record format,
+	// which recovery must refuse; nil when the format has not changed.
+	OldRecords func(t testing.TB, n int) [][]byte
 }
 
 // Instance is one incarnation of a client.
@@ -88,6 +91,15 @@ func (r run) apply(in Instance, from, to int) {
 	}
 }
 
+// append puts records into the tail behind the client's back.
+func (r run) append(recs ...[]byte) {
+	for _, rec := range recs {
+		if err := r.st.Append(rec); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+}
+
 // restart opens a new incarnation over the row's store and checks it
 // came back with the state and at the frontier of orig.
 func (r run) restart(orig Instance) Instance {
@@ -114,14 +126,15 @@ func (r run) resumes(in Instance, n int) {
 	}
 }
 
-// refused checks a restart over the row's store fails, saying why.
+// refused checks a restart over the row's store fails, saying why: its
+// error matches the regular expression mention.
 func (r run) refused(what, mention string) {
 	r.t.Helper()
 	_, err := r.c.Open(r.t, r.st, false)
 	if err == nil {
 		r.t.Fatalf("opened over %s: must refuse, not start on part of its state", what)
 	}
-	if !strings.Contains(err.Error(), mention) {
+	if !regexp.MustCompile(mention).MatchString(err.Error()) {
 		r.t.Errorf("refusal of %s does not say %q: %v", what, mention, err)
 	}
 }
@@ -177,21 +190,24 @@ var rows = []struct {
 		if err := in.Compact(); err != nil {
 			r.t.Fatal(err)
 		}
-		for _, rec := range r.c.Records(r.t, 2) {
-			if err := r.st.Append(rec); err != nil {
-				r.t.Fatal(err)
-			}
-		}
+		r.append(r.c.Records(r.t, 2)...)
 		r.resumes(r.restart(in), 6)
 	}},
 	{"undecodable record", func(r run, in Instance) {
 		r.apply(in, 1, 3)
 		at := r.st.Tail
-		if err := r.st.Append([]byte("not a journal record")); err != nil {
-			r.t.Fatal(err)
-		}
+		r.append([]byte("not a journal record"))
 		r.apply(in, 4, 5)
 		r.refused("a record that does not decode", fmt.Sprintf("record %d", at))
+	}},
+	{"tail record in the old format", func(r run, in Instance) {
+		if r.c.OldRecords == nil {
+			r.t.Skip("the client's record format has not changed")
+		}
+		r.apply(in, 1, 3)
+		at := r.st.Tail
+		r.append(r.c.OldRecords(r.t, 4)...)
+		r.refused("a record in the old format", fmt.Sprintf(`^store: journal \S+: record %d: `, at))
 	}},
 	{"refused snapshot format", func(r run, in Instance) {
 		r.apply(in, 1, 3)

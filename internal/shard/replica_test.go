@@ -333,6 +333,18 @@ var replicaClient = recoverytest.Client{
 		}
 		return recs[n-1:]
 	},
+	OldRecords: func(t testing.TB, n int) [][]byte {
+		d := ledgerUnit(n)
+		return [][]byte{store.EncodeRecord(oldSlotRecord{Slot: d.Slot, Msgs: d.Msgs})}
+	},
+}
+
+// oldSlotRecord is the gob record an SMR replica journaled before its
+// records were wire bodies, copied here under another name (gob matches
+// fields by name; the type's name is only in the type descriptor).
+type oldSlotRecord struct {
+	Slot int
+	Msgs []broadcast.Bcast
 }
 
 func TestShardReplicaRecovery(t *testing.T) { recoverytest.Run(t, replicaClient) }

@@ -40,8 +40,9 @@ func (db *DB) Snapshot() []TableDump {
 	return dumps
 }
 
-// Restore replaces the database contents with the snapshot. A snapshot
-// with a schema the engine refuses leaves the database as it was.
+// Restore replaces the database contents with the snapshot, whose rows
+// it keeps and updates in place: hand each restore rows of its own. A
+// snapshot with a schema the engine refuses leaves the database as it was.
 func (db *DB) Restore(dumps []TableDump) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -63,8 +64,8 @@ func (db *DB) Restore(dumps []TableDump) error {
 	return nil
 }
 
-// InsertBatch inserts pre-built rows into one table. Existing keys are
-// overwritten.
+// InsertBatch inserts copies of pre-built rows into one table. Existing
+// keys are overwritten.
 func (db *DB) InsertBatch(table string, rows [][]Value) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -77,17 +78,16 @@ func (db *DB) InsertBatch(table string, rows [][]Value) error {
 			return fmt.Errorf("sqldb: batch row has %d values, table %s has %d columns",
 				len(row), table, len(t.Cols))
 		}
-		db.load(t, row)
+		db.load(t, append([]Value(nil), row...))
 	}
 	return nil
 }
 
-// load stores a copy of a transferred row, replacing any row with the
-// same primary key.
+// load stores a transferred row, replacing any row with the same
+// primary key.
 func (db *DB) load(t *Table, row []Value) {
-	r := append([]Value(nil), row...)
-	db.keyBuf = t.appendKey(db.keyBuf[:0], r)
-	t.idx.put(db.keyBuf, r, true)
+	db.keyBuf = t.appendKey(db.keyBuf[:0], row)
+	t.idx.put(db.keyBuf, row, true)
 	db.stats.RowsInserted++
 }
 

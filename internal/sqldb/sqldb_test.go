@@ -353,6 +353,37 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// Restore keeps the rows it is given, and PointAddInt changes a row in
+// place, so each restore must be handed rows of its own: two databases
+// restored from one image, or from two snapshots of one template, share
+// no row.
+func TestRestoredDatabasesShareNoRow(t *testing.T) {
+	a := mustOpen(t)
+	setupAccounts(t, a, 5)
+	img := a.AppendDump(nil)
+	for name, dumps := range map[string]func() ([]TableDump, error){
+		"image":    func() ([]TableDump, error) { return DecodeDump(img) },
+		"snapshot": func() ([]TableDump, error) { return a.Snapshot(), nil },
+	} {
+		b, c := mustOpen(t), mustOpen(t)
+		for _, db := range []*DB{b, c} {
+			d, err := dumps()
+			if err == nil {
+				err = db.Restore(d)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ok, err := b.PointAddInt("accounts", 3, "balance", 7); !ok || err != nil {
+			t.Fatalf("%s: update: %v %v", name, ok, err)
+		}
+		if !Equal(a, c) || Equal(b, c) {
+			t.Errorf("%s: an update in one restored database reached another", name)
+		}
+	}
+}
+
 // The cost model of a state transfer: the sender pays per cell, the
 // receiver per row and per payload byte, and both grow with the rows
 // loaded (here through InsertBatch, which overwrites a repeated key).

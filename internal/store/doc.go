@@ -24,7 +24,9 @@
 // written once. Its four clients — the replicated executor (core, under
 // PBR and SMR), the Synod acceptor, the broadcast sequencer and the 2PC
 // coordinator (shard.Router) — each contribute only a record codec, a
-// function applying a record, and a function encoding their whole state:
+// function applying a record, and a function encoding their whole state
+// (the first three journal the wire body of their unit, msg.AppendBody,
+// whose tag versions the record; the rest is EncodeRecord's gob):
 //
 //   - Recover(restore, replay), once, before any traffic: the snapshot
 //     (if any) goes to restore, then every record of the tail to replay
@@ -44,9 +46,10 @@
 // CRC scan truncates a segment's tail at the first bad record, and a
 // snapshot file (written whole, renamed into place, so never torn) that
 // fails its CRC fails Open. Bytes that pass the CRC and still do not
-// decode — snapshot or record — and any error reading the snapshot fail
-// Recover with an error naming the journal and the record's index; the
-// owner refuses to start. Skipping is never safe for all four: an
+// decode — snapshot or record, a record an older build wrote in another
+// format among them — and any error reading the snapshot fail Recover
+// with an error naming the journal and the record's index; the owner
+// refuses to start. Skipping is never safe for all four: an
 // acceptor that skips a record has forgotten a promise. A record that
 // decodes but is not the owner's next unit (a pre-snapshot straggler, a
 // duplicate) is the owner's to skip: replay returns nil for it.
