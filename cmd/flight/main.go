@@ -46,7 +46,7 @@ func main() {
 }
 
 func run(args []string) int {
-	// Bundle traces carry protocol bodies, gob-encoded.
+	// Bundle traces carry protocol bodies, written by their codecs.
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes()
 	shard.RegisterWireTypes()

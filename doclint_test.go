@@ -276,19 +276,14 @@ func TestWireTagCatalogue(t *testing.T) {
 }
 
 // gobImporters are the only non-test files allowed to import
-// encoding/gob, each for a reason the hot path does not share: the wire
-// codec's per-body fallback, the snapshots and the 2PC coordinator's
-// journal record (until they get a codec of their own, ROADMAP item 16),
-// and trace files.
-var gobImporters = []string{
-	"internal/msg/codec.go",
-	"internal/obs/trace.go",
-	"internal/store/journal.go",
-}
+// encoding/gob: none. The wire codec (msg.RegisterCodec) is the one
+// encoding of frames, journal records, snapshots and trace files, so no
+// reflection touches the wire, the disk or a trace (ROADMAP item 16).
+var gobImporters []string
 
-// TestGobImporters keeps gob off the hot path: a payload or body that
-// reaches for encoding/gob instead of a codec registered with the wire
-// codec (msg.RegisterCodec) fails here, whatever its tests measure.
+// TestGobImporters keeps gob out of the program: a payload, body,
+// record or file that reaches for encoding/gob instead of a codec
+// registered with the wire codec fails here, whatever its tests measure.
 func TestGobImporters(t *testing.T) {
 	var got []string
 	nonTestSources(t, parser.ImportsOnly, func(path string, f *ast.File) {

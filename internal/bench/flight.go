@@ -16,9 +16,8 @@ import (
 )
 
 // registerWireTypes registers every protocol body type with the wire
-// codec, and so with gob (idempotent). Bundle dumps serialize trace
-// events with gob, so any experiment that arms flight recorders needs
-// the full set.
+// codec (idempotent). Bundle dumps write trace events with it, so any
+// experiment that arms flight recorders needs the full set.
 func registerWireTypes() {
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes()

@@ -76,6 +76,10 @@ type Run struct {
 	onRestart func(msg.Loc, *core.SMRReplica)
 }
 
+// watchRun, when set, is handed every run's Obs before any load runs,
+// so a sink added to it sees every event the run traces (tests).
+var watchRun func(*obs.Obs)
+
 // startRun arms the observation side of a run. name labels flight
 // bundles and the temp data directory; dataDir, when non-empty, hosts
 // durable stores instead of a temp directory.
@@ -86,6 +90,9 @@ func startRun(name string, ringSize int, flightDir, dataDir string) *Run {
 		dump: func(string) {},
 	}
 	r.Obs.EnableTracing(true)
+	if watchRun != nil {
+		watchRun(r.Obs)
+	}
 	return r
 }
 

@@ -107,13 +107,13 @@ type Deliver struct {
 type Batch []Bcast
 
 // RegisterWireTypes registers the service's bodies with the wire codec:
-// Bcast, Deliver and the Batch value with codecs of their own (tags
-// 0x20–0x2f, DESIGN.md "Wire format and allocation hot path").
+// Bcast, Deliver, the Batch value and Flush (tags 0x20–0x2f, DESIGN.md
+// "Wire format and allocation hot path").
 func RegisterWireTypes() {
 	msg.RegisterCodec(0x20, Bcast{}, appendBcast, readBcast)
 	msg.RegisterCodec(0x21, Deliver{}, appendDeliver, readDeliver)
 	msg.RegisterCodec(0x22, Batch(nil), appendBatch, readBatch)
-	msg.RegisterBody(Flush{})
+	msg.RegisterCodec(0x23, Flush{}, func(w *msg.Writer, f Flush) { w.Int64(f.Gen) }, func(r *msg.Reader) Flush { return Flush{Gen: r.Int64()} })
 	twothird.RegisterWireTypes()
 	synod.RegisterWireTypes()
 	// Rejects answer refused Bcasts, so they travel wherever Bcasts do.

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"errors"
 	"fmt"
 
 	"shadowdb/internal/consensus/synod"
@@ -20,14 +21,7 @@ import (
 // during the downtime recover through their own catch-up protocol (the
 // SMR replica's WAL + delta fetch), not by sequencer redelivery.
 
-// seqSnapshot is the compacted journal: the delivery frontier, the
-// proposal high-water mark, and any decided-but-not-yet-contiguous
-// slots (still encoded as consensus values).
-type seqSnapshot struct {
-	Next     int
-	PropSlot int
-	Decided  map[int]string
-}
+var errNotDecide = errors.New("broadcast: a sequencer snapshot holds a body other than a decision")
 
 // journal appends one decision write-ahead of its delivery. A storage
 // failure panics: a sequencer that cannot journal must not deliver.
@@ -45,12 +39,18 @@ func (s *seqState) journal(inst int, val string) {
 	}
 }
 
+// snapshot is the compacted journal: the delivery frontier and the
+// proposal high-water mark, then each decided-but-not-yet-contiguous
+// slot as the synod.Decide its record holds, in slot order.
 func (s *seqState) snapshot() []byte {
-	snap := seqSnapshot{Next: s.next, PropSlot: s.propSlot, Decided: make(map[int]string)}
-	for slot, b := range s.decided {
-		snap.Decided[slot] = EncodeBatch(b)
-	}
-	return store.EncodeRecord(snap)
+	b, _ := msg.Append(nil, func(w *msg.Writer) { // its codec refuses no value
+		w.Int(s.next)
+		w.Int(s.propSlot)
+		for _, slot := range msg.SortedKeys(s.decided) {
+			w.Body(synod.Decide{Inst: slot, Val: EncodeBatch(s.decided[slot])})
+		}
+	})
+	return b
 }
 
 // decide parks a decision's batch until the delivery frontier reaches
@@ -75,15 +75,19 @@ func (s *seqState) decide(inst int, val string) error {
 func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
 	registerWire()
 	s.j = store.NewJournal("seq-"+string(slf), st, 0)
-	_, err := s.j.Recover(store.Decoding(func(snap seqSnapshot) error {
-		s.next, s.propSlot = snap.Next, snap.PropSlot
-		for slot, val := range snap.Decided {
-			if err := s.decide(slot, val); err != nil {
-				return fmt.Errorf("slot %d: %w", slot, err)
+	_, err := s.j.Recover(func(snap []byte) error {
+		return msg.Read(snap, func(r *msg.Reader) {
+			s.next, s.propSlot = r.Int(), r.Int()
+			for r.More() {
+				d, ok := r.Body().(synod.Decide)
+				if !ok {
+					r.Fail(errNotDecide)
+				} else if err := s.decide(d.Inst, d.Val); err != nil {
+					r.Fail(fmt.Errorf("slot %d: %w", d.Inst, err))
+				}
 			}
-		}
-		return nil
-	}), func(rec []byte) error {
+		})
+	}, func(rec []byte) error {
 		d, err := msg.DecodeBody[synod.Decide](rec)
 		if err == nil {
 			s.propSlot = max(s.propSlot, d.Inst) // never re-propose a journaled slot

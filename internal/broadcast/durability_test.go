@@ -138,8 +138,19 @@ func TestSequencerRefusesUndecodableValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := EncodeBatch([]Bcast{{From: "c1", Seq: 1, Payload: []byte("x")}})
+	// A snapshot with the frontier at 2, the proposals at 4, and slots 3
+	// and 4 parked, slot 4's value a gob stream.
+	snap, err := msg.Append(nil, func(w *msg.Writer) {
+		w.Int(2)
+		w.Int(4)
+		w.Body(synod.Decide{Inst: 3, Val: good})
+		w.Body(synod.Decide{Inst: 4, Val: old.String()})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct {
-		snap *seqSnapshot
+		snap []byte
 		recs []synod.Decide
 		want []string
 	}{
@@ -147,8 +158,7 @@ func TestSequencerRefusesUndecodableValue(t *testing.T) {
 			want: []string{"journal seq-b1", "record 1", "slot 1"}},
 		"gob record": {recs: []synod.Decide{{Inst: 0, Val: old.String()}},
 			want: []string{"journal seq-b1", "record 0", "slot 0"}},
-		"snapshot slot": {snap: &seqSnapshot{Next: 2, PropSlot: 4, Decided: map[int]string{3: good, 4: old.String()}},
-			want: []string{"journal seq-b1", "snapshot", "slot 4"}},
+		"snapshot slot": {snap: snap, want: []string{"journal seq-b1", "snapshot", "slot 4"}},
 	} {
 		prov := store.NewMem()
 		st, err := prov.Open("seq-b1")
@@ -156,7 +166,7 @@ func TestSequencerRefusesUndecodableValue(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tc.snap != nil {
-			if err := st.SaveSnapshot(store.EncodeRecord(*tc.snap)); err != nil {
+			if err := st.SaveSnapshot(tc.snap); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,8 @@
 package broadcast
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"slices"
 	"testing"
@@ -55,8 +57,29 @@ var sequencerClient = recoverytest.Client{
 	},
 	OldRecords: func(t testing.TB, n int) [][]byte {
 		inst, val := seqUnit(n)
-		return [][]byte{store.EncodeRecord(oldSeqRecord{Inst: inst, Val: val})}
+		return [][]byte{gobBytes(t, oldSeqRecord{Inst: inst, Val: val})}
 	},
+	OldSnapshot: func(t testing.TB, n int) []byte {
+		return gobBytes(t, oldSeqSnapshot{Next: n, PropSlot: n - 1, Decided: map[int]string{n + 1: EncodeBatch(nil)}})
+	},
+}
+
+// gobBytes is v as one gob stream, the sequencer's old format.
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oldSeqSnapshot is the gob snapshot the sequencer compacted into before
+// its snapshot held decisions as wire bodies.
+type oldSeqSnapshot struct {
+	Next     int
+	PropSlot int
+	Decided  map[int]string
 }
 
 // decideRecord is the sequencer's journal record of a decision.

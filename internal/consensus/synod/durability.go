@@ -12,17 +12,11 @@ import (
 // commitment, so the mutation behind it must reach stable storage
 // before the reply leaves the process. With Config.Stable set, each
 // acceptor is a client of store.Journal: it journals the P1a it adopts
-// and the P2a it accepts, as wire bodies, ahead of replying, and is
-// rebuilt from snapshot + tail when its class is instantiated again —
+// and the P2a it accepts, as wire bodies, ahead of replying, compacts
+// them into a snapshot of the same bodies, and is rebuilt from snapshot
+// + tail when its class is instantiated again —
 // what both a real process restart and a simulated crash-restart
 // (verify's Restarts budget, the DES rebuild path) do.
-
-// accSnapshot is the full acceptor state.
-type accSnapshot struct {
-	B    Ballot
-	HasB bool
-	PVs  []PValue
-}
 
 // openAcceptor builds the acceptor at slf, recovered from its stable
 // store when durability is configured.
@@ -37,13 +31,15 @@ func openAcceptor(cfg Config, slf msg.Loc) (*acceptorState, error) {
 	}
 	RegisterWireTypes() // the records are bodies; registering again is a no-op
 	s.j = store.NewJournal("acc-"+string(slf), st, 0)
-	_, err := s.j.Recover(store.Decoding(func(sn accSnapshot) error {
-		s.ballot, s.hasB = sn.B, sn.HasB
-		for _, pv := range sn.PVs {
-			s.accepted[pv.Inst] = pv
-		}
-		return nil
-	}), func(rec []byte) error {
+	_, err := s.j.Recover(func(snap []byte) error {
+		return msg.Read(snap, func(r *msg.Reader) {
+			for r.More() {
+				if err := s.apply(r.Body()); err != nil {
+					r.Fail(err)
+				}
+			}
+		})
+	}, func(rec []byte) error {
 		body, err := msg.DecodeBody[any](rec)
 		if err == nil {
 			err = s.apply(body)
@@ -97,6 +93,17 @@ func (s *acceptorState) record(body any) {
 	}
 }
 
+// snapshot writes the acceptor's state as the records that rebuild it:
+// the P1a of its ballot, then the P2a of each accepted pvalue in slot
+// order.
 func (s *acceptorState) snapshot() []byte {
-	return store.EncodeRecord(accSnapshot{B: s.ballot, HasB: s.hasB, PVs: s.pvalues()})
+	b, _ := msg.Append(nil, func(w *msg.Writer) { // their codecs refuse no value
+		if s.hasB {
+			w.Body(P1a{B: s.ballot})
+		}
+		for _, pv := range s.pvalues() {
+			w.Body(P2a{B: pv.B, Inst: pv.Inst, Val: pv.Val})
+		}
+	})
+	return b
 }

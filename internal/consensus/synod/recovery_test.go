@@ -1,6 +1,8 @@
 package synod
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -23,6 +25,24 @@ func accUnit(n int) []any {
 type oldAccRecord struct {
 	B  Ballot
 	PV *PValue
+}
+
+// oldAccSnapshot is the gob snapshot the acceptor compacted into before
+// its snapshot was a list of wire bodies.
+type oldAccSnapshot struct {
+	B    Ballot
+	HasB bool
+	PVs  []PValue
+}
+
+// gobBytes is v as one gob stream, the acceptor's old format.
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 var acceptorClient = recoverytest.Client{
@@ -60,9 +80,16 @@ var acceptorClient = recoverytest.Client{
 	OldRecords: func(t testing.TB, n int) [][]byte {
 		b := Ballot{N: n, L: "l1"}
 		return [][]byte{
-			store.EncodeRecord(oldAccRecord{B: b}),
-			store.EncodeRecord(oldAccRecord{B: b, PV: &PValue{B: b, Inst: n, Val: fmt.Sprintf("v%d", n)}}),
+			gobBytes(t, oldAccRecord{B: b}),
+			gobBytes(t, oldAccRecord{B: b, PV: &PValue{B: b, Inst: n, Val: fmt.Sprintf("v%d", n)}}),
 		}
+	},
+	OldSnapshot: func(t testing.TB, n int) []byte {
+		snap := oldAccSnapshot{B: Ballot{N: n, L: "l1"}, HasB: true}
+		for i := 1; i <= n; i++ {
+			snap.PVs = append(snap.PVs, PValue{B: Ballot{N: i, L: "l1"}, Inst: i, Val: fmt.Sprintf("v%d", i)})
+		}
+		return gobBytes(t, snap)
 	},
 }
 

@@ -151,22 +151,21 @@ type (
 	Corrupt struct{}
 )
 
-// RegisterWireTypes registers the protocol's bodies with the wire codec:
-// the steady-state messages (Propose, P2a, P2b, Decide) and P1a with frame
-// codecs of their own (tags 0x30–0x3f, DESIGN.md "Wire format and
-// allocation hot path"), the rest under the codec's gob fallback.
+// RegisterWireTypes registers the protocol's bodies with the wire codec
+// (tags 0x30–0x3f, DESIGN.md "Wire format and allocation hot path").
 func RegisterWireTypes() {
 	msg.RegisterCodec(0x30, Propose{}, appendPropose, readPropose)
 	msg.RegisterCodec(0x31, P2a{}, appendP2a, readP2a)
 	msg.RegisterCodec(0x32, P2b{}, appendP2b, readP2b)
 	msg.RegisterCodec(0x33, Decide{}, appendDecide, readDecide)
 	msg.RegisterCodec(0x34, P1a{}, appendP1a, readP1a)
-	for _, v := range []any{
-		P1b{}, Adopted{}, Preempted{},
-		SpawnScout{}, SpawnCmd{}, Wake{}, Corrupt{}, Ballot{}, PValue{},
-	} {
-		msg.RegisterBody(v)
-	}
+	msg.RegisterCodec(0x35, P1b{}, appendP1b, readP1b)
+	msg.RegisterCodec(0x36, Adopted{}, appendAdopted, readAdopted)
+	msg.RegisterCodec(0x37, Preempted{}, appendPreempted, readPreempted)
+	msg.RegisterCodec(0x38, SpawnScout{}, appendSpawnScout, readSpawnScout)
+	msg.RegisterCodec(0x39, SpawnCmd{}, appendSpawnCmd, readSpawnCmd)
+	msg.RegisterCodec(0x3a, Wake{}, func(*msg.Writer, Wake) {}, func(*msg.Reader) Wake { return Wake{} })
+	msg.RegisterCodec(0x3b, Corrupt{}, func(*msg.Writer, Corrupt) {}, func(*msg.Reader) Corrupt { return Corrupt{} })
 }
 
 func appendBallot(w *msg.Writer, b Ballot) {
@@ -215,6 +214,65 @@ func appendDecide(w *msg.Writer, d Decide) {
 }
 
 func readDecide(r *msg.Reader) Decide { return Decide{Inst: r.Int(), Val: r.Text()} }
+
+func appendPValues(w *msg.Writer, pvs []PValue) {
+	w.Uvarint(uint64(len(pvs)))
+	for _, pv := range pvs {
+		appendBallot(w, pv.B)
+		w.Int(pv.Inst)
+		w.Text(pv.Val)
+	}
+}
+
+// minPValue is the fewest bytes an encoded PValue occupies.
+const minPValue = 4
+
+func readPValues(r *msg.Reader) []PValue {
+	n := r.Count(minPValue)
+	if n == 0 {
+		return nil
+	}
+	pvs := make([]PValue, n)
+	for i := range pvs {
+		pvs[i] = PValue{B: readBallot(r), Inst: r.Int(), Val: r.Text()}
+	}
+	return pvs
+}
+
+func appendP1b(w *msg.Writer, p P1b) {
+	w.Loc(p.From)
+	appendBallot(w, p.B)
+	appendPValues(w, p.Accepted)
+}
+
+func readP1b(r *msg.Reader) P1b {
+	return P1b{From: r.Loc(), B: readBallot(r), Accepted: readPValues(r)}
+}
+
+func appendAdopted(w *msg.Writer, a Adopted) {
+	appendBallot(w, a.B)
+	appendPValues(w, a.Accepted)
+}
+
+func readAdopted(r *msg.Reader) Adopted { return Adopted{B: readBallot(r), Accepted: readPValues(r)} }
+
+func appendPreempted(w *msg.Writer, p Preempted) { appendBallot(w, p.B) }
+
+func readPreempted(r *msg.Reader) Preempted { return Preempted{B: readBallot(r)} }
+
+func appendSpawnScout(w *msg.Writer, s SpawnScout) { appendBallot(w, s.B) }
+
+func readSpawnScout(r *msg.Reader) SpawnScout { return SpawnScout{B: readBallot(r)} }
+
+func appendSpawnCmd(w *msg.Writer, c SpawnCmd) {
+	appendBallot(w, c.B)
+	w.Int(c.Inst)
+	w.Text(c.Val)
+}
+
+func readSpawnCmd(r *msg.Reader) SpawnCmd {
+	return SpawnCmd{B: readBallot(r), Inst: r.Int(), Val: r.Text()}
+}
 
 // Config parameterizes a Synod deployment.
 type Config struct {

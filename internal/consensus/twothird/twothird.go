@@ -54,12 +54,38 @@ type Decide struct {
 	Val  string
 }
 
-// RegisterWireTypes registers the protocol's bodies with the wire codec.
+// RegisterWireTypes registers the protocol's bodies with the wire codec
+// (tags 0x60–0x6f, DESIGN.md "Wire format and allocation hot path").
 func RegisterWireTypes() {
-	msg.RegisterBody(Propose{})
-	msg.RegisterBody(Vote{})
-	msg.RegisterBody(Decide{})
+	msg.RegisterCodec(0x60, Propose{}, appendPropose, readPropose)
+	msg.RegisterCodec(0x61, Vote{}, appendVote, readVote)
+	msg.RegisterCodec(0x62, Decide{}, appendDecide, readDecide)
 }
+
+func appendPropose(w *msg.Writer, p Propose) {
+	w.Int(p.Inst)
+	w.Text(p.Val)
+}
+
+func readPropose(r *msg.Reader) Propose { return Propose{Inst: r.Int(), Val: r.Text()} }
+
+func appendVote(w *msg.Writer, v Vote) {
+	w.Int(v.Inst)
+	w.Int(v.Round)
+	w.Loc(v.From)
+	w.Text(v.Val)
+}
+
+func readVote(r *msg.Reader) Vote {
+	return Vote{Inst: r.Int(), Round: r.Int(), From: r.Loc(), Val: r.Text()}
+}
+
+func appendDecide(w *msg.Writer, d Decide) {
+	w.Int(d.Inst)
+	w.Text(d.Val)
+}
+
+func readDecide(r *msg.Reader) Decide { return Decide{Inst: r.Int(), Val: r.Text()} }
 
 // Config parameterizes a TwoThird group.
 type Config struct {

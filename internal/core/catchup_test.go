@@ -431,19 +431,33 @@ func stepCatchup(t *testing.T, b []byte) {
 		c.Records = append(c.Records, b) // the raw input as one more record
 	}
 	dep := PBRDeployment{Pool: []msg.Loc{"p1", "p2"}, InitialMembers: 2}
+	openPBR := func(name string, st store.Stable) *PBRReplica {
+		r, _, err := NewDurablePBRReplica("p2", bankDB(t, name, 4), BankRegistry(), dep, st, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	openSMR := func(name string, st store.Stable) *SMRReplica {
+		r, err := NewDurableSMRReplica("r1", bankDB(t, name, 4), BankRegistry(), st, []msg.Loc{"r1", "r2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 	prov := store.NewMem()
-	pbr, _, err := NewDurablePBRReplica("p2", bankDB(t, "hostile-pbr", 4), BankRegistry(), dep, mustOpen(t, prov, "p2"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smr, err := NewDurableSMRReplica("r1", bankDB(t, "hostile-smr", 4), BankRegistry(), mustOpen(t, prov, "r1"), []msg.Loc{"r1", "r2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pbr.Step(msg.M(HdrCatchup, c))
-	smr.Step(msg.M(HdrCatchup, c))
-	stepParts(t, "pbr", b, pbr.exec, func(m msg.Msg) { pbr.Step(m) })
-	stepParts(t, "smr", b, smr.exec, func(m msg.Msg) { smr.Step(m) })
+	pbr, smr := openPBR("hostile-pbr", mustOpen(t, prov, "p2")), openSMR("hostile-smr", mustOpen(t, prov, "r1"))
+	cu := msg.M(HdrCatchup, c)
+	pbr.Step(cu)
+	smr.Step(cu)
+	stepParts(t, "pbr", b, pbr.exec, func(m msg.Msg) { pbr.Step(m) }, func() (*Executor, func(msg.Msg)) {
+		r := openPBR("hostile-pbr-ref", mustOpen(t, store.NewMem(), "p2"))
+		return r.exec, func(m msg.Msg) { r.Step(m) }
+	}, cu)
+	stepParts(t, "smr", b, smr.exec, func(m msg.Msg) { smr.Step(m) }, func() (*Executor, func(msg.Msg)) {
+		r := openSMR("hostile-smr-ref", mustOpen(t, store.NewMem(), "r1"))
+		return r.exec, func(m msg.Msg) { r.Step(m) }
+	}, cu)
 	for _, sv := range []struct {
 		name     string
 		e        *Executor
@@ -493,6 +507,7 @@ func FuzzCatchup(f *testing.F) {
 	f.Add([]byte{1, 1, 0x80, 0, 1, 2, 1, 0, 1, 1, 1, 0})                 // SMR: MinInt8 Seq, then repeats
 	f.Add([]byte{0, 1, 1, 0, 3, 2, 2, 17, 4, 1, 2, 9, 2, 'x', 'y', 'z'}) // cut records, raw bytes
 	f.Add([]byte{0x80, 0xff, 0xff, 0xff, 0xff})                          // one undecodable raw record
+	f.Add([]byte{1, 6, 100, 5, 1, 7, 100, 5})                            // SMR slots 5, 6 parked, then a transfer past them
 	f.Fuzz(func(t *testing.T, b []byte) { stepCatchup(t, b) })
 }
 

@@ -342,19 +342,93 @@ func (e *Executor) install(h snapHeader, img []byte) (time.Duration, error) {
 }
 
 // A durable snapshot — and a state transfer, which sends the same
-// bytes — is a small gob-encoded snapHeader followed by the database
-// image, written straight off the tables' indexes by sqldb.AppendDump:
+// bytes — is a small snapHeader, written with the wire codec's Writer,
+// followed by the database image, written straight off the tables'
+// indexes by sqldb.AppendDump:
 //
-//	"SNP2" | 4-byte big-endian header length | header | image
+//	"SNP3" | 4-byte big-endian header length | header | image
 //
-// The magic tells this layout from the all-gob one it replaced, whose
-// files are refused rather than misread.
-const snapMagic = "SNP2"
+// The magic tells this layout from the ones it replaced (SNP2 with a
+// gob header, and the all-gob layout before it), whose files are
+// refused rather than misread.
+const snapMagic = "SNP3"
 
 func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
-	h := store.EncodeRecord(hdr)
-	buf := binary.BigEndian.AppendUint32([]byte(snapMagic), uint32(len(h)))
-	return db.AppendDump(append(buf, h...))
+	registerWire()
+	buf := append([]byte(snapMagic), 0, 0, 0, 0)
+	buf, err := msg.Append(buf, func(w *msg.Writer) { appendSnapHeader(w, hdr) })
+	must(err) // a result row the codec refuses never reaches the dedup table
+	binary.BigEndian.PutUint32(buf[len(snapMagic):], uint32(len(buf)-len(snapMagic)-4))
+	return db.AppendDump(buf)
+}
+
+// appendSnapHeader writes a header's fields in declaration order: the
+// maps as their entries in key order, each recent result as the TxResult
+// body that answered it.
+func appendSnapHeader(w *msg.Writer, h snapHeader) {
+	w.Int(h.Slot)
+	w.Int64(h.Executed)
+	w.Uvarint(uint64(len(h.LastSeq)))
+	for _, c := range msg.SortedKeys(h.LastSeq) {
+		w.Text(c)
+		w.Int64(h.LastSeq[c])
+	}
+	w.Uvarint(uint64(len(h.Recent)))
+	for _, res := range h.Recent {
+		w.Body(res)
+	}
+	w.Uvarint(uint64(len(h.Epochs)))
+	for _, c := range h.Epochs {
+		w.Int(c.Epoch)
+		w.Int(c.ActivateAt)
+		w.Int(c.ReplicasFrom)
+		w.Locs(c.Bcast)
+		w.Locs(c.Replicas)
+	}
+	w.Uvarint(uint64(len(h.Joined)))
+	for _, l := range msg.SortedKeys(h.Joined) {
+		w.Loc(l)
+		w.Int(h.Joined[l])
+	}
+	w.Bytes(h.Ext)
+}
+
+var errNotResult = errors.New("a recent result that is not a TxResult")
+
+func readSnapHeader(r *msg.Reader) snapHeader {
+	h := snapHeader{Slot: r.Int(), Executed: r.Int64()}
+	if n := r.Count(2); n > 0 { // a client name and a sequence number
+		h.LastSeq = make(map[string]int64, n)
+		for range n {
+			c := r.Text()
+			h.LastSeq[c] = r.Int64()
+		}
+	}
+	if n := r.Count(1); n > 0 {
+		h.Recent = make([]TxResult, n)
+		for i := range h.Recent {
+			res, ok := r.Body().(TxResult)
+			if !ok {
+				r.Fail(errNotResult)
+			}
+			h.Recent[i] = res
+		}
+	}
+	if n := r.Count(5); n > 0 { // three integers and two lists
+		h.Epochs = make([]member.Config, n)
+		for i := range h.Epochs {
+			h.Epochs[i] = member.Config{Epoch: r.Int(), ActivateAt: r.Int(), ReplicasFrom: r.Int(), Bcast: r.Locs(), Replicas: r.Locs()}
+		}
+	}
+	if n := r.Count(2); n > 0 { // a location and a slot
+		h.Joined = make(map[msg.Loc]int, n)
+		for range n {
+			l := r.Loc()
+			h.Joined[l] = r.Int()
+		}
+	}
+	h.Ext = r.Bytes()
+	return h
 }
 
 // snapHeaderEnd returns where a snapshot's header ends and its image
@@ -376,13 +450,14 @@ func snapHeaderEnd(b []byte) (int, error) {
 // it, a receiver an assembled transfer, and the checker a transfer's
 // header part alone.
 func splitSnapshot(b []byte) (snapHeader, []byte, error) {
+	registerWire()
 	var h snapHeader
 	end, err := snapHeaderEnd(b)
 	if err != nil {
 		return h, nil, err
 	}
-	if err := store.DecodeRecord(b[len(snapMagic)+4:end], &h); err != nil {
-		return h, nil, fmt.Errorf("snapshot header: %w", err)
+	if err := msg.Read(b[len(snapMagic)+4:end], func(r *msg.Reader) { h = readSnapHeader(r) }); err != nil {
+		return snapHeader{}, nil, fmt.Errorf("snapshot header: %w", err)
 	}
 	return h, b[end:], nil
 }

@@ -238,7 +238,7 @@ func (e *Executor) applyInBatch(req TxRequest) TxResult {
 		out.Err = fmt.Sprintf("unknown transaction type %q", req.Type)
 	} else if mark, err := e.DB.Savepoint(); err != nil {
 		out.Err = err.Error()
-	} else if res, err := proc(e.DB, req.Args); err != nil {
+	} else if res, err := runChecked(proc, e.DB, req.Args, &out); err != nil {
 		_ = e.DB.RollbackTo(mark)
 		if errors.Is(err, ErrAbort) {
 			out.Aborted = true
@@ -268,7 +268,7 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 		out.Err = err.Error()
 		return out
 	}
-	res, err := proc(db, req.Args)
+	res, err := runChecked(proc, db, req.Args, &out)
 	if err != nil {
 		if db.InTx() {
 			_, _ = db.Exec("ROLLBACK")
@@ -286,6 +286,25 @@ func RunProc(db *sqldb.DB, reg Registry, req TxRequest) TxResult {
 	}
 	out.Cols, out.Rows = res.Cols, res.Rows
 	return out
+}
+
+// runChecked runs a procedure and refuses a result the wire codec
+// cannot carry: a row value of a type without a wire kind fails the
+// transaction as an abort whose error names the type (marked on out), so
+// every replica rolls it back and answers alike rather than failing to
+// send the answer.
+func runChecked(proc Procedure, db *sqldb.DB, args []any, out *TxResult) (ProcResult, error) {
+	res, err := proc(db, args)
+	if err != nil {
+		return res, err
+	}
+	for _, row := range res.Rows {
+		if err := msg.CheckValues(row); err != nil {
+			out.Aborted = true
+			return res, fmt.Errorf("core: procedure result: %w", err)
+		}
+	}
+	return res, nil
 }
 
 // InstallSnapshot resets the executor to a transferred or restored

@@ -40,7 +40,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		f.Add(append(snap[:len(snap):len(snap)], 0)) // trailing garbage
 		f.Add(snap[:len(snapMagic)+4])               // header length with nothing behind it
 		flipped := bytes.Clone(snap)
-		flipped[len(snapMagic)+6] ^= 0x40 // inside the gob header
+		flipped[len(snapMagic)+6] ^= 0x40 // inside the header
 		f.Add(flipped)
 	}
 	// A sound first table, then one whose schema Restore refuses (its
@@ -50,7 +50,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	}
 	f.Add(bytes.Replace(encodeSnapshot(exec.header(), exec.DB), []byte("\x02kb"), []byte("\x02ka"), 1))
 	f.Add([]byte(snapMagic + "\xff\xff\xff\xff"))
-	f.Add(store.EncodeRecord(struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
+	f.Add(gobBytes(f, struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
+	f.Add(durableProtos[1].oldSnapshot(f, 2))       // SNP2, with its gob header
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		e := NewExecutor(bankDB(t, "fuzz", 3), BankRegistry())

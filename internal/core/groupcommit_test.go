@@ -226,7 +226,7 @@ func TestGroupCommitWindow(t *testing.T) {
 					}
 					m = msg.M(HdrCatchup, cu)
 				case 't':
-					m = msg.M(HdrSyncTick, SyncTick{})
+					m = msg.M(HdrSyncTick, nil)
 				}
 				_, outs := r.Step(m)
 				log.noteOuts(tc.slf, outs)
@@ -272,7 +272,7 @@ func TestGroupCommitSurvivesALostTick(t *testing.T) {
 	if n := ticks(stepDeliver(r, depositDeliver(t, 4))); n != 1 {
 		t.Fatalf("slot 4, first of a new window, armed %d ticks, want 1", n)
 	}
-	_, outs := r.Step(msg.M(HdrSyncTick, SyncTick{}))
+	_, outs := r.Step(msg.M(HdrSyncTick, nil))
 	log.noteOuts("r1", outs)
 	got := log.events()
 	if tail := strings.Join(got[len(got)-3:], " "); tail != "append:4 sync ack:4" {

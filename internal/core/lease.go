@@ -158,7 +158,7 @@ func (r *SMRReplica) LeaseDirectives() []msg.Directive {
 	if r.lease == nil {
 		return nil
 	}
-	return []msg.Directive{msg.SendAfter(0, r.slf, msg.M(HdrLeaseTick, LeaseTick{}))}
+	return []msg.Directive{msg.SendAfter(0, r.slf, msg.M(HdrLeaseTick, nil))}
 }
 
 // onLeaseTick re-arms the renewal timer and, when this replica is the
@@ -169,7 +169,7 @@ func (r *SMRReplica) onLeaseTick() []msg.Directive {
 	if ls == nil {
 		return nil
 	}
-	outs := []msg.Directive{msg.SendAfter(ls.cfg.Dur/3, r.slf, msg.M(HdrLeaseTick, LeaseTick{}))}
+	outs := []msg.Directive{msg.SendAfter(ls.cfg.Dur/3, r.slf, msg.M(HdrLeaseTick, nil))}
 	cur := r.view.Current()
 	if !r.active || len(cur.Replicas) == 0 || cur.Replicas[0] != r.slf {
 		return outs
@@ -279,6 +279,10 @@ func (r *SMRReplica) onRead(q ReadRequest) []msg.Directive {
 			res.Err = "unknown read type " + q.Type
 		} else if err := proc(r.exec.DB, q.Args, res); err != nil {
 			res.Err = err.Error()
+		} else if err := msg.CheckValues(res.Vals); err != nil {
+			// A value the codec cannot write is answered as an error,
+			// not lost at send.
+			res.Err, res.Vals = err.Error(), res.Vals[:0]
 		}
 		mSMRReads.Inc()
 	} else if res.Rejected {

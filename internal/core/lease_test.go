@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
+	"shadowdb/internal/sqldb"
 	"shadowdb/internal/store"
 )
 
@@ -125,6 +127,27 @@ func TestLeaseGrantServesLocalRead(t *testing.T) {
 	other.now = time.Second
 	other.renew(0, 0, "r1", other.now)
 	other.assertRejected(ReadLease)
+}
+
+// A read procedure whose answer holds a value the wire codec has no
+// kind for is answered with an error naming its type, not dropped when
+// the reply cannot be encoded.
+func TestLeaseReadRefusesUnsendableValue(t *testing.T) {
+	g := newLeaseRig(t, "r1")
+	g.r.readReg["balance"] = func(db *sqldb.DB, args []any, res *ReadResult) error {
+		res.Vals = append(res.Vals, uint64(7))
+		return nil
+	}
+	g.now = time.Second
+	g.renew(0, 0, "r1", g.now)
+	res := g.read(ReadLease)
+	defer ReleaseReadResult(res)
+	if !strings.Contains(res.Err, "uint64") || len(res.Vals) != 0 {
+		t.Fatalf("read answered %v, err %q; want no values and an error naming uint64", res.Vals, res.Err)
+	}
+	if _, err := msg.AppendBody(nil, res); err != nil {
+		t.Fatalf("the answer does not encode: %v", err)
+	}
 }
 
 // A lease expires Dur after its carried issue time: the holder keeps

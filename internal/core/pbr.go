@@ -212,7 +212,7 @@ func (r *PBRReplica) Start() []msg.Directive {
 		return nil
 	}
 	r.hbStarted = true
-	return []msg.Directive{msg.SendAfter(r.dep.Timing.HeartbeatEvery, r.slf, msg.M(HdrHBTick, HBTick{}))}
+	return []msg.Directive{msg.SendAfter(r.dep.Timing.HeartbeatEvery, r.slf, msg.M(HdrHBTick, nil))}
 }
 
 // ------------------------------------------------------------ normal case --
@@ -343,7 +343,7 @@ func (r *PBRReplica) onReplAck(ack ReplAck) []msg.Directive {
 // --------------------------------------------------------- failure detect --
 
 func (r *PBRReplica) onHBTick() []msg.Directive {
-	outs := []msg.Directive{msg.SendAfter(r.dep.Timing.HeartbeatEvery, r.slf, msg.M(HdrHBTick, HBTick{}))}
+	outs := []msg.Directive{msg.SendAfter(r.dep.Timing.HeartbeatEvery, r.slf, msg.M(HdrHBTick, nil))}
 	if !r.cfg.Contains(r.slf) {
 		return outs // spares stay passive
 	}

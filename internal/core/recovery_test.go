@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
 	"shadowdb/internal/broadcast"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/recoverytest"
 	"shadowdb/internal/sqldb"
@@ -39,6 +43,8 @@ type durableProto struct {
 	// oldRecord encodes unit n as the record of the gob format the
 	// journal kept before it held wire bodies.
 	oldRecord func(t testing.TB, n int64) []byte
+	// slot is the ordering frontier after n units.
+	slot func(n int64) int
 }
 
 // The gob records of the format before wire bodies, copied here under
@@ -53,7 +59,37 @@ type (
 		Slot int
 		Msgs []broadcast.Bcast
 	}
+	// oldSnapHeader is the gob header of an SNP2 snapshot.
+	oldSnapHeader struct {
+		Slot     int
+		Executed int64
+		LastSeq  map[string]int64
+		Recent   []TxResult
+		Epochs   []member.Config
+		Joined   map[msg.Loc]int
+		Ext      []byte
+	}
 )
+
+// gobBytes is v as one gob stream: the format journal records and
+// snapshot headers had before the wire codec wrote them.
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// oldSnapshot is the SNP2 snapshot of the state after n units: the magic,
+// the header's length, a gob header and the database image.
+func (p durableProto) oldSnapshot(t testing.TB, n int64) []byte {
+	h := gobBytes(t, oldSnapHeader{Slot: p.slot(n), Executed: n, LastSeq: map[string]int64{"c0": n},
+		Recent: []TxResult{{Client: "c0", Seq: n}}})
+	snap := binary.BigEndian.AppendUint32([]byte("SNP2"), uint32(len(h)))
+	return bankDB(t, p.name+"-old", 10).AppendDump(append(snap, h...))
+}
 
 var durableProtos = []durableProto{
 	{
@@ -77,8 +113,9 @@ var durableProtos = []durableProto{
 		},
 		record: func(t testing.TB, n int64) []byte { return orderRecord(n, durDeposit(n)) },
 		oldRecord: func(t testing.TB, n int64) []byte {
-			return store.EncodeRecord(oldExecRecord{Order: n, Req: durDeposit(n)})
+			return gobBytes(t, oldExecRecord{Order: n, Req: durDeposit(n)})
 		},
+		slot: func(n int64) int { return int(n) },
 	},
 	{
 		name: "smr",
@@ -94,8 +131,9 @@ var durableProtos = []durableProto{
 		},
 		record: func(t testing.TB, n int64) []byte { return slotRecord(t, int(n-1)) },
 		oldRecord: func(t testing.TB, n int64) []byte {
-			return store.EncodeRecord(oldSlotRecord{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
+			return gobBytes(t, oldSlotRecord{Slot: int(n - 1), Msgs: depositDeliver(t, int(n-1)).Msgs})
 		},
+		slot: func(n int64) int { return int(n - 1) },
 	},
 }
 
@@ -125,8 +163,9 @@ func (p durableProto) client() recoverytest.Client {
 				Compact: r.exec.Compact,
 			}, nil
 		},
-		Records:    func(t testing.TB, n int) [][]byte { return [][]byte{p.record(t, int64(n))} },
-		OldRecords: func(t testing.TB, n int) [][]byte { return [][]byte{p.oldRecord(t, int64(n))} },
+		Records:     func(t testing.TB, n int) [][]byte { return [][]byte{p.record(t, int64(n))} },
+		OldRecords:  func(t testing.TB, n int) [][]byte { return [][]byte{p.oldRecord(t, int64(n))} },
+		OldSnapshot: func(t testing.TB, n int) []byte { return p.oldSnapshot(t, int64(n)) },
 	}
 }
 

@@ -501,8 +501,8 @@ const txMark = "tx|"
 
 // EncodeTx serializes a transaction request for a broadcast payload:
 // txMark, then the request as a body of the wire codec (its TxRequest
-// tag and fields, or the gob fallback for an argument kind the codec
-// lacks).
+// tag and fields). An argument of a kind the codec lacks is an error
+// naming it.
 func EncodeTx(req TxRequest) ([]byte, error) {
 	registerWire()
 	b, err := msg.AppendBody(append(make([]byte, 0, 64), txMark...), req)

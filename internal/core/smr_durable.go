@@ -180,7 +180,7 @@ func (r *SMRReplica) groupCommit(outs []msg.Directive, snapped bool) []msg.Direc
 		return append(outs, r.releaseParked(false)...)
 	}
 	if r.unsyncedSlots == 1 {
-		outs = append(outs, msg.Send(r.slf, msg.M(HdrSyncTick, SyncTick{})))
+		outs = append(outs, msg.Send(r.slf, msg.M(HdrSyncTick, nil)))
 	}
 	return outs
 }

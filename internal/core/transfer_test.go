@@ -373,18 +373,33 @@ func hostileParts(t testing.TB, kind string, b []byte) []SnapPart {
 	return parts
 }
 
-// stepParts steps a replica with hostile parts: it must not panic, and
-// it ends with its database either as it was — every transfer refused
-// or incomplete — or holding exactly the sample's image.
-func stepParts(t *testing.T, kind string, b []byte, e *Executor, step func(msg.Msg)) {
+// stepParts steps a replica, already handed the hostile catch-up
+// catchup, with hostile parts: it must not panic, and it ends with its
+// database as it was — every transfer refused or incomplete — or holding
+// the sample's image, or holding that image followed by the catch-up's
+// units strictly above the image's frontier, which a replica applies
+// from a peer's records as from any other. The last is what fresh, a
+// replica of the same kind that has applied nothing, makes of the
+// sample transfer and then the same catch-up; a replica that applied a
+// unit it parked at or below the installed frontier differs from it.
+func stepParts(t *testing.T, kind string, b []byte, e *Executor, step func(msg.Msg), fresh func() (*Executor, func(msg.Msg)), catchup msg.Msg) {
 	t.Helper()
 	before := e.DB.AppendDump(nil)
 	for _, p := range hostileParts(t, kind, b) {
 		step(msg.M(HdrSnapPart, p))
 	}
 	after := e.DB.AppendDump(nil)
-	if !bytes.Equal(after, before) && !bytes.Equal(after, bytes.Join(transferSample(t)[kind][1:], nil)) {
-		t.Errorf("%s: hostile parts left a database that is neither the old one nor the transferred one", kind)
+	genuine := transferSample(t)[kind]
+	if bytes.Equal(after, before) || bytes.Equal(after, bytes.Join(genuine[1:], nil)) {
+		return
+	}
+	ref, refStep := fresh()
+	for n, part := range genuine {
+		refStep(msg.M(HdrSnapPart, SnapPart{Xfer: 1, N: n, Of: len(genuine), Bytes: part}))
+	}
+	refStep(catchup)
+	if !bytes.Equal(after, ref.DB.AppendDump(nil)) {
+		t.Errorf("%s: hostile parts left a database that is neither the old one, nor the transferred one, nor that one followed by the catch-up's units above its frontier", kind)
 	}
 }
 

@@ -45,7 +45,8 @@ const (
 	HdrReplAck = "sdb.replack"
 	// HdrHeartbeat is the mutual liveness probe.
 	HdrHeartbeat = "sdb.hb"
-	// HdrHBTick is the local failure-detector timer.
+	// HdrHBTick is the local failure-detector timer (a nil body, as
+	// every field-less timer's).
 	HdrHBTick = "sdb.hbtick"
 	// HdrElect carries (config seq, executed seq) during primary election.
 	HdrElect = "sdb.elect"
@@ -182,12 +183,6 @@ func ReleaseReadResult(r *ReadResult) {
 	}
 }
 
-// LeaseTick is the lease renewal timer body.
-type LeaseTick struct{}
-
-// SyncTick is the group-commit self-send body.
-type SyncTick struct{}
-
 // Redirect points a client at the current primary.
 type Redirect struct {
 	Primary msg.Loc
@@ -225,9 +220,6 @@ type Heartbeat struct {
 	// order from the first elected peer it hears.
 	Elected bool
 }
-
-// HBTick is the local failure-detector timer body.
-type HBTick struct{}
 
 // NewConfig is the recovery proposal, agreed through the total order
 // broadcast service. It is tagged with the sequence number of the

@@ -8,14 +8,11 @@ import (
 	"shadowdb/internal/sqldb"
 )
 
-// RegisterWireTypes registers ShadowDB bodies with the wire codec,
-// including the basic value types that travel inside TxRequest.Args and
-// result rows. The bodies of the transaction, lease-read, PBR
-// replication, catch-up and state-transfer paths have frame codecs of their own (tags
-// 0x10–0x1f, DESIGN.md "Wire format and allocation hot path"); the rest
-// travel under the codec's gob fallback.
+// RegisterWireTypes registers ShadowDB's bodies with the wire codec
+// (tags 0x10–0x1f, DESIGN.md "Wire format and allocation hot path").
+// The timers without fields (HdrHBTick, HdrLeaseTick, HdrSyncTick) send
+// nil bodies, and a NewConfig travels only inside its "cfg|" payload.
 func RegisterWireTypes() {
-	msg.RegisterBasics()
 	msg.RegisterCodec(0x10, TxRequest{}, AppendTxRequest, ReadTxRequest)
 	msg.RegisterCodec(0x11, TxResult{}, appendTxResult, readTxResult)
 	msg.RegisterCodec(0x12, ReadRequest{}, appendReadRequest, readReadRequest)
@@ -26,12 +23,11 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x17, CatchupReq{}, appendCatchupReq, readCatchupReq)
 	msg.RegisterCodec(0x18, Catchup{}, appendCatchup, readCatchup)
 	msg.RegisterCodec(0x19, SnapPart{}, appendSnapPart, readSnapPart)
-	for _, v := range []any{
-		Redirect{}, HBTick{}, NewConfig{}, Elect{}, Recovered{},
-		ClientRetryBody{}, LeaseTick{}, SyncTick{},
-	} {
-		msg.RegisterBody(v)
-	}
+	msg.RegisterCodec(0x1a, Redirect{}, appendRedirect, readRedirect)
+	msg.RegisterCodec(0x1b, Elect{}, appendElect, readElect)
+	msg.RegisterCodec(0x1c, Recovered{}, appendRecovered, readRecovered)
+	msg.RegisterCodec(0x1d, ClientRetryBody{}, appendClientRetry, readClientRetry)
+	msg.RegisterCodec(0x1e, SubmitBody{}, appendSubmit, readSubmit)
 }
 
 // registerWire registers the bodies once, with broadcast's for the SMR
@@ -179,3 +175,39 @@ func appendSnapPart(w *msg.Writer, p SnapPart) {
 func readSnapPart(r *msg.Reader) SnapPart {
 	return SnapPart{CfgSeq: r.Int(), Xfer: r.Int64(), N: r.Int(), Of: r.Int(), Bytes: r.Bytes()}
 }
+
+func appendRedirect(w *msg.Writer, d Redirect) {
+	w.Loc(d.Primary)
+	w.Int(d.CfgSeq)
+}
+
+func readRedirect(r *msg.Reader) Redirect { return Redirect{Primary: r.Loc(), CfgSeq: r.Int()} }
+
+func appendElect(w *msg.Writer, e Elect) {
+	w.Int(e.CfgSeq)
+	w.Loc(e.From)
+	w.Int64(e.Executed)
+	w.Bool(e.HasData)
+}
+
+func readElect(r *msg.Reader) Elect {
+	return Elect{CfgSeq: r.Int(), From: r.Loc(), Executed: r.Int64(), HasData: r.Bool()}
+}
+
+func appendRecovered(w *msg.Writer, v Recovered) {
+	w.Int(v.CfgSeq)
+	w.Loc(v.From)
+}
+
+func readRecovered(r *msg.Reader) Recovered { return Recovered{CfgSeq: r.Int(), From: r.Loc()} }
+
+func appendClientRetry(w *msg.Writer, b ClientRetryBody) { w.Int64(b.Seq) }
+
+func readClientRetry(r *msg.Reader) ClientRetryBody { return ClientRetryBody{Seq: r.Int64()} }
+
+func appendSubmit(w *msg.Writer, b SubmitBody) {
+	w.Text(b.Type)
+	w.Values(b.Args)
+}
+
+func readSubmit(r *msg.Reader) SubmitBody { return SubmitBody{Type: r.Text(), Args: r.Values()} }

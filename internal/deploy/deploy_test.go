@@ -2,7 +2,6 @@ package deploy_test
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"path/filepath"
 	"strings"
@@ -410,65 +409,6 @@ func TestPBRDeposit(t *testing.T) {
 	if got := exec(t, s, "balance", int64(1)); !strings.Contains(got, "1010") {
 		t.Fatalf("balance of account 1 = %s, want 1010", got)
 	}
-}
-
-// The hot path stays off gob: once the first write has committed, a
-// fixed-seed run of deposits and lease reads against the shipped SMR
-// wiring, and of deposits against a PBR pair, encodes every body with
-// its own frame codec, and every "tx|" payload and batch value with its
-// own payload codec — msg.gob_bodies does not move. A body or payload
-// change that puts a steady-state message back on the gob fallback fails
-// here.
-func TestHotPathStaysOffGob(t *testing.T) {
-	checkLeaks(t)
-	gobBodies := obs.C("msg.gob_bodies")
-	rng := rand.New(rand.NewSource(1))
-	offGob := func(t *testing.T, s *deploy.Session, ops int, reads bool) {
-		t.Helper()
-		exec(t, s, "deposit", int64(1), int64(10))
-		before := gobBodies.Value()
-		for i := 0; i < ops; i++ {
-			acct := int64(rng.Intn(100))
-			if reads && rng.Intn(2) == 0 {
-				res, err := s.Read("balance", []any{acct})
-				if err != nil {
-					t.Fatal(err)
-				}
-				core.ReleaseReadResult(res)
-				continue
-			}
-			exec(t, s, "deposit", acct, int64(1+rng.Intn(9)))
-		}
-		if n := gobBodies.Value() - before; n != 0 {
-			t.Errorf("%d bodies travelled under the gob fallback after the first write", n)
-		}
-	}
-	t.Run("smr-lease", func(t *testing.T) {
-		topology := writeTopology(t, "b1", "b2", "b3", "r1", "r2", "r3", "bench")
-		data := t.TempDir()
-		for _, id := range []string{"r1", "r2", "r3", "b1", "b2", "b3"} {
-			n := deploy.Default()
-			n.ID, n.Topology, n.Rows, n.DataDir = id, topology, 100, filepath.Join(data, id)
-			n.Role, n.Lease = "smr", true
-			if id[0] == 'b' {
-				n.Role, n.Lease = "broadcast", false
-			}
-			build(t, n).start(t)
-		}
-		offGob(t, session(t, topology, "bench", "smr", "lease"), 300, true)
-	})
-	t.Run("pbr", func(t *testing.T) {
-		topology := writeTopology(t, "b1", "r1", "r2")
-		for _, id := range []string{"b1", "r1", "r2"} {
-			n := deploy.Default()
-			n.ID, n.Topology, n.Rows = id, topology, 100
-			if id == "b1" {
-				n.Role = "broadcast"
-			}
-			build(t, n).start(t)
-		}
-		offGob(t, session(t, topology, "cli", "pbr", ""), 200, false)
-	})
 }
 
 // Every ordered-unit journal holds the wire body of the unit it

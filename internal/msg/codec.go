@@ -1,8 +1,7 @@
 package msg
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -10,10 +9,13 @@ import (
 	"sync/atomic"
 )
 
-// The wire codec turns envelopes into frames and back. A frame needs no
-// state beyond itself: it decodes alone, whatever the connection carried
-// before it, so a hostile peer cannot grow a type table and the fuzzers
-// and the flight recorder can read any frame by itself.
+// The wire codec is the one encoding of every byte the system writes:
+// frames on the wire, journal records and snapshots on disk, and trace
+// files. Each body type has a codec registered by its owning package,
+// so nothing is encoded by reflection. A frame needs no state beyond
+// itself: it decodes alone, whatever the connection carried before it,
+// so a hostile peer cannot grow a type table and the fuzzers and the
+// flight recorder can read any frame by itself.
 //
 //	frame    = version count envelope*
 //	envelope = From To Hdr Trace LC Deadline tag body
@@ -25,52 +27,26 @@ import (
 //
 //   - tagNil: no body (Msg.Body == nil), nothing follows;
 //   - a tag registered with RegisterCodec: the body's own fields, as its
-//     owning package writes them through a Writer;
-//   - tagGob: a length and a one-shot gob encoding of the body. Every
-//     body without a codec travels this way, and so does a body whose
-//     codec refuses it (a []any holding a kind Writer.Value lacks), so
-//     nothing registered with RegisterBody becomes unsendable.
+//     owning package writes them through a Writer.
 //
-// A frame with an unknown version or tag, a length the frame cannot
-// back, or a byte after its last envelope is an error.
-//
-// Gob stays registered for every body type (RegisterBody, and
-// RegisterCodec calls it too): the fallback needs it, and so do trace
-// files, which gob-encode whole messages.
+// Tag 1 carried a gob-encoded body in an earlier format; it stays
+// reserved, so such a frame is refused as an unknown tag. A body with no
+// codec, or one holding a value Writer.Value has no kind for, is an
+// encoding error naming its type. A frame with an unknown version or
+// tag, a length the frame cannot back, or a byte after its last
+// envelope is an error.
 
 const frameVersion byte = 1
 
 // Body tags reserved by the codec itself; RegisterCodec refuses them.
 const (
-	tagNil byte = 0
-	tagGob byte = 1
+	tagNil      byte = 0
+	tagReserved byte = 1 // the retired gob fallback
 )
 
 // minEnvelope is the fewest bytes an envelope occupies: four empty
 // strings, two one-byte varints and a tag.
 const minEnvelope = 7
-
-var registry sync.Map // reflect-free guard against double registration panics
-
-// RegisterBody registers a concrete message-body type with gob, for the
-// wire codec's fallback and for trace files. It is safe to call multiple
-// times with the same value.
-func RegisterBody(v any) {
-	key := fmt.Sprintf("%T", v)
-	if _, dup := registry.LoadOrStore(key, struct{}{}); dup {
-		return
-	}
-	gob.Register(v)
-}
-
-// RegisterBasics registers the basic value types that travel inside
-// interface-typed fields (TxRequest.Args, SubTx.ApplyArgs, result rows)
-// with gob, for the gob fallback and store.EncodeRecord alike.
-var RegisterBasics = sync.OnceFunc(func() {
-	for _, v := range []any{int64(0), float64(0), "", int(0), true} {
-		gob.Register(v)
-	}
-})
 
 // codec is one registered body codec.
 type codec struct {
@@ -102,7 +78,6 @@ func init() { codecs.Store(&codecTable{}) }
 // type under the same tag again is a no-op, and anything else that
 // reuses a tag or a type panics.
 func RegisterCodec[T any](tag byte, zero T, enc func(*Writer, T), dec func(*Reader) T) {
-	RegisterBody(zero)
 	typ := reflect.TypeOf(zero)
 	codecMu.Lock()
 	defer codecMu.Unlock()
@@ -111,7 +86,7 @@ func RegisterCodec[T any](tag byte, zero T, enc func(*Writer, T), dec func(*Read
 		return
 	}
 	switch {
-	case tag == tagNil || tag == tagGob:
+	case tag == tagNil || tag == tagReserved:
 		panic(fmt.Sprintf("msg: body tag %d is reserved", tag))
 	case old.byTag[tag] != nil:
 		panic(fmt.Sprintf("msg: body tag %d registered for %v and %v", tag, old.byTag[tag].typ, typ))
@@ -154,90 +129,105 @@ func WireTags() []WireTag {
 	return out
 }
 
-// gobBodyHook counts bodies encoded under the gob fallback. msg cannot
-// import obs (obs imports msg), so obs binds it to its msg.gob_bodies
-// counter.
-var gobBodyHook func()
-
-// CountGobBodies installs fn to be called once per body encoded under
-// the gob fallback. Call it from an init function.
-func CountGobBodies(fn func()) { gobBodyHook = fn }
-
-// gobBody wraps a fallback body so gob carries its concrete type.
-type gobBody struct{ Body any }
-
-// bufPool recycles the gob fallback's scratch buffers.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // maxPooled caps the buffers returned to the pools, so one
 // state-transfer frame does not pin megabytes in them.
 const maxPooled = 64 << 10
 
-func appendBody(w *Writer, body any) error {
+// Body appends one body: its tag and the fields its registered codec
+// writes, or tagNil for a nil body. A body with no codec, or whose codec
+// meets a value without a kind, latches an error naming it.
+func (w *Writer) Body(body any) {
 	if body == nil {
 		w.b = append(w.b, tagNil)
-		return nil
+		return
 	}
-	if c := codecs.Load().byType[reflect.TypeOf(body)]; c != nil {
-		mark := len(w.b)
-		w.b = append(w.b, c.tag)
-		c.enc(w, body)
-		if !w.refused {
-			return nil
-		}
-		w.b, w.refused = w.b[:mark], false
+	c := codecs.Load().byType[reflect.TypeOf(body)]
+	if c == nil {
+		w.fail(fmt.Errorf("msg: no codec for body type %T", body))
+		return
 	}
-	if gobBodyHook != nil {
-		gobBodyHook()
-	}
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer putBuf(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(gobBody{Body: body}); err != nil {
-		return err
-	}
-	w.b = append(w.b, tagGob)
-	w.Bytes(buf.Bytes())
-	return nil
+	w.b = append(w.b, c.tag)
+	c.enc(w, body)
 }
 
-func putBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooled {
-		bufPool.Put(buf)
+// writerPool and readerPool hold the Writers and Readers the entry
+// points below lend to the codecs: the codecs are function values, so a
+// Writer or Reader they receive escapes, and a pooled one is allocated
+// once rather than per frame or per record.
+var (
+	writerPool = sync.Pool{New: func() any { return new(Writer) }}
+	readerPool = sync.Pool{New: func() any { return new(Reader) }}
+)
+
+// Append appends what fn writes through a Writer to dst, or returns dst
+// and the first error fn's writes latched. Journal snapshots, the
+// records that are not a single body, and trace files are written with
+// it.
+func Append(dst []byte, fn func(*Writer)) ([]byte, error) {
+	w := writerPool.Get().(*Writer)
+	w.b, w.err = dst, nil
+	fn(w)
+	b, err := w.b, w.err
+	*w = Writer{}
+	writerPool.Put(w)
+	if err != nil {
+		return dst, err
 	}
+	return b, nil
+}
+
+// Read runs fn over b, which fn's reads must use up exactly: anything
+// else — a length b cannot back, an unknown tag or kind, a trailing
+// byte — is an error, never a panic. Append's output is read with it.
+func Read(b []byte, fn func(*Reader)) error {
+	r := readerPool.Get().(*Reader)
+	r.b, r.err = b, nil
+	fn(r)
+	err := r.err
+	if err == nil && len(r.b) != 0 {
+		err = errTrailing
+	}
+	*r = Reader{}
+	readerPool.Put(r)
+	return err
 }
 
 // AppendFrame appends the frame carrying envs, in order, to dst.
 func AppendFrame(dst []byte, envs []Envelope) ([]byte, error) {
-	w := Writer{b: append(dst, frameVersion)}
-	w.Uvarint(uint64(len(envs)))
-	for i := range envs {
-		e := &envs[i]
-		w.Loc(e.From)
-		w.Loc(e.To)
-		w.Text(e.M.Hdr)
-		w.Text(e.Trace)
-		w.Int64(e.LC)
-		w.Int64(e.Deadline)
-		if err := appendBody(&w, e.M.Body); err != nil {
-			return dst, fmt.Errorf("encode %s body %T: %w", e.M.Hdr, e.M.Body, err)
+	var failed *Envelope
+	b, err := Append(append(dst, frameVersion), func(w *Writer) {
+		w.Uvarint(uint64(len(envs)))
+		for i := range envs {
+			e := &envs[i]
+			w.Loc(e.From)
+			w.Loc(e.To)
+			w.Text(e.M.Hdr)
+			w.Text(e.Trace)
+			w.Int64(e.LC)
+			w.Int64(e.Deadline)
+			if w.Body(e.M.Body); w.err != nil {
+				failed = e
+				return
+			}
 		}
+	})
+	if err != nil {
+		return dst, fmt.Errorf("encode %s body %T: %w", failed.M.Hdr, failed.M.Body, err)
 	}
-	return w.b, nil
+	return b, nil
 }
 
 // AppendBody appends one body outside a frame to dst: its tag and the
-// fields its registered codec writes, or, as in a frame, the gob
-// fallback's tag, length and one-shot gob encoding (counted like a
-// frame's). Payloads that travel inside another body's bytes — the
-// "tx|" payload, the broadcast batch value, the 2PC records — are built
-// with it, each behind its owner's mark.
+// fields its registered codec writes. Payloads that travel inside
+// another body's bytes — the "tx|" payload, the broadcast batch value,
+// the 2PC records — and the journal records are built with it, each
+// behind its owner's mark.
 func AppendBody(dst []byte, body any) ([]byte, error) {
-	w := Writer{b: dst}
-	if err := appendBody(&w, body); err != nil {
+	b, err := Append(dst, func(w *Writer) { w.Body(body) })
+	if err != nil {
 		return dst, fmt.Errorf("encode body %T: %w", body, err)
 	}
-	return w.b, nil
+	return b, nil
 }
 
 // DecodeBody reverses AppendBody: b must hold exactly one body of type
@@ -245,18 +235,15 @@ func AppendBody(dst []byte, body any) ([]byte, error) {
 // trailing byte, a body of another type — is an error, never a panic.
 // The body never aliases b.
 func DecodeBody[T any](b []byte) (T, error) {
-	var zero T
-	r := Reader{b: b}
-	body := readBody(&r, codecs.Load())
-	if r.err != nil {
-		return zero, r.err
-	}
-	if len(r.b) != 0 {
-		return zero, errTrailing
-	}
+	var body any
+	err := Read(b, func(r *Reader) { body = r.Body() })
 	v, ok := body.(T)
-	if !ok {
-		return zero, errBodyType
+	if err == nil && !ok {
+		err = errBodyType
+	}
+	if err != nil {
+		var zero T
+		return zero, err
 	}
 	return v, nil
 }
@@ -311,72 +298,48 @@ func DecodeFrame(b []byte) ([]Envelope, error) {
 	if b[0] != frameVersion {
 		return nil, errVersion
 	}
-	r := Reader{b: b[1:]}
-	n := r.Count(minEnvelope)
-	if r.err != nil || n == 0 {
-		return nil, r.err
-	}
-	t := codecs.Load()
-	envs := make([]Envelope, n)
-	for i := range envs {
-		e := &envs[i]
-		e.From = r.Loc()
-		e.To = r.Loc()
-		e.M.Hdr = r.Text()
-		e.Trace = r.Text()
-		e.LC = r.Int64()
-		e.Deadline = r.Int64()
-		e.M.Body = readBody(&r, t)
-		if r.err != nil {
-			return nil, r.err
+	var envs []Envelope
+	err := Read(b[1:], func(r *Reader) {
+		n := r.Count(minEnvelope)
+		if r.err != nil || n == 0 {
+			return
 		}
-	}
-	if len(r.b) != 0 {
-		return nil, errTrailing
+		envs = make([]Envelope, n)
+		for i := range envs {
+			e := &envs[i]
+			e.From = r.Loc()
+			e.To = r.Loc()
+			e.M.Hdr = r.Text()
+			e.Trace = r.Text()
+			e.LC = r.Int64()
+			e.Deadline = r.Int64()
+			if e.M.Body = r.Body(); r.err != nil {
+				return
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return envs, nil
 }
 
-func readBody(r *Reader, t *codecTable) any {
-	switch tag := r.Byte(); tag {
-	case tagNil:
+// Body reads one body written by Writer.Body.
+func (r *Reader) Body() any {
+	tag := r.Byte()
+	if tag == tagNil {
 		return nil
-	case tagGob:
-		return readGob(r, r.view())
-	default:
-		if t.byTag[tag] == nil {
-			r.fail(errTag)
-			return nil
-		}
-		return t.byTag[tag].dec(r)
 	}
+	c := codecs.Load().byTag[tag]
+	if c == nil {
+		r.fail(errTag)
+		return nil
+	}
+	return c.dec(r)
 }
 
-// readGob decodes a fallback body. gob can panic on malformed type
-// descriptors, so the decode runs under a recover guard, and the body
-// must use up its bytes exactly.
-func readGob(r *Reader, p []byte) (body any) {
-	if r.err != nil {
-		return nil
-	}
-	defer func() {
-		if e := recover(); e != nil {
-			r.fail(fmt.Errorf("msg: malformed gob body: %v", e))
-			body = nil
-		}
-	}()
-	src := bytes.NewReader(p)
-	var gb gobBody
-	if err := gob.NewDecoder(src).Decode(&gb); err != nil {
-		r.fail(fmt.Errorf("msg: gob body: %w", err))
-		return nil
-	}
-	if src.Len() != 0 {
-		r.fail(errTrailing)
-		return nil
-	}
-	return gb.Body
-}
+// errBodyType is DecodeBody's refusal of a body of another type.
+var errBodyType = errors.New("msg: body of another type")
 
 // Envelope is what actually travels on the wire: the message plus its
 // source and destination locations, so receivers can route and reply.

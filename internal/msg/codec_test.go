@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// codedBody has a frame codec of its own (testTag), so these tests reach
-// the registered path without importing a protocol package.
+// codedBody and testBody have frame codecs of their own (testTag,
+// testBodyTag), so these tests reach the registered path without
+// importing a protocol package.
 type codedBody struct {
 	N    int
 	S    string
 	Args []any
 }
 
-const testTag = 0xf0
+const (
+	testTag     = 0xf0
+	testBodyTag = 0xf1
+)
 
 func appendCoded(w *Writer, b codedBody) {
 	w.Int(b.N)
@@ -25,13 +30,19 @@ func appendCoded(w *Writer, b codedBody) {
 
 func readCoded(r *Reader) codedBody { return codedBody{N: r.Int(), S: r.Text(), Args: r.Values()} }
 
+func appendTestBody(w *Writer, b testBody) {
+	w.Int(b.N)
+	w.Text(b.S)
+}
+
+func readTestBody(r *Reader) testBody { return testBody{N: r.Int(), S: r.Text()} }
+
 func init() {
-	RegisterBasics()
 	RegisterCodec(testTag, codedBody{}, appendCoded, readCoded)
+	RegisterCodec(testBodyTag, testBody{}, appendTestBody, readTestBody)
 }
 
 func TestBatchFrameRoundTrip(t *testing.T) {
-	RegisterBody(testBody{})
 	in := []Envelope{
 		{From: "a", To: "b", M: M("one", testBody{N: 1, S: "x"}), LC: 3},
 		{From: "a", To: "b", M: M("two", codedBody{N: 2, S: "y", Args: []any{int64(-9), "z", true}}), Trace: "t1", LC: 4},
@@ -51,7 +62,6 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFrameSingle(t *testing.T) {
-	RegisterBody(testBody{})
 	in := Envelope{From: "a", To: "b", M: M("h", testBody{N: 9})}
 	frame, err := Encode(in)
 	if err != nil {
@@ -88,10 +98,14 @@ func TestDecodeFrameErrors(t *testing.T) {
 	}
 	unknownTag := bytes.Clone(good)
 	unknownTag[bytes.IndexByte(good, testTag)] = 0xee
+	// Tag 1 carried a length and a gob body; it is reserved, not decoded.
+	gobTag := append([]byte{frameVersion, 1, 0, 0, 0, 0, 0, 0, tagReserved}, byte(old.Len()))
+	gobTag = append(gobTag, old.Bytes()...)
 	for name, frame := range map[string][]byte{
 		"empty":           nil,
 		"unknown version": {0x7f, 1, 2},
 		"old gob frame":   old.Bytes(),
+		"gob body tag":    gobTag,
 		"unknown tag":     unknownTag,
 		"trailing byte":   append(bytes.Clone(good), 0),
 		"unknown kind":    {frameVersion, 1, 0, 0, 0, 0, 0, 0, testTag, 0, 0, 1, kindTrue + 1},
@@ -107,7 +121,7 @@ func TestRegisterCodec(t *testing.T) {
 	RegisterCodec(testTag, codedBody{}, appendCoded, readCoded)
 	type other struct{ N int }
 	for name, register := range map[string]func(){
-		"reserved tag": func() { RegisterCodec(tagGob, other{}, nil, nil) },
+		"reserved tag": func() { RegisterCodec(tagReserved, other{}, nil, nil) },
 		"reused tag":   func() { RegisterCodec(testTag, other{}, nil, nil) },
 		"reused type":  func() { RegisterCodec(testTag+1, codedBody{}, appendCoded, readCoded) },
 	} {
@@ -129,37 +143,47 @@ func TestRegisterCodec(t *testing.T) {
 	}
 }
 
-// A body whose []any holds a kind the codec lacks travels under the gob
-// fallback instead, and arrives all the same.
-func TestCodecFallsBackToGob(t *testing.T) {
-	prev, n := gobBodyHook, 0
-	gobBodyHook = func() { n++ }
-	defer func() { gobBodyHook = prev }()
-	gob.Register(float32(0))
+// Every value kind a request or a result can hold either has a wire
+// encoding — its own, or the one the SQL layer widens it to — or is
+// refused with an error naming its type. A body without a codec is
+// refused the same way.
+func TestValueKinds(t *testing.T) {
+	type point struct{ X int }
 	for _, tc := range []struct {
-		body any
-		gob  int
+		in, want any // want nil: refused
 	}{
-		{codedBody{N: 1, Args: []any{int64(2), "x"}}, 0},
-		{codedBody{N: 1, Args: []any{int64(2), float32(1.5)}}, 1},
-		{testBody{N: 3}, 1},
+		{nil, nil}, {int64(-3), int64(-3)}, {7, 7}, {2.5, 2.5}, {"s", "s"}, {true, true}, {false, false},
+		{int32(-9), int64(-9)}, {float32(1.5), float64(1.5)},
+		{int8(1), nil}, {int16(1), nil}, {uint(1), nil}, {uint8(1), nil}, {uint16(1), nil},
+		{uint32(1), nil}, {uint64(1), nil}, {[]byte("b"), nil}, {complex(1, 2), nil}, {point{1}, nil},
 	} {
-		before := n
-		in := Envelope{From: "a", To: "b", M: M("h", tc.body)}
-		frame, err := Encode(in)
-		if err != nil {
-			t.Fatal(err)
+		body := codedBody{N: 1, Args: []any{int64(2), tc.in}}
+		b, err := AppendBody(nil, body)
+		refused := tc.want == nil && tc.in != nil
+		if refused {
+			name := reflect.TypeOf(tc.in).String()
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%T: AppendBody = %v, want an error naming %s", tc.in, err, name)
+			}
+			if cerr := CheckValues(body.Args); cerr == nil || !strings.Contains(cerr.Error(), name) {
+				t.Errorf("%T: CheckValues = %v, want an error naming %s", tc.in, cerr, name)
+			}
+			continue
 		}
-		out, err := Decode(frame)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || CheckValues(body.Args) != nil {
+			t.Errorf("%T: AppendBody = %v, CheckValues = %v", tc.in, err, CheckValues(body.Args))
+			continue
 		}
-		if !reflect.DeepEqual(out, in) {
-			t.Errorf("%#v: round trip = %#v", tc.body, out.M.Body)
+		got, err := DecodeBody[codedBody](b)
+		if err != nil || !reflect.DeepEqual(got.Args, []any{int64(2), tc.want}) {
+			t.Errorf("%T: round trip = %#v, %v; want %#v", tc.in, got.Args, err, tc.want)
 		}
-		if n-before != tc.gob {
-			t.Errorf("%#v: %d gob bodies, want %d", tc.body, n-before, tc.gob)
-		}
+	}
+	if _, err := AppendBody(nil, struct{ N int }{}); err == nil || !strings.Contains(err.Error(), "struct { N int }") {
+		t.Errorf("a body without a codec: AppendBody = %v, want an error naming its type", err)
+	}
+	if _, err := Encode(Envelope{M: M("h", uint64(1))}); err == nil || !strings.Contains(err.Error(), "uint64") {
+		t.Errorf("a frame with a body without a codec: Encode = %v, want an error naming its type", err)
 	}
 }
 

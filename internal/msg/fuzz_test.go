@@ -5,20 +5,15 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
 )
 
-// fallbackBody is a body with no frame codec: it travels under the gob
-// fallback.
-var fallbackBody = core.Recovered{CfgSeq: 17, From: "r2"}
-
-// sampleFrames encodes one frame per sample body, one for the fallback
-// and one batch of them all.
+// sampleFrames encodes one frame per sample body and one batch of them
+// all.
 func sampleFrames(tb testing.TB) [][]byte {
 	var frames [][]byte
 	var all []msg.Envelope
-	for _, body := range append(samples(), fallbackBody) {
+	for _, body := range samples() {
 		env := msg.Envelope{From: "c1", To: "r1", M: msg.M("hdr", body), Trace: "t", LC: 3}
 		f, err := msg.Encode(env)
 		if err != nil {
@@ -41,14 +36,14 @@ func sampleFrames(tb testing.TB) [][]byte {
 // crash the process).
 func FuzzDecodeFrame(f *testing.F) {
 	frames := sampleFrames(f)
-	f.Add(frames[len(frames)-2]) // the fallback body
-	f.Add(frames[len(frames)-1]) // the batch
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0x80, 0xff})
 	f.Add(frames[0][:len(frames[0])/2]) // truncated
 	f.Add([]byte("Z arbitrary junk that is not a frame"))
-	for _, frame := range frames[:len(frames)-2] {
+	// Tag 1, the retired gob fallback: a length and a gob stream.
+	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 1, 4, 3, 0xff, 0x82, 0})
+	for _, frame := range frames {
 		f.Add(frame)
 	}
 
@@ -59,7 +54,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		// A frame that decodes must re-encode and decode to the same
 		// envelopes (compared by route and header: a fuzzed float may be
-		// a NaN, and a fuzzed gob body need not re-encode byte for byte).
+		// a NaN).
 		if err == nil {
 			re, eerr := msg.EncodeBatch(envs)
 			if eerr != nil {
@@ -111,7 +106,6 @@ func TestDecodeFramePlantedLengths(t *testing.T) {
 		"envelope count": append(huge([]byte{1}), make([]byte, 64)...),
 		"From length":    append(huge([]byte{1, 1}), make([]byte, 64)...),
 		"Hdr length":     append(huge([]byte{1, 1, 0, 0}), make([]byte, 64)...),
-		"gob body":       append(huge(append(head[:len(head):len(head)], 1)), make([]byte, 64)...),
 		// A TxRequest (tag 0x10): empty Client, Seq 0, empty Type, then Args.
 		"[]any length": append(huge(append(head[:len(head):len(head)], 0x10, 0, 0, 0)), make([]byte, 64)...),
 		// A Deliver (tag 0x21): Slot 0, then its Bcast count.

@@ -62,9 +62,8 @@ type testBody struct {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	RegisterBody(testBody{})
-	// Registering twice must not panic.
-	RegisterBody(testBody{})
+	// Registering the same codec again must not panic.
+	RegisterCodec(testBodyTag, testBody{}, appendTestBody, readTestBody)
 
 	in := Envelope{From: "client", To: "server", M: M("req", testBody{N: 7, S: "hi"})}
 	b, err := Encode(in)
@@ -88,7 +87,6 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecRoundTripProperty(t *testing.T) {
-	RegisterBody(testBody{})
 	f := func(hdr string, n int, s string, from, to string) bool {
 		in := Envelope{From: Loc(from), To: Loc(to), M: M(hdr, testBody{N: n, S: s})}
 		b, err := Encode(in)
@@ -109,7 +107,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	if _, err := Decode([]byte("not a frame")); err == nil {
 		t.Error("Decode(garbage) succeeded, want error")
 	}
 }

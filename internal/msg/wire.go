@@ -1,9 +1,12 @@
 package msg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer and Reader are the field-level halves of the frame codec: a body
@@ -13,9 +16,13 @@ import (
 // Integers are varints (signed ones zig-zag), a bool is one byte 0 or 1,
 // a float64 eight little-endian bytes, and a string or byte slice a
 // length and its bytes. A slice is a count and its elements; an empty
-// slice decodes as nil, as gob decodes it. A value of a []any (request
-// arguments, result rows) is a kind byte and its encoding; only nil,
-// int64, int, float64, string and bool have a kind.
+// slice decodes as nil. A map is written as its entries in key order
+// (SortedKeys), so one value has one encoding. A value of a []any
+// (request arguments, result rows) is a kind byte and its encoding: nil,
+// int64, int, float64, string and bool have a kind, and an int32 or a
+// float32 is widened to int64 or float64 as the SQL layer widens it
+// (sqldb's argument normalisation). Any other value is refused with an
+// error naming its type.
 
 // Value kinds inside a []any.
 const (
@@ -28,12 +35,18 @@ const (
 	kindTrue
 )
 
-// Writer appends a body's fields to a frame.
+// Writer appends a body's fields to a frame, a record or a file. Like a
+// Reader it keeps the first error it hits (a body without a codec, a
+// value without a kind); Append returns it.
 type Writer struct {
-	b []byte
-	// refused is set by Value when a value has no wire kind: the frame
-	// then carries the whole body under the gob fallback instead.
-	refused bool
+	b   []byte
+	err error
+}
+
+func (w *Writer) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
 }
 
 // Uvarint appends an unsigned varint.
@@ -87,14 +100,19 @@ func (w *Writer) Locs(ls []Loc) {
 	}
 }
 
-// Value appends one dynamically typed value, or refuses the body when
-// the value's type has no kind.
+// Value appends one dynamically typed value, or latches the error
+// CheckValues reports for it.
 func (w *Writer) Value(v any) {
 	switch x := v.(type) {
 	case nil:
 		w.b = append(w.b, kindNil)
 	case int64:
 		w.b = binary.AppendVarint(append(w.b, kindInt64), x)
+	case int32:
+		w.b = binary.AppendVarint(append(w.b, kindInt64), int64(x))
+	case float32:
+		w.b = append(w.b, kindFloat64)
+		w.Float64(float64(x))
 	case int:
 		w.b = binary.AppendVarint(append(w.b, kindInt), int64(x))
 	case float64:
@@ -110,8 +128,34 @@ func (w *Writer) Value(v any) {
 			w.b = append(w.b, kindFalse)
 		}
 	default:
-		w.refused = true
+		w.fail(noKind(v))
 	}
+}
+
+// CheckValues reports the first of vs that Writer.Value cannot write,
+// naming its type, so a caller can refuse a request before sending it.
+func CheckValues(vs []any) error {
+	for _, v := range vs {
+		switch v.(type) {
+		case nil, int64, int, float64, string, bool, int32, float32:
+		default:
+			return noKind(v)
+		}
+	}
+	return nil
+}
+
+func noKind(v any) error { return fmt.Errorf("msg: a value of type %T has no wire kind", v) }
+
+// SortedKeys returns m's keys in ascending order: the order a codec
+// writes a map's entries in.
+func SortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Values appends a []any.
@@ -132,7 +176,6 @@ var (
 	errTag       = errors.New("msg: unknown body tag")
 	errTrailing  = errors.New("msg: trailing bytes after frame")
 	errVersion   = errors.New("msg: unknown frame version")
-	errBodyType  = errors.New("msg: body of another type")
 )
 
 // Reader consumes a frame. It keeps the first error it hits, after which
@@ -150,6 +193,15 @@ func (r *Reader) fail(err error) {
 	}
 	r.b = nil
 }
+
+// More reports whether bytes remain to be read and no error has been
+// hit: a list written without a count (a snapshot's bodies, a trace
+// file's events) is read while it holds.
+func (r *Reader) More() bool { return r.err == nil && len(r.b) > 0 }
+
+// Fail latches err, as a failed read does: a decoder refuses a value
+// that reads cleanly but is not one its writer writes.
+func (r *Reader) Fail(err error) { r.fail(err) }
 
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {

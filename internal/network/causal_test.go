@@ -9,7 +9,8 @@ import (
 )
 
 func init() {
-	msg.RegisterBody(pingBody{})
+	msg.RegisterCodec(0xf1, pingBody{}, func(w *msg.Writer, b pingBody) { w.Int(b.N) },
+		func(r *msg.Reader) pingBody { return pingBody{N: r.Int()} })
 }
 
 type pingBody struct{ N int }

@@ -13,7 +13,6 @@ import (
 // per-connection reader.
 func TestTCPNoGoroutineLeakAfterClose(t *testing.T) {
 	leaktest.Check(t, "shadowdb/internal/network.")
-	msg.RegisterBody(wireBody{})
 	a, err := NewTCP("a", map[msg.Loc]string{"a": "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,6 @@ func TestTCPNoGoroutineLeakAfterClose(t *testing.T) {
 // the sweep would never be reaped) nor leak its reader goroutine.
 func TestTCPCloseRacesDial(t *testing.T) {
 	leaktest.Check(t, "shadowdb/internal/network.")
-	msg.RegisterBody(wireBody{})
 	for i := 0; i < 20; i++ {
 		a, err := NewTCP("a", map[msg.Loc]string{"a": "127.0.0.1:0"})
 		if err != nil {

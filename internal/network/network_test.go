@@ -18,6 +18,13 @@ type wireBody struct {
 	S string
 }
 
+func init() {
+	msg.RegisterCodec(0xf0, wireBody{}, func(w *msg.Writer, b wireBody) {
+		w.Int(b.N)
+		w.Text(b.S)
+	}, func(r *msg.Reader) wireBody { return wireBody{N: r.Int(), S: r.Text()} })
+}
+
 func recvOne(t *testing.T, tr Transport) msg.Envelope {
 	t.Helper()
 	select {
@@ -103,7 +110,6 @@ func TestHubCloseUnblocksReceivers(t *testing.T) {
 
 func newTCPPair(t *testing.T) (*TCP, *TCP) {
 	t.Helper()
-	msg.RegisterBody(wireBody{})
 	// Bind ephemeral ports first, then rebuild the directory.
 	tmp := map[msg.Loc]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"}
 	ta, err := NewTCP("a", tmp)
@@ -212,7 +218,6 @@ func TestTCPClosesConnectionOnUndecodableFrame(t *testing.T) {
 }
 
 func TestTCPUnreachablePeerDropped(t *testing.T) {
-	msg.RegisterBody(wireBody{})
 	dir := map[msg.Loc]string{"a": "127.0.0.1:0", "dead": "127.0.0.1:1"}
 	ta, err := NewTCP("a", dir)
 	if err != nil {
@@ -229,7 +234,6 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// and verify a's sends reach the reincarnated peer: dropConn plus
 	// bounded redial backoff must re-establish the route without manual
 	// intervention.
-	msg.RegisterBody(wireBody{})
 	ta, tb := newTCPPair(t)
 	if err := ta.Send(msg.Envelope{To: "b", M: msg.M("warm", wireBody{N: 0})}); err != nil {
 		t.Fatal(err)
@@ -285,7 +289,6 @@ func TestTCPStaleConnWriteRetries(t *testing.T) {
 	// that stale connection must retry over a fresh dial instead of
 	// dropping — a one-shot message (a recovery catch-up reply, say) has
 	// no second send to trigger the redial.
-	msg.RegisterBody(wireBody{})
 	ta, tb := newTCPPair(t)
 	if err := ta.Send(msg.Envelope{To: "b", M: msg.M("warm", wireBody{N: 0})}); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 // listenTCP starts a transport for id on an ephemeral loopback port.
 func listenTCP(t *testing.T, id msg.Loc) *TCP {
 	t.Helper()
-	msg.RegisterBody(wireBody{})
 	tr, err := NewTCP(id, map[msg.Loc]string{id: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)

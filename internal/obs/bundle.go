@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,6 +33,10 @@ type Bundle struct {
 	Dir string
 }
 
+// oldTraceFile is the gob trace of bundles written before trace files
+// used the wire codec; LoadBundle refuses a bundle holding one.
+const oldTraceFile = "trace.gob"
+
 // LoadBundle reads one bundle directory. Trace decoding requires the
 // protocol wire types to be registered (RegisterWireTypes in the
 // protocol packages) exactly like /trace downloads.
@@ -45,13 +51,18 @@ func LoadBundle(dir string) (*Bundle, error) {
 	}
 	b.Logs, b.LogDropped = logs.Records, logs.Dropped
 	f, err := os.Open(filepath.Join(dir, bundleTraceFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, gerr := os.Stat(filepath.Join(dir, oldTraceFile)); gerr == nil {
+			return nil, fmt.Errorf("flight: %s: %s", filepath.Join(dir, oldTraceFile), errTraceFormat)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("flight: open trace: %w", err)
 	}
 	b.Trace, err = DecodeTrace(f)
 	f.Close()
 	if err != nil {
-		return nil, fmt.Errorf("flight: decode trace: %w", err)
+		return nil, fmt.Errorf("flight: %s: %w", filepath.Join(dir, bundleTraceFile), err)
 	}
 	var metrics bundleMetrics
 	if err := readJSON(filepath.Join(dir, bundleMetricsFile), &metrics); err != nil {

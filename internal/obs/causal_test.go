@@ -196,15 +196,15 @@ func contains(s, sub string) bool {
 }
 
 func TestEnvelopeCausalFieldsGobRoundTrip(t *testing.T) {
-	// The trace context must survive the wire codec (gob encodes the
-	// Envelope struct; Trace/LC ride alongside From/To/M).
+	// The trace context must survive the wire codec (Trace/LC ride
+	// alongside From/To/M).
 	env := msg.Envelope{
 		From: "a", To: "b",
 		M:     msg.M("hdr", nil),
 		Trace: "c0/3", LC: 99,
 	}
-	// Round-trip through the trace encoding used by the admin endpoint,
-	// which exercises gob on Event (Trace/LC tagged fields).
+	// Round-trip through the trace file the admin endpoint serves,
+	// which carries Event's Trace/LC fields.
 	evs := []obs.Event{{Seq: 0, At: 1, Loc: "a", Trace: env.Trace, LC: env.LC, Slot: obs.NoField, Ballot: obs.NoField}}
 	var buf bytes.Buffer
 	if err := obs.EncodeTrace(&buf, evs); err != nil {

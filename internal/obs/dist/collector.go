@@ -68,7 +68,7 @@ func (c *Collector) Gather(nodes map[string]*obs.Obs) {
 }
 
 // Pull downloads one node's trace ring from its admin endpoint
-// (GET addr/trace, gob-encoded) and adds it under the address.
+// (GET addr/trace, a trace file) and adds it under the address.
 func (c *Collector) Pull(addr string) error {
 	cl := c.Client
 	if cl == nil {

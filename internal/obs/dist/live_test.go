@@ -192,7 +192,6 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	}
 	core.RegisterWireTypes()
 	broadcast.RegisterWireTypes()
-	msg.RegisterBody(core.SubmitBody{})
 
 	bnodes := []msg.Loc{"b1", "b2", "b3"}
 	rlocs := []msg.Loc{"r1", "r2", "r3"}

@@ -27,8 +27,9 @@ import (
 // (OnPanic), fault-injection kill windows (fault.ProcessHooks.Flight),
 // SIGQUIT (NotifySignals), and POST /flight/dump on the admin endpoint.
 
-// BundleVersion is the bundle format version written into meta.json.
-const BundleVersion = 1
+// BundleVersion is the bundle format version written into meta.json:
+// 2 since the trace is a trace file (trace.bin) rather than gob.
+const BundleVersion = 2
 
 // MinDumpGap rate-limits TryDump: a checker finding the same violation
 // on every event would otherwise grind the node dumping profiles in a
@@ -41,7 +42,7 @@ const MinDumpGap = 5 * time.Second
 const (
 	bundleMetaFile    = "meta.json"
 	bundleLogsFile    = "logs.json"
-	bundleTraceFile   = "trace.gob"
+	bundleTraceFile   = "trace.bin"
 	bundleMetricsFile = "metrics.json"
 	bundleCheckerFile = "checker.json"
 	bundleGorosFile   = "goroutines.txt"

@@ -1,6 +1,8 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,40 @@ import (
 
 	"shadowdb/internal/obs"
 )
+
+// A bundle written before trace files used the wire codec holds a gob
+// trace.gob; loading it is refused with an error naming that file, and
+// its bytes are not a trace file either.
+func TestLoadBundleRefusesGobTrace(t *testing.T) {
+	o := obs.New(8)
+	o.EnableTracing(true)
+	o.Record(obs.Event{Loc: "n1", Layer: "test", Kind: "probe"})
+	rec, err := obs.NewRecorder(o, t.TempDir(), "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, err := rec.Dump("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The earlier build's trace: a gob stream of the events.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode([]struct{ Seq, At int64 }{{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(path, "trace.bin")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "trace.gob"), old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.LoadBundle(path); err == nil || !strings.Contains(err.Error(), filepath.Join(path, "trace.gob")) {
+		t.Errorf("LoadBundle of a gob trace = %v, want an error naming %s", err, filepath.Join(path, "trace.gob"))
+	}
+	if _, err := obs.DecodeTrace(bytes.NewReader(old.Bytes())); err == nil {
+		t.Error("DecodeTrace read a gob stream")
+	}
+}
 
 func TestDumpAndLoadBundle(t *testing.T) {
 	o := obs.New(64)

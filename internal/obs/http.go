@@ -11,8 +11,8 @@ import (
 )
 
 // The admin HTTP endpoint: an expvar-style JSON metrics dump, trace
-// download (gob for the dist collector, JSON for humans), trace on/off control,
-// and the standard pprof handlers — all on an explicit mux so binaries
+// download (a trace file for the dist collector, JSON for humans), trace
+// on/off control, and the standard pprof handlers — all on an explicit mux so binaries
 // can serve it on a dedicated admin port.
 
 // Handler returns the admin mux for an Obs:
@@ -20,7 +20,7 @@ import (
 //	GET  /metrics        JSON metrics snapshot (Prometheus text when the
 //	                     Accept header asks for text/plain)
 //	GET  /metrics.prom   Prometheus text exposition, unconditionally
-//	GET  /trace          gob-encoded trace (dist.Collector.Pull / DecodeTrace)
+//	GET  /trace          trace file (obs.EncodeTrace; dist.Collector.Pull / DecodeTrace)
 //	GET  /trace.json     human-readable trace
 //	POST /trace/start    enable trace recording
 //	POST /trace/stop     disable trace recording

@@ -15,8 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"shadowdb/internal/msg"
 )
 
 // DefaultTraceCap is the ring-buffer capacity used by New and Default:
@@ -111,11 +109,6 @@ func (o *Obs) Snapshot() Snapshot {
 func C(name string) *Counter   { return Default.Counter(name) }
 func G(name string) *Gauge     { return Default.Gauge(name) }
 func H(name string) *Histogram { return Default.Histogram(name) }
-
-// msg.gob_bodies counts the message bodies this process encoded under
-// the wire codec's gob fallback: zero on the hot path, which has codecs
-// of its own. msg cannot import obs, so the counter is bound here.
-func init() { msg.CountGobBodies(C("msg.gob_bodies").Inc) }
 
 // ---------------------------------------------------------------- clock --
 

@@ -184,8 +184,12 @@ func TestMerge(t *testing.T) {
 
 type traceBody struct{ K string }
 
+func init() {
+	msg.RegisterCodec(0xf0, traceBody{}, func(w *msg.Writer, b traceBody) { w.Text(b.K) },
+		func(r *msg.Reader) traceBody { return traceBody{K: r.Text()} })
+}
+
 func TestTraceEncodeDecode(t *testing.T) {
-	msg.RegisterBody(traceBody{})
 	m := msg.M("enc", traceBody{K: "v"})
 	in := []Event{
 		{Seq: 0, At: 5, Loc: "n1", Layer: LayerCore, Kind: "step", Hdr: "enc",

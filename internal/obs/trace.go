@@ -1,11 +1,13 @@
 package obs
 
 import (
-	"encoding/gob"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"shadowdb/internal/gpm"
 	"shadowdb/internal/msg"
@@ -241,11 +243,29 @@ func FromGPM(trace []gpm.TraceEntry) []Event {
 
 // ------------------------------------------------------------- encoding --
 
-// EncodeTrace writes events as a gob stream. Message bodies must be
-// registered with msg.RegisterBody (protocol RegisterWireTypes helpers);
-// the binaries already do this at startup.
+// A trace file — a /trace download, a bundle's trace.bin — is
+// traceMagic followed by its events, each written with the wire codec's
+// Writer: the event's fields in declaration order, then its message and
+// its outputs, whose bodies are written by their registered codecs
+// (msg.Writer.Body). A body without a codec fails the encoding, so a
+// trace that decodes holds every message its node stepped.
+const traceMagic = "TRC1"
+
+var errTraceFormat = errors.New("not a trace in the current format")
+
+// EncodeTrace writes events as a trace file. Message bodies must have
+// codecs registered (protocol RegisterWireTypes helpers); the binaries
+// already do this at startup.
 func EncodeTrace(w io.Writer, events []Event) error {
-	if err := gob.NewEncoder(w).Encode(events); err != nil {
+	b, err := msg.Append([]byte(traceMagic), func(w *msg.Writer) {
+		for i := range events {
+			appendEvent(w, &events[i])
+		}
+	})
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	if err != nil {
 		return fmt.Errorf("obs: encode trace: %w", err)
 	}
 	return nil
@@ -253,9 +273,66 @@ func EncodeTrace(w io.Writer, events []Event) error {
 
 // DecodeTrace reverses EncodeTrace.
 func DecodeTrace(r io.Reader) ([]Event, error) {
+	b, err := io.ReadAll(r)
+	if err == nil && !bytes.HasPrefix(b, []byte(traceMagic)) {
+		err = errTraceFormat
+	}
 	var events []Event
-	if err := gob.NewDecoder(r).Decode(&events); err != nil {
+	if err == nil {
+		err = msg.Read(b[len(traceMagic):], func(r *msg.Reader) {
+			for r.More() {
+				events = append(events, readEvent(r))
+			}
+		})
+	}
+	if err != nil {
 		return nil, fmt.Errorf("obs: decode trace: %w", err)
 	}
 	return events, nil
+}
+
+func appendEvent(w *msg.Writer, e *Event) {
+	w.Int64(e.Seq)
+	w.Int64(e.At)
+	w.Loc(e.Loc)
+	w.Text(e.Layer)
+	w.Text(e.Kind)
+	w.Text(e.Hdr)
+	w.Int64(e.Slot)
+	w.Int64(e.Ballot)
+	w.Text(e.Span)
+	w.Text(e.Trace)
+	w.Int64(e.LC)
+	w.Text(e.Note)
+	w.Bool(e.M != nil)
+	if e.M != nil {
+		w.Text(e.M.Hdr)
+		w.Body(e.M.Body)
+	}
+	w.Uvarint(uint64(len(e.Outs)))
+	for _, d := range e.Outs {
+		w.Int64(int64(d.Delay))
+		w.Loc(d.Dest)
+		w.Text(d.M.Hdr)
+		w.Body(d.M.Body)
+	}
+}
+
+// minDirective is the fewest bytes an output occupies: a delay, two
+// empty strings and a nil body.
+const minDirective = 4
+
+func readEvent(r *msg.Reader) Event {
+	e := Event{Seq: r.Int64(), At: r.Int64(), Loc: r.Loc(), Layer: r.Text(), Kind: r.Text(), Hdr: r.Text(),
+		Slot: r.Int64(), Ballot: r.Int64(), Span: r.Text(), Trace: r.Text(), LC: r.Int64(), Note: r.Text()}
+	if r.Bool() {
+		e.M = &msg.Msg{Hdr: r.Text(), Body: r.Body()}
+	}
+	if n := r.Count(minDirective); n > 0 {
+		e.Outs = make([]msg.Directive, n)
+		for i := range e.Outs {
+			e.Outs[i] = msg.Directive{Delay: time.Duration(r.Int64()), Dest: r.Loc(), M: msg.Msg{Hdr: r.Text(), Body: r.Body()}}
+		}
+	}
+	return e
 }

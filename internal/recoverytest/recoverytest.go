@@ -34,6 +34,10 @@ type Client struct {
 	// OldRecords encodes unit n in the client's previous record format,
 	// which recovery must refuse; nil when the format has not changed.
 	OldRecords func(t testing.TB, n int) [][]byte
+	// OldSnapshot encodes the state after units 1..n as the client's
+	// previous snapshot format wrote it, which recovery must refuse; nil
+	// when the format has not changed.
+	OldSnapshot func(t testing.TB, n int) []byte
 }
 
 // Instance is one incarnation of a client.
@@ -208,6 +212,16 @@ var rows = []struct {
 		at := r.st.Tail
 		r.append(r.c.OldRecords(r.t, 4)...)
 		r.refused("a record in the old format", fmt.Sprintf(`^store: journal \S+: record %d: `, at))
+	}},
+	{"snapshot in the old format", func(r run, in Instance) {
+		if r.c.OldSnapshot == nil {
+			r.t.Skip("the client's snapshot format has not changed")
+		}
+		r.apply(in, 1, 3)
+		if err := r.st.SaveSnapshot(r.c.OldSnapshot(r.t, 3)); err != nil {
+			r.t.Fatal(err)
+		}
+		r.refused("a snapshot in the old format", `^store: journal \S+: snapshot: `)
 	}},
 	{"refused snapshot format", func(r run, in Instance) {
 		r.apply(in, 1, 3)

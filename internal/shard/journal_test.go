@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -58,12 +60,71 @@ var routerClient = recoverytest.Client{
 			t.Fatal(err)
 		}
 		id, seq := req.Key(), int64(4*n)
+		var recs [][]byte
+		for _, jr := range []journalRec{
+			{Kind: "begin", TxID: id, Req: req, Subs: subs, Seq: seq - 4},
+			{Kind: "decide", TxID: id, Commit: true, Seq: seq - 2},
+			{Kind: "done", TxID: id, Seq: seq},
+		} {
+			rec, err := msg.Append(nil, func(w *msg.Writer) { appendJournalRec(w, jr) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		return recs
+	},
+	OldRecords: func(t testing.TB, n int) [][]byte {
+		req := transfer(int64(n))
+		subs, err := Bank().Split(req, modPart{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, seq := req.Key(), int64(4*n)
 		return [][]byte{
-			store.EncodeRecord(journalRec{Kind: "begin", TxID: id, Req: req, Subs: subs, Seq: seq - 4}),
-			store.EncodeRecord(journalRec{Kind: "decide", TxID: id, Commit: true, Seq: seq - 2}),
-			store.EncodeRecord(journalRec{Kind: "done", TxID: id, Seq: seq}),
+			gobBytes(t, oldJournalRec{Kind: "begin", TxID: id, Req: req, Subs: subs, Seq: seq - 4}),
+			gobBytes(t, oldJournalRec{Kind: "decide", TxID: id, Commit: true, Seq: seq - 2}),
+			gobBytes(t, oldJournalRec{Kind: "done", TxID: id, Seq: seq}),
 		}
 	},
+	OldSnapshot: func(t testing.TB, n int) []byte {
+		snap := oldRouterSnapshot{Seq: int64(4 * n), Done: map[string]core.TxResult{}}
+		for u := 1; u <= n; u++ {
+			req := transfer(int64(u))
+			snap.Done[req.Key()] = core.TxResult{Client: req.Client, Seq: req.Seq}
+		}
+		return gobBytes(t, snap)
+	},
+}
+
+// The gob formats of the router's journal before the wire codec wrote
+// it, copied here under other names (gob matches fields by name; the
+// type's name is only in the type descriptor): a record and a snapshot.
+type (
+	oldJournalRec struct {
+		Kind   string
+		TxID   string
+		Req    core.TxRequest
+		Subs   map[int]SubTx
+		Commit bool
+		Seq    int64
+	}
+	oldRouterSnapshot struct {
+		Seq  int64
+		Done map[string]core.TxResult
+		Open []oldJournalRec
+	}
+)
+
+// gobBytes is v as one gob stream, the format of the journals before
+// the wire codec wrote them.
+func gobBytes(t testing.TB, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestRouterRecovery(t *testing.T) { recoverytest.Run(t, routerClient) }

@@ -1,11 +1,11 @@
 package shard
 
 import (
-	"slices"
+	"errors"
+	"fmt"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
-	"shadowdb/internal/store"
 )
 
 // Ledger is what a shard replica adds to a core.SMRReplica: the
@@ -57,15 +57,10 @@ type pendingPrep struct {
 	OK bool
 }
 
-// ledgerImage is the ledger's share of a snapshot header.
-type ledgerImage struct {
-	Prepared map[string]pendingPrep
-	Decided  map[string]Decision
-}
-
 // NewLedger returns the empty ledger of a replica of shard shardIdx, to
 // be passed as core.SMRConfig.Ext.
 func NewLedger(shardIdx int, app App) *Ledger {
+	registerWire()
 	return &Ledger{shard: shardIdx, app: app, prepared: make(map[string]pendingPrep), decided: make(map[string]Decision)}
 }
 
@@ -75,20 +70,48 @@ func (l *Ledger) Bind(self msg.Loc, exec *core.Executor) map[string]core.Ordered
 	return map[string]core.OrderedHandler{prepMark: l.onPrepare, decMark: l.onDecision}
 }
 
-// Snapshot implements core.SMRExtension.
+// Snapshot implements core.SMRExtension: the ledger as the records that
+// built it, in TxID order — each pending Prepare followed by its vote,
+// then each processed Decision.
 func (l *Ledger) Snapshot() []byte {
-	return store.EncodeRecord(ledgerImage{Prepared: l.prepared, Decided: l.decided})
+	b, err := msg.Append(nil, func(w *msg.Writer) {
+		for _, id := range msg.SortedKeys(l.prepared) {
+			w.Body(l.prepared[id].P)
+			w.Bool(l.prepared[id].OK)
+		}
+		for _, id := range msg.SortedKeys(l.decided) {
+			w.Body(l.decided[id])
+		}
+	})
+	if err != nil {
+		// Only Prepares that decoded from the order are held, and the
+		// codec writes whatever it decodes.
+		panic(fmt.Sprintf("shard: ledger snapshot: %v", err))
+	}
+	return b
 }
+
+var errLedgerRecord = errors.New("shard: a ledger snapshot holds a body other than a Prepare or a Decision")
 
 // Restore implements core.SMRExtension.
 func (l *Ledger) Restore(b []byte) error {
-	img := ledgerImage{Prepared: make(map[string]pendingPrep), Decided: make(map[string]Decision)}
-	if len(b) > 0 {
-		if err := store.DecodeRecord(b, &img); err != nil {
-			return err
+	prepared, decided := make(map[string]pendingPrep), make(map[string]Decision)
+	err := msg.Read(b, func(r *msg.Reader) {
+		for r.More() {
+			switch v := r.Body().(type) {
+			case Prepare:
+				prepared[v.TxID] = pendingPrep{P: v, OK: r.Bool()}
+			case Decision:
+				decided[v.TxID] = v
+			default:
+				r.Fail(errLedgerRecord)
+			}
 		}
+	})
+	if err != nil {
+		return err
 	}
-	l.prepared, l.decided = img.Prepared, img.Decided
+	l.prepared, l.decided = prepared, decided
 	return nil
 }
 
@@ -126,7 +149,7 @@ func (l *Ledger) onPrepare(payload []byte, _ int) []msg.Directive {
 		return nil
 	}
 	_, ok = l.exec.Reg[p.Sub.Apply]
-	for _, key := range sortedReserveKeys(p.Sub.Reserve) {
+	for _, key := range msg.SortedKeys(p.Sub.Reserve) {
 		avail, err := l.app.Available(l.exec.DB, key)
 		if err != nil || avail-l.HeldOn(key) < p.Sub.Reserve[key] {
 			ok = false
@@ -183,14 +206,4 @@ func (l *Ledger) ack(d Decision) []msg.Directive {
 	return []msg.Directive{msg.Send(d.Coord, msg.M(HdrAck, Ack{
 		TxID: d.TxID, Shard: l.shard, From: l.slf,
 	}))}
-}
-
-// sortedReserveKeys orders a Reserve map for deterministic evaluation.
-func sortedReserveKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
 }

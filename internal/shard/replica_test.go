@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/recoverytest"
 	"shadowdb/internal/sqldb"
@@ -335,9 +337,39 @@ var replicaClient = recoverytest.Client{
 	},
 	OldRecords: func(t testing.TB, n int) [][]byte {
 		d := ledgerUnit(n)
-		return [][]byte{store.EncodeRecord(oldSlotRecord{Slot: d.Slot, Msgs: d.Msgs})}
+		return [][]byte{gobBytes(t, oldSlotRecord{Slot: d.Slot, Msgs: d.Msgs})}
+	},
+	// An SNP2 snapshot: the magic, the header's length, a gob header
+	// whose Ext is the gob ledger, and the database image.
+	OldSnapshot: func(t testing.TB, n int) []byte {
+		ledger := gobBytes(t, oldLedgerImage{Prepared: map[string]oldPendingPrep{}, Decided: map[string]Decision{}})
+		h := gobBytes(t, oldSnapHeader{Slot: n - 1, Executed: int64(n), LastSeq: map[string]int64{"c1": int64(n)}, Ext: ledger})
+		snap := binary.BigEndian.AppendUint32([]byte("SNP2"), uint32(len(h)))
+		return bankDB(t, 8).AppendDump(append(snap, h...))
 	},
 }
+
+// The gob snapshot header of an SMR replica, with the ledger's share in
+// Ext, before both were written with the wire codec.
+type (
+	oldSnapHeader struct {
+		Slot     int
+		Executed int64
+		LastSeq  map[string]int64
+		Recent   []core.TxResult
+		Epochs   []member.Config
+		Joined   map[msg.Loc]int
+		Ext      []byte
+	}
+	oldPendingPrep struct {
+		P  Prepare
+		OK bool
+	}
+	oldLedgerImage struct {
+		Prepared map[string]oldPendingPrep
+		Decided  map[string]Decision
+	}
+)
 
 // oldSlotRecord is the gob record an SMR replica journaled before its
 // records were wire bodies, copied here under another name (gob matches

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -137,14 +138,40 @@ type journalRec struct {
 	Seq int64
 }
 
-// routerSnapshot is the compacted journal: what replaying the records
-// it replaces would have rebuilt.
-type routerSnapshot struct {
-	Seq  int64
-	Done map[string]core.TxResult
-	// Open holds every open transaction as its begin record, followed
-	// by its decide record once the outcome is fixed.
-	Open []journalRec
+// A journal record is written with the wire codec's Writer, its fields
+// in declaration order and Subs in shard order.
+func appendJournalRec(w *msg.Writer, jr journalRec) {
+	w.Text(jr.Kind)
+	w.Text(jr.TxID)
+	core.AppendTxRequest(w, jr.Req)
+	w.Uvarint(uint64(len(jr.Subs)))
+	for _, k := range msg.SortedKeys(jr.Subs) {
+		w.Int(k)
+		appendSubTx(w, jr.Subs[k])
+	}
+	w.Bool(jr.Commit)
+	w.Int64(jr.Seq)
+}
+
+var errRecordKind = errors.New("shard: unknown router record kind")
+
+// minSub is the fewest bytes a shard index and its SubTx occupy.
+const minSub = 4
+
+func readJournalRec(r *msg.Reader) journalRec {
+	jr := journalRec{Kind: r.Text(), TxID: r.Text(), Req: core.ReadTxRequest(r)}
+	if n := r.Count(minSub); n > 0 {
+		jr.Subs = make(map[int]SubTx, n)
+		for range n {
+			k := r.Int()
+			jr.Subs[k] = readSubTx(r)
+		}
+	}
+	jr.Commit, jr.Seq = r.Bool(), r.Int64()
+	if jr.Kind != "begin" && jr.Kind != "decide" && jr.Kind != "done" {
+		r.Fail(errRecordKind)
+	}
+	return jr
 }
 
 // NewRouter builds a router, replaying cfg.Stable if set.
@@ -183,8 +210,15 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.q = flow.NewQueueCaps(m+1, rc, m)
 	}
 	if cfg.Stable != nil {
+		registerWire()
 		r.j = store.NewJournal("router", cfg.Stable, 0)
-		found, err := r.j.Recover(store.Decoding(r.restore), store.Decoding(r.apply))
+		found, err := r.j.Recover(r.restore, func(rec []byte) error {
+			var jr journalRec
+			if err := msg.Read(rec, func(rd *msg.Reader) { jr = readJournalRec(rd) }); err != nil {
+				return err
+			}
+			return r.apply(jr)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -202,17 +236,26 @@ func NewRouter(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-func (r *Router) restore(snap routerSnapshot) error {
-	r.seq = snap.Seq
-	for id, res := range snap.Done {
-		r.doneRes[id] = res
-	}
-	for _, jr := range snap.Open {
-		if err := r.apply(jr); err != nil {
-			return err
+var errNotResult = errors.New("shard: a router snapshot's result is not a TxResult")
+
+// restore reads a snapshot (see snapshot) back.
+func (r *Router) restore(snap []byte) error {
+	return msg.Read(snap, func(rd *msg.Reader) {
+		r.seq = rd.Int64()
+		for n := rd.Count(2); n > 0; n-- { // an id and a result
+			id := rd.Text()
+			res, ok := rd.Body().(core.TxResult)
+			if !ok {
+				rd.Fail(errNotResult)
+			}
+			r.doneRes[id] = res
 		}
-	}
-	return nil
+		for rd.More() {
+			if err := r.apply(readJournalRec(rd)); err != nil {
+				rd.Fail(err)
+			}
+		}
+	})
 }
 
 // apply rebuilds coordinator state from one journal record: a begin
@@ -260,7 +303,10 @@ func (r *Router) journal(jr journalRec) {
 		return
 	}
 	jr.Seq = r.seq
-	err := r.j.Append(store.EncodeRecord(jr))
+	rec, err := msg.Append(nil, func(w *msg.Writer) { appendJournalRec(w, jr) })
+	if err == nil {
+		err = r.j.Append(rec)
+	}
 	if err == nil {
 		_, err = r.j.CompactIfDue(r.snapshot)
 	}
@@ -269,16 +315,30 @@ func (r *Router) journal(jr journalRec) {
 	}
 }
 
+// snapshot is the compacted journal: what replaying the records it
+// replaces would have rebuilt — the broadcast seq high-water, the dedup
+// table in TxID order, and every open transaction as its begin record,
+// followed by its decide record once the outcome is fixed.
 func (r *Router) snapshot() []byte {
-	snap := routerSnapshot{Seq: r.seq, Done: r.doneRes}
-	for _, id := range sortedKeys(r.txs) {
-		tx := r.txs[id]
-		snap.Open = append(snap.Open, journalRec{Kind: "begin", TxID: id, Req: tx.req, Subs: tx.subs})
-		if tx.decided {
-			snap.Open = append(snap.Open, journalRec{Kind: "decide", TxID: id, Commit: tx.commit})
+	b, err := msg.Append(nil, func(w *msg.Writer) {
+		w.Int64(r.seq)
+		w.Uvarint(uint64(len(r.doneRes)))
+		for _, id := range msg.SortedKeys(r.doneRes) {
+			w.Text(id)
+			w.Body(r.doneRes[id])
 		}
+		for _, id := range msg.SortedKeys(r.txs) {
+			tx := r.txs[id]
+			appendJournalRec(w, journalRec{Kind: "begin", TxID: id, Req: tx.req, Subs: tx.subs})
+			if tx.decided {
+				appendJournalRec(w, journalRec{Kind: "decide", TxID: id, Commit: tx.commit})
+			}
+		}
+	})
+	if err != nil {
+		panic(fmt.Sprintf("shard: router snapshot: %v", err))
 	}
-	return store.EncodeRecord(snap)
+	return b
 }
 
 // InFlight counts open cross-shard transactions (zero after a drain
@@ -288,7 +348,7 @@ func (r *Router) InFlight() int { return len(r.txs) }
 // Recovered lists the TxIDs the journal replay left open (tests).
 func (r *Router) Recovered() []string {
 	out := make([]string, 0, len(r.txs))
-	for _, id := range sortedKeys(r.txs) {
+	for _, id := range msg.SortedKeys(r.txs) {
 		out = append(out, id)
 	}
 	return out
@@ -300,7 +360,7 @@ func (r *Router) Recovered() []string {
 // and emit the result.
 func (r *Router) RecoveryDirectives() []msg.Directive {
 	var outs []msg.Directive
-	for _, id := range sortedKeys(r.txs) {
+	for _, id := range msg.SortedKeys(r.txs) {
 		tx := r.txs[id]
 		if tx.decided {
 			outs = append(outs, r.sendDecisions(id, tx)...)
@@ -402,6 +462,16 @@ func (r *Router) onCrossShard(req core.TxRequest) []msg.Directive {
 		return r.redrive(id, tx)
 	}
 	subs, err := r.cfg.App.Split(req, r.cfg.Part)
+	if err == nil {
+		// The journal and the 2PC records carry the arguments: a kind
+		// the codec cannot write is refused before any shard sees it.
+		err = msg.CheckValues(req.Args)
+		for _, s := range subs {
+			if err == nil {
+				err = msg.CheckValues(s.ApplyArgs)
+			}
+		}
+	}
 	if err != nil {
 		return []msg.Directive{msg.Send(req.Client, msg.M(core.HdrTxResult, core.TxResult{
 			Client: req.Client, Seq: req.Seq, Aborted: true, Err: err.Error(),
@@ -582,18 +652,4 @@ func (r *Router) redrive(id string, tx *txState) []msg.Directive {
 		return r.sendDecisions(id, tx)
 	}
 	return r.sendPrepares(id, tx)
-}
-
-// sortedKeys orders a txs map for deterministic iteration.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

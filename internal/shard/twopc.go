@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"shadowdb/internal/core"
@@ -87,22 +86,24 @@ type RetryBody struct {
 	TxID string
 }
 
-// RegisterWireTypes registers the 2PC bodies with the wire codec:
-// Prepare and Decision, the ordered records, with codecs of their own
-// (tags 0x50–0x5f, DESIGN.md "Wire format and allocation hot path"); the
-// replica→coordinator bodies travel under the gob fallback.
+// RegisterWireTypes registers the 2PC bodies with the wire codec: the
+// ordered records Prepare and Decision, the replica→coordinator Vote and
+// Ack, and the coordinator's retry timer (tags 0x50–0x5f, DESIGN.md
+// "Wire format and allocation hot path").
 func RegisterWireTypes() {
-	msg.RegisterBasics()
 	msg.RegisterCodec(0x50, Prepare{}, appendPrepare, readPrepare)
 	msg.RegisterCodec(0x51, Decision{}, appendDecision, readDecision)
-	for _, v := range []any{Vote{}, Ack{}, RetryBody{}} {
-		msg.RegisterBody(v)
-	}
+	msg.RegisterCodec(0x52, Vote{}, appendVote, readVote)
+	msg.RegisterCodec(0x53, Ack{}, appendAck, readAck)
+	msg.RegisterCodec(0x54, RetryBody{}, func(w *msg.Writer, b RetryBody) { w.Text(b.TxID) },
+		func(r *msg.Reader) RetryBody { return RetryBody{TxID: r.Text()} })
 }
 
-// registerWire registers the bodies once, for the payload codecs, which
-// must not depend on a caller having registered them.
-var registerWire = sync.OnceFunc(RegisterWireTypes)
+// registerWire registers the bodies once, with core's, for the payload
+// codecs, the ledger's snapshot and the router's journal, which must not
+// depend on a caller having registered them (a router snapshot holds
+// core.TxResults).
+var registerWire = sync.OnceFunc(func() { RegisterWireTypes(); core.RegisterWireTypes() })
 
 func appendPrepare(w *msg.Writer, p Prepare) {
 	w.Text(p.TxID)
@@ -113,23 +114,37 @@ func appendPrepare(w *msg.Writer, p Prepare) {
 		w.Int(s)
 	}
 	core.AppendTxRequest(w, p.Req)
-	// The reservations in key order, so a Prepare has one encoding, and
-	// behind a presence bool: an empty map is not a nil one (nor to gob).
-	w.Bool(p.Sub.Reserve != nil)
-	if p.Sub.Reserve != nil {
-		keys := make([]string, 0, len(p.Sub.Reserve))
-		for k := range p.Sub.Reserve {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
+	appendSubTx(w, p.Sub)
+}
+
+// appendSubTx writes the reservations in key order, so a SubTx has one
+// encoding, and behind a presence bool: an empty map is not a nil one.
+func appendSubTx(w *msg.Writer, s SubTx) {
+	w.Bool(s.Reserve != nil)
+	if s.Reserve != nil {
+		w.Uvarint(uint64(len(s.Reserve)))
+		for _, k := range msg.SortedKeys(s.Reserve) {
 			w.Text(k)
-			w.Int64(p.Sub.Reserve[k])
+			w.Int64(s.Reserve[k])
 		}
 	}
-	w.Text(p.Sub.Apply)
-	w.Values(p.Sub.ApplyArgs)
+	w.Text(s.Apply)
+	w.Values(s.ApplyArgs)
+}
+
+func readSubTx(r *msg.Reader) SubTx {
+	var s SubTx
+	if r.Bool() {
+		n := r.Count(2) // a key length and an amount
+		s.Reserve = make(map[string]int64, n)
+		for range n {
+			k := r.Text()
+			s.Reserve[k] = r.Int64()
+		}
+	}
+	s.Apply = r.Text()
+	s.ApplyArgs = r.Values()
+	return s
 }
 
 func readPrepare(r *msg.Reader) Prepare {
@@ -141,16 +156,7 @@ func readPrepare(r *msg.Reader) Prepare {
 		}
 	}
 	p.Req = core.ReadTxRequest(r)
-	if r.Bool() {
-		n := r.Count(2) // a key length and an amount
-		p.Sub.Reserve = make(map[string]int64, n)
-		for range n {
-			k := r.Text()
-			p.Sub.Reserve[k] = r.Int64()
-		}
-	}
-	p.Sub.Apply = r.Text()
-	p.Sub.ApplyArgs = r.Values()
+	p.Sub = readSubTx(r)
 	return p
 }
 
@@ -164,6 +170,25 @@ func appendDecision(w *msg.Writer, d Decision) {
 func readDecision(r *msg.Reader) Decision {
 	return Decision{TxID: r.Text(), Shard: r.Int(), Coord: r.Loc(), Commit: r.Bool()}
 }
+
+func appendVote(w *msg.Writer, v Vote) {
+	w.Text(v.TxID)
+	w.Int(v.Shard)
+	w.Loc(v.From)
+	w.Bool(v.OK)
+}
+
+func readVote(r *msg.Reader) Vote {
+	return Vote{TxID: r.Text(), Shard: r.Int(), From: r.Loc(), OK: r.Bool()}
+}
+
+func appendAck(w *msg.Writer, a Ack) {
+	w.Text(a.TxID)
+	w.Int(a.Shard)
+	w.Loc(a.From)
+}
+
+func readAck(r *msg.Reader) Ack { return Ack{TxID: r.Text(), Shard: r.Int(), From: r.Loc()} }
 
 // Payload markers distinguishing 2PC records from plain transactions
 // ("tx|") in a delivered batch.
@@ -191,8 +216,8 @@ func encodePayload(mark string, body any) []byte {
 	registerWire()
 	b, err := msg.AppendBody([]byte(mark), body)
 	if err != nil {
-		// A body the codec refuses takes the gob fallback, and gob
-		// carries every registered value; this cannot fail.
+		// The router refuses a request whose arguments have no wire kind
+		// before it prepares it (Router.onCrossShard), so this cannot fail.
 		panic(fmt.Sprintf("shard: encode %T: %v", body, err))
 	}
 	return b

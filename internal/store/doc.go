@@ -26,7 +26,10 @@
 // coordinator (shard.Router) — each contribute only a record codec, a
 // function applying a record, and a function encoding their whole state
 // (the first three journal the wire body of their unit, msg.AppendBody,
-// whose tag versions the record; the rest is EncodeRecord's gob):
+// whose tag versions the record; the coordinator writes its record with
+// the same codec's Writer, msg.Append, and every snapshot is written that
+// way too, reusing the record bodies wherever the state is a list of
+// them):
 //
 //   - Recover(restore, replay), once, before any traffic: the snapshot
 //     (if any) goes to restore, then every record of the tail to replay

@@ -1,12 +1,6 @@
 package store
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
-	"shadowdb/internal/msg"
-)
+import "fmt"
 
 // DefaultFloor is the fewest records a Journal appends between two
 // compactions unless its owner asks for another floor.
@@ -107,34 +101,4 @@ func (j *Journal) Compact(snap []byte) error {
 // in append order: what a peer's catch-up is served from.
 func (j *Journal) Replay(fn func(rec []byte) error) error {
 	return j.st.Replay(fn)
-}
-
-// EncodeRecord encodes a journal record or snapshot for a Journal's
-// owner; DecodeRecord reverses it. Encode failures are programming
-// errors (the types are the owners' own) and panic.
-func EncodeRecord(v any) []byte {
-	msg.RegisterBasics()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("store: encode %T: %v", v, err))
-	}
-	return buf.Bytes()
-}
-
-// DecodeRecord decodes what EncodeRecord wrote into v.
-func DecodeRecord(b []byte, v any) error {
-	msg.RegisterBasics()
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
-}
-
-// Decoding turns a function applying a decoded T into the function of
-// raw bytes Recover takes.
-func Decoding[T any](apply func(T) error) func([]byte) error {
-	return func(b []byte) error {
-		var v T
-		if err := DecodeRecord(b, &v); err != nil {
-			return err
-		}
-		return apply(v)
-	}
 }

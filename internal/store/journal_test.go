@@ -136,21 +136,3 @@ func TestJournalRecoverRefuses(t *testing.T) {
 		})
 	}
 }
-
-func TestDecodingRoundTrip(t *testing.T) {
-	type rec struct {
-		N    int
-		Args []any
-	}
-	var got rec
-	f := Decoding(func(r rec) error { got = r; return nil })
-	if err := f(EncodeRecord(rec{N: 7, Args: []any{int64(1), "x", 2.5, true, 3}})); err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 7 || len(got.Args) != 5 || got.Args[1] != "x" {
-		t.Errorf("round trip: %+v", got)
-	}
-	if err := f([]byte("not a record")); err == nil {
-		t.Error("Decoding accepted bytes that are not a record")
-	}
-}

@@ -305,8 +305,14 @@ func (cl *Client) Exec(txType string, args ...any) (Result, error) {
 	return cl.ExecTimeout(30*time.Second, txType, args...)
 }
 
-// ExecTimeout is Exec with an explicit deadline.
+// ExecTimeout is Exec with an explicit deadline. An argument of a type
+// the wire codec has no kind for (an int16, a uint64, a []byte, …) is
+// refused before anything is sent; an int32 or a float32 travels
+// widened to int64 or float64, as the SQL layer widens it.
 func (cl *Client) ExecTimeout(timeout time.Duration, txType string, args ...any) (Result, error) {
+	if err := msg.CheckValues(args); err != nil {
+		return Result{}, fmt.Errorf("shadowdb: %s: %w", txType, err)
+	}
 	cl.s.Timeout = timeout
 	res, err := cl.s.Exec(txType, args)
 	switch {
