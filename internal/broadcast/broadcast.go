@@ -113,7 +113,8 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x20, Bcast{}, appendBcast, readBcast)
 	msg.RegisterCodec(0x21, Deliver{}, appendDeliver, readDeliver)
 	msg.RegisterCodec(0x22, Batch(nil), appendBatch, readBatch)
-	msg.RegisterCodec(0x23, Flush{}, func(w *msg.Writer, f Flush) { w.Int64(f.Gen) }, func(r *msg.Reader) Flush { return Flush{Gen: r.Int64()} })
+	msg.RegisterCodec(0x23, Flush{}, func(w *msg.Writer, f Flush) { w.Int64(f.Gen) },
+		func(r *msg.Reader) Flush { return Flush{Gen: r.Int64()} })
 	twothird.RegisterWireTypes()
 	synod.RegisterWireTypes()
 	// Rejects answer refused Bcasts, so they travel wherever Bcasts do.

@@ -257,9 +257,9 @@ var errTraceFormat = errors.New("not a trace in the current format")
 // codecs registered (protocol RegisterWireTypes helpers); the binaries
 // already do this at startup.
 func EncodeTrace(w io.Writer, events []Event) error {
-	b, err := msg.Append([]byte(traceMagic), func(w *msg.Writer) {
+	b, err := msg.Append([]byte(traceMagic), func(mw *msg.Writer) {
 		for i := range events {
-			appendEvent(w, &events[i])
+			appendEvent(mw, &events[i])
 		}
 	})
 	if err == nil {
@@ -279,9 +279,9 @@ func DecodeTrace(r io.Reader) ([]Event, error) {
 	}
 	var events []Event
 	if err == nil {
-		err = msg.Read(b[len(traceMagic):], func(r *msg.Reader) {
-			for r.More() {
-				events = append(events, readEvent(r))
+		err = msg.Read(b[len(traceMagic):], func(mr *msg.Reader) {
+			for mr.More() {
+				events = append(events, readEvent(mr))
 			}
 		})
 	}

@@ -346,13 +346,7 @@ func (r *Router) snapshot() []byte {
 func (r *Router) InFlight() int { return len(r.txs) }
 
 // Recovered lists the TxIDs the journal replay left open (tests).
-func (r *Router) Recovered() []string {
-	out := make([]string, 0, len(r.txs))
-	for _, id := range msg.SortedKeys(r.txs) {
-		out = append(out, id)
-	}
-	return out
-}
+func (r *Router) Recovered() []string { return msg.SortedKeys(r.txs) }
 
 // RecoveryDirectives re-drives every journal-recovered open transaction:
 // undecided ones re-send prepares (participants re-vote idempotently),
