@@ -22,9 +22,10 @@ type DB struct {
 	undo  []func()
 	cache map[string]*prepared
 	stats Stats
-	// keyBuf is the reusable PK-encoding scratch of every lookup; guarded
-	// by mu like everything else.
-	keyBuf []byte
+	// keyBuf is the reusable PK-encoding scratch of every lookup, and
+	// loBuf, hiBuf and boundBuf that of a range walk's ends; guarded by
+	// mu like everything else.
+	keyBuf, loBuf, hiBuf, boundBuf []byte
 }
 
 // Stats counts work done, the input to the engines' virtual cost models.
@@ -313,59 +314,95 @@ func (db *DB) execInsert(p *prepared, st Insert, args []Value) (Result, error) {
 	return Result{Affected: n}, nil
 }
 
-// matchRows returns the rows satisfying the plan's WHERE conjuncts, in
-// PK order, stopping after max matches when max >= 0 (the LIMIT fast
-// path of an ORDER BY that follows the scan order). The index is used
-// as far as the conjuncts pin leading PK columns by equality: all of
-// them is a point lookup, some a range scan over the keys sharing the
-// encoded prefix, as a clustered-index range scan would; none is a
-// full scan.
-func (db *DB) matchRows(pl *plan, args []Value, max int) ([]entry, error) {
+// matchRows returns the rows satisfying the plan's WHERE conjuncts.
+// It walks the index over the key range the plan's access path
+// (plan.go) allows: none but the one key for a point lookup, the keys
+// that share the pinned prefix and lie within the next column's bounds
+// for a range, every key for a full scan. The walk runs in the key
+// order the caller asks for and stops after max matches when max >= 0
+// (the LIMIT fast path of an ORDER BY that follows the walk). keyed
+// reports whether the walk kept to the plan's range. When it did not,
+// the rows come from a full ascending scan, in no key order the caller
+// can rely on, and no match limit applied to them unless the caller
+// asked for anyOrder.
+func (db *DB) matchRows(pl *plan, args []Value, order scanOrder, max int) (rows []entry, keyed bool, err error) {
 	t := pl.t
 	conds := pl.vals[:0]
 	for _, c := range pl.conds {
 		if c.err != nil {
-			return nil, c.err
+			return nil, false, c.err
 		}
 		v, err := evalExpr(c.val, nil, nil, args)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		conds = append(conds, compiledCond{col: c.col, op: c.op, val: v})
 	}
 	pl.vals = conds
-	// A pinned value that cannot be stored in its column matches no key
-	// encoding; such a statement scans the whole table and finds
-	// nothing.
+	// A pinned value that no key of its column encodes (keyValue) turns
+	// the statement into a full scan, which rowMatches filters.
+	keyed = true
 	prefix := db.keyBuf[:0]
 	for i, at := range pl.pinned {
-		v, err := coerce(conds[at].val, t.Cols[t.PK[i]].Kind)
-		if err != nil {
-			prefix = prefix[:0]
+		v, ok := keyValue(conds[at].val, t.Cols[t.PK[i]].Kind)
+		if !ok {
+			prefix, keyed = prefix[:0], false
 			break
 		}
 		prefix = appendKeyPart(prefix, v)
 	}
 	db.keyBuf = prefix
-	if len(prefix) > 0 && len(pl.pinned) == len(t.PK) {
+	if keyed && len(pl.pinned) == len(t.PK) {
 		e, exists := t.idx.get(prefix)
 		if !exists {
-			return nil, nil
+			return nil, true, nil
 		}
 		db.stats.RowsRead++
 		if !rowMatches(e.row, conds) {
-			return nil, nil
+			return nil, true, nil
 		}
-		return []entry{e}, nil
+		return []entry{e}, true, nil
 	}
+	if !keyed && order != anyOrder {
+		order, max = anyOrder, -1
+	}
+	// The walk covers [lo, hi); a nil hi is unbounded. The prefix's keys
+	// end where keyEnd says, and each bound on the next PK column that
+	// keyValue accepts narrows one end: k >= v starts at v's key, k > v
+	// past every key extending it; k < v ends at v's key, k <= v past
+	// every key extending it.
+	lo := append(db.loBuf[:0], prefix...)
+	var hi []byte
+	if len(prefix) > 0 {
+		hi = keyEnd(append(db.hiBuf[:0], prefix...))
+	}
+	if keyed {
+		kind := t.Cols[t.PK[len(pl.pinned)]].Kind
+		for _, at := range pl.bounds {
+			c := conds[at]
+			v, ok := keyValue(c.val, kind)
+			if !ok {
+				continue
+			}
+			b := appendKeyPart(append(db.boundBuf[:0], prefix...), v)
+			db.boundBuf = b
+			if c.op == OpGt || c.op == OpLe {
+				b = keyEnd(b)
+			}
+			switch {
+			case (c.op == OpGe || c.op == OpGt) && bytes.Compare(b, lo) > 0:
+				lo = append(lo[:0], b...)
+			case (c.op == OpLt || c.op == OpLe) && (hi == nil || bytes.Compare(b, hi) < 0):
+				hi = append(db.hiBuf[:0], b...)
+			}
+		}
+	}
+	db.loBuf, db.hiBuf = lo, hi
 	// Matched rows count as reads; rows merely examined count as scans,
 	// which the engines price like an indexed range scan (see
 	// Engine.PerRowScan).
 	var out []entry
-	t.idx.ascend(prefix, func(e entry) bool {
-		if !bytes.HasPrefix(e.key, prefix) {
-			return false
-		}
+	examine := func(e entry) bool {
 		if !rowMatches(e.row, conds) {
 			db.stats.RowsScanned++
 			return true
@@ -373,9 +410,27 @@ func (db *DB) matchRows(pl *plan, args []Value, max int) ([]entry, error) {
 		db.stats.RowsRead++
 		out = append(out, e)
 		return max < 0 || len(out) < max
-	})
-	return out, nil
+	}
+	if order == keyDesc {
+		t.idx.descend(hi, func(e entry) bool {
+			return bytes.Compare(e.key, lo) >= 0 && examine(e)
+		})
+	} else {
+		t.idx.ascend(lo, func(e entry) bool {
+			return (hi == nil || bytes.Compare(e.key, hi) < 0) && examine(e)
+		})
+	}
+	return out, keyed, nil
 }
+
+// scanOrder is the order a caller of matchRows needs the rows in.
+type scanOrder int
+
+const (
+	anyOrder scanOrder = iota // the caller sorts, or asked for no order
+	keyAsc
+	keyDesc
+)
 
 type compiledCond struct {
 	col int
@@ -413,18 +468,25 @@ func (db *DB) execSelect(p *prepared, st Select, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	// LIMIT fast path: the scan is in PK order, so when that is the
-	// requested order (or none is requested), matching stops at the
-	// limit.
-	sorted := st.OrderBy == "" || (pl.pkOrdered && !st.Desc)
+	// LIMIT fast path: when the walk's order is the requested one (or
+	// none is requested), matching stops at the limit.
+	order := anyOrder
+	switch {
+	case st.OrderBy == "":
+	case pl.pkOrdered && !st.Desc:
+		order = keyAsc
+	case pl.pkDesc && st.Desc:
+		order = keyDesc
+	}
 	max := -1
-	if st.Limit >= 0 && sorted {
+	if st.Limit >= 0 && (st.OrderBy == "" || order != anyOrder) {
 		max = st.Limit
 	}
-	rows, err := db.matchRows(pl, args, max)
+	rows, keyed, err := db.matchRows(pl, args, order, max)
 	if err != nil {
 		return Result{}, err
 	}
+	sorted := st.OrderBy == "" || (order != anyOrder && keyed)
 	if len(st.Exprs) > 0 && st.Exprs[0].Agg != "" {
 		return aggregate(pl.t, st, rows)
 	}
@@ -543,7 +605,7 @@ func (db *DB) execUpdate(p *prepared, st Update, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rows, err := db.matchRows(pl, args, -1)
+	rows, _, err := db.matchRows(pl, args, anyOrder, -1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -574,7 +636,7 @@ func (db *DB) execDelete(p *prepared, st Delete, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rows, err := db.matchRows(pl, args, -1)
+	rows, _, err := db.matchRows(pl, args, anyOrder, -1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -7,8 +7,8 @@ import (
 
 // The ordered primary-key index: an in-memory B-tree from encoded PK
 // (key.go) to row. It is the only place a table's rows live, so one
-// structure serves point lookups, PK-prefix range scans, PK-ordered
-// snapshots and the undo log, and every insert or delete costs
+// structure serves point lookups, PK-range walks in either direction,
+// PK-ordered snapshots and the undo log, and every insert or delete costs
 // O(log n) — nothing is re-sorted or invalidated. It is not safe for
 // concurrent use; DB.mu serializes every access.
 
@@ -298,4 +298,32 @@ func (n *node) ascend(from []byte, fn func(entry) bool) bool {
 		}
 	}
 	return n.children == nil || n.children[i].ascend(from, fn)
+}
+
+// descend calls fn for every entry with a key < before (every entry
+// when before is nil) in descending key order, until fn returns false.
+func (ix *index) descend(before []byte, fn func(entry) bool) {
+	if ix.root != nil {
+		ix.root.descend(before, fn)
+	}
+}
+
+func (n *node) descend(before []byte, fn func(entry) bool) bool {
+	i := len(n.entries)
+	if before != nil {
+		i, _ = n.find(before)
+	}
+	// Only the first child visited can hold keys at or above before.
+	if n.children != nil && !n.children[i].descend(before, fn) {
+		return false
+	}
+	for i--; i >= 0; i-- {
+		if !fn(n.entries[i]) {
+			return false
+		}
+		if n.children != nil && !n.children[i].descend(nil, fn) {
+			return false
+		}
+	}
+	return true
 }

@@ -91,6 +91,24 @@ func TestIndexStructure(t *testing.T) {
 		if at != len(keys) {
 			t.Fatalf("walk from %x stopped after %d of %d keys", from, at, len(keys))
 		}
+		// descend(before) is the reversed ascend below before; nil is
+		// the whole tree.
+		for _, before := range [][]byte{randKey(1 << 14), nil} {
+			at := len(keys)
+			if before != nil {
+				at = sort.SearchStrings(keys, string(before))
+			}
+			ix.descend(before, func(e entry) bool {
+				at--
+				if at < 0 || string(e.key) != keys[at] || e.row[0] != ref[keys[at]] {
+					t.Fatalf("walk down from %x: got %x at position %d", before, e.key, at)
+				}
+				return true
+			})
+			if at != 0 {
+				t.Fatalf("walk down from %x stopped with %d keys below", before, at)
+			}
+		}
 	}
 	step := func(space int, delPct int) {
 		key := randKey(space)

@@ -81,3 +81,30 @@ func appendTextKey(buf []byte, s string) []byte {
 	}
 	return append(buf, 0, 1)
 }
+
+// keyValue converts v to column kind k for a key bound: a pinned
+// equality value or a range bound. It fails where coerce does, and
+// also where the key order would not be compareValues' order against
+// the column's values, so that no walk skips a row rowMatches would
+// take: NaN, which compareValues finds equal to everything, and, for
+// an INT column, a float of magnitude 2^53 or more, beyond which
+// compareValues' float64 comparison merges neighbouring integers.
+func keyValue(v Value, k Kind) (Value, bool) {
+	if f, ok := v.(float64); ok && (f != f || (k == KindInt && math.Abs(f) >= 1<<53)) {
+		return nil, false
+	}
+	v, err := coerce(v, k)
+	return v, err == nil
+}
+
+// keyEnd turns the key prefix k, in place, into the least key above
+// every key that starts with it: trailing 0xFF bytes go and the last
+// byte left is incremented. An encoded part starts with a tag below
+// 0xFF, so a prefix of whole parts always keeps one.
+func keyEnd(k []byte) []byte {
+	for k[len(k)-1] == 0xff {
+		k = k[:len(k)-1]
+	}
+	k[len(k)-1]++
+	return k
+}

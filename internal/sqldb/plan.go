@@ -3,11 +3,21 @@ package sqldb
 import "fmt"
 
 // A plan is a statement resolved against the schema: column names
-// turned into indices, and the WHERE clause's access path (point
-// lookup, PK-prefix range or full scan) read off which leading PK
-// columns it pins by equality. DB.cache keeps one beside each parsed
-// statement, so a procedure that runs the same SQL text per
-// transaction resolves names once, not once per execution.
+// turned into indices, and the WHERE clause's access path read off the
+// primary key. DB.cache keeps one beside each parsed statement, so a
+// procedure that runs the same SQL text per transaction resolves names
+// once, not once per execution. There are four access paths:
+//
+//   - point lookup: equality pins every PK column;
+//   - PK-prefix range: equality pins the leading PK columns, and `<`,
+//     `<=`, `>`, `>=` on the next one narrow the walk further;
+//   - reverse walk: `ORDER BY <last PK column> DESC` when the column
+//     comes right after the pinned prefix, so a LIMIT stops the walk at
+//     its n-th match (a column with ties keeps the stable sort);
+//   - full scan: nothing pinned or bounded.
+//
+// A path only skips rows that cannot match: rowMatches checks every
+// conjunct of every row examined, and Stats counts only those rows.
 //
 // Resolution failures are part of the plan. A statement naming an
 // unknown column fails at the same point of its execution as it always
@@ -28,22 +38,27 @@ type plan struct {
 
 	// WHERE (SELECT, UPDATE, DELETE). pinned[i] is the position in conds
 	// of the equality conjunct on PK column i, for as many leading PK
-	// columns as have one; the last such conjunct wins. vals is the
-	// per-execution scratch holding conds with their right-hand sides
-	// evaluated.
+	// columns as have one; the last such conjunct wins. bounds are the
+	// positions of the range conjuncts on the PK column after those.
+	// vals is the per-execution scratch holding conds with their
+	// right-hand sides evaluated.
 	conds  []boundCond
 	pinned []int
+	bounds []int
 	vals   []compiledCond
 
 	// SELECT. pkOrdered: ascending ORDER BY is the scan order already,
 	// because the column is the PK column right after (or within) the
-	// pinned prefix.
+	// pinned prefix. pkDesc: descending ORDER BY is the reverse scan
+	// order, because the column is the last PK column and right after
+	// the pinned prefix, so no two rows in range tie on it.
 	proj      []int
 	cols      []string
 	projErr   error
 	orderCol  int
 	orderErr  error
 	pkOrdered bool
+	pkDesc    bool
 
 	// UPDATE
 	sets   []boundSet
@@ -115,6 +130,15 @@ func (pl *plan) bindWhere(where []Cond) {
 		}
 		pl.pinned = append(pl.pinned, at)
 	}
+	if len(pl.pinned) == len(pl.t.PK) {
+		return
+	}
+	next := pl.t.PK[len(pl.pinned)]
+	for i, c := range pl.conds {
+		if c.err == nil && c.col == next && (c.op == OpLt || c.op == OpLe || c.op == OpGt || c.op == OpGe) {
+			pl.bounds = append(pl.bounds, i)
+		}
+	}
 }
 
 func (pl *plan) bindSelect(st Select) {
@@ -123,6 +147,7 @@ func (pl *plan) bindSelect(st Select) {
 		for j, pk := range pl.t.PK {
 			if pl.orderErr == nil && pk == pl.orderCol {
 				pl.pkOrdered = j <= len(pl.pinned)
+				pl.pkDesc = j == len(pl.pinned) && j == len(pl.t.PK)-1
 				break
 			}
 		}

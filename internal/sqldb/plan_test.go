@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,5 +93,47 @@ func TestPlanReportsBadNamesWhereExecutionDid(t *testing.T) {
 				t.Errorf("%s (run %d): counted %+v, want %d rows read and nothing written", c.sql, run, d, c.read)
 			}
 		}
+	}
+}
+
+// A key bound narrows a walk only where the key order is compareValues'
+// order, which rowMatches applies. Above 2^53 a float compares with an
+// INT column in float64, where neighbouring integers are equal, and NaN
+// compares equal to everything; such values narrow nothing, whether
+// they bound a range or pin a column, and every row they match is
+// found.
+func TestKeyBoundsKeepCompareValuesOrder(t *testing.T) {
+	db := mustOpen(t)
+	mustExec(t, db, "CREATE TABLE i (k INT PRIMARY KEY)")
+	mustExec(t, db, "CREATE TABLE f (x FLOAT PRIMARY KEY)")
+	for _, k := range []int64{1 << 53, 1<<53 + 1, math.MaxInt64} {
+		mustExec(t, db, "INSERT INTO i VALUES (?)", k)
+	}
+	for _, x := range []float64{-1, 0, 2.5} {
+		mustExec(t, db, "INSERT INTO f VALUES (?)", x)
+	}
+	two53 := float64(1 << 53)
+	for _, c := range []struct {
+		sql  string
+		arg  Value
+		want int
+	}{
+		{"SELECT k FROM i WHERE k <= ?", two53, 2},
+		{"SELECT k FROM i WHERE k > ?", two53, 1},
+		{"SELECT k FROM i WHERE k = ?", two53, 2},
+		{"SELECT k FROM i WHERE k <= ? ORDER BY k DESC LIMIT 1", two53, 1},
+		{"SELECT k FROM i WHERE k >= ?", float64(math.MaxInt64), 1},
+		{"SELECT x FROM f WHERE x >= ?", math.NaN(), 3},
+		{"SELECT x FROM f WHERE x < ? ORDER BY x DESC", math.NaN(), 0},
+		{"SELECT x FROM f WHERE x = ?", math.NaN(), 3},
+	} {
+		res := mustExec(t, db, c.sql, c.arg)
+		if len(res.Rows) != c.want {
+			t.Errorf("%s [%v]: %d rows %v, want %d", c.sql, c.arg, len(res.Rows), res.Rows, c.want)
+		}
+	}
+	res := mustExec(t, db, "SELECT k FROM i WHERE k <= ? ORDER BY k DESC LIMIT 1", two53)
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1<<53+1) {
+		t.Errorf("reverse walk under 2^53 returned %v, want [[%d]]", res.Rows, int64(1<<53+1))
 	}
 }
