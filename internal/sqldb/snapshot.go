@@ -79,16 +79,17 @@ func (db *DB) InsertBatch(table string, rows [][]Value) error {
 				len(row), table, len(t.Cols))
 		}
 		db.load(t, append([]Value(nil), row...))
+		db.stats.RowsInserted++
 	}
 	return nil
 }
 
-// load stores a transferred row, replacing any row with the same
-// primary key.
+// load stores a row, replacing any row with the same primary key. It
+// counts nothing: a restore is not an SQL insert, and its receiver's
+// cost is RestoreCost.
 func (db *DB) load(t *Table, row []Value) {
 	db.keyBuf = t.appendKey(db.keyBuf[:0], row)
 	t.idx.put(db.keyBuf, row, true)
-	db.stats.RowsInserted++
 }
 
 // SerializeCost models the sender's side of a state transfer of the

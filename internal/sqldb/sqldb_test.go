@@ -410,6 +410,24 @@ func TestTransferCost(t *testing.T) {
 	}
 }
 
+// A restore is priced once, by RestoreCost: it counts no work in Stats,
+// whose RowsInserted the engines would bill again as SQL inserts.
+func TestRestoreCountsNoInserts(t *testing.T) {
+	src := mustOpen(t)
+	setupAccounts(t, src, 5)
+	db := mustOpen(t)
+	before := db.Stats()
+	if err := db.Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := db.TableLen("accounts"); n != 5 {
+		t.Fatalf("restored %d rows, want 5", n)
+	}
+	if d := db.Stats().Sub(before); d != (Stats{}) {
+		t.Errorf("Restore counted %+v, want nothing", d)
+	}
+}
+
 // --------------------------------------------------------------- engines --
 
 func TestOpenEngines(t *testing.T) {
