@@ -310,7 +310,7 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 		}
 	}()
 	if err != nil {
-		return fmt.Errorf("send to %s: %w", envs[0].To, err)
+		return t.sendEncodable(p, envs)
 	}
 	if len(frame)-4 > maxFrame {
 		frame = nil // not kept for reuse
@@ -324,6 +324,32 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 	t.framesOut.Inc()
 	t.bytesOut.Add(int64(len(frame)))
 	return nil
+}
+
+// sendEncodable is sendFrame's path when envs do not all encode: each
+// envelope whose body cannot be encoded is dropped, counted and logged,
+// and the others still go, as one frame. It returns the first encoding
+// error.
+func (t *TCP) sendEncodable(p peer, envs []msg.Envelope) error {
+	var first error
+	var one []byte
+	good := make([]msg.Envelope, 0, len(envs))
+	for i := range envs {
+		var err error
+		if one, err = msg.AppendFrame(one[:0], envs[i:i+1]); err != nil {
+			t.drops.Inc()
+			t.lg.Warnf("dropping a %s envelope to %s: %v", envs[i].M.Hdr, envs[i].To, err)
+			if first == nil {
+				first = fmt.Errorf("send to %s: %w", envs[i].To, err)
+			}
+			continue
+		}
+		good = append(good, envs[i])
+	}
+	if len(good) > 0 {
+		_ = t.sendFrame(p, good) // every envelope left encodes
+	}
+	return first
 }
 
 // sendCut sends envelopes whose one frame would exceed maxFrame, which

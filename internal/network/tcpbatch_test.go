@@ -226,3 +226,34 @@ func TestTCPFramesWithinBound(t *testing.T) {
 		t.Errorf("net.send_drops rose by %d, want the one oversized envelope", got)
 	}
 }
+
+// noCodec is a body type with no registered codec: msg cannot encode it.
+type noCodec struct{}
+
+// TestTCPDropsOnlyTheUnencodable sends, to one peer, an envelope whose
+// body has no codec between two that encode. The frame that would have
+// carried all three cannot be built; the two good envelopes still
+// arrive, in order, and the one that cannot be encoded is the one drop
+// counted.
+func TestTCPDropsOnlyTheUnencodable(t *testing.T) {
+	a, b := listenTCP(t, "a"), listenTCP(t, "b")
+	a.SetPeer("b", b.Addr())
+	drops := obs.C("net.send_drops")
+	before := drops.Value()
+	err := a.SendBatch([]msg.Envelope{
+		{To: "b", M: msg.M("good", wireBody{N: 1})},
+		{To: "b", M: msg.M("bad", noCodec{})},
+		{To: "b", M: msg.M("good", wireBody{N: 2})},
+	})
+	if err == nil || !strings.Contains(err.Error(), "noCodec") {
+		t.Errorf("SendBatch returned %v, want the encoding error naming the body type", err)
+	}
+	for want := 1; want <= 2; want++ {
+		if env := recvOne(t, b); env.M.Hdr != "good" || env.M.Body.(wireBody).N != want {
+			t.Fatalf("got %s %+v, want good envelope %d", env.M.Hdr, env.M.Body, want)
+		}
+	}
+	if got := drops.Value() - before; got != 1 {
+		t.Errorf("net.send_drops rose by %d, want the one envelope that cannot be encoded", got)
+	}
+}
