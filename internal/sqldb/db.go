@@ -397,7 +397,10 @@ func (db *DB) matchRows(pl *plan, args []Value, order scanOrder, max int) (rows 
 			}
 		}
 	}
-	db.loBuf, db.hiBuf = lo, hi
+	db.loBuf = lo
+	if hi != nil {
+		db.hiBuf = hi
+	}
 	// Matched rows count as reads; rows merely examined count as scans,
 	// which the engines price like an indexed range scan (see
 	// Engine.PerRowScan).
