@@ -15,7 +15,8 @@ import (
 //
 // A part is a tag byte and a payload. NULL has the lowest tag, so it
 // sorts first, as compareValues orders it. Numbers are fixed-width
-// big-endian with the sign folded into the top bit; text is
+// big-endian with the sign folded into the top bit (and every NaN
+// below -Inf); text is
 // terminated, with embedded zero bytes escaped so that no value can
 // run into the next part.
 const (
@@ -46,9 +47,12 @@ func appendKeyPart(buf []byte, v Value) []byte {
 			x = 0 // -0 and +0 compare equal, so they share a key
 		}
 		bits := math.Float64bits(x)
-		if bits&(1<<63) != 0 {
+		switch {
+		case x != x:
+			bits = 0 // every NaN: below -Inf, as compareValues orders it
+		case bits&(1<<63) != 0:
 			bits = ^bits // negatives: larger magnitude sorts lower
-		} else {
+		default:
 			bits |= 1 << 63
 		}
 		return binary.BigEndian.AppendUint64(append(buf, tagFloat), bits)
@@ -86,11 +90,10 @@ func appendTextKey(buf []byte, s string) []byte {
 // equality value or a range bound. It fails where coerce does, and
 // also where the key order would not be compareValues' order against
 // the column's values, so that no walk skips a row rowMatches would
-// take: NaN, which compareValues finds equal to everything, and, for
-// an INT column, a float of magnitude 2^53 or more, beyond which
-// compareValues' float64 comparison merges neighbouring integers.
+// take: for an INT column, a float of magnitude 2^53 or more, beyond
+// which compareValues' float64 comparison merges neighbouring integers.
 func keyValue(v Value, k Kind) (Value, bool) {
-	if f, ok := v.(float64); ok && (f != f || (k == KindInt && math.Abs(f) >= 1<<53)) {
+	if f, ok := v.(float64); ok && k == KindInt && math.Abs(f) >= 1<<53 {
 		return nil, false
 	}
 	v, err := coerce(v, k)

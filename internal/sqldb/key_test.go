@@ -36,7 +36,7 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 	// The cases the old rendering got wrong, and the edges of each kind.
 	ordered := [][]Value{
 		{nil, int64(math.MinInt64), int64(-2e18), int64(-1e18) - 1, int64(-1e18), int64(-1), int64(0), int64(1), int64(math.MaxInt64)},
-		{nil, math.Inf(-1), -2.5, -2.0, -1.0, -0.0000001, 0.0, 0.0000001, 0.0000002, 1.0, math.Inf(1)},
+		{nil, math.NaN(), math.Inf(-1), -2.5, -2.0, -1.0, -0.0000001, 0.0, 0.0000001, 0.0000002, 1.0, math.Inf(1)},
 		{nil, "", "\x00", "\x00\x00", "\x00\x01", "\x01", "a", "a\x00", "a\x00b", "a\x01", "ab", "b"},
 	}
 	for _, vals := range ordered {
@@ -49,6 +49,9 @@ func TestKeyEncodingOrderProperty(t *testing.T) {
 	}
 	if !bytes.Equal(appendKeyPart(nil, math.Copysign(0, -1)), appendKeyPart(nil, 0.0)) {
 		t.Error("-0 and +0 compare equal but have different keys")
+	}
+	if !bytes.Equal(appendKeyPart(nil, math.Copysign(math.NaN(), -1)), appendKeyPart(nil, math.NaN())) {
+		t.Error("NaNs compare equal but have different keys")
 	}
 }
 

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -203,11 +204,11 @@ func (r *refTable) selectRows(q *refQuery) [][]Value {
 			var c int
 			switch q.order {
 			case "a":
-				c = cmpOrdered(rows[i].a, rows[j].a)
+				c = cmp.Compare(rows[i].a, rows[j].a)
 			case "b":
-				c = cmpOrdered(rows[i].b, rows[j].b)
+				c = cmp.Compare(rows[i].b, rows[j].b)
 			default:
-				c = cmpOrdered(rows[i].v, rows[j].v)
+				c = cmp.Compare(rows[i].v, rows[j].v)
 			}
 			if q.desc {
 				return c > 0

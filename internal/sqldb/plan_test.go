@@ -98,10 +98,10 @@ func TestPlanReportsBadNamesWhereExecutionDid(t *testing.T) {
 
 // A key bound narrows a walk only where the key order is compareValues'
 // order, which rowMatches applies. Above 2^53 a float compares with an
-// INT column in float64, where neighbouring integers are equal, and NaN
-// compares equal to everything; such values narrow nothing, whether
-// they bound a range or pin a column, and every row they match is
-// found.
+// INT column in float64, where neighbouring integers are equal: such a
+// value narrows nothing, whether it bounds a range or pins a column,
+// and every row it matches is found. NaN sorts below every number in
+// both orders, so it narrows like any other float.
 func TestKeyBoundsKeepCompareValuesOrder(t *testing.T) {
 	db := mustOpen(t)
 	mustExec(t, db, "CREATE TABLE i (k INT PRIMARY KEY)")
@@ -109,7 +109,7 @@ func TestKeyBoundsKeepCompareValuesOrder(t *testing.T) {
 	for _, k := range []int64{1 << 53, 1<<53 + 1, math.MaxInt64} {
 		mustExec(t, db, "INSERT INTO i VALUES (?)", k)
 	}
-	for _, x := range []float64{-1, 0, 2.5} {
+	for _, x := range []float64{math.NaN(), -1, 0, 2.5} {
 		mustExec(t, db, "INSERT INTO f VALUES (?)", x)
 	}
 	two53 := float64(1 << 53)
@@ -123,9 +123,11 @@ func TestKeyBoundsKeepCompareValuesOrder(t *testing.T) {
 		{"SELECT k FROM i WHERE k = ?", two53, 2},
 		{"SELECT k FROM i WHERE k <= ? ORDER BY k DESC LIMIT 1", two53, 1},
 		{"SELECT k FROM i WHERE k >= ?", float64(math.MaxInt64), 1},
-		{"SELECT x FROM f WHERE x >= ?", math.NaN(), 3},
+		{"SELECT x FROM f WHERE x <= ?", 1.0, 3},
+		{"SELECT x FROM f WHERE x > ?", 1.0, 1},
+		{"SELECT x FROM f WHERE x >= ?", math.NaN(), 4},
 		{"SELECT x FROM f WHERE x < ? ORDER BY x DESC", math.NaN(), 0},
-		{"SELECT x FROM f WHERE x = ?", math.NaN(), 3},
+		{"SELECT x FROM f WHERE x = ?", math.Copysign(math.NaN(), -1), 1},
 	} {
 		res := mustExec(t, db, c.sql, c.arg)
 		if len(res.Rows) != c.want {

@@ -14,6 +14,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -90,8 +91,9 @@ func coerce(v Value, k Kind) (Value, error) {
 	return nil, fmt.Errorf("sqldb: cannot store %T as %s", v, k)
 }
 
-// compareValues orders two non-nil values of the same family. NULL sorts
-// first.
+// compareValues orders two values: NULL first, numbers by value (NaN
+// below every other number and equal to NaN, as cmp.Compare has it),
+// text bytewise.
 func compareValues(a, b Value) int {
 	if a == nil && b == nil {
 		return 0
@@ -106,35 +108,24 @@ func compareValues(a, b Value) int {
 	case int64:
 		switch y := b.(type) {
 		case int64:
-			return cmpOrdered(x, y)
+			return cmp.Compare(x, y)
 		case float64:
-			return cmpOrdered(float64(x), y)
+			return cmp.Compare(float64(x), y)
 		}
 	case float64:
 		switch y := b.(type) {
 		case int64:
-			return cmpOrdered(x, float64(y))
+			return cmp.Compare(x, float64(y))
 		case float64:
-			return cmpOrdered(x, y)
+			return cmp.Compare(x, y)
 		}
 	case string:
 		if y, ok := b.(string); ok {
-			return cmpOrdered(x, y)
+			return cmp.Compare(x, y)
 		}
 	}
 	// Incomparable kinds order by type name for determinism.
-	return cmpOrdered(fmt.Sprintf("%T", a), fmt.Sprintf("%T", b))
-}
-
-func cmpOrdered[T int64 | float64 | string](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
+	return cmp.Compare(fmt.Sprintf("%T", a), fmt.Sprintf("%T", b))
 }
 
 // formatValue renders a value as a SQL literal.
