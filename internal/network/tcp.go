@@ -309,10 +309,7 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 			framePool.Put(buf)
 		}
 	}()
-	if err != nil {
-		return t.sendEncodable(p, envs)
-	}
-	if len(frame)-4 > maxFrame {
+	if err != nil || len(frame)-4 > maxFrame {
 		frame = nil // not kept for reuse
 		return t.sendCut(p, envs)
 	}
@@ -326,35 +323,11 @@ func (t *TCP) sendFrame(p peer, envs []msg.Envelope) error {
 	return nil
 }
 
-// sendEncodable is sendFrame's path when envs do not all encode: each
-// envelope whose body cannot be encoded is dropped, counted and logged,
-// and the others still go, as one frame. It returns the first encoding
-// error.
-func (t *TCP) sendEncodable(p peer, envs []msg.Envelope) error {
-	var first error
-	var one []byte
-	good := make([]msg.Envelope, 0, len(envs))
-	for i := range envs {
-		var err error
-		if one, err = msg.AppendFrame(one[:0], envs[i:i+1]); err != nil {
-			t.drops.Inc()
-			t.lg.Warnf("dropping a %s envelope to %s: %v", envs[i].M.Hdr, envs[i].To, err)
-			if first == nil {
-				first = fmt.Errorf("send to %s: %w", envs[i].To, err)
-			}
-			continue
-		}
-		good = append(good, envs[i])
-	}
-	if len(good) > 0 {
-		_ = t.sendFrame(p, good) // every envelope left encodes
-	}
-	return first
-}
-
 // sendCut sends envelopes whose one frame would exceed maxFrame, which
-// the reader refuses, as several frames within it, in order. An
-// envelope that no frame can hold is dropped and counted.
+// the reader refuses, or would not encode, as several frames within the
+// bound, in order. An envelope that no frame can hold, or whose body
+// cannot be encoded, is dropped, counted and logged; the first encoding
+// error is returned.
 func (t *TCP) sendCut(p peer, envs []msg.Envelope) error {
 	// A frame is a version byte, a count of at most binary.MaxVarintLen64
 	// bytes and its envelopes; a one-envelope frame's count is one byte,
@@ -373,7 +346,14 @@ func (t *TCP) sendCut(p peer, envs []msg.Envelope) error {
 	for i := range envs {
 		var err error
 		if one, err = msg.AppendFrame(one[:0], envs[i:i+1]); err != nil {
-			return fmt.Errorf("send to %s: %w", envs[i].To, err)
+			flush(i)
+			t.drops.Inc()
+			t.lg.Warnf("dropping a %s envelope to %s: %v", envs[i].M.Hdr, envs[i].To, err)
+			if first == nil {
+				first = fmt.Errorf("send to %s: %w", envs[i].To, err)
+			}
+			from, size = i+1, head
+			continue
 		}
 		n := len(one) - 2
 		if n+2 > maxFrame {

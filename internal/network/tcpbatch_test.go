@@ -234,7 +234,7 @@ type noCodec struct{}
 // body has no codec between two that encode. The frame that would have
 // carried all three cannot be built; the two good envelopes still
 // arrive, in order, and the one that cannot be encoded is the one drop
-// counted.
+// counted and the error returned.
 func TestTCPDropsOnlyTheUnencodable(t *testing.T) {
 	a, b := listenTCP(t, "a"), listenTCP(t, "b")
 	a.SetPeer("b", b.Addr())
