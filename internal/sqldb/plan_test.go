@@ -138,4 +138,13 @@ func TestKeyBoundsKeepCompareValuesOrder(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1<<53+1) {
 		t.Errorf("reverse walk under 2^53 returned %v, want [[%d]]", res.Rows, int64(1<<53+1))
 	}
+	// A pin that narrows nothing scans the whole table, whose key order
+	// is not the ORDER BY's: the rows are sorted before the LIMIT.
+	mustExec(t, db, "CREATE TABLE p (a INT, b INT, PRIMARY KEY (a, b))")
+	mustExec(t, db, "INSERT INTO p VALUES (?, ?)", int64(1<<53), 5)
+	mustExec(t, db, "INSERT INTO p VALUES (?, ?)", int64(1<<53+1), 1)
+	res = mustExec(t, db, "SELECT b FROM p WHERE a = ? ORDER BY b LIMIT 1", two53)
+	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1) {
+		t.Errorf("ORDER BY b LIMIT 1 over a full scan returned %v, want [[1]]", res.Rows)
+	}
 }
