@@ -8,9 +8,9 @@ import (
 // The ordered primary-key index: an in-memory B-tree from encoded PK
 // (key.go) to row. It is the only place a table's rows live, so one
 // structure serves point lookups, PK-range walks in either direction,
-// PK-ordered snapshots and the undo log, and every insert or delete costs
-// O(log n) — nothing is re-sorted or invalidated. It is not safe for
-// concurrent use; DB.mu serializes every access.
+// PK-ordered snapshots and the undo log, and every insert or delete
+// costs O(log n) — nothing is re-sorted or invalidated. It is not safe
+// for concurrent use; DB.mu serializes every access.
 
 // degree is the B-tree's minimum degree: every node but the root holds
 // between degree-1 and 2*degree-1 entries. 32 keeps a node's entries

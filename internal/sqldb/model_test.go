@@ -113,7 +113,7 @@ func (q *refQuery) narrows(bd refBound) bool {
 	if q.a != nil {
 		next = "b"
 	}
-	if bd.col != next || (q.a != nil && q.b != nil) {
+	if bd.col != next {
 		return false
 	}
 	switch bd.val.(type) {
