@@ -31,14 +31,9 @@ import (
 	"sort"
 	"time"
 
-	"shadowdb/internal/broadcast"
-	"shadowdb/internal/consensus/synod"
-	"shadowdb/internal/consensus/twothird"
-	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/shard"
 )
 
 func main() {
@@ -46,13 +41,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// Bundle traces carry protocol bodies, written by their codecs.
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes()
-	shard.RegisterWireTypes()
-	synod.RegisterWireTypes()
-	twothird.RegisterWireTypes()
-
 	if len(args) == 0 {
 		usage()
 		return 2

@@ -11,11 +11,7 @@ import (
 	"os"
 
 	"shadowdb/internal/bench"
-	"shadowdb/internal/broadcast"
-	"shadowdb/internal/consensus/synod"
-	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/loe"
-	"shadowdb/internal/msg"
 )
 
 func main() {
@@ -27,17 +23,12 @@ func run() int {
 	render := flag.Bool("render", false, "print the logical form of each specification")
 	flag.Parse()
 
-	bench.RenderTable1(os.Stdout, bench.Table1())
+	rows := bench.Table1()
+	bench.RenderTable1(os.Stdout, rows)
 
 	if *render {
-		specs := []loe.Spec{
-			loe.ClkRing(3),
-			twothird.Spec(twothird.Config{Nodes: []msg.Loc{"n1", "n2", "n3"}, Learners: []msg.Loc{"l"}}),
-			synod.Spec(synod.Config{Leaders: []msg.Loc{"l1"}, Acceptors: []msg.Loc{"a1", "a2", "a3"}, Learners: []msg.Loc{"lr"}}),
-			broadcast.Spec(broadcast.Config{Nodes: []msg.Loc{"b1", "b2", "b3"}, Subscribers: []msg.Loc{"s"}}),
-		}
-		for _, s := range specs {
-			fmt.Printf("\n%s:\n  %s\n", s.Name, loe.Render(s.Main))
+		for _, r := range rows {
+			fmt.Printf("\n%s:\n  %s\n", r.Spec.Name, loe.Render(r.Spec.Main))
 		}
 	}
 

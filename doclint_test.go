@@ -24,7 +24,6 @@ import (
 	"strings"
 	"testing"
 
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
 	"shadowdb/internal/msg"
@@ -253,9 +252,6 @@ func TestWireTagCatalogue(t *testing.T) {
 	for _, m := range regexp.MustCompile("(?m)^\\| `(0x[0-9a-f]{2})` \\| `([^`]+)` \\| `([a-z/]+)` \\|").FindAllStringSubmatch(section, -1) {
 		rows[m[1]] = m[2] + " " + m[3]
 	}
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes() // with the synod and flow bodies
-	shard.RegisterWireTypes()
 	for _, wt := range msg.WireTags() {
 		tag, typ := fmt.Sprintf("%#02x", wt.Tag), wt.Type
 		if typ.Kind() == reflect.Pointer {
@@ -286,7 +282,7 @@ var gobImporters []string
 // registered with the wire codec fails here, whatever its tests measure.
 func TestGobImporters(t *testing.T) {
 	var got []string
-	nonTestSources(t, parser.ImportsOnly, func(path string, f *ast.File) {
+	goSources(t, parser.ImportsOnly, false, func(path string, f *ast.File) {
 		for _, is := range f.Imports {
 			if is.Path.Value == `"encoding/gob"` {
 				got = append(got, path)
@@ -308,7 +304,6 @@ var oneWiring = map[string]string{
 	"internal/bench/readpath.go": "MeasureReadAllocs, a single-process microbenchmark, not a cluster",
 	"internal/bench/fig10.go":    "measureTransfer, a single-process microbenchmark, not a cluster",
 	"internal/bench/table1.go":   "spec statistics: it counts the broadcast spec's classes and runs none",
-	"cmd/specstats/main.go":      "spec statistics: it counts the broadcast spec's classes and runs none",
 	"internal/bench/shadow.go":   "Fig. 8: the cost calibration and the bare service its clients subscribe to",
 	"benchmark/cluster.go":       "the live benchmark's own cluster, until ROADMAP item 9(iv)",
 }
@@ -326,7 +321,7 @@ var wiringCalls = map[string][]string{
 // calls a role constructor fails here.
 func TestOneWiring(t *testing.T) {
 	got := map[string]bool{}
-	nonTestSources(t, 0, func(path string, f *ast.File) {
+	goSources(t, 0, false, func(path string, f *ast.File) {
 		if strings.HasPrefix(path, "internal/core/") {
 			return
 		}
@@ -355,10 +350,55 @@ func TestOneWiring(t *testing.T) {
 	}
 }
 
-// nonTestSources parses every non-test Go file of the repository, dot
-// directories skipped, with mode, and visits each by slash path in walk
-// order.
-func nonTestSources(t *testing.T, mode parser.Mode, visit func(path string, f *ast.File)) {
+// registryCalls write a process-global registry: the wire codec's, the
+// envelope deadline extractors' and the trace coordinate extractors'.
+// RegisterWireTypes is the benchmark module's empty shim.
+var registryCalls = []string{"RegisterCodec", "RegisterDeadline", "RegisterExtractor", "RegisterWireTypes"}
+
+// TestRegistriesFillAtInit keeps every process-global registry written
+// only from a package's init, before any goroutine runs: the lookups
+// then need no lock, and a payload's bytes never depend on which
+// packages a caller registered, since importing a package registers its
+// bodies. Every Go file outside benchmark/, test files included, may
+// call a registryCalls function only inside a receiver-less func init.
+func TestRegistriesFillAtInit(t *testing.T) {
+	goSources(t, 0, true, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "benchmark/") {
+			return
+		}
+		for _, d := range f.Decls {
+			where := "a package-level declaration"
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				if fn.Recv == nil && fn.Name.Name == "init" {
+					continue
+				}
+				where = fn.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fun := call.Fun
+				if ix, ok := fun.(*ast.IndexExpr); ok { // RegisterCodec[T](…)
+					fun = ix.X
+				}
+				if sel, ok := fun.(*ast.SelectorExpr); ok {
+					fun = sel.Sel
+				}
+				if id, ok := fun.(*ast.Ident); ok && slices.Contains(registryCalls, id.Name) {
+					t.Errorf("%s: %s calls %s; register from func init", path, where, id.Name)
+				}
+				return true
+			})
+		}
+	})
+}
+
+// goSources parses every Go file of the repository, test files only
+// when tests is set and dot directories skipped, with mode, and visits
+// each by slash path in walk order.
+func goSources(t *testing.T, mode parser.Mode, tests bool, visit func(path string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -371,7 +411,7 @@ func nonTestSources(t *testing.T, mode parser.Mode, visit func(path string, f *a
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, mode)

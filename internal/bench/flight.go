@@ -5,26 +5,10 @@ import (
 	"os"
 	"path/filepath"
 
-	"shadowdb/internal/broadcast"
-	"shadowdb/internal/consensus/synod"
-	"shadowdb/internal/consensus/twothird"
-	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
-	"shadowdb/internal/shard"
 )
-
-// registerWireTypes registers every protocol body type with the wire
-// codec (idempotent). Bundle dumps write trace events with it, so any
-// experiment that arms flight recorders needs the full set.
-func registerWireTypes() {
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes()
-	shard.RegisterWireTypes()
-	synod.RegisterWireTypes()
-	twothird.RegisterWireTypes()
-}
 
 // flightSubdir scopes a flight dir to one phase of a multi-phase
 // experiment, preserving "" as the disarmed state.
@@ -50,7 +34,6 @@ func (r *Run) armFlight(nodes []msg.Loc) {
 	if r.flightDir == "" {
 		return
 	}
-	registerWireTypes()
 	recs := make([]*obs.Recorder, 0, len(nodes))
 	for _, n := range nodes {
 		rec, err := obs.NewRecorder(r.Obs, filepath.Join(r.flightDir, string(n), "flight"), n)

@@ -120,10 +120,6 @@ func (r PostmortemResult) Certified() bool { return Certified(r.Gates()) }
 
 // Postmortem runs the experiment.
 func Postmortem(cfg PostmortemConfig) (PostmortemResult, error) {
-	// Bundles write trace events with the wire codec, so every body type
-	// a trace can carry must be registered (idempotent).
-	registerWireTypes()
-
 	res := PostmortemResult{}
 	dir := cfg.Dir
 	if dir == "" {

@@ -30,6 +30,9 @@ type Table1Row struct {
 	OptNodes  int
 	Props     int
 	Counts    verify.Counts
+	// Spec is the specification measured; cmd/specstats -render prints
+	// its logical form.
+	Spec loe.Spec
 }
 
 // String renders the row in the paper's layout.
@@ -76,6 +79,7 @@ func Table1() []Table1Row {
 			OptNodes:  interp.Size(interp.OptimizeSpec(s.spec)),
 			Props:     propsPer[s.module],
 			Counts:    counts[s.module],
+			Spec:      s.spec,
 		})
 	}
 	return rows

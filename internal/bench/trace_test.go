@@ -29,7 +29,6 @@ func showEvent(e obs.Event) string {
 // their processes step on or send — writes to a trace file and reads
 // back equal: no emitted body lacks a codec.
 func TestTraceFilesRoundTrip(t *testing.T) {
-	registerWireTypes()
 	var events []obs.Event
 	watchRun = func(o *obs.Obs) { o.AddSink(func(e obs.Event) { events = append(events, e) }) }
 	defer func() { watchRun = nil }()

@@ -29,7 +29,6 @@ package broadcast
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"shadowdb/internal/consensus/synod"
@@ -106,20 +105,20 @@ type Deliver struct {
 // it travels inside a consensus body's value, never as a body itself.
 type Batch []Bcast
 
-// RegisterWireTypes registers the service's bodies with the wire codec:
+// The service's bodies are registered with the wire codec at init:
 // Bcast, Deliver, the Batch value and Flush (tags 0x20–0x2f, DESIGN.md
 // "Wire format and allocation hot path").
-func RegisterWireTypes() {
+func init() {
 	msg.RegisterCodec(0x20, Bcast{}, appendBcast, readBcast)
 	msg.RegisterCodec(0x21, Deliver{}, appendDeliver, readDeliver)
 	msg.RegisterCodec(0x22, Batch(nil), appendBatch, readBatch)
 	msg.RegisterCodec(0x23, Flush{}, func(w *msg.Writer, f Flush) { w.Int64(f.Gen) },
 		func(r *msg.Reader) Flush { return Flush{Gen: r.Int64()} })
-	twothird.RegisterWireTypes()
-	synod.RegisterWireTypes()
-	// Rejects answer refused Bcasts, so they travel wherever Bcasts do.
-	flow.RegisterWireTypes()
 }
+
+// RegisterWireTypes does nothing: the codecs are registered at init. It
+// stays for the benchmark module's callers (ROADMAP item 1(b)).
+func RegisterWireTypes() {}
 
 func appendBcast(w *msg.Writer, b Bcast) {
 	w.Loc(b.From)
@@ -134,10 +133,6 @@ func readBcast(r *msg.Reader) Bcast {
 
 // minBcast is the fewest bytes an encoded Bcast occupies.
 const minBcast = 4
-
-// registerWire registers the bodies once, for the batch value's codec,
-// which must not depend on a caller having registered it.
-var registerWire = sync.OnceFunc(RegisterWireTypes)
 
 func appendDeliver(w *msg.Writer, d Deliver) {
 	w.Int(d.Slot)
@@ -780,7 +775,6 @@ func (s *seqState) nextFreeSlot() int {
 // batch alone — equal batches are equal bytes at every node — because
 // consensus compares and journals the value, not the batch.
 func EncodeBatch(batch []Bcast) string {
-	registerWire()
 	size := 2
 	for _, b := range batch {
 		size += len(b.From) + len(b.Payload) + 16
@@ -798,7 +792,6 @@ func EncodeBatch(batch []Bcast) string {
 // adversarial, or a value an older build encoded — return an error,
 // never a panic and never a different batch.
 func DecodeBatch(val string) ([]Bcast, error) {
-	registerWire()
 	batch, err := msg.DecodeBody[Batch]([]byte(val))
 	if err != nil {
 		return nil, fmt.Errorf("broadcast: decode batch: %w", err)

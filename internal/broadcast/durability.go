@@ -73,7 +73,6 @@ func (s *seqState) decide(inst int, val string) error {
 // contiguous prefix without re-delivering it: that prefix was delivered,
 // or is recoverable by the subscribers.
 func (s *seqState) recover(slf msg.Loc, st store.Stable) error {
-	registerWire()
 	s.j = store.NewJournal("seq-"+string(slf), st, 0)
 	_, err := s.j.Recover(func(snap []byte) error {
 		return msg.Read(snap, func(r *msg.Reader) {

@@ -84,7 +84,6 @@ type oldSeqSnapshot struct {
 
 // decideRecord is the sequencer's journal record of a decision.
 func decideRecord(t testing.TB, inst int, val string) []byte {
-	registerWire()
 	rec, err := msg.AppendBody(nil, synod.Decide{Inst: inst, Val: val})
 	if err != nil {
 		t.Fatal(err)

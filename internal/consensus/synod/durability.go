@@ -29,7 +29,6 @@ func openAcceptor(cfg Config, slf msg.Loc) (*acceptorState, error) {
 	if st == nil {
 		return s, nil
 	}
-	RegisterWireTypes() // the records are bodies; registering again is a no-op
 	s.j = store.NewJournal("acc-"+string(slf), st, 0)
 	_, err := s.j.Recover(func(snap []byte) error {
 		return msg.Read(snap, func(r *msg.Reader) {

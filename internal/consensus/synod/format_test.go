@@ -14,7 +14,6 @@ import (
 // ballot and a P2a per pvalue in slot order — and an acceptor recovered
 // from them holds that state.
 func TestSnapshotsAreDeterministic(t *testing.T) {
-	RegisterWireTypes()
 	build := func(order []int) (*acceptorState, []byte) {
 		s := &acceptorState{accepted: make(map[int]PValue)}
 		for _, inst := range order {

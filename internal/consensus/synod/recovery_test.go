@@ -66,7 +66,6 @@ var acceptorClient = recoverytest.Client{
 		}, nil
 	},
 	Records: func(t testing.TB, n int) [][]byte {
-		RegisterWireTypes()
 		var recs [][]byte
 		for _, r := range accUnit(n) {
 			rec, err := msg.AppendBody(nil, r)

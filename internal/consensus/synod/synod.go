@@ -151,9 +151,9 @@ type (
 	Corrupt struct{}
 )
 
-// RegisterWireTypes registers the protocol's bodies with the wire codec
-// (tags 0x30–0x3f, DESIGN.md "Wire format and allocation hot path").
-func RegisterWireTypes() {
+// The protocol's bodies are registered with the wire codec at init (tags
+// 0x30–0x3f, DESIGN.md "Wire format and allocation hot path").
+func init() {
 	msg.RegisterCodec(0x30, Propose{}, appendPropose, readPropose)
 	msg.RegisterCodec(0x31, P2a{}, appendP2a, readP2a)
 	msg.RegisterCodec(0x32, P2b{}, appendP2b, readP2b)
@@ -167,6 +167,10 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x3a, Wake{}, func(*msg.Writer, Wake) {}, func(*msg.Reader) Wake { return Wake{} })
 	msg.RegisterCodec(0x3b, Corrupt{}, func(*msg.Writer, Corrupt) {}, func(*msg.Reader) Corrupt { return Corrupt{} })
 }
+
+// RegisterWireTypes does nothing: the codecs are registered at init. It
+// stays for the benchmark module's callers (ROADMAP item 1(b)).
+func RegisterWireTypes() {}
 
 func appendBallot(w *msg.Writer, b Ballot) {
 	w.Int(b.N)

@@ -54,13 +54,17 @@ type Decide struct {
 	Val  string
 }
 
-// RegisterWireTypes registers the protocol's bodies with the wire codec
-// (tags 0x60–0x6f, DESIGN.md "Wire format and allocation hot path").
-func RegisterWireTypes() {
+// The protocol's bodies are registered with the wire codec at init (tags
+// 0x60–0x6f, DESIGN.md "Wire format and allocation hot path").
+func init() {
 	msg.RegisterCodec(0x60, Propose{}, appendPropose, readPropose)
 	msg.RegisterCodec(0x61, Vote{}, appendVote, readVote)
 	msg.RegisterCodec(0x62, Decide{}, appendDecide, readDecide)
 }
+
+// RegisterWireTypes does nothing: the codecs are registered at init. It
+// stays for the benchmark module's callers (ROADMAP item 1(b)).
+func RegisterWireTypes() {}
 
 func appendPropose(w *msg.Writer, p Propose) {
 	w.Int(p.Inst)

@@ -354,7 +354,6 @@ func (e *Executor) install(h snapHeader, img []byte) (time.Duration, error) {
 const snapMagic = "SNP3"
 
 func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
-	registerWire()
 	buf := append([]byte(snapMagic), 0, 0, 0, 0)
 	buf, err := msg.Append(buf, func(w *msg.Writer) { appendSnapHeader(w, hdr) })
 	must(err) // a result row the codec refuses never reaches the dedup table
@@ -450,7 +449,6 @@ func snapHeaderEnd(b []byte) (int, error) {
 // it, a receiver an assembled transfer, and the checker a transfer's
 // header part alone.
 func splitSnapshot(b []byte) (snapHeader, []byte, error) {
-	registerWire()
 	var h snapHeader
 	end, err := snapHeaderEnd(b)
 	if err != nil {

@@ -56,7 +56,6 @@ func slotRecord(t testing.TB, slot int) []byte {
 // orderRecord is a PBR journal record, as the primary serves it in a
 // Catchup.
 func orderRecord(order int64, req TxRequest) []byte {
-	registerWire()
 	rec, err := msg.AppendBody(nil, Repl{Order: order, Req: req})
 	if err != nil {
 		panic(err)

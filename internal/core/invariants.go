@@ -197,7 +197,6 @@ func (c *Checks) foldDelivered(e *verify.Event) {
 		// delivered as the live ones, and a restarted lease holder may
 		// later acknowledge them (re-acks). Anything else credits nothing.
 		if e.In.Hdr == HdrCatchup {
-			registerWire()
 			for _, rec := range b.Records {
 				if d, err := msg.DecodeBody[broadcast.Deliver](rec); err == nil {
 					ordered(d, false)

@@ -133,7 +133,6 @@ func NewPBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment) *
 	if dep.Timing == (Timing{}) {
 		dep.Timing = DefaultTiming()
 	}
-	registerWire()
 	exec := NewExecutor(db, reg)
 	st, _ := store.NewMem().Open("")
 	exec.st = store.NewJournal("pbr-"+string(slf), st, DefaultSnapEvery)

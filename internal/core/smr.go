@@ -145,7 +145,6 @@ var _ gpm.Process = (*SMRReplica)(nil)
 // (snapshot, then journal, replayed through those handlers) or saves a
 // fresh store's baseline.
 func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
-	registerWire()
 	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext}
 	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
 	r.handlers = map[string]OrderedHandler{
@@ -504,7 +503,6 @@ const txMark = "tx|"
 // tag and fields). An argument of a kind the codec lacks is an error
 // naming it.
 func EncodeTx(req TxRequest) ([]byte, error) {
-	registerWire()
 	b, err := msg.AppendBody(append(make([]byte, 0, 64), txMark...), req)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode tx: %w", err)
@@ -517,7 +515,6 @@ var errNotTx = errors.New("core: not a transaction payload")
 // DecodeTx reverses EncodeTx. It is total: malformed bytes return an
 // error, never a panic, and never a value EncodeTx did not write.
 func DecodeTx(b []byte) (TxRequest, error) {
-	registerWire()
 	if len(b) < len(txMark) || string(b[:len(txMark)]) != txMark {
 		return TxRequest{}, errNotTx
 	}

@@ -1,18 +1,15 @@
 package core
 
 import (
-	"sync"
-
-	"shadowdb/internal/broadcast"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
 
-// RegisterWireTypes registers ShadowDB's bodies with the wire codec
-// (tags 0x10–0x1f, DESIGN.md "Wire format and allocation hot path").
-// The timers without fields (HdrHBTick, HdrLeaseTick, HdrSyncTick) send
-// nil bodies, and a NewConfig travels only inside its "cfg|" payload.
-func RegisterWireTypes() {
+// ShadowDB's bodies are registered with the wire codec at init (tags
+// 0x10–0x1f, DESIGN.md "Wire format and allocation hot path"). The
+// timers without fields (HdrHBTick, HdrLeaseTick, HdrSyncTick) send nil
+// bodies, and a NewConfig travels only inside its "cfg|" payload.
+func init() {
 	msg.RegisterCodec(0x10, TxRequest{}, AppendTxRequest, ReadTxRequest)
 	msg.RegisterCodec(0x11, TxResult{}, appendTxResult, readTxResult)
 	msg.RegisterCodec(0x12, ReadRequest{}, appendReadRequest, readReadRequest)
@@ -30,10 +27,9 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x1e, SubmitBody{}, appendSubmit, readSubmit)
 }
 
-// registerWire registers the bodies once, with broadcast's for the SMR
-// journal's Deliver, for the payload codecs and the journal records,
-// which must not depend on a caller having registered them.
-var registerWire = sync.OnceFunc(func() { RegisterWireTypes(); broadcast.RegisterWireTypes() })
+// RegisterWireTypes does nothing: the codecs are registered at init. It
+// stays for the benchmark module's callers (ROADMAP item 1(b)).
+func RegisterWireTypes() {}
 
 // AppendTxRequest is the TxRequest codec's encoder; bodies that carry a
 // request (Repl, shard.Prepare) write it with their own fields.

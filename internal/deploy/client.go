@@ -84,7 +84,6 @@ func (c Client) Open() (*Session, error) {
 	case dir[s.Slf] == "":
 		dir[s.Slf] = "127.0.0.1:0"
 	}
-	registerWireTypes()
 	if s.tr, err = network.NewTCP(s.Slf, dir); err != nil {
 		return nil, err
 	}

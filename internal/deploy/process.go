@@ -25,14 +25,6 @@ var lg = obs.L("shadowdb")
 // NTP-grade skew (keep deadlines and -lease-dur well above it).
 func wallClock() time.Duration { return time.Duration(time.Now().UnixNano()) }
 
-// registerWireTypes registers every body a node or a client puts on the
-// wire — and, through the trace ring, into a flight bundle. Idempotent.
-func registerWireTypes() {
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes() // with the synod, twothird and flow bodies
-	shard.RegisterWireTypes()
-}
-
 // Process builds the node's role in cl over prov (nil keeps the node
 // volatile) and view (from View; nil outside dynamic membership), opening
 // every store the role journals to before any protocol state is
@@ -47,7 +39,6 @@ func (n Node) Process(cl *Cluster, prov store.Provider, view *member.View) (proc
 	if err != nil {
 		return nil, nil, err
 	}
-	registerWireTypes()
 	id := msg.Loc(n.ID)
 	reg := cl.App.Procedures
 	// openDB opens the replica database, seeded with the application's

@@ -49,7 +49,6 @@ func Serve(n Node) int {
 	obs.Default.SetLogStream(os.Stderr)
 	obs.Default.SetNode(id)
 
-	registerWireTypes() // before the listener can receive a frame
 	tcp, err := network.NewTCP(id, cl.Topology.Directory())
 	if err != nil {
 		return fail(1, err)

@@ -214,10 +214,10 @@ type Reject struct {
 	Cap int
 }
 
-// RegisterWireTypes registers flow's message bodies with the wire
-// codec (Reject under tag 0x40, DESIGN.md "Wire format and allocation
-// hot path"); binaries hosting real transports call it at startup.
-func RegisterWireTypes() {
+// Flow's message bodies are registered with the wire codec at init
+// (Reject under tag 0x40, DESIGN.md "Wire format and allocation hot
+// path").
+func init() {
 	msg.RegisterCodec(0x40, Reject{}, appendReject, readReject)
 }
 

@@ -6,16 +6,16 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // The wire codec is the one encoding of every byte the system writes:
 // frames on the wire, journal records and snapshots on disk, and trace
-// files. Each body type has a codec registered by its owning package,
-// so nothing is encoded by reflection. A frame needs no state beyond
-// itself: it decodes alone, whatever the connection carried before it,
-// so a hostile peer cannot grow a type table and the fuzzers and the
-// flight recorder can read any frame by itself.
+// files. Each body type has a codec its owning package registers from
+// init, so nothing is encoded by reflection, and importing a package is
+// all it takes to encode and decode its bodies. A frame needs no state
+// beyond itself: it decodes alone, whatever the connection carried
+// before it, so a hostile peer cannot grow a type table and the fuzzers
+// and the flight recorder can read any frame by itself.
 //
 //	frame    = version count envelope*
 //	envelope = From To Hdr Trace LC Deadline tag body
@@ -56,46 +56,32 @@ type codec struct {
 	dec func(*Reader) any
 }
 
-// codecTable is the registry, replaced whole on every registration so
-// the encode and decode paths read it without a lock.
+// codecTable is a body-codec registry. The process's table, codecs, is
+// filled by the owning packages' init functions, before any goroutine
+// runs, so the encode and decode paths read it without a lock.
 type codecTable struct {
 	byType map[reflect.Type]*codec
 	byTag  [256]*codec
 }
 
-var (
-	codecMu sync.Mutex // serializes registrations
-	codecs  atomic.Pointer[codecTable]
-)
-
-func init() { codecs.Store(&codecTable{}) }
+var codecs codecTable
 
 // RegisterCodec registers the frame codec of the body type T under tag:
 // enc appends a T's fields and dec reads them back in the same order. dec
 // must be total over a Reader — it reads fields and builds the value,
 // leaving every check to the Reader. zero only names T. The package that
-// owns T registers it, from its RegisterWireTypes; registering the same
-// type under the same tag again is a no-op, and anything else that
-// reuses a tag or a type panics.
+// owns T registers it from its init function, and nowhere else: a
+// payload's bytes then never depend on which packages a caller
+// registered. A reserved tag, or a tag or a type registered before,
+// panics.
 func RegisterCodec[T any](tag byte, zero T, enc func(*Writer, T), dec func(*Reader) T) {
-	typ := reflect.TypeOf(zero)
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	old := codecs.Load()
-	if c := old.byTag[tag]; c != nil && c.typ == typ {
-		return
-	}
-	switch {
-	case tag == tagNil || tag == tagReserved:
-		panic(fmt.Sprintf("msg: body tag %d is reserved", tag))
-	case old.byTag[tag] != nil:
-		panic(fmt.Sprintf("msg: body tag %d registered for %v and %v", tag, old.byTag[tag].typ, typ))
-	case old.byType[typ] != nil:
-		panic(fmt.Sprintf("msg: %v registered under tags %d and %d", typ, old.byType[typ].tag, tag))
-	}
-	c := &codec{
+	codecs.add(newCodec(tag, zero, enc, dec))
+}
+
+func newCodec[T any](tag byte, zero T, enc func(*Writer, T), dec func(*Reader) T) *codec {
+	return &codec{
 		tag: tag,
-		typ: typ,
+		typ: reflect.TypeOf(zero),
 		enc: func(w *Writer, v any) { enc(w, v.(T)) },
 		dec: func(r *Reader) any {
 			v := dec(r)
@@ -105,12 +91,21 @@ func RegisterCodec[T any](tag byte, zero T, enc func(*Writer, T), dec func(*Read
 			return v
 		},
 	}
-	t := &codecTable{byType: make(map[reflect.Type]*codec, len(old.byType)+1), byTag: old.byTag}
-	for k, v := range old.byType {
-		t.byType[k] = v
+}
+
+func (t *codecTable) add(c *codec) {
+	switch {
+	case c.tag == tagNil || c.tag == tagReserved:
+		panic(fmt.Sprintf("msg: body tag %d is reserved", c.tag))
+	case t.byTag[c.tag] != nil:
+		panic(fmt.Sprintf("msg: body tag %d registered for %v and %v", c.tag, t.byTag[c.tag].typ, c.typ))
+	case t.byType[c.typ] != nil:
+		panic(fmt.Sprintf("msg: %v registered under tags %d and %d", c.typ, t.byType[c.typ].tag, c.tag))
 	}
-	t.byType[typ], t.byTag[tag] = c, c
-	codecs.Store(t)
+	if t.byType == nil {
+		t.byType = make(map[reflect.Type]*codec)
+	}
+	t.byType[c.typ], t.byTag[c.tag] = c, c
 }
 
 // WireTag is one row of the body-codec registry.
@@ -122,7 +117,7 @@ type WireTag struct {
 // WireTags lists the registered body codecs in tag order.
 func WireTags() []WireTag {
 	var out []WireTag
-	for _, c := range codecs.Load().byType {
+	for _, c := range codecs.byType {
 		out = append(out, WireTag{Tag: c.tag, Type: c.typ})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
@@ -141,7 +136,7 @@ func (w *Writer) Body(body any) {
 		w.b = append(w.b, tagNil)
 		return
 	}
-	c := codecs.Load().byType[reflect.TypeOf(body)]
+	c := codecs.byType[reflect.TypeOf(body)]
 	if c == nil {
 		w.fail(fmt.Errorf("msg: no codec for body type %T", body))
 		return
@@ -330,7 +325,7 @@ func (r *Reader) Body() any {
 	if tag == tagNil {
 		return nil
 	}
-	c := codecs.Load().byTag[tag]
+	c := codecs.byTag[tag]
 	if c == nil {
 		r.fail(errTag)
 		return nil

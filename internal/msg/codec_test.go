@@ -116,23 +116,31 @@ func TestDecodeFrameErrors(t *testing.T) {
 	}
 }
 
+// RegisterCodec refuses, on a table of the test's own, every
+// registration that could make a tag or a type ambiguous: a reserved
+// tag, and a tag or a type registered before, even identically.
 func TestRegisterCodec(t *testing.T) {
-	// The same type under the same tag again is a no-op.
-	RegisterCodec(testTag, codedBody{}, appendCoded, readCoded)
+	var tab codecTable
+	tab.add(newCodec(testTag, codedBody{}, appendCoded, readCoded))
 	type other struct{ N int }
 	for name, register := range map[string]func(){
-		"reserved tag": func() { RegisterCodec(tagReserved, other{}, nil, nil) },
-		"reused tag":   func() { RegisterCodec(testTag, other{}, nil, nil) },
-		"reused type":  func() { RegisterCodec(testTag+1, codedBody{}, appendCoded, readCoded) },
+		"reserved tag": func() { tab.add(newCodec(tagReserved, other{}, nil, nil)) },
+		"nil tag":      func() { tab.add(newCodec(tagNil, other{}, nil, nil)) },
+		"again":        func() { tab.add(newCodec(testTag, codedBody{}, appendCoded, readCoded)) },
+		"reused tag":   func() { tab.add(newCodec(testTag, other{}, nil, nil)) },
+		"reused type":  func() { tab.add(newCodec(testTag+1, codedBody{}, appendCoded, readCoded)) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: RegisterCodec did not panic", name)
+					t.Errorf("%s: registration did not panic", name)
 				}
 			}()
 			register()
 		}()
+	}
+	if c := tab.byTag[testTag]; c == nil || c != tab.byType[reflect.TypeOf(codedBody{})] || len(tab.byType) != 1 {
+		t.Errorf("table after refusals = %v, want only codedBody under %#x", tab.byType, testTag)
 	}
 	var found bool
 	for _, wt := range WireTags() {

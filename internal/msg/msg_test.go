@@ -62,9 +62,6 @@ type testBody struct {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	// Registering the same codec again must not panic.
-	RegisterCodec(testBodyTag, testBody{}, appendTestBody, readTestBody)
-
 	in := Envelope{From: "client", To: "server", M: M("req", testBody{N: 7, S: "hi"})}
 	b, err := Encode(in)
 	if err != nil {

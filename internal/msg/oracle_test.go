@@ -21,9 +21,6 @@ import (
 // packages register, over sample values of every registered body type.
 
 func init() {
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes() // with the synod, twothird and flow bodies
-	shard.RegisterWireTypes()
 	// The oracle's gob round trip carries each sample in an interface,
 	// so gob must know every sample type; the codec itself uses no gob.
 	for _, body := range samples() {

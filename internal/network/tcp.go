@@ -20,9 +20,9 @@ import (
 // one per peer address — Locs the directory maps to one address (the
 // logical clients of one client endpoint) share its connection. Frames
 // are a 4-byte big-endian length followed by a msg frame
-// (msg.AppendFrame; bodies must be registered with the codec, and the
-// protocol packages expose RegisterWireTypes helpers). A frame that does
-// not decode closes the connection it came on.
+// (msg.AppendFrame; each body's codec is registered by its owning
+// package's init, so the binary must link that package). A frame that
+// does not decode closes the connection it came on.
 type TCP struct {
 	self      msg.Loc
 	directory map[msg.Loc]string

@@ -12,7 +12,6 @@ import (
 // the server's directory does NOT list the client; the reply must ride the
 // learned inbound route.
 func TestTCPRequestReplyWithLearnedRoute(t *testing.T) {
-	core.RegisterWireTypes()
 	srv, err := NewTCP("srv", map[msg.Loc]string{"srv": "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +47,6 @@ func TestTCPRequestReplyWithLearnedRoute(t *testing.T) {
 // its outcome (it neither drops nor starts a second dial), and the
 // net.dial.inflight gauge tracks the open slot.
 func TestTCPDialSemaphoreSingleFlight(t *testing.T) {
-	core.RegisterWireTypes()
 	srv, err := NewTCP("srv", map[msg.Loc]string{"srv": "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +104,6 @@ func TestTCPDialSemaphoreSingleFlight(t *testing.T) {
 // with EnforceDeadlines armed, an inbound envelope whose deadline has
 // passed is shed at the transport and never reaches the inbox.
 func TestTCPDropsExpiredInbound(t *testing.T) {
-	core.RegisterWireTypes()
 	srv, err := NewTCP("srv", map[msg.Loc]string{"srv": "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,9 @@ type Bundle struct {
 // used the wire codec; LoadBundle refuses a bundle holding one.
 const oldTraceFile = "trace.gob"
 
-// LoadBundle reads one bundle directory. Trace decoding requires the
-// protocol wire types to be registered (RegisterWireTypes in the
-// protocol packages) exactly like /trace downloads.
+// LoadBundle reads one bundle directory. Its trace decodes, like a
+// /trace download, when the binary links every package whose bodies the
+// trace holds: importing a package registers its codecs.
 func LoadBundle(dir string) (*Bundle, error) {
 	b := &Bundle{Dir: dir}
 	if err := readJSON(filepath.Join(dir, bundleMetaFile), &b.Meta); err != nil {

@@ -14,8 +14,6 @@ import (
 	"shadowdb/internal/obs"
 	"shadowdb/internal/obs/dist"
 	"shadowdb/internal/runtime"
-
-	"shadowdb/internal/broadcast"
 )
 
 // TestOnlineCheckerLiveCluster is the CI gate: a 3-node in-process SMR
@@ -190,9 +188,6 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live TCP deployment")
 	}
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes()
-
 	bnodes := []msg.Loc{"b1", "b2", "b3"}
 	rlocs := []msg.Loc{"r1", "r2", "r3"}
 	locs := append(append(append([]msg.Loc{}, bnodes...), rlocs...), "cli")

@@ -144,7 +144,7 @@ func TestRecordStampsTime(t *testing.T) {
 
 type extractorBody struct{ N int64 }
 
-func TestExtract(t *testing.T) {
+func init() {
 	RegisterExtractor(func(hdr string, body any) (Fields, bool) {
 		b, ok := body.(extractorBody)
 		if !ok {
@@ -152,6 +152,9 @@ func TestExtract(t *testing.T) {
 		}
 		return Fields{Slot: b.N, Ballot: NoField, Kind: "test." + hdr}, true
 	})
+}
+
+func TestExtract(t *testing.T) {
 	f := Extract("hit", extractorBody{N: 9})
 	if f.Slot != 9 || f.Kind != "test.hit" {
 		t.Fatalf("extracted %+v", f)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"shadowdb/internal/gpm"
@@ -131,25 +130,18 @@ func NoFields() Fields { return Fields{Slot: NoField, Ballot: NoField} }
 // Extractor recognizes a message body and returns its coordinates.
 type Extractor func(hdr string, body any) (Fields, bool)
 
-var (
-	extractMu  sync.Mutex
-	extractors []Extractor
-)
+var extractors []Extractor
 
 // RegisterExtractor adds a message-coordinate extractor; protocol
-// packages call this from init.
+// packages call this from init, before any goroutine runs, so Extract
+// reads the list without a lock.
 func RegisterExtractor(fn Extractor) {
-	extractMu.Lock()
-	defer extractMu.Unlock()
 	extractors = append(extractors, fn)
 }
 
 // Extract runs the registered extractors over a message.
 func Extract(hdr string, body any) Fields {
-	extractMu.Lock()
-	fns := extractors
-	extractMu.Unlock()
-	for _, fn := range fns {
+	for _, fn := range extractors {
 		if f, ok := fn(hdr, body); ok {
 			if f.Slot == 0 && f.Ballot == 0 && f.Kind == "" && f.Span == "" {
 				// Guard against zero-valued Fields from sloppy extractors.
@@ -253,9 +245,9 @@ const traceMagic = "TRC1"
 
 var errTraceFormat = errors.New("not a trace in the current format")
 
-// EncodeTrace writes events as a trace file. Message bodies must have
-// codecs registered (protocol RegisterWireTypes helpers); the binaries
-// already do this at startup.
+// EncodeTrace writes events as a trace file. Each message body's codec
+// is registered by its owning package's init, so a body of a package the
+// binary links encodes.
 func EncodeTrace(w io.Writer, events []Event) error {
 	b, err := msg.Append([]byte(traceMagic), func(mw *msg.Writer) {
 		for i := range events {

@@ -57,8 +57,6 @@ func TestHostOverTCPNoLeak(t *testing.T) {
 	}
 	ta.SetPeer("b", tb.Addr())
 	tb.SetPeer("a", ta.Addr())
-	msg.RegisterCodec(0xf0, pingBody{}, func(w *msg.Writer, b pingBody) { w.Int(b.N) },
-		func(r *msg.Reader) pingBody { return pingBody{N: r.Int()} })
 	got := make(chan msg.Msg, 16)
 	var sink gpm.StepFunc
 	sink = func(in msg.Msg) (gpm.Process, []msg.Directive) {
@@ -93,3 +91,8 @@ func TestHostOverTCPNoLeak(t *testing.T) {
 }
 
 type pingBody struct{ N int }
+
+func init() {
+	msg.RegisterCodec(0xf0, pingBody{}, func(w *msg.Writer, b pingBody) { w.Int(b.N) },
+		func(r *msg.Reader) pingBody { return pingBody{N: r.Int()} })
+}

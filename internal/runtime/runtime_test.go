@@ -221,8 +221,6 @@ func TestShadowDBPBRCrashRecoveryOverHub(t *testing.T) {
 
 func TestShadowDBPBROverTCP(t *testing.T) {
 	leaktest.Check(t, "shadowdb/internal/runtime.", "shadowdb/internal/network.")
-	core.RegisterWireTypes()
-	broadcast.RegisterWireTypes()
 
 	// Bind every location on an ephemeral port, then share the directory.
 	locs := []msg.Loc{"r1", "r2", "r3", "b1", "b2", "b3", "cli"}

@@ -60,7 +60,6 @@ type pendingPrep struct {
 // NewLedger returns the empty ledger of a replica of shard shardIdx, to
 // be passed as core.SMRConfig.Ext.
 func NewLedger(shardIdx int, app App) *Ledger {
-	registerWire()
 	return &Ledger{shard: shardIdx, app: app, prepared: make(map[string]pendingPrep), decided: make(map[string]Decision)}
 }
 

@@ -210,7 +210,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.q = flow.NewQueueCaps(m+1, rc, m)
 	}
 	if cfg.Stable != nil {
-		registerWire()
 		r.j = store.NewJournal("router", cfg.Stable, 0)
 		found, err := r.j.Recover(r.restore, func(rec []byte) error {
 			var jr journalRec

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sync"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/msg"
@@ -86,11 +85,11 @@ type RetryBody struct {
 	TxID string
 }
 
-// RegisterWireTypes registers the 2PC bodies with the wire codec: the
-// ordered records Prepare and Decision, the replica→coordinator Vote and
-// Ack, and the coordinator's retry timer (tags 0x50–0x5f, DESIGN.md
-// "Wire format and allocation hot path").
-func RegisterWireTypes() {
+// The 2PC bodies are registered with the wire codec at init: the ordered
+// records Prepare and Decision, the replica→coordinator Vote and Ack,
+// and the coordinator's retry timer (tags 0x50–0x5f, DESIGN.md "Wire
+// format and allocation hot path").
+func init() {
 	msg.RegisterCodec(0x50, Prepare{}, appendPrepare, readPrepare)
 	msg.RegisterCodec(0x51, Decision{}, appendDecision, readDecision)
 	msg.RegisterCodec(0x52, Vote{}, appendVote, readVote)
@@ -98,12 +97,6 @@ func RegisterWireTypes() {
 	msg.RegisterCodec(0x54, RetryBody{}, func(w *msg.Writer, b RetryBody) { w.Text(b.TxID) },
 		func(r *msg.Reader) RetryBody { return RetryBody{TxID: r.Text()} })
 }
-
-// registerWire registers the bodies once, with core's, for the payload
-// codecs, the ledger's snapshot and the router's journal, which must not
-// depend on a caller having registered them (a router snapshot holds
-// core.TxResults).
-var registerWire = sync.OnceFunc(func() { RegisterWireTypes(); core.RegisterWireTypes() })
 
 func appendPrepare(w *msg.Writer, p Prepare) {
 	w.Text(p.TxID)
@@ -213,7 +206,6 @@ func EncodeDecision(d Decision) []byte { return encodePayload(decMark, d) }
 func DecodeDecision(b []byte) (Decision, bool) { return decodePayload[Decision](decMark, b) }
 
 func encodePayload(mark string, body any) []byte {
-	registerWire()
 	b, err := msg.AppendBody([]byte(mark), body)
 	if err != nil {
 		// The router refuses a request whose arguments have no wire kind
@@ -224,7 +216,6 @@ func encodePayload(mark string, body any) []byte {
 }
 
 func decodePayload[T any](mark string, b []byte) (T, bool) {
-	registerWire()
 	if len(b) < len(mark) || string(b[:len(mark)]) != mark {
 		var zero T
 		return zero, false
