@@ -1,7 +1,9 @@
 package tpcc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/sqldb"
@@ -271,14 +273,15 @@ func stockLevelProc() core.Procedure {
 		if err != nil {
 			return core.ProcResult{}, err
 		}
-		seen := make(map[int64]bool)
+		// The distinct items, in item order, kept boxed as the walk
+		// returned them so that each lookup's argument costs nothing.
+		items := make([]sqldb.Value, len(lres.Rows))
+		for i, row := range lres.Rows {
+			items[i] = row[0]
+		}
+		slices.SortFunc(items, func(a, b sqldb.Value) int { return cmp.Compare(a.(int64), b.(int64)) })
 		low := int64(0)
-		for _, row := range lres.Rows {
-			item := row[0].(int64)
-			if seen[item] {
-				continue
-			}
-			seen[item] = true
+		for _, item := range slices.Compact(items) {
 			sres, err := db.Exec("SELECT s_quantity FROM stock WHERE s_w_id = ? AND s_i_id = ?", w, item)
 			if err != nil || len(sres.Rows) == 0 {
 				continue

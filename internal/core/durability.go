@@ -25,7 +25,7 @@ import (
 // journal tail, and both directions of state transfer.
 
 // snapHeader is the header of a durable snapshot and of a state
-// transfer (the database image follows it, see encodeSnapshot): the
+// transfer (the database image follows it, see appendSnapshot): the
 // ordering frontier the image reflects, the dedup horizon and recent
 // results, and the membership epoch schedule in force there. The
 // schedule must be here: a membership command compacted into the
@@ -97,11 +97,14 @@ func (e *Executor) adoptHeader(h snapHeader) error {
 }
 
 // snapshot encodes the executor's whole state, noting the frontier it
-// covers: the journal's snapshot function.
+// covers: the journal's snapshot function. It encodes into snapBuf,
+// which the next compaction overwrites: the store keeps no snapshot it
+// was handed (store.Stable.SaveSnapshot).
 func (e *Executor) snapshot() []byte {
 	h := e.header()
 	e.snapAt = h.Slot
-	return encodeSnapshot(h, e.DB)
+	e.snapBuf = appendSnapshot(e.snapBuf[:0], h, e.DB)
+	return e.snapBuf
 }
 
 // Compact saves a database snapshot to the stable store, truncating the
@@ -251,7 +254,8 @@ func (e *Executor) serveCatchup(to msg.Loc, cfgSeq int, after int64, unit func(r
 // receiver (see SnapPart). It leaves snapAt alone: what the journal can
 // serve does not change.
 func (e *Executor) SnapshotDirectives(to msg.Loc, cfgSeq int, xfer int64) ([]msg.Directive, time.Duration) {
-	snap := encodeSnapshot(e.header(), e.DB)
+	// A buffer of its own, not snapBuf: the parts outlive this call.
+	snap := appendSnapshot(nil, e.header(), e.DB)
 	end, _ := snapHeaderEnd(snap)
 	parts := [][]byte{snap[:end]}
 	for img := snap[end:]; len(img) > 0; {
@@ -353,11 +357,14 @@ func (e *Executor) install(h snapHeader, img []byte) (time.Duration, error) {
 // refused rather than misread.
 const snapMagic = "SNP3"
 
-func encodeSnapshot(hdr snapHeader, db *sqldb.DB) []byte {
-	buf := append([]byte(snapMagic), 0, 0, 0, 0)
+// appendSnapshot appends the snapshot of hdr and db to dst and returns
+// the extended buffer.
+func appendSnapshot(dst []byte, hdr snapHeader, db *sqldb.DB) []byte {
+	start := len(dst)
+	buf := append(append(dst, snapMagic...), 0, 0, 0, 0)
 	buf, err := msg.Append(buf, func(w *msg.Writer) { appendSnapHeader(w, hdr) })
 	must(err) // a result row the codec refuses never reaches the dedup table
-	binary.BigEndian.PutUint32(buf[len(snapMagic):], uint32(len(buf)-len(snapMagic)-4))
+	binary.BigEndian.PutUint32(buf[start+len(snapMagic):], uint32(len(buf)-start-len(snapMagic)-4))
 	return db.AppendDump(buf)
 }
 

@@ -82,9 +82,11 @@ type Executor struct {
 	// share of a snapshot header, written into it and taken back out of
 	// a restored or transferred one (SMR: slot, epoch schedule and
 	// extension state; PBR's frontier is Executed itself). xfer
-	// assembles an incoming transfer.
+	// assembles an incoming transfer. snapBuf is the buffer every
+	// compaction encodes its snapshot into.
 	st       *store.Journal
 	snapAt   int
+	snapBuf  []byte
 	frontier func(*snapHeader)
 	adopt    func(snapHeader) error
 	xfer     *snapAssembly

@@ -27,7 +27,7 @@ func TestSnapshotsAreDeterministic(t *testing.T) {
 		for _, i := range order {
 			h.Joined[msg.Loc(fmt.Sprintf("r%02d", i))] = i
 		}
-		return encodeSnapshot(h, e.DB)
+		return appendSnapshot(nil, h, e.DB)
 	}
 	var up, down []int
 	for i := 0; i < 16; i++ {

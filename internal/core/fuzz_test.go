@@ -28,8 +28,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	pbr := encodeSnapshot(exec.header(), exec.DB)
-	smr := encodeSnapshot(snapHeader{
+	pbr := appendSnapshot(nil, exec.header(), exec.DB)
+	smr := appendSnapshot(nil, snapHeader{
 		Slot: 41, Executed: 3, LastSeq: exec.LastSeqs(), Recent: exec.RecentResults(),
 		Epochs: []member.Config{{Epoch: 1, ReplicasFrom: 7, Bcast: []msg.Loc{"b1"}, Replicas: []msg.Loc{"r1", "r2"}}},
 		Joined: map[msg.Loc]int{"r2": 7},
@@ -48,7 +48,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if _, err := exec.DB.Exec("CREATE TABLE zz (ka INT PRIMARY KEY, kb INT)"); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(bytes.Replace(encodeSnapshot(exec.header(), exec.DB), []byte("\x02kb"), []byte("\x02ka"), 1))
+	f.Add(bytes.Replace(appendSnapshot(nil, exec.header(), exec.DB), []byte("\x02kb"), []byte("\x02ka"), 1))
 	f.Add([]byte(snapMagic + "\xff\xff\xff\xff"))
 	f.Add(gobBytes(f, struct{ Slot int }{Slot: 5})) // the all-gob layout SNP2 replaced
 	f.Add(durableProtos[1].oldSnapshot(f, 2))       // SNP2, with its gob header
@@ -67,7 +67,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			return
 		}
 		e2 := NewExecutor(emptyDB(t, "fuzz2"), BankRegistry())
-		h2, img2, err := splitSnapshot(encodeSnapshot(h, e.DB))
+		h2, img2, err := splitSnapshot(appendSnapshot(nil, h, e.DB))
 		if err == nil {
 			err = e2.restore(h2, img2)
 		}

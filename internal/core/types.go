@@ -268,7 +268,7 @@ type Catchup struct {
 }
 
 // SnapPart carries part N of the Of parts of a state transfer: the
-// bytes of the snapshot a compaction writes (encodeSnapshot). Part 0 is
+// bytes of the snapshot a compaction writes (appendSnapshot). Part 0 is
 // exactly the snapshot's magic, length and header, so the header reads
 // alone; the database image follows in parts of at most catchupChunk.
 // Xfer identifies the transfer: the sender numbers transfers

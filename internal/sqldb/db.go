@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
 
 // DB is one database instance. Statement execution is serialized by an
-// internal mutex; transactional rollback is implemented with an undo log.
+// internal mutex. Transactional rollback replays a typed undo log, newest
+// record first; an UPDATE's record points into an arena holding the
+// row's pre-image. A statement allocates only what it hands back or
+// stores: its matches and range bounds live in scratch the DB owns,
+// which is valid until the next statement, so nothing Exec returns may
+// alias it.
 type DB struct {
 	mu     sync.Mutex
 	eng    Engine
@@ -19,13 +24,20 @@ type DB struct {
 	// are rebuilt (plan.go).
 	gen   uint64
 	inTx  bool
-	undo  []func()
 	cache map[string]*prepared
 	stats Stats
-	// keyBuf is the reusable PK-encoding scratch of every lookup, and
-	// loBuf, hiBuf and boundBuf that of a range walk's ends; guarded by
-	// mu like everything else.
+	// undo is the open transaction's undo log and pre the arena of its
+	// UPDATEs' pre-images. COMMIT and ROLLBACK empty both and keep
+	// their capacity.
+	undo []undoRec
+	pre  []Value
+	// Per-statement scratch, guarded by mu like everything else: keyBuf
+	// is the PK encoding of every lookup; loBuf, hiBuf and boundBuf a
+	// range walk's ends; walk the walk under way; match a read's
+	// matching entries.
 	keyBuf, loBuf, hiBuf, boundBuf []byte
+	walk                           rangeWalk
+	match                          []entry
 }
 
 // Stats counts work done, the input to the engines' virtual cost models.
@@ -154,14 +166,13 @@ func (db *DB) execStmt(p *prepared, args []Value) (Result, error) {
 			return Result{}, ErrInTx
 		}
 		db.inTx = true
-		db.undo = db.undo[:0]
 		return Result{}, nil
 	case Commit:
 		if !db.inTx {
 			return Result{}, ErrNoTx
 		}
 		db.inTx = false
-		db.undo = db.undo[:0]
+		db.truncateUndo(0)
 		return Result{}, nil
 	case Rollback:
 		if !db.inTx {
@@ -182,10 +193,7 @@ func (db *DB) InTx() bool {
 }
 
 func (db *DB) rollback() {
-	for i := len(db.undo) - 1; i >= 0; i-- {
-		db.undo[i]()
-	}
-	db.undo = db.undo[:0]
+	db.undoTo(0)
 	db.inTx = false
 	db.stats.Aborts++
 }
@@ -215,19 +223,77 @@ func (db *DB) RollbackTo(mark int) error {
 	if mark < 0 || mark > len(db.undo) {
 		return fmt.Errorf("sqldb: savepoint %d out of range (undo depth %d)", mark, len(db.undo))
 	}
-	for i := len(db.undo) - 1; i >= mark; i-- {
-		db.undo[i]()
-	}
-	db.undo = db.undo[:mark]
+	db.undoTo(mark)
 	db.stats.Aborts++
 	return nil
 }
 
-// pushUndo records a compensation action when inside a transaction.
-func (db *DB) pushUndo(fn func()) {
-	if db.inTx {
-		db.undo = append(db.undo, fn)
+// undoOp names the change an undo record reverses.
+type undoOp uint8
+
+const (
+	undoCreate undoOp = iota // CREATE TABLE t: remove t
+	undoDrop                 // DROP TABLE t: reinstate t
+	undoInsert               // a row inserted into t: delete e.key
+	undoUpdate               // a row updated in place: restore e.row's pre-image
+	undoDelete               // a row deleted from t: put e back
+)
+
+// undoRec is one record of the undo log. pre is the arena's length when
+// the record was pushed: an UPDATE's pre-image is the len(e.row) values
+// that start there.
+type undoRec struct {
+	op  undoOp
+	t   *Table
+	e   entry
+	pre int
+}
+
+// pushUndo records a change when inside a transaction, an UPDATE's
+// before the row changes.
+func (db *DB) pushUndo(op undoOp, t *Table, e entry) {
+	if !db.inTx {
+		return
 	}
+	db.undo = append(db.undo, undoRec{op: op, t: t, e: e, pre: len(db.pre)})
+	if op == undoUpdate {
+		db.pre = append(db.pre, e.row...)
+	}
+}
+
+// undoTo reverses the undo log's records from mark on, newest first, and
+// drops them.
+func (db *DB) undoTo(mark int) {
+	for i := len(db.undo) - 1; i >= mark; i-- {
+		r := &db.undo[i]
+		switch r.op {
+		case undoCreate:
+			db.setTable(r.t.Name, nil)
+		case undoDrop:
+			db.setTable(r.t.Name, r.t)
+		case undoInsert:
+			r.t.idx.delete(r.e.key)
+		case undoUpdate:
+			copy(r.e.row, db.pre[r.pre:])
+		case undoDelete:
+			r.t.idx.put(r.e.key, r.e.row, true)
+		}
+	}
+	db.truncateUndo(mark)
+}
+
+// truncateUndo drops the undo log's records from mark on and their
+// pre-images. Both slices keep their capacity, with the dropped slots
+// cleared so that they keep no table or row reachable.
+func (db *DB) truncateUndo(mark int) {
+	pre := len(db.pre)
+	if mark < len(db.undo) {
+		pre = db.undo[mark].pre
+	}
+	clear(db.undo[mark:])
+	db.undo = db.undo[:mark]
+	clear(db.pre[pre:])
+	db.pre = db.pre[:pre]
 }
 
 func (db *DB) table(name string) (*Table, error) {
@@ -261,7 +327,7 @@ func (db *DB) execCreate(st CreateTable) (Result, error) {
 		return Result{}, err
 	}
 	db.setTable(st.Name, t)
-	db.pushUndo(func() { db.setTable(st.Name, nil) })
+	db.pushUndo(undoCreate, t, entry{})
 	return Result{}, nil
 }
 
@@ -274,7 +340,7 @@ func (db *DB) execDrop(st DropTable) (Result, error) {
 		return Result{}, fmt.Errorf("%w: %s", ErrNoTable, st.Name)
 	}
 	db.setTable(st.Name, nil)
-	db.pushUndo(func() { db.setTable(st.Name, t) })
+	db.pushUndo(undoDrop, t, entry{})
 	return Result{}, nil
 }
 
@@ -308,23 +374,23 @@ func (db *DB) execInsert(p *prepared, st Insert, args []Value) (Result, error) {
 			return Result{}, fmt.Errorf("%w: %s", ErrDuplicate, t.Name)
 		}
 		db.stats.RowsInserted++
-		db.pushUndo(func() { t.idx.delete(key) })
+		db.pushUndo(undoInsert, t, entry{key: key})
 		n++
 	}
 	return Result{Affected: n}, nil
 }
 
-// matchRows returns the rows satisfying the plan's WHERE conjuncts.
-// It walks the index over the key range the plan's access path
-// (plan.go) allows: none but the one key for a point lookup, the keys
-// that share the pinned prefix and lie within the next column's bounds
-// for a range, every key for a full scan. The walk runs in the key
-// order the caller asks for and stops after max matches when max >= 0
-// (the LIMIT fast path of an ORDER BY that follows the walk). keyed
-// reports whether the walk kept to the plan's range. When it did not,
-// the rows come from a full ascending scan, in no key order the caller
-// can rely on, and no match limit applied to them unless the caller
-// asked for anyOrder.
+// matchRows returns the rows satisfying the plan's WHERE conjuncts, in
+// db.match: scratch that the next statement overwrites. It walks the
+// index over the key range the plan's access path (plan.go) allows:
+// none but the one key for a point lookup, the keys that share the
+// pinned prefix and lie within the next column's bounds for a range,
+// every key for a full scan. The walk runs in the key order the caller
+// asks for and stops after max matches when max >= 0 (the LIMIT fast
+// path of an ORDER BY that follows the walk). keyed reports whether the
+// walk kept to the plan's range. When it did not, the rows come from a
+// full ascending scan, in no key order the caller can rely on, and no
+// match limit applied to them unless the caller asked for anyOrder.
 func (db *DB) matchRows(pl *plan, args []Value, order scanOrder, max int) (rows []entry, keyed bool, err error) {
 	t := pl.t
 	conds := pl.vals[:0]
@@ -352,16 +418,17 @@ func (db *DB) matchRows(pl *plan, args []Value, order scanOrder, max int) (rows 
 		prefix = appendKeyPart(prefix, v)
 	}
 	db.keyBuf = prefix
+	db.match = db.match[:0]
 	if keyed && len(pl.pinned) == len(t.PK) {
 		e, exists := t.idx.get(prefix)
 		if !exists {
-			return nil, true, nil
+			return db.match, true, nil
 		}
 		db.stats.RowsRead++
-		if !rowMatches(e.row, conds) {
-			return nil, true, nil
+		if rowMatches(e.row, conds) {
+			db.match = append(db.match, e)
 		}
-		return []entry{e}, true, nil
+		return db.match, true, nil
 	}
 	if !keyed && order != anyOrder {
 		order, max = anyOrder, -1
@@ -401,29 +468,46 @@ func (db *DB) matchRows(pl *plan, args []Value, order scanOrder, max int) (rows 
 	if hi != nil {
 		db.hiBuf = hi
 	}
-	// Matched rows count as reads; rows merely examined count as scans,
-	// which the engines price like an indexed range scan (see
-	// Engine.PerRowScan).
-	var out []entry
-	examine := func(e entry) bool {
-		if !rowMatches(e.row, conds) {
-			db.stats.RowsScanned++
-			return true
-		}
-		db.stats.RowsRead++
-		out = append(out, e)
-		return max < 0 || len(out) < max
-	}
+	db.walk = rangeWalk{conds: conds, lo: lo, hi: hi, max: max}
 	if order == keyDesc {
-		t.idx.descend(hi, func(e entry) bool {
-			return bytes.Compare(e.key, lo) >= 0 && examine(e)
-		})
+		t.idx.descend(hi, db.walkDesc)
 	} else {
-		t.idx.ascend(lo, func(e entry) bool {
-			return (hi == nil || bytes.Compare(e.key, hi) < 0) && examine(e)
-		})
+		t.idx.ascend(lo, db.walkAsc)
 	}
-	return out, keyed, nil
+	return db.match, keyed, nil
+}
+
+// rangeWalk is the index walk under way in matchRows, kept in the DB so
+// that its visitors are methods rather than closures built per
+// statement.
+type rangeWalk struct {
+	conds  []compiledCond
+	lo, hi []byte // the key range [lo, hi); a nil hi is unbounded
+	max    int    // stop at max matches; -1 for no limit
+}
+
+// walkAsc and walkDesc visit an entry of the walk in ascending or
+// descending key order: they stop at the range's far end and examine
+// every entry before it.
+func (db *DB) walkAsc(e entry) bool {
+	return (db.walk.hi == nil || bytes.Compare(e.key, db.walk.hi) < 0) && db.examine(e)
+}
+
+func (db *DB) walkDesc(e entry) bool {
+	return bytes.Compare(e.key, db.walk.lo) >= 0 && db.examine(e)
+}
+
+// examine appends a walked entry to db.match if it matches. Matched rows
+// count as reads; rows merely examined count as scans, which the engines
+// price like an indexed range scan (see Engine.PerRowScan).
+func (db *DB) examine(e entry) bool {
+	if !rowMatches(e.row, db.walk.conds) {
+		db.stats.RowsScanned++
+		return true
+	}
+	db.stats.RowsRead++
+	db.match = append(db.match, e)
+	return db.walk.max < 0 || len(db.match) < db.walk.max
 }
 
 // scanOrder is the order a caller of matchRows needs the rows in.
@@ -501,24 +585,28 @@ func (db *DB) execSelect(p *prepared, st Select, args []Value) (Result, error) {
 	}
 	if !sorted {
 		oc := pl.orderCol
-		sort.SliceStable(rows, func(i, j int) bool {
-			c := compareValues(rows[i].row[oc], rows[j].row[oc])
+		slices.SortStableFunc(rows, func(a, b entry) int {
+			c := compareValues(a.row[oc], b.row[oc])
 			if st.Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		})
 	}
 	if st.Limit >= 0 && len(rows) > st.Limit {
 		rows = rows[:st.Limit]
 	}
-	out := make([][]Value, 0, len(rows))
-	for _, e := range rows {
-		r := make([]Value, len(pl.proj))
-		for i, c := range pl.proj {
-			r[i] = e.row[c]
+	// The result's rows are views of one array of cells, each capped at
+	// its own width: two allocations, whatever the row count.
+	w := len(pl.proj)
+	cells := make([]Value, len(rows)*w)
+	out := make([][]Value, len(rows))
+	for i, e := range rows {
+		r := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, c := range pl.proj {
+			r[j] = e.row[c]
 		}
-		out = append(out, r)
+		out[i] = r
 	}
 	return Result{Cols: pl.cols, Rows: out}, nil
 }
@@ -617,19 +705,17 @@ func (db *DB) execUpdate(p *prepared, st Update, args []Value) (Result, error) {
 	}
 	t := pl.t
 	for _, e := range rows {
-		row := e.row
-		old := append([]Value(nil), row...)
+		db.pushUndo(undoUpdate, t, e)
 		for _, s := range pl.sets {
-			v, err := evalExpr(s.val, t, row, args)
+			v, err := evalExpr(s.val, t, e.row, args)
 			if err != nil {
 				return Result{}, err
 			}
-			if row[s.col], err = coerce(v, t.Cols[s.col].Kind); err != nil {
+			if e.row[s.col], err = coerce(v, t.Cols[s.col].Kind); err != nil {
 				return Result{}, err
 			}
 		}
 		db.stats.RowsWritten++
-		db.pushUndo(func() { copy(row, old) })
 	}
 	return Result{Affected: len(rows)}, nil
 }
@@ -647,7 +733,7 @@ func (db *DB) execDelete(p *prepared, st Delete, args []Value) (Result, error) {
 	for _, e := range rows {
 		t.idx.delete(e.key)
 		db.stats.RowsDeleted++
-		db.pushUndo(func() { t.idx.put(e.key, e.row, true) })
+		db.pushUndo(undoDelete, t, e)
 	}
 	return Result{Affected: len(rows)}, nil
 }

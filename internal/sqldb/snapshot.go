@@ -60,7 +60,8 @@ func (db *DB) Restore(dumps []TableDump) error {
 	db.tables = tables
 	db.gen++
 	db.inTx = false
-	db.undo = nil
+	db.truncateUndo(0)
+	db.match, db.walk = nil, rangeWalk{}
 	return nil
 }
 

@@ -269,6 +269,21 @@ func TestTransactionRollback(t *testing.T) {
 	}
 }
 
+// An UPDATE whose second SET fails has already changed the row; the
+// rollback restores the row as it was before the statement.
+func TestRollbackUndoesAFailedUpdate(t *testing.T) {
+	db := mustOpen(t)
+	setupAccounts(t, db, 1)
+	mustExec(t, db, "BEGIN")
+	if _, err := db.Exec("UPDATE accounts SET balance = 0, owner = ? WHERE id = 0", 5); err == nil {
+		t.Fatal("storing an INT in a VARCHAR column succeeded")
+	}
+	mustExec(t, db, "ROLLBACK")
+	if res := mustExec(t, db, "SELECT balance FROM accounts WHERE id = 0"); res.Rows[0][0] != int64(100) {
+		t.Errorf("balance after rollback = %v, want 100", res.Rows[0][0])
+	}
+}
+
 func TestTransactionCommit(t *testing.T) {
 	db := mustOpen(t)
 	setupAccounts(t, db, 1)

@@ -70,7 +70,7 @@ func coerce(v Value, k Kind) (Value, error) {
 	case KindInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case float64:
 			if x == float64(int64(x)) {
 				return int64(x), nil
@@ -79,13 +79,13 @@ func coerce(v Value, k Kind) (Value, error) {
 	case KindFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		}
 	case KindText:
-		if s, ok := v.(string); ok {
-			return s, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("sqldb: cannot store %T as %s", v, k)

@@ -62,7 +62,8 @@ type Stable interface {
 	// catch-up is served the records as they are).
 	Replay(fn func(rec []byte) error) error
 	// SaveSnapshot atomically replaces the snapshot and truncates the
-	// log records it covers (everything appended so far).
+	// log records it covers (everything appended so far). It does not
+	// retain snap after it returns: the caller may reuse the buffer.
 	SaveSnapshot(snap []byte) error
 	// Snapshot returns the last saved snapshot (ok=false when none).
 	Snapshot() (snap []byte, ok bool, err error)

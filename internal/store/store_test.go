@@ -235,6 +235,27 @@ func TestMemSurvivesReopenNotReset(t *testing.T) {
 	}
 }
 
+// A store keeps no snapshot buffer it was handed: the caller
+// overwriting it after SaveSnapshot changes nothing Snapshot returns.
+func TestSaveSnapshotKeepsNoBuffer(t *testing.T) {
+	mem, err := NewMem().Open("comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]Stable{"mem": mem, "wal": openDir(t, t.TempDir(), SyncAlways)} {
+		buf := []byte("snapshot one")
+		if err := st.SaveSnapshot(buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "overwritten!")
+		got, ok, err := st.Snapshot()
+		if err != nil || !ok || string(got) != "snapshot one" {
+			t.Errorf("%s: Snapshot() = %q, %v, %v after the caller reused its buffer, want %q", name, got, ok, err, "snapshot one")
+		}
+		_ = st.Close()
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
