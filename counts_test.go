@@ -49,7 +49,7 @@ func (b countBudget) limit() float64 {
 // deposits fixed-seed deposits, each awaited before the next.
 func measureCounts(t *testing.T, mode Mode, warmup, deposits int) (allocs, bytes float64) {
 	t.Helper()
-	_, cli := openCluster(t, mode)
+	cluster, cli := openCluster(t, mode)
 	rng := rand.New(rand.NewSource(1))
 	deposit := func() {
 		res, err := cli.ExecTimeout(10*time.Second, "deposit", int64(rng.Intn(100)), int64(1+rng.Intn(9)))
@@ -61,13 +61,45 @@ func measureCounts(t *testing.T, mode Mode, warmup, deposits int) (allocs, bytes
 		deposit()
 	}
 	var before, after runtime.MemStats
+	settle(t, cluster, mode, warmup)
 	runtime.ReadMemStats(&before)
 	for i := 0; i < deposits; i++ {
 		deposit()
 	}
+	settle(t, cluster, mode, warmup+deposits)
 	runtime.ReadMemStats(&after)
 	n := float64(deposits)
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// settle waits until every SMR replica has applied n transactions. An
+// SMR client takes the first of the replicas' answers, so the others
+// may still be applying the slots before it; without this wait a window
+// would count how far they lagged at its two ends, which the goroutine
+// scheduler decides, and a run would read up to a percent off either
+// way. A PBR primary answers only once every member has applied the
+// deposit (and a spare applies nothing), so there is nothing to wait
+// for.
+func settle(t *testing.T, c *Cluster, mode Mode, n int) {
+	t.Helper()
+	if mode != SMR {
+		return
+	}
+	applied := func() bool {
+		c.stepMu.Lock()
+		defer c.stepMu.Unlock()
+		for _, r := range c.replicas {
+			if r.Executor().Executed < int64(n) {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := time.Now().Add(10 * time.Second); !applied(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the replicas did not all apply %d transactions within 10s", n)
+		}
+	}
 }
 
 func TestCountBudget(t *testing.T) {

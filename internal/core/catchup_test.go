@@ -209,20 +209,25 @@ func TestPBRLogFrom(t *testing.T) {
 		}
 	})
 
-	// Both refinements, through the protocol, over either store: a
-	// request after a frontier below the snapshot gets a state transfer,
-	// any other exactly the records past it up to the server's frontier.
+	// Both refinements, through the protocol, over either store or none
+	// (a volatile replica journals privately): a request after a
+	// frontier below the snapshot gets a state transfer, any other
+	// exactly the records past it up to the server's frontier.
 	for _, p := range []struct {
 		name string
-		// open builds a server over st that applies unit n (1-based)
-		// with apply, and answers r2's request after a frontier with ask.
+		// open builds a server over st (nil: a volatile one) that applies
+		// unit n (1-based) with apply, and answers r2's request after a
+		// frontier with ask.
 		open func(t *testing.T, st store.Stable) (apply func(n int64), ask func(after int64) []msg.Directive, frontier func() int64, e *Executor)
 		unit func([]byte) (int64, bool)
 	}{
 		{"pbr", func(t *testing.T, st store.Stable) (func(int64), func(int64) []msg.Directive, func() int64, *Executor) {
-			r, _, err := NewDurablePBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep, st, 0)
-			if err != nil {
-				t.Fatal(err)
+			r := NewPBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep)
+			if st != nil {
+				var err error
+				if r, _, err = NewDurablePBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep, st, 0); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return func(n int64) { r.Step(msg.M(HdrTx, cacheTx(n))) },
 				func(after int64) []msg.Directive {
@@ -233,7 +238,7 @@ func TestPBRLogFrom(t *testing.T) {
 				func() int64 { return r.exec.Executed }, r.exec
 		}, orderOf},
 		{"smr", func(t *testing.T, st store.Stable) (func(int64), func(int64) []msg.Directive, func() int64, *Executor) {
-			r, err := NewDurableSMRReplica("r1", bankDB(t, "served-smr", 4), BankRegistry(), st, []msg.Loc{"r1", "r2"})
+			r, err := OpenSMRReplica(SMRConfig{Self: "r1", DB: bankDB(t, "served-smr", 4), Registry: BankRegistry(), Store: st, Peers: []msg.Loc{"r1", "r2"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,10 +250,13 @@ func TestPBRLogFrom(t *testing.T) {
 				func() int64 { return int64(r.LastSlot()) }, r.exec
 		}, slotOf},
 	} {
-		for _, prov := range []string{"mem", "dir"} {
+		for _, prov := range []string{"volatile", "mem", "dir"} {
 			t.Run("served ranges/"+p.name+"/"+prov, func(t *testing.T) {
-				st := mustOpen(t, store.NewMem(), "r1")
-				if prov == "dir" {
+				var st store.Stable
+				switch prov {
+				case "mem":
+					st = mustOpen(t, store.NewMem(), "r1")
+				case "dir":
 					st = mustOpen(t, mustDirProv(t), "r1")
 				}
 				apply, ask, frontier, e := p.open(t, st)
@@ -286,6 +294,41 @@ func TestPBRLogFrom(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// A served Catchup holds copies of the journal's records: a store may
+// reuse a replayed record's memory (a private store.Mem does, once a
+// compaction has folded the tail in), and what a peer was sent must
+// still read as the slots it was sent for. The replica serves each slot
+// right after applying it, through several compactions, and every
+// record it served is read back at the end.
+func TestServedCatchupOutlivesCompaction(t *testing.T) {
+	r := openSMR(t, "r1", bankDB(t, "served-copies", 4), false)
+	const slots = 5 * DefaultSnapEvery
+	served := map[int64][]byte{}
+	for s := 0; s < slots; s++ {
+		stepDeliver(r, depositDeliver(t, s))
+		if s == r.exec.snapAt {
+			continue // just compacted: the slot is in the snapshot
+		}
+		_, outs := r.Step(msg.M(HdrCatchupReq, CatchupReq{From: "r2", After: int64(s - 1)}))
+		var cu Catchup
+		if len(outs) == 1 {
+			cu, _ = outs[0].M.Body.(Catchup)
+		}
+		if len(cu.Records) != 1 {
+			t.Fatalf("asked for slot %d: answered %v, want one Catchup of its record", s, outs)
+		}
+		served[int64(s)] = cu.Records[0]
+	}
+	if r.exec.snapAt < 3*DefaultSnapEvery {
+		t.Fatalf("snapshot at slot %d after %d slots: want several compactions", r.exec.snapAt, slots)
+	}
+	for s, rec := range served {
+		if got, ok := slotOf(rec); !ok || got != s {
+			t.Errorf("the record served for slot %d reads as slot %d (decodes: %v) once the server journaled on", s, got, ok)
 		}
 	}
 }

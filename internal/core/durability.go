@@ -108,14 +108,33 @@ func (e *Executor) snapshot() []byte {
 }
 
 // Compact saves a database snapshot to the stable store, truncating the
-// journal behind it (a no-op without a store). Deployments call it once
-// after installing the initial schema and population — rows that never
-// travel through the journal are only recoverable from a snapshot.
+// journal behind it. Deployments call it once after installing the
+// initial schema and population — rows that never travel through the
+// journal are only recoverable from a snapshot.
 func (e *Executor) Compact() error {
-	if e.st == nil {
-		return nil
-	}
 	return e.st.Compact(e.snapshot())
+}
+
+// journal gives the executor its journal, called name, over st — or,
+// when the replica was built without a store, over a private store.Mem
+// that dies with it. Every replica journals, so every replica serves a
+// lagging peer from its journal tail where that reaches back.
+func (e *Executor) journal(name string, st store.Stable, floor int) {
+	if st == nil {
+		st, _ = store.NewMem().Open(name)
+	}
+	e.st = store.NewJournal(name, st, floor)
+}
+
+// encodeRecord encodes an ordered unit's wire body as its journal
+// record, into a buffer the executor reuses: the store keeps no
+// reference to it (store.Stable.Append). A body boxed already — the one
+// a message carried — encodes without allocating.
+func (e *Executor) encodeRecord(body any) []byte {
+	var err error
+	e.recBuf, err = msg.AppendBody(e.recBuf[:0], body)
+	must(err)
+	return e.recBuf
 }
 
 // Recover rebuilds the executor from its stable store (store.Journal's
@@ -146,7 +165,7 @@ func (e *Executor) Recover(replay func(rec []byte) error) (bool, error) {
 // snapshot written here is the only place those rows are persisted.
 func NewDurablePBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment, st store.Stable, snapEvery int) (*PBRReplica, bool, error) {
 	r := NewPBRReplica(slf, db, reg, dep)
-	r.exec.st = store.NewJournal("pbr-"+string(slf), st, snapEvery)
+	r.exec.journal("pbr-"+string(slf), st, snapEvery)
 	restored, err := r.exec.Recover(r.replayTx)
 	if err != nil {
 		return nil, false, err
@@ -214,11 +233,13 @@ const catchupChunk = 1 << 20
 
 // serveCatchup answers a peer's CatchupReq from the journal: the
 // records whose unit index (read by unit) is above after, in Catchups
-// of at most catchupChunk bytes — at least one. It reports false when
-// the journal cannot serve the range (none kept, compacted past after,
-// or it does not replay): a state transfer is needed instead.
+// of at most catchupChunk bytes — at least one. The records are copies:
+// the store may reuse a replayed record's bytes, and a Catchup outlives
+// the replay. It reports false when the journal cannot serve the range
+// (compacted past after, or it does not replay): a state transfer is
+// needed instead.
 func (e *Executor) serveCatchup(to msg.Loc, cfgSeq int, after int64, unit func(rec []byte) (int64, bool)) ([]msg.Directive, bool) {
-	if e.st == nil || after < int64(e.snapAt) {
+	if after < int64(e.snapAt) {
 		return nil, false
 	}
 	var outs []msg.Directive
@@ -233,7 +254,7 @@ func (e *Executor) serveCatchup(to msg.Loc, cfgSeq int, after int64, unit func(r
 			if size > 0 && size+len(rec) > catchupChunk {
 				flush()
 			}
-			recs = append(recs, rec)
+			recs = append(recs, bytes.Clone(rec))
 			size += len(rec)
 		}
 		return nil

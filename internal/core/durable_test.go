@@ -47,6 +47,15 @@ func depositDeliver(t testing.TB, slot int) broadcast.Deliver {
 	return broadcast.Deliver{Slot: slot, Msgs: []broadcast.Bcast{{From: "c0", Seq: int64(slot + 1), Payload: pay}}}
 }
 
+// deliverRecord encodes a slot as its SMR journal record.
+func deliverRecord(d broadcast.Deliver) []byte {
+	rec, err := msg.AppendBody(nil, d)
+	if err != nil {
+		panic(err)
+	}
+	return rec
+}
+
 // slotRecord is depositDeliver's SMR journal record, as a peer serves
 // it in a Catchup.
 func slotRecord(t testing.TB, slot int) []byte {

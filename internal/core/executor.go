@@ -83,10 +83,12 @@ type Executor struct {
 	// a restored or transferred one (SMR: slot, epoch schedule and
 	// extension state; PBR's frontier is Executed itself). xfer
 	// assembles an incoming transfer. snapBuf is the buffer every
-	// compaction encodes its snapshot into.
+	// compaction encodes its snapshot into, recBuf the one every
+	// journal record is encoded into.
 	st       *store.Journal
 	snapAt   int
 	snapBuf  []byte
+	recBuf   []byte
 	frontier func(*snapHeader)
 	adopt    func(snapHeader) error
 	xfer     *snapAssembly

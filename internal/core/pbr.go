@@ -11,7 +11,6 @@ import (
 	"shadowdb/internal/msg"
 	"shadowdb/internal/obs"
 	"shadowdb/internal/sqldb"
-	"shadowdb/internal/store"
 )
 
 // PBR: primary-backup replication (Section III-A of the paper).
@@ -134,8 +133,7 @@ func NewPBRReplica(slf msg.Loc, db *sqldb.DB, reg Registry, dep PBRDeployment) *
 		dep.Timing = DefaultTiming()
 	}
 	exec := NewExecutor(db, reg)
-	st, _ := store.NewMem().Open("")
-	exec.st = store.NewJournal("pbr-"+string(slf), st, DefaultSnapEvery)
+	exec.journal("pbr-"+string(slf), nil, DefaultSnapEvery)
 	return &PBRReplica{
 		slf:       slf,
 		dep:       dep,
@@ -770,9 +768,7 @@ func orderOf(rec []byte) (int64, bool) {
 // the Repl that forwards it — after its dedup record, so a compaction
 // here snapshots that too, and before the reply or ack.
 func (r *PBRReplica) applied(p Repl) {
-	rec, err := msg.AppendBody(make([]byte, 0, 64), p) // a deposit's takes about 25 bytes
-	must(err)
-	must(r.exec.st.Append(rec))
+	must(r.exec.st.Append(r.exec.encodeRecord(p)))
 	r.exec.compactIfDue()
 }
 

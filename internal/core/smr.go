@@ -41,10 +41,12 @@ type SMRReplica struct {
 	// stepCost is the virtual CPU of the last step.
 	stepCost time.Duration
 	// peers are who a replica behind the order asks for its delta;
-	// recoveredLocal reports a restore from the store happened
-	// (smr_durable.go).
+	// recoveredLocal reports a restore from the store happened, and
+	// volatile that the replica journals into a private store, so at
+	// boot it has nothing to ask its peers about (smr_durable.go).
 	peers          []msg.Loc
 	recoveredLocal bool
+	volatile       bool
 	// view, when set, is the shared membership epoch schedule: ordered
 	// member commands refresh the catch-up peer set and trigger the
 	// bootstrap snapshot push for replica joins (see onMemberCmd).
@@ -111,8 +113,9 @@ type SMRConfig struct {
 	Self     msg.Loc
 	DB       *sqldb.DB
 	Registry Registry
-	// Store journals the replica (nil: volatile). A fresh store's
-	// baseline snapshot is the only durable copy of the initial rows.
+	// Store journals the replica (nil: a private journal that dies with
+	// it). A fresh store's baseline snapshot is the only durable copy of
+	// the initial rows.
 	Store store.Stable
 	// Peers are whom a replica behind the order asks for its delta (Self
 	// is skipped); under dynamic membership SetView sets them instead.
@@ -141,11 +144,12 @@ var _ gpm.Process = (*SMRReplica)(nil)
 
 // OpenSMRReplica is the one way to build an SMR replica: it registers
 // the ordered-event handlers — membership and lease here, then the
-// extension's — and, with a store, recovers whatever state it holds
-// (snapshot, then journal, replayed through those handlers) or saves a
-// fresh store's baseline.
+// extension's — and recovers whatever state its store holds (snapshot,
+// then journal, replayed through those handlers) or saves a fresh
+// store's baseline.
 func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
-	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext}
+	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext,
+		volatile: cfg.Store == nil}
 	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
 	r.handlers = map[string]OrderedHandler{
 		"mbr|": func(p []byte, slot int) []msg.Directive {
@@ -170,18 +174,16 @@ func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
 		}
 	}
 	r.setPeers(cfg.Peers)
-	if cfg.Store != nil {
-		r.exec.st = store.NewJournal("smr-"+string(cfg.Self), cfg.Store, DefaultSnapEvery)
-		var err error
-		if r.recoveredLocal, err = r.exec.Recover(r.replaySlot); err != nil {
-			return nil, err
-		}
-		if r.recoveredLocal {
-			lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.exec.snapAt, r.lastSlot)
-		} else if !cfg.Joiner {
-			if err := r.exec.Compact(); err != nil {
-				return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
-			}
+	r.exec.journal("smr-"+string(cfg.Self), cfg.Store, DefaultSnapEvery)
+	var err error
+	if r.recoveredLocal, err = r.exec.Recover(r.replaySlot); err != nil {
+		return nil, err
+	}
+	if r.recoveredLocal {
+		lg.WithNode(r.slf).Infof("smr local recovery: snapshot slot %d, replayed to slot %d", r.exec.snapAt, r.lastSlot)
+	} else if !cfg.Joiner {
+		if err := r.exec.Compact(); err != nil {
+			return nil, fmt.Errorf("core: seed baseline snapshot: %w", err)
 		}
 	}
 	r.active = !cfg.Joiner || r.recoveredLocal
@@ -286,7 +288,7 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	var outs []msg.Directive
 	switch in.Hdr {
 	case broadcast.HdrDeliver:
-		outs = r.onDeliver(in.Body.(broadcast.Deliver))
+		outs = r.onDeliver(in.Body.(broadcast.Deliver), in.Body)
 	case HdrSnapPart:
 		outs = r.onSnapPart(in.Body.(SnapPart))
 	case HdrCatchupReq:
@@ -304,11 +306,12 @@ func (r *SMRReplica) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
 	return r, outs
 }
 
-// onDeliver applies a live delivery when it is the next slot. Anything
-// else is parked by slot: a joiner's deliveries until the bootstrap
-// snapshot lands, and a delivery past a gap — slots the replica missed
-// while down or partitioned — until a peer has served the missing range.
-func (r *SMRReplica) onDeliver(d broadcast.Deliver) []msg.Directive {
+// onDeliver applies a live delivery when it is the next slot, journaled
+// from body, the delivery as the message carried it. Anything else is
+// parked by slot: a joiner's deliveries until the bootstrap snapshot
+// lands, and a delivery past a gap — slots the replica missed while
+// down or partitioned — until a peer has served the missing range.
+func (r *SMRReplica) onDeliver(d broadcast.Deliver, body any) []msg.Directive {
 	if d.Slot <= r.lastSlot {
 		return nil // duplicate notification from another service node
 	}
@@ -324,7 +327,7 @@ func (r *SMRReplica) onDeliver(d broadcast.Deliver) []msg.Directive {
 		lg.WithNode(r.slf).Infof("smr gap: got slot %d with frontier %d, requesting catch-up", d.Slot, r.lastSlot)
 		return r.requestCatchup()
 	}
-	return append(r.applySlot(d, nil, false), r.drainParked()...)
+	return append(r.applySlot(d, r.exec.encodeRecord(body), false), r.drainParked()...)
 }
 
 func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {

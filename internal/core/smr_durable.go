@@ -17,23 +17,14 @@ import (
 // the same store recovers locally and asks a peer only for the slots
 // ordered during its downtime; the peer serves them from its own
 // journal, or falls back to a full state transfer when compaction has
-// discarded the range. A volatile replica keeps no journal (its apply
-// must fit testdata/alloc_baseline.txt), so it always transfers.
+// discarded the range. A replica built without a store journals into a
+// private one, so it serves its peers the same way; only at boot does
+// it differ, having nothing of its own to ask about.
 
 // slotOf reads an SMR journal record's slot.
 func slotOf(rec []byte) (int64, bool) {
 	d, err := msg.DecodeBody[broadcast.Deliver](rec)
 	return int64(d.Slot), err == nil
-}
-
-// deliverRecord encodes a slot as its journal record.
-func deliverRecord(d broadcast.Deliver) []byte {
-	size := 16
-	for _, b := range d.Msgs {
-		size += len(b.From) + len(b.Payload) + 16
-	}
-	rec, _ := msg.AppendBody(make([]byte, 0, size), d) // its codec refuses no value
-	return rec
 }
 
 // NewDurableSMRReplica is OpenSMRReplica over st with peers. It stays
@@ -77,7 +68,7 @@ var recoveryBackoff = netutil.Backoff{Base: 2 * time.Second, Cap: 2 * time.Secon
 // immediately and after one recoveryBackoff interval — so a lost first
 // round cannot strand the replica behind until the next live delivery.
 func (r *SMRReplica) RecoveryDirectives() []msg.Directive {
-	if r.exec.st == nil {
+	if r.volatile {
 		return nil
 	}
 	outs := r.requestCatchup()
@@ -114,19 +105,13 @@ func (r *SMRReplica) SetGroupCommit(every int, _ time.Duration) {
 	r.gcEvery = max(every, 1)
 }
 
-// applySlot executes the next slot — on a durable replica journaled
-// write-ahead, and compacted when due. rec is the slot's journal record
-// when the caller holds it already (a peer served it), nil to encode
-// it. quiet drops the client replies — used for catch-up application,
-// where the transactions were already answered by live replicas.
+// applySlot executes the next slot, journaled write-ahead as rec, and
+// compacts when due. quiet drops the client replies — used for catch-up
+// application, where the transactions were already answered by live
+// replicas.
 func (r *SMRReplica) applySlot(d broadcast.Deliver, rec []byte, quiet bool) []msg.Directive {
-	if r.exec.st != nil {
-		if rec == nil {
-			rec = deliverRecord(d)
-		}
-		must(r.exec.st.Append(rec))
-		mSMRAppends.Inc()
-	}
+	must(r.exec.st.Append(rec))
+	mSMRAppends.Inc()
 	r.lastSlot = d.Slot
 	outs := r.applyBatch(d)
 	if quiet {
@@ -139,7 +124,7 @@ func (r *SMRReplica) applySlot(d broadcast.Deliver, rec []byte, quiet bool) []ms
 			r.ackGap = true
 		}
 	}
-	snapped := r.exec.st != nil && r.exec.compactIfDue()
+	snapped := r.exec.compactIfDue()
 	if r.gcEvery > 1 {
 		outs = r.groupCommit(outs, snapped)
 	}
@@ -219,7 +204,7 @@ func (r *SMRReplica) drainParked() []msg.Directive {
 			return outs
 		}
 		r.gap = 0
-		outs = append(outs, r.applySlot(d, nil, false)...)
+		outs = append(outs, r.applySlot(d, r.exec.encodeRecord(d), false)...)
 	}
 }
 

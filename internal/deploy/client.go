@@ -55,6 +55,11 @@ type Session struct {
 	tr      network.Transport
 	read    core.ReadMode
 	target  msg.Loc
+	// retries are the retry timers armed for the request in flight,
+	// stopped when it ends: a timer left running would only wake the
+	// client, seconds later, to drop a stale tick, and every one still
+	// pending holds a place in the runtime's timer heap.
+	retries []*time.Timer
 }
 
 // Errors a request ends with when it gets no answer.
@@ -177,9 +182,11 @@ func (s *Session) Read(typ string, args []any) (*core.ReadResult, error) {
 
 // await sends the submission and feeds the client's state machine from
 // the transport until done reports the outcome or the timeout passes.
+// Its timers end with it.
 func (s *Session) await(first []msg.Directive, done func(*core.TxResult) bool) error {
+	timeout := time.NewTimer(s.Timeout)
+	defer s.stopTimers(timeout)
 	s.emit(first)
-	timeout := time.After(s.Timeout)
 	for {
 		select {
 		case env, ok := <-s.tr.Receive():
@@ -191,10 +198,20 @@ func (s *Session) await(first []msg.Directive, done func(*core.TxResult) bool) e
 			if done(res) {
 				return nil
 			}
-		case <-timeout:
+		case <-timeout.C:
 			return fmt.Errorf("%w after %v", ErrTimeout, s.Timeout)
 		}
 	}
+}
+
+// stopTimers stops a request's timeout and the retry timers it armed.
+func (s *Session) stopTimers(timeout *time.Timer) {
+	timeout.Stop()
+	for _, t := range s.retries {
+		t.Stop()
+	}
+	clear(s.retries)
+	s.retries = s.retries[:0]
 }
 
 // emit sends the client's directives; a delayed one (the retry timer)
@@ -205,7 +222,7 @@ func (s *Session) emit(outs []msg.Directive) {
 			_ = s.tr.Send(msg.Envelope{From: s.Slf, To: o.Dest, M: o.M, Deadline: msg.DeadlineOf(o.M)})
 		}
 		if o.Delay > 0 {
-			time.AfterFunc(o.Delay, send)
+			s.retries = append(s.retries, time.AfterFunc(o.Delay, send))
 		} else {
 			send()
 		}

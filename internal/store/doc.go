@@ -69,7 +69,11 @@
 //     a snapshot; a record either replays whole and checksum-clean or
 //     (torn tail) is truncated away — never delivered corrupted.
 //   - Outside this package only a Journal calls Snapshot, SaveSnapshot
-//     and Replay (its own Replay serves an SMR peer's catch-up).
+//     and Replay (its own Replay serves a peer's catch-up).
+//   - Append keeps no reference to its record, and a record Replay
+//     yields is valid only until the callback returns: both sides may
+//     reuse their buffers, and the one caller that keeps records (a
+//     replica serving a catch-up) copies them.
 //   - SaveSnapshot is atomic (rename) and is the only operation that
 //     discards log records, so a crash at any instant leaves either
 //     the old snapshot plus full log or the new snapshot plus the

@@ -38,16 +38,23 @@ func (m *Mem) Reset() {
 	m.stores = make(map[string]*memStable)
 }
 
+// memStable keeps its tail's records back to back in one arena, so an
+// append copies into memory the store already holds instead of
+// allocating a record of its own. SaveSnapshot keeps the arena, the
+// record ends and the snapshot buffer and overwrites them from then on:
+// records are valid only until Replay's fn returns (Stable.Replay).
 type memStable struct {
 	mu      sync.Mutex
-	recs    [][]byte
+	arena   []byte
+	ends    []int // ends[i] is where record i ends in arena
 	snap    []byte
 	hasSnap bool
 }
 
 func (s *memStable) Append(rec []byte) error {
 	s.mu.Lock()
-	s.recs = append(s.recs, append([]byte(nil), rec...))
+	s.arena = append(s.arena, rec...)
+	s.ends = append(s.ends, len(s.arena))
 	s.mu.Unlock()
 	mAppends.Inc()
 	return nil
@@ -55,22 +62,31 @@ func (s *memStable) Append(rec []byte) error {
 
 func (s *memStable) Replay(fn func(rec []byte) error) error {
 	s.mu.Lock()
-	recs := s.recs
+	arena, ends := s.arena, s.ends
 	s.mu.Unlock()
-	for _, r := range recs {
+	start := 0
+	for _, end := range ends {
 		mReplays.Inc()
-		if err := fn(r); err != nil {
+		if err := fn(arena[start:end:end]); err != nil {
 			return err
 		}
+		start = end
 	}
 	return nil
 }
 
+// SaveSnapshot empties the tail and sizes the arena to the snapshot's
+// length: Journal's rule lets the tail grow to about that before the
+// next compaction folds it in.
 func (s *memStable) SaveSnapshot(snap []byte) error {
 	s.mu.Lock()
-	s.snap = append([]byte(nil), snap...)
+	s.snap = append(s.snap[:0], snap...)
 	s.hasSnap = true
-	s.recs = nil
+	s.ends = s.ends[:0]
+	if cap(s.arena) < len(snap) {
+		s.arena = make([]byte, 0, len(snap))
+	}
+	s.arena = s.arena[:0]
 	s.mu.Unlock()
 	mSnaps.Inc()
 	return nil

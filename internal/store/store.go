@@ -54,12 +54,14 @@ func ParsePolicy(s string) (SyncPolicy, error) {
 // was appended — never a torn or corrupted suffix.
 type Stable interface {
 	// Append journals one record. Under SyncAlways it is on stable
-	// storage when Append returns.
+	// storage when Append returns. It keeps no reference to rec (the
+	// WAL frames a copy, Mem copies it into its arena), so the caller
+	// may reuse the buffer.
 	Append(rec []byte) error
 	// Replay calls fn for every record appended after the last saved
-	// snapshot, in append order. It returns fn's first error. fn may
-	// keep rec: a store never reuses a record's bytes (a peer's
-	// catch-up is served the records as they are).
+	// snapshot, in append order. It returns fn's first error. A record
+	// is valid only until fn returns: a store may reuse its bytes, so
+	// a caller that keeps one (a peer's catch-up) copies it.
 	Replay(fn func(rec []byte) error) error
 	// SaveSnapshot atomically replaces the snapshot and truncates the
 	// log records it covers (everything appended so far). It does not

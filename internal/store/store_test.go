@@ -256,6 +256,43 @@ func TestSaveSnapshotKeepsNoBuffer(t *testing.T) {
 	}
 }
 
+// A store keeps no record buffer it was handed: the caller overwriting
+// it after Append changes nothing Replay yields, and once a snapshot
+// has folded the tail in, Replay yields only what was appended after
+// it, however the store reuses the tail's memory.
+func TestAppendKeepsNoBuffer(t *testing.T) {
+	mem, err := NewMem().Open("comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]Stable{"mem": mem, "wal": openDir(t, t.TempDir(), SyncAlways)} {
+		buf := make([]byte, 0, 16)
+		appendRec := func(rec string) {
+			buf = append(buf[:0], rec...)
+			if err := st.Append(buf); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "################")
+		}
+		check := func(when string, want ...string) {
+			got := replayAll(t, st)
+			if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+				t.Errorf("%s: Replay %s = %q, want %q", name, when, got, want)
+			}
+		}
+		appendRec("rec-one")
+		appendRec("rec-two")
+		check("after the caller reused its buffer", "rec-one", "rec-two")
+		if err := st.SaveSnapshot(bytes.Repeat([]byte("s"), 64)); err != nil { // room for the next tail
+			t.Fatal(err)
+		}
+		appendRec("rec-3")
+		appendRec("rec-four-is-longer")
+		check("after a snapshot and further appends", "rec-3", "rec-four-is-longer")
+		_ = st.Close()
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
