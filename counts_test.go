@@ -10,6 +10,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"shadowdb/internal/obs"
 )
 
 // The count gate (ROADMAP item 12(a), its channel-hub half): the
@@ -72,19 +74,25 @@ func measureCounts(t *testing.T, mode Mode, warmup, deposits int) (allocs, bytes
 	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
-// settle waits until every SMR replica has applied n transactions. An
-// SMR client takes the first of the replicas' answers, so the others
-// may still be applying the slots before it; without this wait a window
+// settle waits until every SMR replica has applied n transactions and
+// then until no process has stepped for quiet. An SMR client takes the
+// first of the replicas' answers, so the others may still be applying
+// the slots before it, and the broadcast nodes that lost the race may
+// still be deciding and delivering them; without these waits a window
 // would count how far they lagged at its two ends, which the goroutine
-// scheduler decides, and a run would read up to a percent off either
-// way. A PBR primary answers only once every member has applied the
-// deposit (and a spare applies nothing), so there is nothing to wait
-// for.
+// scheduler decides, and a run would read up to a percent off (under
+// CPU load, up to 4 % low, with as many as 500 of the window's 7 200
+// steps not yet taken). An SMR deployment has no periodic steps to wait
+// out. A PBR primary answers only once
+// every member has applied the deposit (and a spare applies nothing),
+// so there is nothing to wait for.
 func settle(t *testing.T, c *Cluster, mode Mode, n int) {
 	t.Helper()
 	if mode != SMR {
 		return
 	}
+	const quiet = 5 * time.Millisecond
+	steps := obs.Default.Counter("runtime.steps")
 	applied := func() bool {
 		c.stepMu.Lock()
 		defer c.stepMu.Unlock()
@@ -95,9 +103,18 @@ func settle(t *testing.T, c *Cluster, mode Mode, n int) {
 		}
 		return true
 	}
-	for deadline := time.Now().Add(10 * time.Second); !applied(); time.Sleep(50 * time.Microsecond) {
+	deadline := time.Now().Add(10 * time.Second)
+	for ; !applied(); time.Sleep(50 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the replicas did not all apply %d transactions within 10s", n)
+		}
+	}
+	for last, since := steps.Value(), time.Now(); time.Since(since) < quiet; time.Sleep(quiet / 20) {
+		if v := steps.Value(); v != last {
+			last, since = v, time.Now()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the deployment was still stepping 10s after the window's %d transactions", n)
 		}
 	}
 }

@@ -222,8 +222,10 @@ func TestPBRLogFrom(t *testing.T) {
 		unit func([]byte) (int64, bool)
 	}{
 		{"pbr", func(t *testing.T, st store.Stable) (func(int64), func(int64) []msg.Directive, func() int64, *Executor) {
-			r := NewPBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep)
-			if st != nil {
+			var r *PBRReplica
+			if st == nil {
+				r = NewPBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep)
+			} else {
 				var err error
 				if r, _, err = NewDurablePBRReplica("r1", bankDB(t, "served-pbr", 4), BankRegistry(), dep, st, 0); err != nil {
 					t.Fatal(err)

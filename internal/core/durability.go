@@ -116,12 +116,13 @@ func (e *Executor) Compact() error {
 }
 
 // journal gives the executor its journal, called name, over st — or,
-// when the replica was built without a store, over a private store.Mem
-// that dies with it. Every replica journals, so every replica serves a
-// lagging peer from its journal tail where that reaches back.
+// when the replica was built without a store, over a private one
+// (store.NewPrivate) that dies with it and keeps no snapshot. Every
+// replica journals, so every replica serves a lagging peer from its
+// journal tail where that reaches back.
 func (e *Executor) journal(name string, st store.Stable, floor int) {
 	if st == nil {
-		st, _ = store.NewMem().Open(name)
+		st = store.NewPrivate()
 	}
 	e.st = store.NewJournal(name, st, floor)
 }

@@ -18,6 +18,10 @@
 //     snapshot file. Torn tails are detected and truncated on open;
 //     saving a snapshot rotates the log and deletes the covered prefix.
 //
+// NewPrivate opens a store like Mem's for a component built without
+// one, which nothing reopens: it keeps the tail its owner serves peers
+// from, but no snapshot, since only a recovery would read it.
+//
 // # The one durable log
 //
 // Journal is the journal → compact → recover loop over either one,

@@ -38,6 +38,13 @@ func (m *Mem) Reset() {
 	m.stores = make(map[string]*memStable)
 }
 
+// NewPrivate returns a Stable that nothing reopens: the journal of a
+// component built without a store, which dies with it. It keeps its
+// tail as Mem does, for its owner to serve peers from, but no snapshot:
+// only a recovery would read one, so SaveSnapshot only empties the tail
+// and sizes its arena, and Snapshot reports none.
+func NewPrivate() Stable { return &memStable{private: true} }
+
 // memStable keeps its tail's records back to back in one arena, so an
 // append copies into memory the store already holds instead of
 // allocating a record of its own. SaveSnapshot keeps the arena, the
@@ -49,6 +56,7 @@ type memStable struct {
 	ends    []int // ends[i] is where record i ends in arena
 	snap    []byte
 	hasSnap bool
+	private bool // NewPrivate's: snapshots are not kept
 }
 
 func (s *memStable) Append(rec []byte) error {
@@ -80,8 +88,10 @@ func (s *memStable) Replay(fn func(rec []byte) error) error {
 // next compaction folds it in.
 func (s *memStable) SaveSnapshot(snap []byte) error {
 	s.mu.Lock()
-	s.snap = append(s.snap[:0], snap...)
-	s.hasSnap = true
+	if !s.private {
+		s.snap = append(s.snap[:0], snap...)
+		s.hasSnap = true
+	}
 	s.ends = s.ends[:0]
 	if cap(s.arena) < len(snap) {
 		s.arena = make([]byte, 0, len(snap))

@@ -67,7 +67,8 @@ type Stable interface {
 	// log records it covers (everything appended so far). It does not
 	// retain snap after it returns: the caller may reuse the buffer.
 	SaveSnapshot(snap []byte) error
-	// Snapshot returns the last saved snapshot (ok=false when none).
+	// Snapshot returns the last saved snapshot (ok=false when none; a
+	// NewPrivate store, which nothing recovers from, keeps none).
 	Snapshot() (snap []byte, ok bool, err error)
 	// Sync flushes any buffered appends to stable storage.
 	Sync() error

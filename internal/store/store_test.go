@@ -265,7 +265,7 @@ func TestAppendKeepsNoBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]Stable{"mem": mem, "wal": openDir(t, t.TempDir(), SyncAlways)} {
+	for name, st := range map[string]Stable{"mem": mem, "private": NewPrivate(), "wal": openDir(t, t.TempDir(), SyncAlways)} {
 		buf := make([]byte, 0, 16)
 		appendRec := func(rec string) {
 			buf = append(buf[:0], rec...)
@@ -290,6 +290,28 @@ func TestAppendKeepsNoBuffer(t *testing.T) {
 		appendRec("rec-four-is-longer")
 		check("after a snapshot and further appends", "rec-3", "rec-four-is-longer")
 		_ = st.Close()
+	}
+}
+
+// A private store keeps the tail its owner serves peers from, and no
+// snapshot: nothing recovers from it, so a saved snapshot's bytes would
+// only be held, never read.
+func TestPrivateKeepsNoSnapshot(t *testing.T) {
+	st := NewPrivate()
+	if err := st.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSnapshot([]byte("the whole state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if snap, ok, err := st.Snapshot(); ok || snap != nil || err != nil {
+		t.Errorf("Snapshot() = %q, %v, %v, want none kept", snap, ok, err)
+	}
+	if got := replayAll(t, st); fmt.Sprintf("%q", got) != `["after"]` {
+		t.Errorf("Replay after a snapshot = %q, want only the record appended after it", got)
 	}
 }
 
