@@ -145,3 +145,41 @@ func benchEndToEnd(b *testing.B, mode Mode) {
 		}
 	}
 }
+
+// BenchmarkEndToEndParallelSMR runs benchEndToEnd's deposits from
+// several closed-loop clients at once, one per goroutine, so the
+// cluster's processes have work to step at the same time.
+func BenchmarkEndToEndParallelSMR(b *testing.B) {
+	benchEndToEndParallel(b, SMR)
+}
+
+// BenchmarkEndToEndParallelPBR is the PBR counterpart.
+func BenchmarkEndToEndParallelPBR(b *testing.B) {
+	benchEndToEndParallel(b, PBR)
+}
+
+func benchEndToEndParallel(b *testing.B, mode Mode) {
+	cluster, err := Open(bankConfig(mode))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = cluster.Close() }()
+	// Four clients per core: a closed-loop client idles through each
+	// round trip, so one per core would leave the cores idle too.
+	b.SetParallelism(4)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		cli, err := cluster.Client()
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		defer func() { _ = cli.Close() }()
+		for i := 0; pb.Next(); i++ {
+			if _, err := cli.ExecTimeout(30*time.Second, "deposit", int64(i%100), int64(1)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

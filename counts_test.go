@@ -11,25 +11,57 @@ import (
 	"testing"
 	"time"
 
+	"shadowdb/internal/bench"
+	"shadowdb/internal/core"
 	"shadowdb/internal/obs"
 )
 
-// The count gate (ROADMAP item 12(a), its channel-hub half): the
-// allocations and allocated bytes one deposit costs the whole in-process
-// deployment, SMR and PBR, against the budgets testdata/counts.json
-// commits. Counts, unlike times, hold still between runs of one build
-// (the spread beside each budget is five runs'), so a change that makes
-// the write path do more per transaction fails here. The race detector
-// adds allocations of its own, so the gate is built without it.
+// The count gates (ROADMAP item 12(a)), against the budgets
+// testdata/counts.json commits: the allocations and allocated bytes one
+// deposit costs the whole in-process deployment, SMR and PBR, and the
+// allocations of the lease-read hot path's serve and apply loops
+// (DESIGN.md §13). Counts, unlike times, hold still between runs of one
+// build (the spread beside each budget is five runs'), so a change that
+// makes a path do more per operation fails here. The race detector adds
+// allocations of its own, so the gates are built without it.
 
-// countsFile is testdata/counts.json: per mode and count, the budget and
-// the five-run spread it came from, stamped with the Go version that
-// measured it.
+// countsFile is testdata/counts.json: per mode and count, and per
+// read-path loop, the budget and the five-run spread it came from,
+// stamped with the Go version that measured it.
 type countsFile struct {
 	Go       string                            `json:"go"`
 	Warmup   int                               `json:"warmup"`
 	Deposits int                               `json:"deposits"`
 	Modes    map[string]map[string]countBudget `json:"modes"`
+	ReadPath map[string]countBudget            `json:"read_path"`
+}
+
+// readCounts loads testdata/counts.json.
+func readCounts(t *testing.T) countsFile {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/counts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f countsFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatalf("testdata/counts.json: %v", err)
+	}
+	return f
+}
+
+// check reports name = got against b, naming the Go version b was
+// measured on when it is not this one.
+func (b countBudget) check(t *testing.T, f countsFile, name string, got float64) {
+	t.Helper()
+	if got > b.limit() {
+		stamp := ""
+		if v := runtime.Version(); v != f.Go {
+			stamp = fmt.Sprintf(" (budget measured on %s, this is %s)", f.Go, v)
+		}
+		t.Errorf("%s = %.1f, over the budget %.1f by more than its bound %.1f%s",
+			name, got, b.Budget, b.limit()-b.Budget, stamp)
+	}
 }
 
 // countBudget is one gated count: the largest of five runs and the
@@ -41,7 +73,8 @@ type countBudget struct {
 
 // limit is the most a run may read: the budget plus three times the
 // spread of the runs it came from, and never less than one percent over
-// it, since a five-run spread can read near zero.
+// it, since a five-run spread can read near zero. A whole-number count
+// (testing.AllocsPerRun's) may therefore never exceed its budget.
 func (b countBudget) limit() float64 {
 	return b.Budget + max(3*(b.Spread[1]-b.Spread[0]), b.Budget/100)
 }
@@ -94,14 +127,9 @@ func settle(t *testing.T, c *Cluster, mode Mode, n int) {
 	const quiet = 5 * time.Millisecond
 	steps := obs.Default.Counter("runtime.steps")
 	applied := func() bool {
-		c.stepMu.Lock()
-		defer c.stepMu.Unlock()
-		for _, r := range c.replicas {
-			if r.Executor().Executed < int64(n) {
-				return false
-			}
-		}
-		return true
+		all := true
+		eachExecutor(c, func(e *core.Executor) { all = all && e.Executed >= int64(n) })
+		return all
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for ; !applied(); time.Sleep(50 * time.Microsecond) {
@@ -120,14 +148,7 @@ func settle(t *testing.T, c *Cluster, mode Mode, n int) {
 }
 
 func TestCountBudget(t *testing.T) {
-	raw, err := os.ReadFile("testdata/counts.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f countsFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		t.Fatalf("testdata/counts.json: %v", err)
-	}
+	f := readCounts(t)
 	for name, mode := range map[string]Mode{"smr": SMR, "pbr": PBR} {
 		t.Run(name, func(t *testing.T) {
 			allocs, bytes := measureCounts(t, mode, f.Warmup, f.Deposits)
@@ -138,15 +159,25 @@ func TestCountBudget(t *testing.T) {
 					t.Errorf("testdata/counts.json has no %s budget for %s", count, name)
 					continue
 				}
-				if got > b.limit() {
-					stamp := ""
-					if v := runtime.Version(); v != f.Go {
-						stamp = fmt.Sprintf(" (budget measured on %s, this is %s)", f.Go, v)
-					}
-					t.Errorf("%s %s = %.1f, over the budget %.1f by more than its bound %.1f%s",
-						name, count, got, b.Budget, b.limit()-b.Budget, stamp)
-				}
+				b.check(t, f, name+" "+count, got)
 			}
 		})
+	}
+}
+
+// TestReadPathAllocBudget gates the lease-read hot path: the serve loop
+// (ReadRequest in, pooled ReadResult out) must allocate nothing, and the
+// ordered apply loop no more than its budget.
+func TestReadPathAllocBudget(t *testing.T) {
+	f := readCounts(t)
+	serve, apply := bench.MeasureReadAllocs(500)
+	t.Logf("serve %.0f allocs/op, apply %.0f allocs/op", serve, apply)
+	for loop, got := range map[string]float64{"serve_allocs_per_op": serve, "apply_allocs_per_op": apply} {
+		b, ok := f.ReadPath[loop]
+		if !ok {
+			t.Errorf("testdata/counts.json has no read_path budget for %s", loop)
+			continue
+		}
+		b.check(t, f, "read path "+loop, got)
 	}
 }

@@ -3,7 +3,6 @@ package dist_test
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 
@@ -60,9 +59,9 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	for _, l := range bnodes {
 		spawn(l, procs[l])
 	}
-	var mu sync.Mutex
+	rhosts := make(map[msg.Loc]*runtime.Host)
 	for _, l := range rlocs {
-		spawn(l, lockedProc{mu: &mu, p: procs[l]})
+		rhosts[l] = spawn(l, procs[l])
 	}
 	results := make(chan core.TxResult, 64)
 	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 500 * time.Millisecond}
@@ -84,14 +83,12 @@ func TestOnlineCheckerLiveCluster(t *testing.T) {
 	// apply the tail so every span's stages are on record.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
 		caughtUp := true
-		for _, l := range rlocs {
-			if procs[l].(*core.SMRReplica).Executor().Executed < txs {
-				caughtUp = false
-			}
+		for _, h := range rhosts {
+			h.Inspect(func(p gpm.Process) {
+				caughtUp = caughtUp && p.(*core.SMRReplica).Executor().Executed >= txs
+			})
 		}
-		mu.Unlock()
 		if caughtUp || time.Now().After(deadline) {
 			break
 		}
@@ -238,9 +235,9 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	for _, l := range bnodes {
 		spawn(l, procs[l])
 	}
-	var mu sync.Mutex
+	rhosts := make(map[msg.Loc]*runtime.Host)
 	for _, l := range rlocs {
-		spawn(l, lockedProc{mu: &mu, p: procs[l]})
+		rhosts[l] = spawn(l, procs[l])
 	}
 	results := make(chan core.TxResult, 64)
 	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 500 * time.Millisecond}
@@ -273,14 +270,12 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 	// to apply the tail before pulling the traces.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
 		caughtUp := true
-		for _, l := range rlocs {
-			if procs[l].(*core.SMRReplica).Executor().Executed < txs {
-				caughtUp = false
-			}
+		for _, h := range rhosts {
+			h.Inspect(func(p gpm.Process) {
+				caughtUp = caughtUp && p.(*core.SMRReplica).Executor().Executed >= txs
+			})
 		}
-		mu.Unlock()
 		if caughtUp || time.Now().After(deadline) {
 			break
 		}
@@ -322,19 +317,3 @@ func TestCollectorLiveTCPEndToEnd(t *testing.T) {
 		t.Errorf("replay identified %d slots, want >= %d", st.Slots, txs)
 	}
 }
-
-// lockedProc serializes Step calls so the test can read replica state
-// without racing the host goroutine.
-type lockedProc struct {
-	mu *sync.Mutex
-	p  gpm.Process
-}
-
-func (l lockedProc) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next, outs := l.p.Step(in)
-	return lockedProc{mu: l.mu, p: next}, outs
-}
-
-func (l lockedProc) Halted() bool { return l.p.Halted() }

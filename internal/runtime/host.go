@@ -10,7 +10,7 @@ import (
 	"shadowdb/internal/obs"
 )
 
-// Host runs one process at one location over a transport.
+// Host runs one process at one location over a transport; mu, held for each Step, is its only lock.
 type Host struct {
 	core Core
 	tr   network.Transport
@@ -155,10 +155,9 @@ func (h *Host) Close() error {
 	return nil
 }
 
-// Process returns the current process value (for state inspection in
-// tests after Close).
-func (h *Host) Process() gpm.Process {
+// Inspect calls fn with the process between two steps, under mu; fn must not keep it or block.
+func (h *Host) Inspect(fn func(gpm.Process)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.proc
+	fn(h.proc)
 }

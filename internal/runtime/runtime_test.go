@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -64,7 +63,6 @@ type pbrDeployment struct {
 	results  chan core.TxResult
 	client   *core.Client
 	cliHost  *Host
-	mu       sync.Mutex
 }
 
 func deployPBR(t *testing.T, register func(msg.Loc) network.Transport, timing core.Timing) *pbrDeployment {
@@ -102,35 +100,18 @@ func deployPBR(t *testing.T, register func(msg.Loc) network.Transport, timing co
 	for _, l := range dep.Pool {
 		r := core.NewPBRReplica(l, mkDB(l), core.BankRegistry(), dep)
 		d.replicas[l] = r
-		h := NewHost(l, register(l), lockedProc{mu: &d.mu, p: r})
+		h := NewHost(l, register(l), r)
 		h.Start()
 		d.hosts[l] = h
 		h.Emit(r.Start())
 	}
 	d.client = &core.Client{Slf: "cli", Mode: core.ModePBR, Replicas: dep.Pool, Retry: 300 * time.Millisecond}
 	cliProc := core.ClientProc(d.client, func(res core.TxResult) { d.results <- res })
-	d.cliHost = NewHost("cli", register("cli"), lockedProc{mu: &d.mu, p: cliProc})
+	d.cliHost = NewHost("cli", register("cli"), cliProc)
 	d.cliHost.Start()
 	d.hosts["cli"] = d.cliHost
 	return d
 }
-
-// lockedProc serializes Step calls across hosts so tests can inspect
-// replica state without data races (each host otherwise steps its process
-// from its own goroutine).
-type lockedProc struct {
-	mu *sync.Mutex
-	p  gpm.Process
-}
-
-func (l lockedProc) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next, outs := l.p.Step(in)
-	return lockedProc{mu: l.mu, p: next}, outs
-}
-
-func (l lockedProc) Halted() bool { return l.p.Halted() }
 
 func (d *pbrDeployment) close() {
 	for _, h := range d.hosts {
@@ -208,15 +189,14 @@ func TestShadowDBPBRCrashRecoveryOverHub(t *testing.T) {
 	if res.Aborted || res.Err != "" {
 		t.Fatalf("post-crash tx failed: %+v", res)
 	}
-	d.mu.Lock()
-	r2, r3 := d.replicas["r2"], d.replicas["r3"]
-	if !r2.IsPrimary() {
-		t.Errorf("new primary = %s, want r2", r2.ConfigNow().Primary())
-	}
-	if !sqldb.Equal(r2.Executor().DB, r3.Executor().DB) {
+	d.hosts["r2"].Inspect(func(p gpm.Process) {
+		if r2 := p.(*core.PBRReplica); !r2.IsPrimary() {
+			t.Errorf("new primary = %s, want r2", r2.ConfigNow().Primary())
+		}
+	})
+	if !sqldb.Equal(d.replicas["r2"].Executor().DB, d.replicas["r3"].Executor().DB) {
 		t.Error("r2 and r3 hold different databases")
 	}
-	d.mu.Unlock()
 }
 
 func TestShadowDBPBROverTCP(t *testing.T) {
@@ -260,11 +240,9 @@ func TestShadowDBPBROverTCP(t *testing.T) {
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(1003) {
 		t.Errorf("balance over TCP = %v", res.Rows)
 	}
-	d.mu.Lock()
 	if !sqldb.Equal(d.replicas["r1"].Executor().DB, d.replicas["r2"].Executor().DB) {
 		t.Error("r1 and r2 hold different databases")
 	}
-	d.mu.Unlock()
 }
 
 func TestSMROverHub(t *testing.T) {
@@ -290,7 +268,6 @@ func TestSMROverHub(t *testing.T) {
 		}
 		replicas[l] = r
 	}
-	var mu sync.Mutex
 	var hosts []*Host
 	mustReg := func(l msg.Loc) network.Transport {
 		tr, err := hub.Register(l)
@@ -305,14 +282,16 @@ func TestSMROverHub(t *testing.T) {
 		h.Start()
 		hosts = append(hosts, h)
 	}
+	rhosts := make(map[msg.Loc]*Host)
 	for _, l := range rlocs {
-		h := NewHost(l, mustReg(l), lockedProc{mu: &mu, p: replicas[l]})
+		h := NewHost(l, mustReg(l), replicas[l])
 		h.Start()
 		hosts = append(hosts, h)
+		rhosts[l] = h
 	}
 	results := make(chan core.TxResult, 64)
 	cli := &core.Client{Slf: "cli", Mode: core.ModeSMR, BcastNodes: bnodes, Retry: 300 * time.Millisecond}
-	ch := NewHost("cli", mustReg("cli"), lockedProc{mu: &mu, p: core.ClientProc(cli, func(r core.TxResult) { results <- r })})
+	ch := NewHost("cli", mustReg("cli"), core.ClientProc(cli, func(r core.TxResult) { results <- r }))
 	ch.Start()
 	hosts = append(hosts, ch)
 	defer func() {
@@ -336,21 +315,17 @@ func TestSMROverHub(t *testing.T) {
 	// applying the last delivery. Wait for convergence before comparing.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
 		caughtUp := true
-		for _, r := range replicas {
-			if r.Executor().Executed < 4 {
-				caughtUp = false
-			}
+		for _, h := range rhosts {
+			h.Inspect(func(p gpm.Process) {
+				caughtUp = caughtUp && p.(*core.SMRReplica).Executor().Executed >= 4
+			})
 		}
-		mu.Unlock()
 		if caughtUp || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	var dbs []*sqldb.DB
 	for _, r := range replicas {
 		dbs = append(dbs, r.Executor().DB)

@@ -14,11 +14,11 @@ import (
 // a checksum-clean prefix of the segment, and a record appended after
 // the open must land behind that prefix, not behind the torn tail.
 func FuzzOpenWAL(f *testing.F) {
-	one, two := frameRecord([]byte("first")), frameRecord([]byte("second record"))
+	one, two := appendFrame(nil, []byte("first")), appendFrame(nil, []byte("second record"))
 	whole := append(bytes.Clone(one), two...)
 	flipped := bytes.Clone(whole)
 	flipped[len(one)+recHeader] ^= 0x01
-	snap := frameRecord(append(make([]byte, 8), "state"...)) // covers through segment 0
+	snap := appendFrame(nil, append(make([]byte, 8), "state"...)) // covers through segment 0
 	f.Add(whole, []byte{}, false)
 	f.Add(whole[:len(whole)-3], []byte{}, false)                             // torn payload
 	f.Add(whole[:len(one)+5], []byte{}, false)                               // torn header
@@ -56,7 +56,7 @@ func FuzzOpenWAL(f *testing.F) {
 		got := replayAll(t, st)
 		var framed []byte
 		for _, r := range got {
-			framed = append(framed, frameRecord(r)...)
+			framed = appendFrame(framed, r)
 		}
 		if !bytes.HasPrefix(seg, framed) {
 			t.Fatalf("replayed %d records that are not a prefix of the segment", len(got))

@@ -53,12 +53,11 @@ const maxRecord = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func frameRecord(rec []byte) []byte {
-	buf := make([]byte, recHeader+len(rec))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(rec, castagnoli))
-	copy(buf[recHeader:], rec)
-	return buf
+// appendFrame appends rec, framed, to dst.
+func appendFrame(dst, rec []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(rec)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(rec, castagnoli))
+	return append(dst, rec...)
 }
 
 // scanRecords walks the framed records in data, calling fn for each
@@ -98,6 +97,7 @@ type walFile struct {
 	f        *os.File // active segment
 	seg      uint64   // active segment number
 	unsynced int
+	frame    []byte // Append's framing buffer, reused across appends
 
 	// older holds fully written segments not yet covered by a snapshot
 	// (possible after a crash between snapshot save and rotation
@@ -216,7 +216,8 @@ func (w *walFile) Append(rec []byte) error {
 	if w.f == nil {
 		return fmt.Errorf("store: %s: append on closed store", w.dir)
 	}
-	if _, err := w.f.Write(frameRecord(rec)); err != nil {
+	w.frame = appendFrame(w.frame[:0], rec)
+	if _, err := w.f.Write(w.frame); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	mAppends.Inc()

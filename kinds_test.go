@@ -75,15 +75,13 @@ func TestValueKindsThroughOpen(t *testing.T) {
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				var got []string
-				cluster.stepMu.Lock()
-				for _, r := range cluster.replicas {
-					for _, res := range r.Executor().RecentResults() {
+				eachExecutor(cluster, func(e *core.Executor) {
+					for _, res := range e.RecentResults() {
 						if res.Client == "client1" && res.Aborted && strings.Contains(res.Err, "uint64") {
 							got = append(got, res.Err)
 						}
 					}
-				}
-				cluster.stepMu.Unlock()
+				})
 				want := map[Mode]int{SMR: 3, PBR: 2}[mode]
 				if len(got) >= want && strings.Count(strings.Join(got, "\n"), got[0]) == len(got) {
 					break

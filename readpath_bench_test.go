@@ -1,79 +1,22 @@
 package shadowdb
 
-// Allocation budget of the lease-read hot path (DESIGN.md §13). The
-// serve loop — ReadRequest in, pooled ReadResult out — must stay at
-// zero allocations per operation; the ordered apply path is pinned
-// against the committed baseline in testdata/alloc_baseline.txt so a
-// regression fails review instead of shipping. CI runs this test as
-// the alloc-regression gate; refresh the baseline deliberately (and
-// explain why in the commit) when the apply path legitimately changes:
+// The lease-read hot path (DESIGN.md §13): a standalone lease holder and
+// the benchmark of its local read. The allocation gate over the same
+// replica's serve and apply loops is TestReadPathAllocBudget, beside the
+// other count gates in counts_test.go:
 //
 //	go test -run TestReadPathAllocBudget .
 //	go test -bench BenchmarkLeaseRead -benchtime 2s .
 import (
-	"bufio"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
-	"shadowdb/internal/bench"
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
-
-// readAllocBaseline parses testdata/alloc_baseline.txt: one "<name>
-// <allocs>" pair per line, comments with #.
-func readAllocBaseline(t *testing.T) map[string]float64 {
-	t.Helper()
-	f, err := os.Open("testdata/alloc_baseline.txt")
-	if err != nil {
-		t.Fatalf("alloc baseline missing: %v", err)
-	}
-	defer func() { _ = f.Close() }()
-	out := map[string]float64{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("alloc baseline: malformed line %q", line)
-		}
-		v, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			t.Fatalf("alloc baseline: bad value in %q: %v", line, err)
-		}
-		out[fields[0]] = v
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestReadPathAllocBudget gates the two hot-path budgets: the serve
-// loop must be allocation-free outright, and the apply loop must not
-// exceed the committed baseline.
-func TestReadPathAllocBudget(t *testing.T) {
-	base := readAllocBaseline(t)
-	serve, apply := bench.MeasureReadAllocs(500)
-	if want, ok := base["serve"]; !ok || serve > want {
-		t.Errorf("lease-read serve: %.1f allocs/op, budget %.1f (hard bar: zero)", serve, want)
-	}
-	if want, ok := base["apply"]; !ok || apply > want {
-		t.Errorf("ordered apply: %.1f allocs/op exceeds committed baseline %.1f;\n"+
-			"if the increase is intentional, refresh testdata/alloc_baseline.txt", apply, want)
-	}
-	t.Logf("serve %.1f allocs/op, apply %.1f allocs/op (baseline serve %.0f / apply %.0f)",
-		serve, apply, base["serve"], base["apply"])
-}
 
 // leaseHolder builds a standalone replica holding a valid lease, the
 // same shape MeasureReadAllocs uses: an ordered renewal is applied so

@@ -37,7 +37,6 @@ import (
 
 	"shadowdb/internal/core"
 	"shadowdb/internal/deploy"
-	"shadowdb/internal/gpm"
 	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/network"
@@ -115,16 +114,18 @@ var (
 	ErrClosed = errors.New("shadowdb: cluster closed")
 )
 
-// Cluster is a running in-process deployment.
+// Cluster is a running in-process deployment. Each node runs on its own
+// runtime.Host, whose lock is the only one its process has, so the
+// nodes step concurrently, as they do as separate cmd/shadowdb
+// processes.
 type Cluster struct {
 	cfg    Config
 	shared *deploy.Cluster
 	hub    *network.Hub
 	hosts  []*runtime.Host
-	// replicas are the hosted replica processes, r1 first.
-	replicas []interface{ Executor() *core.Executor }
-	// stepMu serializes every process step so state inspection is safe.
-	stepMu sync.Mutex
+	// replicas are the replicas' hosts and dbs their databases, r1 first.
+	replicas []*runtime.Host
+	dbs      []*DB
 
 	mu      sync.Mutex
 	clients int
@@ -190,8 +191,7 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// host builds n's process and runs it on the hub, its steps serialized
-// by stepMu.
+// host builds n's process and runs it on the hub.
 func (c *Cluster) host(n deploy.Node) error {
 	view, err := n.View(c.shared)
 	if err != nil {
@@ -205,7 +205,7 @@ func (c *Cluster) host(n deploy.Node) error {
 	if err != nil {
 		return err
 	}
-	h := runtime.NewHost(msg.Loc(n.ID), tr, &lockedProc{mu: &c.stepMu, p: proc})
+	h := runtime.NewHost(msg.Loc(n.ID), tr, proc)
 	if c.cfg.Obs != nil {
 		h.Obs = c.cfg.Obs
 	}
@@ -213,25 +213,11 @@ func (c *Cluster) host(n deploy.Node) error {
 	h.Start()
 	c.hosts = append(c.hosts, h)
 	if r, ok := proc.(interface{ Executor() *core.Executor }); ok {
-		c.replicas = append(c.replicas, r)
+		c.replicas = append(c.replicas, h)
+		c.dbs = append(c.dbs, r.Executor().DB)
 	}
 	return nil
 }
-
-type lockedProc struct {
-	mu *sync.Mutex
-	p  gpm.Process
-}
-
-func (l *lockedProc) Step(in msg.Msg) (gpm.Process, []msg.Directive) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next, outs := l.p.Step(in)
-	l.p = next
-	return l, outs
-}
-
-func (l *lockedProc) Halted() bool { return l.p.Halted() }
 
 // Close stops the cluster.
 func (c *Cluster) Close() error {
@@ -261,14 +247,13 @@ func (c *Cluster) Crash(i int) error {
 }
 
 // ReplicaDB exposes replica i's database for inspection (tests, audits).
-// The returned handle is shared with the running replica; use read-only.
+// The returned handle is shared with the running replica, and locks
+// itself; use read-only.
 func (c *Cluster) ReplicaDB(i int) (*DB, error) {
-	c.stepMu.Lock()
-	defer c.stepMu.Unlock()
-	if i < 0 || i >= len(c.replicas) {
+	if i < 0 || i >= len(c.dbs) {
 		return nil, fmt.Errorf("shadowdb: no replica %d", i)
 	}
-	return c.replicas[i].Executor().DB, nil
+	return c.dbs[i], nil
 }
 
 // Client creates a synchronous client for the cluster: the session

@@ -3,10 +3,12 @@ package shadowdb
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"shadowdb/internal/core"
+	"shadowdb/internal/gpm"
 	"shadowdb/internal/leaktest"
 )
 
@@ -36,6 +38,14 @@ func openCluster(t *testing.T, mode Mode) (*Cluster, *Client) {
 	}
 	t.Cleanup(func() { _ = cli.Close() })
 	return cluster, cli
+}
+
+// eachExecutor calls fn with each replica's executor, r1 first, between
+// two of that replica's steps.
+func eachExecutor(c *Cluster, fn func(*core.Executor)) {
+	for _, h := range c.replicas {
+		h.Inspect(func(p gpm.Process) { fn(p.(interface{ Executor() *core.Executor }).Executor()) })
+	}
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -211,6 +221,53 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if res.Rows[0][0] != int64(1020) {
 		t.Errorf("balance = %v, want 1020 (20 concurrent deposits)", res.Rows[0][0])
+	}
+}
+
+// The replicas of an in-process cluster step concurrently, as separate
+// processes do: every replica's call of meet waits, inside its step, for
+// the third replica's call to arrive, which a cluster stepping one
+// process at a time never lets happen.
+func TestReplicasStepTogether(t *testing.T) {
+	var calls, finished, timeouts atomic.Int32
+	all := make(chan struct{})
+	cfg := bankConfig(SMR)
+	cfg.Procedures = Registry{
+		"meet": func(*DB, []any) (ProcResult, error) {
+			defer finished.Add(1)
+			if calls.Add(1) == 3 {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(time.Second):
+				timeouts.Add(1)
+			}
+			return ProcResult{}, nil
+		},
+	}
+	cluster, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cluster.Close() }()
+	cli, err := cluster.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	if _, err := cli.ExecTimeout(10*time.Second, "meet"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for finished.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 replicas finished meet within 10s", finished.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := timeouts.Load(); n != 0 {
+		t.Errorf("%d of 3 replicas waited 1s in meet for the others: the replicas step one at a time", n)
 	}
 }
 
