@@ -177,11 +177,12 @@ func TestTimerCatalogue(t *testing.T) {
 }
 
 // TestOrderedTagCatalogue keeps the "Ordered payload tags" table of
-// DESIGN.md §9 equal to the tags an SMR replica's slot loop dispatches:
-// `tx|` (the loop's own transactions), every tag a plain replica
-// registers (owner internal/core), and every tag a shard replica's
-// ledger adds (owner internal/shard). A new ordered event shows up in
-// the one place that lists what the total order carries.
+// DESIGN.md §9 equal to the payloads the total order carries, by codec
+// tag: a transaction (the slot loop's own) and a PBR recovery proposal,
+// every tag a plain SMR replica dispatches (owner internal/core), and
+// every tag a shard replica's ledger adds (owner internal/shard); each
+// row's Go type is the one registered under its tag. A new ordered event
+// shows up in the one place that lists what the total order carries.
 func TestOrderedTagCatalogue(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -192,11 +193,16 @@ func TestOrderedTagCatalogue(t *testing.T) {
 		t.Fatal("DESIGN.md has no Ordered payload tags table")
 	}
 	section, _, _ = strings.Cut(section, "\n#")
-	rows := make(map[string]string) // tag → owner
-	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z0-9]+)\\\\\\|` \\| `([a-z/]+)` \\|").FindAllStringSubmatch(section, -1) {
-		rows[m[1]+"|"] = m[2]
+	rows := make(map[byte]string) // tag → "type owner"
+	for _, m := range regexp.MustCompile("(?m)^\\| `0x([0-9a-f]{2})` \\| `([^`]+)` \\| `([a-z/]+)` \\|").FindAllStringSubmatch(section, -1) {
+		tag, _ := strconv.ParseUint(m[1], 16, 8)
+		rows[byte(tag)] = m[2] + " " + m[3]
 	}
-	open := func(ext core.SMRExtension) map[string]bool {
+	types := make(map[byte]string)
+	for _, wt := range msg.WireTags() {
+		types[wt.Tag] = wt.Type.String()
+	}
+	open := func(ext core.SMRExtension) map[byte]bool {
 		db, err := sqldb.Open("h2:mem:tags")
 		if err != nil {
 			t.Fatal(err)
@@ -205,13 +211,13 @@ func TestOrderedTagCatalogue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tags := make(map[string]bool)
+		tags := make(map[byte]bool)
 		for _, tag := range r.OrderedTags() {
 			tags[tag] = true
 		}
 		return tags
 	}
-	owners := map[string]string{"tx|": "internal/core"}
+	owners := map[byte]string{msg.TagOf[core.TxRequest](): "internal/core", msg.TagOf[core.NewConfig](): "internal/core"}
 	plain := open(nil)
 	for tag := range open(shard.NewLedger(0, shard.Bank())) {
 		owners[tag] = "internal/shard"
@@ -220,16 +226,17 @@ func TestOrderedTagCatalogue(t *testing.T) {
 		}
 	}
 	for tag, owner := range owners {
+		want := types[tag] + " " + owner
 		switch got, ok := rows[tag]; {
 		case !ok:
-			t.Errorf("the slot loop dispatches %s, which has no row in the DESIGN.md §9 Ordered payload tags table", tag)
-		case got != owner:
-			t.Errorf("%s is registered by %s, DESIGN.md §9 says %s", tag, owner, got)
+			t.Errorf("the order carries tag %#02x (%s), which has no row in the DESIGN.md §9 Ordered payload tags table", tag, want)
+		case got != want:
+			t.Errorf("tag %#02x is %s, DESIGN.md §9 says %s", tag, want, got)
 		}
 		delete(rows, tag)
 	}
-	for tag := range rows {
-		t.Errorf("DESIGN.md §9 Ordered payload tags table lists %s, which no replica dispatches", tag)
+	for tag, row := range rows {
+		t.Errorf("DESIGN.md §9 Ordered payload tags table lists %#02x (%s), which the order does not carry", tag, row)
 	}
 }
 

@@ -638,11 +638,7 @@ func (s *seqState) onDecide(cfg Config, slf msg.Loc, inst int, val string) []msg
 		// commands only govern later slots; Apply is idempotent, so
 		// co-located components racing on the shared view are safe).
 		if cfg.View != nil {
-			for _, m := range b {
-				if cmd, ok := member.DecodeCommand(m.Payload); ok {
-					cfg.View.Apply(cmd, s.next)
-				}
-			}
+			foldCommands(cfg.View, b, s.next)
 		}
 		d := Deliver{Slot: s.next, Msgs: b}
 		subs := cfg.Subscribers
@@ -764,6 +760,16 @@ func (s *seqState) nextFreeSlot() int {
 			return slot
 		}
 		slot++
+	}
+}
+
+// foldCommands applies the membership commands of slot's batch to v.
+// Every other payload is told by its codec tag and costs nothing.
+func foldCommands(v *member.View, batch []Bcast, slot int) {
+	for _, m := range batch {
+		if cmd, ok := member.DecodeCommand(m.Payload); ok {
+			v.Apply(cmd, slot)
+		}
 	}
 }
 

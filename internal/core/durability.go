@@ -372,12 +372,15 @@ func (e *Executor) install(h snapHeader, img []byte) (time.Duration, error) {
 // followed by the database image, written straight off the tables'
 // indexes by sqldb.AppendDump:
 //
-//	"SNP3" | 4-byte big-endian header length | header | image
+//	"SNP4" | 4-byte big-endian header length | header | image
 //
-// The magic tells this layout from the ones it replaced (SNP2 with a
-// gob header, and the all-gob layout before it), whose files are
-// refused rather than misread.
-const snapMagic = "SNP3"
+// The magic tells this layout from the ones it replaced, whose files
+// are refused rather than misread: SNP3, the same layout from a build
+// whose ordered payloads carried text marks (tx|, mbr|, …) that this
+// one would skip in its journal's Deliver records; SNP2 with a gob
+// header; and the all-gob layout before it. Every durable replica saves
+// a baseline snapshot, so refusing the magic refuses the data dir.
+const snapMagic = "SNP4"
 
 // appendSnapshot appends the snapshot of hdr and db to dst and returns
 // the extended buffer.

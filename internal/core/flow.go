@@ -14,11 +14,9 @@ import (
 // and bypass the order entirely, which is how they end up "shed last"
 // — they are never queued at all.
 func FlowClass(payload []byte) flow.Class {
-	if len(payload) >= 4 {
-		switch string(payload[:4]) {
-		case "lse|", "mbr|":
-			return flow.ClassControl
-		}
+	switch msg.PayloadTag(payload) {
+	case leaseTag, memberTag:
+		return flow.ClassControl
 	}
 	return flow.ClassWrite
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"testing"
 
 	"shadowdb/internal/msg"
+	"shadowdb/internal/store"
 )
 
 // One state has one snapshot: an executor that applied the same
@@ -38,5 +40,38 @@ func TestSnapshotsAreDeterministic(t *testing.T) {
 		if got := build(fmt.Sprintf("down%d", n), down); !bytes.Equal(got, want) {
 			t.Fatalf("one state, two snapshots:\n%x\n%x", want, got)
 		}
+	}
+}
+
+// A replica data dir written before the ordered payloads were codec
+// bodies holds an "SNP3" snapshot: the layout this build writes, but
+// over a journal whose Deliver records carry "tx|"-marked payloads that
+// would now be skipped as nothing. Every durable replica saves a
+// baseline snapshot, so refusing that magic, naming the journal,
+// refuses the whole dir.
+func TestRecoverRefusesSNP3(t *testing.T) {
+	for _, p := range durableProtos {
+		t.Run(p.name, func(t *testing.T) {
+			st := mustOpen(t, store.NewMem(), "r")
+			r, err := p.open(t, st, bankDB(t, "snp3-"+p.name, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.apply(1)
+			if err := r.exec.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			snap, ok, err := st.Snapshot()
+			if err != nil || !ok || string(snap[:4]) != "SNP4" {
+				t.Fatalf("snapshot %q… ok=%v err=%v, want an SNP4 snapshot", snap[:min(len(snap), 4)], ok, err)
+			}
+			if err := st.SaveSnapshot(append([]byte("SNP3"), snap[4:]...)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = p.open(t, st, emptyDB(t, "snp3-reopen-"+p.name))
+			if err == nil || !regexp.MustCompile(`^store: journal \S+: snapshot: .*not a snapshot in the current format`).MatchString(err.Error()) {
+				t.Fatalf("reopening over an SNP3 snapshot: %v, want it refused by name", err)
+			}
+		})
 	}
 }

@@ -106,6 +106,15 @@ func FuzzReplayRecord(f *testing.F) {
 		}
 		f.Add(deliverRecord(broadcast.Deliver{Slot: 1, Msgs: []broadcast.Bcast{{From: req.Client, Seq: 2, Payload: pay}}}))
 	}
+	// Unit 2 as the build before the payload codecs journaled it: its
+	// transaction behind a "tx|" mark, which this build applies as no
+	// transaction. Such a journal sits behind an SNP3 snapshot, which
+	// Recover refuses first (TestRecoverRefusesSNP3).
+	pay, err := EncodeTx(durDeposit(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(deliverRecord(broadcast.Deliver{Slot: 1, Msgs: []broadcast.Bcast{{From: "c0", Seq: 2, Payload: append([]byte("tx|"), pay...)}}}))
 
 	f.Fuzz(func(t *testing.T, rec []byte) {
 		for _, p := range durableProtos {

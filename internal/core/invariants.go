@@ -174,14 +174,17 @@ func (c *Checks) foldDelivered(e *verify.Event) {
 	// leaseExpiry keys on.
 	ordered := func(d broadcast.Deliver, live bool) {
 		for _, bc := range d.Msgs {
-			if ren, ok := DecodeLease(bc.Payload); ok {
-				if iss := int64(ren.Issue); iss >= c.issue[e.Loc] {
-					c.issue[e.Loc] = iss
+			switch msg.PayloadTag(bc.Payload) {
+			case leaseTag:
+				if ren, err := msg.DecodeBody[LeaseRenewal](bc.Payload); err == nil && int64(ren.Issue) >= c.issue[e.Loc] {
+					c.issue[e.Loc] = int64(ren.Issue)
 				}
-			} else if req, err := DecodeTx(bc.Payload); err == nil {
-				credit(req.Key())
-				if live && c.dur != 0 {
-					c.txSlot[e.Group+"\x00"+req.Key()] = int64(d.Slot)
+			case txTag:
+				if req, err := msg.DecodeBody[TxRequest](bc.Payload); err == nil {
+					credit(req.Key())
+					if live && c.dur != 0 {
+						c.txSlot[e.Group+"\x00"+req.Key()] = int64(d.Slot)
+					}
 				}
 			}
 		}
@@ -348,7 +351,7 @@ func (c *Checks) foldFlow(e *verify.Event, o msg.Directive) {
 		if o.M.Hdr != broadcast.HdrBcast || b.From != e.Loc {
 			return
 		}
-		if _, err := DecodeTx(b.Payload); err == nil {
+		if msg.PayloadTag(b.Payload) == txTag {
 			c.openFlow(b.Key(), b.Deadline)
 		}
 	case TxRequest:

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -88,29 +85,10 @@ type LeaseRenewal struct {
 	Seq   int64
 }
 
-// EncodeLease serializes a renewal as a broadcast payload. The "lse|"
-// prefix keeps it distinguishable from tx/add/mbr payloads at apply
-// time and in the checker.
+// EncodeLease serializes a renewal as a broadcast payload.
 func EncodeLease(r LeaseRenewal) []byte {
-	return []byte(fmt.Sprintf("lse|%d|%s|%d|%d", r.Epoch, r.Holder, int64(r.Issue), r.Seq))
-}
-
-// DecodeLease recognizes a renewal payload.
-func DecodeLease(b []byte) (LeaseRenewal, bool) {
-	if len(b) < 4 || string(b[:4]) != "lse|" {
-		return LeaseRenewal{}, false
-	}
-	parts := strings.SplitN(string(b[4:]), "|", 4)
-	if len(parts) != 4 {
-		return LeaseRenewal{}, false
-	}
-	epoch, err1 := strconv.Atoi(parts[0])
-	issue, err2 := strconv.ParseInt(parts[2], 10, 64)
-	seq, err3 := strconv.ParseInt(parts[3], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return LeaseRenewal{}, false
-	}
-	return LeaseRenewal{Epoch: epoch, Holder: msg.Loc(parts[1]), Issue: time.Duration(issue), Seq: seq}, true
+	b, _ := msg.AppendBody(nil, r) // a renewal is integers and a Loc, which always encode
+	return b
 }
 
 // ReadProc is a read-only procedure that fills a reusable result in

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -550,8 +548,8 @@ func (r *PBRReplica) suspect(dead msg.Loc) []msg.Directive {
 			members = append(members, p)
 		}
 	}
-	prop := NewConfig{OldSeq: r.cfg.Seq, Members: members, Proposer: r.slf}
-	payload := encodeProposal(prop)
+	// A proposal is locations and integers, which always encode.
+	payload, _ := msg.AppendBody(nil, NewConfig{OldSeq: r.cfg.Seq, Members: members, Proposer: r.slf})
 	r.bseq++
 	b := broadcast.Bcast{From: r.slf, Seq: r.bseq, Payload: payload}
 	var outs []msg.Directive
@@ -570,11 +568,12 @@ func (r *PBRReplica) onDeliver(d broadcast.Deliver) []msg.Directive {
 	r.lastSlot = d.Slot
 	var outs []msg.Directive
 	for _, b := range d.Msgs {
-		prop, err := decodeProposal(b.Payload)
-		if err != nil {
+		if msg.PayloadTag(b.Payload) != configTag {
 			continue
 		}
-		outs = append(outs, r.onNewConfig(prop)...)
+		if prop, err := msg.DecodeBody[NewConfig](b.Payload); err == nil {
+			outs = append(outs, r.onNewConfig(prop)...)
+		}
 	}
 	return outs
 }
@@ -863,30 +862,4 @@ func (r *PBRReplica) resume() []msg.Directive {
 		outs = append(outs, r.execAsPrimary(req)...)
 	}
 	return outs
-}
-
-// ----------------------------------------------------------------- encode --
-
-func encodeProposal(p NewConfig) []byte {
-	s := fmt.Sprintf("cfg|%d|%s", p.OldSeq, p.Proposer)
-	for _, m := range p.Members {
-		s += "|" + string(m)
-	}
-	return []byte(s)
-}
-
-func decodeProposal(b []byte) (NewConfig, error) {
-	var p NewConfig
-	parts := strings.Split(string(b), "|")
-	if len(parts) < 3 || parts[0] != "cfg" {
-		return p, fmt.Errorf("core: not a config proposal")
-	}
-	if _, err := fmt.Sscanf(parts[1], "%d", &p.OldSeq); err != nil {
-		return p, fmt.Errorf("core: bad proposal seq: %w", err)
-	}
-	p.Proposer = msg.Loc(parts[2])
-	for _, m := range parts[3:] {
-		p.Members = append(p.Members, msg.Loc(m))
-	}
-	return p, nil
 }

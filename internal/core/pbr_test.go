@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -264,16 +265,27 @@ func TestConfigHelpers(t *testing.T) {
 	}
 }
 
-func TestProposalCodec(t *testing.T) {
-	in := NewConfig{OldSeq: 3, Members: []msg.Loc{"r2", "r3"}, Proposer: "r2"}
-	out, err := decodeProposal(encodeProposal(in))
+// proposal is c as the broadcast payload a PBR replica proposes.
+func proposal(t *testing.T, c NewConfig) []byte {
+	t.Helper()
+	b, err := msg.AppendBody(nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.OldSeq != 3 || out.Proposer != "r2" || len(out.Members) != 2 || out.Members[1] != "r3" {
+	return b
+}
+
+func TestProposalCodec(t *testing.T) {
+	in := NewConfig{OldSeq: 3, Members: []msg.Loc{"r2", "a|b"}, Proposer: "r2"}
+	out, err := msg.DecodeBody[NewConfig](proposal(t, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip = %+v", out)
 	}
-	if _, err := decodeProposal([]byte("tx|whatever")); err == nil {
+	tx, _ := EncodeTx(TxRequest{Client: "c1", Seq: 1, Type: "deposit"})
+	if _, err := msg.DecodeBody[NewConfig](tx); err == nil {
 		t.Error("non-proposal accepted")
 	}
 }
@@ -303,7 +315,7 @@ func TestPBRWipeReachesTheStore(t *testing.T) {
 		t.Fatalf("primary executed %d, want 3", r.Executor().Executed)
 	}
 	r.Step(msg.M(broadcast.HdrDeliver, broadcast.Deliver{Slot: 0, Msgs: []broadcast.Bcast{{
-		From: "r2", Seq: 1, Payload: encodeProposal(NewConfig{OldSeq: 0, Members: []msg.Loc{"r2", "r3"}, Proposer: "r2"}),
+		From: "r2", Seq: 1, Payload: proposal(t, NewConfig{OldSeq: 0, Members: []msg.Loc{"r2", "r3"}, Proposer: "r2"}),
 	}}}))
 	if r.hasData() {
 		t.Fatal("excluded replica kept its database")

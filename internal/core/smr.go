@@ -1,9 +1,7 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"shadowdb/internal/broadcast"
@@ -84,8 +82,8 @@ type SMRReplica struct {
 	runBuf []TxRequest
 	inRun  map[ckey]bool
 	// handlers are the ordered events that are not transactions, by
-	// payload tag; ext is the refinement that registered some of them.
-	handlers map[string]OrderedHandler
+	// codec tag; ext is the refinement that registered some of them.
+	handlers [256]OrderedHandler
 	ext      SMRExtension
 }
 
@@ -100,8 +98,9 @@ type OrderedHandler func(payload []byte, slot int) []msg.Directive
 // the replica's snapshots and state transfers.
 type SMRExtension interface {
 	// Bind attaches the extension to the replica self and its executor,
-	// before recovery, and returns its handlers by 4-byte payload tag.
-	Bind(self msg.Loc, exec *Executor) map[string]OrderedHandler
+	// before recovery, and returns its handlers by the codec tag of the
+	// payload each applies (msg.TagOf).
+	Bind(self msg.Loc, exec *Executor) map[byte]OrderedHandler
 	// Snapshot encodes the whole state; Restore replaces it with what
 	// Snapshot encoded (empty: the initial state) or fails untouched.
 	Snapshot() []byte
@@ -151,24 +150,22 @@ func OpenSMRReplica(cfg SMRConfig) (*SMRReplica, error) {
 	r := &SMRReplica{slf: cfg.Self, exec: NewExecutor(cfg.DB, cfg.Registry), lastSlot: -1, park: make(reorder[broadcast.Deliver]), ext: cfg.Ext,
 		volatile: cfg.Store == nil}
 	r.exec.frontier, r.exec.adopt = r.frontier, r.adopt
-	r.handlers = map[string]OrderedHandler{
-		"mbr|": func(p []byte, slot int) []msg.Directive {
-			if cmd, ok := member.DecodeCommand(p); ok {
-				return r.onMemberCmd(cmd, slot)
-			}
-			return nil
-		},
-		"lse|": func(p []byte, slot int) []msg.Directive {
-			if ren, ok := DecodeLease(p); ok {
-				r.onLeaseGrant(ren, slot)
-			}
-			return nil
-		},
+	r.handlers[memberTag] = func(p []byte, slot int) []msg.Directive {
+		if cmd, ok := member.DecodeCommand(p); ok {
+			return r.onMemberCmd(cmd, slot)
+		}
+		return nil
+	}
+	r.handlers[leaseTag] = func(p []byte, slot int) []msg.Directive {
+		if ren, err := msg.DecodeBody[LeaseRenewal](p); err == nil {
+			r.onLeaseGrant(ren, slot)
+		}
+		return nil
 	}
 	if cfg.Ext != nil {
 		for tag, h := range cfg.Ext.Bind(cfg.Self, r.exec) {
-			if _, dup := r.handlers[tag]; dup || len(tag) != 4 || tag[3] != '|' {
-				return nil, fmt.Errorf("core: extension payload tag %q is taken or not of the form \"abc|\"", tag)
+			if r.handlers[tag] != nil || tag == txTag {
+				return nil, fmt.Errorf("core: extension payload tag %#02x is taken", tag)
 			}
 			r.handlers[tag] = h
 		}
@@ -224,14 +221,16 @@ func (r *SMRReplica) adopt(h snapHeader) error {
 // Extension returns the replica's extension (nil when it has none).
 func (r *SMRReplica) Extension() SMRExtension { return r.ext }
 
-// OrderedTags lists the payload tags the replica dispatches to a
-// handler rather than decoding as a transaction, sorted.
-func (r *SMRReplica) OrderedTags() []string {
-	tags := make([]string, 0, len(r.handlers))
-	for tag := range r.handlers {
-		tags = append(tags, tag)
+// OrderedTags lists the codec tags of the payloads the replica
+// dispatches to a handler rather than decoding as a transaction, in
+// ascending order.
+func (r *SMRReplica) OrderedTags() []byte {
+	var tags []byte
+	for tag, h := range r.handlers {
+		if h != nil {
+			tags = append(tags, byte(tag))
+		}
 	}
-	slices.Sort(tags)
 	return tags
 }
 
@@ -379,12 +378,12 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 		// An ordered event observes the prefix before its own position
 		// (earlier transactions of the slot flush first), and later ones
 		// run after it — acked, say, under a lease grant it made.
-		if h := r.handler(b.Payload); h != nil {
+		if h := r.handlers[msg.PayloadTag(b.Payload)]; h != nil {
 			flush()
 			outs = append(outs, h(b.Payload, d.Slot)...)
 			continue
 		}
-		req, err := DecodeTx(b.Payload)
+		req, err := msg.DecodeBody[TxRequest](b.Payload)
 		if err != nil {
 			continue
 		}
@@ -411,15 +410,6 @@ func (r *SMRReplica) applyBatch(d broadcast.Deliver) []msg.Directive {
 		outs = r.reAck(outs)
 	}
 	return outs
-}
-
-// handler returns the ordered event a payload's tag names, or nil for a
-// transaction. Indexing by the converted tag does not allocate.
-func (r *SMRReplica) handler(p []byte) OrderedHandler {
-	if len(p) < 4 || p[3] != '|' {
-		return nil
-	}
-	return r.handlers[string(p[:4])]
 }
 
 // onMemberCmd folds an ordered membership command into the shared
@@ -496,34 +486,13 @@ func (r *SMRReplica) onSnapPart(p SnapPart) []msg.Directive {
 
 // ------------------------------------------------------------- payloads --
 
-// txMark leads every transaction payload, so a delivered batch tells a
-// transaction from the other payloads a total order carries (2PC
-// records, membership commands).
-const txMark = "tx|"
-
-// EncodeTx serializes a transaction request for a broadcast payload:
-// txMark, then the request as a body of the wire codec (its TxRequest
-// tag and fields). An argument of a kind the codec lacks is an error
-// naming it.
+// EncodeTx serializes a transaction request for a broadcast payload: the
+// request as a body of the wire codec. An argument of a kind the codec
+// lacks is an error naming it.
 func EncodeTx(req TxRequest) ([]byte, error) {
-	b, err := msg.AppendBody(append(make([]byte, 0, 64), txMark...), req)
+	b, err := msg.AppendBody(make([]byte, 0, 64), req)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode tx: %w", err)
 	}
 	return b, nil
-}
-
-var errNotTx = errors.New("core: not a transaction payload")
-
-// DecodeTx reverses EncodeTx. It is total: malformed bytes return an
-// error, never a panic, and never a value EncodeTx did not write.
-func DecodeTx(b []byte) (TxRequest, error) {
-	if len(b) < len(txMark) || string(b[:len(txMark)]) != txMark {
-		return TxRequest{}, errNotTx
-	}
-	req, err := msg.DecodeBody[TxRequest](b[len(txMark):])
-	if err != nil {
-		return TxRequest{}, fmt.Errorf("core: decode tx: %w", err)
-	}
-	return req, nil
 }

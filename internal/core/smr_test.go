@@ -228,32 +228,37 @@ func TestSMRPayloadCodecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeTx(b)
+	out, err := msg.DecodeBody[TxRequest](b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Client != "c1" || out.Seq != 9 || out.Type != "deposit" || len(out.Args) != 2 {
 		t.Errorf("round trip = %+v", out)
 	}
-	if _, err := DecodeTx([]byte("cfg|1|x")); err == nil {
+	if _, err := msg.DecodeBody[TxRequest](EncodeLease(LeaseRenewal{Holder: "r1"})); err == nil {
 		t.Error("non-tx payload accepted")
 	}
 }
 
-// The slot loop looks up every payload's tag in the handler table;
-// the lookup allocates nothing, whether it finds an ordered event, a
-// transaction or an unknown tag.
+// The slot loop looks up every payload's codec tag in the handler
+// table; the lookup allocates nothing, whether it finds an ordered
+// event, a transaction or an unknown tag.
 func TestOrderedDispatchDoesNotAllocate(t *testing.T) {
 	r := openSMR(t, "r1", emptyDB(t, "dispatch"), false)
-	payloads := [][]byte{EncodeLease(LeaseRenewal{Holder: "r1"}), []byte("tx|not gob"), []byte("zzz|unknown")}
+	tx, err := EncodeTx(TxRequest{Client: "c1", Seq: 1, Type: "deposit"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{EncodeLease(LeaseRenewal{Holder: "r1"}), tx, {0xfe}, nil}
+	handler := func(p []byte) OrderedHandler { return r.handlers[msg.PayloadTag(p)] }
 	if n := testing.AllocsPerRun(100, func() {
 		for _, p := range payloads {
-			_ = r.handler(p)
+			_ = handler(p)
 		}
 	}); n != 0 {
-		t.Errorf("tag dispatch allocates %v times per three payloads", n)
+		t.Errorf("tag dispatch allocates %v times per four payloads", n)
 	}
-	if r.handler(payloads[0]) == nil || r.handler(payloads[1]) != nil || r.handler(payloads[2]) != nil {
+	if handler(payloads[0]) == nil || handler(payloads[1]) != nil || handler(payloads[2]) != nil || handler(payloads[3]) != nil {
 		t.Error("dispatch finds the wrong handlers")
 	}
 }

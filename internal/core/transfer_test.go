@@ -40,8 +40,8 @@ func padRows(t testing.TB, db *sqldb.DB) {
 // that only a snapshot carries.
 type ledgerExt struct{ state []byte }
 
-func (x *ledgerExt) Bind(msg.Loc, *Executor) map[string]OrderedHandler { return nil }
-func (x *ledgerExt) Snapshot() []byte                                  { return x.state }
+func (x *ledgerExt) Bind(msg.Loc, *Executor) map[byte]OrderedHandler { return nil }
+func (x *ledgerExt) Snapshot() []byte                                { return x.state }
 func (x *ledgerExt) Restore(b []byte) error {
 	x.state = b
 	return nil

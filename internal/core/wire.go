@@ -1,16 +1,19 @@
 package core
 
 import (
+	"time"
+
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/sqldb"
 )
 
 // ShadowDB's bodies are registered with the wire codec at init (tags
-// 0x10–0x1f, DESIGN.md "Wire format and allocation hot path"). The
-// timers without fields (HdrHBTick, HdrLeaseTick, HdrSyncTick) send nil
-// bodies, and a NewConfig travels only inside its "cfg|" payload.
+// 0x10–0x1f and 0x80–0x8f, DESIGN.md "Wire format and allocation hot
+// path"). The timers without fields (HdrHBTick, HdrLeaseTick,
+// HdrSyncTick) send nil bodies.
 func init() {
-	msg.RegisterCodec(0x10, TxRequest{}, AppendTxRequest, ReadTxRequest)
+	msg.RegisterCodec(txTag, TxRequest{}, AppendTxRequest, ReadTxRequest)
 	msg.RegisterCodec(0x11, TxResult{}, appendTxResult, readTxResult)
 	msg.RegisterCodec(0x12, ReadRequest{}, appendReadRequest, readReadRequest)
 	msg.RegisterCodec(0x13, &ReadResult{}, appendReadResult, readReadResult)
@@ -25,7 +28,20 @@ func init() {
 	msg.RegisterCodec(0x1c, Recovered{}, appendRecovered, readRecovered)
 	msg.RegisterCodec(0x1d, ClientRetryBody{}, appendClientRetry, readClientRetry)
 	msg.RegisterCodec(0x1e, SubmitBody{}, appendSubmit, readSubmit)
+	msg.RegisterCodec(leaseTag, LeaseRenewal{}, appendLease, readLease)
+	msg.RegisterCodec(configTag, NewConfig{}, appendNewConfig, readNewConfig)
 }
+
+// The tags of the payloads this package orders, which tell them apart.
+const (
+	txTag     = 0x10
+	leaseTag  = 0x1f
+	configTag = 0x80
+)
+
+// memberTag is the tag of a membership command, which the SMR slot loop
+// applies.
+var memberTag = msg.TagOf[member.Command]()
 
 // RegisterWireTypes does nothing: the codecs are registered at init. It
 // stays for the benchmark module's callers (ROADMAP item 1(b)).
@@ -207,3 +223,24 @@ func appendSubmit(w *msg.Writer, b SubmitBody) {
 }
 
 func readSubmit(r *msg.Reader) SubmitBody { return SubmitBody{Type: r.Text(), Args: r.Values()} }
+
+func appendLease(w *msg.Writer, l LeaseRenewal) {
+	w.Int(l.Epoch)
+	w.Loc(l.Holder)
+	w.Int64(int64(l.Issue))
+	w.Int64(l.Seq)
+}
+
+func readLease(r *msg.Reader) LeaseRenewal {
+	return LeaseRenewal{Epoch: r.Int(), Holder: r.Loc(), Issue: time.Duration(r.Int64()), Seq: r.Int64()}
+}
+
+func appendNewConfig(w *msg.Writer, c NewConfig) {
+	w.Int(c.OldSeq)
+	w.Locs(c.Members)
+	w.Loc(c.Proposer)
+}
+
+func readNewConfig(r *msg.Reader) NewConfig {
+	return NewConfig{OldSeq: r.Int(), Members: r.Locs(), Proposer: r.Loc()}
+}

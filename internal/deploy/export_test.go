@@ -11,3 +11,6 @@ import (
 func (n Node) Arm(cl *Cluster, o *obs.Obs, proc gpm.Process) *dist.Checker {
 	return n.arm(cl, o, proc)
 }
+
+// ProposeHandler is proposeHandler, for the admin route's tests.
+var ProposeHandler = proposeHandler

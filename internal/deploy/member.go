@@ -36,6 +36,12 @@ type Schedule struct {
 	Epochs  []member.Config `json:"epochs"`
 }
 
+// opRole is the kind of id each membership op takes.
+var opRole = map[member.Op]Role{
+	member.AddReplica: RoleReplica, member.RemoveReplica: RoleReplica,
+	member.AddAcceptor: RoleBcast, member.RemoveAcceptor: RoleBcast,
+}
+
 // proposeHandler accepts a Proposal and submits the command to the
 // broadcast sequencer of the newest epoch.
 func proposeHandler(host *runtime.Host, view *member.View) http.Handler {
@@ -54,9 +60,10 @@ func proposeHandler(host *runtime.Host, view *member.View) http.Handler {
 			return
 		}
 		cmd := member.Command{Op: member.Op(b.Op), Node: msg.Loc(b.Node), Addr: b.Addr}
-		// Round-trip through the codec up front: a malformed command must
-		// be the caller's error, not a payload the cluster silently drops.
-		if _, ok := member.DecodeCommand(member.EncodeCommand(cmd)); !ok {
+		// A command must name a node of the kind its op changes: a
+		// malformed one is the caller's error, not a payload the cluster
+		// silently drops or applies to a member nobody meant.
+		if want, ok := opRole[cmd.Op]; !ok || RoleOf(cmd.Node) != want {
 			http.Error(w, fmt.Sprintf("bad command op=%q node=%q", b.Op, b.Node), http.StatusBadRequest)
 			return
 		}

@@ -52,7 +52,7 @@ func (c Class) String() string {
 // Classifier maps an ordered payload to its shed class. The broadcast
 // sequencer is payload-agnostic, so the layer that owns the payload
 // format supplies one (core.FlowClass for tx/lease/membership payloads,
-// shard.FlowClass adding the 2PC prefixes). A nil Classifier treats
+// shard.FlowClass adding the 2PC records). A nil Classifier treats
 // everything as ClassWrite.
 type Classifier func(payload []byte) Class
 

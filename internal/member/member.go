@@ -1,6 +1,7 @@
 package member
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,8 +22,8 @@ const (
 )
 
 // Command is one membership change, carried through the broadcast
-// order as an opaque payload (prefix "mbr|", disjoint from the "tx|"
-// and "lse|" payloads the SMR layer already routes on). Addr is the
+// order as an opaque payload: one body of the wire codec, whose tag
+// tells it from the other payloads the order carries. Addr is the
 // joiner's network address for live deployments — ordering it with the
 // command means every node learns the route exactly when it learns the
 // member; the simulator ignores it.
@@ -32,35 +33,46 @@ type Command struct {
 	Addr string
 }
 
-// cmdPrefix tags membership payloads in the broadcast order.
-const cmdPrefix = "mbr|"
+// cmdTag is the Command codec's tag (DESIGN.md §8 "Wire tags").
+const cmdTag = 0x70
+
+func init() { msg.RegisterCodec(cmdTag, Command{}, appendCommand, readCommand) }
+
+func appendCommand(w *msg.Writer, c Command) {
+	w.Text(string(c.Op))
+	w.Loc(c.Node)
+	w.Text(c.Addr)
+}
+
+var errCommand = errors.New("member: a command needs a known op and a node")
+
+func readCommand(r *msg.Reader) Command {
+	c := Command{Op: Op(r.Text()), Node: r.Loc(), Addr: r.Text()}
+	switch c.Op {
+	case AddReplica, RemoveReplica, AddAcceptor, RemoveAcceptor:
+		if c.Node != "" {
+			return c
+		}
+	}
+	r.Fail(errCommand)
+	return c
+}
 
 // EncodeCommand renders c as a broadcast payload.
 func EncodeCommand(c Command) []byte {
-	return []byte(cmdPrefix + string(c.Op) + "|" + string(c.Node) + "|" + c.Addr)
+	b, _ := msg.AppendBody(nil, c) // a Command is strings, which always encode
+	return b
 }
 
 // DecodeCommand parses a broadcast payload; ok is false when the
-// payload is not a membership command.
+// payload is not a membership command. Another kind of payload is told
+// by its tag and costs nothing.
 func DecodeCommand(b []byte) (Command, bool) {
-	s := string(b)
-	if !strings.HasPrefix(s, cmdPrefix) {
+	if msg.PayloadTag(b) != cmdTag {
 		return Command{}, false
 	}
-	parts := strings.SplitN(s[len(cmdPrefix):], "|", 3)
-	if len(parts) != 3 {
-		return Command{}, false
-	}
-	c := Command{Op: Op(parts[0]), Node: msg.Loc(parts[1]), Addr: parts[2]}
-	switch c.Op {
-	case AddReplica, RemoveReplica, AddAcceptor, RemoveAcceptor:
-	default:
-		return Command{}, false
-	}
-	if c.Node == "" {
-		return Command{}, false
-	}
-	return c, true
+	c, err := msg.DecodeBody[Command](b)
+	return c, err == nil
 }
 
 // Config is one configuration epoch: the broadcast/acceptor membership

@@ -22,15 +22,18 @@ func TestCommandRoundTrip(t *testing.T) {
 		{Op: RemoveAcceptor, Node: "b2"},
 		{Op: AddAcceptor, Node: "b4", Addr: "h:1"},
 		{Op: RemoveReplica, Node: "r2"},
+		{Op: AddReplica, Node: "r|4", Addr: "h:1"}, // the text format split it at the '|'
 	} {
 		got, ok := DecodeCommand(EncodeCommand(c))
 		if !ok || got != c {
 			t.Fatalf("round trip %+v -> %+v ok=%v", c, got, ok)
 		}
 	}
+	// The codec refuses what no node can apply; the text format of older
+	// builds is refused whole.
 	for _, raw := range [][]byte{
-		nil, []byte("tx|whatever"), []byte("mbr|"), []byte("mbr|bogus|n|"),
-		[]byte("mbr|add-replica||"), []byte("mbr|add-replica|r4"),
+		nil, {cmdTag}, EncodeCommand(Command{Op: "bogus", Node: "n"}), EncodeCommand(Command{Op: AddReplica}),
+		[]byte("tx|whatever"), []byte("mbr|add-replica|r4|h:1"), []byte("mbr|remove-replica|r2|"),
 	} {
 		if _, ok := DecodeCommand(raw); ok {
 			t.Fatalf("decoded invalid payload %q", raw)

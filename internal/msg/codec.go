@@ -108,6 +108,19 @@ func (t *codecTable) add(c *codec) {
 	t.byType[c.typ], t.byTag[c.tag] = c, c
 }
 
+// TagOf returns the tag T's codec is registered under, the first byte
+// of every T that AppendBody writes. T must have a codec.
+func TagOf[T any]() byte { return codecs.byType[reflect.TypeFor[T]()].tag }
+
+// PayloadTag returns the tag of the body b holds, which names its kind,
+// or 0 (no body) when b is empty.
+func PayloadTag(b []byte) byte {
+	if len(b) == 0 {
+		return tagNil
+	}
+	return b[0]
+}
+
 // WireTag is one row of the body-codec registry.
 type WireTag struct {
 	Tag  byte
@@ -214,9 +227,9 @@ func AppendFrame(dst []byte, envs []Envelope) ([]byte, error) {
 
 // AppendBody appends one body outside a frame to dst: its tag and the
 // fields its registered codec writes. Payloads that travel inside
-// another body's bytes — the "tx|" payload, the broadcast batch value,
-// the 2PC records — and the journal records are built with it, each
-// behind its owner's mark.
+// another body's bytes — what the total order carries, told apart by
+// that tag alone, and the broadcast batch a consensus value holds — and
+// the journal records are built with it.
 func AppendBody(dst []byte, body any) ([]byte, error) {
 	b, err := Append(dst, func(w *Writer) { w.Body(body) })
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"shadowdb/internal/consensus/twothird"
 	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
+	"shadowdb/internal/member"
 	"shadowdb/internal/msg"
 	"shadowdb/internal/shard"
 	"shadowdb/internal/sqldb"
@@ -38,7 +39,7 @@ var everyKind = []any{nil, int64(0), int64(-1), int64(math.MinInt64), int64(math
 // each []any kind.
 func samples() []any {
 	req := core.TxRequest{Client: "c1", Seq: math.MaxInt64, Type: "deposit", Args: everyKind, Deadline: -7}
-	bc := broadcast.Bcast{From: "c1", Seq: 3, Payload: []byte("tx|\x00\xff"), Deadline: math.MaxInt64}
+	bc := broadcast.Bcast{From: "c1", Seq: 3, Payload: []byte("\x10\x00\xff"), Deadline: math.MaxInt64}
 	ballot := synod.Ballot{N: -4, L: "b2"}
 	return []any{
 		core.TxRequest{}, core.TxRequest{Args: []any{}}, req,
@@ -93,6 +94,11 @@ func samples() []any {
 		shard.Vote{}, shard.Vote{TxID: "c1/9", Shard: 2, From: "s1r1", OK: true},
 		shard.Ack{}, shard.Ack{TxID: "c1/9", Shard: -1, From: "s0r2"},
 		shard.RetryBody{}, shard.RetryBody{TxID: "c1/9"},
+		// A command needs a known op and a node, so it has no zero sample.
+		commands[0], commands[1], commands[2], commands[3], member.Command{Op: member.AddReplica, Node: "\x00", Addr: "ünï"},
+		core.LeaseRenewal{}, lease, core.LeaseRenewal{Epoch: math.MinInt, Holder: "", Issue: math.MaxInt64, Seq: math.MinInt64},
+		core.NewConfig{}, core.NewConfig{Members: []msg.Loc{}}, proposal,
+		core.NewConfig{OldSeq: math.MaxInt, Members: []msg.Loc{"", "r2"}, Proposer: ""},
 	}
 }
 

@@ -10,13 +10,19 @@ import (
 
 	"shadowdb/internal/broadcast"
 	"shadowdb/internal/core"
+	"shadowdb/internal/member"
+	"shadowdb/internal/msg"
 	"shadowdb/internal/shard"
 )
 
-// The payloads are bodies carried inside other bodies' bytes: the "tx|"
-// transaction of a Bcast, the batch a consensus value holds, and the
-// "2pp|"/"2pd|" 2PC records. Each is its owner's mark (none for the
-// batch) followed by one body of the wire codec (msg.AppendBody).
+// The payloads are bodies carried inside other bodies' bytes: what a
+// Bcast orders — a transaction, a membership command, a lease renewal,
+// a PBR recovery proposal, a 2PC prepare or decision — and the batch a
+// consensus value holds. Each is one body of the wire codec
+// (msg.AppendBody), told from the others by its tag alone.
+
+// payloadKinds names every payload decoder.
+var payloadKinds = []string{"tx", "batch", "prepare", "decision", "command", "lease", "config"}
 
 // gobTrip is the oracle: what one-shot gob makes of v.
 func gobTrip[T any](t *testing.T, v T) T {
@@ -33,8 +39,8 @@ func gobTrip[T any](t *testing.T, v T) T {
 }
 
 // oldPayloads are the payloads as the gob encoding replaced by the
-// codecs wrote them: a mark and a gob stream, or a bare gob stream for
-// the batch.
+// codecs wrote them: a text mark and a gob stream, or a bare gob stream
+// for the batch.
 func oldPayloads(tb testing.TB) map[string][]byte {
 	enc := func(mark string, v any) []byte {
 		buf := bytes.NewBufferString(mark)
@@ -56,15 +62,25 @@ func oldPayloads(tb testing.TB) map[string][]byte {
 func decodePayload(kind string, b []byte) (any, bool) {
 	switch kind {
 	case "tx":
-		req, err := core.DecodeTx(b)
+		req, err := msg.DecodeBody[core.TxRequest](b)
 		return req, err == nil
 	case "batch":
 		batch, err := broadcast.DecodeBatch(string(b))
 		return batch, err == nil
 	case "prepare":
-		return shard.DecodePrepare(b)
+		p, err := msg.DecodeBody[shard.Prepare](b)
+		return p, err == nil
 	case "decision":
-		return shard.DecodeDecision(b)
+		d, err := msg.DecodeBody[shard.Decision](b)
+		return d, err == nil
+	case "command":
+		return member.DecodeCommand(b)
+	case "lease":
+		l, err := msg.DecodeBody[core.LeaseRenewal](b)
+		return l, err == nil
+	case "config":
+		c, err := msg.DecodeBody[core.NewConfig](b)
+		return c, err == nil
 	}
 	panic("unknown payload kind " + kind)
 }
@@ -84,6 +100,12 @@ func encodePayload(t testing.TB, v any) []byte {
 		return shard.EncodePrepare(v)
 	case shard.Decision:
 		return shard.EncodeDecision(v)
+	case member.Command:
+		return member.EncodeCommand(v)
+	case core.LeaseRenewal:
+		return core.EncodeLease(v)
+	case core.NewConfig:
+		return mustBody(v)
 	}
 	t.Fatalf("no payload encoding for %T", v)
 	return nil
@@ -121,6 +143,74 @@ func TestPayloadsAgainstGob(t *testing.T) {
 	for _, d := range []shard.Decision{{}, {TxID: "c1/9", Shard: 2, Coord: "rt1", Commit: true}} {
 		check("decision", d, gobTrip(t, d))
 	}
+	for _, c := range commands {
+		check("command", c, gobTrip(t, c))
+	}
+	for _, l := range []core.LeaseRenewal{{}, lease, {Epoch: math.MinInt, Issue: math.MaxInt64, Seq: math.MinInt64}} {
+		check("lease", l, gobTrip(t, l))
+	}
+	for _, c := range []core.NewConfig{{}, {Members: []msg.Loc{}}, proposal} {
+		check("config", c, gobTrip(t, c))
+	}
+}
+
+// commands are one membership command per op, a node with a '|' among
+// them, as the admin route may be asked to submit.
+var commands = []member.Command{
+	{Op: member.AddReplica, Node: "r|4", Addr: "h:1"},
+	{Op: member.RemoveReplica, Node: "r2"},
+	{Op: member.AddAcceptor, Node: "b4", Addr: "127.0.0.1:9104"},
+	{Op: member.RemoveAcceptor, Node: "b2"},
+}
+
+// lease is a renewal with every field set; proposal a PBR recovery
+// proposal with a '|' in a member's location.
+var (
+	lease    = core.LeaseRenewal{Epoch: 3, Holder: "r1", Issue: 1500 * 1e6, Seq: 9}
+	proposal = core.NewConfig{OldSeq: 5, Members: []msg.Loc{"r1", "a|b"}, Proposer: "r1"}
+)
+
+// oldTextPayloads are the ordered payloads as the build before the
+// payload codecs wrote them: a text mark and a codec body, or pipe-
+// separated text. Among them are the three the text parsers misread:
+// a proposal whose member holds a '|' (read as two members), an OldSeq
+// with trailing letters (read as 5), and a node "r|4" (read as node "r"
+// at address "4|h:1").
+var oldTextPayloads = map[string][]byte{
+	"marked tx":           append([]byte("tx|"), mustBody(deposit)...),
+	"marked prepare":      append([]byte("2pp|"), mustBody(prepare())...),
+	"marked decision":     append([]byte("2pd|"), mustBody(shard.Decision{TxID: "c1/9", Commit: true})...),
+	"text command":        []byte("mbr|add-replica|r4|h:1"),
+	"text lease":          []byte("lse|0|r1|1500000000|1"),
+	"text proposal":       []byte("cfg|5|r1|r1|r2"),
+	"'|' in a member":     []byte("cfg|5|r1|r1|a|b"),
+	"OldSeq 5abc":         []byte("cfg|5abc|r1|r2"),
+	"'|' in a node":       []byte("mbr|add-replica|r|4|h:1"),
+	"'|' in a holder":     []byte("lse|0|r|1|1500000000|1"),
+	"empty command":       []byte("mbr|"),
+	"text command, no op": []byte("mbr|bogus|n|"),
+}
+
+func mustBody(v any) []byte {
+	b, err := msg.AppendBody(nil, v)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// Every payload an older build ordered — a text mark before a codec
+// body, or pipe-separated text — is refused by every payload decoder,
+// never misread as some other value: an old journal's payloads are not
+// applied as something else.
+func TestPayloadsRefuseOldText(t *testing.T) {
+	for name, b := range oldTextPayloads {
+		for _, kind := range payloadKinds {
+			if v, ok := decodePayload(kind, b); ok {
+				t.Errorf("%s %q: the %s decoder read %#v", name, b, kind, v)
+			}
+		}
+	}
 }
 
 // The payloads the gob encoding wrote decode to an error, never to a
@@ -143,17 +233,22 @@ type planted struct {
 }
 
 func plantedPayloads() []planted {
-	huge := func(mark string, b ...byte) []byte {
-		return append(binary.AppendUvarint(append([]byte(mark), b...), 1<<30), make([]byte, 32)...)
+	huge := func(b ...byte) []byte {
+		return append(binary.AppendUvarint(b, 1<<30), make([]byte, 32)...)
 	}
 	return []planted{
 		// A TxRequest: empty Client, Seq 0, empty Type, then Args.
-		{"tx", "Args count", huge("tx|", 0x10, 0, 0, 0)},
-		{"batch", "Bcast count", huge("", 0x22)},
-		{"prepare", "TxID length", huge("2pp|", 0x50)},
+		{"tx", "Args count", huge(0x10, 0, 0, 0)},
+		{"batch", "Bcast count", huge(0x22)},
+		{"prepare", "TxID length", huge(0x50)},
 		// Empty TxID and Coord, Shard 0, then Participants.
-		{"prepare", "Participants count", huge("2pp|", 0x50, 0, 0, 0)},
-		{"decision", "TxID length", huge("2pd|", 0x51)},
+		{"prepare", "Participants count", huge(0x50, 0, 0, 0)},
+		{"decision", "TxID length", huge(0x51)},
+		{"command", "Op length", huge(0x70)},
+		// Epoch 0, then Holder.
+		{"lease", "Holder length", huge(0x1f, 0)},
+		// OldSeq 0, then Members.
+		{"config", "Members count", huge(0x80, 0)},
 	}
 }
 
@@ -180,8 +275,8 @@ func TestPayloadPlantedLengths(t *testing.T) {
 // decoders these replace cost 193 and 247.
 func TestPayloadDecodeAllocs(t *testing.T) {
 	tx := encodePayload(t, deposit)
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = core.DecodeTx(tx) }); allocs > 5 {
-		t.Errorf("DecodeTx of a deposit allocated %.0f times, want at most 5", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = msg.DecodeBody[core.TxRequest](tx) }); allocs > 5 {
+		t.Errorf("decoding a deposit allocated %.0f times, want at most 5", allocs)
 	}
 	val := broadcast.EncodeBatch(batch16())
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = broadcast.DecodeBatch(val) }); allocs > 2*16+4 {
@@ -190,10 +285,10 @@ func TestPayloadDecodeAllocs(t *testing.T) {
 }
 
 // FuzzDecodePayloads throws arbitrary bytes — and mutations of every
-// payload kind, of the gob payloads the codecs replaced, and of planted
-// lengths — at all four payload decoders. Each must return a value or
-// refuse, never panic, and a value it returns must encode to a payload
-// that decodes back to the same encoding.
+// payload kind, of the gob and text payloads the codecs replaced, and
+// of planted lengths — at all seven payload decoders. Each must return
+// a value or refuse, never panic, and is exact: a value it returns
+// re-encodes to the very bytes it was decoded from.
 func FuzzDecodePayloads(f *testing.F) {
 	for _, v := range []any{deposit, core.TxRequest{Args: everyKind}, []broadcast.Bcast(batch16()),
 		[]broadcast.Bcast{}, prepare(), shard.Decision{TxID: "t", Commit: true}} {
@@ -205,19 +300,20 @@ func FuzzDecodePayloads(f *testing.F) {
 	for _, p := range plantedPayloads() {
 		f.Add(p.b)
 	}
+	for _, v := range []any{commands[0], commands[3], lease, proposal, core.NewConfig{}} {
+		f.Add(encodePayload(f, v))
+	}
+	for _, name := range []string{"'|' in a member", "OldSeq 5abc", "'|' in a node", "marked tx", "text lease"} {
+		f.Add(oldTextPayloads[name])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, kind := range []string{"tx", "batch", "prepare", "decision"} {
+		for _, kind := range payloadKinds {
 			v, ok := decodePayload(kind, data)
 			if !ok {
 				continue
 			}
-			b := encodePayload(t, v)
-			back, ok := decodePayload(kind, b)
-			if !ok {
-				t.Fatalf("%s %#v re-encodes to %x, which does not decode", kind, v, b)
-			}
-			if again := encodePayload(t, back); !bytes.Equal(again, b) {
-				t.Fatalf("%s: %x decodes and re-encodes to %x", kind, b, again)
+			if b := encodePayload(t, v); !bytes.Equal(b, data) {
+				t.Fatalf("%s: %x decodes to %#v, which re-encodes to %x", kind, data, v, b)
 			}
 		}
 	})

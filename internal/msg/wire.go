@@ -170,6 +170,7 @@ func (w *Writer) Values(vs []any) {
 // costs no allocation to refuse.
 var (
 	errTruncated = errors.New("msg: frame truncated")
+	errVarint    = errors.New("msg: truncated or overlong varint")
 	errLength    = errors.New("msg: length exceeds frame")
 	errBool      = errors.New("msg: malformed bool")
 	errKind      = errors.New("msg: unknown value kind")
@@ -203,22 +204,24 @@ func (r *Reader) More() bool { return r.err == nil && len(r.b) > 0 }
 // that reads cleanly but is not one its writer writes.
 func (r *Reader) Fail(err error) { r.fail(err) }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. A varint must be minimal, with no
+// trailing 0x00 byte, so a value has one encoding and a decoded body
+// re-encodes to exactly the bytes it was read from.
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(errTruncated)
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail(errVarint)
 		return 0
 	}
 	r.b = r.b[n:]
 	return v
 }
 
-// Int64 reads a signed varint.
+// Int64 reads a signed varint, minimal as Uvarint's.
 func (r *Reader) Int64() int64 {
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail(errTruncated)
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail(errVarint)
 		return 0
 	}
 	r.b = r.b[n:]

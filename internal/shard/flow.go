@@ -3,9 +3,10 @@ package shard
 import (
 	"shadowdb/internal/core"
 	"shadowdb/internal/flow"
+	"shadowdb/internal/msg"
 )
 
-// FlowClass extends core.FlowClass with the 2PC record prefixes this
+// FlowClass extends core.FlowClass with the 2PC records this
 // package submits into shard orders: decisions are ClassControl — a
 // shed decision strands prepared participants holding reservations, so
 // a saturated sequencer must order them last of all — while prepares
@@ -13,13 +14,11 @@ import (
 // prepared degrades into a clean client-visible retry. Everything else
 // defers to the core classifier.
 func FlowClass(payload []byte) flow.Class {
-	if len(payload) >= 4 {
-		switch string(payload[:4]) {
-		case decMark:
-			return flow.ClassControl
-		case prepMark:
-			return flow.ClassWrite
-		}
+	switch msg.PayloadTag(payload) {
+	case decisionTag:
+		return flow.ClassControl
+	case prepareTag:
+		return flow.ClassWrite
 	}
 	return core.FlowClass(payload)
 }

@@ -85,25 +85,28 @@ func (c *Checks) step(e *verify.Event) (inScope bool, bad []string) {
 		m[e.Loc][id] = true
 	}
 	for _, b := range d.Msgs {
-		if p, ok := DecodePrepare(b.Payload); ok {
+		switch msg.PayloadTag(b.Payload) {
+		case prepareTag:
+			if p, err := msg.DecodeBody[Prepare](b.Payload); err == nil {
+				inScope = true
+				mark(c.prepared, p.TxID)
+			}
+		case decisionTag:
+			dec, err := msg.DecodeBody[Decision](b.Payload)
+			if err != nil {
+				continue
+			}
 			inScope = true
-			mark(c.prepared, p.TxID)
-			continue
+			if prev, ok := c.outcome[dec.TxID]; !ok {
+				c.outcome[dec.TxID] = dec.Commit
+			} else if prev != dec.Commit {
+				bad = append(bad, fmt.Sprintf("transaction %s decided both commit and abort across shards", dec.TxID))
+			}
+			if dec.Commit && !c.prepared[e.Loc][dec.TxID] {
+				bad = append(bad, fmt.Sprintf("%s delivered a commit for %s without delivering its prepare", e.Loc, dec.TxID))
+			}
+			mark(c.decided, dec.TxID)
 		}
-		dec, ok := DecodeDecision(b.Payload)
-		if !ok {
-			continue
-		}
-		inScope = true
-		if prev, ok := c.outcome[dec.TxID]; !ok {
-			c.outcome[dec.TxID] = dec.Commit
-		} else if prev != dec.Commit {
-			bad = append(bad, fmt.Sprintf("transaction %s decided both commit and abort across shards", dec.TxID))
-		}
-		if dec.Commit && !c.prepared[e.Loc][dec.TxID] {
-			bad = append(bad, fmt.Sprintf("%s delivered a commit for %s without delivering its prepare", e.Loc, dec.TxID))
-		}
-		mark(c.decided, dec.TxID)
 	}
 	return inScope, bad
 }

@@ -64,9 +64,9 @@ func NewLedger(shardIdx int, app App) *Ledger {
 }
 
 // Bind implements core.SMRExtension: the ledger's two ordered events.
-func (l *Ledger) Bind(self msg.Loc, exec *core.Executor) map[string]core.OrderedHandler {
+func (l *Ledger) Bind(self msg.Loc, exec *core.Executor) map[byte]core.OrderedHandler {
 	l.slf, l.exec = self, exec
-	return map[string]core.OrderedHandler{prepMark: l.onPrepare, decMark: l.onDecision}
+	return map[byte]core.OrderedHandler{prepareTag: l.onPrepare, decisionTag: l.onDecision}
 }
 
 // Snapshot implements core.SMRExtension: the ledger as the records that
@@ -133,8 +133,8 @@ func (l *Ledger) HeldOn(key string) int64 {
 // onPrepare votes on a delivered prepare. The vote is a deterministic
 // function of the delivered order, so all replicas of the shard agree.
 func (l *Ledger) onPrepare(payload []byte, _ int) []msg.Directive {
-	p, ok := DecodePrepare(payload)
-	if !ok {
+	p, err := msg.DecodeBody[Prepare](payload)
+	if err != nil {
 		return nil
 	}
 	if pd, seen := l.prepared[p.TxID]; seen {
@@ -147,7 +147,7 @@ func (l *Ledger) onPrepare(payload []byte, _ int) []msg.Directive {
 		// has what it needs (or will re-send the decision itself).
 		return nil
 	}
-	_, ok = l.exec.Reg[p.Sub.Apply]
+	_, ok := l.exec.Reg[p.Sub.Apply]
 	for _, key := range msg.SortedKeys(p.Sub.Reserve) {
 		avail, err := l.app.Available(l.exec.DB, key)
 		if err != nil || avail-l.HeldOn(key) < p.Sub.Reserve[key] {
@@ -169,8 +169,8 @@ func (l *Ledger) vote(p Prepare, ok bool) []msg.Directive {
 // onDecision releases the prepare's holds (retiring the prepare) and
 // applies the slice on commit. Both paths ack to the coordinator.
 func (l *Ledger) onDecision(payload []byte, _ int) []msg.Directive {
-	d, ok := DecodeDecision(payload)
-	if !ok {
+	d, err := msg.DecodeBody[Decision](payload)
+	if err != nil {
 		return nil
 	}
 	if _, done := l.decided[d.TxID]; done {

@@ -82,7 +82,7 @@ func TestRouterForwardsSingleShard(t *testing.T) {
 	if b.From != "c1" || b.Seq != 7 {
 		t.Fatalf("forwarded Bcast identity %s/%d, want c1/7", b.From, b.Seq)
 	}
-	got, err := core.DecodeTx(b.Payload)
+	got, err := msg.DecodeBody[core.TxRequest](b.Payload)
 	if err != nil || got.Type != "deposit" {
 		t.Fatalf("forwarded payload did not round-trip: %v %v", got, err)
 	}
@@ -131,9 +131,9 @@ func TestRouterCrossShardCommit(t *testing.T) {
 			t.Fatalf("2PC record sent with identity %s, want the router's", b.From)
 		}
 		seqs = append(seqs, b.Seq)
-		p, ok := DecodePrepare(b.Payload)
-		if !ok {
-			t.Fatalf("prepare payload did not decode")
+		p, err := msg.DecodeBody[Prepare](b.Payload)
+		if err != nil {
+			t.Fatalf("prepare payload did not decode: %v", err)
 		}
 		if len(p.Participants) != 2 || p.Coord != RouterLoc {
 			t.Fatalf("prepare misdescribes the transaction: %+v", p)
@@ -162,9 +162,9 @@ func TestRouterCrossShardCommit(t *testing.T) {
 		t.Fatalf("commit sent %d decisions, want 2", len(bc))
 	}
 	for _, d := range bc {
-		dec, ok := DecodeDecision(d.M.Body.(broadcast.Bcast).Payload)
-		if !ok || !dec.Commit {
-			t.Fatalf("decision payload wrong: %+v ok=%v", dec, ok)
+		dec, err := msg.DecodeBody[Decision](d.M.Body.(broadcast.Bcast).Payload)
+		if err != nil || !dec.Commit {
+			t.Fatalf("decision payload wrong: %+v err=%v", dec, err)
 		}
 	}
 	var replied bool
@@ -209,7 +209,7 @@ func TestRouterCrossShardAbortOnNoVote(t *testing.T) {
 		t.Fatalf("abort sent %d decisions, want 2 (both participants)", len(bc))
 	}
 	for _, d := range bc {
-		if dec, ok := DecodeDecision(d.M.Body.(broadcast.Bcast).Payload); !ok || dec.Commit {
+		if dec, err := msg.DecodeBody[Decision](d.M.Body.(broadcast.Bcast).Payload); err != nil || dec.Commit {
 			t.Fatalf("abort decision wrong: %+v", dec)
 		}
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 
 	"shadowdb/internal/core"
@@ -90,13 +91,20 @@ type RetryBody struct {
 // and the coordinator's retry timer (tags 0x50–0x5f, DESIGN.md "Wire
 // format and allocation hot path").
 func init() {
-	msg.RegisterCodec(0x50, Prepare{}, appendPrepare, readPrepare)
-	msg.RegisterCodec(0x51, Decision{}, appendDecision, readDecision)
+	msg.RegisterCodec(prepareTag, Prepare{}, appendPrepare, readPrepare)
+	msg.RegisterCodec(decisionTag, Decision{}, appendDecision, readDecision)
 	msg.RegisterCodec(0x52, Vote{}, appendVote, readVote)
 	msg.RegisterCodec(0x53, Ack{}, appendAck, readAck)
 	msg.RegisterCodec(0x54, RetryBody{}, func(w *msg.Writer, b RetryBody) { w.Text(b.TxID) },
 		func(r *msg.Reader) RetryBody { return RetryBody{TxID: r.Text()} })
 }
+
+// The tags of the 2PC records, which tell them from the other payloads
+// of a shard's total order.
+const (
+	prepareTag  = 0x50
+	decisionTag = 0x51
+)
 
 func appendPrepare(w *msg.Writer, p Prepare) {
 	w.Text(p.TxID)
@@ -125,14 +133,23 @@ func appendSubTx(w *msg.Writer, s SubTx) {
 	w.Values(s.ApplyArgs)
 }
 
+var errReserveOrder = errors.New("shard: reservation keys out of order")
+
+// readSubTx refuses reservations that are not in strictly ascending key
+// order, as appendSubTx writes them, so a decoded SubTx re-encodes to
+// the bytes it was read from.
 func readSubTx(r *msg.Reader) SubTx {
 	var s SubTx
 	if r.Bool() {
 		n := r.Count(2) // a key length and an amount
 		s.Reserve = make(map[string]int64, n)
-		for range n {
+		prev := ""
+		for i := range n {
 			k := r.Text()
-			s.Reserve[k] = r.Int64()
+			if i > 0 && k <= prev {
+				r.Fail(errReserveOrder)
+			}
+			s.Reserve[k], prev = r.Int64(), k
 		}
 	}
 	s.Apply = r.Text()
@@ -183,43 +200,20 @@ func appendAck(w *msg.Writer, a Ack) {
 
 func readAck(r *msg.Reader) Ack { return Ack{TxID: r.Text(), Shard: r.Int(), From: r.Loc()} }
 
-// Payload markers distinguishing 2PC records from plain transactions
-// ("tx|") in a delivered batch.
-const (
-	prepMark = "2pp|"
-	decMark  = "2pd|"
-)
-
-// EncodePrepare serializes a Prepare for use as a broadcast payload:
-// prepMark, then the Prepare as a body of the wire codec.
-func EncodePrepare(p Prepare) []byte { return encodePayload(prepMark, p) }
-
-// DecodePrepare recognizes a Prepare payload. Like broadcast.DecodeBatch
-// it is total: payloads cross the wire and the WAL, so malformed bytes
-// return ok=false, never a crash.
-func DecodePrepare(b []byte) (Prepare, bool) { return decodePayload[Prepare](prepMark, b) }
-
-// EncodeDecision serializes a Decision for use as a broadcast payload.
-func EncodeDecision(d Decision) []byte { return encodePayload(decMark, d) }
-
-// DecodeDecision recognizes a Decision payload (total, like DecodePrepare).
-func DecodeDecision(b []byte) (Decision, bool) { return decodePayload[Decision](decMark, b) }
-
-func encodePayload(mark string, body any) []byte {
-	b, err := msg.AppendBody([]byte(mark), body)
+// EncodePrepare serializes a Prepare for use as a broadcast payload: the
+// Prepare as a body of the wire codec.
+func EncodePrepare(p Prepare) []byte {
+	b, err := msg.AppendBody(nil, p)
 	if err != nil {
 		// The router refuses a request whose arguments have no wire kind
 		// before it prepares it (Router.onCrossShard), so this cannot fail.
-		panic(fmt.Sprintf("shard: encode %T: %v", body, err))
+		panic(fmt.Sprintf("shard: encode %T: %v", p, err))
 	}
 	return b
 }
 
-func decodePayload[T any](mark string, b []byte) (T, bool) {
-	if len(b) < len(mark) || string(b[:len(mark)]) != mark {
-		var zero T
-		return zero, false
-	}
-	v, err := msg.DecodeBody[T](b[len(mark):])
-	return v, err == nil
+// EncodeDecision serializes a Decision for use as a broadcast payload.
+func EncodeDecision(d Decision) []byte {
+	b, _ := msg.AppendBody(nil, d) // a Decision has no field without a kind
+	return b
 }
